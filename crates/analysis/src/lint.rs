@@ -21,6 +21,11 @@
 //!   on every path and is the endorsed form (it does not match either
 //!   pattern, so guard-only files trivially pass).
 //!
+//! A covered-set or allowlist entry names either one file or — when it ends
+//! in `/` — a directory prefix covering every `.rs` file beneath it
+//! ([`covers`]), so a hot file split into a module directory stays covered
+//! without listing its parts.
+//!
 //! The harness reads sources relative to a repo root, so it runs identically
 //! from CI (`cargo run -p hidet-analysis --bin hidet-lint`), from tests, and
 //! from any checkout path.
@@ -77,11 +82,49 @@ pub const DOC_ATTR: &str = "#![warn(missing_docs)]";
 /// Relative path of the HA102 allowlist.
 pub const ALLOWLIST_FILE: &str = "crates/analysis/lint_allow.txt";
 
+/// Whether a covered-set or allowlist `entry` applies to the repo-relative
+/// file `rel`: an exact path, or — ending in `/` — a directory prefix.
+pub fn covers(entry: &str, rel: &str) -> bool {
+    entry == rel || (entry.ends_with('/') && rel.starts_with(entry))
+}
+
+/// Expands one covered-set entry into the files it names, sorted: the file
+/// itself, or every `.rs` file beneath a directory entry. A directory entry
+/// that covers nothing is an error, like a missing file — a rule silently
+/// skipping a renamed hot directory would hollow out the invariant.
+fn expand(root: &Path, entry: &str) -> std::io::Result<Vec<String>> {
+    if !entry.ends_with('/') {
+        return Ok(vec![entry.to_string()]);
+    }
+    let mut files = Vec::new();
+    let mut dirs = vec![entry.to_string()];
+    while let Some(dir) = dirs.pop() {
+        for item in std::fs::read_dir(root.join(&dir))? {
+            let item = item?;
+            let name = item.file_name().to_string_lossy().into_owned();
+            if item.file_type()?.is_dir() {
+                dirs.push(format!("{dir}{name}/"));
+            } else if name.ends_with(".rs") {
+                files.push(format!("{dir}{name}"));
+            }
+        }
+    }
+    if files.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            "directory entry covers no .rs file",
+        ));
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// One justified HA102 site: `path: needle` — suppresses findings in `path`
 /// on lines containing `needle`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Repo-relative file the entry applies to.
+    /// Repo-relative file, or `/`-terminated directory prefix, the entry
+    /// applies to.
     pub path: String,
     /// Substring of the tolerated line.
     pub needle: String,
@@ -144,7 +187,7 @@ pub fn scan_hot_source(
             }
             let mut allowed = false;
             for (i, entry) in allow.iter().enumerate() {
-                if entry.path == rel_path
+                if covers(&entry.path, rel_path)
                     && !entry.needle.is_empty()
                     && line.contains(&entry.needle)
                 {
@@ -218,43 +261,43 @@ pub fn scan_lib_docs(rel_path: &str, content: &str) -> Vec<Diagnostic> {
 pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let read = |rel: &str| std::fs::read_to_string(root.join(rel));
-
-    for rel in RING_FILES {
-        match read(rel) {
-            Ok(text) => diags.extend(scan_ring_source(rel, &text)),
-            Err(e) => diags.push(Diagnostic::error(
-                Rule::LintBlockingPrimitive,
-                *rel,
-                format!("cannot read covered file: {e}"),
-            )),
+    // A covered set as `(path, source)` pairs: entries expand to concrete
+    // files first, and one that cannot be expanded or read is reported under
+    // the rule it would have hollowed out.
+    let sources = |entries: &[&str], rule: Rule, diags: &mut Vec<Diagnostic>| {
+        let mut found = Vec::new();
+        for entry in entries {
+            let texts = expand(root, entry).and_then(|files| {
+                files
+                    .into_iter()
+                    .map(|rel| read(&rel).map(|text| (rel, text)))
+                    .collect::<std::io::Result<Vec<_>>>()
+            });
+            match texts {
+                Ok(texts) => found.extend(texts),
+                Err(e) => diags.push(Diagnostic::error(
+                    rule,
+                    *entry,
+                    format!("cannot read covered file: {e}"),
+                )),
+            }
         }
-    }
+        found
+    };
 
-    for rel in INSTRUMENTED_FILES {
-        match read(rel) {
-            Ok(text) => diags.extend(scan_span_pairing(rel, &text)),
-            Err(e) => diags.push(Diagnostic::error(
-                Rule::LintSpanPairing,
-                *rel,
-                format!("cannot read covered file: {e}"),
-            )),
-        }
+    for (rel, text) in sources(RING_FILES, Rule::LintBlockingPrimitive, &mut diags) {
+        diags.extend(scan_ring_source(&rel, &text));
     }
-
+    for (rel, text) in sources(INSTRUMENTED_FILES, Rule::LintSpanPairing, &mut diags) {
+        diags.extend(scan_span_pairing(&rel, &text));
+    }
     let allow = match read(ALLOWLIST_FILE) {
         Ok(text) => parse_allowlist(&text),
         Err(_) => Vec::new(), // an absent allowlist allows nothing
     };
     let mut used = vec![false; allow.len()];
-    for rel in HOT_PATH_FILES {
-        match read(rel) {
-            Ok(text) => diags.extend(scan_hot_source(rel, &text, &allow, &mut used)),
-            Err(e) => diags.push(Diagnostic::error(
-                Rule::LintPanicInHotPath,
-                *rel,
-                format!("cannot read covered file: {e}"),
-            )),
-        }
+    for (rel, text) in sources(HOT_PATH_FILES, Rule::LintPanicInHotPath, &mut diags) {
+        diags.extend(scan_hot_source(&rel, &text, &allow, &mut used));
     }
     for (entry, used) in allow.iter().zip(&used) {
         if !used {
@@ -347,6 +390,37 @@ mod tests { fn f() { q.unwrap(); } }
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].location, "h.rs:1");
         assert_eq!(used, vec![true, false]);
+    }
+
+    #[test]
+    fn directory_prefix_entries_cover_every_file_beneath_them() {
+        assert!(covers("a/b.rs", "a/b.rs"));
+        assert!(!covers("a/b.rs", "a/b.rs.bak"));
+        assert!(!covers("a/b", "a/b/c.rs"), "no trailing slash: a file");
+        assert!(covers("a/b/", "a/b/c.rs"));
+        assert!(covers("a/b/", "a/b/d/e.rs"));
+        assert!(!covers("a/b/", "a/bc/d.rs"));
+
+        // An allowlist entry on a directory suppresses in any file below it
+        // and is marked used; a sibling directory's entry is not.
+        let src = "let c = z.expect(\"poisoned\");\n";
+        let allow = parse_allowlist("eng/: poisoned\nengine/: poisoned\n");
+        let mut used = vec![false; allow.len()];
+        assert_eq!(
+            scan_hot_source("eng/shard.rs", src, &allow, &mut used),
+            vec![]
+        );
+        assert_eq!(used, vec![true, false]);
+
+        // A covered-set directory expands to its sorted `.rs` files; a
+        // directory covering nothing is an error, not a silent skip.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let files = expand(root, "src/").unwrap();
+        assert!(files.contains(&"src/lint.rs".to_string()), "{files:?}");
+        assert!(files.contains(&"src/bin/hidet_lint.rs".to_string()));
+        assert!(files.windows(2).all(|w| w[0] < w[1]), "sorted: {files:?}");
+        assert_eq!(expand(root, "src/lint.rs").unwrap(), vec!["src/lint.rs"]);
+        assert!(expand(root, "src/no_such_dir/").is_err());
     }
 
     #[test]

@@ -9,16 +9,12 @@
 use hidet_baselines::loop_sched::loop_matmul_kernel;
 use hidet_bench::{arg_usize, print_table};
 use hidet_graph::models::ConvWorkload;
+use hidet_runtime::stats::percentile;
 use hidet_sched::{matmul_kernel, matmul_space, MatmulIo, MatmulProblem};
 use hidet_sim::Gpu;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * p) as usize;
-    sorted[idx]
-}
 
 fn summarize(name: &str, mut latencies_us: Vec<f64>) -> Vec<String> {
     latencies_us.sort_by(f64::total_cmp);

@@ -358,21 +358,11 @@ fn main() {
             format!("{}", s.sessions_placed),
             format!("{}/{}", s.migrations_in, s.migrations_out),
             format!("{}", s.tokens_generated),
-            format!("{}", s.lane_share),
-            format!("{:.1}", s.queue_delay_ewma_seconds * 1e6),
             format!("{:.0}", s.tokens_per_second),
         ]
     };
     print_table(
-        &[
-            "shard",
-            "placed",
-            "migr in/out",
-            "tokens",
-            "lanes",
-            "queue ewma(us)",
-            "tok/s (sim)",
-        ],
+        &["shard", "placed", "migr in/out", "tokens", "tok/s (sim)"],
         &pool.shards.iter().map(shard_row).collect::<Vec<_>>(),
     );
     let scaling = pool.cluster_tokens_per_second / solo.cluster_tokens_per_second;

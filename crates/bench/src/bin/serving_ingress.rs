@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 use hidet_bench::report::{upsert_section, BenchSection};
 use hidet_bench::{arg_str, arg_usize, print_table};
 use hidet_decode::{DecodeConfig, DecodeEngine};
+use hidet_runtime::stats::percentile;
 use hidet_runtime::{Engine, EngineConfig};
 use hidet_sched::json::{get, Json};
 use hidet_server::{HidetServer, ServerConfig};
@@ -90,14 +91,6 @@ fn infer_body(priority: &str) -> String {
         r#"{{"model":"head","inputs":[[{}]],"priority":"{priority}"}}"#,
         inputs.join(",")
     )
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 fn main() {

@@ -452,46 +452,69 @@ pub fn compile_hashed(
     })
 }
 
-/// Live compile workers across every in-flight [`compile_hashed`] in the
-/// process (the main thread of each compile only parks in `thread::scope`,
-/// so it is not counted).
+/// Compile workers currently *spawned* across every in-flight
+/// [`compile_hashed`] in the process. The thread that called the compiler is
+/// never counted: with a grant above one it only parks in `thread::scope`,
+/// and with a grant of one it compiles on itself and spawns nobody.
 static ACTIVE_COMPILE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// An RAII claim on the process-wide compile-worker budget: grants up to
-/// `want` workers, but never pushes the process total past the core count —
-/// a compile arriving while others saturate the budget runs with one
-/// worker (its own thread) instead of piling on. The accounting is
-/// advisory (claims race benignly), which is all CPU-oversubscription
-/// avoidance needs.
-struct WorkerBudget {
-    granted: usize,
+/// An RAII claim on the process-wide compile-worker budget.
+///
+/// Invariant: the ledger — the sum of every live claim's booked workers —
+/// never exceeds the core count. A claim books `min(want, free)` workers in
+/// one compare-exchange loop, so concurrent claimants cannot both take the
+/// same free cores. When fewer than two are free (or wanted) the claim books
+/// nothing and grants the caller's own thread only: that compile runs
+/// sequentially on the thread that asked, which is not an extra worker, so a
+/// compile arriving while others saturate the budget degrades to one thread
+/// instead of piling on or blocking.
+struct WorkerBudget<'a> {
+    ledger: &'a AtomicUsize,
+    booked: usize,
 }
 
-impl WorkerBudget {
-    fn claim(want: usize) -> WorkerBudget {
-        if want <= 1 {
-            return WorkerBudget { granted: 1 };
-        }
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let active = ACTIVE_COMPILE_WORKERS.load(Ordering::Relaxed);
-        let granted = want.min(cores.saturating_sub(active).max(1));
-        if granted > 1 {
-            ACTIVE_COMPILE_WORKERS.fetch_add(granted, Ordering::Relaxed);
-        }
-        WorkerBudget { granted }
+impl WorkerBudget<'static> {
+    fn claim(want: usize) -> WorkerBudget<'static> {
+        // Sequential compiles skip the core-count query (it reads cgroup
+        // files on Linux): they book nothing whatever it says.
+        let cores = if want <= 1 {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        };
+        WorkerBudget::claim_with(&ACTIVE_COMPILE_WORKERS, cores, want)
+    }
+}
+
+impl<'a> WorkerBudget<'a> {
+    /// [`WorkerBudget::claim`] against an explicit ledger and core count —
+    /// the seam the tests simulate small hosts through.
+    fn claim_with(ledger: &'a AtomicUsize, cores: usize, want: usize) -> WorkerBudget<'a> {
+        // `fetch_update` is the compare-exchange loop: the claim is decided
+        // against the value it replaces. Relaxed: the ledger publishes no
+        // other data.
+        let mut booked = 0;
+        let _ = ledger.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |active| {
+            booked = want.min(cores.saturating_sub(active));
+            (booked > 1).then_some(active + booked)
+        });
+        booked = if booked > 1 { booked } else { 0 };
+        WorkerBudget { ledger, booked }
     }
 
+    /// Workers the compile may run: the booked ones, or the caller's own
+    /// thread when nothing was booked.
     fn granted(&self) -> usize {
-        self.granted
+        self.booked.max(1)
     }
 }
 
-impl Drop for WorkerBudget {
+impl Drop for WorkerBudget<'_> {
     fn drop(&mut self) {
-        if self.granted > 1 {
-            ACTIVE_COMPILE_WORKERS.fetch_sub(self.granted, Ordering::Relaxed);
+        if self.booked > 0 {
+            self.ledger.fetch_sub(self.booked, Ordering::Relaxed);
         }
     }
 }
@@ -1148,27 +1171,58 @@ mod tests {
 
     #[test]
     fn worker_budget_never_exceeds_cores_and_releases_on_drop() {
-        let cores = std::thread::available_parallelism()
+        let host = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let a = WorkerBudget::claim(usize::MAX);
-        assert!((1..=cores).contains(&a.granted()), "{}", a.granted());
-        // With the budget held, a second claim must not push the process
-        // past the core count (other tests may hold workers too, so only
-        // the sum bound is asserted, not exact values).
-        let b = WorkerBudget::claim(usize::MAX);
-        assert!(b.granted() >= 1);
-        assert!(
-            a.granted() + b.granted() <= cores.max(2),
-            "{} + {} workers on {} cores",
-            a.granted(),
-            b.granted(),
-            cores
-        );
-        drop(a);
-        drop(b);
-        // Sequential requests bypass the ledger entirely.
-        assert_eq!(WorkerBudget::claim(1).granted(), 1);
+        for cores in [1, 2, host.max(3)] {
+            let ledger = AtomicUsize::new(0);
+            let booked = || ledger.load(Ordering::Relaxed);
+            // The first claimant takes every core it can use: all of them,
+            // or — on one core — just its own thread, booking nothing.
+            let a = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
+            assert_eq!(a.granted(), cores);
+            assert_eq!(booked(), if cores > 1 { cores } else { 0 });
+            // With the budget held, a second claimant gets its own thread
+            // only and the ledger does not move.
+            let b = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
+            assert_eq!(b.granted(), 1, "{cores} cores");
+            assert!(booked() <= cores, "{} booked on {cores} cores", booked());
+            drop(a);
+            // A partial claim leaves the rest for the next claimant.
+            let c = WorkerBudget::claim_with(&ledger, cores, 2);
+            let d = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
+            assert!(booked() <= cores, "{} booked on {cores} cores", booked());
+            if cores >= 4 {
+                assert_eq!((c.granted(), d.granted()), (2, cores - 2));
+            }
+            // Sequential requests never touch the ledger.
+            let before = booked();
+            assert_eq!(WorkerBudget::claim_with(&ledger, cores, 1).granted(), 1);
+            assert_eq!(booked(), before);
+            drop((b, c, d));
+            assert_eq!(booked(), 0, "every claim releases on drop");
+        }
+    }
+
+    #[test]
+    fn racing_claims_never_overbook_the_ledger() {
+        const CORES: usize = 4;
+        let ledger = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..20_000 {
+                        let claim = WorkerBudget::claim_with(&ledger, CORES, 3);
+                        let seen = ledger.load(Ordering::Relaxed);
+                        assert!(seen <= CORES, "ledger {seen} on {CORES} cores");
+                        assert!((1..=3).contains(&claim.granted()));
+                    }
+                });
+            }
+        });
+        assert_eq!(ledger.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! token-wise absorption** (the `chunked_prefill_is_bit_identical_to_tokenwise`
 //! proptest).
 //!
-//! KV caches live in a persistent [`KvAllocator`] arena between steps;
-//! step inputs are staged and harvested **device-to-device**
+//! KV caches live in a persistent [`KvAllocator`](crate::KvAllocator) arena
+//! between steps; step inputs are staged and harvested **device-to-device**
 //! ([`hidet::Workspace::input_mut`] / [`hidet_sim::DeviceMemory::copy_from`]),
 //! so the steady state performs zero heap allocations for caches. Under
 //! memory pressure the scheduler preempts the lowest-ranked sequence
@@ -70,14 +70,13 @@
 //! migration is an eviction whose recompute/replay chain re-admits on the
 //! target shard, its time anchors rebased onto the target's clock — used for
 //! pressure relief (a full arena evicts to the pool's roomiest shard instead
-//! of thrashing locally) and for rebalance when headroom skews. Each shard's
-//! decode lane share grows/shrinks from its observed queue-delay EWMA
-//! ([`DecodeConfig::lane_autoscale`]), bounded and hysteretic. Every shard
-//! runs the same order-stable schedules, so token streams stay
-//! **bit-identical** to a single-device run — including across migrations
-//! (the `migrated_session_is_bit_identical_to_pinned` proptest).
+//! of thrashing locally) and for rebalance when headroom skews. Every shard
+//! admits up to `max_batch` sequences and runs the same order-stable
+//! schedules, so token streams stay **bit-identical** to a single-device run
+//! — including across migrations (the
+//! `migrated_session_is_bit_identical_to_pinned` proptest).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -89,32 +88,11 @@ use hidet::{CompilerOptions, Workspace};
 use hidet_graph::{Graph, Tensor, TensorId};
 use hidet_runtime::{CompiledCache, DecodeStatsSnapshot, Priority};
 use hidet_sim::{Gpu, GpuSpec};
+use hidet_trace::SpanKind;
 
-use crate::kv::{KvAllocator, KvCache, KvError, KvLayout};
-use crate::placement::{placement_score, LaneAutoscaler};
+use crate::kv::{KvAllocator, KvCache, KvError, KvLayout, KvSlot};
+use crate::placement::placement_score;
 use crate::stats::DecodeStats;
-
-/// Additive mask value for non-attendable positions: large enough that
-/// `exp(score + MASK)` underflows to exactly `0.0` after the row-max shift,
-/// making padded positions bit-transparent to softmax.
-const MASK_NEG: f32 = -1.0e9;
-
-/// Pressure-relief migrations one sequence may take before it must stay put
-/// and requeue locally — two overloaded shards cannot ping-pong a session
-/// between them forever.
-const PRESSURE_MOVE_LIMIT: u32 = 3;
-
-/// KV in-use fraction of the fullest shard above which the rebalancer
-/// considers moving a session off it at all.
-const REBALANCE_HOT_FRACTION: f64 = 0.75;
-
-/// KV in-use fraction gap between the fullest and emptiest shard above
-/// which one session migrates hot → cold.
-const REBALANCE_SKEW: f64 = 0.5;
-
-/// Outer scheduler iterations between rebalance moves, so each move lands
-/// and shows up in the gauges before the next is considered.
-const REBALANCE_COOLDOWN_ITERS: u64 = 8;
 
 /// How the step loop forms batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,22 +110,25 @@ pub enum BatchingMode {
 /// Decode-engine construction knobs.
 #[derive(Debug, Clone)]
 pub struct DecodeConfig {
-    /// The simulated device executing decode steps when
-    /// [`DecodeConfig::devices`] is empty — the single-shard configuration.
-    pub device: GpuSpec,
     /// The decode shard pool: one decode shard per entry, each with its own
     /// KV arena, compiled step/prefill graphs, simulated clock and iteration
-    /// scheduler. Empty (the default) means one shard on
-    /// [`DecodeConfig::device`]; when non-empty, `device` is ignored. New
-    /// sessions are placed by joint queue-delay + KV-headroom score and may
-    /// be live-migrated between shards under pressure (see the
-    /// [module docs](self)).
+    /// scheduler. Defaults to a single RTX 3090 — the one-shard engine; must
+    /// not be empty. New sessions are placed by joint queue-delay +
+    /// KV-headroom score and may be live-migrated between shards under
+    /// pressure (see the [module docs](crate::engine)).
     pub devices: Vec<GpuSpec>,
-    /// Compiler options for the step graph (quick — untuned — by default;
-    /// decode steps are latency-bound, not schedule-bound, in the sim).
+    /// Compiler options for the step and prefill graphs (quick — untuned —
+    /// by default; decode steps are latency-bound, not schedule-bound, in the
+    /// sim). With tuning off, every matmul is scheduled with the
+    /// smallest-footprint valid configuration instead of the mid-size
+    /// default: decode-step GEMMs are skinny — M is a handful of tokens — so
+    /// the default 64×64 tile wastes almost the whole block on predicated-out
+    /// work, and the compact tile cuts both the simulated step latency and
+    /// the interpreter's cost per step. Implemented by pre-seeding tuning
+    /// records (zero trials) for every matmul problem in the graph.
     pub options: CompilerOptions,
     /// Decode slots per step: the fixed batch axis of the compiled step
-    /// graph and the ceiling on concurrently active sequences.
+    /// graph and the ceiling on concurrently active sequences per shard.
     pub max_batch: usize,
     /// KV blocks per registered model's arena.
     pub kv_blocks: usize,
@@ -160,46 +141,31 @@ pub struct DecodeConfig {
     /// the step graph with zero tuning trials.
     pub artifact_store: Option<PathBuf>,
     /// Start with admissions paused: sessions queue but no step runs until
-    /// [`DecodeEngine::resume`]. Lets a caller submit a whole workload
-    /// before the first admission, making scheduling — and with it every
-    /// simulated-time metric — independent of host scheduling jitter (the
-    /// acceptance benches rely on this for deterministic CI gating).
+    /// [`DecodeEngine::resume`](crate::DecodeEngine::resume). Lets a caller
+    /// submit a whole workload before the first admission, making scheduling
+    /// — and with it every simulated-time metric — independent of host
+    /// scheduling jitter (the acceptance benches rely on this for
+    /// deterministic CI gating).
     pub start_paused: bool,
-    /// Schedule decode-step matmuls with the smallest-footprint valid
-    /// configuration instead of the mid-size default (applies only when
-    /// [`DecodeConfig::options`] has tuning off). Decode-step GEMMs are
-    /// skinny — M is a handful of tokens — so the default 64×64 tile wastes
-    /// almost the whole block on predicated-out work; the compact tile cuts
-    /// both the simulated step latency and the interpreter's cost per step.
-    /// Implemented by pre-seeding tuning records (zero trials) for every
-    /// matmul problem in the step graph.
-    pub compact_schedules: bool,
     /// Chunk sizes the prefill graph family is compiled at (sanitized at
     /// construction: deduplicated, ascending; entries above a model's
     /// context window are skipped for that model). Long prompts are absorbed
     /// through the largest compiled chunk that fits the remaining chain;
     /// tails smaller than the smallest chunk fall back to the token-wise
     /// path. Empty disables chunked prefill entirely — every prompt token
-    /// then rides the decode step graph, exactly as before this knob
-    /// existed. Only models registered with a prefill builder
-    /// ([`DecodeModelSpec::transformer`] has one; [`DecodeModelSpec::custom`]
-    /// opts in via [`DecodeModelSpec::with_prefill`]) use the menu.
+    /// then rides the decode step graph, one scheduler step each. Only
+    /// models registered with a prefill builder
+    /// ([`DecodeModelSpec::transformer`](crate::DecodeModelSpec::transformer)
+    /// has one; [`DecodeModelSpec::custom`](crate::DecodeModelSpec::custom)
+    /// opts in via
+    /// [`DecodeModelSpec::with_prefill`](crate::DecodeModelSpec::with_prefill))
+    /// use the menu.
     pub chunk_menu: Vec<usize>,
     /// Prefill tokens one scheduler iteration may absorb across all
     /// sequences — the Sarathi-style bound on the inter-token-latency bubble
     /// in-flight decodes observe while a long prompt streams in. `0`
     /// disables chunked prefill (like an empty [`DecodeConfig::chunk_menu`]).
     pub prefill_token_budget: usize,
-    /// Queue-driven lane autoscaling: each shard's decode lane share (its
-    /// admission ceiling, out of [`DecodeConfig::max_batch`] slots) starts
-    /// at [`DecodeConfig::lane_min`], grows while the shard's observed
-    /// queue-delay EWMA stays above the grow threshold and shrinks back when
-    /// the queue drains — one lane at a time, bounded and hysteretic. Off
-    /// (the default): every shard always admits up to `max_batch`.
-    pub lane_autoscale: bool,
-    /// Lower lane-share bound when [`DecodeConfig::lane_autoscale`] is on
-    /// (sanitized to `1..=max_batch` at construction).
-    pub lane_min: usize,
     /// Test/bench knob exercising live migration deterministically: when
     /// non-zero, every session is migrated to the next shard (round-robin)
     /// once it has emitted this many tokens — at most once per session. `0`
@@ -210,8 +176,7 @@ pub struct DecodeConfig {
 impl Default for DecodeConfig {
     fn default() -> DecodeConfig {
         DecodeConfig {
-            device: GpuSpec::rtx3090(),
-            devices: Vec::new(),
+            devices: vec![GpuSpec::rtx3090()],
             options: CompilerOptions::quick(),
             max_batch: 8,
             kv_blocks: 64,
@@ -219,17 +184,30 @@ impl Default for DecodeConfig {
             mode: BatchingMode::Continuous,
             artifact_store: None,
             start_paused: false,
-            compact_schedules: true,
             chunk_menu: vec![16, 64, 256],
             prefill_token_budget: 256,
-            lane_autoscale: false,
-            lane_min: 1,
             stress_migrate_after: 0,
         }
     }
 }
 
-/// Errors surfaced through a [`DecodeSession`].
+impl DecodeConfig {
+    /// The config the engine actually runs on: construction invariants
+    /// checked, the chunk menu deduplicated and ascending with zeroes
+    /// dropped — the chunk shapes prefill builders are validated and
+    /// compiled at.
+    pub(super) fn sanitized(mut self) -> DecodeConfig {
+        assert!(self.max_batch >= 1, "engine needs at least one slot");
+        assert!(self.kv_blocks >= 1 && self.block_tokens >= 1);
+        assert!(!self.devices.is_empty(), "engine needs at least one device");
+        self.chunk_menu.retain(|&c| c >= 1);
+        self.chunk_menu.sort_unstable();
+        self.chunk_menu.dedup();
+        self
+    }
+}
+
+/// Errors surfaced through a [`DecodeSession`](crate::DecodeSession).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodeError {
     /// The session named a model that was never registered.
@@ -268,142 +246,6 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// Everything the engine needs to know about a decode model: its dimensions
-/// and a `(batch, past_len) -> Graph` builder honoring the
-/// [`hidet_graph::models::transformer_decode_step`] interface.
-pub struct DecodeModelSpec {
-    name: String,
-    layers: usize,
-    hidden: i64,
-    heads: i64,
-    vocab: i64,
-    max_context: i64,
-    builder: Box<dyn Fn(i64, i64) -> Graph + Send + Sync>,
-    /// Optional `(chunk_len, past_len) -> Graph` builder for the chunked
-    /// prefill family ([`hidet_graph::models::transformer_prefill`]
-    /// interface). Models without one absorb prompts token-wise only.
-    prefill_builder: Option<Box<dyn Fn(i64, i64) -> Graph + Send + Sync>>,
-    embed_seed: u64,
-}
-
-impl DecodeModelSpec {
-    /// A pre-LN transformer decode model built by
-    /// [`hidet_graph::models::transformer_decode_step`].
-    pub fn transformer(
-        name: impl Into<String>,
-        layers: usize,
-        hidden: i64,
-        heads: i64,
-        vocab: i64,
-        max_context: i64,
-    ) -> DecodeModelSpec {
-        let name = name.into();
-        let graph_name = name.clone();
-        let prefill_name = format!("{name}_prefill");
-        DecodeModelSpec {
-            name,
-            layers,
-            hidden,
-            heads,
-            vocab,
-            max_context,
-            builder: Box::new(move |batch, past| {
-                hidet_graph::models::transformer_decode_step(
-                    &graph_name,
-                    batch,
-                    past,
-                    layers,
-                    hidden,
-                    heads,
-                    vocab,
-                )
-            }),
-            prefill_builder: Some(Box::new(move |chunk, past| {
-                hidet_graph::models::transformer_prefill(
-                    &prefill_name,
-                    chunk,
-                    past,
-                    layers,
-                    hidden,
-                    heads,
-                    vocab,
-                )
-            })),
-            embed_seed: 0xDEC0DE,
-        }
-    }
-
-    /// GPT-2 small decode steps
-    /// ([`hidet_graph::models::gpt2_decode_step`]) with context window
-    /// `max_context`.
-    pub fn gpt2(max_context: i64) -> DecodeModelSpec {
-        DecodeModelSpec::transformer("gpt2_decode", 12, 768, 12, 768, max_context)
-    }
-
-    /// A custom `(batch, past_len) -> Graph` builder; the graph must follow
-    /// the decode-step interface for the given dimensions (validated at
-    /// registration).
-    #[allow(clippy::too_many_arguments)]
-    pub fn custom(
-        name: impl Into<String>,
-        layers: usize,
-        hidden: i64,
-        heads: i64,
-        vocab: i64,
-        max_context: i64,
-        builder: impl Fn(i64, i64) -> Graph + Send + Sync + 'static,
-    ) -> DecodeModelSpec {
-        DecodeModelSpec {
-            name: name.into(),
-            layers,
-            hidden,
-            heads,
-            vocab,
-            max_context,
-            builder: Box::new(builder),
-            prefill_builder: None,
-            embed_seed: 0xDEC0DE,
-        }
-    }
-
-    /// Adds a `(chunk_len, past_len) -> Graph` prefill builder to a
-    /// [`DecodeModelSpec::custom`] spec, enabling chunked prompt absorption.
-    /// The graph must follow the
-    /// [`hidet_graph::models::transformer_prefill`] interface for the spec's
-    /// dimensions (validated at registration for every menu chunk).
-    pub fn with_prefill(
-        mut self,
-        builder: impl Fn(i64, i64) -> Graph + Send + Sync + 'static,
-    ) -> DecodeModelSpec {
-        self.prefill_builder = Some(Box::new(builder));
-        self
-    }
-
-    /// Seed of the deterministic host-side token-embedding table.
-    pub fn with_embed_seed(mut self, seed: u64) -> DecodeModelSpec {
-        self.embed_seed = seed;
-        self
-    }
-
-    /// The model's registered name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Debug for DecodeModelSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DecodeModelSpec")
-            .field("name", &self.name)
-            .field("layers", &self.layers)
-            .field("hidden", &self.hidden)
-            .field("heads", &self.heads)
-            .field("vocab", &self.vocab)
-            .field("max_context", &self.max_context)
-            .finish_non_exhaustive()
-    }
-}
 
 /// One generation request: prompt tokens plus scheduling knobs, mirroring
 /// the serving engine's `Request` builder.
@@ -469,6 +311,13 @@ impl GenerateRequest {
         self.shard = Some(shard);
         self
     }
+
+    /// Cache slots a full-length run occupies: the last generated token is
+    /// emitted but never fed, so the cache holds at most
+    /// `prompt + max_tokens - 1` entries.
+    fn cache_need(&self) -> usize {
+        self.prompt.len() + self.max_tokens - 1
+    }
 }
 
 /// One emitted token, as streamed through a [`DecodeSession`].
@@ -500,7 +349,7 @@ pub struct Generation {
     pub completion_sim_seconds: f64,
 }
 
-enum Event {
+pub(super) enum Event {
     Token(TokenEvent),
     Done {
         ttft_from_submit_seconds: f64,
@@ -588,20 +437,23 @@ impl DecodeSession {
             return Ok(SessionPoll::Finished);
         }
         match self.rx.recv_timeout(timeout) {
-            Ok(Event::Token(event)) => Ok(SessionPoll::Token(event)),
-            Ok(Event::Done { .. }) => {
-                self.done = true;
-                Ok(SessionPoll::Finished)
-            }
-            Ok(Event::Failed(err)) => {
-                self.done = true;
-                Err(err)
-            }
+            Ok(event) => self.settle(Some(event)),
             Err(mpsc::RecvTimeoutError::Timeout) => Ok(SessionPoll::Pending),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.done = true;
-                Err(DecodeError::Closed)
-            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => self.settle(None),
+        }
+    }
+
+    /// Folds one received event (`None`: the engine hung up) into the
+    /// session: anything but a token ends it.
+    fn settle(&mut self, event: Option<Event>) -> Result<SessionPoll, DecodeError> {
+        if let Some(Event::Token(event)) = event {
+            return Ok(SessionPoll::Token(event));
+        }
+        self.done = true;
+        match event {
+            Some(Event::Failed(err)) => Err(err),
+            Some(_) => Ok(SessionPoll::Finished),
+            None => Err(DecodeError::Closed),
         }
     }
 }
@@ -613,20 +465,11 @@ impl Iterator for DecodeSession {
         if self.done {
             return None;
         }
-        match self.rx.recv() {
-            Ok(Event::Token(event)) => Some(Ok(event)),
-            Ok(Event::Done { .. }) => {
-                self.done = true;
-                None
-            }
-            Ok(Event::Failed(err)) => {
-                self.done = true;
-                Some(Err(err))
-            }
-            Err(_) => {
-                self.done = true;
-                Some(Err(DecodeError::Closed))
-            }
+        let event = self.rx.recv().ok();
+        match self.settle(event) {
+            Ok(SessionPoll::Token(event)) => Some(Ok(event)),
+            Ok(_) => None,
+            Err(err) => Some(Err(err)),
         }
     }
 }
@@ -641,8 +484,8 @@ impl fmt::Debug for DecodeSession {
 /// [`DecodeModel::generate`]. Clonable; addresses the model by name.
 #[derive(Clone)]
 pub struct DecodeModel {
-    name: Arc<str>,
-    shared: Arc<Shared>,
+    pub(super) name: Arc<str>,
+    pub(super) shared: Arc<Shared>,
 }
 
 impl fmt::Debug for DecodeModel {
@@ -698,9 +541,7 @@ impl DecodeModel {
                 def.vocab
             )));
         }
-        // The last generated token is emitted but never fed, so the cache
-        // holds at most prompt + max_tokens - 1 entries.
-        let cache_need = request.prompt.len() + request.max_tokens - 1;
+        let cache_need = request.cache_need();
         if cache_need > def.max_context {
             return self.reject(DecodeError::BadPrompt(format!(
                 "prompt ({}) + max_tokens ({}) needs {cache_need} cache slots, \
@@ -711,18 +552,98 @@ impl DecodeModel {
             )));
         }
         if let Some(s) = request.shard {
-            if s >= self.shared.devices.len() {
+            let shards = self.shared.config.devices.len();
+            if s >= shards {
                 return self.reject(DecodeError::BadPrompt(format!(
-                    "shard {s} out of range: engine has {} decode shards",
-                    self.shared.devices.len()
+                    "shard {s} out of range: engine has {shards} decode shards"
                 )));
             }
         }
         let (tx, rx) = mpsc::channel();
-        let model_key = def_key(&def);
+        let (model_key, pin) = (def_key(&def), request.shard);
+        let mut sequence = Sequence::new(def, request, tx);
+        {
+            // The closed check happens under the waiting lock: shutdown sets
+            // the flag under the same lock, and the step loop only exits
+            // after draining the queue under it, so a session admitted here
+            // is guaranteed to be either served or failed — never stranded.
+            let mut waiting = self.shared.waiting.lock().expect("waiting poisoned");
+            if self.shared.closed.load(Ordering::SeqCst) {
+                return self.reject(DecodeError::Closed);
+            }
+            // KV-aware placement (under the same lock, so concurrent
+            // submitters see each other's queued work): pinned shard if
+            // requested, else the cheapest by joint score.
+            let needed_blocks = cache_need.div_ceil(self.shared.config.block_tokens);
+            let shard = pin.unwrap_or_else(|| {
+                let _place = hidet_trace::global().span(SpanKind::ShardPlace, sequence.trace_id);
+                place_shard(&self.shared, &waiting, model_key, needed_blocks)
+            });
+            sequence.submitted_sim = self.shared.stats.shard_clock(shard);
+            self.shared.stats.shards[shard]
+                .placed
+                .fetch_add(1, Ordering::Relaxed);
+            waiting.shards[shard].classes[sequence.priority.index()].push_back(sequence);
+        }
+        self.shared.cv.notify_all();
+        DecodeSession { rx, done: false }
+    }
+}
+
+/// One active generation, owned by the step loop.
+pub(super) struct Sequence {
+    pub(super) def: Arc<ModelDef>,
+    /// Cache slots a full-length run of this sequence occupies
+    /// (`prompt + max_tokens - 1`) — the self-preemption feasibility bound.
+    pub(super) cache_need: usize,
+    /// Next token to feed.
+    pub(super) pending: u32,
+    /// Tokens to feed after `pending` with outputs ignored (prompt tail, or
+    /// the replay chain after an eviction).
+    pub(super) forced: VecDeque<u32>,
+    /// Tokens whose K/V rows live in the cache — the replay source.
+    pub(super) fed: Vec<u32>,
+    pub(super) emitted: usize,
+    pub(super) max_tokens: usize,
+    pub(super) eos: Option<u32>,
+    pub(super) priority: Priority,
+    pub(super) deadline: Option<Instant>,
+    /// Admission order; `(priority, rank)` is the total eviction order.
+    pub(super) rank: u64,
+    pub(super) kv: KvCache,
+    pub(super) tx: mpsc::Sender<Event>,
+    pub(super) submitted_sim: f64,
+    /// Simulated clock at *first* admission into the running batch (eviction
+    /// re-admissions keep the original stamp) — the `ttft_from_admission`
+    /// anchor.
+    pub(super) admitted_sim: Option<f64>,
+    /// Simulated clock when every prompt token but the final one was
+    /// absorbed — splits TTFT into its prefill and first-decode segments.
+    pub(super) prompt_done_sim: Option<f64>,
+    pub(super) ttft: Option<f64>,
+    pub(super) ttft_admission: Option<f64>,
+    pub(super) last_token_sim: f64,
+    /// Pressure-relief migrations taken so far (bounded by
+    /// `PRESSURE_MOVE_LIMIT`).
+    pub(super) pressure_moves: u32,
+    /// Whether the `stress_migrate_after` knob already moved this sequence.
+    pub(super) stress_migrated: bool,
+    /// Trace id the session's spans/instants are attributed to (0 = none).
+    pub(super) trace_id: u64,
+}
+
+impl Sequence {
+    /// A never-admitted sequence for `request`, whose prompt the caller has
+    /// checked to be non-empty; events go down `tx`.
+    pub(super) fn new(
+        def: Arc<ModelDef>,
+        request: GenerateRequest,
+        tx: mpsc::Sender<Event>,
+    ) -> Sequence {
+        let cache_need = request.cache_need();
         let mut prompt = VecDeque::from(request.prompt);
         let pending = prompt.pop_front().expect("prompt non-empty");
-        let mut sequence = Sequence {
+        Sequence {
             def,
             cache_need,
             pending,
@@ -742,140 +663,18 @@ impl DecodeModel {
             ttft: None,
             ttft_admission: None,
             last_token_sim: 0.0,
-            queued_sim: 0.0,
             pressure_moves: 0,
             stress_migrated: false,
             trace_id: request.trace_id,
-        };
-        {
-            // The closed check happens under the waiting lock: shutdown sets
-            // the flag under the same lock, and the step loop only exits
-            // after draining the queue under it, so a session admitted here
-            // is guaranteed to be either served or failed — never stranded.
-            let mut waiting = self.shared.waiting.lock().expect("waiting poisoned");
-            if self.shared.closed.load(Ordering::SeqCst) {
-                return self.reject(DecodeError::Closed);
-            }
-            // KV-aware placement (under the same lock, so concurrent
-            // submitters see each other's queued work): pinned shard if
-            // requested, else the cheapest by joint score.
-            let needed_blocks = sequence.cache_need.div_ceil(self.shared.block_tokens);
-            let shard = request.shard.unwrap_or_else(|| {
-                let _place =
-                    hidet_trace::global().span(hidet_trace::SpanKind::ShardPlace, request.trace_id);
-                place_shard(&self.shared, &waiting, model_key, needed_blocks)
-            });
-            let now = self.shared.stats.shard_clock(shard);
-            sequence.submitted_sim = now;
-            sequence.queued_sim = now;
-            self.shared.stats.shards[shard]
-                .placed
-                .fetch_add(1, Ordering::Relaxed);
-            waiting.shards[shard].classes[request.priority.index()].push_back(sequence);
         }
-        self.shared.cv.notify_all();
-        DecodeSession { rx, done: false }
     }
-}
 
-/// A validated decode model: dimensions, the fixed-shape step graph and its
-/// tensor-id map, and the host-side embedding table.
-struct ModelDef {
-    name: String,
-    layers: usize,
-    hidden: usize,
-    heads: usize,
-    head_dim: usize,
-    vocab: i64,
-    max_context: usize,
-    graph: Graph,
-    graph_hash: u64,
-    x_id: TensorId,
-    mask_id: TensorId,
-    past_ids: Vec<(TensorId, TensorId)>,
-    logits_id: TensorId,
-    /// Device-buffer names of the per-layer `new_k`/`new_v` graph outputs,
-    /// precomputed so the per-step KV harvest never allocates.
-    cache_out_names: Vec<(String, String)>,
-    /// `vocab × hidden` deterministic token embeddings, applied host-side
-    /// (the embedding lookup is a memory gather, matching the zoo's
-    /// convention of starting from embedded hidden states).
-    embed: Vec<f32>,
-    /// The validated chunked-prefill graph family, one entry per engine menu
-    /// chunk that fits the context window (ascending). Empty when the spec
-    /// has no prefill builder or the menu is empty — prompts then absorb
-    /// token-wise only.
-    prefill: Vec<PrefillDef>,
-}
-
-/// One validated prefill graph: a single-sequence `chunk`-token forward pass
-/// over `max_context` past slots, plus its tensor-id map (mirrors the decode
-/// half of [`ModelDef`]).
-struct PrefillDef {
-    chunk: usize,
-    graph: Graph,
-    graph_hash: u64,
-    x_id: TensorId,
-    mask_id: TensorId,
-    past_ids: Vec<(TensorId, TensorId)>,
-    logits_id: TensorId,
-    cache_out_names: Vec<(String, String)>,
-}
-
-/// One active generation, owned by the step loop.
-struct Sequence {
-    def: Arc<ModelDef>,
-    /// Cache slots a full-length run of this sequence occupies
-    /// (`prompt + max_tokens - 1`) — the self-preemption feasibility bound.
-    cache_need: usize,
-    /// Next token to feed.
-    pending: u32,
-    /// Tokens to feed after `pending` with outputs ignored (prompt tail, or
-    /// the replay chain after an eviction).
-    forced: VecDeque<u32>,
-    /// Tokens whose K/V rows live in the cache — the replay source.
-    fed: Vec<u32>,
-    emitted: usize,
-    max_tokens: usize,
-    eos: Option<u32>,
-    priority: Priority,
-    deadline: Option<Instant>,
-    /// Admission order; `(priority, rank)` is the total eviction order.
-    rank: u64,
-    kv: KvCache,
-    tx: mpsc::Sender<Event>,
-    submitted_sim: f64,
-    /// Simulated clock at *first* admission into the running batch (eviction
-    /// re-admissions keep the original stamp) — the `ttft_from_admission`
-    /// anchor.
-    admitted_sim: Option<f64>,
-    /// Simulated clock when every prompt token but the final one was
-    /// absorbed — splits TTFT into its prefill and first-decode segments.
-    prompt_done_sim: Option<f64>,
-    ttft: Option<f64>,
-    ttft_admission: Option<f64>,
-    last_token_sim: f64,
-    /// Owning shard's simulated clock when the sequence last entered a
-    /// waiting queue — the queue-delay observation the lane autoscaler
-    /// smooths.
-    queued_sim: f64,
-    /// Pressure-relief migrations taken so far (bounded by
-    /// [`PRESSURE_MOVE_LIMIT`]).
-    pressure_moves: u32,
-    /// Whether [`DecodeConfig::stress_migrate_after`] already moved this
-    /// sequence.
-    stress_migrated: bool,
-    /// Trace id the session's spans/instants are attributed to (0 = none).
-    trace_id: u64,
-}
-
-impl Sequence {
     /// Eviction rank: strictly greater = evicted first.
-    fn key(&self) -> (usize, u64) {
+    pub(super) fn key(&self) -> (usize, u64) {
         (self.priority.index(), self.rank)
     }
 
-    fn expired(&self, now: Instant) -> bool {
+    pub(super) fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
     }
 
@@ -883,7 +682,7 @@ impl Sequence {
     /// migration: `offset` is target-now minus source-now, so durations
     /// spanning the move (TTFT, ITL) compose the time spent on each
     /// timeline.
-    fn rebase(&mut self, offset: f64) {
+    pub(super) fn rebase(&mut self, offset: f64) {
         self.submitted_sim += offset;
         if let Some(t) = self.admitted_sim.as_mut() {
             *t += offset;
@@ -897,18 +696,18 @@ impl Sequence {
     /// Forward passes this sequence still needs, roughly: the unfed chain
     /// plus one decode step per remaining token — the work term of the
     /// placement score.
-    fn remaining_work(&self) -> usize {
+    pub(super) fn remaining_work(&self) -> usize {
         1 + self.forced.len() + self.max_tokens.saturating_sub(self.emitted)
     }
 }
 
 #[derive(Default)]
-struct WaitQueues {
-    classes: [VecDeque<Sequence>; Priority::COUNT],
+pub(super) struct WaitQueues {
+    pub(super) classes: [VecDeque<Sequence>; Priority::COUNT],
 }
 
 impl WaitQueues {
-    fn pop_highest(&mut self) -> Option<Sequence> {
+    pub(super) fn pop_highest(&mut self) -> Option<Sequence> {
         self.classes.iter_mut().find_map(VecDeque::pop_front)
     }
 
@@ -920,46 +719,361 @@ impl WaitQueues {
 /// The engine's waiting sessions: one [`WaitQueues`] per decode shard
 /// (placement decides the shard at submission; migration moves sessions
 /// between queues later).
-struct Waiting {
-    shards: Vec<WaitQueues>,
+pub(super) struct Waiting {
+    pub(super) shards: Vec<WaitQueues>,
 }
 
 impl Waiting {
-    fn is_empty(&self) -> bool {
+    pub(super) fn is_empty(&self) -> bool {
         self.shards.iter().all(WaitQueues::is_empty)
     }
 }
 
-struct Shared {
-    /// `DecodeConfig::max_batch` — the fixed batch axis model specs are
-    /// validated against (the stats copy is purely informational).
-    max_batch: usize,
-    /// `DecodeConfig::chunk_menu`, sanitized (deduplicated, ascending,
-    /// zeroes dropped) — the chunk shapes prefill builders are validated and
-    /// compiled at.
-    chunk_menu: Vec<usize>,
-    /// The decode shard pool ([`DecodeConfig::devices`], defaulted to the
-    /// single [`DecodeConfig::device`]); index = shard id everywhere.
-    devices: Vec<GpuSpec>,
-    /// `DecodeConfig::kv_blocks` — placement's capacity assumption for
-    /// model arenas that do not exist yet.
-    kv_blocks: usize,
-    /// `DecodeConfig::block_tokens` — the allocation granularity placement
-    /// converts cache needs into blocks with.
-    block_tokens: usize,
-    /// While set, the step loop sleeps and admits nothing
-    /// ([`DecodeConfig::start_paused`] / [`DecodeEngine::resume`]).
-    paused: AtomicBool,
-    registry: Mutex<HashMap<String, Arc<ModelDef>>>,
-    waiting: Mutex<Waiting>,
-    cv: Condvar,
-    closed: AtomicBool,
-    stats: Arc<DecodeStats>,
-    next_rank: AtomicU64,
+/// Everything the engine needs to know about a decode model: its dimensions
+/// and a `(batch, past_len) -> Graph` builder honoring the
+/// [`hidet_graph::models::transformer_decode_step`] interface.
+pub struct DecodeModelSpec {
+    name: String,
+    layers: usize,
+    hidden: i64,
+    heads: i64,
+    vocab: i64,
+    max_context: i64,
+    builder: Box<dyn Fn(i64, i64) -> Graph + Send + Sync>,
+    /// Optional `(chunk_len, past_len) -> Graph` builder for the chunked
+    /// prefill family ([`hidet_graph::models::transformer_prefill`]
+    /// interface). Models without one absorb prompts token-wise only.
+    prefill_builder: Option<Box<dyn Fn(i64, i64) -> Graph + Send + Sync>>,
+    embed_seed: u64,
 }
 
-/// The decode engine. See the [module docs](self) for the architecture and
-/// `examples/decode_serving.rs` for a tour.
+impl DecodeModelSpec {
+    /// A pre-LN transformer decode model built by
+    /// [`hidet_graph::models::transformer_decode_step`].
+    pub fn transformer(
+        name: impl Into<String>,
+        layers: usize,
+        hidden: i64,
+        heads: i64,
+        vocab: i64,
+        max_context: i64,
+    ) -> DecodeModelSpec {
+        let name = name.into();
+        let (graph_name, prefill_name) = (name.clone(), format!("{name}_prefill"));
+        DecodeModelSpec::custom(
+            name,
+            layers,
+            hidden,
+            heads,
+            vocab,
+            max_context,
+            move |batch, past| {
+                hidet_graph::models::transformer_decode_step(
+                    &graph_name,
+                    batch,
+                    past,
+                    layers,
+                    hidden,
+                    heads,
+                    vocab,
+                )
+            },
+        )
+        .with_prefill(move |chunk, past| {
+            hidet_graph::models::transformer_prefill(
+                &prefill_name,
+                chunk,
+                past,
+                layers,
+                hidden,
+                heads,
+                vocab,
+            )
+        })
+    }
+
+    /// GPT-2 small decode steps
+    /// ([`hidet_graph::models::gpt2_decode_step`]) with context window
+    /// `max_context`.
+    pub fn gpt2(max_context: i64) -> DecodeModelSpec {
+        DecodeModelSpec::transformer("gpt2_decode", 12, 768, 12, 768, max_context)
+    }
+
+    /// A custom `(batch, past_len) -> Graph` builder; the graph must follow
+    /// the decode-step interface for the given dimensions (validated at
+    /// registration).
+    pub fn custom(
+        name: impl Into<String>,
+        layers: usize,
+        hidden: i64,
+        heads: i64,
+        vocab: i64,
+        max_context: i64,
+        builder: impl Fn(i64, i64) -> Graph + Send + Sync + 'static,
+    ) -> DecodeModelSpec {
+        DecodeModelSpec {
+            name: name.into(),
+            layers,
+            hidden,
+            heads,
+            vocab,
+            max_context,
+            builder: Box::new(builder),
+            prefill_builder: None,
+            embed_seed: 0xDEC0DE,
+        }
+    }
+
+    /// Adds a `(chunk_len, past_len) -> Graph` prefill builder to a
+    /// [`DecodeModelSpec::custom`] spec, enabling chunked prompt absorption.
+    /// The graph must follow the
+    /// [`hidet_graph::models::transformer_prefill`] interface for the spec's
+    /// dimensions (validated at registration for every menu chunk).
+    pub fn with_prefill(
+        mut self,
+        builder: impl Fn(i64, i64) -> Graph + Send + Sync + 'static,
+    ) -> DecodeModelSpec {
+        self.prefill_builder = Some(Box::new(builder));
+        self
+    }
+
+    /// Seed of the deterministic host-side token-embedding table.
+    pub fn with_embed_seed(mut self, seed: u64) -> DecodeModelSpec {
+        self.embed_seed = seed;
+        self
+    }
+
+    /// The model's registered name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl fmt::Debug for DecodeModelSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DecodeModelSpec")
+            .field("name", &self.name)
+            .field("layers", &self.layers)
+            .field("hidden", &self.hidden)
+            .field("heads", &self.heads)
+            .field("vocab", &self.vocab)
+            .field("max_context", &self.max_context)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A validated decode model: dimensions, its forward-pass graphs, and the
+/// host-side embedding table.
+pub(super) struct ModelDef {
+    pub(super) name: String,
+    pub(super) layers: usize,
+    pub(super) hidden: usize,
+    pub(super) heads: usize,
+    pub(super) head_dim: usize,
+    pub(super) vocab: i64,
+    pub(super) max_context: usize,
+    /// The decode step: one token for each of `max_batch` sequences.
+    pub(super) step: PassDef,
+    /// `vocab × hidden` deterministic token embeddings, applied host-side
+    /// (the embedding lookup is a memory gather, matching the zoo's
+    /// convention of starting from embedded hidden states).
+    pub(super) embed: Vec<f32>,
+    /// The validated chunked-prefill graph family, one entry per engine menu
+    /// chunk that fits the context window (ascending): `chunk` tokens of one
+    /// sequence each. Empty when the spec has no prefill builder or the menu
+    /// is empty — prompts then absorb token-wise only.
+    pub(super) prefill: Vec<PassDef>,
+}
+
+impl ModelDef {
+    /// The prefill pass compiled at `chunk` tokens.
+    pub(super) fn prefill_pass(&self, chunk: usize) -> &PassDef {
+        self.prefill
+            .iter()
+            .find(|p| p.chunk == chunk)
+            .expect("elected chunks come from def.prefill")
+    }
+}
+
+/// One validated forward-pass graph over `max_context` past slots, plus its
+/// tensor-id map. Both graph families share the interface — a decode step is
+/// chunk 1 × `max_batch` sequences, a prefill pass is `chunk` × one sequence:
+/// inputs `x`, the additive mask and per-layer past K/V; outputs one logits
+/// row per fed token and the per-layer caches extended by `chunk` positions.
+pub(super) struct PassDef {
+    /// Tokens each sequence feeds through one pass.
+    pub(super) chunk: usize,
+    pub(super) graph: Graph,
+    pub(super) graph_hash: u64,
+    pub(super) x_id: TensorId,
+    pub(super) mask_id: TensorId,
+    pub(super) past_ids: Vec<(TensorId, TensorId)>,
+    pub(super) logits_id: TensorId,
+    /// Device-buffer names of the per-layer `new_k`/`new_v` graph outputs,
+    /// precomputed so the per-pass KV harvest never allocates.
+    pub(super) cache_out_names: Vec<(String, String)>,
+}
+
+/// Builds and checks a [`ModelDef`]: the decode step at `max_batch`
+/// sequences, plus — when the spec has a prefill builder — one prefill pass
+/// per menu chunk.
+pub(super) fn validate_spec(
+    spec: &DecodeModelSpec,
+    max_batch: usize,
+    chunk_menu: &[usize],
+) -> Result<ModelDef, DecodeError> {
+    let bad = |msg: String| DecodeError::BadModel(msg);
+    if spec.layers < 1 || spec.hidden < 1 || spec.heads < 1 || spec.vocab < 1 {
+        return Err(bad("layers/hidden/heads/vocab must be positive".into()));
+    }
+    if spec.hidden % spec.heads != 0 {
+        return Err(bad(format!(
+            "heads ({}) must divide hidden ({})",
+            spec.heads, spec.hidden
+        )));
+    }
+    if spec.max_context < 1 {
+        return Err(bad("max_context must be at least 1".into()));
+    }
+    let batch = max_batch as i64;
+    let graph = (spec.builder)(batch, spec.max_context);
+    let step = validate_pass(spec, graph, batch, 1, "decode step")?;
+    let mut prefill = Vec::new();
+    if let Some(prefill_builder) = &spec.prefill_builder {
+        for &chunk in chunk_menu {
+            let c = chunk as i64;
+            if c > spec.max_context {
+                continue; // a chunk can never exceed a sequence's cache need
+            }
+            let graph = prefill_builder(c, spec.max_context);
+            prefill.push(validate_pass(
+                spec,
+                graph,
+                1,
+                c,
+                &format!("prefill[{chunk}]"),
+            )?);
+        }
+    }
+    let embed = Tensor::randn(&[spec.vocab, spec.hidden], spec.embed_seed)
+        .data()
+        .expect("randn is materialized")
+        .to_vec();
+    Ok(ModelDef {
+        name: spec.name.clone(),
+        layers: spec.layers,
+        hidden: spec.hidden as usize,
+        heads: spec.heads as usize,
+        head_dim: (spec.hidden / spec.heads) as usize,
+        vocab: spec.vocab,
+        max_context: spec.max_context as usize,
+        step,
+        embed,
+        prefill,
+    })
+}
+
+/// Checks `graph` against the forward-pass interface for `seqs` sequences ×
+/// `chunk` tokens (see [`PassDef`]); `what` names the graph in errors.
+fn validate_pass(
+    spec: &DecodeModelSpec,
+    graph: Graph,
+    seqs: i64,
+    chunk: i64,
+    what: &str,
+) -> Result<PassDef, DecodeError> {
+    let bad = |msg: String| DecodeError::BadModel(format!("{what}: {msg}"));
+    // The graph comes from an arbitrary builder closure: deep-verify it
+    // (structure, shape re-inference, KV pairing, mask shape) before
+    // trusting its interface — a malformed model is rejected at
+    // registration, never inside the step loop.
+    let diags = hidet_analysis::verify_graph(&graph, hidet_analysis::VerifyLevel::Deep);
+    if hidet_analysis::has_errors(&diags) {
+        return Err(bad(format!(
+            "failed verification: {}",
+            hidet_analysis::render_text(&diags).trim_end()
+        )));
+    }
+    let expect_inputs = 2 + 2 * spec.layers;
+    let expect_outputs = 1 + 2 * spec.layers;
+    if graph.inputs().len() != expect_inputs {
+        return Err(bad(format!(
+            "expected {expect_inputs} graph inputs (x, mask, caches), got {}",
+            graph.inputs().len()
+        )));
+    }
+    if graph.outputs().len() != expect_outputs {
+        return Err(bad(format!(
+            "expected {expect_outputs} graph outputs (logits, caches), got {}",
+            graph.outputs().len()
+        )));
+    }
+    let check = |t: TensorId, want: &[i64], part: &str| -> Result<(), DecodeError> {
+        let got = graph.tensor(t).shape();
+        if got != want {
+            return Err(bad(format!("{part} has shape {got:?}, expected {want:?}")));
+        }
+        Ok(())
+    };
+    let rows = seqs * spec.heads;
+    let head_dim = spec.hidden / spec.heads;
+    let past = spec.max_context;
+    let x_id = graph.inputs()[0];
+    let mask_id = graph.inputs()[1];
+    check(x_id, &[seqs * chunk, spec.hidden], "input x")?;
+    check(mask_id, &[rows, chunk, past + chunk], "input mask")?;
+    let mut past_ids = Vec::with_capacity(spec.layers);
+    let mut cache_out_names = Vec::with_capacity(spec.layers);
+    for l in 0..spec.layers {
+        let pk = graph.inputs()[2 + 2 * l];
+        let pv = graph.inputs()[3 + 2 * l];
+        check(pk, &[rows, past, head_dim], "past_k input")?;
+        check(pv, &[rows, past, head_dim], "past_v input")?;
+        past_ids.push((pk, pv));
+        let nk = graph.outputs()[1 + 2 * l];
+        let nv = graph.outputs()[2 + 2 * l];
+        check(nk, &[rows, past + chunk, head_dim], "new_k output")?;
+        check(nv, &[rows, past + chunk, head_dim], "new_v output")?;
+        cache_out_names.push((format!("t{}", nk.0), format!("t{}", nv.0)));
+    }
+    let logits_id = graph.outputs()[0];
+    check(logits_id, &[seqs * chunk, spec.vocab], "logits output")?;
+    Ok(PassDef {
+        chunk: chunk as usize,
+        graph_hash: graph.structural_hash(),
+        x_id,
+        mask_id,
+        past_ids,
+        logits_id,
+        cache_out_names,
+        graph,
+    })
+}
+
+/// A model definition's identity: runtime state is keyed by it, so a
+/// re-registered name gets fresh state while in-flight sessions keep theirs.
+pub(super) fn def_key(def: &Arc<ModelDef>) -> usize {
+    Arc::as_ptr(def) as usize
+}
+
+pub(super) struct Shared {
+    /// The engine's one sanitised configuration
+    /// ([`DecodeConfig::sanitized`]); `config.devices[s]` is shard `s`
+    /// everywhere.
+    pub(super) config: DecodeConfig,
+    /// While set, the step loop sleeps and admits nothing
+    /// ([`DecodeConfig::start_paused`] / [`DecodeEngine::resume`]).
+    pub(super) paused: AtomicBool,
+    pub(super) registry: Mutex<HashMap<String, Arc<ModelDef>>>,
+    pub(super) waiting: Mutex<Waiting>,
+    pub(super) cv: Condvar,
+    pub(super) closed: AtomicBool,
+    pub(super) stats: Arc<DecodeStats>,
+    pub(super) next_rank: AtomicU64,
+}
+
+/// The decode engine. See the [module docs](crate::engine) for the
+/// architecture and `examples/decode_serving.rs` for a tour.
 pub struct DecodeEngine {
     shared: Arc<Shared>,
     worker: Option<thread::JoinHandle<()>>,
@@ -968,40 +1082,21 @@ pub struct DecodeEngine {
 impl DecodeEngine {
     /// Starts the engine's step loop on a background thread.
     pub fn new(config: DecodeConfig) -> DecodeEngine {
-        assert!(config.max_batch >= 1, "engine needs at least one slot");
-        assert!(config.kv_blocks >= 1 && config.block_tokens >= 1);
-        let mut chunk_menu = config.chunk_menu.clone();
-        chunk_menu.retain(|&c| c >= 1);
-        chunk_menu.sort_unstable();
-        chunk_menu.dedup();
-        let devices = if config.devices.is_empty() {
-            vec![config.device.clone()]
-        } else {
-            config.devices.clone()
-        };
+        let config = config.sanitized();
         let stats = Arc::new(DecodeStats::for_shards(
-            devices.iter().map(|d| d.name.clone()).collect(),
+            config.devices.iter().map(|d| d.name.clone()).collect(),
         ));
-        // Publish the initial lane share so the gauge is meaningful before
-        // the step loop's first control decision.
-        let initial_share = if config.lane_autoscale {
-            config.lane_min.clamp(1, config.max_batch)
-        } else {
-            config.max_batch
-        };
-        for shard in &stats.shards {
-            shard.lane_share.store(initial_share, Ordering::Relaxed);
-        }
+        stats.max_batch.store(config.max_batch, Ordering::Relaxed);
         let waiting = Waiting {
-            shards: (0..devices.len()).map(|_| WaitQueues::default()).collect(),
+            shards: config
+                .devices
+                .iter()
+                .map(|_| WaitQueues::default())
+                .collect(),
         };
         let shared = Arc::new(Shared {
-            max_batch: config.max_batch,
-            chunk_menu,
-            devices,
-            kv_blocks: config.kv_blocks,
-            block_tokens: config.block_tokens,
             paused: AtomicBool::new(config.start_paused),
+            config,
             registry: Mutex::new(HashMap::new()),
             waiting: Mutex::new(waiting),
             cv: Condvar::new(),
@@ -1009,15 +1104,11 @@ impl DecodeEngine {
             stats,
             next_rank: AtomicU64::new(1),
         });
-        shared
-            .stats
-            .max_batch
-            .store(config.max_batch, Ordering::Relaxed);
         let worker = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name("hidet-decode".into())
-                .spawn(move || step_loop(&shared, &config))
+                .spawn(move || step_loop(&shared))
                 .expect("spawn decode step loop")
         };
         DecodeEngine {
@@ -1040,8 +1131,9 @@ impl DecodeEngine {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(DecodeError::Closed);
         }
-        let def = validate_spec(&spec, self.shared.max_batch, &self.shared.chunk_menu)?;
-        let name = spec.name.clone();
+        let config = &self.shared.config;
+        let def = validate_spec(&spec, config.max_batch, &config.chunk_menu)?;
+        let name = spec.name().to_string();
         self.shared
             .registry
             .lock()
@@ -1110,250 +1202,9 @@ impl fmt::Debug for DecodeEngine {
     }
 }
 
-/// Builds and checks a [`ModelDef`] against the decode-step interface, plus
-/// — when the spec has a prefill builder — one [`PrefillDef`] per menu chunk
-/// against the prefill interface.
-fn validate_spec(
-    spec: &DecodeModelSpec,
-    max_batch: usize,
-    chunk_menu: &[usize],
-) -> Result<ModelDef, DecodeError> {
-    let bad = |msg: String| DecodeError::BadModel(msg);
-    if spec.layers < 1 || spec.hidden < 1 || spec.heads < 1 || spec.vocab < 1 {
-        return Err(bad("layers/hidden/heads/vocab must be positive".into()));
-    }
-    if spec.hidden % spec.heads != 0 {
-        return Err(bad(format!(
-            "heads ({}) must divide hidden ({})",
-            spec.heads, spec.hidden
-        )));
-    }
-    if spec.max_context < 1 {
-        return Err(bad("max_context must be at least 1".into()));
-    }
-    let batch = max_batch as i64;
-    let graph = (spec.builder)(batch, spec.max_context);
-    // The graph comes from an arbitrary builder closure: deep-verify it
-    // (structure, shape re-inference, KV pairing, mask shape) before
-    // trusting its interface — a malformed model is rejected at
-    // registration, never inside the step loop.
-    let deep_verify = |g: &hidet_graph::Graph, what: &str| -> Result<(), DecodeError> {
-        let diags = hidet_analysis::verify_graph(g, hidet_analysis::VerifyLevel::Deep);
-        if hidet_analysis::has_errors(&diags) {
-            return Err(DecodeError::BadModel(format!(
-                "{what} failed verification: {}",
-                hidet_analysis::render_text(&diags).trim_end()
-            )));
-        }
-        Ok(())
-    };
-    deep_verify(&graph, "decode graph")?;
-    let rows = batch * spec.heads;
-    let head_dim = spec.hidden / spec.heads;
-    let expect_inputs = 2 + 2 * spec.layers;
-    let expect_outputs = 1 + 2 * spec.layers;
-    if graph.inputs().len() != expect_inputs {
-        return Err(bad(format!(
-            "expected {expect_inputs} graph inputs (x, mask, caches), got {}",
-            graph.inputs().len()
-        )));
-    }
-    if graph.outputs().len() != expect_outputs {
-        return Err(bad(format!(
-            "expected {expect_outputs} graph outputs (logits, caches), got {}",
-            graph.outputs().len()
-        )));
-    }
-    let check = |t: TensorId, want: &[i64], what: &str| -> Result<(), DecodeError> {
-        let got = graph.tensor(t).shape();
-        if got != want {
-            return Err(DecodeError::BadModel(format!(
-                "{what} has shape {got:?}, expected {want:?}"
-            )));
-        }
-        Ok(())
-    };
-    let x_id = graph.inputs()[0];
-    let mask_id = graph.inputs()[1];
-    check(x_id, &[batch, spec.hidden], "input x")?;
-    check(mask_id, &[rows, 1, spec.max_context + 1], "input mask")?;
-    let mut past_ids = Vec::with_capacity(spec.layers);
-    let mut cache_out_ids = Vec::with_capacity(spec.layers);
-    for l in 0..spec.layers {
-        let pk = graph.inputs()[2 + 2 * l];
-        let pv = graph.inputs()[3 + 2 * l];
-        check(pk, &[rows, spec.max_context, head_dim], "past_k input")?;
-        check(pv, &[rows, spec.max_context, head_dim], "past_v input")?;
-        past_ids.push((pk, pv));
-        let nk = graph.outputs()[1 + 2 * l];
-        let nv = graph.outputs()[2 + 2 * l];
-        check(nk, &[rows, spec.max_context + 1, head_dim], "new_k output")?;
-        check(nv, &[rows, spec.max_context + 1, head_dim], "new_v output")?;
-        cache_out_ids.push((nk, nv));
-    }
-    let logits_id = graph.outputs()[0];
-    check(logits_id, &[batch, spec.vocab], "logits output")?;
-    let cache_out_names: Vec<(String, String)> = cache_out_ids
-        .iter()
-        .map(|(nk, nv)| (format!("t{}", nk.0), format!("t{}", nv.0)))
-        .collect();
-    let graph_hash = graph.structural_hash();
-    let embed = Tensor::randn(&[spec.vocab, spec.hidden], spec.embed_seed)
-        .data()
-        .expect("randn is materialized")
-        .to_vec();
-    let mut prefill = Vec::new();
-    if let Some(prefill_builder) = &spec.prefill_builder {
-        for &chunk in chunk_menu {
-            let c = chunk as i64;
-            if c > spec.max_context {
-                continue; // a chunk can never exceed a sequence's cache need
-            }
-            let g = prefill_builder(c, spec.max_context);
-            let what = |part: &str| format!("prefill[{chunk}] {part}");
-            deep_verify(&g, &what("graph"))?;
-            if g.inputs().len() != expect_inputs {
-                return Err(bad(format!(
-                    "{}: expected {expect_inputs} graph inputs, got {}",
-                    what("interface"),
-                    g.inputs().len()
-                )));
-            }
-            if g.outputs().len() != expect_outputs {
-                return Err(bad(format!(
-                    "{}: expected {expect_outputs} graph outputs, got {}",
-                    what("interface"),
-                    g.outputs().len()
-                )));
-            }
-            let pcheck = |t: TensorId, want: &[i64], part: &str| -> Result<(), DecodeError> {
-                let got = g.tensor(t).shape();
-                if got != want {
-                    return Err(DecodeError::BadModel(format!(
-                        "{} has shape {got:?}, expected {want:?}",
-                        what(part)
-                    )));
-                }
-                Ok(())
-            };
-            let x_id = g.inputs()[0];
-            let mask_id = g.inputs()[1];
-            pcheck(x_id, &[c, spec.hidden], "input x")?;
-            pcheck(
-                mask_id,
-                &[spec.heads, c, spec.max_context + c],
-                "input mask",
-            )?;
-            let mut past_ids = Vec::with_capacity(spec.layers);
-            let mut out_ids = Vec::with_capacity(spec.layers);
-            for l in 0..spec.layers {
-                let pk = g.inputs()[2 + 2 * l];
-                let pv = g.inputs()[3 + 2 * l];
-                pcheck(
-                    pk,
-                    &[spec.heads, spec.max_context, head_dim],
-                    "past_k input",
-                )?;
-                pcheck(
-                    pv,
-                    &[spec.heads, spec.max_context, head_dim],
-                    "past_v input",
-                )?;
-                past_ids.push((pk, pv));
-                let nk = g.outputs()[1 + 2 * l];
-                let nv = g.outputs()[2 + 2 * l];
-                pcheck(
-                    nk,
-                    &[spec.heads, spec.max_context + c, head_dim],
-                    "new_k output",
-                )?;
-                pcheck(
-                    nv,
-                    &[spec.heads, spec.max_context + c, head_dim],
-                    "new_v output",
-                )?;
-                out_ids.push((nk, nv));
-            }
-            let logits_id = g.outputs()[0];
-            pcheck(logits_id, &[c, spec.vocab], "logits output")?;
-            let cache_out_names: Vec<(String, String)> = out_ids
-                .iter()
-                .map(|(nk, nv)| (format!("t{}", nk.0), format!("t{}", nv.0)))
-                .collect();
-            let graph_hash = g.structural_hash();
-            prefill.push(PrefillDef {
-                chunk,
-                graph: g,
-                graph_hash,
-                x_id,
-                mask_id,
-                past_ids,
-                logits_id,
-                cache_out_names,
-            });
-        }
-    }
-    Ok(ModelDef {
-        name: spec.name.clone(),
-        layers: spec.layers,
-        hidden: spec.hidden as usize,
-        heads: spec.heads as usize,
-        head_dim: head_dim as usize,
-        vocab: spec.vocab,
-        max_context: spec.max_context as usize,
-        graph,
-        graph_hash,
-        x_id,
-        mask_id,
-        past_ids,
-        logits_id,
-        cache_out_names,
-        embed,
-        prefill,
-    })
-}
-
-/// Per-model runtime state owned by the step loop.
-struct ModelRt {
-    def: Arc<ModelDef>,
-    compiled: Arc<hidet::CompiledGraph>,
-    /// Analytic step latency on the engine device, simulated seconds.
-    estimate: f64,
-    ws: Workspace,
-    kv: KvAllocator,
-    /// Lazily compiled prefill runtimes, keyed by chunk size — a chunk costs
-    /// compile time only once a prompt long enough to use it shows up.
-    prefill_rts: HashMap<usize, PrefillRt>,
-    /// Chunks whose prefill graph failed to compile: the scheduler stops
-    /// electing them and the affected prompts absorb token-wise instead —
-    /// chunked prefill is an optimization, never a liveness dependency.
-    dead_chunks: std::collections::HashSet<usize>,
-}
-
-/// One compiled prefill chunk: its plan, analytic latency and a dedicated
-/// workspace (prefill buffers are chunk-shaped, so they cannot share the
-/// decode workspace).
-struct PrefillRt {
-    compiled: Arc<hidet::CompiledGraph>,
-    estimate: f64,
-    ws: Workspace,
-}
-
-/// One decode shard owned by the step loop: its device, per-model runtimes
-/// (compiled graphs + KV arenas), active set and lane autoscaler. Shards
-/// model parallel devices multiplexed by the single engine thread — each
-/// shard's pass advances only its own simulated clock.
-struct ShardRt {
-    gpu: Gpu,
-    rts: HashMap<usize, ModelRt>,
-    active: Vec<Sequence>,
-    scaler: LaneAutoscaler,
-    iterations: u64,
-}
-
 /// Scores every shard for one incoming sequence — estimated queue delay
 /// ([`hidet_sim::estimated_queue_delay`] over the shard's active + waiting
-/// work at its current lane share) plus the KV-headroom penalty
+/// work across its `max_batch` lanes) plus the KV-headroom penalty
 /// ([`placement_score`]) — and returns the cheapest. Ties break to the
 /// least total pending work, then the lowest id: the delay estimate is the
 /// head-of-queue wait, which plateaus while short sessions fill lanes
@@ -1361,7 +1212,13 @@ struct ShardRt {
 /// pile onto one shard until its *head* wait finally moved. Runs under the
 /// waiting lock, reading only the gauges the step loop publishes, so
 /// placement never touches scheduler state.
-fn place_shard(shared: &Shared, waiting: &Waiting, model: usize, needed_blocks: usize) -> usize {
+pub(super) fn place_shard(
+    shared: &Shared,
+    waiting: &Waiting,
+    model: usize,
+    needed_blocks: usize,
+) -> usize {
+    let config = &shared.config;
     // Shards with no compiled estimate yet are assumed as costly as the
     // hottest known shard (1.0 before any compile — only relative
     // magnitudes matter while everything is cold).
@@ -1388,20 +1245,19 @@ fn place_shard(shared: &Shared, waiting: &Waiting, model: usize, needed_blocks: 
             pending.extend(queue.iter().map(|q| q.remaining_work() as f64 * est));
         }
         let load: f64 = pending.iter().sum();
-        let lanes = st.lane_share.load(Ordering::Relaxed).max(1);
-        let delay = hidet_sim::estimated_queue_delay(&pending, lanes);
+        let delay = hidet_sim::estimated_queue_delay(&pending, config.max_batch);
         let (free, capacity) = g
             .kv_free
             .get(&model)
             .copied()
-            .unwrap_or((shared.kv_blocks, shared.kv_blocks));
+            .unwrap_or((config.kv_blocks, config.kv_blocks));
         let score = placement_score(
             delay,
             est,
             needed_blocks,
             free,
             capacity,
-            shared.block_tokens,
+            config.block_tokens,
         );
         if score < best_score || (score == best_score && load < best_load) {
             best_score = score;
@@ -1412,495 +1268,59 @@ fn place_shard(shared: &Shared, waiting: &Waiting, model: usize, needed_blocks: 
     best
 }
 
-/// The pool's KV headroom as one scheduler pass sees it: `(free, capacity)`
-/// blocks per `(shard, model)` arena, debited as migration targets are
-/// chosen within the pass so two victims cannot both claim the same free
-/// blocks. Arenas that do not exist yet count as full free arenas.
-struct ClusterView {
-    free: Vec<HashMap<usize, (usize, usize)>>,
-    default_blocks: usize,
+/// Per-model runtime state owned by the step loop.
+pub(super) struct ModelRt {
+    pub(super) def: Arc<ModelDef>,
+    /// The fixed-shape decode step, compiled when the runtime is built.
+    pub(super) step: PassRt,
+    pub(super) kv: KvAllocator,
+    /// Lazily compiled prefill runtimes, keyed by chunk size — a chunk costs
+    /// compile time only once a prompt long enough to use it shows up.
+    pub(super) prefill_rts: HashMap<usize, PassRt>,
+    /// Chunks whose prefill graph failed to compile: the scheduler stops
+    /// electing them and the affected prompts absorb token-wise instead —
+    /// chunked prefill is an optimization, never a liveness dependency.
+    pub(super) dead_chunks: HashSet<usize>,
 }
 
-impl ClusterView {
-    fn collect(shards: &[ShardRt], default_blocks: usize) -> ClusterView {
-        ClusterView {
-            free: shards
-                .iter()
-                .map(|sh| {
-                    sh.rts
-                        .iter()
-                        .map(|(key, rt)| {
-                            let cap = rt.kv.capacity();
-                            (*key, (cap - rt.kv.blocks_in_use(), cap))
-                        })
-                        .collect()
-                })
-                .collect(),
-            default_blocks,
-        }
-    }
-
-    fn entry(&self, shard: usize, model: usize) -> (usize, usize) {
-        self.free[shard]
-            .get(&model)
-            .copied()
-            .unwrap_or((self.default_blocks, self.default_blocks))
-    }
-
-    /// The shard (≠ `from`) with the most free blocks, if any has `needed`
-    /// free right now; ties to the lowest id.
-    fn headroom_target(&self, from: usize, model: usize, needed: usize) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (free, shard)
-        for s in 0..self.free.len() {
-            if s == from {
-                continue;
-            }
-            let (free, _) = self.entry(s, model);
-            let better = match best {
-                None => free >= needed,
-                Some((best_free, _)) => free >= needed && free > best_free,
-            };
-            if better {
-                best = Some((free, s));
-            }
-        }
-        best.map(|(_, s)| s)
-    }
-
-    /// The first shard (≠ `from`) whose whole arena could hold `needed`
-    /// blocks — the sequence fits there *alone*, even if it has to preempt.
-    fn capacity_target(&self, from: usize, model: usize, needed: usize) -> Option<usize> {
-        (0..self.free.len())
-            .filter(|&s| s != from)
-            .find(|&s| self.entry(s, model).1 >= needed)
-    }
-
-    fn debit(&mut self, shard: usize, model: usize, needed: usize) {
-        let (free, cap) = self.entry(shard, model);
-        self.free[shard].insert(model, (free.saturating_sub(needed), cap));
-    }
+/// One compiled forward-pass graph: its plan, analytic latency on the
+/// shard's device (simulated seconds) and a dedicated workspace (buffers are
+/// shaped by the graph, so passes cannot share one).
+pub(super) struct PassRt {
+    pub(super) compiled: Arc<hidet::CompiledGraph>,
+    pub(super) estimate: f64,
+    pub(super) ws: Workspace,
 }
 
-/// Moves a preempted sequence onto shard `to`'s queue front: rebases its
-/// time anchors onto the target clock and books the migration counters.
-/// The caller has already released its KV blocks and rebuilt its replay
-/// chain ([`preempt`]) — re-admission replays it on the target, where
-/// order-stable schedules make the rebuilt KV bytes (and every downstream
-/// token) identical.
-fn migrate_sequence(shared: &Shared, mut seq: Sequence, from: usize, to: usize) {
-    hidet_trace::global().instant(hidet_trace::SpanKind::KvMigrate, seq.trace_id);
-    let target_now = shared.stats.shard_clock(to);
-    seq.rebase(target_now - shared.stats.shard_clock(from));
-    seq.queued_sim = target_now;
-    shared.stats.shards[from]
-        .migrations_out
-        .fetch_add(1, Ordering::Relaxed);
-    shared.stats.shards[to]
-        .migrations_in
-        .fetch_add(1, Ordering::Relaxed);
-    let mut waiting = shared.waiting.lock().expect("waiting poisoned");
-    waiting.shards[to].classes[seq.priority.index()].push_front(seq);
-    drop(waiting);
-    shared.cv.notify_all();
+/// One decode shard owned by the step loop: its device, per-model runtimes
+/// (compiled graphs + KV arenas) and active set. Shards model parallel
+/// devices multiplexed by the single engine thread — each shard's pass
+/// advances only its own simulated clock.
+pub(super) struct ShardRt {
+    pub(super) gpu: Gpu,
+    pub(super) rts: HashMap<usize, ModelRt>,
+    pub(super) active: Vec<Sequence>,
 }
 
-/// `(hot, cold)` shard pair when KV occupancy skews: the fullest shard is
-/// above [`REBALANCE_HOT_FRACTION`] and leads the emptiest by more than
-/// [`REBALANCE_SKEW`].
-fn kv_skew(shards: &[ShardRt]) -> Option<(usize, usize)> {
-    let frac: Vec<f64> = shards
-        .iter()
-        .map(|sh| {
-            let cap: usize = sh.rts.values().map(|rt| rt.kv.capacity()).sum();
-            let used: usize = sh.rts.values().map(|rt| rt.kv.blocks_in_use()).sum();
-            if cap == 0 {
-                0.0
-            } else {
-                used as f64 / cap as f64
-            }
-        })
-        .collect();
-    let mut hot = 0usize;
-    let mut cold = 0usize;
-    for s in 1..frac.len() {
-        if frac[s] > frac[hot] {
-            hot = s;
-        }
-        if frac[s] < frac[cold] {
-            cold = s;
-        }
+impl ShardRt {
+    /// `(free, capacity)` KV blocks of every model arena on this shard,
+    /// keyed by `ModelDef` identity.
+    pub(super) fn kv_headroom(&self) -> HashMap<usize, (usize, usize)> {
+        self.rts
+            .iter()
+            .map(|(key, rt)| {
+                let cap = rt.kv.capacity();
+                (*key, (cap - rt.kv.blocks_in_use(), cap))
+            })
+            .collect()
     }
-    (frac[hot] >= REBALANCE_HOT_FRACTION && frac[hot] - frac[cold] > REBALANCE_SKEW)
-        .then_some((hot, cold))
-}
-
-/// The engine's background thread: admission, step execution, KV
-/// bookkeeping, token emission — per shard, one pass each per outer
-/// iteration.
-fn step_loop(shared: &Shared, config: &DecodeConfig) {
-    let cache = CompiledCache::new();
-    // Compact schedules (see `DecodeConfig::compact_schedules`): one shared
-    // record store, seeded per model in `ensure_rt`, served with zero trials.
-    let options = if config.compact_schedules && !config.options.tune {
-        let mut options = config
-            .options
-            .clone()
-            .with_tuning_cache(Arc::new(Mutex::new(hidet_sched::TuningCache::new())));
-        options.tune = true;
-        options
-    } else {
-        config.options.clone()
-    };
-    // Order-stable reductions, unconditionally: the chunked-prefill contract
-    // — token streams and KV contents bit-identical to token-wise absorption
-    // — holds only when every reduction in *both* graph families accumulates
-    // in pure element-index order, so the same real terms sum in the same
-    // order regardless of how many padded positions surround them (see
-    // `CompilerOptions::order_stable_reductions`).
-    let options = options.order_stable();
-    // One ShardRt per device; within a shard, per-ModelDef runtimes are
-    // keyed by definition identity — a re-registered name gets fresh state
-    // while in-flight sessions keep theirs.
-    let lane_min = config.lane_min.clamp(1, config.max_batch);
-    let mut shards: Vec<ShardRt> = shared
-        .devices
-        .iter()
-        .map(|spec| ShardRt {
-            gpu: Gpu::new(spec.clone()),
-            rts: HashMap::new(),
-            active: Vec::new(),
-            scaler: LaneAutoscaler::new(config.lane_autoscale, lane_min, config.max_batch),
-            iterations: 0,
-        })
-        .collect();
-    let nshards = shards.len();
-    let mut rebalance_cooldown = 0u64;
-
-    loop {
-        // --- admission ---------------------------------------------------
-        {
-            let mut waiting = shared.waiting.lock().expect("waiting poisoned");
-            loop {
-                purge_expired_waiting(shared, &mut waiting);
-                if shared.closed.load(Ordering::SeqCst) {
-                    // Sessions that never started (rank 0 — assigned at
-                    // first admission) are failed; in-flight ones — active
-                    // or KV-preempted back into a queue — drain to
-                    // completion, honoring the shutdown contract.
-                    for queue in waiting
-                        .shards
-                        .iter_mut()
-                        .flat_map(|wq| wq.classes.iter_mut())
-                    {
-                        let mut keep = VecDeque::with_capacity(queue.len());
-                        for seq in queue.drain(..) {
-                            if seq.rank == 0 {
-                                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                                let _ = seq.tx.send(Event::Failed(DecodeError::Closed));
-                            } else {
-                                keep.push_back(seq);
-                            }
-                        }
-                        *queue = keep;
-                    }
-                }
-                // A paused engine sleeps; shutdown overrides the pause so
-                // a never-resumed engine still drains and exits.
-                let paused =
-                    shared.paused.load(Ordering::SeqCst) && !shared.closed.load(Ordering::SeqCst);
-                if !paused {
-                    for (s, shard) in shards.iter_mut().enumerate() {
-                        // The autoscaler's signal: how long this shard's
-                        // oldest queued session has waited on the shard's
-                        // own simulated timeline (zero when the queue is
-                        // empty — that is what lets the share shrink back).
-                        let now = shared.stats.shard_clock(s);
-                        let head_wait = waiting.shards[s]
-                            .classes
-                            .iter()
-                            .flatten()
-                            .map(|q| (now - q.queued_sim).max(0.0))
-                            .fold(0.0f64, f64::max);
-                        shard.scaler.observe(head_wait);
-                        shared.stats.shards[s]
-                            .queue_delay_ewma_nanos
-                            .store((shard.scaler.ewma() * 1e9) as u64, Ordering::Relaxed);
-                        let admit = match config.mode {
-                            BatchingMode::Continuous => true,
-                            BatchingMode::Static => shard.active.is_empty(),
-                        };
-                        if !admit {
-                            continue;
-                        }
-                        while shard.active.len() < shard.scaler.share() {
-                            let Some(mut seq) = waiting.shards[s].pop_highest() else {
-                                break;
-                            };
-                            seq.rank = shared.next_rank.fetch_add(1, Ordering::Relaxed);
-                            if seq.admitted_sim.is_none() {
-                                seq.admitted_sim = Some(now);
-                                if seq.forced.is_empty() {
-                                    // Single-token prompt: there is nothing
-                                    // to prefill, the whole TTFT is
-                                    // first-decode.
-                                    seq.prompt_done_sim = Some(now);
-                                }
-                            }
-                            shard.active.push(seq);
-                        }
-                    }
-                }
-                if shards.iter().any(|sh| !sh.active.is_empty()) {
-                    break;
-                }
-                if shared.closed.load(Ordering::SeqCst) && waiting.is_empty() {
-                    return;
-                }
-                waiting = shared.cv.wait(waiting).expect("waiting poisoned");
-            }
-
-            // Drop runtime state of departed model definitions: a
-            // re-registration replaces the `ModelDef` identity, and once no
-            // registry entry, active sequence or waiting sequence reaches
-            // the old one, its workspace and KV arena can never be used
-            // again — keeping them would leak an arena per re-registration.
-            // (`generate` never holds the registry and waiting locks at
-            // once, so taking registry inside waiting cannot deadlock.)
-            if shards.iter().any(|sh| !sh.rts.is_empty()) {
-                let mut live: std::collections::HashSet<usize> = shards
-                    .iter()
-                    .flat_map(|sh| sh.active.iter().map(|s| def_key(&s.def)))
-                    .collect();
-                for queue in waiting.shards.iter().flat_map(|wq| wq.classes.iter()) {
-                    live.extend(queue.iter().map(|s| def_key(&s.def)));
-                }
-                {
-                    let registry = shared.registry.lock().expect("registry poisoned");
-                    live.extend(registry.values().map(def_key));
-                }
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let before = shard.rts.len();
-                    shard.rts.retain(|key, rt| {
-                        let keep = live.contains(key);
-                        if !keep {
-                            shared.stats.shards[s]
-                                .kv_capacity
-                                .fetch_sub(rt.kv.capacity(), Ordering::Relaxed);
-                        }
-                        keep
-                    });
-                    if shard.rts.len() != before {
-                        refresh_shard_kv_gauge(&shard.rts, shared, s);
-                    }
-                }
-            }
-        }
-
-        // --- deadline check for active sequences -------------------------
-        let now = Instant::now();
-        for (s, shard) in shards.iter_mut().enumerate() {
-            let mut i = 0;
-            let mut removed = false;
-            while i < shard.active.len() {
-                if shard.active[i].expired(now) {
-                    let mut seq = shard.active.swap_remove(i);
-                    if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
-                        rt.kv.release(&mut seq.kv);
-                    }
-                    removed = true;
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = seq.tx.send(Event::Failed(DecodeError::DeadlineExceeded));
-                } else {
-                    i += 1;
-                }
-            }
-            if removed {
-                refresh_shard_kv_gauge(&shard.rts, shared, s);
-            }
-        }
-
-        // --- one pass per shard: a step per model with active sequences ---
-        for s in 0..nshards {
-            if shards[s].active.is_empty() {
-                continue;
-            }
-            // The headroom view migration targets are chosen against,
-            // debited as targets are picked within the pass. Entries for
-            // shards processed earlier this iteration are fresh; later ones
-            // may be one pass stale — safe, because a migrated-to shard
-            // re-resolves pressure itself at admission.
-            let mut view = ClusterView::collect(&shards, config.kv_blocks);
-            let shard = &mut shards[s];
-            let mut model_keys: Vec<usize> = Vec::new();
-            for seq in &shard.active {
-                let key = def_key(&seq.def);
-                if !model_keys.contains(&key) {
-                    model_keys.push(key);
-                }
-            }
-            for key in model_keys {
-                // Extract this model's batch (slot order = extraction order).
-                let mut batch: Vec<Sequence> = Vec::new();
-                let mut i = 0;
-                while i < shard.active.len() {
-                    if def_key(&shard.active[i].def) == key {
-                        batch.push(shard.active.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                if batch.is_empty() {
-                    continue;
-                }
-                let def = Arc::clone(&batch[0].def);
-                let rt = match ensure_rt(
-                    &mut shard.rts,
-                    &def,
-                    &shard.gpu,
-                    &cache,
-                    &options,
-                    config,
-                    shared,
-                    s,
-                ) {
-                    Ok(rt) => rt,
-                    Err(err) => {
-                        for seq in batch {
-                            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                            let _ = seq.tx.send(Event::Failed(err.clone()));
-                        }
-                        continue;
-                    }
-                };
-                let outcome = run_iteration(
-                    shared, &shard.gpu, &cache, &options, config, rt, batch, s, &mut view,
-                );
-                shard.active.extend(outcome.survivors);
-                refresh_shard_kv_gauge(&shard.rts, shared, s);
-                // Terminal events go out only after the gauges are current,
-                // so a client that observed `Done` sees post-release
-                // occupancy.
-                for (tx, event) in outcome.terminal {
-                    let _ = tx.send(event);
-                }
-            }
-        }
-
-        // --- stress migration (test/bench knob) ---------------------------
-        if config.stress_migrate_after > 0 && nshards > 1 {
-            for (s, shard) in shards.iter_mut().enumerate() {
-                let target = (s + 1) % nshards;
-                let mut moved = Vec::new();
-                let mut i = 0;
-                while i < shard.active.len() {
-                    let pick = {
-                        let seq = &shard.active[i];
-                        !seq.stress_migrated
-                            && seq.emitted >= config.stress_migrate_after
-                            && shard.rts.contains_key(&def_key(&seq.def))
-                    };
-                    if pick {
-                        let mut seq = shard.active.remove(i);
-                        seq.stress_migrated = true;
-                        if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
-                            preempt(shared, &mut rt.kv, &mut seq);
-                        }
-                        moved.push(seq);
-                    } else {
-                        i += 1;
-                    }
-                }
-                if !moved.is_empty() {
-                    refresh_shard_kv_gauge(&shard.rts, shared, s);
-                }
-                for seq in moved {
-                    migrate_sequence(shared, seq, s, target);
-                }
-            }
-        }
-
-        // --- headroom rebalance -------------------------------------------
-        if nshards > 1 {
-            if rebalance_cooldown > 0 {
-                rebalance_cooldown -= 1;
-            } else if let Some((hot, cold)) = kv_skew(&shards) {
-                // Move the lowest-ranked hot-shard session whose worst-case
-                // block need fits the cold shard's free blocks right now.
-                let cold_free: HashMap<usize, usize> = shards[cold]
-                    .rts
-                    .iter()
-                    .map(|(key, rt)| (*key, rt.kv.capacity() - rt.kv.blocks_in_use()))
-                    .collect();
-                let shard = &mut shards[hot];
-                let pick = (0..shard.active.len())
-                    .filter(|&i| {
-                        let seq = &shard.active[i];
-                        let needed = seq.cache_need.div_ceil(config.block_tokens);
-                        let free = cold_free
-                            .get(&def_key(&seq.def))
-                            .copied()
-                            .unwrap_or(config.kv_blocks);
-                        needed <= free && shard.rts.contains_key(&def_key(&seq.def))
-                    })
-                    .max_by_key(|&i| shard.active[i].key());
-                if let Some(i) = pick {
-                    let mut seq = shard.active.remove(i);
-                    if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
-                        preempt(shared, &mut rt.kv, &mut seq);
-                    }
-                    refresh_shard_kv_gauge(&shard.rts, shared, hot);
-                    migrate_sequence(shared, seq, hot, cold);
-                    rebalance_cooldown = REBALANCE_COOLDOWN_ITERS;
-                }
-            }
-        }
-
-        // --- lane autoscaling + placement gauge publish -------------------
-        for (s, shard) in shards.iter_mut().enumerate() {
-            shard.iterations += 1;
-            let est = shard
-                .rts
-                .values()
-                .map(|rt| rt.estimate)
-                .fold(0.0f64, f64::max);
-            let share = shard.scaler.update(shard.iterations, est);
-            let st = &shared.stats.shards[s];
-            st.lane_share.store(share, Ordering::Relaxed);
-            st.queue_delay_ewma_nanos
-                .store((shard.scaler.ewma() * 1e9) as u64, Ordering::Relaxed);
-            let rts = &shard.rts;
-            let mut gauges = st.gauges.lock().expect("stats poisoned");
-            gauges.step_estimate = est;
-            gauges.active_remaining = shard
-                .active
-                .iter()
-                .map(|seq| {
-                    let e = rts
-                        .get(&def_key(&seq.def))
-                        .map_or(if est > 0.0 { est } else { 1.0 }, |rt| rt.estimate);
-                    seq.remaining_work() as f64 * e
-                })
-                .collect();
-            gauges.kv_free = rts
-                .iter()
-                .map(|(key, rt)| {
-                    let cap = rt.kv.capacity();
-                    (*key, (cap - rt.kv.blocks_in_use(), cap))
-                })
-                .collect();
-        }
-    }
-}
-
-fn def_key(def: &Arc<ModelDef>) -> usize {
-    Arc::as_ptr(def) as usize
 }
 
 /// Recomputes shard `s`'s KV occupancy gauge from its model arenas, then
 /// the pool-wide gauge as the sum of every shard's published value (other
 /// shards' arenas are untouched since their last refresh, so their gauges
 /// are current).
-fn refresh_shard_kv_gauge(rts: &HashMap<usize, ModelRt>, shared: &Shared, s: usize) {
+pub(super) fn refresh_shard_kv_gauge(rts: &HashMap<usize, ModelRt>, shared: &Shared, s: usize) {
     let in_use: usize = rts.values().map(|rt| rt.kv.blocks_in_use()).sum();
     let st = &shared.stats.shards[s];
     st.kv_in_use.store(in_use, Ordering::Relaxed);
@@ -1917,88 +1337,63 @@ fn refresh_shard_kv_gauge(rts: &HashMap<usize, ModelRt>, shared: &Shared, s: usi
     shared.stats.kv_peak.fetch_max(total, Ordering::Relaxed);
 }
 
-/// What one [`run_step`] hands back to the loop: sequences staying active,
-/// and terminal `Done`/`Failed` events to deliver *after* the step's gauges
-/// are refreshed.
-struct StepOutcome {
-    survivors: Vec<Sequence>,
-    terminal: Vec<(mpsc::Sender<Event>, Event)>,
-}
-
-/// Fails expired waiting sequences with `DeadlineExceeded`.
-fn purge_expired_waiting(shared: &Shared, waiting: &mut Waiting) {
-    let now = Instant::now();
-    for queue in waiting
-        .shards
-        .iter_mut()
-        .flat_map(|wq| wq.classes.iter_mut())
-    {
-        if !queue.iter().any(|s| s.expired(now)) {
-            continue;
-        }
-        let mut keep = VecDeque::with_capacity(queue.len());
-        for seq in queue.drain(..) {
-            if seq.expired(now) {
-                shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                let _ = seq.tx.send(Event::Failed(DecodeError::DeadlineExceeded));
-            } else {
-                keep.push_back(seq);
+impl IterCtx<'_> {
+    /// The model's runtime on this shard, built on first use: the
+    /// fixed-shape step graph compiled, plus a fresh KV arena.
+    pub(super) fn ensure_rt<'r>(
+        &self,
+        rts: &'r mut HashMap<usize, ModelRt>,
+        def: &Arc<ModelDef>,
+    ) -> Result<&'r mut ModelRt, DecodeError> {
+        match rts.entry(def_key(def)) {
+            std::collections::hash_map::Entry::Occupied(entry) => Ok(entry.into_mut()),
+            std::collections::hash_map::Entry::Vacant(entry) => {
+                let step = self.compile_pass(&def.step)?;
+                let config = &self.shared.config;
+                let layout = KvLayout {
+                    layers: def.layers,
+                    hidden: def.hidden,
+                    block_tokens: config.block_tokens,
+                };
+                let kv = KvAllocator::new(layout, config.kv_blocks);
+                self.shared.stats.shards[self.shard]
+                    .kv_capacity
+                    .fetch_add(kv.capacity(), Ordering::Relaxed);
+                Ok(entry.insert(ModelRt {
+                    def: Arc::clone(def),
+                    step,
+                    kv,
+                    prefill_rts: HashMap::new(),
+                    dead_chunks: HashSet::new(),
+                }))
             }
         }
-        *queue = keep;
     }
-}
 
-/// Lazily compiles the model's fixed-shape step graph (seeding compact
-/// schedules first — see [`DecodeConfig::compact_schedules`]) and builds its
-/// workspace + KV arena.
-#[allow(clippy::too_many_arguments)]
-fn ensure_rt<'a>(
-    rts: &'a mut HashMap<usize, ModelRt>,
-    def: &Arc<ModelDef>,
-    gpu: &Gpu,
-    cache: &CompiledCache,
-    options: &CompilerOptions,
-    config: &DecodeConfig,
-    shared: &Shared,
-    shard: usize,
-) -> Result<&'a mut ModelRt, DecodeError> {
-    let key = def_key(def);
-    match rts.entry(key) {
-        std::collections::hash_map::Entry::Occupied(entry) => Ok(entry.into_mut()),
-        std::collections::hash_map::Entry::Vacant(entry) => {
-            if config.compact_schedules && !config.options.tune {
-                seed_compact_schedules(&def.graph, gpu, options);
-            }
-            let (compiled, _) = cache
-                .get_or_compile_hashed(
-                    &def.graph,
-                    def.graph_hash,
-                    gpu,
-                    options,
-                    config.artifact_store.as_deref(),
-                )
-                .map_err(|e| DecodeError::Compile(e.to_string()))?;
-            let estimate = compiled.estimate(gpu);
-            let layout = KvLayout {
-                layers: def.layers,
-                hidden: def.hidden,
-                block_tokens: config.block_tokens,
-            };
-            let kv = KvAllocator::new(layout, config.kv_blocks);
-            shared.stats.shards[shard]
-                .kv_capacity
-                .fetch_add(kv.capacity(), Ordering::Relaxed);
-            Ok(entry.insert(ModelRt {
-                def: Arc::clone(def),
-                compiled,
-                estimate,
-                ws: Workspace::new(),
-                kv,
-                prefill_rts: HashMap::new(),
-                dead_chunks: std::collections::HashSet::new(),
-            }))
+    /// Compiles one forward-pass graph for this shard's device through the
+    /// engine-wide cache, seeding compact schedules first when tuning is off
+    /// (see [`DecodeConfig::options`]).
+    pub(super) fn compile_pass(&self, pass: &PassDef) -> Result<PassRt, DecodeError> {
+        let config = &self.shared.config;
+        if !config.options.tune {
+            seed_compact_tiles(&pass.graph, self.gpu, self.options);
         }
+        let (compiled, _) = self
+            .cache
+            .get_or_compile_hashed(
+                &pass.graph,
+                pass.graph_hash,
+                self.gpu,
+                self.options,
+                config.artifact_store.as_deref(),
+            )
+            .map_err(|e| DecodeError::Compile(e.to_string()))?;
+        let estimate = compiled.estimate(self.gpu);
+        Ok(PassRt {
+            compiled,
+            estimate,
+            ws: Workspace::new(),
+        })
     }
 }
 
@@ -2007,7 +1402,7 @@ fn ensure_rt<'a>(
 /// zero trials. Decode-step GEMMs have `M = max_batch` (a handful of rows):
 /// the smallest hardware-aligned tile both estimates and interprets far
 /// cheaper than the mid-size default.
-fn seed_compact_schedules(graph: &Graph, gpu: &Gpu, options: &CompilerOptions) {
+fn seed_compact_tiles(graph: &Graph, gpu: &Gpu, options: &CompilerOptions) {
     let Some(cache) = &options.tuning_cache else {
         return;
     };
@@ -2052,695 +1447,335 @@ fn seed_compact_schedules(graph: &Graph, gpu: &Gpu, options: &CompilerOptions) {
     }
 }
 
-/// Chunk-size election: the largest compiled chunk that fits both the
-/// remaining feed chain and the iteration's leftover token budget. `None`
-/// sends the sequence down the token-wise path (tail smaller than the
-/// smallest chunk, budget exhausted, or chunking disabled).
-fn elect_chunk(remaining: usize, menu: &[usize], budget: usize) -> Option<usize> {
-    menu.iter()
-        .copied()
-        .filter(|&c| c <= remaining && c <= budget)
-        .max()
-}
+/// Additive mask value for non-attendable positions: large enough that
+/// `exp(score + MASK)` underflows to exactly `0.0` after the row-max shift,
+/// making padded positions bit-transparent to softmax.
+const MASK_NEG: f32 = -1.0e9;
 
-/// One scheduler iteration for `batch` (all sequences share `rt`'s model):
-/// a prefill phase — chunked prompt absorption under the iteration token
-/// budget, in `(priority, rank)` order — followed by one decode step for
-/// every live sequence that did not prefill. A sequence advances through
-/// exactly one forward pass per iteration, so decodes never observe more
-/// than one prefill-chunk bubble between tokens.
-#[allow(clippy::too_many_arguments)]
-fn run_iteration(
-    shared: &Shared,
-    gpu: &Gpu,
-    cache: &CompiledCache,
-    options: &CompilerOptions,
-    config: &DecodeConfig,
-    rt: &mut ModelRt,
-    mut batch: Vec<Sequence>,
-    shard: usize,
-    view: &mut ClusterView,
-) -> StepOutcome {
-    // Iteration spans are shard-scoped (many sequences), so they carry
-    // trace id 0; the nested prefill/decode spans attribute per-sequence.
-    let _span = hidet_trace::global().span(hidet_trace::SpanKind::DecodeIteration, 0);
-    let n = batch.len();
-    let mut state = vec![SlotState::Live; n];
-    let mut terminal: Vec<(mpsc::Sender<Event>, Event)> = Vec::new();
-    let mut prefilled = vec![false; n];
-
-    // --- prefill phase -----------------------------------------------------
-    // Static mode stays the pure token-wise baseline the serving benches
-    // compare against.
-    let mut ran_prefill = false;
-    if config.mode == BatchingMode::Continuous
-        && !rt.def.prefill.is_empty()
-        && config.prefill_token_budget > 0
-    {
-        let mut budget = config.prefill_token_budget;
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| batch[i].key());
-        for i in order {
-            if state[i] != SlotState::Live || batch[i].forced.is_empty() {
-                // Plain decode, or the final chain token: token-wise path.
-                continue;
-            }
-            let menu: Vec<usize> = rt
-                .def
-                .prefill
-                .iter()
-                .map(|p| p.chunk)
-                .filter(|c| !rt.dead_chunks.contains(c))
-                .collect();
-            let remaining = 1 + batch[i].forced.len();
-            let Some(chunk) = elect_chunk(remaining, &menu, budget) else {
-                continue;
-            };
-            if run_prefill(
-                shared,
-                gpu,
-                cache,
-                options,
-                config,
-                rt,
-                &mut batch,
-                &mut state,
-                &mut terminal,
-                i,
-                chunk,
-                shard,
-                view,
-            ) {
-                budget -= chunk;
-                prefilled[i] = true;
-                ran_prefill = true;
-            }
-        }
-    }
-
-    // --- decode step for everything that did not prefill -------------------
-    let decode_slots: Vec<usize> = (0..n)
-        .filter(|&i| state[i] == SlotState::Live && !prefilled[i])
-        .collect();
-    if !decode_slots.is_empty() {
-        run_decode_step(
-            shared,
-            gpu,
-            rt,
-            &mut batch,
-            &mut state,
-            &mut terminal,
-            &decode_slots,
-            shard,
-            view,
-        );
-    }
-    if ran_prefill {
-        shared
-            .stats
-            .prefill_iterations
-            .fetch_add(1, Ordering::Relaxed);
-        if !decode_slots.is_empty() {
-            shared
-                .stats
-                .interleaved_iterations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    // Reassemble: live sequences stay active; evicted ones rejoin the head
-    // of their class queue (they re-admit before newcomers of their class,
-    // but with a fresh — higher — rank, so the total eviction order can
-    // never cycle); migrated ones rejoin the *target shard's* queue head
-    // with their time anchors rebased. Finished/failed sequences drop here;
-    // their channels already carried Done/Failed.
-    let mut survivors = Vec::with_capacity(n);
-    let mut requeue: Vec<Sequence> = Vec::new();
-    let mut migrations: Vec<(Sequence, usize)> = Vec::new();
-    for (seq, state) in batch.into_iter().zip(state) {
-        match state {
-            SlotState::Live => survivors.push(seq),
-            SlotState::Evicted => requeue.push(seq),
-            SlotState::Migrated(target) => migrations.push((seq, target)),
-            SlotState::Dropped => {}
-        }
-    }
-    if !requeue.is_empty() {
-        let now = shared.stats.shard_clock(shard);
-        let mut waiting = shared.waiting.lock().expect("waiting poisoned");
-        for mut seq in requeue.into_iter().rev() {
-            seq.queued_sim = now;
-            waiting.shards[shard].classes[seq.priority.index()].push_front(seq);
-        }
-        drop(waiting);
-        shared.cv.notify_all();
-    }
-    for (seq, target) in migrations {
-        migrate_sequence(shared, seq, shard, target);
-    }
-    StepOutcome {
-        survivors,
-        terminal,
-    }
-}
-
-/// Absorbs one `chunk`-token slice of `batch[slot]`'s feed chain through the
-/// chunk's prefill graph: stage past + causal mask → forward pass → append
-/// `chunk` KV slots (with the same eviction machinery as decode) → harvest
-/// the fresh rows. When the chunk consumes the whole chain, the last logits
-/// row yields the sequence's next token — a chunk ending a prompt emits the
-/// first generated token in the same pass.
-///
-/// Returns whether the pass ran (and thus consumed budget); `false` means
-/// the chunk's graph failed to compile — it is retired to `dead_chunks` and
-/// the sequence falls through to the token-wise path, untouched.
-#[allow(clippy::too_many_arguments)]
-fn run_prefill(
-    shared: &Shared,
-    gpu: &Gpu,
-    cache: &CompiledCache,
-    options: &CompilerOptions,
-    config: &DecodeConfig,
-    rt: &mut ModelRt,
-    batch: &mut [Sequence],
-    state: &mut [SlotState],
-    terminal: &mut Vec<(mpsc::Sender<Event>, Event)>,
-    slot: usize,
-    chunk: usize,
-    shard: usize,
-    view: &mut ClusterView,
-) -> bool {
-    let _span =
-        hidet_trace::global().span(hidet_trace::SpanKind::PrefillChunk, batch[slot].trace_id);
-    // Lazily compile this chunk's runtime (same compact-schedule seeding as
-    // the decode step).
-    if !rt.prefill_rts.contains_key(&chunk) {
-        let pdef = rt
-            .def
-            .prefill
-            .iter()
-            .find(|p| p.chunk == chunk)
-            .expect("elected chunks come from def.prefill");
-        if config.compact_schedules && !config.options.tune {
-            seed_compact_schedules(&pdef.graph, gpu, options);
-        }
-        match cache.get_or_compile_hashed(
-            &pdef.graph,
-            pdef.graph_hash,
-            gpu,
-            options,
-            config.artifact_store.as_deref(),
-        ) {
-            Ok((compiled, _)) => {
-                let estimate = compiled.estimate(gpu);
-                rt.prefill_rts.insert(
-                    chunk,
-                    PrefillRt {
-                        compiled,
-                        estimate,
-                        ws: Workspace::new(),
-                    },
-                );
-            }
-            Err(_) => {
-                rt.dead_chunks.insert(chunk);
-                return false;
-            }
-        }
-    }
-    let ModelRt {
-        def,
-        kv,
-        prefill_rts,
-        ..
-    } = rt;
-    let pdef = def
-        .prefill
-        .iter()
-        .find(|p| p.chunk == chunk)
-        .expect("compiled above");
-    let prt = prefill_rts.get_mut(&chunk).expect("compiled above");
-    let plan = prt.compiled.plan();
-    let (hidden, heads, head_dim) = (def.hidden, def.heads, def.head_dim);
-    let mc = def.max_context;
-    let vocab = def.vocab as usize;
-
-    // --- stage inputs ------------------------------------------------------
-    let seq = &batch[slot];
-    let p = seq.kv.tokens();
-    let x = prt
-        .ws
-        .input_mut(plan, pdef.x_id)
-        .expect("x id validated at registration");
-    let embed_row = |t: u32| &def.embed[t as usize * hidden..(t as usize + 1) * hidden];
-    x[..hidden].copy_from_slice(embed_row(seq.pending));
-    for (j, &t) in seq.forced.iter().take(chunk - 1).enumerate() {
-        x[(j + 1) * hidden..(j + 2) * hidden].copy_from_slice(embed_row(t));
-    }
-    // Causal mask: chunk row `i` (global position `p + i`) attends the `p`
-    // cached tokens (columns `0..p`) and chunk positions `0..=i` (columns
-    // `mc..=mc + i`); padded cache slots and intra-chunk future positions
-    // stay at MASK_NEG, exactly as bit-transparent as decode-step padding.
-    let mask = prt
-        .ws
-        .input_mut(plan, pdef.mask_id)
-        .expect("mask id validated at registration");
-    mask.fill(MASK_NEG);
-    let span = mc + chunk;
-    for h in 0..heads {
-        for i in 0..chunk {
-            let row = (h * chunk + i) * span;
-            mask[row..row + p].fill(0.0);
-            mask[row + mc..row + mc + i + 1].fill(0.0);
-        }
-    }
-    for (l, &(pk_id, pv_id)) in pdef.past_ids.iter().enumerate() {
-        for (stream, id) in [(0usize, pk_id), (1usize, pv_id)] {
-            let buf = prt
-                .ws
-                .input_mut(plan, id)
-                .expect("cache ids validated at registration");
-            buf.fill(0.0);
-            for t in 0..p {
-                let lane = kv.lane(&seq.kv, t, l, stream);
-                for h in 0..heads {
-                    let dst = (h * mc + t) * head_dim;
-                    buf[dst..dst + head_dim]
-                        .copy_from_slice(&lane[h * head_dim..(h + 1) * head_dim]);
-                }
-            }
-        }
-    }
-
-    // --- forward pass ------------------------------------------------------
-    if let Err(err) = prt.ws.run_prepared(plan, gpu) {
-        let err = DecodeError::Execution(format!("{} prefill[{chunk}]: {err}", def.name));
-        let seq = &mut batch[slot];
-        kv.release(&mut seq.kv);
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        terminal.push((seq.tx.clone(), Event::Failed(err)));
-        state[slot] = SlotState::Dropped;
-        return true;
-    }
-    let now = shared
-        .stats
-        .advance_shard_prefill_clock(shard, prt.estimate);
-    shared.stats.prefill_passes.fetch_add(1, Ordering::Relaxed);
-
-    // --- append + harvest the chunk's KV rows ------------------------------
-    let remaining = 1 + batch[slot].forced.len();
-    let mut absorbed = 0usize;
-    for j in 0..chunk {
-        let Some(kvslot) =
-            append_with_pressure(shared, kv, batch, state, terminal, slot, shard, view)
-        else {
-            // Self-preempted (replay chain rebuilt from what was harvested)
-            // or dropped — either way this pass is over.
-            break;
-        };
-        // Fresh rows sit at positions `mc..mc + chunk` of the concat
-        // outputs; rows are per-head (`heads` is the batch axis of the
-        // single-sequence prefill graph).
-        for (l, (nk_name, nv_name)) in pdef.cache_out_names.iter().enumerate() {
-            for (stream, name) in [(0usize, nk_name), (1usize, nv_name)] {
-                for h in 0..heads {
-                    let src = (h * (mc + chunk) + mc + j) * head_dim;
-                    kv.copy_into_lane(
-                        kvslot,
-                        l,
-                        stream,
-                        h * head_dim,
-                        prt.ws.device_memory(),
-                        name,
-                        src,
-                        head_dim,
-                    );
-                }
-            }
-        }
-        let seq = &mut batch[slot];
-        seq.fed.push(seq.pending);
-        absorbed += 1;
-        if let Some(next) = seq.forced.pop_front() {
-            seq.pending = next;
-        }
-    }
-    if absorbed > 0 {
-        shared
-            .stats
-            .prefill_tokens
-            .fetch_add(absorbed, Ordering::Relaxed);
-    }
-    if state[slot] != SlotState::Live {
-        return true;
-    }
-    let seq = &mut batch[slot];
-    if absorbed == remaining {
-        // The chunk consumed the whole chain: the last row's logits are this
-        // sequence's next token. For a first-time prompt that token is the
-        // first emission — TTFT lands here, a whole chunk earlier than
-        // token-wise absorption would have allowed.
-        shared
-            .stats
-            .prompt_tokens
-            .fetch_add(absorbed - 1, Ordering::Relaxed);
-        if seq.emitted == 0 && seq.prompt_done_sim.is_none() {
-            seq.prompt_done_sim = Some(now);
-        }
-        let logits = prt
-            .ws
-            .output(pdef.logits_id)
-            .expect("logits are a graph output");
-        let token = argmax(&logits[(chunk - 1) * vocab..chunk * vocab]);
-        state[slot] = emit_token(shared, kv, seq, token, now, terminal, shard);
+/// The engine's background thread: admission, step execution, KV
+/// bookkeeping, token emission — per shard, one pass each per outer
+/// iteration.
+pub(super) fn step_loop(shared: &Shared) {
+    let config = &shared.config;
+    let cache = CompiledCache::new();
+    // Compact schedules (see `DecodeConfig::options`): with tuning off, one
+    // shared record store, seeded per graph in `IterCtx::compile_pass` and
+    // served with zero trials.
+    let options = if config.options.tune {
+        config.options.clone()
     } else {
-        // Mid-prompt (or mid-replay): every output of this pass is ignored,
-        // exactly like token-wise forced feeding.
-        shared
-            .stats
-            .prompt_tokens
-            .fetch_add(absorbed, Ordering::Relaxed);
-        if seq.forced.is_empty() && seq.emitted == 0 && seq.prompt_done_sim.is_none() {
-            seq.prompt_done_sim = Some(now);
-        }
-    }
-    true
-}
-
-/// Executes one decode step for the `slots` members of `batch`: stage → run
-/// → append KV (with eviction + recompute under pressure) → emit/retire.
-/// Logits/buffer rows are indexed by position within `slots`, not by batch
-/// index — prefilled sequences simply leave their row staged to zero.
-#[allow(clippy::too_many_arguments)]
-fn run_decode_step(
-    shared: &Shared,
-    gpu: &Gpu,
-    rt: &mut ModelRt,
-    batch: &mut [Sequence],
-    state: &mut [SlotState],
-    terminal: &mut Vec<(mpsc::Sender<Event>, Event)>,
-    slots: &[usize],
-    shard: usize,
-    view: &mut ClusterView,
-) {
-    // A decode step covers the whole batch; attribute it to the first
-    // slot's trace so at least one request's timeline shows the step.
-    let _span = hidet_trace::global().span(
-        hidet_trace::SpanKind::DecodeStep,
-        slots.first().map_or(0, |&i| batch[i].trace_id),
-    );
-    let ModelRt {
-        def,
-        compiled,
-        estimate,
-        ws,
-        kv,
-        ..
-    } = rt;
-    let plan = compiled.plan();
-    let (hidden, heads, head_dim) = (def.hidden, def.heads, def.head_dim);
-    let mc = def.max_context;
-    let vocab = def.vocab as usize;
-
-    // --- stage inputs (in place: zero steady-state allocations) -----------
-    let x = ws
-        .input_mut(plan, def.x_id)
-        .expect("x id validated at registration");
-    x.fill(0.0);
-    for (pos, &i) in slots.iter().enumerate() {
-        let token = batch[i].pending as usize;
-        x[pos * hidden..(pos + 1) * hidden]
-            .copy_from_slice(&def.embed[token * hidden..(token + 1) * hidden]);
-    }
-    let mask = ws
-        .input_mut(plan, def.mask_id)
-        .expect("mask id validated at registration");
-    mask.fill(MASK_NEG);
-    let span = mc + 1;
-    for row in 0..mask.len() / span {
-        mask[row * span + mc] = 0.0; // the current token is always attendable
-    }
-    for (pos, &i) in slots.iter().enumerate() {
-        for h in 0..heads {
-            let row = (pos * heads + h) * span;
-            mask[row..row + batch[i].kv.tokens()].fill(0.0);
-        }
-    }
-    // The gather re-stages every sequence's full cache each step. An
-    // incremental variant (resident past buffers, appending only the new
-    // token's rows) would save O(tokens) copies per slot, but needs stable
-    // slot assignment across steps — today slots are re-derived from the
-    // active order, which shifts as sequences retire. Host cost is dominated
-    // by kernel interpretation, not these copies, so stable slots are left
-    // as future work.
-    for (l, &(pk_id, pv_id)) in def.past_ids.iter().enumerate() {
-        for (stream, id) in [(0usize, pk_id), (1usize, pv_id)] {
-            let buf = ws
-                .input_mut(plan, id)
-                .expect("cache ids validated at registration");
-            buf.fill(0.0);
-            for (pos, &i) in slots.iter().enumerate() {
-                let seq = &batch[i];
-                for t in 0..seq.kv.tokens() {
-                    let lane = kv.lane(&seq.kv, t, l, stream);
-                    for h in 0..heads {
-                        let dst = ((pos * heads + h) * mc + t) * head_dim;
-                        buf[dst..dst + head_dim]
-                            .copy_from_slice(&lane[h * head_dim..(h + 1) * head_dim]);
-                    }
-                }
-            }
-        }
-    }
-
-    // --- forward pass ------------------------------------------------------
-    if let Err(err) = ws.run_prepared(plan, gpu) {
-        let err = DecodeError::Execution(format!("{}: {err}", def.name));
-        for &i in slots {
-            let seq = &mut batch[i];
-            kv.release(&mut seq.kv);
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            terminal.push((seq.tx.clone(), Event::Failed(err.clone())));
-            state[i] = SlotState::Dropped;
-        }
-        return;
-    }
-    let now = shared.stats.advance_shard_clock(shard, *estimate);
-    shared.stats.shards[shard]
-        .steps
-        .fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .occupied_slots
-        .fetch_add(slots.len(), Ordering::Relaxed);
-
-    // --- append KV, decode, emit/retire ------------------------------------
-    for (pos, &i) in slots.iter().enumerate() {
-        if state[i] != SlotState::Live {
-            continue;
-        }
-        let Some(kvslot) = append_with_pressure(shared, kv, batch, state, terminal, i, shard, view)
-        else {
-            continue;
-        };
-        // Harvest the new K/V rows device-to-device: the concat outputs hold
-        // the current token at sequence position `mc`.
-        for (l, (nk_name, nv_name)) in def.cache_out_names.iter().enumerate() {
-            for (stream, name) in [(0usize, nk_name), (1usize, nv_name)] {
-                for h in 0..heads {
-                    let src = ((pos * heads + h) * (mc + 1) + mc) * head_dim;
-                    kv.copy_into_lane(
-                        kvslot,
-                        l,
-                        stream,
-                        h * head_dim,
-                        ws.device_memory(),
-                        name,
-                        src,
-                        head_dim,
-                    );
-                }
-            }
-        }
-        let seq = &mut batch[i];
-        seq.fed.push(seq.pending);
-        // Greedy decode of this slot's logits row.
-        let logits = ws.output(def.logits_id).expect("logits are a graph output");
-        let token = argmax(&logits[pos * vocab..(pos + 1) * vocab]);
-        if let Some(next) = seq.forced.pop_front() {
-            // Prompt absorption or post-eviction replay: the model's output
-            // is already known; keep feeding the chain.
-            shared.stats.prompt_tokens.fetch_add(1, Ordering::Relaxed);
-            seq.pending = next;
-            if seq.forced.is_empty() && seq.emitted == 0 && seq.prompt_done_sim.is_none() {
-                seq.prompt_done_sim = Some(now);
-            }
-            continue;
-        }
-        // A fresh token: emit it.
-        state[i] = emit_token(shared, kv, seq, token, now, terminal, shard);
-    }
-}
-
-/// Reserves one KV token slot for `batch[slot]`, evicting under pressure.
-/// The strictly lower-ranked victim is preempted first — landing on the
-/// pool's roomiest other shard ([`SlotState::Migrated`]) when one has the
-/// headroom, locally otherwise. With no victim the requester yields itself:
-/// to a shard with free blocks, else locally (when this arena could hold it
-/// alone), else to any shard whose *whole arena* could.
-/// [`DecodeError::KvExhausted`] surfaces only when no shard in the pool can
-/// fit the sequence even alone. Returns `None` when the slot itself was
-/// preempted, migrated or dropped — `state` and `terminal` already reflect
-/// it.
-#[allow(clippy::too_many_arguments)]
-fn append_with_pressure(
-    shared: &Shared,
-    kv: &mut KvAllocator,
-    batch: &mut [Sequence],
-    state: &mut [SlotState],
-    terminal: &mut Vec<(mpsc::Sender<Event>, Event)>,
-    slot: usize,
-    shard: usize,
-    view: &mut ClusterView,
-) -> Option<crate::kv::KvSlot> {
-    let model = def_key(&batch[slot].def);
-    // Pressure relief may only move a sequence so many times
-    // ([`PRESSURE_MOVE_LIMIT`]); past the cap it behaves single-shard.
-    let relief_target = |seq: &Sequence, view: &ClusterView, needed: usize| {
-        (seq.pressure_moves < PRESSURE_MOVE_LIMIT)
-            .then(|| view.headroom_target(shard, model, needed))
-            .flatten()
+        let mut options = config
+            .options
+            .clone()
+            .with_tuning_cache(Arc::new(Mutex::new(hidet_sched::TuningCache::new())));
+        options.tune = true;
+        options
     };
+    // Order-stable reductions, unconditionally: the chunked-prefill contract
+    // — token streams and KV contents bit-identical to token-wise absorption
+    // — holds only when every reduction in *both* graph families accumulates
+    // in pure element-index order, so the same real terms sum in the same
+    // order regardless of how many padded positions surround them (see
+    // `CompilerOptions::order_stable_reductions`).
+    let options = options.order_stable();
+    // One ShardRt per device; within a shard, per-ModelDef runtimes are
+    // keyed by definition identity — a re-registered name gets fresh state
+    // while in-flight sessions keep theirs.
+    let mut shards: Vec<ShardRt> = config
+        .devices
+        .iter()
+        .map(|spec| ShardRt {
+            gpu: Gpu::new(spec.clone()),
+            rts: Default::default(),
+            active: Vec::new(),
+        })
+        .collect();
+    let nshards = shards.len();
+    let mut rebalance_cooldown = 0u64;
+
     loop {
-        match kv.append(&mut batch[slot].kv) {
-            Ok(kvslot) => {
-                hidet_trace::global().instant(hidet_trace::SpanKind::KvAlloc, batch[slot].trace_id);
-                return Some(kvslot);
-            }
-            Err(KvError::Exhausted) => match pick_victim(batch, state, slot) {
-                Some(v) => {
-                    let needed = kv.layout().blocks_for(batch[v].cache_need);
-                    let target = relief_target(&batch[v], view, needed);
-                    preempt(shared, kv, &mut batch[v]);
-                    state[v] = match target {
-                        Some(t) => {
-                            view.debit(t, model, needed);
-                            batch[v].pressure_moves += 1;
-                            SlotState::Migrated(t)
+        // --- admission ---------------------------------------------------
+        {
+            let mut waiting = shared.waiting.lock().expect("waiting poisoned");
+            loop {
+                let now = Instant::now();
+                fail_waiting(shared, &mut waiting, DecodeError::DeadlineExceeded, |seq| {
+                    seq.expired(now)
+                });
+                if shared.closed.load(Ordering::SeqCst) {
+                    // Sessions that never started (rank 0 — assigned at
+                    // first admission) are failed; in-flight ones — active
+                    // or KV-preempted back into a queue — drain to
+                    // completion, honoring the shutdown contract.
+                    fail_waiting(shared, &mut waiting, DecodeError::Closed, |seq| {
+                        seq.rank == 0
+                    });
+                }
+                // A paused engine sleeps; shutdown overrides the pause so
+                // a never-resumed engine still drains and exits.
+                let paused =
+                    shared.paused.load(Ordering::SeqCst) && !shared.closed.load(Ordering::SeqCst);
+                if !paused {
+                    for (s, shard) in shards.iter_mut().enumerate() {
+                        let admit = match config.mode {
+                            BatchingMode::Continuous => true,
+                            BatchingMode::Static => shard.active.is_empty(),
+                        };
+                        if !admit {
+                            continue;
                         }
-                        None => SlotState::Evicted,
-                    };
-                }
-                None => {
-                    let needed = kv.layout().blocks_for(batch[slot].cache_need);
-                    if let Some(t) = relief_target(&batch[slot], view, needed) {
-                        preempt(shared, kv, &mut batch[slot]);
-                        view.debit(t, model, needed);
-                        batch[slot].pressure_moves += 1;
-                        state[slot] = SlotState::Migrated(t);
-                    } else if needed <= kv.capacity() {
-                        preempt(shared, kv, &mut batch[slot]);
-                        state[slot] = SlotState::Evicted;
-                    } else if let Some(t) = view.capacity_target(shard, model, needed) {
-                        preempt(shared, kv, &mut batch[slot]);
-                        view.debit(t, model, needed);
-                        state[slot] = SlotState::Migrated(t);
-                    } else {
-                        let seq = &mut batch[slot];
-                        kv.release(&mut seq.kv);
-                        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                        terminal.push((seq.tx.clone(), Event::Failed(DecodeError::KvExhausted)));
-                        state[slot] = SlotState::Dropped;
+                        let now = shared.stats.shard_clock(s);
+                        while shard.active.len() < config.max_batch {
+                            let Some(mut seq) = waiting.shards[s].pop_highest() else {
+                                break;
+                            };
+                            seq.rank = shared.next_rank.fetch_add(1, Ordering::Relaxed);
+                            if seq.admitted_sim.is_none() {
+                                seq.admitted_sim = Some(now);
+                                if seq.forced.is_empty() {
+                                    // Single-token prompt: there is nothing
+                                    // to prefill, the whole TTFT is
+                                    // first-decode.
+                                    seq.prompt_done_sim = Some(now);
+                                }
+                            }
+                            shard.active.push(seq);
+                        }
                     }
-                    return None;
                 }
-            },
+                if shards.iter().any(|sh| !sh.active.is_empty()) {
+                    break;
+                }
+                if shared.closed.load(Ordering::SeqCst) && waiting.is_empty() {
+                    return;
+                }
+                waiting = shared.cv.wait(waiting).expect("waiting poisoned");
+            }
+
+            // Drop runtime state of departed model definitions: a
+            // re-registration replaces the `ModelDef` identity, and once no
+            // registry entry, active sequence or waiting sequence reaches
+            // the old one, its workspace and KV arena can never be used
+            // again — keeping them would leak an arena per re-registration.
+            // (`generate` never holds the registry and waiting locks at
+            // once, so taking registry inside waiting cannot deadlock.)
+            if shards.iter().any(|sh| !sh.rts.is_empty()) {
+                let mut live: HashSet<usize> = shards
+                    .iter()
+                    .flat_map(|sh| sh.active.iter().map(|s| def_key(&s.def)))
+                    .collect();
+                for queue in waiting.shards.iter().flat_map(|wq| wq.classes.iter()) {
+                    live.extend(queue.iter().map(|s| def_key(&s.def)));
+                }
+                {
+                    let registry = shared.registry.lock().expect("registry poisoned");
+                    live.extend(registry.values().map(def_key));
+                }
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    let before = shard.rts.len();
+                    shard.rts.retain(|key, rt| {
+                        let keep = live.contains(key);
+                        if !keep {
+                            shared.stats.shards[s]
+                                .kv_capacity
+                                .fetch_sub(rt.kv.capacity(), Ordering::Relaxed);
+                        }
+                        keep
+                    });
+                    if shard.rts.len() != before {
+                        refresh_shard_kv_gauge(&shard.rts, shared, s);
+                    }
+                }
+            }
+        }
+
+        // --- deadline check for active sequences -------------------------
+        let now = Instant::now();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            let mut i = 0;
+            let mut removed = false;
+            while i < shard.active.len() {
+                if shard.active[i].expired(now) {
+                    let mut seq = shard.active.swap_remove(i);
+                    if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
+                        rt.kv.release(&mut seq.kv);
+                    }
+                    removed = true;
+                    fail(shared, &seq, DecodeError::DeadlineExceeded);
+                } else {
+                    i += 1;
+                }
+            }
+            if removed {
+                refresh_shard_kv_gauge(&shard.rts, shared, s);
+            }
+        }
+
+        // --- one pass per shard: a step per model with active sequences ---
+        for s in 0..nshards {
+            if shards[s].active.is_empty() {
+                continue;
+            }
+            // The headroom view migration targets are chosen against,
+            // debited as targets are picked within the pass. Entries for
+            // shards processed earlier this iteration are fresh; later ones
+            // may be one pass stale — safe, because a migrated-to shard
+            // re-resolves pressure itself at admission.
+            let mut view = ClusterView::collect(&shards, config.kv_blocks);
+            let shard = &mut shards[s];
+            let mut model_keys: Vec<usize> = Vec::new();
+            for seq in &shard.active {
+                let key = def_key(&seq.def);
+                if !model_keys.contains(&key) {
+                    model_keys.push(key);
+                }
+            }
+            for key in model_keys {
+                // Extract this model's batch (slot order = active order).
+                let (batch, rest): (Vec<Sequence>, Vec<Sequence>) =
+                    std::mem::take(&mut shard.active)
+                        .into_iter()
+                        .partition(|seq| def_key(&seq.def) == key);
+                shard.active = rest;
+                let def = Arc::clone(&batch[0].def);
+                let ctx = IterCtx {
+                    shared,
+                    gpu: &shard.gpu,
+                    cache: &cache,
+                    options: &options,
+                    shard: s,
+                    view: &mut view,
+                    state: vec![SlotState::Live; batch.len()],
+                    batch,
+                    terminal: Vec::new(),
+                };
+                let rt = match ctx.ensure_rt(&mut shard.rts, &def) {
+                    Ok(rt) => rt,
+                    Err(err) => {
+                        for seq in &ctx.batch {
+                            fail(shared, seq, err.clone());
+                        }
+                        continue;
+                    }
+                };
+                let outcome = ctx.run_iteration(rt);
+                shard.active.extend(outcome.survivors);
+                refresh_shard_kv_gauge(&shard.rts, shared, s);
+                // Terminal events go out only after the gauges are current,
+                // so a client that observed `Done` sees post-release
+                // occupancy.
+                for (tx, event) in outcome.terminal {
+                    let _ = tx.send(event);
+                }
+            }
+        }
+
+        // --- step-loop-initiated migration: stress knob, then rebalance ---
+        stress_migrate(shared, &mut shards);
+        if nshards > 1 {
+            if rebalance_cooldown > 0 {
+                rebalance_cooldown -= 1;
+            } else if rebalance(shared, &mut shards) {
+                rebalance_cooldown = REBALANCE_COOLDOWN_ITERS;
+            }
+        }
+
+        // --- placement gauge publish --------------------------------------
+        for (s, shard) in shards.iter().enumerate() {
+            let est = shard
+                .rts
+                .values()
+                .map(|rt| rt.step.estimate)
+                .fold(0.0f64, f64::max);
+            let mut gauges = shared.stats.shards[s]
+                .gauges
+                .lock()
+                .expect("stats poisoned");
+            gauges.step_estimate = est;
+            gauges.active_remaining = shard
+                .active
+                .iter()
+                .map(|seq| {
+                    let e = shard
+                        .rts
+                        .get(&def_key(&seq.def))
+                        .map_or(if est > 0.0 { est } else { 1.0 }, |rt| rt.step.estimate);
+                    seq.remaining_work() as f64 * e
+                })
+                .collect();
+            gauges.kv_free = shard.kv_headroom();
         }
     }
 }
 
-/// Emits a freshly decoded token for `seq` — TTFT on first emission (with
-/// its queue/prefill/first-decode decomposition), ITL afterwards — and
-/// retires the sequence when it finished. Returns the slot's next state.
-fn emit_token(
+/// Fails one sequence with `err`: counted, and the error sent down its
+/// session channel (a client that already hung up is not an error).
+fn fail(shared: &Shared, seq: &Sequence, err: DecodeError) {
+    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+    let _ = seq.tx.send(Event::Failed(err));
+}
+
+/// Fails every waiting sequence `doomed` selects with `err`, keeping the
+/// rest queued in order.
+fn fail_waiting(
     shared: &Shared,
-    kv: &mut KvAllocator,
-    seq: &mut Sequence,
-    token: u32,
-    now: f64,
-    terminal: &mut Vec<(mpsc::Sender<Event>, Event)>,
-    shard: usize,
-) -> SlotState {
-    let index = seq.emitted;
-    seq.emitted += 1;
-    if seq.ttft.is_none() {
-        let submitted = seq.submitted_sim;
-        let admitted = seq.admitted_sim.unwrap_or(submitted);
-        let prompt_done = seq.prompt_done_sim.unwrap_or(admitted);
-        seq.ttft = Some(now - submitted);
-        seq.ttft_admission = Some(now - admitted);
-        shared.stats.record_ttft(now - submitted);
-        shared.stats.record_ttft_admission(now - admitted);
-        shared.stats.record_ttft_queue(admitted - submitted);
-        shared.stats.record_ttft_prefill(prompt_done - admitted);
-        shared.stats.record_ttft_first_decode(now - prompt_done);
-    } else {
-        shared.stats.record_itl(now - seq.last_token_sim);
-    }
-    seq.last_token_sim = now;
-    shared.stats.shards[shard]
-        .tokens
-        .fetch_add(1, Ordering::Relaxed);
-    let delivered = seq
-        .tx
-        .send(Event::Token(TokenEvent {
-            token,
-            index,
-            sim_time_seconds: now,
-        }))
-        .is_ok();
-    let finished = seq.emitted >= seq.max_tokens || seq.eos == Some(token) || !delivered;
-    if finished {
-        kv.release(&mut seq.kv);
-        terminal.push((
-            seq.tx.clone(),
-            Event::Done {
-                ttft_from_submit_seconds: seq.ttft.expect("at least one token emitted"),
-                ttft_from_admission_seconds: seq.ttft_admission.expect("set alongside ttft"),
-                completion_sim_seconds: now,
-            },
-        ));
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        SlotState::Dropped
-    } else {
-        seq.pending = token;
-        SlotState::Live
+    waiting: &mut Waiting,
+    err: DecodeError,
+    doomed: impl Fn(&Sequence) -> bool,
+) {
+    for queue in waiting
+        .shards
+        .iter_mut()
+        .flat_map(|wq| wq.classes.iter_mut())
+    {
+        if !queue.iter().any(&doomed) {
+            continue;
+        }
+        let mut keep = VecDeque::with_capacity(queue.len());
+        for seq in queue.drain(..) {
+            if doomed(&seq) {
+                fail(shared, &seq, err.clone());
+            } else {
+                keep.push_back(seq);
+            }
+        }
+        *queue = keep;
     }
 }
 
-/// Preempts `seq` under KV pressure: releases its blocks and rebuilds its
-/// feed chain so that — once re-admitted — every cached token is re-fed
-/// (outputs ignored), then the pending one, then whatever was already
-/// forced. Recompute is invisible to the client: tokens already emitted are
-/// never re-emitted, and determinism makes the replayed cache identical.
-fn preempt(shared: &Shared, kv: &mut KvAllocator, seq: &mut Sequence) {
-    hidet_trace::global().instant(hidet_trace::SpanKind::KvEvict, seq.trace_id);
-    kv.release(&mut seq.kv);
-    shared.stats.kv_evictions.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .recomputed_tokens
-        .fetch_add(seq.fed.len(), Ordering::Relaxed);
-    let mut chain: VecDeque<u32> = seq.fed.drain(..).collect();
-    chain.push_back(seq.pending);
-    chain.extend(seq.forced.drain(..));
-    seq.pending = chain.pop_front().expect("fed chain non-empty");
-    seq.forced = chain;
+/// Everything one scheduler iteration — one shard × one model — reads and
+/// writes: the engine-wide pieces it compiles and books against, the shard
+/// it runs on, the pool's headroom view, and the iteration's own batch with
+/// its per-slot outcomes and deferred terminal events.
+pub(super) struct IterCtx<'a> {
+    pub(super) shared: &'a Shared,
+    pub(super) gpu: &'a Gpu,
+    pub(super) cache: &'a CompiledCache,
+    pub(super) options: &'a CompilerOptions,
+    /// The shard this iteration runs on.
+    pub(super) shard: usize,
+    pub(super) view: &'a mut ClusterView,
+    /// The model's active sequences on this shard (slot order = extraction
+    /// order).
+    pub(super) batch: Vec<Sequence>,
+    /// Per-slot outcome so far, parallel to `batch`.
+    pub(super) state: Vec<SlotState>,
+    /// `Done`/`Failed` events to deliver *after* the iteration's gauges are
+    /// refreshed.
+    pub(super) terminal: Vec<(mpsc::Sender<Event>, Event)>,
+}
+
+/// What one [`IterCtx::run_iteration`] hands back to the loop: sequences
+/// staying active, and terminal `Done`/`Failed` events to deliver *after*
+/// the step's gauges are refreshed.
+pub(super) struct StepOutcome {
+    survivors: Vec<Sequence>,
+    terminal: Vec<(mpsc::Sender<Event>, Event)>,
 }
 
 /// Per-slot outcome of one step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
+pub(super) enum SlotState {
     /// Still generating: stays active.
     Live,
     /// Preempted by KV pressure: cache freed, replay chain built, requeued
@@ -2753,16 +1788,401 @@ enum SlotState {
     Dropped,
 }
 
-/// Selects the eviction victim for `requester`: the strictly lower-ranked
-/// (greatest `(priority, rank)` key) live sequence still holding blocks.
-/// `None` when no such victim exists — the requester itself must fail.
-fn pick_victim(batch: &[Sequence], state: &[SlotState], requester: usize) -> Option<usize> {
-    let req_key = batch[requester].key();
-    (0..batch.len())
-        .filter(|&i| i != requester && state[i] == SlotState::Live)
-        .filter(|&i| batch[i].kv.blocks() > 0)
-        .filter(|&i| batch[i].key() > req_key)
-        .max_by_key(|&i| batch[i].key())
+/// Chunk-size election: the largest compiled chunk that fits both the
+/// remaining feed chain and the iteration's leftover token budget. `None`
+/// sends the sequence down the token-wise path (tail smaller than the
+/// smallest chunk, budget exhausted, or chunking disabled).
+fn elect_chunk(remaining: usize, menu: &[usize], budget: usize) -> Option<usize> {
+    menu.iter()
+        .copied()
+        .filter(|&c| c <= remaining && c <= budget)
+        .max()
+}
+
+impl IterCtx<'_> {
+    /// One scheduler iteration for the batch (all sequences share `rt`'s
+    /// model): a prefill phase — chunked prompt absorption under the
+    /// iteration token budget, in `(priority, rank)` order — followed by one
+    /// decode step for every live sequence that did not prefill. A sequence
+    /// advances through exactly one forward pass per iteration, so decodes
+    /// never observe more than one prefill-chunk bubble between tokens.
+    pub(super) fn run_iteration(mut self, rt: &mut ModelRt) -> StepOutcome {
+        // Iteration spans are shard-scoped (many sequences), so they carry
+        // trace id 0; the nested prefill/decode spans attribute per-sequence.
+        let _span = hidet_trace::global().span(SpanKind::DecodeIteration, 0);
+        let shared = self.shared;
+        let config = &shared.config;
+        let n = self.batch.len();
+        let mut prefilled = vec![false; n];
+
+        // --- prefill phase -------------------------------------------------
+        // Static mode stays the pure token-wise baseline the serving benches
+        // compare against.
+        if config.mode == BatchingMode::Continuous
+            && !rt.def.prefill.is_empty()
+            && config.prefill_token_budget > 0
+        {
+            let mut budget = config.prefill_token_budget;
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| self.batch[i].key());
+            for i in order {
+                if self.state[i] != SlotState::Live || self.batch[i].forced.is_empty() {
+                    // Plain decode, or the final chain token: token-wise path.
+                    continue;
+                }
+                let menu: Vec<usize> = rt
+                    .def
+                    .prefill
+                    .iter()
+                    .map(|p| p.chunk)
+                    .filter(|c| !rt.dead_chunks.contains(c))
+                    .collect();
+                let remaining = 1 + self.batch[i].forced.len();
+                let Some(chunk) = elect_chunk(remaining, &menu, budget) else {
+                    continue;
+                };
+                if self.run_prefill(rt, i, chunk) {
+                    budget -= chunk;
+                    prefilled[i] = true;
+                }
+            }
+        }
+
+        // --- decode step for everything that did not prefill ---------------
+        let decode_slots: Vec<usize> = (0..n)
+            .filter(|&i| self.state[i] == SlotState::Live && !prefilled[i])
+            .collect();
+        if !decode_slots.is_empty() {
+            // A decode step covers the whole batch; attribute it to the
+            // first slot's trace so at least one request's timeline shows
+            // the step.
+            let _span = hidet_trace::global()
+                .span(SpanKind::DecodeStep, self.batch[decode_slots[0]].trace_id);
+            self.forward(rt, &decode_slots, None);
+        }
+        if prefilled.contains(&true) {
+            shared
+                .stats
+                .prefill_iterations
+                .fetch_add(1, Ordering::Relaxed);
+            if !decode_slots.is_empty() {
+                shared
+                    .stats
+                    .interleaved_iterations
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        // Reassemble: live sequences stay active; evicted ones rejoin the
+        // head of their class queue (they re-admit before newcomers of their
+        // class, but with a fresh — higher — rank, so the total eviction
+        // order can never cycle); migrated ones rejoin the *target shard's*
+        // queue head with their time anchors rebased. Finished/failed
+        // sequences drop here; their channels already carried Done/Failed.
+        let mut survivors = Vec::with_capacity(n);
+        let mut requeue: Vec<Sequence> = Vec::new();
+        let mut migrations: Vec<(Sequence, usize)> = Vec::new();
+        for (seq, state) in self.batch.into_iter().zip(self.state) {
+            match state {
+                SlotState::Live => survivors.push(seq),
+                SlotState::Evicted => requeue.push(seq),
+                SlotState::Migrated(target) => migrations.push((seq, target)),
+                SlotState::Dropped => {}
+            }
+        }
+        if !requeue.is_empty() {
+            let mut waiting = shared.waiting.lock().expect("waiting poisoned");
+            for seq in requeue.into_iter().rev() {
+                waiting.shards[self.shard].classes[seq.priority.index()].push_front(seq);
+            }
+            drop(waiting);
+            shared.cv.notify_all();
+        }
+        for (seq, target) in migrations {
+            migrate_sequence(shared, seq, self.shard, target);
+        }
+        StepOutcome {
+            survivors,
+            terminal: self.terminal,
+        }
+    }
+
+    /// Absorbs one `chunk`-token slice of `batch[slot]`'s feed chain through
+    /// the chunk's prefill graph, compiling it on first use. Returns whether
+    /// the pass ran (and thus consumed budget); `false` means the chunk's
+    /// graph failed to compile — it is retired to `dead_chunks` and the
+    /// sequence falls through to the token-wise path, untouched.
+    fn run_prefill(&mut self, rt: &mut ModelRt, slot: usize, chunk: usize) -> bool {
+        let _span = hidet_trace::global().span(SpanKind::PrefillChunk, self.batch[slot].trace_id);
+        if !rt.prefill_rts.contains_key(&chunk) {
+            match self.compile_pass(rt.def.prefill_pass(chunk)) {
+                Ok(prt) => rt.prefill_rts.insert(chunk, prt),
+                Err(_) => {
+                    rt.dead_chunks.insert(chunk);
+                    return false;
+                }
+            };
+        }
+        self.forward(rt, &[slot], Some(chunk));
+        true
+    }
+
+    /// The one forward-pass routine: stage embeddings, mask and KV past for
+    /// `slots` → run the graph → append KV (with eviction + recompute under
+    /// pressure) and harvest the fresh rows → advance each feed chain, and
+    /// emit/retire where a chain ran out. `prefill_chunk` picks the graph
+    /// and with it the row layout: `None` is the decode step — chunk 1 ×
+    /// many sequences, buffer row `pos` belonging to `slots[pos]` (rows of
+    /// sequences that prefilled this iteration simply stay staged to zero) —
+    /// and `Some(c)` the `c`-token prefill pass of the single sequence in
+    /// `slots`. When a pass consumes a sequence's whole chain, its last
+    /// logits row yields the next token — so a chunk ending a prompt emits
+    /// the first generated token in the same pass.
+    fn forward(&mut self, rt: &mut ModelRt, slots: &[usize], prefill_chunk: Option<usize>) {
+        let ModelRt {
+            def,
+            step,
+            kv,
+            prefill_rts,
+            ..
+        } = rt;
+        let (pass, prt) = match prefill_chunk {
+            None => (&def.step, step),
+            Some(c) => (
+                def.prefill_pass(c),
+                prefill_rts.get_mut(&c).expect("compiled above"),
+            ),
+        };
+        let plan = prt.compiled.plan();
+        let chunk = pass.chunk;
+        let (hidden, heads, head_dim) = (def.hidden, def.heads, def.head_dim);
+        let mc = def.max_context;
+        let vocab = def.vocab as usize;
+        // Every sequence owns `heads` rows of `chunk` positions over
+        // `mc + chunk` attendable columns: the cached past, then the chunk.
+        let span = mc + chunk;
+
+        // --- stage inputs (in place: zero steady-state allocations) -------
+        let x = prt
+            .ws
+            .input_mut(plan, pass.x_id)
+            .expect("x id validated at registration");
+        x.fill(0.0);
+        for (pos, &i) in slots.iter().enumerate() {
+            let seq = &self.batch[i];
+            let chain = std::iter::once(seq.pending).chain(seq.forced.iter().copied());
+            for (j, token) in chain.take(chunk).enumerate() {
+                let (row, t) = ((pos * chunk + j) * hidden, token as usize * hidden);
+                x[row..row + hidden].copy_from_slice(&def.embed[t..t + hidden]);
+            }
+        }
+        // Causal mask: chunk position `j` of a sequence with `p` cached
+        // tokens attends them (columns `0..p`) and chunk positions `0..=j`
+        // (columns `mc..=mc + j`) — for a decode step, just "the current
+        // token is always attendable". Padded cache slots and intra-chunk
+        // future positions stay at MASK_NEG, bit-transparent to softmax.
+        let mask = prt
+            .ws
+            .input_mut(plan, pass.mask_id)
+            .expect("mask id validated at registration");
+        mask.fill(MASK_NEG);
+        for (r, row) in mask.chunks_exact_mut(span).enumerate() {
+            row[mc..=mc + r % chunk].fill(0.0);
+        }
+        for (pos, &i) in slots.iter().enumerate() {
+            let p = self.batch[i].kv.tokens();
+            for r in pos * heads * chunk..(pos + 1) * heads * chunk {
+                mask[r * span..r * span + p].fill(0.0);
+            }
+        }
+        // The gather re-stages every sequence's full cache each pass. An
+        // incremental variant (resident past buffers, appending only the new
+        // token's rows) would save O(tokens) copies per slot, but needs
+        // stable slot assignment across steps — today slots are re-derived
+        // from the active order, which shifts as sequences retire. Host cost
+        // is dominated by kernel interpretation, not these copies, so stable
+        // slots are left as future work.
+        for (l, &(pk_id, pv_id)) in pass.past_ids.iter().enumerate() {
+            for (stream, id) in [(0usize, pk_id), (1usize, pv_id)] {
+                let buf = prt
+                    .ws
+                    .input_mut(plan, id)
+                    .expect("cache ids validated at registration");
+                buf.fill(0.0);
+                for (pos, &i) in slots.iter().enumerate() {
+                    let seq = &self.batch[i];
+                    for t in 0..seq.kv.tokens() {
+                        let lane = kv.lane(&seq.kv, t, l, stream);
+                        for h in 0..heads {
+                            let dst = ((pos * heads + h) * mc + t) * head_dim;
+                            buf[dst..dst + head_dim]
+                                .copy_from_slice(&lane[h * head_dim..(h + 1) * head_dim]);
+                        }
+                    }
+                }
+            }
+        }
+
+        // --- forward pass --------------------------------------------------
+        let stats = &self.shared.stats;
+        if let Err(err) = prt.ws.run_prepared(plan, self.gpu) {
+            let err = DecodeError::Execution(match prefill_chunk {
+                None => format!("{}: {err}", def.name),
+                Some(c) => format!("{} prefill[{c}]: {err}", def.name),
+            });
+            for &i in slots {
+                self.fail_slot(kv, i, err.clone());
+            }
+            return;
+        }
+        if prefill_chunk.is_some() {
+            stats.prefill_passes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats.shards[self.shard]
+                .steps
+                .fetch_add(1, Ordering::Relaxed);
+            stats
+                .occupied_slots
+                .fetch_add(slots.len(), Ordering::Relaxed);
+        }
+        let now = stats.advance_shard_clock(self.shard, prt.estimate, prefill_chunk.is_some());
+
+        // --- append + harvest KV, advance chains, emit/retire --------------
+        for (pos, &i) in slots.iter().enumerate() {
+            if self.state[i] != SlotState::Live {
+                continue; // preempted by an earlier slot's append this pass
+            }
+            let remaining = 1 + self.batch[i].forced.len();
+            let mut absorbed = 0usize;
+            for j in 0..chunk {
+                let Some(kvslot) = self.append_with_pressure(kv, i) else {
+                    // Self-preempted (replay chain rebuilt from what was
+                    // harvested) or dropped — either way this pass is over.
+                    break;
+                };
+                // Harvest the new K/V rows device-to-device: the concat
+                // outputs hold the chunk at sequence positions
+                // `mc..mc + chunk` of each of the sequence's per-head rows.
+                for (l, (nk_name, nv_name)) in pass.cache_out_names.iter().enumerate() {
+                    for (stream, name) in [(0usize, nk_name), (1usize, nv_name)] {
+                        for h in 0..heads {
+                            let src = ((pos * heads + h) * span + mc + j) * head_dim;
+                            kv.copy_into_lane(
+                                kvslot,
+                                l,
+                                stream,
+                                h * head_dim,
+                                prt.ws.device_memory(),
+                                name,
+                                src,
+                                head_dim,
+                            );
+                        }
+                    }
+                }
+                let seq = &mut self.batch[i];
+                seq.fed.push(seq.pending);
+                absorbed += 1;
+                if let Some(next) = seq.forced.pop_front() {
+                    seq.pending = next;
+                }
+            }
+            if prefill_chunk.is_some() && absorbed > 0 {
+                stats.prefill_tokens.fetch_add(absorbed, Ordering::Relaxed);
+            }
+            if self.state[i] != SlotState::Live {
+                continue;
+            }
+            let seq = &mut self.batch[i];
+            if absorbed < remaining {
+                // Mid-chain — prompt absorption or post-eviction replay: the
+                // model's output is already known; keep feeding the chain.
+                stats.prompt_tokens.fetch_add(absorbed, Ordering::Relaxed);
+                if seq.forced.is_empty() && seq.emitted == 0 && seq.prompt_done_sim.is_none() {
+                    seq.prompt_done_sim = Some(now);
+                }
+                continue;
+            }
+            // The pass consumed the whole chain: the last row's logits are
+            // this sequence's next token. For a first-time prompt ending in
+            // a prefill chunk that token is the first emission — TTFT lands
+            // here, a whole chunk earlier than token-wise absorption would
+            // have allowed.
+            stats
+                .prompt_tokens
+                .fetch_add(absorbed - 1, Ordering::Relaxed);
+            if seq.emitted == 0 && seq.prompt_done_sim.is_none() {
+                seq.prompt_done_sim = Some(now);
+            }
+            let logits = prt
+                .ws
+                .output(pass.logits_id)
+                .expect("logits are a graph output");
+            let row = (pos + 1) * chunk - 1;
+            let token = argmax(&logits[row * vocab..(row + 1) * vocab]);
+            self.state[i] = self.emit_token(kv, i, token, now);
+        }
+    }
+
+    /// Drops `batch[slot]` with `err`: its blocks released, the failure
+    /// counted, the error queued as the slot's terminal event.
+    pub(super) fn fail_slot(&mut self, kv: &mut KvAllocator, slot: usize, err: DecodeError) {
+        let seq = &mut self.batch[slot];
+        kv.release(&mut seq.kv);
+        self.shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+        self.terminal.push((seq.tx.clone(), Event::Failed(err)));
+        self.state[slot] = SlotState::Dropped;
+    }
+
+    /// Emits a freshly decoded token for `batch[slot]` — TTFT on first
+    /// emission (with its queue/prefill/first-decode decomposition), ITL
+    /// afterwards — and retires the sequence when it finished. Returns the
+    /// slot's next state.
+    fn emit_token(&mut self, kv: &mut KvAllocator, slot: usize, token: u32, now: f64) -> SlotState {
+        let stats = &self.shared.stats;
+        let seq = &mut self.batch[slot];
+        let index = seq.emitted;
+        seq.emitted += 1;
+        if seq.ttft.is_none() {
+            let submitted = seq.submitted_sim;
+            let admitted = seq.admitted_sim.unwrap_or(submitted);
+            let prompt_done = seq.prompt_done_sim.unwrap_or(admitted);
+            seq.ttft = Some(now - submitted);
+            seq.ttft_admission = Some(now - admitted);
+            stats.record_first_token(submitted, admitted, prompt_done, now);
+        } else {
+            stats.record_itl(now - seq.last_token_sim);
+        }
+        seq.last_token_sim = now;
+        stats.shards[self.shard]
+            .tokens
+            .fetch_add(1, Ordering::Relaxed);
+        let delivered = seq
+            .tx
+            .send(Event::Token(TokenEvent {
+                token,
+                index,
+                sim_time_seconds: now,
+            }))
+            .is_ok();
+        let finished = seq.emitted >= seq.max_tokens || seq.eos == Some(token) || !delivered;
+        if finished {
+            kv.release(&mut seq.kv);
+            self.terminal.push((
+                seq.tx.clone(),
+                Event::Done {
+                    ttft_from_submit_seconds: seq.ttft.expect("at least one token emitted"),
+                    ttft_from_admission_seconds: seq.ttft_admission.expect("set alongside ttft"),
+                    completion_sim_seconds: now,
+                },
+            ));
+            stats.completed.fetch_add(1, Ordering::Relaxed);
+            SlotState::Dropped
+        } else {
+            seq.pending = token;
+            SlotState::Live
+        }
+    }
 }
 
 /// Greedy decode: index of the row maximum (ties break to the lowest
@@ -2777,16 +2197,291 @@ fn argmax(row: &[f32]) -> u32 {
     best as u32
 }
 
+/// Pressure-relief migrations one sequence may take before it must stay put
+/// and requeue locally — two overloaded shards cannot ping-pong a session
+/// between them forever.
+const PRESSURE_MOVE_LIMIT: u32 = 3;
+
+/// KV in-use fraction of the fullest shard above which the rebalancer
+/// considers moving a session off it at all.
+const REBALANCE_HOT_FRACTION: f64 = 0.75;
+
+/// KV in-use fraction gap between the fullest and emptiest shard above
+/// which one session migrates hot → cold.
+const REBALANCE_SKEW: f64 = 0.5;
+
+/// Outer scheduler iterations between rebalance moves, so each move lands
+/// and shows up in the gauges before the next is considered.
+pub(super) const REBALANCE_COOLDOWN_ITERS: u64 = 8;
+
+/// The pool's KV headroom as one scheduler pass sees it: `(free, capacity)`
+/// blocks per `(shard, model)` arena, debited as migration targets are
+/// chosen within the pass so two victims cannot both claim the same free
+/// blocks. Arenas that do not exist yet count as full free arenas.
+pub(super) struct ClusterView {
+    free: Vec<HashMap<usize, (usize, usize)>>,
+    default_blocks: usize,
+}
+
+impl ClusterView {
+    pub(super) fn collect(shards: &[ShardRt], default_blocks: usize) -> ClusterView {
+        ClusterView {
+            free: shards.iter().map(ShardRt::kv_headroom).collect(),
+            default_blocks,
+        }
+    }
+
+    fn entry(&self, shard: usize, model: usize) -> (usize, usize) {
+        self.free[shard]
+            .get(&model)
+            .copied()
+            .unwrap_or((self.default_blocks, self.default_blocks))
+    }
+
+    /// The shard (≠ `from`) with the most free blocks, if any has `needed`
+    /// free right now; ties to the lowest id.
+    fn headroom_target(&self, from: usize, model: usize, needed: usize) -> Option<usize> {
+        (0..self.free.len())
+            .filter(|&s| s != from && self.entry(s, model).0 >= needed)
+            .max_by_key(|&s| (self.entry(s, model).0, std::cmp::Reverse(s)))
+    }
+
+    fn debit(&mut self, shard: usize, model: usize, needed: usize) {
+        let (free, cap) = self.entry(shard, model);
+        self.free[shard].insert(model, (free.saturating_sub(needed), cap));
+    }
+}
+
+/// Preempts `seq` under KV pressure: releases its blocks and rebuilds its
+/// feed chain so that — once re-admitted — every cached token is re-fed
+/// (outputs ignored), then the pending one, then whatever was already
+/// forced. Recompute is invisible to the client: tokens already emitted are
+/// never re-emitted, and determinism makes the replayed cache identical.
+fn preempt(shared: &Shared, kv: &mut KvAllocator, seq: &mut Sequence) {
+    hidet_trace::global().instant(SpanKind::KvEvict, seq.trace_id);
+    kv.release(&mut seq.kv);
+    shared.stats.kv_evictions.fetch_add(1, Ordering::Relaxed);
+    shared
+        .stats
+        .recomputed_tokens
+        .fetch_add(seq.fed.len(), Ordering::Relaxed);
+    let mut chain: VecDeque<u32> = seq.fed.drain(..).collect();
+    chain.push_back(seq.pending);
+    chain.extend(seq.forced.drain(..));
+    seq.pending = chain.pop_front().expect("fed chain non-empty");
+    seq.forced = chain;
+}
+
+/// Moves a preempted sequence onto shard `to`'s queue front: rebases its
+/// time anchors onto the target clock and books the migration counters.
+/// The caller has already released its KV blocks and rebuilt its replay
+/// chain ([`preempt`]) — re-admission replays it on the target, where
+/// order-stable schedules make the rebuilt KV bytes (and every downstream
+/// token) identical.
+pub(super) fn migrate_sequence(shared: &Shared, mut seq: Sequence, from: usize, to: usize) {
+    hidet_trace::global().instant(SpanKind::KvMigrate, seq.trace_id);
+    seq.rebase(shared.stats.shard_clock(to) - shared.stats.shard_clock(from));
+    shared.stats.shards[from]
+        .migrations_out
+        .fetch_add(1, Ordering::Relaxed);
+    shared.stats.shards[to]
+        .migrations_in
+        .fetch_add(1, Ordering::Relaxed);
+    let mut waiting = shared.waiting.lock().expect("waiting poisoned");
+    waiting.shards[to].classes[seq.priority.index()].push_front(seq);
+    drop(waiting);
+    shared.cv.notify_all();
+}
+
+/// Preempt-and-relocate on the active set — the one primitive behind every
+/// migration the step loop itself initiates (stress knob, headroom
+/// rebalance): takes `shard.active[i]` off shard `from`, frees its KV blocks
+/// and rebuilds its replay chain ([`preempt`]), refreshes the shard's
+/// occupancy gauge and re-admits the sequence on shard `to`
+/// ([`migrate_sequence`]).
+fn relocate(shared: &Shared, shard: &mut ShardRt, from: usize, i: usize, to: usize) {
+    let mut seq = shard.active.remove(i);
+    if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
+        preempt(shared, &mut rt.kv, &mut seq);
+    }
+    refresh_shard_kv_gauge(&shard.rts, shared, from);
+    migrate_sequence(shared, seq, from, to);
+}
+
+/// The stress knob ([`DecodeConfig::stress_migrate_after`]): relocates every
+/// session to the next shard (round-robin) once it has emitted that many
+/// tokens — at most once per session.
+///
+/// [`DecodeConfig::stress_migrate_after`]: crate::DecodeConfig::stress_migrate_after
+pub(super) fn stress_migrate(shared: &Shared, shards: &mut [ShardRt]) {
+    let after = shared.config.stress_migrate_after;
+    let nshards = shards.len();
+    if after == 0 || nshards < 2 {
+        return;
+    }
+    for (s, shard) in shards.iter_mut().enumerate() {
+        let mut i = 0;
+        while i < shard.active.len() {
+            let seq = &mut shard.active[i];
+            if !seq.stress_migrated
+                && seq.emitted >= after
+                && shard.rts.contains_key(&def_key(&seq.def))
+            {
+                seq.stress_migrated = true;
+                relocate(shared, shard, s, i, (s + 1) % nshards);
+            } else {
+                i += 1;
+            }
+        }
+    }
+}
+
+/// `(hot, cold)` shard pair when KV occupancy skews: the fullest shard is
+/// above [`REBALANCE_HOT_FRACTION`] and leads the emptiest by more than
+/// [`REBALANCE_SKEW`].
+fn kv_skew(shards: &[ShardRt]) -> Option<(usize, usize)> {
+    let frac: Vec<f64> = shards
+        .iter()
+        .map(|sh| {
+            let cap: usize = sh.rts.values().map(|rt| rt.kv.capacity()).sum();
+            let used: usize = sh.rts.values().map(|rt| rt.kv.blocks_in_use()).sum();
+            if cap == 0 {
+                0.0
+            } else {
+                used as f64 / cap as f64
+            }
+        })
+        .collect();
+    let mut hot = 0usize;
+    let mut cold = 0usize;
+    for s in 1..frac.len() {
+        if frac[s] > frac[hot] {
+            hot = s;
+        }
+        if frac[s] < frac[cold] {
+            cold = s;
+        }
+    }
+    (frac[hot] >= REBALANCE_HOT_FRACTION && frac[hot] - frac[cold] > REBALANCE_SKEW)
+        .then_some((hot, cold))
+}
+
+/// Headroom rebalance: when KV occupancy skews ([`kv_skew`]), relocates the
+/// lowest-ranked hot-shard session whose worst-case block need fits the cold
+/// shard's free blocks right now. Returns whether a session moved (the step
+/// loop then holds off for [`REBALANCE_COOLDOWN_ITERS`]).
+pub(super) fn rebalance(shared: &Shared, shards: &mut [ShardRt]) -> bool {
+    let Some((hot, cold)) = kv_skew(shards) else {
+        return false;
+    };
+    let config = &shared.config;
+    let cold_free = shards[cold].kv_headroom();
+    let shard = &mut shards[hot];
+    let pick = (0..shard.active.len())
+        .filter(|&i| {
+            let seq = &shard.active[i];
+            let model = def_key(&seq.def);
+            let needed = seq.cache_need.div_ceil(config.block_tokens);
+            // An arena that does not exist yet is a full free arena.
+            let free = cold_free.get(&model).map_or(config.kv_blocks, |e| e.0);
+            needed <= free && shard.rts.contains_key(&model)
+        })
+        .max_by_key(|&i| shard.active[i].key());
+    let Some(i) = pick else {
+        return false;
+    };
+    relocate(shared, shard, hot, i, cold);
+    true
+}
+
+/// Selects the eviction victim for `requester`: the strictly lower-ranked
+/// (greatest `(priority, rank)` key) live sequence still holding blocks.
+/// `None` when no such victim exists — the requester itself must fail.
+fn pick_victim(batch: &[Sequence], state: &[SlotState], requester: usize) -> Option<usize> {
+    let req_key = batch[requester].key();
+    (0..batch.len())
+        .filter(|&i| i != requester && state[i] == SlotState::Live)
+        .filter(|&i| batch[i].kv.blocks() > 0)
+        .filter(|&i| batch[i].key() > req_key)
+        .max_by_key(|&i| batch[i].key())
+}
+
+impl IterCtx<'_> {
+    /// Reserves one KV token slot for `batch[slot]`, evicting under
+    /// pressure. The strictly lower-ranked victim is preempted first —
+    /// landing on the pool's roomiest other shard ([`SlotState::Migrated`])
+    /// when one has the headroom, locally otherwise. With no victim the
+    /// requester yields itself: to a shard with free blocks, else locally
+    /// when an arena could hold it alone. [`DecodeError::KvExhausted`]
+    /// surfaces only when none could — every arena in the pool has the same
+    /// `kv_blocks` capacity, so this arena's answers for all of them.
+    /// Returns `None` when the slot itself was preempted, migrated or
+    /// dropped — `state` and `terminal` already reflect it.
+    pub(super) fn append_with_pressure(
+        &mut self,
+        kv: &mut KvAllocator,
+        slot: usize,
+    ) -> Option<KvSlot> {
+        loop {
+            match kv.append(&mut self.batch[slot].kv) {
+                Ok(kvslot) => {
+                    hidet_trace::global().instant(SpanKind::KvAlloc, self.batch[slot].trace_id);
+                    return Some(kvslot);
+                }
+                Err(KvError::Exhausted) => {
+                    // Yield the victim if there is one and retry, else the
+                    // requester itself — which ends this append (`victim?`).
+                    let victim = pick_victim(&self.batch, &self.state, slot);
+                    let i = victim.unwrap_or(slot);
+                    let needed = kv.layout().blocks_for(self.batch[i].cache_need);
+                    if victim.is_none() && needed > kv.capacity() {
+                        self.fail_slot(kv, slot, DecodeError::KvExhausted);
+                    } else {
+                        let target = self.relief_target(i, needed);
+                        self.displace(kv, i, target, needed);
+                    }
+                    victim?;
+                }
+            }
+        }
+    }
+
+    /// The pressure-relief destination for `batch[i]`: the pool's roomiest
+    /// other shard with `needed` blocks free right now. Each grant counts
+    /// against the sequence's [`PRESSURE_MOVE_LIMIT`]; past the cap it
+    /// behaves single-shard.
+    fn relief_target(&mut self, i: usize, needed: usize) -> Option<usize> {
+        let seq = &mut self.batch[i];
+        if seq.pressure_moves >= PRESSURE_MOVE_LIMIT {
+            return None;
+        }
+        let target = self
+            .view
+            .headroom_target(self.shard, def_key(&seq.def), needed)?;
+        seq.pressure_moves += 1;
+        Some(target)
+    }
+
+    /// The one preempt/debit/mark step of pressure relief: frees
+    /// `batch[i]`'s blocks and rebuilds its replay chain, then books it onto
+    /// shard `target` — debiting the pass's headroom view so a later victim
+    /// cannot claim the same free blocks — or, with no target, back onto
+    /// this shard's queue.
+    fn displace(&mut self, kv: &mut KvAllocator, i: usize, target: Option<usize>, needed: usize) {
+        preempt(self.shared, kv, &mut self.batch[i]);
+        self.state[i] = match target {
+            Some(t) => {
+                self.view.debit(t, def_key(&self.batch[i].def), needed);
+                SlotState::Migrated(t)
+            }
+            None => SlotState::Evicted,
+        };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn argmax_breaks_ties_low() {
-        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
-        assert_eq!(argmax(&[0.5]), 0);
-        assert_eq!(argmax(&[-2.0, -1.0, -1.5]), 1);
-    }
 
     #[test]
     fn generate_request_builder() {
@@ -2832,6 +2527,7 @@ mod tests {
         let def = validate_spec(&spec, 2, &[4, 8, 16]).unwrap();
         let chunks: Vec<usize> = def.prefill.iter().map(|p| p.chunk).collect();
         assert_eq!(chunks, vec![4, 8]);
+        assert_eq!(def.step.chunk, 1);
         for p in &def.prefill {
             assert_eq!(p.past_ids.len(), 1);
             assert_eq!(p.cache_out_names.len(), 1);
@@ -2841,6 +2537,13 @@ mod tests {
         });
         let def = validate_spec(&plain, 2, &[4, 8]).unwrap();
         assert!(def.prefill.is_empty());
+    }
+
+    #[test]
+    fn argmax_breaks_ties_low() {
+        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
+        assert_eq!(argmax(&[0.5]), 0);
+        assert_eq!(argmax(&[-2.0, -1.0, -1.5]), 1);
     }
 
     #[test]
@@ -2870,7 +2573,9 @@ mod tests {
             validate_spec(&DecodeModelSpec::transformer("m", 1, 16, 2, 8, 8), 2, &[]).unwrap(),
         );
         let seq = |priority: Priority, rank: u64, blocks: usize| {
-            let mut kv = KvCache::new();
+            let request = GenerateRequest::new(vec![0], 4).with_priority(priority);
+            let mut seq = Sequence::new(Arc::clone(&def), request, tx.clone());
+            seq.rank = rank;
             // Fake block ownership via a real allocator.
             let mut alloc = KvAllocator::new(
                 KvLayout {
@@ -2881,33 +2586,9 @@ mod tests {
                 4,
             );
             for _ in 0..blocks {
-                alloc.append(&mut kv).unwrap();
+                alloc.append(&mut seq.kv).unwrap();
             }
-            Sequence {
-                def: Arc::clone(&def),
-                cache_need: 4,
-                pending: 0,
-                forced: VecDeque::new(),
-                fed: Vec::new(),
-                emitted: 0,
-                max_tokens: 4,
-                eos: None,
-                priority,
-                deadline: None,
-                rank,
-                kv,
-                tx: tx.clone(),
-                submitted_sim: 0.0,
-                admitted_sim: None,
-                prompt_done_sim: None,
-                ttft: None,
-                ttft_admission: None,
-                last_token_sim: 0.0,
-                queued_sim: 0.0,
-                pressure_moves: 0,
-                stress_migrated: false,
-                trace_id: 0,
-            }
+            seq
         };
         let batch = vec![
             seq(Priority::High, 1, 1),

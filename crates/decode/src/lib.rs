@@ -43,9 +43,9 @@
 //!   own KV arena, compiled graphs and iteration scheduler. New sessions
 //!   land on the shard minimizing estimated queue delay plus a KV-headroom
 //!   penalty; KV pressure *live-migrates* sessions to roomier shards via
-//!   the eviction/recompute chain (token streams stay bit-identical); each
-//!   shard's decode lane share autoscales from its queue-delay EWMA,
-//!   bounded and hysteretic ([`DecodeConfig::lane_autoscale`]);
+//!   the eviction/recompute chain, and a headroom rebalancer moves a
+//!   session hot → cold when KV occupancy skews (token streams stay
+//!   bit-identical either way);
 //! * **token-level observability**: TTFT from submit *and* from admission,
 //!   decomposed into queue / prefill / first-decode segments, inter-token
 //!   latency p50/p95, decode and prefill tokens/sec, interleave occupancy

@@ -1,33 +1,8 @@
-//! Shard placement scoring and queue-driven lane autoscaling for the
-//! multi-device decode engine (DESIGN.md §11).
-//!
-//! Both halves are pure state machines so the policy is unit-testable
-//! without an engine: [`placement_score`] folds a shard's estimated queue
-//! delay and its KV-block headroom into one comparable number, and
-//! [`LaneAutoscaler`] grows/shrinks a shard's decode lane share from the
-//! observed queue-delay EWMA, bounded and hysteretic so it cannot
-//! oscillate. The engine feeds them from per-shard gauges and applies their
-//! outputs at admission time.
-
-/// EWMA smoothing factor for observed queue delay. High enough that a
-/// sustained queue moves the signal within a few iterations, low enough
-/// that one stray admission burst does not whipsaw the lane share.
-pub(crate) const QUEUE_DELAY_ALPHA: f64 = 0.35;
-
-/// Grow the lane share when the queue-delay EWMA exceeds this many decode
-/// steps' worth of simulated time — sessions are waiting longer than a
-/// couple of steps, so more lanes pay for themselves.
-pub(crate) const GROW_DELAY_STEPS: f64 = 2.0;
-
-/// Shrink the lane share when the EWMA falls below this many decode steps —
-/// the queue is effectively empty and idle lanes just widen the batch axis
-/// for nothing. The gap between the two thresholds is the hysteresis band.
-pub(crate) const SHRINK_DELAY_STEPS: f64 = 0.5;
-
-/// Scheduler iterations between lane-share changes. One step per change
-/// would track EWMA noise; the cooldown makes each move observable before
-/// the next.
-pub(crate) const AUTOSCALE_COOLDOWN_ITERS: u64 = 2;
+//! Shard placement scoring for the multi-device decode engine (DESIGN.md
+//! §11): [`placement_score`] folds a shard's estimated queue delay and its
+//! KV-block headroom into one comparable number. Pure, so the policy is
+//! unit-testable without an engine; the engine feeds it from per-shard
+//! gauges at submission time.
 
 /// Joint placement score of one shard for one incoming sequence: the
 /// estimated queue delay a new arrival would see, plus a KV-headroom
@@ -57,85 +32,6 @@ pub(crate) fn placement_score(
     queue_delay + kv_penalty
 }
 
-/// Per-shard decode lane share driven by the observed queue-delay EWMA.
-///
-/// The share is the shard's admission ceiling: how many of the engine's
-/// `max_batch` decode slots this shard currently fills. Growth and shrink
-/// are one lane at a time, separated by [`AUTOSCALE_COOLDOWN_ITERS`], and
-/// the [`GROW_DELAY_STEPS`]/[`SHRINK_DELAY_STEPS`] band between the two
-/// thresholds is dead — a delay hovering there changes nothing, which is
-/// what keeps the controller from oscillating. Disabled autoscalers pin the
-/// share at `max_share` and only track the EWMA for observability.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneAutoscaler {
-    enabled: bool,
-    share: usize,
-    min_share: usize,
-    max_share: usize,
-    ewma: f64,
-    seeded: bool,
-    last_change: u64,
-}
-
-impl LaneAutoscaler {
-    pub(crate) fn new(enabled: bool, min_share: usize, max_share: usize) -> LaneAutoscaler {
-        let max_share = max_share.max(1);
-        let min_share = min_share.clamp(1, max_share);
-        LaneAutoscaler {
-            enabled,
-            share: if enabled { min_share } else { max_share },
-            min_share,
-            max_share,
-            ewma: 0.0,
-            seeded: false,
-            last_change: 0,
-        }
-    }
-
-    /// The current admission ceiling.
-    pub(crate) fn share(&self) -> usize {
-        self.share
-    }
-
-    /// The smoothed queue delay, simulated seconds.
-    pub(crate) fn ewma(&self) -> f64 {
-        self.ewma
-    }
-
-    /// Feeds one queue-delay observation (simulated seconds a session has
-    /// waited, or zero when the shard's queue is empty).
-    pub(crate) fn observe(&mut self, delay_seconds: f64) {
-        let delay = delay_seconds.max(0.0);
-        if self.seeded {
-            self.ewma += QUEUE_DELAY_ALPHA * (delay - self.ewma);
-        } else {
-            self.ewma = delay;
-            self.seeded = true;
-        }
-    }
-
-    /// One control decision at scheduler iteration `iteration`; returns the
-    /// (possibly updated) share. `step_estimate` is the shard's decode-step
-    /// latency — the unit the delay thresholds are expressed in — so the
-    /// controller is a no-op until the first graph compiles.
-    pub(crate) fn update(&mut self, iteration: u64, step_estimate: f64) -> usize {
-        if !self.enabled || step_estimate <= 0.0 {
-            return self.share;
-        }
-        if iteration.saturating_sub(self.last_change) < AUTOSCALE_COOLDOWN_ITERS {
-            return self.share;
-        }
-        if self.ewma > GROW_DELAY_STEPS * step_estimate && self.share < self.max_share {
-            self.share += 1;
-            self.last_change = iteration;
-        } else if self.ewma < SHRINK_DELAY_STEPS * step_estimate && self.share > self.min_share {
-            self.share -= 1;
-            self.last_change = iteration;
-        }
-        self.share
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,100 +52,5 @@ mod tests {
         assert!(busy < crowded);
         // Infeasible arena: never chosen while an alternative exists.
         assert_eq!(placement_score(0.0, 1e-5, 9, 0, 8, 16), f64::INFINITY);
-    }
-
-    #[test]
-    fn autoscaler_grows_under_sustained_queue_delay() {
-        let mut scaler = LaneAutoscaler::new(true, 1, 4);
-        assert_eq!(scaler.share(), 1);
-        let est = 1e-5;
-        for i in 0..40u64 {
-            scaler.observe(10.0 * est);
-            scaler.update(i, est);
-        }
-        assert_eq!(scaler.share(), 4, "sustained delay must reach max share");
-    }
-
-    #[test]
-    fn autoscaler_shrinks_when_the_queue_drains() {
-        let mut scaler = LaneAutoscaler::new(true, 1, 4);
-        let est = 1e-5;
-        for i in 0..40u64 {
-            scaler.observe(10.0 * est);
-            scaler.update(i, est);
-        }
-        for i in 40..120u64 {
-            scaler.observe(0.0);
-            scaler.update(i, est);
-        }
-        assert_eq!(scaler.share(), 1, "a drained queue must shrink to min");
-    }
-
-    #[test]
-    fn hysteresis_band_holds_the_share_steady() {
-        let mut scaler = LaneAutoscaler::new(true, 1, 4);
-        let est = 1e-5;
-        for i in 0..20u64 {
-            scaler.observe(10.0 * est);
-            scaler.update(i, est);
-        }
-        let settled = scaler.share();
-        // A delay inside (SHRINK, GROW) * est moves nothing, ever.
-        for i in 20..200u64 {
-            scaler.observe(1.0 * est);
-            assert_eq!(scaler.update(i, est), settled);
-        }
-    }
-
-    #[test]
-    fn cooldown_spaces_changes_and_bounds_hold() {
-        let mut scaler = LaneAutoscaler::new(true, 2, 4);
-        assert_eq!(scaler.share(), 2);
-        let est = 1e-5;
-        let mut changes = Vec::new();
-        let mut prev = scaler.share();
-        for i in 0..30u64 {
-            scaler.observe(100.0 * est);
-            let share = scaler.update(i, est);
-            if share != prev {
-                changes.push(i);
-                prev = share;
-            }
-        }
-        assert_eq!(prev, 4);
-        for pair in changes.windows(2) {
-            assert!(
-                pair[1] - pair[0] >= AUTOSCALE_COOLDOWN_ITERS,
-                "changes at {changes:?} violate the cooldown"
-            );
-        }
-        // Shrink floor: never below min_share.
-        for i in 30..200u64 {
-            scaler.observe(0.0);
-            scaler.update(i, est);
-        }
-        assert_eq!(scaler.share(), 2);
-    }
-
-    #[test]
-    fn disabled_autoscaler_pins_max_share_but_tracks_ewma() {
-        let mut scaler = LaneAutoscaler::new(false, 1, 4);
-        assert_eq!(scaler.share(), 4);
-        for i in 0..20u64 {
-            scaler.observe(1.0);
-            assert_eq!(scaler.update(i, 1e-5), 4);
-        }
-        assert!(scaler.ewma() > 0.5);
-    }
-
-    #[test]
-    fn ewma_seeds_from_the_first_observation() {
-        let mut scaler = LaneAutoscaler::new(true, 1, 4);
-        scaler.observe(0.5);
-        assert!((scaler.ewma() - 0.5).abs() < 1e-12);
-        scaler.observe(0.5);
-        assert!((scaler.ewma() - 0.5).abs() < 1e-12);
-        scaler.observe(-1.0); // clamped to zero
-        assert!(scaler.ewma() < 0.5 && scaler.ewma() >= 0.0);
     }
 }

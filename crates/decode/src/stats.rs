@@ -46,10 +46,6 @@ pub(crate) struct DecodeShardStats {
     pub(crate) kv_in_use: AtomicUsize,
     pub(crate) kv_peak: AtomicUsize,
     pub(crate) kv_capacity: AtomicUsize,
-    /// Current decode lane share (admission ceiling) of this shard.
-    pub(crate) lane_share: AtomicUsize,
-    /// Queue-delay EWMA driving the lane autoscaler, scaled by 1e9.
-    pub(crate) queue_delay_ewma_nanos: AtomicU64,
     /// Simulated seconds this shard spent in decode steps, scaled by 1e9.
     pub(crate) sim_decode_nanos: AtomicU64,
     /// Simulated seconds this shard spent in prefill passes, scaled by 1e9.
@@ -76,7 +72,7 @@ impl DecodeShardStats {
 /// construction. The fields kept here are the ones no single shard owns:
 /// sequence outcomes, prompt/prefill pipeline counters, and `kv_peak` (the
 /// peak of the *summed* occupancy, which is not the sum of per-shard peaks).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct DecodeStats {
     pub(crate) completed: AtomicUsize,
     pub(crate) failed: AtomicUsize,
@@ -106,12 +102,6 @@ pub(crate) struct DecodeStats {
     reservoirs: Mutex<[LatencyReservoir; 6]>,
 }
 
-impl Default for DecodeStats {
-    fn default() -> DecodeStats {
-        DecodeStats::for_shards(vec![String::new()])
-    }
-}
-
 impl DecodeStats {
     /// Stats with one [`DecodeShardStats`] block per device label.
     pub(crate) fn for_shards(devices: Vec<String>) -> DecodeStats {
@@ -123,20 +113,8 @@ impl DecodeStats {
             })
             .collect();
         DecodeStats {
-            completed: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            prompt_tokens: AtomicUsize::new(0),
-            occupied_slots: AtomicUsize::new(0),
-            max_batch: AtomicUsize::new(0),
-            kv_peak: AtomicUsize::new(0),
-            kv_evictions: AtomicUsize::new(0),
-            recomputed_tokens: AtomicUsize::new(0),
-            prefill_tokens: AtomicUsize::new(0),
-            prefill_passes: AtomicUsize::new(0),
-            prefill_iterations: AtomicUsize::new(0),
-            interleaved_iterations: AtomicUsize::new(0),
             shards,
-            reservoirs: Mutex::new(Default::default()),
+            ..DecodeStats::default()
         }
     }
 
@@ -145,49 +123,43 @@ impl DecodeStats {
         self.shards[s].sim_clock()
     }
 
-    /// Advances shard `s`'s clock by one decode step, booking the time on
-    /// the shard only — the aggregate decode-work number is derived by
+    /// Advances shard `s`'s clock by one forward pass, booking the time on
+    /// the shard only — under its prefill counter for a prefill pass, its
+    /// decode counter otherwise; the aggregate work numbers are derived by
     /// summing the shards at snapshot time. Returns the shard's new clock.
-    pub(crate) fn advance_shard_clock(&self, s: usize, seconds: f64) -> f64 {
+    pub(crate) fn advance_shard_clock(&self, s: usize, seconds: f64, prefill: bool) -> f64 {
         let nanos = (seconds * 1e9) as u64;
         let shard = &self.shards[s];
-        shard.sim_decode_nanos.fetch_add(nanos, Ordering::Relaxed);
+        let work = if prefill {
+            &shard.sim_prefill_nanos
+        } else {
+            &shard.sim_decode_nanos
+        };
+        work.fetch_add(nanos, Ordering::Relaxed);
         let now = shard.sim_clock_nanos.fetch_add(nanos, Ordering::Relaxed) + nanos;
         now as f64 / 1e9
     }
 
-    /// [`DecodeStats::advance_shard_clock`] for prefill passes: advances the
-    /// shard clock but books the time under the prefill counter.
-    pub(crate) fn advance_shard_prefill_clock(&self, s: usize, seconds: f64) -> f64 {
-        let nanos = (seconds * 1e9) as u64;
-        let shard = &self.shards[s];
-        shard.sim_prefill_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let now = shard.sim_clock_nanos.fetch_add(nanos, Ordering::Relaxed) + nanos;
-        now as f64 / 1e9
-    }
-
-    pub(crate) fn record_ttft(&self, seconds: f64) {
-        self.reservoirs.lock().expect("stats poisoned")[0].push(seconds);
+    /// Books one session's first token at `now`: TTFT from submission and
+    /// from admission, plus the queue / prefill / first-decode segments the
+    /// stamps split it into (they telescope to the submit TTFT).
+    pub(crate) fn record_first_token(
+        &self,
+        submitted: f64,
+        admitted: f64,
+        prompt_done: f64,
+        now: f64,
+    ) {
+        let mut r = self.reservoirs.lock().expect("stats poisoned");
+        r[0].push(now - submitted);
+        r[2].push(now - admitted);
+        r[3].push(admitted - submitted);
+        r[4].push(prompt_done - admitted);
+        r[5].push(now - prompt_done);
     }
 
     pub(crate) fn record_itl(&self, seconds: f64) {
         self.reservoirs.lock().expect("stats poisoned")[1].push(seconds);
-    }
-
-    pub(crate) fn record_ttft_admission(&self, seconds: f64) {
-        self.reservoirs.lock().expect("stats poisoned")[2].push(seconds);
-    }
-
-    pub(crate) fn record_ttft_queue(&self, seconds: f64) {
-        self.reservoirs.lock().expect("stats poisoned")[3].push(seconds);
-    }
-
-    pub(crate) fn record_ttft_prefill(&self, seconds: f64) {
-        self.reservoirs.lock().expect("stats poisoned")[4].push(seconds);
-    }
-
-    pub(crate) fn record_ttft_first_decode(&self, seconds: f64) {
-        self.reservoirs.lock().expect("stats poisoned")[5].push(seconds);
     }
 
     pub(crate) fn snapshot(&self) -> DecodeStatsSnapshot {
@@ -216,10 +188,6 @@ impl DecodeStats {
                     kv_blocks_in_use: s.kv_in_use.load(Ordering::Relaxed),
                     kv_blocks_peak: s.kv_peak.load(Ordering::Relaxed),
                     kv_blocks_capacity: s.kv_capacity.load(Ordering::Relaxed),
-                    lane_share: s.lane_share.load(Ordering::Relaxed),
-                    queue_delay_ewma_seconds: s.queue_delay_ewma_nanos.load(Ordering::Relaxed)
-                        as f64
-                        / 1e9,
                     simulated_decode_seconds: decode_seconds,
                     simulated_busy_seconds: s.sim_clock(),
                     tokens_per_second: if decode_seconds > 0.0 {
@@ -317,10 +285,10 @@ mod tests {
 
     #[test]
     fn clock_and_throughput_accounting() {
-        let stats = DecodeStats::default();
+        let stats = DecodeStats::for_shards(vec![String::new()]);
         stats.max_batch.store(4, Ordering::Relaxed);
         assert_eq!(stats.shard_clock(0), 0.0);
-        let now = stats.advance_shard_clock(0, 0.5);
+        let now = stats.advance_shard_clock(0, 0.5, false);
         assert!((now - 0.5).abs() < 1e-9);
         stats.shards[0].tokens.store(100, Ordering::Relaxed);
         stats.shards[0].steps.store(10, Ordering::Relaxed);
@@ -335,9 +303,9 @@ mod tests {
     #[test]
     fn shard_clocks_are_independent_and_cluster_uses_the_makespan() {
         let stats = DecodeStats::for_shards(vec!["a".into(), "b".into()]);
-        stats.advance_shard_clock(0, 1.0);
-        stats.advance_shard_clock(1, 0.25);
-        stats.advance_shard_prefill_clock(1, 0.25);
+        stats.advance_shard_clock(0, 1.0, false);
+        stats.advance_shard_clock(1, 0.25, false);
+        stats.advance_shard_clock(1, 0.25, true);
         assert!((stats.shard_clock(0) - 1.0).abs() < 1e-9);
         assert!((stats.shard_clock(1) - 0.5).abs() < 1e-9);
         stats.shards[0].tokens.store(75, Ordering::Relaxed);
@@ -357,7 +325,7 @@ mod tests {
 
     #[test]
     fn reservoirs_stay_bounded_and_estimate_percentiles() {
-        let stats = DecodeStats::default();
+        let stats = DecodeStats::for_shards(vec![String::new()]);
         for i in 0..10_000 {
             stats.record_itl(0.001 * (1.0 + (i % 10) as f64));
         }
@@ -369,7 +337,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_zero() {
-        let snap = DecodeStats::default().snapshot();
+        let snap = DecodeStats::for_shards(vec![String::new()]).snapshot();
         let want = DecodeStatsSnapshot {
             shards: vec![DecodeShardSnapshot::default()],
             ..DecodeStatsSnapshot::default()

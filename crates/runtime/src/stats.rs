@@ -79,7 +79,10 @@ impl LatencyReservoir {
     }
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// The `p`-th percentile (`0.0..=1.0`) of an ascending-sorted slice by
+/// nearest rank; `0.0` when the slice is empty. The one percentile rule every
+/// stats snapshot and bench table in the workspace uses.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         0.0
     } else {
@@ -391,10 +394,6 @@ pub struct DecodeShardSnapshot {
     pub kv_blocks_peak: usize,
     /// Total KV blocks this shard's arenas hold.
     pub kv_blocks_capacity: usize,
-    /// Current decode lane share — the autoscaler's admission ceiling.
-    pub lane_share: usize,
-    /// Smoothed queue delay driving the lane autoscaler, simulated seconds.
-    pub queue_delay_ewma_seconds: f64,
     /// Simulated seconds this shard spent in decode steps.
     pub simulated_decode_seconds: f64,
     /// This shard's simulated clock: decode + prefill busy time.
@@ -657,6 +656,12 @@ mod tests {
         assert!((snap.p95_latency_seconds - 0.004).abs() < 1e-9);
         assert!((snap.total_simulated_seconds - 0.005).abs() < 1e-6);
         assert!((snap.simulated_throughput_rps - 1000.0).abs() < 1.0);
+        // The shared helper: nearest rank, and an empty slice is 0, not a
+        // `len() - 1` underflow.
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.0), 1.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 1.0), 4.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0], 0.5), 2.0);
     }
 
     #[test]

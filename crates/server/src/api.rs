@@ -425,9 +425,6 @@ pub(crate) fn render_stats(snapshot: &StatsSnapshot) -> String {
             w.key("kv_blocks_in_use")
                 .integer(shard.kv_blocks_in_use as i64);
             w.key("kv_blocks_peak").integer(shard.kv_blocks_peak as i64);
-            w.key("lane_share").integer(shard.lane_share as i64);
-            w.key("queue_delay_ewma_us")
-                .number(shard.queue_delay_ewma_seconds * 1e6);
             w.key("tokens_per_second").number(shard.tokens_per_second);
             w.end();
         }
