@@ -1,0 +1,806 @@
+//! The iteration-level scheduler: the engine's step loop (admission,
+//! deadlines, one pass per shard, migration triggers, gauge publish) and the
+//! scheduler iteration it runs per shard × model — a prefill phase, then one
+//! decode step — both through the one forward-pass routine
+//! ([`IterCtx::forward`]).
+
+use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Instant;
+
+use hidet::CompilerOptions;
+use hidet_runtime::CompiledCache;
+use hidet_sim::Gpu;
+use hidet_trace::SpanKind;
+
+use super::config::{BatchingMode, DecodeError};
+use super::migrate::{
+    migrate_sequence, rebalance, stress_migrate, ClusterView, REBALANCE_COOLDOWN_ITERS,
+};
+use super::registry::def_key;
+use super::session::{Event, Sequence, TokenEvent, Waiting};
+use super::shard::{refresh_shard_kv_gauge, ModelRt, ShardRt, Shared};
+use crate::kv::KvAllocator;
+
+/// Additive mask value for non-attendable positions: large enough that
+/// `exp(score + MASK)` underflows to exactly `0.0` after the row-max shift,
+/// making padded positions bit-transparent to softmax.
+const MASK_NEG: f32 = -1.0e9;
+
+/// The engine's background thread: admission, step execution, KV
+/// bookkeeping, token emission — per shard, one pass each per outer
+/// iteration.
+pub(super) fn step_loop(shared: &Shared) {
+    let config = &shared.config;
+    let cache = CompiledCache::new();
+    // Compact schedules (see `DecodeConfig::options`): with tuning off, one
+    // shared record store, seeded per graph in `IterCtx::compile_pass` and
+    // served with zero trials.
+    let options = if config.options.tune {
+        config.options.clone()
+    } else {
+        let mut options = config
+            .options
+            .clone()
+            .with_tuning_cache(Arc::new(Mutex::new(hidet_sched::TuningCache::new())));
+        options.tune = true;
+        options
+    };
+    // Order-stable reductions, unconditionally: the chunked-prefill contract
+    // — token streams and KV contents bit-identical to token-wise absorption
+    // — holds only when every reduction in *both* graph families accumulates
+    // in pure element-index order, so the same real terms sum in the same
+    // order regardless of how many padded positions surround them (see
+    // `CompilerOptions::order_stable_reductions`).
+    let options = options.order_stable();
+    // One ShardRt per device; within a shard, per-ModelDef runtimes are
+    // keyed by definition identity — a re-registered name gets fresh state
+    // while in-flight sessions keep theirs.
+    let mut shards: Vec<ShardRt> = config
+        .devices
+        .iter()
+        .map(|spec| ShardRt {
+            gpu: Gpu::new(spec.clone()),
+            rts: Default::default(),
+            active: Vec::new(),
+        })
+        .collect();
+    let nshards = shards.len();
+    let mut rebalance_cooldown = 0u64;
+
+    loop {
+        // --- admission ---------------------------------------------------
+        {
+            let mut waiting = shared.waiting.lock().expect("waiting poisoned");
+            loop {
+                let now = Instant::now();
+                fail_waiting(shared, &mut waiting, DecodeError::DeadlineExceeded, |seq| {
+                    seq.expired(now)
+                });
+                if shared.closed.load(Ordering::SeqCst) {
+                    // Sessions that never started (rank 0 — assigned at
+                    // first admission) are failed; in-flight ones — active
+                    // or KV-preempted back into a queue — drain to
+                    // completion, honoring the shutdown contract.
+                    fail_waiting(shared, &mut waiting, DecodeError::Closed, |seq| {
+                        seq.rank == 0
+                    });
+                }
+                // A paused engine sleeps; shutdown overrides the pause so
+                // a never-resumed engine still drains and exits.
+                let paused =
+                    shared.paused.load(Ordering::SeqCst) && !shared.closed.load(Ordering::SeqCst);
+                if !paused {
+                    for (s, shard) in shards.iter_mut().enumerate() {
+                        let admit = match config.mode {
+                            BatchingMode::Continuous => true,
+                            BatchingMode::Static => shard.active.is_empty(),
+                        };
+                        if !admit {
+                            continue;
+                        }
+                        let now = shared.stats.shard_clock(s);
+                        while shard.active.len() < config.max_batch {
+                            let Some(mut seq) = waiting.shards[s].pop_highest() else {
+                                break;
+                            };
+                            seq.rank = shared.next_rank.fetch_add(1, Ordering::Relaxed);
+                            if seq.admitted_sim.is_none() {
+                                seq.admitted_sim = Some(now);
+                                if seq.forced.is_empty() {
+                                    // Single-token prompt: there is nothing
+                                    // to prefill, the whole TTFT is
+                                    // first-decode.
+                                    seq.prompt_done_sim = Some(now);
+                                }
+                            }
+                            shard.active.push(seq);
+                        }
+                    }
+                }
+                if shards.iter().any(|sh| !sh.active.is_empty()) {
+                    break;
+                }
+                if shared.closed.load(Ordering::SeqCst) && waiting.is_empty() {
+                    return;
+                }
+                waiting = shared.cv.wait(waiting).expect("waiting poisoned");
+            }
+
+            // Drop runtime state of departed model definitions: a
+            // re-registration replaces the `ModelDef` identity, and once no
+            // registry entry, active sequence or waiting sequence reaches
+            // the old one, its workspace and KV arena can never be used
+            // again — keeping them would leak an arena per re-registration.
+            // (`generate` never holds the registry and waiting locks at
+            // once, so taking registry inside waiting cannot deadlock.)
+            if shards.iter().any(|sh| !sh.rts.is_empty()) {
+                let mut live: HashSet<usize> = shards
+                    .iter()
+                    .flat_map(|sh| sh.active.iter().map(|s| def_key(&s.def)))
+                    .collect();
+                for queue in waiting.shards.iter().flat_map(|wq| wq.classes.iter()) {
+                    live.extend(queue.iter().map(|s| def_key(&s.def)));
+                }
+                {
+                    let registry = shared.registry.lock().expect("registry poisoned");
+                    live.extend(registry.values().map(def_key));
+                }
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    let before = shard.rts.len();
+                    shard.rts.retain(|key, rt| {
+                        let keep = live.contains(key);
+                        if !keep {
+                            shared.stats.shards[s]
+                                .kv_capacity
+                                .fetch_sub(rt.kv.capacity(), Ordering::Relaxed);
+                        }
+                        keep
+                    });
+                    if shard.rts.len() != before {
+                        refresh_shard_kv_gauge(&shard.rts, shared, s);
+                    }
+                }
+            }
+        }
+
+        // --- deadline check for active sequences -------------------------
+        let now = Instant::now();
+        for (s, shard) in shards.iter_mut().enumerate() {
+            let mut i = 0;
+            let mut removed = false;
+            while i < shard.active.len() {
+                if shard.active[i].expired(now) {
+                    let mut seq = shard.active.swap_remove(i);
+                    if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
+                        rt.kv.release(&mut seq.kv);
+                    }
+                    removed = true;
+                    fail(shared, &seq, DecodeError::DeadlineExceeded);
+                } else {
+                    i += 1;
+                }
+            }
+            if removed {
+                refresh_shard_kv_gauge(&shard.rts, shared, s);
+            }
+        }
+
+        // --- one pass per shard: a step per model with active sequences ---
+        for s in 0..nshards {
+            if shards[s].active.is_empty() {
+                continue;
+            }
+            // The headroom view migration targets are chosen against,
+            // debited as targets are picked within the pass. Entries for
+            // shards processed earlier this iteration are fresh; later ones
+            // may be one pass stale — safe, because a migrated-to shard
+            // re-resolves pressure itself at admission.
+            let mut view = ClusterView::collect(&shards, config.kv_blocks);
+            let shard = &mut shards[s];
+            let mut model_keys: Vec<usize> = Vec::new();
+            for seq in &shard.active {
+                let key = def_key(&seq.def);
+                if !model_keys.contains(&key) {
+                    model_keys.push(key);
+                }
+            }
+            for key in model_keys {
+                // Extract this model's batch (slot order = active order).
+                let (batch, rest): (Vec<Sequence>, Vec<Sequence>) =
+                    std::mem::take(&mut shard.active)
+                        .into_iter()
+                        .partition(|seq| def_key(&seq.def) == key);
+                shard.active = rest;
+                let def = Arc::clone(&batch[0].def);
+                let ctx = IterCtx {
+                    shared,
+                    gpu: &shard.gpu,
+                    cache: &cache,
+                    options: &options,
+                    shard: s,
+                    view: &mut view,
+                    state: vec![SlotState::Live; batch.len()],
+                    batch,
+                    terminal: Vec::new(),
+                };
+                let rt = match ctx.ensure_rt(&mut shard.rts, &def) {
+                    Ok(rt) => rt,
+                    Err(err) => {
+                        for seq in &ctx.batch {
+                            fail(shared, seq, err.clone());
+                        }
+                        continue;
+                    }
+                };
+                let outcome = ctx.run_iteration(rt);
+                shard.active.extend(outcome.survivors);
+                refresh_shard_kv_gauge(&shard.rts, shared, s);
+                // Terminal events go out only after the gauges are current,
+                // so a client that observed `Done` sees post-release
+                // occupancy.
+                for (tx, event) in outcome.terminal {
+                    let _ = tx.send(event);
+                }
+            }
+        }
+
+        // --- step-loop-initiated migration: stress knob, then rebalance ---
+        stress_migrate(shared, &mut shards);
+        if nshards > 1 {
+            if rebalance_cooldown > 0 {
+                rebalance_cooldown -= 1;
+            } else if rebalance(shared, &mut shards) {
+                rebalance_cooldown = REBALANCE_COOLDOWN_ITERS;
+            }
+        }
+
+        // --- placement gauge publish --------------------------------------
+        for (s, shard) in shards.iter().enumerate() {
+            let est = shard
+                .rts
+                .values()
+                .map(|rt| rt.step.estimate)
+                .fold(0.0f64, f64::max);
+            let mut gauges = shared.stats.shards[s]
+                .gauges
+                .lock()
+                .expect("stats poisoned");
+            gauges.step_estimate = est;
+            gauges.active_remaining = shard
+                .active
+                .iter()
+                .map(|seq| {
+                    let e = shard
+                        .rts
+                        .get(&def_key(&seq.def))
+                        .map_or(if est > 0.0 { est } else { 1.0 }, |rt| rt.step.estimate);
+                    seq.remaining_work() as f64 * e
+                })
+                .collect();
+            gauges.kv_free = shard.kv_headroom();
+        }
+    }
+}
+
+/// Fails one sequence with `err`: counted, and the error sent down its
+/// session channel (a client that already hung up is not an error).
+fn fail(shared: &Shared, seq: &Sequence, err: DecodeError) {
+    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+    let _ = seq.tx.send(Event::Failed(err));
+}
+
+/// Fails every waiting sequence `doomed` selects with `err`, keeping the
+/// rest queued in order.
+fn fail_waiting(
+    shared: &Shared,
+    waiting: &mut Waiting,
+    err: DecodeError,
+    doomed: impl Fn(&Sequence) -> bool,
+) {
+    for queue in waiting
+        .shards
+        .iter_mut()
+        .flat_map(|wq| wq.classes.iter_mut())
+    {
+        if !queue.iter().any(&doomed) {
+            continue;
+        }
+        let mut keep = VecDeque::with_capacity(queue.len());
+        for seq in queue.drain(..) {
+            if doomed(&seq) {
+                fail(shared, &seq, err.clone());
+            } else {
+                keep.push_back(seq);
+            }
+        }
+        *queue = keep;
+    }
+}
+
+/// Everything one scheduler iteration — one shard × one model — reads and
+/// writes: the engine-wide pieces it compiles and books against, the shard
+/// it runs on, the pool's headroom view, and the iteration's own batch with
+/// its per-slot outcomes and deferred terminal events.
+pub(super) struct IterCtx<'a> {
+    pub(super) shared: &'a Shared,
+    pub(super) gpu: &'a Gpu,
+    pub(super) cache: &'a CompiledCache,
+    pub(super) options: &'a CompilerOptions,
+    /// The shard this iteration runs on.
+    pub(super) shard: usize,
+    pub(super) view: &'a mut ClusterView,
+    /// The model's active sequences on this shard (slot order = extraction
+    /// order).
+    pub(super) batch: Vec<Sequence>,
+    /// Per-slot outcome so far, parallel to `batch`.
+    pub(super) state: Vec<SlotState>,
+    /// `Done`/`Failed` events to deliver *after* the iteration's gauges are
+    /// refreshed.
+    pub(super) terminal: Vec<(mpsc::Sender<Event>, Event)>,
+}
+
+/// What one [`IterCtx::run_iteration`] hands back to the loop: sequences
+/// staying active, and terminal `Done`/`Failed` events to deliver *after*
+/// the step's gauges are refreshed.
+pub(super) struct StepOutcome {
+    survivors: Vec<Sequence>,
+    terminal: Vec<(mpsc::Sender<Event>, Event)>,
+}
+
+/// Per-slot outcome of one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum SlotState {
+    /// Still generating: stays active.
+    Live,
+    /// Preempted by KV pressure: cache freed, replay chain built, requeued
+    /// on the same shard.
+    Evicted,
+    /// Live-migrated: cache freed, replay chain built, re-admitted at the
+    /// front of the target shard's queue.
+    Migrated(usize),
+    /// Finished or failed: response sent, cache freed.
+    Dropped,
+}
+
+/// Chunk-size election: the largest compiled chunk that fits both the
+/// remaining feed chain and the iteration's leftover token budget. `None`
+/// sends the sequence down the token-wise path (tail smaller than the
+/// smallest chunk, budget exhausted, or chunking disabled).
+fn elect_chunk(remaining: usize, menu: &[usize], budget: usize) -> Option<usize> {
+    menu.iter()
+        .copied()
+        .filter(|&c| c <= remaining && c <= budget)
+        .max()
+}
+
+impl IterCtx<'_> {
+    /// One scheduler iteration for the batch (all sequences share `rt`'s
+    /// model): a prefill phase — chunked prompt absorption under the
+    /// iteration token budget, in `(priority, rank)` order — followed by one
+    /// decode step for every live sequence that did not prefill. A sequence
+    /// advances through exactly one forward pass per iteration, so decodes
+    /// never observe more than one prefill-chunk bubble between tokens.
+    pub(super) fn run_iteration(mut self, rt: &mut ModelRt) -> StepOutcome {
+        // Iteration spans are shard-scoped (many sequences), so they carry
+        // trace id 0; the nested prefill/decode spans attribute per-sequence.
+        let _span = hidet_trace::global().span(SpanKind::DecodeIteration, 0);
+        let shared = self.shared;
+        let config = &shared.config;
+        let n = self.batch.len();
+        let mut prefilled = vec![false; n];
+
+        // --- prefill phase -------------------------------------------------
+        // Static mode stays the pure token-wise baseline the serving benches
+        // compare against.
+        if config.mode == BatchingMode::Continuous
+            && !rt.def.prefill.is_empty()
+            && config.prefill_token_budget > 0
+        {
+            let mut budget = config.prefill_token_budget;
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| self.batch[i].key());
+            for i in order {
+                if self.state[i] != SlotState::Live || self.batch[i].forced.is_empty() {
+                    // Plain decode, or the final chain token: token-wise path.
+                    continue;
+                }
+                let menu: Vec<usize> = rt
+                    .def
+                    .prefill
+                    .iter()
+                    .map(|p| p.chunk)
+                    .filter(|c| !rt.dead_chunks.contains(c))
+                    .collect();
+                let remaining = 1 + self.batch[i].forced.len();
+                let Some(chunk) = elect_chunk(remaining, &menu, budget) else {
+                    continue;
+                };
+                if self.run_prefill(rt, i, chunk) {
+                    budget -= chunk;
+                    prefilled[i] = true;
+                }
+            }
+        }
+
+        // --- decode step for everything that did not prefill ---------------
+        let decode_slots: Vec<usize> = (0..n)
+            .filter(|&i| self.state[i] == SlotState::Live && !prefilled[i])
+            .collect();
+        if !decode_slots.is_empty() {
+            // A decode step covers the whole batch; attribute it to the
+            // first slot's trace so at least one request's timeline shows
+            // the step.
+            let _span = hidet_trace::global()
+                .span(SpanKind::DecodeStep, self.batch[decode_slots[0]].trace_id);
+            self.forward(rt, &decode_slots, None);
+        }
+        if prefilled.contains(&true) {
+            shared
+                .stats
+                .prefill_iterations
+                .fetch_add(1, Ordering::Relaxed);
+            if !decode_slots.is_empty() {
+                shared
+                    .stats
+                    .interleaved_iterations
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        // Reassemble: live sequences stay active; evicted ones rejoin the
+        // head of their class queue (they re-admit before newcomers of their
+        // class, but with a fresh — higher — rank, so the total eviction
+        // order can never cycle); migrated ones rejoin the *target shard's*
+        // queue head with their time anchors rebased. Finished/failed
+        // sequences drop here; their channels already carried Done/Failed.
+        let mut survivors = Vec::with_capacity(n);
+        let mut requeue: Vec<Sequence> = Vec::new();
+        let mut migrations: Vec<(Sequence, usize)> = Vec::new();
+        for (seq, state) in self.batch.into_iter().zip(self.state) {
+            match state {
+                SlotState::Live => survivors.push(seq),
+                SlotState::Evicted => requeue.push(seq),
+                SlotState::Migrated(target) => migrations.push((seq, target)),
+                SlotState::Dropped => {}
+            }
+        }
+        if !requeue.is_empty() {
+            let mut waiting = shared.waiting.lock().expect("waiting poisoned");
+            for seq in requeue.into_iter().rev() {
+                waiting.shards[self.shard].classes[seq.priority.index()].push_front(seq);
+            }
+            drop(waiting);
+            shared.cv.notify_all();
+        }
+        for (seq, target) in migrations {
+            migrate_sequence(shared, seq, self.shard, target);
+        }
+        StepOutcome {
+            survivors,
+            terminal: self.terminal,
+        }
+    }
+
+    /// Absorbs one `chunk`-token slice of `batch[slot]`'s feed chain through
+    /// the chunk's prefill graph, compiling it on first use. Returns whether
+    /// the pass ran (and thus consumed budget); `false` means the chunk's
+    /// graph failed to compile — it is retired to `dead_chunks` and the
+    /// sequence falls through to the token-wise path, untouched.
+    fn run_prefill(&mut self, rt: &mut ModelRt, slot: usize, chunk: usize) -> bool {
+        let _span = hidet_trace::global().span(SpanKind::PrefillChunk, self.batch[slot].trace_id);
+        if !rt.prefill_rts.contains_key(&chunk) {
+            match self.compile_pass(rt.def.prefill_pass(chunk)) {
+                Ok(prt) => rt.prefill_rts.insert(chunk, prt),
+                Err(_) => {
+                    rt.dead_chunks.insert(chunk);
+                    return false;
+                }
+            };
+        }
+        self.forward(rt, &[slot], Some(chunk));
+        true
+    }
+
+    /// The one forward-pass routine: stage embeddings, mask and KV past for
+    /// `slots` → run the graph → append KV (with eviction + recompute under
+    /// pressure) and harvest the fresh rows → advance each feed chain, and
+    /// emit/retire where a chain ran out. `prefill_chunk` picks the graph
+    /// and with it the row layout: `None` is the decode step — chunk 1 ×
+    /// many sequences, buffer row `pos` belonging to `slots[pos]` (rows of
+    /// sequences that prefilled this iteration simply stay staged to zero) —
+    /// and `Some(c)` the `c`-token prefill pass of the single sequence in
+    /// `slots`. When a pass consumes a sequence's whole chain, its last
+    /// logits row yields the next token — so a chunk ending a prompt emits
+    /// the first generated token in the same pass.
+    fn forward(&mut self, rt: &mut ModelRt, slots: &[usize], prefill_chunk: Option<usize>) {
+        let ModelRt {
+            def,
+            step,
+            kv,
+            prefill_rts,
+            ..
+        } = rt;
+        let (pass, prt) = match prefill_chunk {
+            None => (&def.step, step),
+            Some(c) => (
+                def.prefill_pass(c),
+                prefill_rts.get_mut(&c).expect("compiled above"),
+            ),
+        };
+        let plan = prt.compiled.plan();
+        let chunk = pass.chunk;
+        let (hidden, heads, head_dim) = (def.hidden, def.heads, def.head_dim);
+        let mc = def.max_context;
+        let vocab = def.vocab as usize;
+        // Every sequence owns `heads` rows of `chunk` positions over
+        // `mc + chunk` attendable columns: the cached past, then the chunk.
+        let span = mc + chunk;
+
+        // --- stage inputs (in place: zero steady-state allocations) -------
+        let x = prt
+            .ws
+            .input_mut(plan, pass.x_id)
+            .expect("x id validated at registration");
+        x.fill(0.0);
+        for (pos, &i) in slots.iter().enumerate() {
+            let seq = &self.batch[i];
+            let chain = std::iter::once(seq.pending).chain(seq.forced.iter().copied());
+            for (j, token) in chain.take(chunk).enumerate() {
+                let (row, t) = ((pos * chunk + j) * hidden, token as usize * hidden);
+                x[row..row + hidden].copy_from_slice(&def.embed[t..t + hidden]);
+            }
+        }
+        // Causal mask: chunk position `j` of a sequence with `p` cached
+        // tokens attends them (columns `0..p`) and chunk positions `0..=j`
+        // (columns `mc..=mc + j`) — for a decode step, just "the current
+        // token is always attendable". Padded cache slots and intra-chunk
+        // future positions stay at MASK_NEG, bit-transparent to softmax.
+        let mask = prt
+            .ws
+            .input_mut(plan, pass.mask_id)
+            .expect("mask id validated at registration");
+        mask.fill(MASK_NEG);
+        for (r, row) in mask.chunks_exact_mut(span).enumerate() {
+            row[mc..=mc + r % chunk].fill(0.0);
+        }
+        for (pos, &i) in slots.iter().enumerate() {
+            let p = self.batch[i].kv.tokens();
+            for r in pos * heads * chunk..(pos + 1) * heads * chunk {
+                mask[r * span..r * span + p].fill(0.0);
+            }
+        }
+        // The gather re-stages every sequence's full cache each pass. An
+        // incremental variant (resident past buffers, appending only the new
+        // token's rows) would save O(tokens) copies per slot, but needs
+        // stable slot assignment across steps — today slots are re-derived
+        // from the active order, which shifts as sequences retire. Host cost
+        // is dominated by kernel interpretation, not these copies, so stable
+        // slots are left as future work.
+        for (l, &(pk_id, pv_id)) in pass.past_ids.iter().enumerate() {
+            for (stream, id) in [(0usize, pk_id), (1usize, pv_id)] {
+                let buf = prt
+                    .ws
+                    .input_mut(plan, id)
+                    .expect("cache ids validated at registration");
+                buf.fill(0.0);
+                for (pos, &i) in slots.iter().enumerate() {
+                    let seq = &self.batch[i];
+                    for t in 0..seq.kv.tokens() {
+                        let lane = kv.lane(&seq.kv, t, l, stream);
+                        for h in 0..heads {
+                            let dst = ((pos * heads + h) * mc + t) * head_dim;
+                            buf[dst..dst + head_dim]
+                                .copy_from_slice(&lane[h * head_dim..(h + 1) * head_dim]);
+                        }
+                    }
+                }
+            }
+        }
+
+        // --- forward pass --------------------------------------------------
+        let stats = &self.shared.stats;
+        if let Err(err) = prt.ws.run_prepared(plan, self.gpu) {
+            let err = DecodeError::Execution(match prefill_chunk {
+                None => format!("{}: {err}", def.name),
+                Some(c) => format!("{} prefill[{c}]: {err}", def.name),
+            });
+            for &i in slots {
+                self.fail_slot(kv, i, err.clone());
+            }
+            return;
+        }
+        if prefill_chunk.is_some() {
+            stats.prefill_passes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats.shards[self.shard]
+                .steps
+                .fetch_add(1, Ordering::Relaxed);
+            stats
+                .occupied_slots
+                .fetch_add(slots.len(), Ordering::Relaxed);
+        }
+        let now = stats.advance_shard_clock(self.shard, prt.estimate, prefill_chunk.is_some());
+
+        // --- append + harvest KV, advance chains, emit/retire --------------
+        for (pos, &i) in slots.iter().enumerate() {
+            if self.state[i] != SlotState::Live {
+                continue; // preempted by an earlier slot's append this pass
+            }
+            let remaining = 1 + self.batch[i].forced.len();
+            let mut absorbed = 0usize;
+            for j in 0..chunk {
+                let Some(kvslot) = self.append_with_pressure(kv, i) else {
+                    // Self-preempted (replay chain rebuilt from what was
+                    // harvested) or dropped — either way this pass is over.
+                    break;
+                };
+                // Harvest the new K/V rows device-to-device: the concat
+                // outputs hold the chunk at sequence positions
+                // `mc..mc + chunk` of each of the sequence's per-head rows.
+                for (l, (nk_name, nv_name)) in pass.cache_out_names.iter().enumerate() {
+                    for (stream, name) in [(0usize, nk_name), (1usize, nv_name)] {
+                        for h in 0..heads {
+                            let src = ((pos * heads + h) * span + mc + j) * head_dim;
+                            kv.copy_into_lane(
+                                kvslot,
+                                l,
+                                stream,
+                                h * head_dim,
+                                prt.ws.device_memory(),
+                                name,
+                                src,
+                                head_dim,
+                            );
+                        }
+                    }
+                }
+                let seq = &mut self.batch[i];
+                seq.fed.push(seq.pending);
+                absorbed += 1;
+                if let Some(next) = seq.forced.pop_front() {
+                    seq.pending = next;
+                }
+            }
+            if prefill_chunk.is_some() && absorbed > 0 {
+                stats.prefill_tokens.fetch_add(absorbed, Ordering::Relaxed);
+            }
+            if self.state[i] != SlotState::Live {
+                continue;
+            }
+            let seq = &mut self.batch[i];
+            if absorbed < remaining {
+                // Mid-chain — prompt absorption or post-eviction replay: the
+                // model's output is already known; keep feeding the chain.
+                stats.prompt_tokens.fetch_add(absorbed, Ordering::Relaxed);
+                if seq.forced.is_empty() && seq.emitted == 0 && seq.prompt_done_sim.is_none() {
+                    seq.prompt_done_sim = Some(now);
+                }
+                continue;
+            }
+            // The pass consumed the whole chain: the last row's logits are
+            // this sequence's next token. For a first-time prompt ending in
+            // a prefill chunk that token is the first emission — TTFT lands
+            // here, a whole chunk earlier than token-wise absorption would
+            // have allowed.
+            stats
+                .prompt_tokens
+                .fetch_add(absorbed - 1, Ordering::Relaxed);
+            if seq.emitted == 0 && seq.prompt_done_sim.is_none() {
+                seq.prompt_done_sim = Some(now);
+            }
+            let logits = prt
+                .ws
+                .output(pass.logits_id)
+                .expect("logits are a graph output");
+            let row = (pos + 1) * chunk - 1;
+            let token = argmax(&logits[row * vocab..(row + 1) * vocab]);
+            self.state[i] = self.emit_token(kv, i, token, now);
+        }
+    }
+
+    /// Drops `batch[slot]` with `err`: its blocks released, the failure
+    /// counted, the error queued as the slot's terminal event.
+    pub(super) fn fail_slot(&mut self, kv: &mut KvAllocator, slot: usize, err: DecodeError) {
+        let seq = &mut self.batch[slot];
+        kv.release(&mut seq.kv);
+        self.shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+        self.terminal.push((seq.tx.clone(), Event::Failed(err)));
+        self.state[slot] = SlotState::Dropped;
+    }
+
+    /// Emits a freshly decoded token for `batch[slot]` — TTFT on first
+    /// emission (with its queue/prefill/first-decode decomposition), ITL
+    /// afterwards — and retires the sequence when it finished. Returns the
+    /// slot's next state.
+    fn emit_token(&mut self, kv: &mut KvAllocator, slot: usize, token: u32, now: f64) -> SlotState {
+        let stats = &self.shared.stats;
+        let seq = &mut self.batch[slot];
+        let index = seq.emitted;
+        seq.emitted += 1;
+        if seq.ttft.is_none() {
+            let submitted = seq.submitted_sim;
+            let admitted = seq.admitted_sim.unwrap_or(submitted);
+            let prompt_done = seq.prompt_done_sim.unwrap_or(admitted);
+            seq.ttft = Some(now - submitted);
+            seq.ttft_admission = Some(now - admitted);
+            stats.record_first_token(submitted, admitted, prompt_done, now);
+        } else {
+            stats.record_itl(now - seq.last_token_sim);
+        }
+        seq.last_token_sim = now;
+        stats.shards[self.shard]
+            .tokens
+            .fetch_add(1, Ordering::Relaxed);
+        let delivered = seq
+            .tx
+            .send(Event::Token(TokenEvent {
+                token,
+                index,
+                sim_time_seconds: now,
+            }))
+            .is_ok();
+        let finished = seq.emitted >= seq.max_tokens || seq.eos == Some(token) || !delivered;
+        if finished {
+            kv.release(&mut seq.kv);
+            self.terminal.push((
+                seq.tx.clone(),
+                Event::Done {
+                    ttft_from_submit_seconds: seq.ttft.expect("at least one token emitted"),
+                    ttft_from_admission_seconds: seq.ttft_admission.expect("set alongside ttft"),
+                    completion_sim_seconds: now,
+                },
+            ));
+            stats.completed.fetch_add(1, Ordering::Relaxed);
+            SlotState::Dropped
+        } else {
+            seq.pending = token;
+            SlotState::Live
+        }
+    }
+}
+
+/// Greedy decode: index of the row maximum (ties break to the lowest
+/// index, so decoding is fully deterministic).
+fn argmax(row: &[f32]) -> u32 {
+    let mut best = 0usize;
+    for (i, &v) in row.iter().enumerate().skip(1) {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best as u32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn argmax_breaks_ties_low() {
+        assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
+        assert_eq!(argmax(&[0.5]), 0);
+        assert_eq!(argmax(&[-2.0, -1.0, -1.5]), 1);
+    }
+
+    #[test]
+    fn chunk_election_boundaries() {
+        let menu = [16, 64, 256];
+        // Exact multiple of the largest chunk.
+        assert_eq!(elect_chunk(512, &menu, 256), Some(256));
+        assert_eq!(elect_chunk(256, &menu, 256), Some(256));
+        // One short of a chunk boundary drops to the next size down.
+        assert_eq!(elect_chunk(255, &menu, 256), Some(64));
+        assert_eq!(elect_chunk(17, &menu, 256), Some(16));
+        assert_eq!(elect_chunk(16, &menu, 256), Some(16));
+        // Tails smaller than the smallest chunk go token-wise.
+        assert_eq!(elect_chunk(15, &menu, 256), None);
+        assert_eq!(elect_chunk(1, &menu, 256), None);
+        // The iteration budget caps the chunk, then disables election.
+        assert_eq!(elect_chunk(512, &menu, 100), Some(64));
+        assert_eq!(elect_chunk(512, &menu, 15), None);
+        // No compiled chunks: chunking is off.
+        assert_eq!(elect_chunk(512, &[], 256), None);
+    }
+}
