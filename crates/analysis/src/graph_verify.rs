@@ -17,7 +17,7 @@
 //!
 //! **KV-family rules.** A graph is in the KV family when any graph output is
 //! produced by a `Concat{axis: 1}` whose first input is a graph input — the
-//! cache-append idiom of `transformer_decode_step`/`transformer_prefill`
+//! cache-append idiom of the `transformer_pass` family
 //! (`new_kv = concat(past_kv, fresh_kv, axis=1)`). For those graphs:
 //!
 //! * HA007: cache streams pair up (even count) and agree on

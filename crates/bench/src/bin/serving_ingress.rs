@@ -169,9 +169,9 @@ fn main() {
     assert!(body.contains("\"done\":true"), "stream terminates: {body}");
 
     // The live metrics endpoint, scraped over the same real socket: the
-    // exposition must be well-formed and cover the ingress/engine/decode/KV
-    // families (the CI workflow gates on this bench, so a malformed line
-    // fails the e2e job here).
+    // exposition must be well-formed and cover every catalogue family (the
+    // CI workflow gates on this bench, so a malformed line fails the e2e job
+    // here).
     let (status, _, metrics) = timed_request(
         warm.public_addr(),
         "GET /v2/metrics HTTP/1.1\r\nHost: bench\r\n\r\n",
@@ -179,14 +179,11 @@ fn main() {
     assert_eq!(status, 200, "metrics scrape: {metrics}");
     hidet_trace::validate_exposition(&metrics)
         .unwrap_or_else(|e| panic!("malformed /v2/metrics exposition: {e}\n{metrics}"));
-    for family in [
-        "hidet_ingress_accepted_total",
-        "hidet_engine_requests_total",
-        "hidet_decode_tokens_total",
-        "hidet_decode_kv_blocks_in_use",
-        "hidet_span_seconds",
-    ] {
-        assert!(metrics.contains(family), "missing family {family}");
+    for family in hidet_runtime::stats::catalogue::families().chain(["hidet_span_seconds"]) {
+        assert!(
+            metrics.contains(&format!("# TYPE {family} ")),
+            "missing family {family}"
+        );
     }
     println!("scraped /v2/metrics: well-formed exposition, all families present");
     drop(warm);

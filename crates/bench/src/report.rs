@@ -10,18 +10,19 @@
 //!
 //! The format is deliberately flat — one top-level object whose keys are
 //! section names and whose values are objects of numeric/string metrics —
-//! and the writer is dependency-free like the rest of the workspace (no
-//! crates.io access; see `vendor/README.md`).
+//! parsed and escaped by `hidet_sched::json`, the workspace's one JSON
+//! dialect (no crates.io access; see `vendor/README.md`).
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
+
+use hidet_sched::json::{json_string, Json};
 
 /// One binary's named group of metrics.
 #[derive(Debug, Clone)]
 pub struct BenchSection {
     name: String,
-    fields: Vec<(String, String)>,
+    fields: Vec<(String, Json)>,
 }
 
 impl BenchSection {
@@ -35,24 +36,19 @@ impl BenchSection {
 
     /// Adds a float metric (non-finite values are recorded as `null`).
     pub fn field_f64(mut self, key: &str, value: f64) -> BenchSection {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
+        self.fields.push((key.to_string(), Json::Number(value)));
         self
     }
 
     /// Adds an integer metric.
-    pub fn field_usize(mut self, key: &str, value: usize) -> BenchSection {
-        self.fields.push((key.to_string(), format!("{value}")));
-        self
+    pub fn field_usize(self, key: &str, value: usize) -> BenchSection {
+        self.field_f64(key, value as f64)
     }
 
     /// Adds a string metric.
     pub fn field_str(mut self, key: &str, value: &str) -> BenchSection {
-        self.fields.push((key.to_string(), json_string(value)));
+        self.fields
+            .push((key.to_string(), Json::String(value.to_string())));
         self
     }
 
@@ -64,35 +60,46 @@ impl BenchSection {
     pub fn with_trace_metrics(mut self) -> BenchSection {
         let tracer = hidet_trace::global();
         tracer.drain();
-        let mut obj = String::from("{");
-        for (i, (name, value)) in tracer.metrics().samples().iter().enumerate() {
-            if i > 0 {
-                obj.push_str(", ");
-            }
-            let rendered = if value.is_finite() {
-                format!("{value}")
-            } else {
-                "null".to_string()
-            };
-            let _ = write!(obj, "{}: {}", json_string(name), rendered);
-        }
-        obj.push('}');
-        self.fields.push(("trace_metrics".to_string(), obj));
+        let samples = tracer.metrics().samples();
+        let series = samples
+            .into_iter()
+            .map(|(name, value)| (name, Json::Number(value)))
+            .collect();
+        self.fields
+            .push(("trace_metrics".to_string(), Json::Object(series)));
         self
     }
 
     /// Renders the section body as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{}: {}", json_string(key), value);
-        }
-        out.push('}');
-        out
+        render_object(&self.fields)
     }
+}
+
+/// Renders a value in the report's house style (`", "` / `": "` separators,
+/// numbers in shortest round-trip form so integral metrics carry no `.0`,
+/// non-finite numbers as `null`). Re-rendering a parsed report reproduces it
+/// byte for byte, which is what keeps untouched sections stable in diffs.
+fn render(value: &Json) -> String {
+    match value {
+        Json::Number(n) if n.is_finite() => format!("{n}"),
+        Json::Null | Json::Number(_) => "null".to_string(),
+        Json::Bool(b) => b.to_string(),
+        Json::String(s) => json_string(s),
+        Json::Array(items) => {
+            let items: Vec<String> = items.iter().map(render).collect();
+            format!("[{}]", items.join(", "))
+        }
+        Json::Object(fields) => render_object(fields),
+    }
+}
+
+fn render_object(fields: &[(String, Json)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("{}: {}", json_string(key), render(value)))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// Writes (or updates) `section` in the bench-report file at `path`.
@@ -102,150 +109,20 @@ impl BenchSection {
 /// and their order are preserved); a missing or unparsable file is
 /// rewritten with just this section.
 pub fn upsert_section(path: &Path, section: &BenchSection) -> io::Result<()> {
-    let mut sections = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| split_sections(&text))
-        .unwrap_or_default();
-    let body = section.to_json();
+    let mut sections = match std::fs::read_to_string(path).map(|text| Json::parse(&text)) {
+        Ok(Ok(Json::Object(sections))) => sections,
+        _ => Vec::new(),
+    };
+    let body = Json::Object(section.fields.clone());
     match sections.iter_mut().find(|(name, _)| *name == section.name) {
         Some((_, existing)) => *existing = body,
         None => sections.push((section.name.clone(), body)),
     }
-    let mut out = String::from("{\n");
-    for (i, (name, body)) in sections.iter().enumerate() {
-        let _ = write!(out, "  {}: {}", json_string(name), body);
-        out.push_str(if i + 1 < sections.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Splits the top level of `{"name": <value>, ...}` into `(name, raw value)`
-/// pairs without fully parsing the values. Returns `None` when the text is
-/// not such an object (the caller then rewrites the file from scratch).
-fn split_sections(text: &str) -> Option<Vec<(String, String)>> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < chars.len() && chars[*pos].is_whitespace() {
-            *pos += 1;
-        }
-    };
-    let parse_string = |pos: &mut usize| -> Option<String> {
-        if chars.get(*pos) != Some(&'"') {
-            return None;
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while *pos < chars.len() {
-            match chars[*pos] {
-                '\\' => {
-                    // Keep escapes verbatim only for the separator scan; the
-                    // section names we produce never contain escapes, so a
-                    // literal interpretation of the common ones suffices.
-                    *pos += 1;
-                    match chars.get(*pos)? {
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        c => out.push(*c),
-                    }
-                    *pos += 1;
-                }
-                '"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                c => {
-                    out.push(c);
-                    *pos += 1;
-                }
-            }
-        }
-        None
-    };
-    // A raw JSON value: scan to its end tracking nesting and strings.
-    let parse_value = |pos: &mut usize| -> Option<String> {
-        let start = *pos;
-        let mut depth = 0i32;
-        let mut in_string = false;
-        while *pos < chars.len() {
-            let c = chars[*pos];
-            if in_string {
-                match c {
-                    '\\' => *pos += 1,
-                    '"' => in_string = false,
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '"' => in_string = true,
-                    '{' | '[' => depth += 1,
-                    '}' | ']' if depth > 0 => {
-                        depth -= 1;
-                        if depth == 0 {
-                            *pos += 1;
-                            return Some(chars[start..*pos].iter().collect());
-                        }
-                    }
-                    ',' | '}' | ']' if depth == 0 => {
-                        return Some(chars[start..*pos].iter().collect::<String>());
-                    }
-                    _ => {}
-                }
-            }
-            *pos += 1;
-        }
-        None
-    };
-
-    skip_ws(&mut pos);
-    if chars.get(pos) != Some(&'{') {
-        return None;
-    }
-    pos += 1;
-    let mut sections = Vec::new();
-    loop {
-        skip_ws(&mut pos);
-        if chars.get(pos) == Some(&'}') {
-            return Some(sections);
-        }
-        let name = parse_string(&mut pos)?;
-        skip_ws(&mut pos);
-        if chars.get(pos) != Some(&':') {
-            return None;
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let value = parse_value(&mut pos)?;
-        sections.push((name, value.trim().to_string()));
-        skip_ws(&mut pos);
-        match chars.get(pos) {
-            Some(&',') => pos += 1,
-            Some(&'}') => return Some(sections),
-            _ => return None,
-        }
-    }
+    let lines: Vec<String> = sections
+        .iter()
+        .map(|(name, body)| format!("  {}: {}", json_string(name), render(body)))
+        .collect();
+    std::fs::write(path, format!("{{\n{}\n}}\n", lines.join(",\n")))
 }
 
 #[cfg(test)]
@@ -287,7 +164,8 @@ mod tests {
         let path = temp_path("trace-metrics");
         upsert_section(&path, &s).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let sections = split_sections(&text).unwrap();
+        let parsed = Json::parse(&text).unwrap();
+        let sections = parsed.as_object("report").unwrap();
         assert_eq!(sections[0].0, "demo");
         let _ = std::fs::remove_file(&path);
     }
@@ -329,12 +207,24 @@ mod tests {
     }
 
     #[test]
-    fn split_handles_nested_values_and_strings() {
-        let text = r#"{ "one": {"a": [1, 2, {"b": "},"}]}, "two": 3.5 }"#;
-        let sections = split_sections(text).unwrap();
-        assert_eq!(sections.len(), 2);
-        assert_eq!(sections[0].0, "one");
-        assert_eq!(sections[0].1, r#"{"a": [1, 2, {"b": "},"}]}"#);
-        assert_eq!(sections[1], ("two".to_string(), "3.5".to_string()));
+    fn nested_values_and_strings_round_trip_through_an_upsert() {
+        // Sections written by other tools — nested arrays, a string full of
+        // structural characters, a bare number — survive byte for byte.
+        let path = temp_path("nested");
+        std::fs::write(
+            &path,
+            r#"{ "one": {"a": [1, 2, {"b": "},"}], "n": null},   "two": 3.5 }"#,
+        )
+        .unwrap();
+        upsert_section(&path, &BenchSection::new("three").field_usize("x", 1)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            "{\n  \"one\": {\"a\": [1, 2, {\"b\": \"},\"}], \"n\": null},\n  \"two\": 3.5,\n  \"three\": {\"x\": 1}\n}\n"
+        );
+        // And a second pass over its own output changes nothing.
+        upsert_section(&path, &BenchSection::new("three").field_usize("x", 1)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let _ = std::fs::remove_file(&path);
     }
 }

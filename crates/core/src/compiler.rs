@@ -313,22 +313,8 @@ pub fn compile_hashed(
     // group nests its own `Tune` spans under it. Compiles are not tied to
     // a single request, so the span is unattributed (trace id 0).
     let _span = hidet_trace::global().span(hidet_trace::SpanKind::Compile, 0);
-    let mut g = graph.clone();
-    lower_convs(&mut g);
-    // Each rewriting pass rebuilds the op/tensor tables; re-prove the IR
-    // invariants behind it. Structural checks after every pass, the deep
-    // (shape re-inference + KV family) sweep once, after the last rewrite.
     let level = options.verify_level;
-    verify_stage(
-        analysis::verify_graph(&g, level.min(VerifyLevel::Cheap)),
-        "lower_convs",
-    )?;
-    constant_fold(&mut g);
-    verify_stage(analysis::verify_graph(&g, level), "constant_fold")?;
-    let groups = partition(&g);
-    if level > VerifyLevel::Off {
-        verify_stage(analysis::verify_partition(&g, &groups), "partition")?;
-    }
+    let (g, groups) = lower_and_partition(graph, level)?;
 
     let device = gpu.spec().fingerprint();
     // Shared per-problem tuning slots: identical matmul problems across
@@ -422,10 +408,8 @@ pub fn compile_hashed(
     // trials run here plus trials that persisted records already paid for —
     // so "what a warm artifact load saves" is stable across re-compiles.
     let tuned_entries = tuning.entries();
-    let memory_plan = MemoryPlan::build(&g, &compiled_groups);
-    if level > VerifyLevel::Off {
-        verify_stage(memory_plan.verify(g.name()), "memory planning")?;
-    }
+    let verify_as = (level > VerifyLevel::Off).then_some("memory planning");
+    let plan = plan_memory(g, compiled_groups, verify_as)?;
     let artifact = CompiledArtifact {
         graph_hash,
         device,
@@ -434,14 +418,10 @@ pub fn compile_hashed(
         tuned: tuned_entries,
         tuning_trials: tuning_trials + record_trials_saved,
         tuning_seconds: tuning_seconds + record_seconds_saved,
-        planned_peak_bytes: memory_plan.peak_bytes(),
+        planned_peak_bytes: plan.memory_plan.peak_bytes(),
     };
     Ok(CompiledGraph {
-        plan: CompilePlan {
-            graph: g,
-            groups: compiled_groups,
-            memory_plan,
-        },
+        plan,
         artifact,
         tuning_seconds,
         tuning_trials,
@@ -449,6 +429,49 @@ pub fn compile_hashed(
         record_hits,
         record_trials_saved,
         record_seconds_saved,
+    })
+}
+
+/// The front end both compile paths share: clone, lower convolutions, fold
+/// constants, partition into fused groups. Each rewriting pass rebuilds the
+/// op/tensor tables, so at `level` above `Off` the IR invariants are
+/// re-proved behind it — structural checks after every pass, the deep (shape
+/// re-inference + KV family) sweep once, after the last rewrite.
+fn lower_and_partition(
+    graph: &Graph,
+    level: VerifyLevel,
+) -> Result<(Graph, Vec<FusedGroup>), CompileError> {
+    let mut g = graph.clone();
+    lower_convs(&mut g);
+    verify_stage(
+        analysis::verify_graph(&g, level.min(VerifyLevel::Cheap)),
+        "lower_convs",
+    )?;
+    constant_fold(&mut g);
+    verify_stage(analysis::verify_graph(&g, level), "constant_fold")?;
+    let groups = partition(&g);
+    if level > VerifyLevel::Off {
+        verify_stage(analysis::verify_partition(&g, &groups), "partition")?;
+    }
+    Ok((g, groups))
+}
+
+/// The back end both compile paths share: plan the intermediates' arena and,
+/// when `verify_as` names the stage, re-prove the plan before anything runs
+/// on it.
+fn plan_memory(
+    graph: Graph,
+    groups: Vec<CompiledGroup>,
+    verify_as: Option<&str>,
+) -> Result<CompilePlan, CompileError> {
+    let memory_plan = MemoryPlan::build(&graph, &groups);
+    if let Some(stage) = verify_as {
+        verify_stage(memory_plan.verify(graph.name()), stage)?;
+    }
+    Ok(CompilePlan {
+        graph,
+        groups,
+        memory_plan,
     })
 }
 
@@ -789,10 +812,9 @@ pub fn compile_from_artifact_hashed(
             options.cache_key_bits(),
         )
         .map_err(|e| CompileError::Artifact(e.to_string()))?;
-    let mut g = graph.clone();
-    lower_convs(&mut g);
-    constant_fold(&mut g);
-    let groups = partition(&g);
+    // The artifact key pins the graph the cold compile already verified, so
+    // the graph-stage verifiers stay off the warm path.
+    let (g, groups) = lower_and_partition(graph, VerifyLevel::Off)?;
     if groups.len() != artifact.schedules.len() {
         return Err(CompileError::Artifact(format!(
             "artifact has {} group schedules, graph partitions into {} groups",
@@ -816,17 +838,9 @@ pub fn compile_from_artifact_hashed(
         let compiled = compile_group(&g, group, schedule).map_err(CompileError::Schedule)?;
         compiled_groups.push(compiled);
     }
-    let memory_plan = MemoryPlan::build(&g, &compiled_groups);
-    verify_stage(
-        memory_plan.verify(g.name()),
-        "memory planning (artifact load)",
-    )?;
+    let verify_as = Some("memory planning (artifact load)");
     Ok(CompiledGraph {
-        plan: CompilePlan {
-            graph: g,
-            groups: compiled_groups,
-            memory_plan,
-        },
+        plan: plan_memory(g, compiled_groups, verify_as)?,
         tuning_seconds: 0.0,
         tuning_trials: 0,
         from_artifact: true,

@@ -66,13 +66,7 @@ pub struct DecodeConfig {
     /// through the largest compiled chunk that fits the remaining chain;
     /// tails smaller than the smallest chunk fall back to the token-wise
     /// path. Empty disables chunked prefill entirely — every prompt token
-    /// then rides the decode step graph, one scheduler step each. Only
-    /// models registered with a prefill builder
-    /// ([`DecodeModelSpec::transformer`](crate::DecodeModelSpec::transformer)
-    /// has one; [`DecodeModelSpec::custom`](crate::DecodeModelSpec::custom)
-    /// opts in via
-    /// [`DecodeModelSpec::with_prefill`](crate::DecodeModelSpec::with_prefill))
-    /// use the menu.
+    /// then rides the decode step graph, one scheduler step each.
     pub chunk_menu: Vec<usize>,
     /// Prefill tokens one scheduler iteration may absorb across all
     /// sequences — the Sarathi-style bound on the inter-token-latency bubble

@@ -34,7 +34,9 @@
 //! **Chunked prefill** (DESIGN.md §9) collapses the prompt-absorption tax:
 //! instead of one scheduler step per prompt token, a prompt is fed through
 //! single-sequence multi-token *prefill graphs*
-//! ([`hidet_graph::models::transformer_prefill`]) compiled at the fixed
+//! ([`hidet_graph::models::transformer_prefill`] — the same
+//! [`hidet_graph::models::transformer_pass`] family the decode step comes
+//! from, built by the same spec closure) compiled at the fixed
 //! chunk shapes of [`DecodeConfig::chunk_menu`]. Each iteration elects, per
 //! sequence in `(priority, admission)` order, the **largest compiled chunk
 //! that fits both the remaining feed chain and the iteration's leftover

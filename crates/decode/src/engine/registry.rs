@@ -11,8 +11,11 @@ use hidet_graph::{Graph, Tensor, TensorId};
 use super::config::DecodeError;
 
 /// Everything the engine needs to know about a decode model: its dimensions
-/// and a `(batch, past_len) -> Graph` builder honoring the
-/// [`hidet_graph::models::transformer_decode_step`] interface.
+/// and **one** `(seqs, chunk, past_len) -> Graph` builder honoring the
+/// [`hidet_graph::models::transformer_pass`] interface. The engine asks it
+/// for the decode step (`chunk == 1` at `seqs = max_batch`) and for one
+/// prefill pass per menu chunk (`seqs == 1`) — both are members of the same
+/// family, so they cannot describe different models.
 pub struct DecodeModelSpec {
     name: String,
     layers: usize,
@@ -20,17 +23,13 @@ pub struct DecodeModelSpec {
     heads: i64,
     vocab: i64,
     max_context: i64,
-    builder: Box<dyn Fn(i64, i64) -> Graph + Send + Sync>,
-    /// Optional `(chunk_len, past_len) -> Graph` builder for the chunked
-    /// prefill family ([`hidet_graph::models::transformer_prefill`]
-    /// interface). Models without one absorb prompts token-wise only.
-    prefill_builder: Option<Box<dyn Fn(i64, i64) -> Graph + Send + Sync>>,
+    builder: Box<dyn Fn(i64, i64, i64) -> Graph + Send + Sync>,
     embed_seed: u64,
 }
 
 impl DecodeModelSpec {
     /// A pre-LN transformer decode model built by
-    /// [`hidet_graph::models::transformer_decode_step`].
+    /// [`hidet_graph::models::transformer_pass`].
     pub fn transformer(
         name: impl Into<String>,
         layers: usize,
@@ -40,7 +39,7 @@ impl DecodeModelSpec {
         max_context: i64,
     ) -> DecodeModelSpec {
         let name = name.into();
-        let (graph_name, prefill_name) = (name.clone(), format!("{name}_prefill"));
+        let graph_name = name.clone();
         DecodeModelSpec::custom(
             name,
             layers,
@@ -48,10 +47,11 @@ impl DecodeModelSpec {
             heads,
             vocab,
             max_context,
-            move |batch, past| {
-                hidet_graph::models::transformer_decode_step(
+            move |seqs, chunk, past| {
+                hidet_graph::models::transformer_pass(
                     &graph_name,
-                    batch,
+                    seqs,
+                    chunk,
                     past,
                     layers,
                     hidden,
@@ -60,17 +60,6 @@ impl DecodeModelSpec {
                 )
             },
         )
-        .with_prefill(move |chunk, past| {
-            hidet_graph::models::transformer_prefill(
-                &prefill_name,
-                chunk,
-                past,
-                layers,
-                hidden,
-                heads,
-                vocab,
-            )
-        })
     }
 
     /// GPT-2 small decode steps
@@ -80,9 +69,9 @@ impl DecodeModelSpec {
         DecodeModelSpec::transformer("gpt2_decode", 12, 768, 12, 768, max_context)
     }
 
-    /// A custom `(batch, past_len) -> Graph` builder; the graph must follow
-    /// the decode-step interface for the given dimensions (validated at
-    /// registration).
+    /// A custom `(seqs, chunk, past_len) -> Graph` builder; every graph it
+    /// returns must follow the forward-pass interface for the given
+    /// dimensions (validated at registration).
     pub fn custom(
         name: impl Into<String>,
         layers: usize,
@@ -90,7 +79,7 @@ impl DecodeModelSpec {
         heads: i64,
         vocab: i64,
         max_context: i64,
-        builder: impl Fn(i64, i64) -> Graph + Send + Sync + 'static,
+        builder: impl Fn(i64, i64, i64) -> Graph + Send + Sync + 'static,
     ) -> DecodeModelSpec {
         DecodeModelSpec {
             name: name.into(),
@@ -100,22 +89,8 @@ impl DecodeModelSpec {
             vocab,
             max_context,
             builder: Box::new(builder),
-            prefill_builder: None,
             embed_seed: 0xDEC0DE,
         }
-    }
-
-    /// Adds a `(chunk_len, past_len) -> Graph` prefill builder to a
-    /// [`DecodeModelSpec::custom`] spec, enabling chunked prompt absorption.
-    /// The graph must follow the
-    /// [`hidet_graph::models::transformer_prefill`] interface for the spec's
-    /// dimensions (validated at registration for every menu chunk).
-    pub fn with_prefill(
-        mut self,
-        builder: impl Fn(i64, i64) -> Graph + Send + Sync + 'static,
-    ) -> DecodeModelSpec {
-        self.prefill_builder = Some(Box::new(builder));
-        self
     }
 
     /// Seed of the deterministic host-side token-embedding table.
@@ -161,8 +136,8 @@ pub(super) struct ModelDef {
     pub(super) embed: Vec<f32>,
     /// The validated chunked-prefill graph family, one entry per engine menu
     /// chunk that fits the context window (ascending): `chunk` tokens of one
-    /// sequence each. Empty when the spec has no prefill builder or the menu
-    /// is empty — prompts then absorb token-wise only.
+    /// sequence each. Empty when the menu is — prompts then absorb
+    /// token-wise only.
     pub(super) prefill: Vec<PassDef>,
 }
 
@@ -177,8 +152,9 @@ impl ModelDef {
 }
 
 /// One validated forward-pass graph over `max_context` past slots, plus its
-/// tensor-id map. Both graph families share the interface — a decode step is
-/// chunk 1 × `max_batch` sequences, a prefill pass is `chunk` × one sequence:
+/// tensor-id map. Every pass comes from the spec's one builder — a decode
+/// step is chunk 1 × `max_batch` sequences, a prefill pass is `chunk` × one
+/// sequence — and shares the interface:
 /// inputs `x`, the additive mask and per-layer past K/V; outputs one logits
 /// row per fed token and the per-layer caches extended by `chunk` positions.
 pub(super) struct PassDef {
@@ -196,8 +172,7 @@ pub(super) struct PassDef {
 }
 
 /// Builds and checks a [`ModelDef`]: the decode step at `max_batch`
-/// sequences, plus — when the spec has a prefill builder — one prefill pass
-/// per menu chunk.
+/// sequences, plus one prefill pass per menu chunk.
 pub(super) fn validate_spec(
     spec: &DecodeModelSpec,
     max_batch: usize,
@@ -217,24 +192,14 @@ pub(super) fn validate_spec(
         return Err(bad("max_context must be at least 1".into()));
     }
     let batch = max_batch as i64;
-    let graph = (spec.builder)(batch, spec.max_context);
-    let step = validate_pass(spec, graph, batch, 1, "decode step")?;
+    let step = validate_pass(spec, batch, 1, "decode step")?;
     let mut prefill = Vec::new();
-    if let Some(prefill_builder) = &spec.prefill_builder {
-        for &chunk in chunk_menu {
-            let c = chunk as i64;
-            if c > spec.max_context {
-                continue; // a chunk can never exceed a sequence's cache need
-            }
-            let graph = prefill_builder(c, spec.max_context);
-            prefill.push(validate_pass(
-                spec,
-                graph,
-                1,
-                c,
-                &format!("prefill[{chunk}]"),
-            )?);
+    for &chunk in chunk_menu {
+        let c = chunk as i64;
+        if c > spec.max_context {
+            continue; // a chunk can never exceed a sequence's cache need
         }
+        prefill.push(validate_pass(spec, 1, c, &format!("prefill[{chunk}]"))?);
     }
     let embed = Tensor::randn(&[spec.vocab, spec.hidden], spec.embed_seed)
         .data()
@@ -254,16 +219,17 @@ pub(super) fn validate_spec(
     })
 }
 
-/// Checks `graph` against the forward-pass interface for `seqs` sequences ×
-/// `chunk` tokens (see [`PassDef`]); `what` names the graph in errors.
+/// Builds the spec's graph for `seqs` sequences × `chunk` tokens and checks
+/// it against the forward-pass interface (see [`PassDef`]); `what` names the
+/// graph in errors.
 fn validate_pass(
     spec: &DecodeModelSpec,
-    graph: Graph,
     seqs: i64,
     chunk: i64,
     what: &str,
 ) -> Result<PassDef, DecodeError> {
     let bad = |msg: String| DecodeError::BadModel(format!("{what}: {msg}"));
+    let graph = (spec.builder)(seqs, chunk, spec.max_context);
     // The graph comes from an arbitrary builder closure: deep-verify it
     // (structure, shape re-inference, KV pairing, mask shape) before
     // trusting its interface — a malformed model is rejected at
@@ -349,8 +315,8 @@ mod tests {
             validate_spec(&spec, 2, &[]),
             Err(DecodeError::BadModel(_))
         ));
-        // A builder whose graph is not a decode step.
-        let spec = DecodeModelSpec::custom("m", 1, 16, 2, 8, 8, |batch, _| {
+        // A builder whose graph is not a forward pass.
+        let spec = DecodeModelSpec::custom("m", 1, 16, 2, 8, 8, |batch, _, _| {
             let mut g = hidet_graph::GraphBuilder::new("not_decode");
             let x = g.input("x", &[batch, 16]);
             let y = g.relu(x);
@@ -360,6 +326,16 @@ mod tests {
             validate_spec(&spec, 2, &[]),
             Err(DecodeError::BadModel(_))
         ));
+        // A builder that ignores `chunk` passes as a decode step but is
+        // caught at the first menu chunk.
+        let spec = DecodeModelSpec::custom("m", 1, 16, 2, 8, 8, |seqs, _, past| {
+            hidet_graph::models::transformer_decode_step("m", seqs, past, 1, 16, 2, 8)
+        });
+        assert!(validate_spec(&spec, 2, &[]).is_ok());
+        match validate_spec(&spec, 2, &[4]) {
+            Err(DecodeError::BadModel(msg)) => assert!(msg.starts_with("prefill[4]"), "{msg}"),
+            other => panic!("expected BadModel, got {:?}", other.map(|_| ())),
+        }
         // The real builder validates.
         let spec = DecodeModelSpec::transformer("m", 1, 16, 2, 8, 8);
         let def = validate_spec(&spec, 2, &[]).unwrap();
@@ -369,8 +345,8 @@ mod tests {
 
     #[test]
     fn prefill_defs_follow_the_menu_and_skip_oversized_chunks() {
-        // Context window 8: chunks 4 and 8 fit, 16 is skipped; a custom spec
-        // without a prefill builder yields no prefill defs at all.
+        // Context window 8: chunks 4 and 8 fit, 16 is skipped; an empty menu
+        // yields no prefill defs at all.
         let spec = DecodeModelSpec::transformer("m", 1, 16, 2, 8, 8);
         let def = validate_spec(&spec, 2, &[4, 8, 16]).unwrap();
         let chunks: Vec<usize> = def.prefill.iter().map(|p| p.chunk).collect();
@@ -380,10 +356,6 @@ mod tests {
             assert_eq!(p.past_ids.len(), 1);
             assert_eq!(p.cache_out_names.len(), 1);
         }
-        let plain = DecodeModelSpec::custom("m", 1, 16, 2, 8, 8, |batch, past| {
-            hidet_graph::models::transformer_decode_step("m", batch, past, 1, 16, 2, 8)
-        });
-        let def = validate_spec(&plain, 2, &[4, 8]).unwrap();
-        assert!(def.prefill.is_empty());
+        assert!(validate_spec(&spec, 2, &[]).unwrap().prefill.is_empty());
     }
 }

@@ -83,10 +83,10 @@ impl DecodeEngine {
         }
     }
 
-    /// Registers a decode model, validating that the builder's graph at the
-    /// engine's fixed `(max_batch, max_context)` shape follows the
-    /// decode-step interface (see
-    /// [`hidet_graph::models::transformer_decode_step`]). Re-registering a
+    /// Registers a decode model, validating that the builder's graphs — the
+    /// decode step at the engine's fixed `(max_batch, max_context)` shape and
+    /// one prefill pass per menu chunk — follow the forward-pass interface
+    /// (see [`hidet_graph::models::transformer_pass`]). Re-registering a
     /// name replaces the definition for *new* sessions; in-flight sessions
     /// finish against the one they started with.
     ///

@@ -8,6 +8,10 @@
 //! right scheduling granularity is one model *step*, not one request. This
 //! crate serves that workload on the simulated GPU (DESIGN.md §7):
 //!
+//! * **one pass-graph family** ([`hidet_graph::models::transformer_pass`]):
+//!   a [`DecodeModelSpec`] holds a single `(seqs, chunk, past) -> Graph`
+//!   builder; the decode step is the family's `chunk = 1` member at
+//!   `seqs = max_batch`, each prefill chunk its `seqs = 1` member;
 //! * **decode-step graphs** ([`hidet_graph::models::transformer_decode_step`]):
 //!   KV caches enter as graph inputs and leave, extended by one token
 //!   (concat along the sequence axis), as graph outputs; attention is

@@ -9,6 +9,13 @@
 //!
 //! Transformer models start from embedded hidden states (the embedding lookup
 //! is a memory gather the paper's operator-level evaluation does not turn on).
+//!
+//! Beside the five, [`transformer_pass`] is the **KV-cache forward-pass
+//! family** `hidet-decode` serves: `seqs` sequences × `chunk` tokens over
+//! explicit per-layer caches, one block definition for every member.
+//! [`transformer_decode_step`] (`chunk = 1`) and [`transformer_prefill`]
+//! (`seqs = 1`) are its two wrappers; [`gpt2_decode_step`] / [`gpt2_prefill`]
+//! instantiate them at GPT-2 small.
 
 mod inception;
 mod mobilenet;
@@ -19,7 +26,8 @@ pub use inception::inception_v3;
 pub use mobilenet::mobilenet_v2;
 pub use resnet::{resnet50, resnet50_conv_workloads, ConvWorkload};
 pub use transformer::{
-    bert_base, gpt2, gpt2_decode_step, gpt2_prefill, transformer_decode_step, transformer_prefill,
+    bert_base, gpt2, gpt2_decode_step, gpt2_prefill, transformer_decode_step, transformer_pass,
+    transformer_prefill,
 };
 
 use crate::graph::Graph;

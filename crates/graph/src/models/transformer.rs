@@ -117,26 +117,27 @@ pub fn gpt2(batch: i64, seq: i64) -> crate::graph::Graph {
     build_transformer("gpt2", batch, seq, 12, 768, 12, true)
 }
 
-/// One pre-LN transformer block of the **decode step**: the query is a single
-/// new token per sequence, keys/values are the per-layer KV cache extended by
-/// this step's projection (concat along the sequence axis), and attention is
-/// causally masked over `past_len + 1` positions via the additive `mask`
-/// input. Returns `(hidden_out, new_k, new_v)`; the caches must be declared
-/// graph outputs by the caller.
+/// One pre-LN transformer block of a **KV-cache forward pass**: each of
+/// `seqs` sequences feeds `chunk` new tokens, keys/values are the per-layer
+/// KV cache extended by this pass's projections (concat along the sequence
+/// axis), and attention is causally masked over `past_len + chunk` positions
+/// via the additive `mask` input. Returns `(hidden_out, new_k, new_v)`; the
+/// caches must be declared graph outputs by the caller.
 #[allow(clippy::too_many_arguments)]
-fn decode_block(
+fn pass_block(
     g: &mut GraphBuilder,
-    x: TensorId,      // [batch, hidden]
-    past_k: TensorId, // [batch*heads, past_len, head_dim]
-    past_v: TensorId, // [batch*heads, past_len, head_dim]
-    mask: TensorId,   // [batch*heads, 1, past_len + 1]
-    batch: i64,
+    x: TensorId,      // [seqs*chunk, hidden]
+    past_k: TensorId, // [seqs*heads, past_len, head_dim]
+    past_v: TensorId, // [seqs*heads, past_len, head_dim]
+    mask: TensorId,   // [seqs*heads, chunk, past_len + chunk]
+    seqs: i64,
+    chunk: i64,
     hidden: i64,
     heads: i64,
-    ffn_dim: i64,
 ) -> (TensorId, TensorId, TensorId) {
     let head_dim = hidden / heads;
-    let rows = batch * heads;
+    let rows = seqs * heads;
+    let ffn_dim = 4 * hidden;
     let attn_in = g.layer_norm(x);
     let wq = g.weight(&[hidden, hidden]);
     let wk = g.weight(&[hidden, hidden]);
@@ -144,18 +145,30 @@ fn decode_block(
     let q = g.matmul(attn_in, wq);
     let k = g.matmul(attn_in, wk);
     let v = g.matmul(attn_in, wv);
-    // [batch, hidden] -> [batch*heads, 1, head_dim]: with one query token the
-    // head split is a pure reshape (row-major batch-then-head), no transpose.
-    let qh = g.reshape(q, &[rows, 1, head_dim]);
-    let kh = g.reshape(k, &[rows, 1, head_dim]);
-    let vh = g.reshape(v, &[rows, 1, head_dim]);
+    // [seqs*chunk, hidden] -> [rows, chunk, head_dim]. With one query token
+    // per sequence the head split is a pure reshape (row-major
+    // sequence-then-head); with several tokens of one sequence it needs the
+    // encoder's reshape + transpose, which at `chunk == 1` would be the
+    // identity and is elided.
+    let split = |g: &mut GraphBuilder, t: TensorId| -> TensorId {
+        if chunk == 1 {
+            g.reshape(t, &[rows, 1, head_dim])
+        } else {
+            let r = g.reshape(t, &[chunk, heads, head_dim]);
+            g.transpose(r, &[1, 0, 2])
+        }
+    };
+    let qh = split(g, q);
+    let kh = split(g, k);
+    let vh = split(g, v);
     // Extend the caches along the sequence axis. The concat outputs double as
     // graph outputs (the updated caches handed back to the session), so the
     // partitioner materializes them rather than inlining into the anchor.
-    let new_k = g.concat(&[past_k, kh], 1); // [rows, past_len + 1, head_dim]
+    let new_k = g.concat(&[past_k, kh], 1); // [rows, past_len + chunk, head_dim]
     let new_v = g.concat(&[past_v, vh], 1);
-    // Scores over past + current: [rows, 1, past_len + 1], scaled and masked
-    // (0 for attendable positions, a large negative for padding).
+    // Scores over past + current: [rows, chunk, past_len + chunk], scaled and
+    // masked (0 for attendable positions, a large negative for cache padding
+    // and the intra-chunk causal triangle).
     let kt = g.transpose(new_k, &[0, 2, 1]);
     let scores = g.batch_matmul(qh, kt);
     let scale = g.constant(crate::tensor::Tensor::full(
@@ -165,8 +178,13 @@ fn decode_block(
     let scores = g.mul(scores, scale);
     let scores = g.add(scores, mask);
     let probs = g.softmax(scores, 2);
-    let ctx = g.batch_matmul(probs, new_v); // [rows, 1, head_dim]
-    let ctx = g.reshape(ctx, &[batch, hidden]);
+    let ctx = g.batch_matmul(probs, new_v); // [rows, chunk, head_dim]
+    let ctx = if chunk == 1 {
+        ctx
+    } else {
+        g.transpose(ctx, &[1, 0, 2])
+    };
+    let ctx = g.reshape(ctx, &[seqs * chunk, hidden]);
     let wo = g.weight(&[hidden, hidden]);
     let proj = g.matmul(ctx, wo);
     let attn_out = g.add(proj, x);
@@ -185,45 +203,60 @@ fn decode_block(
     (out, new_k, new_v)
 }
 
-/// One **autoregressive decode step** of a pre-LN transformer with explicit
-/// KV caches — the stateful workload served by `hidet-decode`.
+/// One **forward pass** of a pre-LN transformer with explicit KV caches — the
+/// stateful workload served by `hidet-decode`, and the single definition of
+/// its graph family: each of `seqs` sequences feeds `chunk` consecutive
+/// tokens (already embedded), per-layer KV caches enter as extra graph inputs
+/// and leave, extended by the chunk, as extra graph outputs. Attention runs
+/// over `past_len + chunk` positions; the additive `mask` input carries the
+/// cache-padding carve-out for shorter or inactive sequences *and* the
+/// intra-chunk causal triangle (position `i` of a chunk may attend to cache
+/// positions and to chunk positions `<= i`).
 ///
-/// Each of the `batch` sequences contributes one new token (already embedded
-/// to `[batch, hidden]`); per-layer KV caches enter as extra graph inputs and
-/// leave, extended by this token, as extra graph outputs. Attention runs over
-/// `past_len + 1` positions (cache plus current token — the causal pattern at
-/// decode time), with shorter or inactive sequences masked by the additive
-/// `mask` input.
+/// Every member creates its weights in the same order, so members built from
+/// the same dimensions embody the same model. The two members the engine
+/// builds are the **decode step** (`chunk == 1`, many sequences:
+/// [`transformer_decode_step`]) and the **prefill chunk** (`seqs == 1`, many
+/// tokens: [`transformer_prefill`]).
 ///
 /// Graph interface, in declaration order (the contract `hidet-decode` relies
-/// on):
+/// on), with `rows = seqs * heads`:
 ///
-/// * inputs: `x [batch, hidden]`, `mask [batch*heads, 1, past_len+1]`, then
-///   `past_k_l`/`past_v_l` `[batch*heads, past_len, head_dim]` per layer;
-/// * outputs: `logits [batch, vocab]`, then `new_k_l`/`new_v_l`
-///   `[batch*heads, past_len+1, head_dim]` per layer.
+/// * inputs: `x [seqs*chunk, hidden]`, `mask [rows, chunk, past_len+chunk]`,
+///   then `past_k_l`/`past_v_l` `[rows, past_len, head_dim]` per layer;
+/// * outputs: `logits [seqs*chunk, vocab]` (row `i` scores the token after
+///   fed position `i` — only a chunk's last row matters when it ends the
+///   prompt), then `new_k_l`/`new_v_l` `[rows, past_len+chunk, head_dim]`
+///   per layer.
 ///
 /// # Panics
-/// Panics when `past_len < 1`, `batch < 1`, or `heads` does not divide
-/// `hidden`.
+/// Panics when `seqs < 1`, `chunk < 1`, `past_len < 1`, `heads` does not
+/// divide `hidden`, or both `seqs > 1` and `chunk > 1` (a multi-sequence
+/// multi-token head split is a shape the engine never builds).
 #[allow(clippy::too_many_arguments)]
-pub fn transformer_decode_step(
+pub fn transformer_pass(
     name: &str,
-    batch: i64,
+    seqs: i64,
+    chunk: i64,
     past_len: i64,
     layers: usize,
     hidden: i64,
     heads: i64,
     vocab: i64,
 ) -> crate::graph::Graph {
-    assert!(batch >= 1, "decode step needs at least one sequence");
-    assert!(past_len >= 1, "decode step needs at least one cache slot");
+    assert!(seqs >= 1, "a pass needs at least one sequence");
+    assert!(chunk >= 1, "a pass needs at least one token per sequence");
+    assert!(past_len >= 1, "a pass needs at least one cache slot");
+    assert!(
+        seqs == 1 || chunk == 1,
+        "a pass is one token of many sequences or many tokens of one"
+    );
     assert_eq!(hidden % heads, 0, "heads must divide hidden");
     let head_dim = hidden / heads;
-    let rows = batch * heads;
+    let rows = seqs * heads;
     let mut g = GraphBuilder::new(name);
-    let x = g.input("x", &[batch, hidden]);
-    let mask = g.input("mask", &[rows, 1, past_len + 1]);
+    let x = g.input("x", &[seqs * chunk, hidden]);
+    let mask = g.input("mask", &[rows, chunk, past_len + chunk]);
     let mut pasts = Vec::with_capacity(layers);
     for l in 0..layers {
         let pk = g.input(&format!("past_k_{l}"), &[rows, past_len, head_dim]);
@@ -233,163 +266,7 @@ pub fn transformer_decode_step(
     let mut y = x;
     let mut caches = Vec::with_capacity(layers);
     for &(pk, pv) in &pasts {
-        let (out, nk, nv) = decode_block(&mut g, y, pk, pv, mask, batch, hidden, heads, 4 * hidden);
-        y = out;
-        caches.push((nk, nv));
-    }
-    y = g.layer_norm(y);
-    // LM head: next-token logits.
-    let e = g.weight(&[hidden, vocab]);
-    let logits = g.matmul(y, e);
-    g.output(logits);
-    for (nk, nv) in caches {
-        g.output(nk).output(nv);
-    }
-    g.build()
-}
-
-/// GPT-2 small **decode step**: 12 layers, hidden 768, 12 heads, pre-LN, with
-/// the zoo's 768-wide projection head standing in for the LM head (matching
-/// [`gpt2`]). See [`transformer_decode_step`] for the graph interface.
-pub fn gpt2_decode_step(batch: i64, past_len: i64) -> crate::graph::Graph {
-    transformer_decode_step("gpt2_decode", batch, past_len, 12, 768, 12, 768)
-}
-
-/// One pre-LN transformer block of the **prefill chunk**: `chunk` new tokens
-/// of a single sequence attend to the cache plus each other (causally, via
-/// the additive `mask` input). Mirrors [`decode_block`] exactly — same
-/// operators, same weight-creation order, so a prefill graph and a decode
-/// graph built back to back draw identical weights from the builder's seed
-/// counter.
-#[allow(clippy::too_many_arguments)]
-fn prefill_block(
-    g: &mut GraphBuilder,
-    x: TensorId,      // [chunk, hidden]
-    past_k: TensorId, // [heads, past_len, head_dim]
-    past_v: TensorId, // [heads, past_len, head_dim]
-    mask: TensorId,   // [heads, chunk, past_len + chunk]
-    chunk: i64,
-    hidden: i64,
-    heads: i64,
-    ffn_dim: i64,
-) -> (TensorId, TensorId, TensorId) {
-    let head_dim = hidden / heads;
-    let attn_in = g.layer_norm(x);
-    let wq = g.weight(&[hidden, hidden]);
-    let wk = g.weight(&[hidden, hidden]);
-    let wv = g.weight(&[hidden, hidden]);
-    let q = g.matmul(attn_in, wq);
-    let k = g.matmul(attn_in, wk);
-    let v = g.matmul(attn_in, wv);
-    // [chunk, hidden] -> [heads, chunk, head_dim]: with several query tokens
-    // the head split needs the encoder's reshape + transpose.
-    let split = |g: &mut GraphBuilder, t: TensorId| -> TensorId {
-        let r = g.reshape(t, &[chunk, heads, head_dim]);
-        g.transpose(r, &[1, 0, 2])
-    };
-    let qh = split(g, q);
-    let kh = split(g, k);
-    let vh = split(g, v);
-    // Extend the caches by the whole chunk along the sequence axis.
-    let new_k = g.concat(&[past_k, kh], 1); // [heads, past_len + chunk, head_dim]
-    let new_v = g.concat(&[past_v, vh], 1);
-    // Scores over past + chunk: [heads, chunk, past_len + chunk]. The mask
-    // carries both the cache-padding carve-out and the intra-chunk causal
-    // triangle.
-    let kt = g.transpose(new_k, &[0, 2, 1]);
-    let scores = g.batch_matmul(qh, kt);
-    let scale = g.constant(crate::tensor::Tensor::full(
-        &[1],
-        1.0 / (head_dim as f32).sqrt(),
-    ));
-    let scores = g.mul(scores, scale);
-    let scores = g.add(scores, mask);
-    let probs = g.softmax(scores, 2);
-    let ctx = g.batch_matmul(probs, new_v); // [heads, chunk, head_dim]
-    let ctx = g.transpose(ctx, &[1, 0, 2]);
-    let ctx = g.reshape(ctx, &[chunk, hidden]);
-    let wo = g.weight(&[hidden, hidden]);
-    let proj = g.matmul(ctx, wo);
-    let attn_out = g.add(proj, x);
-    // Feed-forward (pre-LN).
-    let ffn_in = g.layer_norm(attn_out);
-    let w1 = g.weight(&[hidden, ffn_dim]);
-    let b1 = g.weight(&[ffn_dim]);
-    let h = g.matmul(ffn_in, w1);
-    let h = g.add(h, b1);
-    let h = g.gelu(h);
-    let w2 = g.weight(&[ffn_dim, hidden]);
-    let b2 = g.weight(&[hidden]);
-    let h = g.matmul(h, w2);
-    let h = g.add(h, b2);
-    let out = g.add(h, attn_out);
-    (out, new_k, new_v)
-}
-
-/// A **prefill chunk** of a pre-LN transformer with explicit KV caches:
-/// `chunk_len` consecutive prompt tokens of **one** sequence are absorbed in
-/// a single forward pass, extending the per-layer caches by the whole chunk —
-/// the multi-token companion of [`transformer_decode_step`] used by
-/// `hidet-decode`'s chunked-prefill scheduler (Sarathi-style).
-///
-/// The weights are created in exactly the same order as the decode-step
-/// graph's, so both graphs built from the same dimensions embody the same
-/// model; attention is causally masked over `past_len + chunk_len` positions
-/// via the additive `mask` input (cache padding *and* the intra-chunk causal
-/// triangle — position `i` of the chunk may attend to cache positions and to
-/// chunk positions `<= i`).
-///
-/// Graph interface, in declaration order (the contract `hidet-decode` relies
-/// on):
-///
-/// * inputs: `x [chunk_len, hidden]`, `mask [heads, chunk_len,
-///   past_len + chunk_len]`, then `past_k_l`/`past_v_l`
-///   `[heads, past_len, head_dim]` per layer;
-/// * outputs: `logits [chunk_len, vocab]` (row `i` scores the token after
-///   chunk position `i` — only the last row matters when the chunk ends the
-///   prompt), then `new_k_l`/`new_v_l`
-///   `[heads, past_len + chunk_len, head_dim]` per layer.
-///
-/// # Panics
-/// Panics when `chunk_len < 1`, `past_len < 1`, or `heads` does not divide
-/// `hidden`.
-#[allow(clippy::too_many_arguments)]
-pub fn transformer_prefill(
-    name: &str,
-    chunk_len: i64,
-    past_len: i64,
-    layers: usize,
-    hidden: i64,
-    heads: i64,
-    vocab: i64,
-) -> crate::graph::Graph {
-    assert!(chunk_len >= 1, "prefill chunk needs at least one token");
-    assert!(past_len >= 1, "prefill needs at least one cache slot");
-    assert_eq!(hidden % heads, 0, "heads must divide hidden");
-    let head_dim = hidden / heads;
-    let mut g = GraphBuilder::new(name);
-    let x = g.input("x", &[chunk_len, hidden]);
-    let mask = g.input("mask", &[heads, chunk_len, past_len + chunk_len]);
-    let mut pasts = Vec::with_capacity(layers);
-    for l in 0..layers {
-        let pk = g.input(&format!("past_k_{l}"), &[heads, past_len, head_dim]);
-        let pv = g.input(&format!("past_v_{l}"), &[heads, past_len, head_dim]);
-        pasts.push((pk, pv));
-    }
-    let mut y = x;
-    let mut caches = Vec::with_capacity(layers);
-    for &(pk, pv) in &pasts {
-        let (out, nk, nv) = prefill_block(
-            &mut g,
-            y,
-            pk,
-            pv,
-            mask,
-            chunk_len,
-            hidden,
-            heads,
-            4 * hidden,
-        );
+        let (out, nk, nv) = pass_block(&mut g, y, pk, pv, mask, seqs, chunk, hidden, heads);
         y = out;
         caches.push((nk, nv));
     }
@@ -404,8 +281,44 @@ pub fn transformer_prefill(
     g.build()
 }
 
+/// One **autoregressive decode step**: the [`transformer_pass`] family's
+/// `chunk == 1` member — one new token for each of `batch` sequences.
+pub fn transformer_decode_step(
+    name: &str,
+    batch: i64,
+    past_len: i64,
+    layers: usize,
+    hidden: i64,
+    heads: i64,
+    vocab: i64,
+) -> crate::graph::Graph {
+    transformer_pass(name, batch, 1, past_len, layers, hidden, heads, vocab)
+}
+
+/// GPT-2 small **decode step**: 12 layers, hidden 768, 12 heads, pre-LN, with
+/// the zoo's 768-wide projection head standing in for the LM head (matching
+/// [`gpt2`]). See [`transformer_pass`] for the graph interface.
+pub fn gpt2_decode_step(batch: i64, past_len: i64) -> crate::graph::Graph {
+    transformer_decode_step("gpt2_decode", batch, past_len, 12, 768, 12, 768)
+}
+
+/// A **prefill chunk**: the [`transformer_pass`] family's `seqs == 1` member
+/// — `chunk_len` consecutive prompt tokens of one sequence absorbed in a
+/// single pass (Sarathi-style chunked prefill).
+pub fn transformer_prefill(
+    name: &str,
+    chunk_len: i64,
+    past_len: i64,
+    layers: usize,
+    hidden: i64,
+    heads: i64,
+    vocab: i64,
+) -> crate::graph::Graph {
+    transformer_pass(name, 1, chunk_len, past_len, layers, hidden, heads, vocab)
+}
+
 /// GPT-2 small **prefill chunk**: 12 layers, hidden 768, 12 heads, pre-LN,
-/// matching [`gpt2_decode_step`]. See [`transformer_prefill`] for the graph
+/// matching [`gpt2_decode_step`]. See [`transformer_pass`] for the graph
 /// interface.
 pub fn gpt2_prefill(chunk_len: i64, past_len: i64) -> crate::graph::Graph {
     transformer_prefill("gpt2_prefill", chunk_len, past_len, 12, 768, 12, 768)
@@ -568,6 +481,56 @@ mod tests {
         let (dw, pw) = (weights(&d), weights(&p));
         assert_eq!(dw.len(), pw.len());
         assert_eq!(dw, pw);
+    }
+
+    #[test]
+    fn pass_family_reproduces_the_parent_commits_graphs() {
+        // `structural_hash` values captured at the commit before decode_block
+        // / prefill_block were folded into `pass_block`, at (layers, hidden,
+        // heads, vocab) = (2, 32, 4, 48). Every compiled decode/prefill graph
+        // — and with it every artifact key and every simulated latency —
+        // hangs off these.
+        let decode: [((i64, i64), u64); 4] = [
+            ((1, 8), 0xd68206b671a77b7b),
+            ((4, 16), 0xe4536651b4b1f3c8),
+            ((2, 24), 0xacb992dcad33e0c8),
+            ((8, 12), 0x5dc2ec3d0d7ec98c),
+        ];
+        for ((batch, past), want) in decode {
+            let g = transformer_decode_step("d", batch, past, 2, 32, 4, 48);
+            assert_eq!(g.structural_hash(), want, "decode ({batch}, {past})");
+        }
+        let prefill: [((i64, i64), u64); 5] = [
+            ((2, 8), 0x049daf02f666dcec),
+            ((3, 8), 0x72f5fc11e5a17727),
+            ((4, 16), 0xe4fdfd6e4750bbce),
+            ((16, 40), 0x1227ddde65f0fd86),
+            ((64, 256), 0x1fe046a6126c3bc5),
+        ];
+        for ((chunk, past), want) in prefill {
+            let g = transformer_prefill("p", chunk, past, 2, 32, 4, 48);
+            assert_eq!(g.structural_hash(), want, "prefill ({chunk}, {past})");
+        }
+        assert_eq!(
+            gpt2_decode_step(2, 16).structural_hash(),
+            0x3e68037393ea6e5c
+        );
+        assert_eq!(gpt2_prefill(8, 16).structural_hash(), 0x583980553f4cec08);
+        // The two wrappers meet at the family's (1, 1) member.
+        assert_eq!(
+            transformer_pass("m", 1, 1, 8, 2, 32, 4, 48).structural_hash(),
+            transformer_decode_step("m", 1, 8, 2, 32, 4, 48).structural_hash()
+        );
+        assert_eq!(
+            transformer_prefill("m", 1, 8, 2, 32, 4, 48).structural_hash(),
+            transformer_decode_step("m", 1, 8, 2, 32, 4, 48).structural_hash()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one token of many sequences or many tokens of one")]
+    fn pass_rejects_multi_sequence_multi_token() {
+        transformer_pass("m", 2, 2, 8, 1, 16, 2, 8);
     }
 
     #[test]

@@ -9,6 +9,8 @@ use crate::cache::CacheCounters;
 use crate::engine::Priority;
 use crate::shard::ShardSnapshot;
 
+pub mod catalogue;
+
 /// How many latency samples each reservoir keeps. Past this, uniform
 /// reservoir sampling replaces old samples so memory stays bounded while
 /// percentiles remain representative of the whole run.
@@ -460,6 +462,10 @@ pub struct IngressStatsSnapshot {
     pub shed_ring_full: usize,
     /// Requests answered (any status, shed responses excluded).
     pub served: usize,
+    /// Accepted connections the client closed before sending a request —
+    /// they are neither served nor shed, so the conservation law at
+    /// quiescence is `accepted = served + closed_before_request`.
+    pub closed_before_request: usize,
     /// Streaming generations cancelled because the client socket died.
     pub streams_cancelled: usize,
     /// Jobs currently queued across all ingress rings.
@@ -479,10 +485,12 @@ impl IngressStatsSnapshot {
     /// Compact one-line rendering for logs and benches.
     pub fn summary(&self) -> String {
         format!(
-            "{} accepted, {} served, {} cancelled streams | shed {} at socket, {} ring-full | \
+            "{} accepted, {} served, {} closed before a request, {} cancelled streams | \
+             shed {} at socket, {} ring-full | \
              ring {}/{} queued, {} CAS retries | wire ttfb p50 {:.1} us, p95 {:.1} us",
             self.accepted,
             self.served,
+            self.closed_before_request,
             self.streams_cancelled,
             self.shed_at_socket,
             self.shed_ring_full,

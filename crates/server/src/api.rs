@@ -10,9 +10,7 @@ use std::sync::Mutex;
 
 use hidet_decode::{DecodeModel, DecodeModelSpec, TokenEvent};
 use hidet_graph::{Graph, GraphBuilder, Tensor};
-use hidet_runtime::{
-    InferenceResult, IngressStatsSnapshot, ModelHandle, ModelSpec, Priority, StatsSnapshot,
-};
+use hidet_runtime::{InferenceResult, ModelHandle, ModelSpec, Priority};
 use hidet_sched::json::{get, Json, JsonWriter};
 
 /// Models registered over the wire, addressable by name. One-shot and
@@ -356,308 +354,6 @@ pub(crate) fn render_generate_done(
     w.finish()
 }
 
-/// The `GET /v2/stats` body: the engine snapshot (selected fields) plus the
-/// full ingress section.
-pub(crate) fn render_stats(snapshot: &StatsSnapshot) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("requests").integer(snapshot.requests as i64);
-    w.key("failures").integer(snapshot.failures as i64);
-    w.key("shed_requests")
-        .integer(snapshot.shed_requests as i64);
-    w.key("batches").integer(snapshot.batches as i64);
-    w.key("mean_batch_size").number(snapshot.mean_batch_size);
-    w.key("p50_latency_us")
-        .number(snapshot.p50_latency_seconds * 1e6);
-    w.key("p95_latency_us")
-        .number(snapshot.p95_latency_seconds * 1e6);
-    w.key("cluster_throughput_rps")
-        .number(snapshot.cluster_throughput_rps);
-    w.key("priorities").begin_array();
-    for class in &snapshot.priorities {
-        w.begin_object();
-        w.key("priority").string(class.priority.label());
-        w.key("requests").integer(class.requests as i64);
-        w.key("shed_requests").integer(class.shed_requests as i64);
-        w.key("p95_latency_us")
-            .number(class.p95_latency_seconds * 1e6);
-        w.end();
-    }
-    w.end();
-    if let Some(decode) = &snapshot.decode {
-        w.key("decode").begin_object();
-        w.key("sequences_completed")
-            .integer(decode.sequences_completed as i64);
-        w.key("tokens_generated")
-            .integer(decode.tokens_generated as i64);
-        w.key("kv_blocks_in_use")
-            .integer(decode.kv_blocks_in_use as i64);
-        w.key("kv_blocks_capacity")
-            .integer(decode.kv_blocks_capacity as i64);
-        w.key("tokens_per_second").number(decode.tokens_per_second);
-        w.key("ttft_p95_us").number(decode.ttft_p95_seconds * 1e6);
-        w.key("ttft_queue_p95_us")
-            .number(decode.ttft_queue_p95_seconds * 1e6);
-        w.key("ttft_prefill_p95_us")
-            .number(decode.ttft_prefill_p95_seconds * 1e6);
-        w.key("ttft_first_decode_p95_us")
-            .number(decode.ttft_first_decode_p95_seconds * 1e6);
-        w.key("prefill_tokens")
-            .integer(decode.prefill_tokens as i64);
-        w.key("prefill_tokens_per_second")
-            .number(decode.prefill_tokens_per_second);
-        w.key("prefill_interleave_occupancy")
-            .number(decode.prefill_interleave_occupancy);
-        w.key("sessions_migrated")
-            .integer(decode.sessions_migrated as i64);
-        w.key("cluster_tokens_per_second")
-            .number(decode.cluster_tokens_per_second);
-        w.key("shards").begin_array();
-        for shard in &decode.shards {
-            w.begin_object();
-            w.key("device").string(&shard.device);
-            w.key("sessions_placed")
-                .integer(shard.sessions_placed as i64);
-            w.key("migrations_in").integer(shard.migrations_in as i64);
-            w.key("migrations_out").integer(shard.migrations_out as i64);
-            w.key("tokens_generated")
-                .integer(shard.tokens_generated as i64);
-            w.key("kv_blocks_in_use")
-                .integer(shard.kv_blocks_in_use as i64);
-            w.key("kv_blocks_peak").integer(shard.kv_blocks_peak as i64);
-            w.key("tokens_per_second").number(shard.tokens_per_second);
-            w.end();
-        }
-        w.end();
-        w.end();
-    }
-    if let Some(ingress) = &snapshot.ingress {
-        w.key("ingress").begin_object();
-        render_ingress_fields(&mut w, ingress);
-        w.end();
-    }
-    w.end();
-    w.finish()
-}
-
-pub(crate) fn render_ingress_fields(w: &mut JsonWriter, ingress: &IngressStatsSnapshot) {
-    w.key("accepted").integer(ingress.accepted as i64);
-    w.key("shed_at_socket")
-        .integer(ingress.shed_at_socket as i64);
-    w.key("shed_ring_full")
-        .integer(ingress.shed_ring_full as i64);
-    w.key("served").integer(ingress.served as i64);
-    w.key("streams_cancelled")
-        .integer(ingress.streams_cancelled as i64);
-    w.key("ring_depth").integer(ingress.ring_depth as i64);
-    w.key("ring_capacity").integer(ingress.ring_capacity as i64);
-    w.key("enqueue_cas_retries")
-        .integer(ingress.enqueue_cas_retries as i64);
-    w.key("wire_ttfb_p50_us")
-        .number(ingress.wire_ttfb_p50_seconds * 1e6);
-    w.key("wire_ttfb_p95_us")
-        .number(ingress.wire_ttfb_p95_seconds * 1e6);
-}
-
-/// Bridges the engine's [`StatsSnapshot`] (engine, decode and ingress
-/// sections) into Prometheus text exposition. Values are staged through a
-/// fresh [`hidet_trace::MetricsRegistry`] so the output shares the tracer's
-/// renderer — and therefore its well-formedness guarantees
-/// ([`hidet_trace::validate_exposition`] accepts it by construction).
-pub(crate) fn render_prometheus(s: &StatsSnapshot) -> String {
-    use hidet_trace::MetricType::{Counter, Gauge};
-    let m = hidet_trace::MetricsRegistry::new();
-    let c = |name: &str, help: &str, v: usize| {
-        m.describe(name, Counter, help);
-        m.counter_add(name, &[], v as u64);
-    };
-    let g = |name: &str, help: &str, v: f64| {
-        m.describe(name, Gauge, help);
-        m.gauge_set(name, &[], v);
-    };
-
-    c(
-        "hidet_engine_requests_total",
-        "Requests answered by the serving engine.",
-        s.requests,
-    );
-    c(
-        "hidet_engine_failures_total",
-        "Requests answered with an error.",
-        s.failures,
-    );
-    c(
-        "hidet_engine_shed_total",
-        "Requests shed by engine admission control.",
-        s.shed_requests,
-    );
-    c(
-        "hidet_engine_batches_total",
-        "Batch jobs executed.",
-        s.batches,
-    );
-    g(
-        "hidet_engine_batch_size_mean",
-        "Mean formed batch size.",
-        s.mean_batch_size,
-    );
-    g(
-        "hidet_engine_latency_p50_seconds",
-        "Median end-to-end request latency.",
-        s.p50_latency_seconds,
-    );
-    g(
-        "hidet_engine_latency_p95_seconds",
-        "95th percentile end-to-end request latency.",
-        s.p95_latency_seconds,
-    );
-    g(
-        "hidet_engine_throughput_rps",
-        "Cluster-wide request throughput.",
-        s.cluster_throughput_rps,
-    );
-    m.describe(
-        "hidet_engine_class_requests_total",
-        Counter,
-        "Requests by priority class.",
-    );
-    m.describe(
-        "hidet_engine_class_shed_total",
-        Counter,
-        "Shed requests by priority class.",
-    );
-    for class in &s.priorities {
-        let labels = [("priority", class.priority.label())];
-        m.counter_add(
-            "hidet_engine_class_requests_total",
-            &labels,
-            class.requests as u64,
-        );
-        m.counter_add(
-            "hidet_engine_class_shed_total",
-            &labels,
-            class.shed_requests as u64,
-        );
-    }
-
-    if let Some(d) = &s.decode {
-        c(
-            "hidet_decode_sequences_completed_total",
-            "Decode sessions run to completion.",
-            d.sequences_completed,
-        );
-        c(
-            "hidet_decode_tokens_total",
-            "Tokens generated across all decode shards.",
-            d.tokens_generated,
-        );
-        c(
-            "hidet_decode_prefill_tokens_total",
-            "Prompt tokens absorbed through chunked prefill.",
-            d.prefill_tokens,
-        );
-        c(
-            "hidet_decode_migrations_total",
-            "Sessions live-migrated between decode shards.",
-            d.sessions_migrated,
-        );
-        g(
-            "hidet_decode_kv_blocks_in_use",
-            "KV cache blocks currently allocated.",
-            d.kv_blocks_in_use as f64,
-        );
-        g(
-            "hidet_decode_kv_blocks_capacity",
-            "KV cache block capacity.",
-            d.kv_blocks_capacity as f64,
-        );
-        g(
-            "hidet_decode_tokens_per_second",
-            "Decode token throughput.",
-            d.tokens_per_second,
-        );
-        g(
-            "hidet_decode_ttft_p95_seconds",
-            "95th percentile time to first token.",
-            d.ttft_p95_seconds,
-        );
-        m.describe(
-            "hidet_decode_shard_tokens_total",
-            Counter,
-            "Tokens generated per decode shard.",
-        );
-        m.describe(
-            "hidet_decode_shard_kv_blocks_in_use",
-            Gauge,
-            "KV blocks allocated per decode shard.",
-        );
-        for (i, shard) in d.shards.iter().enumerate() {
-            let idx = i.to_string();
-            let labels = [("shard", idx.as_str())];
-            m.counter_add(
-                "hidet_decode_shard_tokens_total",
-                &labels,
-                shard.tokens_generated as u64,
-            );
-            m.gauge_set(
-                "hidet_decode_shard_kv_blocks_in_use",
-                &labels,
-                shard.kv_blocks_in_use as f64,
-            );
-        }
-    }
-
-    if let Some(i) = &s.ingress {
-        c(
-            "hidet_ingress_accepted_total",
-            "Connections accepted into a lane ring.",
-            i.accepted,
-        );
-        c(
-            "hidet_ingress_shed_at_socket_total",
-            "Connections shed at the socket by the delay signal.",
-            i.shed_at_socket,
-        );
-        c(
-            "hidet_ingress_shed_ring_full_total",
-            "Connections shed because every lane ring was full.",
-            i.shed_ring_full,
-        );
-        c(
-            "hidet_ingress_served_total",
-            "Connections answered by a lane.",
-            i.served,
-        );
-        c(
-            "hidet_ingress_streams_cancelled_total",
-            "Token streams dropped because the client went away.",
-            i.streams_cancelled,
-        );
-        g(
-            "hidet_ingress_ring_depth",
-            "Connections queued across lane rings.",
-            i.ring_depth as f64,
-        );
-        g(
-            "hidet_ingress_ring_capacity",
-            "Total lane ring capacity.",
-            i.ring_capacity as f64,
-        );
-        g(
-            "hidet_ingress_wire_ttfb_p50_seconds",
-            "Median wire time to first byte.",
-            i.wire_ttfb_p50_seconds,
-        );
-        g(
-            "hidet_ingress_wire_ttfb_p95_seconds",
-            "95th percentile wire time to first byte.",
-            i.wire_ttfb_p95_seconds,
-        );
-    }
-
-    m.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,18 +475,5 @@ mod tests {
             field("total_ns")
         );
         assert_eq!(field("total_ns"), 2040);
-    }
-
-    #[test]
-    fn prometheus_bridge_renders_a_valid_exposition() {
-        use hidet_runtime::{CacheCounters, ServerStats};
-        let snapshot = ServerStats::default().snapshot(CacheCounters::default(), Vec::new());
-        let text = render_prometheus(&snapshot);
-        hidet_trace::validate_exposition(&text).unwrap();
-        assert!(text.contains("hidet_engine_requests_total"), "{text}");
-        assert!(
-            text.contains("# TYPE hidet_engine_requests_total counter"),
-            "{text}"
-        );
     }
 }

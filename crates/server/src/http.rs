@@ -177,13 +177,16 @@ pub fn write_response(
     stream.flush()
 }
 
+/// `Retry-After` on shed responses, seconds.
+const RETRY_AFTER_SECONDS: u64 = 1;
+
 /// Writes the fixed shed response: `429` + `Retry-After`. Called on the
 /// acceptor path, before any parsing — the bytes are assembled without
 /// touching the request.
-pub fn write_shed(stream: &mut TcpStream, retry_after_seconds: u64) -> io::Result<()> {
+pub fn write_shed(stream: &mut TcpStream) -> io::Result<()> {
     let body = "{\"error\":\"overloaded\"}";
     let head = format!(
-        "HTTP/1.1 429 Too Many Requests\r\nRetry-After: {retry_after_seconds}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.1 429 Too Many Requests\r\nRetry-After: {RETRY_AFTER_SECONDS}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len(),
     );
     stream.write_all(head.as_bytes())?;

@@ -22,6 +22,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use hidet_decode::{DecodeEngine, DecodeError, GenerateRequest, SessionPoll};
+use hidet_runtime::stats::catalogue;
 use hidet_runtime::{
     AdmissionSignal, Engine, EngineError, IngressStatsSnapshot, LatencyReservoir, Priority, Request,
 };
@@ -42,12 +43,8 @@ pub struct ServerConfig {
     /// sheds when the sampled delay exceeds `bound × class delay slack`.
     /// `None` disables socket shedding (ring-full shedding still applies).
     pub shed_delay_bound: Option<Duration>,
-    /// `Retry-After` value on shed responses, seconds.
-    pub retry_after_seconds: u64,
     /// How often the sampler refreshes the cached admission signal.
     pub signal_interval: Duration,
-    /// Pin lane threads to distinct cores (Linux only; best-effort).
-    pub pin_lanes: bool,
     /// Tracing level applied to the process-wide tracer at startup:
     /// `MetricsOnly` (the default) keeps `GET /v2/metrics` live at ~zero
     /// overhead; `Full` (or sampled) additionally retains spans for
@@ -61,9 +58,7 @@ impl Default for ServerConfig {
             lanes: 2,
             ring_capacity: 64,
             shed_delay_bound: None,
-            retry_after_seconds: 1,
             signal_interval: Duration::from_millis(1),
-            pin_lanes: false,
             trace: TraceConfig::MetricsOnly,
         }
     }
@@ -84,6 +79,7 @@ struct Counters {
     shed_at_socket: AtomicUsize,
     shed_ring_full: AtomicUsize,
     served: AtomicUsize,
+    closed_before_request: AtomicUsize,
     streams_cancelled: AtomicUsize,
     ttfb: Mutex<LatencyReservoir>,
 }
@@ -167,15 +163,9 @@ impl HidetServer {
         let mut lane_threads = Vec::new();
         for (lane, consumer) in consumers.into_iter().enumerate() {
             let inner = Arc::clone(&inner);
-            let pin = config.pin_lanes;
             let handle = thread::Builder::new()
                 .name(format!("hidet-lane-{lane}"))
-                .spawn(move || {
-                    if pin {
-                        pin_to_core(lane);
-                    }
-                    lane_loop(consumer, &inner);
-                })?;
+                .spawn(move || lane_loop(consumer, &inner))?;
             lane_threads.push(handle.thread().clone());
             threads.push(handle);
         }
@@ -324,7 +314,7 @@ fn acceptor_loop(
                     .counters
                     .shed_at_socket
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = http::write_shed(&mut stream, config.retry_after_seconds);
+                let _ = http::write_shed(&mut stream);
                 continue;
             }
         }
@@ -354,7 +344,7 @@ fn acceptor_loop(
                     .counters
                     .shed_ring_full
                     .fetch_add(1, Ordering::Relaxed);
-                let _ = http::write_shed(&mut job.stream, config.retry_after_seconds);
+                let _ = http::write_shed(&mut job.stream);
             }
         }
     }
@@ -436,7 +426,15 @@ fn handle_connection(mut job: ConnJob, inner: &Inner) {
         let _parse = tracer.span(SpanKind::HttpParse, trace_id);
         match http::read_request(&mut job.stream) {
             Ok(Some(request)) => request,
-            Ok(None) => return,
+            Ok(None) => {
+                // Connected, sent nothing, closed: not served, but still on
+                // the books — `accepted = served + closed_before_request`.
+                inner
+                    .counters
+                    .closed_before_request
+                    .fetch_add(1, Ordering::Relaxed);
+                return;
+            }
             Err(err) => {
                 record_ttfb(inner, job.accepted_at);
                 let _ =
@@ -458,7 +456,7 @@ fn handle_connection(mut job: ConnJob, inner: &Inner) {
         }
         ("POST", "/v2/generate") => generate(inner, &mut job, &request, &mut timing),
         ("GET", "/v2/stats") => {
-            let body = api::render_stats(&inner.engine.stats());
+            let body = catalogue::render_json(&inner.engine.stats());
             respond(inner, &mut job, trace_id, (200, body));
         }
         ("GET", "/v2/metrics") => {
@@ -495,11 +493,11 @@ fn handle_connection(mut job: ConnJob, inner: &Inner) {
     }
 }
 
-/// The `GET /v2/metrics` body: engine/decode/ingress families bridged from
-/// the live stats snapshot, followed by the tracer's own span/event
-/// families — one well-formed text exposition.
+/// The `GET /v2/metrics` body: the catalogue's engine/decode/ingress
+/// families over the live stats snapshot, followed by the tracer's own
+/// span/event families — one well-formed text exposition.
 fn metrics_exposition(inner: &Inner) -> String {
-    let mut text = api::render_prometheus(&inner.engine.stats());
+    let mut text = catalogue::render_prometheus(&inner.engine.stats());
     text.push_str(&hidet_trace::global().render_metrics());
     text
 }
@@ -777,6 +775,7 @@ fn snapshot(counters: &Counters, producers: &[Producer<ConnJob>]) -> IngressStat
         shed_at_socket: counters.shed_at_socket.load(Ordering::Relaxed),
         shed_ring_full: counters.shed_ring_full.load(Ordering::Relaxed),
         served: counters.served.load(Ordering::Relaxed),
+        closed_before_request: counters.closed_before_request.load(Ordering::Relaxed),
         streams_cancelled: counters.streams_cancelled.load(Ordering::Relaxed),
         ring_depth: producers.iter().map(Producer::depth).sum(),
         ring_capacity: producers.iter().map(Producer::capacity).sum(),
@@ -785,27 +784,3 @@ fn snapshot(counters: &Counters, producers: &[Producer<ConnJob>]) -> IngressStat
         wire_ttfb_p95_seconds: ttfb.percentile(0.95),
     }
 }
-
-/// Best-effort core pinning via `sched_setaffinity(2)` — no libc crate in
-/// the workspace, so the one syscall is declared directly.
-#[cfg(target_os = "linux")]
-fn pin_to_core(lane: usize) {
-    let cores = thread::available_parallelism().map_or(1, usize::from);
-    let core = lane % cores;
-    const SET_BYTES: usize = 128; // room for 1024 CPUs, the kernel default
-    let mut mask = [0u8; SET_BYTES];
-    if core / 8 >= SET_BYTES {
-        return;
-    }
-    mask[core / 8] |= 1 << (core % 8);
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u8) -> i32;
-    }
-    // Failure just leaves the thread unpinned.
-    unsafe {
-        sched_setaffinity(0, SET_BYTES, mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_lane: usize) {}

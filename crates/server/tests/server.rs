@@ -1,12 +1,14 @@
 //! End-to-end tests over real TCP sockets: register → infer → streamed
 //! generate, socket-level shedding, and error mapping.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hidet_decode::{DecodeConfig, DecodeEngine};
+use hidet_runtime::stats::catalogue::{self, Metric};
 use hidet_runtime::{AdmissionSignal, Engine, EngineConfig};
 use hidet_sched::json::{get, Json};
 use hidet_server::{HidetServer, ServerConfig};
@@ -360,15 +362,13 @@ fn metrics_trace_and_timing_endpoints() {
     assert_eq!(status, 200, "{body}");
     assert!(head.contains("text/plain"), "{head}");
     hidet_trace::validate_exposition(&body).unwrap_or_else(|e| panic!("{e}\n---\n{body}"));
-    for family in [
-        "hidet_ingress_accepted_total",
-        "hidet_engine_requests_total",
-        "hidet_decode_tokens_total",
-        "hidet_decode_kv_blocks_in_use",
-        "hidet_span_seconds",
-        "hidet_trace_events_dropped_total",
-    ] {
-        assert!(body.contains(family), "missing {family} in:\n{body}");
+    for family in
+        catalogue::families().chain(["hidet_span_seconds", "hidet_trace_events_dropped_total"])
+    {
+        assert!(
+            body.contains(&format!("# TYPE {family} ")),
+            "missing {family} in:\n{body}"
+        );
     }
 
     // /v2/trace: Chrome trace_event JSON that Perfetto loads. The global
@@ -548,4 +548,250 @@ fn dropped_generate_connection_frees_kv_blocks() {
     }
     let ingress = server.ingress_stats();
     assert!(ingress.streams_cancelled >= 1, "{}", ingress.summary());
+}
+
+fn get_path(addr: SocketAddr, path: &str) -> String {
+    let (status, _, body) = roundtrip(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
+    assert_eq!(status, 200, "{body}");
+    body
+}
+
+/// `series name (labels included, as rendered) -> value` of an exposition.
+fn prometheus_samples(text: &str) -> HashMap<String, f64> {
+    text.lines()
+        .filter(|line| !line.starts_with('#') && !line.is_empty())
+        .map(|line| {
+            let (series, value) = line.rsplit_once(' ').expect("sample line");
+            (series.to_string(), value.parse().expect("sample value"))
+        })
+        .collect()
+}
+
+/// Checks one catalogue table against one `/v2/stats` object, the
+/// `/v2/metrics` series carrying `labels`, and the in-process snapshot
+/// struct. `moved_by_a_scrape` names the rows a scrape itself advances:
+/// those must be served by both endpoints and never run backwards.
+fn assert_rows_agree<S>(
+    table: &[Metric<S>],
+    snapshot: &S,
+    json: &[(String, Json)],
+    metrics: &HashMap<String, f64>,
+    labels: &str,
+    moved_by_a_scrape: &[&str],
+) {
+    for m in table {
+        let on_stats = get(json, m.key)
+            .unwrap_or_else(|e| panic!("/v2/stats lacks {}: {e}", m.key))
+            .as_f64(m.key)
+            .unwrap();
+        let series = format!("{}{labels}", m.family);
+        let on_metrics = *metrics
+            .get(&series)
+            .unwrap_or_else(|| panic!("/v2/metrics lacks {series}"));
+        if moved_by_a_scrape.contains(&m.key) {
+            if m.kind == hidet_trace::MetricType::Counter {
+                assert!(on_stats <= on_metrics, "{series} ran backwards");
+                assert!(on_metrics <= m.value(snapshot), "{series} ran backwards");
+            }
+            continue;
+        }
+        assert_eq!(on_stats, on_metrics * m.json_scale, "{} vs {series}", m.key);
+        assert_eq!(on_metrics, m.value(snapshot), "{series} vs Engine::stats()");
+    }
+}
+
+#[test]
+fn stats_and_metrics_agree_row_by_row_with_the_engine_snapshot() {
+    let (engine, decode) = engines();
+    let server = HidetServer::start(
+        ServerConfig::default(),
+        Arc::clone(&engine),
+        Arc::clone(&decode),
+    )
+    .unwrap();
+    let addr = server.public_addr();
+    let (status, _, _) = post(
+        addr,
+        "/v2/models",
+        r#"{"name":"head","family":"mlp","input_dim":8,"hidden_dim":8,"output_dim":2}"#,
+    );
+    assert_eq!(status, 201);
+    let (status, _, _) = post(
+        addr,
+        "/v2/models",
+        r#"{"name":"chat","family":"transformer-decode","layers":1,"hidden":16,"heads":2,"vocab":16,"max_context":64}"#,
+    );
+    assert_eq!(status, 201);
+    let inputs = ["1.0"; 8].join(",");
+    let (status, _, body) = post(
+        addr,
+        "/v2/infer",
+        &format!(r#"{{"model":"head","inputs":[[{inputs}]],"priority":"high"}}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    let (status, _, body) = post(
+        addr,
+        "/v2/generate",
+        r#"{"model":"chat","prompt":[3,1,4,1,5],"max_tokens":4}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    // Quiescence: the finished stream is fully booked before the scrapes.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while decode.stats().sequences_completed < 1 || decode.stats().kv_blocks_in_use > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "decode never quiesced"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let stats_body = get_path(addr, "/v2/stats");
+    let metrics_body = get_path(addr, "/v2/metrics");
+    let snapshot = engine.stats();
+    hidet_trace::validate_exposition(&metrics_body)
+        .unwrap_or_else(|e| panic!("{e}\n---\n{metrics_body}"));
+    let metrics = prometheus_samples(&metrics_body);
+    let doc = json_body(&stats_body);
+    let root = doc.as_object("stats").unwrap();
+
+    assert!(snapshot.requests >= 1 && snapshot.p95_latency_seconds > 0.0);
+    assert_rows_agree(catalogue::ENGINE, &snapshot, root, &metrics, "", &[]);
+    let classes = get(root, "priorities").unwrap().as_array("p").unwrap();
+    assert_eq!(classes.len(), snapshot.priorities.len());
+    for (class, json) in snapshot.priorities.iter().zip(classes) {
+        let json = json.as_object("class").unwrap();
+        let label = class.priority.label();
+        assert_eq!(get(json, "priority").unwrap().as_str("p").unwrap(), label);
+        let labels = format!("{{priority=\"{label}\"}}");
+        assert_rows_agree(catalogue::ENGINE_CLASS, class, json, &metrics, &labels, &[]);
+    }
+    let shards = get(root, "shards").unwrap().as_array("shards").unwrap();
+    assert_eq!(shards.len(), snapshot.shards.len());
+    for (shard, json) in snapshot.shards.iter().zip(shards) {
+        let json = json.as_object("shard").unwrap();
+        assert_eq!(
+            get(json, "device").unwrap().as_str("d").unwrap(),
+            shard.device
+        );
+        let labels = format!("{{shard=\"{}\"}}", shard.id);
+        assert_rows_agree(catalogue::ENGINE_SHARD, shard, json, &metrics, &labels, &[]);
+    }
+
+    let decode_snapshot = snapshot.decode.as_ref().expect("decode attached");
+    assert_eq!(decode_snapshot.tokens_generated, 4);
+    assert!(decode_snapshot.itl_p95_seconds > 0.0);
+    let decode_json = get(root, "decode").unwrap().as_object("decode").unwrap();
+    assert_rows_agree(
+        catalogue::DECODE,
+        decode_snapshot,
+        decode_json,
+        &metrics,
+        "",
+        &[],
+    );
+    let shards = get(decode_json, "shards").unwrap().as_array("s").unwrap();
+    assert_eq!(shards.len(), decode_snapshot.shards.len());
+    for (i, (shard, json)) in decode_snapshot.shards.iter().zip(shards).enumerate() {
+        let json = json.as_object("shard").unwrap();
+        assert_eq!(
+            get(json, "device").unwrap().as_str("d").unwrap(),
+            shard.device
+        );
+        let labels = format!("{{shard=\"{i}\"}}");
+        assert_rows_agree(catalogue::DECODE_SHARD, shard, json, &metrics, &labels, &[]);
+    }
+
+    // Each scrape is itself a connection: it is accepted, served and timed
+    // after the body it returns was rendered.
+    let ingress_snapshot = snapshot.ingress.as_ref().expect("ingress attached");
+    let ingress_json = get(root, "ingress").unwrap().as_object("ingress").unwrap();
+    assert_rows_agree(
+        catalogue::INGRESS,
+        ingress_snapshot,
+        ingress_json,
+        &metrics,
+        "",
+        &[
+            "accepted",
+            "served",
+            "ring_depth",
+            "enqueue_cas_retries",
+            "wire_ttfb_p50_us",
+            "wire_ttfb_p95_us",
+        ],
+    );
+}
+
+#[test]
+fn every_accepted_connection_stays_on_the_books() {
+    let (engine, decode) = engines();
+    let server = HidetServer::start(ServerConfig::default(), engine, decode).unwrap();
+    let addr = server.public_addr();
+    let mut answered = 0usize;
+    for body in [
+        r#"{"name":"m","family":"mlp","input_dim":4}"#,
+        r#"{"name":"chat","family":"transformer-decode","max_context":64}"#,
+    ] {
+        let (status, _, _) = post(addr, "/v2/models", body);
+        assert_eq!(status, 201);
+        answered += 1;
+    }
+    // N well-formed requests ...
+    for _ in 0..5 {
+        let (status, _, body) = post(
+            addr,
+            "/v2/infer",
+            r#"{"model":"m","inputs":[[1.0,1.0,1.0,1.0]]}"#,
+        );
+        assert_eq!(status, 200, "{body}");
+        answered += 1;
+    }
+    // ... M clients that connect, send nothing and close ...
+    let silent = 3usize;
+    for _ in 0..silent {
+        drop(TcpStream::connect(addr).unwrap());
+    }
+    // ... and one that dies mid-stream: it reads the first token, then
+    // vanishes with most of the generation still to come.
+    let body = r#"{"model":"chat","prompt":[3],"max_tokens":48}"#;
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(
+            format!(
+                "POST /v2/generate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let mut seen = Vec::new();
+    let mut chunk = [0u8; 256];
+    while !String::from_utf8_lossy(&seen).contains("\"token\"") {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "stream ended before the first token");
+        seen.extend_from_slice(&chunk[..n]);
+    }
+    drop(stream);
+
+    // The generate path books the dead stream twice over: as `served` (the
+    // lane did answer it) and as `streams_cancelled` (the answer was cut
+    // short). With the silent clients counted, nothing accepted is missing.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let ingress = server.ingress_stats();
+        let settled = ingress.streams_cancelled == 1
+            && ingress.closed_before_request == silent
+            && ingress.served == answered + 1
+            && ingress.accepted == ingress.served + ingress.closed_before_request;
+        if settled {
+            assert_eq!(ingress.shed_at_socket + ingress.shed_ring_full, 0);
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the books never balanced: {}",
+            ingress.summary()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
