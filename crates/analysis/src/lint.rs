@@ -10,7 +10,7 @@
 //!   `mpsc::`) anywhere in the lock-free hot-path ring files: the server's
 //!   ingress ring and the trace crate's per-thread event ring.
 //! * **HA102** — no `unwrap()` / `expect()` / `panic!`-family macro in the
-//!   runtime/decode/server hot-loop files, except sites justified in the
+//!   runtime/decode/server hot-loop files and the simulator's executor, except sites justified in the
 //!   allowlist (`crates/analysis/lint_allow.txt`). Test modules (everything
 //!   from the first `#[cfg(test)]` down) and comment lines are exempt.
 //! * **HA103** — every workspace crate's `lib.rs` carries
@@ -45,7 +45,7 @@ pub const BLOCKING_PATTERNS: &[&str] = &["Mutex", "RwLock", "Condvar", "mpsc::"]
 /// bare `span_start`/`span_end` call sites must balance.
 pub const INSTRUMENTED_FILES: &[&str] = &[
     "crates/core/src/compiler.rs",
-    "crates/sim/src/interp.rs",
+    "crates/sim/src/interp/exec.rs",
     "crates/runtime/src/engine.rs",
     "crates/decode/src/engine/",
     "crates/server/src/server.rs",
@@ -56,6 +56,7 @@ pub const INSTRUMENTED_FILES: &[&str] = &[
 /// here takes down a worker mid-batch instead of failing one request.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/compiler.rs",
+    "crates/sim/src/interp/exec.rs",
     "crates/runtime/src/engine.rs",
     "crates/decode/src/engine/",
     "crates/decode/src/kv.rs",

@@ -14,7 +14,7 @@ use hidet_sched::{
     pick_reduce_config, try_tune_matmul_with, MatmulConfig, MatmulProblem, ReduceConfig,
     TunerPolicy, TuningCache, TuningRecord,
 };
-use hidet_sim::{DeviceMemory, Gpu, SimError};
+use hidet_sim::{DeviceMemory, Gpu, Program, SimError};
 
 use crate::artifact::{CompiledArtifact, TunedEntry};
 use crate::plan::{MemoryPlan, Workspace};
@@ -264,6 +264,10 @@ pub struct CompilePlan {
     groups: Vec<CompiledGroup>,
     /// Liveness-planned arena placement of every intermediate buffer.
     memory_plan: MemoryPlan,
+    /// The kernels lowered for the interpreter, in launch order — built by
+    /// the first launch (compiling, saving and loading a plan never pay for
+    /// it) and shared by every clone of the plan.
+    programs: Arc<OnceLock<Vec<Program>>>,
 }
 
 /// A compiled model: an executable [`CompilePlan`] plus the serializable
@@ -472,6 +476,7 @@ fn plan_memory(
         graph,
         groups,
         memory_plan,
+        programs: Arc::default(),
     })
 }
 
@@ -950,6 +955,16 @@ impl CompilePlan {
         self.groups.iter().map(|g| g.kernels.len()).sum()
     }
 
+    /// Every kernel of [`CompilePlan::groups`] lowered to its interpreter
+    /// [`Program`], flattened in launch order. Lowered on first use, once
+    /// for this plan and all its clones.
+    pub fn programs(&self) -> &[Program] {
+        self.programs.get_or_init(|| {
+            let kernels = self.groups.iter().flat_map(|g| &g.kernels);
+            kernels.map(Program::lower).collect()
+        })
+    }
+
     /// Estimated end-to-end latency on `gpu` in seconds (kernel estimates +
     /// dispatch overhead).
     pub fn estimate(&self, gpu: &Gpu) -> f64 {
@@ -1001,6 +1016,7 @@ impl CompilePlan {
                 mem.alloc(&format!("t{idx}"), data);
             }
         }
+        let mut programs = self.programs().iter();
         for group in &self.groups {
             mem.alloc_zeroed(
                 &format!("t{}", group.output.0),
@@ -1009,8 +1025,8 @@ impl CompilePlan {
             for (name, len) in &group.scratch {
                 mem.alloc_zeroed(name, *len);
             }
-            for kernel in &group.kernels {
-                gpu.run(kernel, &mut mem)?;
+            for program in programs.by_ref().take(group.kernels.len()) {
+                gpu.launch(program, &program.resolve(&mem), &mut mem)?;
             }
         }
         let mut out = HashMap::new();
@@ -1486,5 +1502,27 @@ mod tests {
         // Conv-bn-relu fused into the implicit-GEMM matmul: far fewer kernels
         // than operators.
         assert!(compiled.num_kernels() <= 4, "{}", compiled.num_kernels());
+    }
+
+    #[test]
+    fn programs_are_lowered_once_and_shared_by_clones() {
+        let (graph, x, y) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        // Nothing is lowered by compiling, and a clone taken before the
+        // first launch shares what either of them lowers later.
+        assert!(compiled.plan().programs.get().is_none());
+        let clone = compiled.plan().clone();
+        assert!(clone.programs.get().is_none());
+        let programs = clone.programs();
+        assert_eq!(programs.len(), compiled.num_kernels());
+        assert!(std::ptr::eq(programs, compiled.plan().programs()));
+        assert!(std::ptr::eq(programs, compiled.clone().plan().programs()));
+
+        let mut inputs = HashMap::new();
+        inputs.insert(x, Tensor::randn(&[8, 16], 3).data().unwrap().to_vec());
+        let a = compiled.run(&inputs, &gpu).unwrap();
+        let b = clone.run(&inputs, &gpu).unwrap();
+        assert_eq!(a[&y], b[&y]);
     }
 }

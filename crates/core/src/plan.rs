@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hidet_graph::{Graph, TensorId};
-use hidet_sim::DeviceMemory;
+use hidet_sim::{BufferId, DeviceMemory};
 
 use crate::compiler::{CompileError, CompilePlan};
 
@@ -229,7 +229,77 @@ impl MemoryPlan {
 #[derive(Debug, Default)]
 pub struct Workspace {
     mem: DeviceMemory,
-    bound: Option<u64>,
+    bound: Option<Binding>,
+}
+
+/// What [`Workspace::bind`] resolved for one plan: every buffer name the
+/// steady-state path needs, as a dense id of the workspace's memory, so
+/// staging inputs, zeroing intermediates and launching kernels format and
+/// hash no name.
+#[derive(Debug)]
+struct Binding {
+    plan: u64,
+    /// The device buffer of each graph tensor that has one, by tensor index.
+    tensors: Vec<Option<BufferId>>,
+    /// Per group: the buffers zero-filled before its kernels run (its output,
+    /// then its scratch) with their lengths.
+    zeroed: Vec<Vec<(BufferId, usize)>>,
+    /// Per kernel, in launch order: the global buffers of its program.
+    launches: Vec<Vec<Option<BufferId>>>,
+}
+
+impl Binding {
+    /// Rebuilds `mem` for `plan` — arena sized, every planned buffer bound as
+    /// a view, constants uploaded, inputs and unplanned intermediates
+    /// allocated zeroed — and resolves every name once.
+    fn new(mem: &mut DeviceMemory, plan: &CompilePlan) -> Binding {
+        // A different plan may reuse buffer names with different meanings
+        // (another model's tensor ids); start from clean bindings.
+        *mem = DeviceMemory::new();
+        mem.reserve_arena(plan.memory_plan().arena_len());
+        for slot in plan.memory_plan().slots() {
+            mem.bind_view(&slot.name, slot.offset, slot.len);
+        }
+        let graph = plan.graph();
+        let tensor_name = |t: TensorId| format!("t{}", t.0);
+        for idx in 0..graph.num_tensors() {
+            if let Some(data) = graph.tensor(TensorId(idx)).data() {
+                mem.alloc(&tensor_name(TensorId(idx)), data);
+            }
+        }
+        for &t in graph.inputs() {
+            mem.alloc_zeroed(&tensor_name(t), graph.tensor(t).numel() as usize);
+        }
+        let mut zeroed = Vec::with_capacity(plan.groups().len());
+        for group in plan.groups() {
+            let output = (
+                tensor_name(group.output),
+                graph.tensor(group.output).numel() as usize,
+            );
+            let buffers = std::iter::once(&output).chain(&group.scratch);
+            let ids = buffers.map(|(name, len)| {
+                // The planner leaves a scratch name shared by two groups
+                // unplanned; such a buffer is owned, and re-sized by
+                // `DeviceMemory::zero` when the groups disagree on it.
+                if !mem.contains(name) {
+                    mem.alloc_zeroed(name, *len);
+                }
+                (mem.id(name).expect("allocated above"), *len)
+            });
+            zeroed.push(ids.collect());
+        }
+        let tensors = (0..graph.num_tensors()).map(|idx| mem.id(&tensor_name(TensorId(idx))));
+        Binding {
+            plan: plan.memory_plan().id(),
+            tensors: tensors.collect(),
+            zeroed,
+            launches: plan.programs().iter().map(|p| p.resolve(mem)).collect(),
+        }
+    }
+
+    fn tensor(&self, t: TensorId) -> Option<BufferId> {
+        self.tensors.get(t.0).copied().flatten()
+    }
 }
 
 impl Workspace {
@@ -245,38 +315,30 @@ impl Workspace {
     }
 
     /// Binds this workspace to `plan` if it is not already: sizes the arena,
-    /// binds every planned buffer as a view, uploads the graph's constants
-    /// and allocates (zeroed) every graph input buffer. A workspace already
-    /// bound to the same plan returns immediately — the steady-state path.
+    /// binds every planned buffer as a view, uploads the graph's constants,
+    /// allocates (zeroed) every graph input buffer, and resolves every
+    /// buffer name the plan's kernels use to its id in this memory. A
+    /// workspace already bound to the same plan returns immediately — the
+    /// steady-state path.
     ///
     /// Binding is implicit in [`CompilePlan::run_with`](crate::CompilePlan::run_with);
     /// stateful drivers that stage inputs **in place** (see
     /// [`Workspace::input_mut`] / [`Workspace::run_prepared`]) may call it
     /// explicitly.
     pub fn bind(&mut self, plan: &CompilePlan) {
+        self.bound(plan);
+    }
+
+    /// [`Workspace::bind`], handing back the memory and what was resolved.
+    fn bound(&mut self, plan: &CompilePlan) -> (&mut DeviceMemory, &Binding) {
         let id = plan.memory_plan().id();
-        if self.bound == Some(id) {
-            return;
+        if self.bound.as_ref().is_some_and(|b| b.plan != id) {
+            self.bound = None;
         }
-        // A different plan may reuse buffer names with different meanings
-        // (another model's tensor ids); start from clean bindings.
-        self.mem = DeviceMemory::new();
-        self.mem.reserve_arena(plan.memory_plan().arena_len());
-        for slot in plan.memory_plan().slots() {
-            self.mem.bind_view(&slot.name, slot.offset, slot.len);
-        }
-        let graph = plan.graph();
-        for idx in 0..graph.num_tensors() {
-            let t = TensorId(idx);
-            if let Some(data) = graph.tensor(t).data() {
-                self.mem.alloc(&format!("t{idx}"), data);
-            }
-        }
-        for &t in graph.inputs() {
-            self.mem
-                .alloc_zeroed(&format!("t{}", t.0), graph.tensor(t).numel() as usize);
-        }
-        self.bound = Some(id);
+        let binding = self
+            .bound
+            .get_or_insert_with(|| Binding::new(&mut self.mem, plan));
+        (&mut self.mem, binding)
     }
 
     /// The workspace's device memory (inputs, constants, planned
@@ -302,23 +364,22 @@ impl Workspace {
         plan: &CompilePlan,
         t: TensorId,
     ) -> Result<&mut [f32], CompileError> {
-        self.bind(plan);
-        if !plan.graph().inputs().contains(&t) {
-            return Err(CompileError::BadInput(format!(
+        let (mem, binding) = self.bound(plan);
+        let is_input = plan.graph().inputs().contains(&t);
+        match binding.tensor(t).filter(|_| is_input) {
+            Some(id) => Ok(mem.slice_mut(id)),
+            None => Err(CompileError::BadInput(format!(
                 "t{} is not a graph input",
                 t.0
-            )));
+            ))),
         }
-        Ok(self
-            .mem
-            .get_mut(&format!("t{}", t.0))
-            .expect("bind allocates every input"))
     }
 
     /// Graph output `t`'s device buffer after a run, without copying it out.
     /// `None` before the workspace ever bound a plan producing `t`.
     pub fn output(&self, t: TensorId) -> Option<&[f32]> {
-        self.mem.get(&format!("t{}", t.0))
+        let id = self.bound.as_ref()?.tensor(t)?;
+        Some(self.mem.slice(id))
     }
 
     /// Runs `plan`'s kernels against inputs already staged in this
@@ -335,24 +396,14 @@ impl Workspace {
         plan: &CompilePlan,
         gpu: &hidet_sim::Gpu,
     ) -> Result<(), CompileError> {
-        self.bind(plan);
-        self.run_groups(plan, gpu)
-    }
-
-    /// The shared kernel-execution tail of [`Workspace::execute`] and
-    /// [`Workspace::run_prepared`].
-    fn run_groups(&mut self, plan: &CompilePlan, gpu: &hidet_sim::Gpu) -> Result<(), CompileError> {
-        let graph = plan.graph();
-        for group in plan.groups() {
-            self.mem.alloc_zeroed(
-                &format!("t{}", group.output.0),
-                graph.tensor(group.output).numel() as usize,
-            );
-            for (name, len) in &group.scratch {
-                self.mem.alloc_zeroed(name, *len);
+        let (mem, binding) = self.bound(plan);
+        let mut launches = plan.programs().iter().zip(&binding.launches);
+        for (group, zeroed) in plan.groups().iter().zip(&binding.zeroed) {
+            for &(id, len) in zeroed {
+                mem.zero(id, len);
             }
-            for kernel in &group.kernels {
-                gpu.run(kernel, &mut self.mem)?;
+            for (program, buffers) in launches.by_ref().take(group.kernels.len()) {
+                gpu.launch(program, buffers, mem)?;
             }
         }
         Ok(())
@@ -368,28 +419,28 @@ impl Workspace {
         inputs: &HashMap<TensorId, Vec<f32>>,
         gpu: &hidet_sim::Gpu,
     ) -> Result<HashMap<TensorId, Vec<f32>>, CompileError> {
-        self.bind(plan);
         let graph = plan.graph();
         for &t in graph.inputs() {
             let data = inputs
                 .get(&t)
                 .ok_or_else(|| CompileError::BadInput(format!("missing input tensor t{}", t.0)))?;
-            let expect = graph.tensor(t).numel() as usize;
-            if data.len() != expect {
+            let staged = self.input_mut(plan, t)?;
+            if data.len() != staged.len() {
                 return Err(CompileError::BadInput(format!(
-                    "input t{} has {} elements, expected {expect}",
+                    "input t{} has {} elements, expected {}",
                     t.0,
-                    data.len()
+                    data.len(),
+                    staged.len()
                 )));
             }
-            self.mem.alloc(&format!("t{}", t.0), data);
+            staged.copy_from_slice(data);
         }
-        self.run_groups(plan, gpu)?;
-        let mut out = HashMap::new();
-        for &t in graph.outputs() {
-            out.insert(t, self.mem.read(&format!("t{}", t.0)).to_vec());
-        }
-        Ok(out)
+        self.run_prepared(plan, gpu)?;
+        Ok(graph
+            .outputs()
+            .iter()
+            .filter_map(|&t| Some((t, self.output(t)?.to_vec())))
+            .collect())
     }
 }
 

@@ -8,7 +8,10 @@
 //!   kernels — thread blocks dispatched over the grid, threads run in lockstep
 //!   across `__syncthreads()` barriers, shared memory and register files
 //!   faithfully scoped — used to validate every generated kernel against the
-//!   reference CPU executor;
+//!   reference CPU executor. A kernel is lowered once into a slot-resolved
+//!   [`Program`] (variables → registers, buffers → flat storage, block- and
+//!   thread-invariant arithmetic hoisted out of the loops) and the program
+//!   is what every launch runs;
 //! * an **analytic latency model** ([`cost`]) calibrated to RTX 3090
 //!   specifications ([`GpuSpec::rtx3090`]) that charges global-memory traffic
 //!   against DRAM bandwidth, FLOPs against CUDA-core/Tensor-Core throughput,
@@ -46,8 +49,8 @@ pub mod spec;
 pub mod value;
 
 pub use cost::{estimated_queue_delay, CostBreakdown, LatencyEstimate, Occupancy, WorkCounts};
-pub use interp::SimError;
-pub use memory::DeviceMemory;
+pub use interp::{Program, SimError};
+pub use memory::{BufferId, DeviceMemory};
 pub use spec::GpuSpec;
 pub use value::Value;
 
@@ -70,14 +73,33 @@ impl Gpu {
         &self.spec
     }
 
-    /// Functionally executes `kernel` against `memory` (named global buffers).
+    /// Functionally executes `kernel` against `memory` (named global buffers):
+    /// lowers it and launches the program once. Callers that run the same
+    /// kernel again and again keep the [`Program`] and use [`Gpu::launch`].
     ///
     /// # Errors
     /// Returns [`SimError`] on out-of-bounds accesses, missing buffers,
     /// non-uniform control flow around barriers, or resource-limit violations
     /// (shared memory per block exceeding the device limit).
     pub fn run(&self, kernel: &Kernel, memory: &mut DeviceMemory) -> Result<(), SimError> {
-        interp::run_kernel(kernel, memory, &self.spec)
+        let program = Program::lower(kernel);
+        self.launch(&program, &program.resolve(memory), memory)
+    }
+
+    /// Launches an already-lowered kernel. `buffers` are the program's
+    /// global buffers in `memory`, as [`Program::resolve`] returned them —
+    /// resolved once for as long as the names stay bound, so a steady stream
+    /// of launches looks nothing up by name.
+    ///
+    /// # Errors
+    /// As [`Gpu::run`].
+    pub fn launch(
+        &self,
+        program: &Program,
+        buffers: &[Option<BufferId>],
+        memory: &mut DeviceMemory,
+    ) -> Result<(), SimError> {
+        interp::launch(program, buffers, memory, &self.spec)
     }
 
     /// Estimates the execution latency of `kernel` on this device.

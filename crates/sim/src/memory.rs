@@ -20,6 +20,13 @@
 //! [`DeviceMemory::alloc`] and [`DeviceMemory::alloc_zeroed`] write **in
 //! place** when the named buffer already exists with the right length
 //! (owned or view), allocating only on first use or on a length change.
+//!
+//! Every name maps to a dense [`BufferId`] that stays valid for as long as
+//! the name is bound in this memory — across in-place writes, length
+//! changes and view rebinds. Callers that launch the same kernels request
+//! after request resolve names once ([`DeviceMemory::id`]) and address
+//! buffers by id from then on ([`DeviceMemory::slice`]), so the steady-state
+//! launch path hashes no string.
 
 use std::collections::HashMap;
 
@@ -37,10 +44,20 @@ enum Storage {
     },
 }
 
+/// Dense handle of one named buffer of one [`DeviceMemory`]; see
+/// [`DeviceMemory::id`]. Meaningless in any other memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BufferId(u32);
+
 /// Named global-memory buffers, keyed by kernel parameter name.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceMemory {
-    buffers: HashMap<String, Storage>,
+    /// Name → index into `slots`.
+    names: HashMap<String, u32>,
+    /// Buffer storage by [`BufferId`]. A freed buffer leaves an empty owned
+    /// slot behind and its index is never reused, so a stale id reads as a
+    /// zero-length buffer instead of somebody else's data.
+    slots: Vec<Storage>,
     /// Shared backing store for [`Storage::View`] buffers.
     arena: Vec<f32>,
 }
@@ -51,38 +68,47 @@ impl DeviceMemory {
         DeviceMemory::default()
     }
 
+    /// Binds `name` to `storage`: in the name's existing slot (its id stays
+    /// valid) or in a fresh one.
+    fn set(&mut self, name: &str, storage: Storage) {
+        match self.names.get(name) {
+            Some(&slot) => self.slots[slot as usize] = storage,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 buffers");
+                self.names.insert(name.to_string(), slot);
+                self.slots.push(storage);
+            }
+        }
+    }
+
     /// Allocates (or overwrites) a buffer with the given contents. An
     /// existing buffer of the same length — owned or view — is written in
     /// place without allocating.
     pub fn alloc(&mut self, name: &str, data: &[f32]) {
-        match self.buffers.get_mut(name) {
-            Some(Storage::Owned(buf)) if buf.len() == data.len() => {
-                buf.copy_from_slice(data);
-            }
-            Some(Storage::View { offset, len }) if *len == data.len() => {
-                self.arena[*offset..*offset + *len].copy_from_slice(data);
-            }
-            _ => {
-                self.buffers
-                    .insert(name.to_string(), Storage::Owned(data.to_vec()));
-            }
+        match self.get_mut(name) {
+            Some(buf) if buf.len() == data.len() => buf.copy_from_slice(data),
+            _ => self.set(name, Storage::Owned(data.to_vec())),
         }
     }
 
     /// Allocates (or re-zeroes) a buffer of `len` elements. An existing
     /// buffer of the same length is zero-filled in place without allocating.
     pub fn alloc_zeroed(&mut self, name: &str, len: usize) {
-        match self.buffers.get_mut(name) {
-            Some(Storage::Owned(buf)) if buf.len() == len => {
-                buf.fill(0.0);
-            }
-            Some(Storage::View { offset, len: l }) if *l == len => {
-                self.arena[*offset..*offset + *l].fill(0.0);
-            }
-            _ => {
-                self.buffers
-                    .insert(name.to_string(), Storage::Owned(vec![0.0; len]));
-            }
+        match self.id(name) {
+            Some(id) => self.zero(id, len),
+            None => self.set(name, Storage::Owned(vec![0.0; len])),
+        }
+    }
+
+    /// [`DeviceMemory::alloc_zeroed`] by id: zero-fills the buffer in place,
+    /// or replaces it with a fresh owned one when its length is not `len`.
+    /// An id this memory never issued is ignored.
+    pub fn zero(&mut self, id: BufferId, len: usize) {
+        let buf = self.slice_mut(id);
+        if buf.len() == len {
+            buf.fill(0.0);
+        } else if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            *slot = Storage::Owned(vec![0.0; len]);
         }
     }
 
@@ -114,8 +140,7 @@ impl DeviceMemory {
             offset + len,
             self.arena.len()
         );
-        self.buffers
-            .insert(name.to_string(), Storage::View { offset, len });
+        self.set(name, Storage::View { offset, len });
     }
 
     /// Reads a buffer.
@@ -128,31 +153,52 @@ impl DeviceMemory {
             .unwrap_or_else(|| panic!("no buffer named {name} in device memory"))
     }
 
+    /// The dense id `name` is bound to, if it is bound.
+    pub fn id(&self, name: &str) -> Option<BufferId> {
+        self.names.get(name).copied().map(BufferId)
+    }
+
+    /// The buffer behind `id`; empty for an id this memory never issued.
+    #[inline]
+    pub fn slice(&self, id: BufferId) -> &[f32] {
+        match self.slots.get(id.0 as usize) {
+            Some(Storage::Owned(buf)) => buf,
+            Some(Storage::View { offset, len }) => &self.arena[*offset..*offset + *len],
+            None => &[],
+        }
+    }
+
+    /// The buffer behind `id`, mutably; empty for an id this memory never
+    /// issued.
+    #[inline]
+    pub fn slice_mut(&mut self, id: BufferId) -> &mut [f32] {
+        match self.slots.get_mut(id.0 as usize) {
+            Some(Storage::Owned(buf)) => buf,
+            Some(Storage::View { offset, len }) => &mut self.arena[*offset..*offset + *len],
+            None => &mut [],
+        }
+    }
+
     /// Fallible buffer lookup.
     pub fn get(&self, name: &str) -> Option<&[f32]> {
-        match self.buffers.get(name)? {
-            Storage::Owned(buf) => Some(buf.as_slice()),
-            Storage::View { offset, len } => Some(&self.arena[*offset..*offset + *len]),
-        }
+        self.id(name).map(|id| self.slice(id))
     }
 
     /// Mutable fallible lookup.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut [f32]> {
-        match self.buffers.get_mut(name)? {
-            Storage::Owned(buf) => Some(buf.as_mut_slice()),
-            Storage::View { offset, len } => Some(&mut self.arena[*offset..*offset + *len]),
-        }
+        self.id(name).map(|id| self.slice_mut(id))
     }
 
     /// True if a buffer with this name exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.buffers.contains_key(name)
+        self.names.contains_key(name)
     }
 
     /// Removes a buffer, returning its contents. A view's window stays part
     /// of the arena (only the name binding is dropped).
     pub fn free(&mut self, name: &str) -> Option<Vec<f32>> {
-        match self.buffers.remove(name)? {
+        let slot = self.names.remove(name)? as usize;
+        match std::mem::replace(&mut self.slots[slot], Storage::Owned(Vec::new())) {
             Storage::Owned(buf) => Some(buf),
             Storage::View { offset, len } => Some(self.arena[offset..offset + len].to_vec()),
         }
@@ -196,15 +242,15 @@ impl DeviceMemory {
 
     /// Names of all resident buffers (unordered).
     pub fn buffer_names(&self) -> impl Iterator<Item = &str> {
-        self.buffers.keys().map(String::as_str)
+        self.names.keys().map(String::as_str)
     }
 
     /// Total resident bytes (4 bytes per element): owned buffers plus the
     /// arena (counted once — views alias it).
     pub fn total_bytes(&self) -> usize {
         let owned: usize = self
-            .buffers
-            .values()
+            .slots
+            .iter()
             .map(|s| match s {
                 Storage::Owned(buf) => buf.len() * 4,
                 Storage::View { .. } => 0,
@@ -274,6 +320,29 @@ mod tests {
         assert_eq!(m.read("A"), &[1.0, 2.0, 9.0, 4.0]);
         // Arena counted once, views are free.
         assert_eq!(m.total_bytes(), 32);
+    }
+
+    #[test]
+    fn ids_survive_rewrites_and_never_alias_after_free() {
+        let mut m = DeviceMemory::new();
+        m.reserve_arena(4);
+        m.alloc("A", &[1.0, 2.0]);
+        let a = m.id("A").unwrap();
+        assert_eq!(m.id("B"), None);
+        m.alloc("A", &[3.0, 4.0, 5.0]); // length change keeps the id
+        assert_eq!(m.id("A"), Some(a));
+        assert_eq!(m.slice(a), &[3.0, 4.0, 5.0]);
+        m.bind_view("A", 1, 2); // so does a view rebind
+        m.slice_mut(a)[0] = 9.0;
+        assert_eq!(m.read("A"), &[9.0, 0.0]);
+        m.zero(a, 2); // in place
+        assert_eq!(m.read("A"), &[0.0, 0.0]);
+        m.zero(a, 3); // wrong length: a fresh owned buffer under the same id
+        assert_eq!(m.read("A"), &[0.0; 3]);
+        m.free("A");
+        m.alloc("B", &[7.0]);
+        assert_ne!(m.id("B"), Some(a), "freed slots are not reused");
+        assert!(m.slice(a).is_empty(), "a stale id sees no data");
     }
 
     #[test]

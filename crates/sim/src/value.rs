@@ -15,6 +15,7 @@ pub enum Value {
 
 impl Value {
     /// As float, converting integers; `None` for booleans.
+    #[inline]
     pub fn as_f32(self) -> Option<f32> {
         match self {
             Value::F32(v) => Some(v),
@@ -24,6 +25,7 @@ impl Value {
     }
 
     /// As integer; floats truncate toward zero (CUDA C cast semantics).
+    #[inline]
     pub fn as_i64(self) -> Option<i64> {
         match self {
             Value::I64(v) => Some(v),
@@ -33,6 +35,7 @@ impl Value {
     }
 
     /// As boolean.
+    #[inline]
     pub fn as_bool(self) -> Option<bool> {
         match self {
             Value::Bool(v) => Some(v),
@@ -41,6 +44,7 @@ impl Value {
     }
 
     /// Casts to the given IR type.
+    #[inline]
     pub fn cast(self, dtype: DType) -> Value {
         match dtype {
             DType::F32 | DType::F16 => Value::F32(self.as_f32().unwrap_or(0.0)),
@@ -58,6 +62,7 @@ impl Value {
     ///
     /// Integer division by zero yields `None` (reported as a runtime error by
     /// the interpreter rather than a panic).
+    #[inline(always)]
     pub fn binary(op: BinOp, a: Value, b: Value) -> Option<Value> {
         use BinOp::*;
         match (a, b) {
@@ -104,6 +109,7 @@ impl Value {
     }
 
     /// Applies a unary operator.
+    #[inline]
     pub fn unary(op: UnOp, v: Value) -> Option<Value> {
         use UnOp::*;
         match op {

@@ -1,3 +1,9 @@
+//! The tree-walking kernel interpreter `hidet_sim` shipped until the flat
+//! [`hidet_sim::Program`] executor replaced it — moved here unchanged (only
+//! its imports, and `SimError`, which stayed in the library) to serve one PR
+//! as the differential oracle of `tests/interp_differential.rs`. Test
+//! support only: nothing in the library can reach it.
+//!
 //! Functional interpreter for `hidet-ir` kernels.
 //!
 //! Thread blocks execute sequentially over the grid (dispatch order does not
@@ -9,84 +15,14 @@
 //! barrier-free subtrees run each thread to completion independently.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use hidet_ir::buffer::BufferRef;
 use hidet_ir::{Expr, Kernel, MemScope, Stmt, Var};
-
-use crate::memory::DeviceMemory;
-use crate::spec::GpuSpec;
-use crate::value::Value;
-
-/// Errors produced by the simulator (interpreter and cost model).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// A kernel parameter has no corresponding buffer in device memory.
-    MissingBuffer(String),
-    /// A device buffer has the wrong number of elements for its parameter.
-    BufferSizeMismatch {
-        /// Buffer name.
-        name: String,
-        /// Elements the kernel expects.
-        expected: usize,
-        /// Elements actually allocated.
-        actual: usize,
-    },
-    /// An access index fell outside a buffer dimension.
-    OutOfBounds {
-        /// Buffer name.
-        buffer: String,
-        /// Dimension of the offending index.
-        dim: usize,
-        /// The index value.
-        index: i64,
-        /// The dimension extent.
-        extent: i64,
-    },
-    /// Integer division or modulo by zero.
-    DivByZero,
-    /// An unbound variable was referenced.
-    UnboundVar(String),
-    /// A type error (e.g. boolean used as an index).
-    TypeError(String),
-    /// Threads disagreed on a loop extent or branch condition that encloses a
-    /// barrier — undefined behaviour on real hardware, an error here.
-    NonUniformControl(String),
-    /// The kernel exceeds a device resource limit and cannot launch.
-    ResourceLimit(String),
-    /// A loop extent is not a compile-time constant where one is required.
-    NonConstExtent(String),
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::MissingBuffer(name) => write!(f, "no device buffer named {name}"),
-            SimError::BufferSizeMismatch { name, expected, actual } => write!(
-                f,
-                "buffer {name} has {actual} elements but the kernel expects {expected}"
-            ),
-            SimError::OutOfBounds { buffer, dim, index, extent } => write!(
-                f,
-                "index {index} out of bounds for dimension {dim} (extent {extent}) of buffer {buffer}"
-            ),
-            SimError::DivByZero => f.write_str("integer division by zero"),
-            SimError::UnboundVar(name) => write!(f, "unbound variable {name}"),
-            SimError::TypeError(msg) => write!(f, "type error: {msg}"),
-            SimError::NonUniformControl(msg) => {
-                write!(f, "non-uniform control flow around a barrier: {msg}")
-            }
-            SimError::ResourceLimit(msg) => write!(f, "resource limit exceeded: {msg}"),
-            SimError::NonConstExtent(msg) => write!(f, "non-constant loop extent: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
+use hidet_sim::{DeviceMemory, GpuSpec, SimError, Value};
 
 /// Executes `kernel` against `memory` on the given device.
 ///
-/// See [`crate::Gpu::run`] for the error contract.
+/// See [`hidet_sim::Gpu::run`] for the error contract.
 pub fn run_kernel(
     kernel: &Kernel,
     memory: &mut DeviceMemory,
@@ -485,217 +421,5 @@ impl<'a> BlockCtx<'a> {
             }
         }
         Ok(first)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hidet_ir::prelude::*;
-
-    fn run(kernel: &Kernel, mem: &mut DeviceMemory) -> Result<(), SimError> {
-        run_kernel(kernel, mem, &GpuSpec::rtx3090())
-    }
-
-    #[test]
-    fn elementwise_double() {
-        let mut kb = KernelBuilder::new("double", 2, 4);
-        let x = kb.param("X", DType::F32, &[8]);
-        let i = block_idx() * 4 + thread_idx();
-        kb.push(store(&x, vec![i.clone()], load(&x, vec![i]) * 2.0f32));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc("X", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        run(&kernel, &mut mem).unwrap();
-        assert_eq!(mem.read("X"), &[2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn shared_memory_reversal_with_barrier() {
-        // Each thread writes smem[t], barrier, reads smem[blockDim-1-t].
-        let mut kb = KernelBuilder::new("reverse", 1, 8);
-        let x = kb.param("X", DType::F32, &[8]);
-        let y = kb.param("Y", DType::F32, &[8]);
-        let s = kb.shared("S", DType::F32, &[8]);
-        kb.push(store(&s, vec![thread_idx()], load(&x, vec![thread_idx()])));
-        kb.push(sync_threads());
-        kb.push(store(
-            &y,
-            vec![thread_idx()],
-            load(&s, vec![c(7) - thread_idx()]),
-        ));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc("X", &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        mem.alloc_zeroed("Y", 8);
-        run(&kernel, &mut mem).unwrap();
-        assert_eq!(mem.read("Y"), &[7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn register_buffers_are_private_per_thread() {
-        let mut kb = KernelBuilder::new("private", 1, 4);
-        let y = kb.param("Y", DType::F32, &[4]);
-        let r = kb.local("R", DType::F32, &[1]);
-        kb.push(store(&r, vec![c(0)], thread_idx().cast(DType::F32)));
-        kb.push(store(&y, vec![thread_idx()], load(&r, vec![c(0)])));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("Y", 4);
-        run(&kernel, &mut mem).unwrap();
-        assert_eq!(mem.read("Y"), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn loop_accumulation() {
-        let mut kb = KernelBuilder::new("sum", 1, 1);
-        let y = kb.param("Y", DType::F32, &[1]);
-        kb.push(store(&y, vec![c(0)], fconst(0.0)));
-        kb.push(for_range("i", 5, |i| {
-            store(&y, vec![c(0)], load(&y, vec![c(0)]) + i.cast(DType::F32))
-        }));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("Y", 1);
-        run(&kernel, &mut mem).unwrap();
-        assert_eq!(mem.read("Y"), &[10.0]);
-    }
-
-    #[test]
-    fn let_bindings_scope_within_seq() {
-        let mut kb = KernelBuilder::new("lets", 1, 2);
-        let y = kb.param("Y", DType::F32, &[2]);
-        let v = var("v");
-        kb.push(seq(vec![
-            let_(&v, thread_idx() * 10),
-            store(&y, vec![thread_idx()], v.expr().cast(DType::F32)),
-        ]));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("Y", 2);
-        run(&kernel, &mut mem).unwrap();
-        assert_eq!(mem.read("Y"), &[0.0, 10.0]);
-    }
-
-    #[test]
-    fn out_of_bounds_detected() {
-        let mut kb = KernelBuilder::new("oob", 1, 4);
-        let x = kb.param("X", DType::F32, &[2]);
-        kb.push(store(&x, vec![thread_idx()], fconst(1.0)));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("X", 2);
-        let err = run(&kernel, &mut mem).unwrap_err();
-        assert!(matches!(err, SimError::OutOfBounds { .. }), "{err}");
-    }
-
-    #[test]
-    fn predicated_store_stays_in_bounds() {
-        let mut kb = KernelBuilder::new("pred", 1, 4);
-        let x = kb.param("X", DType::F32, &[2]);
-        kb.push(if_then(
-            thread_idx().lt(2),
-            store(&x, vec![thread_idx()], fconst(1.0)),
-        ));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("X", 2);
-        run(&kernel, &mut mem).unwrap();
-        assert_eq!(mem.read("X"), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn missing_buffer_reported() {
-        let mut kb = KernelBuilder::new("k", 1, 1);
-        kb.param("X", DType::F32, &[1]);
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        let err = run(&kernel, &mut mem).unwrap_err();
-        assert_eq!(err, SimError::MissingBuffer("X".to_string()));
-    }
-
-    #[test]
-    fn size_mismatch_reported() {
-        let mut kb = KernelBuilder::new("k", 1, 1);
-        kb.param("X", DType::F32, &[4]);
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("X", 2);
-        let err = run(&kernel, &mut mem).unwrap_err();
-        assert!(matches!(err, SimError::BufferSizeMismatch { .. }));
-    }
-
-    #[test]
-    fn non_uniform_extent_around_barrier_rejected() {
-        // for i in 0..threadIdx { sync } — thread-dependent extent around a barrier.
-        let mut kb = KernelBuilder::new("bad", 1, 4);
-        kb.param("X", DType::F32, &[1]);
-        kb.push(for_range("i", thread_idx(), |_| sync_threads()));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("X", 1);
-        let err = run(&kernel, &mut mem).unwrap_err();
-        assert!(matches!(err, SimError::NonUniformControl(_)), "{err}");
-    }
-
-    #[test]
-    fn shared_memory_limit_enforced() {
-        let mut kb = KernelBuilder::new("big", 1, 32);
-        kb.param("X", DType::F32, &[1]);
-        kb.shared("S", DType::F32, &[64 * 1024]); // 256 KiB > limit
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        mem.alloc_zeroed("X", 1);
-        let err = run(&kernel, &mut mem).unwrap_err();
-        assert!(matches!(err, SimError::ResourceLimit(_)), "{err}");
-    }
-
-    #[test]
-    fn double_buffered_pipeline_is_functionally_correct() {
-        // A miniature double-buffered sum over 4 tiles of 8 elements:
-        // smem[2][8], preload tile 0, then overlap "load next" and "consume".
-        let mut kb = KernelBuilder::new("dbuf", 1, 8);
-        let x = kb.param("X", DType::F32, &[32]);
-        let y = kb.param("Y", DType::F32, &[8]);
-        let s = kb.shared("S", DType::F32, &[2, 8]);
-        let r = kb.local("Acc", DType::F32, &[1]);
-        let t = thread_idx();
-        kb.push(store(&r, vec![c(0)], fconst(0.0)));
-        kb.push(store(&s, vec![c(0), t.clone()], load(&x, vec![t.clone()])));
-        kb.push(sync_threads());
-        kb.push(for_range("k", 3, |k| {
-            let p = k.clone() % 2;
-            let q = (k.clone() + 1) % 2;
-            seq(vec![
-                // Preload next tile into the other buffer.
-                store(
-                    &s,
-                    vec![q, t.clone()],
-                    load(&x, vec![(k.clone() + 1) * 8 + t.clone()]),
-                ),
-                // Consume the current buffer.
-                store(
-                    &r,
-                    vec![c(0)],
-                    load(&r, vec![c(0)]) + load(&s, vec![p, t.clone()]),
-                ),
-                sync_threads(),
-            ])
-        }));
-        kb.push(store(
-            &r,
-            vec![c(0)],
-            load(&r, vec![c(0)]) + load(&s, vec![c(3) % 2, t.clone()]),
-        ));
-        kb.push(store(&y, vec![t.clone()], load(&r, vec![c(0)])));
-        let kernel = kb.build();
-        let mut mem = DeviceMemory::new();
-        let xs: Vec<f32> = (0..32).map(|i| i as f32).collect();
-        mem.alloc("X", &xs);
-        mem.alloc_zeroed("Y", 8);
-        run(&kernel, &mut mem).unwrap();
-        // Thread t sums x[t], x[8+t], x[16+t], x[24+t] = 4t + 48.
-        let expect: Vec<f32> = (0..8).map(|t| 4.0 * t as f32 + 48.0).collect();
-        assert_eq!(mem.read("Y"), &expect[..]);
     }
 }
