@@ -322,6 +322,10 @@ fn acceptor_loop(
             stream,
             accepted_at: Instant::now(),
         });
+        // Counted before the push: once a lane holds the connection it can be
+        // served (and counted as such) before this thread runs again, and
+        // `served` must never be seen ahead of `accepted`.
+        inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
         // Try every lane once, starting round-robin: a single busy lane must
         // not force a shed while others have room.
         for offset in 0..producers.len() {
@@ -335,17 +339,13 @@ fn acceptor_loop(
                 Err(back) => job = Some(back),
             }
         }
-        match job {
-            None => {
-                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(mut job) => {
-                inner
-                    .counters
-                    .shed_ring_full
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = http::write_shed(&mut job.stream);
-            }
+        if let Some(mut job) = job {
+            inner.counters.accepted.fetch_sub(1, Ordering::Relaxed);
+            inner
+                .counters
+                .shed_ring_full
+                .fetch_add(1, Ordering::Relaxed);
+            let _ = http::write_shed(&mut job.stream);
         }
     }
 }

@@ -280,10 +280,23 @@ fn checked_index(
     Ok((index as usize, d.stride))
 }
 
-/// The flat element index of access `a`: every dimension bounds-checked in
-/// order, as `Σ index × stride`.
+/// The element of its space's storage that access `a` addresses. A proven
+/// access is `offset + Σ index × stride` over its non-constant terms,
+/// unchecked: the lowering showed it in bounds, and the storage slice's own
+/// `get` stands behind that. Any other has every dimension bounds-checked in
+/// order, and the sum checked against the buffer's declaration.
 #[inline(always)]
-fn flat_index(p: &Program, a: &Access, regs: &[Value]) -> Result<usize, Fault> {
+fn address(p: &Program, a: &Access, regs: &[Value]) -> Result<usize, Fault> {
+    if a.proven {
+        let mut flat = a.offset;
+        for d in &p.dims[a.first_dim as usize..][..a.rank as usize] {
+            let Value::I64(index) = regs[d.idx as usize] else {
+                return Err(type_error("index must be integer"));
+            };
+            flat = flat.wrapping_add((index as usize).wrapping_mul(d.stride));
+        }
+        return Ok(flat);
+    }
     let mut flat = 0;
     for dim in 0..a.rank as usize {
         let (index, stride) = checked_index(p, a, dim, regs)?;
@@ -292,7 +305,7 @@ fn flat_index(p: &Program, a: &Access, regs: &[Value]) -> Result<usize, Fault> {
     if flat >= a.limit {
         return Err(past_the_end(p, a, flat));
     }
-    Ok(flat)
+    Ok(a.offset + flat)
 }
 
 /// A stored value converted to its buffer's element type, as `f32`.
@@ -313,7 +326,8 @@ struct Files<'a> {
 }
 
 impl Files<'_> {
-    /// The buffer access `a` addresses, for reading.
+    /// The storage access `a` addresses — a global buffer, the block's
+    /// shared memory or the thread's register arrays — for reading.
     #[inline(always)]
     fn storage(&self, p: &Program, a: &Access) -> Result<&[f32], Fault> {
         match a.space {
@@ -321,13 +335,13 @@ impl Files<'_> {
                 let id = self.globals.get(g as usize).copied().flatten();
                 Ok(self.memory.slice(id.ok_or_else(|| missing(p, a))?))
             }
-            Space::Shared => Ok(&self.shared[a.base..]),
-            Space::Local => Ok(&self.locals[a.base..]),
+            Space::Shared => Ok(self.shared),
+            Space::Local => Ok(self.locals),
             Space::Missing => Err(missing(p, a)),
         }
     }
 
-    /// The buffer access `a` addresses, for writing.
+    /// The storage access `a` addresses, for writing.
     #[inline(always)]
     fn storage_mut(&mut self, p: &Program, a: &Access) -> Result<&mut [f32], Fault> {
         match a.space {
@@ -335,8 +349,8 @@ impl Files<'_> {
                 let id = self.globals.get(g as usize).copied().flatten();
                 Ok(self.memory.slice_mut(id.ok_or_else(|| missing(p, a))?))
             }
-            Space::Shared => Ok(&mut self.shared[a.base..]),
-            Space::Local => Ok(&mut self.locals[a.base..]),
+            Space::Shared => Ok(self.shared),
+            Space::Local => Ok(self.locals),
             Space::Missing => Err(missing(p, a)),
         }
     }
@@ -350,7 +364,7 @@ impl Files<'_> {
             return Ok(self.regs[operand as usize]);
         }
         let a = &p.accesses[(operand & !MEM) as usize];
-        let flat = flat_index(p, a, self.regs)?;
+        let flat = address(p, a, self.regs)?;
         let element = self.storage(p, a)?.get(flat);
         Ok(Value::F32(
             *element.ok_or_else(|| past_the_end(p, a, flat))?,
@@ -387,18 +401,26 @@ fn step(p: &Program, code: &[Op], f: &mut Files<'_>) -> Result<(), Fault> {
             }
             Op::Store { access, src } => {
                 let a = &p.accesses[access as usize];
-                let flat = flat_index(p, a, f.regs)?;
+                let flat = address(p, a, f.regs)?;
                 let value = store_value(f.fetch(p, src)?, a.dtype)?;
                 let slot = f.storage_mut(p, a)?.get_mut(flat);
                 *slot.ok_or_else(|| past_the_end(p, a, flat))? = value;
             }
             Op::Update { op, access, src } => {
                 let a = &p.accesses[access as usize];
-                let flat = flat_index(p, a, f.regs)?;
+                let flat = address(p, a, f.regs)?;
                 let with = f.fetch(p, src)?;
                 let slot = f.storage_mut(p, a)?.get_mut(flat);
                 let slot = slot.ok_or_else(|| past_the_end(p, a, flat))?;
                 *slot = store_value(binary(op, Value::F32(*slot), with)?, a.dtype)?;
+            }
+            Op::MulAdd { access, a, b } => {
+                let product = binary(BinOp::Mul, f.fetch(p, a)?, f.fetch(p, b)?)?;
+                let a = &p.accesses[access as usize];
+                let flat = address(p, a, f.regs)?;
+                let slot = f.storage_mut(p, a)?.get_mut(flat);
+                let slot = slot.ok_or_else(|| past_the_end(p, a, flat))?;
+                *slot = store_value(binary(BinOp::Add, Value::F32(*slot), product)?, a.dtype)?;
             }
             Op::Jump { skip } => pc += skip as usize,
             Op::Branch { cond, skip, select } => {

@@ -11,7 +11,14 @@
 //! Integer values also carry an interval. An access whose indices provably
 //! stay inside its buffer cannot fault either, so its load need not happen
 //! at a fixed point: it becomes a *memory operand* of the instruction that
-//! consumes it, and `b[i] = b[i] + x` becomes one read-modify-write.
+//! consumes it, `b[i] = b[i] + x` becomes one read-modify-write (one
+//! multiply-add when `x` is a product), and its address is a folded
+//! constant plus the terms that are not constants, unchecked.
+//!
+//! A barrier-free loop with a small constant extent is lowered as copies of
+//! its body with the loop variable a literal ([`Lowerer::unroll`]), within a
+//! fixed budget. Nothing else changes for it: the folding and the places
+//! above do the rest, and a loop outside the budget lowers as a loop.
 
 use std::collections::HashMap;
 
@@ -121,6 +128,7 @@ impl Op {
             Op::Select { dst, cond, a, b } => [dst, cond, a, b].into_iter().for_each(f),
             Op::Mov { dst, src } => [dst, src].into_iter().for_each(f),
             Op::Store { src, .. } | Op::Update { src, .. } => f(src),
+            Op::MulAdd { a, b, .. } => [a, b].into_iter().for_each(f),
             Op::Branch { cond, .. } => f(cond),
             Op::LoopEnter {
                 var, count, extent, ..
@@ -142,6 +150,24 @@ impl Op {
         }
         self
     }
+}
+
+/// A loop whose extent folds to a constant of at most `UNROLL_TRIPS` is
+/// unrolled when that emits at most `UNROLL_OPS` instructions, hoisted ones
+/// included — innermost loops first, so a nest unrolls from the inside out
+/// for as long as it fits. Bounds how far a program can outgrow its kernel.
+const UNROLL_TRIPS: i64 = 8;
+const UNROLL_OPS: usize = 512;
+
+/// How much of the program existed at some point of the lowering.
+struct Checkpoint {
+    accesses: usize,
+    dims: usize,
+    traps: usize,
+    block_regs: usize,
+    block_code: usize,
+    thread_regs: u32,
+    thread_code: usize,
 }
 
 /// The interval of `op` over two integer intervals, where one follows.
@@ -500,35 +526,7 @@ impl<'k> Lowerer<'k> {
                 let a = self.expr(lhs);
                 let b = self.expr(rhs);
                 self.temp_top = mark;
-                let (ty, faults) = binary_rule(*op, a.ty, b.ty, self.const_value(b));
-                if let (false, Some(x), Some(y)) =
-                    (faults, self.const_value(a), self.const_value(b))
-                {
-                    if let Some(v) = Value::binary(*op, x, y) {
-                        return self.konst(v);
-                    }
-                }
-                let val = Val {
-                    reg: 0,
-                    ty,
-                    place: if faults {
-                        Place::Body
-                    } else {
-                        a.place.max(b.place)
-                    },
-                    uniform: !faults && a.uniform && b.uniform,
-                    range: match ty {
-                        Ty::I64 => binary_range(*op, a.range, b.range),
-                        _ => None,
-                    },
-                };
-                let op = Op::Bin {
-                    op: *op,
-                    dst: 0,
-                    a: a.reg,
-                    b: b.reg,
-                };
-                self.emit(op, val, faults)
+                self.binary(*op, a, b)
             }
             Expr::Unary { op, operand } => {
                 let a = self.expr(operand);
@@ -593,6 +591,37 @@ impl<'k> Lowerer<'k> {
                 self.in_reg(load)
             }
         }
+    }
+
+    /// `a <op> b` over lowered operands: folded, hoisted or emitted in place.
+    fn binary(&mut self, op: BinOp, a: Val, b: Val) -> Val {
+        let (ty, faults) = binary_rule(op, a.ty, b.ty, self.const_value(b));
+        if let (false, Some(x), Some(y)) = (faults, self.const_value(a), self.const_value(b)) {
+            if let Some(v) = Value::binary(op, x, y) {
+                return self.konst(v);
+            }
+        }
+        let val = Val {
+            reg: 0,
+            ty,
+            place: if faults {
+                Place::Body
+            } else {
+                a.place.max(b.place)
+            },
+            uniform: !faults && a.uniform && b.uniform,
+            range: match ty {
+                Ty::I64 => binary_range(op, a.range, b.range),
+                _ => None,
+            },
+        };
+        let op = Op::Bin {
+            op,
+            dst: 0,
+            a: a.reg,
+            b: b.reg,
+        };
+        self.emit(op, val, faults)
     }
 
     /// `cond ? a : b` evaluates only the branch it takes. When neither
@@ -672,16 +701,18 @@ impl<'k> Lowerer<'k> {
         // nested accesses inside the index expressions have taken their dims.
         self.p.accesses.push(Access {
             space: Space::Missing,
-            base: 0,
+            proven: false,
+            offset: 0,
             limit: 0,
             buffer: slot,
             first_dim: 0,
             rank: 0,
             dtype: buffer.dtype(),
         });
-        let mut vals = Vec::with_capacity(indices.len());
+        let shape = buffer.shape().iter().zip(buffer.strides());
+        let mut dims: Vec<(Val, Dim)> = Vec::with_capacity(indices.len());
         let mut checked = 0;
-        for (k, index) in indices.iter().enumerate() {
+        for (k, (index, (&extent, stride))) in indices.iter().zip(shape).enumerate() {
             let (v, code, fault) = self.capture(|l| {
                 let v = l.expr(index);
                 l.in_reg(v)
@@ -696,33 +727,83 @@ impl<'k> Lowerer<'k> {
                 checked = k;
             }
             self.splice(code, fault);
-            vals.push(v);
-        }
-        let first_dim = self.p.dims.len() as u32;
-        let mut in_bounds = true;
-        for ((v, &extent), stride) in vals.iter().zip(buffer.shape()).zip(buffer.strides()) {
-            in_bounds &= v.ty == Ty::I64 && v.range.is_some_and(|(lo, hi)| lo >= 0 && hi < extent);
-            self.p.dims.push(Dim {
+            let dim = Dim {
                 idx: v.reg,
                 extent,
                 stride: stride as usize,
-            });
+            };
+            dims.push((v, dim));
         }
-        let decl = &self.slots[slot as usize];
+        let in_bounds = dims.iter().all(|(v, d)| {
+            v.ty == Ty::I64 && v.range.is_some_and(|(lo, hi)| lo >= 0 && hi < d.extent)
+        });
+        let BufferSlot { space, base, len } = self.slots[slot as usize];
         // In bounds of the access's own shape, of a buffer that exists and
-        // is at least that large.
-        let fits = buffer.num_elements() as usize <= decl.len;
-        let proven = in_bounds && fits && self.declared(decl.space);
+        // is at least that large. (An early `Check` names a dimension by its
+        // position, so an access that has one keeps them all.)
+        let fits = buffer.num_elements() as usize <= len;
+        let proven = in_bounds && fits && self.declared(space) && checked == 0;
+        let mut offset = base;
+        if proven {
+            offset += self.fold_terms(&mut dims);
+        }
+        let first_dim = self.p.dims.len() as u32;
+        self.p.dims.extend(dims.iter().map(|(_, d)| *d));
         self.p.accesses[id as usize] = Access {
-            space: decl.space,
-            base: decl.base,
-            limit: decl.len,
+            space,
+            proven,
+            offset,
+            limit: len,
             buffer: slot,
             first_dim,
-            rank: indices.len() as u32,
+            rank: dims.len() as u32,
             dtype: buffer.dtype(),
         };
         Ok((id, proven))
+    }
+
+    /// Reduces the index of a proven access to the terms the executor has to
+    /// add up every time: constant indices are summed into the returned
+    /// offset, and two or more block- or thread-invariant ones are replaced
+    /// by one hoisted register holding their `Σ index × stride`.
+    fn fold_terms(&mut self, dims: &mut Vec<(Val, Dim)>) -> usize {
+        let mut offset = 0;
+        dims.retain(|(v, d)| match self.const_value(*v) {
+            Some(Value::I64(i)) => {
+                offset += i as usize * d.stride;
+                false
+            }
+            _ => true,
+        });
+        let invariant = |v: &Val| v.place <= Place::Thread;
+        if dims.iter().filter(|(v, _)| invariant(v)).count() >= 2 {
+            // Coarsest first, so that partial sums stay block-level.
+            let (mut fixed, varying): (Vec<_>, Vec<_>) =
+                dims.drain(..).partition(|(v, _)| invariant(v));
+            fixed.sort_by_key(|(v, _)| v.place);
+            let mut sum: Option<Val> = None;
+            for (v, d) in fixed {
+                let term = if d.stride == 1 {
+                    v
+                } else {
+                    let stride = self.konst(Value::I64(d.stride as i64));
+                    self.binary(BinOp::Mul, v, stride)
+                };
+                sum = Some(match sum {
+                    Some(sum) => self.binary(BinOp::Add, sum, term),
+                    None => term,
+                });
+            }
+            let sum = sum.expect("two or more terms");
+            let base = Dim {
+                idx: sum.reg,
+                extent: i64::MAX,
+                stride: 1,
+            };
+            dims.push((sum, base));
+            dims.extend(varying);
+        }
+        offset
     }
 
     /// Whether a buffer in `space` is sure to exist when a launch runs.
@@ -768,6 +849,12 @@ impl<'k> Lowerer<'k> {
             } => {
                 let n = self.expr(extent);
                 let n = self.in_reg(n);
+                if let Some(Value::I64(trips)) = self.const_value(n) {
+                    if trips <= UNROLL_TRIPS && self.unroll(var.name(), trips, body) {
+                        self.temp_top = mark;
+                        return;
+                    }
+                }
                 let (var_reg, count) = (self.temp(), self.temp());
                 self.bind_loop(var.name(), var_reg, n, body, false);
                 let ((), body_code, fault) = self.capture(|l| l.stmt(body));
@@ -843,21 +930,109 @@ impl<'k> Lowerer<'k> {
             },
             _ => (None, value),
         };
-        let (v, code, fault) = self.capture(|l| l.expr(value));
+        let (v, mut code, fault) = self.capture(|l| l.expr(value));
         if fault && !proven {
             for dim in 0..indices.len() as u32 {
                 self.code.push(Op::Check { access, dim });
             }
         }
+        // `x` is a product whose instruction ends its code — computed right
+        // here, every time — and cannot fault (its type is known): the
+        // multiply-accumulate of a register tile.
+        let product = match (value, code.last()) {
+            (
+                Expr::Binary { op: BinOp::Mul, .. },
+                Some(&Op::Bin {
+                    op: BinOp::Mul,
+                    dst,
+                    a,
+                    b,
+                }),
+            ) if proven && update == Some(BinOp::Add) && dst == v.reg && v.ty != Ty::Dyn => {
+                code.pop();
+                Some((a, b))
+            }
+            _ => None,
+        };
         self.splice(code, true);
-        self.code.push(match update {
-            Some(op) => Op::Update {
+        self.code.push(match (update, product) {
+            (_, Some((a, b))) => Op::MulAdd { access, a, b },
+            (Some(op), _) => Op::Update {
                 op,
                 access,
                 src: v.reg,
             },
-            None => Op::Store { access, src: v.reg },
+            (None, _) => Op::Store { access, src: v.reg },
         });
+    }
+
+    /// Lowers a loop of `trips` iterations as that many copies of its body,
+    /// the loop variable a constant in each — which makes tile-local index
+    /// arithmetic (`ty * 4 + i`) thread-invariant and register-tile indices
+    /// constants. Returns `false`, having emitted nothing, when the copies
+    /// take more than [`UNROLL_OPS`] instructions.
+    fn unroll(&mut self, name: &'k str, trips: i64, body: &'k Stmt) -> bool {
+        let mark = self.temp_top;
+        let scope = self.env.len();
+        let start = self.checkpoint();
+        let (fits, code, fault) = self.capture(|l| {
+            for i in 0..trips {
+                let var = l.konst(Value::I64(i));
+                l.env.push((name, Some(var)));
+                l.poison_leaked(body);
+                l.stmt(body);
+                l.env.truncate(scope);
+                l.temp_top = mark;
+                if l.emitted_since(&start) > UNROLL_OPS {
+                    return false;
+                }
+            }
+            true
+        });
+        if fits {
+            self.splice(code, fault);
+        } else {
+            self.rollback(start);
+        }
+        fits
+    }
+
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            accesses: self.p.accesses.len(),
+            dims: self.p.dims.len(),
+            traps: self.p.traps.len(),
+            block_regs: self.p.block_init.len(),
+            block_code: self.p.block_code.len(),
+            thread_regs: self.n_thread,
+            thread_code: self.thread_code.len(),
+        }
+    }
+
+    /// Instructions emitted since `start`, hoisted ones included.
+    fn emitted_since(&self, start: &Checkpoint) -> usize {
+        self.code.len() + self.thread_code.len() - start.thread_code + self.p.block_code.len()
+            - start.block_code
+    }
+
+    /// Forgets everything lowered since `start` but the buffers it named.
+    fn rollback(&mut self, start: Checkpoint) {
+        self.p.accesses.truncate(start.accesses);
+        self.p.dims.truncate(start.dims);
+        self.p.traps.truncate(start.traps);
+        self.p.block_init.truncate(start.block_regs);
+        self.p.block_code.truncate(start.block_code);
+        self.n_thread = start.thread_regs;
+        self.thread_code.truncate(start.thread_code);
+        let live = |r: &mut Reg| {
+            let index = *r & !(3 << SPACE_SHIFT);
+            match *r >> SPACE_SHIFT {
+                BLOCK => (index as usize) < start.block_regs,
+                _ => index < start.thread_regs,
+            }
+        };
+        self.consts.retain(|_, r| live(r));
+        self.hoisted.retain(|_, r| live(r));
     }
 
     /// Binds a loop variable running to `extent`, and poisons what the body

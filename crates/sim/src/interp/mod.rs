@@ -12,7 +12,10 @@
 //! * "does this subtree contain a barrier" becomes structure: the statements
 //!   that do form a small *lockstep skeleton*, everything between them is a
 //!   straight instruction array;
-//! * literals are folded.
+//! * literals are folded;
+//! * a barrier-free loop whose extent folds to a small constant is
+//!   **unrolled**, its variable a literal in every copy of the body (see
+//!   below for what that buys and what bounds it).
 //!
 //! # The three expression classes
 //!
@@ -25,8 +28,8 @@
 //!   block;
 //! * **thread-invariant** — a function of `threadIdx` and block-uniform
 //!   values: once per thread per block;
-//! * **varying** — anything that reads a loop variable or memory, or can
-//!   fault: in place, every time.
+//! * **varying** — anything that reads the variable of a loop that stayed
+//!   a loop, or memory, or can fault: in place, every time.
 //!
 //! The middle class is large because of the paradigm this repository
 //! reproduces: a task mapping makes every worker → task index a *static*
@@ -34,6 +37,31 @@
 //! epilogue index trees of the fused matmul kernels), so the index
 //! arithmetic inside the hot loops is almost entirely thread-invariant and
 //! leaves them. Identical hoisted terms are computed once.
+//!
+//! # What task mappings guarantee, and the lowering uses
+//!
+//! The hardware-centric schedule space makes every tile extent a
+//! compile-time constant (`repeat(4, 4) · spatial(…)`), so the loops over a
+//! thread's own tile have literal extents of a handful of trips. Such a loop
+//! — barrier-free, extent folding to a constant of at most 8 — is unrolled,
+//! innermost first, for as long as the copies stay within a fixed budget of
+//! 512 instructions; a loop over the budget, with more trips or with an
+//! extent only known at run time lowers as a loop, exactly as before. The
+//! budget is a private constant of the lowering, not an option. Unrolling
+//! needs no analysis of its own: the loop variable is a literal, so the
+//! folding and the three classes above turn `ty * 4 + i` into a shared
+//! thread-invariant register and `acc[i, j]` into a constant address.
+//!
+//! An access whose every index is **proven** in bounds (of a buffer that
+//! exists and is large enough) is addressed as `offset + Σ register ×
+//! stride`: its constant indices are folded into the offset, its block- and
+//! thread-invariant ones collapsed into one hoisted base register, and none
+//! is checked again — the storage slice's own bounds check stays behind as
+//! the memory-safety backstop. Every other access keeps the walker's
+//! per-dimension checks and fault order. And `acc[i] = acc[i] + a * b` on a
+//! proven access, with a product that cannot fault, is one multiply-add
+//! instruction — both roundings still through [`crate::Value::binary`], in
+//! the order the IR spells.
 //!
 //! # The trap rule
 //!
@@ -65,8 +93,9 @@
 //! `TypeError` (the walker panicked); and a name bound by a `Let` that is
 //! not a statement of a sequence — an `If` branch, a loop body — is
 //! unbound afterwards (the walker kept it for the paths that ran it).
-//! `i64` overflow is outside the contract, as it was: debug builds panic on
-//! it wherever the operation runs.
+//! `i64` arithmetic wraps on overflow, as the device's two's-complement
+//! integers do, identically in debug and release builds and whether an
+//! expression is folded at lowering time or evaluated at run time.
 
 mod exec;
 mod lower;
@@ -358,6 +387,7 @@ mod tests {
     // ---- what the lowering promises, beyond the walker's behaviour ---------
 
     use super::program::{Node, Op, MEM};
+    use hidet_ir::BinOp;
 
     /// The skeleton's loop and branch nodes, in lowering order.
     fn controls(p: &Program) -> Vec<bool> {
@@ -418,7 +448,7 @@ mod tests {
             )
         }));
         let p = Program::lower(&kb.build());
-        let body = &p.code[p.thread_code_end as usize..];
+        let body = body(&p);
         assert!(
             matches!(
                 body,
@@ -426,14 +456,264 @@ mod tests {
             ),
             "{body:?}"
         );
-        // `blockIdx % 4` once per block; the lane arithmetic once per thread,
-        // its repeated `threadIdx % 32`-style terms shared.
-        assert_eq!(p.block_code.len(), 1, "{:?}", p.block_code);
+        // `blockIdx % 4` and the row offset it stands for once per block; the
+        // lane arithmetic once per thread, its repeated `threadIdx % 32`-style
+        // terms shared, and one addition collapsing row and lane into the
+        // load's base register.
+        assert_eq!(p.block_code.len(), 2, "{:?}", p.block_code);
         assert!(
-            p.thread_code_end <= 6,
+            p.thread_code_end <= 7,
             "{:?}",
             &p.code[..p.thread_code_end as usize]
         );
+    }
+
+    /// The body fragments of a barrier-free kernel.
+    fn body(p: &Program) -> &[Op] {
+        &p.code[p.thread_code_end as usize..]
+    }
+
+    fn is_loop(op: &Op) -> bool {
+        matches!(op, Op::LoopEnter { .. } | Op::LoopNext { .. })
+    }
+
+    #[test]
+    fn constant_tile_loops_unroll_into_multiply_adds() {
+        // The register tile of every matmul schedule: a `repeat(4, 4)` task
+        // mapping makes both extents literals. Built up to `phases`: fill
+        // the fragments, accumulate the tile, write it out.
+        let build = |phases: usize| {
+            let mut kb = KernelBuilder::new("tile", 1, 2);
+            let x = kb.param("X", DType::F32, &[2, 4]);
+            let y = kb.param("Y", DType::F32, &[2, 16]);
+            let a = kb.local("A", DType::F32, &[4]);
+            let b = kb.local("B", DType::F32, &[4]);
+            let acc = kb.local("Acc", DType::F32, &[4, 4]);
+            let fill = for_range("i", 4, |i| {
+                seq(vec![
+                    store(&a, vec![i.clone()], load(&x, vec![thread_idx(), i.clone()])),
+                    store(&b, vec![i.clone()], load(&a, vec![i.clone()]) + 1.0f32),
+                ])
+            });
+            let tile = for_range("i", 4, |i| {
+                for_range("j", 4, |j| {
+                    let at = vec![i.clone(), j.clone()];
+                    let product = load(&a, vec![i.clone()]) * load(&b, vec![j]);
+                    store(&acc, at.clone(), load(&acc, at) + product)
+                })
+            });
+            let write = for_range("i", 4, |i| {
+                for_range("j", 4, |j| {
+                    let value = load(&acc, vec![i.clone(), j.clone()]);
+                    store(&y, vec![thread_idx(), i.clone() * 4 + j], value)
+                })
+            });
+            for phase in [fill, tile, write].into_iter().take(phases) {
+                kb.push(phase);
+            }
+            kb.build()
+        };
+        let kernel = build(3);
+        let p = Program::lower(&kernel);
+        assert!(!p.code.iter().any(is_loop), "{:?}", p.code);
+        // No index arithmetic is left: the only `Bin`s are the fill's four
+        // float additions.
+        let bins = |op: &&Op| matches!(op, Op::Bin { .. });
+        assert_eq!(body(&p).iter().filter(bins).count(), 4, "{:?}", body(&p));
+        // Sixteen multiply-adds and nothing else, on constant addresses:
+        // `A` and `B` take the first eight elements of a thread's arrays.
+        let [start, end] = [1, 2].map(|phases| body(&Program::lower(&build(phases))).len());
+        let tile = &body(&p)[start..end];
+        assert_eq!(tile.len(), 16, "{tile:?}");
+        for (n, op) in tile.iter().enumerate() {
+            let Op::MulAdd { access, a, b } = *op else {
+                panic!("{op:?}");
+            };
+            assert!(a & b & MEM != 0);
+            let offsets = [access, a & !MEM, b & !MEM].map(|id| {
+                let access = &p.accesses[id as usize];
+                assert!(access.proven && access.rank == 0, "{access:?}");
+                access.offset
+            });
+            assert_eq!(offsets, [8 + n, n / 4, 4 + n % 4]);
+        }
+        let mut mem = DeviceMemory::new();
+        mem.alloc("X", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        mem.alloc_zeroed("Y", 32);
+        run(&kernel, &mut mem).unwrap();
+        let x = [[1.0f32, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]];
+        let expect = x.map(|row| row.map(|a| row.map(|b| a * (b + 1.0))));
+        assert_eq!(mem.read("Y"), expect.as_flattened().as_flattened());
+    }
+
+    #[test]
+    fn zero_and_one_trip_loops_leave_no_loop_behind() {
+        let lower = |trips: i64| {
+            let mut kb = KernelBuilder::new("trips", 1, 1);
+            let x = kb.param("X", DType::F32, &[4]);
+            kb.push(for_range("i", trips, |i| {
+                store(&x, vec![i.clone() + 1], i.cast(DType::F32))
+            }));
+            Program::lower(&kb.build())
+        };
+        assert!(lower(0).code.is_empty());
+        assert!(lower(-3).code.is_empty());
+        assert!(matches!(lower(1).code[..], [Op::Store { .. }]));
+    }
+
+    #[test]
+    fn loops_outside_the_budget_stay_loops() {
+        // Nine trips; eight trips of a body too large to copy eight times;
+        // an extent only a thread knows.
+        let lower = |extent: Expr, stores: i64| {
+            let mut kb = KernelBuilder::new("stays", 1, 4);
+            let x = kb.param("X", DType::F32, &[128]);
+            kb.push(for_range("i", extent, |i| {
+                let value = i.cast(DType::F32);
+                seq((0..stores)
+                    .map(|k| store(&x, vec![c(k)], value.clone()))
+                    .collect())
+            }));
+            kb.build()
+        };
+        for (extent, stores) in [(c(9), 1), (c(8), 70), (thread_idx() + 1, 1)] {
+            let kernel = lower(extent, stores);
+            let p = Program::lower(&kernel);
+            let loops = p.code.iter().filter(|op| is_loop(op)).count();
+            assert_eq!(loops, 2, "{kernel}");
+            // An abandoned attempt leaves nothing behind.
+            assert_eq!(p.accesses.len(), stores as usize, "{kernel}");
+            assert!(body(&p).len() <= 2 * stores as usize + 2, "{kernel}");
+        }
+        // One store fewer and the same loop fits.
+        let p = Program::lower(&lower(c(8), 64));
+        assert_eq!(p.code.len(), 512);
+        assert!(!p.code.iter().any(is_loop));
+    }
+
+    #[test]
+    fn proven_accesses_are_a_base_plus_an_offset() {
+        let mut kb = KernelBuilder::new("address", 4, 32);
+        let y = kb.param("Y", DType::F32, &[4, 32]);
+        kb.shared("Pad", DType::F32, &[5]);
+        let s = kb.shared("S", DType::F32, &[2, 4, 32]);
+        // All constants: no terms. Block- and thread-invariant indices: one
+        // hoisted register. A loop variable stays a term of its own.
+        kb.push(store(&s, vec![c(1), c(2), c(3)], fconst(1.0)));
+        kb.push(store(
+            &y,
+            vec![block_idx(), thread_idx()],
+            load(&s, vec![c(0), block_idx(), thread_idx()]),
+        ));
+        kb.push(for_range("k", 64, |k| {
+            store(&s, vec![k % 2, c(3), thread_idx()], fconst(2.0))
+        }));
+        let p = Program::lower(&kb.build());
+        let terms = |a: &super::program::Access| {
+            assert!(a.proven, "{a:?}");
+            let dims = &p.dims[a.first_dim as usize..][..a.rank as usize];
+            (a.offset, dims.iter().map(|d| d.stride).collect::<Vec<_>>())
+        };
+        let [constant, global, shared, looped] = &p.accesses[..] else {
+            panic!("{:?}", p.accesses);
+        };
+        assert_eq!(terms(constant), (5 + 128 + 64 + 3, vec![]));
+        assert_eq!(terms(global), (0, vec![1]));
+        assert_eq!(terms(shared), (5, vec![1]));
+        assert_eq!(terms(looped), (5 + 96, vec![128, 1]));
+        // The two collapsed bases are the same `blockIdx * 32 + threadIdx`.
+        assert_eq!(
+            p.dims[global.first_dim as usize].idx,
+            p.dims[shared.first_dim as usize].idx
+        );
+        // An index that is only in bounds when checked keeps every dimension.
+        let mut kb = KernelBuilder::new("unproven", 1, 8);
+        let x = kb.param("X", DType::F32, &[2, 4]);
+        kb.push(if_then(
+            thread_idx().lt(4),
+            store(&x, vec![c(1), thread_idx()], fconst(1.0)),
+        ));
+        let p = Program::lower(&kb.build());
+        assert!(!p.accesses[0].proven && p.accesses[0].rank == 2);
+    }
+
+    #[test]
+    fn multiply_add_is_formed_only_where_nothing_can_differ() {
+        let lower = |block_dim: i64, build: &dyn Fn(&BufferRef, &BufferRef) -> Stmt| {
+            let mut kb = KernelBuilder::new("fma", 1, block_dim);
+            let x = kb.param("X", DType::F32, &[4]);
+            let acc = kb.local("Acc", DType::F32, &[1]);
+            kb.push(build(&x, &acc));
+            let p = Program::lower(&kb.build());
+            body(&p).to_vec()
+        };
+        let at = || vec![thread_idx()];
+        let zero = || vec![c(0)];
+        // The shape that is one: `acc = acc + a * b`, all proven.
+        let code = lower(4, &|x, acc| {
+            let product = load(x, at()) * load(x, at());
+            store(acc, zero(), load(acc, zero()) + product)
+        });
+        assert!(matches!(code[..], [Op::MulAdd { .. }]), "{code:?}");
+        // A product that can fault (a boolean operand) is evaluated on its own.
+        let code = lower(4, &|x, acc| {
+            let product = thread_idx().lt(2) * load(x, at());
+            store(acc, zero(), load(acc, zero()) + product)
+        });
+        assert!(
+            matches!(
+                code[..],
+                [
+                    ..,
+                    Op::Bin { op: BinOp::Mul, .. },
+                    Op::Update { op: BinOp::Add, .. }
+                ]
+            ),
+            "{code:?}"
+        );
+        // An unproven accumulator (8 threads, 4 elements) keeps its checks.
+        let code = lower(8, &|x, _| {
+            let product = thread_idx().cast(DType::F32) * 2.0f32;
+            store(x, at(), load(x, at()) + product)
+        });
+        assert!(
+            matches!(code[..], [.., Op::Update { op: BinOp::Add, .. }]),
+            "{code:?}"
+        );
+        // `a * b + acc` rounds the same but is not the same expression.
+        let code = lower(4, &|x, acc| {
+            let product = load(x, at()) * load(x, at());
+            store(acc, zero(), product + load(acc, zero()))
+        });
+        assert!(
+            matches!(
+                code[..],
+                [
+                    Op::Bin { op: BinOp::Mul, .. },
+                    Op::Bin { op: BinOp::Add, .. },
+                    Op::Store { .. }
+                ]
+            ),
+            "{code:?}"
+        );
+    }
+
+    #[test]
+    fn integer_overflow_wraps_folded_and_at_run_time() {
+        // `i64::MAX + 1`, once between literals (folded by the lowering, which
+        // must not panic) and once on `threadIdx` (computed by the executor).
+        let mut kb = KernelBuilder::new("wrap", 1, 1);
+        let x = kb.param("X", DType::F32, &[2]);
+        let wrapped = |e: Expr| e.eq_(c(i64::MIN)).select(1.0f32, 0.0f32);
+        kb.push(store(&x, vec![c(0)], wrapped(c(i64::MAX) + 1)));
+        kb.push(store(&x, vec![c(1)], wrapped(thread_idx() + i64::MAX + 1)));
+        let kernel = kb.build();
+        let p = Program::lower(&kernel);
+        assert!(matches!(body(&p), [Op::Store { .. }, Op::Store { .. }]));
+        let mut mem = DeviceMemory::new();
+        mem.alloc_zeroed("X", 2);
+        run(&kernel, &mut mem).unwrap();
+        assert_eq!(mem.read("X"), &[1.0, 1.0]);
     }
 
     #[test]

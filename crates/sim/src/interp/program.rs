@@ -37,6 +37,10 @@ pub(crate) enum Op {
     Store { access: u32, src: Reg },
     /// `buffer[indices] = Value::binary(op, buffer[indices], src)`.
     Update { op: BinOp, access: u32, src: Reg },
+    /// `buffer[indices] = buffer[indices] + a * b`, the product rounded
+    /// before the sum: one multiply-accumulate of a register tile. Only on a
+    /// proven access, with a product that cannot fault.
+    MulAdd { access: u32, a: Reg, b: Reg },
     /// Skips the next `skip` instructions.
     Jump { skip: u32 },
     /// Skips the next `skip` instructions when `cond` is false.
@@ -70,8 +74,8 @@ pub(crate) enum Space {
     Missing,
 }
 
-/// One dimension of one access: `flat += regs[idx] * stride`, with
-/// `0 <= regs[idx] < extent` enforced.
+/// One term of one access: `flat += regs[idx] * stride`. On an unproven
+/// access that is one dimension, with `0 <= regs[idx] < extent` enforced.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Dim {
     pub idx: Reg,
@@ -80,11 +84,22 @@ pub(crate) struct Dim {
 }
 
 /// One `Load` / `Store` site, with what it needs of its buffer copied in.
+///
+/// The element addressed is `offset + Σ regs[idx] × stride` over
+/// `dims[first_dim..first_dim + rank]`, within the whole storage of `space`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Access {
     pub space: Space,
-    /// First element of the buffer within shared / per-thread storage.
-    pub base: usize,
+    /// The lowering proved every index in bounds of a buffer that exists and
+    /// is large enough. `dims` then holds only the terms that are not
+    /// constants — those are folded into `offset`, the block- and
+    /// thread-invariant ones collapsed into one hoisted register — and none
+    /// is checked. Otherwise `dims` holds every dimension, each checked in
+    /// order, and their sum is checked against `limit`.
+    pub proven: bool,
+    /// First element of the buffer within shared / per-thread storage, plus
+    /// the constant part of a proven access's index.
+    pub offset: usize,
     /// Declared element count of the buffer. The access's own shape decides
     /// the flat index (as in the tree walker); this bounds it when the two
     /// disagree.
@@ -150,10 +165,13 @@ pub(crate) enum Node {
 /// moved to the coarsest level it is constant at (see the
 /// [module docs](super)).
 ///
-/// Lowering never fails and never unrolls: a fault the lowering can already
-/// see becomes a trap instruction that is raised if and when execution
-/// reaches it, and the program holds at most a small constant number of
-/// instructions per IR node ([`Program::op_count`]).
+/// Lowering never fails: a fault the lowering can already see becomes a trap
+/// instruction that is raised if and when execution reaches it. It unrolls
+/// barrier-free loops of at most eight constant trips, innermost first and
+/// only while the copies of one loop stay within 512 instructions — fixed
+/// bounds, not options — so the program stays within a small multiple of its
+/// kernel's IR node count ([`Program::op_count`]; at most 4× on every kernel
+/// of the serving stack, held by `tests/interp_differential.rs`).
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) name: String,

@@ -10,8 +10,8 @@
 //!   faithfully scoped — used to validate every generated kernel against the
 //!   reference CPU executor. A kernel is lowered once into a slot-resolved
 //!   [`Program`] (variables → registers, buffers → flat storage, block- and
-//!   thread-invariant arithmetic hoisted out of the loops) and the program
-//!   is what every launch runs;
+//!   thread-invariant arithmetic hoisted out of the loops, constant tile
+//!   loops unrolled) and the program is what every launch runs;
 //! * an **analytic latency model** ([`cost`]) calibrated to RTX 3090
 //!   specifications ([`GpuSpec::rtx3090`]) that charges global-memory traffic
 //!   against DRAM bandwidth, FLOPs against CUDA-core/Tensor-Core throughput,
@@ -40,6 +40,10 @@
 //! # Ok::<(), hidet_sim::SimError>(())
 //! ```
 
+// A simulator that faults instead of invoking undefined behaviour is the
+// point: every access the lowering proves in bounds is still a checked slice
+// access in the executor.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

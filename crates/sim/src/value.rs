@@ -58,7 +58,8 @@ impl Value {
     }
 
     /// Applies a binary operator; both operands are promoted to float if
-    /// either is float.
+    /// either is float. Integer arithmetic wraps on overflow (two's
+    /// complement, as on the device), in every build profile.
     ///
     /// Integer division by zero yields `None` (reported as a runtime error by
     /// the interpreter rather than a panic).
@@ -74,9 +75,9 @@ impl Value {
                 _ => return None,
             }),
             (Value::I64(x), Value::I64(y)) => Some(match op {
-                Add => Value::I64(x + y),
-                Sub => Value::I64(x - y),
-                Mul => Value::I64(x * y),
+                Add => Value::I64(x.wrapping_add(y)),
+                Sub => Value::I64(x.wrapping_sub(y)),
+                Mul => Value::I64(x.wrapping_mul(y)),
                 Div => Value::I64(x.checked_div(y)?),
                 Mod => Value::I64(x.checked_rem(y)?),
                 Min => Value::I64(x.min(y)),
@@ -108,19 +109,20 @@ impl Value {
         }
     }
 
-    /// Applies a unary operator.
+    /// Applies a unary operator. Integer negation and `abs` wrap on
+    /// `i64::MIN`, like the binary operators.
     #[inline]
     pub fn unary(op: UnOp, v: Value) -> Option<Value> {
         use UnOp::*;
         match op {
             Not => Some(Value::Bool(!v.as_bool()?)),
             Neg => Some(match v {
-                Value::I64(x) => Value::I64(-x),
+                Value::I64(x) => Value::I64(x.wrapping_neg()),
                 Value::F32(x) => Value::F32(-x),
                 Value::Bool(_) => return None,
             }),
             Abs => Some(match v {
-                Value::I64(x) => Value::I64(x.abs()),
+                Value::I64(x) => Value::I64(x.wrapping_abs()),
                 Value::F32(x) => Value::F32(x.abs()),
                 Value::Bool(_) => return None,
             }),
@@ -177,6 +179,22 @@ mod tests {
             Value::binary(BinOp::Mod, Value::I64(7), Value::I64(4)),
             Some(Value::I64(3))
         );
+    }
+
+    #[test]
+    fn integer_overflow_wraps_in_every_profile() {
+        let (min, max) = (Value::I64(i64::MIN), Value::I64(i64::MAX));
+        let one = Value::I64(1);
+        assert_eq!(Value::binary(BinOp::Add, max, one), Some(min));
+        assert_eq!(Value::binary(BinOp::Sub, min, one), Some(max));
+        assert_eq!(
+            Value::binary(BinOp::Mul, max, Value::I64(2)),
+            Some(Value::I64(-2))
+        );
+        assert_eq!(Value::unary(UnOp::Neg, min), Some(min));
+        assert_eq!(Value::unary(UnOp::Abs, min), Some(min));
+        // The one overflowing division stays a fault, not a wrap.
+        assert_eq!(Value::binary(BinOp::Div, min, Value::I64(-1)), None);
     }
 
     #[test]

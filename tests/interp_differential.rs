@@ -1,6 +1,7 @@
 //! Differential test of the flat `hidet_sim::Program` executor against the
-//! tree-walking interpreter it replaced (`support/walker.rs`, kept for one PR
-//! as a test-only oracle).
+//! tree-walking interpreter it replaced (`support/walker.rs`, kept as a
+//! test-only oracle through the PR that taught the lowering to unroll; it
+//! goes in the one after).
 //!
 //! Two contracts:
 //!
@@ -178,9 +179,14 @@ fn ir_nodes(body: &Stmt) -> usize {
     statements(body) + expressions
 }
 
-/// Lowering never unrolls: for the serving stack's kernels — the benchmark's
-/// decode step graph and its tuned batch-8 one-shot models — a program is no
-/// larger than the IR it came from.
+/// Lowering unrolls only within a fixed budget — `UNROLL_TRIPS` (8) trips
+/// and `UNROLL_OPS` (512) instructions per loop, private constants of
+/// `interp/lower.rs` — so for the serving stack's kernels — the benchmark's
+/// decode step graph and its tuned batch-8 one-shot models — a program stays
+/// within a small multiple of the IR it came from. `UNROLL_OPS` is what the
+/// factor rests on: without it the `kk` × fragment × register-tile nests of
+/// the matmul kernels would copy their bodies 8 × 32 times over; with it the
+/// largest ratio here is 1.8 (`batch_matmul_0_fused`, 1,220 for 681).
 #[test]
 fn programs_stay_proportional_to_the_ir() {
     let step = hidet_graph::models::transformer_decode_step("bench_decode", 4, 48, 2, 32, 2, 32);
@@ -198,7 +204,7 @@ fn programs_stay_proportional_to_the_ir() {
         for (kernel, program) in lowered.zip(plan.programs()) {
             let nodes = ir_nodes(kernel.body());
             assert!(
-                program.op_count() <= nodes,
+                program.op_count() <= 4 * nodes,
                 "{}: {} instructions for {nodes} IR nodes",
                 kernel.name(),
                 program.op_count()
@@ -337,6 +343,208 @@ fn out_of_bounds_index_faults_only_when_reached() {
         matches!(err, SimError::OutOfBounds { index: -1, .. }),
         "{err}"
     );
+}
+
+// ---- loops the lowering unrolls --------------------------------------------
+//
+// A barrier-free loop with a constant extent of at most eight is lowered as
+// that many copies of its body (within an instruction budget). The copies
+// must fault where the k-th iteration would have and bind what one iteration
+// would have.
+
+#[test]
+fn a_fault_in_one_iteration_of_an_unrolled_loop_is_reached_there() {
+    let err = assert_fault_parity("OOB store in the last iteration", |reached| {
+        let mut kb = KernelBuilder::new("unrolled_oob", 1, 2);
+        let x = kb.param("X", DType::F32, &[4]);
+        kb.push(for_range("i", 4, |i| {
+            store(&x, vec![i.clone() + i64::from(reached)], i.cast(DType::F32))
+        }));
+        kb.build()
+    });
+    assert!(
+        matches!(
+            err,
+            SimError::OutOfBounds {
+                dim: 0,
+                index: 4,
+                extent: 4,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    // `6 / (i - 2)` is a division of literals in every copy: folded in the
+    // others, left to fault in the one where the divisor is zero.
+    let err = assert_fault_parity("x / 0 in iteration 2", |reached| {
+        let mut kb = KernelBuilder::new("unrolled_div_zero", 1, 2);
+        let x = kb.param("X", DType::F32, &[4]);
+        let zero_at = if reached { 2 } else { 9 };
+        kb.push(for_range("i", 4, |i| {
+            store(&x, vec![i.clone()], (c(6) / (i - zero_at)).cast(DType::F32))
+        }));
+        kb.build()
+    });
+    assert_eq!(err, SimError::DivByZero);
+    // An index that comes out of memory is checked in every copy, next to
+    // accesses on constant addresses that are not.
+    let err = assert_fault_parity("data-dependent index beside proven ones", |reached| {
+        let mut kb = KernelBuilder::new("unrolled_gather", 1, 2);
+        let x = kb.param("X", DType::F32, &[4]);
+        let y = kb.param("Y", DType::F32, &[4]);
+        let acc = kb.local("Acc", DType::F32, &[4]);
+        // Seeded `X` is in [-1, 1): its square times 3 is a valid index, the
+        // value times 100 is not.
+        kb.push(for_range("i", 4, |i| {
+            let xi = || load(&x, vec![i.clone()]);
+            let at = if reached {
+                xi() * 100.0f32
+            } else {
+                xi() * xi() * 3.0f32
+            };
+            seq(vec![
+                store(
+                    &acc,
+                    vec![i.clone()],
+                    load(&acc, vec![i.clone()]) + xi() * xi(),
+                ),
+                store(&y, vec![at.cast(DType::I64)], load(&acc, vec![i.clone()])),
+            ])
+        }));
+        kb.build()
+    });
+    assert!(matches!(err, SimError::OutOfBounds { .. }), "{err}");
+}
+
+#[test]
+fn bindings_in_an_unrolled_body_last_one_iteration() {
+    // The loop variable shadows an outer `i`, the body's `v` an outer `v`;
+    // each copy of the body reads the outer `v` before it binds its own, and
+    // both outer names are back after the loop.
+    let mut kb = KernelBuilder::new("unrolled_scopes", 1, 2);
+    let x = kb.param("X", DType::F32, &[4]);
+    let y = kb.param("Y", DType::F32, &[5]);
+    let (v, outer_i) = (var("v"), var("i"));
+    let as_f32 = |e: Expr| e.cast(DType::F32);
+    kb.push(seq(vec![
+        let_(&v, c(100)),
+        let_(&outer_i, c(7)),
+        for_range("i", 4, |i| {
+            seq(vec![
+                store(&x, vec![i.clone()], as_f32(v.expr() + i.clone())),
+                let_(&v, i.clone() * 10),
+                store(&y, vec![i], as_f32(v.expr())),
+            ])
+        }),
+        store(&y, vec![c(4)], as_f32(outer_i.expr() + v.expr())),
+    ]));
+    let kernel = kb.build();
+    assert_eq!(run_both(&kernel), (Ok(()), Ok(())));
+    let mut mem = DeviceMemory::new();
+    mem.alloc_zeroed("X", 4);
+    mem.alloc_zeroed("Y", 5);
+    Gpu::default().run(&kernel, &mut mem).expect("runs");
+    assert_eq!(mem.read("X"), &[100.0, 101.0, 102.0, 103.0]);
+    assert_eq!(mem.read("Y"), &[0.0, 10.0, 20.0, 30.0, 107.0]);
+
+    // A `let` further down the body is not yet bound at the top of the next
+    // iteration.
+    let err = assert_fault_parity("a let of the previous iteration", |reached| {
+        let mut kb = KernelBuilder::new("unrolled_let", 1, 2);
+        let x = kb.param("X", DType::F32, &[4]);
+        let v = var("v");
+        let from = if reached { 1 } else { 9 };
+        kb.push(for_range("i", 4, |i| {
+            seq(vec![
+                if_then(
+                    i.clone().ge(from),
+                    store(&x, vec![i.clone()], v.expr().cast(DType::F32)),
+                ),
+                let_(&v, i.clone() + 1),
+                store(&x, vec![i], v.expr().cast(DType::F32)),
+            ])
+        }));
+        kb.build()
+    });
+    assert_eq!(err, SimError::UnboundVar("v".into()));
+}
+
+#[test]
+fn a_nest_unrolled_inside_and_looping_outside_matches() {
+    // Eight copies of the inner body fit the budget; eight of those do not,
+    // so the outer loop keeps its register while `j` is a literal. The fault
+    // sits in the very last (i, j).
+    let err = assert_fault_parity(
+        "OOB in the last iteration of a half-unrolled nest",
+        |reached| {
+            let mut kb = KernelBuilder::new("half_unrolled", 1, 2);
+            let x = kb.param("X", DType::F32, &[8, 8]);
+            let y = kb.param("Y", DType::F32, &[8, 8]);
+            let step = i64::from(reached);
+            kb.push(for_range("i", 8, |i| {
+                for_range("j", 8, |j| {
+                    let value = (i.clone() * 8 + j.clone()).cast(DType::F32);
+                    let column = j.clone() + i.clone() / 7 * step;
+                    seq(vec![
+                        store(&x, vec![i.clone(), column.clone()], value.clone()),
+                        store(&y, vec![i.clone(), column], value * 2.0f32),
+                    ])
+                })
+            }));
+            kb.build()
+        },
+    );
+    assert!(
+        matches!(
+            err,
+            SimError::OutOfBounds {
+                dim: 1,
+                index: 8,
+                extent: 8,
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random two-level nests around the unrolling thresholds: extents on
+    /// both sides of eight trips, bodies on both sides of the instruction
+    /// budget, an index that may leave its buffer and a divisor that may hit
+    /// zero in some iteration. Same result on both interpreters — the same
+    /// fault, or the same memory.
+    #[test]
+    fn random_loop_nests_match_the_walker(
+        outer in 0i64..=9,
+        inner in 0i64..=9,
+        stores in 1i64..10,
+        shift in 0i64..3,
+        zero_at in -2i64..10,
+    ) {
+        let mut kb = KernelBuilder::new("fuzz_nest", 2, 2);
+        let x = kb.param("X", DType::F32, &[2, 2, 10, 10]);
+        let acc = kb.local("Acc", DType::F32, &[10]);
+        kb.push(for_range("i", outer, |i| {
+            for_range("j", inner, |j| {
+                seq((0..stores)
+                    .map(|k| {
+                        let at = vec![block_idx(), thread_idx(), i.clone() + shift * k / 4, j.clone()];
+                        let quotient = (i.clone() * 10 + k) / (j.clone() - zero_at);
+                        let product = load(&x, at.clone()) * quotient.cast(DType::F32);
+                        seq(vec![
+                            store(&acc, vec![j.clone()], load(&acc, vec![j.clone()]) + product),
+                            store(&x, at, load(&acc, vec![j.clone()])),
+                        ])
+                    })
+                    .collect())
+            })
+        }));
+        let (walked, ran) = run_both(&kb.build());
+        prop_assert_eq!(ran, walked);
+    }
 }
 
 /// Which fault is reported when one statement has several: the walker's
