@@ -14,20 +14,15 @@
 //!    `compile_from_artifact`, which re-proves every recorded schedule and
 //!    the rebuilt memory plan with the same checkers.
 //!
-//! Emits the `verify_sweep` section of `BENCH_serving.json`; the
-//! `diagnostics` field must stay 0.
-//!
 //! ```text
 //! cargo run --release -p hidet-bench --bin verify_sweep
 //! ```
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use hidet::CompilerOptions;
 use hidet_analysis::{verify_graph, verify_partition, Diagnostic, VerifyLevel};
-use hidet_bench::report::{upsert_section, BenchSection};
-use hidet_bench::{arg_str, print_table};
+use hidet_bench::print_table;
 use hidet_graph::models;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
 use hidet_graph::Graph;
@@ -46,7 +41,6 @@ fn sweep_graph(mut g: Graph, diags: &mut Vec<Diagnostic>) -> usize {
 }
 
 fn main() {
-    let bench_json = PathBuf::from(arg_str("--bench-json", "BENCH_serving.json"));
     println!("=== hidet: static-analysis sweep (graph IR / schedules / plans) ===\n");
     let start = Instant::now();
 
@@ -94,14 +88,6 @@ fn main() {
     if !diags.is_empty() {
         print!("{}", hidet_analysis::render_text(&diags));
     }
-
-    let section = BenchSection::new("verify_sweep")
-        .field_usize("models", n_models)
-        .field_usize("verifier_passes", checks)
-        .field_usize("diagnostics", diags.len())
-        .field_f64("sweep_ms", sweep_ms);
-    upsert_section(&bench_json, &section).expect("write bench json");
-    println!("wrote section \"verify_sweep\" to {}", bench_json.display());
 
     assert!(
         diags.is_empty(),

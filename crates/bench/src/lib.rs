@@ -1,10 +1,13 @@
-//! Shared experiment-harness utilities: table formatting, paper reference
-//! data, and the standard executor line-up of the paper's evaluation (§6.1).
+//! Shared utilities of the paper-reproduction bins (`fig*`, `table1`,
+//! `ablation_optimizations`, `verify_sweep`): table formatting, paper
+//! reference data, and the standard executor line-up of the paper's
+//! evaluation (§6.1).
+//!
+//! Performance of the serving stack is not measured here: the two-clock
+//! harness in `benchmark/` (outside the workspace) times it, and named tests
+//! in each crate hold the behavioural claims (`TRAJECTORY.md`, DESIGN.md).
 
 #![warn(missing_docs)]
-
-pub mod report;
-pub mod trajectory;
 
 use hidet::HidetExecutor;
 use hidet_baselines::frameworks::{OnnxRuntimeLike, PyTorchLike};
@@ -118,26 +121,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Parses `--flag value`-style float arguments.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses `--flag value`-style string arguments.
-pub fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
 }
 
 #[cfg(test)]

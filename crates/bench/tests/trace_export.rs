@@ -1,8 +1,7 @@
 //! Acceptance: a multi-device decode run at `TraceConfig::Full` exports
 //! Chrome `trace_event` JSON that Perfetto accepts — the object form with
 //! `displayTimeUnit` and a `traceEvents` array whose members all carry
-//! `name`/`ph`/`ts`/`pid`/`tid` (schema-validated here; `serving_decode`
-//! writes the same export for a full bench run).
+//! `name`/`ph`/`ts`/`pid`/`tid`.
 
 use hidet_decode::{BatchingMode, DecodeConfig, DecodeEngine, DecodeModelSpec, GenerateRequest};
 use hidet_sched::json::{get, Json};

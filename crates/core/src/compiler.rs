@@ -107,8 +107,9 @@ pub struct CompilerOptions {
     /// default) re-proves structural graph invariants after each rewriting
     /// pass plus schedule/plan legality; [`VerifyLevel::Deep`] adds full
     /// shape re-inference and the KV-cache family rules;
-    /// [`VerifyLevel::Off`] exists for the `verify_overhead_pct` bench
-    /// baseline. Verification never changes *what gets compiled* — only
+    /// [`VerifyLevel::Off`] runs none of it (the artifact rebuild lowers
+    /// at that level and re-proves the recorded schedules and the plan
+    /// instead). Verification never changes *what gets compiled* — only
     /// whether a broken pipeline aborts with [`CompileError::Verify`] or
     /// miscompiles — so it takes no part in
     /// [`CompilerOptions::cache_key_bits`] or equality.
@@ -168,8 +169,8 @@ impl CompilerOptions {
         self
     }
 
-    /// Forces the per-group compile loop sequential (profiling, the
-    /// `compile_throughput` bench's baseline side).
+    /// Forces the per-group compile loop sequential (profiling; the
+    /// `zoo_compile` benchmark workload times this path).
     pub fn sequential(mut self) -> CompilerOptions {
         self.compile_workers = 1;
         self
@@ -179,13 +180,6 @@ impl CompilerOptions {
     /// after every rewriting pass.
     pub fn verify_deep(mut self) -> CompilerOptions {
         self.verify_level = VerifyLevel::Deep;
-        self
-    }
-
-    /// Disables the in-pipeline verifier entirely. Bench-baseline escape
-    /// hatch — production callers keep the default cheap level.
-    pub fn verify_off(mut self) -> CompilerOptions {
-        self.verify_level = VerifyLevel::Off;
         self
     }
 
@@ -1365,6 +1359,29 @@ mod tests {
         let gpu = Gpu::default();
         let compiled = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
         assert_eq!(compiled.tuned_configs().len(), 1);
+    }
+
+    #[test]
+    fn parallel_compile_elects_the_sequential_schedules() {
+        // A tower of distinct matmul problems, so every compile worker has a
+        // tuning task of its own. (On a one-core host both sides run
+        // sequentially and the test is trivially true.)
+        let widths = [64i64, 96, 80, 112, 48, 72, 32];
+        let mut g = GraphBuilder::new("tower");
+        let mut t = g.input("x", &[4, widths[0]]);
+        for (i, pair) in widths.windows(2).enumerate() {
+            let w = g.constant(Tensor::randn(&[pair[0], pair[1]], i as u64 + 1));
+            t = g.matmul(t, w);
+            t = g.relu(t);
+        }
+        let graph = g.output(t).build();
+        let gpu = Gpu::default();
+        let parallel = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
+        let sequential = compile(&graph, &gpu, &CompilerOptions::tuned().sequential()).unwrap();
+        assert_eq!(parallel.tuned_configs().len(), widths.len() - 1);
+        assert_eq!(parallel.tuned_configs(), sequential.tuned_configs());
+        assert_eq!(parallel.tuning_trials(), sequential.tuning_trials());
+        assert_eq!(parallel.cuda_source(), sequential.cuda_source());
     }
 
     #[test]

@@ -16,7 +16,8 @@ pub enum BatchingMode {
     Continuous,
     /// The pad-to-max baseline: a batch is formed only when every slot of
     /// the previous batch has drained, so the whole batch runs as long as
-    /// its longest member. Exists for the `serving_decode` comparison.
+    /// its longest member. The baseline continuous batching is compared
+    /// against (`static_mode_serves_correctly_but_occupies_fewer_slots`).
     Static,
 }
 

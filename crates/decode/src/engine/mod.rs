@@ -22,7 +22,8 @@
 //! step after they arrive and leave the moment they finish
 //! ([`BatchingMode::Continuous`]) — no sequence ever waits for a batch-mate
 //! to drain, which is where the ≥2× tokens/sec over static pad-to-max
-//! batching comes from (the `serving_decode` bench). The decode batch axis
+//! batching comes from (pinned on the simulated clock by
+//! `static_mode_serves_correctly_but_occupies_fewer_slots`). The decode batch axis
 //! belongs to the *scheduler*: the model graph is compiled once at a fixed
 //! `(max_batch, max_context)` shape (composing with the zoo transformers'
 //! `unbatched` rule — the graph never re-partitions work), and per-row masks

@@ -28,15 +28,16 @@
 //!   step forms a batch from *all* active sequences, admitting new prompts
 //!   mid-flight and retiring finished sequences immediately — sustaining
 //!   ≥2× the tokens/sec of static pad-to-max batching on mixed-length
-//!   workloads (the `serving_decode` bench). Requests carry the runtime's
+//!   workloads (`static_mode_serves_correctly_but_occupies_fewer_slots`
+//!   in `tests/decode.rs`). Requests carry the runtime's
 //!   [`hidet_runtime::Priority`] classes and optional deadlines;
 //! * **chunked multi-token prefill** ([`hidet_graph::models::transformer_prefill`]):
 //!   long prompts absorb through fixed-shape prefill graphs — the largest
 //!   compiled chunk fitting the remaining prompt, interleaved with decode
 //!   steps under a per-iteration token budget — so a 512-token prompt costs
 //!   a few prefill passes instead of 512 scheduler steps, cutting TTFT ≥2×
-//!   on the `serving_decode` long-prompt mix while the budget bounds the
-//!   ITL bubble of in-flight sessions. Token streams and KV contents stay
+//!   on a long-prompt mix while the budget bounds the ITL bubble of
+//!   in-flight sessions (`chunked_prefill_halves_long_prompt_ttft`). Token streams and KV contents stay
 //!   **bit-identical** to token-wise absorption;
 //! * **eviction + recompute**: under KV memory pressure the lowest-ranked
 //!   sequence is preempted — blocks freed, tokens later re-fed (chunked,

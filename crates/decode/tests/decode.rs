@@ -6,9 +6,9 @@ use std::time::{Duration, Instant};
 
 use hidet_decode::{
     BatchingMode, DecodeConfig, DecodeEngine, DecodeError, DecodeModelSpec, GenerateRequest,
-    SessionPoll,
+    Generation, SessionPoll,
 };
-use hidet_runtime::Priority;
+use hidet_runtime::{DecodeStatsSnapshot, Priority};
 use hidet_sim::GpuSpec;
 use proptest::prelude::*;
 
@@ -25,6 +25,52 @@ fn engine(max_batch: usize, kv_blocks: usize, block_tokens: usize) -> DecodeEngi
         block_tokens,
         ..DecodeConfig::default()
     })
+}
+
+/// Queues `work` against a paused engine, resumes it and collects every
+/// session. The whole workload is queued before the first admission, so the
+/// schedule — and every simulated-clock number in the returned stats — is
+/// exact: the same on any host, in any build profile.
+fn run_paused(
+    config: DecodeConfig,
+    spec: DecodeModelSpec,
+    work: Vec<GenerateRequest>,
+) -> (Vec<Generation>, DecodeStatsSnapshot) {
+    let engine = DecodeEngine::new(DecodeConfig {
+        start_paused: true,
+        ..config
+    });
+    let model = engine.register(spec).unwrap();
+    let sessions: Vec<_> = work.into_iter().map(|r| model.generate(r)).collect();
+    engine.resume();
+    let generations = sessions.into_iter().map(|s| s.collect().unwrap()).collect();
+    (generations, engine.stats())
+}
+
+fn tokens(generations: &[Generation]) -> Vec<&[u32]> {
+    generations.iter().map(|g| g.tokens.as_slice()).collect()
+}
+
+/// The model of the mixed-length workload: context window 24 holds the
+/// 20-token completions.
+fn mix_spec() -> DecodeModelSpec {
+    DecodeModelSpec::transformer("tiny-mix", 1, 8, 2, 12, 24)
+}
+
+/// The mixed-length workload the throughput claims are stated on: per group
+/// three short chats (2 tokens) and one long completion (20 tokens, at
+/// priority `long`).
+fn mix(groups: u32, long: Priority) -> Vec<GenerateRequest> {
+    (0..groups)
+        .flat_map(|g| {
+            [
+                GenerateRequest::new(vec![g % 12], 2),
+                GenerateRequest::new(vec![(g + 7) % 12], 2),
+                GenerateRequest::new(vec![(g + 5) % 12], 2),
+                GenerateRequest::new(vec![(g + 3) % 12, 3], 20).with_priority(long),
+            ]
+        })
+        .collect()
 }
 
 #[test]
@@ -384,39 +430,30 @@ fn high_priority_sessions_preempt_best_effort_kv() {
 
 #[test]
 fn static_mode_serves_correctly_but_occupies_fewer_slots() {
+    let run = |mode: BatchingMode, max_batch: usize, spec: DecodeModelSpec, work| {
+        let config = DecodeConfig {
+            max_batch,
+            kv_blocks: 64,
+            block_tokens: 4,
+            mode,
+            ..DecodeConfig::default()
+        };
+        run_paused(config, spec, work)
+    };
+
     // The long sequence leads: its batch-mates retire early, and continuous
     // scheduling backfills their slots (static leaves them idle until the
     // long one drains) — continuous: 10 steps, static: 12.
-    let prompts: Vec<(Vec<u32>, usize)> =
-        vec![(vec![3], 10), (vec![1], 2), (vec![2], 2), (vec![4], 2)];
-    let run = |mode: BatchingMode| {
-        // Paused start: the whole workload queues before the first
-        // admission, so scheduling is deterministic and the step-count
-        // comparison below is exact.
-        let engine = DecodeEngine::new(DecodeConfig {
-            max_batch: 2,
-            kv_blocks: 32,
-            block_tokens: 4,
-            mode,
-            start_paused: true,
-            ..DecodeConfig::default()
-        });
-        let model = engine.register(tiny_spec()).unwrap();
-        let sessions: Vec<_> = prompts
-            .iter()
-            .map(|(p, n)| model.generate(GenerateRequest::new(p.clone(), *n)))
-            .collect();
-        engine.resume();
-        let tokens: Vec<Vec<u32>> = sessions
-            .into_iter()
-            .map(|s| s.collect().unwrap().tokens)
-            .collect();
-        (tokens, engine.stats())
+    let work = || -> Vec<GenerateRequest> {
+        [(3, 10), (1, 2), (2, 2), (4, 2)]
+            .map(|(p, n)| GenerateRequest::new(vec![p], n))
+            .into()
     };
-    let (cont_tokens, cont) = run(BatchingMode::Continuous);
-    let (stat_tokens, stat) = run(BatchingMode::Static);
+    let (cont_gens, cont) = run(BatchingMode::Continuous, 2, tiny_spec(), work());
+    let (stat_gens, stat) = run(BatchingMode::Static, 2, tiny_spec(), work());
     assert_eq!(
-        cont_tokens, stat_tokens,
+        tokens(&cont_gens),
+        tokens(&stat_gens),
         "scheduling must not change tokens"
     );
     // Static pad-to-max burns steps on drained slots; continuous refills
@@ -428,6 +465,27 @@ fn static_mode_serves_correctly_but_occupies_fewer_slots() {
         stat.steps
     );
     assert!(cont.tokens_per_second > stat.tokens_per_second);
+
+    // The headline claim, on the 3-short : 1-long mix over four slots:
+    // every static batch runs as long as its one long member (4 x 21 steps)
+    // while continuous keeps the slots full (35 steps) — at least twice the
+    // simulated tokens per second, with nothing leaked.
+    let work = || mix(4, Priority::Normal);
+    let (cont_gens, cont) = run(BatchingMode::Continuous, 4, mix_spec(), work());
+    let (stat_gens, stat) = run(BatchingMode::Static, 4, mix_spec(), work());
+    assert_eq!(tokens(&cont_gens), tokens(&stat_gens));
+    let speedup = cont.tokens_per_second / stat.tokens_per_second;
+    assert!(
+        speedup >= 2.0,
+        "continuous batching must sustain >= 2x static tokens/sec on the mix, got {speedup:.2}x \
+         ({} vs {} steps)",
+        cont.steps,
+        stat.steps
+    );
+    for stats in [&cont, &stat] {
+        assert_eq!(stats.sequences_completed, 16);
+        assert_eq!(stats.kv_blocks_in_use, 0);
+    }
 }
 
 #[test]
@@ -560,9 +618,37 @@ fn kv_exhausted_only_when_no_shard_in_the_pool_fits() {
     }
 }
 
-/// Satellite invariant of the multi-device stats: per-shard rows telescope
-/// to the aggregates — tokens, steps and placements sum up, and every
-/// migration out of one shard lands in another.
+/// Per-shard rows telescope to the aggregates — tokens, steps and placements
+/// sum up, and every migration out of one shard lands in another.
+fn assert_shards_telescope(stats: &DecodeStatsSnapshot, placed: usize) {
+    let sum = |f: fn(&hidet_runtime::DecodeShardSnapshot) -> usize| -> usize {
+        stats.shards.iter().map(f).sum()
+    };
+    assert_eq!(sum(|s| s.tokens_generated), stats.tokens_generated);
+    assert_eq!(sum(|s| s.steps), stats.steps);
+    assert_eq!(sum(|s| s.sessions_placed), placed);
+    assert_eq!(
+        sum(|s| s.migrations_out),
+        sum(|s| s.migrations_in),
+        "every migration out must land somewhere"
+    );
+    assert_eq!(sum(|s| s.migrations_out), stats.sessions_migrated);
+    assert!(stats.sessions_migrated > 0, "stress knob must force moves");
+    assert!(stats.cluster_tokens_per_second > 0.0);
+    assert!(
+        stats.cluster_tokens_per_second >= stats.tokens_per_second,
+        "parallel shards: makespan throughput can only beat summed-work"
+    );
+    for shard in &stats.shards {
+        assert_eq!(shard.device, GpuSpec::rtx3090().name);
+        assert_eq!(shard.kv_blocks_in_use, 0);
+    }
+}
+
+/// Satellite invariant of the multi-device stats, and the pool's scaling
+/// claim on the same books: four shards sustain at least three times one
+/// shard's cluster tokens per second while every long session is
+/// force-migrated mid-generation.
 #[test]
 fn per_shard_stats_telescope_to_the_aggregates() {
     let pool = DecodeEngine::new(DecodeConfig {
@@ -583,28 +669,37 @@ fn per_shard_stats_telescope_to_the_aggregates() {
     }
     let stats = pool.stats();
     assert_eq!(stats.shards.len(), 2);
-    let sum = |f: fn(&hidet_runtime::DecodeShardSnapshot) -> usize| -> usize {
-        stats.shards.iter().map(f).sum()
+    assert_shards_telescope(&stats, 4);
+
+    // Sixteen groups of the mix, so throughput — not one long session's
+    // critical path — bounds the cluster. The replay chain of every
+    // migrated session is paid for inside the 4-shard number.
+    let run = |devices: usize| {
+        let config = DecodeConfig {
+            max_batch: 4,
+            kv_blocks: 64,
+            block_tokens: 4,
+            devices: vec![GpuSpec::rtx3090(); devices],
+            stress_migrate_after: if devices > 1 { 2 } else { 0 },
+            ..DecodeConfig::default()
+        };
+        run_paused(config, mix_spec(), mix(16, Priority::High))
     };
-    assert_eq!(sum(|s| s.tokens_generated), stats.tokens_generated);
-    assert_eq!(sum(|s| s.steps), stats.steps);
-    assert_eq!(sum(|s| s.sessions_placed), 4);
+    let (solo_gens, solo) = run(1);
+    let (pool_gens, pool) = run(4);
     assert_eq!(
-        sum(|s| s.migrations_out),
-        sum(|s| s.migrations_in),
-        "every migration out must land somewhere"
+        tokens(&pool_gens),
+        tokens(&solo_gens),
+        "placement and migration must not change tokens"
     );
-    assert_eq!(sum(|s| s.migrations_out), stats.sessions_migrated);
-    assert!(stats.sessions_migrated > 0, "stress knob must force moves");
-    assert!(stats.cluster_tokens_per_second > 0.0);
+    assert_shards_telescope(&pool, 64);
+    let scaling = pool.cluster_tokens_per_second / solo.cluster_tokens_per_second;
     assert!(
-        stats.cluster_tokens_per_second >= stats.tokens_per_second,
-        "parallel shards: makespan throughput can only beat summed-work"
+        scaling >= 3.0,
+        "4 shards must sustain >= 3x one shard's cluster tokens/sec, got {scaling:.2}x \
+         ({} migrations)",
+        pool.sessions_migrated
     );
-    for shard in &stats.shards {
-        assert_eq!(shard.device, GpuSpec::rtx3090().name);
-        assert_eq!(shard.kv_blocks_in_use, 0);
-    }
 }
 
 /// The headroom rebalancer — the one migration trigger with no pressure and
@@ -692,15 +787,19 @@ fn prefill_spec() -> DecodeModelSpec {
     DecodeModelSpec::transformer("tiny-prefill", 1, 8, 2, 12, 40)
 }
 
-fn chunked_engine(menu: Vec<usize>, budget: usize, kv_blocks: usize) -> DecodeEngine {
-    DecodeEngine::new(DecodeConfig {
+fn chunked_config(menu: Vec<usize>, budget: usize, kv_blocks: usize) -> DecodeConfig {
+    DecodeConfig {
         max_batch: 3,
         kv_blocks,
         block_tokens: 2,
         chunk_menu: menu,
         prefill_token_budget: budget,
         ..DecodeConfig::default()
-    })
+    }
+}
+
+fn chunked_engine(menu: Vec<usize>, budget: usize, kv_blocks: usize) -> DecodeEngine {
+    DecodeEngine::new(chunked_config(menu, budget, kv_blocks))
 }
 
 /// Deterministic eviction-pressure scenario: a best-effort session with a
@@ -769,6 +868,48 @@ fn chunked_replay_after_eviction_matches_tokenwise() {
     );
     assert!(stats.prefill_tokens > 17);
     assert_eq!(stats.kv_blocks_in_use, 0, "no block leaked");
+}
+
+/// What chunked prefill buys and what it costs, on the simulated clock. A
+/// 16-token prompt joins two sessions that are mid-generation (it waits for
+/// the slot of a third, short one): absorbed as one 16-chunk its time to
+/// first token is at most half the token-wise sixteen steps, and because
+/// the per-iteration token budget bounds how many inter-token gaps of the
+/// running sessions carry a prefill pass, their ITL p95 stays within 20%.
+#[test]
+fn chunked_prefill_halves_long_prompt_ttft() {
+    let long_prompt: Vec<u32> = (0..16).map(|i| i * 7 % 12).collect();
+    let run = |menu: Vec<usize>| {
+        let work = vec![
+            GenerateRequest::new(vec![1, 5], 4),
+            GenerateRequest::new(vec![7, 11], 30),
+            GenerateRequest::new(vec![2, 9], 30),
+            GenerateRequest::new(long_prompt.clone(), 4),
+        ];
+        run_paused(chunked_config(menu, 16, 64), prefill_spec(), work)
+    };
+    let (chunked_gens, chunked) = run(vec![4, 16]);
+    let (tokenwise_gens, tokenwise) = run(vec![]);
+    assert_eq!(tokens(&chunked_gens), tokens(&tokenwise_gens));
+    let (chunked_ttft, tokenwise_ttft) = (
+        chunked_gens[3].ttft_from_admission_seconds,
+        tokenwise_gens[3].ttft_from_admission_seconds,
+    );
+    assert!(
+        chunked_ttft <= 0.5 * tokenwise_ttft,
+        "chunked TTFT must be <= 0.5x token-wise, got {chunked_ttft:.6}s vs {tokenwise_ttft:.6}s"
+    );
+    let itl_ratio = chunked.itl_p95_seconds / tokenwise.itl_p95_seconds;
+    assert!(
+        itl_ratio < 1.2,
+        "ITL p95 of the running sessions must grow < 20%, got {itl_ratio:.2}x"
+    );
+    assert_eq!(chunked.prefill_passes, 1);
+    assert_eq!(
+        chunked.prefill_interleave_occupancy, 1.0,
+        "the chunk must land between decode steps of live sessions"
+    );
+    assert_eq!(chunked.kv_blocks_in_use, 0);
 }
 
 /// TTFT decomposition telescopes: queue + prefill + first-decode segments

@@ -48,8 +48,8 @@
 //! * **observability** ([`ServerStats`]): cache hit/miss/artifact/eviction
 //!   counters, tuning trials run vs. saved, per-priority p50/p95 simulated
 //!   sojourn latency, per-shard dispatch counters ([`ShardSnapshot`]) and
-//!   cluster throughput, consumed by the `serving_throughput`,
-//!   `serving_sharded` and `serving_warm_restart` bench binaries.
+//!   cluster throughput, rendered by `/v2/stats` and `/v2/metrics` from one
+//!   catalogue ([`stats::catalogue`]).
 //!
 //! ## Quickstart
 //!

@@ -3,7 +3,7 @@
 //! The environment has no serde (no crates.io access — `vendor/README.md`),
 //! so every persisted format in the workspace is hand-rolled over this one
 //! module: the tuning records ([`crate::records`]), the compiled artifacts
-//! (`hidet::artifact`) and the bench-trajectory comparator (`hidet-bench`).
+//! (`hidet::artifact`) and the HTTP API bodies (`hidet-server`).
 //! Keeping the parser in one place means one set of escape rules and one set
 //! of number-validity checks for every on-disk schema.
 //!

@@ -12,7 +12,7 @@
 //!
 //! The environment has no serde, so the (de)serializer is hand-rolled over
 //! the workspace's shared [`crate::json`] module — the same parser the
-//! compiled artifacts (`hidet::artifact`) and the bench-trajectory comparator
+//! compiled artifacts (`hidet::artifact`) and the HTTP API (`hidet-server`)
 //! use. The format is versioned; unknown versions are rejected rather than
 //! misread.
 //!

@@ -17,7 +17,7 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// A parsed request.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Uppercase method, e.g. `POST`.
     pub method: String,
@@ -52,8 +52,10 @@ impl HttpRequest {
 /// before sending anything (a clean no-request connection).
 ///
 /// # Errors
-/// I/O errors, malformed request lines, or heads/bodies past the caps
-/// (mapped onto `io::ErrorKind::InvalidData`).
+/// I/O errors, malformed request lines, heads/bodies past the caps, or body
+/// framing this server does not implement or cannot trust — any
+/// `Transfer-Encoding`, a `Content-Length` that is not plain digits, several
+/// that disagree (all mapped onto `io::ErrorKind::InvalidData`).
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<HttpRequest>> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
@@ -101,12 +103,29 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<HttpRequest>> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length: usize = headers
+    // The body is delimited by `Content-Length` alone. Reading a request
+    // that frames its body any other way as "no body" would leave that body
+    // in the socket and answer a request the client did not send.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(invalid("transfer-encoding request bodies are unsupported"));
+    }
+    let mut lengths = headers
         .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse().map_err(|_| invalid("bad content-length")))
-        .transpose()?
-        .unwrap_or(0);
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let content_length: usize = match lengths.next() {
+        None => 0,
+        Some(first) => {
+            if lengths.any(|other| other != first) {
+                return Err(invalid("conflicting content-length headers"));
+            }
+            // Digits only: `usize::from_str` alone would take `+5`.
+            match first.parse() {
+                Ok(n) if first.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Err(invalid("bad content-length")),
+            }
+        }
+    };
     if content_length > MAX_BODY_BYTES {
         return Err(invalid("body too large"));
     }
@@ -293,6 +312,67 @@ mod tests {
         let (mut client, mut server) = pair();
         client.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
         assert!(read_request(&mut server).is_err());
+    }
+
+    #[test]
+    fn rejects_body_framing_it_cannot_trust() {
+        for (headers, why) in [
+            ("Transfer-Encoding: chunked\r\n", "transfer-encoding"),
+            (
+                "Transfer-Encoding: chunked\r\nContent-Length: 5\r\n",
+                "transfer-encoding",
+            ),
+            ("Content-Length: +5\r\n", "bad content-length"),
+            ("Content-Length: \r\n", "bad content-length"),
+            ("Content-Length: 5\r\nContent-Length: 6\r\n", "conflicting"),
+        ] {
+            let (mut client, mut server) = pair();
+            client
+                .write_all(format!("POST /v2/infer HTTP/1.1\r\n{headers}\r\nhello").as_bytes())
+                .unwrap();
+            let err = read_request(&mut server).expect_err(headers);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{headers}");
+            assert!(err.to_string().contains(why), "{headers}: {err}");
+        }
+        // Repeated but agreeing lengths are one length.
+        let (mut client, mut server) = pair();
+        client
+            .write_all(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap();
+        assert_eq!(read_request(&mut server).unwrap().unwrap().body, b"hello");
+    }
+
+    /// A request means the same however TCP segments it: written in two
+    /// pieces at every byte boundary, and one byte at a time, it parses to
+    /// what the one-shot write parses to. The reader is started first and
+    /// the writer sets `TCP_NODELAY`, so the pieces normally arrive as
+    /// separate reads, with the head or the body cut mid-way.
+    #[test]
+    fn split_writes_parse_like_one_write() {
+        let body = r#"{"model":"m","inputs":[[1.0,2.5]],"priority":"high"}"#;
+        let wire = format!(
+            "POST /v2/infer?debug=timing HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes();
+        let parse = |pieces: &[&[u8]]| {
+            let (mut client, mut server) = pair();
+            client.set_nodelay(true).unwrap();
+            let reader = thread::spawn(move || read_request(&mut server));
+            for piece in pieces {
+                client.write_all(piece).unwrap();
+            }
+            reader.join().unwrap().unwrap().unwrap()
+        };
+        let whole = parse(&[&wire]);
+        assert_eq!(whole.path, "/v2/infer");
+        assert_eq!(whole.body, body.as_bytes());
+        for split in 1..wire.len() {
+            let (head, tail) = wire.split_at(split);
+            assert_eq!(parse(&[head, tail]), whole, "split at byte {split}");
+        }
+        let bytes: Vec<&[u8]> = wire.chunks(1).collect();
+        assert_eq!(parse(&bytes), whole, "one byte at a time");
     }
 
     #[test]

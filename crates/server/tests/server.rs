@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use hidet_decode::{DecodeConfig, DecodeEngine};
 use hidet_runtime::stats::catalogue::{self, Metric};
-use hidet_runtime::{AdmissionSignal, Engine, EngineConfig};
+use hidet_runtime::{AdmissionSignal, Engine, EngineConfig, IngressStatsSnapshot};
 use hidet_sched::json::{get, Json};
 use hidet_server::{HidetServer, ServerConfig};
 use hidet_trace::TraceConfig;
@@ -65,6 +65,28 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String, String) {
             body.len()
         ),
     )
+}
+
+/// Polls the ingress counters until `settled` holds and returns that
+/// snapshot. A lane books a response after writing it, so a client can see
+/// the end of its answer before the counters do.
+fn settled_ingress(
+    server: &HidetServer,
+    settled: impl Fn(&IngressStatsSnapshot) -> bool,
+) -> IngressStatsSnapshot {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let ingress = server.ingress_stats();
+        if settled(&ingress) {
+            return ingress;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the books never balanced: {}",
+            ingress.summary()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn json_body(body: &str) -> Json {
@@ -255,6 +277,23 @@ fn error_paths_map_to_statuses() {
         r#"{"model":"chat","prompt":[1,2],"max_tokens":50}"#,
     );
     assert_eq!(status, 400, "{body}");
+
+    // Body framing the parser cannot trust is refused with the reason, not
+    // read as an empty body ...
+    for (headers, why) in [
+        ("Transfer-Encoding: chunked\r\n", "transfer-encoding"),
+        ("Content-Length: +5\r\n", "bad content-length"),
+        ("Content-Length: 5\r\nContent-Length: 6\r\n", "conflicting"),
+    ] {
+        let request = format!("POST /v2/infer HTTP/1.1\r\nHost: t\r\n{headers}\r\nhello");
+        let (status, _, body) = roundtrip(addr, &request);
+        assert_eq!(status, 400, "{headers}: {body}");
+        assert!(body.contains(why), "{headers}: {body}");
+    }
+    // ... and every refusal above is on the books as served.
+    settled_ingress(&server, |i| {
+        i.accepted == i.served && i.closed_before_request == 0
+    });
 }
 
 /// Sums every `*_ns` segment of a `timing` object and pins it against
@@ -776,22 +815,11 @@ fn every_accepted_connection_stays_on_the_books() {
     // The generate path books the dead stream twice over: as `served` (the
     // lane did answer it) and as `streams_cancelled` (the answer was cut
     // short). With the silent clients counted, nothing accepted is missing.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let ingress = server.ingress_stats();
-        let settled = ingress.streams_cancelled == 1
-            && ingress.closed_before_request == silent
-            && ingress.served == answered + 1
-            && ingress.accepted == ingress.served + ingress.closed_before_request;
-        if settled {
-            assert_eq!(ingress.shed_at_socket + ingress.shed_ring_full, 0);
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the books never balanced: {}",
-            ingress.summary()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let ingress = settled_ingress(&server, |i| {
+        i.streams_cancelled == 1
+            && i.closed_before_request == silent
+            && i.served == answered + 1
+            && i.accepted == i.served + i.closed_before_request
+    });
+    assert_eq!(ingress.shed_at_socket + ingress.shed_ring_full, 0);
 }

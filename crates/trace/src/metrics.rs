@@ -73,23 +73,6 @@ impl Histogram {
     pub fn sum(&self) -> f64 {
         self.sum
     }
-
-    /// The smallest bucket bound covering quantile `q` (0..=1) — a
-    /// log-resolution percentile, good to one doubling.
-    pub fn quantile_bound(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return BUCKET_BOUNDS.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
 }
 
 /// A metric family's type, as declared on its `# TYPE` line.
@@ -207,30 +190,6 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
         let inner = self.inner.lock().expect("metrics registry poisoned");
         inner.histograms.get(&key(name, labels)).cloned()
-    }
-
-    /// Every series flattened to `(rendered sample name, value)`, sorted —
-    /// histograms contribute their `_sum`/`_count` plus log-resolution
-    /// p50/p95 bounds. This is what `hidet_bench::report` embeds next to
-    /// each BENCH section.
-    pub fn samples(&self) -> Vec<(String, f64)> {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        let mut out = Vec::new();
-        for ((name, labels), v) in &inner.counters {
-            out.push((render_series_name(name, labels, &[]), *v as f64));
-        }
-        for ((name, labels), v) in &inner.gauges {
-            out.push((render_series_name(name, labels, &[]), *v));
-        }
-        for ((name, labels), h) in &inner.histograms {
-            let base = render_series_name(name, labels, &[]);
-            out.push((format!("{base}_count"), h.count() as f64));
-            out.push((format!("{base}_sum"), h.sum()));
-            out.push((format!("{base}_p50_bound"), h.quantile_bound(0.50)));
-            out.push((format!("{base}_p95_bound"), h.quantile_bound(0.95)));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Renders the whole registry in Prometheus text exposition format
@@ -610,8 +569,6 @@ mod tests {
         assert_eq!(h.counts[0], 1);
         assert_eq!(h.counts[1], 1);
         assert_eq!(h.counts[27], 1);
-        assert_eq!(h.quantile_bound(0.5), 2e-6);
-        assert_eq!(h.quantile_bound(1.0), f64::INFINITY);
         assert_eq!(BUCKET_BOUNDS[0], 1e-6);
         assert_eq!(BUCKET_BOUNDS[1], 2e-6);
         let top = BUCKET_BOUNDS.last().copied().unwrap();
@@ -674,26 +631,6 @@ h_sum 1
         assert!(validate_exposition(non_monotonic)
             .expect_err("non-monotonic")
             .contains("monotonic"));
-    }
-
-    #[test]
-    fn samples_flatten_for_bench_reports() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("a_total", &[("k", "x")], 2);
-        reg.gauge_set("g", &[], 1.5);
-        reg.observe_seconds("h_seconds", &[], 4e-6);
-        let samples = reg.samples();
-        let find = |n: &str| {
-            samples
-                .iter()
-                .find(|(name, _)| name == n)
-                .unwrap_or_else(|| panic!("{n} missing from {samples:?}"))
-                .1
-        };
-        assert_eq!(find("a_total{k=\"x\"}"), 2.0);
-        assert_eq!(find("g"), 1.5);
-        assert_eq!(find("h_seconds_count"), 1.0);
-        assert_eq!(find("h_seconds_p50_bound"), 4e-6);
     }
 
     #[test]

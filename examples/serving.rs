@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // size this session forms for the first time (dynamic batching is
     // timing-dependent) would compile fresh, which is why the hard
     // "zero compiles" acceptance lives in the pinned-batch
-    // `serving_warm_restart` bench rather than here.
+    // `warm_restart_compiles_zero_graphs` test rather than here.
     assert!(
         stats.compiled_artifact_loads > 0,
         "warm restart loads artifacts"
