@@ -322,7 +322,7 @@ pub fn loop_matmul_kernel(m: i64, n: i64, k: i64, cfg: LoopTileConfig) -> Kernel
         })
     }));
 
-    kb.body(hidet_ir::passes::simplify(&seq(body)));
+    kb.body(hidet_ir::passes::simplify(seq(body)));
     // No pipelining: the defining limitation of loop-oriented scheduling.
     kb.meta(KernelMeta {
         pipeline_stages: 1,

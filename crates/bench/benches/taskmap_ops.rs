@@ -33,10 +33,8 @@ fn bench_lowering(c: &mut Criterion) {
     let buf = Buffer::new("A", MemScope::Global, DType::F32, &[128, 128]);
     c.bench_function("taskmap_lower_and_simplify", |b| {
         b.iter(|| {
-            let stmt = foreach_task(&tm, thread_idx(), |coords| {
-                store(&buf, coords.to_vec(), fconst(1.0))
-            });
-            std::hint::black_box(hidet_ir::passes::simplify(&stmt))
+            let stmt = foreach_task(&tm, thread_idx(), |coords| store(&buf, coords, fconst(1.0)));
+            std::hint::black_box(hidet_ir::passes::simplify(stmt))
         })
     });
 }

@@ -804,6 +804,8 @@ pub fn compile_from_artifact_hashed(
     options: &CompilerOptions,
     artifact: CompiledArtifact,
 ) -> Result<CompiledGraph, CompileError> {
+    // Unattributed (trace id 0), like the cold compile's span.
+    let _span = hidet_trace::global().span(hidet_trace::SpanKind::Compile, 0);
     artifact
         .validate_key(
             graph_hash,

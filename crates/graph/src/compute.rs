@@ -342,7 +342,7 @@ pub fn linearize_expr(indices: &[Expr], shape: &[i64]) -> Expr {
     for (i, &d) in indices.iter().zip(shape) {
         acc = acc * d + i.clone();
     }
-    hidet_ir::passes::simplify_expr(&acc)
+    hidet_ir::passes::simplify_expr(acc)
 }
 
 /// Row-major delinearization as expressions.
@@ -360,7 +360,7 @@ pub fn delinearize_expr(flat: Expr, shape: &[i64]) -> Vec<Expr> {
                 flat.clone() / strides[i]
             };
             let e = if i == 0 { q } else { q % shape[i] };
-            hidet_ir::passes::simplify_expr(&e)
+            hidet_ir::passes::simplify_expr(e)
         })
         .collect()
 }

@@ -180,25 +180,75 @@ fn binary_broadcast(
     rshape: &[i64],
     out_shape: &[i64],
 ) -> Vec<f32> {
-    let numel: i64 = out_shape.iter().product();
-    let mut out = Vec::with_capacity(numel as usize);
-    for flat in 0..numel {
-        let idx = delinearize(flat, out_shape);
-        let l = lhs[broadcast_index(&idx, out_shape, lshape)];
-        let r = rhs[broadcast_index(&idx, out_shape, rshape)];
-        out.push(binary(b, l, r));
-    }
+    let extents: Vec<usize> = out_shape.iter().map(|&d| d as usize).collect();
+    let lsteps = broadcast_steps(lshape, extents.len());
+    let rsteps = broadcast_steps(rshape, extents.len());
+    let inner = extents.last().copied().unwrap_or(1);
+    let lstep = lsteps.last().copied().unwrap_or(0);
+    let rstep = rsteps.last().copied().unwrap_or(0);
+    let mut out = Vec::with_capacity(extents.iter().product());
+    for_each_row(&extents, [&lsteps, &rsteps], |[l, r]| {
+        out.extend((0..inner).map(|i| binary(b, lhs[l + i * lstep], rhs[r + i * rstep])));
+    });
     out
 }
 
-fn broadcast_index(idx: &[i64], out_shape: &[i64], in_shape: &[i64]) -> usize {
-    let offset = out_shape.len() - in_shape.len();
-    let mut flat = 0i64;
-    for (d, &extent) in in_shape.iter().enumerate() {
-        let i = if extent == 1 { 0 } else { idx[offset + d] };
-        flat = flat * extent + i;
+/// How far an operand of `shape` moves per unit of each axis of the
+/// rank-`rank` result it broadcasts into: its row-major stride, or nothing
+/// along an axis it lacks (leading) or has with extent 1.
+fn broadcast_steps(shape: &[i64], rank: usize) -> Vec<usize> {
+    let mut steps = vec![0; rank - shape.len()];
+    let own = row_major_strides(shape);
+    steps.extend(
+        own.iter()
+            .zip(shape)
+            .map(|(&s, &d)| if d == 1 { 0 } else { s }),
+    );
+    steps
+}
+
+fn row_major_strides(shape: &[i64]) -> Vec<usize> {
+    let mut strides = vec![1usize; shape.len()];
+    for d in (1..shape.len()).rev() {
+        strides[d - 1] = strides[d] * shape[d] as usize;
     }
-    flat as usize
+    strides
+}
+
+/// The odometer under [`transpose`] and [`binary_broadcast`]: visits the rows
+/// (runs along the last axis) of the row-major iteration space `extents` in
+/// order and hands `row` the offset of each row's first element in each of
+/// `N` operands, where operand `n` moves `steps[n][d]` per unit of axis `d`.
+/// Offsets are carried from row to row, never recomputed from a flat index.
+fn for_each_row<const N: usize>(
+    extents: &[usize],
+    steps: [&[usize]; N],
+    mut row: impl FnMut([usize; N]),
+) {
+    let outer = extents.len().saturating_sub(1);
+    let mut idx = vec![0usize; outer];
+    let mut at = [0usize; N];
+    loop {
+        row(at);
+        let mut d = outer;
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            idx[d] += 1;
+            for (a, s) in at.iter_mut().zip(steps) {
+                *a += s[d];
+            }
+            if idx[d] < extents[d] {
+                break;
+            }
+            idx[d] = 0;
+            for (a, s) in at.iter_mut().zip(steps) {
+                *a -= s[d] * extents[d];
+            }
+        }
+    }
 }
 
 fn delinearize(mut flat: i64, shape: &[i64]) -> Vec<i64> {
@@ -367,22 +417,40 @@ fn pool(
     out
 }
 
+/// Output axis `j` is input axis `perm[j]`. The one permutation routine:
+/// the oracle and constant folding both reach it through [`eval_kind`].
 fn transpose(x: &[f32], shape: &[i64], perm: &[usize]) -> Vec<f32> {
-    let out_shape: Vec<i64> = perm.iter().map(|&p| shape[p]).collect();
-    let numel: i64 = shape.iter().product();
-    let mut out = vec![0.0f32; numel as usize];
-    for flat in 0..numel {
-        let oidx = delinearize(flat, &out_shape);
-        // in_index[perm[j]] = out_index[j]
-        let mut iidx = vec![0i64; shape.len()];
-        for (j, &p) in perm.iter().enumerate() {
-            iidx[p] = oidx[j];
+    if let (&[rows, cols], &[1, 0]) = (shape, perm) {
+        return transpose_2d(x, rows as usize, cols as usize);
+    }
+    let from = row_major_strides(shape);
+    let extents: Vec<usize> = perm.iter().map(|&p| shape[p] as usize).collect();
+    let steps: Vec<usize> = perm.iter().map(|&p| from[p]).collect();
+    let inner = extents.last().copied().unwrap_or(1);
+    let step = steps.last().copied().unwrap_or(0);
+    let mut out = Vec::with_capacity(x.len());
+    for_each_row(&extents, [&steps], |[base]| {
+        out.extend((0..inner).map(|i| x[base + i * step]));
+    });
+    out
+}
+
+/// The matrix transpose `lower_convs` emits for every dense convolution's
+/// weight, in tiles: the cache lines a tile's rows touch are reused for
+/// every column of the tile, where a whole-column walk has evicted them by
+/// the time it comes back for the next column.
+fn transpose_2d(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    const TILE: usize = 32;
+    let mut out = vec![0.0f32; rows * cols];
+    for r0 in (0..rows).step_by(TILE) {
+        let r1 = (r0 + TILE).min(rows);
+        for c0 in (0..cols).step_by(TILE) {
+            for c in c0..(c0 + TILE).min(cols) {
+                for r in r0..r1 {
+                    out[c * rows + r] = x[r * cols + c];
+                }
+            }
         }
-        let mut iflat = 0i64;
-        for (i, &d) in iidx.iter().zip(shape) {
-            iflat = iflat * d + i;
-        }
-        out[flat as usize] = x[iflat as usize];
     }
     out
 }
@@ -441,6 +509,137 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::tensor::Tensor;
+    use proptest::prelude::*;
+
+    /// The definition [`transpose`] is pinned against: every output
+    /// coordinate delinearised and looked up in the input on its own.
+    fn naive_transpose(x: &[f32], shape: &[i64], perm: &[usize]) -> Vec<f32> {
+        let out_shape: Vec<i64> = perm.iter().map(|&p| shape[p]).collect();
+        (0..x.len() as i64)
+            .map(|flat| {
+                let out_idx = delinearize(flat, &out_shape);
+                let mut in_idx = vec![0; shape.len()];
+                for (j, &p) in perm.iter().enumerate() {
+                    in_idx[p] = out_idx[j];
+                }
+                let at = in_idx.iter().zip(shape).fold(0, |at, (i, d)| at * d + i);
+                x[at as usize]
+            })
+            .collect()
+    }
+
+    /// Same for [`binary_broadcast`].
+    fn naive_broadcast(
+        b: BinaryKind,
+        lhs: (&[f32], &[i64]),
+        rhs: (&[f32], &[i64]),
+        out_shape: &[i64],
+    ) -> Vec<f32> {
+        let pick = |(data, shape): (&[f32], &[i64]), idx: &[i64]| {
+            let idx = &idx[idx.len() - shape.len()..];
+            let at = idx
+                .iter()
+                .zip(shape)
+                .fold(0, |at, (&i, &d)| at * d + if d == 1 { 0 } else { i });
+            data[at as usize]
+        };
+        (0..out_shape.iter().product::<i64>())
+            .map(|flat| {
+                let idx = delinearize(flat, out_shape);
+                binary(b, pick(lhs, &idx), pick(rhs, &idx))
+            })
+            .collect()
+    }
+
+    fn permutations(rank: usize) -> Vec<Vec<usize>> {
+        if rank == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for shorter in permutations(rank - 1) {
+            for at in 0..rank {
+                let mut perm = shorter.clone();
+                perm.insert(at, rank - 1);
+                all.push(perm);
+            }
+        }
+        all
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Rank 1–4, extents 1–9 (1-extent and non-square included), every
+        /// permutation of the axes.
+        #[test]
+        fn transpose_matches_the_naive_definition(
+            shape in prop::collection::vec(1i64..10, 1..5),
+            seed in 0u64..1000,
+        ) {
+            let x = Tensor::randn(&shape, seed);
+            let x = x.data().unwrap();
+            for perm in permutations(shape.len()) {
+                prop_assert_eq!(
+                    bits(&transpose(x, &shape, &perm)),
+                    bits(&naive_transpose(x, &shape, &perm)),
+                    "shape {:?} perm {:?}", &shape, &perm
+                );
+            }
+        }
+
+        /// The blocked 2-D case across its tile edge (32), both sides.
+        #[test]
+        fn matrix_transpose_matches_the_naive_definition(
+            rows in 1i64..80,
+            cols in 1i64..80,
+            seed in 0u64..1000,
+        ) {
+            let x = Tensor::randn(&[rows, cols], seed);
+            let x = x.data().unwrap();
+            prop_assert_eq!(
+                bits(&transpose(x, &[rows, cols], &[1, 0])),
+                bits(&naive_transpose(x, &[rows, cols], &[1, 0]))
+            );
+        }
+
+        /// One operand flattens some axes to 1 and drops some leading ones;
+        /// the other flattens only axes the first keeps, so the result has
+        /// `out_shape`. Either side can be the thin one.
+        #[test]
+        fn broadcast_matches_the_naive_definition(
+            out_shape in prop::collection::vec(1i64..7, 1..5),
+            masks in (0u32..16, 0u32..16),
+            dropped in 0usize..4,
+            thin_on_the_left in 0u8..2,
+            kind in prop::sample::select(vec![
+                BinaryKind::Add, BinaryKind::Sub, BinaryKind::Mul, BinaryKind::Div,
+            ]),
+            seed in 0u64..1000,
+        ) {
+            let flattened = |mask: u32| -> Vec<i64> {
+                let axis = |(d, &e): (usize, &i64)| if mask >> d & 1 == 1 { 1 } else { e };
+                out_shape.iter().enumerate().map(axis).collect()
+            };
+            let dropped = dropped.min(out_shape.len() - 1);
+            let thin_mask = masks.0 | ((1 << dropped) - 1);
+            let mut lshape = flattened(thin_mask)[dropped..].to_vec();
+            let mut rshape = flattened(masks.1 & !thin_mask);
+            if thin_on_the_left == 0 {
+                std::mem::swap(&mut lshape, &mut rshape);
+            }
+            let (l, r) = (Tensor::randn(&lshape, seed), Tensor::randn(&rshape, seed + 1));
+            let (l, r) = (l.data().unwrap(), r.data().unwrap());
+            prop_assert_eq!(
+                bits(&binary_broadcast(kind, l, &lshape, r, &rshape, &out_shape)),
+                bits(&naive_broadcast(kind, (l, &lshape), (r, &rshape), &out_shape)),
+                "{:?} op {:?} -> {:?}", &lshape, &rshape, &out_shape
+            );
+        }
+    }
 
     #[test]
     fn matmul_reference() {

@@ -50,6 +50,26 @@ impl Tensor {
         }
     }
 
+    /// The same elements under another shape: a constant shares its payload
+    /// with `self` (row-major order is unchanged, so nothing is copied).
+    ///
+    /// # Panics
+    /// Panics if `shape`'s volume differs from this tensor's.
+    pub fn reshaped(&self, shape: &[i64]) -> Tensor {
+        let numel: i64 = shape.iter().product();
+        assert_eq!(
+            numel,
+            self.numel(),
+            "cannot view {:?} as {shape:?}",
+            self.shape
+        );
+        Tensor {
+            shape: shape.to_vec(),
+            dtype: self.dtype,
+            data: self.data.clone(),
+        }
+    }
+
     /// A zero-filled constant tensor.
     pub fn zeros(shape: &[i64]) -> Tensor {
         let numel: i64 = shape.iter().product();
@@ -147,6 +167,23 @@ mod tests {
     #[should_panic(expected = "data length")]
     fn from_vec_rejects_bad_length() {
         let _ = Tensor::from_vec(&[2, 2], vec![1.0]);
+    }
+
+    #[test]
+    fn reshaped_shares_the_payload() {
+        let t = Tensor::randn(&[4, 6], 1);
+        let r = t.reshaped(&[2, 12]);
+        assert_eq!(r.shape(), &[2, 12]);
+        assert!(std::ptr::eq(t.data().unwrap(), r.data().unwrap()));
+        assert!(!Tensor::symbolic(&[4], DType::F32)
+            .reshaped(&[2, 2])
+            .is_const());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot view")]
+    fn reshaped_rejects_another_volume() {
+        let _ = Tensor::zeros(&[2, 3]).reshaped(&[4]);
     }
 
     #[test]

@@ -329,9 +329,9 @@ mod tests {
         let s = kb.shared("SmemA", DType::F32, &[64, 8]);
         let tm = repeat(&[4, 1]) * spatial(&[16, 8]);
         let body = foreach_task(&tm, thread_idx(), |coords| {
-            store(&s, coords.to_vec(), load(&a, coords.to_vec()))
+            store(&s, coords.clone(), load(&a, coords))
         });
-        kb.push(crate::passes::simplify(&body));
+        kb.push(crate::passes::simplify(body));
         let text = to_cuda(&kb.build());
         let expected = "\
 // launch: grid=(1), block=(128)

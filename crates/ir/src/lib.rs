@@ -30,7 +30,7 @@
 //! let smem_a = kb.shared("SmemA", DType::F32, &[64, 8]);
 //! let tm = repeat(&[4, 1]) * spatial(&[16, 8]);
 //! let body = foreach_task(&tm, thread_idx(), |coords| {
-//!     store(&smem_a, coords.to_vec(), load(&a, coords.to_vec()))
+//!     store(&smem_a, coords.clone(), load(&a, coords))
 //! });
 //! let kernel = kb.body(body).build();
 //! assert_eq!(kernel.launch().block_dim, 128);

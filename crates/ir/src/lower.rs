@@ -16,7 +16,9 @@ use crate::stmt::Stmt;
 /// Generates the statement executing every task `tm` assigns to the worker
 /// designated by `worker` (an expression such as `thread_idx()` or a warp id).
 ///
-/// `body` receives one coordinate expression per task dimension.
+/// `body` receives one coordinate expression per task dimension, by value:
+/// they are built for this call and a template usually moves each into the
+/// statement it returns.
 ///
 /// ```
 /// use hidet_ir::prelude::*;
@@ -26,7 +28,7 @@ use crate::stmt::Stmt;
 /// let a = Buffer::new("A", MemScope::Global, DType::F32, &[64, 8]);
 /// let s = Buffer::new("S", MemScope::Shared, DType::F32, &[64, 8]);
 /// let stmt = foreach_task(&tm, thread_idx(), |coords| {
-///     store(&s, coords.to_vec(), load(&a, coords.to_vec()))
+///     store(&s, coords.clone(), load(&a, coords))
 /// });
 /// // One loop of extent 4 (the repeat), indices derived from threadIdx.x.
 /// assert!(stmt.to_string().contains("in 0..4"));
@@ -36,13 +38,13 @@ use crate::stmt::Stmt;
 /// Panics if `tm` contains a custom mapping ([`TaskMapping::contains_custom`]),
 /// which has no closed-form index arithmetic. Custom mappings can still be
 /// *executed* (via enumeration) but not lowered symbolically.
-pub fn foreach_task(tm: &TaskMapping, worker: Expr, body: impl FnOnce(&[Expr]) -> Stmt) -> Stmt {
+pub fn foreach_task(tm: &TaskMapping, worker: Expr, body: impl FnOnce(Vec<Expr>) -> Stmt) -> Stmt {
     assert!(
         !tm.contains_custom(),
         "cannot lower custom task mapping {tm} to closed-form loops"
     );
     let counter = std::cell::Cell::new(0u32);
-    lower(tm, worker, &counter, Box::new(move |coords| body(&coords)))
+    lower(tm, worker, &counter, Box::new(body))
 }
 
 /// Like [`foreach_task`], but additionally guards the body with bounds checks
@@ -54,7 +56,7 @@ pub fn foreach_task_where(
     tm: &TaskMapping,
     worker: Expr,
     bounds: &[Option<Expr>],
-    body: impl FnOnce(&[Expr]) -> Stmt,
+    body: impl FnOnce(Vec<Expr>) -> Stmt,
 ) -> Stmt {
     assert_eq!(
         bounds.len(),
@@ -127,10 +129,10 @@ fn lower<'a>(tm: &TaskMapping, worker: Expr, counter: &'a Counter, k: Cont<'a>) 
                         counter,
                         Box::new(move |c2: Vec<Expr>| {
                             let coords: Vec<Expr> = c1
-                                .iter()
+                                .into_iter()
                                 .zip(&d2)
                                 .zip(c2)
-                                .map(|((a, d), b)| combine(a.clone(), *d, b))
+                                .map(|((a, d), b)| combine(a, *d, b))
                                 .collect();
                             k(coords)
                         }),
@@ -222,14 +224,14 @@ fn delinearize_expr(worker: Expr, shape: &[i64]) -> Vec<Expr> {
 pub fn foreach_task_unrolled(
     tm: &TaskMapping,
     worker: Expr,
-    mut body: impl FnMut(&[Expr]) -> Stmt,
+    mut body: impl FnMut(Vec<Expr>) -> Stmt,
 ) -> Stmt {
     let mut arms = Vec::new();
     for w in 0..tm.num_workers() {
         let mut stmts = Vec::new();
         for task in tm.worker_tasks(w) {
             let coords: Vec<Expr> = task.iter().map(|&t| Expr::Int(t)).collect();
-            stmts.push(body(&coords));
+            stmts.push(body(coords));
         }
         arms.push(if_then(worker.clone().eq_(w), seq(stmts)));
     }
@@ -247,8 +249,8 @@ mod tests {
     fn copy_body<'a>(
         src: &'a crate::buffer::BufferRef,
         dst: &'a crate::buffer::BufferRef,
-    ) -> impl FnOnce(&[Expr]) -> Stmt + 'a {
-        move |coords: &[Expr]| store(dst, coords.to_vec(), load(src, coords.to_vec()))
+    ) -> impl FnOnce(Vec<Expr>) -> Stmt + 'a {
+        move |coords: Vec<Expr>| store(dst, coords.clone(), load(src, coords))
     }
 
     #[test]
@@ -300,7 +302,11 @@ mod tests {
             let stmt = foreach_task(&tm, Expr::Int(w), |coords| {
                 let folded: Vec<i64> = coords
                     .iter()
-                    .map(|e| crate::passes::simplify_expr(e).as_int().unwrap_or(-1))
+                    .map(|e| {
+                        crate::passes::simplify_expr(e.clone())
+                            .as_int()
+                            .unwrap_or(-1)
+                    })
                     .collect();
                 // Repeat dims stay symbolic (loop vars), so only fully constant
                 // coords can be compared directly; expand loops manually below.
@@ -326,7 +332,7 @@ mod tests {
         let s = Buffer::new("S", MemScope::Shared, DType::F32, &[128, 8]);
         let tm = repeat(&[8, 1]) * spatial(&[16, 8]);
         let stmt = foreach_task_where(&tm, thread_idx(), &[Some(Expr::Int(100)), None], |coords| {
-            store(&s, coords.to_vec(), load(&a, coords.to_vec()))
+            store(&s, coords.clone(), load(&a, coords))
         });
         let text = stmt.to_string();
         assert!(text.contains("< 100"), "expected predicate in {text}");
@@ -338,7 +344,7 @@ mod tests {
         let a = Buffer::new("A", MemScope::Global, DType::F32, &[2, 2]);
         let s = Buffer::new("S", MemScope::Shared, DType::F32, &[2, 2]);
         let stmt = foreach_task_unrolled(&tm, thread_idx(), |coords| {
-            store(&s, coords.to_vec(), load(&a, coords.to_vec()))
+            store(&s, coords.clone(), load(&a, coords))
         });
         assert_eq!(stmt.count_stores(), 4);
         let text = stmt.to_string();

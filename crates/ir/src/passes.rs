@@ -7,7 +7,7 @@
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel::Kernel;
 use crate::stmt::Stmt;
-use crate::visit::{rewrite_expr, substitute_stmt};
+use crate::visit::substitute_stmt;
 
 /// Simplifies an expression: constant folding plus algebraic identities.
 ///
@@ -15,10 +15,44 @@ use crate::visit::{rewrite_expr, substitute_stmt};
 /// use hidet_ir::passes::simplify_expr;
 /// use hidet_ir::prelude::*;
 /// let e = (c(0) * 16 + thread_idx() * 1) % 1024;
-/// assert_eq!(simplify_expr(&e).to_string(), "(threadIdx.x % 1024)");
+/// assert_eq!(simplify_expr(e).to_string(), "(threadIdx.x % 1024)");
 /// ```
-pub fn simplify_expr(e: &Expr) -> Expr {
-    rewrite_expr(e, &mut |node| simplify_node(node))
+pub fn simplify_expr(mut e: Expr) -> Expr {
+    simplify_in_place(&mut e);
+    e
+}
+
+/// Bottom-up, in the tree's own allocations: children first, then the node
+/// is offered to [`simplify_node`]. A sub-tree no rule fires in is never
+/// rebuilt.
+fn simplify_in_place(e: &mut Expr) {
+    match e {
+        Expr::Int(_)
+        | Expr::Float(_)
+        | Expr::Bool(_)
+        | Expr::Var(_)
+        | Expr::ThreadIdx
+        | Expr::BlockIdx => return,
+        Expr::Binary { lhs, rhs, .. } => {
+            simplify_in_place(lhs);
+            simplify_in_place(rhs);
+        }
+        Expr::Unary { operand, .. } => simplify_in_place(operand),
+        Expr::Load { indices, .. } => indices.iter_mut().for_each(simplify_in_place),
+        Expr::Cast { value, .. } => simplify_in_place(value),
+        Expr::Select {
+            cond,
+            then_value,
+            else_value,
+        } => {
+            simplify_in_place(cond);
+            simplify_in_place(then_value);
+            simplify_in_place(else_value);
+        }
+    }
+    if let Some(simpler) = simplify_node(e) {
+        *e = simpler;
+    }
 }
 
 fn simplify_node(e: &Expr) -> Option<Expr> {
@@ -173,85 +207,82 @@ fn simplify_unary(op: UnOp, operand: &Expr) -> Option<Expr> {
 }
 
 /// Simplifies a statement tree: folds expressions, prunes constant branches,
-/// unwraps trivial loops and flattens sequences.
-pub fn simplify(s: &Stmt) -> Stmt {
+/// unwraps trivial loops and flattens sequences. Takes the tree by value:
+/// what no rule touches is moved into the result, not copied.
+pub fn simplify(s: Stmt) -> Stmt {
     match s {
-        Stmt::Seq(items) => {
-            let mut out = Stmt::Nop;
-            for item in items {
-                out = out.then(simplify(item));
-            }
-            out
-        }
+        Stmt::Seq(items) => items
+            .into_iter()
+            .fold(Stmt::Nop, |out, item| out.then(simplify(item))),
         Stmt::For {
             var,
-            extent,
+            mut extent,
             body,
             unroll,
         } => {
-            let extent = simplify_expr(extent);
+            simplify_in_place(&mut extent);
             match extent.as_int() {
                 Some(0) => Stmt::Nop,
-                Some(1) => simplify(&substitute_stmt(body, var, &Expr::Int(0))),
-                _ => {
-                    let body = simplify(body);
-                    if matches!(body, Stmt::Nop) {
-                        Stmt::Nop
-                    } else {
-                        Stmt::For {
-                            var: var.clone(),
-                            extent,
-                            body: Box::new(body),
-                            unroll: *unroll,
-                        }
-                    }
-                }
+                Some(1) => simplify(substitute_stmt(&body, &var, &Expr::Int(0))),
+                _ => match simplify(*body) {
+                    Stmt::Nop => Stmt::Nop,
+                    body => Stmt::For {
+                        var,
+                        extent,
+                        body: Box::new(body),
+                        unroll,
+                    },
+                },
             }
         }
         Stmt::If {
-            cond,
+            mut cond,
             then_body,
             else_body,
         } => {
-            let cond = simplify_expr(cond);
+            simplify_in_place(&mut cond);
             match cond {
-                Expr::Bool(true) => simplify(then_body),
-                Expr::Bool(false) => else_body.as_deref().map_or(Stmt::Nop, simplify),
+                Expr::Bool(true) => simplify(*then_body),
+                Expr::Bool(false) => else_body.map_or(Stmt::Nop, |e| simplify(*e)),
                 _ => {
-                    let then_body = simplify(then_body);
-                    let else_body = else_body.as_deref().map(simplify);
-                    match (&then_body, &else_body) {
-                        (Stmt::Nop, None) => Stmt::Nop,
-                        (Stmt::Nop, Some(Stmt::Nop)) => Stmt::Nop,
-                        _ => Stmt::If {
-                            cond,
-                            then_body: Box::new(then_body),
-                            else_body: else_body.filter(|e| !matches!(e, Stmt::Nop)).map(Box::new),
-                        },
+                    let then_body = simplify(*then_body);
+                    let else_body = else_body
+                        .map(|e| simplify(*e))
+                        .filter(|e| !matches!(e, Stmt::Nop));
+                    if matches!(then_body, Stmt::Nop) && else_body.is_none() {
+                        return Stmt::Nop;
+                    }
+                    Stmt::If {
+                        cond,
+                        then_body: Box::new(then_body),
+                        else_body: else_body.map(Box::new),
                     }
                 }
             }
         }
         Stmt::Let { var, value } => Stmt::Let {
-            var: var.clone(),
+            var,
             value: simplify_expr(value),
         },
         Stmt::Store {
             buffer,
-            indices,
+            mut indices,
             value,
-        } => Stmt::Store {
-            buffer: buffer.clone(),
-            indices: indices.iter().map(simplify_expr).collect(),
-            value: simplify_expr(value),
-        },
-        Stmt::SyncThreads | Stmt::Nop | Stmt::Comment(_) => s.clone(),
+        } => {
+            indices.iter_mut().for_each(simplify_in_place);
+            Stmt::Store {
+                buffer,
+                indices,
+                value: simplify_expr(value),
+            }
+        }
+        Stmt::SyncThreads | Stmt::Nop | Stmt::Comment(_) => s,
     }
 }
 
 /// Simplifies a kernel's body.
 pub fn simplify_kernel(k: &Kernel) -> Kernel {
-    k.with_body(simplify(k.body()))
+    k.with_body(simplify(k.body().clone()))
 }
 
 #[cfg(test)]
@@ -264,7 +295,7 @@ mod tests {
     #[test]
     fn folds_integer_arithmetic() {
         let e = (c(2) + 3) * 4 - 1;
-        assert_eq!(simplify_expr(&e), Expr::Int(19));
+        assert_eq!(simplify_expr(e), Expr::Int(19));
     }
 
     #[test]
@@ -273,36 +304,33 @@ mod tests {
     #[allow(clippy::erasing_op, clippy::modulo_one)]
     fn folds_identities() {
         let t = thread_idx();
-        assert_eq!(simplify_expr(&(t.clone() + 0)).to_string(), "threadIdx.x");
-        assert_eq!(simplify_expr(&(t.clone() * 1)).to_string(), "threadIdx.x");
-        assert_eq!(simplify_expr(&(t.clone() * 0)), Expr::Int(0));
-        assert_eq!(simplify_expr(&(t.clone() % 1)), Expr::Int(0));
-        assert_eq!(simplify_expr(&(t.clone() / 1)).to_string(), "threadIdx.x");
+        assert_eq!(simplify_expr(t.clone() + 0).to_string(), "threadIdx.x");
+        assert_eq!(simplify_expr(t.clone() * 1).to_string(), "threadIdx.x");
+        assert_eq!(simplify_expr(t.clone() * 0), Expr::Int(0));
+        assert_eq!(simplify_expr(t.clone() % 1), Expr::Int(0));
+        assert_eq!(simplify_expr(t.clone() / 1).to_string(), "threadIdx.x");
         assert_eq!(
-            simplify_expr(&((t.clone() * 8) / 8)).to_string(),
+            simplify_expr((t.clone() * 8) / 8).to_string(),
             "threadIdx.x"
         );
-        assert_eq!(simplify_expr(&((t.clone() * 8) % 8)), Expr::Int(0));
-        assert_eq!(
-            simplify_expr(&((t / 4) / 8)).to_string(),
-            "(threadIdx.x / 32)"
-        );
+        assert_eq!(simplify_expr((t.clone() * 8) % 8), Expr::Int(0));
+        assert_eq!(simplify_expr((t / 4) / 8).to_string(), "(threadIdx.x / 32)");
     }
 
     #[test]
     fn folds_predicates_and_selects() {
-        assert_eq!(simplify_expr(&c(3).lt(5)), Expr::Bool(true));
+        assert_eq!(simplify_expr(c(3).lt(5)), Expr::Bool(true));
         let sel = c(3).lt(5).select(1.0f32, 2.0f32);
-        assert_eq!(simplify_expr(&sel), Expr::Float(1.0));
+        assert_eq!(simplify_expr(sel), Expr::Float(1.0));
         let t = thread_idx().lt(10).and(Expr::Bool(true));
-        assert_eq!(simplify_expr(&t).to_string(), "(threadIdx.x < 10)");
+        assert_eq!(simplify_expr(t).to_string(), "(threadIdx.x < 10)");
     }
 
     #[test]
     fn folds_casts() {
-        assert_eq!(simplify_expr(&c(3).cast(DType::F32)), Expr::Float(3.0));
+        assert_eq!(simplify_expr(c(3).cast(DType::F32)), Expr::Float(3.0));
         assert_eq!(
-            simplify_expr(&Expr::Float(2.7).cast(DType::I64)),
+            simplify_expr(Expr::Float(2.7).cast(DType::I64)),
             Expr::Int(2)
         );
     }
@@ -311,38 +339,38 @@ mod tests {
     fn trivial_loops_unwrapped() {
         let b = Buffer::new("A", MemScope::Global, DType::F32, &[4]);
         let loop1 = for_range("i", 1, |i| store(&b, vec![i + 2], Expr::Float(0.0)));
-        let out = simplify(&loop1);
+        let out = simplify(loop1);
         assert_eq!(out.to_string().trim(), "A[2] = 0.0");
         let loop0 = for_range("i", 0, |_| Stmt::Nop);
-        assert_eq!(simplify(&loop0), Stmt::Nop);
+        assert_eq!(simplify(loop0), Stmt::Nop);
     }
 
     #[test]
     fn constant_branches_pruned() {
         let b = Buffer::new("A", MemScope::Global, DType::F32, &[4]);
         let s = if_then(c(1).lt(2), store(&b, vec![c(0)], Expr::Float(1.0)));
-        assert!(matches!(simplify(&s), Stmt::Store { .. }));
+        assert!(matches!(simplify(s), Stmt::Store { .. }));
         let dead = if_then(c(3).lt(2), store(&b, vec![c(0)], Expr::Float(1.0)));
-        assert_eq!(simplify(&dead), Stmt::Nop);
+        assert_eq!(simplify(dead), Stmt::Nop);
     }
 
     #[test]
     fn empty_loops_removed() {
         let s = for_range("i", 16, |_| Stmt::Nop);
-        assert_eq!(simplify(&s), Stmt::Nop);
+        assert_eq!(simplify(s), Stmt::Nop);
     }
 
     #[test]
     fn div_by_zero_not_folded() {
         let e = c(4) / 0;
         // Left intact; the interpreter reports the error at run time.
-        assert!(matches!(simplify_expr(&e), Expr::Binary { .. }));
+        assert!(matches!(simplify_expr(e), Expr::Binary { .. }));
     }
 
     #[test]
     fn simplify_preserves_var_semantics() {
         let v = var("n");
         let e = v.expr() * 1 + 0;
-        assert_eq!(simplify_expr(&e), v.expr());
+        assert_eq!(simplify_expr(e), v.expr());
     }
 }

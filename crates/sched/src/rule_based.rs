@@ -56,7 +56,7 @@ pub fn elementwise_kernel(job: ElementwiseJob) -> Kernel {
         let_(&flat, block_idx() * block + thread_idx()),
         if_then(flat.expr().lt(numel), store(&job.out, idx, value)),
     ]);
-    kb.body(hidet_ir::passes::simplify(&body));
+    kb.body(hidet_ir::passes::simplify(body));
     kb.build()
 }
 
@@ -75,7 +75,7 @@ pub fn delinearize(flat: Expr, shape: &[i64]) -> Vec<Expr> {
                 flat.clone() / strides[i]
             };
             let e = if i == 0 { q } else { q % shape[i] };
-            hidet_ir::passes::simplify_expr(&e)
+            hidet_ir::passes::simplify_expr(e)
         })
         .collect()
 }
@@ -191,7 +191,7 @@ pub fn pool_kernel(
             ]),
         ),
     ]);
-    kb.body(hidet_ir::passes::simplify(&body));
+    kb.body(hidet_ir::passes::simplify(body));
     kb.build()
 }
 
@@ -257,7 +257,7 @@ pub fn depthwise_conv_kernel(
             ]),
         ),
     ]);
-    kb.body(hidet_ir::passes::simplify(&body));
+    kb.body(hidet_ir::passes::simplify(body));
     kb.build()
 }
 

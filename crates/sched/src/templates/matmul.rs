@@ -67,17 +67,17 @@ pub type FusedLoad = Box<dyn Fn(&Expr, &Expr, &Expr) -> Expr>;
 pub type FusedStore = Box<dyn Fn(&Expr, &Expr, &Expr, Expr) -> Stmt>;
 
 impl Source {
-    fn at(&self, b: &Expr, i: &Expr, j: &Expr) -> Expr {
+    fn at(&self, b: Expr, i: Expr, j: Expr) -> Expr {
         match self {
             Source::Direct(buf) => match buf.ndim() {
-                2 => load(buf, vec![i.clone(), j.clone()]),
-                3 => load(buf, vec![b.clone(), i.clone(), j.clone()]),
+                2 => load(buf, vec![i, j]),
+                3 => load(buf, vec![b, i, j]),
                 n => panic!(
                     "matmul input buffer {} has rank {n}, want 2 or 3",
                     buf.name()
                 ),
             },
-            Source::Fused(f) => f(b, i, j),
+            Source::Fused(f) => f(&b, &i, &j),
         }
     }
 }
@@ -293,23 +293,23 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
     // Loads A/B tile `k0` into shared-memory stage `buf` (an Expr).
     let load_tile_to_smem = |k0: Expr, buf: Expr| -> Stmt {
         let a_stmt = foreach_task(&map_a, thread_idx(), |coords| {
-            let (i, kk) = (coords[0].clone(), coords[1].clone());
+            let [i, kk] = pair(coords);
             let row = m_idx.expr() * bm + i.clone();
             let col = kp_idx.expr() * k_part + k0.clone() * bk + kk.clone();
             let valid = row.clone().lt(m).and(col.clone().lt(k_lim.expr()));
             let row_c = row.min(m - 1);
             let col_c = col.min(k - 1);
-            let value = valid.select(io.a.at(&b_idx.expr(), &row_c, &col_c), 0.0f32);
+            let value = valid.select(io.a.at(b_idx.expr(), row_c, col_c), 0.0f32);
             store(&smem_a, vec![buf.clone(), i, kk], value)
         });
         let b_stmt = foreach_task(&map_b, thread_idx(), |coords| {
-            let (kk, j) = (coords[0].clone(), coords[1].clone());
+            let [kk, j] = pair(coords);
             let row = kp_idx.expr() * k_part + k0.clone() * bk + kk.clone();
             let col = n_idx.expr() * bn + j.clone();
             let valid = row.clone().lt(k_lim.expr()).and(col.clone().lt(n));
             let row_c = row.min(k - 1);
             let col_c = col.min(n - 1);
-            let value = valid.select(io.b.at(&b_idx.expr(), &row_c, &col_c), 0.0f32);
+            let value = valid.select(io.b.at(b_idx.expr(), row_c, col_c), 0.0f32);
             store(&smem_b, vec![buf.clone(), kk, j], value)
         });
         a_stmt.then(b_stmt)
@@ -317,8 +317,8 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
 
     // Register indices within the accumulator tile, derived from block-tile
     // coordinates (see the task-mapping composition in the module docs).
-    let reg_m = |i: &Expr| ((i.clone() % wtm) / (4 * tm)) * tm + i.clone() % tm;
-    let reg_n = |j: &Expr| ((j.clone() % wtn) / (8 * tn)) * tn + j.clone() % tn;
+    let reg_m = |i: Expr| ((i.clone() % wtm) / (4 * tm)) * tm + i % tm;
+    let reg_n = |j: Expr| ((j.clone() % wtn) / (8 * tn)) * tn + j % tn;
 
     // One block-level MMA over shared-memory stage `buf`: per k-step, load
     // the thread's operand fragments once, then the outer-product FMA loop
@@ -378,25 +378,25 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
         // Loads tile `k0` into per-thread registers (paper Fig. 5, L8).
         let load_tile_to_regs = |k0: Expr| -> Stmt {
             let a_stmt = foreach_task(&map_a, thread_idx(), |coords| {
-                let (i, kk) = (coords[0].clone(), coords[1].clone());
+                let [i, kk] = pair(coords);
                 let ordinal = i.clone() / rows_a;
                 let row = m_idx.expr() * bm + i;
                 let col = kp_idx.expr() * k_part + k0.clone() * bk + kk;
                 let valid = row.clone().lt(m).and(col.clone().lt(k_lim.expr()));
                 let value = valid.select(
-                    io.a.at(&b_idx.expr(), &row.min(m - 1), &col.min(k - 1)),
+                    io.a.at(b_idx.expr(), row.min(m - 1), col.min(k - 1)),
                     0.0f32,
                 );
                 store(&regs_ld_a, vec![ordinal], value)
             });
             let b_stmt = foreach_task(&map_b, thread_idx(), |coords| {
-                let (kk, j) = (coords[0].clone(), coords[1].clone());
+                let [kk, j] = pair(coords);
                 let ordinal = kk.clone() / rows_b;
                 let row = kp_idx.expr() * k_part + k0.clone() * bk + kk;
                 let col = n_idx.expr() * bn + j;
                 let valid = row.clone().lt(k_lim.expr()).and(col.clone().lt(n));
                 let value = valid.select(
-                    io.b.at(&b_idx.expr(), &row.min(k - 1), &col.min(n - 1)),
+                    io.b.at(b_idx.expr(), row.min(k - 1), col.min(n - 1)),
                     0.0f32,
                 );
                 store(&regs_ld_b, vec![ordinal], value)
@@ -406,7 +406,7 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
         // Stores the preloaded registers into stage `buf` (Fig. 5, L10).
         let regs_to_smem = |buf: Expr| -> Stmt {
             let a_stmt = foreach_task(&map_a, thread_idx(), |coords| {
-                let (i, kk) = (coords[0].clone(), coords[1].clone());
+                let [i, kk] = pair(coords);
                 let ordinal = i.clone() / rows_a;
                 store(
                     &smem_a,
@@ -415,7 +415,7 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
                 )
             });
             let b_stmt = foreach_task(&map_b, thread_idx(), |coords| {
-                let (kk, j) = (coords[0].clone(), coords[1].clone());
+                let [kk, j] = pair(coords);
                 let ordinal = kk.clone() / rows_b;
                 store(
                     &smem_b,
@@ -448,10 +448,10 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
 
     // Write-back with bounds predicates (partial tiles).
     let writeback = foreach_task(&c_map, thread_idx(), |coords| {
-        let (i, j) = (coords[0].clone(), coords[1].clone());
+        let [i, j] = pair(coords);
         let row = m_idx.expr() * bm + i.clone();
         let col = n_idx.expr() * bn + j.clone();
-        let value = load(&regs_c, vec![reg_m(&i), reg_n(&j)]);
+        let value = load(&regs_c, vec![reg_m(i), reg_n(j)]);
         let inner = match &partial {
             None => io.c.store_at(&b_idx.expr(), &row, &col, value),
             Some(pbuf) => store(
@@ -464,7 +464,7 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
     });
     body.push(writeback);
 
-    kb.body(hidet_ir::passes::simplify(&seq(body)));
+    kb.body(hidet_ir::passes::simplify(seq(body)));
     kb.meta(KernelMeta {
         pipeline_stages: stages,
         uses_tensor_cores: false,
@@ -521,10 +521,15 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
                 ]),
             ),
         ]);
-        kb2.body(hidet_ir::passes::simplify(&body2));
+        kb2.body(hidet_ir::passes::simplify(body2));
         kernels.push(kb2.build());
     }
     kernels
+}
+
+/// The two coordinates of a 2-D task.
+fn pair(coords: Vec<Expr>) -> [Expr; 2] {
+    coords.try_into().expect("a 2-D task mapping")
 }
 
 fn div_ceil(a: i64, b: i64) -> i64 {

@@ -189,7 +189,7 @@ fn thread_per_row_kernel(
             ])));
         }
     }
-    kb.body(hidet_ir::passes::simplify(&seq(body)));
+    kb.body(hidet_ir::passes::simplify(seq(body)));
     kb.build()
 }
 
@@ -344,7 +344,7 @@ fn cooperative_kernel(
             ));
         }
     }
-    kb.body(hidet_ir::passes::simplify(&seq(body)));
+    kb.body(hidet_ir::passes::simplify(seq(body)));
     kb.build()
 }
 

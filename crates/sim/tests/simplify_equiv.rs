@@ -61,7 +61,7 @@ proptest! {
 
     #[test]
     fn simplify_preserves_integer_semantics(e in int_expr(4)) {
-        let simplified = hidet_ir::passes::simplify_expr(&e);
+        let simplified = hidet_ir::passes::simplify_expr(e.clone());
         let before = run_with(&e);
         let after = run_with(&simplified);
         prop_assert_eq!(before, after, "expr {} != simplified {}", e, simplified);
@@ -70,8 +70,8 @@ proptest! {
     /// Simplification is idempotent: a second pass changes nothing.
     #[test]
     fn simplify_is_idempotent(e in int_expr(4)) {
-        let once = hidet_ir::passes::simplify_expr(&e);
-        let twice = hidet_ir::passes::simplify_expr(&once);
+        let once = hidet_ir::passes::simplify_expr(e);
+        let twice = hidet_ir::passes::simplify_expr(once.clone());
         prop_assert_eq!(once, twice);
     }
 }

@@ -19,9 +19,9 @@ fn coverage_via_simulator(tm: &TaskMapping) {
     let mut kb = KernelBuilder::new("cover", 1, workers);
     let out = kb.param("Out", DType::F32, &shape);
     let body = foreach_task(tm, thread_idx(), |coords| {
-        store(&out, coords.to_vec(), load(&out, coords.to_vec()) + 1.0f32)
+        store(&out, coords.clone(), load(&out, coords) + 1.0f32)
     });
-    kb.push(hidet_ir::passes::simplify(&body));
+    kb.push(hidet_ir::passes::simplify(body));
     let kernel = kb.build();
     let gpu = Gpu::default();
     let mut mem = DeviceMemory::new();

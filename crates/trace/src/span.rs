@@ -32,7 +32,7 @@ pub enum SpanKind {
     BatchForm,
     /// Engine: executing one formed batch on a shard worker.
     BatchExecute,
-    /// Compiler: one cold compile of a fused graph.
+    /// Compiler: one compile of a fused graph, cold or from an artifact.
     Compile,
     /// Compiler: the schedule-tuning stage of a compile.
     Tune,

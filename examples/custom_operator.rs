@@ -32,14 +32,14 @@ fn main() {
     let out = kb.param("Out", DType::F32, &[64, 8]);
     let smem = kb.shared("SmemA", DType::F32, &[64, 8]);
     let load_stmt = foreach_task(&tm, thread_idx(), |coords| {
-        store(&smem, coords.to_vec(), load(&a, coords.to_vec()))
+        store(&smem, coords.clone(), load(&a, coords))
     });
     let copy_back = foreach_task(&tm, thread_idx(), |coords| {
-        store(&out, coords.to_vec(), load(&smem, coords.to_vec()) * 2.0f32)
+        store(&out, coords.clone(), load(&smem, coords) * 2.0f32)
     });
-    kb.push(hidet_ir::passes::simplify(&load_stmt));
+    kb.push(hidet_ir::passes::simplify(load_stmt));
     kb.push(sync_threads());
-    kb.push(hidet_ir::passes::simplify(&copy_back));
+    kb.push(hidet_ir::passes::simplify(copy_back));
     let kernel = kb.build();
 
     println!(
