@@ -251,6 +251,7 @@ fn for_each_row<const N: usize>(
     }
 }
 
+#[cfg(test)]
 fn delinearize(mut flat: i64, shape: &[i64]) -> Vec<i64> {
     let mut out = vec![0; shape.len()];
     for (slot, d) in out.iter_mut().zip(shape).rev() {
@@ -480,25 +481,20 @@ fn img2col(x: &[f32], xs: &[i64], kernel: i64, stride: i64, padding: i64) -> Vec
     out
 }
 
+/// Everything from `axis` inwards is contiguous in an input and in the
+/// output alike, so each index of the axes outside it moves one run of
+/// `extent[axis] × inner` elements per input.
 fn concat(ins: &[&[f32]], shapes: &[&[i64]], axis: usize, out_shape: &[i64]) -> Vec<f32> {
-    let numel: i64 = out_shape.iter().product();
-    let mut out = vec![0.0f32; numel as usize];
-    for flat in 0..numel {
-        let idx = delinearize(flat, out_shape);
-        let mut a = idx[axis];
+    let extent = |shape: &[i64]| shape.iter().product::<i64>() as usize;
+    let (outer, inner) = (extent(&out_shape[..axis]), extent(&out_shape[axis + 1..]));
+    let row = out_shape[axis] as usize * inner;
+    let mut out = vec![0.0f32; outer * row];
+    for o in 0..outer {
+        let mut at = o * row;
         for (input, shape) in ins.iter().zip(shapes) {
-            let extent = shape[axis];
-            if a < extent {
-                let mut iidx = idx.clone();
-                iidx[axis] = a;
-                let mut iflat = 0i64;
-                for (i, &d) in iidx.iter().zip(*shape) {
-                    iflat = iflat * d + i;
-                }
-                out[flat as usize] = input[iflat as usize];
-                break;
-            }
-            a -= extent;
+            let run = shape[axis] as usize * inner;
+            out[at..at + run].copy_from_slice(&input[o * run..][..run]);
+            at += run;
         }
     }
     out
@@ -551,6 +547,25 @@ mod tests {
             .collect()
     }
 
+    /// Same for [`concat`]: every output coordinate looked up in the input
+    /// its position along `axis` falls into.
+    fn naive_concat(ins: &[&[f32]], shapes: &[&[i64]], axis: usize, out_shape: &[i64]) -> Vec<f32> {
+        (0..out_shape.iter().product::<i64>())
+            .map(|flat| {
+                let mut idx = delinearize(flat, out_shape);
+                let mut from = ins.iter().zip(shapes);
+                loop {
+                    let (input, shape) = from.next().expect("inputs cover the axis");
+                    if idx[axis] < shape[axis] {
+                        let at = idx.iter().zip(*shape).fold(0, |at, (i, d)| at * d + i);
+                        break input[at as usize];
+                    }
+                    idx[axis] -= shape[axis];
+                }
+            })
+            .collect()
+    }
+
     fn permutations(rank: usize) -> Vec<Vec<usize>> {
         if rank == 0 {
             return vec![Vec::new()];
@@ -587,6 +602,40 @@ mod tests {
                     bits(&transpose(x, &shape, &perm)),
                     bits(&naive_transpose(x, &shape, &perm)),
                     "shape {:?} perm {:?}", &shape, &perm
+                );
+            }
+        }
+
+        /// Rank 1–4, one to four inputs that differ along the axis only
+        /// (1-extent inputs included), every axis.
+        #[test]
+        fn concat_matches_the_naive_definition(
+            shape in prop::collection::vec(1i64..6, 1..5),
+            along in prop::collection::vec(1i64..5, 1..5),
+            seed in 0u64..1000,
+        ) {
+            for axis in 0..shape.len() {
+                let shapes: Vec<Vec<i64>> = along
+                    .iter()
+                    .map(|&extent| {
+                        let mut s = shape.clone();
+                        s[axis] = extent;
+                        s
+                    })
+                    .collect();
+                let inputs: Vec<Tensor> = shapes
+                    .iter()
+                    .zip(seed..)
+                    .map(|(s, seed)| Tensor::randn(s, seed))
+                    .collect();
+                let ins: Vec<&[f32]> = inputs.iter().map(|t| t.data().unwrap()).collect();
+                let shapes: Vec<&[i64]> = shapes.iter().map(Vec::as_slice).collect();
+                let mut out_shape = shape.clone();
+                out_shape[axis] = along.iter().sum();
+                prop_assert_eq!(
+                    bits(&concat(&ins, &shapes, axis, &out_shape)),
+                    bits(&naive_concat(&ins, &shapes, axis, &out_shape)),
+                    "shape {:?} axis {} extents {:?}", &shape, axis, &along
                 );
             }
         }

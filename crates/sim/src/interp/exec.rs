@@ -7,10 +7,15 @@
 //! around barriers must agree across the block. Inside a leaf the
 //! instructions are a straight array with relative jumps over one register
 //! file per thread.
+//!
+//! Each stream of hoisted instructions runs at its level: lane code once per
+//! program (into a table a thread copies its row of), block code once per
+//! block, thread code once per thread per block, and a loop's prologue at
+//! the top of each of its iterations.
 
 use hidet_ir::{BinOp, DType};
 
-use super::program::{Access, Control, Node, Op, Program, Space, MEM};
+use super::program::{Access, Control, Node, Op, Program, Space, ELEMENT, MEM};
 use super::SimError;
 use crate::memory::{BufferId, DeviceMemory};
 use crate::spec::GpuSpec;
@@ -63,11 +68,42 @@ pub(crate) fn launch(
             });
         }
     }
-    let mut machine = Machine::new(program, buffers, memory);
+    let lanes = lanes(program, buffers, memory).map_err(|fault| *fault)?;
+    let mut machine = Machine::new(program, lanes, buffers, memory);
     for block in 0..program.grid_dim {
         machine.run_block(block).map_err(|fault| *fault)?;
     }
     Ok(())
+}
+
+/// The program's lane table: for every thread of a block, the lane registers
+/// that code outside `lane_code` reads. Computed by the first launch — lane
+/// code reads `threadIdx` and constants, nothing of a launch — and kept.
+fn lanes<'p>(
+    p: &'p Program,
+    globals: &[Option<BufferId>],
+    memory: &mut DeviceMemory,
+) -> Result<&'p [Value], Fault> {
+    if let Some(table) = p.lanes.get() {
+        return Ok(table);
+    }
+    let n_block = p.block_init.len();
+    let mut file = p.block_init.clone();
+    file.resize(n_block + p.n_lane, Value::I64(0));
+    let mut table = Vec::with_capacity(p.block_dim * p.lane_row);
+    for tid in 0..p.block_dim {
+        file[p.thread_idx as usize] = Value::I64(tid as i64);
+        let mut files = Files {
+            regs: &mut file,
+            locals: &mut [],
+            shared: &mut [],
+            memory,
+            globals,
+        };
+        step(p, &p.lane_code, &mut files)?;
+        table.extend_from_slice(&file[n_block..n_block + p.lane_row]);
+    }
+    Ok(p.lanes.get_or_init(|| table))
 }
 
 /// The state of one launch: storage is allocated once and reused by every
@@ -76,6 +112,8 @@ struct Machine<'a> {
     p: &'a Program,
     globals: &'a [Option<BufferId>],
     memory: &'a mut DeviceMemory,
+    /// `p.lanes`, filled.
+    lanes: &'a [Value],
     /// The block-level registers of the block being run.
     block_regs: Vec<Value>,
     /// Register files, `stride` apart: one per thread under lockstep,
@@ -91,6 +129,7 @@ struct Machine<'a> {
 impl<'a> Machine<'a> {
     fn new(
         p: &'a Program,
+        lanes: &'a [Value],
         globals: &'a [Option<BufferId>],
         memory: &'a mut DeviceMemory,
     ) -> Machine<'a> {
@@ -99,6 +138,7 @@ impl<'a> Machine<'a> {
             p,
             globals,
             memory,
+            lanes,
             block_regs: p.block_init.clone(),
             regs: vec![Value::I64(0); files * p.n_regs],
             stride: if p.lockstep { p.n_regs } else { 0 },
@@ -131,13 +171,13 @@ impl<'a> Machine<'a> {
     }
 
     /// Gives thread `tid` a fresh register file — the block's registers, its
-    /// own index, zeroed register arrays — and computes its thread-invariant
-    /// registers.
+    /// row of the lane table, zeroed register arrays — and computes its
+    /// thread-invariant registers.
     fn enter_thread(&mut self, tid: usize) -> Result<(), Fault> {
         let p = self.p;
-        let base = tid * self.stride;
-        self.regs[base..base + self.block_regs.len()].copy_from_slice(&self.block_regs);
-        self.regs[base + p.thread_idx as usize] = Value::I64(tid as i64);
+        let (block, lane) = self.regs[tid * self.stride..].split_at_mut(self.block_regs.len());
+        block.copy_from_slice(&self.block_regs);
+        lane[..p.lane_row].copy_from_slice(&self.lanes[tid * p.lane_row..][..p.lane_row]);
         let base = tid * self.local_stride;
         self.locals[base..base + p.local_len].fill(0.0);
         self.run(0, p.thread_code_end, tid)
@@ -175,11 +215,17 @@ impl<'a> Machine<'a> {
                 }
                 Ok(())
             }
-            Node::For { extent, var, body } => {
+            Node::For {
+                extent,
+                var,
+                prologue,
+                body,
+            } => {
                 let n = self.uniform(extent, Value::as_i64, "loop extent must be integer")?;
                 for i in 0..n {
                     for tid in 0..p.block_dim {
                         self.regs[tid * self.stride + *var as usize] = Value::I64(i);
+                        self.run(prologue.0, prologue.1, tid)?;
                     }
                     self.exec(*body)?;
                 }
@@ -253,6 +299,20 @@ fn past_the_end(p: &Program, a: &Access, flat: usize) -> Fault {
         "access reaches element {flat} of buffer {}, past its end",
         p.buffer_names[a.buffer as usize]
     ))
+}
+
+/// The lowering only makes an operand of an element its thread has.
+#[cold]
+fn no_such_element(at: usize) -> Fault {
+    type_error(&format!(
+        "register-array element {at} is past the thread's storage"
+    ))
+}
+
+/// The offset an [`ELEMENT`] operand carries.
+#[inline(always)]
+fn element_offset(operand: u32) -> usize {
+    (operand & !(MEM | ELEMENT)) as usize
 }
 
 /// `Value::binary`, with its one failure mode named as the tree walker
@@ -355,13 +415,18 @@ impl Files<'_> {
         }
     }
 
-    /// A source operand: a register, or — for a memory operand — the element
-    /// its access names: indices checked first, then the buffer looked up,
-    /// as the tree walker ordered the two.
+    /// A source operand: a register, an element of the thread's register
+    /// arrays, or the element an access names: indices checked first, then
+    /// the buffer looked up, as the tree walker ordered the two.
     #[inline(always)]
     fn fetch(&self, p: &Program, operand: u32) -> Result<Value, Fault> {
         if operand & MEM == 0 {
             return Ok(self.regs[operand as usize]);
+        }
+        if operand & ELEMENT != 0 {
+            let at = element_offset(operand);
+            let element = self.locals.get(at);
+            return Ok(Value::F32(*element.ok_or_else(|| no_such_element(at))?));
         }
         let a = &p.accesses[(operand & !MEM) as usize];
         let flat = address(p, a, self.regs)?;
@@ -369,6 +434,53 @@ impl Files<'_> {
         Ok(Value::F32(
             *element.ok_or_else(|| past_the_end(p, a, flat))?,
         ))
+    }
+
+    /// Where a memory operand written to points: its indices checked, its
+    /// buffer not yet looked up.
+    #[inline(always)]
+    fn locate<'p>(&self, p: &'p Program, operand: u32) -> Result<Target<'p>, Fault> {
+        if operand & ELEMENT != 0 {
+            return Ok(Target {
+                access: None,
+                at: element_offset(operand),
+            });
+        }
+        let a = &p.accesses[(operand & !MEM) as usize];
+        Ok(Target {
+            access: Some(a),
+            at: address(p, a, self.regs)?,
+        })
+    }
+
+    /// The element at `target`, for writing.
+    #[inline(always)]
+    fn element_mut(&mut self, p: &Program, target: Target<'_>) -> Result<&mut f32, Fault> {
+        let at = target.at;
+        match target.access {
+            None => self.locals.get_mut(at).ok_or_else(|| no_such_element(at)),
+            Some(a) => {
+                let element = self.storage_mut(p, a)?.get_mut(at);
+                element.ok_or_else(|| past_the_end(p, a, at))
+            }
+        }
+    }
+}
+
+/// What a `Store` / `Update` / `MulAdd` writes: element `at` of the storage
+/// `access` names — of the thread's register arrays when it names none.
+#[derive(Clone, Copy)]
+struct Target<'p> {
+    access: Option<&'p Access>,
+    at: usize,
+}
+
+impl Target<'_> {
+    /// The element type a stored value converts to: the buffer's, and a
+    /// register's own `f32` for an element that is an operand.
+    #[inline(always)]
+    fn dtype(self) -> DType {
+        self.access.map_or(DType::F32, |a| a.dtype)
     }
 }
 
@@ -399,28 +511,22 @@ fn step(p: &Program, code: &[Op], f: &mut Files<'_>) -> Result<(), Fault> {
             Op::Check { access, dim } => {
                 checked_index(p, &p.accesses[access as usize], dim as usize, f.regs)?;
             }
-            Op::Store { access, src } => {
-                let a = &p.accesses[access as usize];
-                let flat = address(p, a, f.regs)?;
-                let value = store_value(f.fetch(p, src)?, a.dtype)?;
-                let slot = f.storage_mut(p, a)?.get_mut(flat);
-                *slot.ok_or_else(|| past_the_end(p, a, flat))? = value;
+            Op::Store { to, src } => {
+                let to = f.locate(p, to)?;
+                let value = store_value(f.fetch(p, src)?, to.dtype())?;
+                *f.element_mut(p, to)? = value;
             }
-            Op::Update { op, access, src } => {
-                let a = &p.accesses[access as usize];
-                let flat = address(p, a, f.regs)?;
+            Op::Update { op, to, src } => {
+                let to = f.locate(p, to)?;
                 let with = f.fetch(p, src)?;
-                let slot = f.storage_mut(p, a)?.get_mut(flat);
-                let slot = slot.ok_or_else(|| past_the_end(p, a, flat))?;
-                *slot = store_value(binary(op, Value::F32(*slot), with)?, a.dtype)?;
+                let slot = f.element_mut(p, to)?;
+                *slot = store_value(binary(op, Value::F32(*slot), with)?, to.dtype())?;
             }
-            Op::MulAdd { access, a, b } => {
+            Op::MulAdd { to, a, b } => {
                 let product = binary(BinOp::Mul, f.fetch(p, a)?, f.fetch(p, b)?)?;
-                let a = &p.accesses[access as usize];
-                let flat = address(p, a, f.regs)?;
-                let slot = f.storage_mut(p, a)?.get_mut(flat);
-                let slot = slot.ok_or_else(|| past_the_end(p, a, flat))?;
-                *slot = store_value(binary(BinOp::Add, Value::F32(*slot), product)?, a.dtype)?;
+                let to = f.locate(p, to)?;
+                let slot = f.element_mut(p, to)?;
+                *slot = store_value(binary(BinOp::Add, Value::F32(*slot), product)?, to.dtype())?;
             }
             Op::Jump { skip } => pc += skip as usize,
             Op::Branch { cond, skip, select } => {

@@ -4,7 +4,8 @@
 //! instruction and tagged with a static type, a [`Place`] (the coarsest
 //! level its value is constant at) and whether it can fault; an instruction
 //! that cannot fault is emitted into the stream of its place — folded into a
-//! constant, computed once per block, once per thread, or left in the body —
+//! constant, computed once per program and lane, once per block, once per
+//! thread, once per iteration of an enclosing loop, or left in the body —
 //! and everything else stays exactly where the tree walker would have
 //! evaluated it, so faults are raised in the walker's order or not at all.
 //!
@@ -13,7 +14,9 @@
 //! at a fixed point: it becomes a *memory operand* of the instruction that
 //! consumes it, `b[i] = b[i] + x` becomes one read-modify-write (one
 //! multiply-add when `x` is a product), and its address is a folded
-//! constant plus the terms that are not constants, unchecked.
+//! constant plus one register summing the terms that are not constants,
+//! unchecked. When nothing is left but the constant and the buffer is a
+//! register array, the operand is the element itself ([`ELEMENT`]).
 //!
 //! A barrier-free loop with a small constant extent is lowered as copies of
 //! its body with the loop variable a literal ([`Lowerer::unroll`]), within a
@@ -21,28 +24,47 @@
 //! above do the rest, and a loop outside the budget lowers as a loop.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use hidet_ir::{BinOp, BufferRef, Expr, Kernel, MemScope, Stmt, UnOp};
+use hidet_ir::{BinOp, BufferRef, DType, Expr, Kernel, MemScope, Stmt, UnOp};
 
-use super::program::{Access, Control, Dim, Global, Node, Op, Program, Reg, Space, MEM};
+use super::program::{Access, Control, Dim, Global, Node, Op, Program, Reg, Space, ELEMENT, MEM};
 use super::SimError;
 use crate::value::Value;
 
 /// The coarsest level at which an expression's value is fixed — which is
-/// where its instruction runs. Ordered: an operation lives at the finest
-/// place among its operands, and at `Body` whenever it can fault.
+/// where its instruction runs. An operation lives at the [`Place::join`] of
+/// its operands' places, and at `Body` whenever it can fault. The derived
+/// order is the lattice's, except that `Lane` and `Block` are incomparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Place {
     /// A literal or a fold of literals.
     Const,
+    /// A function of `threadIdx` and constants: once per thread per
+    /// *program*, whatever the block and the launch. Task mappings put most
+    /// index arithmetic here.
+    Lane,
     /// A function of `blockIdx` and constants: once per block.
     Block,
-    /// A function of `threadIdx`, `blockIdx` and constants: once per thread
-    /// per block. Task mappings put most index arithmetic here.
+    /// A function of `threadIdx` and `blockIdx` both: once per thread per
+    /// block.
     Thread,
-    /// Depends on a loop variable or memory, or can fault: evaluated in
-    /// place, every time.
+    /// Reads the variable of the `n`-th enclosing loop that stayed a loop
+    /// (the outermost is 1) and of none further in: once per iteration of
+    /// that loop, in its prologue.
+    Loop(u32),
+    /// Depends on memory, or can fault: evaluated in place, every time.
     Body,
+}
+
+impl Place {
+    /// The coarsest place at which values of both places are fixed.
+    fn join(self, other: Place) -> Place {
+        match (self, other) {
+            (Place::Lane, Place::Block) | (Place::Block, Place::Lane) => Place::Thread,
+            _ => self.max(other),
+        }
+    }
 }
 
 /// Static type of a value, as far as it is known. `Value`'s operators fault
@@ -84,8 +106,9 @@ type Range = Option<(i64, i64)>;
 /// A lowered expression: where its value is, and what is known about it.
 #[derive(Debug, Clone, Copy)]
 struct Val {
-    /// The register holding it — or, tagged [`MEM`], the access whose
-    /// element it is: a load that cannot fault, left to its consumer.
+    /// The register holding it — or, tagged [`MEM`], the access or
+    /// register-array element it is: a load that cannot fault, left to its
+    /// consumer.
     reg: Reg,
     ty: Ty,
     place: Place,
@@ -108,27 +131,42 @@ impl Val {
 }
 
 // Registers are numbered per space while lowering and laid out
-// `[block | thread | temp]` once the space sizes are known. Bit 31 is `MEM`.
-const SPACE_SHIFT: u32 = 29;
+// `[block | lane | thread | loop | temp]` once the space sizes are known.
+// Bit 31 is `MEM`, and such an operand is not a register.
+const SPACE_SHIFT: u32 = 28;
+const INDEX: u32 = (1 << SPACE_SHIFT) - 1;
 const BLOCK: u32 = 0;
-const THREAD: u32 = 1;
-const TEMP: u32 = 2;
+const LANE: u32 = 1;
+const THREAD: u32 = 2;
+const LOOP: u32 = 3;
+const TEMP: u32 = 4;
 
 fn reg(space: u32, index: u32) -> Reg {
-    debug_assert!(index < 1 << SPACE_SHIFT);
+    debug_assert!(index <= INDEX);
     space << SPACE_SHIFT | index
 }
 
+/// A loop that stayed a loop, while its body is being lowered.
+#[derive(Default)]
+struct OpenLoop {
+    /// What the body computes from this loop's variable (and coarser values)
+    /// alone, into loop-space registers: run at the top of every iteration.
+    prologue: Vec<Op>,
+    /// The prologue's instructions by (operation, operands), shared like
+    /// [`Lowerer::hoisted`].
+    hoisted: HashMap<Op, Reg>,
+}
+
 impl Op {
-    /// Visits every register field, memory operands included.
+    /// Visits every operand: registers and memory operands alike.
     fn for_each_reg(&mut self, mut f: impl FnMut(&mut Reg)) {
         match self {
             Op::Bin { dst, a, b, .. } => [dst, a, b].into_iter().for_each(f),
             Op::Un { dst, a, .. } | Op::Cast { dst, a, .. } => [dst, a].into_iter().for_each(f),
             Op::Select { dst, cond, a, b } => [dst, cond, a, b].into_iter().for_each(f),
             Op::Mov { dst, src } => [dst, src].into_iter().for_each(f),
-            Op::Store { src, .. } | Op::Update { src, .. } => f(src),
-            Op::MulAdd { a, b, .. } => [a, b].into_iter().for_each(f),
+            Op::Store { to, src } | Op::Update { to, src, .. } => [to, src].into_iter().for_each(f),
+            Op::MulAdd { to, a, b } => [to, a, b].into_iter().for_each(f),
             Op::Branch { cond, .. } => f(cond),
             Op::LoopEnter {
                 var, count, extent, ..
@@ -166,8 +204,14 @@ struct Checkpoint {
     traps: usize,
     block_regs: usize,
     block_code: usize,
+    lane_regs: u32,
+    lane_code: usize,
     thread_regs: u32,
     thread_code: usize,
+    loop_regs: u32,
+    /// Per open loop, outermost first.
+    prologues: Vec<usize>,
+    hoisted_ops: usize,
 }
 
 /// The interval of `op` over two integer intervals, where one follows.
@@ -242,6 +286,16 @@ fn leaked<'s>(s: &'s Stmt, out: &mut Vec<&'s str>) {
     }
 }
 
+/// One lowered `Load` / `Store` site.
+struct Site {
+    /// The memory operand naming it: an [`Access`], or the [`ELEMENT`].
+    operand: u32,
+    /// Unable to fault.
+    proven: bool,
+    /// Its buffer is sure to exist when a launch runs.
+    declared: bool,
+}
+
 /// A buffer the kernel declares or the body names, keyed by (scope, name).
 struct BufferSlot {
     space: Space,
@@ -257,15 +311,23 @@ struct Lowerer<'k> {
     /// space, and code offsets are relative to `main`, until `finish`.
     p: Program,
     consts: HashMap<(u8, u64), Reg>,
+    n_lane: u32,
     n_thread: u32,
+    n_loop: u32,
     temp_top: u32,
     temp_max: u32,
+    /// Computes the lane registers; ends up as `p.lane_code`.
+    lane_code: Vec<Op>,
     /// Computes the thread-invariant registers; ends up at the front of
     /// `p.code`.
     thread_code: Vec<Op>,
-    /// Hoisted instructions by (operation, operands): task-mapping index
-    /// trees repeat `threadIdx / 8`-style terms many times over.
+    /// Block-, lane- and thread-level instructions by (operation, operands):
+    /// task-mapping index trees repeat `threadIdx / 8`-style terms many
+    /// times over.
     hoisted: HashMap<Op, Reg>,
+    /// The loops around the statement being lowered, outermost first:
+    /// `Place::Loop(n)` is `loops[n - 1]`.
+    loops: Vec<OpenLoop>,
     /// The body fragment being emitted, and whether anything in it can fault.
     code: Vec<Op>,
     may_fault: bool,
@@ -292,13 +354,17 @@ impl<'k> Lowerer<'k> {
             dims: Vec::new(),
             shared_len: elements(kernel.shared_buffers()),
             local_len: elements(kernel.local_buffers()),
-            // Register 0 of the block space is `blockIdx`, of the thread
-            // space `threadIdx`.
+            // Register 0 of the block space is `blockIdx`, of the lane space
+            // `threadIdx`.
             block_init: vec![Value::I64(0)],
             block_idx: reg(BLOCK, 0),
-            thread_idx: reg(THREAD, 0),
+            thread_idx: reg(LANE, 0),
             n_regs: 0,
             block_code: Vec::new(),
+            lane_code: Vec::new(),
+            n_lane: 0,
+            lane_row: 0,
+            lanes: OnceLock::new(),
             code: Vec::new(),
             thread_code_end: 0,
             nodes: Vec::new(),
@@ -311,11 +377,15 @@ impl<'k> Lowerer<'k> {
             kernel,
             p: program,
             consts: HashMap::new(),
-            n_thread: 1,
+            n_lane: 1,
+            n_thread: 0,
+            n_loop: 0,
             temp_top: 0,
             temp_max: 0,
+            lane_code: Vec::new(),
             thread_code: Vec::new(),
             hoisted: HashMap::new(),
+            loops: Vec::new(),
             code: Vec::new(),
             may_fault: false,
             main: Vec::new(),
@@ -408,40 +478,66 @@ impl<'k> Lowerer<'k> {
     }
 
     fn const_value(&self, v: Val) -> Option<Value> {
-        (v.place == Place::Const).then(|| self.p.block_init[(v.reg & !(3 << SPACE_SHIFT)) as usize])
+        (v.place == Place::Const).then(|| self.p.block_init[(v.reg & INDEX) as usize])
     }
 
     // ---- emission --------------------------------------------------------
 
+    /// The instruction stream of a place other than the body, and the map
+    /// that shares its instructions.
+    fn level(&mut self, place: Place) -> (&mut Vec<Op>, &mut HashMap<Op, Reg>) {
+        match place {
+            Place::Loop(n) => {
+                let open = &mut self.loops[n as usize - 1];
+                (&mut open.prologue, &mut open.hoisted)
+            }
+            Place::Lane => (&mut self.lane_code, &mut self.hoisted),
+            Place::Thread => (&mut self.thread_code, &mut self.hoisted),
+            _ => (&mut self.p.block_code, &mut self.hoisted),
+        }
+    }
+
+    /// A new register of the space the stream of `place` computes into.
+    fn fresh(&mut self, place: Place) -> Reg {
+        let (space, count) = match place {
+            Place::Lane => (LANE, &mut self.n_lane),
+            Place::Thread => (THREAD, &mut self.n_thread),
+            Place::Loop(_) => (LOOP, &mut self.n_loop),
+            _ => {
+                self.p.block_init.push(Value::I64(0));
+                return reg(BLOCK, self.p.block_init.len() as u32 - 1);
+            }
+        };
+        *count += 1;
+        reg(space, *count - 1)
+    }
+
     /// Emits `op` — the instruction computing `val`, its destination not yet
-    /// chosen — where `val.place` says it runs: into the block or thread
-    /// stream, shared with any identical instruction already there, or into
-    /// the body fragment. Returns `val` with its register filled in.
+    /// chosen — where `val.place` says it runs: into the block, lane or
+    /// thread stream or the prologue of an open loop, shared with any
+    /// identical instruction already there, or into the body fragment.
+    /// Returns `val` with its register filled in.
     fn emit(&mut self, op: Op, val: Val, faults: bool) -> Val {
         debug_assert!(!faults || val.place == Place::Body);
         // (Constant operands that did not fold still make a block-level value.)
-        let place = val.place.max(Place::Block);
+        let place = if val.place == Place::Const {
+            Place::Block
+        } else {
+            val.place
+        };
         if place == Place::Body {
             let reg = self.temp();
             self.code.push(op.with_dst(reg));
             self.may_fault |= faults;
             return Val { reg, place, ..val };
         }
-        if let Some(&reg) = self.hoisted.get(&op) {
+        if let Some(&reg) = self.level(place).1.get(&op) {
             return Val { reg, place, ..val };
         }
-        let reg = if place == Place::Block {
-            self.p.block_init.push(Value::I64(0));
-            let r = reg(BLOCK, self.p.block_init.len() as u32 - 1);
-            self.p.block_code.push(op.with_dst(r));
-            r
-        } else {
-            self.n_thread += 1;
-            let r = reg(THREAD, self.n_thread - 1);
-            self.thread_code.push(op.with_dst(r));
-            r
-        };
-        self.hoisted.insert(op, reg);
+        let reg = self.fresh(place);
+        let (stream, shared) = self.level(place);
+        stream.push(op.with_dst(reg));
+        shared.insert(op, reg);
         Val { reg, place, ..val }
     }
 
@@ -507,10 +603,13 @@ impl<'k> Lowerer<'k> {
             Expr::ThreadIdx => Val {
                 reg: self.p.thread_idx,
                 ty: Ty::I64,
-                place: Place::Thread,
+                place: Place::Lane,
                 uniform: false,
                 range: Some((0, self.kernel.launch().block_dim - 1)),
             },
+            // The only block of its grid: what would be block-level is
+            // constant, and what would be thread-level is lane-level.
+            Expr::BlockIdx if self.kernel.launch().grid_dim == 1 => self.konst(Value::I64(0)),
             Expr::BlockIdx => Val {
                 reg: self.p.block_idx,
                 ty: Ty::I64,
@@ -576,12 +675,12 @@ impl<'k> Lowerer<'k> {
                 else_value,
             } => self.select(cond, then_value, else_value),
             Expr::Load { buffer, indices } => {
-                let (access, proven) = match self.access(buffer, indices) {
-                    Ok(access) => access,
+                let site = match self.access(buffer, indices, false) {
+                    Ok(site) => site,
                     Err(trapped) => return trapped,
                 };
-                let load = Val::body(access | MEM, Ty::F32);
-                if proven {
+                let load = Val::body(site.operand, Ty::F32);
+                if site.proven {
                     // Left to its consumer — which reads the index registers
                     // then, so their temporaries stay allocated until it has.
                     return load;
@@ -607,7 +706,7 @@ impl<'k> Lowerer<'k> {
             place: if faults {
                 Place::Body
             } else {
-                a.place.max(b.place)
+                a.place.join(b.place)
             },
             uniform: !faults && a.uniform && b.uniform,
             range: match ty {
@@ -648,7 +747,7 @@ impl<'k> Lowerer<'k> {
                 place: if cond_faults {
                     Place::Body
                 } else {
-                    c.place.max(t.place).max(e.place)
+                    c.place.join(t.place).join(e.place)
                 },
                 uniform: !cond_faults && c.uniform && t.uniform && e.uniform,
                 range: t
@@ -678,15 +777,20 @@ impl<'k> Lowerer<'k> {
         Val::body(dst, ty)
     }
 
-    /// Lowers the index expressions of one access and records it; returns
-    /// its id and whether it is proven unable to fault. `Err` when the
-    /// access is malformed: a trap has been emitted instead.
+    /// Lowers the index expressions of one access — to `write` or to read —
+    /// and records it. `Err` when the access is malformed: a trap has been
+    /// emitted instead.
     ///
     /// The tree walker evaluated and bounds-checked one index at a time; a
     /// single fused check after all of them reports the same fault unless a
     /// later index expression can itself fault, in which case the earlier
     /// dimensions are checked ahead of it.
-    fn access(&mut self, buffer: &'k BufferRef, indices: &'k [Expr]) -> Result<(u32, bool), Val> {
+    fn access(
+        &mut self,
+        buffer: &'k BufferRef,
+        indices: &'k [Expr],
+        write: bool,
+    ) -> Result<Site, Val> {
         if indices.len() != buffer.ndim() {
             return Err(self.trap(SimError::TypeError(format!(
                 "access to {}: {} indices for rank-{} buffer",
@@ -742,10 +846,28 @@ impl<'k> Lowerer<'k> {
         // is at least that large. (An early `Check` names a dimension by its
         // position, so an access that has one keeps them all.)
         let fits = buffer.num_elements() as usize <= len;
-        let proven = in_bounds && fits && self.declared(space) && checked == 0;
+        let declared = self.declared(space);
+        let proven = in_bounds && fits && declared && checked == 0;
+        debug_assert!(id < ELEMENT);
         let mut offset = base;
         if proven {
             offset += self.fold_terms(&mut dims);
+        }
+        // Nothing left to add up, in the thread's own register arrays: the
+        // element is the operand. A write converts to the element type, and
+        // only an `f32`-stored type's conversion is the one every register
+        // gets; any other keeps its access, which names the type.
+        let as_f32 = matches!(buffer.dtype(), DType::F32 | DType::F16);
+        if proven && space == Space::Local && dims.is_empty() && (as_f32 || !write) {
+            debug_assert!(offset < ELEMENT as usize);
+            if id as usize + 1 == self.p.accesses.len() {
+                self.p.accesses.pop();
+            }
+            return Ok(Site {
+                operand: MEM | ELEMENT | offset as u32,
+                proven,
+                declared,
+            });
         }
         let first_dim = self.p.dims.len() as u32;
         self.p.dims.extend(dims.iter().map(|(_, d)| *d));
@@ -759,13 +881,17 @@ impl<'k> Lowerer<'k> {
             rank: dims.len() as u32,
             dtype: buffer.dtype(),
         };
-        Ok((id, proven))
+        Ok(Site {
+            operand: MEM | id,
+            proven,
+            declared,
+        })
     }
 
     /// Reduces the index of a proven access to the terms the executor has to
     /// add up every time: constant indices are summed into the returned
-    /// offset, and two or more block- or thread-invariant ones are replaced
-    /// by one hoisted register holding their `Σ index × stride`.
+    /// offset, and two or more that are fixed at some level above the body
+    /// are replaced by one hoisted register holding their `Σ index × stride`.
     fn fold_terms(&mut self, dims: &mut Vec<(Val, Dim)>) -> usize {
         let mut offset = 0;
         dims.retain(|(v, d)| match self.const_value(*v) {
@@ -775,9 +901,9 @@ impl<'k> Lowerer<'k> {
             }
             _ => true,
         });
-        let invariant = |v: &Val| v.place <= Place::Thread;
+        let invariant = |v: &Val| v.place < Place::Body;
         if dims.iter().filter(|(v, _)| invariant(v)).count() >= 2 {
-            // Coarsest first, so that partial sums stay block-level.
+            // Coarsest first, so that partial sums stay at the coarser levels.
             let (mut fixed, varying): (Vec<_>, Vec<_>) =
                 dims.drain(..).partition(|(v, _)| invariant(v));
             fixed.sort_by_key(|(v, _)| v.place);
@@ -856,16 +982,18 @@ impl<'k> Lowerer<'k> {
                     }
                 }
                 let (var_reg, count) = (self.temp(), self.temp());
-                self.bind_loop(var.name(), var_reg, n, body, false);
+                self.open_loop(var.name(), var_reg, n, body, false);
                 let ((), body_code, fault) = self.capture(|l| l.stmt(body));
                 self.env.truncate(scope);
+                let prologue = self.close_loop();
+                let back = (prologue.len() + body_code.len()) as u32;
                 self.code.push(Op::LoopEnter {
                     var: var_reg,
                     count,
                     extent: n.reg,
-                    skip: body_code.len() as u32 + 1,
+                    skip: back + 1,
                 });
-                let back = body_code.len() as u32;
+                self.code.extend(prologue);
                 self.splice(body_code, fault || !matches!(n.ty, Ty::I64 | Ty::F32));
                 self.code.push(Op::LoopNext {
                     var: var_reg,
@@ -915,11 +1043,15 @@ impl<'k> Lowerer<'k> {
     /// `b[i] = b[i] <op> x` is one read-modify-write: `b[i]` cannot change
     /// while `x` is evaluated, so reading it afterwards reads the same.
     fn store(&mut self, buffer: &'k BufferRef, indices: &'k [Expr], value: &'k Expr) {
-        let Ok((access, proven)) = self.access(buffer, indices) else {
+        let Ok(Site {
+            operand: to,
+            proven,
+            declared,
+        }) = self.access(buffer, indices, true)
+        else {
             return;
         };
         // (Reading a buffer that may not exist has to fail before `x` runs.)
-        let declared = self.declared(self.p.accesses[access as usize].space);
         let (update, value) = match value {
             Expr::Binary { op, lhs, rhs } if declared => match &**lhs {
                 Expr::Load {
@@ -933,6 +1065,7 @@ impl<'k> Lowerer<'k> {
         let (v, mut code, fault) = self.capture(|l| l.expr(value));
         if fault && !proven {
             for dim in 0..indices.len() as u32 {
+                let access = to & !MEM;
                 self.code.push(Op::Check { access, dim });
             }
         }
@@ -956,19 +1089,15 @@ impl<'k> Lowerer<'k> {
         };
         self.splice(code, true);
         self.code.push(match (update, product) {
-            (_, Some((a, b))) => Op::MulAdd { access, a, b },
-            (Some(op), _) => Op::Update {
-                op,
-                access,
-                src: v.reg,
-            },
-            (None, _) => Op::Store { access, src: v.reg },
+            (_, Some((a, b))) => Op::MulAdd { to, a, b },
+            (Some(op), _) => Op::Update { op, to, src: v.reg },
+            (None, _) => Op::Store { to, src: v.reg },
         });
     }
 
     /// Lowers a loop of `trips` iterations as that many copies of its body,
     /// the loop variable a constant in each — which makes tile-local index
-    /// arithmetic (`ty * 4 + i`) thread-invariant and register-tile indices
+    /// arithmetic (`ty * 4 + i`) lane-level and register-tile indices
     /// constants. Returns `false`, having emitted nothing, when the copies
     /// take more than [`UNROLL_OPS`] instructions.
     fn unroll(&mut self, name: &'k str, trips: i64, body: &'k Stmt) -> bool {
@@ -1004,15 +1133,26 @@ impl<'k> Lowerer<'k> {
             traps: self.p.traps.len(),
             block_regs: self.p.block_init.len(),
             block_code: self.p.block_code.len(),
+            lane_regs: self.n_lane,
+            lane_code: self.lane_code.len(),
             thread_regs: self.n_thread,
             thread_code: self.thread_code.len(),
+            loop_regs: self.n_loop,
+            prologues: self.loops.iter().map(|open| open.prologue.len()).collect(),
+            hoisted_ops: self.hoisted_ops(),
         }
     }
 
-    /// Instructions emitted since `start`, hoisted ones included.
+    /// Instructions in every stream but the body's, open prologues included.
+    fn hoisted_ops(&self) -> usize {
+        let prologues: usize = self.loops.iter().map(|open| open.prologue.len()).sum();
+        self.p.block_code.len() + self.lane_code.len() + self.thread_code.len() + prologues
+    }
+
+    /// Instructions emitted since `start`, hoisted ones included — into the
+    /// prologues of the loops open then (and still) too.
     fn emitted_since(&self, start: &Checkpoint) -> usize {
-        self.code.len() + self.thread_code.len() - start.thread_code + self.p.block_code.len()
-            - start.block_code
+        self.code.len() + self.hoisted_ops() - start.hoisted_ops
     }
 
     /// Forgets everything lowered since `start` but the buffers it named.
@@ -1022,26 +1162,39 @@ impl<'k> Lowerer<'k> {
         self.p.traps.truncate(start.traps);
         self.p.block_init.truncate(start.block_regs);
         self.p.block_code.truncate(start.block_code);
+        self.n_lane = start.lane_regs;
+        self.lane_code.truncate(start.lane_code);
         self.n_thread = start.thread_regs;
         self.thread_code.truncate(start.thread_code);
+        self.n_loop = start.loop_regs;
         let live = |r: &mut Reg| {
-            let index = *r & !(3 << SPACE_SHIFT);
+            let index = *r & INDEX;
             match *r >> SPACE_SHIFT {
                 BLOCK => (index as usize) < start.block_regs,
-                _ => index < start.thread_regs,
+                LANE => index < start.lane_regs,
+                THREAD => index < start.thread_regs,
+                _ => index < start.loop_regs,
             }
         };
         self.consts.retain(|_, r| live(r));
         self.hoisted.retain(|_, r| live(r));
+        // Whatever the attempt opened it also closed: these are the loops
+        // that were open at `start`.
+        for (open, &len) in self.loops.iter_mut().zip(&start.prologues) {
+            open.prologue.truncate(len);
+            open.hoisted.retain(|_, r| live(r));
+        }
     }
 
-    /// Binds a loop variable running to `extent`, and poisons what the body
-    /// would leak from one iteration into the next.
-    fn bind_loop(&mut self, name: &'k str, var: Reg, extent: Val, body: &'k Stmt, uniform: bool) {
+    /// Opens a loop that stays a loop: binds its variable, running to
+    /// `extent` and fixed for an iteration of this loop, and poisons what the
+    /// body would leak from one iteration into the next.
+    fn open_loop(&mut self, name: &'k str, var: Reg, extent: Val, body: &'k Stmt, uniform: bool) {
+        self.loops.push(OpenLoop::default());
         let val = Val {
             reg: var,
             ty: Ty::I64,
-            place: Place::Body,
+            place: Place::Loop(self.loops.len() as u32),
             uniform,
             // The body only runs while `0 <= var < extent`.
             range: match (extent.ty, extent.range) {
@@ -1051,6 +1204,11 @@ impl<'k> Lowerer<'k> {
         };
         self.env.push((name, Some(val)));
         self.poison_leaked(body);
+    }
+
+    /// Closes the innermost open loop; returns its iteration prologue.
+    fn close_loop(&mut self) -> Vec<Op> {
+        self.loops.pop().expect("a loop is open").prologue
     }
 
     fn poison_leaked(&mut self, s: &'k Stmt) {
@@ -1100,14 +1258,17 @@ impl<'k> Lowerer<'k> {
             } => {
                 let (extent, n) = self.control(extent, "loop extent");
                 let var_reg = self.temp();
-                self.bind_loop(var.name(), var_reg, n, body, true);
+                self.open_loop(var.name(), var_reg, n, body, true);
                 let body = self.node(body);
                 let body = body.unwrap_or_else(|| self.seq_node(Vec::new()));
                 self.env.truncate(scope);
                 self.temp_top = mark;
+                let prologue = self.close_loop();
+                let prologue = self.place_code(prologue);
                 Some(self.push_node(Node::For {
                     extent,
                     var: var_reg,
+                    prologue,
                     body,
                 }))
             }
@@ -1175,29 +1336,64 @@ impl<'k> Lowerer<'k> {
             None => self.push_node(Node::Thread { start: 0, end: 0 }),
         };
 
-        // Lay the register spaces out back to back and the thread stream in
-        // front of the body fragments.
+        // Lane registers that anything but lane code reads go first: they
+        // are the row a thread copies on entering a block.
+        let mut row = vec![false; self.n_lane as usize];
+        let mut note = |r: &mut Reg| {
+            if *r & MEM == 0 && *r >> SPACE_SHIFT == LANE {
+                row[(*r & INDEX) as usize] = true;
+            }
+        };
         let mut p = self.p;
+        for op in self.thread_code.iter_mut().chain(self.main.iter_mut()) {
+            op.for_each_reg(&mut note);
+        }
+        p.dims.iter_mut().for_each(|dim| note(&mut dim.idx));
+        for node in &mut p.nodes {
+            if let Node::For { extent: c, .. } | Node::If { cond: c, .. } = node {
+                note(&mut c.reg);
+            }
+        }
+        let (mut kept, mut rest) = (0, row.iter().filter(|&&read| read).count() as u32);
+        p.lane_row = rest as usize;
+        let lane_slots: Vec<u32> = row
+            .iter()
+            .map(|&read| {
+                let next = if read { &mut kept } else { &mut rest };
+                *next += 1;
+                *next - 1
+            })
+            .collect();
+
+        // Lay the register spaces out back to back and the thread stream in
+        // front of the body fragments. The lane registers outside the row
+        // exist only in the file lane code runs over, which has nothing
+        // after them: there they take the numbers of what follows the row.
         let n_block = p.block_init.len() as u32;
-        let n_thread = self.n_thread;
-        p.n_regs = (n_block + n_thread + self.temp_max) as usize;
+        let (n_lane, n_thread, n_loop) = (p.lane_row as u32, self.n_thread, self.n_loop);
+        p.n_lane = self.n_lane as usize;
+        p.n_regs = (n_block + n_lane + n_thread + n_loop + self.temp_max) as usize;
         let resolve = move |r: &mut Reg| {
             if *r & MEM != 0 {
                 return;
             }
-            let index = *r & !(3 << SPACE_SHIFT);
+            let index = *r & INDEX;
             *r = match *r >> SPACE_SHIFT {
                 BLOCK => index,
-                THREAD => n_block + index,
-                _ => n_block + n_thread + index,
+                LANE => n_block + lane_slots[index as usize],
+                THREAD => n_block + n_lane + index,
+                LOOP => n_block + n_lane + n_thread + index,
+                _ => n_block + n_lane + n_thread + n_loop + index,
             };
         };
         let shift = self.thread_code.len() as u32;
         p.thread_code_end = shift;
         p.code = self.thread_code;
         p.code.append(&mut self.main);
-        for op in p.block_code.iter_mut().chain(p.code.iter_mut()) {
-            op.for_each_reg(resolve);
+        p.lane_code = self.lane_code;
+        let streams = [&mut p.block_code, &mut p.lane_code, &mut p.code];
+        for op in streams.into_iter().flatten() {
+            op.for_each_reg(&resolve);
         }
         for dim in &mut p.dims {
             resolve(&mut dim.idx);
@@ -1213,9 +1409,16 @@ impl<'k> Lowerer<'k> {
                     *start += shift;
                     *end += shift;
                 }
-                Node::For { extent, var, .. } => {
+                Node::For {
+                    extent,
+                    var,
+                    prologue,
+                    ..
+                } => {
                     place(extent);
                     resolve(var);
+                    prologue.0 += shift;
+                    prologue.1 += shift;
                 }
                 Node::If { cond, .. } => place(cond),
                 Node::Seq { .. } => {}

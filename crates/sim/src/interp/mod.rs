@@ -17,26 +17,42 @@
 //!   **unrolled**, its variable a literal in every copy of the body (see
 //!   below for what that buys and what bounds it).
 //!
-//! # The three expression classes
+//! # The place lattice
 //!
 //! Every expression is classified by the coarsest level its value is fixed
-//! at, and an expression that **cannot fault** is computed there instead of
-//! where it is written:
+//! at — its *place* — and an expression that **cannot fault** is computed
+//! there instead of where it is written, into a register that lasts as long
+//! as the level does, shared with every identical expression of that level:
 //!
-//! * **block-uniform** — a function of `blockIdx` and constants (the tile
-//!   coordinates `blockIdx / tiles_n % tiles_m` of every schedule): once per
-//!   block;
-//! * **thread-invariant** — a function of `threadIdx` and block-uniform
-//!   values: once per thread per block;
-//! * **varying** — anything that reads the variable of a loop that stayed
-//!   a loop, or memory, or can fault: in place, every time.
+//! | place | fixed by | its code runs |
+//! |---|---|---|
+//! | constant | literals | at lowering (folded) |
+//! | **lane** | `threadIdx` and constants | once per thread **per program**: the first launch fills a `block_dim`-row table, and a thread entering a block copies its row |
+//! | **block** | `blockIdx` and constants (the tile coordinates `blockIdx / tiles_n % tiles_m` of every schedule) | once per block |
+//! | **thread** | `threadIdx` and `blockIdx` both | once per thread per block |
+//! | **loop *n*** | the variable of the *n*-th enclosing loop that stayed a loop, and anything coarser | at the top of every iteration of that loop, in its *prologue*: for a loop around a barrier, every thread runs it when the skeleton sets the variable; for a loop inside a leaf it sits between `LoopEnter` and the body, and `LoopNext` jumps back to it |
+//! | body | memory, or anything that can fault | in place, every time |
 //!
-//! The middle class is large because of the paradigm this repository
-//! reproduces: a task mapping makes every worker → task index a *static*
-//! function of `threadIdx` (`threadIdx / 8`, `threadIdx % 32 / 8`, the
-//! epilogue index trees of the fused matmul kernels), so the index
-//! arithmetic inside the hot loops is almost entirely thread-invariant and
-//! leaves them. Identical hoisted terms are computed once.
+//! An operation lives at the join of its operands' places: the finer of the
+//! two, except that lane and block are incomparable and join at thread. In a
+//! grid of one block `blockIdx` is the constant 0, so nothing is block- or
+//! thread-level there and the thread stream is empty.
+//!
+//! The lattice is the paradigm this repository reproduces, read as a
+//! schedule for the interpreter: a task mapping makes every worker → task
+//! index a *static* function of `threadIdx`, `blockIdx` and the loop nest
+//! (`threadIdx / 8`, `threadIdx % 32 / 8`, `SmemA[k0 % 2, …]`, the epilogue
+//! index trees of the fused matmul kernels), so each term of each index is
+//! fixed at one of these levels and the body of a hot loop is left with
+//! loads, stores and multiply-adds.
+//!
+//! Only expressions that cannot fault move: a prologue runs before the
+//! guards its instructions were written under (an `if`, the untaken side of
+//! a select, an inner loop that may run zero times), and a lane table is
+//! filled whether or not a launch gets to the code that reads it. Evaluating
+//! a pure, total operation early and perhaps needlessly cannot be observed;
+//! a division that might be by zero stays under its guard. A zero-trip loop
+//! runs neither its body nor its prologue.
 //!
 //! # What task mappings guarantee, and the lowering uses
 //!
@@ -45,23 +61,29 @@
 //! thread's own tile have literal extents of a handful of trips. Such a loop
 //! — barrier-free, extent folding to a constant of at most 8 — is unrolled,
 //! innermost first, for as long as the copies stay within a fixed budget of
-//! 512 instructions; a loop over the budget, with more trips or with an
-//! extent only known at run time lowers as a loop, exactly as before. The
-//! budget is a private constant of the lowering, not an option. Unrolling
-//! needs no analysis of its own: the loop variable is a literal, so the
-//! folding and the three classes above turn `ty * 4 + i` into a shared
-//! thread-invariant register and `acc[i, j]` into a constant address.
+//! 512 instructions (hoisted ones included, whatever stream they went to); a
+//! loop over the budget, with more trips or with an extent only known at
+//! run time lowers as a loop. The budget is a private constant of the
+//! lowering, not an option. Unrolling needs no analysis of its own: the loop
+//! variable is a literal, so the folding and the places above turn
+//! `ty * 4 + i` into a shared lane register and `acc[i, j]` into a constant
+//! address.
 //!
 //! An access whose every index is **proven** in bounds (of a buffer that
-//! exists and is large enough) is addressed as `offset + Σ register ×
-//! stride`: its constant indices are folded into the offset, its block- and
-//! thread-invariant ones collapsed into one hoisted base register, and none
-//! is checked again — the storage slice's own bounds check stays behind as
-//! the memory-safety backstop. Every other access keeps the walker's
-//! per-dimension checks and fault order. And `acc[i] = acc[i] + a * b` on a
-//! proven access, with a product that cannot fault, is one multiply-add
-//! instruction — both roundings still through [`crate::Value::binary`], in
-//! the order the IR spells.
+//! exists and is large enough) is addressed as `offset + register`: its
+//! constant indices are folded into the offset, the others — each fixed at
+//! some level — summed into one register at the finest of their levels, and
+//! none is checked again; the storage slice's own bounds check stays behind
+//! as the memory-safety backstop. Every other access keeps the walker's
+//! per-dimension checks and fault order. When the offset is all there is
+//! and the buffer is one of the thread's register arrays, the element is a
+//! register on the device and an **operand** here: the instruction names
+//! it, and no access is recorded at all (a write only where the array's
+//! element type stores as `f32`, the one conversion every register gets;
+//! an `i32` array keeps its access and its truncation). And
+//! `acc[i] = acc[i] + a * b` on a proven access, with a product that cannot
+//! fault, is one multiply-add instruction — both roundings still through
+//! [`crate::Value::binary`], in the order the IR spells.
 //!
 //! # The trap rule
 //!
@@ -386,7 +408,7 @@ mod tests {
 
     // ---- what the lowering promises, beyond the walker's behaviour ---------
 
-    use super::program::{Node, Op, MEM};
+    use super::program::{Node, Op, Space, ELEMENT, MEM};
     use hidet_ir::BinOp;
 
     /// The skeleton's loop and branch nodes, in lowering order.
@@ -417,7 +439,8 @@ mod tests {
         assert_eq!(controls(&p), vec![true, true, true]);
         // ...while anything that reads threadIdx, memory, or can fault keeps
         // the all-threads agreement check.
-        let mut kb = KernelBuilder::new("unproven", 1, 4);
+        // (Two blocks: the `blockIdx` of a one-block grid is a constant.)
+        let mut kb = KernelBuilder::new("unproven", 2, 4);
         let x = kb.param("X", DType::F32, &[4]);
         kb.push(for_range("i", thread_idx() / 8 + 1, |_| sync_threads()));
         kb.push(if_then(load(&x, vec![c(0)]).lt(1.0f32), sync_threads()));
@@ -520,23 +543,24 @@ mod tests {
         // float additions.
         let bins = |op: &&Op| matches!(op, Op::Bin { .. });
         assert_eq!(body(&p).iter().filter(bins).count(), 4, "{:?}", body(&p));
-        // Sixteen multiply-adds and nothing else, on constant addresses:
-        // `A` and `B` take the first eight elements of a thread's arrays.
+        // Sixteen multiply-adds and nothing else, every operand a register-
+        // array element named outright — a register, as on the device — and
+        // no `Access` behind it: `A` and `B` take the first eight elements
+        // of a thread's arrays.
         let [start, end] = [1, 2].map(|phases| body(&Program::lower(&build(phases))).len());
         let tile = &body(&p)[start..end];
         assert_eq!(tile.len(), 16, "{tile:?}");
         for (n, op) in tile.iter().enumerate() {
-            let Op::MulAdd { access, a, b } = *op else {
+            let Op::MulAdd { to, a, b } = *op else {
                 panic!("{op:?}");
             };
-            assert!(a & b & MEM != 0);
-            let offsets = [access, a & !MEM, b & !MEM].map(|id| {
-                let access = &p.accesses[id as usize];
-                assert!(access.proven && access.rank == 0, "{access:?}");
-                access.offset
-            });
+            assert_eq!(to & a & b & (MEM | ELEMENT), MEM | ELEMENT, "{op:?}");
+            let offsets = [to, a, b].map(|element| (element & !(MEM | ELEMENT)) as usize);
             assert_eq!(offsets, [8 + n, n / 4, 4 + n % 4]);
         }
+        // What is left in the table is what reads and writes `X` and `Y`.
+        let global = |a: &super::program::Access| matches!(a.space, Space::Global(_));
+        assert!(p.accesses.iter().all(global), "{:?}", p.accesses);
         let mut mem = DeviceMemory::new();
         mem.alloc("X", &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         mem.alloc_zeroed("Y", 32);
@@ -544,6 +568,208 @@ mod tests {
         let x = [[1.0f32, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]];
         let expect = x.map(|row| row.map(|a| row.map(|b| a * (b + 1.0))));
         assert_eq!(mem.read("Y"), expect.as_flattened().as_flattened());
+    }
+
+    // ---- every index at the level its task mapping fixes it ---------------
+
+    /// A miniature of the matmul template: 8 threads a block, four tiles of
+    /// `X` double-buffered through shared memory behind a predicated,
+    /// clamped load, a two-element fragment and accumulator per thread.
+    fn double_buffered_tile(grid: i64) -> Kernel {
+        let mut kb = KernelBuilder::new("tile", grid, 8);
+        let x = kb.param("X", DType::F32, &[grid, 30]);
+        let y = kb.param("Y", DType::F32, &[grid, 8, 2]);
+        let s = kb.shared("S", DType::F32, &[2, 8]);
+        let ld = kb.local("Ld", DType::F32, &[1]);
+        let frag = kb.local("Frag", DType::F32, &[2]);
+        let acc = kb.local("Acc", DType::F32, &[2]);
+        let t = thread_idx;
+        let fetch = |tile: Expr| {
+            let at = tile * 8 + t();
+            let element = load(&x, vec![block_idx(), at.clone().min(29)]);
+            at.lt(30).select(element, 0.0f32)
+        };
+        kb.push(store(&s, vec![c(0), t()], fetch(c(0))));
+        kb.push(sync_threads());
+        kb.push(for_range("k0", 4, |k0| {
+            let next = k0.clone() + 1;
+            let from = |lane: Expr| load(&s, vec![k0.clone() % 2, lane]);
+            seq(vec![
+                if_then(
+                    next.clone().lt(4),
+                    store(&ld, vec![c(0)], fetch(next.clone())),
+                ),
+                for_range("kk", 2, |kk| {
+                    seq(vec![
+                        store(&frag, vec![c(0)], from(t() / 2 * 2 + kk)),
+                        store(&frag, vec![c(1)], from(t())),
+                        for_range("p", 2, |p| {
+                            let product = load(&frag, vec![p.clone()]) * load(&frag, vec![c(1)]);
+                            store(&acc, vec![p.clone()], load(&acc, vec![p]) + product)
+                        }),
+                    ])
+                }),
+                if_then(
+                    next.clone().lt(4),
+                    store(&s, vec![next % 2, t()], load(&ld, vec![c(0)])),
+                ),
+                sync_threads(),
+            ])
+        }));
+        kb.push(for_range("p", 2, |p| {
+            store(&y, vec![block_idx(), t(), p.clone()], load(&acc, vec![p]))
+        }));
+        kb.build()
+    }
+
+    /// The barrier-free leaves of a program, in lowering order.
+    fn leaves(p: &Program) -> Vec<&[Op]> {
+        let code = |n: &Node| match *n {
+            Node::Thread { start, end } => Some(&p.code[start as usize..end as usize]),
+            _ => None,
+        };
+        p.nodes.iter().filter_map(code).collect()
+    }
+
+    fn element(operand: u32) -> bool {
+        operand & (MEM | ELEMENT) == MEM | ELEMENT
+    }
+
+    #[test]
+    fn the_hot_leaf_of_a_tile_kernel_is_loads_and_multiply_adds() {
+        let p = Program::lower(&double_buffered_tile(1));
+        let [preload, prefetch, tile, commit, write] = leaves(&p)[..] else {
+            panic!("{:?}", p.nodes);
+        };
+        // A predicated, clamped load: the predicate and the clamped address
+        // are lane values, so neither side of the select needs code and the
+        // select reads memory itself — no branch around a load.
+        assert!(
+            matches!(preload, [Op::Select { a, .. }, Op::Store { .. }] if a & MEM != 0 && !element(*a)),
+            "{preload:?}"
+        );
+        // The same under `k0`: predicate and address live in the loop's
+        // prologue, and the one branch is the `if` statement's.
+        assert!(
+            matches!(
+                prefetch,
+                [Op::Branch { select: false, .. }, Op::Select { a, .. }, Op::Store { to, .. }]
+                    if a & MEM != 0 && element(*to)
+            ),
+            "{prefetch:?}"
+        );
+        assert!(
+            matches!(commit, [Op::Branch { .. }, Op::Store { src, .. }] if element(*src)),
+            "{commit:?}"
+        );
+        // The `k0` leaf: `kk` and `p` unrolled, every shared-memory address
+        // an offset from a prologue register, every fragment and accumulator
+        // element an operand. No integer arithmetic is left in it — no `Bin`
+        // of any kind — and no multiply-add names an `Access`.
+        assert_eq!(tile.len(), 2 * (2 + 2), "{tile:?}");
+        for op in tile {
+            match *op {
+                Op::Store { to, src } => assert!(element(to) && src & MEM != 0 && !element(src)),
+                Op::MulAdd { to, a, b } => assert!(element(to) && element(a) && element(b)),
+                _ => panic!("{op:?} in {tile:?}"),
+            }
+        }
+        assert!(
+            matches!(write, [Op::Store { src, .. }, Op::Store { .. }] if element(*src)),
+            "{write:?}"
+        );
+        // What the leaves no longer compute, the loop's prologue does, once
+        // per iteration and thread: `k0 % 2` and `(k0 + 1) % 2` scaled and
+        // added to lane values, the prefetch's predicate and clamped address.
+        let Some(&Node::For { prologue, .. }) =
+            p.nodes.iter().find(|n| matches!(n, Node::For { .. }))
+        else {
+            panic!("{:?}", p.nodes);
+        };
+        let prologue = &p.code[prologue.0 as usize..prologue.1 as usize];
+        assert!(
+            !prologue.is_empty() && prologue.iter().all(|op| matches!(op, Op::Bin { .. })),
+            "{prologue:?}"
+        );
+        assert!(prologue.len() <= 14, "{prologue:?}");
+    }
+
+    #[test]
+    fn a_single_block_kernel_has_no_thread_stream() {
+        // One block: `blockIdx` is a constant, so every index is a function
+        // of `threadIdx` alone and is computed once per program.
+        let p = Program::lower(&double_buffered_tile(1));
+        assert_eq!(
+            p.thread_code_end,
+            0,
+            "{:?}",
+            &p.code[..p.thread_code_end as usize]
+        );
+        assert!(p.block_code.is_empty(), "{:?}", p.block_code);
+        assert!(!p.lane_code.is_empty());
+        // The row a thread copies holds only what other code reads, not
+        // what lane code computes on the way (`threadIdx / 2`).
+        assert!(
+            0 < p.lane_row && p.lane_row < p.n_lane,
+            "{} of {}",
+            p.lane_row,
+            p.n_lane
+        );
+        // Every stream counts towards the program's size.
+        let leaves: usize = leaves(&p).iter().map(|leaf| leaf.len()).sum();
+        assert!(p.code.len() > leaves, "the prologue is code too");
+        assert_eq!(
+            p.op_count(),
+            p.lane_code.len() + p.code.len() + p.nodes.len()
+        );
+        // Two blocks: the row of `X` and `Y` is the block's, the column the
+        // lane's, and their sum is all that is left per thread per block.
+        let p = Program::lower(&double_buffered_tile(2));
+        assert!(!p.block_code.is_empty());
+        let thread_code = &p.code[..p.thread_code_end as usize];
+        assert!(
+            !thread_code.is_empty()
+                && thread_code
+                    .iter()
+                    .all(|op| matches!(op, Op::Bin { op: BinOp::Add, .. })),
+            "{thread_code:?}"
+        );
+    }
+
+    #[test]
+    fn a_tile_kernel_computes_what_it_says() {
+        // Thread t of block b ends with
+        //   Acc[p] = Σ_k0 Σ_kk Frag[p] * Frag[1],  Frag[1] = tile[k0][t],
+        //   Frag[0] = tile[k0][t / 2 * 2 + kk].
+        for grid in [1, 2] {
+            let kernel = double_buffered_tile(grid);
+            let xs: Vec<f32> = (0..grid * 30).map(|i| (i % 7) as f32 - 2.0).collect();
+            let mut mem = DeviceMemory::new();
+            mem.alloc("X", &xs);
+            mem.alloc_zeroed("Y", (grid * 16) as usize);
+            run(&kernel, &mut mem).unwrap();
+            let at = |b: i64, i: i64| {
+                if i < 30 {
+                    xs[(b * 30 + i) as usize]
+                } else {
+                    0.0
+                }
+            };
+            for b in 0..grid {
+                for t in 0..8 {
+                    let mut acc = [0.0f32; 2];
+                    for k0 in 0..4 {
+                        for kk in 0..2 {
+                            let frag = [at(b, k0 * 8 + t / 2 * 2 + kk), at(b, k0 * 8 + t)];
+                            acc[0] += frag[0] * frag[1];
+                            acc[1] += frag[1] * frag[1];
+                        }
+                    }
+                    let y = &mem.read("Y")[((b * 8 + t) * 2) as usize..][..2];
+                    assert_eq!(y, &acc[..], "block {b} thread {t}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -592,13 +818,45 @@ mod tests {
     }
 
     #[test]
+    fn an_abandoned_unrolling_leaves_the_prologue_around_it_as_it_was() {
+        // `k` stays a loop. Copies of the `i` body put `k * 3 + 0`, `k * 3 +
+        // 1`, … into `k`'s prologue until the sixth blows the budget; what
+        // `i` lowered as a loop needs there is `k * 3` and `k + n` alone.
+        let mut kb = KernelBuilder::new("rollback", 1, 2);
+        let x = kb.param("X", DType::F32, &[2, 128]);
+        kb.push(for_range("k", 9, |k| {
+            for_range("i", 8, |i| {
+                seq((0..70)
+                    .map(|n| {
+                        let at = (k.clone() * 3 + i.clone() + n) % 128;
+                        let value = (k.clone() + n).cast(DType::F32);
+                        store(&x, vec![thread_idx(), at], value)
+                    })
+                    .collect())
+            })
+        }));
+        let p = Program::lower(&kb.build());
+        let [Op::LoopEnter { skip: outer, .. }, .., Op::LoopNext { .. }] = body(&p) else {
+            panic!("{:?}", body(&p));
+        };
+        // Per `k`: `k * 3`, 70 × (`k + n`, its cast). Per `i`: `k * 3 + i`,
+        // 70 × (`+ n`, `% 128`, `+ threadIdx * 128`). 70 stores; the inner
+        // loop's two instructions and the outer `LoopNext`.
+        let (per_k, per_i) = (1 + 70 * 2, 1 + 70 * 3);
+        assert_eq!(*outer as usize, per_k + per_i + 70 + 2 + 1);
+        assert!(matches!(body(&p)[1 + per_k], Op::LoopEnter { .. }));
+        assert_eq!(p.op_count(), 1 + body(&p).len() + 1);
+    }
+
+    #[test]
     fn proven_accesses_are_a_base_plus_an_offset() {
         let mut kb = KernelBuilder::new("address", 4, 32);
         let y = kb.param("Y", DType::F32, &[4, 32]);
         kb.shared("Pad", DType::F32, &[5]);
         let s = kb.shared("S", DType::F32, &[2, 4, 32]);
         // All constants: no terms. Block- and thread-invariant indices: one
-        // hoisted register. A loop variable stays a term of its own.
+        // hoisted register. So with a loop variable among them: the sum is
+        // then taken in the loop's prologue, once per iteration.
         kb.push(store(&s, vec![c(1), c(2), c(3)], fconst(1.0)));
         kb.push(store(
             &y,
@@ -620,7 +878,12 @@ mod tests {
         assert_eq!(terms(constant), (5 + 128 + 64 + 3, vec![]));
         assert_eq!(terms(global), (0, vec![1]));
         assert_eq!(terms(shared), (5, vec![1]));
-        assert_eq!(terms(looped), (5 + 96, vec![128, 1]));
+        assert_eq!(terms(looped), (5 + 96, vec![1]));
+        let Op::LoopEnter { skip, .. } = body(&p)[2] else {
+            panic!("{:?}", body(&p));
+        };
+        // `k % 2`, `* 128`, `+ threadIdx`; then the store and the `LoopNext`.
+        assert_eq!(skip, 3 + 2, "{:?}", body(&p));
         // The two collapsed bases are the same `blockIdx * 32 + threadIdx`.
         assert_eq!(
             p.dims[global.first_dim as usize].idx,

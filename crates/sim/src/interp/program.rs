@@ -2,6 +2,8 @@
 //! name already resolved. Built by [`Program::lower`] (`lower.rs`), run by
 //! `exec.rs`.
 
+use std::sync::OnceLock;
+
 use hidet_ir::{BinOp, DType, UnOp};
 
 use super::SimError;
@@ -10,14 +12,24 @@ use crate::value::Value;
 /// Index into a thread's register file.
 pub(crate) type Reg = u32;
 
-/// Set in a source operand that names an access instead of a register: the
-/// element is loaded as the operand is read.
+/// Set in an operand that names memory instead of a register: the element is
+/// loaded as a source operand is read, written as a destination. The rest of
+/// the operand is the id of an [`Access`] — or, with [`ELEMENT`] set as well,
+/// the element itself.
 pub(crate) const MEM: u32 = 1 << 31;
+
+/// Set beside [`MEM`] in an operand that is one element of the thread's
+/// register arrays at an address the lowering knows: the rest of the operand
+/// is its offset in the thread's register-array storage. Such an element is
+/// a register on the device, and is addressed like one here — no [`Access`],
+/// no index arithmetic, no look-up of its storage.
+pub(crate) const ELEMENT: u32 = 1 << 30;
 
 /// One instruction. Destinations, conditions and indices are registers of
 /// the executing thread's file; a *source* (`a`, `b`, `src`) is a register
-/// or a [`MEM`] operand. Jumps are relative to the instruction itself, so
-/// code fragments can be spliced anywhere.
+/// or a [`MEM`] operand, and what a `Store` / `Update` / `MulAdd` writes
+/// (`to`) is a [`MEM`] operand. Jumps are relative to the instruction itself,
+/// so code fragments can be spliced anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Op {
     /// `dst = Value::binary(op, a, b)`, `DivByZero` when that is `None`.
@@ -34,27 +46,28 @@ pub(crate) enum Op {
     /// that performs it, where code in between could fault first.
     Check { access: u32, dim: u32 },
     /// `buffer[indices] = src` converted to the buffer's element type.
-    Store { access: u32, src: Reg },
+    Store { to: u32, src: Reg },
     /// `buffer[indices] = Value::binary(op, buffer[indices], src)`.
-    Update { op: BinOp, access: u32, src: Reg },
+    Update { op: BinOp, to: u32, src: Reg },
     /// `buffer[indices] = buffer[indices] + a * b`, the product rounded
     /// before the sum: one multiply-accumulate of a register tile. Only on a
     /// proven access, with a product that cannot fault.
-    MulAdd { access: u32, a: Reg, b: Reg },
+    MulAdd { to: u32, a: Reg, b: Reg },
     /// Skips the next `skip` instructions.
     Jump { skip: u32 },
     /// Skips the next `skip` instructions when `cond` is false.
     Branch { cond: Reg, skip: u32, select: bool },
-    /// Loop prologue: `count = extent`, `var = 0`; skips the body and its
-    /// `LoopNext` (`skip` instructions) when the count is not positive.
+    /// Loop entry: `count = extent`, `var = 0`; skips the loop's iteration
+    /// prologue, its body and its `LoopNext` (`skip` instructions) when the
+    /// count is not positive.
     LoopEnter {
         var: Reg,
         count: Reg,
         extent: Reg,
         skip: u32,
     },
-    /// Loop epilogue: `var += 1`; jumps `back` instructions while
-    /// `var < count`.
+    /// Loop epilogue: `var += 1`; jumps `back` instructions — to the start
+    /// of the iteration prologue — while `var < count`.
     LoopNext { var: Reg, count: Reg, back: u32 },
     /// Raises `traps[id]`: a fault the lowering already knows this point of
     /// the kernel has, should execution ever reach it.
@@ -92,9 +105,9 @@ pub(crate) struct Access {
     pub space: Space,
     /// The lowering proved every index in bounds of a buffer that exists and
     /// is large enough. `dims` then holds only the terms that are not
-    /// constants — those are folded into `offset`, the block- and
-    /// thread-invariant ones collapsed into one hoisted register — and none
-    /// is checked. Otherwise `dims` holds every dimension, each checked in
+    /// constants — those are folded into `offset`, the ones fixed at some
+    /// level above the body summed into one hoisted register — and none is
+    /// checked. Otherwise `dims` holds every dimension, each checked in
     /// order, and their sum is checked against `limit`.
     pub proven: bool,
     /// First element of the buffer within shared / per-thread storage, plus
@@ -142,10 +155,13 @@ pub(crate) struct Control {
 pub(crate) enum Node {
     /// Children `children[first..first + len]`, one after another.
     Seq { first: u32, len: u32 },
-    /// Uniform-extent loop around a barrier.
+    /// Uniform-extent loop around a barrier. `code[prologue.0..prologue.1]`
+    /// is its iteration prologue: what the body computes from the loop
+    /// variable alone, run by every thread once `var` is set.
     For {
         extent: Control,
         var: Reg,
+        prologue: (u32, u32),
         body: u32,
     },
     /// Uniform-condition branch around a barrier.
@@ -187,17 +203,30 @@ pub struct Program {
     /// Elements of shared storage per block / of register arrays per thread.
     pub(crate) shared_len: usize,
     pub(crate) local_len: usize,
-    /// Register file layout: `[constants and block-uniform values |
-    /// thread-invariant values | variables and temporaries]`. `block_init`
-    /// is the first part as it stands before `block_code` runs.
+    /// Register file layout: `[constants and block-uniform values | the
+    /// thread's row of lane values | thread-invariant values |
+    /// loop-iteration values | variables and temporaries]`. `block_init` is
+    /// the first part as it stands before `block_code` runs.
     pub(crate) block_init: Vec<Value>,
     pub(crate) block_idx: Reg,
+    /// A lane register (in the row only if other code reads it).
     pub(crate) thread_idx: Reg,
     pub(crate) n_regs: usize,
     /// Computes the block-uniform registers; run once per block.
     pub(crate) block_code: Vec<Op>,
+    /// Computes the lane registers from `threadIdx` and constants, over a
+    /// file of its own: `[constants | all n_lane lane registers]`, of which
+    /// the first `lane_row` are the ones other code reads. Run once per
+    /// thread **per program**, into `lanes`.
+    pub(crate) lane_code: Vec<Op>,
+    pub(crate) n_lane: usize,
+    pub(crate) lane_row: usize,
+    /// `block_dim` rows of `lane_row` values. Filled by the first launch; a
+    /// thread entering a block copies its row.
+    pub(crate) lanes: OnceLock<Vec<Value>>,
     /// `code[..thread_code_end]` computes the thread-invariant registers;
-    /// run once per thread per block. The rest is the body's fragments.
+    /// run once per thread per block. The rest is the body's fragments and
+    /// the iteration prologues of its loops.
     pub(crate) code: Vec<Op>,
     pub(crate) thread_code_end: u32,
     pub(crate) nodes: Vec<Node>,
@@ -215,10 +244,11 @@ impl Program {
         &self.name
     }
 
-    /// Instructions plus skeleton nodes: the program's size, for comparison
+    /// Instructions — of every stream, loop prologues and lane code
+    /// included — plus skeleton nodes: the program's size, for comparison
     /// with the kernel's IR node count.
     pub fn op_count(&self) -> usize {
-        self.block_code.len() + self.code.len() + self.nodes.len()
+        self.block_code.len() + self.lane_code.len() + self.code.len() + self.nodes.len()
     }
 
     /// Resolves the global buffers this program addresses to their ids in

@@ -9,9 +9,10 @@
 //!   across `__syncthreads()` barriers, shared memory and register files
 //!   faithfully scoped — used to validate every generated kernel against the
 //!   reference CPU executor. A kernel is lowered once into a slot-resolved
-//!   [`Program`] (variables → registers, buffers → flat storage, block- and
-//!   thread-invariant arithmetic hoisted out of the loops, constant tile
-//!   loops unrolled) and the program is what every launch runs;
+//!   [`Program`] (variables → registers, buffers → flat storage, every
+//!   index computed at the level its task mapping fixes it — per lane, per
+//!   block, per thread, per loop iteration — constant tile loops unrolled)
+//!   and the program is what every launch runs;
 //! * an **analytic latency model** ([`cost`]) calibrated to RTX 3090
 //!   specifications ([`GpuSpec::rtx3090`]) that charges global-memory traffic
 //!   against DRAM bandwidth, FLOPs against CUDA-core/Tensor-Core throughput,

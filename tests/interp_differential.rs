@@ -186,7 +186,8 @@ fn ir_nodes(body: &Stmt) -> usize {
 /// within a small multiple of the IR it came from. `UNROLL_OPS` is what the
 /// factor rests on: without it the `kk` × fragment × register-tile nests of
 /// the matmul kernels would copy their bodies 8 × 32 times over; with it the
-/// largest ratio here is 1.8 (`batch_matmul_0_fused`, 1,220 for 681).
+/// largest ratio here is 1.6 (`batch_matmul_0_fused`, 1,067 for 681 — lane
+/// code and loop prologues counted).
 #[test]
 fn programs_stay_proportional_to_the_ir() {
     let step = hidet_graph::models::transformer_decode_step("bench_decode", 4, 48, 2, 32, 2, 32);
@@ -508,14 +509,228 @@ fn a_nest_unrolled_inside_and_looping_outside_matches() {
     );
 }
 
+// ---- loops that stay loops: what their prologues may and may not take ------
+//
+// An instruction that reads nothing finer than a loop's variable, and cannot
+// fault, runs in that loop's iteration prologue. Anything that can fault
+// stays where it is written, under whatever guards it; a zero-trip loop runs
+// neither body nor prologue; an abandoned unrolling leaves nothing behind in
+// the prologue of a loop around it.
+
+#[test]
+fn faults_under_a_loop_around_a_barrier_are_raised_only_when_reached() {
+    // `k0` is a lockstep loop variable; `k0 * 3 + threadIdx`-style terms go
+    // to its prologue. The division by `k0 - 1` and the index past the end
+    // sit in a branch taken from `from` on.
+    let nest = |reached: bool, faulty: &dyn Fn(&BufferRef, Expr) -> Stmt| {
+        let mut kb = KernelBuilder::new("skeleton_fault", 1, 4);
+        let x = kb.param("X", DType::F32, &[16]);
+        let from = if reached { 0 } else { 9 };
+        kb.push(for_range("k0", 3, |k0| {
+            let at = k0.clone() * 4 + thread_idx();
+            seq(vec![
+                store(&x, vec![at.clone()], (at.clone() * 3).cast(DType::F32)),
+                if_then(k0.clone().ge(from), faulty(&x, k0.clone())),
+                sync_threads(),
+                store(&x, vec![(at + 1) % 16], k0.cast(DType::F32)),
+            ])
+        }));
+        kb.build()
+    };
+    let err = assert_fault_parity("x / (k0 - 1) under a lockstep loop", |reached| {
+        nest(reached, &|x, k0| {
+            let quotient = (thread_idx() + 8) / (k0.clone() - 1);
+            store(x, vec![k0 * 4 + thread_idx()], quotient.cast(DType::F32))
+        })
+    });
+    assert_eq!(err, SimError::DivByZero);
+    let err = assert_fault_parity("an index past the end under a lockstep loop", |reached| {
+        nest(reached, &|x, k0| {
+            store(x, vec![k0 * 7 + thread_idx()], fconst(1.0))
+        })
+    });
+    assert!(
+        matches!(
+            err,
+            SimError::OutOfBounds {
+                dim: 0,
+                index: 16,
+                extent: 16,
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_zero_trip_leaf_loop_runs_neither_its_body_nor_its_prologue() {
+    // Nine trips or none, by an extent only a thread knows (`threadIdx / 4`
+    // of four threads, which does not fold): the loop stays a loop either way, with `j * 2 +
+    // threadIdx` in its prologue and a division by `j - 4` in its body.
+    let nest = |reached: bool, faulty: &dyn Fn(&BufferRef, Expr) -> Stmt| {
+        let mut kb = KernelBuilder::new("leaf_fault", 2, 4);
+        let x = kb.param("X", DType::F32, &[32]);
+        let trips = thread_idx() / 4 + if reached { 9 } else { 0 };
+        kb.push(store(&x, vec![thread_idx()], fconst(3.0)));
+        kb.push(for_range("j", trips, |j| {
+            let at = (j.clone() * 2 + thread_idx() + block_idx()) % 32;
+            seq(vec![
+                store(&x, vec![at], j.clone().cast(DType::F32)),
+                faulty(&x, j),
+            ])
+        }));
+        kb.push(store(&x, vec![thread_idx() + 4], fconst(5.0)));
+        kb.build()
+    };
+    let err = assert_fault_parity("x / (j - 4) in a zero-trip leaf loop", |reached| {
+        nest(reached, &|x, j| {
+            let quotient = (thread_idx() + 8) / (j - 4);
+            store(x, vec![thread_idx()], quotient.cast(DType::F32))
+        })
+    });
+    assert_eq!(err, SimError::DivByZero);
+    let err = assert_fault_parity(
+        "an index past the end in a zero-trip leaf loop",
+        |reached| {
+            nest(reached, &|x, j| {
+                store(x, vec![j * 4 + thread_idx()], fconst(1.0))
+            })
+        },
+    );
+    assert!(
+        matches!(
+            err,
+            SimError::OutOfBounds {
+                dim: 0,
+                index: 32,
+                extent: 32,
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_loop_lowered_after_an_abandoned_unrolling_matches() {
+    // `k` runs nine times and stays a loop. Eight copies of the `i` body —
+    // 70 stores whose indices read `k`, so every copy also emits into `k`'s
+    // prologue — blow the 512-instruction budget in the sixth copy; `i` is
+    // then lowered as a loop, from a prologue rolled back to where it stood
+    // and sharing nothing with what was dropped from it. With and without a
+    // barrier: `k`'s prologue is the skeleton's or the leaf's.
+    for barrier in [false, true] {
+        let err = assert_fault_parity("100 / (k * 8 + i - 37) after a rollback", |reached| {
+            let mut kb = KernelBuilder::new("rolled_back", 1, 2);
+            let x = kb.param("X", DType::F32, &[2, 128]);
+            let zero_at = if reached { 37 } else { -5 };
+            kb.push(for_range("k", 9, |k| {
+                let nest = for_range("i", 8, |i| {
+                    let quotient = c(100) / (k.clone() * 8 + i.clone() - zero_at);
+                    seq((0..70)
+                        .map(|n| {
+                            let at = (k.clone() * 3 + i.clone() + n) % 128;
+                            let value = quotient.clone() + (k.clone() + n);
+                            store(&x, vec![thread_idx(), at], value.cast(DType::F32))
+                        })
+                        .collect())
+                });
+                if barrier {
+                    seq(vec![nest, sync_threads()])
+                } else {
+                    nest
+                }
+            }));
+            kb.build()
+        });
+        assert_eq!(err, SimError::DivByZero);
+    }
+}
+
+// ---- register-array elements as operands ----------------------------------
+
+#[test]
+fn a_register_array_element_keeps_its_buffers_conversion() {
+    // Constant addresses throughout: the `f32` and `f16` arrays' elements
+    // are operands; the `i32` array truncates what is stored to it, which an
+    // operand would not, on a plain store and on both read-modify-writes.
+    let mut kb = KernelBuilder::new("typed_registers", 1, 4);
+    let y = kb.param("Y", DType::F32, &[4, 5]);
+    let whole = kb.local("Whole", DType::I32, &[3]);
+    let half = kb.local("Half", DType::F16, &[2]);
+    let single = kb.local("Single", DType::F32, &[2]);
+    let t = || thread_idx().cast(DType::F32);
+    let at = |i: i64| vec![c(i)];
+    kb.push(store(&single, at(1), t() * 0.75f32));
+    kb.push(store(&half, at(1), load(&single, at(1)) + 0.3f32));
+    kb.push(store(&whole, at(0), t() * 2.75f32));
+    kb.push(store(&whole, at(1), fconst(1.0)));
+    kb.push(store(&whole, at(1), load(&whole, at(1)) + t() * 0.6f32));
+    kb.push(store(&whole, at(2), fconst(-1.0)));
+    let product = load(&single, at(1)) * load(&half, at(1));
+    kb.push(store(&whole, at(2), load(&whole, at(2)) + product));
+    let out = [
+        (&whole, 0),
+        (&whole, 1),
+        (&whole, 2),
+        (&half, 1),
+        (&single, 1),
+    ];
+    for (column, (buffer, i)) in out.into_iter().enumerate() {
+        let to = vec![thread_idx(), c(column as i64)];
+        kb.push(store(&y, to, load(buffer, at(i))));
+    }
+    let kernel = kb.build();
+    assert_eq!(run_both(&kernel), (Ok(()), Ok(())));
+    let mut mem = DeviceMemory::new();
+    mem.alloc_zeroed("Y", 20);
+    Gpu::default().run(&kernel, &mut mem).expect("runs");
+    // Thread 3: 3 * 2.75 = 8.25 -> 8; 1 + 1.8 = 2.8 -> 2; -1 + 2.25 * 2.55
+    // = 4.7375 -> 4; the f16 and f32 arrays hold what was stored.
+    assert_eq!(mem.read("Y")[15..], [8.0, 2.0, 4.0, 2.25 + 0.3, 2.25]);
+}
+
+#[test]
+fn a_register_array_access_wider_than_its_declaration_stays_a_type_error() {
+    // One of the deliberate differences (the walker indexes past its vector
+    // and panics, so only the program runs): the access says `R` has four
+    // elements, the kernel declared two. Its index is a constant, inside the
+    // access's own shape — but not provably inside the storage, so it is no
+    // operand, and reaching it reports the access.
+    let wide = Buffer::new("R", MemScope::Register, DType::F32, &[4]);
+    for reached in [false, true] {
+        let mut kb = KernelBuilder::new("wide_registers", 1, 2);
+        let y = kb.param("Y", DType::F32, &[2]);
+        kb.local("R", DType::F32, &[2]);
+        kb.local("After", DType::F32, &[4]);
+        let limit = if reached { 2 } else { 0 };
+        kb.push(if_then(
+            thread_idx().lt(limit),
+            store(&wide, vec![c(3)], fconst(1.0)),
+        ));
+        kb.push(store(&y, vec![thread_idx()], load(&wide, vec![c(1)])));
+        let mut mem = DeviceMemory::new();
+        mem.alloc_zeroed("Y", 2);
+        let ran = Gpu::default().run(&kb.build(), &mut mem);
+        match ran {
+            Ok(()) => assert!(!reached),
+            Err(SimError::TypeError(m)) => assert!(reached && m.contains("past its end"), "{m}"),
+            Err(other) => panic!("{other}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random two-level nests around the unrolling thresholds: extents on
     /// both sides of eight trips, bodies on both sides of the instruction
     /// budget, an index that may leave its buffer and a divisor that may hit
-    /// zero in some iteration. Same result on both interpreters — the same
-    /// fault, or the same memory.
+    /// zero in some iteration — with no barrier, or one after the inner loop
+    /// (the outer loop is then a skeleton loop with a prologue, the inner a
+    /// leaf of it), on one block (`blockIdx` a constant) or two. Same result
+    /// on both interpreters — the same fault, or the same memory.
     #[test]
     fn random_loop_nests_match_the_walker(
         outer in 0i64..=9,
@@ -523,12 +738,14 @@ proptest! {
         stores in 1i64..10,
         shift in 0i64..3,
         zero_at in -2i64..10,
+        barrier in 0i64..=1,
+        grid in 1i64..=2,
     ) {
-        let mut kb = KernelBuilder::new("fuzz_nest", 2, 2);
-        let x = kb.param("X", DType::F32, &[2, 2, 10, 10]);
+        let mut kb = KernelBuilder::new("fuzz_nest", grid, 2);
+        let x = kb.param("X", DType::F32, &[grid, 2, 10, 10]);
         let acc = kb.local("Acc", DType::F32, &[10]);
         kb.push(for_range("i", outer, |i| {
-            for_range("j", inner, |j| {
+            let nest = for_range("j", inner, |j| {
                 seq((0..stores)
                     .map(|k| {
                         let at = vec![block_idx(), thread_idx(), i.clone() + shift * k / 4, j.clone()];
@@ -540,7 +757,12 @@ proptest! {
                         ])
                     })
                     .collect())
-            })
+            });
+            if barrier == 1 {
+                seq(vec![nest, sync_threads()])
+            } else {
+                nest
+            }
         }));
         let (walked, ran) = run_both(&kb.build());
         prop_assert_eq!(ran, walked);
