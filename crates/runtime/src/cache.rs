@@ -1,6 +1,5 @@
-//! The compiled-graph cache: repeat requests skip compilation entirely, a
-//! warm artifact store makes that hold **across process restarts**, and an
-//! eviction policy keeps a long-lived server's memory bounded.
+//! The compiled-graph cache: repeat requests skip compilation entirely, and
+//! a warm artifact store makes that hold **across process restarts**.
 //!
 //! Keys combine [`Graph::structural_hash`] (the computation itself, invariant
 //! under tensor-id renumbering and model names), the device fingerprint
@@ -20,19 +19,15 @@
 //! 3. **fresh compile** ([`CacheOutcome::Compiled`]), whose artifact is then
 //!    written back to the store for the next process.
 //!
-//! Eviction ([`EvictionPolicy`]): a capacity bound evicts the
-//! least-recently-used completed entry, a TTL expires entries idle longer
-//! than the configured duration, and `evict_model` (the engine's `unload`)
-//! drops a model's entries outright. An evicted key transparently recompiles
-//! (or re-loads its artifact) on next use. In-flight compiles are never
-//! evicted.
+//! The one eviction is [`CompiledCache::evict_model`] (the engine's
+//! `unload`), which drops a model's entries outright; a key evicted that way
+//! recompiles (or re-loads its artifact) on next use.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 use hidet::{
     compile_from_artifact_hashed, compile_hashed, ArtifactError, CompileError, CompiledArtifact,
@@ -53,17 +48,8 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// The key under which `graph` compiled for `gpu` with `options` lives.
-    ///
-    /// Computes `graph.structural_hash()` — O(model weights). Callers that
-    /// serve repeat requests should hash once and use
-    /// [`CacheKey::from_graph_hash`] (the engine caches the hash per model
-    /// variant).
-    pub fn new(graph: &Graph, gpu: &Gpu, options: &CompilerOptions) -> CacheKey {
-        CacheKey::from_graph_hash(graph.structural_hash(), gpu, options)
-    }
-
-    /// The key for a graph whose structural hash is already known.
+    /// The key under which the graph with [`Graph::structural_hash`]
+    /// `graph_hash`, compiled for `gpu` with `options`, lives.
     pub fn from_graph_hash(graph_hash: u64, gpu: &Gpu, options: &CompilerOptions) -> CacheKey {
         CacheKey {
             graph_hash,
@@ -108,17 +94,6 @@ impl CacheOutcome {
     }
 }
 
-/// Bounds on the in-memory cache. `Default` is unbounded (no eviction).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EvictionPolicy {
-    /// Maximum completed entries held; beyond it the least-recently-used
-    /// completed entry is evicted. `None` disables the bound.
-    pub capacity: Option<usize>,
-    /// Entries idle (not looked up) longer than this are expired. `None`
-    /// disables TTL eviction.
-    pub ttl: Option<Duration>,
-}
-
 /// Counter snapshot of a [`CompiledCache`] — the single source of truth for
 /// the engine's compile/eviction statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,61 +108,28 @@ pub struct CacheCounters {
     /// key-mismatched, or ill-fitting schedules. Each fell back to a fresh
     /// compile.
     pub artifact_rejects: usize,
-    /// Entries evicted because they idled past the TTL.
-    pub evicted_ttl: usize,
-    /// Entries evicted by capacity pressure (LRU order).
-    pub evicted_capacity: usize,
     /// Entries evicted by an explicit model unload.
     pub evicted_unload: usize,
 }
 
-impl CacheCounters {
-    /// Total evictions across all causes.
-    pub fn evictions(&self) -> usize {
-        self.evicted_ttl + self.evicted_capacity + self.evicted_unload
-    }
-}
-
 type Slot = Arc<OnceLock<Result<Arc<CompiledGraph>, CompileError>>>;
 
-#[derive(Debug)]
-struct Entry {
-    slot: Slot,
-    /// Monotone last-use tick (LRU order).
-    tick: u64,
-    /// Wall-clock last use (TTL).
-    touched: Instant,
-}
-
-/// Thread-safe compiled-graph cache with in-flight coalescing, an optional
-/// disk-backed artifact store and capacity/TTL eviction. See the
-/// [module docs](self).
+/// Thread-safe compiled-graph cache with in-flight coalescing and an
+/// optional disk-backed artifact store. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct CompiledCache {
-    entries: Mutex<HashMap<CacheKey, Entry>>,
-    policy: EvictionPolicy,
-    tick: AtomicU64,
+    entries: Mutex<HashMap<CacheKey, Slot>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     artifact_loads: AtomicUsize,
     artifact_rejects: AtomicUsize,
-    evicted_ttl: AtomicUsize,
-    evicted_capacity: AtomicUsize,
     evicted_unload: AtomicUsize,
 }
 
 impl CompiledCache {
-    /// An unbounded cache with no artifact store.
+    /// An empty cache.
     pub fn new() -> CompiledCache {
         CompiledCache::default()
-    }
-
-    /// A cache with capacity/TTL bounds.
-    pub fn with_policy(policy: EvictionPolicy) -> CompiledCache {
-        CompiledCache {
-            policy,
-            ..CompiledCache::default()
-        }
     }
 
     /// The compiled form of `graph`, compiling at most once per key.
@@ -225,37 +167,7 @@ impl CompiledCache {
         let key = CacheKey::from_graph_hash(graph_hash, gpu, options);
         let slot: Slot = {
             let mut entries = self.entries.lock().expect("cache poisoned");
-            // Expire an idle entry before reusing it (in-flight slots are
-            // exempt: someone is still waiting on them).
-            if let Some(ttl) = self.policy.ttl {
-                let expired = entries
-                    .get(&key)
-                    .is_some_and(|e| e.slot.get().is_some() && e.touched.elapsed() > ttl);
-                if expired {
-                    entries.remove(&key);
-                    self.evicted_ttl.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let inserting = !entries.contains_key(&key);
-            let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-            let entry = entries.entry(key.clone()).or_insert_with(|| Entry {
-                slot: Arc::default(),
-                tick,
-                touched: Instant::now(),
-            });
-            entry.tick = tick;
-            entry.touched = Instant::now();
-            let slot = Arc::clone(&entry.slot);
-            if inserting {
-                // Opportunistic TTL sweep on insert: a caller that never
-                // snapshots stats must not accumulate dead entries — the
-                // moments the map grows are exactly when staleness matters.
-                self.sweep_expired_locked(&mut entries);
-            }
-            if let Some(capacity) = self.policy.capacity {
-                self.evict_lru_locked(&mut entries, capacity, &key);
-            }
-            slot
+            Arc::clone(entries.entry(key.clone()).or_default())
         };
 
         let mut outcome = CacheOutcome::Hit;
@@ -315,59 +227,6 @@ impl CompiledCache {
         }
     }
 
-    /// Evicts least-recently-used *completed* entries until at most
-    /// `capacity` entries remain. `keep` (the entry just touched) and
-    /// in-flight slots are never evicted, so the map may transiently exceed
-    /// the bound while compiles overlap.
-    fn evict_lru_locked(
-        &self,
-        entries: &mut HashMap<CacheKey, Entry>,
-        capacity: usize,
-        keep: &CacheKey,
-    ) {
-        while entries.len() > capacity.max(1) {
-            let victim = entries
-                .iter()
-                .filter(|(k, e)| *k != keep && e.slot.get().is_some())
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    entries.remove(&k);
-                    self.evicted_capacity.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break, // everything else is in flight
-            }
-        }
-    }
-
-    /// Expires every completed entry that has idled past the TTL. Called by
-    /// the engine when statistics are snapshotted, and opportunistically
-    /// whenever an insert grows the map (so a stats-free caller doesn't
-    /// accumulate dead entries); a no-op without a TTL policy.
-    pub fn evict_expired(&self) -> usize {
-        let mut entries = self.entries.lock().expect("cache poisoned");
-        self.sweep_expired_locked(&mut entries)
-    }
-
-    /// [`CompiledCache::evict_expired`] under an already-held lock. The entry
-    /// just touched by the caller is naturally exempt (its `touched` is
-    /// fresh); in-flight slots are never expired.
-    fn sweep_expired_locked(&self, entries: &mut HashMap<CacheKey, Entry>) -> usize {
-        let Some(ttl) = self.policy.ttl else { return 0 };
-        let expired: Vec<CacheKey> = entries
-            .iter()
-            .filter(|(_, e)| e.slot.get().is_some() && e.touched.elapsed() > ttl)
-            .map(|(k, _)| k.clone())
-            .collect();
-        let n = expired.len();
-        for k in expired {
-            entries.remove(&k);
-        }
-        self.evicted_ttl.fetch_add(n, Ordering::Relaxed);
-        n
-    }
-
     /// Evicts every entry whose structural hash is in `graph_hashes` — the
     /// engine's `unload`. Removes in-flight entries too (waiters on the
     /// orphaned slot still receive their result). Returns how many entries
@@ -394,7 +253,7 @@ impl CompiledCache {
             .lock()
             .expect("cache poisoned")
             .values()
-            .filter(|e| matches!(e.slot.get(), Some(Ok(_))))
+            .filter(|slot| matches!(slot.get(), Some(Ok(_))))
             .count()
     }
 
@@ -410,15 +269,8 @@ impl CompiledCache {
             misses: self.misses.load(Ordering::Relaxed),
             artifact_loads: self.artifact_loads.load(Ordering::Relaxed),
             artifact_rejects: self.artifact_rejects.load(Ordering::Relaxed),
-            evicted_ttl: self.evicted_ttl.load(Ordering::Relaxed),
-            evicted_capacity: self.evicted_capacity.load(Ordering::Relaxed),
             evicted_unload: self.evicted_unload.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops every cached graph (e.g. after a device spec change in tests).
-    pub fn clear(&self) {
-        self.entries.lock().expect("cache poisoned").clear();
     }
 }
 
@@ -564,69 +416,6 @@ mod tests {
             assert_eq!(cache.counters().artifact_rejects, 1, "{garbage:?}");
         }
         let _ = std::fs::remove_dir_all(&store);
-    }
-
-    #[test]
-    fn capacity_pressure_evicts_lru() {
-        let cache = CompiledCache::with_policy(EvictionPolicy {
-            capacity: Some(2),
-            ttl: None,
-        });
-        let gpu = Gpu::default();
-        let opts = CompilerOptions::quick();
-        cache.get_or_compile(&model(16, "a"), &gpu, &opts).unwrap();
-        cache.get_or_compile(&model(32, "b"), &gpu, &opts).unwrap();
-        // Touch "a" so "b" becomes the LRU victim.
-        cache.get_or_compile(&model(16, "a"), &gpu, &opts).unwrap();
-        cache.get_or_compile(&model(48, "c"), &gpu, &opts).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.counters().evicted_capacity, 1);
-        // "a" survived (hit); "b" was evicted (fresh compile again).
-        let (_, a) = cache.get_or_compile(&model(16, "a"), &gpu, &opts).unwrap();
-        assert!(a.is_hit(), "recently used entry must survive");
-        let (_, b) = cache.get_or_compile(&model(32, "b"), &gpu, &opts).unwrap();
-        assert_eq!(b, CacheOutcome::Compiled, "LRU entry must recompile");
-    }
-
-    #[test]
-    fn ttl_expires_idle_entries() {
-        let cache = CompiledCache::with_policy(EvictionPolicy {
-            capacity: None,
-            ttl: Some(Duration::ZERO),
-        });
-        let gpu = Gpu::default();
-        let opts = CompilerOptions::quick();
-        cache.get_or_compile(&model(16, "m"), &gpu, &opts).unwrap();
-        assert_eq!(cache.len(), 1);
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(cache.evict_expired(), 1);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.counters().evicted_ttl, 1);
-        // The evicted key recompiles transparently (and expires again at
-        // lookup time without an explicit sweep).
-        std::thread::sleep(Duration::from_millis(2));
-        let (_, outcome) = cache.get_or_compile(&model(16, "m"), &gpu, &opts).unwrap();
-        assert_eq!(outcome, CacheOutcome::Compiled);
-    }
-
-    #[test]
-    fn insert_sweeps_expired_entries_without_a_stats_call() {
-        // A caller that never snapshots stats (never calls evict_expired
-        // explicitly) must still shed dead entries: the insert of an
-        // unrelated key sweeps them.
-        let cache = CompiledCache::with_policy(EvictionPolicy {
-            capacity: None,
-            ttl: Some(Duration::ZERO),
-        });
-        let gpu = Gpu::default();
-        let opts = CompilerOptions::quick();
-        cache.get_or_compile(&model(16, "a"), &gpu, &opts).unwrap();
-        cache.get_or_compile(&model(32, "b"), &gpu, &opts).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        // Fresh key "c": its insert sweeps the two idle entries.
-        cache.get_or_compile(&model(48, "c"), &gpu, &opts).unwrap();
-        assert_eq!(cache.len(), 1, "only the fresh entry survives");
-        assert_eq!(cache.counters().evicted_ttl, 2);
     }
 
     #[test]

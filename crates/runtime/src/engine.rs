@@ -55,11 +55,9 @@
 //!   that holds across *process restarts*: compiles serialize their
 //!   [`hidet::CompiledArtifact`] to disk, and a warm restart rebuilds plans
 //!   from those files with zero fresh compiles and zero tuning trials.
-//!   Capacity/TTL bounds ([`EngineConfig::compiled_capacity`],
-//!   [`EngineConfig::compiled_ttl`]) and [`ModelHandle::unload`] evict
-//!   entries — an evicted key recompiles (or re-loads its artifact)
-//!   transparently on next use, with eviction counters in
-//!   [`crate::StatsSnapshot`].
+//!   [`ModelHandle::unload`] is the one eviction — a later registration of
+//!   the same structure recompiles (or re-loads its artifact), counted in
+//!   [`crate::StatsSnapshot::compiled_evicted_unload`].
 //! * Tuning results persist via [`hidet_sched::TuningCache`] when
 //!   [`EngineConfig::tuning_records_path`] is set: a restarted process
 //!   schedules previously seen matmuls with zero trials. Records are flushed
@@ -80,7 +78,7 @@ use hidet_graph::Graph;
 use hidet_sched::TuningCache;
 use hidet_sim::GpuSpec;
 
-use crate::cache::{CacheOutcome, CompiledCache, EvictionPolicy};
+use crate::cache::{CacheOutcome, CompiledCache};
 use crate::shard::{self, LatencyModel, Shard};
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::store::ArtifactStore;
@@ -277,14 +275,6 @@ pub struct EngineConfig {
     /// pointed at the same directory rebuilds plans with **zero** fresh
     /// compiles and zero tuning trials. `None` keeps compiles process-local.
     pub artifact_store: Option<PathBuf>,
-    /// Compiled-graph cache capacity: beyond this many entries the
-    /// least-recently-used completed entry is evicted (recompiling — or
-    /// re-loading its artifact — transparently on next use). `None` is
-    /// unbounded.
-    pub compiled_capacity: Option<usize>,
-    /// Compiled-graph TTL: entries idle longer than this are expired (at
-    /// lookup and at every [`Engine::stats`] snapshot). `None` disables.
-    pub compiled_ttl: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -299,8 +289,6 @@ impl Default for EngineConfig {
             admission_delay_bound: None,
             tuning_records_path: None,
             artifact_store: None,
-            compiled_capacity: None,
-            compiled_ttl: None,
         }
     }
 }
@@ -310,14 +298,6 @@ impl EngineConfig {
     pub fn quick() -> EngineConfig {
         EngineConfig {
             options: CompilerOptions::quick(),
-            ..EngineConfig::default()
-        }
-    }
-
-    /// A pool of `n` identical RTX 3090 shards (tuned compiles).
-    pub fn sharded(n: usize) -> EngineConfig {
-        EngineConfig {
-            devices: vec![GpuSpec::rtx3090(); n.max(1)],
             ..EngineConfig::default()
         }
     }
@@ -742,10 +722,7 @@ impl Engine {
             queue: Mutex::new(ClassQueues::default()),
             queue_cv: Condvar::new(),
             closed: AtomicBool::new(false),
-            compiled: CompiledCache::with_policy(EvictionPolicy {
-                capacity: config.compiled_capacity,
-                ttl: config.compiled_ttl,
-            }),
+            compiled: CompiledCache::new(),
             stats: ServerStats::default(),
             shards,
             latency_model: LatencyModel::default(),
@@ -845,19 +822,10 @@ impl Engine {
         })
     }
 
-    /// Unregisters the handle's model and evicts its compiled graphs and
-    /// placement estimates — see [`ModelHandle::unload`].
-    pub fn unload(&self, handle: &ModelHandle) -> bool {
-        handle.unload()
-    }
-
     /// Current server statistics, including per-shard, artifact-store and
     /// eviction counters — plus the attached decode subsystem's snapshot
     /// when one is registered ([`Engine::attach_decode_stats`]).
-    /// Snapshotting also sweeps TTL-expired cache entries so idle-eviction
-    /// counters stay current without traffic.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.compiled.evict_expired();
         let shards = self.shared.shards.iter().map(Shard::snapshot).collect();
         let mut snapshot = self
             .shared
@@ -923,20 +891,9 @@ impl Engine {
         shard::least_queue_delay(&self.shared.shards).1
     }
 
-    /// Number of shards (devices) in the pool.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
     /// Number of distinct compiled graphs held by the cache.
     pub fn compiled_graphs(&self) -> usize {
         self.shared.compiled.len()
-    }
-
-    /// The shared tuning-record store (also reachable from
-    /// `CompilerOptions::tuning_cache`).
-    pub fn tuning_cache(&self) -> Arc<Mutex<TuningCache>> {
-        Arc::clone(&self.tuning_cache)
     }
 
     /// Persists tuning records to the configured path now. Returns the number

@@ -20,11 +20,9 @@
 //!   [`hidet::CompiledArtifact`] to disk, and a **warm restart rebuilds
 //!   every previously served plan with zero fresh compiles and zero tuning
 //!   trials**;
-//! * **cache eviction** ([`EngineConfig::compiled_capacity`],
-//!   [`EngineConfig::compiled_ttl`], [`ModelHandle::unload`]): capacity
-//!   pressure evicts LRU entries, idle entries expire, unloaded models are
-//!   dropped — all counted in [`StatsSnapshot`], all recompiling (or
-//!   re-loading their artifact) transparently on next use;
+//! * **eviction is unload** ([`ModelHandle::unload`]): an unloaded model's
+//!   compiled graphs and disk artifacts are dropped and counted in
+//!   [`StatsSnapshot`]; re-registering recompiles (tuning records survive);
 //! * **priority/deadline-aware dynamic batching** ([`ModelHandle::submit`]):
 //!   same-model, same-class requests are coalesced along the model zoo's
 //!   batch dimension; the dispatcher always serves the highest non-empty
@@ -122,7 +120,7 @@ pub(crate) mod shard;
 pub mod stats;
 pub mod store;
 
-pub use cache::{CacheCounters, CacheKey, CacheOutcome, CompiledCache, EvictionPolicy};
+pub use cache::{CacheCounters, CacheKey, CacheOutcome, CompiledCache};
 pub use engine::{
     AdmissionSignal, Engine, EngineConfig, EngineError, InferenceResult, ModelHandle, ModelSpec,
     Priority, Request, Ticket,

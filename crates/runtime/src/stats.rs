@@ -244,8 +244,6 @@ impl ServerStats {
             compile_cache_misses: cache.misses,
             compiled_artifact_loads: cache.artifact_loads,
             compiled_artifact_rejects: cache.artifact_rejects,
-            compiled_evicted_ttl: cache.evicted_ttl,
-            compiled_evicted_capacity: cache.evicted_capacity,
             compiled_evicted_unload: cache.evicted_unload,
             artifact_gc_removed: self.artifact_gc_removed.load(Ordering::Relaxed),
             planned_peak_bytes: self.planned_peak_bytes.load(Ordering::Relaxed),
@@ -543,10 +541,6 @@ pub struct StatsSnapshot {
     /// Artifact files rejected (corrupted/truncated/mismatched) — each fell
     /// back to a fresh compile.
     pub compiled_artifact_rejects: usize,
-    /// Compiled graphs evicted after idling past the cache TTL.
-    pub compiled_evicted_ttl: usize,
-    /// Compiled graphs evicted by capacity pressure (LRU order).
-    pub compiled_evicted_capacity: usize,
     /// Compiled graphs evicted by explicit model unloads.
     pub compiled_evicted_unload: usize,
     /// Artifact files removed from disk stores by GC (model unloads sweep
@@ -594,11 +588,6 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Total compiled-graph evictions across TTL, capacity and unload.
-    pub fn compiled_evictions(&self) -> usize {
-        self.compiled_evicted_ttl + self.compiled_evicted_capacity + self.compiled_evicted_unload
-    }
-
     /// Compact one-line rendering for logs and benches.
     pub fn summary(&self) -> String {
         format!(
@@ -612,7 +601,7 @@ impl StatsSnapshot {
             self.compile_cache_hits,
             self.compile_cache_hits + self.compile_cache_misses + self.compiled_artifact_loads,
             self.compiled_artifact_loads,
-            self.compiled_evictions(),
+            self.compiled_evicted_unload,
             self.tuning_trials_run,
             self.tuning_trials_saved,
             self.p50_latency_seconds * 1e6,

@@ -120,8 +120,6 @@ pub const ENGINE: &[Metric<StatsSnapshot>] = &[
     counter("compile_cache_misses", "hidet_engine_compile_cache_misses_total", "Compiled-graph lookups that compiled afresh.", |s| s.compile_cache_misses),
     counter("compiled_artifact_loads", "hidet_engine_artifact_loads_total", "Compiles avoided by rebuilding from a disk artifact.", |s| s.compiled_artifact_loads),
     counter("compiled_artifact_rejects", "hidet_engine_artifact_rejects_total", "Disk artifacts rejected as corrupt or mismatched.", |s| s.compiled_artifact_rejects),
-    counter("compiled_evicted_ttl", "hidet_engine_compiled_evicted_ttl_total", "Compiled graphs evicted after idling past the TTL.", |s| s.compiled_evicted_ttl),
-    counter("compiled_evicted_capacity", "hidet_engine_compiled_evicted_capacity_total", "Compiled graphs evicted by capacity pressure.", |s| s.compiled_evicted_capacity),
     counter("compiled_evicted_unload", "hidet_engine_compiled_evicted_unload_total", "Compiled graphs evicted by model unloads.", |s| s.compiled_evicted_unload),
     counter("artifact_gc_removed", "hidet_engine_artifact_gc_removed_total", "Artifact files removed from disk stores by GC.", |s| s.artifact_gc_removed),
     level("planned_peak_bytes", "hidet_engine_planned_peak_bytes", "Largest planned per-inference intermediate arena.", |s| s.planned_peak_bytes),
@@ -365,11 +363,10 @@ mod tests {
         assert_one_row_per_field!(ENGINE, engine: StatsSnapshot {
             requests, failures, shed_requests, deadline_expired, batches, compile_cache_hits,
             compile_cache_misses, compiled_artifact_loads, compiled_artifact_rejects,
-            compiled_evicted_ttl, compiled_evicted_capacity, compiled_evicted_unload,
-            artifact_gc_removed, planned_peak_bytes, tuning_trials_run, tuning_trials_saved,
-            tuning_seconds_run, tuning_seconds_saved, total_simulated_seconds, makespan_seconds,
-            p50_latency_seconds, p95_latency_seconds, mean_batch_size, simulated_throughput_rps,
-            cluster_throughput_rps;
+            compiled_evicted_unload, artifact_gc_removed, planned_peak_bytes, tuning_trials_run,
+            tuning_trials_saved, tuning_seconds_run, tuning_seconds_saved,
+            total_simulated_seconds, makespan_seconds, p50_latency_seconds, p95_latency_seconds,
+            mean_batch_size, simulated_throughput_rps, cluster_throughput_rps;
             priorities, shards, decode, ingress
         });
         let mut class = empty().priorities[0].clone();

@@ -6,17 +6,13 @@
 //! the old one lingers), and a crashed writer can leave `*.json.tmp`
 //! residue behind. None of that is ever read again, but it costs disk and
 //! makes the store's contents misleading. [`ArtifactStore`] wraps a store
-//! directory with two removal policies:
+//! directory with the one removal the engine performs:
+//! [`ArtifactStore::remove_model`] deletes exactly the files belonging to a
+//! set of graph hashes (plus temp-file residue) — what
+//! [`crate::ModelHandle::unload`] uses to drop an unloaded model's
+//! artifacts.
 //!
-//! * [`ArtifactStore::remove_model`] deletes exactly the files belonging to
-//!   a set of graph hashes — what [`crate::ModelHandle::unload`] uses to
-//!   drop an unloaded model's artifacts;
-//! * [`ArtifactStore::gc`] deletes every artifact file whose graph hash is
-//!   **not** in a caller-supplied live set (plus temp-file residue) — the
-//!   sweep an operator runs against the full list of models they intend to
-//!   keep.
-//!
-//! Both parse hashes out of the file *names* (the
+//! Hashes are parsed out of the file *names* (the
 //! [`crate::CacheKey::artifact_path`] format:
 //! `artifact-<graph_hash>-<options>-<device>.json`), never file contents,
 //! so a sweep is O(directory) with no JSON parsing; unrecognized file names
@@ -24,7 +20,7 @@
 
 use std::path::{Path, PathBuf};
 
-/// A compiled-artifact directory with garbage-collection helpers. See the
+/// A compiled-artifact directory with its garbage collection. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ArtifactStore {
@@ -44,25 +40,9 @@ impl ArtifactStore {
     }
 
     /// Removes the artifact files of exactly the given graph hashes (every
-    /// device and option variant). Returns how many files were removed.
+    /// device and option variant), plus any `*.json.tmp` writer residue.
+    /// Unparsable names are kept. Returns how many files were removed.
     pub fn remove_model(&self, graph_hashes: &[u64]) -> usize {
-        self.sweep(|hash| graph_hashes.contains(&hash))
-    }
-
-    /// Removes every artifact file whose graph hash is **not** in
-    /// `live_graph_hashes`, plus any `*.json.tmp` writer residue. Returns
-    /// how many files were removed.
-    ///
-    /// The live set must cover every model (at every batch size) the caller
-    /// wants to keep warm-startable — a hash absent from it is treated as
-    /// orphaned.
-    pub fn gc(&self, live_graph_hashes: &[u64]) -> usize {
-        self.sweep(|hash| !live_graph_hashes.contains(&hash))
-    }
-
-    /// Removes artifact files whose parsed graph hash satisfies `victim`,
-    /// and all temp residue. Unparsable names are kept.
-    fn sweep(&self, victim: impl Fn(u64) -> bool) -> usize {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return 0; // missing or unreadable directory: nothing to collect
         };
@@ -73,7 +53,8 @@ impl ArtifactStore {
                 continue;
             };
             let stale_tmp = name.starts_with("artifact-") && name.ends_with(".json.tmp");
-            let doomed = stale_tmp || artifact_graph_hash(name).is_some_and(&victim);
+            let doomed = stale_tmp
+                || artifact_graph_hash(name).is_some_and(|hash| graph_hashes.contains(&hash));
             if doomed && std::fs::remove_file(&path).is_ok() {
                 removed += 1;
             }
@@ -175,7 +156,7 @@ mod tests {
         touch(&dir, "README.md");
 
         let store = ArtifactStore::new(&dir);
-        assert_eq!(store.gc(&[0xaaaa]), 2);
+        assert_eq!(store.remove_model(&[0xbbbb]), 2);
         assert!(live.exists());
         assert!(!orphan.exists());
         assert!(!tmp.exists());
@@ -186,7 +167,6 @@ mod tests {
     #[test]
     fn missing_directory_collects_nothing() {
         let store = ArtifactStore::new("/nonexistent/hidet/store");
-        assert_eq!(store.gc(&[]), 0);
         assert_eq!(store.remove_model(&[1]), 0);
     }
 }

@@ -276,58 +276,6 @@ fn stats_report_planned_peak_bytes() {
 }
 
 #[test]
-fn capacity_pressure_evicts_lru_and_recompiles_transparently() {
-    let engine = Engine::new(EngineConfig {
-        compiled_capacity: Some(1),
-        max_batch: 1,
-        ..EngineConfig::quick()
-    })
-    .unwrap();
-    let a = engine.register(ModelSpec::new("a", mlp)).unwrap();
-    let b = engine.register(ModelSpec::new("b", wide)).unwrap();
-
-    a.infer(request(1)).unwrap();
-    b.infer(request(2)).unwrap(); // evicts a's compiled graph (capacity 1)
-    let stats = engine.stats();
-    assert_eq!(stats.compiled_evicted_capacity, 1, "{stats:?}");
-    assert_eq!(engine.compiled_graphs(), 1);
-
-    // The evicted model recompiles transparently and still answers.
-    let again = a.infer(request(3)).unwrap();
-    assert!(!again.compile_cache_hit, "evicted entry cannot hit");
-    assert_eq!(again.outputs[0].len(), 6);
-    let stats = engine.stats();
-    assert_eq!(stats.compiled_evicted_capacity, 2);
-    assert_eq!(stats.compile_cache_misses, 3);
-    assert!(stats.compiled_evictions() >= 2);
-}
-
-#[test]
-fn ttl_expiry_evicts_idle_entries_and_recompiles() {
-    let engine = Engine::new(EngineConfig {
-        compiled_ttl: Some(Duration::from_millis(30)),
-        max_batch: 1,
-        ..EngineConfig::quick()
-    })
-    .unwrap();
-    let model = engine.register(ModelSpec::new("mlp", mlp)).unwrap();
-    model.infer(request(1)).unwrap();
-    assert_eq!(engine.compiled_graphs(), 1);
-
-    std::thread::sleep(Duration::from_millis(60));
-    // The stats snapshot sweeps expired entries, making the eviction
-    // visible without traffic.
-    let stats = engine.stats();
-    assert_eq!(stats.compiled_evicted_ttl, 1, "{stats:?}");
-    assert_eq!(engine.compiled_graphs(), 0);
-
-    // The expired model recompiles transparently.
-    let again = model.infer(request(2)).unwrap();
-    assert!(!again.compile_cache_hit);
-    assert_eq!(engine.stats().compile_cache_misses, 2);
-}
-
-#[test]
 fn unload_evicts_compiled_graphs_and_rejects_new_requests() {
     let engine = Engine::new(EngineConfig {
         max_batch: 2,

@@ -72,7 +72,7 @@ fn homogeneous_shards_share_compiled_graphs() {
     assert_eq!(engine.compiled_graphs(), 1);
     assert_eq!(engine.stats().compile_cache_misses, 1);
     assert!(model.warmup(1).unwrap());
-    assert_eq!(engine.shard_count(), 3);
+    assert_eq!(engine.stats().shards.len(), 3);
 }
 
 #[test]
