@@ -301,6 +301,16 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
+
+    /// The config the engine actually runs on: construction invariants
+    /// checked.
+    pub(crate) fn sanitized(self) -> EngineConfig {
+        assert!(!self.devices.is_empty(), "engine needs at least one device");
+        assert!(self.workers >= 1, "engine needs at least one worker");
+        assert!(self.max_batch >= 1, "max_batch must be at least 1");
+        assert!(self.max_inflight >= 1, "max_inflight must be at least 1");
+        self
+    }
 }
 
 /// Errors surfaced to clients.
@@ -561,10 +571,9 @@ impl ClassQueues {
 }
 
 struct Shared {
-    options: CompilerOptions,
-    /// [`EngineConfig::artifact_store`] — the store models fall back to when
-    /// their spec names none.
-    default_artifact_store: Option<PathBuf>,
+    /// The sanitised construction config; its `options` carry the engine's
+    /// tuning-record store.
+    config: EngineConfig,
     registry: Mutex<HashMap<String, Arc<ModelEntry>>>,
     queue: Mutex<ClassQueues>,
     queue_cv: Condvar,
@@ -575,11 +584,6 @@ struct Shared {
     latency_model: LatencyModel,
     /// Requests admitted but not yet answered (queued or placed).
     inflight: AtomicUsize,
-    max_batch: usize,
-    batch_window: Duration,
-    max_inflight: usize,
-    /// [`EngineConfig::admission_delay_bound`] in seconds.
-    delay_bound: Option<f64>,
     /// Attached decode-subsystem stats source ([`Engine::attach_decode_stats`]).
     #[allow(clippy::type_complexity)]
     decode_stats: Mutex<Option<Arc<dyn Fn() -> crate::stats::DecodeStatsSnapshot + Send + Sync>>>,
@@ -589,6 +593,31 @@ struct Shared {
 }
 
 impl Shared {
+    /// The engine's shared state over a sanitised `config`: one shard per
+    /// device, nothing registered, nothing queued.
+    fn new(config: EngineConfig) -> Shared {
+        let shards = config
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| Shard::new(i, spec.clone(), config.workers))
+            .collect();
+        Shared {
+            config,
+            registry: Mutex::new(HashMap::new()),
+            queue: Mutex::new(ClassQueues::default()),
+            queue_cv: Condvar::new(),
+            closed: AtomicBool::new(false),
+            compiled: CompiledCache::new(),
+            stats: ServerStats::default(),
+            shards,
+            latency_model: LatencyModel::default(),
+            inflight: AtomicUsize::new(0),
+            decode_stats: Mutex::new(None),
+            ingress_stats: Mutex::new(None),
+        }
+    }
+
     /// Total worker lanes across the pool.
     fn total_lanes(&self) -> usize {
         self.shards.iter().map(|s| s.lanes).sum()
@@ -612,7 +641,7 @@ impl Shared {
     /// queue mutex).
     fn admission_verdict(&self, class: Priority, queued: usize) -> Option<EngineError> {
         let inflight = self.inflight.load(Ordering::Relaxed);
-        let cap = (self.max_inflight as f64 * class.queue_share()).ceil() as usize;
+        let cap = (self.config.max_inflight as f64 * class.queue_share()).ceil() as usize;
         if inflight >= cap {
             let (idx, _) = shard::least_queue_delay(&self.shards);
             self.shards[idx].count_shed();
@@ -620,10 +649,11 @@ impl Shared {
             return Some(EngineError::QueueFull(format!(
                 "{inflight} requests in flight >= {cap} ({} share of max_inflight {})",
                 class.label(),
-                self.max_inflight
+                self.config.max_inflight
             )));
         }
-        if let Some(bound) = self.delay_bound {
+        if let Some(bound) = self.config.admission_delay_bound {
+            let bound = bound.as_secs_f64();
             let (idx, shard_delay) = shard::least_queue_delay(&self.shards);
             let snapshot_requests = self.stats.requests.load(Ordering::Relaxed);
             let per_request = if snapshot_requests > 0 {
@@ -655,7 +685,6 @@ impl Shared {
 pub struct Engine {
     shared: Arc<Shared>,
     tuning_cache: Arc<Mutex<TuningCache>>,
-    tuning_records_path: Option<PathBuf>,
     dispatcher: Option<thread::JoinHandle<()>>,
     workers: Vec<thread::JoinHandle<()>>,
 }
@@ -669,13 +698,7 @@ impl Engine {
     /// [`EngineError::Records`] if a configured record file exists but cannot
     /// be read or parsed (a *missing* file is a normal cold start).
     pub fn new(config: EngineConfig) -> Result<Engine, EngineError> {
-        assert!(
-            !config.devices.is_empty(),
-            "engine needs at least one device"
-        );
-        assert!(config.workers >= 1, "engine needs at least one worker");
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.max_inflight >= 1, "max_inflight must be at least 1");
+        let mut config = config.sanitized();
 
         // Attach (or adopt) the tuning-record store. An adopted store still
         // absorbs the configured record file — otherwise shutdown's save
@@ -703,47 +726,18 @@ impl Engine {
                 Arc::new(Mutex::new(cache))
             }
         };
-        let options = config
-            .options
-            .clone()
-            .with_tuning_cache(Arc::clone(&tuning_cache));
-
-        let shards: Vec<Shard> = config
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| Shard::new(i, spec.clone(), config.workers))
-            .collect();
-
-        let shared = Arc::new(Shared {
-            options,
-            default_artifact_store: config.artifact_store.clone(),
-            registry: Mutex::new(HashMap::new()),
-            queue: Mutex::new(ClassQueues::default()),
-            queue_cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-            compiled: CompiledCache::new(),
-            stats: ServerStats::default(),
-            shards,
-            latency_model: LatencyModel::default(),
-            inflight: AtomicUsize::new(0),
-            max_batch: config.max_batch,
-            batch_window: config.batch_window,
-            max_inflight: config.max_inflight,
-            delay_bound: config.admission_delay_bound.map(|d| d.as_secs_f64()),
-            decode_stats: Mutex::new(None),
-            ingress_stats: Mutex::new(None),
-        });
+        config.options = config.options.with_tuning_cache(Arc::clone(&tuning_cache));
+        let shared = Arc::new(Shared::new(config));
 
         // One job channel per shard; the dispatcher owns every sender, so
         // worker pools drain and exit once the dispatcher hangs up.
-        let mut senders = Vec::with_capacity(config.devices.len());
+        let mut senders = Vec::with_capacity(shared.shards.len());
         let mut workers = Vec::new();
-        for shard_idx in 0..config.devices.len() {
+        for shard_idx in 0..shared.shards.len() {
             let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
             senders.push(job_tx);
             let job_rx = Arc::new(Mutex::new(job_rx));
-            for lane in 0..config.workers {
+            for lane in 0..shared.config.workers {
                 let shared = Arc::clone(&shared);
                 let job_rx = Arc::clone(&job_rx);
                 workers.push(
@@ -765,7 +759,6 @@ impl Engine {
         Ok(Engine {
             shared,
             tuning_cache,
-            tuning_records_path: config.tuning_records_path,
             dispatcher: Some(dispatcher),
             workers,
         })
@@ -796,7 +789,7 @@ impl Engine {
         }
         let artifact_store = spec
             .artifact_store
-            .or_else(|| self.shared.default_artifact_store.clone());
+            .or_else(|| self.shared.config.artifact_store.clone());
         if let Some(dir) = &artifact_store {
             std::fs::create_dir_all(dir).map_err(|e| {
                 EngineError::Artifact(format!(
@@ -899,7 +892,7 @@ impl Engine {
     /// Persists tuning records to the configured path now. Returns the number
     /// of records written; no-op (`Ok(0)`) without a configured path.
     pub fn flush_tuning_records(&self) -> Result<usize, EngineError> {
-        let Some(path) = &self.tuning_records_path else {
+        let Some(path) = &self.shared.config.tuning_records_path else {
             return Ok(0);
         };
         let mut cache = self.tuning_cache.lock().expect("tuning cache poisoned");
@@ -1065,7 +1058,7 @@ fn warmup_model(shared: &Shared, model: &str, batch: i64) -> Result<bool, Engine
             &variant.graph,
             variant.hash,
             &shard.gpu,
-            &shared.options,
+            &shared.config.options,
             entry.artifact_store.as_deref(),
         )?;
         record_compile(shared, &compiled, outcome);
@@ -1168,24 +1161,34 @@ fn submit_request(shared: &Shared, model: &str, request: Request) -> Ticket {
     ticket
 }
 
-/// Responds `DeadlineExceeded` to every queued request whose deadline has
-/// passed — expired requests never reach a worker.
+/// Partitions `requests` at `now`: every request whose deadline has passed
+/// is answered `DeadlineExceeded` (counted, its in-flight slot released) and
+/// the live ones come back in their original order — expired requests never
+/// reach a worker.
+fn answer_expired(
+    shared: &Shared,
+    requests: impl IntoIterator<Item = PendingRequest>,
+    now: Instant,
+) -> Vec<PendingRequest> {
+    let mut live = Vec::new();
+    for request in requests {
+        if request.expired(now) {
+            shared.stats.count_deadline_expired();
+            request.respond(shared, Err(EngineError::DeadlineExceeded));
+        } else {
+            live.push(request);
+        }
+    }
+    live
+}
+
+/// [`answer_expired`] over every class queue.
 fn purge_expired(shared: &Shared, queue: &mut ClassQueues) {
     let now = Instant::now();
     for q in queue.classes.iter_mut() {
-        if !q.iter().any(|r| r.expired(now)) {
-            continue;
+        if q.iter().any(|r| r.expired(now)) {
+            *q = answer_expired(shared, q.drain(..), now).into();
         }
-        let mut keep = VecDeque::with_capacity(q.len());
-        for request in q.drain(..) {
-            if request.expired(now) {
-                shared.stats.count_deadline_expired();
-                request.respond(shared, Err(EngineError::DeadlineExceeded));
-            } else {
-                keep.push_back(request);
-            }
-        }
-        *q = keep;
     }
 }
 
@@ -1220,11 +1223,12 @@ fn dispatch_loop(shared: &Shared, senders: Vec<mpsc::Sender<BatchJob>>) {
 
         // Coalescing ceiling for this model: non-batchable registrations
         // (see `ModelSpec::unbatched`) always dispatch one at a time.
-        let batchable = {
-            let registry = shared.registry.lock().expect("registry poisoned");
-            registry.get(&model).is_none_or(|entry| entry.batchable)
+        let batchable = lookup_entry(shared, &model).map_or(true, |entry| entry.batchable);
+        let cap = if batchable {
+            shared.config.max_batch
+        } else {
+            1
         };
-        let cap = if batchable { shared.max_batch } else { 1 };
 
         // Hold the batch open briefly for stragglers (skipped when batching
         // is off or the batch is already full). The wait is abandoned as
@@ -1233,11 +1237,11 @@ fn dispatch_loop(shared: &Shared, senders: Vec<mpsc::Sender<BatchJob>>) {
         // *higher* class gets traffic, bounding priority inversion to one
         // partial batch.
         if cap > 1 {
-            let window_end = Instant::now() + shared.batch_window;
+            let window_end = Instant::now() + shared.config.batch_window;
             while same_group(&queue) < cap
                 && same_group(&queue) > 0
                 && !shared.closed.load(Ordering::SeqCst)
-                && !queue.any_full(shared.max_batch)
+                && !queue.any_full(shared.config.max_batch)
                 && !queue.higher_nonempty(class_idx)
             {
                 let now = Instant::now();
@@ -1262,18 +1266,12 @@ fn dispatch_loop(shared: &Shared, senders: Vec<mpsc::Sender<BatchJob>>) {
         // Extract up to `cap` same-group requests, preserving the order of
         // everything else. Requests that expired while queued are answered
         // here instead of executed.
-        let now = Instant::now();
         let mut requests = Vec::new();
         let source = &mut queue.classes[class_idx];
         let mut rest = VecDeque::with_capacity(source.len());
-        for request in source.drain(..) {
+        for request in answer_expired(shared, source.drain(..), Instant::now()) {
             if request.model == model && requests.len() < cap {
-                if request.expired(now) {
-                    shared.stats.count_deadline_expired();
-                    request.respond(shared, Err(EngineError::DeadlineExceeded));
-                } else {
-                    requests.push(request);
-                }
+                requests.push(request);
             } else {
                 rest.push_back(request);
             }
@@ -1359,6 +1357,26 @@ fn record_compile(shared: &Shared, compiled: &hidet::CompiledGraph, outcome: Cac
     }
 }
 
+/// Checks one request's inputs against the model's batch-1 element counts.
+fn validate(request: &PendingRequest, expected: &[usize]) -> Result<(), String> {
+    if request.inputs.len() != expected.len() {
+        return Err(format!(
+            "expected {} input tensors, got {}",
+            expected.len(),
+            request.inputs.len()
+        ));
+    }
+    match (0..expected.len()).find(|&i| request.inputs[i].len() != expected[i]) {
+        Some(pos) => Err(format!(
+            "input {} has {} elements, expected {}",
+            pos,
+            request.inputs[pos].len(),
+            expected[pos]
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Executes one batch job on `shard_idx`'s device, accounting served
 /// requests and busy time on the shard before any response is sent. The
 /// caller's `workspace` provides the memory-planned arena (reused across
@@ -1374,27 +1392,17 @@ fn process_batch(
         job.requests.first().map_or(0, |r| r.trace_id),
     );
     let shard = &shared.shards[shard_idx];
-    let entry = {
-        let registry = shared.registry.lock().expect("registry poisoned");
-        registry.get(&job.model).cloned()
-    };
-    let Some(entry) = entry else {
-        fail_all(shared, job.requests, EngineError::UnknownModel(job.model));
-        return;
+    let entry = match lookup_entry(shared, &job.model) {
+        Ok(entry) => entry,
+        Err(unknown) => {
+            fail_all(shared, job.requests, unknown);
+            return;
+        }
     };
 
     // Last-line deadline check: a request whose deadline passed while the
     // job sat in the shard channel is answered, not executed.
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(job.requests.len());
-    for request in job.requests {
-        if request.expired(now) {
-            shared.stats.count_deadline_expired();
-            request.respond(shared, Err(EngineError::DeadlineExceeded));
-        } else {
-            live.push(request);
-        }
-    }
+    let live = answer_expired(shared, job.requests, Instant::now());
     if live.is_empty() {
         return;
     }
@@ -1410,28 +1418,13 @@ fn process_batch(
         .collect();
     let mut valid = Vec::with_capacity(live.len());
     for request in live {
-        if request.inputs.len() != expected.len() {
-            let err = EngineError::BadInput(format!(
-                "expected {} input tensors, got {}",
-                expected.len(),
-                request.inputs.len()
-            ));
-            shared.stats.failures.fetch_add(1, Ordering::Relaxed);
-            request.respond(shared, Err(err));
-            continue;
+        match validate(&request, &expected) {
+            Ok(()) => valid.push(request),
+            Err(msg) => {
+                shared.stats.failures.fetch_add(1, Ordering::Relaxed);
+                request.respond(shared, Err(EngineError::BadInput(msg)));
+            }
         }
-        if let Some(pos) = (0..expected.len()).find(|&i| request.inputs[i].len() != expected[i]) {
-            let err = EngineError::BadInput(format!(
-                "input {} has {} elements, expected {}",
-                pos,
-                request.inputs[pos].len(),
-                expected[pos]
-            ));
-            shared.stats.failures.fetch_add(1, Ordering::Relaxed);
-            request.respond(shared, Err(err));
-            continue;
-        }
-        valid.push(request);
     }
     if valid.is_empty() {
         return;
@@ -1461,7 +1454,7 @@ fn process_batch(
         &variant.graph,
         variant.hash,
         &shard.gpu,
-        &shared.options,
+        &shared.config.options,
         entry.artifact_store.as_deref(),
     );
     let (compiled, outcome) = match compiled {
@@ -1601,6 +1594,56 @@ mod tests {
             .with_deadline(absolute)
             .with_timeout(Duration::from_millis(200));
         assert_eq!(r.effective_deadline(now), Some(absolute));
+    }
+
+    #[test]
+    fn answer_expired_keeps_live_requests_in_order_and_settles_the_rest_once() {
+        let shared = Shared::new(EngineConfig::quick());
+        let now = Instant::now();
+        let past = now - Duration::from_millis(1);
+        let future = now + Duration::from_secs(60);
+        // (deadline, tag): expired, live, no deadline, expired, live.
+        let deadlines = [Some(past), Some(future), None, Some(now), Some(future)];
+        let mut tickets = Vec::new();
+        let batch: Vec<PendingRequest> = deadlines
+            .iter()
+            .enumerate()
+            .map(|(tag, &deadline)| {
+                let (tx, rx) = mpsc::channel();
+                tickets.push(Ticket { rx });
+                PendingRequest {
+                    model: "m".to_string(),
+                    inputs: Vec::new(),
+                    priority: Priority::Normal,
+                    deadline,
+                    trace_id: tag as u64,
+                    responder: tx,
+                }
+            })
+            .collect();
+        shared.inflight.store(batch.len(), Ordering::Relaxed);
+
+        let live = answer_expired(&shared, batch, now);
+        let tags: Vec<u64> = live.iter().map(|r| r.trace_id).collect();
+        assert_eq!(tags, [1, 2, 4], "live and deadline-free requests, in order");
+        let stats = shared
+            .stats
+            .snapshot(shared.compiled.counters(), Vec::new());
+        assert_eq!((stats.deadline_expired, stats.failures), (2, 2));
+        assert_eq!(
+            shared.inflight.load(Ordering::Relaxed),
+            3,
+            "two slots freed"
+        );
+        drop(live);
+        for (tag, ticket) in tickets.into_iter().enumerate() {
+            let want = if tag == 0 || tag == 3 {
+                EngineError::DeadlineExceeded
+            } else {
+                EngineError::Closed // dropped unanswered above
+            };
+            assert_eq!(ticket.wait().unwrap_err(), want, "request {tag}");
+        }
     }
 
     #[test]
