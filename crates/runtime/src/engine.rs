@@ -233,9 +233,10 @@ impl Request {
         self.priority
     }
 
-    /// The effective absolute deadline as of submission time `now`.
+    /// The effective absolute deadline as of submission time `now`. A
+    /// timeout too long for `Instant` to represent is no timeout.
     fn effective_deadline(&self, now: Instant) -> Option<Instant> {
-        match (self.deadline, self.timeout.map(|t| now + t)) {
+        match (self.deadline, self.timeout.and_then(|t| now.checked_add(t))) {
             (Some(d), Some(t)) => Some(d.min(t)),
             (d, t) => d.or(t),
         }
@@ -1593,6 +1594,14 @@ mod tests {
         let r = Request::default()
             .with_deadline(absolute)
             .with_timeout(Duration::from_millis(200));
+        assert_eq!(r.effective_deadline(now), Some(absolute));
+
+        // A timeout `Instant` cannot represent is no timeout (`now + t`
+        // panicked the submitting thread). Only library callers can pass
+        // one: the HTTP front-end's `timeout_ms` is at most 2^53 ms.
+        let r = Request::default().with_timeout(Duration::MAX);
+        assert_eq!(r.effective_deadline(now), None);
+        let r = r.with_deadline(absolute);
         assert_eq!(r.effective_deadline(now), Some(absolute));
     }
 
