@@ -46,7 +46,7 @@ pub const BLOCKING_PATTERNS: &[&str] = &["Mutex", "RwLock", "Condvar", "mpsc::"]
 pub const INSTRUMENTED_FILES: &[&str] = &[
     "crates/core/src/compiler.rs",
     "crates/sim/src/interp/exec.rs",
-    "crates/runtime/src/engine.rs",
+    "crates/runtime/src/engine/",
     "crates/decode/src/engine/",
     "crates/server/src/server.rs",
     "crates/server/src/api.rs",
@@ -57,7 +57,7 @@ pub const INSTRUMENTED_FILES: &[&str] = &[
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/compiler.rs",
     "crates/sim/src/interp/exec.rs",
-    "crates/runtime/src/engine.rs",
+    "crates/runtime/src/engine/",
     "crates/decode/src/engine/",
     "crates/decode/src/kv.rs",
     "crates/decode/src/placement.rs",

@@ -1,0 +1,656 @@
+//! The serving engine: a multi-session inference front-end over the Hidet
+//! compiler and a pool of simulated GPUs.
+//!
+//! The model lifecycle is explicit: [`Engine::register`] takes a
+//! [`ModelSpec`] (name, graph-builder family, batching mode, optional
+//! artifact store) and returns a [`ModelHandle`] that owns every per-model
+//! operation — [`ModelHandle::infer`], [`ModelHandle::submit`],
+//! [`ModelHandle::warmup`], [`ModelHandle::unload`]. Requests are built with
+//! the [`Request`] builder (inputs + priority + deadline + per-request
+//! timeout). The deprecated free-function entry points of the v1 API
+//! (`Engine::load`, `Engine::submit_with`, ...) are gone — every per-model
+//! operation lives on the handle.
+//!
+//! ```text
+//!   clients ── handle.submit ──▶ admission ──▶ priority queues ──▶ dispatcher
+//!              (Request:         (sheds when    High / Normal /       │
+//!               priority,         overloaded)   BestEffort            ▼
+//!               deadline,                         batch former (model x class)
+//!               timeout)                                              │ least-estimated-
+//!                                                                    ▼ queue-delay
+//!                                        shard 0 workers ◀── placement ──▶ shard N workers
+//!                                              │                                │
+//!                                              ▼                                ▼
+//!                               shared compiled-graph cache ──▶ hidet-sim device per shard
+//!                                     │  ▲
+//!                                     ▼  │ (zero-tuning rebuild)
+//!                               disk artifact store (persists across processes)
+//! ```
+//!
+//! * Requests carry a [`Priority`] class and an optional deadline
+//!   ([`Request::with_deadline`] / [`Request::with_timeout`]). The
+//!   dispatcher always serves the highest non-empty class; requests whose
+//!   deadline passes while queued are rejected with
+//!   [`EngineError::DeadlineExceeded`] and never reach a worker.
+//! * Same-model, same-class requests are **coalesced along the batch
+//!   dimension** (up to [`EngineConfig::max_batch`], waiting at most
+//!   [`EngineConfig::batch_window`]) before dispatch. The straggler wait is
+//!   abandoned as soon as a higher class has traffic, so priority inversion
+//!   is bounded by one partial batch.
+//! * Formed batches are **placed across the device pool**
+//!   ([`EngineConfig::devices`]) on the shard with the least estimated queue
+//!   delay, computed by [`hidet_sim::estimated_queue_delay`] over the
+//!   analytic latency estimates of every in-flight batch (see the `shard`
+//!   module and [`crate::ShardSnapshot`]).
+//! * An **admission controller** sheds load with
+//!   [`EngineError::QueueFull`] when the engine holds too many in-flight
+//!   requests or the estimated queue delay exceeds
+//!   [`EngineConfig::admission_delay_bound`]. Shedding thresholds scale with
+//!   priority, so best-effort traffic is always shed before high-priority
+//!   traffic.
+//! * Compilation happens at most once per (structure, device, options) — see
+//!   [`crate::CompiledCache`] — so steady-state requests never compile, and
+//!   homogeneous shards share one compiled graph. With an **artifact store**
+//!   ([`EngineConfig::artifact_store`] or [`ModelSpec::with_artifact_store`])
+//!   that holds across *process restarts*: compiles serialize their
+//!   [`hidet::CompiledArtifact`] to disk, and a warm restart rebuilds plans
+//!   from those files with zero fresh compiles and zero tuning trials.
+//!   [`ModelHandle::unload`] is the one eviction — a later registration of
+//!   the same structure recompiles (or re-loads its artifact), counted in
+//!   [`crate::StatsSnapshot::compiled_evicted_unload`].
+//! * Tuning results persist via [`hidet_sched::TuningCache`] when
+//!   [`EngineConfig::tuning_records_path`] is set: a restarted process
+//!   schedules previously seen matmuls with zero trials. Records are flushed
+//!   on [`Engine::shutdown`] *and* from `Drop`, so a panicking caller does
+//!   not lose tuned schedules.
+
+//!
+//! # Module map
+//!
+//! * `request` — what a client hands in and gets back: [`Priority`],
+//!   [`Request`], [`Ticket`], [`InferenceResult`], [`EngineError`];
+//! * `config` — [`EngineConfig`] and its sanitising;
+//! * `registry` — [`ModelSpec`], the per-model entry with its graph
+//!   variants, [`ModelHandle`], warm-up and unload;
+//! * `dispatch` — the priority queues, submission (admission + enqueue),
+//!   deadline expiry and the dispatcher thread's batch former;
+//! * `worker` — the per-shard worker loop and one batch's execution;
+//! * this file — the state they share, [`Engine`] and its lifecycle, and
+//!   the [`AdmissionSignal`] a front-end polls.
+
+mod config;
+mod dispatch;
+mod registry;
+mod request;
+mod worker;
+
+pub use self::config::EngineConfig;
+pub use self::registry::{ModelHandle, ModelSpec};
+pub use self::request::{EngineError, InferenceResult, Priority, Request, Ticket};
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
+
+use hidet_sched::TuningCache;
+
+use self::dispatch::{dispatch_loop, BatchJob, ClassQueues};
+use self::registry::ModelEntry;
+use self::worker::worker_loop;
+use crate::cache::CompiledCache;
+use crate::shard::{self, LatencyModel, Shard};
+use crate::stats::{ServerStats, StatsSnapshot};
+
+struct Shared {
+    /// The sanitised construction config; its `options` carry the engine's
+    /// tuning-record store.
+    config: EngineConfig,
+    registry: Mutex<HashMap<String, Arc<ModelEntry>>>,
+    queue: Mutex<ClassQueues>,
+    queue_cv: Condvar,
+    closed: AtomicBool,
+    compiled: CompiledCache,
+    stats: ServerStats,
+    shards: Vec<Shard>,
+    latency_model: LatencyModel,
+    /// Requests admitted but not yet answered (queued or placed).
+    inflight: AtomicUsize,
+    /// Attached decode-subsystem stats source ([`Engine::attach_decode_stats`]).
+    #[allow(clippy::type_complexity)]
+    decode_stats: Mutex<Option<Arc<dyn Fn() -> crate::stats::DecodeStatsSnapshot + Send + Sync>>>,
+    /// Attached network-ingress stats source ([`Engine::attach_ingress_stats`]).
+    #[allow(clippy::type_complexity)]
+    ingress_stats: Mutex<Option<Arc<dyn Fn() -> crate::stats::IngressStatsSnapshot + Send + Sync>>>,
+}
+
+impl Shared {
+    /// The engine's shared state over a sanitised `config`: one shard per
+    /// device, nothing registered, nothing queued.
+    fn new(config: EngineConfig) -> Shared {
+        let shards = config
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| Shard::new(i, spec.clone(), config.workers))
+            .collect();
+        Shared {
+            config,
+            registry: Mutex::new(HashMap::new()),
+            queue: Mutex::new(ClassQueues::default()),
+            queue_cv: Condvar::new(),
+            closed: AtomicBool::new(false),
+            compiled: CompiledCache::new(),
+            stats: ServerStats::default(),
+            shards,
+            latency_model: LatencyModel::default(),
+            inflight: AtomicUsize::new(0),
+            decode_stats: Mutex::new(None),
+            ingress_stats: Mutex::new(None),
+        }
+    }
+
+    /// Total worker lanes across the pool.
+    fn total_lanes(&self) -> usize {
+        self.shards.iter().map(|s| s.lanes).sum()
+    }
+
+    /// Admission verdict for a request of `class` while `queued` requests
+    /// wait in the dispatcher queue. `None` admits.
+    ///
+    /// Two monotone-in-priority checks:
+    /// 1. the in-flight count against `max_inflight x queue_share(class)`;
+    /// 2. the estimated queue delay — least-loaded shard delay plus the
+    ///    dispatcher backlog (queued requests x observed device seconds per
+    ///    request, spread over every worker lane) — against
+    ///    `delay_bound x delay_slack(class)`.
+    ///
+    /// Cost note: check 1 is a pair of atomic loads; it touches the shard
+    /// pending locks only when it actually sheds (for attribution). Check 2
+    /// re-derives every shard's queue delay per submission —
+    /// O(shards x in-flight batches) — which is why the delay bound is
+    /// opt-in (`None` by default keeps the submit path lock-free past the
+    /// queue mutex).
+    fn admission_verdict(&self, class: Priority, queued: usize) -> Option<EngineError> {
+        let inflight = self.inflight.load(Ordering::Relaxed);
+        let cap = (self.config.max_inflight as f64 * class.queue_share()).ceil() as usize;
+        if inflight >= cap {
+            let (idx, _) = shard::least_queue_delay(&self.shards);
+            self.shards[idx].count_shed();
+            self.stats.count_shed(class);
+            return Some(EngineError::QueueFull(format!(
+                "{inflight} requests in flight >= {cap} ({} share of max_inflight {})",
+                class.label(),
+                self.config.max_inflight
+            )));
+        }
+        if let Some(bound) = self.config.admission_delay_bound {
+            let bound = bound.as_secs_f64();
+            let (idx, shard_delay) = shard::least_queue_delay(&self.shards);
+            let snapshot_requests = self.stats.requests.load(Ordering::Relaxed);
+            let per_request = if snapshot_requests > 0 {
+                let device_nanos = self.stats.simulated_nanos.load(Ordering::Relaxed) as f64;
+                device_nanos / 1e9 / snapshot_requests as f64
+            } else {
+                0.0 // cold engine: no evidence of backlog cost yet
+            };
+            let backlog = queued as f64 * per_request / self.total_lanes() as f64;
+            let estimated = shard_delay + backlog;
+            let slack = bound * class.delay_slack();
+            if estimated > slack {
+                self.shards[idx].count_shed();
+                self.stats.count_shed(class);
+                return Some(EngineError::QueueFull(format!(
+                    "estimated queue delay {:.1} us exceeds the {} bound {:.1} us",
+                    estimated * 1e6,
+                    class.label(),
+                    slack * 1e6
+                )));
+            }
+        }
+        None
+    }
+}
+
+/// The serving engine. See the [module docs](crate::engine) for the
+/// architecture and `examples/serving.rs` for a tour.
+pub struct Engine {
+    shared: Arc<Shared>,
+    tuning_cache: Arc<Mutex<TuningCache>>,
+    dispatcher: Option<thread::JoinHandle<()>>,
+    workers: Vec<thread::JoinHandle<()>>,
+}
+
+impl Engine {
+    /// Starts an engine: loads tuning records (if configured), builds one
+    /// shard per configured device, spawns the dispatcher and the per-shard
+    /// worker pools.
+    ///
+    /// # Errors
+    /// [`EngineError::Records`] if a configured record file exists but cannot
+    /// be read or parsed (a *missing* file is a normal cold start).
+    pub fn new(config: EngineConfig) -> Result<Engine, EngineError> {
+        let mut config = config.sanitized();
+
+        // Attach (or adopt) the tuning-record store. An adopted store still
+        // absorbs the configured record file — otherwise shutdown's save
+        // would silently overwrite previously persisted records with only
+        // this session's.
+        let tuning_cache = match &config.options.tuning_cache {
+            Some(cache) => {
+                if let Some(path) = &config.tuning_records_path {
+                    let from_disk =
+                        TuningCache::load(path).map_err(|e| EngineError::Records(e.to_string()))?;
+                    cache
+                        .lock()
+                        .expect("tuning cache poisoned")
+                        .merge(from_disk);
+                }
+                Arc::clone(cache)
+            }
+            None => {
+                let cache = match &config.tuning_records_path {
+                    Some(path) => {
+                        TuningCache::load(path).map_err(|e| EngineError::Records(e.to_string()))?
+                    }
+                    None => TuningCache::new(),
+                };
+                Arc::new(Mutex::new(cache))
+            }
+        };
+        config.options = config.options.with_tuning_cache(Arc::clone(&tuning_cache));
+        let shared = Arc::new(Shared::new(config));
+
+        // One job channel per shard; the dispatcher owns every sender, so
+        // worker pools drain and exit once the dispatcher hangs up.
+        let mut senders = Vec::with_capacity(shared.shards.len());
+        let mut workers = Vec::new();
+        for shard_idx in 0..shared.shards.len() {
+            let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
+            senders.push(job_tx);
+            let job_rx = Arc::new(Mutex::new(job_rx));
+            for lane in 0..shared.config.workers {
+                let shared = Arc::clone(&shared);
+                let job_rx = Arc::clone(&job_rx);
+                workers.push(
+                    thread::Builder::new()
+                        .name(format!("hidet-shard{shard_idx}-worker{lane}"))
+                        .spawn(move || worker_loop(&shared, shard_idx, &job_rx))
+                        .expect("spawn worker"),
+                );
+            }
+        }
+        let dispatcher = {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
+                .name("hidet-dispatcher".into())
+                .spawn(move || dispatch_loop(&shared, senders))
+                .expect("spawn dispatcher")
+        };
+
+        Ok(Engine {
+            shared,
+            tuning_cache,
+            dispatcher: Some(dispatcher),
+            workers,
+        })
+    }
+
+    /// Registers a model and returns its [`ModelHandle`] — the v2 entry
+    /// point owning `infer`/`submit`/`warmup`/`unload` for that model.
+    ///
+    /// Re-registering a name replaces the previous family (outstanding
+    /// handles to the old registration keep working against the new one —
+    /// handles address models by name); compiled graphs are keyed
+    /// structurally, so identical structures stay cached. If the spec (or
+    /// [`EngineConfig::artifact_store`]) names an artifact store, the
+    /// directory is created here.
+    ///
+    /// # Errors
+    /// [`EngineError::Closed`] after shutdown began, [`EngineError::BadInput`]
+    /// for an empty name, [`EngineError::Artifact`] when the artifact-store
+    /// directory cannot be created.
+    pub fn register(&self, spec: ModelSpec) -> Result<ModelHandle, EngineError> {
+        if self.shared.closed.load(Ordering::SeqCst) {
+            return Err(EngineError::Closed);
+        }
+        if spec.name.is_empty() {
+            return Err(EngineError::BadInput(
+                "model name must not be empty".to_string(),
+            ));
+        }
+        let artifact_store = spec
+            .artifact_store
+            .or_else(|| self.shared.config.artifact_store.clone());
+        if let Some(dir) = &artifact_store {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                EngineError::Artifact(format!(
+                    "cannot create artifact store {}: {e}",
+                    dir.display()
+                ))
+            })?;
+        }
+        let entry = Arc::new(ModelEntry {
+            builder: spec.builder,
+            batchable: spec.batchable,
+            artifact_store,
+            variants: Mutex::new(HashMap::new()),
+        });
+        self.shared
+            .registry
+            .lock()
+            .expect("registry poisoned")
+            .insert(spec.name.clone(), entry);
+        Ok(ModelHandle {
+            name: Arc::from(spec.name),
+            shared: Arc::clone(&self.shared),
+        })
+    }
+
+    /// Current server statistics, including per-shard, artifact-store and
+    /// eviction counters — plus the attached decode subsystem's snapshot
+    /// when one is registered ([`Engine::attach_decode_stats`]).
+    pub fn stats(&self) -> StatsSnapshot {
+        let shards = self.shared.shards.iter().map(Shard::snapshot).collect();
+        let mut snapshot = self
+            .shared
+            .stats
+            .snapshot(self.shared.compiled.counters(), shards);
+        let source = self
+            .shared
+            .decode_stats
+            .lock()
+            .expect("decode stats poisoned")
+            .clone();
+        snapshot.decode = source.map(|f| f());
+        let ingress = self
+            .shared
+            .ingress_stats
+            .lock()
+            .expect("ingress stats poisoned")
+            .clone();
+        snapshot.ingress = ingress.map(|f| f());
+        snapshot
+    }
+
+    /// Registers a decode-subsystem stats source (e.g.
+    /// `hidet_decode::DecodeEngine::stats_source`), surfacing token-level
+    /// serving metrics — TTFT, inter-token latency, tokens/sec, KV blocks in
+    /// use — in [`StatsSnapshot::decode`]. Replaces any previous source.
+    pub fn attach_decode_stats(
+        &self,
+        source: Arc<dyn Fn() -> crate::stats::DecodeStatsSnapshot + Send + Sync>,
+    ) {
+        *self
+            .shared
+            .decode_stats
+            .lock()
+            .expect("decode stats poisoned") = Some(source);
+    }
+
+    /// Registers a network-ingress stats source (e.g.
+    /// `hidet_server::HidetServer::stats_source`), surfacing wire-level
+    /// metrics — accepted/shed connections, ring occupancy,
+    /// wire-to-first-byte latency — in [`StatsSnapshot::ingress`]. Replaces
+    /// any previous source.
+    pub fn attach_ingress_stats(
+        &self,
+        source: Arc<dyn Fn() -> crate::stats::IngressStatsSnapshot + Send + Sync>,
+    ) {
+        *self
+            .shared
+            .ingress_stats
+            .lock()
+            .expect("ingress stats poisoned") = Some(source);
+    }
+
+    /// The estimated queue delay of the least-loaded shard, in **simulated**
+    /// seconds — the signal a network front-end polls to shed overload at
+    /// the socket before any parsing or scheduler work (see
+    /// [`AdmissionSignal`]).
+    ///
+    /// Takes the shard pending locks; callers on an accept hot path should
+    /// sample it from a background thread into an atomic rather than call it
+    /// per connection.
+    pub fn estimated_queue_delay_seconds(&self) -> f64 {
+        shard::least_queue_delay(&self.shared.shards).1
+    }
+
+    /// Number of distinct compiled graphs held by the cache.
+    pub fn compiled_graphs(&self) -> usize {
+        self.shared.compiled.len()
+    }
+
+    /// Persists tuning records to the configured path now. Returns the number
+    /// of records written; no-op (`Ok(0)`) without a configured path.
+    pub fn flush_tuning_records(&self) -> Result<usize, EngineError> {
+        let Some(path) = &self.shared.config.tuning_records_path else {
+            return Ok(0);
+        };
+        let mut cache = self.tuning_cache.lock().expect("tuning cache poisoned");
+        cache
+            .save(path)
+            .map_err(|e| EngineError::Records(e.to_string()))?;
+        Ok(cache.len())
+    }
+
+    /// Stops accepting requests, drains the queue, joins all threads and
+    /// flushes tuning records. Called automatically on drop; call explicitly
+    /// to observe persistence errors.
+    pub fn shutdown(mut self) -> Result<(), EngineError> {
+        self.shutdown_inner()
+    }
+
+    fn shutdown_inner(&mut self) -> Result<(), EngineError> {
+        if self.dispatcher.is_none() {
+            return Ok(()); // already shut down
+        }
+        self.shared.closed.store(true, Ordering::SeqCst);
+        self.shared.queue_cv.notify_all();
+        if let Some(handle) = self.dispatcher.take() {
+            let _ = handle.join();
+        }
+        // The dispatcher owned every job sender; workers drain and exit.
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+        self.flush_tuning_records().map(|_| ())
+    }
+}
+
+/// The load signal a network front-end polls to shed overload at the socket.
+///
+/// Implemented by [`Engine`] (via
+/// [`Engine::estimated_queue_delay_seconds`]); a front-end takes the signal
+/// as a trait object so tests can substitute a synthetic load curve without
+/// standing up an engine. The value is in **simulated** seconds, like
+/// [`EngineConfig::admission_delay_bound`] — a front-end's shed bound is
+/// expressed in the same unit, and per-class slack should stay monotone in
+/// priority (see [`Priority::delay_slack`]).
+pub trait AdmissionSignal: Send + Sync {
+    /// Estimated queue delay of the least-loaded shard, simulated seconds.
+    fn estimated_queue_delay_seconds(&self) -> f64;
+}
+
+impl AdmissionSignal for Engine {
+    fn estimated_queue_delay_seconds(&self) -> f64 {
+        Engine::estimated_queue_delay_seconds(self)
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        // A panicking caller must not lose tuned schedules: flush records
+        // *before* joining threads, which could hang or double-panic if the
+        // engine is being torn down mid-flight. The normal path below
+        // flushes again after the join, capturing records from batches that
+        // were still executing.
+        if thread::panicking() {
+            let _ = self.flush_tuning_records();
+        }
+        let _ = self.shutdown_inner();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use super::dispatch::{answer_expired, PendingRequest};
+    use super::*;
+
+    /// Sheds must be monotone in priority: for any load state, a shed
+    /// high-priority request implies normal and best-effort would be shed
+    /// too — "high is never shed before best-effort".
+    #[test]
+    fn admission_thresholds_are_monotone_in_priority() {
+        for pair in Priority::ALL.windows(2) {
+            let (higher, lower) = (pair[0], pair[1]);
+            assert!(
+                higher.queue_share() >= lower.queue_share(),
+                "{higher} vs {lower}"
+            );
+            assert!(
+                higher.delay_slack() >= lower.delay_slack(),
+                "{higher} vs {lower}"
+            );
+        }
+    }
+
+    #[test]
+    fn priority_order_and_labels() {
+        assert_eq!(Priority::High.index(), 0);
+        assert_eq!(Priority::Normal.index(), 1);
+        assert_eq!(Priority::BestEffort.index(), 2);
+        assert_eq!(Priority::default(), Priority::Normal);
+        assert!(Priority::High < Priority::BestEffort);
+        assert_eq!(Priority::BestEffort.label(), "best-effort");
+    }
+
+    #[test]
+    fn request_builder_defaults_and_shorthands() {
+        let r = Request::new(vec![vec![1.0]]);
+        assert_eq!(r.priority(), Priority::Normal);
+        assert!(r.effective_deadline(Instant::now()).is_none());
+        assert_eq!(Request::default().high().priority(), Priority::High);
+        assert_eq!(
+            Request::default().best_effort().priority(),
+            Priority::BestEffort
+        );
+    }
+
+    #[test]
+    fn request_effective_deadline_takes_the_earlier_bound() {
+        let now = Instant::now();
+        let absolute = now + Duration::from_millis(50);
+
+        // Deadline only.
+        let r = Request::default().with_deadline(absolute);
+        assert_eq!(r.effective_deadline(now), Some(absolute));
+
+        // Timeout only: counted from submission.
+        let r = Request::default().with_timeout(Duration::from_millis(20));
+        assert_eq!(
+            r.effective_deadline(now),
+            Some(now + Duration::from_millis(20))
+        );
+
+        // Both: the earlier wins, whichever it is.
+        let r = Request::default()
+            .with_deadline(absolute)
+            .with_timeout(Duration::from_millis(20));
+        assert_eq!(
+            r.effective_deadline(now),
+            Some(now + Duration::from_millis(20))
+        );
+        let r = Request::default()
+            .with_deadline(absolute)
+            .with_timeout(Duration::from_millis(200));
+        assert_eq!(r.effective_deadline(now), Some(absolute));
+
+        // A timeout `Instant` cannot represent is no timeout (`now + t`
+        // panicked the submitting thread). Only library callers can pass
+        // one: the HTTP front-end's `timeout_ms` is at most 2^53 ms.
+        let r = Request::default().with_timeout(Duration::MAX);
+        assert_eq!(r.effective_deadline(now), None);
+        let r = r.with_deadline(absolute);
+        assert_eq!(r.effective_deadline(now), Some(absolute));
+    }
+
+    #[test]
+    fn answer_expired_keeps_live_requests_in_order_and_settles_the_rest_once() {
+        let shared = Shared::new(EngineConfig::quick());
+        let now = Instant::now();
+        let past = now - Duration::from_millis(1);
+        let future = now + Duration::from_secs(60);
+        // (deadline, tag): expired, live, no deadline, expired, live.
+        let deadlines = [Some(past), Some(future), None, Some(now), Some(future)];
+        let mut tickets = Vec::new();
+        let batch: Vec<PendingRequest> = deadlines
+            .iter()
+            .enumerate()
+            .map(|(tag, &deadline)| {
+                let (tx, rx) = mpsc::channel();
+                tickets.push(Ticket { rx });
+                PendingRequest {
+                    model: "m".to_string(),
+                    inputs: Vec::new(),
+                    priority: Priority::Normal,
+                    deadline,
+                    trace_id: tag as u64,
+                    responder: tx,
+                }
+            })
+            .collect();
+        shared.inflight.store(batch.len(), Ordering::Relaxed);
+
+        let live = answer_expired(&shared, batch, now);
+        let tags: Vec<u64> = live.iter().map(|r| r.trace_id).collect();
+        assert_eq!(tags, [1, 2, 4], "live and deadline-free requests, in order");
+        let stats = shared
+            .stats
+            .snapshot(shared.compiled.counters(), Vec::new());
+        assert_eq!((stats.deadline_expired, stats.failures), (2, 2));
+        assert_eq!(
+            shared.inflight.load(Ordering::Relaxed),
+            3,
+            "two slots freed"
+        );
+        drop(live);
+        for (tag, ticket) in tickets.into_iter().enumerate() {
+            let want = if tag == 0 || tag == 3 {
+                EngineError::DeadlineExceeded
+            } else {
+                EngineError::Closed // dropped unanswered above
+            };
+            assert_eq!(ticket.wait().unwrap_err(), want, "request {tag}");
+        }
+    }
+
+    #[test]
+    fn class_queues_priority_accounting() {
+        let (tx, _rx) = mpsc::channel();
+        let req = |priority: Priority, model: &str| PendingRequest {
+            model: model.to_string(),
+            inputs: Vec::new(),
+            priority,
+            deadline: None,
+            trace_id: 0,
+            responder: tx.clone(),
+        };
+        let mut q = ClassQueues::default();
+        assert_eq!(q.total(), 0);
+        assert_eq!(q.highest_nonempty(), None);
+        q.push(req(Priority::BestEffort, "a"));
+        q.push(req(Priority::BestEffort, "a"));
+        assert_eq!(q.highest_nonempty(), Some(Priority::BestEffort.index()));
+        q.push(req(Priority::High, "b"));
+        assert_eq!(q.highest_nonempty(), Some(Priority::High.index()));
+        assert!(q.higher_nonempty(Priority::BestEffort.index()));
+        assert!(!q.higher_nonempty(Priority::High.index()));
+        assert_eq!(q.total(), 3);
+        assert!(q.any_full(2), "two best-effort 'a' requests fill a 2-batch");
+        assert!(!q.any_full(3));
+    }
+}
