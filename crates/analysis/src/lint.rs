@@ -44,7 +44,7 @@ pub const BLOCKING_PATTERNS: &[&str] = &["Mutex", "RwLock", "Condvar", "mpsc::"]
 /// Trace-instrumented files covered by HA104: everywhere spans are emitted,
 /// bare `span_start`/`span_end` call sites must balance.
 pub const INSTRUMENTED_FILES: &[&str] = &[
-    "crates/core/src/compiler.rs",
+    "crates/core/src/compiler/",
     "crates/sim/src/interp/exec.rs",
     "crates/runtime/src/engine/",
     "crates/decode/src/engine/",
@@ -55,7 +55,7 @@ pub const INSTRUMENTED_FILES: &[&str] = &[
 /// Hot-loop files covered by HA102. Steady-state request paths: a panic
 /// here takes down a worker mid-batch instead of failing one request.
 pub const HOT_PATH_FILES: &[&str] = &[
-    "crates/core/src/compiler.rs",
+    "crates/core/src/compiler/",
     "crates/sim/src/interp/exec.rs",
     "crates/runtime/src/engine/",
     "crates/decode/src/engine/",

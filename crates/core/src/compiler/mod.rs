@@ -1,0 +1,719 @@
+//! The Hidet compilation pipeline (paper Fig. 10).
+//!
+//! # Module map
+//!
+//! * this file — the two pipelines, [`compile_hashed`] (graph passes,
+//!   partition, per-group schedule + tune, memory plan) and
+//!   [`compile_from_artifact_hashed`] (the same with every schedule decision
+//!   read from a [`CompiledArtifact`]), over the steps they share
+//!   (`lower_and_partition`, `plan_memory`) and the verifier hooks;
+//! * `options` — [`CompilerOptions`] and [`CompileError`];
+//! * `budget` — the process-wide compile-worker ledger;
+//! * `tune` — one fused group's compile: tuning slots that coalesce
+//!   duplicate matmul problems, record look-up and store, ablations;
+//! * `compiled` — what a compile returns: [`CompilePlan`] (the executable
+//!   half) and [`CompiledGraph`] (plan + artifact + provenance counters).
+
+mod budget;
+mod compiled;
+mod options;
+mod tune;
+
+pub use self::compiled::{CompilePlan, CompiledGraph, HIDET_DISPATCH_S};
+pub use self::options::{CompileError, CompilerOptions, DEFAULT_MEASURE_TOP_K};
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use hidet_analysis::{self as analysis, VerifyLevel};
+use hidet_graph::passes::FusedGroup;
+use hidet_graph::passes::{constant_fold, lower_convs, partition};
+use hidet_graph::{Graph, OpKind};
+use hidet_sched::fusion::{compile_group, CompiledGroup, GroupSchedule};
+use hidet_sim::Gpu;
+
+use self::budget::WorkerBudget;
+use self::tune::{compile_one_group, GroupOutcome, TuneCost, TuningSlots};
+use crate::artifact::CompiledArtifact;
+use crate::plan::MemoryPlan;
+
+/// Compiles a model for the given device (paper Fig. 10, steps 2–5).
+///
+/// Computes `graph.structural_hash()` — O(model weights) — to stamp the
+/// artifact key; callers that already hold the hash (the runtime's compiled
+/// cache memoizes it per model variant) should use [`compile_hashed`].
+///
+/// # Errors
+/// [`CompileError::Schedule`] if a fused group has no applicable template.
+pub fn compile(
+    graph: &Graph,
+    gpu: &Gpu,
+    options: &CompilerOptions,
+) -> Result<CompiledGraph, CompileError> {
+    compile_hashed(graph, graph.structural_hash(), gpu, options)
+}
+
+/// [`compile`] with a precomputed [`Graph::structural_hash`], skipping the
+/// O(model-weights) rehash. `graph_hash` becomes the artifact's cache key —
+/// passing a hash that is not `graph`'s produces artifacts that will never
+/// validate against the graph again.
+pub fn compile_hashed(
+    graph: &Graph,
+    graph_hash: u64,
+    gpu: &Gpu,
+    options: &CompilerOptions,
+) -> Result<CompiledGraph, CompileError> {
+    // The whole cold compile is one span; the tuning stage inside each
+    // group nests its own `Tune` spans under it. Compiles are not tied to
+    // a single request, so the span is unattributed (trace id 0).
+    let _span = hidet_trace::global().span(hidet_trace::SpanKind::Compile, 0);
+    let level = options.verify_level;
+    let (g, groups) = lower_and_partition(graph, level)?;
+
+    let device = gpu.spec().fingerprint();
+    // Shared per-problem tuning slots: identical matmul problems across
+    // groups coalesce onto one tuning task, whichever worker claims it first
+    // (the others block on the slot — tuning dominates group compilation).
+    let tuning = TuningSlots::default();
+    let want = options.effective_compile_workers().min(groups.len()).max(1);
+    // Concurrent compiles (several engine lanes cold-starting distinct
+    // models) share one process-wide CPU budget instead of each spawning a
+    // full complement — claiming only what is free degrades gracefully to
+    // one worker per compile rather than oversubscribing multiplicatively.
+    let budget = WorkerBudget::claim(want);
+    let workers = budget.granted();
+
+    let outcomes: Vec<Result<GroupOutcome, CompileError>> = if workers <= 1 {
+        groups
+            .iter()
+            .map(|group| compile_one_group(&g, group, gpu, options, &device, &tuning))
+            .collect()
+    } else {
+        // Fan the per-group compile+tune loop out over scoped workers; the
+        // slot vector keeps results in deterministic group order no matter
+        // which worker finishes first.
+        let slots: Vec<OnceLock<Result<GroupOutcome, CompileError>>> =
+            (0..groups.len()).map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(group) = groups.get(idx) else { return };
+                    let outcome = compile_one_group(&g, group, gpu, options, &device, &tuning);
+                    let _ = slots[idx].set(outcome);
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                // Workers drain the index counter before exiting, so every
+                // slot is filled; an empty one means a worker died mid-group.
+                slot.into_inner().unwrap_or_else(|| {
+                    Err(CompileError::Schedule(
+                        "internal: a compile worker exited without filling its group slot".into(),
+                    ))
+                })
+            })
+            .collect()
+    };
+
+    // Reduce in group order: the first failing group's error is returned
+    // (matching the sequential pipeline), and tuning accounting sums
+    // deterministically.
+    let mut tuning_seconds = 0.0;
+    let mut tuning_trials = 0usize;
+    let mut record_hits = 0usize;
+    let mut record_trials_saved = 0usize;
+    let mut record_seconds_saved = 0.0;
+    let mut schedules = Vec::with_capacity(groups.len());
+    let mut compiled_groups = Vec::with_capacity(groups.len());
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let outcome = outcome?;
+        if level > VerifyLevel::Off {
+            // Re-prove the elected schedule against the device — the tuner
+            // and the ablation clamps must never hand kernel generation an
+            // illegal config.
+            verify_stage(
+                check_group_schedule(&g, &groups[i], &outcome.schedule, gpu, options, i),
+                "tuning",
+            )?;
+        }
+        match outcome.cost {
+            TuneCost::None => {}
+            TuneCost::Fresh { trials, seconds } => {
+                tuning_trials += trials;
+                tuning_seconds += seconds;
+            }
+            TuneCost::Record {
+                trials_saved,
+                seconds_saved,
+            } => {
+                record_hits += 1;
+                record_trials_saved += trials_saved;
+                record_seconds_saved += seconds_saved;
+            }
+        }
+        schedules.push(outcome.schedule);
+        compiled_groups.push(outcome.compiled);
+    }
+    // The artifact records the *embodied* tuning cost of its schedules —
+    // trials run here plus trials that persisted records already paid for —
+    // so "what a warm artifact load saves" is stable across re-compiles.
+    let tuned_entries = tuning.entries();
+    let verify_as = (level > VerifyLevel::Off).then_some("memory planning");
+    let plan = plan_memory(g, compiled_groups, verify_as)?;
+    let artifact = CompiledArtifact {
+        graph_hash,
+        device,
+        option_bits: options.cache_key_bits(),
+        schedules,
+        tuned: tuned_entries,
+        tuning_trials: tuning_trials + record_trials_saved,
+        tuning_seconds: tuning_seconds + record_seconds_saved,
+        planned_peak_bytes: plan.memory_plan.peak_bytes(),
+    };
+    Ok(CompiledGraph {
+        plan,
+        artifact,
+        tuning_seconds,
+        tuning_trials,
+        from_artifact: false,
+        record_hits,
+        record_trials_saved,
+        record_seconds_saved,
+    })
+}
+
+/// The front end both compile paths share: clone, lower convolutions, fold
+/// constants, partition into fused groups. Each rewriting pass rebuilds the
+/// op/tensor tables, so at `level` above `Off` the IR invariants are
+/// re-proved behind it — structural checks after every pass, the deep (shape
+/// re-inference + KV family) sweep once, after the last rewrite.
+fn lower_and_partition(
+    graph: &Graph,
+    level: VerifyLevel,
+) -> Result<(Graph, Vec<FusedGroup>), CompileError> {
+    let mut g = graph.clone();
+    lower_convs(&mut g);
+    verify_stage(
+        analysis::verify_graph(&g, level.min(VerifyLevel::Cheap)),
+        "lower_convs",
+    )?;
+    constant_fold(&mut g);
+    verify_stage(analysis::verify_graph(&g, level), "constant_fold")?;
+    let groups = partition(&g);
+    if level > VerifyLevel::Off {
+        verify_stage(analysis::verify_partition(&g, &groups), "partition")?;
+    }
+    Ok((g, groups))
+}
+
+/// The back end both compile paths share: plan the intermediates' arena and,
+/// when `verify_as` names the stage, re-prove the plan before anything runs
+/// on it.
+fn plan_memory(
+    graph: Graph,
+    groups: Vec<CompiledGroup>,
+    verify_as: Option<&str>,
+) -> Result<CompilePlan, CompileError> {
+    let memory_plan = MemoryPlan::build(&graph, &groups);
+    if let Some(stage) = verify_as {
+        verify_stage(memory_plan.verify(graph.name()), stage)?;
+    }
+    Ok(CompilePlan {
+        graph,
+        groups,
+        memory_plan,
+        programs: Arc::default(),
+    })
+}
+
+/// Lifts a verifier stage's findings into [`CompileError::Verify`]:
+/// gating findings abort the compile with the rendered diagnostics.
+fn verify_stage(diags: Vec<analysis::Diagnostic>, stage: &str) -> Result<(), CompileError> {
+    if analysis::has_errors(&diags) {
+        Err(CompileError::Verify(format!(
+            "after {stage}: {}",
+            analysis::render_text(&diags).trim_end()
+        )))
+    } else {
+        Ok(())
+    }
+}
+
+/// Re-proves one group's elected schedule against the device spec
+/// (`hidet_analysis::check_schedule` with this group's anchor kind and the
+/// compile's determinism contract).
+fn check_group_schedule(
+    g: &Graph,
+    group: &FusedGroup,
+    schedule: &GroupSchedule,
+    gpu: &Gpu,
+    options: &CompilerOptions,
+    index: usize,
+) -> Vec<analysis::Diagnostic> {
+    let matmul_anchor = group
+        .anchor
+        .is_some_and(|a| matches!(g.op(a).kind, OpKind::Matmul | OpKind::BatchMatmul));
+    analysis::check_schedule(
+        schedule,
+        gpu.spec(),
+        matmul_anchor,
+        options.order_stable_reductions,
+        &format!("{}::group {index}", g.name()),
+    )
+}
+
+/// Rebuilds a [`CompiledGraph`] from a previously saved [`CompiledArtifact`]
+/// with **zero tuning trials**: the graph passes and kernel generation run as
+/// usual, but every schedule decision comes from the artifact.
+///
+/// The artifact must match the `(graph, device, options)` key exactly and its
+/// schedules must fit the target device — an artifact produced for a larger
+/// GPU (or a corrupted file that slipped past the parser) is rejected, never
+/// fed to kernel generation.
+///
+/// # Errors
+/// [`CompileError::Artifact`] on any key/shape/fit mismatch — the caller
+/// should fall back to [`compile`]; [`CompileError::Schedule`] if a group
+/// cannot be compiled at all.
+pub fn compile_from_artifact(
+    graph: &Graph,
+    gpu: &Gpu,
+    options: &CompilerOptions,
+    artifact: CompiledArtifact,
+) -> Result<CompiledGraph, CompileError> {
+    compile_from_artifact_hashed(graph, graph.structural_hash(), gpu, options, artifact)
+}
+
+/// [`compile_from_artifact`] with a precomputed [`Graph::structural_hash`]
+/// (the hash the artifact is validated against), skipping the
+/// O(model-weights) rehash on the cache's warm path.
+pub fn compile_from_artifact_hashed(
+    graph: &Graph,
+    graph_hash: u64,
+    gpu: &Gpu,
+    options: &CompilerOptions,
+    artifact: CompiledArtifact,
+) -> Result<CompiledGraph, CompileError> {
+    // Unattributed (trace id 0), like the cold compile's span.
+    let _span = hidet_trace::global().span(hidet_trace::SpanKind::Compile, 0);
+    artifact
+        .validate_key(
+            graph_hash,
+            &gpu.spec().fingerprint(),
+            options.cache_key_bits(),
+        )
+        .map_err(|e| CompileError::Artifact(e.to_string()))?;
+    // The artifact key pins the graph the cold compile already verified, so
+    // the graph-stage verifiers stay off the warm path.
+    let (g, groups) = lower_and_partition(graph, VerifyLevel::Off)?;
+    if groups.len() != artifact.schedules.len() {
+        return Err(CompileError::Artifact(format!(
+            "artifact has {} group schedules, graph partitions into {} groups",
+            artifact.schedules.len(),
+            groups.len()
+        )));
+    }
+    let mut compiled_groups = Vec::with_capacity(groups.len());
+    for (i, (group, schedule)) in groups.iter().zip(&artifact.schedules).enumerate() {
+        // Recorded schedules crossed a serialization boundary (possibly a
+        // hand-edited file): re-prove full legality, not just "fits" — a
+        // corrupted/oversized config is rejected with its diagnostics,
+        // never fed to kernel generation.
+        let diags = check_group_schedule(&g, group, schedule, gpu, options, i);
+        if analysis::has_errors(&diags) {
+            return Err(CompileError::Artifact(format!(
+                "recorded schedule rejected: {}",
+                analysis::render_text(&diags).trim_end()
+            )));
+        }
+        let compiled = compile_group(&g, group, schedule).map_err(CompileError::Schedule)?;
+        compiled_groups.push(compiled);
+    }
+    let verify_as = Some("memory planning (artifact load)");
+    Ok(CompiledGraph {
+        plan: plan_memory(g, compiled_groups, verify_as)?,
+        tuning_seconds: 0.0,
+        tuning_trials: 0,
+        from_artifact: true,
+        record_hits: artifact.tuned.len(),
+        record_trials_saved: artifact.tuning_trials,
+        record_seconds_saved: artifact.tuning_seconds,
+        artifact,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+
+    use super::*;
+    use hidet_graph::reference::{execute, ValueMap};
+    use hidet_graph::{GraphBuilder, Tensor, TensorId};
+    use hidet_sched::{MatmulProblem, TuningCache};
+
+    fn toy_graph() -> (Graph, TensorId, TensorId) {
+        let mut g = GraphBuilder::new("toy");
+        let x = g.input("x", &[8, 16]);
+        let w = g.constant(Tensor::randn(&[16, 12], 1));
+        let b = g.constant(Tensor::randn(&[12], 2));
+        let y = g.matmul(x, w);
+        let y = g.add(y, b);
+        let y = g.relu(y);
+        (g.output(y).build(), x, y)
+    }
+
+    #[test]
+    fn worker_budget_never_exceeds_cores_and_releases_on_drop() {
+        let host = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        for cores in [1, 2, host.max(3)] {
+            let ledger = AtomicUsize::new(0);
+            let booked = || ledger.load(Ordering::Relaxed);
+            // The first claimant takes every core it can use: all of them,
+            // or — on one core — just its own thread, booking nothing.
+            let a = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
+            assert_eq!(a.granted(), cores);
+            assert_eq!(booked(), if cores > 1 { cores } else { 0 });
+            // With the budget held, a second claimant gets its own thread
+            // only and the ledger does not move.
+            let b = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
+            assert_eq!(b.granted(), 1, "{cores} cores");
+            assert!(booked() <= cores, "{} booked on {cores} cores", booked());
+            drop(a);
+            // A partial claim leaves the rest for the next claimant.
+            let c = WorkerBudget::claim_with(&ledger, cores, 2);
+            let d = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
+            assert!(booked() <= cores, "{} booked on {cores} cores", booked());
+            if cores >= 4 {
+                assert_eq!((c.granted(), d.granted()), (2, cores - 2));
+            }
+            // Sequential requests never touch the ledger.
+            let before = booked();
+            assert_eq!(WorkerBudget::claim_with(&ledger, cores, 1).granted(), 1);
+            assert_eq!(booked(), before);
+            drop((b, c, d));
+            assert_eq!(booked(), 0, "every claim releases on drop");
+        }
+    }
+
+    #[test]
+    fn racing_claims_never_overbook_the_ledger() {
+        const CORES: usize = 4;
+        let ledger = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..20_000 {
+                        let claim = WorkerBudget::claim_with(&ledger, CORES, 3);
+                        let seen = ledger.load(Ordering::Relaxed);
+                        assert!(seen <= CORES, "ledger {seen} on {CORES} cores");
+                        assert!((1..=3).contains(&claim.granted()));
+                    }
+                });
+            }
+        });
+        assert_eq!(ledger.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn compile_fuses_to_single_kernel() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        assert_eq!(compiled.num_kernels(), 1);
+        assert_eq!(compiled.tuning_seconds(), 0.0);
+    }
+
+    #[test]
+    fn compiled_graph_matches_reference() {
+        let (graph, x, y) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        let data: Vec<f32> = Tensor::randn(&[8, 16], 3).data().unwrap().to_vec();
+        let mut inputs = HashMap::new();
+        inputs.insert(x, data.clone());
+        let got = compiled.run(&inputs, &gpu).unwrap();
+        let mut ref_inputs = ValueMap::new();
+        ref_inputs.insert(x, data);
+        let expect = execute(&graph, &ref_inputs);
+        for (a, b) in got[&y].iter().zip(&expect[&y]) {
+            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn tuned_compile_records_cost_and_configs() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
+        assert!(compiled.tuning_seconds() > 0.0);
+        assert_eq!(compiled.tuned_configs().len(), 1);
+    }
+
+    #[test]
+    fn tuning_cache_warm_start_costs_zero() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let cache = Arc::new(Mutex::new(TuningCache::new()));
+        let opts = CompilerOptions::tuned().with_tuning_cache(cache.clone());
+        let cold = compile(&graph, &gpu, &opts).unwrap();
+        assert!(cold.tuning_seconds() > 0.0);
+        assert!(cold.tuning_trials() > 0);
+        assert_eq!(cold.record_hits(), 0);
+        assert_eq!(cache.lock().unwrap().len(), 1);
+
+        let warm = compile(&graph, &gpu, &opts).unwrap();
+        assert_eq!(warm.tuning_seconds(), 0.0);
+        assert_eq!(warm.tuning_trials(), 0);
+        assert_eq!(warm.record_hits(), 1);
+        assert_eq!(warm.record_trials_saved(), cold.tuning_trials());
+        assert_eq!(cold.tuned_configs(), warm.tuned_configs());
+    }
+
+    #[test]
+    fn ill_fitting_record_is_ignored_not_executed() {
+        // A record whose config exceeds the device (e.g. from a hand-edited
+        // file) must fall back to tuning, not reach kernel generation.
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let cache = Arc::new(Mutex::new(TuningCache::new()));
+        let bogus = hidet_sched::MatmulConfig {
+            block_m: 1 << 20, // absurd tile: fails `fits` on any device
+            ..hidet_sched::MatmulConfig::default()
+        };
+        cache.lock().unwrap().insert(
+            &gpu.spec().fingerprint(),
+            hidet_sched::TuningRecord {
+                problem: MatmulProblem::new(8, 12, 16),
+                config: bogus,
+                trials: 1,
+                tuning_seconds: 0.2,
+                best_latency_us: 1.0,
+            },
+        );
+        let opts = CompilerOptions::tuned().with_tuning_cache(cache);
+        let compiled = compile(&graph, &gpu, &opts).unwrap();
+        assert_eq!(compiled.record_hits(), 0, "bogus record must not be used");
+        assert!(compiled.tuning_trials() > 0, "problem must re-tune");
+    }
+
+    #[test]
+    fn tuning_cache_is_device_scoped() {
+        let (graph, _, _) = toy_graph();
+        let cache = Arc::new(Mutex::new(TuningCache::new()));
+        let opts = CompilerOptions::tuned().with_tuning_cache(cache);
+        let big = Gpu::default();
+        let small = Gpu::new(hidet_sim::GpuSpec::tiny());
+        let _ = compile(&graph, &big, &opts).unwrap();
+        // Records tuned for the 3090 must not be served to the tiny device.
+        let other = compile(&graph, &small, &opts).unwrap();
+        assert_eq!(other.record_hits(), 0);
+        assert!(other.tuning_trials() > 0);
+    }
+
+    #[test]
+    fn tuning_cost_deduplicates_identical_problems() {
+        // Two identical matmuls: one tuning task.
+        let mut g = GraphBuilder::new("twin");
+        let x = g.input("x", &[64, 64]);
+        let w1 = g.constant(Tensor::randn(&[64, 64], 1));
+        let w2 = g.constant(Tensor::randn(&[64, 64], 2));
+        let a = g.matmul(x, w1);
+        let b = g.matmul(x, w2);
+        let y = g.add(a, b);
+        let graph = g.output(y).build();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
+        assert_eq!(compiled.tuned_configs().len(), 1);
+    }
+
+    #[test]
+    fn parallel_compile_elects_the_sequential_schedules() {
+        // A tower of distinct matmul problems, so every compile worker has a
+        // tuning task of its own. (On a one-core host both sides run
+        // sequentially and the test is trivially true.)
+        let widths = [64i64, 96, 80, 112, 48, 72, 32];
+        let mut g = GraphBuilder::new("tower");
+        let mut t = g.input("x", &[4, widths[0]]);
+        for (i, pair) in widths.windows(2).enumerate() {
+            let w = g.constant(Tensor::randn(&[pair[0], pair[1]], i as u64 + 1));
+            t = g.matmul(t, w);
+            t = g.relu(t);
+        }
+        let graph = g.output(t).build();
+        let gpu = Gpu::default();
+        let parallel = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
+        let sequential = compile(&graph, &gpu, &CompilerOptions::tuned().sequential()).unwrap();
+        assert_eq!(parallel.tuned_configs().len(), widths.len() - 1);
+        assert_eq!(parallel.tuned_configs(), sequential.tuned_configs());
+        assert_eq!(parallel.tuning_trials(), sequential.tuning_trials());
+        assert_eq!(parallel.cuda_source(), sequential.cuda_source());
+    }
+
+    #[test]
+    fn ablation_flags_apply() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let opts = CompilerOptions {
+            tune: false,
+            disable_double_buffering: true,
+            ..CompilerOptions::tuned()
+        };
+        let compiled = compile(&graph, &gpu, &opts).unwrap();
+        for group in compiled.groups() {
+            for kernel in &group.kernels {
+                assert_eq!(kernel.meta().pipeline_stages, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn artifact_round_trip_rebuilds_identical_plan_with_zero_trials() {
+        let (graph, x, y) = toy_graph();
+        let gpu = Gpu::default();
+        let opts = CompilerOptions::tuned();
+        let fresh = compile(&graph, &gpu, &opts).unwrap();
+        assert!(!fresh.from_artifact());
+        assert!(fresh.tuning_trials() > 0);
+
+        let artifact = fresh.artifact().clone();
+        let json = artifact.to_json();
+        let reloaded = crate::artifact::CompiledArtifact::from_json(&json).unwrap();
+        let rebuilt = compile_from_artifact(&graph, &gpu, &opts, reloaded).unwrap();
+        assert!(rebuilt.from_artifact());
+        assert_eq!(rebuilt.tuning_trials(), 0, "artifact rebuild must not tune");
+        assert_eq!(rebuilt.tuning_seconds(), 0.0);
+        assert_eq!(rebuilt.record_trials_saved(), artifact.tuning_trials);
+        assert_eq!(rebuilt.tuned_configs(), fresh.tuned_configs());
+        assert_eq!(rebuilt.num_kernels(), fresh.num_kernels());
+        assert_eq!(rebuilt.cuda_source(), fresh.cuda_source());
+
+        // The rebuilt plan computes the same function.
+        let data: Vec<f32> = Tensor::randn(&[8, 16], 9).data().unwrap().to_vec();
+        let mut inputs = HashMap::new();
+        inputs.insert(x, data);
+        let a = fresh.run(&inputs, &gpu).unwrap();
+        let b = rebuilt.run(&inputs, &gpu).unwrap();
+        assert_eq!(a[&y], b[&y]);
+    }
+
+    #[test]
+    fn artifact_for_wrong_key_or_device_is_rejected() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let opts = CompilerOptions::quick();
+        let artifact = compile(&graph, &gpu, &opts).unwrap().artifact().clone();
+
+        // Different options bits.
+        let ablated = CompilerOptions {
+            disable_double_buffering: true,
+            ..CompilerOptions::quick()
+        };
+        let err = compile_from_artifact(&graph, &gpu, &ablated, artifact.clone()).unwrap_err();
+        assert!(matches!(err, CompileError::Artifact(_)), "{err}");
+
+        // Different device.
+        let tiny = Gpu::new(hidet_sim::GpuSpec::tiny());
+        let err = compile_from_artifact(&graph, &tiny, &opts, artifact.clone()).unwrap_err();
+        assert!(matches!(err, CompileError::Artifact(_)), "{err}");
+
+        // Different graph structure.
+        let mut g = GraphBuilder::new("other");
+        let x = g.input("x", &[8, 16]);
+        let w = g.constant(Tensor::randn(&[16, 4], 7));
+        let y = g.matmul(x, w);
+        let other = g.output(y).build();
+        let err = compile_from_artifact(&other, &gpu, &opts, artifact).unwrap_err();
+        assert!(matches!(err, CompileError::Artifact(_)), "{err}");
+    }
+
+    #[test]
+    fn ill_fitting_artifact_schedule_is_rejected_not_executed() {
+        // An artifact whose matmul tile exceeds the device must be rejected
+        // by the fit check, not reach kernel generation.
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let opts = CompilerOptions::quick();
+        let mut artifact = compile(&graph, &gpu, &opts).unwrap().artifact().clone();
+        for schedule in &mut artifact.schedules {
+            schedule.matmul.block_m = 1 << 20;
+        }
+        let err = compile_from_artifact(&graph, &gpu, &opts, artifact).unwrap_err();
+        assert!(matches!(err, CompileError::Artifact(_)), "{err}");
+        assert!(err.to_string().contains("does not fit"), "{err}");
+    }
+
+    #[test]
+    fn missing_input_reported() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        let err = compiled.run(&HashMap::new(), &gpu).unwrap_err();
+        assert!(matches!(err, CompileError::BadInput(_)), "{err}");
+    }
+
+    #[test]
+    fn cuda_source_contains_all_kernels() {
+        let (graph, _, _) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        let src = compiled.cuda_source();
+        assert!(src.contains("__global__ void"));
+        assert!(src.contains("__shared__ float SmemA"));
+    }
+
+    #[test]
+    fn small_cnn_end_to_end() {
+        let mut g = GraphBuilder::new("cnn");
+        let x = g.input("x", &[1, 3, 16, 16]);
+        let y = g.conv_bn_relu(x, 8, 3, 2, 1);
+        let p = g.global_avg_pool(y);
+        let out = g.linear(p, 4);
+        let graph = g.output(out).build();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        let data: Vec<f32> = Tensor::randn(&[1, 3, 16, 16], 5).data().unwrap().to_vec();
+        let mut inputs = HashMap::new();
+        inputs.insert(x, data.clone());
+        let got = compiled.run(&inputs, &gpu).unwrap();
+        let mut ref_inputs = ValueMap::new();
+        ref_inputs.insert(x, data);
+        let expect = execute(&graph, &ref_inputs);
+        for (a, b) in got[&out].iter().zip(&expect[&out]) {
+            assert!((a - b).abs() < 1e-2 * (1.0 + b.abs()), "{a} vs {b}");
+        }
+        // Conv-bn-relu fused into the implicit-GEMM matmul: far fewer kernels
+        // than operators.
+        assert!(compiled.num_kernels() <= 4, "{}", compiled.num_kernels());
+    }
+
+    #[test]
+    fn programs_are_lowered_once_and_shared_by_clones() {
+        let (graph, x, y) = toy_graph();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        // Nothing is lowered by compiling, and a clone taken before the
+        // first launch shares what either of them lowers later.
+        assert!(compiled.plan().programs.get().is_none());
+        let clone = compiled.plan().clone();
+        assert!(clone.programs.get().is_none());
+        let programs = clone.programs();
+        assert_eq!(programs.len(), compiled.num_kernels());
+        assert!(std::ptr::eq(programs, compiled.plan().programs()));
+        assert!(std::ptr::eq(programs, compiled.clone().plan().programs()));
+
+        let mut inputs = HashMap::new();
+        inputs.insert(x, Tensor::randn(&[8, 16], 3).data().unwrap().to_vec());
+        let a = compiled.run(&inputs, &gpu).unwrap();
+        let b = clone.run(&inputs, &gpu).unwrap();
+        assert_eq!(a[&y], b[&y]);
+    }
+}
