@@ -1,0 +1,197 @@
+//! Expression lowering: every node becomes at most one instruction, placed
+//! by its operands.
+
+use hidet_ir::{BinOp, Expr};
+
+use super::place::{binary_range, binary_rule, unary_rule, Place, Ty, Val};
+use super::Lowerer;
+use crate::interp::program::{Op, Reg};
+use crate::interp::SimError;
+use crate::value::Value;
+
+impl<'k> Lowerer<'k> {
+    // ---- expressions -----------------------------------------------------
+
+    pub(super) fn expr(&mut self, e: &'k Expr) -> Val {
+        let mark = self.temp_top;
+        match e {
+            Expr::Int(v) => self.konst(Value::I64(*v)),
+            Expr::Float(v) => self.konst(Value::F32(*v)),
+            Expr::Bool(v) => self.konst(Value::Bool(*v)),
+            Expr::ThreadIdx => Val {
+                reg: self.p.thread_idx,
+                ty: Ty::I64,
+                place: Place::Lane,
+                uniform: false,
+                range: Some((0, self.kernel.launch().block_dim - 1)),
+            },
+            // The only block of its grid: what would be block-level is
+            // constant, and what would be thread-level is lane-level.
+            Expr::BlockIdx if self.kernel.launch().grid_dim == 1 => self.konst(Value::I64(0)),
+            Expr::BlockIdx => Val {
+                reg: self.p.block_idx,
+                ty: Ty::I64,
+                place: Place::Block,
+                uniform: true,
+                range: Some((0, self.kernel.launch().grid_dim - 1)),
+            },
+            Expr::Var(v) => match self.env.iter().rev().find(|(n, _)| *n == v.name()) {
+                Some((_, Some(val))) => *val,
+                _ => self.trap(SimError::UnboundVar(v.name().to_string())),
+            },
+            Expr::Binary { op, lhs, rhs } => {
+                let a = self.expr(lhs);
+                let b = self.expr(rhs);
+                self.temp_top = mark;
+                self.binary(*op, a, b)
+            }
+            Expr::Unary { op, operand } => {
+                let a = self.expr(operand);
+                self.temp_top = mark;
+                let (ty, faults) = unary_rule(*op, a.ty);
+                if let (false, Some(x)) = (faults, self.const_value(a)) {
+                    if let Some(v) = Value::unary(*op, x) {
+                        return self.konst(v);
+                    }
+                }
+                let val = Val {
+                    reg: 0,
+                    ty,
+                    place: if faults { Place::Body } else { a.place },
+                    uniform: !faults && a.uniform,
+                    range: None,
+                };
+                let op = Op::Un {
+                    op: *op,
+                    dst: 0,
+                    a: a.reg,
+                };
+                self.emit(op, val, faults)
+            }
+            Expr::Cast { dtype, value } => {
+                let a = self.expr(value);
+                self.temp_top = mark;
+                if let Some(x) = self.const_value(a) {
+                    return self.konst(x.cast(*dtype));
+                }
+                let ty = Ty::of(Value::I64(0).cast(*dtype));
+                let range = if (a.ty, ty) == (Ty::I64, Ty::I64) {
+                    a.range
+                } else {
+                    None
+                };
+                let op = Op::Cast {
+                    dtype: *dtype,
+                    dst: 0,
+                    a: a.reg,
+                };
+                self.emit(op, Val { ty, range, ..a }, false)
+            }
+            Expr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => self.select(cond, then_value, else_value),
+            Expr::Load { buffer, indices } => {
+                let site = match self.access(buffer, indices, false) {
+                    Ok(site) => site,
+                    Err(trapped) => return trapped,
+                };
+                let load = Val::body(site.operand, Ty::F32);
+                if site.proven {
+                    // Left to its consumer — which reads the index registers
+                    // then, so their temporaries stay allocated until it has.
+                    return load;
+                }
+                self.temp_top = mark;
+                self.may_fault = true;
+                self.in_reg(load)
+            }
+        }
+    }
+
+    /// `a <op> b` over lowered operands: folded, hoisted or emitted in place.
+    pub(super) fn binary(&mut self, op: BinOp, a: Val, b: Val) -> Val {
+        let (ty, faults) = binary_rule(op, a.ty, b.ty, self.const_value(b));
+        if let (false, Some(x), Some(y)) = (faults, self.const_value(a), self.const_value(b)) {
+            if let Some(v) = Value::binary(op, x, y) {
+                return self.konst(v);
+            }
+        }
+        let val = Val {
+            reg: 0,
+            ty,
+            place: if faults {
+                Place::Body
+            } else {
+                a.place.join(b.place)
+            },
+            uniform: !faults && a.uniform && b.uniform,
+            range: match ty {
+                Ty::I64 => binary_range(op, a.range, b.range),
+                _ => None,
+            },
+        };
+        let op = Op::Bin {
+            op,
+            dst: 0,
+            a: a.reg,
+            b: b.reg,
+        };
+        self.emit(op, val, faults)
+    }
+
+    /// `cond ? a : b` evaluates only the branch it takes. When neither
+    /// branch needs code of its own that is a plain `Select`, which may be
+    /// hoisted like any other operation; otherwise a branch around the two.
+    fn select(&mut self, cond: &'k Expr, then_value: &'k Expr, else_value: &'k Expr) -> Val {
+        let mark = self.temp_top;
+        let c = self.expr(cond);
+        if let Some(Value::Bool(taken)) = self.const_value(c) {
+            return self.expr(if taken { then_value } else { else_value });
+        }
+        let c = self.in_reg(c);
+        let after_cond = self.temp_top;
+        let (t, t_code, t_fault) = self.capture(|l| l.expr(then_value));
+        self.temp_top = after_cond;
+        let (e, e_code, e_fault) = self.capture(|l| l.expr(else_value));
+        self.temp_top = mark;
+        let ty = if t.ty == e.ty { t.ty } else { Ty::Dyn };
+        let cond_faults = c.ty != Ty::Bool;
+        if t_code.is_empty() && e_code.is_empty() {
+            let val = Val {
+                reg: 0,
+                ty,
+                place: if cond_faults {
+                    Place::Body
+                } else {
+                    c.place.join(t.place).join(e.place)
+                },
+                uniform: !cond_faults && c.uniform && t.uniform && e.uniform,
+                range: t
+                    .range
+                    .zip(e.range)
+                    .map(|(t, e)| (t.0.min(e.0), t.1.max(e.1))),
+            };
+            let op = Op::Select {
+                dst: 0,
+                cond: c.reg,
+                a: t.reg,
+                b: e.reg,
+            };
+            return self.emit(op, val, cond_faults);
+        }
+        let dst = self.temp();
+        let deliver = |mut code: Vec<Op>, src: Reg| {
+            if src != dst {
+                code.push(Op::Mov { dst, src });
+            }
+            code
+        };
+        let else_code = deliver(e_code, e.reg);
+        let then_code = deliver(t_code, t.reg);
+        self.branch(c, true, then_code, else_code);
+        self.may_fault |= t_fault || e_fault;
+        Val::body(dst, ty)
+    }
+}

@@ -1,0 +1,126 @@
+//! Unrolling: a barrier-free loop with a small constant extent as copies of
+//! its body, abandoned — and rolled back to a [`Checkpoint`] — when the
+//! copies outgrow the budget.
+
+use hidet_ir::Stmt;
+
+use super::{Lowerer, BLOCK, INDEX, LANE, SPACE_SHIFT, THREAD};
+use crate::interp::program::Reg;
+use crate::value::Value;
+
+/// A loop whose extent folds to a constant of at most `UNROLL_TRIPS` is
+/// unrolled when that emits at most `UNROLL_OPS` instructions, hoisted ones
+/// included — innermost loops first, so a nest unrolls from the inside out
+/// for as long as it fits. Bounds how far a program can outgrow its kernel.
+pub(super) const UNROLL_TRIPS: i64 = 8;
+const UNROLL_OPS: usize = 512;
+
+/// How much of the program existed at some point of the lowering.
+pub(super) struct Checkpoint {
+    accesses: usize,
+    dims: usize,
+    traps: usize,
+    block_regs: usize,
+    block_code: usize,
+    lane_regs: u32,
+    lane_code: usize,
+    thread_regs: u32,
+    thread_code: usize,
+    loop_regs: u32,
+    /// Per open loop, outermost first.
+    prologues: Vec<usize>,
+    hoisted_ops: usize,
+}
+
+impl<'k> Lowerer<'k> {
+    /// Lowers a loop of `trips` iterations as that many copies of its body,
+    /// the loop variable a constant in each — which makes tile-local index
+    /// arithmetic (`ty * 4 + i`) lane-level and register-tile indices
+    /// constants. Returns `false`, having emitted nothing, when the copies
+    /// take more than [`UNROLL_OPS`] instructions.
+    pub(super) fn unroll(&mut self, name: &'k str, trips: i64, body: &'k Stmt) -> bool {
+        let mark = self.temp_top;
+        let scope = self.env.len();
+        let start = self.checkpoint();
+        let (fits, code, fault) = self.capture(|l| {
+            for i in 0..trips {
+                let var = l.konst(Value::I64(i));
+                l.env.push((name, Some(var)));
+                l.poison_leaked(body);
+                l.stmt(body);
+                l.env.truncate(scope);
+                l.temp_top = mark;
+                if l.emitted_since(&start) > UNROLL_OPS {
+                    return false;
+                }
+            }
+            true
+        });
+        if fits {
+            self.splice(code, fault);
+        } else {
+            self.rollback(start);
+        }
+        fits
+    }
+
+    pub(super) fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            accesses: self.p.accesses.len(),
+            dims: self.p.dims.len(),
+            traps: self.p.traps.len(),
+            block_regs: self.p.block_init.len(),
+            block_code: self.p.block_code.len(),
+            lane_regs: self.n_lane,
+            lane_code: self.lane_code.len(),
+            thread_regs: self.n_thread,
+            thread_code: self.thread_code.len(),
+            loop_regs: self.n_loop,
+            prologues: self.loops.iter().map(|open| open.prologue.len()).collect(),
+            hoisted_ops: self.hoisted_ops(),
+        }
+    }
+
+    /// Instructions in every stream but the body's, open prologues included.
+    fn hoisted_ops(&self) -> usize {
+        let prologues: usize = self.loops.iter().map(|open| open.prologue.len()).sum();
+        self.p.block_code.len() + self.lane_code.len() + self.thread_code.len() + prologues
+    }
+
+    /// Instructions emitted since `start`, hoisted ones included — into the
+    /// prologues of the loops open then (and still) too.
+    pub(super) fn emitted_since(&self, start: &Checkpoint) -> usize {
+        self.code.len() + self.hoisted_ops() - start.hoisted_ops
+    }
+
+    /// Forgets everything lowered since `start` but the buffers it named.
+    pub(super) fn rollback(&mut self, start: Checkpoint) {
+        self.p.accesses.truncate(start.accesses);
+        self.p.dims.truncate(start.dims);
+        self.p.traps.truncate(start.traps);
+        self.p.block_init.truncate(start.block_regs);
+        self.p.block_code.truncate(start.block_code);
+        self.n_lane = start.lane_regs;
+        self.lane_code.truncate(start.lane_code);
+        self.n_thread = start.thread_regs;
+        self.thread_code.truncate(start.thread_code);
+        self.n_loop = start.loop_regs;
+        let live = |r: &mut Reg| {
+            let index = *r & INDEX;
+            match *r >> SPACE_SHIFT {
+                BLOCK => (index as usize) < start.block_regs,
+                LANE => index < start.lane_regs,
+                THREAD => index < start.thread_regs,
+                _ => index < start.loop_regs,
+            }
+        };
+        self.consts.retain(|_, r| live(r));
+        self.hoisted.retain(|_, r| live(r));
+        // Whatever the attempt opened it also closed: these are the loops
+        // that were open at `start`.
+        for (open, &len) in self.loops.iter_mut().zip(&start.prologues) {
+            open.prologue.truncate(len);
+            open.hoisted.retain(|_, r| live(r));
+        }
+    }
+}
