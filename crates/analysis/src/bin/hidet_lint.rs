@@ -59,7 +59,7 @@ fn main() -> ExitCode {
     if json {
         println!("{}", render_json(&diags));
     } else if diags.is_empty() {
-        println!("hidet-lint: clean ({} rules over {})", 4, root.display());
+        println!("hidet-lint: clean ({} rules over {})", 5, root.display());
     } else {
         print!("{}", render_text(&diags));
     }

@@ -101,6 +101,9 @@ pub enum Rule {
     /// instrumented file (a bare start without an end leaks an open span on
     /// early-return paths; the RAII `span()` guard is the endorsed form).
     LintSpanPairing,
+    /// HA105 — a source file under `crates/*/src` is longer than
+    /// `lint::MAX_SOURCE_LINES`: split it along its seams.
+    LintFileTooLong,
 }
 
 impl Rule {
@@ -130,6 +133,7 @@ impl Rule {
             Rule::LintPanicInHotPath => "HA102",
             Rule::LintMissingDocsAttr => "HA103",
             Rule::LintSpanPairing => "HA104",
+            Rule::LintFileTooLong => "HA105",
         }
     }
 
@@ -159,6 +163,7 @@ impl Rule {
             Rule::LintPanicInHotPath => "panic-capable call in a runtime/decode hot loop",
             Rule::LintMissingDocsAttr => "public crate missing #![warn(missing_docs)]",
             Rule::LintSpanPairing => "unbalanced span_start/span_end in an instrumented file",
+            Rule::LintFileTooLong => "source file under crates/*/src over 1,000 lines",
         }
     }
 }
@@ -282,6 +287,7 @@ mod tests {
             Rule::LintPanicInHotPath,
             Rule::LintMissingDocsAttr,
             Rule::LintSpanPairing,
+            Rule::LintFileTooLong,
         ];
         let mut seen = std::collections::HashSet::new();
         for r in rules {

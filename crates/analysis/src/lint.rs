@@ -4,7 +4,7 @@
 //! (PR 6's "zero mutexes on enqueue" test shipped as an `include_str!` grep
 //! inside `crates/server/tests/ring.rs`).
 //!
-//! Four rules:
+//! Five rules:
 //!
 //! * **HA101** — no blocking primitive (`Mutex`, `RwLock`, `Condvar`,
 //!   `mpsc::`) anywhere in the lock-free hot-path ring files: the server's
@@ -20,6 +20,9 @@
 //!   open span on early-return paths; the RAII `Tracer::span` guard closes
 //!   on every path and is the endorsed form (it does not match either
 //!   pattern, so guard-only files trivially pass).
+//! * **HA105** — no `.rs` file under `crates/*/src` is longer than
+//!   [`MAX_SOURCE_LINES`] lines, tests included: a file that large holds
+//!   more than one subsystem and is split along its seams instead.
 //!
 //! A covered-set or allowlist entry names either one file or — when it ends
 //! in `/` — a directory prefix covering every `.rs` file beneath it
@@ -76,6 +79,9 @@ pub const PANIC_PATTERNS: &[&str] = &[
     "todo!(",
     "unimplemented!(",
 ];
+
+/// The longest a source file under `crates/*/src` may be (HA105).
+pub const MAX_SOURCE_LINES: usize = 1000;
 
 /// The attribute HA103 requires in every crate's `lib.rs`.
 pub const DOC_ATTR: &str = "#![warn(missing_docs)]";
@@ -255,6 +261,20 @@ pub fn scan_lib_docs(rel_path: &str, content: &str) -> Vec<Diagnostic> {
     }
 }
 
+/// HA105 over one source text.
+pub fn scan_file_length(rel_path: &str, content: &str) -> Vec<Diagnostic> {
+    let lines = content.lines().count();
+    if lines <= MAX_SOURCE_LINES {
+        Vec::new()
+    } else {
+        vec![Diagnostic::error(
+            Rule::LintFileTooLong,
+            rel_path,
+            format!("{lines} lines (limit {MAX_SOURCE_LINES}): split the file along its seams"),
+        )]
+    }
+}
+
 /// Runs every lint rule against the repo rooted at `root`. Missing covered
 /// files are themselves errors (a rule silently skipping a renamed hot file
 /// would hollow out the invariant); unused allowlist entries are warnings so
@@ -314,7 +334,9 @@ pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
     }
 
     // HA103: every crates/*/src/lib.rs, plus the umbrella crate root.
+    // HA105: every .rs file beneath those crates' src/.
     let mut lib_files: Vec<String> = Vec::new();
+    let mut src_dirs: Vec<String> = Vec::new();
     match std::fs::read_dir(root.join("crates")) {
         Ok(entries) => {
             for entry in entries.flatten() {
@@ -322,6 +344,7 @@ pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
                 if lib.is_file() {
                     if let Some(name) = entry.file_name().to_str() {
                         lib_files.push(format!("crates/{name}/src/lib.rs"));
+                        src_dirs.push(format!("crates/{name}/src/"));
                     }
                 }
             }
@@ -343,6 +366,11 @@ pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
                 format!("cannot read crate root: {e}"),
             )),
         }
+    }
+    src_dirs.sort();
+    let src_dirs: Vec<&str> = src_dirs.iter().map(String::as_str).collect();
+    for (rel, text) in sources(&src_dirs, Rule::LintFileTooLong, &mut diags) {
+        diags.extend(scan_file_length(&rel, &text));
     }
     diags
 }
@@ -455,6 +483,18 @@ mod tests { fn f() { tracer.span_start(SpanKind::Tune, 0); } }
         let diags = scan_lib_docs("l.rs", "pub fn f() {}\n");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::LintMissingDocsAttr);
+    }
+
+    #[test]
+    fn length_rule_flags_the_first_line_over_the_limit() {
+        let at_limit = "let x = 1;\n".repeat(MAX_SOURCE_LINES);
+        assert_eq!(scan_file_length("f.rs", &at_limit), vec![]);
+        let over = "let x = 1;\n".repeat(MAX_SOURCE_LINES + 1);
+        let diags = scan_file_length("f.rs", &over);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::LintFileTooLong);
+        assert_eq!(diags[0].location, "f.rs");
+        assert!(diags[0].message.contains("1001 lines"));
     }
 
     #[test]
