@@ -1,7 +1,7 @@
 //! Tour of the one-shot serving runtime: register a `ModelSpec` on a
 //! two-shard pool, serve mixed-priority `Request`s through the dynamic
 //! batcher under admission control and deadlines, persist compiled artifacts
-//! + tuning records, restart warm with **zero** compiles, and unload. Run
+//! and tuning records, restart warm with **zero** compiles, and unload. Run
 //! with:
 //!
 //! ```text
