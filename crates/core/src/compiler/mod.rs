@@ -1,18 +1,4 @@
 //! The Hidet compilation pipeline (paper Fig. 10).
-//!
-//! # Module map
-//!
-//! * this file — the two pipelines, [`compile_hashed`] (graph passes,
-//!   partition, per-group schedule + tune, memory plan) and
-//!   [`compile_from_artifact_hashed`] (the same with every schedule decision
-//!   read from a [`CompiledArtifact`]), over the steps they share
-//!   (`lower_and_partition`, `plan_memory`) and the verifier hooks;
-//! * `options` — [`CompilerOptions`] and [`CompileError`];
-//! * `budget` — the process-wide compile-worker ledger;
-//! * `tune` — one fused group's compile: tuning slots that coalesce
-//!   duplicate matmul problems, record look-up and store, ablations;
-//! * `compiled` — what a compile returns: [`CompilePlan`] (the executable
-//!   half) and [`CompiledGraph`] (plan + artifact + provenance counters).
 
 mod budget;
 mod compiled;

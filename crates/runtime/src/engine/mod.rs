@@ -64,20 +64,6 @@
 //!   on [`Engine::shutdown`] *and* from `Drop`, so a panicking caller does
 //!   not lose tuned schedules.
 
-//!
-//! # Module map
-//!
-//! * `request` — what a client hands in and gets back: [`Priority`],
-//!   [`Request`], [`Ticket`], [`InferenceResult`], [`EngineError`];
-//! * `config` — [`EngineConfig`] and its sanitising;
-//! * `registry` — [`ModelSpec`], the per-model entry with its graph
-//!   variants, [`ModelHandle`], warm-up and unload;
-//! * `dispatch` — the priority queues, submission (admission + enqueue),
-//!   deadline expiry and the dispatcher thread's batch former;
-//! * `worker` — the per-shard worker loop and one batch's execution;
-//! * this file — the state they share, [`Engine`] and its lifecycle, and
-//!   the [`AdmissionSignal`] a front-end polls.
-
 mod config;
 mod dispatch;
 mod registry;

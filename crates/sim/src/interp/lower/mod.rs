@@ -23,23 +23,6 @@
 //! fixed budget. Nothing else changes for it: the folding and the places
 //! above do the rest, and a loop outside the budget lowers as a loop.
 
-//!
-//! # Module map
-//!
-//! * this file — the [`Lowerer`]: its state, the buffers and register
-//!   spaces, the per-place instruction streams with their sharing maps
-//!   (`level`, `emit`), captured fragments and branches, leaf statements
-//!   (`stmt`), and `finish`, which lays the spaces out and links the program;
-//! * `place` — the place lattice ([`Place`]), static types ([`Ty`]), lowered
-//!   values ([`Val`]) and the range and type rules of the operators;
-//! * `expr` — one expression node to at most one instruction;
-//! * `access` — `Load` / `Store` sites: bounds proofs, `fold_terms`, memory
-//!   operands, read-modify-writes;
-//! * `unroll` — constant-trip loops as copies of their body, within the
-//!   budget, with [`Checkpoint`] and rollback when a copy does not fit;
-//! * `skeleton` — the barrier skeleton: nodes, uniform control, loops that
-//!   stay loops and their prologues.
-
 mod access;
 mod expr;
 mod place;
@@ -59,8 +42,6 @@ use crate::value::Value;
 
 #[cfg(doc)]
 use self::skeleton::leaked;
-#[cfg(doc)]
-use self::unroll::Checkpoint;
 #[cfg(doc)]
 use super::program::ELEMENT;
 
