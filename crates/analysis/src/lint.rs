@@ -334,9 +334,7 @@ pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
     }
 
     // HA103: every crates/*/src/lib.rs, plus the umbrella crate root.
-    // HA105: every .rs file beneath those crates' src/.
     let mut lib_files: Vec<String> = Vec::new();
-    let mut src_dirs: Vec<String> = Vec::new();
     match std::fs::read_dir(root.join("crates")) {
         Ok(entries) => {
             for entry in entries.flatten() {
@@ -344,7 +342,6 @@ pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
                 if lib.is_file() {
                     if let Some(name) = entry.file_name().to_str() {
                         lib_files.push(format!("crates/{name}/src/lib.rs"));
-                        src_dirs.push(format!("crates/{name}/src/"));
                     }
                 }
             }
@@ -367,8 +364,12 @@ pub fn run_lint(root: &Path) -> Vec<Diagnostic> {
             )),
         }
     }
-    src_dirs.sort();
-    let src_dirs: Vec<&str> = src_dirs.iter().map(String::as_str).collect();
+    // HA105: every .rs file beneath a workspace crate's src/.
+    let src_dirs: Vec<&str> = lib_files
+        .iter()
+        .filter(|lib| lib.starts_with("crates/"))
+        .filter_map(|lib| lib.strip_suffix("lib.rs"))
+        .collect();
     for (rel, text) in sources(&src_dirs, Rule::LintFileTooLong, &mut diags) {
         diags.extend(scan_file_length(&rel, &text));
     }

@@ -18,7 +18,7 @@
 //! so a sweep is O(directory) with no JSON parsing; unrecognized file names
 //! are always left alone.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A compiled-artifact directory with its garbage collection. See the
 /// [module docs](self).
@@ -32,11 +32,6 @@ impl ArtifactStore {
     /// directory remove nothing).
     pub fn new(dir: impl Into<PathBuf>) -> ArtifactStore {
         ArtifactStore { dir: dir.into() }
-    }
-
-    /// The wrapped directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Removes the artifact files of exactly the given graph hashes (every
@@ -79,6 +74,8 @@ fn artifact_graph_hash(file_name: &str) -> Option<u64> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
     use crate::cache::CacheKey;
     use hidet::CompilerOptions;
