@@ -115,7 +115,14 @@ impl DecodeEngine {
     /// begins admitting whatever has queued. Idempotent; a no-op on an
     /// engine that started running.
     pub fn resume(&self) {
-        self.shared.paused.store(false, Ordering::SeqCst);
+        {
+            // Cleared under the waiting lock, like `closed` below: the step
+            // loop reads `paused` and then sleeps on the condvar under that
+            // lock, so a store that slipped in between would lose its
+            // wake-up and leave a fully queued engine asleep for good.
+            let _waiting = self.shared.waiting.lock().expect("waiting poisoned");
+            self.shared.paused.store(false, Ordering::SeqCst);
+        }
         self.shared.cv.notify_all();
     }
 

@@ -432,7 +432,14 @@ impl Engine {
         if self.dispatcher.is_none() {
             return Ok(()); // already shut down
         }
-        self.shared.closed.store(true, Ordering::SeqCst);
+        {
+            // Set under the queue lock: the dispatcher reads `closed` and
+            // then sleeps on the condvar under that lock, so a store that
+            // slipped in between would lose its wake-up and hang the join.
+            // (A poisoned lock is still a held lock; `Drop` must not panic.)
+            let _queue = self.shared.queue.lock();
+            self.shared.closed.store(true, Ordering::SeqCst);
+        }
         self.shared.queue_cv.notify_all();
         if let Some(handle) = self.dispatcher.take() {
             let _ = handle.join();
