@@ -17,9 +17,6 @@ use hidet_baselines::{ExecutorReport, GraphExecutor};
 use hidet_graph::Graph;
 use hidet_sim::Gpu;
 
-/// The five evaluation models, in the paper's order.
-pub const MODEL_NAMES: [&str; 5] = ["resnet50", "inception_v3", "mobilenet_v2", "bert", "gpt2"];
-
 /// Paper Fig. 16 speedup annotations (Hidet vs. best baseline, batch 1).
 pub const PAPER_FIG16_SPEEDUPS: [(&str, f64); 6] = [
     ("resnet50", 1.12),

@@ -3,7 +3,10 @@
 //! `displayTimeUnit` and a `traceEvents` array whose members all carry
 //! `name`/`ph`/`ts`/`pid`/`tid`.
 
-use hidet_decode::{BatchingMode, DecodeConfig, DecodeEngine, DecodeModelSpec, GenerateRequest};
+use std::collections::HashSet;
+use std::time::Instant;
+
+use hidet_decode::{DecodeConfig, DecodeEngine, DecodeModelSpec, GenerateRequest};
 use hidet_sched::json::{get, Json};
 use hidet_sim::GpuSpec;
 use hidet_trace::TraceConfig;
@@ -15,22 +18,28 @@ fn multi_device_decode_exports_perfetto_loadable_chrome_trace() {
 
     // A small 2-shard run with forced mid-generation migration, so the
     // trace covers placement, iteration, prefill, decode-step and KV
-    // alloc/migrate spans — the full decode taxonomy.
-    let engine = DecodeEngine::new(DecodeConfig {
+    // alloc/migrate spans — the full decode taxonomy. The migration policy
+    // is stated here, on a stepped engine: once a session has emitted two
+    // tokens it moves to the other shard.
+    let (engine, mut stepper) = DecodeEngine::stepped(DecodeConfig {
         max_batch: 2,
         kv_blocks: 64,
         block_tokens: 4,
         devices: vec![GpuSpec::rtx3090(); 2],
-        stress_migrate_after: 2,
-        mode: BatchingMode::Continuous,
         ..DecodeConfig::default()
     });
     let model = engine
         .register(DecodeModelSpec::transformer("trace_mini", 1, 16, 2, 32, 16))
         .expect("decode model registers");
     let sessions: Vec<_> = (0..4u32)
-        .map(|i| model.generate(GenerateRequest::new(vec![i % 32], 6)))
+        .map(|i| model.generate(GenerateRequest::new(vec![i % 32], 6).with_trace(u64::from(i) + 1)))
         .collect();
+    let now = Instant::now();
+    let mut moved = HashSet::new();
+    while stepper.step(now) {
+        stepper.relocate(|s| (s.emitted >= 2 && moved.insert(s.trace_id)).then_some(1 - s.shard));
+    }
+    assert_eq!(moved.len(), 4, "every session must migrate once");
     for session in sessions {
         session.collect().expect("session completes");
     }
@@ -71,5 +80,9 @@ fn multi_device_decode_exports_perfetto_loadable_chrome_trace() {
     assert!(
         names.contains("decode_step") || names.contains("prefill_chunk"),
         "step/prefill spans must be traced, got {names:?}"
+    );
+    assert!(
+        names.contains("kv_migrate"),
+        "migrations must be traced, got {names:?}"
     );
 }

@@ -185,22 +185,6 @@ impl CompiledArtifact {
 
     /// Serializes to the versioned JSON format.
     pub fn to_json(&self) -> String {
-        let config_json = |c: &MatmulConfig| {
-            format!(
-                "{{\"block_m\": {}, \"block_n\": {}, \"block_k\": {}, \
-                 \"warps_m\": {}, \"warps_n\": {}, \"thread_m\": {}, \"thread_n\": {}, \
-                 \"stages\": {}, \"split_k\": {}}}",
-                c.block_m,
-                c.block_n,
-                c.block_k,
-                c.warps_m,
-                c.warps_n,
-                c.thread_m,
-                c.thread_n,
-                c.stages,
-                c.split_k
-            )
-        };
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"version\": {ARTIFACT_FORMAT_VERSION},\n"));
@@ -229,7 +213,7 @@ impl CompiledArtifact {
             out.push_str(&format!(
                 "\n    {{\"matmul\": {}, \"reduce\": {{\"threads_per_row\": {}, \
                  \"block_threads\": {}}}}}",
-                config_json(&s.matmul),
+                s.matmul.to_json(),
                 s.reduce.threads_per_row,
                 s.reduce.block_threads
             ));
@@ -240,12 +224,9 @@ impl CompiledArtifact {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"batch\": {}, \"m\": {}, \"n\": {}, \"k\": {}, \"config\": {}}}",
-                e.problem.batch,
-                e.problem.m,
-                e.problem.n,
-                e.problem.k,
-                config_json(&e.config)
+                "\n    {{{}, \"config\": {}}}",
+                e.problem.to_json_members(),
+                e.config.to_json()
             ));
         }
         out.push_str("\n  ]\n}\n");
@@ -305,13 +286,15 @@ impl CompiledArtifact {
         {
             let ctx = format!("schedules[{idx}]");
             let obj = item.as_object(&ctx).map_err(parse)?;
-            let matmul = parse_config(field(obj, "matmul")?, &ctx)?;
+            let matmul = MatmulConfig::from_json(field(obj, "matmul")?, &ctx).map_err(parse)?;
             let reduce_obj = field(obj, "reduce")?
                 .as_object(&format!("{ctx}.reduce"))
                 .map_err(parse)?;
             let reduce = ReduceConfig {
-                threads_per_row: positive(reduce_obj, "threads_per_row", &ctx)?,
-                block_threads: positive(reduce_obj, "block_threads", &ctx)?,
+                threads_per_row: json::get_positive(reduce_obj, "threads_per_row", &ctx)
+                    .map_err(parse)?,
+                block_threads: json::get_positive(reduce_obj, "block_threads", &ctx)
+                    .map_err(parse)?,
             };
             if !reduce.is_valid() || reduce.rows_per_block() < 1 {
                 return Err(ArtifactError::Parse(format!(
@@ -331,23 +314,9 @@ impl CompiledArtifact {
         {
             let ctx = format!("tuned[{idx}]");
             let obj = item.as_object(&ctx).map_err(parse)?;
-            let dim = |name: &str| -> Result<i64, ArtifactError> {
-                let v = field(obj, name)?.as_i64(name).map_err(parse)?;
-                if v < 1 {
-                    return Err(ArtifactError::Parse(format!(
-                        "{ctx}: problem dimension \"{name}\" must be >= 1, got {v}"
-                    )));
-                }
-                Ok(v)
-            };
             tuned.push(TunedEntry {
-                problem: MatmulProblem {
-                    batch: dim("batch")?,
-                    m: dim("m")?,
-                    n: dim("n")?,
-                    k: dim("k")?,
-                },
-                config: parse_config(field(obj, "config")?, &ctx)?,
+                problem: MatmulProblem::from_json_members(obj, &ctx).map_err(parse)?,
+                config: MatmulConfig::from_json(field(obj, "config")?, &ctx).map_err(parse)?,
             });
         }
 
@@ -376,32 +345,6 @@ fn hex_u64(value: &Json, ctx: &str) -> Result<u64, ArtifactError> {
     let text = value.as_str(ctx).map_err(parse)?;
     u64::from_str_radix(text, 16)
         .map_err(|_| ArtifactError::Parse(format!("{ctx}: expected hex u64, got \"{text}\"")))
-}
-
-fn positive(obj: &[(String, Json)], name: &str, ctx: &str) -> Result<i64, ArtifactError> {
-    let v = field(obj, name)?.as_i64(name).map_err(parse)?;
-    if v < 1 {
-        return Err(ArtifactError::Parse(format!(
-            "{ctx}: field \"{name}\" must be >= 1, got {v} \
-             (artifact file corrupted or hand-edited)"
-        )));
-    }
-    Ok(v)
-}
-
-fn parse_config(value: &Json, ctx: &str) -> Result<MatmulConfig, ArtifactError> {
-    let obj = value.as_object(&format!("{ctx}.config")).map_err(parse)?;
-    Ok(MatmulConfig {
-        block_m: positive(obj, "block_m", ctx)?,
-        block_n: positive(obj, "block_n", ctx)?,
-        block_k: positive(obj, "block_k", ctx)?,
-        warps_m: positive(obj, "warps_m", ctx)?,
-        warps_n: positive(obj, "warps_n", ctx)?,
-        thread_m: positive(obj, "thread_m", ctx)?,
-        thread_n: positive(obj, "thread_n", ctx)?,
-        stages: positive(obj, "stages", ctx)? as u32,
-        split_k: positive(obj, "split_k", ctx)?,
-    })
 }
 
 #[cfg(test)]
@@ -493,6 +436,8 @@ mod tests {
         for (from, to) in [
             ("\"block_m\": 64", "\"block_m\": 0"),
             ("\"block_m\": 64", "\"block_m\": -64"),
+            // 2^32 + 2 must not wrap into a plausible `stages: 2`.
+            ("\"stages\": 2", "\"stages\": 4294967298"),
             ("\"threads_per_row\": 32", "\"threads_per_row\": 3"),
             ("\"tuning_trials\": 198", "\"tuning_trials\": -1"),
             ("\"tuning_seconds\": 39.6", "\"tuning_seconds\": -1.0"),

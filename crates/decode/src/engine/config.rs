@@ -4,22 +4,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
-use hidet::CompilerOptions;
 use hidet_sim::GpuSpec;
-
-/// How the step loop forms batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchingMode {
-    /// Iteration-level scheduling: sequences are admitted into free slots
-    /// every step and retired the step they finish.
-    #[default]
-    Continuous,
-    /// The pad-to-max baseline: a batch is formed only when every slot of
-    /// the previous batch has drained, so the whole batch runs as long as
-    /// its longest member. The baseline continuous batching is compared
-    /// against (`static_mode_serves_correctly_but_occupies_fewer_slots`).
-    Static,
-}
 
 /// Decode-engine construction knobs.
 #[derive(Debug, Clone)]
@@ -31,16 +16,6 @@ pub struct DecodeConfig {
     /// KV-headroom score and may be live-migrated between shards under
     /// pressure (see the [module docs](crate::engine)).
     pub devices: Vec<GpuSpec>,
-    /// Compiler options for the step and prefill graphs (quick — untuned —
-    /// by default; decode steps are latency-bound, not schedule-bound, in the
-    /// sim). With tuning off, every matmul is scheduled with the
-    /// smallest-footprint valid configuration instead of the mid-size
-    /// default: decode-step GEMMs are skinny — M is a handful of tokens — so
-    /// the default 64×64 tile wastes almost the whole block on predicated-out
-    /// work, and the compact tile cuts both the simulated step latency and
-    /// the interpreter's cost per step. Implemented by pre-seeding tuning
-    /// records (zero trials) for every matmul problem in the graph.
-    pub options: CompilerOptions,
     /// Decode slots per step: the fixed batch axis of the compiled step
     /// graph and the ceiling on concurrently active sequences per shard.
     pub max_batch: usize,
@@ -48,8 +23,6 @@ pub struct DecodeConfig {
     pub kv_blocks: usize,
     /// Tokens per KV block (the allocation granularity).
     pub block_tokens: usize,
-    /// Batch-formation policy.
-    pub mode: BatchingMode,
     /// Optional compiled-artifact store (shared format with the serving
     /// engine's [`hidet_runtime::CompiledCache`]): a warm restart rebuilds
     /// the step graph with zero tuning trials.
@@ -74,27 +47,19 @@ pub struct DecodeConfig {
     /// in-flight decodes observe while a long prompt streams in. `0`
     /// disables chunked prefill (like an empty [`DecodeConfig::chunk_menu`]).
     pub prefill_token_budget: usize,
-    /// Test/bench knob exercising live migration deterministically: when
-    /// non-zero, every session is migrated to the next shard (round-robin)
-    /// once it has emitted this many tokens — at most once per session. `0`
-    /// (the default) disables it.
-    pub stress_migrate_after: usize,
 }
 
 impl Default for DecodeConfig {
     fn default() -> DecodeConfig {
         DecodeConfig {
             devices: vec![GpuSpec::rtx3090()],
-            options: CompilerOptions::quick(),
             max_batch: 8,
             kv_blocks: 64,
             block_tokens: 16,
-            mode: BatchingMode::Continuous,
             artifact_store: None,
             start_paused: false,
             chunk_menu: vec![16, 64, 256],
             prefill_token_budget: 256,
-            stress_migrate_after: 0,
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Moving KV state: preemption (eviction + recompute), the pressure-relief
 //! policy of [`IterCtx::append_with_pressure`], and live migration between
 //! shards — a migration *is* an eviction whose replay chain re-admits on
-//! another shard — with its step-loop triggers (stress knob, headroom
-//! rebalance).
+//! another shard — with the scheduler's own trigger, the headroom rebalance.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -113,46 +112,18 @@ pub(super) fn migrate_sequence(shared: &Shared, mut seq: Sequence, from: usize, 
 }
 
 /// Preempt-and-relocate on the active set — the one primitive behind every
-/// migration the step loop itself initiates (stress knob, headroom
-/// rebalance): takes `shard.active[i]` off shard `from`, frees its KV blocks
-/// and rebuilds its replay chain ([`preempt`]), refreshes the shard's
-/// occupancy gauge and re-admits the sequence on shard `to`
-/// ([`migrate_sequence`]).
-fn relocate(shared: &Shared, shard: &mut ShardRt, from: usize, i: usize, to: usize) {
+/// migration that starts outside a forward pass (the headroom rebalance, a
+/// [`Stepper::relocate`](super::stepper::Stepper::relocate) policy): takes
+/// `shard.active[i]` off shard `from`, frees its KV blocks and rebuilds its
+/// replay chain ([`preempt`]), refreshes the shard's occupancy gauge and
+/// re-admits the sequence on shard `to` ([`migrate_sequence`]).
+pub(super) fn relocate(shared: &Shared, shard: &mut ShardRt, from: usize, i: usize, to: usize) {
     let mut seq = shard.active.remove(i);
     if let Some(rt) = shard.rts.get_mut(&def_key(&seq.def)) {
         preempt(shared, &mut rt.kv, &mut seq);
     }
     refresh_shard_kv_gauge(&shard.rts, shared, from);
     migrate_sequence(shared, seq, from, to);
-}
-
-/// The stress knob ([`DecodeConfig::stress_migrate_after`]): relocates every
-/// session to the next shard (round-robin) once it has emitted that many
-/// tokens — at most once per session.
-///
-/// [`DecodeConfig::stress_migrate_after`]: crate::DecodeConfig::stress_migrate_after
-pub(super) fn stress_migrate(shared: &Shared, shards: &mut [ShardRt]) {
-    let after = shared.config.stress_migrate_after;
-    let nshards = shards.len();
-    if after == 0 || nshards < 2 {
-        return;
-    }
-    for (s, shard) in shards.iter_mut().enumerate() {
-        let mut i = 0;
-        while i < shard.active.len() {
-            let seq = &mut shard.active[i];
-            if !seq.stress_migrated
-                && seq.emitted >= after
-                && shard.rts.contains_key(&def_key(&seq.def))
-            {
-                seq.stress_migrated = true;
-                relocate(shared, shard, s, i, (s + 1) % nshards);
-            } else {
-                i += 1;
-            }
-        }
-    }
 }
 
 /// `(hot, cold)` shard pair when KV occupancy skews: the fullest shard is

@@ -19,12 +19,13 @@
 //! The unit of scheduling is one **iteration**: an optional *prefill phase*
 //! absorbing prompt chunks, then one batched decode step that advances every
 //! other active sequence by one token. Sequences join the running batch the
-//! step after they arrive and leave the moment they finish
-//! ([`BatchingMode::Continuous`]) — no sequence ever waits for a batch-mate
-//! to drain, which is where the ≥2× tokens/sec over static pad-to-max
-//! batching comes from (pinned on the simulated clock by
-//! `static_mode_serves_correctly_but_occupies_fewer_slots`). The decode batch axis
-//! belongs to the *scheduler*: the model graph is compiled once at a fixed
+//! step after they arrive and leave the moment they finish — no sequence
+//! ever waits for a batch-mate to drain, which is where the ≥2× tokens/sec
+//! over static pad-to-max batching comes from (pinned on the simulated clock
+//! by `static_mode_serves_correctly_but_occupies_fewer_slots`, whose static
+//! side is a client of a [stepped](DecodeEngine::stepped) engine). The
+//! decode batch axis belongs to the *scheduler*: the model graph is compiled
+//! once at a fixed
 //! `(max_batch, max_context)` shape (composing with the zoo transformers'
 //! `unbatched` rule — the graph never re-partitions work), and per-row masks
 //! carve the batch. Fixing the shape also makes every row's computation
@@ -64,9 +65,9 @@
 //!
 //! **Multi-device decode** (DESIGN.md §11): the engine owns one *decode
 //! shard* per device of [`DecodeConfig::devices`] — its own KV arena,
-//! compiled step/prefill graphs, simulated clock and iteration scheduler —
-//! multiplexed by the single step-loop thread (shards model *parallel*
-//! devices, so each pass advances only its own shard's clock). New sessions
+//! compiled step/prefill graphs, simulated clock and active set —
+//! multiplexed by the one scheduler (shards model *parallel* devices, so
+//! each pass advances only its own shard's clock). New sessions
 //! land on the shard minimizing estimated queue delay
 //! ([`hidet_sim::estimated_queue_delay`] over the shard's published gauges)
 //! plus a KV-headroom penalty, and sessions *migrate* between shards live: a
@@ -79,12 +80,19 @@
 //! — including across migrations (the
 //! `migrated_session_is_bit_identical_to_pinned` proptest).
 //!
+//! **One scheduler, two drivers** (DESIGN.md §7): the scheduler core takes
+//! the host instant as an argument and runs one iteration per call. The
+//! thread [`DecodeEngine::new`] spawns drives it on the wall clock; a
+//! [`Stepper`] ([`DecodeEngine::stepped`]) drives it one explicit step at a
+//! time, so a test states arrival order, deadlines and migrations exactly.
+//!
 //! The module is split along the engine's seams: `config` (knobs and
 //! errors), `session` (requests, token streams, the engine-side sequence),
 //! `registry` (model specs and their validated graph families), `shard`
 //! (the engine handle, shared state, placement, per-shard runtimes),
-//! `schedule` (the step loop and the one forward-pass routine) and
-//! `migrate` (preemption, pressure relief, live migration).
+//! `schedule` (the scheduler core, its thread driver and the one
+//! forward-pass routine), `stepper` (the stepped driver) and `migrate`
+//! (preemption, pressure relief, live migration).
 
 mod config;
 mod migrate;
@@ -92,10 +100,12 @@ mod registry;
 mod schedule;
 mod session;
 mod shard;
+mod stepper;
 
-pub use config::{BatchingMode, DecodeConfig, DecodeError};
+pub use config::{DecodeConfig, DecodeError};
 pub use registry::DecodeModelSpec;
 pub use session::{
     DecodeModel, DecodeSession, GenerateRequest, Generation, SessionPoll, TokenEvent,
 };
 pub use shard::DecodeEngine;
+pub use stepper::{ActiveView, Stepper};

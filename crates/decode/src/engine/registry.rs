@@ -24,8 +24,10 @@ pub struct DecodeModelSpec {
     vocab: i64,
     max_context: i64,
     builder: Box<dyn Fn(i64, i64, i64) -> Graph + Send + Sync>,
-    embed_seed: u64,
 }
+
+/// Seed of the deterministic host-side token-embedding table.
+const EMBED_SEED: u64 = 0xDEC0DE;
 
 impl DecodeModelSpec {
     /// A pre-LN transformer decode model built by
@@ -69,10 +71,10 @@ impl DecodeModelSpec {
         DecodeModelSpec::transformer("gpt2_decode", 12, 768, 12, 768, max_context)
     }
 
-    /// A custom `(seqs, chunk, past_len) -> Graph` builder; every graph it
-    /// returns must follow the forward-pass interface for the given
+    /// A spec around any `(seqs, chunk, past_len) -> Graph` builder; every
+    /// graph it returns must follow the forward-pass interface for the given
     /// dimensions (validated at registration).
-    pub fn custom(
+    pub(crate) fn custom(
         name: impl Into<String>,
         layers: usize,
         hidden: i64,
@@ -89,14 +91,7 @@ impl DecodeModelSpec {
             vocab,
             max_context,
             builder: Box::new(builder),
-            embed_seed: 0xDEC0DE,
         }
-    }
-
-    /// Seed of the deterministic host-side token-embedding table.
-    pub fn with_embed_seed(mut self, seed: u64) -> DecodeModelSpec {
-        self.embed_seed = seed;
-        self
     }
 
     /// The model's registered name.
@@ -201,7 +196,7 @@ pub(super) fn validate_spec(
         }
         prefill.push(validate_pass(spec, 1, c, &format!("prefill[{chunk}]"))?);
     }
-    let embed = Tensor::randn(&[spec.vocab, spec.hidden], spec.embed_seed)
+    let embed = Tensor::randn(&[spec.vocab, spec.hidden], EMBED_SEED)
         .data()
         .expect("randn is materialized")
         .to_vec();

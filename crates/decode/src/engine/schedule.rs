@@ -1,12 +1,12 @@
-//! The iteration-level scheduler: the engine's step loop (admission,
-//! deadlines, one pass per shard, migration triggers, gauge publish) and the
-//! scheduler iteration it runs per shard × model — a prefill phase, then one
-//! decode step — both through the one forward-pass routine
-//! ([`IterCtx::forward`]).
+//! The iteration-level scheduler: the [`Scheduler`] core (admission,
+//! deadlines, one pass per shard, the rebalance trigger, gauge publish), its
+//! thread driver ([`step_loop`]), and the iteration the core runs per shard ×
+//! model — a prefill phase, then one decode step — both through the one
+//! forward-pass routine ([`IterCtx::forward`]).
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use hidet::CompilerOptions;
@@ -14,10 +14,8 @@ use hidet_runtime::CompiledCache;
 use hidet_sim::Gpu;
 use hidet_trace::SpanKind;
 
-use super::config::{BatchingMode, DecodeError};
-use super::migrate::{
-    migrate_sequence, rebalance, stress_migrate, ClusterView, REBALANCE_COOLDOWN_ITERS,
-};
+use super::config::DecodeError;
+use super::migrate::{migrate_sequence, rebalance, ClusterView, REBALANCE_COOLDOWN_ITERS};
 use super::registry::def_key;
 use super::session::{Event, Sequence, TokenEvent, Waiting};
 use super::shard::{refresh_shard_kv_gauge, ModelRt, ShardRt, Shared};
@@ -28,145 +26,190 @@ use crate::kv::KvAllocator;
 /// making padded positions bit-transparent to softmax.
 const MASK_NEG: f32 = -1.0e9;
 
-/// The engine's background thread: admission, step execution, KV
-/// bookkeeping, token emission — per shard, one pass each per outer
-/// iteration.
-pub(super) fn step_loop(shared: &Shared) {
-    let config = &shared.config;
-    let cache = CompiledCache::new();
-    // Compact schedules (see `DecodeConfig::options`): with tuning off, one
-    // shared record store, seeded per graph in `IterCtx::compile_pass` and
-    // served with zero trials.
-    let options = if config.options.tune {
-        config.options.clone()
-    } else {
-        let mut options = config
-            .options
-            .clone()
-            .with_tuning_cache(Arc::new(Mutex::new(hidet_sched::TuningCache::new())));
-        options.tune = true;
-        options
-    };
-    // Order-stable reductions, unconditionally: the chunked-prefill contract
-    // — token streams and KV contents bit-identical to token-wise absorption
-    // — holds only when every reduction in *both* graph families accumulates
-    // in pure element-index order, so the same real terms sum in the same
-    // order regardless of how many padded positions surround them (see
-    // `CompilerOptions::order_stable_reductions`).
-    let options = options.order_stable();
-    // One ShardRt per device; within a shard, per-ModelDef runtimes are
-    // keyed by definition identity — a re-registered name gets fresh state
-    // while in-flight sessions keep theirs.
-    let mut shards: Vec<ShardRt> = config
-        .devices
-        .iter()
-        .map(|spec| ShardRt {
-            gpu: Gpu::new(spec.clone()),
-            rts: Default::default(),
-            active: Vec::new(),
-        })
-        .collect();
-    let nshards = shards.len();
-    let mut rebalance_cooldown = 0u64;
+/// The compiler options every decode and prefill graph is built with.
+/// Quick, with **compact schedules**: decode-step GEMMs are skinny — M is a
+/// handful of tokens — so the mid-size default tile wastes almost the whole
+/// block on predicated-out work; instead one record store, seeded per graph
+/// with the smallest-footprint valid configuration
+/// (`seed_compact_tiles` in [`IterCtx::compile_pass`]), serves every matmul
+/// with zero trials. And order-stable reductions: the chunked-prefill
+/// contract — token streams and KV contents bit-identical to token-wise
+/// absorption — holds only when every reduction in *both* graph families
+/// accumulates in pure element-index order, so the same real terms sum in
+/// the same order regardless of how many padded positions surround them (see
+/// `CompilerOptions::order_stable_reductions`).
+fn decode_options() -> CompilerOptions {
+    let mut options = CompilerOptions::quick()
+        .with_tuning_cache(Arc::new(Mutex::new(hidet_sched::TuningCache::new())));
+    options.tune = true;
+    options.order_stable()
+}
 
+/// The iteration-level scheduler core: everything the engine's schedule
+/// depends on besides [`Shared`]. Host time enters only as the `now` a
+/// driver passes to [`Scheduler::iterate`] — the background thread
+/// ([`step_loop`]) reads the wall clock, a
+/// [`Stepper`](super::stepper::Stepper) is handed it — so the same calls in
+/// the same order produce the same schedule on either.
+pub(super) struct Scheduler {
+    /// One per device; within a shard, per-`ModelDef` runtimes are keyed by
+    /// definition identity — a re-registered name gets fresh state while
+    /// in-flight sessions keep theirs.
+    pub(super) shards: Vec<ShardRt>,
+    cache: CompiledCache,
+    options: CompilerOptions,
+    /// Iterations left before [`rebalance`] may move another session.
+    rebalance_cooldown: u64,
+}
+
+/// The thread driver: runs scheduler iterations on the wall clock, sleeping
+/// on the waiting condvar while nothing is active, until the engine is shut
+/// down and drained. The [`Scheduler`] is built here, on the step thread, so
+/// `DecodeEngine::new` returns without paying for it.
+pub(super) fn step_loop(shared: &Shared) {
+    let mut scheduler = Scheduler::new(shared);
+    let mut waiting = shared.waiting.lock().expect("waiting poisoned");
     loop {
-        // --- admission ---------------------------------------------------
-        {
-            let mut waiting = shared.waiting.lock().expect("waiting poisoned");
-            loop {
-                let now = Instant::now();
-                fail_waiting(shared, &mut waiting, DecodeError::DeadlineExceeded, |seq| {
-                    seq.expired(now)
-                });
-                if shared.closed.load(Ordering::SeqCst) {
-                    // Sessions that never started (rank 0 — assigned at
-                    // first admission) are failed; in-flight ones — active
-                    // or KV-preempted back into a queue — drain to
-                    // completion, honoring the shutdown contract.
-                    fail_waiting(shared, &mut waiting, DecodeError::Closed, |seq| {
-                        seq.rank == 0
-                    });
-                }
-                // A paused engine sleeps; shutdown overrides the pause so
-                // a never-resumed engine still drains and exits.
-                let paused =
-                    shared.paused.load(Ordering::SeqCst) && !shared.closed.load(Ordering::SeqCst);
-                if !paused {
-                    for (s, shard) in shards.iter_mut().enumerate() {
-                        let admit = match config.mode {
-                            BatchingMode::Continuous => true,
-                            BatchingMode::Static => shard.active.is_empty(),
-                        };
-                        if !admit {
-                            continue;
-                        }
-                        let now = shared.stats.shard_clock(s);
-                        while shard.active.len() < config.max_batch {
-                            let Some(mut seq) = waiting.shards[s].pop_highest() else {
-                                break;
-                            };
-                            seq.rank = shared.next_rank.fetch_add(1, Ordering::Relaxed);
-                            if seq.admitted_sim.is_none() {
-                                seq.admitted_sim = Some(now);
-                                if seq.forced.is_empty() {
-                                    // Single-token prompt: there is nothing
-                                    // to prefill, the whole TTFT is
-                                    // first-decode.
-                                    seq.prompt_done_sim = Some(now);
-                                }
-                            }
-                            shard.active.push(seq);
-                        }
-                    }
-                }
-                if shards.iter().any(|sh| !sh.active.is_empty()) {
-                    break;
-                }
-                if shared.closed.load(Ordering::SeqCst) && waiting.is_empty() {
+        waiting = match scheduler.iterate(shared, waiting, Instant::now()) {
+            None => shared.waiting.lock().expect("waiting poisoned"),
+            Some(idle) => {
+                if shared.closed.load(Ordering::SeqCst) && idle.is_empty() {
                     return;
                 }
-                waiting = shared.cv.wait(waiting).expect("waiting poisoned");
+                shared.cv.wait(idle).expect("waiting poisoned")
             }
+        };
+    }
+}
 
-            // Drop runtime state of departed model definitions: a
-            // re-registration replaces the `ModelDef` identity, and once no
-            // registry entry, active sequence or waiting sequence reaches
-            // the old one, its workspace and KV arena can never be used
-            // again — keeping them would leak an arena per re-registration.
-            // (`generate` never holds the registry and waiting locks at
-            // once, so taking registry inside waiting cannot deadlock.)
-            if shards.iter().any(|sh| !sh.rts.is_empty()) {
-                let mut live: HashSet<usize> = shards
-                    .iter()
-                    .flat_map(|sh| sh.active.iter().map(|s| def_key(&s.def)))
-                    .collect();
-                for queue in waiting.shards.iter().flat_map(|wq| wq.classes.iter()) {
-                    live.extend(queue.iter().map(|s| def_key(&s.def)));
-                }
-                {
-                    let registry = shared.registry.lock().expect("registry poisoned");
-                    live.extend(registry.values().map(def_key));
-                }
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let before = shard.rts.len();
-                    shard.rts.retain(|key, rt| {
-                        let keep = live.contains(key);
-                        if !keep {
-                            shared.stats.shards[s]
-                                .kv_capacity
-                                .fetch_sub(rt.kv.capacity(), Ordering::Relaxed);
+impl Scheduler {
+    pub(super) fn new(shared: &Shared) -> Scheduler {
+        Scheduler {
+            shards: shared
+                .config
+                .devices
+                .iter()
+                .map(|spec| ShardRt {
+                    gpu: Gpu::new(spec.clone()),
+                    rts: Default::default(),
+                    active: Vec::new(),
+                })
+                .collect(),
+            cache: CompiledCache::new(),
+            options: decode_options(),
+            rebalance_cooldown: 0,
+        }
+    }
+
+    /// One scheduler iteration at host instant `now` — the only routine that
+    /// runs one, called by both drivers: admission under the waiting lock,
+    /// then, with the lock released, one pass per shard. When nothing is
+    /// active after admission no pass runs and the lock is handed back
+    /// instead, still held, so the thread driver can test its exit condition
+    /// and sleep on the condvar without a window in which a wake-up is lost.
+    pub(super) fn iterate<'w>(
+        &mut self,
+        shared: &Shared,
+        mut waiting: MutexGuard<'w, Waiting>,
+        now: Instant,
+    ) -> Option<MutexGuard<'w, Waiting>> {
+        if !self.admit(shared, &mut waiting, now) {
+            return Some(waiting);
+        }
+        drop(waiting);
+        self.advance(shared, now);
+        None
+    }
+
+    /// Everything done under the waiting lock: deadline and shutdown purges
+    /// of the queues, admission into free slots, and the sweep of departed
+    /// model definitions. Returns whether any shard has an active sequence.
+    fn admit(&mut self, shared: &Shared, waiting: &mut Waiting, now: Instant) -> bool {
+        let closed = shared.closed.load(Ordering::SeqCst);
+        fail_waiting(shared, waiting, DecodeError::DeadlineExceeded, |seq| {
+            seq.expired(now)
+        });
+        if closed {
+            // Sessions that never started (rank 0 — assigned at first
+            // admission) are failed; in-flight ones — active or KV-preempted
+            // back into a queue — drain to completion, honoring the shutdown
+            // contract.
+            fail_waiting(shared, waiting, DecodeError::Closed, |seq| seq.rank == 0);
+        }
+        // A paused engine admits nothing; shutdown overrides the pause so a
+        // never-resumed engine still drains and exits.
+        if closed || !shared.paused.load(Ordering::SeqCst) {
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                let clock = shared.stats.shard_clock(s);
+                while shard.active.len() < shared.config.max_batch {
+                    let Some(mut seq) = waiting.shards[s].pop_highest() else {
+                        break;
+                    };
+                    seq.rank = shared.next_rank.fetch_add(1, Ordering::Relaxed);
+                    if seq.admitted_sim.is_none() {
+                        seq.admitted_sim = Some(clock);
+                        if seq.forced.is_empty() {
+                            // Single-token prompt: there is nothing to
+                            // prefill, the whole TTFT is first-decode.
+                            seq.prompt_done_sim = Some(clock);
                         }
-                        keep
-                    });
-                    if shard.rts.len() != before {
-                        refresh_shard_kv_gauge(&shard.rts, shared, s);
                     }
+                    shard.active.push(seq);
                 }
             }
         }
+        if self.shards.iter().all(|sh| sh.active.is_empty()) {
+            return false;
+        }
+
+        // Drop runtime state of departed model definitions: a
+        // re-registration replaces the `ModelDef` identity, and once no
+        // registry entry, active sequence or waiting sequence reaches the
+        // old one, its workspace and KV arena can never be used again —
+        // keeping them would leak an arena per re-registration. (`generate`
+        // never holds the registry and waiting locks at once, so taking
+        // registry inside waiting cannot deadlock.)
+        if self.shards.iter().any(|sh| !sh.rts.is_empty()) {
+            let mut live: HashSet<usize> = self
+                .shards
+                .iter()
+                .flat_map(|sh| sh.active.iter().map(|s| def_key(&s.def)))
+                .collect();
+            for queue in waiting.shards.iter().flat_map(|wq| wq.classes.iter()) {
+                live.extend(queue.iter().map(|s| def_key(&s.def)));
+            }
+            {
+                let registry = shared.registry.lock().expect("registry poisoned");
+                live.extend(registry.values().map(def_key));
+            }
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                let before = shard.rts.len();
+                shard.rts.retain(|key, rt| {
+                    let keep = live.contains(key);
+                    if !keep {
+                        shared.stats.shards[s]
+                            .kv_capacity
+                            .fetch_sub(rt.kv.capacity(), Ordering::Relaxed);
+                    }
+                    keep
+                });
+                if shard.rts.len() != before {
+                    refresh_shard_kv_gauge(&shard.rts, shared, s);
+                }
+            }
+        }
+        true
+    }
+
+    /// Everything done with the waiting lock released: the deadline check of
+    /// active sequences, one pass per shard × model, the headroom rebalance
+    /// and the placement-gauge publish.
+    fn advance(&mut self, shared: &Shared, now: Instant) {
+        let config = &shared.config;
+        let shards = &mut self.shards;
+        let nshards = shards.len();
 
         // --- deadline check for active sequences -------------------------
-        let now = Instant::now();
         for (s, shard) in shards.iter_mut().enumerate() {
             let mut i = 0;
             let mut removed = false;
@@ -197,7 +240,7 @@ pub(super) fn step_loop(shared: &Shared) {
             // shards processed earlier this iteration are fresh; later ones
             // may be one pass stale — safe, because a migrated-to shard
             // re-resolves pressure itself at admission.
-            let mut view = ClusterView::collect(&shards, config.kv_blocks);
+            let mut view = ClusterView::collect(shards, config.kv_blocks);
             let shard = &mut shards[s];
             let mut model_keys: Vec<usize> = Vec::new();
             for seq in &shard.active {
@@ -217,8 +260,8 @@ pub(super) fn step_loop(shared: &Shared) {
                 let ctx = IterCtx {
                     shared,
                     gpu: &shard.gpu,
-                    cache: &cache,
-                    options: &options,
+                    cache: &self.cache,
+                    options: &self.options,
                     shard: s,
                     view: &mut view,
                     state: vec![SlotState::Live; batch.len()],
@@ -246,13 +289,12 @@ pub(super) fn step_loop(shared: &Shared) {
             }
         }
 
-        // --- step-loop-initiated migration: stress knob, then rebalance ---
-        stress_migrate(shared, &mut shards);
+        // --- scheduler-initiated migration: headroom rebalance ------------
         if nshards > 1 {
-            if rebalance_cooldown > 0 {
-                rebalance_cooldown -= 1;
-            } else if rebalance(shared, &mut shards) {
-                rebalance_cooldown = REBALANCE_COOLDOWN_ITERS;
+            if self.rebalance_cooldown > 0 {
+                self.rebalance_cooldown -= 1;
+            } else if rebalance(shared, shards) {
+                self.rebalance_cooldown = REBALANCE_COOLDOWN_ITERS;
             }
         }
 
@@ -392,12 +434,7 @@ impl IterCtx<'_> {
         let mut prefilled = vec![false; n];
 
         // --- prefill phase -------------------------------------------------
-        // Static mode stays the pure token-wise baseline the serving benches
-        // compare against.
-        if config.mode == BatchingMode::Continuous
-            && !rt.def.prefill.is_empty()
-            && config.prefill_token_budget > 0
-        {
+        if !rt.def.prefill.is_empty() && config.prefill_token_budget > 0 {
             let mut budget = config.prefill_token_budget;
             let mut order: Vec<usize> = (0..n).collect();
             order.sort_by_key(|&i| self.batch[i].key());

@@ -396,8 +396,6 @@ pub(super) struct Sequence {
     /// Pressure-relief migrations taken so far (bounded by
     /// `PRESSURE_MOVE_LIMIT`).
     pub(super) pressure_moves: u32,
-    /// Whether the `stress_migrate_after` knob already moved this sequence.
-    pub(super) stress_migrated: bool,
     /// Trace id the session's spans/instants are attributed to (0 = none).
     pub(super) trace_id: u64,
 }
@@ -434,7 +432,6 @@ impl Sequence {
             ttft_admission: None,
             last_token_sim: 0.0,
             pressure_moves: 0,
-            stress_migrated: false,
             trace_id: request.trace_id,
         }
     }

@@ -1,6 +1,6 @@
 //! The engine handle and the state behind it: what every thread shares
 //! ([`Shared`]), submission-time shard placement, and the per-shard runtime
-//! the step loop owns ([`ShardRt`]: compiled passes and KV arenas per
+//! the scheduler owns ([`ShardRt`]: compiled passes and KV arenas per
 //! model).
 
 use std::collections::{HashMap, HashSet};
@@ -18,6 +18,7 @@ use super::config::{DecodeConfig, DecodeError};
 use super::registry::{def_key, validate_spec, DecodeModelSpec, ModelDef, PassDef};
 use super::schedule::{step_loop, IterCtx};
 use super::session::{DecodeModel, Sequence, WaitQueues, Waiting};
+use super::stepper::Stepper;
 use crate::kv::{KvAllocator, KvLayout};
 use crate::placement::placement_score;
 use crate::stats::DecodeStats;
@@ -27,7 +28,7 @@ pub(super) struct Shared {
     /// ([`DecodeConfig::sanitized`]); `config.devices[s]` is shard `s`
     /// everywhere.
     pub(super) config: DecodeConfig,
-    /// While set, the step loop sleeps and admits nothing
+    /// While set, the scheduler admits nothing
     /// ([`DecodeConfig::start_paused`] / [`DecodeEngine::resume`]).
     pub(super) paused: AtomicBool,
     pub(super) registry: Mutex<HashMap<String, Arc<ModelDef>>>,
@@ -38,16 +39,8 @@ pub(super) struct Shared {
     pub(super) next_rank: AtomicU64,
 }
 
-/// The decode engine. See the [module docs](crate::engine) for the
-/// architecture and `examples/decode_serving.rs` for a tour.
-pub struct DecodeEngine {
-    shared: Arc<Shared>,
-    worker: Option<thread::JoinHandle<()>>,
-}
-
-impl DecodeEngine {
-    /// Starts the engine's step loop on a background thread.
-    pub fn new(config: DecodeConfig) -> DecodeEngine {
+impl Shared {
+    fn new(config: DecodeConfig) -> Arc<Shared> {
         let config = config.sanitized();
         let stats = Arc::new(DecodeStats::for_shards(
             config.devices.iter().map(|d| d.name.clone()).collect(),
@@ -60,7 +53,7 @@ impl DecodeEngine {
                 .map(|_| WaitQueues::default())
                 .collect(),
         };
-        let shared = Arc::new(Shared {
+        Arc::new(Shared {
             paused: AtomicBool::new(config.start_paused),
             config,
             registry: Mutex::new(HashMap::new()),
@@ -69,7 +62,36 @@ impl DecodeEngine {
             closed: AtomicBool::new(false),
             stats,
             next_rank: AtomicU64::new(1),
-        });
+        })
+    }
+
+    /// Begins shutdown: no session is accepted from here on, and the driver
+    /// drains what is in flight.
+    pub(super) fn close(&self) {
+        {
+            // Set under the waiting lock so it serializes with `generate`'s
+            // locked closed-check + enqueue: every session pushed before
+            // this point is visible to the driver's final drain.
+            let _waiting = self.waiting.lock().expect("waiting poisoned");
+            self.closed.store(true, Ordering::SeqCst);
+        }
+        self.cv.notify_all();
+    }
+}
+
+/// The decode engine. See the [module docs](crate::engine) for the
+/// architecture and `examples/decode_serving.rs` for a tour.
+pub struct DecodeEngine {
+    shared: Arc<Shared>,
+    /// The thread driver; `None` on a [stepped](DecodeEngine::stepped)
+    /// engine, whose [`Stepper`] is the driver.
+    worker: Option<thread::JoinHandle<()>>,
+}
+
+impl DecodeEngine {
+    /// Starts the engine's step loop on a background thread.
+    pub fn new(config: DecodeConfig) -> DecodeEngine {
+        let shared = Shared::new(config);
         let worker = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -81,6 +103,22 @@ impl DecodeEngine {
             shared,
             worker: Some(worker),
         }
+    }
+
+    /// An engine with no background thread: the same scheduler runs only
+    /// when the returned [`Stepper`] is stepped, one iteration per call, at
+    /// the host instant the caller names — so a schedule is a function of
+    /// the calls made, not of host timing. Everything on the engine handle,
+    /// its models and their sessions works as on [`DecodeEngine::new`];
+    /// session events queue unboundedly, so step to idle first, then
+    /// [`collect`](crate::DecodeSession::collect).
+    pub fn stepped(config: DecodeConfig) -> (DecodeEngine, Stepper) {
+        let shared = Shared::new(config);
+        let engine = DecodeEngine {
+            shared: Arc::clone(&shared),
+            worker: None,
+        };
+        (engine, Stepper::new(shared))
     }
 
     /// Registers a decode model, validating that the builder's graphs — the
@@ -111,7 +149,7 @@ impl DecodeEngine {
         })
     }
 
-    /// Releases a [`DecodeConfig::start_paused`] engine: the step loop
+    /// Releases a [`DecodeConfig::start_paused`] engine: the scheduler
     /// begins admitting whatever has queued. Idempotent; a no-op on an
     /// engine that started running.
     pub fn resume(&self) {
@@ -143,20 +181,15 @@ impl DecodeEngine {
 
     /// Stops admitting sessions, drains every active generation to
     /// completion, fails still-queued ones with [`DecodeError::Closed`] and
-    /// joins the step loop. Called automatically on drop.
+    /// joins the step loop. Called automatically on drop. (A stepped engine
+    /// has no loop to join: the drain happens as its [`Stepper`] is stepped
+    /// to idle, or dropped.)
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        {
-            // Set under the waiting lock so it serializes with `generate`'s
-            // locked closed-check + enqueue: every session pushed before
-            // this point is visible to the step loop's final drain.
-            let _waiting = self.shared.waiting.lock().expect("waiting poisoned");
-            self.shared.closed.store(true, Ordering::SeqCst);
-        }
-        self.shared.cv.notify_all();
+        self.shared.close();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
@@ -241,7 +274,7 @@ pub(super) fn place_shard(
     best
 }
 
-/// Per-model runtime state owned by the step loop.
+/// Per-model runtime state owned by the scheduler.
 pub(super) struct ModelRt {
     pub(super) def: Arc<ModelDef>,
     /// The fixed-shape decode step, compiled when the runtime is built.
@@ -265,10 +298,10 @@ pub(super) struct PassRt {
     pub(super) ws: Workspace,
 }
 
-/// One decode shard owned by the step loop: its device, per-model runtimes
+/// One decode shard owned by the scheduler: its device, per-model runtimes
 /// (compiled graphs + KV arenas) and active set. Shards model parallel
-/// devices multiplexed by the single engine thread — each shard's pass
-/// advances only its own simulated clock.
+/// devices multiplexed by the one driver — each shard's pass advances only
+/// its own simulated clock.
 pub(super) struct ShardRt {
     pub(super) gpu: Gpu,
     pub(super) rts: HashMap<usize, ModelRt>,
@@ -344,13 +377,9 @@ impl IterCtx<'_> {
     }
 
     /// Compiles one forward-pass graph for this shard's device through the
-    /// engine-wide cache, seeding compact schedules first when tuning is off
-    /// (see [`DecodeConfig::options`]).
+    /// engine-wide cache, seeding its compact schedules first.
     pub(super) fn compile_pass(&self, pass: &PassDef) -> Result<PassRt, DecodeError> {
-        let config = &self.shared.config;
-        if !config.options.tune {
-            seed_compact_tiles(&pass.graph, self.gpu, self.options);
-        }
+        seed_compact_tiles(&pass.graph, self.gpu, self.options);
         let (compiled, _) = self
             .cache
             .get_or_compile_hashed(
@@ -358,7 +387,7 @@ impl IterCtx<'_> {
                 pass.graph_hash,
                 self.gpu,
                 self.options,
-                config.artifact_store.as_deref(),
+                self.shared.config.artifact_store.as_deref(),
             )
             .map_err(|e| DecodeError::Compile(e.to_string()))?;
         let estimate = compiled.estimate(self.gpu);

@@ -30,7 +30,12 @@
 //!   ≥2× the tokens/sec of static pad-to-max batching on mixed-length
 //!   workloads (`static_mode_serves_correctly_but_occupies_fewer_slots`
 //!   in `tests/decode.rs`). Requests carry the runtime's
-//!   [`hidet_runtime::Priority`] classes and optional deadlines;
+//!   [`hidet_runtime::Priority`] classes and optional deadlines. The
+//!   scheduler is one core with two drivers: a background thread on the
+//!   wall clock ([`DecodeEngine::new`]), or a [`Stepper`]
+//!   ([`DecodeEngine::stepped`]) that runs one iteration per call at the
+//!   instant the caller names — how tests state arrival order, deadlines
+//!   and migration policies exactly;
 //! * **chunked multi-token prefill** ([`hidet_graph::models::transformer_prefill`]):
 //!   long prompts absorb through fixed-shape prefill graphs — the largest
 //!   compiled chunk fitting the remaining prompt, interleaved with decode
@@ -91,7 +96,7 @@ pub(crate) mod placement;
 pub(crate) mod stats;
 
 pub use engine::{
-    BatchingMode, DecodeConfig, DecodeEngine, DecodeError, DecodeModel, DecodeModelSpec,
-    DecodeSession, GenerateRequest, Generation, SessionPoll, TokenEvent,
+    ActiveView, DecodeConfig, DecodeEngine, DecodeError, DecodeModel, DecodeModelSpec,
+    DecodeSession, GenerateRequest, Generation, SessionPoll, Stepper, TokenEvent,
 };
 pub use kv::{KvAllocator, KvCache, KvError, KvLayout, KvSlot};

@@ -1,12 +1,18 @@
 //! Integration tests of the decode subsystem: continuous batching
 //! correctness (bit-identity against solo runs), KV eviction + recompute,
 //! priority/deadline handling, and the serving-engine stats hook.
+//!
+//! Tests whose claim depends on *when* something happens — arrival order, a
+//! deadline, a migration — run on a stepped engine
+//! ([`DecodeEngine::stepped`]) and say so in iterations; the rest use the
+//! thread driver, as a deployment does.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use hidet_decode::{
-    BatchingMode, DecodeConfig, DecodeEngine, DecodeError, DecodeModelSpec, GenerateRequest,
-    Generation, SessionPoll,
+    DecodeConfig, DecodeEngine, DecodeError, DecodeModelSpec, DecodeSession, GenerateRequest,
+    Generation, SessionPoll, Stepper,
 };
 use hidet_runtime::{DecodeStatsSnapshot, Priority};
 use hidet_sim::GpuSpec;
@@ -45,6 +51,91 @@ fn run_paused(
     engine.resume();
     let generations = sessions.into_iter().map(|s| s.collect().unwrap()).collect();
     (generations, engine.stats())
+}
+
+/// The stepped twin of [`run_paused`]: the whole workload queued, then
+/// stepped to idle at one host instant.
+fn run_stepped(
+    config: DecodeConfig,
+    spec: DecodeModelSpec,
+    work: Vec<GenerateRequest>,
+) -> (Vec<Generation>, DecodeStatsSnapshot) {
+    let (engine, mut stepper) = DecodeEngine::stepped(config);
+    let model = engine.register(spec).unwrap();
+    let sessions: Vec<_> = work.into_iter().map(|r| model.generate(r)).collect();
+    stepper.run_until_idle(Instant::now());
+    let generations = sessions.into_iter().map(|s| s.collect().unwrap()).collect();
+    (generations, idle_stats(&engine))
+}
+
+/// The stats of a stepped engine at idle, checked against the conservation
+/// laws that hold whenever nothing is queued or active: every placed session
+/// completed or failed, every migration out of a shard landed on another,
+/// and no shard holds a KV block. (For workloads with no request rejected at
+/// `generate` — those fail without ever being placed.)
+fn idle_stats(engine: &DecodeEngine) -> DecodeStatsSnapshot {
+    let stats = engine.stats();
+    let sum = |f: fn(&hidet_runtime::DecodeShardSnapshot) -> usize| -> usize {
+        stats.shards.iter().map(f).sum()
+    };
+    assert_eq!(
+        sum(|s| s.sessions_placed),
+        stats.sequences_completed + stats.sequences_failed,
+        "placed = completed + failed: {stats:?}"
+    );
+    assert_eq!(sum(|s| s.migrations_in), sum(|s| s.migrations_out));
+    assert_eq!(sum(|s| s.migrations_out), stats.sessions_migrated);
+    for shard in &stats.shards {
+        assert_eq!(shard.kv_blocks_in_use, 0, "shard leaked: {shard:?}");
+    }
+    stats
+}
+
+/// The forced-migration policy of the multi-device tests, stated on a
+/// stepped engine: after every iteration, each session that has emitted
+/// `after` tokens moves to the next shard (round-robin) — once. Sessions are
+/// told apart by trace id, so the workload must give each a distinct one.
+struct ForcedMigration {
+    after: usize,
+    shards: usize,
+    now: Instant,
+    moved: HashSet<u64>,
+}
+
+impl ForcedMigration {
+    fn new(after: usize, shards: usize) -> ForcedMigration {
+        ForcedMigration {
+            after,
+            shards,
+            now: Instant::now(),
+            moved: HashSet::new(),
+        }
+    }
+
+    fn step(&mut self, stepper: &mut Stepper) -> bool {
+        let busy = stepper.step(self.now);
+        stepper.relocate(|s| {
+            (s.emitted >= self.after && self.moved.insert(s.trace_id))
+                .then_some((s.shard + 1) % self.shards)
+        });
+        busy
+    }
+
+    fn run_until_idle(&mut self, stepper: &mut Stepper) {
+        while self.step(stepper) {}
+    }
+}
+
+/// Moves what `session` has streamed so far into `tokens` without blocking;
+/// `true` once the generation finished.
+fn drain(session: &mut DecodeSession, tokens: &mut Vec<u32>) -> bool {
+    loop {
+        match session.next_timeout(Duration::ZERO).unwrap() {
+            SessionPoll::Token(event) => tokens.push(event.token),
+            SessionPoll::Finished => return true,
+            SessionPoll::Pending => return false,
+        }
+    }
 }
 
 fn tokens(generations: &[Generation]) -> Vec<&[u32]> {
@@ -430,15 +521,27 @@ fn high_priority_sessions_preempt_best_effort_kv() {
 
 #[test]
 fn static_mode_serves_correctly_but_occupies_fewer_slots() {
-    let run = |mode: BatchingMode, max_batch: usize, spec: DecodeModelSpec, work| {
-        let config = DecodeConfig {
-            max_batch,
-            kv_blocks: 64,
-            block_tokens: 4,
-            mode,
-            ..DecodeConfig::default()
-        };
-        run_paused(config, spec, work)
+    let config = |max_batch: usize| DecodeConfig {
+        max_batch,
+        kv_blocks: 64,
+        block_tokens: 4,
+        ..DecodeConfig::default()
+    };
+    let run = |max_batch: usize, spec, work| run_paused(config(max_batch), spec, work);
+    // Static pad-to-max batching — the baseline — is a client policy, not an
+    // engine mode: submit `max_batch` sessions, wait until every one of them
+    // has drained, submit the next `max_batch`.
+    let run_static = |max_batch: usize, spec: DecodeModelSpec, work: Vec<GenerateRequest>| {
+        let (engine, mut stepper) = DecodeEngine::stepped(config(max_batch));
+        let model = engine.register(spec).unwrap();
+        let now = Instant::now();
+        let mut generations = Vec::new();
+        for batch in work.chunks(max_batch) {
+            let sessions: Vec<_> = batch.iter().map(|r| model.generate(r.clone())).collect();
+            stepper.run_until_idle(now);
+            generations.extend(sessions.into_iter().map(|s| s.collect().unwrap()));
+        }
+        (generations, idle_stats(&engine))
     };
 
     // The long sequence leads: its batch-mates retire early, and continuous
@@ -449,8 +552,8 @@ fn static_mode_serves_correctly_but_occupies_fewer_slots() {
             .map(|(p, n)| GenerateRequest::new(vec![p], n))
             .into()
     };
-    let (cont_gens, cont) = run(BatchingMode::Continuous, 2, tiny_spec(), work());
-    let (stat_gens, stat) = run(BatchingMode::Static, 2, tiny_spec(), work());
+    let (cont_gens, cont) = run(2, tiny_spec(), work());
+    let (stat_gens, stat) = run_static(2, tiny_spec(), work());
     assert_eq!(
         tokens(&cont_gens),
         tokens(&stat_gens),
@@ -471,8 +574,8 @@ fn static_mode_serves_correctly_but_occupies_fewer_slots() {
     // while continuous keeps the slots full (35 steps) — at least twice the
     // simulated tokens per second, with nothing leaked.
     let work = || mix(4, Priority::Normal);
-    let (cont_gens, cont) = run(BatchingMode::Continuous, 4, mix_spec(), work());
-    let (stat_gens, stat) = run(BatchingMode::Static, 4, mix_spec(), work());
+    let (cont_gens, cont) = run(4, mix_spec(), work());
+    let (stat_gens, stat) = run_static(4, mix_spec(), work());
     assert_eq!(tokens(&cont_gens), tokens(&stat_gens));
     let speedup = cont.tokens_per_second / stat.tokens_per_second;
     assert!(
@@ -486,6 +589,149 @@ fn static_mode_serves_correctly_but_occupies_fewer_slots() {
         assert_eq!(stats.sequences_completed, 16);
         assert_eq!(stats.kv_blocks_in_use, 0);
     }
+}
+
+/// One core, two drivers: the thread driver and a stepper run the same
+/// scheduler, so the same workload queued before the first admission yields
+/// the same token streams and the same books — steps, per-shard clocks,
+/// TTFT/ITL percentiles, bit for bit — and a stepped run replays exactly.
+#[test]
+fn thread_and_stepped_drivers_run_the_same_schedule() {
+    let config = || DecodeConfig {
+        max_batch: 4,
+        kv_blocks: 64,
+        block_tokens: 4,
+        devices: vec![GpuSpec::rtx3090(); 2],
+        ..DecodeConfig::default()
+    };
+    let work = || mix(4, Priority::Normal);
+    let (threaded_gens, threaded) = run_paused(config(), mix_spec(), work());
+    let (stepped_gens, stepped) = run_stepped(config(), mix_spec(), work());
+    let (replay_gens, replay) = run_stepped(config(), mix_spec(), work());
+    assert_eq!(threaded.sequences_completed, 16);
+    assert!(threaded.shards.iter().all(|s| s.steps > 0), "{threaded:?}");
+    assert_eq!(stepped_gens, threaded_gens);
+    assert_eq!(stepped, threaded);
+    assert_eq!(replay_gens, stepped_gens);
+    assert_eq!(replay, stepped);
+}
+
+/// A deadline that falls *between* two iterations of a running session: the
+/// session fails `DeadlineExceeded` with the tokens it had streamed, its KV
+/// blocks return at that iteration, and its batch-mate never notices.
+#[test]
+fn deadline_passing_mid_generation_fails_only_that_session() {
+    let config = || DecodeConfig {
+        max_batch: 2,
+        kv_blocks: 16,
+        block_tokens: 4,
+        ..DecodeConfig::default()
+    };
+    let t0 = Instant::now();
+    let late = t0 + Duration::from_millis(20);
+    let mate_request = || GenerateRequest::new(vec![2, 3], 6);
+
+    // Reference: the batch-mate alone, stepped the same number of times.
+    let (solo, mut solo_stepper) = DecodeEngine::stepped(config());
+    let solo_mate = solo.register(tiny_spec()).unwrap().generate(mate_request());
+    for _ in 0..4 {
+        assert!(solo_stepper.step(t0));
+    }
+    let mate_blocks_after_four = solo.stats().kv_blocks_in_use;
+    solo_stepper.run_until_idle(t0);
+    let mate_expected = solo_mate.collect().unwrap();
+
+    let (engine, mut stepper) = DecodeEngine::stepped(config());
+    let model = engine.register(tiny_spec()).unwrap();
+    let doomed = model
+        .generate(GenerateRequest::new(vec![1], 8).with_deadline(t0 + Duration::from_millis(10)));
+    let mate = model.generate(mate_request());
+    for _ in 0..3 {
+        assert!(stepper.step(t0));
+    }
+    assert!(engine.stats().kv_blocks_in_use > mate_blocks_after_four);
+    assert_eq!(engine.stats().sequences_failed, 0, "deadline not reached");
+    // The fourth iteration runs past the deadline.
+    assert!(stepper.step(late));
+    let stats = engine.stats();
+    assert_eq!(stats.sequences_failed, 1);
+    assert_eq!(
+        stats.kv_blocks_in_use, mate_blocks_after_four,
+        "the expired session's blocks must return at once"
+    );
+    stepper.run_until_idle(late);
+
+    // A single-token prompt emits from its first step: three tokens, then
+    // the error.
+    let events: Vec<_> = Iterator::collect(doomed);
+    assert_eq!(events.len(), 4, "{events:?}");
+    assert!(events[..3].iter().all(Result::is_ok));
+    assert_eq!(events[3], Err(DecodeError::DeadlineExceeded));
+    assert_eq!(mate.collect().unwrap(), mate_expected);
+    let stats = idle_stats(&engine);
+    assert_eq!(stats.sequences_completed, 1);
+    assert_eq!(stats.sequences_failed, 1);
+}
+
+/// `DecodeConfig::artifact_store`: a second engine against the same
+/// directory rebuilds every pass from the first engine's artifacts — same
+/// streams, no file rewritten.
+#[test]
+fn artifact_store_warm_starts_a_second_engine() {
+    let dir = std::env::temp_dir().join(format!("hidet-decode-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        let config = DecodeConfig {
+            artifact_store: Some(dir.clone()),
+            ..chunked_config(vec![4, 16], 16, 32)
+        };
+        // A 17-token prompt: one 16-chunk prefill pass, then decode steps —
+        // two distinct compiled passes (the 4-chunk is never needed).
+        let prompt: Vec<u32> = (0..17).map(|i| i * 5 % 12).collect();
+        let work = vec![
+            GenerateRequest::new(prompt, 4),
+            GenerateRequest::new(vec![7, 11], 5),
+        ];
+        let (generations, stats) = run_stepped(config, prefill_spec(), work);
+        assert_eq!(stats.prefill_passes, 1);
+        generations
+    };
+    let artifacts = || {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("the store directory exists after a compile")
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    };
+
+    let cold = run();
+    let files = artifacts();
+    assert_eq!(files.len(), 2, "one artifact per compiled pass: {files:?}");
+    // Backdate the files, so that a rewrite cannot hide in the granularity
+    // of the file system's clock.
+    let stamp = std::time::UNIX_EPOCH + Duration::from_secs(1_000_000_000);
+    let contents: Vec<Vec<u8>> = files
+        .iter()
+        .map(|path| {
+            let file = std::fs::File::options().write(true).open(path).unwrap();
+            file.set_modified(stamp).unwrap();
+            std::fs::read(path).unwrap()
+        })
+        .collect();
+
+    let warm = run();
+    assert_eq!(warm, cold, "an artifact load must not change a token");
+    assert_eq!(artifacts(), files, "the warm engine must add no artifact");
+    for (path, bytes) in files.iter().zip(&contents) {
+        assert_eq!(
+            std::fs::metadata(path).unwrap().modified().unwrap(),
+            stamp,
+            "{path:?} was rewritten: the warm engine did not load it"
+        );
+        assert_eq!(&std::fs::read(path).unwrap(), bytes);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -633,7 +879,7 @@ fn assert_shards_telescope(stats: &DecodeStatsSnapshot, placed: usize) {
         "every migration out must land somewhere"
     );
     assert_eq!(sum(|s| s.migrations_out), stats.sessions_migrated);
-    assert!(stats.sessions_migrated > 0, "stress knob must force moves");
+    assert!(stats.sessions_migrated > 0, "the policy must force moves");
     assert!(stats.cluster_tokens_per_second > 0.0);
     assert!(
         stats.cluster_tokens_per_second >= stats.tokens_per_second,
@@ -651,23 +897,23 @@ fn assert_shards_telescope(stats: &DecodeStatsSnapshot, placed: usize) {
 /// force-migrated mid-generation.
 #[test]
 fn per_shard_stats_telescope_to_the_aggregates() {
-    let pool = DecodeEngine::new(DecodeConfig {
+    let (pool, mut stepper) = DecodeEngine::stepped(DecodeConfig {
         max_batch: 2,
         kv_blocks: 16,
         block_tokens: 4,
         devices: vec![GpuSpec::rtx3090(), GpuSpec::rtx3090()],
-        stress_migrate_after: 2,
         ..DecodeConfig::default()
     });
     let model = pool.register(tiny_spec()).unwrap();
-    let sessions: Vec<_> = workload(7, 4)
-        .into_iter()
-        .map(|(p, n)| model.generate(GenerateRequest::new(p, n.max(3))))
+    let sessions: Vec<_> = (1..)
+        .zip(workload(7, 4))
+        .map(|(id, (p, n))| model.generate(GenerateRequest::new(p, n.max(3)).with_trace(id)))
         .collect();
+    ForcedMigration::new(2, 2).run_until_idle(&mut stepper);
     for session in sessions {
         session.collect().unwrap();
     }
-    let stats = pool.stats();
+    let stats = idle_stats(&pool);
     assert_eq!(stats.shards.len(), 2);
     assert_shards_telescope(&stats, 4);
 
@@ -675,18 +921,27 @@ fn per_shard_stats_telescope_to_the_aggregates() {
     // critical path — bounds the cluster. The replay chain of every
     // migrated session is paid for inside the 4-shard number.
     let run = |devices: usize| {
-        let config = DecodeConfig {
+        let (engine, mut stepper) = DecodeEngine::stepped(DecodeConfig {
             max_batch: 4,
             kv_blocks: 64,
             block_tokens: 4,
             devices: vec![GpuSpec::rtx3090(); devices],
-            stress_migrate_after: if devices > 1 { 2 } else { 0 },
             ..DecodeConfig::default()
-        };
-        run_paused(config, mix_spec(), mix(16, Priority::High))
+        });
+        let model = engine.register(mix_spec()).unwrap();
+        let sessions: Vec<_> = (1..)
+            .zip(mix(16, Priority::High))
+            .map(|(id, request)| model.generate(request.with_trace(id)))
+            .collect();
+        // On one shard "the next shard" is the session's own: no moves.
+        ForcedMigration::new(2, devices).run_until_idle(&mut stepper);
+        let generations: Vec<Generation> =
+            sessions.into_iter().map(|s| s.collect().unwrap()).collect();
+        (generations, idle_stats(&engine))
     };
     let (solo_gens, solo) = run(1);
     let (pool_gens, pool) = run(4);
+    assert_eq!(solo.sessions_migrated, 0);
     assert_eq!(
         tokens(&pool_gens),
         tokens(&solo_gens),
@@ -702,8 +957,8 @@ fn per_shard_stats_telescope_to_the_aggregates() {
     );
 }
 
-/// The headroom rebalancer — the one migration trigger with no pressure and
-/// no stress knob behind it: two sessions pinned to shard 0 grow until its
+/// The headroom rebalancer — the one migration trigger with no pressure
+/// behind it: two sessions pinned to shard 0 grow until its
 /// arena passes the hot threshold while shard 1 sits empty, so one of them
 /// must move hot → cold, invisibly to its token stream.
 #[test]
@@ -1115,7 +1370,7 @@ proptest::proptest! {
     /// arrivals, a shard pool that *forcibly migrates every session
     /// mid-generation* emits token streams bit-identical to the same
     /// workload pinned to a single shard — and releases every KV block on
-    /// every shard it touched.
+    /// every shard it touched (`idle_stats`).
     #[test]
     fn migrated_session_is_bit_identical_to_pinned(
         seed in 0u64..1_000_000,
@@ -1123,8 +1378,8 @@ proptest::proptest! {
         stagger in 0usize..3,
     ) {
         let mut requests = workload(seed, sequences);
-        // At least one session must survive past the stress threshold, or a
-        // degenerate draw (all budgets of 1) would see zero migrations.
+        // At least one session must survive past the policy's threshold, or
+        // a degenerate draw (all budgets of 1) would see zero migrations.
         requests[0].1 = requests[0].1.max(3);
         // Pinned reference: one device, every session pinned to shard 0.
         let pinned_engine = engine(3, 32, 4);
@@ -1139,43 +1394,40 @@ proptest::proptest! {
                     .tokens
             })
             .collect();
-        // Three-shard pool with the stress knob on: every session is
-        // force-migrated to the next shard after its first emitted token,
-        // so the replay chain crosses arenas mid-generation.
-        let pool = DecodeEngine::new(DecodeConfig {
+        // Three-shard pool under the forced-migration policy: every session
+        // moves to the next shard after its first emitted token, so the
+        // replay chain crosses arenas mid-generation.
+        let (pool, mut stepper) = DecodeEngine::stepped(DecodeConfig {
             max_batch: 3,
             kv_blocks: 32,
             block_tokens: 4,
             devices: vec![GpuSpec::rtx3090(), GpuSpec::rtx3090(), GpuSpec::rtx3090()],
-            stress_migrate_after: 1,
             ..DecodeConfig::default()
         });
         let model = pool.register(tiny_spec()).unwrap();
-        // Staggered arrival, as in the batching proptest: the tail submits
-        // only after the head's first session completes.
-        let split = stagger.min(requests.len() - 1);
-        let head: Vec<_> = requests[..requests.len() - split]
-            .iter()
-            .map(|(p, n)| model.generate(GenerateRequest::new(p.clone(), *n)))
-            .collect();
-        let mut streams: Vec<Vec<u32>> = Vec::new();
-        let mut head_iter = head.into_iter();
-        if let Some(first) = head_iter.next() {
-            streams.push(first.collect().unwrap().tokens);
+        let submit = |i: usize| {
+            let (p, n) = requests[i].clone();
+            model.generate(GenerateRequest::new(p, n).with_trace(i as u64 + 1))
+        };
+        let mut policy = ForcedMigration::new(1, 3);
+        // Staggered arrival, to the iteration: the tail submits when the
+        // head's first session has completed, so it joins pools that are
+        // mid-flight and mid-migration.
+        let head = requests.len() - stagger.min(requests.len() - 1);
+        let mut first = submit(0);
+        let rest: Vec<_> = (1..head).map(submit).collect();
+        let mut streams = vec![Vec::new()];
+        while !drain(&mut first, &mut streams[0]) {
+            prop_assert!(policy.step(&mut stepper), "idle before the first session finished");
         }
-        let tail: Vec<_> = requests[requests.len() - split..]
-            .iter()
-            .map(|(p, n)| model.generate(GenerateRequest::new(p.clone(), *n)))
-            .collect();
-        for session in head_iter.chain(tail) {
+        let tail: Vec<_> = (head..requests.len()).map(submit).collect();
+        policy.run_until_idle(&mut stepper);
+        for session in rest.into_iter().chain(tail) {
             streams.push(session.collect().unwrap().tokens);
         }
         prop_assert_eq!(streams, pinned);
-        let stats = pool.stats();
-        prop_assert!(stats.sessions_migrated > 0, "stress knob must fire");
+        let stats = idle_stats(&pool);
+        prop_assert!(stats.sessions_migrated > 0, "the policy must fire");
         prop_assert_eq!(stats.kv_blocks_in_use, 0);
-        for shard in &stats.shards {
-            prop_assert_eq!(shard.kv_blocks_in_use, 0, "leak on {}", shard.device);
-        }
     }
 }

@@ -5,7 +5,6 @@
 //! interpreter see compact expressions.
 
 use crate::expr::{BinOp, Expr, UnOp};
-use crate::kernel::Kernel;
 use crate::stmt::Stmt;
 use crate::visit::substitute_stmt;
 
@@ -278,11 +277,6 @@ pub fn simplify(s: Stmt) -> Stmt {
         }
         Stmt::SyncThreads | Stmt::Nop | Stmt::Comment(_) => s,
     }
-}
-
-/// Simplifies a kernel's body.
-pub fn simplify_kernel(k: &Kernel) -> Kernel {
-    k.with_body(simplify(k.body().clone()))
 }
 
 #[cfg(test)]

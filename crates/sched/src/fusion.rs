@@ -16,7 +16,7 @@ use hidet_graph::compute::{compute_def, parse_input_name};
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::{Graph, OpId, OpKind, TensorId};
 use hidet_ir::prelude::*;
-use hidet_ir::visit::{rewrite_expr, substitute};
+use hidet_ir::visit::rewrite_expr;
 
 use crate::rule_based::{
     self, depthwise_conv_kernel, elementwise_kernel, pool_kernel, ElementwiseJob, WindowIo,
@@ -543,12 +543,6 @@ fn window_io(
         store: Box::new(move |idx, v| apply_epilogues(&graph3, &group2, idx.to_vec(), v)),
         params,
     }
-}
-
-// `substitute` is re-exported for template users building custom fusions.
-#[doc(hidden)]
-pub fn _substitute_reexport(e: &Expr, v: &Var, with: &Expr) -> Expr {
-    substitute(e, v, with)
 }
 
 #[cfg(test)]

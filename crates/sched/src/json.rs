@@ -91,6 +91,20 @@ pub fn get<'a>(obj: &'a [(String, Json)], field: &str) -> Result<&'a Json, Strin
         .ok_or_else(|| format!("missing field \"{field}\""))
 }
 
+/// The integer member `field` of `obj`, which must be at least 1 — the
+/// check every persisted size, tile and dimension needs, since a corrupted or
+/// hand-edited file must fail its load rather than reach kernel generation
+/// (where a zero divides). `ctx` names the object in errors.
+pub fn get_positive(obj: &[(String, Json)], field: &str, ctx: &str) -> Result<i64, String> {
+    let v = get(obj, field)?.as_i64(field)?;
+    if v < 1 {
+        return Err(format!(
+            "{ctx}: field \"{field}\" must be >= 1, got {v} (file corrupted or hand-edited)"
+        ));
+    }
+    Ok(v)
+}
+
 /// Renders `s` as a quoted, escaped JSON string literal.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

@@ -185,29 +185,15 @@ impl TuningCache {
         out.push_str("  \"records\": [");
         for (i, k) in keys.iter().enumerate() {
             let r = &self.records[*k];
-            let c = &r.config;
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    {");
             out.push_str(&format!("\"device\": {}, ", json_string(&k.0)));
             out.push_str(&format!(
-                "\"batch\": {}, \"m\": {}, \"n\": {}, \"k\": {}, ",
-                r.problem.batch, r.problem.m, r.problem.n, r.problem.k
-            ));
-            out.push_str(&format!(
-                "\"config\": {{\"block_m\": {}, \"block_n\": {}, \"block_k\": {}, \
-                 \"warps_m\": {}, \"warps_n\": {}, \"thread_m\": {}, \"thread_n\": {}, \
-                 \"stages\": {}, \"split_k\": {}}}, ",
-                c.block_m,
-                c.block_n,
-                c.block_k,
-                c.warps_m,
-                c.warps_n,
-                c.thread_m,
-                c.thread_n,
-                c.stages,
-                c.split_k
+                "{}, \"config\": {}, ",
+                r.problem.to_json_members(),
+                r.config.to_json()
             ));
             out.push_str(&format!(
                 "\"trials\": {}, \"tuning_seconds\": {}, \"best_latency_us\": {}}}",
@@ -243,42 +229,8 @@ impl TuningCache {
                 .as_str("device")
                 .map_err(parse)?
                 .to_string();
-            let problem = MatmulProblem {
-                batch: get(rec, "batch")?.as_i64("batch").map_err(parse)?,
-                m: get(rec, "m")?.as_i64("m").map_err(parse)?,
-                n: get(rec, "n")?.as_i64("n").map_err(parse)?,
-                k: get(rec, "k")?.as_i64("k").map_err(parse)?,
-            };
-            let cfg = get(rec, "config")?.as_object("config").map_err(parse)?;
-            let positive = |field: &str| -> Result<i64, RecordsError> {
-                let v = get(cfg, field)?.as_i64(field).map_err(parse)?;
-                if v < 1 {
-                    return Err(RecordsError::Parse(format!(
-                        "{ctx}: config field \"{field}\" must be >= 1, got {v} \
-                         (record file corrupted or hand-edited)"
-                    )));
-                }
-                Ok(v)
-            };
-            let config = MatmulConfig {
-                block_m: positive("block_m")?,
-                block_n: positive("block_n")?,
-                block_k: positive("block_k")?,
-                warps_m: positive("warps_m")?,
-                warps_n: positive("warps_n")?,
-                thread_m: positive("thread_m")?,
-                thread_n: positive("thread_n")?,
-                stages: positive("stages")? as u32,
-                split_k: positive("split_k")?,
-            };
-            if [problem.batch, problem.m, problem.n, problem.k]
-                .iter()
-                .any(|&v| v < 1)
-            {
-                return Err(RecordsError::Parse(format!(
-                    "{ctx}: problem dimensions must be >= 1, got {problem:?}"
-                )));
-            }
+            let problem = MatmulProblem::from_json_members(rec, &ctx).map_err(parse)?;
+            let config = MatmulConfig::from_json(get(rec, "config")?, &ctx).map_err(parse)?;
             let trials = get(rec, "trials")?.as_i64("trials").map_err(parse)?;
             if trials < 0 {
                 return Err(RecordsError::Parse(format!(
@@ -305,6 +257,75 @@ impl TuningCache {
         }
         cache.dirty = false;
         Ok(cache)
+    }
+}
+
+impl MatmulConfig {
+    /// The configuration as a JSON object — the one statement of the
+    /// encoding, embedded by the records file and by `hidet`'s compiled
+    /// artifacts alike.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"block_m\": {}, \"block_n\": {}, \"block_k\": {}, \
+             \"warps_m\": {}, \"warps_n\": {}, \"thread_m\": {}, \"thread_n\": {}, \
+             \"stages\": {}, \"split_k\": {}}}",
+            self.block_m,
+            self.block_n,
+            self.block_k,
+            self.warps_m,
+            self.warps_n,
+            self.thread_m,
+            self.thread_n,
+            self.stages,
+            self.split_k
+        )
+    }
+
+    /// Parses [`MatmulConfig::to_json`]'s object, rejecting what a corrupted
+    /// or hand-edited file could hold and the rest of the compiler could not
+    /// survive: a tile size below 1, a `stages` that does not fit its `u32`.
+    /// `ctx` names the enclosing element in errors.
+    pub fn from_json(value: &Json, ctx: &str) -> Result<MatmulConfig, String> {
+        let ctx = format!("{ctx}.config");
+        let obj = value.as_object(&ctx)?;
+        let positive = |field: &str| json::get_positive(obj, field, &ctx);
+        let stages = positive("stages")?;
+        Ok(MatmulConfig {
+            block_m: positive("block_m")?,
+            block_n: positive("block_n")?,
+            block_k: positive("block_k")?,
+            warps_m: positive("warps_m")?,
+            warps_n: positive("warps_n")?,
+            thread_m: positive("thread_m")?,
+            thread_n: positive("thread_n")?,
+            stages: u32::try_from(stages)
+                .map_err(|_| format!("{ctx}: field \"stages\" out of range, got {stages}"))?,
+            split_k: positive("split_k")?,
+        })
+    }
+}
+
+impl MatmulProblem {
+    /// The problem's dimensions as JSON object *members* (no braces): both
+    /// schemas inline them in the element that carries the problem.
+    pub fn to_json_members(&self) -> String {
+        format!(
+            "\"batch\": {}, \"m\": {}, \"n\": {}, \"k\": {}",
+            self.batch, self.m, self.n, self.k
+        )
+    }
+
+    /// Reads [`MatmulProblem::to_json_members`]'s members back out of the
+    /// object `obj`; every dimension must be at least 1. `ctx` names the
+    /// object in errors.
+    pub fn from_json_members(obj: &[(String, Json)], ctx: &str) -> Result<MatmulProblem, String> {
+        let dim = |name: &str| json::get_positive(obj, name, ctx);
+        Ok(MatmulProblem {
+            batch: dim("batch")?,
+            m: dim("m")?,
+            n: dim("n")?,
+            k: dim("k")?,
+        })
     }
 }
 
@@ -412,6 +433,12 @@ mod tests {
         assert!(err.to_string().contains("block_k"), "{err}");
         let negative = cache.to_json().replace("\"m\": 32", "\"m\": -32");
         assert!(TuningCache::from_json(&negative).is_err());
+        // 2^32 + 2 must not wrap into a plausible `stages: 2`.
+        let overflow = cache
+            .to_json()
+            .replace("\"stages\": 2", "\"stages\": 4294967298");
+        let err = TuningCache::from_json(&overflow).unwrap_err();
+        assert!(err.to_string().contains("stages"), "{err}");
         // Negative trials would wrap via `as usize` into ~1.8e19 saved
         // trials; negative/non-finite costs would corrupt savings stats.
         let bad_trials = cache.to_json().replace("\"trials\": 198", "\"trials\": -1");

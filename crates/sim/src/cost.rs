@@ -169,11 +169,6 @@ impl LatencyEstimate {
     pub fn micros(&self) -> f64 {
         self.seconds * 1e6
     }
-
-    /// Latency in milliseconds.
-    pub fn millis(&self) -> f64 {
-        self.seconds * 1e3
-    }
 }
 
 /// Estimates kernel latency; see the module docs for the model.

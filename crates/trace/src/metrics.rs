@@ -180,12 +180,6 @@ impl MetricsRegistry {
         inner.counters.get(&key(name, labels)).copied().unwrap_or(0)
     }
 
-    /// Reads one gauge series.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.gauges.get(&key(name, labels)).copied()
-    }
-
     /// Reads one histogram series (cloned).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
         let inner = self.inner.lock().expect("metrics registry poisoned");
