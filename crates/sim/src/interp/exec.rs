@@ -2,20 +2,33 @@
 //!
 //! Blocks run one after another in grid order. Within a block the lockstep
 //! skeleton is walked once for the whole block: a leaf is run by every
-//! thread to completion, in thread order, before the next node starts —
-//! which is all a barrier asks for — and loop extents and branch conditions
-//! around barriers must agree across the block. Inside a leaf the
-//! instructions are a straight array with relative jumps over one register
-//! file per thread.
+//! thread to completion before the next node starts — which is all a
+//! barrier asks for — and loop extents and branch conditions around barriers
+//! must agree across the block. Inside a leaf the instructions are a
+//! straight array with relative jumps.
+//!
+//! The registers of a block are stored **lane-major**, in one file per
+//! static type: column `c` of a file is the `block_dim` values register `c`
+//! holds, one per thread. Every range of code the skeleton runs for the
+//! whole block carries the lowering's [`Verdict`]: a per-thread range is run
+//! by each thread in turn, [`Block::step`] reading and writing that thread's
+//! lane of each column; a wide range is run once, [`Block::wide`] executing
+//! each instruction for all lanes before the next. Both run over the same
+//! storage, so moving between them converts nothing.
 //!
 //! Each stream of hoisted instructions runs at its level: lane code once per
-//! program (into a table a thread copies its row of), block code once per
-//! block, thread code once per thread per block, and a loop's prologue at
-//! the top of each of its iterations.
+//! program (into the table a block's lane columns start from), block code
+//! once per block, thread code once per thread per block, and a loop's
+//! prologue at the top of each of its iterations.
+
+use std::cell::Cell;
 
 use hidet_ir::{BinOp, DType};
 
-use super::program::{Access, Control, Node, Op, Program, Space, ELEMENT, MEM};
+use super::program::{
+    Access, Columns, Control, LaneTable, Node, Op, Program, Reg, Space, Verdict, BOOL, COLUMN,
+    ELEMENT, FILE_SHIFT, FLOAT, INT, MEM, SCALAR,
+};
 use super::SimError;
 use crate::memory::{BufferId, DeviceMemory};
 use crate::spec::GpuSpec;
@@ -24,7 +37,7 @@ use crate::value::Value;
 /// A fault on its way out of the interpreter loop. Boxed so that the
 /// results the loop passes around on every instruction stay two words wide;
 /// the allocation only happens once a launch has already failed.
-type Fault = Box<SimError>;
+pub(super) type Fault = Box<SimError>;
 
 /// Launches `program` against `memory`; `buffers` are the program's global
 /// buffers as [`Program::resolve`] orders them. See [`crate::Gpu::launch`].
@@ -69,7 +82,14 @@ pub(crate) fn launch(
         }
     }
     let lanes = lanes(program, buffers, memory).map_err(|fault| *fault)?;
-    let mut machine = Machine::new(program, lanes, buffers, memory);
+    let mut machine = Machine {
+        p: program,
+        globals: buffers,
+        memory,
+        lanes,
+        regs: Regs::new(program, program.columns),
+        shared: vec![0.0; program.shared_len],
+    };
     for block in 0..program.grid_dim {
         machine.run_block(block).map_err(|fault| *fault)?;
     }
@@ -83,27 +103,108 @@ fn lanes<'p>(
     p: &'p Program,
     globals: &[Option<BufferId>],
     memory: &mut DeviceMemory,
-) -> Result<&'p [Value], Fault> {
+) -> Result<&'p LaneTable, Fault> {
     if let Some(table) = p.lanes.get() {
         return Ok(table);
     }
-    let n_block = p.block_init.len();
-    let mut file = p.block_init.clone();
-    file.resize(n_block + p.n_lane, Value::I64(0));
-    let mut table = Vec::with_capacity(p.block_dim * p.lane_row);
-    for tid in 0..p.block_dim {
-        file[p.thread_idx as usize] = Value::I64(tid as i64);
-        let mut files = Files {
-            regs: &mut file,
-            locals: &mut [],
-            shared: &mut [],
-            memory,
-            globals,
-        };
-        step(p, &p.lane_code, &mut files)?;
-        table.extend_from_slice(&file[n_block..n_block + p.lane_row]);
+    let mut regs = Regs::new(p, p.lane_file);
+    let mut block = Block {
+        p,
+        regs: regs.lanes(),
+        shared: &[],
+        memory,
+        globals,
+    };
+    for lane in 0..p.block_dim {
+        block.set(p.thread_idx, lane, Value::I64(lane as i64))?;
+        block.step(&p.lane_code, lane)?;
     }
+    let [ints, floats, bools, dyns] = p.lane_columns.map(|columns| columns * p.block_dim);
+    let table = LaneTable {
+        ints: regs.ints[..ints].to_vec(),
+        floats: regs.floats[..floats].to_vec(),
+        bools: regs.bools[..bools].to_vec(),
+        dyns: regs.dyns[..dyns].to_vec(),
+    };
     Ok(p.lanes.get_or_init(|| table))
+}
+
+/// The registers of one block. A file holds one column of `block_dim` lanes
+/// per register, back to back; `scalars` holds the block-level values, and
+/// `locals` the threads' register arrays, laid out like a file: element `e`
+/// of every thread's arrays is column `e`.
+#[derive(Clone)]
+pub(super) struct Regs {
+    pub(super) scalars: Vec<Value>,
+    pub(super) ints: Vec<i64>,
+    pub(super) floats: Vec<f32>,
+    pub(super) bools: Vec<bool>,
+    pub(super) dyns: Vec<Value>,
+    pub(super) locals: Vec<f32>,
+    /// Per lane, the element an access addresses and — one column per source
+    /// operand — what was loaded from it: scratch for [`Block::wide`].
+    at: Vec<usize>,
+    loaded: Vec<f32>,
+    block_dim: usize,
+}
+
+impl Regs {
+    pub(super) fn new(p: &Program, [ints, floats, bools, dyns]: Columns) -> Regs {
+        let n = p.block_dim;
+        Regs {
+            scalars: p.block_init.clone(),
+            ints: vec![0; ints * n],
+            floats: vec![0.0; floats * n],
+            bools: vec![false; bools * n],
+            dyns: vec![Value::I64(0); dyns * n],
+            locals: vec![0.0; p.local_len * n],
+            at: vec![0; n],
+            loaded: vec![0.0; 2 * n],
+            block_dim: n,
+        }
+    }
+
+    /// The registers as instructions see them.
+    pub(super) fn lanes(&mut self) -> Lanes<'_> {
+        Lanes {
+            n: self.block_dim,
+            scalars: cells(&mut self.scalars),
+            ints: cells(&mut self.ints),
+            floats: cells(&mut self.floats),
+            bools: cells(&mut self.bools),
+            dyns: cells(&mut self.dyns),
+            locals: cells(&mut self.locals),
+            at: cells(&mut self.at),
+            loaded: cells(&mut self.loaded),
+        }
+    }
+}
+
+/// A slice whose elements can be written through a shared reference: an
+/// instruction's destination column may be one of its source columns.
+fn cells<T>(slice: &mut [T]) -> &[Cell<T>] {
+    Cell::from_mut(slice).as_slice_of_cells()
+}
+
+/// [`Regs`], borrowed for running instructions.
+#[derive(Clone, Copy)]
+pub(super) struct Lanes<'a> {
+    /// Lanes per column: the block's threads.
+    pub(super) n: usize,
+    pub(super) scalars: &'a [Cell<Value>],
+    pub(super) ints: &'a [Cell<i64>],
+    pub(super) floats: &'a [Cell<f32>],
+    pub(super) bools: &'a [Cell<bool>],
+    pub(super) dyns: &'a [Cell<Value>],
+    pub(super) locals: &'a [Cell<f32>],
+    pub(super) at: &'a [Cell<usize>],
+    pub(super) loaded: &'a [Cell<f32>],
+}
+
+/// Column `c` of a file.
+#[inline(always)]
+pub(super) fn column<T>(file: &[Cell<T>], c: usize, n: usize) -> &[Cell<T>] {
+    &file[c * n..][..n]
 }
 
 /// The state of one launch: storage is allocated once and reused by every
@@ -113,102 +214,65 @@ struct Machine<'a> {
     globals: &'a [Option<BufferId>],
     memory: &'a mut DeviceMemory,
     /// `p.lanes`, filled.
-    lanes: &'a [Value],
-    /// The block-level registers of the block being run.
-    block_regs: Vec<Value>,
-    /// Register files, `stride` apart: one per thread under lockstep,
-    /// otherwise one that the threads take turns on.
-    regs: Vec<Value>,
-    stride: usize,
-    /// Register arrays, laid out like `regs`.
-    locals: Vec<f32>,
-    local_stride: usize,
+    lanes: &'a LaneTable,
+    regs: Regs,
     shared: Vec<f32>,
 }
 
-impl<'a> Machine<'a> {
-    fn new(
-        p: &'a Program,
-        lanes: &'a [Value],
-        globals: &'a [Option<BufferId>],
-        memory: &'a mut DeviceMemory,
-    ) -> Machine<'a> {
-        let files = if p.lockstep { p.block_dim } else { 1 };
-        Machine {
-            p,
-            globals,
-            memory,
-            lanes,
-            block_regs: p.block_init.clone(),
-            regs: vec![Value::I64(0); files * p.n_regs],
-            stride: if p.lockstep { p.n_regs } else { 0 },
-            locals: vec![0.0; files * p.local_len],
-            local_stride: if p.lockstep { p.local_len } else { 0 },
-            shared: vec![0.0; p.shared_len],
+impl Machine<'_> {
+    /// What the block's instructions run over.
+    fn block(&mut self) -> Block<'_> {
+        Block {
+            p: self.p,
+            regs: self.regs.lanes(),
+            shared: cells(&mut self.shared),
+            memory: self.memory,
+            globals: self.globals,
         }
     }
 
+    /// Starts block `block` — its registers the block-level values and the
+    /// lane table, shared memory and register arrays zeroed, every thread's
+    /// thread-invariant registers computed — and runs it.
     fn run_block(&mut self, block: usize) -> Result<(), Fault> {
         let p = self.p;
-        self.block_regs.copy_from_slice(&p.block_init);
-        self.block_regs[p.block_idx as usize] = Value::I64(block as i64);
-        let mut files = Files {
-            regs: &mut self.block_regs,
-            locals: &mut [],
-            shared: &mut [],
-            memory: self.memory,
-            globals: self.globals,
-        };
-        step(p, &p.block_code, &mut files)?;
-        // Shared memory and register arrays start every block zeroed.
+        self.regs.scalars.copy_from_slice(&p.block_init);
+        self.regs.scalars[(p.block_idx & COLUMN) as usize] = Value::I64(block as i64);
+        self.block().step(&p.block_code, 0)?;
         self.shared.fill(0.0);
-        if p.lockstep {
-            for tid in 0..p.block_dim {
-                self.enter_thread(tid)?;
-            }
-        }
+        self.regs.locals.fill(0.0);
+        let LaneTable {
+            ints,
+            floats,
+            bools,
+            dyns,
+        } = self.lanes;
+        self.regs.ints[..ints.len()].copy_from_slice(ints);
+        self.regs.floats[..floats.len()].copy_from_slice(floats);
+        self.regs.bools[..bools.len()].copy_from_slice(bools);
+        self.regs.dyns[..dyns.len()].copy_from_slice(dyns);
+        self.run(0, (0, p.thread_code_end))?;
         self.exec(p.root)
     }
 
-    /// Gives thread `tid` a fresh register file — the block's registers, its
-    /// row of the lane table, zeroed register arrays — and computes its
-    /// thread-invariant registers.
-    fn enter_thread(&mut self, tid: usize) -> Result<(), Fault> {
+    /// Runs range `range`, which is `code[start..end]`, for the whole block:
+    /// every instruction across all lanes, or every thread in thread order.
+    fn run(&mut self, range: u32, (start, end): (u32, u32)) -> Result<(), Fault> {
         let p = self.p;
-        let (block, lane) = self.regs[tid * self.stride..].split_at_mut(self.block_regs.len());
-        block.copy_from_slice(&self.block_regs);
-        lane[..p.lane_row].copy_from_slice(&self.lanes[tid * p.lane_row..][..p.lane_row]);
-        let base = tid * self.local_stride;
-        self.locals[base..base + p.local_len].fill(0.0);
-        self.run(0, p.thread_code_end, tid)
-    }
-
-    /// Runs `code[start..end]` for thread `tid`.
-    fn run(&mut self, start: u32, end: u32, tid: usize) -> Result<(), Fault> {
-        let p = self.p;
-        let mut files = Files {
-            regs: &mut self.regs[tid * self.stride..][..p.n_regs],
-            locals: &mut self.locals[tid * self.local_stride..][..p.local_len],
-            shared: &mut self.shared,
-            memory: self.memory,
-            globals: self.globals,
-        };
-        step(p, &p.code[start as usize..end as usize], &mut files)
+        let code = &p.code[start as usize..end as usize];
+        let mut block = self.block();
+        if p.ranges.get(range as usize).map(|r| &r.verdict) == Some(&Verdict::Wide) {
+            return block.wide(code);
+        }
+        (0..p.block_dim).try_for_each(|lane| block.step(code, lane))
     }
 
     /// Executes a skeleton node for the whole block.
     fn exec(&mut self, node: u32) -> Result<(), Fault> {
         let p = self.p;
+        let range = p.node_range[node as usize];
         match &p.nodes[node as usize] {
-            Node::Thread { start, end } => {
-                for tid in 0..p.block_dim {
-                    if !p.lockstep {
-                        self.enter_thread(tid)?;
-                    }
-                    self.run(*start, *end, tid)?;
-                }
-                Ok(())
-            }
+            Node::Thread { start, end } => self.run(range, (*start, *end)),
             Node::Seq { first, len } => {
                 for &child in &p.children[*first as usize..][..*len as usize] {
                     self.exec(child)?;
@@ -223,10 +287,8 @@ impl<'a> Machine<'a> {
             } => {
                 let n = self.uniform(extent, Value::as_i64, "loop extent must be integer")?;
                 for i in 0..n {
-                    for tid in 0..p.block_dim {
-                        self.regs[tid * self.stride + *var as usize] = Value::I64(i);
-                        self.run(prologue.0, prologue.1, tid)?;
-                    }
+                    self.block().fill(*var, Value::I64(i))?;
+                    self.run(range, *prologue)?;
                     self.exec(*body)?;
                 }
                 Ok(())
@@ -255,12 +317,15 @@ impl<'a> Machine<'a> {
         get: fn(Value) -> Option<T>,
         type_error_message: &str,
     ) -> Result<T, Fault> {
-        self.run(c.start, c.end, 0)?;
-        let first = get(self.regs[c.reg as usize]).ok_or_else(|| type_error(type_error_message))?;
+        let code = &self.p.code[c.start as usize..c.end as usize];
+        let threads = self.p.block_dim;
+        let mut block = self.block();
+        block.step(code, 0)?;
+        let first = get(block.get(c.reg, 0)).ok_or_else(|| type_error(type_error_message))?;
         if !c.uniform {
-            for tid in 1..self.p.block_dim {
-                self.run(c.start, c.end, tid)?;
-                if get(self.regs[tid * self.stride + c.reg as usize]).as_ref() != Some(&first) {
+            for lane in 1..threads {
+                block.step(code, lane)?;
+                if get(block.get(c.reg, lane)).as_ref() != Some(&first) {
                     return Err(Box::new(SimError::NonUniformControl(c.message.clone())));
                 }
             }
@@ -270,7 +335,7 @@ impl<'a> Machine<'a> {
 }
 
 #[cold]
-fn type_error(message: &str) -> Fault {
+pub(super) fn type_error(message: &str) -> Fault {
     Box::new(SimError::TypeError(message.to_string()))
 }
 
@@ -285,7 +350,7 @@ fn out_of_bounds(p: &Program, a: &Access, dim: usize, index: i64, extent: i64) -
 }
 
 #[cold]
-fn missing(p: &Program, a: &Access) -> Fault {
+pub(super) fn missing(p: &Program, a: &Access) -> Fault {
     Box::new(SimError::MissingBuffer(
         p.buffer_names[a.buffer as usize].clone(),
     ))
@@ -294,7 +359,7 @@ fn missing(p: &Program, a: &Access) -> Fault {
 /// An access whose own shape addresses more elements than its buffer was
 /// declared with (the tree walker panicked here).
 #[cold]
-fn past_the_end(p: &Program, a: &Access, flat: usize) -> Fault {
+pub(super) fn past_the_end(p: &Program, a: &Access, flat: usize) -> Fault {
     type_error(&format!(
         "access reaches element {flat} of buffer {}, past its end",
         p.buffer_names[a.buffer as usize]
@@ -309,160 +374,351 @@ fn no_such_element(at: usize) -> Fault {
     ))
 }
 
+/// The lowering gives a register the file of the type its value has.
+#[cold]
+fn wrong_file(v: Value) -> Fault {
+    type_error(&format!(
+        "{v:?} written to a register the lowering typed otherwise"
+    ))
+}
+
 /// The offset an [`ELEMENT`] operand carries.
 #[inline(always)]
-fn element_offset(operand: u32) -> usize {
+pub(super) fn element_offset(operand: u32) -> usize {
     (operand & !(MEM | ELEMENT)) as usize
 }
 
 /// `Value::binary`, with its one failure mode named as the tree walker
 /// named it.
 #[inline(always)]
-fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, Fault> {
+pub(super) fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, Fault> {
     Value::binary(op, a, b).ok_or_else(|| Box::new(SimError::DivByZero))
-}
-
-/// Bounds-checks one dimension of `a`; returns its index and stride.
-#[inline(always)]
-fn checked_index(
-    p: &Program,
-    a: &Access,
-    dim: usize,
-    regs: &[Value],
-) -> Result<(usize, usize), Fault> {
-    let d = &p.dims[a.first_dim as usize + dim];
-    let index = regs[d.idx as usize]
-        .as_i64()
-        .ok_or_else(|| type_error("index must be integer"))?;
-    if index < 0 || index >= d.extent {
-        return Err(out_of_bounds(p, a, dim, index, d.extent));
-    }
-    Ok((index as usize, d.stride))
-}
-
-/// The element of its space's storage that access `a` addresses. A proven
-/// access is `offset + Σ index × stride` over its non-constant terms,
-/// unchecked: the lowering showed it in bounds, and the storage slice's own
-/// `get` stands behind that. Any other has every dimension bounds-checked in
-/// order, and the sum checked against the buffer's declaration.
-#[inline(always)]
-fn address(p: &Program, a: &Access, regs: &[Value]) -> Result<usize, Fault> {
-    if a.proven {
-        let mut flat = a.offset;
-        for d in &p.dims[a.first_dim as usize..][..a.rank as usize] {
-            let Value::I64(index) = regs[d.idx as usize] else {
-                return Err(type_error("index must be integer"));
-            };
-            flat = flat.wrapping_add((index as usize).wrapping_mul(d.stride));
-        }
-        return Ok(flat);
-    }
-    let mut flat = 0;
-    for dim in 0..a.rank as usize {
-        let (index, stride) = checked_index(p, a, dim, regs)?;
-        flat += index * stride;
-    }
-    if flat >= a.limit {
-        return Err(past_the_end(p, a, flat));
-    }
-    Ok(a.offset + flat)
 }
 
 /// A stored value converted to its buffer's element type, as `f32`.
 #[inline(always)]
-fn store_value(v: Value, dtype: DType) -> Result<f32, Fault> {
+pub(super) fn store_value(v: Value, dtype: DType) -> Result<f32, Fault> {
     v.cast(dtype)
         .as_f32()
         .ok_or_else(|| type_error("stored value must be numeric"))
 }
 
-/// Everything a thread's instructions can touch.
-struct Files<'a> {
-    regs: &'a mut [Value],
-    locals: &'a mut [f32],
-    shared: &'a mut [f32],
-    memory: &'a mut DeviceMemory,
-    globals: &'a [Option<BufferId>],
+/// Everything the instructions of a block can touch.
+pub(super) struct Block<'a> {
+    pub(super) p: &'a Program,
+    pub(super) regs: Lanes<'a>,
+    pub(super) shared: &'a [Cell<f32>],
+    pub(super) memory: &'a mut DeviceMemory,
+    pub(super) globals: &'a [Option<BufferId>],
 }
 
-impl Files<'_> {
-    /// The storage access `a` addresses — a global buffer, the block's
-    /// shared memory or the thread's register arrays — for reading.
+impl<'a> Block<'a> {
+    /// Thread `lane`'s value of register `r`.
     #[inline(always)]
-    fn storage(&self, p: &Program, a: &Access) -> Result<&[f32], Fault> {
-        match a.space {
-            Space::Global(g) => {
-                let id = self.globals.get(g as usize).copied().flatten();
-                Ok(self.memory.slice(id.ok_or_else(|| missing(p, a))?))
-            }
-            Space::Shared => Ok(self.shared),
-            Space::Local => Ok(self.locals),
-            Space::Missing => Err(missing(p, a)),
+    pub(super) fn get(&self, r: Reg, lane: usize) -> Value {
+        let (regs, c) = (&self.regs, (r & COLUMN) as usize);
+        match r >> FILE_SHIFT {
+            SCALAR => regs.scalars[c].get(),
+            INT => Value::I64(regs.ints[c * regs.n + lane].get()),
+            FLOAT => Value::F32(regs.floats[c * regs.n + lane].get()),
+            BOOL => Value::Bool(regs.bools[c * regs.n + lane].get()),
+            _ => regs.dyns[c * regs.n + lane].get(),
         }
     }
 
-    /// The storage access `a` addresses, for writing.
+    /// Writes thread `lane`'s value of register `r`.
     #[inline(always)]
-    fn storage_mut(&mut self, p: &Program, a: &Access) -> Result<&mut [f32], Fault> {
-        match a.space {
-            Space::Global(g) => {
-                let id = self.globals.get(g as usize).copied().flatten();
-                Ok(self.memory.slice_mut(id.ok_or_else(|| missing(p, a))?))
-            }
-            Space::Shared => Ok(self.shared),
-            Space::Local => Ok(self.locals),
-            Space::Missing => Err(missing(p, a)),
+    pub(super) fn set(&self, r: Reg, lane: usize, v: Value) -> Result<(), Fault> {
+        let (regs, c) = (&self.regs, (r & COLUMN) as usize);
+        match (r >> FILE_SHIFT, v) {
+            (SCALAR, v) => regs.scalars[c].set(v),
+            (INT, Value::I64(x)) => regs.ints[c * regs.n + lane].set(x),
+            (FLOAT, Value::F32(x)) => regs.floats[c * regs.n + lane].set(x),
+            (BOOL, Value::Bool(x)) => regs.bools[c * regs.n + lane].set(x),
+            (INT | FLOAT | BOOL, v) => return Err(wrong_file(v)),
+            (_, v) => regs.dyns[c * regs.n + lane].set(v),
         }
+        Ok(())
+    }
+
+    /// Writes every thread's value of register `r`.
+    pub(super) fn fill(&self, r: Reg, v: Value) -> Result<(), Fault> {
+        if let (INT, Value::I64(x)) = (r >> FILE_SHIFT, v) {
+            let lanes = column(self.regs.ints, (r & COLUMN) as usize, self.regs.n);
+            lanes.iter().for_each(|lane| lane.set(x));
+            return Ok(());
+        }
+        (0..self.regs.n).try_for_each(|lane| self.set(r, lane, v))
+    }
+
+    /// Bounds-checks one dimension of `a`; returns its index and stride.
+    #[inline(always)]
+    fn checked_index(&self, a: &Access, dim: usize, lane: usize) -> Result<(usize, usize), Fault> {
+        let d = &self.p.dims[a.first_dim as usize + dim];
+        let index = self
+            .get(d.idx, lane)
+            .as_i64()
+            .ok_or_else(|| type_error("index must be integer"))?;
+        if index < 0 || index >= d.extent {
+            return Err(out_of_bounds(self.p, a, dim, index, d.extent));
+        }
+        Ok((index as usize, d.stride))
+    }
+
+    /// The element of its buffer's space that access `a` addresses for
+    /// thread `lane`. A proven access is `offset + Σ index × stride` over
+    /// its non-constant terms, unchecked: the lowering showed it in bounds,
+    /// and the storage slice's own `get` stands behind that. Any other has
+    /// every dimension bounds-checked in order, and the sum checked against
+    /// the buffer's declaration.
+    #[inline(always)]
+    fn address(&self, a: &Access, lane: usize) -> Result<usize, Fault> {
+        if a.proven {
+            let mut flat = a.offset;
+            for d in &self.p.dims[a.first_dim as usize..][..a.rank as usize] {
+                let Value::I64(index) = self.get(d.idx, lane) else {
+                    return Err(type_error("index must be integer"));
+                };
+                flat = flat.wrapping_add((index as usize).wrapping_mul(d.stride));
+            }
+            return Ok(flat);
+        }
+        let mut flat = 0;
+        for dim in 0..a.rank as usize {
+            let (index, stride) = self.checked_index(a, dim, lane)?;
+            flat += index * stride;
+        }
+        if flat >= a.limit {
+            return Err(past_the_end(self.p, a, flat));
+        }
+        Ok(a.offset + flat)
+    }
+
+    /// Element `at` of every thread's register arrays: a column.
+    #[inline(always)]
+    pub(super) fn element(&self, at: usize) -> Result<&'a [Cell<f32>], Fault> {
+        if at >= self.p.local_len {
+            return Err(no_such_element(at));
+        }
+        Ok(column(self.regs.locals, at, self.regs.n))
+    }
+
+    /// The global buffer access `a` is to, for reading.
+    #[inline(always)]
+    pub(super) fn global(&self, a: &Access, g: u32) -> Result<&[f32], Fault> {
+        let id = self.globals.get(g as usize).copied().flatten();
+        Ok(self.memory.slice(id.ok_or_else(|| missing(self.p, a))?))
+    }
+
+    /// The global buffer access `a` is to, for writing.
+    #[inline(always)]
+    fn global_mut(&mut self, a: &Access, g: u32) -> Result<&mut [f32], Fault> {
+        let id = self.globals.get(g as usize).copied().flatten();
+        Ok(self.memory.slice_mut(id.ok_or_else(|| missing(self.p, a))?))
+    }
+
+    /// The element at `flat` of the storage access `a` addresses — a global
+    /// buffer, the block's shared memory or thread `lane`'s register arrays.
+    #[inline(always)]
+    fn load(&self, a: &Access, flat: usize, lane: usize) -> Result<f32, Fault> {
+        let p = self.p;
+        let element = match a.space {
+            Space::Global(g) => self.global(a, g)?.get(flat).copied(),
+            Space::Shared => self.shared.get(flat).map(Cell::get),
+            Space::Local if flat < p.local_len => {
+                Some(self.regs.locals[flat * self.regs.n + lane].get())
+            }
+            Space::Local => None,
+            Space::Missing => return Err(missing(p, a)),
+        };
+        element.ok_or_else(|| past_the_end(p, a, flat))
     }
 
     /// A source operand: a register, an element of the thread's register
     /// arrays, or the element an access names: indices checked first, then
     /// the buffer looked up, as the tree walker ordered the two.
     #[inline(always)]
-    fn fetch(&self, p: &Program, operand: u32) -> Result<Value, Fault> {
+    fn fetch(&self, operand: u32, lane: usize) -> Result<Value, Fault> {
         if operand & MEM == 0 {
-            return Ok(self.regs[operand as usize]);
+            return Ok(self.get(operand, lane));
         }
         if operand & ELEMENT != 0 {
-            let at = element_offset(operand);
-            let element = self.locals.get(at);
-            return Ok(Value::F32(*element.ok_or_else(|| no_such_element(at))?));
+            let element = self.element(element_offset(operand))?;
+            return Ok(Value::F32(element[lane].get()));
         }
-        let a = &p.accesses[(operand & !MEM) as usize];
-        let flat = address(p, a, self.regs)?;
-        let element = self.storage(p, a)?.get(flat);
-        Ok(Value::F32(
-            *element.ok_or_else(|| past_the_end(p, a, flat))?,
-        ))
+        let a = &self.p.accesses[(operand & !MEM) as usize];
+        let flat = self.address(a, lane)?;
+        Ok(Value::F32(self.load(a, flat, lane)?))
     }
 
     /// Where a memory operand written to points: its indices checked, its
     /// buffer not yet looked up.
     #[inline(always)]
-    fn locate<'p>(&self, p: &'p Program, operand: u32) -> Result<Target<'p>, Fault> {
+    fn locate(&self, operand: u32, lane: usize) -> Result<Target<'a>, Fault> {
         if operand & ELEMENT != 0 {
             return Ok(Target {
                 access: None,
                 at: element_offset(operand),
             });
         }
-        let a = &p.accesses[(operand & !MEM) as usize];
+        let a = &self.p.accesses[(operand & !MEM) as usize];
         Ok(Target {
             access: Some(a),
-            at: address(p, a, self.regs)?,
+            at: self.address(a, lane)?,
         })
     }
 
-    /// The element at `target`, for writing.
+    /// Replaces thread `lane`'s element at `target` by `update` of it.
     #[inline(always)]
-    fn element_mut(&mut self, p: &Program, target: Target<'_>) -> Result<&mut f32, Fault> {
-        let at = target.at;
-        match target.access {
-            None => self.locals.get_mut(at).ok_or_else(|| no_such_element(at)),
-            Some(a) => {
-                let element = self.storage_mut(p, a)?.get_mut(at);
-                element.ok_or_else(|| past_the_end(p, a, at))
+    pub(super) fn write(
+        &mut self,
+        target: Target<'_>,
+        lane: usize,
+        update: impl FnOnce(f32) -> Result<f32, Fault>,
+    ) -> Result<(), Fault> {
+        let (p, at) = (self.p, target.at);
+        let Some(a) = target.access else {
+            let slot = &self.element(at)?[lane];
+            slot.set(update(slot.get())?);
+            return Ok(());
+        };
+        let slot = match a.space {
+            Space::Global(g) => {
+                let slot = self.global_mut(a, g)?.get_mut(at);
+                let slot = slot.ok_or_else(|| past_the_end(p, a, at))?;
+                *slot = update(*slot)?;
+                return Ok(());
             }
+            Space::Shared => self.shared.get(at),
+            Space::Local if at < p.local_len => self.regs.locals.get(at * self.regs.n + lane),
+            Space::Local => None,
+            Space::Missing => return Err(missing(p, a)),
+        };
+        let slot = slot.ok_or_else(|| past_the_end(p, a, at))?;
+        slot.set(update(slot.get())?);
+        Ok(())
+    }
+
+    /// The per-thread interpreter loop: runs `code` to its end for thread
+    /// `lane`.
+    ///
+    /// `Value::binary` / `unary` / `cast` are the only arithmetic; this
+    /// function only moves values between registers and memory.
+    pub(super) fn step(&mut self, code: &[Op], lane: usize) -> Result<(), Fault> {
+        let mut pc = 0usize;
+        while let Some(&op) = code.get(pc) {
+            pc += 1;
+            match op {
+                Op::Bin { op, dst, a, b } => {
+                    let value = binary(op, self.fetch(a, lane)?, self.fetch(b, lane)?)?;
+                    self.set(dst, lane, value)?;
+                }
+                Op::Un { op, dst, a } => {
+                    let value = Value::unary(op, self.fetch(a, lane)?)
+                        .ok_or_else(|| type_error(&format!("cannot apply {op:?}")))?;
+                    self.set(dst, lane, value)?;
+                }
+                Op::Cast { dtype, dst, a } => {
+                    let value = self.fetch(a, lane)?.cast(dtype);
+                    self.set(dst, lane, value)?;
+                }
+                Op::Select { dst, cond, a, b } => {
+                    let taken = self
+                        .get(cond, lane)
+                        .as_bool()
+                        .ok_or_else(|| type_error("select condition must be boolean"))?;
+                    let value = self.fetch(if taken { a } else { b }, lane)?;
+                    self.set(dst, lane, value)?;
+                }
+                Op::Mov { dst, src } => {
+                    let value = self.fetch(src, lane)?;
+                    self.set(dst, lane, value)?;
+                }
+                Op::Check { access, dim } => {
+                    self.checked_index(&self.p.accesses[access as usize], dim as usize, lane)?;
+                }
+                Op::Store { to, src } => {
+                    let to = self.locate(to, lane)?;
+                    let value = store_value(self.fetch(src, lane)?, to.dtype())?;
+                    self.write(to, lane, |_| Ok(value))?;
+                }
+                Op::Update { op, to, src } => {
+                    let to = self.locate(to, lane)?;
+                    let with = self.fetch(src, lane)?;
+                    self.write(to, lane, |old| {
+                        store_value(binary(op, Value::F32(old), with)?, to.dtype())
+                    })?;
+                }
+                Op::MulAdd { to, a, b } => {
+                    let product = binary(BinOp::Mul, self.fetch(a, lane)?, self.fetch(b, lane)?)?;
+                    let to = self.locate(to, lane)?;
+                    self.write(to, lane, |old| {
+                        store_value(binary(BinOp::Add, Value::F32(old), product)?, to.dtype())
+                    })?;
+                }
+                Op::Jump { skip } => pc += skip as usize,
+                Op::Branch { cond, skip, select } => {
+                    if !self.condition(cond, lane, select)? {
+                        pc += skip as usize;
+                    }
+                }
+                Op::LoopEnter {
+                    var,
+                    count,
+                    extent,
+                    skip,
+                } => {
+                    let n = self.extent(extent, lane)?;
+                    self.set(count, lane, Value::I64(n))?;
+                    self.set(var, lane, Value::I64(0))?;
+                    if n <= 0 {
+                        pc += skip as usize;
+                    }
+                }
+                Op::LoopNext { var, count, back } => {
+                    let (i, n) = self.iteration(var, count, lane)?;
+                    self.set(var, lane, Value::I64(i + 1))?;
+                    if i + 1 < n {
+                        pc -= back as usize + 1;
+                    }
+                }
+                Op::Trap { id } => {
+                    return Err(match self.p.traps.get(id as usize) {
+                        Some(err) => Box::new(err.clone()),
+                        None => type_error(&format!("trap {id} has no description")),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether thread `lane` takes a `Branch` on `cond`.
+    #[inline(always)]
+    pub(super) fn condition(&self, cond: Reg, lane: usize, select: bool) -> Result<bool, Fault> {
+        self.get(cond, lane).as_bool().ok_or_else(|| {
+            type_error(if select {
+                "select condition must be boolean"
+            } else {
+                "condition must be boolean"
+            })
+        })
+    }
+
+    /// The trip count thread `lane` enters a loop with.
+    #[inline(always)]
+    pub(super) fn extent(&self, extent: Reg, lane: usize) -> Result<i64, Fault> {
+        let n = self.get(extent, lane).as_i64();
+        n.ok_or_else(|| type_error("loop extent must be integer"))
+    }
+
+    /// Thread `lane`'s iteration and trip count of a loop it is in.
+    #[inline(always)]
+    pub(super) fn iteration(&self, var: Reg, count: Reg, lane: usize) -> Result<(i64, i64), Fault> {
+        // Only the loop instructions write these two registers.
+        match (self.get(var, lane), self.get(count, lane)) {
+            (Value::I64(i), Value::I64(n)) => Ok((i, n)),
+            _ => Err(type_error("loop registers overwritten")),
         }
     }
 }
@@ -470,9 +726,9 @@ impl Files<'_> {
 /// What a `Store` / `Update` / `MulAdd` writes: element `at` of the storage
 /// `access` names — of the thread's register arrays when it names none.
 #[derive(Clone, Copy)]
-struct Target<'p> {
-    access: Option<&'p Access>,
-    at: usize,
+pub(super) struct Target<'p> {
+    pub(super) access: Option<&'p Access>,
+    pub(super) at: usize,
 }
 
 impl Target<'_> {
@@ -482,98 +738,4 @@ impl Target<'_> {
     fn dtype(self) -> DType {
         self.access.map_or(DType::F32, |a| a.dtype)
     }
-}
-
-/// The interpreter loop: runs `code` to its end over one register file.
-///
-/// `Value::binary` / `unary` / `cast` are the only arithmetic; this function
-/// only moves values between registers and memory.
-fn step(p: &Program, code: &[Op], f: &mut Files<'_>) -> Result<(), Fault> {
-    let mut pc = 0usize;
-    while let Some(&op) = code.get(pc) {
-        pc += 1;
-        match op {
-            Op::Bin { op, dst, a, b } => {
-                f.regs[dst as usize] = binary(op, f.fetch(p, a)?, f.fetch(p, b)?)?;
-            }
-            Op::Un { op, dst, a } => {
-                f.regs[dst as usize] = Value::unary(op, f.fetch(p, a)?)
-                    .ok_or_else(|| type_error(&format!("cannot apply {op:?}")))?;
-            }
-            Op::Cast { dtype, dst, a } => f.regs[dst as usize] = f.fetch(p, a)?.cast(dtype),
-            Op::Select { dst, cond, a, b } => {
-                let taken = f.regs[cond as usize]
-                    .as_bool()
-                    .ok_or_else(|| type_error("select condition must be boolean"))?;
-                f.regs[dst as usize] = f.fetch(p, if taken { a } else { b })?;
-            }
-            Op::Mov { dst, src } => f.regs[dst as usize] = f.fetch(p, src)?,
-            Op::Check { access, dim } => {
-                checked_index(p, &p.accesses[access as usize], dim as usize, f.regs)?;
-            }
-            Op::Store { to, src } => {
-                let to = f.locate(p, to)?;
-                let value = store_value(f.fetch(p, src)?, to.dtype())?;
-                *f.element_mut(p, to)? = value;
-            }
-            Op::Update { op, to, src } => {
-                let to = f.locate(p, to)?;
-                let with = f.fetch(p, src)?;
-                let slot = f.element_mut(p, to)?;
-                *slot = store_value(binary(op, Value::F32(*slot), with)?, to.dtype())?;
-            }
-            Op::MulAdd { to, a, b } => {
-                let product = binary(BinOp::Mul, f.fetch(p, a)?, f.fetch(p, b)?)?;
-                let to = f.locate(p, to)?;
-                let slot = f.element_mut(p, to)?;
-                *slot = store_value(binary(BinOp::Add, Value::F32(*slot), product)?, to.dtype())?;
-            }
-            Op::Jump { skip } => pc += skip as usize,
-            Op::Branch { cond, skip, select } => {
-                let taken = f.regs[cond as usize].as_bool().ok_or_else(|| {
-                    type_error(if select {
-                        "select condition must be boolean"
-                    } else {
-                        "condition must be boolean"
-                    })
-                })?;
-                if !taken {
-                    pc += skip as usize;
-                }
-            }
-            Op::LoopEnter {
-                var,
-                count,
-                extent,
-                skip,
-            } => {
-                let n = f.regs[extent as usize]
-                    .as_i64()
-                    .ok_or_else(|| type_error("loop extent must be integer"))?;
-                f.regs[count as usize] = Value::I64(n);
-                f.regs[var as usize] = Value::I64(0);
-                if n <= 0 {
-                    pc += skip as usize;
-                }
-            }
-            Op::LoopNext { var, count, back } => {
-                // Only the loop instructions write these two registers.
-                let (Value::I64(i), Value::I64(n)) = (f.regs[var as usize], f.regs[count as usize])
-                else {
-                    return Err(type_error("loop registers overwritten"));
-                };
-                f.regs[var as usize] = Value::I64(i + 1);
-                if i + 1 < n {
-                    pc -= back as usize + 1;
-                }
-            }
-            Op::Trap { id } => {
-                return Err(match p.traps.get(id as usize) {
-                    Some(err) => Box::new(err.clone()),
-                    None => type_error(&format!("trap {id} has no description")),
-                });
-            }
-        }
-    }
-    Ok(())
 }

@@ -4,7 +4,7 @@
 
 use hidet_ir::{BinOp, BufferRef, DType, Expr};
 
-use super::place::{Place, Ty, Val};
+use super::place::{binary_rule, Place, Ty, Val};
 use super::{BufferSlot, Lowerer};
 use crate::interp::program::{Access, Dim, Op, Space, ELEMENT, MEM};
 use crate::interp::SimError;
@@ -61,20 +61,20 @@ impl<'k> Lowerer<'k> {
         let mut dims: Vec<(Val, Dim)> = Vec::with_capacity(indices.len());
         let mut checked = 0;
         for (k, (index, (&extent, stride))) in indices.iter().zip(shape).enumerate() {
-            let (v, code, fault) = self.capture(|l| {
+            let (v, part) = self.capture(|l| {
                 let v = l.expr(index);
                 l.in_reg(v)
             });
-            if fault {
+            if part.may_fault {
                 for dim in checked..k {
-                    self.code.push(Op::Check {
+                    self.frag.code.push(Op::Check {
                         access: id,
                         dim: dim as u32,
                     });
                 }
                 checked = k;
             }
-            self.splice(code, fault);
+            self.splice(part);
             let dim = Dim {
                 idx: v.reg,
                 extent,
@@ -212,17 +212,17 @@ impl<'k> Lowerer<'k> {
             },
             _ => (None, value),
         };
-        let (v, mut code, fault) = self.capture(|l| l.expr(value));
-        if fault && !proven {
+        let (v, mut part) = self.capture(|l| l.expr(value));
+        if part.may_fault && !proven {
             for dim in 0..indices.len() as u32 {
                 let access = to & !MEM;
-                self.code.push(Op::Check { access, dim });
+                self.frag.code.push(Op::Check { access, dim });
             }
         }
         // `x` is a product whose instruction ends its code — computed right
         // here, every time — and cannot fault (its type is known): the
         // multiply-accumulate of a register tile.
-        let product = match (value, code.last()) {
+        let product = match (value, part.code.last()) {
             (
                 Expr::Binary { op: BinOp::Mul, .. },
                 Some(&Op::Bin {
@@ -232,13 +232,21 @@ impl<'k> Lowerer<'k> {
                     b,
                 }),
             ) if proven && update == Some(BinOp::Add) && dst == v.reg && v.ty != Ty::Dyn => {
-                code.pop();
+                part.code.pop();
                 Some((a, b))
             }
             _ => None,
         };
-        self.splice(code, true);
-        self.code.push(match (update, product) {
+        // The write itself faults on indices that are out of bounds, on a
+        // buffer that is not there, on an operator that does not take
+        // `f32 <op> x`, and on a value that is not a number.
+        let written = match update {
+            Some(op) => binary_rule(op, Ty::F32, v.ty, self.const_value(v)),
+            None => (v.ty, false),
+        };
+        part.may_fault |= !proven || written.1 || !matches!(written.0, Ty::I64 | Ty::F32);
+        self.splice(part);
+        self.frag.code.push(match (update, product) {
             (_, Some((a, b))) => Op::MulAdd { to, a, b },
             (Some(op), _) => Op::Update { op, to, src: v.reg },
             (None, _) => Op::Store { to, src: v.reg },

@@ -4,7 +4,7 @@
 use hidet_ir::{BinOp, Expr};
 
 use super::place::{binary_range, binary_rule, unary_rule, Place, Ty, Val};
-use super::Lowerer;
+use super::{Fragment, Lowerer};
 use crate::interp::program::{Op, Reg};
 use crate::interp::SimError;
 use crate::value::Value;
@@ -104,7 +104,7 @@ impl<'k> Lowerer<'k> {
                     return load;
                 }
                 self.temp_top = mark;
-                self.may_fault = true;
+                self.frag.may_fault = true;
                 self.in_reg(load)
             }
         }
@@ -152,13 +152,13 @@ impl<'k> Lowerer<'k> {
         }
         let c = self.in_reg(c);
         let after_cond = self.temp_top;
-        let (t, t_code, t_fault) = self.capture(|l| l.expr(then_value));
+        let (t, t_part) = self.capture(|l| l.expr(then_value));
         self.temp_top = after_cond;
-        let (e, e_code, e_fault) = self.capture(|l| l.expr(else_value));
+        let (e, e_part) = self.capture(|l| l.expr(else_value));
         self.temp_top = mark;
         let ty = if t.ty == e.ty { t.ty } else { Ty::Dyn };
         let cond_faults = c.ty != Ty::Bool;
-        if t_code.is_empty() && e_code.is_empty() {
+        if t_part.code.is_empty() && e_part.code.is_empty() {
             let val = Val {
                 reg: 0,
                 ty,
@@ -181,17 +181,16 @@ impl<'k> Lowerer<'k> {
             };
             return self.emit(op, val, cond_faults);
         }
-        let dst = self.temp();
-        let deliver = |mut code: Vec<Op>, src: Reg| {
+        let dst = self.temp(ty);
+        let deliver = |mut part: Fragment, src: Reg| {
             if src != dst {
-                code.push(Op::Mov { dst, src });
+                part.code.push(Op::Mov { dst, src });
             }
-            code
+            part
         };
-        let else_code = deliver(e_code, e.reg);
-        let then_code = deliver(t_code, t.reg);
-        self.branch(c, true, then_code, else_code);
-        self.may_fault |= t_fault || e_fault;
+        let else_part = deliver(e_part, e.reg);
+        let then_part = deliver(t_part, t.reg);
+        self.branch(c, true, then_part, else_part);
         Val::body(dst, ty)
     }
 }

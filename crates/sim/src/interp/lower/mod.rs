@@ -28,6 +28,7 @@ mod expr;
 mod place;
 mod skeleton;
 mod unroll;
+mod verdict;
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -36,7 +37,10 @@ use hidet_ir::{BufferRef, Kernel, MemScope, Stmt};
 
 use self::place::{Place, Ty, Val};
 use self::unroll::UNROLL_TRIPS;
-use super::program::{Control, Global, Node, Op, Program, Reg, Space, MEM};
+use super::program::{
+    CodeRange, Control, Global, Node, Op, Program, RangeKind, Reg, Space, FILE_SHIFT, INT, MEM,
+    SCALAR,
+};
 use super::SimError;
 use crate::value::Value;
 
@@ -45,20 +49,49 @@ use self::skeleton::leaked;
 #[cfg(doc)]
 use super::program::ELEMENT;
 
-// Registers are numbered per space while lowering and laid out
-// `[block | lane | thread | loop | temp]` once the space sizes are known.
-// Bit 31 is `MEM`, and such an operand is not a register.
+// Registers are numbered per space while lowering, tagged with the type of
+// the value they hold, and laid out — the block space as the scalar file,
+// the others `[lane | thread | loop | temp]` in the lane file of their type
+// — once the space sizes are known. Bit 31 is `MEM`, and such an operand is
+// not a register.
 const SPACE_SHIFT: u32 = 28;
-const INDEX: u32 = (1 << SPACE_SHIFT) - 1;
+const TY_SHIFT: u32 = 26;
+const INDEX: u32 = (1 << TY_SHIFT) - 1;
 const BLOCK: u32 = 0;
 const LANE: u32 = 1;
 const THREAD: u32 = 2;
 const LOOP: u32 = 3;
 const TEMP: u32 = 4;
 
-fn reg(space: u32, index: u32) -> Reg {
+fn reg(space: u32, ty: Ty, index: u32) -> Reg {
     debug_assert!(index <= INDEX);
-    space << SPACE_SHIFT | index
+    space << SPACE_SHIFT | (ty.file() - INT) << TY_SHIFT | index
+}
+
+/// The lane file (counted from `INT`) a register's tag names.
+fn file_of(r: Reg) -> usize {
+    (r >> TY_SHIFT & 3) as usize
+}
+
+/// A body fragment under construction, and what the lowering knows about it
+/// as a whole.
+#[derive(Default)]
+struct Fragment {
+    code: Vec<Op>,
+    /// Something in it can fault.
+    may_fault: bool,
+    /// A branch or a loop in it is not proven to go the same way in every
+    /// thread of the block.
+    divergent: bool,
+}
+
+/// A range of `main` the skeleton runs for the whole block.
+struct Stretch {
+    kind: RangeKind,
+    start: u32,
+    end: u32,
+    may_fault: bool,
+    divergent: bool,
 }
 
 /// A loop that stayed a loop, while its body is being lowered.
@@ -120,11 +153,15 @@ struct Lowerer<'k> {
     /// space, and code offsets are relative to `main`, until `finish`.
     p: Program,
     consts: HashMap<(u8, u64), Reg>,
-    n_lane: u32,
-    n_thread: u32,
-    n_loop: u32,
+    /// The type of every lane, thread and loop register: each is written by
+    /// one instruction.
+    lane_tys: Vec<Ty>,
+    thread_tys: Vec<Ty>,
+    loop_tys: Vec<Ty>,
+    /// Temporaries are a stack; a slot holds values of different types over
+    /// time, in the file of each. `temp_max` is the depth reached per file.
     temp_top: u32,
-    temp_max: u32,
+    temp_max: [u32; 4],
     /// Computes the lane registers; ends up as `p.lane_code`.
     lane_code: Vec<Op>,
     /// Computes the thread-invariant registers; ends up at the front of
@@ -137,11 +174,12 @@ struct Lowerer<'k> {
     /// The loops around the statement being lowered, outermost first:
     /// `Place::Loop(n)` is `loops[n - 1]`.
     loops: Vec<OpenLoop>,
-    /// The body fragment being emitted, and whether anything in it can fault.
-    code: Vec<Op>,
-    may_fault: bool,
-    /// Finished body fragments.
+    /// The body fragment being emitted.
+    frag: Fragment,
+    /// Finished body fragments, and the ranges among them: first the thread
+    /// stream's (which ends up in front of `main`), then the skeleton's.
     main: Vec<Op>,
+    stretches: Vec<Stretch>,
     /// Innermost binding last; `None` marks a poisoned name (see [`leaked`]).
     env: Vec<(&'k str, Option<Val>)>,
     /// Parallel to `p.buffer_names`.
@@ -166,38 +204,47 @@ impl<'k> Lowerer<'k> {
             // Register 0 of the block space is `blockIdx`, of the lane space
             // `threadIdx`.
             block_init: vec![Value::I64(0)],
-            block_idx: reg(BLOCK, 0),
-            thread_idx: reg(LANE, 0),
-            n_regs: 0,
+            block_idx: reg(BLOCK, Ty::I64, 0),
+            thread_idx: reg(LANE, Ty::I64, 0),
+            columns: [0; 4],
             block_code: Vec::new(),
             lane_code: Vec::new(),
             n_lane: 0,
             lane_row: 0,
+            lane_columns: [0; 4],
+            lane_file: [0; 4],
             lanes: OnceLock::new(),
             code: Vec::new(),
             thread_code_end: 0,
             nodes: Vec::new(),
             children: Vec::new(),
             root: 0,
-            lockstep: kernel.body().contains_sync(),
+            ranges: Vec::new(),
+            node_range: Vec::new(),
             traps: Vec::new(),
         };
         let mut l = Lowerer {
             kernel,
             p: program,
             consts: HashMap::new(),
-            n_lane: 1,
-            n_thread: 0,
-            n_loop: 0,
+            lane_tys: vec![Ty::I64],
+            thread_tys: Vec::new(),
+            loop_tys: Vec::new(),
             temp_top: 0,
-            temp_max: 0,
+            temp_max: [0; 4],
             lane_code: Vec::new(),
             thread_code: Vec::new(),
             hoisted: HashMap::new(),
             loops: Vec::new(),
-            code: Vec::new(),
-            may_fault: false,
+            frag: Fragment::default(),
             main: Vec::new(),
+            stretches: vec![Stretch {
+                kind: RangeKind::ThreadStream,
+                start: 0,
+                end: 0,
+                may_fault: false,
+                divergent: false,
+            }],
             env: Vec::new(),
             slots: Vec::new(),
             buffer_ids: HashMap::new(),
@@ -256,10 +303,12 @@ impl<'k> Lowerer<'k> {
 
     // ---- registers -------------------------------------------------------
 
-    fn temp(&mut self) -> Reg {
-        let r = reg(TEMP, self.temp_top);
+    /// A temporary for a value of type `ty`.
+    fn temp(&mut self, ty: Ty) -> Reg {
+        let r = reg(TEMP, ty, self.temp_top);
         self.temp_top += 1;
-        self.temp_max = self.temp_max.max(self.temp_top);
+        let depth = &mut self.temp_max[file_of(r)];
+        *depth = (*depth).max(self.temp_top);
         r
     }
 
@@ -269,7 +318,7 @@ impl<'k> Lowerer<'k> {
             Value::I64(x) => (1, x as u64),
             Value::Bool(x) => (2, x as u64),
         };
-        let next = reg(BLOCK, self.p.block_init.len() as u32);
+        let next = reg(BLOCK, Ty::of(v), self.p.block_init.len() as u32);
         let r = *self.consts.entry(key).or_insert(next);
         if r == next {
             self.p.block_init.push(v);
@@ -306,19 +355,20 @@ impl<'k> Lowerer<'k> {
         }
     }
 
-    /// A new register of the space the stream of `place` computes into.
-    fn fresh(&mut self, place: Place) -> Reg {
-        let (space, count) = match place {
-            Place::Lane => (LANE, &mut self.n_lane),
-            Place::Thread => (THREAD, &mut self.n_thread),
-            Place::Loop(_) => (LOOP, &mut self.n_loop),
+    /// A new register, for a value of type `ty`, of the space the stream of
+    /// `place` computes into.
+    fn fresh(&mut self, place: Place, ty: Ty) -> Reg {
+        let (space, tys) = match place {
+            Place::Lane => (LANE, &mut self.lane_tys),
+            Place::Thread => (THREAD, &mut self.thread_tys),
+            Place::Loop(_) => (LOOP, &mut self.loop_tys),
             _ => {
                 self.p.block_init.push(Value::I64(0));
-                return reg(BLOCK, self.p.block_init.len() as u32 - 1);
+                return reg(BLOCK, ty, self.p.block_init.len() as u32 - 1);
             }
         };
-        *count += 1;
-        reg(space, *count - 1)
+        tys.push(ty);
+        reg(space, ty, tys.len() as u32 - 1)
     }
 
     /// Emits `op` — the instruction computing `val`, its destination not yet
@@ -335,15 +385,15 @@ impl<'k> Lowerer<'k> {
             val.place
         };
         if place == Place::Body {
-            let reg = self.temp();
-            self.code.push(op.with_dst(reg));
-            self.may_fault |= faults;
+            let reg = self.temp(val.ty);
+            self.frag.code.push(op.with_dst(reg));
+            self.frag.may_fault |= faults;
             return Val { reg, place, ..val };
         }
         if let Some(&reg) = self.level(place).1.get(&op) {
             return Val { reg, place, ..val };
         }
-        let reg = self.fresh(place);
+        let reg = self.fresh(place, val.ty);
         let (stream, shared) = self.level(place);
         stream.push(op.with_dst(reg));
         shared.insert(op, reg);
@@ -354,41 +404,40 @@ impl<'k> Lowerer<'k> {
     fn trap(&mut self, err: SimError) -> Val {
         let id = self.p.traps.len() as u32;
         self.p.traps.push(err);
-        self.code.push(Op::Trap { id });
-        self.may_fault = true;
-        Val::body(self.temp(), Ty::Dyn)
+        self.frag.code.push(Op::Trap { id });
+        self.frag.may_fault = true;
+        Val::body(self.temp(Ty::Dyn), Ty::Dyn)
     }
 
     /// Runs `f` with an empty body fragment and returns what it emitted.
-    fn capture<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> (T, Vec<Op>, bool) {
-        let code = std::mem::take(&mut self.code);
-        let may_fault = std::mem::replace(&mut self.may_fault, false);
+    fn capture<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> (T, Fragment) {
+        let outer = std::mem::take(&mut self.frag);
         let out = f(self);
-        let code = std::mem::replace(&mut self.code, code);
-        let may_fault = std::mem::replace(&mut self.may_fault, may_fault);
-        (out, code, may_fault)
+        (out, std::mem::replace(&mut self.frag, outer))
     }
 
-    fn splice(&mut self, code: Vec<Op>, may_fault: bool) {
-        self.code.extend(code);
-        self.may_fault |= may_fault;
+    fn splice(&mut self, inner: Fragment) {
+        self.frag.code.extend(inner.code);
+        self.frag.may_fault |= inner.may_fault;
+        self.frag.divergent |= inner.divergent;
     }
 
-    /// `if cond { then_code } else { else_code }` over finished fragments.
-    fn branch(&mut self, cond: Val, select: bool, mut then_code: Vec<Op>, else_code: Vec<Op>) {
-        if !else_code.is_empty() {
-            then_code.push(Op::Jump {
-                skip: else_code.len() as u32,
+    /// `if cond { then_part } else { else_part }` over finished fragments.
+    fn branch(&mut self, cond: Val, select: bool, mut then_part: Fragment, else_part: Fragment) {
+        if !else_part.code.is_empty() {
+            then_part.code.push(Op::Jump {
+                skip: else_part.code.len() as u32,
             });
         }
-        self.code.push(Op::Branch {
+        self.frag.code.push(Op::Branch {
             cond: cond.reg,
-            skip: then_code.len() as u32,
+            skip: then_part.code.len() as u32,
             select,
         });
-        self.code.extend(then_code);
-        self.code.extend(else_code);
-        self.may_fault |= cond.ty != Ty::Bool;
+        self.splice(then_part);
+        self.splice(else_part);
+        self.frag.may_fault |= cond.ty != Ty::Bool;
+        self.frag.divergent |= !cond.uniform;
     }
 
     /// `v` in a register: a memory operand is loaded now.
@@ -396,8 +445,8 @@ impl<'k> Lowerer<'k> {
         if v.reg & MEM == 0 {
             return v;
         }
-        let dst = self.temp();
-        self.code.push(Op::Mov { dst, src: v.reg });
+        let dst = self.temp(v.ty);
+        self.frag.code.push(Op::Mov { dst, src: v.reg });
         Val { reg: dst, ..v }
     }
 
@@ -441,21 +490,24 @@ impl<'k> Lowerer<'k> {
                         return;
                     }
                 }
-                let (var_reg, count) = (self.temp(), self.temp());
-                self.open_loop(var.name(), var_reg, n, body, false);
-                let ((), body_code, fault) = self.capture(|l| l.stmt(body));
+                let (var_reg, count) = (self.temp(Ty::I64), self.temp(Ty::I64));
+                // Threads that agree on the extent count the same iterations.
+                self.open_loop(var.name(), var_reg, n, body, n.uniform);
+                let ((), mut body) = self.capture(|l| l.stmt(body));
                 self.env.truncate(scope);
                 let prologue = self.close_loop();
-                let back = (prologue.len() + body_code.len()) as u32;
-                self.code.push(Op::LoopEnter {
+                let back = (prologue.len() + body.code.len()) as u32;
+                self.frag.code.push(Op::LoopEnter {
                     var: var_reg,
                     count,
                     extent: n.reg,
                     skip: back + 1,
                 });
-                self.code.extend(prologue);
-                self.splice(body_code, fault || !matches!(n.ty, Ty::I64 | Ty::F32));
-                self.code.push(Op::LoopNext {
+                self.frag.code.extend(prologue);
+                body.may_fault |= !matches!(n.ty, Ty::I64 | Ty::F32);
+                body.divergent |= !n.uniform;
+                self.splice(body);
+                self.frag.code.push(Op::LoopNext {
                     var: var_reg,
                     count,
                     back,
@@ -471,23 +523,22 @@ impl<'k> Lowerer<'k> {
                 let c = self.in_reg(c);
                 self.temp_top = mark;
                 let branch = |l: &mut Self, body: Option<&'k Stmt>| {
-                    let out = l.capture(|l| body.into_iter().for_each(|b| l.stmt(b)));
+                    let ((), part) = l.capture(|l| body.into_iter().for_each(|b| l.stmt(b)));
                     l.env.truncate(scope);
                     l.temp_top = mark;
-                    out
+                    part
                 };
                 if let Some(Value::Bool(taken)) = self.const_value(c) {
-                    let ((), code, fault) = if taken {
+                    let part = if taken {
                         branch(self, Some(then_body))
                     } else {
                         branch(self, else_body.as_deref())
                     };
-                    self.splice(code, fault);
+                    self.splice(part);
                 } else {
-                    let ((), then_code, then_fault) = branch(self, Some(then_body));
-                    let ((), else_code, else_fault) = branch(self, else_body.as_deref());
-                    self.branch(c, false, then_code, else_code);
-                    self.may_fault |= then_fault || else_fault;
+                    let then_part = branch(self, Some(then_body));
+                    let else_part = branch(self, else_body.as_deref());
+                    self.branch(c, false, then_part, else_part);
                 }
                 self.poison_leaked(s);
             }
@@ -500,12 +551,12 @@ impl<'k> Lowerer<'k> {
     fn finish(mut self) -> Program {
         self.p.root = match self.node(self.kernel.body()) {
             Some(root) => root,
-            None => self.push_node(Node::Thread { start: 0, end: 0 }),
+            None => self.push_node(Node::Thread { start: 0, end: 0 }, None),
         };
 
-        // Lane registers that anything but lane code reads go first: they
-        // are the row a thread copies on entering a block.
-        let mut row = vec![false; self.n_lane as usize];
+        // Lane registers that anything but lane code reads go first in their
+        // file: those columns are the table a block starts from.
+        let mut row = vec![false; self.lane_tys.len()];
         let mut note = |r: &mut Reg| {
             if *r & MEM == 0 && *r >> SPACE_SHIFT == LANE {
                 row[(*r & INDEX) as usize] = true;
@@ -521,37 +572,64 @@ impl<'k> Lowerer<'k> {
                 note(&mut c.reg);
             }
         }
-        let (mut kept, mut rest) = (0, row.iter().filter(|&&read| read).count() as u32);
-        p.lane_row = rest as usize;
-        let lane_slots: Vec<u32> = row
-            .iter()
-            .map(|&read| {
-                let next = if read { &mut kept } else { &mut rest };
+        for (&read, ty) in row.iter().zip(&self.lane_tys) {
+            p.lane_columns[(ty.file() - INT) as usize] += read as usize;
+        }
+        let (mut kept, mut rest) = ([0u32; 4], p.lane_columns.map(|n| n as u32));
+        let lane_slots: Vec<u32> = (row.iter().zip(&self.lane_tys))
+            .map(|(&read, ty)| {
+                let file = (ty.file() - INT) as usize;
+                let next = if read {
+                    &mut kept[file]
+                } else {
+                    &mut rest[file]
+                };
                 *next += 1;
                 *next - 1
             })
             .collect();
+        p.lane_row = p.lane_columns.iter().sum();
+        p.n_lane = self.lane_tys.len();
 
-        // Lay the register spaces out back to back and the thread stream in
-        // front of the body fragments. The lane registers outside the row
-        // exist only in the file lane code runs over, which has nothing
-        // after them: there they take the numbers of what follows the row.
-        let n_block = p.block_init.len() as u32;
-        let (n_lane, n_thread, n_loop) = (p.lane_row as u32, self.n_thread, self.n_loop);
-        p.n_lane = self.n_lane as usize;
-        p.n_regs = (n_block + n_lane + n_thread + n_loop + self.temp_max) as usize;
+        // Lay each file out `[lane | thread | loop | temp]` and the thread
+        // stream in front of the body fragments. The lane registers outside
+        // the table exist only in the files lane code runs over, which have
+        // nothing after them: there they take the numbers of what follows.
+        let number = |tys: &[Ty]| {
+            let mut count = [0u32; 4];
+            let slots: Vec<u32> = (tys.iter())
+                .map(|ty| {
+                    let next = &mut count[(ty.file() - INT) as usize];
+                    *next += 1;
+                    *next - 1
+                })
+                .collect();
+            (slots, count)
+        };
+        let (thread_slots, n_thread) = number(&self.thread_tys);
+        let (loop_slots, n_loop) = number(&self.loop_tys);
+        let n_lane = p.lane_columns.map(|n| n as u32);
+        for file in 0..4 {
+            let columns = n_lane[file] + n_thread[file] + n_loop[file] + self.temp_max[file];
+            p.columns[file] = columns as usize;
+            p.lane_file[file] = rest[file] as usize;
+        }
         let resolve = move |r: &mut Reg| {
             if *r & MEM != 0 {
                 return;
             }
-            let index = *r & INDEX;
-            *r = match *r >> SPACE_SHIFT {
-                BLOCK => index,
-                LANE => n_block + lane_slots[index as usize],
-                THREAD => n_block + n_lane + index,
-                LOOP => n_block + n_lane + n_thread + index,
-                _ => n_block + n_lane + n_thread + n_loop + index,
+            let (file, index) = (file_of(*r), *r & INDEX);
+            let column = match *r >> SPACE_SHIFT {
+                BLOCK => {
+                    *r = SCALAR << FILE_SHIFT | index;
+                    return;
+                }
+                LANE => lane_slots[index as usize],
+                THREAD => n_lane[file] + thread_slots[index as usize],
+                LOOP => n_lane[file] + n_thread[file] + loop_slots[index as usize],
+                _ => n_lane[file] + n_thread[file] + n_loop[file] + index,
             };
+            *r = (file as u32 + INT) << FILE_SHIFT | column;
         };
         let shift = self.thread_code.len() as u32;
         p.thread_code_end = shift;
@@ -593,6 +671,21 @@ impl<'k> Lowerer<'k> {
         }
         resolve(&mut p.block_idx);
         resolve(&mut p.thread_idx);
+
+        // (The thread stream is range 0: it cannot fault and has no control
+        // flow, as only instructions that cannot fault are hoisted.)
+        self.stretches[0].end = shift;
+        for stretch in &mut self.stretches[1..] {
+            stretch.start += shift;
+            stretch.end += shift;
+        }
+        p.ranges = (self.stretches.iter())
+            .map(|s| CodeRange {
+                kind: s.kind,
+                instructions: (s.end - s.start) as usize,
+                verdict: verdict::judge(&p, s),
+            })
+            .collect();
         p
     }
 }

@@ -3,7 +3,7 @@
 
 use hidet_ir::{BinOp, UnOp};
 
-use super::super::program::Reg;
+use super::super::program::{Reg, BOOL, DYN, FLOAT, INT};
 use crate::value::Value;
 
 #[cfg(doc)]
@@ -47,7 +47,7 @@ impl Place {
 /// Static type of a value, as far as it is known. `Value`'s operators fault
 /// or not, and pick their result type, by operand type alone (integer
 /// division aside), so knowing the types is knowing whether an operation can
-/// fault.
+/// fault — and which file of the block's registers a value is kept in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Ty {
     F32,
@@ -63,6 +63,16 @@ impl Ty {
             Value::F32(_) => Ty::F32,
             Value::I64(_) => Ty::I64,
             Value::Bool(_) => Ty::Bool,
+        }
+    }
+
+    /// The lane file registers of this type live in.
+    pub(super) fn file(self) -> u32 {
+        match self {
+            Ty::I64 => INT,
+            Ty::F32 => FLOAT,
+            Ty::Bool => BOOL,
+            Ty::Dyn => DYN,
         }
     }
 

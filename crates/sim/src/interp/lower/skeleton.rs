@@ -4,8 +4,8 @@
 use hidet_ir::{Expr, Stmt};
 
 use super::place::{Place, Ty, Val};
-use super::{Lowerer, OpenLoop};
-use crate::interp::program::{Control, Node, Op, Reg};
+use super::{Fragment, Lowerer, OpenLoop, Stretch};
+use crate::interp::program::{Control, Node, Op, RangeKind, Reg};
 
 /// Names a statement leaves bound after it ran although it is not a
 /// sequence: a `Let` that is an `If` branch or a loop body. The tree walker
@@ -70,8 +70,10 @@ impl<'k> Lowerer<'k> {
 
     // ---- the lockstep skeleton -------------------------------------------
 
-    pub(super) fn push_node(&mut self, node: Node) -> u32 {
+    /// Adds a node to the skeleton; `range` is the one its code is.
+    pub(super) fn push_node(&mut self, node: Node, range: Option<u32>) -> u32 {
         self.p.nodes.push(node);
+        self.p.node_range.push(range.unwrap_or(u32::MAX));
         self.p.nodes.len() as u32 - 1
     }
 
@@ -82,18 +84,32 @@ impl<'k> Lowerer<'k> {
         (start, self.main.len() as u32)
     }
 
+    /// Moves a finished fragment the skeleton runs for the whole block into
+    /// the program; returns where it sits and which range it is.
+    fn place_range(&mut self, kind: RangeKind, part: Fragment) -> ((u32, u32), u32) {
+        let (start, end) = self.place_code(part.code);
+        self.stretches.push(Stretch {
+            kind,
+            start,
+            end,
+            may_fault: part.may_fault,
+            divergent: part.divergent,
+        });
+        ((start, end), self.stretches.len() as u32 - 1)
+    }
+
     /// Lowers a statement executed by the whole block. A subtree with a
     /// barrier in it becomes skeleton nodes; a barrier-free one becomes one
     /// leaf that every thread runs to completion (`None` if it needs no
     /// code at all).
     pub(super) fn node(&mut self, s: &'k Stmt) -> Option<u32> {
         if !s.contains_sync() {
-            let ((), code, _) = self.capture(|l| l.stmt(s));
-            if code.is_empty() {
+            let ((), leaf) = self.capture(|l| l.stmt(s));
+            if leaf.code.is_empty() {
                 return None;
             }
-            let (start, end) = self.place_code(code);
-            return Some(self.push_node(Node::Thread { start, end }));
+            let ((start, end), range) = self.place_range(RangeKind::Leaf, leaf);
+            return Some(self.push_node(Node::Thread { start, end }, Some(range)));
         }
         let mark = self.temp_top;
         let scope = self.env.len();
@@ -108,20 +124,26 @@ impl<'k> Lowerer<'k> {
                 var, extent, body, ..
             } => {
                 let (extent, n) = self.control(extent, "loop extent");
-                let var_reg = self.temp();
+                let var_reg = self.temp(Ty::I64);
                 self.open_loop(var.name(), var_reg, n, body, true);
                 let body = self.node(body);
                 let body = body.unwrap_or_else(|| self.seq_node(Vec::new()));
                 self.env.truncate(scope);
                 self.temp_top = mark;
-                let prologue = self.close_loop();
-                let prologue = self.place_code(prologue);
-                Some(self.push_node(Node::For {
+                // (A prologue cannot fault and has no control flow: only
+                // instructions that cannot fault are hoisted.)
+                let prologue = Fragment {
+                    code: self.close_loop(),
+                    ..Fragment::default()
+                };
+                let (prologue, range) = self.place_range(RangeKind::Prologue, prologue);
+                let node = Node::For {
                     extent,
                     var: var_reg,
                     prologue,
                     body,
-                }))
+                };
+                Some(self.push_node(node, Some(range)))
             }
             Stmt::If {
                 cond,
@@ -140,11 +162,12 @@ impl<'k> Lowerer<'k> {
                 let then_node = then_node.unwrap_or_else(|| self.seq_node(Vec::new()));
                 let else_node = else_body.as_deref().and_then(|e| branch(self, e));
                 self.poison_leaked(s);
-                Some(self.push_node(Node::If {
+                let node = Node::If {
                     cond,
                     then_node,
                     else_node,
-                }))
+                };
+                Some(self.push_node(node, None))
             }
             // A barrier needs no code: the skeleton runs in lockstep. Leaves
             // never contain one, so nothing else gets here.
@@ -156,21 +179,21 @@ impl<'k> Lowerer<'k> {
         let first = self.p.children.len() as u32;
         let len = kids.len() as u32;
         self.p.children.extend(kids);
-        self.push_node(Node::Seq { first, len })
+        self.push_node(Node::Seq { first, len }, None)
     }
 
     /// A loop extent or branch condition that encloses a barrier.
     pub(super) fn control(&mut self, e: &'k Expr, what: &str) -> (Control, Val) {
-        let (v, code, fault) = self.capture(|l| {
+        let (v, part) = self.capture(|l| {
             let v = l.expr(e);
             l.in_reg(v)
         });
-        let (start, end) = self.place_code(code);
+        let (start, end) = self.place_code(part.code);
         let control = Control {
             start,
             end,
             reg: v.reg,
-            uniform: v.uniform && !fault,
+            uniform: v.uniform && !part.may_fault,
             message: format!(
                 "{what} {e} differs across threads in kernel {}",
                 self.kernel.name()

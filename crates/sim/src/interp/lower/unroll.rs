@@ -22,11 +22,11 @@ pub(super) struct Checkpoint {
     traps: usize,
     block_regs: usize,
     block_code: usize,
-    lane_regs: u32,
+    lane_regs: usize,
     lane_code: usize,
-    thread_regs: u32,
+    thread_regs: usize,
     thread_code: usize,
-    loop_regs: u32,
+    loop_regs: usize,
     /// Per open loop, outermost first.
     prologues: Vec<usize>,
     hoisted_ops: usize,
@@ -42,7 +42,7 @@ impl<'k> Lowerer<'k> {
         let mark = self.temp_top;
         let scope = self.env.len();
         let start = self.checkpoint();
-        let (fits, code, fault) = self.capture(|l| {
+        let (fits, copies) = self.capture(|l| {
             for i in 0..trips {
                 let var = l.konst(Value::I64(i));
                 l.env.push((name, Some(var)));
@@ -57,7 +57,7 @@ impl<'k> Lowerer<'k> {
             true
         });
         if fits {
-            self.splice(code, fault);
+            self.splice(copies);
         } else {
             self.rollback(start);
         }
@@ -71,11 +71,11 @@ impl<'k> Lowerer<'k> {
             traps: self.p.traps.len(),
             block_regs: self.p.block_init.len(),
             block_code: self.p.block_code.len(),
-            lane_regs: self.n_lane,
+            lane_regs: self.lane_tys.len(),
             lane_code: self.lane_code.len(),
-            thread_regs: self.n_thread,
+            thread_regs: self.thread_tys.len(),
             thread_code: self.thread_code.len(),
-            loop_regs: self.n_loop,
+            loop_regs: self.loop_tys.len(),
             prologues: self.loops.iter().map(|open| open.prologue.len()).collect(),
             hoisted_ops: self.hoisted_ops(),
         }
@@ -90,7 +90,7 @@ impl<'k> Lowerer<'k> {
     /// Instructions emitted since `start`, hoisted ones included — into the
     /// prologues of the loops open then (and still) too.
     pub(super) fn emitted_since(&self, start: &Checkpoint) -> usize {
-        self.code.len() + self.hoisted_ops() - start.hoisted_ops
+        self.frag.code.len() + self.hoisted_ops() - start.hoisted_ops
     }
 
     /// Forgets everything lowered since `start` but the buffers it named.
@@ -100,15 +100,15 @@ impl<'k> Lowerer<'k> {
         self.p.traps.truncate(start.traps);
         self.p.block_init.truncate(start.block_regs);
         self.p.block_code.truncate(start.block_code);
-        self.n_lane = start.lane_regs;
+        self.lane_tys.truncate(start.lane_regs);
         self.lane_code.truncate(start.lane_code);
-        self.n_thread = start.thread_regs;
+        self.thread_tys.truncate(start.thread_regs);
         self.thread_code.truncate(start.thread_code);
-        self.n_loop = start.loop_regs;
+        self.loop_tys.truncate(start.loop_regs);
         let live = |r: &mut Reg| {
-            let index = *r & INDEX;
+            let index = (*r & INDEX) as usize;
             match *r >> SPACE_SHIFT {
-                BLOCK => (index as usize) < start.block_regs,
+                BLOCK => index < start.block_regs,
                 LANE => index < start.lane_regs,
                 THREAD => index < start.thread_regs,
                 _ => index < start.loop_regs,

@@ -122,11 +122,12 @@
 mod exec;
 mod lower;
 mod program;
+mod wide;
 
 use std::fmt;
 
 pub(crate) use exec::launch;
-pub use program::Program;
+pub use program::{CodeRange, Program, RangeKind, Reason, Verdict};
 
 /// Errors produced by the simulator (interpreter and cost model).
 #[derive(Debug, Clone, PartialEq)]

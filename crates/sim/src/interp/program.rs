@@ -1,5 +1,5 @@
 //! The lowered form of a kernel: flat tables the executor indexes, with every
-//! name already resolved. Built by [`Program::lower`] (`lower.rs`), run by
+//! name already resolved. Built by [`Program::lower`] (`lower/`), run by
 //! `exec.rs`.
 
 use std::sync::OnceLock;
@@ -9,8 +9,37 @@ use hidet_ir::{BinOp, DType, UnOp};
 use super::SimError;
 use crate::value::Value;
 
-/// Index into a thread's register file.
+/// A register operand: which file of the block's registers it is in
+/// (`operand >> FILE_SHIFT`) and which column of that file
+/// (`operand & COLUMN`). The lowering knows the type of every value, so an
+/// operand names the file of its type; [`SCALAR`] holds the block-level
+/// values, one each for the whole block, and the others one *column* of
+/// `block_dim` lanes per register.
 pub(crate) type Reg = u32;
+
+pub(crate) const FILE_SHIFT: u32 = 28;
+pub(crate) const COLUMN: u32 = (1 << FILE_SHIFT) - 1;
+/// Constants and block-level values: tagged, one per block.
+pub(crate) const SCALAR: u32 = 0;
+pub(crate) const INT: u32 = 1;
+pub(crate) const FLOAT: u32 = 2;
+pub(crate) const BOOL: u32 = 3;
+/// Registers whose type differs by path: tagged values. A range that touches
+/// one runs per thread.
+pub(crate) const DYN: u32 = 4;
+
+/// A count per lane file: `[INT, FLOAT, BOOL, DYN]`.
+pub(crate) type Columns = [usize; 4];
+
+/// The lane registers that code outside `lane_code` reads, for every thread
+/// of a block: the first columns of each file, lane-major.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneTable {
+    pub ints: Vec<i64>,
+    pub floats: Vec<f32>,
+    pub bools: Vec<bool>,
+    pub dyns: Vec<Value>,
+}
 
 /// Set in an operand that names memory instead of a register: the element is
 /// loaded as a source operand is read, written as a destination. The rest of
@@ -25,11 +54,11 @@ pub(crate) const MEM: u32 = 1 << 31;
 /// no index arithmetic, no look-up of its storage.
 pub(crate) const ELEMENT: u32 = 1 << 30;
 
-/// One instruction. Destinations, conditions and indices are registers of
-/// the executing thread's file; a *source* (`a`, `b`, `src`) is a register
-/// or a [`MEM`] operand, and what a `Store` / `Update` / `MulAdd` writes
-/// (`to`) is a [`MEM`] operand. Jumps are relative to the instruction itself,
-/// so code fragments can be spliced anywhere.
+/// One instruction. Destinations, conditions and indices are registers —
+/// the executing thread's lane of their column; a *source* (`a`, `b`, `src`)
+/// is a register or a [`MEM`] operand, and what a `Store` / `Update` /
+/// `MulAdd` writes (`to`) is a [`MEM`] operand. Jumps are relative to the
+/// instruction itself, so code fragments can be spliced anywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Op {
     /// `dst = Value::binary(op, a, b)`, `DivByZero` when that is `None`.
@@ -171,8 +200,57 @@ pub(crate) enum Node {
         else_node: Option<u32>,
     },
     /// Barrier-free code `code[start..end]`: every thread runs it to
-    /// completion, in thread order.
+    /// completion, in thread order — or, when its [`CodeRange`] is
+    /// [`Verdict::Wide`], the whole block runs it one instruction at a time.
     Thread { start: u32, end: u32 },
+}
+
+/// What a [`CodeRange`] is to the skeleton.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RangeKind {
+    /// The thread stream: what is fixed per thread per block, computed by
+    /// every thread on entering a block.
+    ThreadStream,
+    /// The iteration prologue of a loop around a barrier.
+    Prologue,
+    /// A barrier-free leaf of the skeleton.
+    Leaf,
+}
+
+/// Why a range runs per thread, in thread order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reason {
+    /// Something in it can fault, and which thread faults first — at which
+    /// instruction, with what payload — is the tree walker's to say.
+    CanFault,
+    /// It touches a register whose type differs by path.
+    Untyped,
+    /// A branch or a loop extent in it is not proven equal across the block.
+    Divergent,
+    /// It stores to shared or global memory.
+    SharedStore,
+}
+
+/// How the executor runs a [`CodeRange`]; decided once, by the lowering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Its threads provably commute and none can fault: each instruction
+    /// runs once, for all lanes of the block.
+    Wide,
+    /// Every thread runs it to completion, in thread order.
+    PerThread(Reason),
+}
+
+/// One stretch of `code` the skeleton runs for the whole block, and how.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodeRange {
+    /// What the range is.
+    pub kind: RangeKind,
+    /// Instructions in it (each runs once per thread, or once per block
+    /// when the range is wide).
+    pub instructions: usize,
+    /// How it runs.
+    pub verdict: Verdict,
 }
 
 /// A kernel lowered for the flat executor: variables are register slots,
@@ -203,27 +281,30 @@ pub struct Program {
     /// Elements of shared storage per block / of register arrays per thread.
     pub(crate) shared_len: usize,
     pub(crate) local_len: usize,
-    /// Register file layout: `[constants and block-uniform values | the
-    /// thread's row of lane values | thread-invariant values |
-    /// loop-iteration values | variables and temporaries]`. `block_init` is
-    /// the first part as it stands before `block_code` runs.
+    /// The [`SCALAR`] file — constants and block-uniform values — as it
+    /// stands before `block_code` runs.
     pub(crate) block_init: Vec<Value>,
     pub(crate) block_idx: Reg,
-    /// A lane register (in the row only if other code reads it).
+    /// A lane register (in the table only if other code reads it).
     pub(crate) thread_idx: Reg,
-    pub(crate) n_regs: usize,
+    /// Columns of each lane file, laid out `[lane values | thread-invariant
+    /// values | loop-iteration values | variables and temporaries]`.
+    pub(crate) columns: Columns,
     /// Computes the block-uniform registers; run once per block.
     pub(crate) block_code: Vec<Op>,
-    /// Computes the lane registers from `threadIdx` and constants, over a
-    /// file of its own: `[constants | all n_lane lane registers]`, of which
-    /// the first `lane_row` are the ones other code reads. Run once per
-    /// thread **per program**, into `lanes`.
+    /// Computes the lane registers from `threadIdx` and constants, over
+    /// files of their own: all `n_lane` lane registers, of which the first
+    /// `lane_columns` of each file — `lane_row` in all — are the ones other
+    /// code reads. Run once per thread **per program**, into `lanes`.
     pub(crate) lane_code: Vec<Op>,
     pub(crate) n_lane: usize,
     pub(crate) lane_row: usize,
-    /// `block_dim` rows of `lane_row` values. Filled by the first launch; a
-    /// thread entering a block copies its row.
-    pub(crate) lanes: OnceLock<Vec<Value>>,
+    pub(crate) lane_columns: Columns,
+    /// Columns of each file while lane code runs.
+    pub(crate) lane_file: Columns,
+    /// Filled by the first launch; entering a block copies it to the front
+    /// of each file.
+    pub(crate) lanes: OnceLock<LaneTable>,
     /// `code[..thread_code_end]` computes the thread-invariant registers;
     /// run once per thread per block. The rest is the body's fragments and
     /// the iteration prologues of its loops.
@@ -232,9 +313,12 @@ pub struct Program {
     pub(crate) nodes: Vec<Node>,
     pub(crate) children: Vec<u32>,
     pub(crate) root: u32,
-    /// Whether the body contains a barrier (threads then need a register
-    /// file each; otherwise they take turns on one).
-    pub(crate) lockstep: bool,
+    /// The thread stream first; then, in lowering order, the leaves and the
+    /// prologues of the skeleton.
+    pub(crate) ranges: Vec<CodeRange>,
+    /// Parallel to `nodes`: the range of a `Thread` node's code or a `For`
+    /// node's prologue.
+    pub(crate) node_range: Vec<u32>,
     pub(crate) traps: Vec<SimError>,
 }
 
@@ -242,6 +326,19 @@ impl Program {
     /// The kernel's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Threads per block.
+    pub fn block_dim(&self) -> usize {
+        self.block_dim
+    }
+
+    /// Every stretch of code the skeleton runs for the whole block — the
+    /// thread stream, the prologues of loops around barriers, the
+    /// barrier-free leaves — with the lowering's verdict on how: once per
+    /// block across all lanes, or per thread in thread order, and why.
+    pub fn ranges(&self) -> &[CodeRange] {
+        &self.ranges
     }
 
     /// Instructions — of every stream, loop prologues and lane code

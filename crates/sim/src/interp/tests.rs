@@ -501,6 +501,58 @@ fn the_hot_leaf_of_a_tile_kernel_is_loads_and_multiply_adds() {
 }
 
 #[test]
+fn the_hot_leaves_of_a_tile_kernel_run_wide() {
+    use super::program::{RangeKind, Reason, Verdict};
+    // One block, and two (so that there is a thread stream): in lowering
+    // order the thread stream, the four leaves around and in the `k0` loop,
+    // its prologue, the write-back.
+    for grid in [1, 2] {
+        let p = Program::lower(&double_buffered_tile(grid));
+        let [thread, preload, prefetch, tile, commit, prologue, write] = &p.ranges[..] else {
+            panic!("{:?}", p.ranges);
+        };
+        assert_eq!(thread.kind, RangeKind::ThreadStream);
+        assert_eq!(thread.instructions, p.thread_code_end as usize);
+        assert_eq!(prologue.kind, RangeKind::Prologue);
+        assert!(prologue.instructions > 0);
+        // What writes only its threads' registers cannot race, whatever it
+        // reads: the hoisted streams, the predicated prefetch into `Ld`
+        // (its one branch is on `k0`, the same for the whole block) and
+        // the loads and multiply-adds of the `k0` leaf.
+        for range in [thread, prologue, prefetch, tile] {
+            assert_eq!(range.verdict, Verdict::Wide, "{range:?}");
+        }
+        // A store to shared or global memory needs the proof that its
+        // threads stay apart.
+        for range in [preload, commit, write] {
+            let reason = Verdict::PerThread(Reason::SharedStore);
+            assert_eq!(range.verdict, reason, "{range:?}");
+        }
+    }
+    // A predicate on `threadIdx` is a branch threads take differently, an
+    // index only a check keeps in bounds can fault, and a select over unlike
+    // types has no column to be in.
+    let reason_of = |build: &dyn Fn(&BufferRef, &BufferRef) -> Stmt| {
+        let mut kb = KernelBuilder::new("reasons", 1, 8);
+        let x = kb.param("X", DType::F32, &[4]);
+        let acc = kb.local("Acc", DType::F32, &[2]);
+        kb.push(build(&x, &acc));
+        let p = Program::lower(&kb.build());
+        p.ranges[1].verdict.clone()
+    };
+    let to_acc = |acc: &BufferRef, value: Expr| store(acc, vec![c(0)], value);
+    let divergent = reason_of(&|_, acc| if_then(thread_idx().lt(4), to_acc(acc, fconst(1.0))));
+    assert_eq!(divergent, Verdict::PerThread(Reason::Divergent));
+    let faulting = reason_of(&|x, acc| to_acc(acc, load(x, vec![thread_idx()])));
+    assert_eq!(faulting, Verdict::PerThread(Reason::CanFault));
+    let untyped = reason_of(&|x, acc| {
+        let either = load(x, vec![c(0)]).lt(0.5f32).select(thread_idx(), 1.5f32);
+        to_acc(acc, either.cast(DType::F32))
+    });
+    assert_eq!(untyped, Verdict::PerThread(Reason::Untyped));
+}
+
+#[test]
 fn a_single_block_kernel_has_no_thread_stream() {
     // One block: `blockIdx` is a constant, so every index is a function
     // of `threadIdx` alone and is computed once per program.

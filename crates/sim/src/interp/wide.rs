@@ -1,0 +1,638 @@
+//! The wide interpreter loop: runs a range the lowering proved order-free
+//! once for the whole block, each instruction across all lanes.
+//!
+//! A register is a column of its type, so the per-lane body of the common
+//! instructions — integer and float arithmetic, comparisons, multiply-adds,
+//! moves and stores between columns — is a loop over slices, and one
+//! dispatch is paid per instruction per *block*. The arithmetic is still
+//! [`Value::binary`]'s: a lane loop calls it on re-wrapped lanes with the
+//! operator a constant, and inlining leaves the one case that applies. An
+//! instruction with no column form here runs [`Block::step`] lane by lane;
+//! that is the same result, since the threads of a wide range commute.
+
+use std::cell::Cell;
+
+use hidet_ir::{BinOp, DType};
+
+use super::exec::{column, element_offset, missing, past_the_end, Block, Fault, Target};
+use super::program::{
+    Access, Op, Reg, Space, BOOL, COLUMN, ELEMENT, FILE_SHIFT, FLOAT, INT, MEM, SCALAR,
+};
+use super::SimError;
+use crate::value::Value;
+
+/// A source operand across the lanes: one value for all of them, or a column.
+#[derive(Clone, Copy)]
+enum Src<'a, T> {
+    One(T),
+    Each(&'a [Cell<T>]),
+}
+use Src::{Each, One};
+
+impl<T: Copy> Src<'_, T> {
+    #[inline(always)]
+    fn at(self, lane: usize) -> T {
+        match self {
+            One(v) => v,
+            Each(lanes) => lanes[lane].get(),
+        }
+    }
+}
+
+/// `dst[lane] = f(dst[lane], a[lane], b[lane])` on every lane. `false` when
+/// `f` had no result on some lane — which the lowering ruled out.
+#[inline(always)]
+fn zip<D: Copy + Default, A: Copy, B: Copy>(
+    dst: &[Cell<D>],
+    a: Src<'_, A>,
+    b: Src<'_, B>,
+    f: impl Fn(D, A, B) -> Option<D>,
+) -> bool {
+    let mut ok = true;
+    let mut put = |d: &Cell<D>, a: A, b: B| {
+        let v = f(d.get(), a, b);
+        ok &= v.is_some();
+        d.set(v.unwrap_or_default());
+    };
+    match (a, b) {
+        (Each(a), Each(b)) => {
+            for ((d, a), b) in dst.iter().zip(a).zip(b) {
+                put(d, a.get(), b.get());
+            }
+        }
+        (Each(a), One(b)) => dst.iter().zip(a).for_each(|(d, a)| put(d, a.get(), b)),
+        (One(a), Each(b)) => dst.iter().zip(b).for_each(|(d, b)| put(d, a, b.get())),
+        (One(a), One(b)) => dst.iter().for_each(|d| put(d, a, b)),
+    }
+    ok
+}
+
+fn int(v: Value) -> Option<i64> {
+    match v {
+        Value::I64(x) => Some(x),
+        _ => None,
+    }
+}
+
+fn float(v: Value) -> Option<f32> {
+    match v {
+        Value::F32(x) => Some(x),
+        _ => None,
+    }
+}
+
+/// Expands `$arithmetic!(op)` or `$comparison!(op)` with the operator `$op`
+/// holds as a constant, so that `Value::binary` inlines to its one case.
+macro_rules! per_operator {
+    ($op:expr, $arithmetic:ident, $comparison:ident) => {
+        match $op {
+            BinOp::Add => $arithmetic!(BinOp::Add),
+            BinOp::Sub => $arithmetic!(BinOp::Sub),
+            BinOp::Mul => $arithmetic!(BinOp::Mul),
+            BinOp::Div => $arithmetic!(BinOp::Div),
+            BinOp::Mod => $arithmetic!(BinOp::Mod),
+            BinOp::Min => $arithmetic!(BinOp::Min),
+            BinOp::Max => $arithmetic!(BinOp::Max),
+            BinOp::Lt => $comparison!(BinOp::Lt),
+            BinOp::Le => $comparison!(BinOp::Le),
+            BinOp::Eq => $comparison!(BinOp::Eq),
+            BinOp::Ne => $comparison!(BinOp::Ne),
+            BinOp::And | BinOp::Or => return Ok(false),
+        }
+    };
+}
+
+impl<'a> Block<'a> {
+    /// The wide interpreter loop: runs `code` to its end for every thread of
+    /// the block at once. Control flow in it is uniform, so thread 0 decides
+    /// it for all.
+    pub(super) fn wide(&mut self, code: &[Op]) -> Result<(), Fault> {
+        let mut pc = 0usize;
+        while let Some(&op) = code.get(pc) {
+            pc += 1;
+            match op {
+                Op::Jump { skip } => pc += skip as usize,
+                Op::Branch { cond, skip, select } => {
+                    if !self.condition(cond, 0, select)? {
+                        pc += skip as usize;
+                    }
+                }
+                Op::LoopEnter {
+                    var,
+                    count,
+                    extent,
+                    skip,
+                } => {
+                    let n = self.extent(extent, 0)?;
+                    self.fill(count, Value::I64(n))?;
+                    self.fill(var, Value::I64(0))?;
+                    if n <= 0 {
+                        pc += skip as usize;
+                    }
+                }
+                Op::LoopNext { var, count, back } => {
+                    let (i, n) = self.iteration(var, count, 0)?;
+                    self.fill(var, Value::I64(i + 1))?;
+                    if i + 1 < n {
+                        pc -= back as usize + 1;
+                    }
+                }
+                op => {
+                    if !self.across(op)? {
+                        let one = &code[pc - 1..pc];
+                        (0..self.regs.n).try_for_each(|lane| self.step(one, lane))?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `op` for all lanes as a loop over columns; `false` if it is not
+    /// of a form that has one.
+    fn across(&mut self, op: Op) -> Result<bool, Fault> {
+        match op {
+            Op::Bin { op, dst, a, b } => {
+                if let (Some(a), Some(b)) = (self.ints(a), self.ints(b)) {
+                    return self.int_bin(op, dst, a, b);
+                }
+                match (self.floats(a, 0)?, self.floats(b, 1)?) {
+                    (Some(a), Some(b)) => self.float_bin(op, dst, a, b),
+                    _ => Ok(false),
+                }
+            }
+            Op::Select { dst, cond, a, b } => {
+                let Some(cond) = self.bools(cond) else {
+                    return Ok(false);
+                };
+                let n = self.regs.n;
+                let c = (dst & COLUMN) as usize;
+                let file = dst >> FILE_SHIFT;
+                if let (INT, Some(a), Some(b)) = (file, self.ints(a), self.ints(b)) {
+                    let dst = column(self.regs.ints, c, n).iter().enumerate();
+                    dst.for_each(|(i, d)| d.set(if cond.at(i) { a.at(i) } else { b.at(i) }));
+                    return Ok(true);
+                }
+                if let (BOOL, Some(a), Some(b)) = (file, self.bools(a), self.bools(b)) {
+                    let dst = column(self.regs.bools, c, n).iter().enumerate();
+                    dst.for_each(|(i, d)| d.set(if cond.at(i) { a.at(i) } else { b.at(i) }));
+                    return Ok(true);
+                }
+                if file != FLOAT {
+                    return Ok(false);
+                }
+                // (Both sides are read whatever the condition: a load in a
+                // wide range cannot fault.)
+                let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
+                    return Ok(false);
+                };
+                let dst = column(self.regs.floats, c, n).iter().enumerate();
+                dst.for_each(|(i, d)| d.set(if cond.at(i) { a.at(i) } else { b.at(i) }));
+                Ok(true)
+            }
+            Op::Mov { dst, src } => {
+                let n = self.regs.n;
+                let c = (dst & COLUMN) as usize;
+                match dst >> FILE_SHIFT {
+                    INT => {
+                        let Some(src) = self.ints(src) else {
+                            return Ok(false);
+                        };
+                        Ok(zip(
+                            column(self.regs.ints, c, n),
+                            src,
+                            One(()),
+                            |_, x, ()| Some(x),
+                        ))
+                    }
+                    FLOAT => {
+                        let Some(src) = self.floats(src, 0)? else {
+                            return Ok(false);
+                        };
+                        Ok(zip(
+                            column(self.regs.floats, c, n),
+                            src,
+                            One(()),
+                            |_, x, ()| Some(x),
+                        ))
+                    }
+                    _ => Ok(false),
+                }
+            }
+            Op::Store { to, src } => {
+                let Some(src) = self.floats(src, 0)? else {
+                    return Ok(false);
+                };
+                self.update(to, src, One(()), |_, x, ()| Some(x))
+            }
+            Op::Update { op, to, src } => {
+                let Some(src) = self.floats(src, 0)? else {
+                    return Ok(false);
+                };
+                macro_rules! arithmetic {
+                    ($op:path) => {
+                        self.update(to, src, One(()), |old, x, ()| {
+                            float(Value::binary($op, Value::F32(old), Value::F32(x))?)
+                        })
+                    };
+                }
+                macro_rules! comparison {
+                    ($op:path) => {
+                        Ok(false)
+                    };
+                }
+                per_operator!(op, arithmetic, comparison)
+            }
+            Op::MulAdd { to, a, b } => {
+                let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
+                    return Ok(false);
+                };
+                self.update(to, a, b, |old, x, y| {
+                    let product = Value::binary(BinOp::Mul, Value::F32(x), Value::F32(y))?;
+                    float(Value::binary(BinOp::Add, Value::F32(old), product)?)
+                })
+            }
+            _ => Ok(false),
+        }
+    }
+
+    /// `to[lane] = f(to[lane], a[lane], b[lane])` on every lane, for a
+    /// destination in memory that stores `f32` as it is.
+    #[inline(always)]
+    fn update<B: Copy>(
+        &mut self,
+        to: u32,
+        a: Src<'a, f32>,
+        b: Src<'a, B>,
+        f: impl Fn(f32, f32, B) -> Option<f32>,
+    ) -> Result<bool, Fault> {
+        let ok = if to & ELEMENT != 0 {
+            zip(self.element(element_offset(to))?, a, b, f)
+        } else {
+            let p = self.p;
+            let access = &p.accesses[(to & !MEM) as usize];
+            let as_is = matches!(access.dtype, DType::F32 | DType::F16);
+            if !as_is || !self.addresses(access) {
+                return Ok(false);
+            }
+            let mut ok = true;
+            for lane in 0..self.regs.n {
+                let target = Target {
+                    access: Some(access),
+                    at: self.regs.at[lane].get(),
+                };
+                self.write(target, lane, |old| {
+                    let new = f(old, a.at(lane), b.at(lane));
+                    ok &= new.is_some();
+                    Ok(new.unwrap_or_default())
+                })?;
+            }
+            ok
+        };
+        every_lane(ok)
+    }
+
+    fn int_bin(
+        &self,
+        op: BinOp,
+        dst: Reg,
+        a: Src<'a, i64>,
+        b: Src<'a, i64>,
+    ) -> Result<bool, Fault> {
+        let (n, c, file) = (self.regs.n, (dst & COLUMN) as usize, dst >> FILE_SHIFT);
+        macro_rules! arithmetic {
+            ($op:path) => {{
+                if file != INT {
+                    return Ok(false);
+                }
+                zip(column(self.regs.ints, c, n), a, b, |_, x, y| {
+                    int(Value::binary($op, Value::I64(x), Value::I64(y))?)
+                })
+            }};
+        }
+        macro_rules! comparison {
+            ($op:path) => {{
+                if file != BOOL {
+                    return Ok(false);
+                }
+                zip(column(self.regs.bools, c, n), a, b, |_, x, y| {
+                    Value::binary($op, Value::I64(x), Value::I64(y))?.as_bool()
+                })
+            }};
+        }
+        every_lane(per_operator!(op, arithmetic, comparison))
+    }
+
+    fn float_bin(
+        &self,
+        op: BinOp,
+        dst: Reg,
+        a: Src<'a, f32>,
+        b: Src<'a, f32>,
+    ) -> Result<bool, Fault> {
+        let (n, c, file) = (self.regs.n, (dst & COLUMN) as usize, dst >> FILE_SHIFT);
+        macro_rules! arithmetic {
+            ($op:path) => {{
+                if file != FLOAT {
+                    return Ok(false);
+                }
+                zip(column(self.regs.floats, c, n), a, b, |_, x, y| {
+                    float(Value::binary($op, Value::F32(x), Value::F32(y))?)
+                })
+            }};
+        }
+        macro_rules! comparison {
+            ($op:path) => {{
+                if file != BOOL {
+                    return Ok(false);
+                }
+                zip(column(self.regs.bools, c, n), a, b, |_, x, y| {
+                    Value::binary($op, Value::F32(x), Value::F32(y))?.as_bool()
+                })
+            }};
+        }
+        every_lane(per_operator!(op, arithmetic, comparison))
+    }
+
+    // ---- operands as columns ---------------------------------------------
+
+    /// An integer source across the lanes, if `r` is one.
+    #[inline(always)]
+    fn ints(&self, r: Reg) -> Option<Src<'a, i64>> {
+        let c = (r & COLUMN) as usize;
+        match r >> FILE_SHIFT {
+            SCALAR => int(self.regs.scalars[c].get()).map(One),
+            INT => Some(Each(column(self.regs.ints, c, self.regs.n))),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn bools(&self, r: Reg) -> Option<Src<'a, bool>> {
+        let c = (r & COLUMN) as usize;
+        match r >> FILE_SHIFT {
+            SCALAR => self.regs.scalars[c].get().as_bool().map(One),
+            BOOL => Some(Each(column(self.regs.bools, c, self.regs.n))),
+            _ => None,
+        }
+    }
+
+    /// A float source across the lanes, if `operand` is one: a register, a
+    /// register-array element, or what a proven access loads — gathered
+    /// into scratch column `slot`.
+    #[inline(always)]
+    fn floats(&self, operand: u32, slot: usize) -> Result<Option<Src<'a, f32>>, Fault> {
+        let n = self.regs.n;
+        if operand & MEM == 0 {
+            let c = (operand & COLUMN) as usize;
+            return Ok(match operand >> FILE_SHIFT {
+                SCALAR => float(self.regs.scalars[c].get()).map(One),
+                FLOAT => Some(Each(column(self.regs.floats, c, n))),
+                _ => None,
+            });
+        }
+        if operand & ELEMENT != 0 {
+            return Ok(Some(Each(self.element(element_offset(operand))?)));
+        }
+        let loaded = column(self.regs.loaded, slot, n);
+        let access = &self.p.accesses[(operand & !MEM) as usize];
+        Ok(self.gather(access, loaded)?.then_some(Each(loaded)))
+    }
+
+    /// Every lane's address of proven access `a`, into the `at` column.
+    /// `false` if the access is not proven or an index is no integer.
+    fn addresses(&self, a: &Access) -> bool {
+        let at = self.regs.at;
+        at.iter().for_each(|lane| lane.set(a.offset));
+        let add = |lane: &Cell<usize>, index: i64, stride: usize| {
+            lane.set(
+                lane.get()
+                    .wrapping_add((index as usize).wrapping_mul(stride)),
+            );
+        };
+        for d in &self.p.dims[a.first_dim as usize..][..a.rank as usize] {
+            match self.ints(d.idx) {
+                Some(One(index)) => at.iter().for_each(|lane| add(lane, index, d.stride)),
+                Some(Each(index)) => {
+                    let lanes = at.iter().zip(index);
+                    lanes.for_each(|(lane, index)| add(lane, index.get(), d.stride));
+                }
+                None => return false,
+            }
+        }
+        a.proven
+    }
+
+    /// What every lane loads from proven access `a`, into `out`.
+    fn gather(&self, a: &Access, out: &[Cell<f32>]) -> Result<bool, Fault> {
+        if !self.addresses(a) {
+            return Ok(false);
+        }
+        let (p, n) = (self.p, self.regs.n);
+        let lanes = out.iter().zip(self.regs.at);
+        let past = |at: &Cell<usize>| past_the_end(p, a, at.get());
+        match a.space {
+            Space::Global(g) => {
+                let buffer = self.global(a, g)?;
+                for (out, at) in lanes {
+                    out.set(*buffer.get(at.get()).ok_or_else(|| past(at))?);
+                }
+            }
+            Space::Shared => {
+                for (out, at) in lanes {
+                    out.set(self.shared.get(at.get()).ok_or_else(|| past(at))?.get());
+                }
+            }
+            Space::Local => {
+                for (lane, (out, at)) in lanes.enumerate() {
+                    let element = (at.get() < p.local_len).then(|| at.get() * n + lane);
+                    out.set(self.regs.locals[element.ok_or_else(|| past(at))?].get());
+                }
+            }
+            Space::Missing => return Err(missing(p, a)),
+        }
+        Ok(true)
+    }
+}
+
+/// A wide range cannot fault; arithmetic stays checked all the same.
+fn every_lane(ok: bool) -> Result<bool, Fault> {
+    if ok {
+        Ok(true)
+    } else {
+        Err(Box::new(SimError::DivByZero))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The column forms against the per-thread loop — which is
+    //! `Value::binary` / `cast` and nothing else — on every bit pattern.
+
+    use super::*;
+    use crate::interp::exec::Regs;
+    use crate::interp::program::Program;
+    use crate::DeviceMemory;
+    use hidet_ir::prelude::*;
+    use proptest::prelude::*;
+
+    const LANES: usize = 5;
+    /// Columns per file, and elements per thread's register arrays.
+    const COLUMNS: usize = 3;
+
+    fn ints() -> impl Strategy<Value = i64> {
+        let edge = prop::sample::select(vec![i64::MIN, i64::MIN + 1, -1, 0, 1, 2, i64::MAX]);
+        prop_oneof![edge, i64::MIN..=i64::MAX, -9i64..=9]
+    }
+
+    /// Any `f32`, by bit pattern: NaN payloads of both signs, both zeros,
+    /// subnormals and infinities among them.
+    fn floats() -> impl Strategy<Value = f32> {
+        let edge = prop::sample::select(vec![
+            0x0000_0000u32,
+            0x8000_0000,
+            0x0000_0001,
+            0x807f_ffff,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0001,
+            0xffc1_2345,
+            0x7fa0_0000,
+            0x3f80_0000,
+        ]);
+        prop_oneof![edge, 0u32..=u32::MAX].prop_map(f32::from_bits)
+    }
+
+    /// A block of `LANES` threads with `COLUMNS` register-array elements each.
+    fn program() -> Program {
+        let mut kb = KernelBuilder::new("lanes", 1, LANES as i64);
+        kb.local("R", DType::F32, &[COLUMNS as i64]);
+        Program::lower(&kb.build())
+    }
+
+    /// Registers of every file, a scalar of every type, register arrays.
+    fn registers() -> impl Strategy<Value = Regs> {
+        let n = COLUMNS * LANES;
+        let columns = (
+            prop::collection::vec(ints(), n + 1),
+            prop::collection::vec(floats(), 2 * n + 1),
+            prop::collection::vec(0u8..2, n + 1),
+        );
+        columns.prop_map(move |(ints, floats, bools)| {
+            let mut regs = Regs::new(&program(), [COLUMNS, COLUMNS, COLUMNS, 0]);
+            let bools: Vec<bool> = bools.iter().map(|&b| b == 1).collect();
+            regs.scalars = vec![
+                Value::I64(ints[n]),
+                Value::F32(floats[2 * n]),
+                Value::Bool(bools[n]),
+            ];
+            regs.ints.copy_from_slice(&ints[..n]);
+            regs.floats.copy_from_slice(&floats[..n]);
+            regs.locals.copy_from_slice(&floats[n..2 * n]);
+            regs.bools.copy_from_slice(&bools[..n]);
+            regs
+        })
+    }
+
+    /// Everything an instruction can have written, bit for bit — except that
+    /// the result of arithmetic is a NaN or not: which payload survives
+    /// `NaN + NaN` is up to the order the instruction selector puts the
+    /// operands in, not to the language.
+    fn bits(regs: &Regs, arithmetic: bool) -> (Vec<i64>, Vec<u32>, Vec<bool>, Vec<u32>) {
+        let bits = |lanes: &[f32]| {
+            let bits = |x: &f32| match arithmetic && x.is_nan() {
+                true => f32::NAN.to_bits(),
+                false => x.to_bits(),
+            };
+            lanes.iter().map(bits).collect()
+        };
+        let (floats, locals) = (bits(&regs.floats), bits(&regs.locals));
+        (regs.ints.clone(), floats, regs.bools.clone(), locals)
+    }
+
+    /// Runs `op` on a copy of `regs` across all lanes and on another lane by
+    /// lane; both must fault or neither, and leave the same registers.
+    fn assert_wide_is_per_thread(p: &Program, regs: &Regs, op: Op) {
+        let mut memory = DeviceMemory::new();
+        let mut run = |regs: &mut Regs, across: bool| {
+            let mut block = Block {
+                p,
+                regs: regs.lanes(),
+                shared: &[],
+                memory: &mut memory,
+                globals: &[],
+            };
+            if across {
+                assert!(block.across(op)?, "{op:?} has no column form");
+                return Ok(());
+            }
+            (0..LANES).try_for_each(|lane| block.step(&[op], lane))
+        };
+        let (mut across, mut each) = (regs.clone(), regs.clone());
+        let stepped = run(&mut each, false);
+        assert_eq!(run(&mut across, true), stepped, "{op:?}");
+        if stepped.is_ok() {
+            let arithmetic = !matches!(op, Op::Mov { .. } | Op::Select { .. } | Op::Store { .. });
+            assert_eq!(bits(&across, arithmetic), bits(&each, arithmetic), "{op:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_column_form_is_its_per_thread_instruction_on_every_lane(regs in registers()) {
+            let p = program();
+            let reg = |file: u32, c: u32| file << FILE_SHIFT | c;
+            let element = |e: u32| MEM | ELEMENT | e;
+            let (int_scalar, float_scalar, bool_scalar) = (reg(SCALAR, 0), reg(SCALAR, 1), reg(SCALAR, 2));
+            let operators = [
+                BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod, BinOp::Min,
+                BinOp::Max, BinOp::Lt, BinOp::Le, BinOp::Eq, BinOp::Ne,
+            ];
+            for op in operators {
+                let to = if op.is_predicate() { BOOL } else { INT };
+                // Column with column (the destination one of them), with a
+                // scalar on either side, and two scalars.
+                for (a, b) in [
+                    (reg(INT, 0), reg(INT, 1)),
+                    (reg(INT, 2), reg(INT, 0)),
+                    (reg(INT, 1), int_scalar),
+                    (int_scalar, reg(INT, 1)),
+                    (int_scalar, int_scalar),
+                ] {
+                    assert_wide_is_per_thread(&p, &regs, Op::Bin { op, dst: reg(to, 2), a, b });
+                }
+                let to = if op.is_predicate() { BOOL } else { FLOAT };
+                for (a, b) in [
+                    (reg(FLOAT, 0), reg(FLOAT, 1)),
+                    (reg(FLOAT, 2), element(0)),
+                    (element(1), float_scalar),
+                    (float_scalar, reg(FLOAT, 1)),
+                ] {
+                    assert_wide_is_per_thread(&p, &regs, Op::Bin { op, dst: reg(to, 2), a, b });
+                }
+                if !op.is_predicate() {
+                    for src in [reg(FLOAT, 0), element(2), float_scalar] {
+                        assert_wide_is_per_thread(&p, &regs, Op::Update { op, to: element(2), src });
+                    }
+                }
+            }
+            for (a, b) in [(reg(FLOAT, 0), element(1)), (element(2), float_scalar)] {
+                assert_wide_is_per_thread(&p, &regs, Op::MulAdd { to: element(2), a, b });
+                assert_wide_is_per_thread(&p, &regs, Op::Store { to: element(0), src: a });
+                assert_wide_is_per_thread(&p, &regs, Op::Mov { dst: reg(FLOAT, 1), src: b });
+                for cond in [reg(BOOL, 0), bool_scalar] {
+                    assert_wide_is_per_thread(&p, &regs, Op::Select { dst: reg(FLOAT, 0), cond, a, b });
+                }
+            }
+            for (a, b) in [(reg(INT, 0), reg(INT, 1)), (reg(INT, 2), int_scalar)] {
+                assert_wide_is_per_thread(&p, &regs, Op::Mov { dst: reg(INT, 1), src: a });
+                let select = Op::Select { dst: reg(INT, 0), cond: reg(BOOL, 1), a, b };
+                assert_wide_is_per_thread(&p, &regs, select);
+            }
+            let select = Op::Select { dst: reg(BOOL, 0), cond: reg(BOOL, 0), a: reg(BOOL, 1), b: bool_scalar };
+            assert_wide_is_per_thread(&p, &regs, select);
+        }
+    }
+}

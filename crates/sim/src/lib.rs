@@ -54,7 +54,7 @@ pub mod spec;
 pub mod value;
 
 pub use cost::{estimated_queue_delay, CostBreakdown, LatencyEstimate, Occupancy, WorkCounts};
-pub use interp::{Program, SimError};
+pub use interp::{CodeRange, Program, RangeKind, Reason, SimError, Verdict};
 pub use memory::{BufferId, DeviceMemory};
 pub use spec::GpuSpec;
 pub use value::Value;

@@ -729,8 +729,11 @@ proptest! {
     /// budget, an index that may leave its buffer and a divisor that may hit
     /// zero in some iteration — with no barrier, or one after the inner loop
     /// (the outer loop is then a skeleton loop with a prologue, the inner a
-    /// leaf of it), on one block (`blockIdx` a constant) or two. Same result
-    /// on both interpreters — the same fault, or the same memory.
+    /// leaf of it), on one block (`blockIdx` a constant) or two, of two
+    /// threads or five that address `X` by `threadIdx` (they stay apart),
+    /// by `1 - threadIdx` (two stay apart, five leave the buffer) or all by
+    /// 0 (they race). Same result on both interpreters — the same fault, or
+    /// the same memory.
     #[test]
     fn random_loop_nests_match_the_walker(
         outer in 0i64..=9,
@@ -740,15 +743,18 @@ proptest! {
         zero_at in -2i64..10,
         barrier in 0i64..=1,
         grid in 1i64..=2,
+        threads in prop::sample::select(vec![2i64, 5]),
+        lane in 0i64..3,
     ) {
-        let mut kb = KernelBuilder::new("fuzz_nest", grid, 2);
-        let x = kb.param("X", DType::F32, &[grid, 2, 10, 10]);
+        let mut kb = KernelBuilder::new("fuzz_nest", grid, threads);
+        let x = kb.param("X", DType::F32, &[grid, threads, 10, 10]);
         let acc = kb.local("Acc", DType::F32, &[10]);
+        let lane = [thread_idx(), c(1) - thread_idx(), c(0)][lane as usize].clone();
         kb.push(for_range("i", outer, |i| {
             let nest = for_range("j", inner, |j| {
                 seq((0..stores)
                     .map(|k| {
-                        let at = vec![block_idx(), thread_idx(), i.clone() + shift * k / 4, j.clone()];
+                        let at = vec![block_idx(), lane.clone(), i.clone() + shift * k / 4, j.clone()];
                         let quotient = (i.clone() * 10 + k) / (j.clone() - zero_at);
                         let product = load(&x, at.clone()) * quotient.cast(DType::F32);
                         seq(vec![
@@ -766,6 +772,154 @@ proptest! {
         }));
         let (walked, ran) = run_both(&kb.build());
         prop_assert_eq!(ran, walked);
+    }
+}
+
+// ---- leaves whose threads do not commute -------------------------------------
+//
+// A leaf runs once for the whole block, an instruction at a time, only when
+// the lowering proved that no thread of it touches an element another
+// writes. Each kernel below has a leaf whose threads *do* meet in memory, in
+// a way that running it an instruction at a time would show: the walker runs
+// its threads one after another, and so must the program.
+
+/// Statements that are one leaf whatever is around them: beside a barrier,
+/// each statement of a sequence is a leaf of its own.
+fn one_leaf(statements: Vec<Stmt>) -> Stmt {
+    for_range("once", 1, |_| seq(statements))
+}
+
+/// A block of `threads`: `racy` between two barriers (or bare, with
+/// `barriers` off), over a shared `S` and a register array `R` of
+/// `threads + 1` and 2 elements, zeroed; every thread then writes its `R[0]`,
+/// `R[1]` and `S[t]` out to `Y`.
+fn racy_kernel(
+    threads: i64,
+    barriers: bool,
+    racy: impl FnOnce(&BufferRef, &BufferRef, &BufferRef) -> Stmt,
+) -> Kernel {
+    let mut kb = KernelBuilder::new("racy", 1, threads);
+    let x = kb.param("X", DType::F32, &[threads + 1]);
+    let y = kb.param("Y", DType::F32, &[3, threads]);
+    let s = kb.shared("S", DType::F32, &[threads + 1]);
+    let r = kb.local("R", DType::F32, &[2]);
+    let racy = racy(&x, &s, &r);
+    if barriers {
+        kb.push(store(&s, vec![thread_idx()], load(&x, vec![thread_idx()])));
+        kb.push(sync_threads());
+    }
+    kb.push(racy);
+    if barriers {
+        kb.push(sync_threads());
+    }
+    let out = [
+        load(&r, vec![c(0)]),
+        load(&r, vec![c(1)]),
+        load(&s, vec![thread_idx()]),
+    ];
+    for (row, value) in out.into_iter().enumerate() {
+        kb.push(store(&y, vec![c(row as i64), thread_idx()], value));
+    }
+    kb.build()
+}
+
+fn assert_runs_like_the_walker(kernel: &Kernel) {
+    assert_eq!(run_both(kernel), (Ok(()), Ok(())), "{}", kernel.name());
+}
+
+#[test]
+fn threads_accumulating_into_one_element_take_turns() {
+    // `X[0] += t + 0.1`, then `R[0] = X[0]`: each thread sees the sum so
+    // far — an `f32` sum, in thread order.
+    for threads in [1, 2, 33, 256] {
+        assert_runs_like_the_walker(&racy_kernel(threads, true, |x, _, r| {
+            let bump = thread_idx().cast(DType::F32) + 0.1f32;
+            one_leaf(vec![
+                store(x, vec![c(0)], load(x, vec![c(0)]) + bump),
+                store(r, vec![c(0)], load(x, vec![c(0)])),
+            ])
+        }));
+    }
+}
+
+#[test]
+fn a_fill_and_its_use_without_a_barrier_between_take_turns() {
+    // Thread `t` fills `S[t]` and reads `S[t + 1]`, which its neighbour has
+    // not filled yet — the missing barrier between a shared-memory fill and
+    // its use.
+    for (threads, barriers) in [(2, true), (33, true), (256, true), (8, false)] {
+        assert_runs_like_the_walker(&racy_kernel(threads, barriers, |x, s, r| {
+            one_leaf(vec![
+                store(s, vec![thread_idx()], load(x, vec![thread_idx()]) * 2.0f32),
+                store(r, vec![c(0)], load(s, vec![thread_idx() + 1])),
+            ])
+        }));
+    }
+}
+
+#[test]
+fn two_stores_of_one_leaf_to_neighbouring_elements_take_turns() {
+    // `S[t] = a; S[(t + 1) % n] = b`: which store an element keeps depends
+    // on whose turn came last.
+    for threads in [2, 33, 256] {
+        assert_runs_like_the_walker(&racy_kernel(threads, true, |x, s, _| {
+            let value = load(x, vec![thread_idx()]);
+            one_leaf(vec![
+                store(s, vec![thread_idx()], value.clone()),
+                store(s, vec![(thread_idx() + 1) % threads], value + 1.0f32),
+            ])
+        }));
+    }
+}
+
+#[test]
+fn iterations_of_a_leaf_loop_that_meet_across_threads_take_turns() {
+    // Iteration `i` of thread `t` writes `S[2t + i]`, which iteration
+    // `i + 1` of thread `t - 1` reads: no two threads meet in the same
+    // iteration, and running the loop an iteration at a time would hand
+    // thread `t - 1` what thread `t` has not written yet.
+    let mut kb = KernelBuilder::new("racy_loop", 1, 4);
+    let y = kb.param("Y", DType::F32, &[4, 9]);
+    let s = kb.shared("S", DType::F32, &[16]);
+    kb.push(for_range("i", 9, |i| {
+        let mine = thread_idx() * 2 + i.clone();
+        seq(vec![
+            store(
+                &y,
+                vec![thread_idx(), i.clone()],
+                load(&s, vec![mine.clone() + 1]),
+            ),
+            store(&s, vec![mine], (thread_idx() * 9 + i + 1).cast(DType::F32)),
+        ])
+    }));
+    assert_runs_like_the_walker(&kb.build());
+}
+
+#[test]
+fn registers_cross_from_a_wide_leaf_to_a_racy_one_and_back() {
+    // A leaf that commutes, one that does not, one that does again: `v`,
+    // `R[0]` and `R[1]` are written in one and read in the next.
+    for threads in [2, 33] {
+        let v = var("v");
+        assert_runs_like_the_walker(&racy_kernel(threads, true, |x, s, r| {
+            seq(vec![
+                let_(&v, load(x, vec![thread_idx()]) * 3.0f32),
+                store(r, vec![c(0)], v.expr() + 1.0f32),
+                sync_threads(),
+                store(
+                    s,
+                    vec![c(0)],
+                    load(s, vec![c(0)]) * 0.5f32 + load(r, vec![c(0)]),
+                ),
+                store(r, vec![c(1)], load(s, vec![c(0)]) + v.expr()),
+                sync_threads(),
+                store(
+                    r,
+                    vec![c(0)],
+                    load(r, vec![c(0)]) * load(r, vec![c(1)]) + v.expr(),
+                ),
+            ])
+        }));
     }
 }
 
