@@ -81,12 +81,14 @@ pub(crate) fn launch(
             });
         }
     }
-    let lanes = lanes(program, buffers, memory).map_err(|fault| *fault)?;
     let mut machine = Machine {
         p: program,
         globals: buffers,
+        // The lowering proved threads apart buffer by buffer; where two
+        // buffers are the same storage, every range keeps thread order.
+        in_turn: memory.aliased(buffers),
         memory,
-        lanes,
+        lanes: program.lanes.as_ref().map_err(Clone::clone)?,
         regs: Regs::new(program, program.columns),
         shared: vec![0.0; program.shared_len],
     };
@@ -96,37 +98,30 @@ pub(crate) fn launch(
     Ok(())
 }
 
-/// The program's lane table: for every thread of a block, the lane registers
-/// that code outside `lane_code` reads. Computed by the first launch — lane
-/// code reads `threadIdx` and constants, nothing of a launch — and kept.
-fn lanes<'p>(
-    p: &'p Program,
-    globals: &[Option<BufferId>],
-    memory: &mut DeviceMemory,
-) -> Result<&'p LaneTable, Fault> {
-    if let Some(table) = p.lanes.get() {
-        return Ok(table);
-    }
+/// Runs `p.lane_code`: every lane register — the ones in the table first in
+/// each file, then the ones only lane code reads — for every thread of a
+/// block. Lane code reads `threadIdx` and constants, nothing of a launch.
+pub(super) fn lane_registers(p: &Program) -> Result<LaneTable, SimError> {
     let mut regs = Regs::new(p, p.lane_file);
     let mut block = Block {
         p,
         regs: regs.lanes(),
         shared: &[],
-        memory,
-        globals,
+        memory: &mut DeviceMemory::new(),
+        globals: &[],
     };
     for lane in 0..p.block_dim {
-        block.set(p.thread_idx, lane, Value::I64(lane as i64))?;
-        block.step(&p.lane_code, lane)?;
+        let thread_idx = Value::I64(lane as i64);
+        let ran = block.set(p.thread_idx, lane, thread_idx);
+        ran.and_then(|()| block.step(&p.lane_code, lane))
+            .map_err(|fault| *fault)?;
     }
-    let [ints, floats, bools, dyns] = p.lane_columns.map(|columns| columns * p.block_dim);
-    let table = LaneTable {
-        ints: regs.ints[..ints].to_vec(),
-        floats: regs.floats[..floats].to_vec(),
-        bools: regs.bools[..bools].to_vec(),
-        dyns: regs.dyns[..dyns].to_vec(),
-    };
-    Ok(p.lanes.get_or_init(|| table))
+    Ok(LaneTable {
+        ints: regs.ints,
+        floats: regs.floats,
+        bools: regs.bools,
+        dyns: regs.dyns,
+    })
 }
 
 /// The registers of one block. A file holds one column of `block_dim` lanes
@@ -213,7 +208,8 @@ struct Machine<'a> {
     p: &'a Program,
     globals: &'a [Option<BufferId>],
     memory: &'a mut DeviceMemory,
-    /// `p.lanes`, filled.
+    /// No range of this launch runs wide.
+    in_turn: bool,
     lanes: &'a LaneTable,
     regs: Regs,
     shared: Vec<f32>,
@@ -260,8 +256,10 @@ impl Machine<'_> {
     fn run(&mut self, range: u32, (start, end): (u32, u32)) -> Result<(), Fault> {
         let p = self.p;
         let code = &p.code[start as usize..end as usize];
+        let proven = p.ranges.get(range as usize).map(|r| &r.verdict) == Some(&Verdict::Wide);
+        let wide = proven && !self.in_turn;
         let mut block = self.block();
-        if p.ranges.get(range as usize).map(|r| &r.verdict) == Some(&Verdict::Wide) {
+        if wide {
             return block.wide(code);
         }
         (0..p.block_dim).try_for_each(|lane| block.step(code, lane))

@@ -4,8 +4,9 @@
 
 use hidet_ir::{BinOp, BufferRef, DType, Expr};
 
+use super::linear::Linear;
 use super::place::{binary_rule, Place, Ty, Val};
-use super::{BufferSlot, Lowerer};
+use super::{BufferSlot, Lowerer, Touch};
 use crate::interp::program::{Access, Dim, Op, Space, ELEMENT, MEM};
 use crate::interp::SimError;
 use crate::value::Value;
@@ -93,6 +94,20 @@ impl<'k> Lowerer<'k> {
         let declared = self.declared(space);
         let proven = in_bounds && fits && declared && checked == 0;
         debug_assert!(id < ELEMENT);
+        if proven && matches!(space, Space::Shared | Space::Global(_)) {
+            // Which elements the block's threads meet at, if any, is read
+            // off the index while its terms are still apart.
+            let address = dims
+                .iter()
+                .try_fold(Linear::konst(base as i64), |sum, (v, d)| {
+                    Some(sum.plus(&self.linear(*v)?, d.stride as i64))
+                });
+            self.frag.touches.push(Touch {
+                buffer: slot,
+                store: write,
+                address,
+            });
+        }
         let mut offset = base;
         if proven {
             offset += self.fold_terms(&mut dims);

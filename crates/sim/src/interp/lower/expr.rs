@@ -3,6 +3,7 @@
 
 use hidet_ir::{BinOp, Expr};
 
+use super::linear::Linear;
 use super::place::{binary_range, binary_rule, unary_rule, Place, Ty, Val};
 use super::{Fragment, Lowerer};
 use crate::interp::program::{Op, Reg};
@@ -132,13 +133,37 @@ impl<'k> Lowerer<'k> {
                 _ => None,
             },
         };
+        let sum = match (op, ty, val.place) {
+            (_, _, Place::Const | Place::Lane | Place::Body) => None,
+            (BinOp::Add | BinOp::Sub | BinOp::Mul, Ty::I64, _) => self.sum(op, a, b),
+            _ => None,
+        };
         let op = Op::Bin {
             op,
             dst: 0,
             a: a.reg,
             b: b.reg,
         };
-        self.emit(op, val, faults)
+        let val = self.emit(op, val, faults);
+        if let Some(sum) = sum {
+            self.linear_of.insert(val.reg, sum);
+        }
+        val
+    }
+
+    /// `a <op> b` as a sum of what `a` and `b` are sums of, for `+`, `-` and
+    /// `*` by a constant.
+    fn sum(&self, op: BinOp, a: Val, b: Val) -> Option<Linear> {
+        let (a, b) = (self.linear(a)?, self.linear(b)?);
+        match op {
+            BinOp::Add => Some(a.plus(&b, 1)),
+            BinOp::Sub => Some(a.plus(&b, -1)),
+            _ => match (a.as_konst(), b.as_konst()) {
+                (_, Some(by)) => Some(Linear::default().plus(&a, by)),
+                (Some(by), _) => Some(Linear::default().plus(&b, by)),
+                _ => None,
+            },
+        }
     }
 
     /// `cond ? a : b` evaluates only the branch it takes. When neither

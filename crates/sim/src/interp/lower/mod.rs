@@ -25,21 +25,22 @@
 
 mod access;
 mod expr;
+mod linear;
 mod place;
 mod skeleton;
 mod unroll;
 mod verdict;
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use hidet_ir::{BufferRef, Kernel, MemScope, Stmt};
 
+use self::linear::{Atom, Linear};
 use self::place::{Place, Ty, Val};
 use self::unroll::UNROLL_TRIPS;
 use super::program::{
-    CodeRange, Control, Global, Node, Op, Program, RangeKind, Reg, Space, FILE_SHIFT, INT, MEM,
-    SCALAR,
+    CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space, FILE_SHIFT,
+    INT, MEM, SCALAR,
 };
 use super::SimError;
 use crate::value::Value;
@@ -83,6 +84,18 @@ struct Fragment {
     /// A branch or a loop in it is not proven to go the same way in every
     /// thread of the block.
     divergent: bool,
+    /// Its proven accesses to shared and global buffers.
+    touches: Vec<Touch>,
+}
+
+/// One proven `Load` / `Store` site of a shared or global buffer.
+struct Touch {
+    /// Index into `buffer_names`.
+    buffer: u32,
+    store: bool,
+    /// The element within the buffer's space, where its index arithmetic is
+    /// understood.
+    address: Option<Linear>,
 }
 
 /// A range of `main` the skeleton runs for the whole block.
@@ -92,11 +105,17 @@ struct Stretch {
     end: u32,
     may_fault: bool,
     divergent: bool,
+    touches: Vec<Touch>,
 }
 
 /// A loop that stayed a loop, while its body is being lowered.
-#[derive(Default)]
 struct OpenLoop {
+    /// Its variable's register, and a number no other loop has.
+    var: Reg,
+    id: u32,
+    /// Around a barrier: the whole block is in the same iteration, and its
+    /// variable holds still for as long as a leaf of its body runs.
+    skeleton: bool,
     /// What the body computes from this loop's variable (and coarser values)
     /// alone, into loop-space registers: run at the top of every iteration.
     prologue: Vec<Op>,
@@ -174,6 +193,11 @@ struct Lowerer<'k> {
     /// The loops around the statement being lowered, outermost first:
     /// `Place::Loop(n)` is `loops[n - 1]`.
     loops: Vec<OpenLoop>,
+    /// Loops opened so far.
+    n_loops: u32,
+    /// The sums behind block, thread and loop registers that hold index
+    /// arithmetic (each is written by one instruction).
+    linear_of: HashMap<Reg, Linear>,
     /// The body fragment being emitted.
     frag: Fragment,
     /// Finished body fragments, and the ranges among them: first the thread
@@ -213,7 +237,7 @@ impl<'k> Lowerer<'k> {
             lane_row: 0,
             lane_columns: [0; 4],
             lane_file: [0; 4],
-            lanes: OnceLock::new(),
+            lanes: Ok(LaneTable::default()),
             code: Vec::new(),
             thread_code_end: 0,
             nodes: Vec::new(),
@@ -236,6 +260,8 @@ impl<'k> Lowerer<'k> {
             thread_code: Vec::new(),
             hoisted: HashMap::new(),
             loops: Vec::new(),
+            n_loops: 0,
+            linear_of: HashMap::new(),
             frag: Fragment::default(),
             main: Vec::new(),
             stretches: vec![Stretch {
@@ -244,6 +270,7 @@ impl<'k> Lowerer<'k> {
                 end: 0,
                 may_fault: false,
                 divergent: false,
+                touches: Vec::new(),
             }],
             env: Vec::new(),
             slots: Vec::new(),
@@ -339,6 +366,36 @@ impl<'k> Lowerer<'k> {
         (v.place == Place::Const).then(|| self.p.block_init[(v.reg & INDEX) as usize])
     }
 
+    /// `v` as a sum of lane, block-wide and leaf-loop parts, if it is one.
+    fn linear(&self, v: Val) -> Option<Linear> {
+        if v.ty != Ty::I64 {
+            return None;
+        }
+        if let Some(Value::I64(konst)) = self.const_value(v) {
+            return Some(Linear::konst(konst));
+        }
+        if let Some(sum) = self.linear_of.get(&v.reg) {
+            return Some(sum.clone());
+        }
+        let atom = match v.place {
+            Place::Lane => Atom::Lane(v.reg),
+            Place::Block => Atom::Fixed(v.reg),
+            Place::Loop(n) => {
+                let open = &self.loops[n as usize - 1];
+                match (open.skeleton, v.reg == open.var) {
+                    (true, _) if v.uniform => Atom::Fixed(v.reg),
+                    (false, true) if v.uniform => Atom::Var {
+                        id: open.id,
+                        trips: v.range?.1.checked_add(1)?,
+                    },
+                    _ => return None,
+                }
+            }
+            _ => return None,
+        };
+        Some(Linear::atom(atom))
+    }
+
     // ---- emission --------------------------------------------------------
 
     /// The instruction stream of a place other than the body, and the map
@@ -420,6 +477,7 @@ impl<'k> Lowerer<'k> {
         self.frag.code.extend(inner.code);
         self.frag.may_fault |= inner.may_fault;
         self.frag.divergent |= inner.divergent;
+        self.frag.touches.extend(inner.touches);
     }
 
     /// `if cond { then_part } else { else_part }` over finished fragments.
@@ -491,8 +549,7 @@ impl<'k> Lowerer<'k> {
                     }
                 }
                 let (var_reg, count) = (self.temp(Ty::I64), self.temp(Ty::I64));
-                // Threads that agree on the extent count the same iterations.
-                self.open_loop(var.name(), var_reg, n, body, n.uniform);
+                self.open_loop(var.name(), var_reg, n, body, false);
                 let ((), mut body) = self.capture(|l| l.stmt(body));
                 self.env.truncate(scope);
                 let prologue = self.close_loop();
@@ -678,14 +735,36 @@ impl<'k> Lowerer<'k> {
         for stretch in &mut self.stretches[1..] {
             stretch.start += shift;
             stretch.end += shift;
+            let sums = stretch.touches.iter_mut().flat_map(|t| &mut t.address);
+            for (atom, _) in sums.flat_map(|sum| &mut sum.terms) {
+                if let Atom::Lane(r) = atom {
+                    resolve(r);
+                }
+            }
         }
+
+        // Lane code runs now, once: what it computes is what a block's lane
+        // columns start from, and what tells the threads of a range apart.
+        let mut lanes = super::exec::lane_registers(&p);
         p.ranges = (self.stretches.iter())
             .map(|s| CodeRange {
                 kind: s.kind,
                 instructions: (s.end - s.start) as usize,
-                verdict: verdict::judge(&p, s),
+                verdict: verdict::judge(&p, s, lanes.as_ref().ok()),
             })
             .collect();
+        if let Ok(table) = &mut lanes {
+            let [ints, floats, bools, dyns] = p.lane_columns.map(|columns| columns * p.block_dim);
+            table.ints.truncate(ints);
+            table.ints.shrink_to_fit();
+            table.floats.truncate(floats);
+            table.floats.shrink_to_fit();
+            table.bools.truncate(bools);
+            table.bools.shrink_to_fit();
+            table.dyns.truncate(dyns);
+            table.dyns.shrink_to_fit();
+        }
+        p.lanes = lanes;
         p
     }
 }

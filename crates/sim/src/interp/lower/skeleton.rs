@@ -1,6 +1,8 @@
 //! The barrier skeleton: statements that contain a barrier become nodes
 //! with uniform control; loops that stay loops get an iteration prologue.
 
+use std::collections::HashMap;
+
 use hidet_ir::{Expr, Stmt};
 
 use super::place::{Place, Ty, Val};
@@ -30,23 +32,32 @@ pub(super) fn leaked<'s>(s: &'s Stmt, out: &mut Vec<&'s str>) {
 }
 
 impl<'k> Lowerer<'k> {
-    /// Opens a loop that stays a loop: binds its variable, running to
-    /// `extent` and fixed for an iteration of this loop, and poisons what the
-    /// body would leak from one iteration into the next.
+    /// Opens a loop that stays a loop — around a barrier (`skeleton`) or
+    /// inside a leaf: binds its variable, running to `extent` and fixed for
+    /// an iteration of this loop, and poisons what the body would leak from
+    /// one iteration into the next.
     pub(super) fn open_loop(
         &mut self,
         name: &'k str,
         var: Reg,
         extent: Val,
         body: &'k Stmt,
-        uniform: bool,
+        skeleton: bool,
     ) {
-        self.loops.push(OpenLoop::default());
+        self.loops.push(OpenLoop {
+            var,
+            id: self.n_loops,
+            skeleton,
+            prologue: Vec::new(),
+            hoisted: HashMap::new(),
+        });
+        self.n_loops += 1;
         let val = Val {
             reg: var,
             ty: Ty::I64,
             place: Place::Loop(self.loops.len() as u32),
-            uniform,
+            // Threads that agree on the extent count the same iterations.
+            uniform: skeleton || extent.uniform,
             // The body only runs while `0 <= var < extent`.
             range: match (extent.ty, extent.range) {
                 (Ty::I64, Some((_, hi))) if hi >= 1 => Some((0, hi - 1)),
@@ -94,6 +105,7 @@ impl<'k> Lowerer<'k> {
             end,
             may_fault: part.may_fault,
             divergent: part.divergent,
+            touches: part.touches,
         });
         ((start, end), self.stretches.len() as u32 - 1)
     }

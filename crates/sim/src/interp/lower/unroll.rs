@@ -105,22 +105,23 @@ impl<'k> Lowerer<'k> {
         self.thread_tys.truncate(start.thread_regs);
         self.thread_code.truncate(start.thread_code);
         self.loop_tys.truncate(start.loop_regs);
-        let live = |r: &mut Reg| {
-            let index = (*r & INDEX) as usize;
-            match *r >> SPACE_SHIFT {
+        let live = |r: Reg| {
+            let index = (r & INDEX) as usize;
+            match r >> SPACE_SHIFT {
                 BLOCK => index < start.block_regs,
                 LANE => index < start.lane_regs,
                 THREAD => index < start.thread_regs,
                 _ => index < start.loop_regs,
             }
         };
-        self.consts.retain(|_, r| live(r));
-        self.hoisted.retain(|_, r| live(r));
+        self.consts.retain(|_, r| live(*r));
+        self.hoisted.retain(|_, r| live(*r));
+        self.linear_of.retain(|r, _| live(*r));
         // Whatever the attempt opened it also closed: these are the loops
         // that were open at `start`.
         for (open, &len) in self.loops.iter_mut().zip(&start.prologues) {
             open.prologue.truncate(len);
-            open.hoisted.retain(|_, r| live(r));
+            open.hoisted.retain(|_, r| live(*r));
         }
     }
 }

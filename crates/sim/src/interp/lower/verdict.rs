@@ -2,19 +2,40 @@
 //! provably commute and none can fault, otherwise per thread in thread
 //! order. Decided here, once, from what the lowering knows.
 
-use super::Stretch;
+use super::linear::{Atom, Linear};
+use super::{Stretch, Touch};
 use crate::interp::program::{
-    Op, Program, Reason, Reg, Space, Verdict, DYN, ELEMENT, FILE_SHIFT, MEM,
+    Access, LaneTable, Program, Reason, Reg, Verdict, COLUMN, DYN, ELEMENT, FILE_SHIFT, MEM,
 };
 
-/// The verdict on `code[s.start..s.end]` of the finished program `p`.
+/// Elements a footprint proof enumerates before it gives up (all threads,
+/// all iterations of leaf loops, all accesses to one buffer). The tile
+/// fills and write-backs of the schedule templates take a few thousand.
+const FOOTPRINT_CAP: usize = 1 << 15;
+
+/// The verdict on `code[s.start..s.end]` of the finished program `p`;
+/// `lanes` is what its lane code computed, every register of it (`None` if
+/// it could not run).
 ///
-/// A range is wide when nothing in it can fault, every register it touches
-/// has a static type, its control flow is proven uniform and it writes
-/// nothing but its threads' own registers and register arrays. Threads of
-/// such a range share no written state, so running them one instruction at
-/// a time is running them one after another.
-pub(super) fn judge(p: &Program, s: &Stretch) -> Verdict {
+/// **Structure.** A range is wide when nothing in it can fault, every
+/// register it touches has a static type, its control flow is proven uniform
+/// and it writes nothing but its threads' own registers and register arrays.
+/// Threads of such a range share no written state, so running them one
+/// instruction at a time is running them one after another.
+///
+/// **Footprint.** A range that also stores to shared or global memory is
+/// wide when, for every buffer it stores to, no element is touched by two
+/// threads unless both only load it — counting every access of the range to
+/// that buffer, in every iteration of its loops. That is the task-mapping
+/// argument (a `spatial` / `repeat` composition partitions the tile among the
+/// workers), re-established on the addresses instead of trusted: each is a
+/// constant, plus a part only `threadIdx` decides, plus a part the whole
+/// block shares, plus the variables of loops inside the leaf. Where all
+/// accesses to a buffer have the same block-wide part, the threads' elements
+/// relative to it are enumerated and compared. Anything else — an index that
+/// is no such sum, block-wide parts that differ, too many elements — is
+/// unproven, and unproven runs per thread.
+pub(super) fn judge(p: &Program, s: &Stretch, lanes: Option<&LaneTable>) -> Verdict {
     if s.may_fault {
         return Verdict::PerThread(Reason::CanFault);
     }
@@ -36,18 +57,95 @@ pub(super) fn judge(p: &Program, s: &Stretch) -> Verdict {
     if s.divergent {
         return Verdict::PerThread(Reason::Divergent);
     }
-    let shared = |to: Reg| access(p, to).is_some_and(|a| a.space != Space::Local);
-    let stores = code.iter().any(|op| match *op {
-        Op::Store { to, .. } | Op::Update { to, .. } | Op::MulAdd { to, .. } => shared(to),
-        _ => false,
-    });
-    if stores {
-        return Verdict::PerThread(Reason::SharedStore);
+    let mut stored: Vec<u32> = (s.touches.iter().filter(|t| t.store))
+        .map(|t| t.buffer)
+        .collect();
+    stored.sort_unstable();
+    stored.dedup();
+    for buffer in stored {
+        let touches = s.touches.iter().filter(|t| t.buffer == buffer);
+        if let Err(reason) = apart(p, buffer, touches, lanes) {
+            return Verdict::PerThread(reason);
+        }
     }
     Verdict::Wide
 }
 
 /// The access a memory operand names, unless it is a register-array element.
-fn access(p: &Program, operand: Reg) -> Option<&crate::interp::program::Access> {
+fn access(p: &Program, operand: Reg) -> Option<&Access> {
     (operand & (MEM | ELEMENT) == MEM).then(|| &p.accesses[(operand & !MEM) as usize])
+}
+
+/// Whether the threads of a range stay apart in `buffer`, of which `touches`
+/// are all the range's accesses: no element is touched by two threads, one
+/// of them storing it. Elements are counted from the part of the address
+/// the whole block shares.
+fn apart<'t>(
+    p: &Program,
+    buffer: u32,
+    touches: impl Iterator<Item = &'t Touch>,
+    lanes: Option<&LaneTable>,
+) -> Result<(), Reason> {
+    const UNPROVEN: Reason = Reason::UnprovenFootprint;
+    let lanes = lanes.ok_or(UNPROVEN)?;
+    let threads = p.block_dim;
+    let mut shared: Option<Vec<(Atom, i64)>> = None;
+    // (element, thread, stores it)
+    let mut elements: Vec<(i64, u32, bool)> = Vec::new();
+    for touch in touches {
+        let Linear { konst, terms } = touch.address.as_ref().ok_or(UNPROVEN)?;
+        let fixed = terms.iter().filter(|t| matches!(t.0, Atom::Fixed(_)));
+        let fixed: Vec<_> = fixed.copied().collect();
+        if *shared.get_or_insert_with(|| fixed.clone()) != fixed {
+            return Err(UNPROVEN);
+        }
+        // What the leaf's loops add, over all their iterations.
+        let loops = terms.iter().filter_map(|&(atom, by)| match atom {
+            Atom::Var { trips, .. } => Some((trips.max(0), by)),
+            _ => None,
+        });
+        let instances = loops
+            .clone()
+            .fold(threads, |n, (trips, _)| n.saturating_mul(trips as usize));
+        if instances > FOOTPRINT_CAP - elements.len() {
+            return Err(UNPROVEN);
+        }
+        let mut offsets = vec![*konst];
+        for (trips, by) in loops {
+            let step = |i: i64| {
+                offsets
+                    .iter()
+                    .map(move |at| at.wrapping_add(by.wrapping_mul(i)))
+            };
+            offsets = (0..trips).flat_map(step).collect();
+        }
+        for thread in 0..threads {
+            let mut own = 0i64;
+            for &(atom, by) in terms {
+                if let Atom::Lane(r) = atom {
+                    let lane = lanes.ints[(r & COLUMN) as usize * threads + thread];
+                    own = own.wrapping_add(lane.wrapping_mul(by));
+                }
+            }
+            let at = offsets.iter().map(|at| at.wrapping_add(own));
+            elements.extend(at.map(|at| (at, thread as u32, touch.store)));
+        }
+    }
+    elements.sort_unstable();
+    // Within the run of one element, sorted by thread: a store by one thread
+    // and anything by another.
+    let mut runs = elements.chunk_by(|a, b| a.0 == b.0);
+    let met = runs.find_map(|run| {
+        let (first, last) = (run[0], run[run.len() - 1]);
+        let storing = run.iter().find(|touch| touch.2)?;
+        let other = [first, last]
+            .into_iter()
+            .find(|touch| touch.1 != storing.1)?;
+        Some(Reason::Overlap {
+            buffer: p.buffer_names[buffer as usize].clone(),
+            element: first.0,
+            threads: (storing.1.min(other.1), storing.1.max(other.1)),
+        })
+    });
+    met.map_or(Ok(()), Err)
 }

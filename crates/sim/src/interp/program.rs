@@ -2,8 +2,6 @@
 //! name already resolved. Built by [`Program::lower`] (`lower/`), run by
 //! `exec.rs`.
 
-use std::sync::OnceLock;
-
 use hidet_ir::{BinOp, DType, UnOp};
 
 use super::SimError;
@@ -31,8 +29,9 @@ pub(crate) const DYN: u32 = 4;
 /// A count per lane file: `[INT, FLOAT, BOOL, DYN]`.
 pub(crate) type Columns = [usize; 4];
 
-/// The lane registers that code outside `lane_code` reads, for every thread
-/// of a block: the first columns of each file, lane-major.
+/// Lane registers for every thread of a block, lane-major. [`Program::lanes`]
+/// holds the ones that code outside `lane_code` reads: the first columns of
+/// each file.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneTable {
     pub ints: Vec<i64>,
@@ -227,8 +226,22 @@ pub enum Reason {
     Untyped,
     /// A branch or a loop extent in it is not proven equal across the block.
     Divergent,
-    /// It stores to shared or global memory.
-    SharedStore,
+    /// It stores to a shared or global buffer, and its threads could not be
+    /// shown to stay apart there: an index that is not a sum of lane,
+    /// block-wide and loop parts, accesses whose block-wide parts differ, or
+    /// more elements than the proof enumerates.
+    UnprovenFootprint,
+    /// Two of its threads touch one element of a buffer, and one of them
+    /// stores it: thread order decides what ends up there.
+    Overlap {
+        /// The buffer's name.
+        buffer: String,
+        /// The element, counted from the part of the address that is the
+        /// same for the whole block.
+        element: i64,
+        /// The two threads, lower first.
+        threads: (u32, u32),
+    },
 }
 
 /// How the executor runs a [`CodeRange`]; decided once, by the lowering.
@@ -295,16 +308,18 @@ pub struct Program {
     /// Computes the lane registers from `threadIdx` and constants, over
     /// files of their own: all `n_lane` lane registers, of which the first
     /// `lane_columns` of each file — `lane_row` in all — are the ones other
-    /// code reads. Run once per thread **per program**, into `lanes`.
+    /// code reads. Run once per thread **per program**, by the lowering,
+    /// into `lanes`.
     pub(crate) lane_code: Vec<Op>,
     pub(crate) n_lane: usize,
     pub(crate) lane_row: usize,
     pub(crate) lane_columns: Columns,
     /// Columns of each file while lane code runs.
     pub(crate) lane_file: Columns,
-    /// Filled by the first launch; entering a block copies it to the front
-    /// of each file.
-    pub(crate) lanes: OnceLock<LaneTable>,
+    /// What lane code computes, run once by the lowering — or how it failed,
+    /// which every launch then reports. Entering a block copies the table to
+    /// the front of each file.
+    pub(crate) lanes: Result<LaneTable, SimError>,
     /// `code[..thread_code_end]` computes the thread-invariant registers;
     /// run once per thread per block. The rest is the body's fragments and
     /// the iteration prologues of its loops.

@@ -518,16 +518,14 @@ fn the_hot_leaves_of_a_tile_kernel_run_wide() {
         // What writes only its threads' registers cannot race, whatever it
         // reads: the hoisted streams, the predicated prefetch into `Ld`
         // (its one branch is on `k0`, the same for the whole block) and
-        // the loads and multiply-adds of the `k0` leaf.
-        for range in [thread, prologue, prefetch, tile] {
+        // the loads and multiply-adds of the `k0` leaf. The fill of `S` and
+        // the write-back go to `S[.., t]` and `Y[b, t, ..]`: no two threads
+        // meet there.
+        for range in &p.ranges {
             assert_eq!(range.verdict, Verdict::Wide, "{range:?}");
         }
-        // A store to shared or global memory needs the proof that its
-        // threads stay apart.
-        for range in [preload, commit, write] {
-            let reason = Verdict::PerThread(Reason::SharedStore);
-            assert_eq!(range.verdict, reason, "{range:?}");
-        }
+        let all = [preload, prefetch, tile, commit, write].map(|leaf| leaf.kind);
+        assert_eq!(all, [RangeKind::Leaf; 5]);
     }
     // A predicate on `threadIdx` is a branch threads take differently, an
     // index only a check keeps in bounds can fault, and a select over unlike

@@ -179,6 +179,24 @@ impl DeviceMemory {
         }
     }
 
+    /// Whether two of `ids` share storage: the same buffer twice, or views
+    /// of overlapping arena windows. (A memory plan never binds such views
+    /// to buffers that are live together; `bind_view` itself lets a caller.)
+    pub(crate) fn aliased(&self, ids: &[Option<BufferId>]) -> bool {
+        let window = |id: &BufferId| match self.slots.get(id.0 as usize) {
+            Some(Storage::View { offset, len }) => Some((*offset, offset + len)),
+            _ => None,
+        };
+        let ids: Vec<&BufferId> = ids.iter().flatten().collect();
+        ids.iter().enumerate().any(|(i, a)| {
+            ids[i + 1..].iter().any(|b| match (window(a), window(b)) {
+                _ if a == b => true,
+                (Some(a), Some(b)) => a.0 < b.1 && b.0 < a.1,
+                _ => false,
+            })
+        })
+    }
+
     /// Fallible buffer lookup.
     pub fn get(&self, name: &str) -> Option<&[f32]> {
         self.id(name).map(|id| self.slice(id))

@@ -896,6 +896,65 @@ fn iterations_of_a_leaf_loop_that_meet_across_threads_take_turns() {
 }
 
 #[test]
+fn accesses_that_differ_in_what_the_whole_block_adds_take_turns() {
+    // `S[k % 2 + t]` is stored and `S[(k + 1) % 2 + t]` loaded: apart from
+    // what the block adds to both, every thread keeps to element `t` — and
+    // with it, thread `t` reads what thread `t + 1` stores.
+    let mut kb = KernelBuilder::new("racy_parts", 1, 8);
+    let x = kb.param("X", DType::F32, &[8]);
+    let y = kb.param("Y", DType::F32, &[2, 8]);
+    let s = kb.shared("S", DType::F32, &[9]);
+    kb.push(for_range("k", 2, |k| {
+        let here = k.clone() % 2 + thread_idx();
+        let there = (k.clone() + 1) % 2 + thread_idx();
+        seq(vec![
+            one_leaf(vec![
+                store(
+                    &s,
+                    vec![here],
+                    load(&x, vec![thread_idx()]) + k.clone().cast(DType::F32),
+                ),
+                store(&y, vec![k, thread_idx()], load(&s, vec![there])),
+            ]),
+            sync_threads(),
+        ])
+    }));
+    assert_runs_like_the_walker(&kb.build());
+}
+
+#[test]
+fn buffers_that_are_the_same_storage_take_turns() {
+    // `Y[t + 1] = X[t]` keeps its threads apart in `Y` — unless `Y` is bound
+    // to the arena window `X` is, where thread `t` then reads what thread
+    // `t - 1` wrote. A memory plan never does that to live buffers;
+    // `bind_view` lets anyone.
+    let mut kb = KernelBuilder::new("aliased", 1, 8);
+    let x = kb.param("X", DType::F32, &[9]);
+    let y = kb.param("Y", DType::F32, &[9]);
+    kb.push(store(
+        &y,
+        vec![thread_idx() + 1],
+        load(&x, vec![thread_idx()]) + 1.0f32,
+    ));
+    let kernel = kb.build();
+    let gpu = Gpu::default();
+    for y_at in [0, 4, 9] {
+        let mut walker_mem = DeviceMemory::new();
+        walker_mem.reserve_arena(18);
+        walker_mem.bind_view("X", 0, 9);
+        walker_mem.bind_view("Y", y_at, 9);
+        walker_mem
+            .get_mut("X")
+            .expect("bound")
+            .copy_from_slice(&seeded(9, 3));
+        let mut program_mem = walker_mem.clone();
+        walker::run_kernel(&kernel, &mut walker_mem, gpu.spec()).expect("walker runs");
+        gpu.run(&kernel, &mut program_mem).expect("program runs");
+        assert_same_memory(&walker_mem, &program_mem, "aliased");
+    }
+}
+
+#[test]
 fn registers_cross_from_a_wide_leaf_to_a_racy_one_and_back() {
     // A leaf that commutes, one that does not, one that does again: `v`,
     // `R[0]` and `R[1]` are written in one and read in the next.
