@@ -196,10 +196,10 @@ pub(super) struct Lanes<'a> {
     pub(super) loaded: &'a [Cell<f32>],
 }
 
-/// Column `c` of a file.
+/// The column of `n` lanes that starts at `start` of a file.
 #[inline(always)]
-pub(super) fn column<T>(file: &[Cell<T>], c: usize, n: usize) -> &[Cell<T>] {
-    &file[c * n..][..n]
+pub(super) fn column<T>(file: &[Cell<T>], start: usize, n: usize) -> &[Cell<T>] {
+    &file[start..][..n]
 }
 
 /// The state of one launch: storage is allocated once and reused by every
@@ -417,10 +417,25 @@ impl<'a> Block<'a> {
         let (regs, c) = (&self.regs, (r & COLUMN) as usize);
         match r >> FILE_SHIFT {
             SCALAR => regs.scalars[c].get(),
-            INT => Value::I64(regs.ints[c * regs.n + lane].get()),
-            FLOAT => Value::F32(regs.floats[c * regs.n + lane].get()),
-            BOOL => Value::Bool(regs.bools[c * regs.n + lane].get()),
-            _ => regs.dyns[c * regs.n + lane].get(),
+            INT => Value::I64(regs.ints[c + lane].get()),
+            FLOAT => Value::F32(regs.floats[c + lane].get()),
+            BOOL => Value::Bool(regs.bools[c + lane].get()),
+            _ => regs.dyns[c + lane].get(),
+        }
+    }
+
+    /// Thread `lane`'s value of register `r` if it is an integer one: index
+    /// arithmetic, the bulk of what runs per thread, reads its file directly.
+    #[inline(always)]
+    fn int(&self, r: Reg, lane: usize) -> Option<i64> {
+        let (regs, c) = (&self.regs, (r & COLUMN) as usize);
+        match r >> FILE_SHIFT {
+            INT => Some(regs.ints[c + lane].get()),
+            SCALAR => match regs.scalars[c].get() {
+                Value::I64(x) => Some(x),
+                _ => None,
+            },
+            _ => None,
         }
     }
 
@@ -430,11 +445,11 @@ impl<'a> Block<'a> {
         let (regs, c) = (&self.regs, (r & COLUMN) as usize);
         match (r >> FILE_SHIFT, v) {
             (SCALAR, v) => regs.scalars[c].set(v),
-            (INT, Value::I64(x)) => regs.ints[c * regs.n + lane].set(x),
-            (FLOAT, Value::F32(x)) => regs.floats[c * regs.n + lane].set(x),
-            (BOOL, Value::Bool(x)) => regs.bools[c * regs.n + lane].set(x),
+            (INT, Value::I64(x)) => regs.ints[c + lane].set(x),
+            (FLOAT, Value::F32(x)) => regs.floats[c + lane].set(x),
+            (BOOL, Value::Bool(x)) => regs.bools[c + lane].set(x),
             (INT | FLOAT | BOOL, v) => return Err(wrong_file(v)),
-            (_, v) => regs.dyns[c * regs.n + lane].set(v),
+            (_, v) => regs.dyns[c + lane].set(v),
         }
         Ok(())
     }
@@ -453,9 +468,8 @@ impl<'a> Block<'a> {
     #[inline(always)]
     fn checked_index(&self, a: &Access, dim: usize, lane: usize) -> Result<(usize, usize), Fault> {
         let d = &self.p.dims[a.first_dim as usize + dim];
-        let index = self
-            .get(d.idx, lane)
-            .as_i64()
+        let index = (self.int(d.idx, lane))
+            .or_else(|| self.get(d.idx, lane).as_i64())
             .ok_or_else(|| type_error("index must be integer"))?;
         if index < 0 || index >= d.extent {
             return Err(out_of_bounds(self.p, a, dim, index, d.extent));
@@ -474,7 +488,7 @@ impl<'a> Block<'a> {
         if a.proven {
             let mut flat = a.offset;
             for d in &self.p.dims[a.first_dim as usize..][..a.rank as usize] {
-                let Value::I64(index) = self.get(d.idx, lane) else {
+                let Some(index) = self.int(d.idx, lane) else {
                     return Err(type_error("index must be integer"));
                 };
                 flat = flat.wrapping_add((index as usize).wrapping_mul(d.stride));
@@ -498,7 +512,7 @@ impl<'a> Block<'a> {
         if at >= self.p.local_len {
             return Err(no_such_element(at));
         }
-        Ok(column(self.regs.locals, at, self.regs.n))
+        Ok(column(self.regs.locals, at * self.regs.n, self.regs.n))
     }
 
     /// The global buffer access `a` is to, for reading.
@@ -510,7 +524,7 @@ impl<'a> Block<'a> {
 
     /// The global buffer access `a` is to, for writing.
     #[inline(always)]
-    fn global_mut(&mut self, a: &Access, g: u32) -> Result<&mut [f32], Fault> {
+    pub(super) fn global_mut(&mut self, a: &Access, g: u32) -> Result<&mut [f32], Fault> {
         let id = self.globals.get(g as usize).copied().flatten();
         Ok(self.memory.slice_mut(id.ok_or_else(|| missing(self.p, a))?))
     }
@@ -541,8 +555,12 @@ impl<'a> Block<'a> {
             return Ok(self.get(operand, lane));
         }
         if operand & ELEMENT != 0 {
-            let element = self.element(element_offset(operand))?;
-            return Ok(Value::F32(element[lane].get()));
+            let at = element_offset(operand);
+            let element =
+                (at < self.p.local_len).then(|| &self.regs.locals[at * self.regs.n + lane]);
+            return Ok(Value::F32(
+                element.ok_or_else(|| no_such_element(at))?.get(),
+            ));
         }
         let a = &self.p.accesses[(operand & !MEM) as usize];
         let flat = self.address(a, lane)?;
@@ -566,35 +584,22 @@ impl<'a> Block<'a> {
         })
     }
 
-    /// Replaces thread `lane`'s element at `target` by `update` of it.
+    /// Thread `lane`'s element at `target`, for writing.
     #[inline(always)]
-    pub(super) fn write(
-        &mut self,
-        target: Target<'_>,
-        lane: usize,
-        update: impl FnOnce(f32) -> Result<f32, Fault>,
-    ) -> Result<(), Fault> {
-        let (p, at) = (self.p, target.at);
+    fn slot(&mut self, target: Target<'_>, lane: usize) -> Result<&Cell<f32>, Fault> {
+        let (p, regs, at) = (self.p, self.regs, target.at);
         let Some(a) = target.access else {
-            let slot = &self.element(at)?[lane];
-            slot.set(update(slot.get())?);
-            return Ok(());
+            let element = (at < p.local_len).then(|| &regs.locals[at * regs.n + lane]);
+            return element.ok_or_else(|| no_such_element(at));
         };
-        let slot = match a.space {
-            Space::Global(g) => {
-                let slot = self.global_mut(a, g)?.get_mut(at);
-                let slot = slot.ok_or_else(|| past_the_end(p, a, at))?;
-                *slot = update(*slot)?;
-                return Ok(());
-            }
+        let element = match a.space {
+            Space::Global(g) => cells(self.global_mut(a, g)?).get(at),
             Space::Shared => self.shared.get(at),
-            Space::Local if at < p.local_len => self.regs.locals.get(at * self.regs.n + lane),
+            Space::Local if at < p.local_len => regs.locals.get(at * regs.n + lane),
             Space::Local => None,
             Space::Missing => return Err(missing(p, a)),
         };
-        let slot = slot.ok_or_else(|| past_the_end(p, a, at))?;
-        slot.set(update(slot.get())?);
-        Ok(())
+        element.ok_or_else(|| past_the_end(p, a, at))
     }
 
     /// The per-thread interpreter loop: runs `code` to its end for thread
@@ -608,7 +613,10 @@ impl<'a> Block<'a> {
             pc += 1;
             match op {
                 Op::Bin { op, dst, a, b } => {
-                    let value = binary(op, self.fetch(a, lane)?, self.fetch(b, lane)?)?;
+                    let value = match (self.int(a, lane), self.int(b, lane)) {
+                        (Some(a), Some(b)) => binary(op, Value::I64(a), Value::I64(b))?,
+                        _ => binary(op, self.fetch(a, lane)?, self.fetch(b, lane)?)?,
+                    };
                     self.set(dst, lane, value)?;
                 }
                 Op::Un { op, dst, a } => {
@@ -638,21 +646,21 @@ impl<'a> Block<'a> {
                 Op::Store { to, src } => {
                     let to = self.locate(to, lane)?;
                     let value = store_value(self.fetch(src, lane)?, to.dtype())?;
-                    self.write(to, lane, |_| Ok(value))?;
+                    self.slot(to, lane)?.set(value);
                 }
                 Op::Update { op, to, src } => {
                     let to = self.locate(to, lane)?;
                     let with = self.fetch(src, lane)?;
-                    self.write(to, lane, |old| {
-                        store_value(binary(op, Value::F32(old), with)?, to.dtype())
-                    })?;
+                    let slot = self.slot(to, lane)?;
+                    let value = binary(op, Value::F32(slot.get()), with)?;
+                    slot.set(store_value(value, to.dtype())?);
                 }
                 Op::MulAdd { to, a, b } => {
                     let product = binary(BinOp::Mul, self.fetch(a, lane)?, self.fetch(b, lane)?)?;
                     let to = self.locate(to, lane)?;
-                    self.write(to, lane, |old| {
-                        store_value(binary(BinOp::Add, Value::F32(old), product)?, to.dtype())
-                    })?;
+                    let slot = self.slot(to, lane)?;
+                    let value = binary(BinOp::Add, Value::F32(slot.get()), product)?;
+                    slot.set(store_value(value, to.dtype())?);
                 }
                 Op::Jump { skip } => pc += skip as usize,
                 Op::Branch { cond, skip, select } => {
@@ -694,6 +702,10 @@ impl<'a> Block<'a> {
     /// Whether thread `lane` takes a `Branch` on `cond`.
     #[inline(always)]
     pub(super) fn condition(&self, cond: Reg, lane: usize, select: bool) -> Result<bool, Fault> {
+        if cond >> FILE_SHIFT == BOOL {
+            let lanes = self.regs.bools;
+            return Ok(lanes[(cond & COLUMN) as usize + lane].get());
+        }
         self.get(cond, lane).as_bool().ok_or_else(|| {
             type_error(if select {
                 "select condition must be boolean"
@@ -714,8 +726,8 @@ impl<'a> Block<'a> {
     #[inline(always)]
     pub(super) fn iteration(&self, var: Reg, count: Reg, lane: usize) -> Result<(i64, i64), Fault> {
         // Only the loop instructions write these two registers.
-        match (self.get(var, lane), self.get(count, lane)) {
-            (Value::I64(i), Value::I64(n)) => Ok((i, n)),
+        match (self.int(var, lane), self.int(count, lane)) {
+            (Some(i), Some(n)) => Ok((i, n)),
             _ => Err(type_error("loop registers overwritten")),
         }
     }
@@ -724,9 +736,9 @@ impl<'a> Block<'a> {
 /// What a `Store` / `Update` / `MulAdd` writes: element `at` of the storage
 /// `access` names — of the thread's register arrays when it names none.
 #[derive(Clone, Copy)]
-pub(super) struct Target<'p> {
-    pub(super) access: Option<&'p Access>,
-    pub(super) at: usize,
+struct Target<'p> {
+    access: Option<&'p Access>,
+    at: usize,
 }
 
 impl Target<'_> {

@@ -39,8 +39,8 @@ use self::linear::{Atom, Linear};
 use self::place::{Place, Ty, Val};
 use self::unroll::UNROLL_TRIPS;
 use super::program::{
-    CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space, FILE_SHIFT,
-    INT, MEM, SCALAR,
+    CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space, COLUMN,
+    FILE_SHIFT, INT, MEM, SCALAR,
 };
 use super::SimError;
 use crate::value::Value;
@@ -671,6 +671,7 @@ impl<'k> Lowerer<'k> {
             p.columns[file] = columns as usize;
             p.lane_file[file] = rest[file] as usize;
         }
+        let lanes = p.block_dim as u32;
         let resolve = move |r: &mut Reg| {
             if *r & MEM != 0 {
                 return;
@@ -686,7 +687,8 @@ impl<'k> Lowerer<'k> {
                 LOOP => n_lane[file] + n_thread[file] + loop_slots[index as usize],
                 _ => n_lane[file] + n_thread[file] + n_loop[file] + index,
             };
-            *r = (file as u32 + INT) << FILE_SHIFT | column;
+            debug_assert!(column * lanes <= COLUMN);
+            *r = ((file as u32 + INT) << FILE_SHIFT) | (column * lanes);
         };
         let shift = self.thread_code.len() as u32;
         p.thread_code_end = shift;

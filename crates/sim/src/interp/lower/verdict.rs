@@ -123,7 +123,7 @@ fn apart<'t>(
             let mut own = 0i64;
             for &(atom, by) in terms {
                 if let Atom::Lane(r) = atom {
-                    let lane = lanes.ints[(r & COLUMN) as usize * threads + thread];
+                    let lane = lanes.ints[(r & COLUMN) as usize + thread];
                     own = own.wrapping_add(lane.wrapping_mul(by));
                 }
             }

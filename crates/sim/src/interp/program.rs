@@ -8,11 +8,12 @@ use super::SimError;
 use crate::value::Value;
 
 /// A register operand: which file of the block's registers it is in
-/// (`operand >> FILE_SHIFT`) and which column of that file
-/// (`operand & COLUMN`). The lowering knows the type of every value, so an
-/// operand names the file of its type; [`SCALAR`] holds the block-level
-/// values, one each for the whole block, and the others one *column* of
-/// `block_dim` lanes per register.
+/// (`operand >> FILE_SHIFT`) and where in that file (`operand & COLUMN`).
+/// The lowering knows the type of every value, so an operand names the file
+/// of its type; [`SCALAR`] holds the block-level values, one each for the
+/// whole block, and the others one *column* of `block_dim` lanes per
+/// register, back to back: there the operand carries where its column
+/// starts, `block_dim` times its number.
 pub(crate) type Reg = u32;
 
 pub(crate) const FILE_SHIFT: u32 = 28;

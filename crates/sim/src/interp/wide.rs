@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use hidet_ir::{BinOp, DType};
 
-use super::exec::{column, element_offset, missing, past_the_end, Block, Fault, Target};
+use super::exec::{column, element_offset, missing, past_the_end, Block, Fault};
 use super::program::{
     Access, Op, Reg, Space, BOOL, COLUMN, ELEMENT, FILE_SHIFT, FLOAT, INT, MEM, SCALAR,
 };
@@ -67,6 +67,24 @@ fn zip<D: Copy + Default, A: Copy, B: Copy>(
     ok
 }
 
+/// `dst[lane] = src[lane]` on every lane.
+#[inline(always)]
+fn copy<T: Copy + Default>(dst: &[Cell<T>], src: Src<'_, T>) -> bool {
+    zip(dst, src, One(()), |_, x, ()| Some(x))
+}
+
+/// `dst[lane] = if cond[lane] { a[lane] } else { b[lane] }` on every lane.
+#[inline(always)]
+fn choose<T: Copy>(dst: &[Cell<T>], cond: Src<'_, bool>, a: Src<'_, T>, b: Src<'_, T>) {
+    for (lane, dst) in dst.iter().enumerate() {
+        dst.set(if cond.at(lane) {
+            a.at(lane)
+        } else {
+            b.at(lane)
+        });
+    }
+}
+
 fn int(v: Value) -> Option<i64> {
     match v {
         Value::I64(x) => Some(x),
@@ -81,10 +99,11 @@ fn float(v: Value) -> Option<f32> {
     }
 }
 
-/// Expands `$arithmetic!(op)` or `$comparison!(op)` with the operator `$op`
-/// holds as a constant, so that `Value::binary` inlines to its one case.
+/// Expands `$arithmetic!(op)`, `$comparison!(op)` or `$logical!(op)` with
+/// the operator `$op` holds as a constant, so that `Value::binary` inlines
+/// to its one case.
 macro_rules! per_operator {
-    ($op:expr, $arithmetic:ident, $comparison:ident) => {
+    ($op:expr, $arithmetic:ident, $comparison:ident, $logical:ident) => {
         match $op {
             BinOp::Add => $arithmetic!(BinOp::Add),
             BinOp::Sub => $arithmetic!(BinOp::Sub),
@@ -97,7 +116,8 @@ macro_rules! per_operator {
             BinOp::Le => $comparison!(BinOp::Le),
             BinOp::Eq => $comparison!(BinOp::Eq),
             BinOp::Ne => $comparison!(BinOp::Ne),
-            BinOp::And | BinOp::Or => return Ok(false),
+            BinOp::And => $logical!(BinOp::And),
+            BinOp::Or => $logical!(BinOp::Or),
         }
     };
 }
@@ -154,10 +174,16 @@ impl<'a> Block<'a> {
         match op {
             Op::Bin { op, dst, a, b } => {
                 if let (Some(a), Some(b)) = (self.ints(a), self.ints(b)) {
-                    return self.int_bin(op, dst, a, b);
+                    return self.bin(op, dst, a, b, Value::I64, int, self.int_column(dst));
+                }
+                if let (Some(a), Some(b)) = (self.bools(a), self.bools(b)) {
+                    let same = self.bool_column(dst);
+                    return self.bin(op, dst, a, b, Value::Bool, Value::as_bool, same);
                 }
                 match (self.floats(a, 0)?, self.floats(b, 1)?) {
-                    (Some(a), Some(b)) => self.float_bin(op, dst, a, b),
+                    (Some(a), Some(b)) => {
+                        self.bin(op, dst, a, b, Value::F32, float, self.float_column(dst))
+                    }
                     _ => Ok(false),
                 }
             }
@@ -165,61 +191,39 @@ impl<'a> Block<'a> {
                 let Some(cond) = self.bools(cond) else {
                     return Ok(false);
                 };
-                let n = self.regs.n;
-                let c = (dst & COLUMN) as usize;
-                let file = dst >> FILE_SHIFT;
-                if let (INT, Some(a), Some(b)) = (file, self.ints(a), self.ints(b)) {
-                    let dst = column(self.regs.ints, c, n).iter().enumerate();
-                    dst.for_each(|(i, d)| d.set(if cond.at(i) { a.at(i) } else { b.at(i) }));
-                    return Ok(true);
-                }
-                if let (BOOL, Some(a), Some(b)) = (file, self.bools(a), self.bools(b)) {
-                    let dst = column(self.regs.bools, c, n).iter().enumerate();
-                    dst.for_each(|(i, d)| d.set(if cond.at(i) { a.at(i) } else { b.at(i) }));
-                    return Ok(true);
-                }
-                if file != FLOAT {
+                if let (Some(dst), Some(a), Some(b)) =
+                    (self.int_column(dst), self.ints(a), self.ints(b))
+                {
+                    choose(dst, cond, a, b);
+                } else if let (Some(dst), Some(a), Some(b)) =
+                    (self.bool_column(dst), self.bools(a), self.bools(b))
+                {
+                    choose(dst, cond, a, b);
+                } else if let Some(dst) = self.float_column(dst) {
+                    // (Both sides are read whatever the condition: a load
+                    // in a wide range cannot fault.)
+                    let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
+                        return Ok(false);
+                    };
+                    choose(dst, cond, a, b);
+                } else {
                     return Ok(false);
                 }
-                // (Both sides are read whatever the condition: a load in a
-                // wide range cannot fault.)
-                let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
-                    return Ok(false);
-                };
-                let dst = column(self.regs.floats, c, n).iter().enumerate();
-                dst.for_each(|(i, d)| d.set(if cond.at(i) { a.at(i) } else { b.at(i) }));
                 Ok(true)
             }
             Op::Mov { dst, src } => {
-                let n = self.regs.n;
-                let c = (dst & COLUMN) as usize;
-                match dst >> FILE_SHIFT {
-                    INT => {
-                        let Some(src) = self.ints(src) else {
-                            return Ok(false);
-                        };
-                        Ok(zip(
-                            column(self.regs.ints, c, n),
-                            src,
-                            One(()),
-                            |_, x, ()| Some(x),
-                        ))
-                    }
-                    FLOAT => {
-                        let Some(src) = self.floats(src, 0)? else {
-                            return Ok(false);
-                        };
-                        Ok(zip(
-                            column(self.regs.floats, c, n),
-                            src,
-                            One(()),
-                            |_, x, ()| Some(x),
-                        ))
-                    }
-                    _ => Ok(false),
+                if let (Some(dst), Some(src)) = (self.int_column(dst), self.ints(src)) {
+                    return Ok(copy(dst, src));
+                }
+                match self.float_column(dst) {
+                    Some(dst) => self.read(dst, src),
+                    None => Ok(false),
                 }
             }
             Op::Store { to, src } => {
+                if to & ELEMENT != 0 {
+                    return self.read(self.element(element_offset(to))?, src);
+                }
                 let Some(src) = self.floats(src, 0)? else {
                     return Ok(false);
                 };
@@ -236,12 +240,12 @@ impl<'a> Block<'a> {
                         })
                     };
                 }
-                macro_rules! comparison {
+                macro_rules! no_form {
                     ($op:path) => {
                         Ok(false)
                     };
                 }
-                per_operator!(op, arithmetic, comparison)
+                per_operator!(op, arithmetic, no_form, no_form)
             }
             Op::MulAdd { to, a, b } => {
                 let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
@@ -256,6 +260,15 @@ impl<'a> Block<'a> {
         }
     }
 
+    /// `dst[lane] = operand[lane]`, for a float `operand`: a register, a
+    /// register-array element, or what a proven access loads.
+    fn read(&self, dst: &[Cell<f32>], operand: u32) -> Result<bool, Fault> {
+        if operand & (MEM | ELEMENT) == MEM {
+            return self.gather(&self.p.accesses[(operand & !MEM) as usize], dst);
+        }
+        Ok(self.floats(operand, 0)?.is_some_and(|src| copy(dst, src)))
+    }
+
     /// `to[lane] = f(to[lane], a[lane], b[lane])` on every lane, for a
     /// destination in memory that stores `f32` as it is.
     #[inline(always)]
@@ -266,92 +279,85 @@ impl<'a> Block<'a> {
         b: Src<'a, B>,
         f: impl Fn(f32, f32, B) -> Option<f32>,
     ) -> Result<bool, Fault> {
-        let ok = if to & ELEMENT != 0 {
-            zip(self.element(element_offset(to))?, a, b, f)
-        } else {
-            let p = self.p;
-            let access = &p.accesses[(to & !MEM) as usize];
-            let as_is = matches!(access.dtype, DType::F32 | DType::F16);
-            if !as_is || !self.addresses(access) {
-                return Ok(false);
-            }
-            let mut ok = true;
-            for lane in 0..self.regs.n {
-                let target = Target {
-                    access: Some(access),
-                    at: self.regs.at[lane].get(),
-                };
-                self.write(target, lane, |old| {
-                    let new = f(old, a.at(lane), b.at(lane));
-                    ok &= new.is_some();
-                    Ok(new.unwrap_or_default())
-                })?;
-            }
-            ok
+        if to & ELEMENT != 0 {
+            return every_lane(zip(self.element(element_offset(to))?, a, b, f));
+        }
+        let (p, regs) = (self.p, self.regs);
+        let access = &p.accesses[(to & !MEM) as usize];
+        if !matches!(access.dtype, DType::F32 | DType::F16) || !self.addresses(access) {
+            return Ok(false);
+        }
+        let past = |at: usize| past_the_end(p, access, at);
+        let mut ok = true;
+        let mut put = |lane: usize, old: f32| {
+            let new = f(old, a.at(lane), b.at(lane));
+            ok &= new.is_some();
+            new.unwrap_or_default()
         };
+        let lanes = regs.at.iter().map(Cell::get).enumerate();
+        match access.space {
+            Space::Global(g) => {
+                let buffer = self.global_mut(access, g)?;
+                for (lane, at) in lanes {
+                    let slot = buffer.get_mut(at).ok_or_else(|| past(at))?;
+                    *slot = put(lane, *slot);
+                }
+            }
+            Space::Shared => {
+                for (lane, at) in lanes {
+                    let slot = self.shared.get(at).ok_or_else(|| past(at))?;
+                    slot.set(put(lane, slot.get()));
+                }
+            }
+            Space::Local => {
+                for (lane, at) in lanes {
+                    let slot = (at < p.local_len).then(|| &regs.locals[at * regs.n + lane]);
+                    let slot = slot.ok_or_else(|| past(at))?;
+                    slot.set(put(lane, slot.get()));
+                }
+            }
+            Space::Missing => return Err(missing(p, access)),
+        }
         every_lane(ok)
     }
 
-    fn int_bin(
+    /// `dst = a <op> b` on every lane, for lanes of a type `wrap` makes a
+    /// [`Value`] of and `unwrap` gets back out; `same` is `dst` as a column
+    /// of that type, if it is one. Arithmetic goes there, a comparison or a
+    /// logical operator to a boolean column.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn bin<T: Copy + Default>(
         &self,
         op: BinOp,
         dst: Reg,
-        a: Src<'a, i64>,
-        b: Src<'a, i64>,
+        a: Src<'a, T>,
+        b: Src<'a, T>,
+        wrap: impl Fn(T) -> Value + Copy,
+        unwrap: impl Fn(Value) -> Option<T> + Copy,
+        same: Option<&'a [Cell<T>]>,
     ) -> Result<bool, Fault> {
-        let (n, c, file) = (self.regs.n, (dst & COLUMN) as usize, dst >> FILE_SHIFT);
         macro_rules! arithmetic {
             ($op:path) => {{
-                if file != INT {
+                let Some(dst) = same else {
                     return Ok(false);
-                }
-                zip(column(self.regs.ints, c, n), a, b, |_, x, y| {
-                    int(Value::binary($op, Value::I64(x), Value::I64(y))?)
+                };
+                zip(dst, a, b, |_, x, y| {
+                    unwrap(Value::binary($op, wrap(x), wrap(y))?)
                 })
             }};
         }
-        macro_rules! comparison {
+        macro_rules! predicate {
             ($op:path) => {{
-                if file != BOOL {
+                let Some(dst) = self.bool_column(dst) else {
                     return Ok(false);
-                }
-                zip(column(self.regs.bools, c, n), a, b, |_, x, y| {
-                    Value::binary($op, Value::I64(x), Value::I64(y))?.as_bool()
+                };
+                zip(dst, a, b, |_, x, y| {
+                    Value::binary($op, wrap(x), wrap(y))?.as_bool()
                 })
             }};
         }
-        every_lane(per_operator!(op, arithmetic, comparison))
-    }
-
-    fn float_bin(
-        &self,
-        op: BinOp,
-        dst: Reg,
-        a: Src<'a, f32>,
-        b: Src<'a, f32>,
-    ) -> Result<bool, Fault> {
-        let (n, c, file) = (self.regs.n, (dst & COLUMN) as usize, dst >> FILE_SHIFT);
-        macro_rules! arithmetic {
-            ($op:path) => {{
-                if file != FLOAT {
-                    return Ok(false);
-                }
-                zip(column(self.regs.floats, c, n), a, b, |_, x, y| {
-                    float(Value::binary($op, Value::F32(x), Value::F32(y))?)
-                })
-            }};
-        }
-        macro_rules! comparison {
-            ($op:path) => {{
-                if file != BOOL {
-                    return Ok(false);
-                }
-                zip(column(self.regs.bools, c, n), a, b, |_, x, y| {
-                    Value::binary($op, Value::F32(x), Value::F32(y))?.as_bool()
-                })
-            }};
-        }
-        every_lane(per_operator!(op, arithmetic, comparison))
+        every_lane(per_operator!(op, arithmetic, predicate, predicate))
     }
 
     // ---- operands as columns ---------------------------------------------
@@ -394,9 +400,27 @@ impl<'a> Block<'a> {
         if operand & ELEMENT != 0 {
             return Ok(Some(Each(self.element(element_offset(operand))?)));
         }
-        let loaded = column(self.regs.loaded, slot, n);
+        let loaded = column(self.regs.loaded, slot * n, n);
         let access = &self.p.accesses[(operand & !MEM) as usize];
         Ok(self.gather(access, loaded)?.then_some(Each(loaded)))
+    }
+
+    /// Register `r` as a column of integers, if it is one.
+    #[inline(always)]
+    fn int_column(&self, r: Reg) -> Option<&'a [Cell<i64>]> {
+        (r >> FILE_SHIFT == INT).then(|| column(self.regs.ints, (r & COLUMN) as usize, self.regs.n))
+    }
+
+    #[inline(always)]
+    fn float_column(&self, r: Reg) -> Option<&'a [Cell<f32>]> {
+        let floats = self.regs.floats;
+        (r >> FILE_SHIFT == FLOAT).then(|| column(floats, (r & COLUMN) as usize, self.regs.n))
+    }
+
+    #[inline(always)]
+    fn bool_column(&self, r: Reg) -> Option<&'a [Cell<bool>]> {
+        (r >> FILE_SHIFT == BOOL)
+            .then(|| column(self.regs.bools, (r & COLUMN) as usize, self.regs.n))
     }
 
     /// Every lane's address of proven access `a`, into the `at` column.
@@ -423,35 +447,62 @@ impl<'a> Block<'a> {
         a.proven
     }
 
-    /// What every lane loads from proven access `a`, into `out`.
+    /// What every lane loads from proven access `a`, into `out`; `false` if
+    /// the access is not proven or an index is no integer.
     fn gather(&self, a: &Access, out: &[Cell<f32>]) -> Result<bool, Fault> {
+        // One term that differs by lane — a task mapping's usual address —
+        // needs no table of addresses.
+        if let (true, [d]) = (
+            a.proven,
+            &self.p.dims[a.first_dim as usize..][..a.rank as usize],
+        ) {
+            if let Some(Each(index)) = self.ints(d.idx) {
+                let at = |i: &Cell<i64>| {
+                    a.offset
+                        .wrapping_add((i.get() as usize).wrapping_mul(d.stride))
+                };
+                return self.gather_at(a, out, index.iter().map(at)).map(|()| true);
+            }
+        }
         if !self.addresses(a) {
             return Ok(false);
         }
-        let (p, n) = (self.p, self.regs.n);
-        let lanes = out.iter().zip(self.regs.at);
-        let past = |at: &Cell<usize>| past_the_end(p, a, at.get());
+        let at = self.regs.at.iter().map(Cell::get);
+        self.gather_at(a, out, at).map(|()| true)
+    }
+
+    /// `out[lane] = ` the element of `a`'s storage at `at[lane]`.
+    #[inline(always)]
+    fn gather_at(
+        &self,
+        a: &Access,
+        out: &[Cell<f32>],
+        at: impl Iterator<Item = usize>,
+    ) -> Result<(), Fault> {
+        let (p, regs) = (self.p, self.regs);
+        let past = |at: usize| past_the_end(p, a, at);
+        let lanes = out.iter().zip(at);
         match a.space {
             Space::Global(g) => {
                 let buffer = self.global(a, g)?;
                 for (out, at) in lanes {
-                    out.set(*buffer.get(at.get()).ok_or_else(|| past(at))?);
+                    out.set(*buffer.get(at).ok_or_else(|| past(at))?);
                 }
             }
             Space::Shared => {
                 for (out, at) in lanes {
-                    out.set(self.shared.get(at.get()).ok_or_else(|| past(at))?.get());
+                    out.set(self.shared.get(at).ok_or_else(|| past(at))?.get());
                 }
             }
             Space::Local => {
                 for (lane, (out, at)) in lanes.enumerate() {
-                    let element = (at.get() < p.local_len).then(|| at.get() * n + lane);
-                    out.set(self.regs.locals[element.ok_or_else(|| past(at))?].get());
+                    let element = (at < p.local_len).then(|| at * regs.n + lane);
+                    out.set(regs.locals[element.ok_or_else(|| past(at))?].get());
                 }
             }
             Space::Missing => return Err(missing(p, a)),
         }
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -580,10 +631,63 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// Loads and stores of a wide range against the same range run per
+        /// thread: what a store converts to for an `f16`, an `f32` and an
+        /// `i32` buffer, a read-modify-write, register arrays addressed by
+        /// a register.
+        #[test]
+        fn a_wide_range_leaves_memory_as_its_threads_in_turn_do(
+            x in prop::collection::vec(floats(), 2 * LANES),
+        ) {
+            use crate::interp::program::{Reason, Verdict};
+            let n = LANES as i64;
+            let mut kb = KernelBuilder::new("stores", 2, n);
+            let input = kb.param("X", DType::F32, &[2, n]);
+            let outputs = [("Half", DType::F16), ("Single", DType::F32), ("Whole", DType::I32)];
+            let mut outputs = outputs.map(|(name, dtype)| kb.param(name, dtype, &[2, n])).to_vec();
+            outputs.push(kb.param("Sum", DType::F32, &[2, n]));
+            let r = kb.local("R", DType::F32, &[2]);
+            let at = || vec![block_idx(), thread_idx()];
+            let own = || vec![thread_idx() % 2];
+            kb.push(store(&r, own(), load(&input, at())));
+            for y in &outputs[..3] {
+                kb.push(store(y, at(), load(&r, own())));
+            }
+            let y = &outputs[3];
+            kb.push(store(y, at(), load(y, at()) * load(&input, at())));
+            kb.push(store(y, at(), load(y, at()) + load(&r, own()) * 0.5f32));
+            let wide = Program::lower(&kb.build());
+            assert!(wide.ranges.iter().all(|r| r.verdict == Verdict::Wide), "{:?}", wide.ranges);
+            let mut in_turn = wide.clone();
+            for range in &mut in_turn.ranges {
+                range.verdict = Verdict::PerThread(Reason::CanFault);
+            }
+            let memory = |p: &Program| {
+                let mut memory = DeviceMemory::new();
+                memory.alloc("X", &x);
+                for global in &p.globals[1..] {
+                    memory.alloc(&global.name, &x);
+                }
+                crate::Gpu::default().launch(p, &p.resolve(&memory), &mut memory).expect("runs");
+                let bits = |name: &String| memory.read(name).iter().map(|x| x.to_bits()).collect();
+                p.globals.iter().map(|g| bits(&g.name)).collect::<Vec<Vec<u32>>>()
+            };
+            // (The last buffer holds arithmetic: NaN or not, as above.)
+            let (mut wide, mut in_turn) = (memory(&wide), memory(&in_turn));
+            for results in [&mut wide, &mut in_turn] {
+                for bits in results.last_mut().expect("outputs") {
+                    if f32::from_bits(*bits).is_nan() {
+                        *bits = f32::NAN.to_bits();
+                    }
+                }
+            }
+            prop_assert_eq!(wide, in_turn);
+        }
+
         #[test]
         fn a_column_form_is_its_per_thread_instruction_on_every_lane(regs in registers()) {
             let p = program();
-            let reg = |file: u32, c: u32| file << FILE_SHIFT | c;
+            let reg = |file: u32, c: u32| file << FILE_SHIFT | if file == SCALAR { c } else { c * LANES as u32 };
             let element = |e: u32| MEM | ELEMENT | e;
             let (int_scalar, float_scalar, bool_scalar) = (reg(SCALAR, 0), reg(SCALAR, 1), reg(SCALAR, 2));
             let operators = [
@@ -633,6 +737,11 @@ mod tests {
             }
             let select = Op::Select { dst: reg(BOOL, 0), cond: reg(BOOL, 0), a: reg(BOOL, 1), b: bool_scalar };
             assert_wide_is_per_thread(&p, &regs, select);
+            for op in [BinOp::And, BinOp::Or, BinOp::Eq, BinOp::Ne] {
+                for (a, b) in [(reg(BOOL, 0), reg(BOOL, 1)), (reg(BOOL, 2), bool_scalar)] {
+                    assert_wide_is_per_thread(&p, &regs, Op::Bin { op, dst: reg(BOOL, 2), a, b });
+                }
+            }
         }
     }
 }
