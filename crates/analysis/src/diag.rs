@@ -88,6 +88,18 @@ pub enum Rule {
     PlanBadInterval,
     /// HA033 — two memory-plan slots bind the same buffer name.
     PlanDuplicateName,
+    /// HA040 — two threads of one barrier interval touch one element of a
+    /// shared or global buffer and one of them stores it: a race. The
+    /// schedule templates partition their tiles, so one found is a bug in a
+    /// template or in the proof.
+    LaneOverlap,
+    /// HA041 — a barrier interval stores to shared or global memory and its
+    /// threads could not be shown to stay apart (it runs per thread).
+    LaneFootprintUnproven,
+    /// HA042 — a barrier interval runs per thread for what is in it: it can
+    /// fault, holds a value whose type differs by path, or branches on
+    /// something the block does not share.
+    LanePerThread,
     /// HA101 — a blocking primitive (`Mutex`, `RwLock`, `Condvar`,
     /// `mpsc::`) is reachable from the server's lock-free ingress ring.
     LintBlockingPrimitive,
@@ -129,6 +141,9 @@ impl Rule {
             Rule::PlanOutOfArena => "HA031",
             Rule::PlanBadInterval => "HA032",
             Rule::PlanDuplicateName => "HA033",
+            Rule::LaneOverlap => "HA040",
+            Rule::LaneFootprintUnproven => "HA041",
+            Rule::LanePerThread => "HA042",
             Rule::LintBlockingPrimitive => "HA101",
             Rule::LintPanicInHotPath => "HA102",
             Rule::LintMissingDocsAttr => "HA103",
@@ -159,6 +174,9 @@ impl Rule {
             Rule::PlanOutOfArena => "memory-plan slot extends past the arena",
             Rule::PlanBadInterval => "memory-plan slot has birth > death",
             Rule::PlanDuplicateName => "memory-plan slots share a buffer name",
+            Rule::LaneOverlap => "two threads of a barrier interval meet at an element one stores",
+            Rule::LaneFootprintUnproven => "threads of a storing barrier interval not shown apart",
+            Rule::LanePerThread => "barrier interval can fault, is untyped or diverges",
             Rule::LintBlockingPrimitive => "blocking primitive in the lock-free ingress ring",
             Rule::LintPanicInHotPath => "panic-capable call in a runtime/decode hot loop",
             Rule::LintMissingDocsAttr => "public crate missing #![warn(missing_docs)]",
@@ -283,6 +301,9 @@ mod tests {
             Rule::PlanOutOfArena,
             Rule::PlanBadInterval,
             Rule::PlanDuplicateName,
+            Rule::LaneOverlap,
+            Rule::LaneFootprintUnproven,
+            Rule::LanePerThread,
             Rule::LintBlockingPrimitive,
             Rule::LintPanicInHotPath,
             Rule::LintMissingDocsAttr,

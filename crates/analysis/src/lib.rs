@@ -1,6 +1,6 @@
 //! `hidet-analysis`: the static-analysis layer of the stack.
 //!
-//! Three checker families over one structured-diagnostic core
+//! Four checker families over one structured-diagnostic core
 //! ([`Diagnostic`], stable `HAxxx` codes, text/JSON rendering):
 //!
 //! * [`verify_graph`] / [`verify_partition`] — the graph IR verifier, run
@@ -11,6 +11,10 @@
 //!   legality, re-proving elected matmul/reduce configs against the device
 //!   spec and the planner's no-alias liveness invariant, at compile time
 //!   and again on artifact load;
+//! * [`check_lanes`] — what the interpreter's lowering decided about every
+//!   barrier interval of a kernel: which run once for the whole block
+//!   because their threads provably commute, which do not and why, and —
+//!   as an error — which have two threads race for one element;
 //! * [`lint`] — the `hidet-lint` source harness encoding repo invariants
 //!   (lock-free ingress, no panics in hot loops, docs coverage) as named
 //!   rules.
@@ -24,9 +28,11 @@
 
 pub mod diag;
 pub mod graph_verify;
+pub mod lanes;
 pub mod legality;
 pub mod lint;
 
 pub use diag::{has_errors, render_json, render_text, Diagnostic, Rule, Severity};
 pub use graph_verify::{infer_shape_checked, verify_graph, verify_partition, VerifyLevel};
+pub use lanes::{check_lanes, LaneSummary};
 pub use legality::{check_plan, check_schedule, PlanSlot};

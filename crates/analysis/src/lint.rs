@@ -60,6 +60,7 @@ pub const INSTRUMENTED_FILES: &[&str] = &[
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/compiler/",
     "crates/sim/src/interp/exec.rs",
+    "crates/sim/src/interp/wide.rs",
     "crates/runtime/src/engine/",
     "crates/decode/src/engine/",
     "crates/decode/src/kv.rs",

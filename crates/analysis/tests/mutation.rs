@@ -13,8 +13,8 @@
 //! an input with no consumers (otherwise HA004 would cascade).
 
 use hidet_analysis::{
-    check_plan, check_schedule, verify_graph, verify_partition, Diagnostic, PlanSlot, Rule,
-    VerifyLevel,
+    check_lanes, check_plan, check_schedule, verify_graph, verify_partition, Diagnostic, PlanSlot,
+    Rule, VerifyLevel,
 };
 use hidet_graph::models;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
@@ -413,6 +413,108 @@ proptest! {
         };
         assert_only(&check_plan(&slots, arena, "plan"), expected);
     }
+}
+
+// ------------------------------------------------------- lane commutativity
+
+/// What is wrong with a [`tile_kernel`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Defect {
+    None,
+    /// Two threads write one element of the output.
+    OverlappingWriteBack,
+    /// The barrier between the shared-memory fill and its use is gone.
+    MissingBarrier,
+    /// A parallel-k reduction whose threads accumulate into one output
+    /// element without an atomic.
+    SharedAccumulator,
+}
+
+/// A miniature of the matmul template's skeleton, `threads` wide: fill a
+/// shared tile, barrier, every thread reads its neighbour's element, then
+/// the write-back.
+fn tile_kernel(threads: i64, defect: Defect) -> hidet_ir::Kernel {
+    use hidet_ir::prelude::*;
+    let mut kb = KernelBuilder::new("tile", 2, threads);
+    let x = kb.param("X", DType::F32, &[2, threads]);
+    let y = kb.param("Y", DType::F32, &[2, threads]);
+    let s = kb.shared("S", DType::F32, &[threads]);
+    let acc = kb.local("Acc", DType::F32, &[1]);
+    let t = thread_idx;
+    kb.push(store(&s, vec![t()], load(&x, vec![block_idx(), t()])));
+    if defect != Defect::MissingBarrier {
+        kb.push(sync_threads());
+    }
+    let neighbour = load(&s, vec![(t() + 1) % threads]);
+    kb.push(store(&acc, vec![c(0)], neighbour * 2.0f32));
+    let value = load(&acc, vec![c(0)]);
+    kb.push(match defect {
+        Defect::OverlappingWriteBack => store(&y, vec![block_idx(), t() / 2], value),
+        Defect::SharedAccumulator => {
+            let to = vec![block_idx(), t() % 4];
+            store(&y, to.clone(), load(&y, to) + value)
+        }
+        _ => store(&y, vec![block_idx(), t()], value),
+    });
+    kb.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// HA040: the sound kernel runs every range wide and reports nothing;
+    /// each defect makes two threads meet — in the buffer it is about — and
+    /// flips that range's verdict to an error naming them.
+    #[test]
+    fn racing_tile_kernels_fire_only_lane_overlap(threads in prop::sample::select(vec![8i64, 32, 64])) {
+        let lowered = |defect| hidet_sim::Program::lower(&tile_kernel(threads, defect));
+        let sound = lowered(Defect::None);
+        prop_assert_eq!(check_lanes(&sound, "t"), vec![]);
+        prop_assert!(sound.ranges().iter().all(|r| r.verdict == hidet_sim::Verdict::Wide));
+        let defects = [
+            (Defect::OverlappingWriteBack, "Y["),
+            (Defect::MissingBarrier, "S["),
+            (Defect::SharedAccumulator, "Y["),
+        ];
+        for (defect, buffer) in defects {
+            let diags = check_lanes(&lowered(defect), "t");
+            assert_only(&diags, Rule::LaneOverlap);
+            prop_assert_eq!(diags.len(), 1, "{:?}: {:?}", defect, diags);
+            prop_assert!(hidet_analysis::has_errors(&diags));
+            prop_assert!(diags[0].message.contains(buffer), "{:?}: {}", defect, diags[0].message);
+        }
+    }
+}
+
+/// HA041 and HA042 are advisory: a store through an index the lowering
+/// cannot take apart, and a range that can fault, run per thread and say so.
+#[test]
+fn unproven_and_faulting_ranges_are_warnings() {
+    use hidet_ir::prelude::*;
+    let lowered = |build: &dyn Fn(&BufferRef, &BufferRef) -> Stmt| {
+        let mut kb = KernelBuilder::new("k", 1, 8);
+        let x = kb.param("X", DType::F32, &[8]);
+        let y = kb.param("Y", DType::F32, &[8]);
+        kb.push(build(&x, &y));
+        hidet_sim::Program::lower(&kb.build())
+    };
+    // `(k * k + t) % 8` stays in bounds, and the threads do stay apart —
+    // but a remainder of a sum is no sum of a lane part and a block part.
+    let wrapped = lowered(&|_, y| {
+        for_range("k", 3, |k| {
+            let at = (k.clone() * k + thread_idx()) % 8;
+            seq(vec![store(y, vec![at], fconst(1.0)), sync_threads()])
+        })
+    });
+    let diags = check_lanes(&wrapped, "t");
+    assert!(!hidet_analysis::has_errors(&diags), "{diags:?}");
+    assert_only(&diags, Rule::LaneFootprintUnproven);
+    // An index only a check keeps in bounds.
+    let faulting = lowered(&|x, y| store(y, vec![thread_idx()], load(x, vec![thread_idx() + 1])));
+    let diags = check_lanes(&faulting, "t");
+    assert!(!hidet_analysis::has_errors(&diags), "{diags:?}");
+    assert_only(&diags, Rule::LanePerThread);
+    assert!(diags[0].message.contains("can-fault"), "{diags:?}");
 }
 
 /// HA021/HA022: the two resource-overflow rules, each from a schedule that

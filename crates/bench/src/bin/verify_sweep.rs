@@ -2,7 +2,7 @@
 //! verifiers at every pipeline stage, with **zero diagnostics** as the
 //! acceptance bar.
 //!
-//! Three layers of proof:
+//! Four layers of proof:
 //!
 //! 1. **graph IR**: every zoo model (the paper's five evaluation networks
 //!    plus the decode-step and prefill-chunk graphs) deep-verifies clean as
@@ -12,7 +12,13 @@
 //!    verifier (graph, partition, schedule, memory plan) armed — succeeds;
 //! 3. **artifact load**: the compiled artifact round-trips through
 //!    `compile_from_artifact`, which re-proves every recorded schedule and
-//!    the rebuilt memory plan with the same checkers.
+//!    the rebuilt memory plan with the same checkers;
+//! 4. **lane commutativity**: every kernel of every model is lowered for
+//!    the interpreter (nothing is launched) and its ranges' verdicts read
+//!    back — how much runs once for the whole block, why the rest does not,
+//!    and, as an error (HA040), any barrier interval in which two threads
+//!    race for an element: the templates partition their tiles, so one found
+//!    is a bug in a template or in the proof.
 //!
 //! ```text
 //! cargo run --release -p hidet-bench --bin verify_sweep
@@ -21,7 +27,9 @@
 use std::time::Instant;
 
 use hidet::CompilerOptions;
-use hidet_analysis::{verify_graph, verify_partition, Diagnostic, VerifyLevel};
+use hidet_analysis::{
+    check_lanes, verify_graph, verify_partition, Diagnostic, LaneSummary, Severity, VerifyLevel,
+};
 use hidet_bench::print_table;
 use hidet_graph::models;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
@@ -52,7 +60,7 @@ fn main() {
     let mut diags = Vec::new();
     let mut checks = 0usize;
     let n_models = zoo.len();
-    for g in zoo {
+    for g in &zoo {
         let before = diags.len();
         checks += sweep_graph(g.clone(), &mut diags);
         rows.push(vec![
@@ -79,6 +87,44 @@ fn main() {
             compiled.num_kernels()
         );
     }
+
+    // --- 4. lane commutativity of every kernel, statically -----------------
+    let mut rows = Vec::new();
+    for graph in &zoo {
+        let compiled = hidet::compile(graph, &gpu, &CompilerOptions::quick())
+            .unwrap_or_else(|e| panic!("{} failed to compile: {e}", graph.name()));
+        let lowering = Instant::now();
+        let programs = compiled.plan().programs();
+        let lower_us = lowering.elapsed().as_secs_f64() * 1e6 / programs.len().max(1) as f64;
+        let mut summary = LaneSummary::default();
+        for program in programs {
+            summary.add(program);
+            // (What runs per thread and why is the table below; a race is
+            // a finding.)
+            let lanes = check_lanes(program, graph.name());
+            diags.extend(lanes.into_iter().filter(|d| d.severity == Severity::Error));
+        }
+        checks += 1;
+        let reasons: Vec<String> = (summary.per_thread.iter())
+            .map(|(reason, weight)| format!("{reason} {weight}"))
+            .collect();
+        rows.push(vec![
+            graph.name().to_string(),
+            format!("{}", programs.len()),
+            format!("{:.3}", summary.wide_share()),
+            reasons.join(", "),
+            format!("{lower_us:.0}"),
+        ]);
+    }
+    println!();
+    let header = [
+        "model",
+        "kernels",
+        "wide share",
+        "per thread (instructions x block_dim)",
+        "lowering us/kernel",
+    ];
+    print_table(&header, &rows);
 
     let sweep_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(

@@ -100,8 +100,10 @@ pub(crate) fn launch(
 
 /// Runs `p.lane_code`: every lane register — the ones in the table first in
 /// each file, then the ones only lane code reads — for every thread of a
-/// block. Lane code reads `threadIdx` and constants, nothing of a launch.
-pub(super) fn lane_registers(p: &Program) -> Result<LaneTable, SimError> {
+/// block. Lane code reads `threadIdx` and constants, nothing of a launch;
+/// it cannot fault and has no control flow, so it runs `across` the lanes
+/// if it is typed.
+pub(super) fn lane_registers(p: &Program, across: bool) -> Result<LaneTable, SimError> {
     let mut regs = Regs::new(p, p.lane_file);
     let mut block = Block {
         p,
@@ -110,12 +112,16 @@ pub(super) fn lane_registers(p: &Program) -> Result<LaneTable, SimError> {
         memory: &mut DeviceMemory::new(),
         globals: &[],
     };
-    for lane in 0..p.block_dim {
-        let thread_idx = Value::I64(lane as i64);
-        let ran = block.set(p.thread_idx, lane, thread_idx);
-        ran.and_then(|()| block.step(&p.lane_code, lane))
-            .map_err(|fault| *fault)?;
-    }
+    let threads = 0..p.block_dim;
+    let ran = (threads.clone())
+        .try_for_each(|lane| block.set(p.thread_idx, lane, Value::I64(lane as i64)))
+        .and_then(|()| match across {
+            true => block.wide(&p.lane_code),
+            false => threads
+                .clone()
+                .try_for_each(|lane| block.step(&p.lane_code, lane)),
+        });
+    ran.map_err(|fault| *fault)?;
     Ok(LaneTable {
         ints: regs.ints,
         floats: regs.floats,

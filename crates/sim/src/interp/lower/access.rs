@@ -97,11 +97,9 @@ impl<'k> Lowerer<'k> {
         if proven && matches!(space, Space::Shared | Space::Global(_)) {
             // Which elements the block's threads meet at, if any, is read
             // off the index while its terms are still apart.
-            let address = dims
-                .iter()
-                .try_fold(Linear::konst(base as i64), |sum, (v, d)| {
-                    Some(sum.plus(&self.linear(*v)?, d.stride as i64))
-                });
+            let address = (dims.iter()).try_fold(Linear::konst(base as i64), |sum, (v, d)| {
+                sum.plus(&self.linear(*v)?, d.stride as i64)
+            });
             self.frag.touches.push(Touch {
                 buffer: slot,
                 store: write,
@@ -172,10 +170,10 @@ impl<'k> Lowerer<'k> {
                     v
                 } else {
                     let stride = self.konst(Value::I64(d.stride as i64));
-                    self.binary(BinOp::Mul, v, stride)
+                    self.arithmetic(BinOp::Mul, v, stride)
                 };
                 sum = Some(match sum {
-                    Some(sum) => self.binary(BinOp::Add, sum, term),
+                    Some(sum) => self.arithmetic(BinOp::Add, sum, term),
                     None => term,
                 });
             }

@@ -111,8 +111,23 @@ impl<'k> Lowerer<'k> {
         }
     }
 
-    /// `a <op> b` over lowered operands: folded, hoisted or emitted in place.
+    /// `a <op> b` over lowered operands: folded, hoisted or emitted in place
+    /// — and, where it is index arithmetic the block computes once per
+    /// block, thread or iteration, remembered as the sum it is.
     pub(super) fn binary(&mut self, op: BinOp, a: Val, b: Val) -> Val {
+        let val = self.arithmetic(op, a, b);
+        let kept = !matches!(val.place, Place::Const | Place::Lane | Place::Body);
+        if kept && val.ty == Ty::I64 && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) {
+            if let Some(sum) = self.sum(op, a, b) {
+                self.linear_of.insert(val.reg, sum);
+            }
+        }
+        val
+    }
+
+    /// [`Lowerer::binary`] without the memory: for sums nothing will ask
+    /// the parts of.
+    pub(super) fn arithmetic(&mut self, op: BinOp, a: Val, b: Val) -> Val {
         let (ty, faults) = binary_rule(op, a.ty, b.ty, self.const_value(b));
         if let (false, Some(x), Some(y)) = (faults, self.const_value(a), self.const_value(b)) {
             if let Some(v) = Value::binary(op, x, y) {
@@ -133,22 +148,13 @@ impl<'k> Lowerer<'k> {
                 _ => None,
             },
         };
-        let sum = match (op, ty, val.place) {
-            (_, _, Place::Const | Place::Lane | Place::Body) => None,
-            (BinOp::Add | BinOp::Sub | BinOp::Mul, Ty::I64, _) => self.sum(op, a, b),
-            _ => None,
-        };
         let op = Op::Bin {
             op,
             dst: 0,
             a: a.reg,
             b: b.reg,
         };
-        let val = self.emit(op, val, faults);
-        if let Some(sum) = sum {
-            self.linear_of.insert(val.reg, sum);
-        }
-        val
+        self.emit(op, val, faults)
     }
 
     /// `a <op> b` as a sum of what `a` and `b` are sums of, for `+`, `-` and
@@ -156,11 +162,11 @@ impl<'k> Lowerer<'k> {
     fn sum(&self, op: BinOp, a: Val, b: Val) -> Option<Linear> {
         let (a, b) = (self.linear(a)?, self.linear(b)?);
         match op {
-            BinOp::Add => Some(a.plus(&b, 1)),
-            BinOp::Sub => Some(a.plus(&b, -1)),
+            BinOp::Add => a.plus(&b, 1),
+            BinOp::Sub => a.plus(&b, -1),
             _ => match (a.as_konst(), b.as_konst()) {
-                (_, Some(by)) => Some(Linear::default().plus(&a, by)),
-                (Some(by), _) => Some(Linear::default().plus(&b, by)),
+                (_, Some(by)) => Linear::konst(0).plus(&a, by),
+                (Some(by), _) => Linear::konst(0).plus(&b, by),
                 _ => None,
             },
         }

@@ -23,47 +23,75 @@ pub(super) enum Atom {
     Var { id: u32, trips: i64 },
 }
 
+/// Terms a form holds; a sum of more atoms is not kept (and an access
+/// through it is unproven). The indices of the schedule templates have up
+/// to four.
+const TERMS: usize = 6;
+
 /// `konst + Σ atom × coefficient`, in wrapping `i64` arithmetic — the
 /// executor's own — so the form is exact whatever overflows on the way.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(super) struct Linear {
     pub(super) konst: i64,
-    /// Sorted by atom, one term per atom, no zero coefficient: equal sums
-    /// of equal atoms compare equal.
-    pub(super) terms: Vec<(Atom, i64)>,
+    /// `terms[..len]`: sorted by atom, one term per atom, no zero
+    /// coefficient, so equal sums of equal atoms compare equal.
+    terms: [(Atom, i64); TERMS],
+    len: usize,
 }
 
 impl Linear {
     pub(super) fn konst(konst: i64) -> Linear {
         Linear {
             konst,
-            terms: Vec::new(),
+            terms: [(Atom::Lane(0), 0); TERMS],
+            len: 0,
         }
     }
 
     pub(super) fn atom(atom: Atom) -> Linear {
-        Linear {
-            konst: 0,
-            terms: vec![(atom, 1)],
-        }
+        let mut sum = Linear::konst(0);
+        (sum.terms[0], sum.len) = ((atom, 1), 1);
+        sum
     }
 
-    /// `self + other × by`.
-    pub(super) fn plus(mut self, other: &Linear, by: i64) -> Linear {
-        self.konst = self.konst.wrapping_add(other.konst.wrapping_mul(by));
-        for &(atom, coefficient) in &other.terms {
-            let coefficient = coefficient.wrapping_mul(by);
-            match self.terms.binary_search_by_key(&atom, |term| term.0) {
-                Ok(at) => self.terms[at].1 = self.terms[at].1.wrapping_add(coefficient),
-                Err(at) => self.terms.insert(at, (atom, coefficient)),
+    pub(super) fn terms(&self) -> &[(Atom, i64)] {
+        &self.terms[..self.len]
+    }
+
+    pub(super) fn terms_mut(&mut self) -> &mut [(Atom, i64)] {
+        &mut self.terms[..self.len]
+    }
+
+    /// `self + other × by`; `None` if that has more than [`TERMS`] terms.
+    pub(super) fn plus(&self, other: &Linear, by: i64) -> Option<Linear> {
+        let mut sum = Linear::konst(self.konst.wrapping_add(other.konst.wrapping_mul(by)));
+        let (mut ours, mut theirs) = (
+            self.terms().iter().peekable(),
+            other.terms().iter().peekable(),
+        );
+        loop {
+            let term = match (ours.peek(), theirs.peek()) {
+                (None, None) => return Some(sum),
+                (Some(a), Some(b)) if a.0 == b.0 => {
+                    let (a, b) = (ours.next()?, theirs.next()?);
+                    (a.0, a.1.wrapping_add(b.1.wrapping_mul(by)))
+                }
+                (Some(a), Some(b)) if a.0 < b.0 => *ours.next()?,
+                (Some(_), None) => *ours.next()?,
+                (_, Some(_)) => {
+                    let b = theirs.next()?;
+                    (b.0, b.1.wrapping_mul(by))
+                }
+            };
+            if term.1 != 0 {
+                *sum.terms.get_mut(sum.len)? = term;
+                sum.len += 1;
             }
         }
-        self.terms.retain(|term| term.1 != 0);
-        self
     }
 
     /// The form's value if it has no terms.
     pub(super) fn as_konst(&self) -> Option<i64> {
-        self.terms.is_empty().then_some(self.konst)
+        (self.len == 0).then_some(self.konst)
     }
 }

@@ -375,7 +375,7 @@ impl<'k> Lowerer<'k> {
             return Some(Linear::konst(konst));
         }
         if let Some(sum) = self.linear_of.get(&v.reg) {
-            return Some(sum.clone());
+            return Some(*sum);
         }
         let atom = match v.place {
             Place::Lane => Atom::Lane(v.reg),
@@ -738,7 +738,7 @@ impl<'k> Lowerer<'k> {
             stretch.start += shift;
             stretch.end += shift;
             let sums = stretch.touches.iter_mut().flat_map(|t| &mut t.address);
-            for (atom, _) in sums.flat_map(|sum| &mut sum.terms) {
+            for (atom, _) in sums.flat_map(|sum| sum.terms_mut()) {
                 if let Atom::Lane(r) = atom {
                     resolve(r);
                 }
@@ -747,7 +747,8 @@ impl<'k> Lowerer<'k> {
 
         // Lane code runs now, once: what it computes is what a block's lane
         // columns start from, and what tells the threads of a range apart.
-        let mut lanes = super::exec::lane_registers(&p);
+        let across = verdict::typed(&p, &p.lane_code);
+        let mut lanes = super::exec::lane_registers(&p, across);
         p.ranges = (self.stretches.iter())
             .map(|s| CodeRange {
                 kind: s.kind,

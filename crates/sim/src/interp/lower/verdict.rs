@@ -2,10 +2,10 @@
 //! provably commute and none can fault, otherwise per thread in thread
 //! order. Decided here, once, from what the lowering knows.
 
-use super::linear::{Atom, Linear};
+use super::linear::Atom;
 use super::{Stretch, Touch};
 use crate::interp::program::{
-    Access, LaneTable, Program, Reason, Reg, Verdict, COLUMN, DYN, ELEMENT, FILE_SHIFT, MEM,
+    Access, LaneTable, Op, Program, Reason, Reg, Verdict, COLUMN, DYN, ELEMENT, FILE_SHIFT, MEM,
 };
 
 /// Elements a footprint proof enumerates before it gives up (all threads,
@@ -39,19 +39,7 @@ pub(super) fn judge(p: &Program, s: &Stretch, lanes: Option<&LaneTable>) -> Verd
     if s.may_fault {
         return Verdict::PerThread(Reason::CanFault);
     }
-    let code = &p.code[s.start as usize..s.end as usize];
-    let untyped = |r: Reg| r & MEM == 0 && r >> FILE_SHIFT == DYN;
-    let mut dynamic = false;
-    for mut op in code.iter().copied() {
-        op.for_each_reg(|r| {
-            dynamic |= untyped(*r);
-            if let Some(a) = access(p, *r) {
-                let dims = &p.dims[a.first_dim as usize..][..a.rank as usize];
-                dynamic |= dims.iter().any(|d| untyped(d.idx));
-            }
-        });
-    }
-    if dynamic {
+    if !typed(p, &p.code[s.start as usize..s.end as usize]) {
         return Verdict::PerThread(Reason::Untyped);
     }
     if s.divergent {
@@ -69,6 +57,23 @@ pub(super) fn judge(p: &Program, s: &Stretch, lanes: Option<&LaneTable>) -> Verd
         }
     }
     Verdict::Wide
+}
+
+/// Whether every register `code` touches has a static type — is a column of
+/// `i64`, `f32` or `bool`, or a block-level scalar.
+pub(super) fn typed(p: &Program, code: &[Op]) -> bool {
+    let untyped = |r: Reg| r & MEM == 0 && r >> FILE_SHIFT == DYN;
+    let mut dynamic = false;
+    for mut op in code.iter().copied() {
+        op.for_each_reg(|r| {
+            dynamic |= untyped(*r);
+            if let Some(a) = access(p, *r) {
+                let dims = &p.dims[a.first_dim as usize..][..a.rank as usize];
+                dynamic |= dims.iter().any(|d| untyped(d.idx));
+            }
+        });
+    }
+    !dynamic
 }
 
 /// The access a memory operand names, unless it is a register-array element.
@@ -93,7 +98,8 @@ fn apart<'t>(
     // (element, thread, stores it)
     let mut elements: Vec<(i64, u32, bool)> = Vec::new();
     for touch in touches {
-        let Linear { konst, terms } = touch.address.as_ref().ok_or(UNPROVEN)?;
+        let address = touch.address.as_ref().ok_or(UNPROVEN)?;
+        let terms = address.terms();
         let fixed = terms.iter().filter(|t| matches!(t.0, Atom::Fixed(_)));
         let fixed: Vec<_> = fixed.copied().collect();
         if *shared.get_or_insert_with(|| fixed.clone()) != fixed {
@@ -110,7 +116,7 @@ fn apart<'t>(
         if instances > FOOTPRINT_CAP - elements.len() {
             return Err(UNPROVEN);
         }
-        let mut offsets = vec![*konst];
+        let mut offsets = vec![address.konst];
         for (trips, by) in loops {
             let step = |i: i64| {
                 offsets

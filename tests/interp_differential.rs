@@ -214,6 +214,73 @@ fn programs_stay_proportional_to_the_ir() {
     }
 }
 
+// ---- what runs wide ------------------------------------------------------------
+
+/// The gain of running a range once per block cannot silently vanish: over
+/// the serving stack's kernels, the share of instructions that sit in wide
+/// ranges — each counted once per thread, loops not multiplied out, so the
+/// write-back a block runs once weighs what the `k0` leaf it runs per tile
+/// does — stays where it was measured, and nothing is left per thread for a
+/// reason this stack's kernels should not have.
+#[test]
+fn the_serving_kernels_run_mostly_wide() {
+    use hidet_analysis::LaneSummary;
+    use hidet_sim::{RangeKind, Reason, Verdict};
+    let gpu = Gpu::default();
+    let stable = CompilerOptions::quick().order_stable();
+    let decode = |name| hidet_graph::models::transformer_decode_step(name, 2, 8, 2, 16, 2, 16);
+    let cases = [
+        (decode("diff_decode"), stable.clone(), 0.73),
+        (
+            hidet_graph::models::transformer_prefill("diff_prefill", 4, 8, 2, 16, 2, 16),
+            stable,
+            0.73,
+        ),
+        (head8(), CompilerOptions::tuned(), 0.8),
+        (cnn_block8(), CompilerOptions::tuned(), 0.5),
+    ];
+    for (graph, options, floor) in cases {
+        let compiled = hidet::compile(&graph, &gpu, &options).expect("graph compiles");
+        let mut summary = LaneSummary::default();
+        let mut left = Vec::new();
+        for program in compiled.plan().programs() {
+            summary.add(program);
+            for range in program.ranges() {
+                // The hoisted streams never fault, diverge or store.
+                if range.kind != RangeKind::Leaf {
+                    assert_eq!(
+                        range.verdict,
+                        Verdict::Wide,
+                        "{}: {range:?}",
+                        program.name()
+                    );
+                }
+                if let Verdict::PerThread(reason) = &range.verdict {
+                    // A predicated partial tile can fault or diverges; no
+                    // template's threads meet, and none defeats the proof.
+                    let expected = matches!(reason, Reason::CanFault | Reason::Divergent);
+                    assert!(expected, "{}: {range:?}", program.name());
+                    left.push(format!("{}: {range:?}", program.name()));
+                }
+            }
+            // A matmul: the zeroing, the fills, the `k0` compute leaf and
+            // whatever else precedes the predicated write-back run wide.
+            if program.name().starts_with("matmul") && options.order_stable_reductions {
+                let (write_back, rest) = program.ranges().split_last().expect("ranges");
+                assert!(rest.iter().all(|r| r.verdict == Verdict::Wide), "{rest:?}");
+                assert_eq!(write_back.verdict, Verdict::PerThread(Reason::CanFault));
+            }
+        }
+        let share = summary.wide_share();
+        assert!(
+            share >= floor,
+            "{}: wide share {share:.3} under {floor}; per thread:\n{}",
+            graph.name(),
+            left.join("\n")
+        );
+    }
+}
+
 // ---- identical faults ------------------------------------------------------
 
 /// Runs `kernel` on both interpreters from identical memory (every parameter
