@@ -339,7 +339,7 @@ impl Machine<'_> {
 }
 
 #[cold]
-pub(super) fn type_error(message: &str) -> Fault {
+fn type_error(message: &str) -> Fault {
     Box::new(SimError::TypeError(message.to_string()))
 }
 
@@ -395,13 +395,13 @@ pub(super) fn element_offset(operand: u32) -> usize {
 /// `Value::binary`, with its one failure mode named as the tree walker
 /// named it.
 #[inline(always)]
-pub(super) fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, Fault> {
+fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, Fault> {
     Value::binary(op, a, b).ok_or_else(|| Box::new(SimError::DivByZero))
 }
 
 /// A stored value converted to its buffer's element type, as `f32`.
 #[inline(always)]
-pub(super) fn store_value(v: Value, dtype: DType) -> Result<f32, Fault> {
+fn store_value(v: Value, dtype: DType) -> Result<f32, Fault> {
     v.cast(dtype)
         .as_f32()
         .ok_or_else(|| type_error("stored value must be numeric"))

@@ -757,15 +757,7 @@ impl<'k> Lowerer<'k> {
             })
             .collect();
         if let Ok(table) = &mut lanes {
-            let [ints, floats, bools, dyns] = p.lane_columns.map(|columns| columns * p.block_dim);
-            table.ints.truncate(ints);
-            table.ints.shrink_to_fit();
-            table.floats.truncate(floats);
-            table.floats.shrink_to_fit();
-            table.bools.truncate(bools);
-            table.bools.shrink_to_fit();
-            table.dyns.truncate(dyns);
-            table.dyns.shrink_to_fit();
+            table.keep(p.lane_columns.map(|columns| columns * p.block_dim));
         }
         p.lanes = lanes;
         p

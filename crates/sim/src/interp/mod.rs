@@ -4,11 +4,14 @@
 //! the program is what runs, any number of times. Lowering resolves
 //! everything a tree walk would look up by name on every access:
 //!
-//! * variables become slots of a per-thread register file;
+//! * variables become registers — and every register a *column*: the
+//!   `block_dim` values it holds, one per thread, side by side in the file
+//!   of its static type (`i64`, `f32`, `bool`; a value whose type differs by
+//!   path keeps a tagged column), block-level values one scalar each;
 //! * parameter, shared and register buffers become indices into flat
 //!   storage (device memory by dense [`crate::BufferId`], one shared array
-//!   per block, one register-array block per thread) with row-major strides
-//!   precomputed per access;
+//!   per block, the threads' register arrays laid out like a register file,
+//!   an element a column) with row-major strides precomputed per access;
 //! * "does this subtree contain a barrier" becomes structure: the statements
 //!   that do form a small *lockstep skeleton*, everything between them is a
 //!   straight instruction array;
@@ -27,7 +30,7 @@
 //! | place | fixed by | its code runs |
 //! |---|---|---|
 //! | constant | literals | at lowering (folded) |
-//! | **lane** | `threadIdx` and constants | once per thread **per program**: the first launch fills a `block_dim`-row table, and a thread entering a block copies its row |
+//! | **lane** | `threadIdx` and constants | once per thread **per program**: the lowering runs it and keeps the columns other code reads, and a block's lane columns start as a copy of them |
 //! | **block** | `blockIdx` and constants (the tile coordinates `blockIdx / tiles_n % tiles_m` of every schedule) | once per block |
 //! | **thread** | `threadIdx` and `blockIdx` both | once per thread per block |
 //! | **loop *n*** | the variable of the *n*-th enclosing loop that stayed a loop, and anything coarser | at the top of every iteration of that loop, in its *prologue*: for a loop around a barrier, every thread runs it when the skeleton sets the variable; for a loop inside a leaf it sits between `LoopEnter` and the body, and `LoopNext` jumps back to it |
@@ -48,8 +51,8 @@
 //!
 //! Only expressions that cannot fault move: a prologue runs before the
 //! guards its instructions were written under (an `if`, the untaken side of
-//! a select, an inner loop that may run zero times), and a lane table is
-//! filled whether or not a launch gets to the code that reads it. Evaluating
+//! a select, an inner loop that may run zero times), and the lane table is
+//! filled whether or not any launch gets to the code that reads it. Evaluating
 //! a pure, total operation early and perhaps needlessly cannot be observed;
 //! a division that might be by zero stays under its guard. A zero-trip loop
 //! runs neither its body nor its prologue.
@@ -97,17 +100,63 @@
 //! by probing [`crate::Value::binary`] / [`crate::Value::unary`] themselves, which remain
 //! the only definition of arithmetic.
 //!
+//! # Wide ranges
+//!
+//! The skeleton runs three kinds of code for the whole block: the thread
+//! stream, the prologue of a loop around a barrier, and a barrier-free leaf.
+//! The tree walker ran such a *range* thread by thread. The lowering gives
+//! each a [`Verdict`], once, and the executor runs a [`Verdict::Wide`] range
+//! **once per block, each instruction across all lanes** — a loop over
+//! columns instead of `block_dim` dispatches — and every other range as the
+//! walker did: every thread to completion, in thread order. Both loops run
+//! over the same columns, so going from one kind of range to the other
+//! converts nothing. Two rules decide, both conservative:
+//!
+//! 1. **Structure.** Nothing in the range can fault (the lowering's fault
+//!    flag is exact: a store, update or multiply-add on a proven, declared
+//!    access of a numeric value cannot); every register it touches has a
+//!    static type; every branch condition and loop extent in it is proven
+//!    the same for the whole block (a loop inside a leaf then counts the
+//!    same iterations in every thread); and it writes only its threads' own
+//!    registers and register arrays. Threads of such a range share no
+//!    written state: any interleaving is the thread-order result.
+//! 2. **Footprint.** A range that passes all of that but stores to shared or
+//!    global memory is wide when its threads provably stay apart there — the
+//!    paper's argument that a `spatial` / `repeat` composition partitions
+//!    its tile among the workers, re-established on the addresses instead of
+//!    trusted. Beside the one register an access's index is summed into, the
+//!    lowering keeps the sum: a constant, lane registers (a function of
+//!    `threadIdx`: their values for every thread are the lane table), values
+//!    the whole block shares for as long as the range runs (block-level, or
+//!    fixed by a loop around a barrier), and the variables of loops inside
+//!    the leaf with their trip counts. Per buffer the range stores to, with
+//!    every access of the range to it — loads too — sharing the same
+//!    block-wide part, each thread's elements relative to that part are
+//!    enumerated over all iterations, and no element may be touched by two
+//!    threads if either touch is a store. An index that is no such sum,
+//!    block-wide parts that differ, more than 2¹⁵ elements: unproven, and
+//!    unproven runs per thread ([`Reason`] says which; two threads that *do*
+//!    meet are named). Distinct buffers are taken to be distinct storage,
+//!    which the memory planner guarantees for buffers that are live
+//!    together; a launch handed aliasing buffers runs every range per thread.
+//!
+//! A wide range cannot fault, so there is no fault to replay: whatever can
+//! fault keeps the walker's thread order, variant and payload by
+//! construction. [`Program::ranges`] reports every range with its verdict.
+//!
 //! # What "bit-identical" covers
 //!
 //! Blocks run in grid order; a barrier-free statement is run by every thread
-//! to completion in thread order; statements around barriers run in lockstep
-//! with loop extents and branch conditions required to agree across the
-//! block; every `f32` operation happens in the order the IR spells, through
-//! the same `Value` functions. Device memory after a launch is therefore
-//! equal bit for bit to what the tree-walking interpreter this replaced
-//! produced, and every fault it reported is reported with the same
+//! to completion in thread order unless proven to commute, and a proven
+//! range is order-free and cannot fault; statements around barriers run in
+//! lockstep with loop extents and branch conditions required to agree across
+//! the block; every `f32` operation of a thread happens in the order the IR
+//! spells, through the same `Value` functions. Device memory after a launch
+//! is therefore equal bit for bit to what the tree-walking interpreter this
+//! replaced produced, and every fault it reported is reported with the same
 //! [`SimError`] variant and payload (`tests/interp_differential.rs` holds
-//! both to that, against the walker kept as a test-only oracle). Three
+//! both to that, against the walker kept as a test-only oracle — kernels
+//! whose threads race included, which is what holds the verdicts). Three
 //! deliberate differences, all on ill-formed IR the builders cannot produce:
 //! an access whose index count differs from its buffer's rank is a
 //! `TypeError` when reached (the walker silently dropped the surplus); an
@@ -117,7 +166,9 @@
 //! unbound afterwards (the walker kept it for the paths that ran it).
 //! `i64` arithmetic wraps on overflow, as the device's two's-complement
 //! integers do, identically in debug and release builds and whether an
-//! expression is folded at lowering time or evaluated at run time.
+//! expression is folded at lowering time or evaluated at run time. (Which
+//! payload the sum of two *different* NaNs carries is the instruction
+//! selector's choice, here as in the walker.)
 
 mod exec;
 mod lower;

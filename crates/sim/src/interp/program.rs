@@ -41,6 +41,20 @@ pub(crate) struct LaneTable {
     pub dyns: Vec<Value>,
 }
 
+impl LaneTable {
+    /// Keeps the first `lanes` values of each file, and no more memory.
+    pub(crate) fn keep(&mut self, [ints, floats, bools, dyns]: Columns) {
+        fn keep<T>(file: &mut Vec<T>, lanes: usize) {
+            file.truncate(lanes);
+            file.shrink_to_fit();
+        }
+        keep(&mut self.ints, ints);
+        keep(&mut self.floats, floats);
+        keep(&mut self.bools, bools);
+        keep(&mut self.dyns, dyns);
+    }
+}
+
 /// Set in an operand that names memory instead of a register: the element is
 /// loaded as a source operand is read, written as a destination. The rest of
 /// the operand is the id of an [`Access`] — or, with [`ELEMENT`] set as well,
