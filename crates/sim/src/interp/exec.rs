@@ -262,8 +262,8 @@ impl Machine<'_> {
     fn run(&mut self, range: u32, (start, end): (u32, u32)) -> Result<(), Fault> {
         let p = self.p;
         let code = &p.code[start as usize..end as usize];
-        let proven = p.ranges.get(range as usize).map(|r| &r.verdict) == Some(&Verdict::Wide);
-        let wide = proven && !self.in_turn;
+        let verdict = p.ranges.get(range as usize).map(|r| &r.verdict);
+        let wide = matches!(verdict, Some(Verdict::Wide)) && !self.in_turn;
         let mut block = self.block();
         if wide {
             return block.wide(code);
@@ -512,6 +512,13 @@ impl<'a> Block<'a> {
         Ok(a.offset + flat)
     }
 
+    /// Thread `lane`'s element `at` of its register arrays, if it has one.
+    #[inline(always)]
+    pub(super) fn local(&self, at: usize, lane: usize) -> Option<&'a Cell<f32>> {
+        let regs = self.regs;
+        (at < self.p.local_len).then(|| &regs.locals[at * regs.n + lane])
+    }
+
     /// Element `at` of every thread's register arrays: a column.
     #[inline(always)]
     pub(super) fn element(&self, at: usize) -> Result<&'a [Cell<f32>], Fault> {
@@ -543,10 +550,7 @@ impl<'a> Block<'a> {
         let element = match a.space {
             Space::Global(g) => self.global(a, g)?.get(flat).copied(),
             Space::Shared => self.shared.get(flat).map(Cell::get),
-            Space::Local if flat < p.local_len => {
-                Some(self.regs.locals[flat * self.regs.n + lane].get())
-            }
-            Space::Local => None,
+            Space::Local => self.local(flat, lane).map(Cell::get),
             Space::Missing => return Err(missing(p, a)),
         };
         element.ok_or_else(|| past_the_end(p, a, flat))
@@ -562,11 +566,8 @@ impl<'a> Block<'a> {
         }
         if operand & ELEMENT != 0 {
             let at = element_offset(operand);
-            let element =
-                (at < self.p.local_len).then(|| &self.regs.locals[at * self.regs.n + lane]);
-            return Ok(Value::F32(
-                element.ok_or_else(|| no_such_element(at))?.get(),
-            ));
+            let element = self.local(at, lane).ok_or_else(|| no_such_element(at))?;
+            return Ok(Value::F32(element.get()));
         }
         let a = &self.p.accesses[(operand & !MEM) as usize];
         let flat = self.address(a, lane)?;
@@ -593,16 +594,14 @@ impl<'a> Block<'a> {
     /// Thread `lane`'s element at `target`, for writing.
     #[inline(always)]
     fn slot(&mut self, target: Target<'_>, lane: usize) -> Result<&Cell<f32>, Fault> {
-        let (p, regs, at) = (self.p, self.regs, target.at);
+        let (p, at) = (self.p, target.at);
         let Some(a) = target.access else {
-            let element = (at < p.local_len).then(|| &regs.locals[at * regs.n + lane]);
-            return element.ok_or_else(|| no_such_element(at));
+            return self.local(at, lane).ok_or_else(|| no_such_element(at));
         };
         let element = match a.space {
             Space::Global(g) => cells(self.global_mut(a, g)?).get(at),
             Space::Shared => self.shared.get(at),
-            Space::Local if at < p.local_len => regs.locals.get(at * regs.n + lane),
-            Space::Local => None,
+            Space::Local => self.local(at, lane),
             Space::Missing => return Err(missing(p, a)),
         };
         element.ok_or_else(|| past_the_end(p, a, at))

@@ -311,8 +311,7 @@ impl<'a> Block<'a> {
             }
             Space::Local => {
                 for (lane, at) in lanes {
-                    let slot = (at < p.local_len).then(|| &regs.locals[at * regs.n + lane]);
-                    let slot = slot.ok_or_else(|| past(at))?;
+                    let slot = self.local(at, lane).ok_or_else(|| past(at))?;
                     slot.set(put(lane, slot.get()));
                 }
             }
@@ -362,25 +361,39 @@ impl<'a> Block<'a> {
 
     // ---- operands as columns ---------------------------------------------
 
-    /// An integer source across the lanes, if `r` is one.
+    /// Register `r` across the lanes, if it holds a `T`: a block-level
+    /// scalar `of` gets one out of, or a column of `file`, whose lanes are
+    /// `lanes`.
     #[inline(always)]
-    fn ints(&self, r: Reg) -> Option<Src<'a, i64>> {
+    fn source<T: Copy>(
+        &self,
+        r: Reg,
+        file: u32,
+        lanes: &'a [Cell<T>],
+        of: impl Fn(Value) -> Option<T>,
+    ) -> Option<Src<'a, T>> {
         let c = (r & COLUMN) as usize;
         match r >> FILE_SHIFT {
-            SCALAR => int(self.regs.scalars[c].get()).map(One),
-            INT => Some(Each(column(self.regs.ints, c, self.regs.n))),
-            _ => None,
+            SCALAR => of(self.regs.scalars[c].get()).map(One),
+            _ => self.lanes_of(r, file, lanes).map(Each),
         }
+    }
+
+    /// Register `r` as a column of `file`, whose lanes are `lanes`, if it is
+    /// one.
+    #[inline(always)]
+    fn lanes_of<T>(&self, r: Reg, file: u32, lanes: &'a [Cell<T>]) -> Option<&'a [Cell<T>]> {
+        (r >> FILE_SHIFT == file).then(|| column(lanes, (r & COLUMN) as usize, self.regs.n))
+    }
+
+    #[inline(always)]
+    fn ints(&self, r: Reg) -> Option<Src<'a, i64>> {
+        self.source(r, INT, self.regs.ints, int)
     }
 
     #[inline(always)]
     fn bools(&self, r: Reg) -> Option<Src<'a, bool>> {
-        let c = (r & COLUMN) as usize;
-        match r >> FILE_SHIFT {
-            SCALAR => self.regs.scalars[c].get().as_bool().map(One),
-            BOOL => Some(Each(column(self.regs.bools, c, self.regs.n))),
-            _ => None,
-        }
+        self.source(r, BOOL, self.regs.bools, Value::as_bool)
     }
 
     /// A float source across the lanes, if `operand` is one: a register, a
@@ -388,39 +401,31 @@ impl<'a> Block<'a> {
     /// into scratch column `slot`.
     #[inline(always)]
     fn floats(&self, operand: u32, slot: usize) -> Result<Option<Src<'a, f32>>, Fault> {
-        let n = self.regs.n;
         if operand & MEM == 0 {
-            let c = (operand & COLUMN) as usize;
-            return Ok(match operand >> FILE_SHIFT {
-                SCALAR => float(self.regs.scalars[c].get()).map(One),
-                FLOAT => Some(Each(column(self.regs.floats, c, n))),
-                _ => None,
-            });
+            return Ok(self.source(operand, FLOAT, self.regs.floats, float));
         }
         if operand & ELEMENT != 0 {
             return Ok(Some(Each(self.element(element_offset(operand))?)));
         }
+        let n = self.regs.n;
         let loaded = column(self.regs.loaded, slot * n, n);
         let access = &self.p.accesses[(operand & !MEM) as usize];
         Ok(self.gather(access, loaded)?.then_some(Each(loaded)))
     }
 
-    /// Register `r` as a column of integers, if it is one.
     #[inline(always)]
     fn int_column(&self, r: Reg) -> Option<&'a [Cell<i64>]> {
-        (r >> FILE_SHIFT == INT).then(|| column(self.regs.ints, (r & COLUMN) as usize, self.regs.n))
+        self.lanes_of(r, INT, self.regs.ints)
     }
 
     #[inline(always)]
     fn float_column(&self, r: Reg) -> Option<&'a [Cell<f32>]> {
-        let floats = self.regs.floats;
-        (r >> FILE_SHIFT == FLOAT).then(|| column(floats, (r & COLUMN) as usize, self.regs.n))
+        self.lanes_of(r, FLOAT, self.regs.floats)
     }
 
     #[inline(always)]
     fn bool_column(&self, r: Reg) -> Option<&'a [Cell<bool>]> {
-        (r >> FILE_SHIFT == BOOL)
-            .then(|| column(self.regs.bools, (r & COLUMN) as usize, self.regs.n))
+        self.lanes_of(r, BOOL, self.regs.bools)
     }
 
     /// Every lane's address of proven access `a`, into the `at` column.
@@ -461,25 +466,24 @@ impl<'a> Block<'a> {
                     a.offset
                         .wrapping_add((i.get() as usize).wrapping_mul(d.stride))
                 };
-                return self.gather_at(a, out, index.iter().map(at)).map(|()| true);
+                return self.gather_at(a, out, index.iter().map(at));
             }
         }
         if !self.addresses(a) {
             return Ok(false);
         }
-        let at = self.regs.at.iter().map(Cell::get);
-        self.gather_at(a, out, at).map(|()| true)
+        self.gather_at(a, out, self.regs.at.iter().map(Cell::get))
     }
 
-    /// `out[lane] = ` the element of `a`'s storage at `at[lane]`.
+    /// `out[lane] = ` the element of `a`'s storage at `at[lane]`; `true`.
     #[inline(always)]
     fn gather_at(
         &self,
         a: &Access,
         out: &[Cell<f32>],
         at: impl Iterator<Item = usize>,
-    ) -> Result<(), Fault> {
-        let (p, regs) = (self.p, self.regs);
+    ) -> Result<bool, Fault> {
+        let p = self.p;
         let past = |at: usize| past_the_end(p, a, at);
         let lanes = out.iter().zip(at);
         match a.space {
@@ -496,13 +500,12 @@ impl<'a> Block<'a> {
             }
             Space::Local => {
                 for (lane, (out, at)) in lanes.enumerate() {
-                    let element = (at < p.local_len).then(|| at * regs.n + lane);
-                    out.set(regs.locals[element.ok_or_else(|| past(at))?].get());
+                    out.set(self.local(at, lane).ok_or_else(|| past(at))?.get());
                 }
             }
             Space::Missing => return Err(missing(p, a)),
         }
-        Ok(())
+        Ok(true)
     }
 }
 

@@ -187,9 +187,9 @@ impl DeviceMemory {
             Some(Storage::View { offset, len }) => Some((*offset, offset + len)),
             _ => None,
         };
-        let ids: Vec<&BufferId> = ids.iter().flatten().collect();
-        ids.iter().enumerate().any(|(i, a)| {
-            ids[i + 1..].iter().any(|b| match (window(a), window(b)) {
+        let ids = || ids.iter().flatten();
+        ids().enumerate().any(|(i, a)| {
+            ids().skip(i + 1).any(|b| match (window(a), window(b)) {
                 _ if a == b => true,
                 (Some(a), Some(b)) => a.0 < b.1 && b.0 < a.1,
                 _ => false,
