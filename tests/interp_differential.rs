@@ -894,6 +894,116 @@ fn assert_runs_like_the_walker(kernel: &Kernel) {
     assert_eq!(run_both(kernel), (Ok(()), Ok(())), "{}", kernel.name());
 }
 
+/// One term of a drawn index: a function of `threadIdx`, of what the whole
+/// block shares, or of the leaf loop's variable — some the lowering takes
+/// apart (`t * 2`, `k`, `j * 8`), some it keeps whole as a lane or block-wide
+/// value (`(t + 1) % n`, `k % 2`), some it cannot place (`(k + t) % 3`).
+fn index_term(pick: i64, threads: i64, k: &Expr, j: &Expr) -> Expr {
+    let t = thread_idx;
+    match pick {
+        0 => t(),
+        1 => t() * 2,
+        2 => (t() + 1) % threads,
+        3 => c(threads - 1) - t(),
+        4 => t() / 2,
+        5 => block_idx() * 8,
+        6 => k.clone(),
+        7 => k.clone() % 2 * 16,
+        8 => j.clone(),
+        9 => j.clone() * 8,
+        10 => (k.clone() + t()) % 3,
+        _ => c(pick - 11),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Random leaves over a shared buffer: up to three statements, each
+    /// storing to and loading from `S` at a sum of two drawn terms, inside
+    /// a loop around a barrier and a leaf loop that is unrolled (one trip)
+    /// or stays a loop (nine), under a guard or none. Whatever the lowering
+    /// concludes about the threads of the leaf — apart, meeting, unknown,
+    /// taking different branches — memory ends up as the walker leaves it.
+    #[test]
+    fn random_footprints_match_the_walker(
+        threads in prop::sample::select(vec![2i64, 4, 7]),
+        grid in 1i64..=2,
+        trips in prop::sample::select(vec![1i64, 9]),
+        statements in prop::collection::vec((0i64..3, (0i64..14, 0i64..14), (0i64..14, 0i64..14)), 1..4),
+        guard in 0i64..6,
+    ) {
+        let mut kb = KernelBuilder::new("fuzz_footprint", grid, threads);
+        let x = kb.param("X", DType::F32, &[threads]);
+        let y = kb.param("Y", DType::F32, &[grid, threads, 33]);
+        let s = kb.shared("S", DType::F32, &[256]);
+        let acc = kb.local("Acc", DType::F32, &[1]);
+        let t = thread_idx;
+        kb.push(for_range("fill", 32, |i| {
+            let at = i * threads + t();
+            store(&s, vec![at.clone()], load(&x, vec![t()]) + at.cast(DType::F32))
+        }));
+        kb.push(sync_threads());
+        kb.push(for_range("k", 2, |k| {
+            let leaf = for_range("j", trips, |j| {
+                let at = |(a, b): (i64, i64)| {
+                    index_term(a, threads, &k, &j) + index_term(b, threads, &k, &j)
+                };
+                let body = seq((statements.iter())
+                    .map(|&(kind, to, from)| match kind {
+                        0 => {
+                            let value = load(&s, vec![at(from)]) * 0.5f32 + t().cast(DType::F32);
+                            store(&s, vec![at(to)], value)
+                        }
+                        1 => store(&s, vec![at(to)], load(&s, vec![at(to)]) + load(&s, vec![at(from)])),
+                        _ => store(&acc, vec![c(0)], load(&acc, vec![c(0)]) + load(&s, vec![at(from)])),
+                    })
+                    .collect());
+                // Under nothing, or under a guard the whole block agrees on
+                // (by `k`, by `j`, by both, by `blockIdx`) or does not.
+                match guard {
+                    0 => body,
+                    1 => if_then(k.clone().lt(1), body),
+                    2 => if_then(j.clone().lt(4), body),
+                    3 => if_then(((k.clone() + j.clone()) % 2).eq_(c(0)), body),
+                    4 => if_then(block_idx().lt(1), body),
+                    _ => if_then(t().lt(2), body),
+                }
+            });
+            seq(vec![one_leaf(vec![leaf]), sync_threads()])
+        }));
+        kb.push(store(&y, vec![block_idx(), t(), c(32)], load(&acc, vec![c(0)])));
+        kb.push(for_range("out", 32, |i| {
+            let value = load(&s, vec![i.clone() * threads + t()]);
+            store(&y, vec![block_idx(), t(), i], value)
+        }));
+        let (walked, ran) = run_both(&kb.build());
+        prop_assert_eq!(ran, walked);
+    }
+}
+
+#[test]
+fn a_leaf_loop_runs_as_often_as_its_own_thread_says() {
+    // Nothing in the leaf faults or stores outside the thread's registers —
+    // but thread `t` takes `9 + t % 3` trips, so thread 0 cannot count for
+    // the block. Beside it, the same loop with an extent the block shares.
+    for extent in [thread_idx() % 3 + 9, block_idx() + 9] {
+        let mut kb = KernelBuilder::new("own_trips", 2, 8);
+        let x = kb.param("X", DType::F32, &[16]);
+        let y = kb.param("Y", DType::F32, &[2, 8]);
+        let acc = kb.local("Acc", DType::F32, &[1]);
+        kb.push(for_range("j", extent, |j| {
+            store(&acc, vec![c(0)], load(&acc, vec![c(0)]) + load(&x, vec![j]))
+        }));
+        kb.push(store(
+            &y,
+            vec![block_idx(), thread_idx()],
+            load(&acc, vec![c(0)]),
+        ));
+        assert_runs_like_the_walker(&kb.build());
+    }
+}
+
 #[test]
 fn threads_accumulating_into_one_element_take_turns() {
     // `X[0] += t + 0.1`, then `R[0] = X[0]`: each thread sees the sum so
@@ -1094,6 +1204,29 @@ fn the_first_fault_in_evaluation_order_wins() {
         let walked = walked.expect_err(what);
         assert_eq!(ran, Err(walked), "{what}");
     }
+}
+
+/// Which fault is reported when two instructions of one leaf fault in
+/// different threads: the walker runs thread 1 to its fault in the second
+/// statement before thread 3 gets to the first, so a leaf that can fault
+/// keeps thread order — an instruction at a time would report thread 3's.
+#[test]
+fn the_first_thread_to_fault_wins_not_the_first_instruction() {
+    let mut kb = KernelBuilder::new("fault_order", 1, 4);
+    let x = kb.param("X", DType::F32, &[4]);
+    let y = kb.param("Y", DType::F32, &[4]);
+    let past =
+        |thread: i64, by: i64| thread_idx() + thread_idx().eq_(c(thread)).select(c(by), c(0));
+    kb.push(one_leaf(vec![
+        store(&x, vec![past(3, 100)], fconst(1.0)),
+        store(&y, vec![past(1, 50)], fconst(2.0)),
+    ]));
+    let (walked, ran) = run_both(&kb.build());
+    assert!(
+        matches!(&walked, Err(SimError::OutOfBounds { buffer, index: 51, .. }) if buffer == "Y"),
+        "{walked:?}"
+    );
+    assert_eq!(ran, walked);
 }
 
 #[test]
