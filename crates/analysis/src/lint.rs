@@ -62,6 +62,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/interp/exec.rs",
     "crates/sim/src/interp/wide.rs",
     "crates/runtime/src/engine/",
+    "crates/runtime/src/shard.rs",
+    "crates/runtime/src/stats.rs",
+    "crates/runtime/src/cache.rs",
     "crates/decode/src/engine/",
     "crates/decode/src/kv.rs",
     "crates/decode/src/placement.rs",

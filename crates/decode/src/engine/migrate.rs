@@ -106,7 +106,7 @@ pub(super) fn migrate_sequence(shared: &Shared, mut seq: Sequence, from: usize, 
         .migrations_in
         .fetch_add(1, Ordering::Relaxed);
     let mut waiting = shared.waiting.lock().expect("waiting poisoned");
-    waiting.shards[to].classes[seq.priority.index()].push_front(seq);
+    waiting.shards[to].push_front(seq.priority, seq);
     drop(waiting);
     shared.cv.notify_all();
 }

@@ -4,7 +4,7 @@
 //! model — a prefill phase, then one decode step — both through the one
 //! forward-pass routine ([`IterCtx::forward`]).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -126,15 +126,21 @@ impl Scheduler {
     /// model definitions. Returns whether any shard has an active sequence.
     fn admit(&mut self, shared: &Shared, waiting: &mut Waiting, now: Instant) -> bool {
         let closed = shared.closed.load(Ordering::SeqCst);
-        fail_waiting(shared, waiting, DecodeError::DeadlineExceeded, |seq| {
-            seq.expired(now)
-        });
-        if closed {
-            // Sessions that never started (rank 0 — assigned at first
-            // admission) are failed; in-flight ones — active or KV-preempted
-            // back into a queue — drain to completion, honoring the shutdown
-            // contract.
-            fail_waiting(shared, waiting, DecodeError::Closed, |seq| seq.rank == 0);
+        // Expired sessions fail; on shutdown so do those that never started
+        // (rank 0 — assigned at first admission), while in-flight ones —
+        // active or KV-preempted back into a queue — drain to completion,
+        // honoring the shutdown contract.
+        for queue in &mut waiting.shards {
+            queue.settle(
+                |seq| seq.expired(now),
+                |seq| fail(shared, &seq, DecodeError::DeadlineExceeded),
+            );
+            if closed {
+                queue.settle(
+                    |seq| seq.rank == 0,
+                    |seq| fail(shared, &seq, DecodeError::Closed),
+                );
+            }
         }
         // A paused engine admits nothing; shutdown overrides the pause so a
         // never-resumed engine still drains and exits.
@@ -175,7 +181,7 @@ impl Scheduler {
                 .iter()
                 .flat_map(|sh| sh.active.iter().map(|s| def_key(&s.def)))
                 .collect();
-            for queue in waiting.shards.iter().flat_map(|wq| wq.classes.iter()) {
+            for queue in &waiting.shards {
                 live.extend(queue.iter().map(|s| def_key(&s.def)));
             }
             {
@@ -333,34 +339,6 @@ fn fail(shared: &Shared, seq: &Sequence, err: DecodeError) {
     let _ = seq.tx.send(Event::Failed(err));
 }
 
-/// Fails every waiting sequence `doomed` selects with `err`, keeping the
-/// rest queued in order.
-fn fail_waiting(
-    shared: &Shared,
-    waiting: &mut Waiting,
-    err: DecodeError,
-    doomed: impl Fn(&Sequence) -> bool,
-) {
-    for queue in waiting
-        .shards
-        .iter_mut()
-        .flat_map(|wq| wq.classes.iter_mut())
-    {
-        if !queue.iter().any(&doomed) {
-            continue;
-        }
-        let mut keep = VecDeque::with_capacity(queue.len());
-        for seq in queue.drain(..) {
-            if doomed(&seq) {
-                fail(shared, &seq, err.clone());
-            } else {
-                keep.push_back(seq);
-            }
-        }
-        *queue = keep;
-    }
-}
-
 /// Everything one scheduler iteration — one shard × one model — reads and
 /// writes: the engine-wide pieces it compiles and books against, the shard
 /// it runs on, the pool's headroom view, and the iteration's own batch with
@@ -506,7 +484,7 @@ impl IterCtx<'_> {
         if !requeue.is_empty() {
             let mut waiting = shared.waiting.lock().expect("waiting poisoned");
             for seq in requeue.into_iter().rev() {
-                waiting.shards[self.shard].classes[seq.priority.index()].push_front(seq);
+                waiting.shards[self.shard].push_front(seq.priority, seq);
             }
             drop(waiting);
             shared.cv.notify_all();

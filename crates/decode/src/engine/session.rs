@@ -9,7 +9,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use hidet_runtime::Priority;
+use hidet_runtime::{ClassQueues, Priority};
 use hidet_trace::SpanKind;
 
 use super::config::DecodeError;
@@ -353,7 +353,7 @@ impl DecodeModel {
             self.shared.stats.shards[shard]
                 .placed
                 .fetch_add(1, Ordering::Relaxed);
-            waiting.shards[shard].classes[sequence.priority.index()].push_back(sequence);
+            waiting.shards[shard].push(sequence.priority, sequence);
         }
         self.shared.cv.notify_all();
         DecodeSession { rx, done: false }
@@ -468,31 +468,16 @@ impl Sequence {
     }
 }
 
-#[derive(Default)]
-pub(super) struct WaitQueues {
-    pub(super) classes: [VecDeque<Sequence>; Priority::COUNT],
-}
-
-impl WaitQueues {
-    pub(super) fn pop_highest(&mut self) -> Option<Sequence> {
-        self.classes.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.classes.iter().all(VecDeque::is_empty)
-    }
-}
-
-/// The engine's waiting sessions: one [`WaitQueues`] per decode shard
+/// The engine's waiting sessions: one [`ClassQueues`] per decode shard
 /// (placement decides the shard at submission; migration moves sessions
 /// between queues later).
 pub(super) struct Waiting {
-    pub(super) shards: Vec<WaitQueues>,
+    pub(super) shards: Vec<ClassQueues<Sequence>>,
 }
 
 impl Waiting {
     pub(super) fn is_empty(&self) -> bool {
-        self.shards.iter().all(WaitQueues::is_empty)
+        self.shards.iter().all(ClassQueues::is_empty)
     }
 }
 

@@ -17,7 +17,7 @@ use hidet_sim::Gpu;
 use super::config::{DecodeConfig, DecodeError};
 use super::registry::{def_key, validate_spec, DecodeModelSpec, ModelDef, PassDef};
 use super::schedule::{step_loop, IterCtx};
-use super::session::{DecodeModel, Sequence, WaitQueues, Waiting};
+use super::session::{DecodeModel, Sequence, Waiting};
 use super::stepper::Stepper;
 use crate::kv::{KvAllocator, KvLayout};
 use crate::placement::placement_score;
@@ -47,11 +47,7 @@ impl Shared {
         ));
         stats.max_batch.store(config.max_batch, Ordering::Relaxed);
         let waiting = Waiting {
-            shards: config
-                .devices
-                .iter()
-                .map(|_| WaitQueues::default())
-                .collect(),
+            shards: config.devices.iter().map(|_| Default::default()).collect(),
         };
         Arc::new(Shared {
             paused: AtomicBool::new(config.start_paused),
@@ -247,9 +243,11 @@ pub(super) fn place_shard(
             fallback
         };
         let mut pending = g.active_remaining.clone();
-        for queue in waiting.shards[s].classes.iter() {
-            pending.extend(queue.iter().map(|q| q.remaining_work() as f64 * est));
-        }
+        pending.extend(
+            waiting.shards[s]
+                .iter()
+                .map(|q| q.remaining_work() as f64 * est),
+        );
         let load: f64 = pending.iter().sum();
         let delay = hidet_sim::estimated_queue_delay(&pending, config.max_batch);
         let (free, capacity) = g

@@ -1,23 +1,13 @@
 //! The serving engine: a multi-session inference front-end over the Hidet
-//! compiler and a pool of simulated GPUs.
-//!
-//! The model lifecycle is explicit: [`Engine::register`] takes a
-//! [`ModelSpec`] (name, graph-builder family, batching mode, optional
-//! artifact store) and returns a [`ModelHandle`] that owns every per-model
-//! operation — [`ModelHandle::infer`], [`ModelHandle::submit`],
-//! [`ModelHandle::warmup`], [`ModelHandle::unload`]. Requests are built with
-//! the [`Request`] builder (inputs + priority + deadline + per-request
-//! timeout). The deprecated free-function entry points of the v1 API
-//! (`Engine::load`, `Engine::submit_with`, ...) are gone — every per-model
-//! operation lives on the handle.
+//! compiler and a pool of simulated GPUs. What each layer does is listed
+//! once, in the [crate docs](crate); DESIGN.md §3–§5 say why.
 //!
 //! ```text
-//!   clients ── handle.submit ──▶ admission ──▶ priority queues ──▶ dispatcher
-//!              (Request:         (sheds when    High / Normal /       │
-//!               priority,         overloaded)   BestEffort            ▼
-//!               deadline,                         batch former (model x class)
-//!               timeout)                                              │ least-estimated-
-//!                                                                    ▼ queue-delay
+//!   clients ── handle.submit ──▶ admission ──▶ priority queues ──▶ batch former
+//!              (Request:         (sheds when    High / Normal /    (model x class)
+//!               priority,         overloaded)   BestEffort            │  ▲ next(now): the dispatcher
+//!               deadline,                                             │  │ thread or a Stepper
+//!               timeout)                                              ▼ least-estimated-queue-delay
 //!                                        shard 0 workers ◀── placement ──▶ shard N workers
 //!                                              │                                │
 //!                                              ▼                                ▼
@@ -27,52 +17,23 @@
 //!                               disk artifact store (persists across processes)
 //! ```
 //!
-//! * Requests carry a [`Priority`] class and an optional deadline
-//!   ([`Request::with_deadline`] / [`Request::with_timeout`]). The
-//!   dispatcher always serves the highest non-empty class; requests whose
-//!   deadline passes while queued are rejected with
-//!   [`EngineError::DeadlineExceeded`] and never reach a worker.
-//! * Same-model, same-class requests are **coalesced along the batch
-//!   dimension** (up to [`EngineConfig::max_batch`], waiting at most
-//!   [`EngineConfig::batch_window`]) before dispatch. The straggler wait is
-//!   abandoned as soon as a higher class has traffic, so priority inversion
-//!   is bounded by one partial batch.
-//! * Formed batches are **placed across the device pool**
-//!   ([`EngineConfig::devices`]) on the shard with the least estimated queue
-//!   delay, computed by [`hidet_sim::estimated_queue_delay`] over the
-//!   analytic latency estimates of every in-flight batch (see the `shard`
-//!   module and [`crate::ShardSnapshot`]).
-//! * An **admission controller** sheds load with
-//!   [`EngineError::QueueFull`] when the engine holds too many in-flight
-//!   requests or the estimated queue delay exceeds
-//!   [`EngineConfig::admission_delay_bound`]. Shedding thresholds scale with
-//!   priority, so best-effort traffic is always shed before high-priority
-//!   traffic.
-//! * Compilation happens at most once per (structure, device, options) — see
-//!   [`crate::CompiledCache`] — so steady-state requests never compile, and
-//!   homogeneous shards share one compiled graph. With an **artifact store**
-//!   ([`EngineConfig::artifact_store`] or [`ModelSpec::with_artifact_store`])
-//!   that holds across *process restarts*: compiles serialize their
-//!   [`hidet::CompiledArtifact`] to disk, and a warm restart rebuilds plans
-//!   from those files with zero fresh compiles and zero tuning trials.
-//!   [`ModelHandle::unload`] is the one eviction — a later registration of
-//!   the same structure recompiles (or re-loads its artifact), counted in
-//!   [`crate::StatsSnapshot::compiled_evicted_unload`].
-//! * Tuning results persist via [`hidet_sched::TuningCache`] when
-//!   [`EngineConfig::tuning_records_path`] is set: a restarted process
-//!   schedules previously seen matmuls with zero trials. Records are flushed
-//!   on [`Engine::shutdown`] *and* from `Drop`, so a panicking caller does
-//!   not lose tuned schedules.
+//! **One batch former, two drivers.** Batch formation and placement take
+//! the host instant as an argument. [`Engine::new`]'s dispatcher thread
+//! reads the wall clock and hands batches to each shard's worker threads; a
+//! [`Stepper`] ([`Engine::stepped`]) is handed the instant and executes the
+//! batches on its caller's thread.
 
 mod config;
 mod dispatch;
 mod registry;
 mod request;
+mod stepper;
 mod worker;
 
 pub use self::config::EngineConfig;
 pub use self::registry::{ModelHandle, ModelSpec};
-pub use self::request::{EngineError, InferenceResult, Priority, Request, Ticket};
+pub use self::request::{ClassQueues, EngineError, InferenceResult, Priority, Request, Ticket};
+pub use self::stepper::Stepper;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -82,8 +43,9 @@ use std::thread;
 
 use hidet_sched::TuningCache;
 
-use self::dispatch::{dispatch_loop, BatchJob, ClassQueues};
+use self::dispatch::{dispatch_loop, BatchJob};
 use self::registry::ModelEntry;
+use self::request::PendingRequest;
 use self::worker::worker_loop;
 use crate::cache::CompiledCache;
 use crate::shard::{self, LatencyModel, Shard};
@@ -94,7 +56,7 @@ struct Shared {
     /// tuning-record store.
     config: EngineConfig,
     registry: Mutex<HashMap<String, Arc<ModelEntry>>>,
-    queue: Mutex<ClassQueues>,
+    queue: Mutex<ClassQueues<PendingRequest>>,
     queue_cv: Condvar,
     closed: AtomicBool,
     compiled: CompiledCache,
@@ -137,15 +99,27 @@ impl Shared {
         }
     }
 
+    /// Begins shutdown: nothing is admitted from here on; the driver drains
+    /// the queue.
+    fn close(&self) {
+        {
+            // Under the queue lock, which the dispatcher holds from reading
+            // `closed` to sleeping, so the wake-up cannot be lost. (A
+            // poisoned lock is still a held lock; `Drop` must not panic.)
+            let _queue = self.queue.lock();
+            self.closed.store(true, Ordering::SeqCst);
+        }
+        self.queue_cv.notify_all();
+    }
+
     /// Total worker lanes across the pool.
     fn total_lanes(&self) -> usize {
         self.shards.iter().map(|s| s.lanes).sum()
     }
 
     /// Admission verdict for a request of `class` while `queued` requests
-    /// wait in the dispatcher queue. `None` admits.
-    ///
-    /// Two monotone-in-priority checks:
+    /// wait in the dispatcher queue. `None` admits; a closed engine admits
+    /// nothing. Then two monotone-in-priority checks:
     /// 1. the in-flight count against `max_inflight x queue_share(class)`;
     /// 2. the estimated queue delay — least-loaded shard delay plus the
     ///    dispatcher backlog (queued requests x observed device seconds per
@@ -159,6 +133,9 @@ impl Shared {
     /// opt-in (`None` by default keeps the submit path lock-free past the
     /// queue mutex).
     fn admission_verdict(&self, class: Priority, queued: usize) -> Option<EngineError> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Some(EngineError::Closed);
+        }
         let inflight = self.inflight.load(Ordering::Relaxed);
         let cap = (self.config.max_inflight as f64 * class.queue_share()).ceil() as usize;
         if inflight >= cap {
@@ -204,19 +181,68 @@ impl Shared {
 pub struct Engine {
     shared: Arc<Shared>,
     tuning_cache: Arc<Mutex<TuningCache>>,
-    dispatcher: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
+    /// The worker pools and the dispatcher (none on a
+    /// [stepped](Engine::stepped) engine); `None` once shut down.
+    threads: Option<Vec<thread::JoinHandle<()>>>,
 }
 
 impl Engine {
     /// Starts an engine: loads tuning records (if configured), builds one
-    /// shard per configured device, spawns the dispatcher and the per-shard
-    /// worker pools.
+    /// shard per configured device, spawns the per-shard worker pools and
+    /// the dispatcher.
     ///
     /// # Errors
     /// [`EngineError::Records`] if a configured record file exists but cannot
     /// be read or parsed (a *missing* file is a normal cold start).
     pub fn new(config: EngineConfig) -> Result<Engine, EngineError> {
+        let mut engine = Engine::unstarted(config)?;
+        let shared = &engine.shared;
+        // One job channel per shard; the dispatcher owns every sender, so
+        // worker pools drain and exit once the dispatcher hangs up.
+        let mut senders = Vec::with_capacity(shared.shards.len());
+        let mut threads = Vec::new();
+        for shard_idx in 0..shared.shards.len() {
+            let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
+            senders.push(job_tx);
+            let job_rx = Arc::new(Mutex::new(job_rx));
+            for lane in 0..shared.config.workers {
+                let shared = Arc::clone(shared);
+                let job_rx = Arc::clone(&job_rx);
+                threads.push(
+                    thread::Builder::new()
+                        .name(format!("hidet-shard{shard_idx}-worker{lane}"))
+                        .spawn(move || worker_loop(&shared, shard_idx, &job_rx))
+                        .expect("spawn worker"),
+                );
+            }
+        }
+        let shared = Arc::clone(shared);
+        threads.push(
+            thread::Builder::new()
+                .name("hidet-dispatcher".into())
+                .spawn(move || dispatch_loop(&shared, senders))
+                .expect("spawn dispatcher"),
+        );
+        engine.threads = Some(threads);
+        Ok(engine)
+    }
+
+    /// An engine with no threads: the same batch former runs, and the
+    /// batches it places execute, only as the returned [`Stepper`] is
+    /// stepped at instants the caller names — so batches are a function of
+    /// the calls made, not of host timing. A [`Ticket`] resolves once a step
+    /// has served it: step first, then [`wait`](Ticket::wait).
+    ///
+    /// # Errors
+    /// As [`Engine::new`].
+    pub fn stepped(config: EngineConfig) -> Result<(Engine, Stepper), EngineError> {
+        let engine = Engine::unstarted(config)?;
+        let stepper = Stepper::new(Arc::clone(&engine.shared));
+        Ok((engine, stepper))
+    }
+
+    /// The engine's state, its tuning-record store attached, and no driver.
+    fn unstarted(config: EngineConfig) -> Result<Engine, EngineError> {
         let mut config = config.sanitized();
 
         // Attach (or adopt) the tuning-record store. An adopted store still
@@ -246,40 +272,10 @@ impl Engine {
             }
         };
         config.options = config.options.with_tuning_cache(Arc::clone(&tuning_cache));
-        let shared = Arc::new(Shared::new(config));
-
-        // One job channel per shard; the dispatcher owns every sender, so
-        // worker pools drain and exit once the dispatcher hangs up.
-        let mut senders = Vec::with_capacity(shared.shards.len());
-        let mut workers = Vec::new();
-        for shard_idx in 0..shared.shards.len() {
-            let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
-            senders.push(job_tx);
-            let job_rx = Arc::new(Mutex::new(job_rx));
-            for lane in 0..shared.config.workers {
-                let shared = Arc::clone(&shared);
-                let job_rx = Arc::clone(&job_rx);
-                workers.push(
-                    thread::Builder::new()
-                        .name(format!("hidet-shard{shard_idx}-worker{lane}"))
-                        .spawn(move || worker_loop(&shared, shard_idx, &job_rx))
-                        .expect("spawn worker"),
-                );
-            }
-        }
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("hidet-dispatcher".into())
-                .spawn(move || dispatch_loop(&shared, senders))
-                .expect("spawn dispatcher")
-        };
-
         Ok(Engine {
-            shared,
+            shared: Arc::new(Shared::new(config)),
             tuning_cache,
-            dispatcher: Some(dispatcher),
-            workers,
+            threads: Some(Vec::new()),
         })
     }
 
@@ -423,29 +419,20 @@ impl Engine {
 
     /// Stops accepting requests, drains the queue, joins all threads and
     /// flushes tuning records. Called automatically on drop; call explicitly
-    /// to observe persistence errors.
+    /// to observe persistence errors. (A stepped engine has no threads to
+    /// join: its queue drains as its [`Stepper`] is stepped, or dropped.)
     pub fn shutdown(mut self) -> Result<(), EngineError> {
         self.shutdown_inner()
     }
 
     fn shutdown_inner(&mut self) -> Result<(), EngineError> {
-        if self.dispatcher.is_none() {
+        let Some(threads) = self.threads.take() else {
             return Ok(()); // already shut down
-        }
-        {
-            // Set under the queue lock: the dispatcher reads `closed` and
-            // then sleeps on the condvar under that lock, so a store that
-            // slipped in between would lose its wake-up and hang the join.
-            // (A poisoned lock is still a held lock; `Drop` must not panic.)
-            let _queue = self.shared.queue.lock();
-            self.shared.closed.store(true, Ordering::SeqCst);
-        }
-        self.shared.queue_cv.notify_all();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-        // The dispatcher owned every job sender; workers drain and exit.
-        for handle in self.workers.drain(..) {
+        };
+        self.shared.close();
+        // The dispatcher drains the queue and exits, dropping every job
+        // sender; the workers then drain their channels and exit.
+        for handle in threads {
             let _ = handle.join();
         }
         self.flush_tuning_records().map(|_| ())
@@ -490,8 +477,27 @@ impl Drop for Engine {
 mod tests {
     use std::time::{Duration, Instant};
 
-    use super::dispatch::{answer_expired, PendingRequest};
+    use super::request::answer_expired;
     use super::*;
+
+    /// A queued request for `model` at `priority`, and its ticket.
+    pub(super) fn pending(
+        model: &str,
+        priority: Priority,
+        deadline: Option<Instant>,
+        trace_id: u64,
+    ) -> (PendingRequest, Ticket) {
+        let (tx, rx) = mpsc::channel();
+        let request = PendingRequest {
+            model: model.to_string(),
+            inputs: Vec::new(),
+            priority,
+            deadline,
+            trace_id,
+            responder: tx,
+        };
+        (request, Ticket { rx })
+    }
 
     /// Sheds must be monotone in priority: for any load state, a shed
     /// high-priority request implies normal and best-effort would be shed
@@ -584,16 +590,9 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(tag, &deadline)| {
-                let (tx, rx) = mpsc::channel();
-                tickets.push(Ticket { rx });
-                PendingRequest {
-                    model: "m".to_string(),
-                    inputs: Vec::new(),
-                    priority: Priority::Normal,
-                    deadline,
-                    trace_id: tag as u64,
-                    responder: tx,
-                }
+                let (request, ticket) = pending("m", Priority::Normal, deadline, tag as u64);
+                tickets.push(ticket);
+                request
             })
             .collect();
         shared.inflight.store(batch.len(), Ordering::Relaxed);
@@ -623,27 +622,45 @@ mod tests {
 
     #[test]
     fn class_queues_priority_accounting() {
-        let (tx, _rx) = mpsc::channel();
-        let req = |priority: Priority, model: &str| PendingRequest {
-            model: model.to_string(),
-            inputs: Vec::new(),
-            priority,
-            deadline: None,
-            trace_id: 0,
-            responder: tx.clone(),
-        };
         let mut q = ClassQueues::default();
-        assert_eq!(q.total(), 0);
-        assert_eq!(q.highest_nonempty(), None);
-        q.push(req(Priority::BestEffort, "a"));
-        q.push(req(Priority::BestEffort, "a"));
-        assert_eq!(q.highest_nonempty(), Some(Priority::BestEffort.index()));
-        q.push(req(Priority::High, "b"));
-        assert_eq!(q.highest_nonempty(), Some(Priority::High.index()));
-        assert!(q.higher_nonempty(Priority::BestEffort.index()));
-        assert!(!q.higher_nonempty(Priority::High.index()));
-        assert_eq!(q.total(), 3);
-        assert!(q.any_full(2), "two best-effort 'a' requests fill a 2-batch");
-        assert!(!q.any_full(3));
+        assert_eq!((q.len(), q.is_empty()), (0, true));
+        assert_eq!(q.iter().next(), None);
+        q.push(Priority::BestEffort, "a1");
+        q.push(Priority::BestEffort, "a2");
+        assert!(!q.higher_nonempty(Priority::BestEffort));
+        q.push(Priority::High, "b1");
+        q.push_front(Priority::High, "b0");
+        assert!(q.higher_nonempty(Priority::BestEffort));
+        assert!(!q.higher_nonempty(Priority::High));
+        assert_eq!(q.len(), 4);
+        let order: Vec<&str> = q.iter().copied().collect();
+        assert_eq!(order, ["b0", "b1", "a1", "a2"], "highest class first");
+
+        // `settle` is a stable partition: the doomed go to `answer` in queue
+        // order, the rest stay queued in theirs.
+        let mut settled = Vec::new();
+        q.settle(|s| s.ends_with('1'), |s| settled.push(s));
+        assert_eq!(settled, ["b1", "a1"]);
+        assert_eq!(q.iter().copied().collect::<Vec<_>>(), ["b0", "a2"]);
+        assert_eq!(q.pop_highest(), Some("b0"));
+        assert_eq!(q.pop_highest(), Some("a2"));
+        assert!(q.is_empty());
+    }
+
+    /// A job the dispatcher cannot hand over — its shard's workers are gone
+    /// — is answered, and its requests' in-flight slots come back.
+    #[test]
+    fn an_undeliverable_batch_is_answered_closed() {
+        let shared = Shared::new(EngineConfig::quick());
+        let (request, ticket) = pending("m", Priority::Normal, None, 1);
+        shared.inflight.store(1, Ordering::Relaxed);
+        shared.queue.lock().unwrap().push(Priority::Normal, request);
+        shared.close();
+        let (tx, rx) = mpsc::channel();
+        drop(rx);
+        dispatch::dispatch_loop(&shared, vec![tx]);
+        assert_eq!(ticket.wait().unwrap_err(), EngineError::Closed);
+        assert_eq!(shared.inflight.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.shards[0].queue_delay(), 0.0, "placement released");
     }
 }

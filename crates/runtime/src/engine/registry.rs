@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use hidet_graph::Graph;
 
-use super::dispatch::submit_request;
+use super::request::submit_request;
 use super::worker::record_compile;
 use super::{EngineError, InferenceResult, Request, Shared, Ticket};
 use crate::store::ArtifactStore;

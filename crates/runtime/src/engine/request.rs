@@ -1,12 +1,17 @@
 //! What a client hands the engine and what it gets back: the [`Priority`]
-//! classes, the [`Request`] builder, the [`Ticket`] it is exchanged for, the
-//! [`InferenceResult`] and the [`EngineError`]s a ticket resolves to.
+//! classes and their [`ClassQueues`], the [`Request`] builder, the
+//! [`Ticket`] it is exchanged for, the [`InferenceResult`] and the
+//! [`EngineError`]s a ticket resolves to; and submission.
 
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use hidet::CompileError;
+
+use super::Shared;
 
 #[cfg(doc)]
 use super::EngineConfig;
@@ -77,6 +82,77 @@ impl Priority {
 impl fmt::Display for Priority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// One FIFO per [`Priority`] class, served highest class first — the
+/// waiting line of both engines (the one-shot dispatcher's queue, and each
+/// decode shard's in `hidet-decode`).
+#[derive(Debug)]
+pub struct ClassQueues<T> {
+    classes: [VecDeque<T>; Priority::COUNT],
+}
+
+impl<T> Default for ClassQueues<T> {
+    fn default() -> Self {
+        ClassQueues {
+            classes: Default::default(),
+        }
+    }
+}
+
+impl<T> ClassQueues<T> {
+    /// Appends `item` to `class`'s FIFO.
+    pub fn push(&mut self, class: Priority, item: T) {
+        self.classes[class.index()].push_back(item);
+    }
+
+    /// Puts `item` at the head of `class`'s FIFO, ahead of its newcomers.
+    pub fn push_front(&mut self, class: Priority, item: T) {
+        self.classes[class.index()].push_front(item);
+    }
+
+    /// Removes the head of the highest non-empty class.
+    pub fn pop_highest(&mut self) -> Option<T> {
+        self.classes.iter_mut().find_map(VecDeque::pop_front)
+    }
+
+    /// Whether a class above `class` has anything queued.
+    pub fn higher_nonempty(&self, class: Priority) -> bool {
+        self.classes[..class.index()].iter().any(|q| !q.is_empty())
+    }
+
+    /// Items queued across every class.
+    pub fn len(&self) -> usize {
+        self.classes.iter().map(VecDeque::len).sum()
+    }
+
+    /// Whether every class is empty.
+    pub fn is_empty(&self) -> bool {
+        self.classes.iter().all(VecDeque::is_empty)
+    }
+
+    /// Every queued item, highest class first, each class in FIFO order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.classes.iter().flatten()
+    }
+
+    /// Hands every item `doomed` selects to `answer` and keeps the rest
+    /// queued in their order (a stable in-place partition). Both closures
+    /// see items in [`ClassQueues::iter`] order, `doomed` once per item.
+    pub fn settle(&mut self, mut doomed: impl FnMut(&T) -> bool, mut answer: impl FnMut(T)) {
+        for queue in &mut self.classes {
+            for _ in 0..queue.len() {
+                let Some(item) = queue.pop_front() else {
+                    break;
+                };
+                if doomed(&item) {
+                    answer(item);
+                } else {
+                    queue.push_back(item);
+                }
+            }
+        }
     }
 }
 
@@ -246,4 +322,84 @@ impl Ticket {
     pub fn wait(self) -> Result<InferenceResult, EngineError> {
         self.rx.recv().unwrap_or(Err(EngineError::Closed))
     }
+}
+
+/// An admitted request as it waits in the engine: its deadline fixed at
+/// submission, its in-flight slot held until [`PendingRequest::respond`].
+pub(super) struct PendingRequest {
+    pub(super) model: String,
+    pub(super) inputs: Vec<Vec<f32>>,
+    pub(super) priority: Priority,
+    pub(super) deadline: Option<Instant>,
+    pub(super) trace_id: u64,
+    pub(super) responder: mpsc::Sender<Result<InferenceResult, EngineError>>,
+}
+
+impl PendingRequest {
+    /// Answers the request and releases its in-flight admission slot.
+    /// A client that dropped its ticket is not an engine error.
+    pub(super) fn respond(self, shared: &Shared, result: Result<InferenceResult, EngineError>) {
+        shared.inflight.fetch_sub(1, Ordering::Relaxed);
+        let _ = self.responder.send(result);
+    }
+
+    pub(super) fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
+
+    /// Answers an expired request: `DeadlineExceeded`, counted.
+    pub(super) fn expire(self, shared: &Shared) {
+        shared.stats.count_deadline_expired();
+        self.respond(shared, Err(EngineError::DeadlineExceeded));
+    }
+}
+
+/// Admission + enqueue: the one path every submission funnels through. A
+/// timeout counts from here, on the wall clock.
+pub(super) fn submit_request(shared: &Shared, model: &str, request: Request) -> Ticket {
+    let _span = hidet_trace::global().span(hidet_trace::SpanKind::EngineSubmit, request.trace_id);
+    let (tx, rx) = mpsc::channel();
+    let ticket = Ticket { rx };
+    let now = Instant::now();
+    let deadline = request.effective_deadline(now);
+    if deadline.is_some_and(|d| now >= d) {
+        shared.stats.count_deadline_expired();
+        let _ = tx.send(Err(EngineError::DeadlineExceeded));
+        return ticket;
+    }
+    let pending = PendingRequest {
+        model: model.to_string(),
+        inputs: request.inputs,
+        priority: request.priority,
+        deadline,
+        trace_id: request.trace_id,
+        responder: tx,
+    };
+    {
+        // Admission and enqueue under one lock so verdicts are ordered — the
+        // lock `closed` is written under, so a request is either refused or
+        // queued before the engine's final drain.
+        let mut queue = shared.queue.lock().expect("queue poisoned");
+        if let Some(err) = shared.admission_verdict(request.priority, queue.len()) {
+            drop(queue);
+            let _ = pending.responder.send(Err(err));
+            return ticket;
+        }
+        shared.inflight.fetch_add(1, Ordering::Relaxed);
+        queue.push(request.priority, pending);
+    }
+    shared.queue_cv.notify_all();
+    ticket
+}
+
+/// [`PendingRequest::expire`]s every request expired at `now`; the live
+/// ones come back in their order.
+pub(super) fn answer_expired(
+    shared: &Shared,
+    requests: Vec<PendingRequest>,
+    now: Instant,
+) -> Vec<PendingRequest> {
+    let (expired, live): (Vec<_>, Vec<_>) = requests.into_iter().partition(|r| r.expired(now));
+    expired.into_iter().for_each(|r| r.expire(shared));
+    live
 }

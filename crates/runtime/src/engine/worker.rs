@@ -1,5 +1,6 @@
 //! The per-shard worker pool: each lane drains its shard's job channel and
-//! executes one batch at a time on the shard's device.
+//! executes one batch at a time on the shard's device, through the
+//! [`process_batch`] a [`Stepper`](super::Stepper) runs on its caller's thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -7,8 +8,9 @@ use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use super::dispatch::{answer_expired, BatchJob, PendingRequest};
+use super::dispatch::BatchJob;
 use super::registry::lookup_entry;
+use super::request::{answer_expired, PendingRequest};
 use super::{EngineError, InferenceResult, Shared};
 use crate::cache::CacheOutcome;
 
@@ -30,7 +32,7 @@ pub(super) fn worker_loop(
         match job {
             Ok(job) => {
                 let token = job.token;
-                process_batch(shared, shard_idx, job, &mut workspace);
+                process_batch(shared, shard_idx, job, &mut workspace, Instant::now());
                 shared.shards[shard_idx].release(token);
             }
             Err(_) => return,
@@ -94,12 +96,14 @@ fn validate(request: &PendingRequest, expected: &[usize]) -> Result<(), String> 
 /// Executes one batch job on `shard_idx`'s device, accounting served
 /// requests and busy time on the shard before any response is sent. The
 /// caller's `workspace` provides the memory-planned arena (reused across
-/// batches of the same compiled model).
-fn process_batch(
+/// batches of the same compiled model); requests whose deadline has passed
+/// at `now` are answered instead of executed.
+pub(super) fn process_batch(
     shared: &Shared,
     shard_idx: usize,
     job: BatchJob,
     workspace: &mut hidet::Workspace,
+    now: Instant,
 ) {
     let _span = hidet_trace::global().span(
         hidet_trace::SpanKind::BatchExecute,
@@ -116,7 +120,7 @@ fn process_batch(
 
     // Last-line deadline check: a request whose deadline passed while the
     // job sat in the shard channel is answered, not executed.
-    let live = answer_expired(shared, job.requests, Instant::now());
+    let live = answer_expired(shared, job.requests, now);
     if live.is_empty() {
         return;
     }

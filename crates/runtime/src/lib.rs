@@ -28,7 +28,8 @@
 //!   batch dimension; the dispatcher always serves the highest non-empty
 //!   [`Priority`] class, and requests whose deadline passes while queued are
 //!   rejected with [`EngineError::DeadlineExceeded`] without ever reaching a
-//!   worker;
+//!   worker. [`Engine::stepped`] runs the same batch former on instants the
+//!   caller names ([`Stepper`]), so its decisions replay exactly;
 //! * **multi-GPU sharding** ([`EngineConfig::devices`]): formed batches are
 //!   placed on the shard with the least estimated queue delay
 //!   ([`hidet_sim::estimated_queue_delay`] over analytic latency estimates),
@@ -122,8 +123,8 @@ pub mod store;
 
 pub use cache::{CacheCounters, CacheKey, CacheOutcome, CompiledCache};
 pub use engine::{
-    AdmissionSignal, Engine, EngineConfig, EngineError, InferenceResult, ModelHandle, ModelSpec,
-    Priority, Request, Ticket,
+    AdmissionSignal, ClassQueues, Engine, EngineConfig, EngineError, InferenceResult, ModelHandle,
+    ModelSpec, Priority, Request, Stepper, Ticket,
 };
 pub use shard::ShardSnapshot;
 pub use stats::{

@@ -197,26 +197,9 @@ impl LatencyModel {
     }
 }
 
-/// Picks the shard with the least estimated queue delay for a batch of
-/// `model` at `batch`, returning `(shard index, that shard's queue delay,
-/// estimated batch seconds on it)`.
-pub(crate) fn pick_shard(
-    shards: &[Shard],
-    latency_model: &LatencyModel,
-    model: &str,
-    batch: i64,
-) -> (usize, f64, f64) {
-    let (idx, delay) = shards
-        .iter()
-        .map(|s| (s.id, s.queue_delay()))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("engine has at least one shard");
-    let est = latency_model.estimate(idx, model, batch);
-    (idx, delay, est)
-}
-
-/// Least-loaded queue delay across the pool — the admission controller's
-/// view of how congested the devices are.
+/// The shard with the least estimated queue delay, and that delay — where
+/// the dispatcher places a batch (ties go to the lowest id), and the
+/// admission controller's view of how congested the devices are.
 pub(crate) fn least_queue_delay(shards: &[Shard]) -> (usize, f64) {
     shards
         .iter()
@@ -278,14 +261,12 @@ mod tests {
     #[test]
     fn placement_prefers_least_loaded_shard() {
         let shards = vec![shard(0, 1), shard(1, 1)];
-        let lm = LatencyModel::default();
-        let (first, d0, _) = pick_shard(&shards, &lm, "m", 1);
-        assert_eq!((first, d0), (0, 0.0));
+        assert_eq!(least_queue_delay(&shards), (0, 0.0));
         shards[0].place(1, 0.050);
-        let (second, _, _) = pick_shard(&shards, &lm, "m", 1);
+        let (second, _) = least_queue_delay(&shards);
         assert_eq!(second, 1, "loaded shard 0 must be avoided");
         shards[1].place(2, 0.100);
-        let (third, delay, _) = pick_shard(&shards, &lm, "m", 1);
+        let (third, delay) = least_queue_delay(&shards);
         assert_eq!(third, 0, "shard 0 now frees sooner");
         assert!((delay - 0.050).abs() < 1e-12);
     }

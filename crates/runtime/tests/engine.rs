@@ -1,14 +1,19 @@
 //! Integration tests of the serving engine: functional correctness through
 //! the batching path, cache behavior, tuning-record persistence, error
-//! surfaces — all through the v2 `ModelHandle`/`Request` API.
+//! surfaces — all through the v2 `ModelHandle`/`Request` API. Tests of what
+//! the batch former decides run on a stepped engine ([`Engine::stepped`])
+//! and state it exactly.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hidet_graph::reference::{self, ValueMap};
 use hidet_graph::{Graph, GraphBuilder, Tensor};
-use hidet_runtime::{Engine, EngineConfig, EngineError, ModelHandle, ModelSpec, Request};
+use hidet_runtime::{
+    Engine, EngineConfig, EngineError, InferenceResult, ModelHandle, ModelSpec, Priority, Request,
+    Stepper,
+};
 use hidet_sim::Gpu;
 
 /// A small two-layer MLP whose inputs scale with the batch dimension.
@@ -40,17 +45,45 @@ fn reference_output(input: &[f32]) -> Vec<f32> {
     out[&graph.outputs()[0]].clone()
 }
 
-fn quick_engine(max_batch: usize) -> (Engine, ModelHandle) {
-    let config = EngineConfig {
+fn quick_config(max_batch: usize) -> EngineConfig {
+    EngineConfig {
         max_batch,
         batch_window: Duration::from_millis(25),
         ..EngineConfig::quick()
-    };
-    let engine = Engine::new(config).expect("engine starts");
+    }
+}
+
+fn quick_engine(max_batch: usize) -> (Engine, ModelHandle) {
+    let engine = Engine::new(quick_config(max_batch)).expect("engine starts");
     let model = engine
         .register(ModelSpec::new("mlp", mlp))
         .expect("model registers");
     (engine, model)
+}
+
+/// [`quick_engine`]'s stepped twin: nothing runs until the stepper steps.
+fn stepped_engine(max_batch: usize) -> (Engine, Stepper, ModelHandle) {
+    let (engine, stepper) = Engine::stepped(quick_config(max_batch)).expect("engine starts");
+    let model = engine
+        .register(ModelSpec::new("mlp", mlp))
+        .expect("model registers");
+    (engine, stepper, model)
+}
+
+/// An instant an hour ahead of the wall clock: a stepped engine's time is
+/// whatever its caller says, and deadlines stated from here are never
+/// already past when a request is submitted.
+fn virtual_start() -> Instant {
+    Instant::now() + Duration::from_secs(3600)
+}
+
+/// What a test compares of a result: its outputs bit for bit and how it
+/// was batched and placed.
+fn fingerprint(result: &InferenceResult) -> (Vec<Vec<u32>>, usize, u64, Priority) {
+    let outputs = result.outputs.iter();
+    let bits = outputs.map(|o| o.iter().map(|v| v.to_bits()).collect());
+    let delay = result.queue_delay_seconds.to_bits();
+    (bits.collect(), result.batch_size, delay, result.priority)
 }
 
 fn unique_temp_path(tag: &str) -> PathBuf {
@@ -123,34 +156,37 @@ fn same_structure_under_two_names_shares_compile() {
 
 #[test]
 fn burst_is_coalesced_into_batches() {
-    let (engine, model) = quick_engine(8);
-    let results = model.infer_many((0..8).map(request).collect());
-    assert!(results.iter().all(|r| r.is_ok()));
-    let stats = engine.stats();
-    assert_eq!(stats.requests, 8);
-    assert!(
-        stats.batches < 8,
-        "burst of 8 should coalesce, got {} batches",
-        stats.batches
+    let (engine, mut stepper, model) = stepped_engine(8);
+    let tickets: Vec<_> = (0..8).map(|i| model.submit(request(i))).collect();
+    assert_eq!(
+        stepper.step(virtual_start()),
+        1,
+        "a full group goes at once"
     );
-    assert!(stats.mean_batch_size > 1.0);
+    for ticket in tickets {
+        assert_eq!(ticket.wait().expect("infers").batch_size, 8);
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.requests, stats.batches), (8, 1));
+    assert_eq!(stats.mean_batch_size, 8.0);
 }
 
 #[test]
 fn batched_throughput_beats_sequential() {
     // Same 8 requests, dispatched sequentially (max_batch 1) vs batched.
-    let (sequential, seq_model) = quick_engine(1);
-    let (batched, bat_model) = quick_engine(8);
-    for r in seq_model.infer_many((0..8).map(request).collect()) {
-        r.unwrap();
-    }
-    for r in bat_model.infer_many((0..8).map(request).collect()) {
-        r.unwrap();
-    }
-    let seq = sequential.stats();
-    let bat = batched.stats();
-    assert_eq!(seq.requests, 8);
-    assert_eq!(bat.requests, 8);
+    let run = |max_batch: usize| {
+        let (engine, mut stepper, model) = stepped_engine(max_batch);
+        let tickets: Vec<_> = (0..8).map(|i| model.submit(request(i))).collect();
+        let batches = stepper.step(virtual_start());
+        for ticket in tickets {
+            ticket.wait().expect("infers");
+        }
+        assert_eq!(batches, engine.stats().batches);
+        engine.stats()
+    };
+    let (seq, bat) = (run(1), run(8));
+    assert_eq!((seq.requests, seq.batches), (8, 8));
+    assert_eq!((bat.requests, bat.batches), (8, 1));
     assert!(
         bat.total_simulated_seconds < seq.total_simulated_seconds,
         "batched {}s vs sequential {}s",
@@ -243,23 +279,93 @@ fn registering_an_empty_name_is_rejected() {
 fn unbatched_models_never_coalesce() {
     // Transformer-style models fold batch into the sequence axis, so
     // coalescing would mix requests; `ModelSpec::unbatched` must pin them to
-    // batch-1 dispatch even under a burst with batching enabled.
-    let engine = Engine::new(EngineConfig {
-        max_batch: 8,
-        batch_window: Duration::from_millis(25),
-        ..EngineConfig::quick()
-    })
-    .expect("engine starts");
+    // batch-1 dispatch even under a burst with batching enabled — and with
+    // no straggler window to wait out.
+    let (engine, mut stepper) = Engine::stepped(quick_config(8)).expect("engine starts");
     let solo = engine
         .register(ModelSpec::new("mlp-solo", mlp).unbatched())
         .unwrap();
-    for result in solo.infer_many((0..4).map(request).collect()) {
-        let result = result.expect("infers");
+    let tickets: Vec<_> = (0..4).map(|i| solo.submit(request(i))).collect();
+    assert_eq!(stepper.step(virtual_start()), 4);
+    for ticket in tickets {
+        let result = ticket.wait().expect("infers");
         assert_eq!(result.batch_size, 1, "unbatched model was coalesced");
     }
     let stats = engine.stats();
-    assert_eq!(stats.batches, 4);
-    assert_eq!(stats.requests, 4);
+    assert_eq!((stats.requests, stats.batches), (4, 4));
+}
+
+#[test]
+fn stepped_and_threaded_engines_answer_a_burst_bit_identically() {
+    // A window far longer than the burst takes to submit: the threaded
+    // dispatcher, too, forms exactly one batch of 8 — the moment it fills.
+    let config = EngineConfig {
+        batch_window: Duration::from_secs(60),
+        ..quick_config(8)
+    };
+    let threaded = {
+        let engine = Engine::new(config.clone()).expect("engine starts");
+        let model = engine.register(ModelSpec::new("mlp", mlp)).unwrap();
+        let results = model.infer_many((0..8).map(request).collect());
+        let results: Vec<_> = results
+            .iter()
+            .map(|r| fingerprint(r.as_ref().unwrap()))
+            .collect();
+        (results, engine.stats())
+    };
+    let stepped = {
+        let (engine, mut stepper) = Engine::stepped(config).expect("engine starts");
+        let model = engine.register(ModelSpec::new("mlp", mlp)).unwrap();
+        let tickets: Vec<_> = (0..8).map(|i| model.submit(request(i))).collect();
+        stepper.step(virtual_start());
+        let results = tickets.into_iter().map(|t| fingerprint(&t.wait().unwrap()));
+        (results.collect::<Vec<_>>(), engine.stats())
+    };
+    assert_eq!(stepped.0, threaded.0, "same batches, same bits");
+    assert!(stepped.0.iter().all(|(_, batch, _, _)| *batch == 8));
+    assert_eq!(stepped.1, threaded.1);
+}
+
+#[test]
+fn a_stepped_engine_replays_its_script_exactly() {
+    // Two shards, three classes, a window cut short by higher-class
+    // traffic, a deadline that passes in the queue: run twice, every answer
+    // and the whole stats snapshot agree.
+    let run = || {
+        let (engine, mut stepper) = Engine::stepped(EngineConfig {
+            devices: vec![hidet_sim::GpuSpec::rtx3090(); 2],
+            workers: 1,
+            max_batch: 4,
+            batch_window: Duration::from_millis(10),
+            ..EngineConfig::quick()
+        })
+        .expect("engine starts");
+        let model = engine.register(ModelSpec::new("mlp", mlp)).unwrap();
+        let t0 = virtual_start();
+        let mut tickets = vec![model.submit(request(0).best_effort())];
+        assert_eq!(stepper.step(t0), 0, "the lone request is held");
+        tickets.extend((1..7).map(|i| model.submit(request(i).high())));
+        tickets.push(model.submit(request(7).with_deadline(t0 + Duration::from_millis(3))));
+        tickets.extend((8..10).map(|i| model.submit(request(i))));
+        let mut placed = vec![stepper.step(t0 + Duration::from_millis(1))];
+        placed.push(stepper.step(t0 + Duration::from_millis(5)));
+        placed.push(stepper.step(t0 + Duration::from_millis(20)));
+        placed.push(stepper.step(t0 + Duration::from_millis(30)));
+        let answers: Vec<_> = tickets
+            .into_iter()
+            .map(|t| t.wait().map(|r| fingerprint(&r)))
+            .collect();
+        (placed, answers, engine.stats())
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(first.1, second.1);
+    assert_eq!(first.2, second.2);
+    // The held best-effort request, then a full high batch; the rest of the
+    // high class is held until its window ends, then the normal requests
+    // until theirs.
+    assert_eq!(first.0, [2, 0, 1, 1]);
+    assert_eq!(first.1[7], Err(EngineError::DeadlineExceeded));
+    assert_eq!((first.2.requests, first.2.deadline_expired), (9, 1));
 }
 
 #[test]

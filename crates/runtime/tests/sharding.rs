@@ -1,10 +1,14 @@
 //! Integration tests of the sharded serving path: multi-device placement,
-//! priority/deadline-aware batching and admission control.
+//! priority/deadline-aware batching and admission control. Tests of what
+//! the batch former decides run on a stepped engine ([`Engine::stepped`])
+//! at instants an hour ahead of the wall clock, so a deadline stated from
+//! them is never already past at submission.
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hidet_graph::{Graph, GraphBuilder, Tensor};
-use hidet_runtime::{Engine, EngineConfig, EngineError, ModelSpec, Priority, Request};
+use hidet_runtime::{Engine, EngineConfig, EngineError, ModelSpec, Priority, Request, Ticket};
 use hidet_sim::GpuSpec;
 
 /// A mid-size MLP: big enough that a batch takes real wall time to interpret
@@ -77,7 +81,7 @@ fn homogeneous_shards_share_compiled_graphs() {
 
 #[test]
 fn mixed_pool_compiles_per_device_and_prefers_the_faster_one() {
-    let engine = Engine::new(EngineConfig {
+    let (engine, mut stepper) = Engine::stepped(EngineConfig {
         devices: vec![GpuSpec::tiny(), GpuSpec::rtx3090()],
         workers: 1,
         max_batch: 1,
@@ -89,8 +93,12 @@ fn mixed_pool_compiles_per_device_and_prefers_the_faster_one() {
     assert!(!model.warmup(1).unwrap());
     assert_eq!(engine.compiled_graphs(), 2);
 
-    for r in model.infer_many((0..16).map(sample).collect()) {
-        r.expect("request served");
+    // Sixteen batches placed in one step, each against the estimates of
+    // those placed before it.
+    let tickets: Vec<_> = (0..16).map(|i| model.submit(sample(i))).collect();
+    assert_eq!(stepper.step(Instant::now()), 16);
+    for ticket in tickets {
+        ticket.wait().expect("request served");
     }
     let stats = engine.stats();
     let tiny = &stats.shards[0];
@@ -105,7 +113,7 @@ fn mixed_pool_compiles_per_device_and_prefers_the_faster_one() {
 
 #[test]
 fn high_priority_sojourn_beats_best_effort_under_backlog() {
-    let engine = Engine::new(EngineConfig {
+    let (engine, mut stepper) = Engine::stepped(EngineConfig {
         devices: vec![GpuSpec::rtx3090()],
         workers: 1,
         max_batch: 4,
@@ -117,30 +125,43 @@ fn high_priority_sojourn_beats_best_effort_under_backlog() {
     model.warmup(1).unwrap();
     model.warmup(4).unwrap();
 
-    // A plug request opens a straggler window; the burst below lands inside
-    // it, so the dispatcher sees both classes queued at once and must serve
-    // every high batch before any best-effort batch.
+    // A plug request opens a straggler window; the burst lands inside it,
+    // so the batch former sees both classes queued at once. The plug's
+    // partial batch goes first (inversion bounded by one partial batch),
+    // then every high batch before any best-effort one.
+    let t0 = Instant::now() + Duration::from_secs(3600);
     let plug = model.submit(sample(0));
+    assert_eq!(stepper.step(t0), 0, "the plug is held for stragglers");
     let mut best_effort = Vec::new();
     let mut high = Vec::new();
     for i in 0..16 {
         best_effort.push(model.submit(sample(100 + i).best_effort()));
         high.push(model.submit(sample(200 + i).high()));
     }
-    plug.wait().expect("plug served");
-    for t in high {
-        let r = t.wait().expect("high served");
-        assert_eq!(r.priority, Priority::High);
-    }
-    for t in best_effort {
-        t.wait().expect("best-effort served");
-    }
+    assert_eq!(stepper.step(t0 + Duration::from_millis(1)), 1 + 4 + 4);
+    let plug = plug.wait().expect("plug served");
+    assert_eq!((plug.batch_size, plug.queue_delay_seconds), (1, 0.0));
+    // One lane: a batch's queue delay at placement grows with its place in
+    // line, so delays order the placements.
+    let delays = |tickets: Vec<Ticket>, class: Priority| -> Vec<f64> {
+        let results = tickets.into_iter().map(|t| t.wait().expect("served"));
+        let results = results.inspect(|r| assert_eq!(r.priority, class));
+        results.map(|r| r.queue_delay_seconds).collect()
+    };
+    let high = delays(high, Priority::High);
+    let best_effort = delays(best_effort, Priority::BestEffort);
+    let first_high = high.iter().copied().fold(f64::INFINITY, f64::min);
+    let last_high = high.iter().copied().fold(0.0, f64::max);
+    let first_best_effort = best_effort.iter().copied().fold(f64::INFINITY, f64::min);
+    assert!(
+        first_high > 0.0 && last_high < first_best_effort,
+        "placement order plug, high, best-effort: {high:?} vs {best_effort:?}"
+    );
 
     let stats = engine.stats();
     let h = &stats.priorities[Priority::High.index()];
     let be = &stats.priorities[Priority::BestEffort.index()];
-    assert_eq!(h.requests, 16);
-    assert_eq!(be.requests, 16);
+    assert_eq!((h.requests, be.requests, stats.batches), (16, 16, 9));
     assert!(
         h.p95_latency_seconds < be.p95_latency_seconds,
         "high p95 {} must beat best-effort p95 {}",
@@ -201,20 +222,6 @@ fn overload_sheds_with_queue_full_and_never_high_before_best_effort() {
     );
 }
 
-/// A wide tower whose functional interpretation takes tens of milliseconds —
-/// long enough that a placed batch is reliably still in flight when the next
-/// submission's admission verdict is computed.
-fn slow_tower(batch: i64) -> Graph {
-    let mut g = GraphBuilder::new("slow_tower");
-    let x = g.input("x", &[batch, 256]);
-    let w1 = g.constant(Tensor::randn(&[256, 512], 1));
-    let w2 = g.constant(Tensor::randn(&[512, 64], 2));
-    let h = g.matmul(x, w1);
-    let h = g.relu(h);
-    let y = g.matmul(h, w2);
-    g.output(y).build()
-}
-
 #[test]
 fn delay_bound_sheds_when_the_pool_is_backed_up() {
     let engine = Engine::new(EngineConfig {
@@ -225,41 +232,35 @@ fn delay_bound_sheds_when_the_pool_is_backed_up() {
         ..EngineConfig::quick()
     })
     .unwrap();
+    // The model's first build waits for the gate, holding the first batch
+    // on the single worker: placed, so counted in the shard's queue delay,
+    // until the test opens the gate — however fast the host interprets it.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let held = Arc::clone(&gate);
     let model = engine
-        .register(ModelSpec::new("tower", slow_tower))
+        .register(ModelSpec::new("gated", move |batch| {
+            let (open, opened) = &*held;
+            let _open = opened.wait_while(open.lock().unwrap(), |open| !*open);
+            mlp(batch)
+        }))
         .unwrap();
-    model.warmup(1).unwrap();
 
-    // Fill the single worker. The first request is admitted against an idle
-    // pool; once batches are in flight, the estimated queue delay exceeds
-    // the (tiny) bound even at high priority's 4x slack, so later traffic
-    // is shed with the typed delay verdict.
-    let busy: Vec<_> = (0..3).map(|i| model.submit(sample_wide(i))).collect();
-    // Give the dispatcher time to place the first batch on the shard; the
-    // worker needs tens of milliseconds to interpret it.
-    std::thread::sleep(Duration::from_millis(10));
-    let verdict = model.infer(sample_wide(99).best_effort());
-    match verdict {
+    // The first request is admitted against an idle pool; with its batch in
+    // flight, the estimated queue delay exceeds the (tiny) bound even at
+    // high priority's 4x slack, so later traffic is shed with the typed
+    // delay verdict.
+    let busy = model.submit(sample(0));
+    while engine.estimated_queue_delay_seconds() == 0.0 {
+        std::thread::sleep(Duration::from_millis(1)); // until it is placed
+    }
+    match model.infer(sample(99).high()) {
         Err(EngineError::QueueFull(msg)) => assert!(msg.contains("queue delay"), "{msg}"),
         other => panic!("expected delay-based shed, got {other:?}"),
     }
-    let mut served = 0;
-    for t in busy {
-        match t.wait() {
-            Ok(_) => served += 1,
-            Err(EngineError::QueueFull(_)) => {} // later busy traffic may shed too
-            Err(other) => panic!("unexpected error {other:?}"),
-        }
-    }
-    assert!(served >= 1, "the first request saw an idle pool");
-    assert!(engine.stats().shed_requests >= 1);
-}
-
-fn sample_wide(seed: u64) -> Request {
-    Request::new(vec![Tensor::randn(&[1, 256], seed)
-        .data()
-        .unwrap()
-        .to_vec()])
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    busy.wait().expect("the first request saw an idle pool");
+    assert_eq!(engine.stats().shed_requests, 1);
 }
 
 #[test]
@@ -279,37 +280,34 @@ fn expired_deadline_at_submit_is_rejected_immediately() {
 
 #[test]
 fn deadline_expiring_in_queue_never_reaches_a_worker() {
-    // max_batch 8 with a long straggler window: a lone request waits for
-    // companions, its 5 ms deadline passes while queued, and the dispatcher
-    // answers it without executing anything.
-    let engine = Engine::new(EngineConfig {
+    // max_batch 8: a lone request is held for companions, its deadline
+    // passes while queued, and the batch former answers it without
+    // executing anything.
+    let window = Duration::from_millis(10);
+    let (engine, mut stepper) = Engine::stepped(EngineConfig {
         devices: vec![GpuSpec::rtx3090()],
         workers: 1,
         max_batch: 8,
-        batch_window: Duration::from_millis(250),
+        batch_window: window,
         ..EngineConfig::quick()
     })
     .unwrap();
     let model = engine.register(ModelSpec::new("mlp", mlp)).unwrap();
-    model.warmup(1).unwrap();
-    let started = Instant::now();
-    match model.infer(sample(1).with_timeout(Duration::from_millis(5))) {
-        Err(EngineError::DeadlineExceeded) => {}
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-    // The earliest-deadline wake answers well before the 250 ms window ends.
-    assert!(
-        started.elapsed() < Duration::from_millis(200),
-        "expiry must not wait out the full batch window ({:?})",
-        started.elapsed()
-    );
+    let t0 = Instant::now() + Duration::from_secs(3600);
+    let deadline = t0 + window / 2;
+    let doomed = model.submit(sample(1).with_deadline(deadline));
+    assert_eq!(stepper.step(t0), 0, "held for stragglers");
+    assert_eq!(stepper.step(deadline), 0, "expired in the queue");
+    assert_eq!(doomed.wait().unwrap_err(), EngineError::DeadlineExceeded);
     let stats = engine.stats();
     assert_eq!(stats.deadline_expired, 1);
     assert_eq!(stats.requests, 0, "expired request must never execute");
     assert_eq!(stats.batches, 0, "no batch may form from expired requests");
     // The engine still serves live traffic afterwards.
-    let ok = model.infer(sample(2)).expect("live request");
-    assert_eq!(ok.batch_size, 1);
+    let live = model.submit(sample(2));
+    assert_eq!(stepper.step(deadline), 0);
+    assert_eq!(stepper.step(deadline + window), 1);
+    assert_eq!(live.wait().expect("live request").batch_size, 1);
 }
 
 #[test]
@@ -325,30 +323,31 @@ fn deadline_far_in_the_future_executes_normally() {
 
 #[test]
 fn sharded_pool_outscales_a_single_device() {
+    // Six full batches placed in one step, each against the estimates of
+    // those before it: one device runs all six, four devices run 2, 2, 1, 1
+    // — exactly 3x the cluster throughput.
     let run = |devices: usize| {
-        let engine = Engine::new(EngineConfig {
+        let (engine, mut stepper) = Engine::stepped(EngineConfig {
             devices: vec![GpuSpec::rtx3090(); devices],
             workers: 1,
             max_batch: 4,
-            batch_window: Duration::from_millis(10),
             ..EngineConfig::quick()
         })
         .unwrap();
         let model = engine.register(ModelSpec::new("mlp", mlp)).unwrap();
         model.warmup(4).unwrap();
-        for r in model.infer_many((0..24).map(sample).collect()) {
-            r.expect("request served");
+        let tickets: Vec<_> = (0..24).map(|i| model.submit(sample(i))).collect();
+        assert_eq!(stepper.step(Instant::now()), 6);
+        for ticket in tickets {
+            ticket.wait().expect("request served");
         }
         engine.stats()
     };
     let one = run(1);
     let four = run(4);
-    assert_eq!(one.requests, 24);
-    assert_eq!(four.requests, 24);
-    assert!(
-        four.cluster_throughput_rps > 2.0 * one.cluster_throughput_rps,
-        "4 devices must clearly outscale 1: {:.0} vs {:.0} req/s",
-        four.cluster_throughput_rps,
-        one.cluster_throughput_rps
-    );
+    assert_eq!((one.requests, four.requests), (24, 24));
+    let per_shard: Vec<usize> = four.shards.iter().map(|s| s.dispatched_batches).collect();
+    assert_eq!(per_shard, [2, 2, 1, 1]);
+    let ratio = four.cluster_throughput_rps / one.cluster_throughput_rps;
+    assert!((ratio - 3.0).abs() < 1e-9, "4 devices vs 1: {ratio}x");
 }
