@@ -11,7 +11,9 @@
 use hidet_graph::{Graph, OpKind, Operator};
 use hidet_sched::rule_based::{depthwise_conv_kernel, pool_kernel, WindowIo, WindowReduce};
 use hidet_sched::templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
-use hidet_sched::{matmul_kernel, MatmulConfig, MatmulIo, MatmulProblem};
+use hidet_sched::{
+    anchor_problem, matmul_kernel, AnchorProblem, MatmulConfig, MatmulIo, MatmulProblem,
+};
 use hidet_sim::Gpu;
 
 use crate::executor::streaming_latency;
@@ -104,63 +106,31 @@ pub fn op_latency(graph: &Graph, op: &Operator, gpu: &Gpu) -> f64 {
         .iter()
         .map(|t| graph.tensor(*t).numel() as f64 * 4.0)
         .sum();
-    match &op.kind {
-        OpKind::Conv2d { groups, .. } => {
+    match (&op.kind, anchor_problem(graph, op)) {
+        (_, Some(AnchorProblem::Matmul(problem))) => matmul_latency(problem, gpu),
+        (_, Some(AnchorProblem::RowReduce { kind, rows, len })) => {
+            row_reduce_latency(kind, rows, len, gpu)
+        }
+        (OpKind::Conv2d { groups, .. }, _) => {
             if *groups > 1 {
                 depthwise_latency(graph, op, gpu)
             } else {
                 matmul_latency(conv_gemm_problem(graph, op), gpu)
             }
         }
-        OpKind::Matmul => {
-            let a = graph.tensor(op.inputs[0]).shape();
-            let b = graph.tensor(op.inputs[1]).shape();
-            matmul_latency(MatmulProblem::new(a[0], b[1], a[1]), gpu)
-        }
-        OpKind::BatchMatmul => {
-            let a = graph.tensor(op.inputs[0]).shape();
-            let b = graph.tensor(op.inputs[1]).shape();
-            matmul_latency(
-                MatmulProblem {
-                    batch: a[0],
-                    m: a[1],
-                    n: b[2],
-                    k: a[2],
-                },
-                gpu,
-            )
-        }
-        OpKind::Softmax { axis } => {
-            let shape = graph.tensor(op.inputs[0]).shape();
-            let len = shape[*axis];
-            let rows: i64 = shape.iter().product::<i64>() / len;
-            row_reduce_latency(RowReduceKind::Softmax, rows, len, gpu)
-        }
-        OpKind::LayerNorm => {
-            let shape = graph.tensor(op.inputs[0]).shape();
-            let len = *shape.last().expect("rank >= 1");
-            let rows: i64 = shape.iter().product::<i64>() / len;
-            row_reduce_latency(RowReduceKind::LayerNorm, rows, len, gpu)
-        }
-        OpKind::GlobalAvgPool => {
-            let shape = graph.tensor(op.inputs[0]).shape();
-            row_reduce_latency(
-                RowReduceKind::MeanPool,
-                shape[0] * shape[1],
-                shape[2] * shape[3],
-                gpu,
-            )
-        }
-        OpKind::MaxPool {
-            kernel,
-            stride,
-            padding,
-        }
-        | OpKind::AvgPool {
-            kernel,
-            stride,
-            padding,
-        } => {
+        (
+            OpKind::MaxPool {
+                kernel,
+                stride,
+                padding,
+            }
+            | OpKind::AvgPool {
+                kernel,
+                stride,
+                padding,
+            },
+            _,
+        ) => {
             let reduce = if matches!(op.kind, OpKind::MaxPool { .. }) {
                 WindowReduce::Max
             } else {

@@ -13,6 +13,7 @@
 //! CNNs (paper Fig. 22) while it wins on Bert/GPT-2.
 
 use hidet_graph::{FuseClass, Graph, OpId, OpKind};
+use hidet_sched::{anchor_problem, AnchorProblem};
 use hidet_sim::Gpu;
 
 use crate::executor::{ExecutorReport, GraphExecutor};
@@ -83,30 +84,12 @@ fn trt_matmul_latency(p: hidet_sched::MatmulProblem, allow_tc: bool, gpu: &Gpu) 
 
 /// Per-operator latency under TensorRT's kernel selection.
 fn trt_op_latency(graph: &Graph, op: &hidet_graph::Operator, gpu: &Gpu) -> f64 {
-    match &op.kind {
-        OpKind::Conv2d { groups, .. } if *groups == 1 => {
+    match (&op.kind, anchor_problem(graph, op)) {
+        (OpKind::Conv2d { groups, .. }, _) if *groups == 1 => {
             // fp32 conv tactics (no Tensor Cores at batch 1 / NCHW).
             trt_matmul_latency(library::conv_gemm_problem(graph, op), false, gpu)
         }
-        OpKind::Matmul => {
-            let a = graph.tensor(op.inputs[0]).shape();
-            let b = graph.tensor(op.inputs[1]).shape();
-            trt_matmul_latency(hidet_sched::MatmulProblem::new(a[0], b[1], a[1]), true, gpu)
-        }
-        OpKind::BatchMatmul => {
-            let a = graph.tensor(op.inputs[0]).shape();
-            let b = graph.tensor(op.inputs[1]).shape();
-            trt_matmul_latency(
-                hidet_sched::MatmulProblem {
-                    batch: a[0],
-                    m: a[1],
-                    n: b[2],
-                    k: a[2],
-                },
-                true,
-                gpu,
-            )
-        }
+        (_, Some(AnchorProblem::Matmul(p))) => trt_matmul_latency(p, true, gpu),
         _ => library::op_latency(graph, op, gpu),
     }
 }

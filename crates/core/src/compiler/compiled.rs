@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use hidet_graph::{Graph, TensorId};
-use hidet_sched::fusion::CompiledGroup;
+use hidet_sched::fusion::{tensor_buffer_name, CompiledGroup};
 use hidet_sched::MatmulConfig;
 use hidet_sim::{DeviceMemory, Gpu, Program};
 
@@ -130,19 +130,19 @@ impl CompilePlan {
                     data.len()
                 )));
             }
-            mem.alloc(&format!("t{}", t.0), data);
+            mem.alloc(&tensor_buffer_name(t), data);
         }
         // Upload constants.
         for idx in 0..self.graph.num_tensors() {
             let t = TensorId(idx);
             if let Some(data) = self.graph.tensor(t).data() {
-                mem.alloc(&format!("t{idx}"), data);
+                mem.alloc(&tensor_buffer_name(t), data);
             }
         }
         let mut programs = self.programs().iter();
         for group in &self.groups {
             mem.alloc_zeroed(
-                &format!("t{}", group.output.0),
+                &tensor_buffer_name(group.output),
                 self.graph.tensor(group.output).numel() as usize,
             );
             for (name, len) in &group.scratch {
@@ -154,7 +154,7 @@ impl CompilePlan {
         }
         let mut out = HashMap::new();
         for &t in self.graph.outputs() {
-            out.insert(t, mem.read(&format!("t{}", t.0)).to_vec());
+            out.insert(t, mem.read(&tensor_buffer_name(t)).to_vec());
         }
         Ok(out)
     }

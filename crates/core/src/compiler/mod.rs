@@ -14,8 +14,9 @@ use std::sync::{Arc, OnceLock};
 use hidet_analysis::{self as analysis, VerifyLevel};
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
-use hidet_graph::{Graph, OpKind};
+use hidet_graph::Graph;
 use hidet_sched::fusion::{compile_group, CompiledGroup, GroupSchedule};
+use hidet_sched::{anchor_problem, AnchorProblem};
 use hidet_sim::Gpu;
 
 use self::budget::WorkerBudget;
@@ -242,7 +243,7 @@ fn check_group_schedule(
 ) -> Vec<analysis::Diagnostic> {
     let matmul_anchor = group
         .anchor
-        .is_some_and(|a| matches!(g.op(a).kind, OpKind::Matmul | OpKind::BatchMatmul));
+        .is_some_and(|a| matches!(anchor_problem(g, g.op(a)), Some(AnchorProblem::Matmul(_))));
     analysis::check_schedule(
         schedule,
         gpu.spec(),

@@ -9,8 +9,8 @@ use hidet_graph::passes::FusedGroup;
 use hidet_graph::{Graph, OpKind};
 use hidet_sched::fusion::{compile_group, CompiledGroup, GroupSchedule};
 use hidet_sched::{
-    pick_reduce_config, try_tune_matmul_with, MatmulConfig, MatmulProblem, ReduceConfig,
-    TuningRecord,
+    anchor_problem, pick_reduce_config, try_tune_matmul_with, AnchorProblem, MatmulConfig,
+    MatmulProblem, ReduceConfig, TuningRecord,
 };
 use hidet_sim::Gpu;
 
@@ -165,10 +165,9 @@ pub(super) fn compile_one_group(
     };
     if let Some(anchor) = group.anchor {
         let op = g.op(anchor);
-        match &op.kind {
-            OpKind::Matmul | OpKind::BatchMatmul => {
+        match anchor_problem(g, op) {
+            Some(AnchorProblem::Matmul(problem)) => {
                 let config = if options.tune {
-                    let problem = matmul_problem(g, anchor)?;
                     let _tune = hidet_trace::global().span(hidet_trace::SpanKind::Tune, 0);
                     let (config, c) = resolve_matmul_config(problem, gpu, options, device, tuning)?;
                     cost = c;
@@ -178,30 +177,16 @@ pub(super) fn compile_one_group(
                 };
                 schedule.matmul = apply_ablations(config, options);
             }
-            OpKind::Softmax { axis } => {
-                let shape = g.tensor(op.inputs[0]).shape();
-                let len = shape[*axis];
-                let rows: i64 = shape.iter().product::<i64>() / len;
+            Some(AnchorProblem::RowReduce { rows, len, .. }) => {
                 schedule.reduce = reduce_for(rows, len);
             }
-            OpKind::LayerNorm => {
-                let shape = g.tensor(op.inputs[0]).shape();
-                let Some(&len) = shape.last() else {
-                    return Err(CompileError::Schedule(format!(
-                        "layernorm anchor {} has a rank-0 input",
-                        op.name
-                    )));
-                };
-                let rows: i64 = shape.iter().product::<i64>() / len;
-                schedule.reduce = reduce_for(rows, len);
+            None if op.kind == OpKind::LayerNorm => {
+                return Err(CompileError::Schedule(format!(
+                    "layernorm anchor {} has a rank-0 input",
+                    op.name
+                )));
             }
-            OpKind::GlobalAvgPool => {
-                let shape = g.tensor(op.inputs[0]).shape();
-                let rows = shape[0] * shape[1];
-                let len = shape[2] * shape[3];
-                schedule.reduce = reduce_for(rows, len);
-            }
-            _ => {}
+            None => {}
         }
     }
     let compiled = compile_group(g, group, &schedule).map_err(CompileError::Schedule)?;
@@ -255,25 +240,6 @@ fn store_record(
                 best_latency_us: report.best_latency.micros(),
             },
         );
-    }
-}
-
-fn matmul_problem(g: &Graph, anchor: hidet_graph::OpId) -> Result<MatmulProblem, CompileError> {
-    let op = g.op(anchor);
-    let a = g.tensor(op.inputs[0]).shape();
-    let b = g.tensor(op.inputs[1]).shape();
-    match op.kind {
-        OpKind::Matmul => Ok(MatmulProblem::new(a[0], b[1], a[1])),
-        OpKind::BatchMatmul => Ok(MatmulProblem {
-            batch: a[0],
-            m: a[1],
-            n: b[2],
-            k: a[2],
-        }),
-        _ => Err(CompileError::Schedule(format!(
-            "internal: tuning requested for non-matmul anchor {}",
-            op.name
-        ))),
     }
 }
 

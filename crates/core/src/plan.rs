@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hidet_graph::{Graph, TensorId};
+use hidet_sched::fusion::tensor_buffer_name;
 use hidet_sim::{BufferId, DeviceMemory};
 
 use crate::compiler::{CompileError, CompilePlan};
@@ -94,7 +95,7 @@ impl MemoryPlan {
                     .max()
                     .unwrap_or(i)
             };
-            let name = format!("t{}", t.0);
+            let name = tensor_buffer_name(t);
             if seen.insert(name.clone()) {
                 intervals.push(PlannedSlot {
                     name,
@@ -261,19 +262,18 @@ impl Binding {
             mem.bind_view(&slot.name, slot.offset, slot.len);
         }
         let graph = plan.graph();
-        let tensor_name = |t: TensorId| format!("t{}", t.0);
         for idx in 0..graph.num_tensors() {
             if let Some(data) = graph.tensor(TensorId(idx)).data() {
-                mem.alloc(&tensor_name(TensorId(idx)), data);
+                mem.alloc(&tensor_buffer_name(TensorId(idx)), data);
             }
         }
         for &t in graph.inputs() {
-            mem.alloc_zeroed(&tensor_name(t), graph.tensor(t).numel() as usize);
+            mem.alloc_zeroed(&tensor_buffer_name(t), graph.tensor(t).numel() as usize);
         }
         let mut zeroed = Vec::with_capacity(plan.groups().len());
         for group in plan.groups() {
             let output = (
-                tensor_name(group.output),
+                tensor_buffer_name(group.output),
                 graph.tensor(group.output).numel() as usize,
             );
             let buffers = std::iter::once(&output).chain(&group.scratch);
@@ -288,7 +288,8 @@ impl Binding {
             });
             zeroed.push(ids.collect());
         }
-        let tensors = (0..graph.num_tensors()).map(|idx| mem.id(&tensor_name(TensorId(idx))));
+        let tensors =
+            (0..graph.num_tensors()).map(|idx| mem.id(&tensor_buffer_name(TensorId(idx))));
         Binding {
             plan: plan.memory_plan().id(),
             tensors: tensors.collect(),
@@ -492,7 +493,7 @@ mod tests {
         let out = plan
             .slots()
             .iter()
-            .find(|s| s.name == format!("t{}", y.0))
+            .find(|s| s.name == tensor_buffer_name(y))
             .expect("graph output is planned");
         assert_eq!(
             out.death,
@@ -604,7 +605,7 @@ mod tests {
         ws.input_mut(compiled.plan(), x).unwrap()[0] = 42.0;
         let mut other = hidet_sim::DeviceMemory::new();
         other.alloc_zeroed("dst", 4);
-        other.copy_from("dst", 1, ws.device_memory(), &format!("t{}", x.0), 0, 1);
+        other.copy_from("dst", 1, ws.device_memory(), &tensor_buffer_name(x), 0, 1);
         assert_eq!(other.read("dst"), &[0.0, 42.0, 0.0, 0.0]);
     }
 

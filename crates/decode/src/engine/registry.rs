@@ -7,6 +7,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use hidet_graph::{Graph, Tensor, TensorId};
+use hidet_sched::tensor_buffer_name;
 
 use super::config::DecodeError;
 
@@ -276,7 +277,7 @@ fn validate_pass(
         let nv = graph.outputs()[2 + 2 * l];
         check(nk, &[rows, past + chunk, head_dim], "new_k output")?;
         check(nv, &[rows, past + chunk, head_dim], "new_v output")?;
-        cache_out_names.push((format!("t{}", nk.0), format!("t{}", nv.0)));
+        cache_out_names.push((tensor_buffer_name(nk), tensor_buffer_name(nv)));
     }
     let logits_id = graph.outputs()[0];
     check(logits_id, &[seqs * chunk, spec.vocab], "logits output")?;

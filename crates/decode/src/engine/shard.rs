@@ -12,6 +12,7 @@ use std::thread;
 use hidet::{CompilerOptions, Workspace};
 use hidet_graph::Graph;
 use hidet_runtime::DecodeStatsSnapshot;
+use hidet_sched::{anchor_problem, AnchorProblem};
 use hidet_sim::Gpu;
 
 use super::config::{DecodeConfig, DecodeError};
@@ -414,23 +415,8 @@ fn seed_compact_tiles(graph: &Graph, gpu: &Gpu, options: &CompilerOptions) {
     let device = spec.fingerprint();
     let mut cache = cache.lock().expect("tuning cache poisoned");
     for op in graph.ops() {
-        let problem = match op.kind {
-            hidet_graph::OpKind::Matmul => {
-                let a = graph.tensor(op.inputs[0]).shape();
-                let b = graph.tensor(op.inputs[1]).shape();
-                hidet_sched::MatmulProblem::new(a[0], b[1], a[1])
-            }
-            hidet_graph::OpKind::BatchMatmul => {
-                let a = graph.tensor(op.inputs[0]).shape();
-                let b = graph.tensor(op.inputs[1]).shape();
-                hidet_sched::MatmulProblem {
-                    batch: a[0],
-                    m: a[1],
-                    n: b[2],
-                    k: a[2],
-                }
-            }
-            _ => continue,
+        let Some(AnchorProblem::Matmul(problem)) = anchor_problem(graph, op) else {
+            continue;
         };
         if cache.lookup(&device, problem).is_none() {
             cache.insert(

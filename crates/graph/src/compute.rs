@@ -84,33 +84,39 @@ impl ComputeDef {
         self.reduction.is_none()
     }
 
-    /// Substitutes concrete index expressions for the output axes, returning
-    /// the element expression — the primitive used by prologue fusion.
+    /// Substitutes concrete index expressions for the output axes and reads
+    /// each placeholder load of input `k` at `idx` as `input(k, idx)` (`None`
+    /// keeps the load), returning the element expression — the primitive of
+    /// post-scheduling fusion, for prologues and value epilogues alike.
     ///
-    /// Substitution is *simultaneous*: the replacement expressions may
-    /// themselves mention variables named like the definition's own axes
-    /// (fusion chains reuse `i0, i1, …`) without being captured.
+    /// Substitution is *simultaneous*: neither the index expressions nor what
+    /// `input` returns is rewritten again, so they may mention variables
+    /// named like the definition's own axes (fusion chains reuse `i0, i1, …`)
+    /// without being captured.
     ///
     /// # Panics
     /// Panics if `indices.len()` differs from the axis count.
-    pub fn element_at(&self, indices: &[Expr]) -> Expr {
+    pub fn element_at(
+        &self,
+        indices: &[Expr],
+        mut input: impl FnMut(usize, &[Expr]) -> Option<Expr>,
+    ) -> Expr {
         assert_eq!(indices.len(), self.axes.len(), "index count mismatch");
         assert!(
             self.is_injective(),
             "element_at requires an injective definition"
         );
-        rewrite_expr(&self.expr, &mut |e| {
-            if let Expr::Var(v) = e {
-                if let Some(pos) = self.axes.iter().position(|a| a == v) {
-                    return Some(indices[pos].clone());
-                }
+        rewrite_expr(&self.expr, &mut |e| match e {
+            Expr::Var(v) => (self.axes.iter().position(|a| a == v)).map(|pos| indices[pos].clone()),
+            Expr::Load { buffer, indices } => {
+                parse_input_name(buffer.name()).and_then(|k| input(k, indices))
             }
-            None
+            _ => None,
         })
     }
 
-    /// Rewrites every placeholder-input load through `f(input_idx, indices)`.
-    /// Used by fusion to graft one definition into another.
+    /// Rewrites every placeholder-input load through `f(input_idx, indices)`,
+    /// leaving the output axes free (fusion uses [`ComputeDef::element_at`]).
     pub fn map_input_loads(&self, f: &mut impl FnMut(usize, &[Expr]) -> Option<Expr>) -> Expr {
         rewrite_expr(&self.expr, &mut |e| {
             if let Expr::Load { buffer, indices } = e {
@@ -381,8 +387,16 @@ mod tests {
     #[test]
     fn element_at_substitutes_axes() {
         let def = compute_def(&OpKind::Unary(UnaryKind::Relu), &[&[4]]).unwrap();
-        let e = def.element_at(&[Expr::Int(3)]);
+        let e = def.element_at(&[Expr::Int(3)], |_, _| None);
         assert_eq!(e.to_string(), "max(in0[3], 0.0)");
+        // A load read through `input` is not rewritten again, even when it
+        // mentions a variable named like the definition's own axis.
+        let i0 = Var::index("i0").expr();
+        let x = Buffer::new("X", MemScope::Global, DType::F32, &[8]);
+        let e = def.element_at(&[i0.clone() + 1], |_, idx| {
+            Some(load(&x, vec![idx[0].clone() + i0.clone()]))
+        });
+        assert_eq!(e.to_string(), "max(X[((i0 + 1) + i0)], 0.0)");
     }
 
     #[test]
@@ -405,6 +419,14 @@ mod tests {
         let def = compute_def(&OpKind::Reshape { shape: vec![6] }, &[&[2, 3]]).unwrap();
         // out[i0] = in0[i0/3, i0%3]
         assert_eq!(def.expr.to_string(), "in0[(i0 / 3), (i0 % 3)]");
+    }
+
+    #[test]
+    fn delinearize_simplifies() {
+        let flat = Var::index("f").expr();
+        let idx = delinearize_expr(flat, &[2, 3, 4]);
+        assert_eq!(idx.len(), 3);
+        assert_eq!(idx[2].to_string(), "(f % 4)");
     }
 
     #[test]

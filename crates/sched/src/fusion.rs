@@ -1,30 +1,34 @@
 //! Post-scheduling fusion (paper §4.2, §5.2, Fig. 15) and the fused-group
 //! compiler.
 //!
-//! Fusion happens *after* the anchor operator is scheduled: prologue operators
-//! are inlined into the scheduled kernel's **input loads** (each access
-//! `in[i]` is replaced by the prologue's computation of element `i`), and
-//! epilogue operators into its **output stores** (the stored value is
-//! transformed and its destination index remapped through bijective
-//! operators) — exactly the `reverse` example of paper Fig. 15.
+//! Fusion happens *after* the anchor operator is scheduled, and is derived
+//! from the fused operators' compute definitions: a prologue's definition is
+//! inlined into the scheduled kernel's **input loads** (each access `in[i]`
+//! is replaced by the prologue's computation of element `i`), and an
+//! epilogue's into its **output stores** — a value epilogue's definition is
+//! evaluated at the store's destination with the anchor's value in place of
+//! its running operand, and a reshape or transpose remaps the destination
+//! index through its bijection — exactly the `reverse` example of paper
+//! Fig. 15.
 //!
 //! [`compile_group`] drives the whole step 3–4 of Fig. 10 for one fused
 //! sub-graph: pick the anchor's template, build the fused IO closures, and
 //! emit kernels.
 
-use hidet_graph::compute::{compute_def, parse_input_name};
+use std::rc::Rc;
+
+use hidet_graph::compute::{compute_def, delinearize_expr, linearize_expr};
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::{Graph, OpId, OpKind, TensorId};
 use hidet_ir::prelude::*;
-use hidet_ir::visit::rewrite_expr;
 
 use crate::rule_based::{
-    self, depthwise_conv_kernel, elementwise_kernel, pool_kernel, ElementwiseJob, WindowIo,
-    WindowReduce,
+    depthwise_conv_kernel, elementwise_kernel, pool_kernel, ElementwiseJob, WindowIo, WindowReduce,
 };
 use crate::space::{MatmulConfig, ReduceConfig};
-use crate::templates::matmul::{matmul_kernel, MatmulIo, MatmulProblem, Sink, Source};
+use crate::templates::matmul::{matmul_kernel, MatmulIo, Sink, Source};
 use crate::templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
+use crate::templates::{anchor_problem, AnchorProblem};
 
 /// A prologue: computes one element of an anchor input from real parameters.
 /// (Type alias re-exported for API clarity.)
@@ -59,22 +63,44 @@ impl Default for GroupSchedule {
 pub struct CompiledGroup {
     /// Kernels to launch, in order.
     pub kernels: Vec<Kernel>,
-    /// External input tensors (device buffers named `t<id>`).
+    /// External input tensors (device buffers named by
+    /// [`tensor_buffer_name`]).
     pub inputs: Vec<TensorId>,
-    /// Output tensor (device buffer named `t<id>`).
+    /// Output tensor (device buffer named by [`tensor_buffer_name`]).
     pub output: TensorId,
     /// Scratch buffers to allocate (name, elements) — e.g. split-K partials.
     pub scratch: Vec<(String, usize)>,
 }
 
+/// The name of the device buffer standing for graph tensor `t`.
+pub fn tensor_buffer_name(t: TensorId) -> String {
+    format!("t{}", t.0)
+}
+
 /// The device buffer standing for a graph tensor.
 pub fn tensor_buffer(graph: &Graph, t: TensorId) -> BufferRef {
     Buffer::new(
-        &format!("t{}", t.0),
+        &tensor_buffer_name(t),
         MemScope::Global,
         DType::F32,
         graph.tensor(t).shape(),
     )
+}
+
+/// Element `indices` of `op`'s output, from its compute definition, with the
+/// load of input `k` at `idx` read as `input(k, idx)`. Nothing `input`
+/// returns is rewritten again.
+fn inline_definition(
+    graph: &Graph,
+    op: OpId,
+    indices: &[Expr],
+    mut input: impl FnMut(usize, &[Expr]) -> Expr,
+) -> Expr {
+    let op = graph.op(op);
+    let shapes: Vec<&[i64]> = op.inputs.iter().map(|t| graph.tensor(*t).shape()).collect();
+    compute_def(&op.kind, &shapes)
+        .unwrap_or_else(|| panic!("fused op {} has no compute definition", op.name))
+        .element_at(indices, |k, idx| Some(input(k, idx)))
 }
 
 /// Computes the expression for one element of `tensor` at `indices`,
@@ -86,25 +112,11 @@ pub fn resolve_element(
     tensor: TensorId,
     indices: &[Expr],
 ) -> Expr {
-    let producer_in_group = graph.producer(tensor).filter(|p| group_ops.contains(p));
-    match producer_in_group {
+    match graph.producer(tensor).filter(|p| group_ops.contains(p)) {
         None => load(&tensor_buffer(graph, tensor), indices.to_vec()),
-        Some(p) => {
-            let op = graph.op(p);
-            let shapes: Vec<&[i64]> = op.inputs.iter().map(|t| graph.tensor(*t).shape()).collect();
-            let def = compute_def(&op.kind, &shapes)
-                .unwrap_or_else(|| panic!("prologue op {} has no compute definition", op.name));
-            let elem = def.element_at(indices);
-            // Replace placeholder input loads with recursively resolved values.
-            rewrite_expr(&elem, &mut |e| {
-                if let Expr::Load { buffer, indices } = e {
-                    if let Some(k) = parse_input_name(buffer.name()) {
-                        return Some(resolve_element(graph, group_ops, op.inputs[k], indices));
-                    }
-                }
-                None
-            })
-        }
+        Some(p) => inline_definition(graph, p, indices, |k, idx| {
+            resolve_element(graph, group_ops, graph.op(p).inputs[k], idx)
+        }),
     }
 }
 
@@ -121,94 +133,32 @@ pub fn apply_epilogues(
         .output;
     for e in group.epilogues() {
         let op = graph.op(e);
-        let input_idx = op
-            .inputs
-            .iter()
-            .position(|&t| t == current)
-            .expect("epilogue consumes the running tensor");
-        let in_shape = graph.tensor(current).shape().to_vec();
-        let out_shape = graph.tensor(op.output).shape().to_vec();
         match &op.kind {
-            OpKind::Unary(u) => {
-                value = unary_value(*u, value);
-            }
-            OpKind::Binary(b) => {
-                let other_t = op.inputs[1 - input_idx];
-                let other_shape = graph.tensor(other_t).shape().to_vec();
-                // Broadcast the other operand against the output indices.
-                let offset = out_shape.len() - other_shape.len();
-                let oidx: Vec<Expr> = other_shape
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &ext)| {
-                        if ext == 1 {
-                            Expr::Int(0)
-                        } else {
-                            indices[offset + d].clone()
-                        }
-                    })
-                    .collect();
-                let other = resolve_element(graph, &group.ops, other_t, &oidx);
-                value = apply_binary(*b, input_idx, value, other);
-            }
-            OpKind::BatchNorm => {
-                let ch = indices[1].clone();
-                let scale =
-                    resolve_element(graph, &group.ops, op.inputs[1], std::slice::from_ref(&ch));
-                let shift = resolve_element(graph, &group.ops, op.inputs[2], &[ch]);
-                value = value * scale + shift;
-            }
+            // Index epilogues move the destination, not the value.
             OpKind::Reshape { .. } => {
-                let flat = hidet_graph::compute::linearize_expr(&indices, &in_shape);
-                indices = rule_based::delinearize(flat, &out_shape);
+                let flat = linearize_expr(&indices, graph.tensor(current).shape());
+                indices = delinearize_expr(flat, graph.tensor(op.output).shape());
             }
             OpKind::Transpose { perm } => {
                 // out index j takes input axis perm[j].
                 indices = perm.iter().map(|&p| indices[p].clone()).collect();
             }
-            other => panic!("operator {other:?} is not epilogue-eligible"),
+            // Value epilogues: every operand that is the running tensor reads
+            // the carried value, every other one resolves like a prologue.
+            _ => {
+                value = inline_definition(graph, e, &indices, |k, idx| {
+                    if op.inputs[k] == current {
+                        value.clone()
+                    } else {
+                        resolve_element(graph, &group.ops, op.inputs[k], idx)
+                    }
+                });
+            }
         }
         current = op.output;
     }
     let out_buf = tensor_buffer(graph, group.output(graph));
     store(&out_buf, indices, value)
-}
-
-fn unary_value(u: hidet_graph::UnaryKind, x: Expr) -> Expr {
-    use hidet_graph::UnaryKind::*;
-    match u {
-        Relu => x.max(0.0f32),
-        Relu6 => x.max(0.0f32).min(6.0f32),
-        Gelu => {
-            let inner = (x.clone() * std::f32::consts::FRAC_1_SQRT_2).unary(UnOp::Erf);
-            x * 0.5f32 * (inner + 1.0f32)
-        }
-        Tanh => x.unary(UnOp::Tanh),
-        Sigmoid => x.unary(UnOp::Sigmoid),
-        Exp => x.unary(UnOp::Exp),
-        Sqrt => x.unary(UnOp::Sqrt),
-        Neg => -x,
-    }
-}
-
-fn apply_binary(
-    b: hidet_graph::BinaryKind,
-    carried_idx: usize,
-    carried: Expr,
-    other: Expr,
-) -> Expr {
-    use hidet_graph::BinaryKind::*;
-    let (lhs, rhs) = if carried_idx == 0 {
-        (carried, other)
-    } else {
-        (other, carried)
-    };
-    match b {
-        Add => lhs + rhs,
-        Sub => lhs - rhs,
-        Mul => lhs * rhs,
-        Div => lhs / rhs,
-    }
 }
 
 /// Compiles one fused group into kernels (paper Fig. 10 steps 3–4).
@@ -249,46 +199,31 @@ pub fn compile_group(
             })]
         }
         Some(anchor) => {
+            // The IO closures outlive this call: they share one copy of the
+            // graph and of the group.
+            let graph = Rc::new(graph.clone());
+            let group = Rc::new(group.clone());
             let op = graph.op(anchor);
-            match &op.kind {
-                OpKind::Matmul | OpKind::BatchMatmul => {
-                    let a_t = op.inputs[0];
-                    let b_t = op.inputs[1];
-                    let a_shape = graph.tensor(a_t).shape().to_vec();
-                    let b_shape = graph.tensor(b_t).shape().to_vec();
-                    let batched = matches!(op.kind, OpKind::BatchMatmul);
-                    let problem = if batched {
-                        MatmulProblem {
-                            batch: a_shape[0],
-                            m: a_shape[1],
-                            n: b_shape[2],
-                            k: a_shape[2],
-                        }
-                    } else {
-                        MatmulProblem::new(a_shape[0], b_shape[1], a_shape[1])
-                    };
+            match anchor_problem(&graph, op) {
+                Some(AnchorProblem::Matmul(problem)) => {
                     let source = |t: TensorId| -> Source {
-                        let produced_inside =
-                            graph.producer(t).is_some_and(|p| group.ops.contains(&p));
-                        if produced_inside {
-                            let ops = group.ops.clone();
-                            let graph2 = graph.clone();
+                        if graph.producer(t).is_some_and(|p| group.ops.contains(&p)) {
+                            let (graph2, group2) = (Rc::clone(&graph), Rc::clone(&group));
                             Source::Fused(Box::new(move |b, i, j| {
                                 let idx: Vec<Expr> = if graph2.tensor(t).ndim() == 3 {
                                     vec![b.clone(), i.clone(), j.clone()]
                                 } else {
                                     vec![i.clone(), j.clone()]
                                 };
-                                resolve_element(&graph2, &ops, t, &idx)
+                                resolve_element(&graph2, &group2.ops, t, &idx)
                             }))
                         } else {
-                            Source::Direct(tensor_buffer(graph, t))
+                            Source::Direct(tensor_buffer(&graph, t))
                         }
                     };
-                    let graph2 = graph.clone();
-                    let group2 = group.clone();
+                    let (graph2, group2) = (Rc::clone(&graph), Rc::clone(&group));
                     let sink = Sink::Fused(Box::new(move |b, i, j, value| {
-                        let anchor_out = graph2.op(group2.anchor.unwrap()).output;
+                        let anchor_out = graph2.op(anchor).output;
                         let idx: Vec<Expr> = if graph2.tensor(anchor_out).ndim() == 3 {
                             vec![b.clone(), i.clone(), j.clone()]
                         } else {
@@ -298,164 +233,85 @@ pub fn compile_group(
                     }));
                     let io = MatmulIo {
                         name,
-                        a: source(a_t),
-                        b: source(b_t),
+                        a: source(op.inputs[0]),
+                        b: source(op.inputs[1]),
                         c: sink,
                         params,
                     };
                     matmul_kernel(problem, schedule.matmul, io)
                 }
-                OpKind::Softmax { axis } => {
-                    let x_t = op.inputs[0];
-                    let shape = graph.tensor(x_t).shape().to_vec();
-                    let (outer, len, inner) = split_axis(&shape, *axis);
-                    let rows = outer * inner;
-                    let io = row_reduce_io(graph, group, name, &shape, *axis, params);
-                    vec![reduce_kernel(
-                        RowReduceKind::Softmax,
-                        rows,
-                        len,
-                        schedule.reduce,
-                        io,
-                    )]
+                Some(AnchorProblem::RowReduce { kind, rows, len }) => {
+                    let io = row_reduce_io(&graph, &group, kind, name, params);
+                    vec![reduce_kernel(kind, rows, len, schedule.reduce, io)]
                 }
-                OpKind::LayerNorm => {
-                    let x_t = op.inputs[0];
-                    let shape = graph.tensor(x_t).shape().to_vec();
-                    let axis = shape.len() - 1;
-                    let (outer, len, inner) = split_axis(&shape, axis);
-                    let rows = outer * inner;
-                    // Affine parameters applied inside the store closure.
-                    let gb = tensor_buffer(graph, op.inputs[1]);
-                    let bb = tensor_buffer(graph, op.inputs[2]);
-                    let graph2 = graph.clone();
-                    let group2 = group.clone();
-                    let shape2 = shape.clone();
-                    let io = ReduceIo {
-                        name,
-                        load: {
-                            let graph3 = graph.clone();
-                            let ops3 = group.ops.clone();
-                            let shape3 = shape.clone();
-                            Box::new(move |r, a| {
-                                let idx = row_axis_indices(&shape3, shape3.len() - 1, r, a);
-                                resolve_element(&graph3, &ops3, x_t, &idx)
-                            })
-                        },
-                        store: Box::new(move |r, a, v| {
-                            let affine =
-                                v * load(&gb, vec![a.clone()]) + load(&bb, vec![a.clone()]);
-                            let idx = row_axis_indices(&shape2, shape2.len() - 1, r, a);
-                            apply_epilogues(&graph2, &group2, idx, affine)
-                        }),
-                        params,
-                    };
-                    vec![reduce_kernel(
-                        RowReduceKind::LayerNorm,
-                        rows,
-                        len,
-                        schedule.reduce,
-                        io,
-                    )]
-                }
-                OpKind::GlobalAvgPool => {
-                    let x_t = op.inputs[0];
-                    let shape = graph.tensor(x_t).shape().to_vec();
-                    let (n, ch, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-                    let rows = n * ch;
-                    let len = h * w;
-                    let graph2 = graph.clone();
-                    let group2 = group.clone();
-                    let ops = group.ops.clone();
-                    let io = ReduceIo {
-                        name,
-                        load: {
-                            let graph3 = graph.clone();
-                            let ops3 = ops.clone();
-                            Box::new(move |r, a| {
-                                let idx = vec![
-                                    r.clone() / ch,
-                                    r.clone() % ch,
-                                    a.clone() / w,
-                                    a.clone() % w,
-                                ];
-                                resolve_element(&graph3, &ops3, x_t, &idx)
-                            })
-                        },
-                        store: Box::new(move |r, _a, v| {
-                            let idx = vec![r.clone() / ch, r.clone() % ch];
-                            apply_epilogues(&graph2, &group2, idx, v)
-                        }),
-                        params,
-                    };
-                    vec![reduce_kernel(
-                        RowReduceKind::MeanPool,
-                        rows,
-                        len,
-                        schedule.reduce,
-                        io,
-                    )]
-                }
-                OpKind::MaxPool {
-                    kernel,
-                    stride,
-                    padding,
-                }
-                | OpKind::AvgPool {
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    let reduce = if matches!(op.kind, OpKind::MaxPool { .. }) {
-                        WindowReduce::Max
-                    } else {
-                        WindowReduce::Avg
-                    };
-                    let x_t = op.inputs[0];
-                    let in_shape = graph.tensor(x_t).shape().to_vec();
-                    let out_shape = graph.tensor(op.output).shape().to_vec();
-                    let io = window_io(graph, group, name, x_t, params);
-                    vec![pool_kernel(
-                        reduce, &in_shape, &out_shape, *kernel, *stride, *padding, io,
-                    )]
-                }
-                OpKind::Conv2d {
-                    stride,
-                    padding,
-                    groups,
-                } => {
-                    let x_t = op.inputs[0];
-                    let w_t = op.inputs[1];
-                    let in_shape = graph.tensor(x_t).shape().to_vec();
-                    let out_shape = graph.tensor(op.output).shape().to_vec();
-                    let w_shape = graph.tensor(w_t).shape().to_vec();
-                    if *groups != in_shape[1] {
-                        return Err(format!(
-                            "dense convolution {} reached the scheduler; run lower_convs first",
-                            op.name
-                        ));
+                None => match &op.kind {
+                    OpKind::MaxPool {
+                        kernel,
+                        stride,
+                        padding,
                     }
-                    let io = window_io(graph, group, name, x_t, params);
-                    vec![depthwise_conv_kernel(
-                        &in_shape,
-                        &out_shape,
-                        tensor_buffer(graph, w_t),
-                        w_shape[2],
-                        *stride,
-                        *padding,
-                        io,
-                    )]
-                }
-                other => return Err(format!("no template for anchor kind {other:?}")),
+                    | OpKind::AvgPool {
+                        kernel,
+                        stride,
+                        padding,
+                    } => {
+                        let reduce = if matches!(op.kind, OpKind::MaxPool { .. }) {
+                            WindowReduce::Max
+                        } else {
+                            WindowReduce::Avg
+                        };
+                        let x_t = op.inputs[0];
+                        let in_shape = graph.tensor(x_t).shape().to_vec();
+                        let out_shape = graph.tensor(op.output).shape().to_vec();
+                        let io = window_io(&graph, &group, name, x_t, params);
+                        vec![pool_kernel(
+                            reduce, &in_shape, &out_shape, *kernel, *stride, *padding, io,
+                        )]
+                    }
+                    OpKind::Conv2d {
+                        stride,
+                        padding,
+                        groups,
+                    } => {
+                        let x_t = op.inputs[0];
+                        let w_t = op.inputs[1];
+                        let in_shape = graph.tensor(x_t).shape().to_vec();
+                        let out_shape = graph.tensor(op.output).shape().to_vec();
+                        let w_shape = graph.tensor(w_t).shape().to_vec();
+                        if *groups != in_shape[1] {
+                            return Err(format!(
+                                "dense convolution {} reached the scheduler; run lower_convs first",
+                                op.name
+                            ));
+                        }
+                        let io = window_io(&graph, &group, name, x_t, params);
+                        vec![depthwise_conv_kernel(
+                            &in_shape,
+                            &out_shape,
+                            tensor_buffer(&graph, w_t),
+                            w_shape[2],
+                            *stride,
+                            *padding,
+                            io,
+                        )]
+                    }
+                    other => return Err(format!("no template for anchor kind {other:?}")),
+                },
             }
         }
     };
 
-    // Scratch buffers: any kernel parameter that is not a graph tensor.
+    // Scratch buffers: kernel parameters that are none of the group's
+    // tensor buffers.
+    let tensors: Vec<String> = inputs
+        .iter()
+        .chain([&output])
+        .map(|&t| tensor_buffer_name(t))
+        .collect();
     let mut scratch = Vec::new();
     for kernel in &kernels {
         for p in kernel.params() {
-            if !p.name().starts_with('t') || p.name()[1..].parse::<usize>().is_err() {
+            if !tensors.iter().any(|t| t == p.name()) {
                 scratch.push((p.name().to_string(), p.num_elements() as usize));
             }
         }
@@ -470,77 +326,89 @@ pub fn compile_group(
     })
 }
 
-/// Splits `shape` at `axis` into `(outer_volume, axis_len, inner_volume)`.
-fn split_axis(shape: &[i64], axis: usize) -> (i64, i64, i64) {
-    let outer: i64 = shape[..axis].iter().product();
-    let inner: i64 = shape[axis + 1..].iter().product();
-    (outer, shape[axis], inner)
-}
-
 /// Rebuilds full tensor indices from a `(row, axis)` coordinate pair.
 fn row_axis_indices(shape: &[i64], axis: usize, r: &Expr, a: &Expr) -> Vec<Expr> {
-    let (_, _, inner) = split_axis(shape, axis);
-    let outer_shape = &shape[..axis];
-    let inner_shape = &shape[axis + 1..];
+    let inner: i64 = shape[axis + 1..].iter().product();
     let o = if inner == 1 {
         r.clone()
     } else {
         r.clone() / inner
     };
     let inn = r.clone() % inner.max(1);
-    let mut idx = rule_based::delinearize(o, outer_shape);
+    let mut idx = delinearize_expr(o, &shape[..axis]);
     idx.push(a.clone());
-    idx.extend(rule_based::delinearize(inn, inner_shape));
+    idx.extend(delinearize_expr(inn, &shape[axis + 1..]));
     idx
 }
 
+/// The reduce template's IO for a row-reduce anchor: loads resolve element
+/// `a` of row `r` of the anchor's input (prologues inlined), stores run the
+/// epilogues. A layer norm's affine parameters are applied in the store; a
+/// pooled row is one output element.
 fn row_reduce_io(
-    graph: &Graph,
-    group: &FusedGroup,
+    graph: &Rc<Graph>,
+    group: &Rc<FusedGroup>,
+    kind: RowReduceKind,
     name: String,
-    shape: &[i64],
-    axis: usize,
     params: Vec<BufferRef>,
 ) -> ReduceIo {
-    let anchor = group.anchor.expect("row reduce needs an anchor");
-    let x_t = graph.op(anchor).inputs[0];
-    let graph2 = graph.clone();
-    let group2 = group.clone();
-    let shape_load = shape.to_vec();
-    let shape_store = shape.to_vec();
-    let ops = group.ops.clone();
+    let op = graph.op(group.anchor.expect("row reduce needs an anchor"));
+    let x_t = op.inputs[0];
+    let shape = graph.tensor(x_t).shape().to_vec();
+    let axis = match op.kind {
+        OpKind::Softmax { axis } => axis,
+        _ => shape.len() - 1,
+    };
+    let element = move |r: &Expr, a: &Expr| match kind {
+        RowReduceKind::MeanPool => {
+            let (ch, w) = (shape[1], shape[3]);
+            vec![r.clone() / ch, r.clone() % ch, a.clone() / w, a.clone() % w]
+        }
+        _ => row_axis_indices(&shape, axis, r, a),
+    };
+    let affine = (kind == RowReduceKind::LayerNorm).then(|| {
+        (
+            tensor_buffer(graph, op.inputs[1]),
+            tensor_buffer(graph, op.inputs[2]),
+        )
+    });
+    let load_element = element.clone();
+    let (graph2, group2) = (Rc::clone(graph), Rc::clone(group));
+    let (graph3, group3) = (Rc::clone(graph), Rc::clone(group));
     ReduceIo {
         name,
-        load: Box::new(move |r, a| {
-            let idx = row_axis_indices(&shape_load, axis, r, a);
-            resolve_element(&graph2, &ops, x_t, &idx)
+        load: Box::new(move |r, a| resolve_element(&graph2, &group2.ops, x_t, &load_element(r, a))),
+        store: Box::new(move |r, a, v| {
+            let v = match &affine {
+                Some((gamma, beta)) => {
+                    v * load(gamma, vec![a.clone()]) + load(beta, vec![a.clone()])
+                }
+                None => v,
+            };
+            let mut idx = element(r, a);
+            if kind == RowReduceKind::MeanPool {
+                // The pooled output is `[n, c]`.
+                idx.truncate(2);
+            }
+            apply_epilogues(&graph3, &group3, idx, v)
         }),
-        store: {
-            let graph3 = graph.clone();
-            Box::new(move |r, a, v| {
-                let idx = row_axis_indices(&shape_store, axis, r, a);
-                apply_epilogues(&graph3, &group2, idx, v)
-            })
-        },
         params,
     }
 }
 
 fn window_io(
-    graph: &Graph,
-    group: &FusedGroup,
+    graph: &Rc<Graph>,
+    group: &Rc<FusedGroup>,
     name: String,
     x_t: TensorId,
     params: Vec<BufferRef>,
 ) -> WindowIo {
-    let graph2 = graph.clone();
-    let graph3 = graph.clone();
-    let group2 = group.clone();
-    let ops = group.ops.clone();
+    let (graph2, group2) = (Rc::clone(graph), Rc::clone(group));
+    let (graph3, group3) = (Rc::clone(graph), Rc::clone(group));
     WindowIo {
         name,
-        load: Box::new(move |idx| resolve_element(&graph2, &ops, x_t, idx)),
-        store: Box::new(move |idx, v| apply_epilogues(&graph3, &group2, idx.to_vec(), v)),
+        load: Box::new(move |idx| resolve_element(&graph2, &group2.ops, x_t, idx)),
+        store: Box::new(move |idx, v| apply_epilogues(&graph3, &group3, idx.to_vec(), v)),
         params,
     }
 }
@@ -562,18 +430,18 @@ mod tests {
         let mut mem = DeviceMemory::new();
         // Upload inputs and constants.
         for (t, v) in inputs {
-            mem.alloc(&format!("t{}", t.0), v);
+            mem.alloc(&tensor_buffer_name(*t), v);
         }
         for idx in 0..graph.num_tensors() {
             let t = TensorId(idx);
             if let Some(data) = graph.tensor(t).data() {
-                mem.alloc(&format!("t{idx}"), data);
+                mem.alloc(&tensor_buffer_name(t), data);
             }
         }
         for group in &groups {
             let compiled = compile_group(graph, group, &GroupSchedule::default()).unwrap();
             mem.alloc_zeroed(
-                &format!("t{}", compiled.output.0),
+                &tensor_buffer_name(compiled.output),
                 graph.tensor(compiled.output).numel() as usize,
             );
             for (name, len) in &compiled.scratch {
@@ -584,7 +452,7 @@ mod tests {
             }
         }
         for &out in graph.outputs() {
-            let got = mem.read(&format!("t{}", out.0));
+            let got = mem.read(&tensor_buffer_name(out));
             let expect = &reference[&out];
             assert_eq!(got.len(), expect.len());
             for (i, (a, b)) in got.iter().zip(expect).enumerate() {

@@ -8,15 +8,18 @@
 //!   **parallel-k reduction** (§6.3.4);
 //! * [`templates::reduce`] — the reduction template covering softmax,
 //!   layernorm and global pooling (the paper ships exactly these two
-//!   templates, §6.1 "Implementation");
+//!   templates, §6.1 "Implementation"); [`anchor_problem`] states the
+//!   problem an anchor operator poses to either, for the compiler, the tuner
+//!   and the baselines alike;
 //! * [`rule_based`] — rule-based scheduling for operators without reductions
 //!   (§5.1.3), translating computation definitions directly into kernels, and
 //!   direct window-loop schedules for pooling/depthwise convolution;
 //! * [`space`] — the **hardware-centric schedule space** (§4.3): ~180 tile
 //!   configurations aligned to hardware limits, independent of input sizes;
-//! * [`fusion`] — **post-scheduling fusion** (§4.2/§5.2): prologues are
-//!   inlined into the scheduled anchor's input loads, epilogues into its
-//!   output stores, with index remapping through bijective operators;
+//! * [`fusion`] — **post-scheduling fusion** (§4.2/§5.2), derived from the
+//!   fused operators' compute definitions: prologues are inlined into the
+//!   scheduled anchor's input loads, epilogues into its output stores, with
+//!   index remapping through bijective operators;
 //! * [`tuner`] — exhaustive enumeration of the (small) space with the
 //!   simulator's cost model, reporting the simulated tuning cost the paper
 //!   plots in Fig. 17.
@@ -31,11 +34,14 @@ pub mod space;
 pub mod templates;
 pub mod tuner;
 
-pub use fusion::{compile_group, CompiledGroup, Epilogue, GroupSchedule, Prologue};
+pub use fusion::{
+    compile_group, tensor_buffer_name, CompiledGroup, Epilogue, GroupSchedule, Prologue,
+};
 pub use records::{RecordsError, TuningCache, TuningRecord};
 pub use space::{matmul_space, reduce_space, MatmulConfig, ReduceConfig};
 pub use templates::matmul::{matmul_kernel, MatmulIo, MatmulProblem, Sink, Source};
 pub use templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
+pub use templates::{anchor_problem, AnchorProblem};
 pub use tuner::{
     pick_reduce_config, quick_score, splitk_variants, try_tune_matmul, try_tune_matmul_with,
     tune_matmul, TuneReport, TunerPolicy, SECONDS_PER_TRIAL,

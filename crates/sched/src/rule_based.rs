@@ -6,6 +6,7 @@
 //! depthwise convolution) become direct thread-per-output kernels with inner
 //! window loops.
 
+use hidet_graph::compute::delinearize_expr;
 use hidet_ir::prelude::*;
 use hidet_ir::visit::substitute;
 
@@ -47,7 +48,7 @@ pub fn elementwise_kernel(job: ElementwiseJob) -> Kernel {
     }
     let block = ELEMENTWISE_BLOCK;
     let flat = var("flat");
-    let idx = delinearize(flat.expr(), job.out.shape());
+    let idx = delinearize_expr(flat.expr(), job.out.shape());
     let mut value = job.expr.clone();
     for (axis, ie) in job.axes.iter().zip(&idx) {
         value = substitute(&value, axis, ie);
@@ -58,26 +59,6 @@ pub fn elementwise_kernel(job: ElementwiseJob) -> Kernel {
     ]);
     kb.body(hidet_ir::passes::simplify(body));
     kb.build()
-}
-
-/// Row-major delinearization helper.
-pub fn delinearize(flat: Expr, shape: &[i64]) -> Vec<Expr> {
-    let n = shape.len();
-    let mut strides = vec![1i64; n];
-    for i in (0..n.saturating_sub(1)).rev() {
-        strides[i] = strides[i + 1] * shape[i + 1];
-    }
-    (0..n)
-        .map(|i| {
-            let q = if strides[i] == 1 {
-                flat.clone()
-            } else {
-                flat.clone() / strides[i]
-            };
-            let e = if i == 0 { q } else { q % shape[i] };
-            hidet_ir::passes::simplify_expr(e)
-        })
-        .collect()
 }
 
 /// Which pooling reduction a window kernel performs.
@@ -138,7 +119,7 @@ pub fn pool_kernel(
     }
     let acc = kb.local("Acc", DType::F32, &[2]); // [value, count]
     let flat = var("flat");
-    let idx = delinearize(flat.expr(), out_shape);
+    let idx = delinearize_expr(flat.expr(), out_shape);
     let (n, ci, oh, ow) = (
         idx[0].clone(),
         idx[1].clone(),
@@ -216,7 +197,7 @@ pub fn depthwise_conv_kernel(
     }
     let acc = kb.local("Acc", DType::F32, &[1]);
     let flat = var("flat");
-    let idx = delinearize(flat.expr(), out_shape);
+    let idx = delinearize_expr(flat.expr(), out_shape);
     let (n, ci, oh, ow) = (
         idx[0].clone(),
         idx[1].clone(),
@@ -371,13 +352,5 @@ mod tests {
         for (a, b) in mem.read("Y").iter().zip(&expect) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn delinearize_simplifies() {
-        let flat = Var::index("f").expr();
-        let idx = delinearize(flat, &[2, 3, 4]);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx[2].to_string(), "(f % 4)");
     }
 }

@@ -7,3 +7,62 @@
 
 pub mod matmul;
 pub mod reduce;
+
+use hidet_graph::{Graph, OpKind, Operator};
+
+use self::matmul::MatmulProblem;
+use self::reduce::RowReduceKind;
+
+/// The problem an anchor operator poses to its template. The fused-group
+/// compiler, the tuner and the baselines all read it from [`anchor_problem`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnchorProblem {
+    /// A (batched) GEMM for the matmul template.
+    Matmul(MatmulProblem),
+    /// `rows` independent reductions of `len` elements for the reduce
+    /// template.
+    RowReduce {
+        /// What each row computes.
+        kind: RowReduceKind,
+        /// Number of rows.
+        rows: i64,
+        /// Elements per row.
+        len: i64,
+    },
+}
+
+/// The problem `op` poses, from its input shapes. `None` for operators no
+/// template schedules, and for a softmax or layer norm without the axis it
+/// reduces (a rank-0 input).
+pub fn anchor_problem(graph: &Graph, op: &Operator) -> Option<AnchorProblem> {
+    let input = |k: usize| graph.tensor(op.inputs[k]).shape();
+    let x = input(0);
+    let row_reduce = |kind, axis: usize| {
+        let len = *x.get(axis)?;
+        let rows = x[..axis].iter().product::<i64>() * x[axis + 1..].iter().product::<i64>();
+        Some(AnchorProblem::RowReduce { kind, rows, len })
+    };
+    match op.kind {
+        OpKind::Matmul => {
+            let b = input(1);
+            Some(AnchorProblem::Matmul(MatmulProblem::new(x[0], b[1], x[1])))
+        }
+        OpKind::BatchMatmul => {
+            let b = input(1);
+            Some(AnchorProblem::Matmul(MatmulProblem {
+                batch: x[0],
+                m: x[1],
+                n: b[2],
+                k: x[2],
+            }))
+        }
+        OpKind::Softmax { axis } => row_reduce(RowReduceKind::Softmax, axis),
+        OpKind::LayerNorm => row_reduce(RowReduceKind::LayerNorm, x.len().checked_sub(1)?),
+        OpKind::GlobalAvgPool => Some(AnchorProblem::RowReduce {
+            kind: RowReduceKind::MeanPool,
+            rows: x[0] * x[1],
+            len: x[2] * x[3],
+        }),
+        _ => None,
+    }
+}

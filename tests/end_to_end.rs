@@ -8,8 +8,13 @@ use hidet_graph::reference::{self, ValueMap};
 use hidet_graph::GraphBuilder;
 
 /// Compiles and runs `graph` on the simulator, compares every output tensor
-/// against the reference executor with relative tolerance `tol`.
-fn check(graph: &hidet_graph::Graph, inputs: &HashMap<TensorId, Vec<f32>>, tol: f32) {
+/// against the reference executor with relative tolerance `tol`, and returns
+/// the compiled graph.
+fn check(
+    graph: &hidet_graph::Graph,
+    inputs: &HashMap<TensorId, Vec<f32>>,
+    tol: f32,
+) -> CompiledGraph {
     let gpu = Gpu::default();
     let compiled = hidet::compile(graph, &gpu, &CompilerOptions::quick()).expect("compiles");
     let got = compiled.run(inputs, &gpu).expect("runs");
@@ -31,6 +36,7 @@ fn check(graph: &hidet_graph::Graph, inputs: &HashMap<TensorId, Vec<f32>>, tol: 
             );
         }
     }
+    compiled
 }
 
 fn randn(shape: &[i64], seed: u64) -> Vec<f32> {
@@ -201,5 +207,85 @@ fn tuned_compile_is_also_functionally_correct() {
     let expect = reference::execute(&graph, &ref_inputs);
     for (a, b) in got[&y].iter().zip(&expect[&y]) {
         assert!((a - b).abs() < 1e-2 * (1.0 + b.abs()), "{a} vs {b}");
+    }
+}
+
+#[test]
+fn an_epilogue_may_read_the_running_tensor_twice() {
+    // `y * y` and `y + y` after an anchor: both operands of the epilogue are
+    // the value the anchor carries, never a second inlining of the anchor.
+    for anchor in ["matmul", "softmax"] {
+        for square in [true, false] {
+            let mut g = GraphBuilder::new(&format!("{anchor}_self"));
+            let x = g.input("x", &[9, 12]);
+            let y = if anchor == "matmul" {
+                let w = g.constant(Tensor::randn(&[12, 10], 17));
+                g.matmul(x, w)
+            } else {
+                g.softmax(x, 1)
+            };
+            let y = if square { g.mul(y, y) } else { g.add(y, y) };
+            let graph = g.output(y).build();
+            let mut inputs = HashMap::new();
+            inputs.insert(x, randn(&[9, 12], 18));
+            let compiled = check(&graph, &inputs, 2e-2);
+            assert_eq!(compiled.num_kernels(), 1, "{anchor}, square {square}");
+        }
+    }
+}
+
+#[test]
+fn generated_kernels_are_pinned() {
+    // Kernel count, CUDA length and the source's stable digest of seven
+    // graphs: a refactor of scheduling or fusion must not move one byte.
+    use hidet_graph::models;
+    type Case = (fn() -> Graph, usize, usize, u64);
+    let cases: [Case; 7] = [
+        (|| models::resnet50(1), 56, 564_370, 0xf7fe_a713_c02c_8cf1),
+        (
+            || models::inception_v3(1),
+            111,
+            880_739,
+            0xc759_ef77_c5bd_ca71,
+        ),
+        (
+            || models::mobilenet_v2(1),
+            54,
+            379_602,
+            0xd36f_cd72_76a4_90c4,
+        ),
+        (
+            || models::bert_base(1, 128),
+            133,
+            582_275,
+            0xe6dc_d8f1_7518_0d53,
+        ),
+        (|| models::gpt2(1, 128), 134, 585_109, 0xd263_432d_2f4e_d281),
+        (
+            || models::gpt2_decode_step(2, 16),
+            158,
+            564_209,
+            0xb4dc_694c_13df_4cd3,
+        ),
+        (
+            || models::gpt2_prefill(8, 16),
+            158,
+            573_897,
+            0xfb6c_4849_3d8f_5419,
+        ),
+    ];
+    let gpu = Gpu::default();
+    for (build, kernels, bytes, digest) in cases {
+        let graph = build();
+        let compiled = hidet::compile(&graph, &gpu, &CompilerOptions::quick()).expect("compiles");
+        let source = compiled.cuda_source();
+        let mut hasher = hidet_graph::StableHasher::new();
+        hasher.write(source.as_bytes());
+        assert_eq!(
+            (compiled.num_kernels(), source.len(), hasher.finish()),
+            (kernels, bytes, digest),
+            "{}",
+            graph.name()
+        );
     }
 }

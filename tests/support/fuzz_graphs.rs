@@ -15,8 +15,14 @@ pub enum Step {
     Gelu,
     Tanh,
     AddBias,
+    /// `bias + t`: the running tensor is the right-hand operand.
+    BiasFirst,
     MulScale,
-    Linear { out: i64 },
+    /// `t * t`: both operands are the running tensor.
+    Square,
+    Linear {
+        out: i64,
+    },
     Softmax,
     LayerNorm,
     Reshape2x,
@@ -29,7 +35,9 @@ pub fn step_strategy() -> impl Strategy<Value = Step> {
         Just(Step::Gelu),
         Just(Step::Tanh),
         Just(Step::AddBias),
+        Just(Step::BiasFirst),
         Just(Step::MulScale),
+        Just(Step::Square),
         (4i64..24).prop_map(|out| Step::Linear { out }),
         Just(Step::Softmax),
         Just(Step::LayerNorm),
@@ -47,15 +55,20 @@ fn apply(g: &mut GraphBuilder, t: TensorId, step: &Step, seed: &mut u64) -> Tens
         Step::Relu => g.relu(t),
         Step::Gelu => g.gelu(t),
         Step::Tanh => g.tanh(t),
-        Step::AddBias => {
+        Step::AddBias | Step::BiasFirst => {
             let last = *shape.last().expect("rank >= 1");
             let b = g.constant(Tensor::randn(&[last], *seed));
-            g.add(t, b)
+            if matches!(step, Step::AddBias) {
+                g.add(t, b)
+            } else {
+                g.add(b, t)
+            }
         }
         Step::MulScale => {
             let s = g.constant(Tensor::full(&[1], 0.5));
             g.mul(t, s)
         }
+        Step::Square => g.mul(t, t),
         Step::Linear { out } => {
             if shape.len() != 2 {
                 return t;
