@@ -25,6 +25,7 @@
 //! `DESIGN.md` §10.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod diag;
 pub mod graph_verify;

@@ -25,6 +25,7 @@
 //!   harness can compare them uniformly.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ansor;
 pub mod autotvm;

@@ -8,6 +8,7 @@
 //! in each crate hold the behavioural claims (`TRAJECTORY.md`, DESIGN.md).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use hidet::HidetExecutor;
 use hidet_baselines::frameworks::{OnnxRuntimeLike, PyTorchLike};

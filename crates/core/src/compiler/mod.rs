@@ -546,19 +546,21 @@ mod tests {
     }
 
     #[test]
-    fn ablation_flags_apply() {
-        let (graph, _, _) = toy_graph();
-        let gpu = Gpu::default();
-        let opts = CompilerOptions {
-            tune: false,
-            disable_double_buffering: true,
-            ..CompilerOptions::tuned()
+    fn cache_keys_are_pinned() {
+        // The keys name stored artifacts: an option added or dropped must
+        // leave every reachable key where it was.
+        let decode = CompilerOptions {
+            tune: true,
+            ..CompilerOptions::quick().order_stable()
         };
-        let compiled = compile(&graph, &gpu, &opts).unwrap();
-        for group in compiled.groups() {
-            for kernel in &group.kernels {
-                assert_eq!(kernel.meta().pipeline_stages, 1);
-            }
+        for (options, bits) in [
+            (CompilerOptions::tuned(), 12545),
+            (CompilerOptions::quick(), 12544),
+            (CompilerOptions::exhaustive(), 1),
+            (CompilerOptions::quick().order_stable(), 12552),
+            (decode, 12553),
+        ] {
+            assert_eq!(options.cache_key_bits(), bits, "{options:?}");
         }
     }
 
@@ -600,11 +602,8 @@ mod tests {
         let artifact = compile(&graph, &gpu, &opts).unwrap().artifact().clone();
 
         // Different options bits.
-        let ablated = CompilerOptions {
-            disable_double_buffering: true,
-            ..CompilerOptions::quick()
-        };
-        let err = compile_from_artifact(&graph, &gpu, &ablated, artifact.clone()).unwrap_err();
+        let stable = CompilerOptions::quick().order_stable();
+        let err = compile_from_artifact(&graph, &gpu, &stable, artifact.clone()).unwrap_err();
         assert!(matches!(err, CompileError::Artifact(_)), "{err}");
 
         // Different device.

@@ -65,10 +65,6 @@ pub struct CompilerOptions {
     /// the default configuration is used everywhere (fast compiles, e.g. in
     /// tests).
     pub tune: bool,
-    /// Force double buffering off (ablation studies).
-    pub disable_double_buffering: bool,
-    /// Force parallel-k off (ablation studies).
-    pub disable_parallel_k: bool,
     /// Force every reduction onto schedules whose floating-point
     /// accumulation order depends only on element *indices*, never on the
     /// reduced length: row reductions (softmax, layer norm, pooling) run
@@ -117,8 +113,6 @@ impl CompilerOptions {
     pub fn tuned() -> CompilerOptions {
         CompilerOptions {
             tune: true,
-            disable_double_buffering: false,
-            disable_parallel_k: false,
             order_stable_reductions: false,
             tuning_cache: None,
             measure_top_k: Some(DEFAULT_MEASURE_TOP_K),
@@ -191,11 +185,11 @@ impl CompilerOptions {
     /// sizes. The pruning depth **does** participate — a different
     /// measurement set can crown a different schedule. The verify level
     /// does not: it gates whether bugs abort, never what is produced.
-    /// Used by the runtime's compiled-graph cache key.
+    /// Used by the runtime's compiled-graph cache key and artifact file
+    /// names. Bits 1 and 2 are unused: closing the gap would rename every
+    /// stored artifact.
     pub fn cache_key_bits(&self) -> u64 {
         (self.tune as u64)
-            | (self.disable_double_buffering as u64) << 1
-            | (self.disable_parallel_k as u64) << 2
             | (self.order_stable_reductions as u64) << 3
             | (self.measure_top_k.map_or(0, |k| k as u64 + 1) & 0xffff_ffff) << 8
     }
@@ -220,8 +214,6 @@ impl PartialEq for CompilerOptions {
             _ => false,
         };
         self.tune == other.tune
-            && self.disable_double_buffering == other.disable_double_buffering
-            && self.disable_parallel_k == other.disable_parallel_k
             && self.order_stable_reductions == other.order_stable_reductions
             && self.measure_top_k == other.measure_top_k
             && caches_match

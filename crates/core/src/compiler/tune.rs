@@ -175,7 +175,13 @@ pub(super) fn compile_one_group(
                 } else {
                     MatmulConfig::default()
                 };
-                schedule.matmul = apply_ablations(config, options);
+                schedule.matmul = config;
+                if options.order_stable_reductions {
+                    // Split-K sums per-split partials in a second kernel — a
+                    // different association of the same terms — so
+                    // order-stable mode forbids it.
+                    schedule.matmul.split_k = 1;
+                }
             }
             Some(AnchorProblem::RowReduce { rows, len, .. }) => {
                 schedule.reduce = reduce_for(rows, len);
@@ -241,16 +247,4 @@ fn store_record(
             },
         );
     }
-}
-
-fn apply_ablations(mut cfg: MatmulConfig, options: &CompilerOptions) -> MatmulConfig {
-    if options.disable_double_buffering {
-        cfg.stages = 1;
-    }
-    if options.disable_parallel_k || options.order_stable_reductions {
-        // Split-K sums per-split partials in a second kernel — a different
-        // association of the same terms — so order-stable mode forbids it.
-        cfg.split_k = 1;
-    }
-    cfg
 }

@@ -53,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod artifact;
 pub mod compiler;

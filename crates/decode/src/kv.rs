@@ -121,7 +121,6 @@ pub struct KvAllocator {
     total_blocks: usize,
     mem: DeviceMemory,
     free: Vec<usize>,
-    peak_in_use: usize,
     /// Per-block buffer names, precomputed so the per-token hot path
     /// (lane gathers, lane writes) never allocates.
     names: Vec<String>,
@@ -147,7 +146,6 @@ impl KvAllocator {
             total_blocks,
             mem,
             free,
-            peak_in_use: 0,
             names,
         }
     }
@@ -167,11 +165,6 @@ impl KvAllocator {
         self.total_blocks - self.free.len()
     }
 
-    /// High-water mark of allocated blocks.
-    pub fn peak_blocks(&self) -> usize {
-        self.peak_in_use
-    }
-
     /// The backing device memory (read access for gathers and tests).
     pub fn memory(&self) -> &DeviceMemory {
         &self.mem
@@ -189,7 +182,6 @@ impl KvAllocator {
         if slot == 0 {
             let block = self.free.pop().ok_or(KvError::Exhausted)?;
             cache.blocks.push(block);
-            self.peak_in_use = self.peak_in_use.max(self.blocks_in_use());
         }
         let block = *cache.blocks.last().expect("append allocated a block");
         cache.tokens += 1;
@@ -329,7 +321,6 @@ mod tests {
         }
         assert_eq!(cache.blocks(), 3); // ceil(7 / 3)
         assert_eq!(kv.blocks_in_use(), 3);
-        assert_eq!(kv.peak_blocks(), 3);
     }
 
     #[test]
@@ -395,7 +386,6 @@ mod tests {
         assert_eq!(kv.blocks_in_use(), 3);
         kv.release(&mut cache);
         assert_eq!(kv.blocks_in_use(), 0, "no block may leak");
-        assert_eq!(kv.peak_blocks(), 3, "peak survives release");
         // The freed blocks are reusable by a fresh sequence.
         let mut fresh = KvCache::new();
         for _ in 0..9 {

@@ -89,6 +89,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod engine;
 pub mod kv;

@@ -114,19 +114,6 @@ impl ComputeDef {
             _ => None,
         })
     }
-
-    /// Rewrites every placeholder-input load through `f(input_idx, indices)`,
-    /// leaving the output axes free (fusion uses [`ComputeDef::element_at`]).
-    pub fn map_input_loads(&self, f: &mut impl FnMut(usize, &[Expr]) -> Option<Expr>) -> Expr {
-        rewrite_expr(&self.expr, &mut |e| {
-            if let Expr::Load { buffer, indices } = e {
-                if let Some(idx) = parse_input_name(buffer.name()) {
-                    return f(idx, indices);
-                }
-            }
-            None
-        })
-    }
 }
 
 /// Parses `in<k>` placeholder buffer names.
@@ -474,16 +461,5 @@ mod tests {
         assert_eq!(parse_input_name("in0"), Some(0));
         assert_eq!(parse_input_name("in12"), Some(12));
         assert_eq!(parse_input_name("X"), None);
-    }
-
-    #[test]
-    fn map_input_loads_rewrites() {
-        let def = compute_def(&OpKind::Unary(UnaryKind::Relu), &[&[4]]).unwrap();
-        let rewritten = def.map_input_loads(&mut |idx, indices| {
-            assert_eq!(idx, 0);
-            let b = Buffer::new("X", MemScope::Global, DType::F32, &[4]);
-            Some(load(&b, indices.to_vec()))
-        });
-        assert_eq!(rewritten.to_string(), "max(X[i0], 0.0)");
     }
 }

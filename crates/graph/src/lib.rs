@@ -19,6 +19,7 @@
 //! evaluation: ResNet-50, Inception-V3, MobileNet-V2, Bert and GPT-2.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod compute;
 pub mod graph;

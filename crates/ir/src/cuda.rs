@@ -12,7 +12,6 @@ use crate::buffer::{BufferRef, MemScope};
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::kernel::Kernel;
 use crate::stmt::Stmt;
-use crate::visit::visit_exprs;
 
 /// Renders a kernel as a CUDA C `__global__` function, preceded by a launch
 /// comment.
@@ -263,56 +262,6 @@ fn emit_expr(e: &Expr) -> String {
     }
 }
 
-/// Rough source statistics used in reports (lines, loads, stores, syncs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceStats {
-    /// Number of generated source lines.
-    pub lines: usize,
-    /// Static count of load expressions.
-    pub loads: usize,
-    /// Static count of store statements.
-    pub stores: usize,
-    /// Static count of barriers.
-    pub syncs: usize,
-}
-
-/// Computes [`SourceStats`] for a kernel.
-pub fn source_stats(kernel: &Kernel) -> SourceStats {
-    let text = to_cuda(kernel);
-    let mut loads = 0;
-    visit_exprs(kernel.body(), &mut |e| {
-        if matches!(e, Expr::Load { .. }) {
-            loads += 1;
-        }
-    });
-    let mut syncs = 0;
-    fn count_syncs(s: &Stmt, n: &mut usize) {
-        match s {
-            Stmt::SyncThreads => *n += 1,
-            Stmt::Seq(items) => items.iter().for_each(|i| count_syncs(i, n)),
-            Stmt::For { body, .. } => count_syncs(body, n),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_syncs(then_body, n);
-                if let Some(e) = else_body {
-                    count_syncs(e, n);
-                }
-            }
-            _ => {}
-        }
-    }
-    count_syncs(kernel.body(), &mut syncs);
-    SourceStats {
-        lines: text.lines().count(),
-        loads,
-        stores: kernel.body().count_stores(),
-        syncs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,24 +331,5 @@ __global__ void cooperative_load_a(const float* __restrict__ A) {
         assert!(text.contains("stages=2"));
         assert!(text.contains("tensor_cores=true"));
         assert!(text.contains("parallel_k=3"));
-    }
-
-    #[test]
-    fn source_stats_counts() {
-        let mut kb = KernelBuilder::new("k", 1, 32);
-        let a = kb.param("A", DType::F32, &[32]);
-        let s = kb.shared("S", DType::F32, &[32]);
-        kb.push(store(&s, vec![thread_idx()], load(&a, vec![thread_idx()])));
-        kb.push(sync_threads());
-        kb.push(store(
-            &a,
-            vec![thread_idx()],
-            load(&s, vec![thread_idx()]) + 1.0f32,
-        ));
-        let stats = source_stats(&kb.build());
-        assert_eq!(stats.loads, 2);
-        assert_eq!(stats.stores, 2);
-        assert_eq!(stats.syncs, 1);
-        assert!(stats.lines > 5);
     }
 }

@@ -146,14 +146,6 @@ impl Kernel {
         &self.body
     }
 
-    /// Replaces the body, e.g. after a simplification pass.
-    pub fn with_body(&self, body: Stmt) -> Kernel {
-        Kernel {
-            body,
-            ..self.clone()
-        }
-    }
-
     /// Replaces the scheduler metadata (e.g. marking Tensor-Core execution
     /// for a library kernel).
     pub fn with_meta(&self, meta: KernelMeta) -> Kernel {

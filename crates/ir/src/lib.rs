@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod buffer;
 pub mod builder;

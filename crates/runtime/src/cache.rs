@@ -336,12 +336,9 @@ mod tests {
         cache.get_or_compile(&model(16, "m"), &gpu, &opts).unwrap();
         let (_, outcome) = cache.get_or_compile(&model(32, "m"), &gpu, &opts).unwrap();
         assert!(!outcome.is_hit(), "different hidden width must recompile");
-        let ablated = CompilerOptions {
-            disable_double_buffering: true,
-            ..CompilerOptions::quick()
-        };
+        let stable = CompilerOptions::quick().order_stable();
         let (_, outcome) = cache
-            .get_or_compile(&model(16, "m"), &gpu, &ablated)
+            .get_or_compile(&model(16, "m"), &gpu, &stable)
             .unwrap();
         assert!(!outcome.is_hit(), "different options must recompile");
         assert_eq!(cache.len(), 3);

@@ -114,6 +114,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod engine;

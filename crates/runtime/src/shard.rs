@@ -32,11 +32,11 @@ const DEFAULT_BATCH_SECONDS: f64 = 100e-6;
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// Index in `EngineConfig::devices`.
-    pub id: usize,
+    pub(crate) id: usize,
     /// The simulated device this shard executes on.
-    pub gpu: Gpu,
+    pub(crate) gpu: Gpu,
     /// Worker lanes feeding this device (`EngineConfig::workers`).
-    pub lanes: usize,
+    pub(crate) lanes: usize,
     /// Estimated seconds of every placed-but-unfinished batch, by token.
     /// Tokens increase monotonically with placement, so iterating the map
     /// yields batches in FIFO placement order — the order
@@ -54,7 +54,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub fn new(id: usize, spec: GpuSpec, lanes: usize) -> Shard {
+    pub(crate) fn new(id: usize, spec: GpuSpec, lanes: usize) -> Shard {
         Shard {
             id,
             gpu: Gpu::new(spec),
@@ -68,7 +68,7 @@ impl Shard {
     }
 
     /// Estimated delay before a new batch placed now would start executing.
-    pub fn queue_delay(&self) -> f64 {
+    pub(crate) fn queue_delay(&self) -> f64 {
         let pending: Vec<f64> = self
             .pending
             .lock()
@@ -83,7 +83,7 @@ impl Shard {
     /// [`Shard::release`] when the batch finishes (or fails). Tokens must
     /// be assigned in placement order (the dispatcher's counter guarantees
     /// this) so that [`Shard::queue_delay`] sees a FIFO queue.
-    pub fn place(&self, token: u64, estimated_seconds: f64) {
+    pub(crate) fn place(&self, token: u64, estimated_seconds: f64) {
         self.pending
             .lock()
             .expect("shard poisoned")
@@ -94,7 +94,7 @@ impl Shard {
     /// Accounts an executed batch's served requests and device time. Called
     /// *before* the batch's responses are sent, so a snapshot taken after
     /// the last response always sees consistent per-shard counters.
-    pub fn account(&self, served_requests: usize, busy_seconds: f64) {
+    pub(crate) fn account(&self, served_requests: usize, busy_seconds: f64) {
         self.requests.fetch_add(served_requests, Ordering::Relaxed);
         self.busy_nanos
             .fetch_add((busy_seconds * 1e9) as u64, Ordering::Relaxed);
@@ -102,17 +102,17 @@ impl Shard {
 
     /// Releases a placed batch's queue-delay contribution once the worker is
     /// done with it (successfully or not).
-    pub fn release(&self, token: u64) {
+    pub(crate) fn release(&self, token: u64) {
         self.pending.lock().expect("shard poisoned").remove(&token);
     }
 
     /// Counts a request shed at admission while this shard was the best
     /// placement candidate.
-    pub fn count_shed(&self) {
+    pub(crate) fn count_shed(&self) {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self) -> ShardSnapshot {
+    pub(crate) fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
             id: self.id,
             device: self.gpu.spec().name.clone(),
@@ -154,7 +154,7 @@ pub(crate) struct LatencyModel {
 
 impl LatencyModel {
     /// Stores the analytic estimate for `model` at `batch` on shard `shard`.
-    pub fn record(&self, shard: usize, model: &str, batch: i64, seconds: f64) {
+    pub(crate) fn record(&self, shard: usize, model: &str, batch: i64, seconds: f64) {
         self.map
             .lock()
             .expect("latency model poisoned")
@@ -164,7 +164,7 @@ impl LatencyModel {
     /// Drops every estimate recorded for `model` (all shards, all batch
     /// sizes) — called when the engine unloads a model so a later
     /// registration under the same name starts from fresh evidence.
-    pub fn forget_model(&self, model: &str) {
+    pub(crate) fn forget_model(&self, model: &str) {
         self.map
             .lock()
             .expect("latency model poisoned")
@@ -174,7 +174,7 @@ impl LatencyModel {
     /// Best available estimate for `model` at `batch` on shard `shard`:
     /// the exact entry, else the same shape on any shard, else another batch
     /// size of the model on this shard scaled linearly, else a small default.
-    pub fn estimate(&self, shard: usize, model: &str, batch: i64) -> f64 {
+    pub(crate) fn estimate(&self, shard: usize, model: &str, batch: i64) -> f64 {
         let map = self.map.lock().expect("latency model poisoned");
         if let Some(&s) = map.get(&(shard, model.to_string(), batch)) {
             return s;

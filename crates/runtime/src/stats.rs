@@ -81,9 +81,10 @@ impl LatencyReservoir {
     }
 }
 
-/// The `p`-th percentile (`0.0..=1.0`) of an ascending-sorted slice by
-/// nearest rank; `0.0` when the slice is empty. The one percentile rule every
-/// stats snapshot and bench table in the workspace uses.
+/// The `p`-th percentile (`0.0..=1.0`) of an ascending-sorted slice: the
+/// element at index `round((n − 1) · p)`, so p50 of `[1, 2, 3, 4]` is 3 (nearest
+/// rank would give 2); `0.0` when the slice is empty. The one percentile rule
+/// every stats snapshot and bench table in the workspace uses.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         0.0
@@ -653,10 +654,11 @@ mod tests {
         assert!((snap.p95_latency_seconds - 0.004).abs() < 1e-9);
         assert!((snap.total_simulated_seconds - 0.005).abs() < 1e-6);
         assert!((snap.simulated_throughput_rps - 1000.0).abs() < 1.0);
-        // The shared helper: nearest rank, and an empty slice is 0, not a
+        // The shared helper: rounded rank, and an empty slice is 0, not a
         // `len() - 1` underflow.
         assert_eq!(percentile(&[], 0.5), 0.0);
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.0), 1.0);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 3.0);
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 1.0), 4.0);
         assert_eq!(percentile(&[1.0, 2.0, 3.0], 0.5), 2.0);
     }

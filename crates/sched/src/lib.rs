@@ -25,6 +25,7 @@
 //!   plots in Fig. 17.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod fusion;
 pub mod json;

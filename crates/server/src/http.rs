@@ -10,6 +10,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Hard cap on the request head (request line + headers), bytes.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -48,25 +49,41 @@ impl HttpRequest {
     }
 }
 
-/// Reads one request from the stream. `Ok(None)` means the peer closed
-/// before sending anything (a clean no-request connection).
+/// How long a client has, from accept, to deliver its whole request: head
+/// and body together, however it spaces its bytes.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Reads one request from a connection accepted at `accepted_at`. `Ok(None)`
+/// means the peer closed before sending anything (a clean no-request
+/// connection).
 ///
 /// # Errors
-/// I/O errors, malformed request lines, heads/bodies past the caps, or body
-/// framing this server does not implement or cannot trust — any
-/// `Transfer-Encoding`, a `Content-Length` that is not plain digits, several
-/// that disagree (all mapped onto `io::ErrorKind::InvalidData`).
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<HttpRequest>> {
+/// I/O errors, malformed request lines, heads/bodies past the caps, a
+/// request not complete 5 s after `accepted_at`, or body framing this
+/// server does not implement or cannot trust — any `Transfer-Encoding`, a
+/// `Content-Length` that is not plain digits, several that disagree (all
+/// mapped onto `io::ErrorKind::InvalidData`).
+pub fn read_request(
+    stream: &mut TcpStream,
+    accepted_at: Instant,
+) -> io::Result<Option<HttpRequest>> {
+    read_request_by(stream, accepted_at + REQUEST_DEADLINE)
+}
+
+fn read_request_by(stream: &mut TcpStream, deadline: Instant) -> io::Result<Option<HttpRequest>> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let head_end = loop {
-        if let Some(i) = find_head_end(&buf) {
-            break i;
-        }
-        if buf.len() > MAX_HEAD_BYTES {
+        let found = find_head_end(&buf);
+        // Until its terminator is complete, the head is at least all but the
+        // last three bytes read.
+        if found.unwrap_or(buf.len().saturating_sub(3)) > MAX_HEAD_BYTES {
             return Err(invalid("request head too large"));
         }
-        let n = stream.read(&mut chunk)?;
+        if let Some(i) = found {
+            break i;
+        }
+        let n = read_before(stream, &mut chunk, deadline)?;
         if n == 0 {
             if buf.is_empty() {
                 return Ok(None);
@@ -132,7 +149,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<HttpRequest>> {
 
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
+        let n = read_before(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(invalid("connection closed mid-body"));
         }
@@ -147,6 +164,19 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<HttpRequest>> {
         headers,
         body,
     }))
+}
+
+/// One read, waiting no longer than what is left until `deadline`.
+fn read_before(stream: &mut TcpStream, chunk: &mut [u8], deadline: Instant) -> io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(invalid("request deadline passed"));
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(chunk).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => invalid("request deadline passed"),
+        _ => e,
+    })
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -278,7 +308,7 @@ mod tests {
                 b"POST /v2/infer HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world",
             )
             .unwrap();
-        let req = read_request(&mut server).unwrap().unwrap();
+        let req = read_request(&mut server, Instant::now()).unwrap().unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v2/infer");
         assert_eq!(req.query, "");
@@ -292,7 +322,7 @@ mod tests {
         client
             .write_all(b"POST /v2/generate?debug=timing&x=1 HTTP/1.1\r\nHost: x\r\n\r\n")
             .unwrap();
-        let req = read_request(&mut server).unwrap().unwrap();
+        let req = read_request(&mut server, Instant::now()).unwrap().unwrap();
         assert_eq!(req.path, "/v2/generate");
         assert_eq!(req.query, "debug=timing&x=1");
         assert!(req.query_flag("debug", "timing"));
@@ -304,14 +334,14 @@ mod tests {
     fn clean_close_yields_none() {
         let (client, mut server) = pair();
         drop(client);
-        assert!(read_request(&mut server).unwrap().is_none());
+        assert!(read_request(&mut server, Instant::now()).unwrap().is_none());
     }
 
     #[test]
     fn rejects_malformed_request_line() {
         let (mut client, mut server) = pair();
         client.write_all(b"NOT-HTTP\r\n\r\n").unwrap();
-        assert!(read_request(&mut server).is_err());
+        assert!(read_request(&mut server, Instant::now()).is_err());
     }
 
     #[test]
@@ -330,7 +360,7 @@ mod tests {
             client
                 .write_all(format!("POST /v2/infer HTTP/1.1\r\n{headers}\r\nhello").as_bytes())
                 .unwrap();
-            let err = read_request(&mut server).expect_err(headers);
+            let err = read_request(&mut server, Instant::now()).expect_err(headers);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{headers}");
             assert!(err.to_string().contains(why), "{headers}: {err}");
         }
@@ -339,7 +369,13 @@ mod tests {
         client
             .write_all(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
             .unwrap();
-        assert_eq!(read_request(&mut server).unwrap().unwrap().body, b"hello");
+        assert_eq!(
+            read_request(&mut server, Instant::now())
+                .unwrap()
+                .unwrap()
+                .body,
+            b"hello"
+        );
     }
 
     /// A request means the same however TCP segments it: written in two
@@ -358,7 +394,7 @@ mod tests {
         let parse = |pieces: &[&[u8]]| {
             let (mut client, mut server) = pair();
             client.set_nodelay(true).unwrap();
-            let reader = thread::spawn(move || read_request(&mut server));
+            let reader = thread::spawn(move || read_request(&mut server, Instant::now()));
             for piece in pieces {
                 client.write_all(piece).unwrap();
             }
@@ -373,6 +409,47 @@ mod tests {
         }
         let bytes: Vec<&[u8]> = wire.chunks(1).collect();
         assert_eq!(parse(&bytes), whole, "one byte at a time");
+    }
+
+    /// A client that keeps a connection alive by dribbling bytes cannot hold
+    /// a lane past the one deadline for the whole request.
+    #[test]
+    fn a_dribbling_client_fails_at_the_deadline() {
+        let (mut client, mut server) = pair();
+        let dribbler = thread::spawn(move || {
+            client.set_nodelay(true).unwrap();
+            for byte in b"GET / HTTP/1.1\r\nX: ".iter().chain([b'a'; 100].iter()) {
+                if client.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let start = Instant::now();
+        let err = read_request_by(&mut server, start + Duration::from_millis(200)).unwrap_err();
+        let elapsed = start.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The deadline plus scheduling slack; without it the read lasts as
+        // long as the client keeps sending (over 2 s here).
+        assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+        drop(server);
+        dribbler.join().unwrap();
+    }
+
+    #[test]
+    fn a_head_past_the_cap_is_rejected_even_in_one_write() {
+        let line = "GET / HTTP/1.1\r\nX: ";
+        let head = format!("{line}{}", "a".repeat(MAX_HEAD_BYTES + 100 - line.len()));
+        assert_eq!(head.len(), 16_484);
+        let (mut client, mut server) = pair();
+        let writer = thread::spawn(move || {
+            let _ = client.write_all(format!("{head}\r\n\r\n").as_bytes());
+        });
+        let err = read_request(&mut server, Instant::now()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("too large"), "{err}");
+        drop(server);
+        writer.join().unwrap();
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod api;
 pub mod http;

@@ -32,19 +32,20 @@ use crate::api::{self, ModelDirectory};
 use crate::http::{self, ChunkedWriter, HttpRequest};
 use crate::ring::{ring, Consumer, Producer};
 
+/// Lane (consumer) threads; each owns one ring.
+const LANES: usize = 2;
+/// Per-lane ring capacity.
+const RING_CAPACITY: usize = 64;
+/// How often the sampler refreshes the cached admission signal.
+const SIGNAL_INTERVAL: Duration = Duration::from_millis(1);
+
 /// Ingress tuning knobs. The defaults suit tests and small deployments.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Lane (consumer) threads; each owns one ring.
-    pub lanes: usize,
-    /// Per-lane ring capacity (rounded up to a power of two).
-    pub ring_capacity: usize,
     /// Estimated-queue-delay bound for socket-level shedding. A listener
     /// sheds when the sampled delay exceeds `bound × class delay slack`.
     /// `None` disables socket shedding (ring-full shedding still applies).
     pub shed_delay_bound: Option<Duration>,
-    /// How often the sampler refreshes the cached admission signal.
-    pub signal_interval: Duration,
     /// Tracing level applied to the process-wide tracer at startup:
     /// `MetricsOnly` (the default) keeps `GET /v2/metrics` live at ~zero
     /// overhead; `Full` (or sampled) additionally retains spans for
@@ -55,10 +56,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            lanes: 2,
-            ring_capacity: 64,
             shed_delay_bound: None,
-            signal_interval: Duration::from_millis(1),
             trace: TraceConfig::MetricsOnly,
         }
     }
@@ -136,7 +134,6 @@ impl HidetServer {
         decode: Arc<DecodeEngine>,
         signal: Arc<dyn AdmissionSignal>,
     ) -> io::Result<HidetServer> {
-        let lanes = config.lanes.max(1);
         hidet_trace::global().set_config(config.trace);
         let priority_listener = TcpListener::bind("127.0.0.1:0")?;
         let public_listener = TcpListener::bind("127.0.0.1:0")?;
@@ -151,10 +148,10 @@ impl HidetServer {
             closed: AtomicBool::new(false),
         });
 
-        let mut producers = Vec::with_capacity(lanes);
-        let mut consumers = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            let (tx, rx) = ring::<ConnJob>(config.ring_capacity);
+        let mut producers = Vec::with_capacity(LANES);
+        let mut consumers = Vec::with_capacity(LANES);
+        for _ in 0..LANES {
+            let (tx, rx) = ring::<ConnJob>(RING_CAPACITY);
             producers.push(tx);
             consumers.push(rx);
         }
@@ -178,7 +175,6 @@ impl HidetServer {
         if config.shed_delay_bound.is_some() {
             let delay_micros = Arc::clone(&delay_micros);
             let inner = Arc::clone(&inner);
-            let interval = config.signal_interval;
             threads.push(
                 thread::Builder::new()
                     .name("hidet-admission-sampler".to_string())
@@ -186,7 +182,7 @@ impl HidetServer {
                         while !inner.closed.load(Ordering::Acquire) {
                             let seconds = signal.estimated_queue_delay_seconds();
                             delay_micros.store((seconds.max(0.0) * 1e6) as u64, Ordering::Relaxed);
-                            thread::sleep(interval);
+                            thread::sleep(SIGNAL_INTERVAL);
                         }
                     })?,
             );
@@ -420,11 +416,10 @@ fn handle_connection(mut job: ConnJob, inner: &Inner) {
     );
     timing.mark("queue");
 
-    let _ = job.stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = job.stream.set_write_timeout(Some(Duration::from_secs(5)));
     let request = {
         let _parse = tracer.span(SpanKind::HttpParse, trace_id);
-        match http::read_request(&mut job.stream) {
+        match http::read_request(&mut job.stream, job.accepted_at) {
             Ok(Some(request)) => request,
             Ok(None) => {
                 // Connected, sent nothing, closed: not served, but still on

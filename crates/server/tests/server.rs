@@ -466,7 +466,6 @@ fn overload_sheds_at_the_socket_with_retry_after_but_spares_priority() {
     let server = HidetServer::start_with_signal(
         ServerConfig {
             shed_delay_bound: Some(Duration::from_millis(10)),
-            signal_interval: Duration::from_micros(200),
             ..ServerConfig::default()
         },
         Arc::clone(&engine),

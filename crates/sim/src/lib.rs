@@ -46,6 +46,7 @@
 // access in the executor.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cost;
 pub mod interp;

@@ -34,6 +34,7 @@
 //! mappings to loop nests and index arithmetic.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod check;
 mod display;

@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod metrics;
 pub mod ring;
