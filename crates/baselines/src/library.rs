@@ -11,9 +11,8 @@
 use hidet_graph::{Graph, OpKind, Operator};
 use hidet_sched::rule_based::{depthwise_conv_kernel, pool_kernel, WindowIo, WindowReduce};
 use hidet_sched::templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
-use hidet_sched::{
-    anchor_problem, matmul_kernel, AnchorProblem, MatmulConfig, MatmulIo, MatmulProblem,
-};
+use hidet_sched::{anchor_problem, matmul_work, AnchorProblem, MatmulConfig, MatmulProblem};
+use hidet_sim::cost::estimate_from;
 use hidet_sim::Gpu;
 
 use crate::executor::streaming_latency;
@@ -66,14 +65,28 @@ pub fn library_matmul_config(m: i64, n: i64, k: i64) -> MatmulConfig {
     }
 }
 
-/// Library GEMM latency (builds the actual kernel and asks the cost model).
+/// Library GEMM latency: the cost model over the template's kernels for the
+/// library's configuration.
 pub fn matmul_latency(problem: MatmulProblem, gpu: &Gpu) -> f64 {
     let cfg = library_matmul_config(problem.m, problem.n, problem.k);
-    let io = MatmulIo::direct("lib_gemm", problem);
-    let kernels = matmul_kernel(problem, cfg, io);
-    kernels
-        .iter()
-        .map(|k| gpu.estimate(k).map(|e| e.seconds).unwrap_or(f64::INFINITY))
+    priced_matmul(problem, cfg, false, gpu)
+}
+
+/// Simulated seconds of the template's kernels for `cfg` on `problem`, from
+/// [`matmul_work`] (no kernel is built), optionally marked as running on
+/// Tensor Cores; an unlaunchable kernel costs infinity.
+pub(crate) fn priced_matmul(
+    problem: MatmulProblem,
+    cfg: MatmulConfig,
+    tensor_cores: bool,
+    gpu: &Gpu,
+) -> f64 {
+    matmul_work(problem, cfg)
+        .into_iter()
+        .map(|(mut facts, work)| {
+            facts.meta.uses_tensor_cores |= tensor_cores;
+            estimate_from(&facts, &work, gpu.spec()).map_or(f64::INFINITY, |e| e.seconds)
+        })
         .sum()
 }
 

@@ -59,26 +59,10 @@ fn trt_matmul_latency(p: hidet_sched::MatmulProblem, allow_tc: bool, gpu: &Gpu) 
             tactics.push(cfg);
         }
     }
+    let tensor_cores = allow_tc && tensor_core_eligible(p);
     tactics
         .into_iter()
-        .map(|cfg| {
-            let io = hidet_sched::MatmulIo::direct("trt_gemm", p);
-            let kernels = hidet_sched::matmul_kernel(p, cfg, io);
-            kernels
-                .iter()
-                .map(|k| {
-                    let k = if allow_tc && tensor_core_eligible(p) {
-                        k.with_meta(hidet_ir::KernelMeta {
-                            uses_tensor_cores: true,
-                            ..k.meta()
-                        })
-                    } else {
-                        k.clone()
-                    };
-                    gpu.estimate(&k).map(|e| e.seconds).unwrap_or(f64::INFINITY)
-                })
-                .sum()
-        })
+        .map(|cfg| library::priced_matmul(p, cfg, tensor_cores, gpu))
         .fold(f64::INFINITY, f64::min)
 }
 

@@ -2,7 +2,7 @@
 //! verifiers at every pipeline stage, with **zero diagnostics** as the
 //! acceptance bar.
 //!
-//! Four layers of proof:
+//! Five layers of proof:
 //!
 //! 1. **graph IR**: every zoo model (the paper's five evaluation networks
 //!    plus the decode-step and prefill-chunk graphs) deep-verifies clean as
@@ -18,12 +18,18 @@
 //!    back — how much runs once for the whole block, why the rest does not,
 //!    and, as an error (HA040), any barrier interval in which two threads
 //!    race for an element: the templates partition their tiles, so one found
-//!    is a bug in a template or in the proof.
+//!    is a bug in a template or in the proof;
+//! 5. **the tuner's closed form**: for every distinct matmul problem of the
+//!    zoo, every candidate of the base space and every split-K child of each
+//!    is priced both ways — `matmul_work` against `KernelFacts::of` and
+//!    `count_work` of the built kernels — and the model's inputs must be
+//!    equal, field by field.
 //!
 //! ```text
 //! cargo run --release -p hidet-bench --bin verify_sweep
 //! ```
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use hidet::CompilerOptions;
@@ -34,18 +40,46 @@ use hidet_bench::print_table;
 use hidet_graph::models;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
 use hidet_graph::Graph;
-use hidet_sim::Gpu;
+use hidet_sched::{
+    anchor_problem, matmul_kernel, matmul_space, matmul_work, splitk_variants, AnchorProblem,
+    MatmulConfig, MatmulIo, MatmulProblem,
+};
+use hidet_sim::cost::count_work;
+use hidet_sim::{Gpu, KernelFacts};
 
 /// Deep-verifies one model through the graph-pass pipeline; returns every
-/// diagnostic (expected: none) and the number of checks run.
-fn sweep_graph(mut g: Graph, diags: &mut Vec<Diagnostic>) -> usize {
+/// diagnostic (expected: none) and the number of checks run, and collects
+/// the matmul problems its fused groups' anchors pose.
+fn sweep_graph(
+    mut g: Graph,
+    diags: &mut Vec<Diagnostic>,
+    problems: &mut HashSet<MatmulProblem>,
+) -> usize {
     diags.extend(verify_graph(&g, VerifyLevel::Deep));
     lower_convs(&mut g);
     diags.extend(verify_graph(&g, VerifyLevel::Deep));
     constant_fold(&mut g);
     diags.extend(verify_graph(&g, VerifyLevel::Deep));
-    diags.extend(verify_partition(&g, &partition(&g)));
+    let groups = partition(&g);
+    diags.extend(verify_partition(&g, &groups));
+    for anchor in groups.iter().filter_map(|group| group.anchor) {
+        if let Some(AnchorProblem::Matmul(problem)) = anchor_problem(&g, g.op(anchor)) {
+            problems.insert(problem);
+        }
+    }
     4
+}
+
+/// Whether `matmul_work` hands the latency model what the built kernels do.
+fn closed_form_matches(problem: MatmulProblem, config: MatmulConfig) -> bool {
+    let kernels = matmul_kernel(problem, config, MatmulIo::direct("tree", problem));
+    let tree: Vec<_> = (kernels.iter())
+        .map(|k| {
+            let counts = count_work(k.body()).expect("scheduled kernels have constant extents");
+            (KernelFacts::of(k), counts)
+        })
+        .collect();
+    matmul_work(problem, config) == tree
 }
 
 fn main() {
@@ -59,10 +93,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut diags = Vec::new();
     let mut checks = 0usize;
+    let mut problems = HashSet::new();
     let n_models = zoo.len();
     for g in &zoo {
         let before = diags.len();
-        checks += sweep_graph(g.clone(), &mut diags);
+        checks += sweep_graph(g.clone(), &mut diags, &mut problems);
         rows.push(vec![
             g.name().to_string(),
             format!("{}", g.ops().len()),
@@ -126,6 +161,32 @@ fn main() {
     ];
     print_table(&header, &rows);
 
+    // --- 5. the tuner's closed form against the tree ------------------------
+    let pricing = Instant::now();
+    let space = matmul_space(gpu.spec());
+    let (mut compared, mut mismatched) = (0usize, Vec::new());
+    for &problem in &problems {
+        for base in &space {
+            for split_k in std::iter::once(1).chain(splitk_variants(problem, base)) {
+                let config = MatmulConfig { split_k, ..*base };
+                compared += 1;
+                if !closed_form_matches(problem, config) {
+                    mismatched.push(format!("{problem:?} {}", config.id()));
+                }
+            }
+        }
+    }
+    println!(
+        "\nclosed-form work of {compared} schedules over {} distinct zoo matmul problems \
+         against the built kernels: {} mismatches in {:.0} ms",
+        problems.len(),
+        mismatched.len(),
+        pricing.elapsed().as_secs_f64() * 1e3
+    );
+    for line in mismatched.iter().take(10) {
+        println!("  mismatch: {line}");
+    }
+
     let sweep_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "\nswept {n_models} zoo models, {checks} verifier passes, {} diagnostics in {sweep_ms:.0} ms",
@@ -139,6 +200,10 @@ fn main() {
         diags.is_empty(),
         "the zoo must verify clean at every stage, got {} diagnostics",
         diags.len()
+    );
+    assert!(
+        mismatched.is_empty(),
+        "the tuner's closed form must equal the built kernels' work"
     );
     println!("all static-analysis sweep checks passed");
 }

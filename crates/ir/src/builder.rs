@@ -34,7 +34,6 @@ pub struct KernelBuilder {
     launch: LaunchConfig,
     meta: KernelMeta,
     body: Stmt,
-    fresh_counter: u32,
 }
 
 impl KernelBuilder {
@@ -49,7 +48,6 @@ impl KernelBuilder {
             launch: LaunchConfig::new(grid_dim, block_dim),
             meta: KernelMeta::default(),
             body: Stmt::Nop,
-            fresh_counter: 0,
         }
     }
 
@@ -92,13 +90,6 @@ impl KernelBuilder {
         self
     }
 
-    /// A fresh index variable with the given prefix (`prefix_0`, `prefix_1`, …).
-    pub fn fresh_var(&mut self, prefix: &str) -> Var {
-        let v = Var::index(&format!("{prefix}_{}", self.fresh_counter));
-        self.fresh_counter += 1;
-        v
-    }
-
     /// Finishes and validates the kernel.
     ///
     /// # Panics
@@ -132,8 +123,7 @@ pub fn fconst(v: f32) -> Expr {
     Expr::Float(v)
 }
 
-/// Fresh named index variable (caller must ensure uniqueness; see
-/// [`KernelBuilder::fresh_var`] for automatic uniqueness).
+/// Fresh named index variable (the caller ensures uniqueness).
 pub fn var(name: &str) -> Var {
     Var::index(name)
 }
@@ -278,14 +268,6 @@ mod tests {
         assert_eq!(kernel.params().len(), 1);
         assert_eq!(kernel.shared_buffers().len(), 1);
         assert!(kernel.body().contains_sync());
-    }
-
-    #[test]
-    fn fresh_vars_are_unique() {
-        let mut kb = KernelBuilder::new("k", 1, 1);
-        let v1 = kb.fresh_var("i");
-        let v2 = kb.fresh_var("i");
-        assert_ne!(v1.name(), v2.name());
     }
 
     #[test]

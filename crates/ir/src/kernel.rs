@@ -37,11 +37,6 @@ impl LaunchConfig {
     pub fn total_threads(&self) -> i64 {
         self.grid_dim * self.block_dim
     }
-
-    /// Number of warps per block (warp size 32, partial warps rounded up).
-    pub fn warps_per_block(&self) -> i64 {
-        (self.block_dim + 31) / 32
-    }
 }
 
 /// Performance-relevant metadata the scheduler attaches to a kernel.
@@ -146,15 +141,6 @@ impl Kernel {
         &self.body
     }
 
-    /// Replaces the scheduler metadata (e.g. marking Tensor-Core execution
-    /// for a library kernel).
-    pub fn with_meta(&self, meta: KernelMeta) -> Kernel {
-        Kernel {
-            meta,
-            ..self.clone()
-        }
-    }
-
     /// Total shared memory per block, in bytes.
     pub fn shared_bytes(&self) -> u64 {
         self.shared.iter().map(|b| b.size_bytes()).sum()
@@ -241,8 +227,6 @@ mod tests {
     fn launch_config_accessors() {
         let lc = LaunchConfig::new(256, 128);
         assert_eq!(lc.total_threads(), 32768);
-        assert_eq!(lc.warps_per_block(), 4);
-        assert_eq!(LaunchConfig::new(1, 33).warps_per_block(), 2);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!   scheduled anchor's input loads, epilogues into its output stores, with
 //!   index remapping through bijective operators;
 //! * [`tuner`] — exhaustive enumeration of the (small) space with the
-//!   simulator's cost model, reporting the simulated tuning cost the paper
-//!   plots in Fig. 17.
+//!   simulator's cost model, each candidate priced from the template's work
+//!   in closed form ([`matmul_work`]) rather than a built kernel, reporting
+//!   the simulated tuning cost the paper plots in Fig. 17.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -40,7 +41,7 @@ pub use fusion::{
 };
 pub use records::{RecordsError, TuningCache, TuningRecord};
 pub use space::{matmul_space, reduce_space, MatmulConfig, ReduceConfig};
-pub use templates::matmul::{matmul_kernel, MatmulIo, MatmulProblem, Sink, Source};
+pub use templates::matmul::{matmul_kernel, matmul_work, MatmulIo, MatmulProblem, Sink, Source};
 pub use templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
 pub use templates::{anchor_problem, AnchorProblem};
 pub use tuner::{

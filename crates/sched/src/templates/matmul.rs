@@ -19,6 +19,7 @@
 //!   follow-up reduce kernel (§6.3.4).
 
 use hidet_ir::prelude::*;
+use hidet_sim::{KernelFacts, WorkCounts};
 use hidet_taskmap::{repeat, spatial};
 
 use crate::space::MatmulConfig;
@@ -525,6 +526,93 @@ pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo)
         kernels.push(kb2.build());
     }
     kernels
+}
+
+/// What [`matmul_kernel`] with [`MatmulIo::direct`] hands the latency model,
+/// derived from `(problem, config)` without building a kernel: one
+/// `(facts, per-thread counts)` entry per kernel — the GEMM, then the
+/// split-K reduce when `split_k > 1`. Every field equals
+/// [`KernelFacts::of`] and [`hidet_sim::cost::count_work`] of the simplified
+/// kernels, so [`hidet_sim::cost::estimate_from`] of an entry is bit-equal to
+/// `estimate` of the kernel (`tests/matmul_work.rs` and `verify_sweep` hold
+/// the two to that).
+///
+/// # Panics
+/// As [`matmul_kernel`].
+pub fn matmul_work(problem: MatmulProblem, config: MatmulConfig) -> Vec<(KernelFacts, WorkCounts)> {
+    assert!(
+        config.is_structurally_valid(),
+        "invalid matmul config {}",
+        config.id()
+    );
+    let MatmulProblem { batch, m, n, k } = problem;
+    let MatmulConfig {
+        block_m: bm,
+        block_n: bn,
+        block_k: bk,
+        stages,
+        split_k,
+        ..
+    } = config;
+    let threads = config.threads();
+    let k_tiles = div_ceil(div_ceil(k, split_k), bk);
+    let (rm, rn) = config.warp_repeats();
+    let (r, s) = (rm * config.thread_m, rn * config.thread_n);
+    // Elements of one A tile plus one B tile that each thread loads.
+    let tile = bm * bk / threads + bk * bn / threads;
+    // Tiles each thread moves global → shared. Pipelined: the S−1 preloaded
+    // ones plus a prefetch per k-tile, charged in full under `if in_flight` —
+    // except that one k-tile unwraps the `k0` loop and folds the guard false.
+    let (tiles, syncs, staging_regs) = if stages <= 1 {
+        (k_tiles, 2 * k_tiles, 0)
+    } else {
+        let prefetched = if k_tiles > 1 { k_tiles } else { 0 };
+        (
+            (stages as i64 - 1).min(k_tiles) + prefetched,
+            1 + k_tiles,
+            tile,
+        )
+    };
+    // Each loaded element: one predicated select, a global read, a shared
+    // write. Each k-step of the block MMA: R + S shared reads, R·S FMAs.
+    let loaded = (tiles * tile) as f64;
+    let gemm = WorkCounts {
+        global_load_bytes: 4.0 * loaded,
+        global_store_bytes: (4 * r * s) as f64,
+        smem_bytes: 4.0 * loaded + (k_tiles * bk * 4 * (r + s)) as f64,
+        flops: loaded + (k_tiles * bk * 2 * r * s) as f64,
+        special_ops: 0.0,
+        syncs: syncs as f64,
+    };
+    let gemm_facts = KernelFacts {
+        launch: LaunchConfig::new(batch * div_ceil(m, bm) * div_ceil(n, bn) * split_k, threads),
+        meta: KernelMeta {
+            pipeline_stages: stages,
+            uses_tensor_cores: false,
+            parallel_k_parts: split_k as u32,
+            vector_width: 1,
+        },
+        shared_bytes: config.shared_bytes(),
+        registers_per_thread: (32 + r * s + r + s + staging_regs) as u64,
+    };
+    let mut out = vec![(gemm_facts, gemm)];
+    if split_k > 1 {
+        // One thread per output element: sum `split_k` partials, store once.
+        let reduce = WorkCounts {
+            global_load_bytes: (4 * split_k) as f64,
+            global_store_bytes: 4.0,
+            flops: split_k as f64,
+            ..WorkCounts::default()
+        };
+        let reduce_facts = KernelFacts {
+            launch: LaunchConfig::new(div_ceil(batch * m * n, 256), 256),
+            meta: KernelMeta::default(),
+            shared_bytes: 0,
+            registers_per_thread: 33,
+        };
+        out.push((reduce_facts, reduce));
+    }
+    out
 }
 
 /// The two coordinates of a 2-D task.

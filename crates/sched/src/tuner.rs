@@ -4,10 +4,13 @@
 //!
 //! Because the space has <200 candidates, Hidet simply *enumerates* it,
 //! evaluating each candidate with the simulator's latency model (standing in
-//! for an on-device measurement) and keeping the best. The tuner also reports
-//! the **simulated wall-clock tuning cost**: each candidate costs one
-//! compile+measure round-trip, the same per-trial overhead AutoTVM/Ansor pay —
-//! the difference in Fig. 17 comes entirely from the number of trials.
+//! for an on-device measurement) and keeping the best. A trial prices the
+//! template's [`matmul_work`] — the model's inputs in closed form, bit-equal
+//! to those of the built kernel — so no kernel is built until the elected
+//! schedule is compiled. The tuner also reports the **simulated wall-clock
+//! tuning cost**: each candidate costs one compile+measure round-trip, the
+//! same per-trial overhead AutoTVM/Ansor pay — the difference in Fig. 17
+//! comes entirely from the number of trials.
 //!
 //! Two cost reducers sit in front of the measurement loop:
 //!
@@ -17,17 +20,17 @@
 //!   problem's available K tiles, so `split_k = 8` on a 4-tile reduction *is*
 //!   the `split_k = 4` candidate);
 //! * **pruning** ([`TunerPolicy::measure_top_k`]) — candidates are ranked by
-//!   [`quick_score`], a closed-form occupancy/traffic estimate computed
-//!   without instantiating the template, and only the best `K` pay for a real
-//!   compile+measure trial (the PGO direction in PAPERS.md: spend measurement
-//!   where the profile says it matters).
+//!   [`quick_score`], a rough occupancy/traffic estimate, and only the best
+//!   `K` pay for a real compile+measure trial (the PGO direction in
+//!   PAPERS.md: spend measurement where the profile says it matters).
 
 use std::collections::HashSet;
 
+use hidet_sim::cost::estimate_from;
 use hidet_sim::{Gpu, GpuSpec, LatencyEstimate};
 
 use crate::space::{matmul_space, MatmulConfig, ReduceConfig};
-use crate::templates::matmul::{matmul_kernel, MatmulIo, MatmulProblem};
+use crate::templates::matmul::{matmul_work, MatmulProblem};
 
 /// Simulated wall-clock cost of one Hidet compile+measure trial, in seconds.
 ///
@@ -163,12 +166,10 @@ pub fn try_tune_matmul_with(
             return None; // dedup: this exact candidate already ran
         }
         *trials += 1;
-        let io = MatmulIo::direct("tune_probe", problem);
-        let kernels = matmul_kernel(problem, cfg, io);
         let mut total = 0.0;
         let mut first: Option<LatencyEstimate> = None;
-        for k in &kernels {
-            let est = gpu.estimate(k).ok()?;
+        for (facts, work) in matmul_work(problem, cfg) {
+            let est = estimate_from(&facts, &work, gpu.spec()).ok()?;
             total += est.seconds;
             first.get_or_insert(est);
         }
@@ -273,6 +274,7 @@ pub fn pick_reduce_config(rows: i64, len: i64, gpu: &Gpu) -> ReduceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::templates::matmul::{matmul_kernel, MatmulIo};
 
     #[test]
     fn tuning_enumerates_whole_space_quickly() {

@@ -21,9 +21,12 @@
 //! Work counts are extracted from the kernel IR itself (loop extents, loads,
 //! stores, arithmetic), so every scheduling decision — tile sizes, predicated
 //! partial tiles, parallel-k splits — changes the estimate through the code it
-//! actually generates, not through hand-wired constants.
+//! actually generates, not through hand-wired constants. [`estimate`] reads a
+//! built kernel; [`estimate_from`] is the same model over [`KernelFacts`] and
+//! [`WorkCounts`] a template derives in closed form, pinned equal to what
+//! [`count_work`] reads off the kernel it would build.
 
-use hidet_ir::{DType, Expr, Kernel, MemScope, Stmt};
+use hidet_ir::{DType, Expr, Kernel, KernelMeta, LaunchConfig, MemScope, Stmt};
 
 use crate::interp::SimError;
 use crate::spec::GpuSpec;
@@ -39,8 +42,6 @@ pub struct WorkCounts {
     pub smem_bytes: f64,
     /// Floating-point operations (per thread).
     pub flops: f64,
-    /// Integer/index operations (per thread).
-    pub int_ops: f64,
     /// Transcendental operations (exp/tanh/erf...), weighted separately.
     pub special_ops: f64,
     /// Barrier count (per block, dynamic).
@@ -53,7 +54,6 @@ impl WorkCounts {
         self.global_store_bytes += other.global_store_bytes * k;
         self.smem_bytes += other.smem_bytes * k;
         self.flops += other.flops * k;
-        self.int_ops += other.int_ops * k;
         self.special_ops += other.special_ops * k;
         self.syncs += other.syncs * k;
     }
@@ -64,7 +64,6 @@ impl WorkCounts {
             global_store_bytes: a.global_store_bytes.max(b.global_store_bytes),
             smem_bytes: a.smem_bytes.max(b.smem_bytes),
             flops: a.flops.max(b.flops),
-            int_ops: a.int_ops.max(b.int_ops),
             special_ops: a.special_ops.max(b.special_ops),
             syncs: a.syncs.max(b.syncs),
         }
@@ -82,14 +81,46 @@ pub struct Occupancy {
     pub limited_by: &'static str,
 }
 
+/// What the latency model reads of a kernel besides its body: how it
+/// launches, what the scheduler says about it, and what one block claims on
+/// chip. A template that knows these and the body's [`WorkCounts`] in closed
+/// form prices a schedule through [`estimate_from`] without building it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelFacts {
+    /// Grid and block dimensions.
+    pub launch: LaunchConfig,
+    /// Scheduler metadata (pipelining depth, Tensor Cores, ...).
+    pub meta: KernelMeta,
+    /// Shared memory per block, in bytes.
+    pub shared_bytes: u64,
+    /// Registers per thread.
+    pub registers_per_thread: u64,
+}
+
+impl KernelFacts {
+    /// The facts of a built kernel.
+    pub fn of(kernel: &Kernel) -> KernelFacts {
+        KernelFacts {
+            launch: kernel.launch(),
+            meta: kernel.meta(),
+            shared_bytes: kernel.shared_bytes(),
+            registers_per_thread: kernel.registers_per_thread(),
+        }
+    }
+}
+
 /// Computes occupancy for a kernel on a device.
 ///
 /// # Errors
 /// [`SimError::ResourceLimit`] if even a single block does not fit.
 pub fn occupancy(kernel: &Kernel, spec: &GpuSpec) -> Result<Occupancy, SimError> {
-    let block_dim = kernel.launch().block_dim as u64;
-    let shared = kernel.shared_bytes();
-    let regs = kernel.registers_per_thread() * block_dim;
+    occupancy_from(&KernelFacts::of(kernel), spec)
+}
+
+fn occupancy_from(facts: &KernelFacts, spec: &GpuSpec) -> Result<Occupancy, SimError> {
+    let block_dim = facts.launch.block_dim as u64;
+    let shared = facts.shared_bytes;
+    let regs = facts.registers_per_thread * block_dim;
     if shared > spec.shared_mem_per_block {
         return Err(SimError::ResourceLimit(format!(
             "{} B shared memory per block exceeds the {} B limit",
@@ -123,8 +154,7 @@ pub fn occupancy(kernel: &Kernel, spec: &GpuSpec) -> Result<Occupancy, SimError>
     }
     if limit == 0 {
         return Err(SimError::ResourceLimit(format!(
-            "kernel {} cannot fit a single block per SM (regs={regs}, shared={shared})",
-            kernel.name()
+            "not a single block fits on an SM (regs={regs}, shared={shared})"
         )));
     }
     Ok(Occupancy {
@@ -177,9 +207,20 @@ impl LatencyEstimate {
 /// [`SimError::ResourceLimit`] if the kernel cannot launch;
 /// [`SimError::NonConstExtent`] if a loop extent is not a constant.
 pub fn estimate(kernel: &Kernel, spec: &GpuSpec) -> Result<LatencyEstimate, SimError> {
-    let occ = occupancy(kernel, spec)?;
-    let per_thread = count_work(kernel.body())?;
-    let launch = kernel.launch();
+    estimate_from(&KernelFacts::of(kernel), &count_work(kernel.body())?, spec)
+}
+
+/// [`estimate`] of a kernel known by its facts and per-thread work counts.
+///
+/// # Errors
+/// [`SimError::ResourceLimit`] if the kernel cannot launch.
+pub fn estimate_from(
+    facts: &KernelFacts,
+    per_thread: &WorkCounts,
+    spec: &GpuSpec,
+) -> Result<LatencyEstimate, SimError> {
+    let occ = occupancy_from(facts, spec)?;
+    let launch = facts.launch;
     let block_dim = launch.block_dim as f64;
     let grid = launch.grid_dim as f64;
 
@@ -205,7 +246,7 @@ pub fn estimate(kernel: &Kernel, spec: &GpuSpec) -> Result<LatencyEstimate, SimE
     let active_sms = grid.min(spec.num_sms as f64);
     let bw_eff = (active_sms / spec.bandwidth_saturation_sms as f64).min(1.0);
 
-    let meta = kernel.meta();
+    let meta = facts.meta;
     let peak_flops = if meta.uses_tensor_cores {
         spec.tensor_flops()
     } else {
@@ -375,8 +416,6 @@ fn walk_expr(expr: &Expr, mult: f64, counts: &mut WorkCounts) {
             walk_expr(rhs, mult, counts);
             if lhs.dtype().is_float() && !op.is_predicate() {
                 counts.flops += mult;
-            } else {
-                counts.int_ops += mult;
             }
         }
         Expr::Unary { op, operand } => {
@@ -385,7 +424,7 @@ fn walk_expr(expr: &Expr, mult: f64, counts: &mut WorkCounts) {
             match op {
                 Exp | Sqrt | Rsqrt | Tanh | Erf | Log | Sigmoid => counts.special_ops += mult,
                 _ if operand.dtype().is_float() => counts.flops += mult,
-                _ => counts.int_ops += mult,
+                _ => {}
             }
         }
         Expr::Load { buffer, indices } => {

@@ -54,7 +54,9 @@ pub mod memory;
 pub mod spec;
 pub mod value;
 
-pub use cost::{estimated_queue_delay, CostBreakdown, LatencyEstimate, Occupancy, WorkCounts};
+pub use cost::{
+    estimated_queue_delay, CostBreakdown, KernelFacts, LatencyEstimate, Occupancy, WorkCounts,
+};
 pub use interp::{CodeRange, Program, RangeKind, Reason, SimError, Verdict};
 pub use memory::{BufferId, DeviceMemory};
 pub use spec::GpuSpec;

@@ -278,14 +278,47 @@ fn generated_kernels_are_pinned() {
     for (build, kernels, bytes, digest) in cases {
         let graph = build();
         let compiled = hidet::compile(&graph, &gpu, &CompilerOptions::quick()).expect("compiles");
-        let source = compiled.cuda_source();
-        let mut hasher = hidet_graph::StableHasher::new();
-        hasher.write(source.as_bytes());
+        let (len, digest_of) = source_digest(&compiled);
         assert_eq!(
-            (compiled.num_kernels(), source.len(), hasher.finish()),
+            (compiled.num_kernels(), len, digest_of),
             (kernels, bytes, digest),
             "{}",
             graph.name()
+        );
+    }
+}
+
+/// Length and stable digest of a compiled graph's CUDA source.
+fn source_digest(compiled: &CompiledGraph) -> (usize, u64) {
+    let source = compiled.cuda_source();
+    let mut hasher = hidet_graph::StableHasher::new();
+    hasher.write(source.as_bytes());
+    (source.len(), hasher.finish())
+}
+
+#[test]
+fn tuned_schedules_are_pinned() {
+    // What the tuner elects for the paper's five models, by its trial count
+    // and the CUDA source of the elected schedules: a change to how a trial
+    // is priced must not move one trial or one byte. (8,841 trials and
+    // 2,769,747 bytes in all.)
+    let cases: [(&str, usize, usize, u64); 5] = [
+        ("resnet50", 2097, 503_316, 0x14fd_40b7_6022_cb44),
+        ("inception_v3", 4014, 715_994, 0x181d_3c4c_296c_c6ff),
+        ("mobilenet_v2", 1758, 318_074, 0x673a_c967_4319_4deb),
+        ("bert", 486, 614_763, 0x2f26_a4df_7ecf_f21b),
+        ("gpt2", 486, 617_600, 0xee25_e3cd_6b6c_7f87),
+    ];
+    let gpu = Gpu::default();
+    let options = CompilerOptions::tuned().sequential();
+    for (name, trials, bytes, digest) in cases {
+        let graph = hidet_graph::models::by_name(name, 1).expect("a zoo model");
+        let compiled = hidet::compile(&graph, &gpu, &options).expect("compiles");
+        let (len, digest_of) = source_digest(&compiled);
+        assert_eq!(
+            (compiled.tuning_trials(), len, digest_of),
+            (trials, bytes, digest),
+            "{name}"
         );
     }
 }
