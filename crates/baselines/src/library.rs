@@ -164,7 +164,7 @@ pub fn op_latency(graph: &Graph, op: &Operator, gpu: &Gpu) -> f64 {
     }
 }
 
-fn direct_window_io(name: &str, in_shape: &[i64], out_shape: &[i64]) -> WindowIo {
+fn direct_window_io(name: &str, in_shape: &[i64], out_shape: &[i64]) -> WindowIo<'static> {
     let x = hidet_ir::Buffer::new(
         "X",
         hidet_ir::MemScope::Global,

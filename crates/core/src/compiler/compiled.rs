@@ -78,6 +78,27 @@ impl CompilePlan {
         self.groups.iter().map(|g| g.kernels.len()).sum()
     }
 
+    /// The constants a run uploads, in tensor order, with their elements:
+    /// those a kernel reads (some group's external input) or the caller does
+    /// (a graph output). What the passes left unread — a conv's unfolded
+    /// weight and its reshaped view — stays on the host, and a folded
+    /// constant nothing reads is never evaluated.
+    pub(crate) fn read_constants(&self) -> Vec<(TensorId, &[f32])> {
+        let graph = &self.graph;
+        let mut read: Vec<TensorId> = self
+            .groups
+            .iter()
+            .flat_map(|g| &g.inputs)
+            .chain(graph.outputs())
+            .copied()
+            .collect();
+        read.sort_unstable();
+        read.dedup();
+        read.into_iter()
+            .filter_map(|t| Some((t, graph.tensor(t).data()?)))
+            .collect()
+    }
+
     /// Every kernel of [`CompilePlan::groups`] lowered to its interpreter
     /// [`Program`], flattened in launch order. Lowered on first use, once
     /// for this plan and all its clones.
@@ -132,12 +153,8 @@ impl CompilePlan {
             }
             mem.alloc(&tensor_buffer_name(t), data);
         }
-        // Upload constants.
-        for idx in 0..self.graph.num_tensors() {
-            let t = TensorId(idx);
-            if let Some(data) = self.graph.tensor(t).data() {
-                mem.alloc(&tensor_buffer_name(t), data);
-            }
+        for (t, data) in self.read_constants() {
+            mem.alloc(&tensor_buffer_name(t), data);
         }
         let mut programs = self.programs().iter();
         for group in &self.groups {

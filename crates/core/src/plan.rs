@@ -251,8 +251,8 @@ struct Binding {
 
 impl Binding {
     /// Rebuilds `mem` for `plan` — arena sized, every planned buffer bound as
-    /// a view, constants uploaded, inputs and unplanned intermediates
-    /// allocated zeroed — and resolves every name once.
+    /// a view, the constants it reads uploaded, inputs and unplanned
+    /// intermediates allocated zeroed — and resolves every name once.
     fn new(mem: &mut DeviceMemory, plan: &CompilePlan) -> Binding {
         // A different plan may reuse buffer names with different meanings
         // (another model's tensor ids); start from clean bindings.
@@ -262,10 +262,8 @@ impl Binding {
             mem.bind_view(&slot.name, slot.offset, slot.len);
         }
         let graph = plan.graph();
-        for idx in 0..graph.num_tensors() {
-            if let Some(data) = graph.tensor(TensorId(idx)).data() {
-                mem.alloc(&tensor_buffer_name(TensorId(idx)), data);
-            }
+        for (t, data) in plan.read_constants() {
+            mem.alloc(&tensor_buffer_name(t), data);
         }
         for &t in graph.inputs() {
             mem.alloc_zeroed(&tensor_buffer_name(t), graph.tensor(t).numel() as usize);
@@ -316,11 +314,11 @@ impl Workspace {
     }
 
     /// Binds this workspace to `plan` if it is not already: sizes the arena,
-    /// binds every planned buffer as a view, uploads the graph's constants,
-    /// allocates (zeroed) every graph input buffer, and resolves every
-    /// buffer name the plan's kernels use to its id in this memory. A
-    /// workspace already bound to the same plan returns immediately — the
-    /// steady-state path.
+    /// binds every planned buffer as a view, uploads the constants a kernel
+    /// or the caller reads, allocates (zeroed) every graph input buffer, and
+    /// resolves every buffer name the plan's kernels use to its id in this
+    /// memory. A workspace already bound to the same plan returns
+    /// immediately — the steady-state path.
     ///
     /// Binding is implicit in [`CompilePlan::run_with`](crate::CompilePlan::run_with);
     /// stateful drivers that stage inputs **in place** (see
@@ -607,6 +605,91 @@ mod tests {
         other.alloc_zeroed("dst", 4);
         other.copy_from("dst", 1, ws.device_memory(), &tensor_buffer_name(x), 0, 1);
         assert_eq!(other.read("dst"), &[0.0, 42.0, 0.0, 0.0]);
+    }
+
+    /// Two dense convolutions (lowered to implicit GEMM, their weights
+    /// folded), a pool and a linear head.
+    fn conv_net() -> (Graph, TensorId, TensorId) {
+        let mut g = GraphBuilder::new("convs");
+        let x = g.input("x", &[1, 3, 12, 12]);
+        let y = g.conv_bn_relu(x, 8, 3, 1, 1);
+        let y = g.conv_bn_relu(y, 8, 3, 2, 1);
+        let p = g.global_avg_pool(y);
+        let out = g.linear(p, 4);
+        (g.output(out).build(), x, out)
+    }
+
+    #[test]
+    fn a_binding_uploads_only_the_constants_a_kernel_reads() {
+        let (graph, x, out) = conv_net();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        let (plan, folded) = (compiled.plan(), compiled.graph());
+        let mut ws = Workspace::new();
+        ws.bind(plan);
+        let bound = |t: TensorId| ws.device_memory().contains(&tensor_buffer_name(t));
+        let constants: Vec<TensorId> = (0..folded.num_tensors())
+            .map(TensorId)
+            .filter(|&t| folded.tensor(t).is_const())
+            .collect();
+        let skipped: Vec<TensorId> = constants.iter().copied().filter(|&t| !bound(t)).collect();
+
+        // What stays on the host is each conv's weight as built and the
+        // reshaped view of it that the fold shares — nothing else.
+        let weights: Vec<TensorId> = graph
+            .ops()
+            .iter()
+            .filter(|op| matches!(op.kind, hidet_graph::OpKind::Conv2d { .. }))
+            .map(|op| op.inputs[1])
+            .collect();
+        assert_eq!(weights.len(), 2);
+        assert_eq!(skipped.len(), 2 * weights.len(), "{skipped:?}");
+        for w in weights {
+            let payload = folded.tensor(w).data().unwrap();
+            let shares = |t: &&TensorId| std::ptr::eq(folded.tensor(**t).data().unwrap(), payload);
+            assert_eq!(skipped.iter().filter(shares).count(), 2, "t{}", w.0);
+        }
+
+        // Resident: the arena, the input and the read constants — an upload
+        // of every constant less exactly the skipped tensors' bytes.
+        let bytes = |ts: &[TensorId]| -> usize {
+            ts.iter()
+                .map(|&t| 4 * folded.tensor(t).numel() as usize)
+                .sum()
+        };
+        let every_constant = plan.memory_plan().peak_bytes() + bytes(&[x]) + bytes(&constants);
+        assert_eq!(
+            every_constant, 17_264,
+            "the parent commit's bound workspace"
+        );
+        assert_eq!(ws.resident_bytes(), every_constant - bytes(&skipped));
+
+        // The output's bits as the parent commit's binding made them.
+        let mut inputs = HashMap::new();
+        let data = Tensor::randn(&[1, 3, 12, 12], 5).data().unwrap().to_vec();
+        inputs.insert(x, data);
+        let planned = compiled.run_with(&inputs, &gpu, &mut ws).unwrap();
+        let unplanned = compiled.run(&inputs, &gpu).unwrap();
+        let bits: Vec<u32> = planned[&out].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(planned[&out], unplanned[&out]);
+        assert_eq!(bits, [1023730794, 1048328213, 1040940019, 3200115984]);
+    }
+
+    #[test]
+    fn a_fully_folded_graph_returns_its_constant_output() {
+        let mut g = GraphBuilder::new("folded");
+        let c = g.constant(Tensor::randn(&[2, 3], 4));
+        let t = g.transpose(c, &[1, 0]);
+        let y = g.relu(t);
+        let graph = g.output(y).build();
+        let expect = hidet_graph::reference::execute(&graph, &HashMap::new())[&y].clone();
+        let gpu = Gpu::default();
+        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
+        assert_eq!(compiled.num_kernels(), 0);
+        assert_eq!(compiled.run(&HashMap::new(), &gpu).unwrap()[&y], expect);
+        let mut ws = Workspace::new();
+        ws.run_prepared(compiled.plan(), &gpu).unwrap();
+        assert_eq!(ws.output(y).unwrap(), expect.as_slice());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Graph-level optimization passes (paper Fig. 10, step 2).
 //!
-//! * [`constant_fold`] — operators whose inputs are all constants are
-//!   evaluated at compile time (weight reshapes/transposes introduced by the
-//!   conv lowering disappear here);
+//! * [`constant_fold`] — operators whose inputs are all constants become
+//!   constants, evaluated on first read (weight reshapes/transposes
+//!   introduced by the conv lowering disappear here);
 //! * [`lower_convs`] — rewrites dense `Conv2d` into the paper's implicit-GEMM
 //!   form (§5.2, §6.3.4): `img2col → matmul → reshape/transpose` so that
 //!   convolutions reuse the matmul template plus post-scheduling fusion;
@@ -16,8 +16,10 @@ use crate::op::{OpKind, Operator};
 use crate::reference;
 use crate::tensor::Tensor;
 
-/// Evaluates every operator whose inputs are all constants, replacing its
-/// output with a constant tensor and dropping the operator.
+/// Replaces the output of every operator whose inputs are all constants with
+/// a constant tensor and drops the operator. The value is computed on the
+/// constant's first read, so a compile that never reads it (none does)
+/// never pays for it.
 ///
 /// Returns the number of folded operators.
 pub fn constant_fold(graph: &mut Graph) -> usize {
@@ -33,14 +35,15 @@ pub fn constant_fold(graph: &mut Graph) -> usize {
                 // Row-major order is unchanged: share the payload.
                 tensors[op.inputs[0].0].reshaped(&out_shape)
             } else {
-                let ins: Vec<&[f32]> = op
-                    .inputs
-                    .iter()
-                    .map(|t| tensors[t.0].data().expect("const"))
-                    .collect();
-                let shapes: Vec<&[i64]> = op.inputs.iter().map(|t| tensors[t.0].shape()).collect();
-                let value = reference::eval_kind(&op.kind, &ins, &shapes, &out_shape);
-                Tensor::from_vec(&out_shape, value)
+                let kind = op.kind.clone();
+                let inputs: Vec<Tensor> = op.inputs.iter().map(|t| tensors[t.0].clone()).collect();
+                let shape = out_shape.clone();
+                Tensor::lazy(&out_shape, move || {
+                    let ins: Vec<&[f32]> =
+                        inputs.iter().map(|t| t.data().expect("const")).collect();
+                    let shapes: Vec<&[i64]> = inputs.iter().map(Tensor::shape).collect();
+                    reference::eval_kind(&kind, &ins, &shapes, &shape)
+                })
             };
             folded += 1;
         } else {
@@ -400,6 +403,22 @@ mod tests {
             lower_convs(&mut graph);
             constant_fold(&mut graph);
             assert_eq!(graph.structural_hash(), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn lowering_and_folding_read_no_constant() {
+        let mut graph = crate::models::by_name("resnet50", 1).expect("a zoo model");
+        lower_convs(&mut graph);
+        assert!(constant_fold(&mut graph) > 0);
+        // Neither a weight as built nor anything folded from it.
+        let constants: Vec<TensorId> = (0..graph.num_tensors())
+            .map(TensorId)
+            .filter(|&t| graph.tensor(t).is_const())
+            .collect();
+        assert!(!constants.is_empty());
+        for t in constants {
+            assert!(!graph.tensor(t).is_evaluated(), "t{} was read", t.0);
         }
     }
 

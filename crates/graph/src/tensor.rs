@@ -1,17 +1,31 @@
 //! Host-side tensors.
 
 use hidet_ir::DType;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+/// A constant's elements: produced the first time anything reads them, once,
+/// and shared by every clone and view of the tensor.
+type Payload = Arc<LazyLock<Vec<f32>, Box<dyn FnOnce() -> Vec<f32> + Send>>>;
 
 /// A host tensor: shape, element type and (for constants/weights) data.
 ///
 /// Activations flowing through a [`crate::Graph`] are symbolic — shape only.
-/// Weights and other constants carry data (shared, cheap to clone).
-#[derive(Debug, Clone, PartialEq)]
+/// Weights and other constants carry data (shared, cheap to clone). A
+/// constant folded by [`crate::passes::constant_fold`] is computed on its
+/// first [`Tensor::data`], not when it is folded.
+#[derive(Debug, Clone)]
 pub struct Tensor {
     shape: Vec<i64>,
     dtype: DType,
-    data: Option<Arc<Vec<f32>>>,
+    data: Option<Payload>,
+}
+
+/// Shape, element type and elements (a folded constant is evaluated to
+/// compare it).
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Tensor) -> bool {
+        self.shape == other.shape && self.dtype == other.dtype && self.data() == other.data()
+    }
 }
 
 impl Tensor {
@@ -43,10 +57,16 @@ impl Tensor {
             "data length {} != shape volume {numel}",
             data.len()
         );
+        Tensor::lazy(shape, move || data)
+    }
+
+    /// A constant whose `shape`-volume elements `eval` produces on the
+    /// first read.
+    pub(crate) fn lazy(shape: &[i64], eval: impl FnOnce() -> Vec<f32> + Send + 'static) -> Tensor {
         Tensor {
             shape: shape.to_vec(),
             dtype: DType::F32,
-            data: Some(Arc::new(data)),
+            data: Some(Arc::new(LazyLock::new(Box::new(eval)))),
         }
     }
 
@@ -125,9 +145,19 @@ impl Tensor {
         self.shape.len()
     }
 
-    /// Constant data, if this tensor is a constant.
+    /// Constant data, if this tensor is a constant; a folded constant is
+    /// evaluated by the first call.
     pub fn data(&self) -> Option<&[f32]> {
-        self.data.as_ref().map(|d| d.as_slice())
+        self.data.as_deref().map(|d| d.as_slice())
+    }
+
+    /// Whether anything has read a constant's elements yet (a folded
+    /// constant's are produced by that first read).
+    #[cfg(test)]
+    pub(crate) fn is_evaluated(&self) -> bool {
+        self.data
+            .as_deref()
+            .is_some_and(|d| LazyLock::get(d).is_some())
     }
 
     /// True for constants (weights, folded values).
@@ -178,6 +208,32 @@ mod tests {
         assert!(!Tensor::symbolic(&[4], DType::F32)
             .reshaped(&[2, 2])
             .is_const());
+    }
+
+    #[test]
+    fn a_lazy_payload_is_evaluated_once_and_shared() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let t = Tensor::lazy(&[2, 3], move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+            (0..6).map(|i| i as f32 * 0.5).collect()
+        });
+        let (clone, view) = (t.clone(), t.reshaped(&[3, 2]));
+        assert!(!t.is_evaluated());
+        let first = std::thread::scope(|s| s.spawn(|| view.data().unwrap()).join().unwrap());
+        assert!(t.is_evaluated() && clone.is_evaluated());
+        for read in [
+            t.data().unwrap(),
+            clone.data().unwrap(),
+            view.data().unwrap(),
+        ] {
+            assert!(std::ptr::eq(read, first));
+        }
+        let bits: Vec<u32> = first.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = (0..6).map(|i| (i as f32 * 0.5).to_bits()).collect();
+        assert_eq!(bits, want);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! sub-graph: pick the anchor's template, build the fused IO closures, and
 //! emit kernels.
 
-use std::rc::Rc;
-
 use hidet_graph::compute::{compute_def, delinearize_expr, linearize_expr};
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::{Graph, OpId, OpKind, TensorId};
@@ -29,13 +27,6 @@ use crate::space::{MatmulConfig, ReduceConfig};
 use crate::templates::matmul::{matmul_kernel, MatmulIo, Sink, Source};
 use crate::templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
 use crate::templates::{anchor_problem, AnchorProblem};
-
-/// A prologue: computes one element of an anchor input from real parameters.
-/// (Type alias re-exported for API clarity.)
-pub type Prologue = Box<dyn Fn(&[Expr]) -> Expr>;
-
-/// An epilogue: transforms an output element and remaps its destination.
-pub type Epilogue = Box<dyn Fn(&[Expr], Expr) -> Stmt>;
 
 /// Per-group schedule choices (filled in by the tuner).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -199,37 +190,23 @@ pub fn compile_group(
             })]
         }
         Some(anchor) => {
-            // The IO closures outlive this call: they share one copy of the
-            // graph and of the group.
-            let graph = Rc::new(graph.clone());
-            let group = Rc::new(group.clone());
             let op = graph.op(anchor);
-            match anchor_problem(&graph, op) {
+            match anchor_problem(graph, op) {
                 Some(AnchorProblem::Matmul(problem)) => {
-                    let source = |t: TensorId| -> Source {
+                    let source = |t: TensorId| {
                         if graph.producer(t).is_some_and(|p| group.ops.contains(&p)) {
-                            let (graph2, group2) = (Rc::clone(&graph), Rc::clone(&group));
                             Source::Fused(Box::new(move |b, i, j| {
-                                let idx: Vec<Expr> = if graph2.tensor(t).ndim() == 3 {
-                                    vec![b.clone(), i.clone(), j.clone()]
-                                } else {
-                                    vec![i.clone(), j.clone()]
-                                };
-                                resolve_element(&graph2, &group2.ops, t, &idx)
+                                let idx = matmul_indices(graph, t, b, i, j);
+                                resolve_element(graph, &group.ops, t, &idx)
                             }))
                         } else {
-                            Source::Direct(tensor_buffer(&graph, t))
+                            Source::Direct(tensor_buffer(graph, t))
                         }
                     };
-                    let (graph2, group2) = (Rc::clone(&graph), Rc::clone(&group));
+                    let anchor_out = op.output;
                     let sink = Sink::Fused(Box::new(move |b, i, j, value| {
-                        let anchor_out = graph2.op(anchor).output;
-                        let idx: Vec<Expr> = if graph2.tensor(anchor_out).ndim() == 3 {
-                            vec![b.clone(), i.clone(), j.clone()]
-                        } else {
-                            vec![i.clone(), j.clone()]
-                        };
-                        apply_epilogues(&graph2, &group2, idx, value)
+                        let idx = matmul_indices(graph, anchor_out, b, i, j);
+                        apply_epilogues(graph, group, idx, value)
                     }));
                     let io = MatmulIo {
                         name,
@@ -241,7 +218,7 @@ pub fn compile_group(
                     matmul_kernel(problem, schedule.matmul, io)
                 }
                 Some(AnchorProblem::RowReduce { kind, rows, len }) => {
-                    let io = row_reduce_io(&graph, &group, kind, name, params);
+                    let io = row_reduce_io(graph, group, kind, name, params);
                     vec![reduce_kernel(kind, rows, len, schedule.reduce, io)]
                 }
                 None => match &op.kind {
@@ -263,7 +240,7 @@ pub fn compile_group(
                         let x_t = op.inputs[0];
                         let in_shape = graph.tensor(x_t).shape().to_vec();
                         let out_shape = graph.tensor(op.output).shape().to_vec();
-                        let io = window_io(&graph, &group, name, x_t, params);
+                        let io = window_io(graph, group, name, x_t, params);
                         vec![pool_kernel(
                             reduce, &in_shape, &out_shape, *kernel, *stride, *padding, io,
                         )]
@@ -284,11 +261,11 @@ pub fn compile_group(
                                 op.name
                             ));
                         }
-                        let io = window_io(&graph, &group, name, x_t, params);
+                        let io = window_io(graph, group, name, x_t, params);
                         vec![depthwise_conv_kernel(
                             &in_shape,
                             &out_shape,
-                            tensor_buffer(&graph, w_t),
+                            tensor_buffer(graph, w_t),
                             w_shape[2],
                             *stride,
                             *padding,
@@ -326,6 +303,16 @@ pub fn compile_group(
     })
 }
 
+/// The indices of matmul operand or result `t` at template coordinates
+/// `(batch, row, col)`: the batch index only when `t` is batched.
+fn matmul_indices(graph: &Graph, t: TensorId, b: &Expr, i: &Expr, j: &Expr) -> Vec<Expr> {
+    if graph.tensor(t).ndim() == 3 {
+        vec![b.clone(), i.clone(), j.clone()]
+    } else {
+        vec![i.clone(), j.clone()]
+    }
+}
+
 /// Rebuilds full tensor indices from a `(row, axis)` coordinate pair.
 fn row_axis_indices(shape: &[i64], axis: usize, r: &Expr, a: &Expr) -> Vec<Expr> {
     let inner: i64 = shape[axis + 1..].iter().product();
@@ -345,13 +332,13 @@ fn row_axis_indices(shape: &[i64], axis: usize, r: &Expr, a: &Expr) -> Vec<Expr>
 /// `a` of row `r` of the anchor's input (prologues inlined), stores run the
 /// epilogues. A layer norm's affine parameters are applied in the store; a
 /// pooled row is one output element.
-fn row_reduce_io(
-    graph: &Rc<Graph>,
-    group: &Rc<FusedGroup>,
+fn row_reduce_io<'a>(
+    graph: &'a Graph,
+    group: &'a FusedGroup,
     kind: RowReduceKind,
     name: String,
     params: Vec<BufferRef>,
-) -> ReduceIo {
+) -> ReduceIo<'a> {
     let op = graph.op(group.anchor.expect("row reduce needs an anchor"));
     let x_t = op.inputs[0];
     let shape = graph.tensor(x_t).shape().to_vec();
@@ -373,11 +360,9 @@ fn row_reduce_io(
         )
     });
     let load_element = element.clone();
-    let (graph2, group2) = (Rc::clone(graph), Rc::clone(group));
-    let (graph3, group3) = (Rc::clone(graph), Rc::clone(group));
     ReduceIo {
         name,
-        load: Box::new(move |r, a| resolve_element(&graph2, &group2.ops, x_t, &load_element(r, a))),
+        load: Box::new(move |r, a| resolve_element(graph, &group.ops, x_t, &load_element(r, a))),
         store: Box::new(move |r, a, v| {
             let v = match &affine {
                 Some((gamma, beta)) => {
@@ -390,25 +375,23 @@ fn row_reduce_io(
                 // The pooled output is `[n, c]`.
                 idx.truncate(2);
             }
-            apply_epilogues(&graph3, &group3, idx, v)
+            apply_epilogues(graph, group, idx, v)
         }),
         params,
     }
 }
 
-fn window_io(
-    graph: &Rc<Graph>,
-    group: &Rc<FusedGroup>,
+fn window_io<'a>(
+    graph: &'a Graph,
+    group: &'a FusedGroup,
     name: String,
     x_t: TensorId,
     params: Vec<BufferRef>,
-) -> WindowIo {
-    let (graph2, group2) = (Rc::clone(graph), Rc::clone(group));
-    let (graph3, group3) = (Rc::clone(graph), Rc::clone(group));
+) -> WindowIo<'a> {
     WindowIo {
         name,
-        load: Box::new(move |idx| resolve_element(&graph2, &group2.ops, x_t, idx)),
-        store: Box::new(move |idx, v| apply_epilogues(&graph3, &group3, idx.to_vec(), v)),
+        load: Box::new(move |idx| resolve_element(graph, &group.ops, x_t, idx)),
+        store: Box::new(move |idx, v| apply_epilogues(graph, group, idx.to_vec(), v)),
         params,
     }
 }

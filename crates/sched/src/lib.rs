@@ -36,9 +36,7 @@ pub mod space;
 pub mod templates;
 pub mod tuner;
 
-pub use fusion::{
-    compile_group, tensor_buffer_name, CompiledGroup, Epilogue, GroupSchedule, Prologue,
-};
+pub use fusion::{compile_group, tensor_buffer_name, CompiledGroup, GroupSchedule};
 pub use records::{RecordsError, TuningCache, TuningRecord};
 pub use space::{matmul_space, reduce_space, MatmulConfig, ReduceConfig};
 pub use templates::matmul::{matmul_kernel, matmul_work, MatmulIo, MatmulProblem, Sink, Source};

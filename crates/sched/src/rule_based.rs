@@ -71,26 +71,26 @@ pub enum WindowReduce {
 }
 
 /// Maps logical element indices to a value expression.
-pub type ElementLoad = Box<dyn Fn(&[Expr]) -> Expr>;
+pub type ElementLoad<'a> = Box<dyn Fn(&[Expr]) -> Expr + 'a>;
 
 /// Stores a computed value at logical element indices.
-pub type ElementStore = Box<dyn Fn(&[Expr], Expr) -> Stmt>;
+pub type ElementStore<'a> = Box<dyn Fn(&[Expr], Expr) -> Stmt + 'a>;
 
 /// IO binding for window kernels (pooling / depthwise convolution): loads
 /// address logical NCHW input coordinates; the store receives full output
 /// indices and the computed value (epilogues fused by the caller).
-pub struct WindowIo {
+pub struct WindowIo<'a> {
     /// Kernel name.
     pub name: String,
     /// Reads `x[n, c, h, w]`.
-    pub load: ElementLoad,
+    pub load: ElementLoad<'a>,
     /// Stores `out[indices] = value`.
-    pub store: ElementStore,
+    pub store: ElementStore<'a>,
     /// Kernel parameters.
     pub params: Vec<BufferRef>,
 }
 
-impl std::fmt::Debug for WindowIo {
+impl std::fmt::Debug for WindowIo<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WindowIo")
             .field("name", &self.name)
@@ -108,7 +108,7 @@ pub fn pool_kernel(
     kernel: i64,
     stride: i64,
     padding: i64,
-    io: WindowIo,
+    io: WindowIo<'_>,
 ) -> Kernel {
     let (h, w) = (in_shape[2], in_shape[3]);
     let numel: i64 = out_shape.iter().product();
@@ -186,7 +186,7 @@ pub fn depthwise_conv_kernel(
     kernel: i64,
     stride: i64,
     padding: i64,
-    io: WindowIo,
+    io: WindowIo<'_>,
 ) -> Kernel {
     let (h, w) = (in_shape[2], in_shape[3]);
     let numel: i64 = out_shape.iter().product();
@@ -271,7 +271,7 @@ mod tests {
         );
     }
 
-    fn direct_window_io(name: &str, in_shape: &[i64], out_shape: &[i64]) -> WindowIo {
+    fn direct_window_io(name: &str, in_shape: &[i64], out_shape: &[i64]) -> WindowIo<'static> {
         let x = Buffer::new("X", MemScope::Global, DType::F32, in_shape);
         let y = Buffer::new("Y", MemScope::Global, DType::F32, out_shape);
         let x2 = x.clone();

@@ -53,21 +53,21 @@ impl MatmulProblem {
 ///
 /// Post-scheduling fusion supplies `Fused` variants; unfused matmuls use
 /// `Direct` buffers.
-pub enum Source {
+pub enum Source<'a> {
     /// Load straight from a buffer of rank 2 (`[m, k]`) or 3 (`[b, m, k]`).
     Direct(BufferRef),
     /// A fused prologue: maps `(batch, row, col)` index expressions to the
     /// value expression (referencing real kernel parameters).
-    Fused(FusedLoad),
+    Fused(FusedLoad<'a>),
 }
 
 /// A fused prologue load: `(batch, row, col)` indices to a value expression.
-pub type FusedLoad = Box<dyn Fn(&Expr, &Expr, &Expr) -> Expr>;
+pub type FusedLoad<'a> = Box<dyn Fn(&Expr, &Expr, &Expr) -> Expr + 'a>;
 
 /// A fused epilogue store: `(batch, row, col, value)` to a store statement.
-pub type FusedStore = Box<dyn Fn(&Expr, &Expr, &Expr, Expr) -> Stmt>;
+pub type FusedStore<'a> = Box<dyn Fn(&Expr, &Expr, &Expr, Expr) -> Stmt + 'a>;
 
-impl Source {
+impl Source<'_> {
     fn at(&self, b: Expr, i: Expr, j: Expr) -> Expr {
         match self {
             Source::Direct(buf) => match buf.ndim() {
@@ -83,7 +83,7 @@ impl Source {
     }
 }
 
-impl std::fmt::Debug for Source {
+impl std::fmt::Debug for Source<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Source::Direct(buf) => write!(f, "Direct({})", buf.name()),
@@ -94,14 +94,14 @@ impl std::fmt::Debug for Source {
 
 /// Output path: either a direct store to `C`, or a fused epilogue mapping the
 /// logical `(batch, row, col, value)` to a store statement.
-pub enum Sink {
+pub enum Sink<'a> {
     /// Store to a rank-2/3 buffer.
     Direct(BufferRef),
     /// A fused epilogue chain.
-    Fused(FusedStore),
+    Fused(FusedStore<'a>),
 }
 
-impl Sink {
+impl Sink<'_> {
     fn store_at(&self, b: &Expr, i: &Expr, j: &Expr, value: Expr) -> Stmt {
         match self {
             Sink::Direct(buf) => match buf.ndim() {
@@ -117,7 +117,7 @@ impl Sink {
     }
 }
 
-impl std::fmt::Debug for Sink {
+impl std::fmt::Debug for Sink<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Sink::Direct(buf) => write!(f, "Direct({})", buf.name()),
@@ -128,23 +128,23 @@ impl std::fmt::Debug for Sink {
 
 /// Inputs/outputs binding the template to real kernel parameters.
 #[derive(Debug)]
-pub struct MatmulIo {
+pub struct MatmulIo<'a> {
     /// Kernel name.
     pub name: String,
     /// How to read A.
-    pub a: Source,
+    pub a: Source<'a>,
     /// How to read B.
-    pub b: Source,
+    pub b: Source<'a>,
     /// Where C goes.
-    pub c: Sink,
+    pub c: Sink<'a>,
     /// The kernel's parameter buffers, in order (every buffer the sources,
     /// sink and partial outputs reference).
     pub params: Vec<BufferRef>,
 }
 
-impl MatmulIo {
+impl MatmulIo<'static> {
     /// Plain unfused binding: fresh `A`, `B`, `C` parameter buffers.
-    pub fn direct(name: &str, p: MatmulProblem) -> MatmulIo {
+    pub fn direct(name: &str, p: MatmulProblem) -> MatmulIo<'static> {
         let (a, b, c) = if p.batch == 1 {
             (
                 Buffer::new("A", MemScope::Global, DType::F32, &[p.m, p.k]),
@@ -168,7 +168,7 @@ impl MatmulIo {
         .named(name)
     }
 
-    fn named(mut self, name: &str) -> MatmulIo {
+    fn named(mut self, name: &str) -> Self {
         self.name = name.to_string();
         self
     }
@@ -181,7 +181,11 @@ impl MatmulIo {
 /// # Panics
 /// Panics if `config` is not structurally valid for the task-mapping
 /// composition (check [`MatmulConfig::is_structurally_valid`] first).
-pub fn matmul_kernel(problem: MatmulProblem, config: MatmulConfig, io: MatmulIo) -> Vec<Kernel> {
+pub fn matmul_kernel(
+    problem: MatmulProblem,
+    config: MatmulConfig,
+    io: MatmulIo<'_>,
+) -> Vec<Kernel> {
     assert!(
         config.is_structurally_valid(),
         "invalid matmul config {}",

@@ -28,26 +28,26 @@ pub enum RowReduceKind {
 }
 
 /// Reads the element at `(row, axis)` coordinates.
-pub type RowLoad = Box<dyn Fn(&Expr, &Expr) -> Expr>;
+pub type RowLoad<'a> = Box<dyn Fn(&Expr, &Expr) -> Expr + 'a>;
 
 /// Stores the reduced value for `(row, axis, value)`.
-pub type RowStore = Box<dyn Fn(&Expr, &Expr, Expr) -> Stmt>;
+pub type RowStore<'a> = Box<dyn Fn(&Expr, &Expr, Expr) -> Stmt + 'a>;
 
 /// IO binding for the reduce template. Loads/stores address logical `(row,
 /// axis)` coordinates; the compiler closes over the original tensor layout.
-pub struct ReduceIo {
+pub struct ReduceIo<'a> {
     /// Kernel name.
     pub name: String,
     /// Reads element `a` of row `r`.
-    pub load: RowLoad,
+    pub load: RowLoad<'a>,
     /// Stores the result for `(r, a, value)`; for [`RowReduceKind::MeanPool`]
     /// it is invoked once per row with `a == 0`.
-    pub store: RowStore,
+    pub store: RowStore<'a>,
     /// Kernel parameter buffers.
     pub params: Vec<BufferRef>,
 }
 
-impl std::fmt::Debug for ReduceIo {
+impl std::fmt::Debug for ReduceIo<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReduceIo")
             .field("name", &self.name)
@@ -56,10 +56,10 @@ impl std::fmt::Debug for ReduceIo {
     }
 }
 
-impl ReduceIo {
+impl ReduceIo<'static> {
     /// Direct binding: input `X[rows, len]`, output `Y` (`[rows, len]`, or
     /// `[rows]` for mean pooling).
-    pub fn direct(name: &str, kind: RowReduceKind, rows: i64, len: i64) -> ReduceIo {
+    pub fn direct(name: &str, kind: RowReduceKind, rows: i64, len: i64) -> ReduceIo<'static> {
         let x = Buffer::new("X", MemScope::Global, DType::F32, &[rows, len]);
         let y = match kind {
             RowReduceKind::MeanPool => Buffer::new("Y", MemScope::Global, DType::F32, &[rows]),
@@ -85,7 +85,7 @@ pub fn reduce_kernel(
     rows: i64,
     len: i64,
     config: ReduceConfig,
-    io: ReduceIo,
+    io: ReduceIo<'_>,
 ) -> Kernel {
     assert!(config.is_valid(), "invalid reduce config {config:?}");
     if config.threads_per_row == 1 {
@@ -105,7 +105,7 @@ fn thread_per_row_kernel(
     rows: i64,
     len: i64,
     block: i64,
-    io: ReduceIo,
+    io: ReduceIo<'_>,
 ) -> Kernel {
     let grid = div_ceil(rows, block);
     let mut kb = KernelBuilder::new(&io.name, grid, block);
@@ -199,7 +199,7 @@ fn cooperative_kernel(
     rows: i64,
     len: i64,
     config: ReduceConfig,
-    io: ReduceIo,
+    io: ReduceIo<'_>,
 ) -> Kernel {
     let p = config.threads_per_row;
     let rows_pb = config.rows_per_block();
