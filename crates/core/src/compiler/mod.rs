@@ -26,9 +26,10 @@ use crate::plan::MemoryPlan;
 
 /// Compiles a model for the given device (paper Fig. 10, steps 2–5).
 ///
-/// Computes `graph.structural_hash()` — O(model weights) — to stamp the
-/// artifact key; callers that already hold the hash (the runtime's compiled
-/// cache memoizes it per model variant) should use [`compile_hashed`].
+/// Computes `graph.structural_hash()` — O(operators): it reads each
+/// constant's digest, not its elements — to stamp the artifact key; callers
+/// that already hold the hash (the runtime's compiled cache memoizes it per
+/// model variant) may use [`compile_hashed`].
 ///
 /// # Errors
 /// [`CompileError::Schedule`] if a fused group has no applicable template.
@@ -41,7 +42,7 @@ pub fn compile(
 }
 
 /// [`compile`] with a precomputed [`Graph::structural_hash`], skipping the
-/// O(model-weights) rehash. `graph_hash` becomes the artifact's cache key —
+/// rehash. `graph_hash` becomes the artifact's cache key —
 /// passing a hash that is not `graph`'s produces artifacts that will never
 /// validate against the graph again.
 pub fn compile_hashed(
@@ -251,8 +252,8 @@ pub fn compile_from_artifact(
 }
 
 /// [`compile_from_artifact`] with a precomputed [`Graph::structural_hash`]
-/// (the hash the artifact is validated against), skipping the
-/// O(model-weights) rehash on the cache's warm path.
+/// (the hash the artifact is validated against), skipping the rehash on
+/// the cache's warm path.
 pub fn compile_from_artifact_hashed(
     graph: &Graph,
     graph_hash: u64,

@@ -199,7 +199,7 @@ pub(super) fn validate_spec(
     }
     let embed = Tensor::randn(&[spec.vocab, spec.hidden], EMBED_SEED)
         .data()
-        .expect("randn is materialized")
+        .expect("randn is a constant")
         .to_vec();
     Ok(ModelDef {
         name: spec.name.clone(),

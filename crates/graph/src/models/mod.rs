@@ -70,6 +70,25 @@ mod tests {
     }
 
     #[test]
+    fn zoo_keys_are_pinned() {
+        // The `hidet-graph-v2` structural hash of each model as built: every
+        // compiled-graph cache key and artifact file name of the zoo hangs
+        // off these, so a change to the digest scheme must be a deliberate
+        // key bump (a new domain string), not an accident.
+        let golden: [(&str, u64); 5] = [
+            ("resnet50", 0xe205f7b8acfd3fdb),
+            ("inception_v3", 0xf4782f0c09cae299),
+            ("mobilenet_v2", 0xb48c830648834c7c),
+            ("bert", 0x820297b92679391b),
+            ("gpt2", 0x438177d2308f47b9),
+        ];
+        for (name, want) in golden {
+            let hash = by_name(name, 1).expect("a zoo model").structural_hash();
+            assert_eq!(hash, want, "{name}: {hash:#018x}");
+        }
+    }
+
+    #[test]
     fn by_name_roundtrip() {
         for name in ["resnet50", "inception_v3", "mobilenet_v2", "bert", "gpt2"] {
             assert_eq!(by_name(name, 1).unwrap().name(), name);

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use crate::graph::{Graph, OpId, TensorId};
+use crate::hash::StableHasher;
 use crate::op::{OpKind, Operator};
 use crate::reference;
 use crate::tensor::Tensor;
@@ -37,8 +38,9 @@ pub fn constant_fold(graph: &mut Graph) -> usize {
             } else {
                 let kind = op.kind.clone();
                 let inputs: Vec<Tensor> = op.inputs.iter().map(|t| tensors[t.0].clone()).collect();
+                let digest = fold_digest(&kind, &inputs, &out_shape);
                 let shape = out_shape.clone();
-                Tensor::lazy(&out_shape, move || {
+                Tensor::lazy(&out_shape, digest, move || {
                     let ins: Vec<&[f32]> =
                         inputs.iter().map(|t| t.data().expect("const")).collect();
                     let shapes: Vec<&[i64]> = inputs.iter().map(Tensor::shape).collect();
@@ -54,6 +56,28 @@ pub fn constant_fold(graph: &mut Graph) -> usize {
     let outputs = graph.outputs().to_vec();
     graph.replace(tensors, kept, inputs, outputs);
     folded
+}
+
+/// A folded constant's digest: the operator (kind and attributes), then each
+/// input's shape and digest, then the output shape — everything
+/// `reference::eval_kind` computes the elements from.
+fn fold_digest(kind: &OpKind, inputs: &[Tensor], out_shape: &[i64]) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_str("fold");
+    h.write_str(&format!("{kind:?}"));
+    let shape = |h: &mut StableHasher, shape: &[i64]| {
+        h.write_u64(shape.len() as u64);
+        for &d in shape {
+            h.write_i64(d);
+        }
+    };
+    h.write_u64(inputs.len() as u64);
+    for t in inputs {
+        shape(&mut h, t.shape());
+        h.write_u64(t.digest().expect("a folded input is a constant"));
+    }
+    shape(&mut h, out_shape);
+    h.finish()
 }
 
 /// Rewrites every dense convolution (`groups == 1`) into
@@ -389,10 +413,11 @@ mod tests {
         // `structural_hash` of the zoo's conv models after `lower_convs` +
         // `constant_fold`, captured at the commit before the fold stopped
         // going through a per-element `reference::transpose` and a copying
-        // `Reshape`. The hash covers every folded weight's bits, so the
-        // odometer, the tiled matrix case and the shared reshape are pinned
-        // on every weight the zoo has (inception's 1x7 / 7x1 kernels are the
-        // non-square ones), and with them every artifact key downstream.
+        // `Reshape`, when that hash still absorbed every constant element:
+        // `content_hash` is that algorithm. It covers every folded weight's
+        // bits, so the odometer, the tiled matrix case and the shared
+        // reshape are pinned on every weight the zoo has (inception's 1x7 /
+        // 7x1 kernels are the non-square ones).
         let golden: [(&str, u64); 3] = [
             ("resnet50", 0x7a0695b99fd85abd),
             ("inception_v3", 0x31b4514bcf940c32),
@@ -402,23 +427,44 @@ mod tests {
             let mut graph = crate::models::by_name(name, 1).expect("a zoo model");
             lower_convs(&mut graph);
             constant_fold(&mut graph);
-            assert_eq!(graph.structural_hash(), want, "{name}");
+            assert_eq!(graph.content_hash(), want, "{name}");
         }
     }
 
     #[test]
     fn lowering_and_folding_read_no_constant() {
-        let mut graph = crate::models::by_name("resnet50", 1).expect("a zoo model");
-        lower_convs(&mut graph);
-        assert!(constant_fold(&mut graph) > 0);
-        // Neither a weight as built nor anything folded from it.
-        let constants: Vec<TensorId> = (0..graph.num_tensors())
-            .map(TensorId)
-            .filter(|&t| graph.tensor(t).is_const())
-            .collect();
-        assert!(!constants.is_empty());
-        for t in constants {
-            assert!(!graph.tensor(t).is_evaluated(), "t{} was read", t.0);
+        // Neither a weight as built nor anything folded from it, at any
+        // step from the model's build to its folded graph.
+        let assert_unread = |graph: &Graph, step: &str| {
+            let constants: Vec<TensorId> = (0..graph.num_tensors())
+                .map(TensorId)
+                .filter(|&t| graph.tensor(t).is_const())
+                .collect();
+            assert!(!constants.is_empty());
+            for t in constants {
+                assert!(
+                    !graph.tensor(t).is_evaluated(),
+                    "{} {step}: t{} was read",
+                    graph.name(),
+                    t.0
+                );
+            }
+        };
+        for name in ["resnet50", "gpt2"] {
+            let mut graph = crate::models::by_name(name, 1).expect("a zoo model");
+            assert_unread(&graph, "as built");
+            graph.structural_hash();
+            assert_unread(&graph, "hashed");
+            lower_convs(&mut graph);
+            assert_unread(&graph, "lowered");
+            let folded = constant_fold(&mut graph);
+            assert!(
+                folded > 0 || name == "gpt2",
+                "resnet50 folds its conv weights"
+            );
+            assert_unread(&graph, "folded");
+            graph.structural_hash();
+            assert_unread(&graph, "folded and hashed");
         }
     }
 

@@ -77,8 +77,9 @@ impl fmt::Debug for ModelSpec {
 
 pub(super) struct Variant {
     pub(super) graph: Arc<Graph>,
-    /// Memoized `Graph::structural_hash` — O(model weights) to compute, so
-    /// it is taken once here instead of on every request batch.
+    /// Memoized `Graph::structural_hash` — O(operators) to compute (it reads
+    /// constant digests, not elements), taken once here instead of on every
+    /// request batch.
     pub(super) hash: u64,
 }
 

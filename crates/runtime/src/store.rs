@@ -17,6 +17,15 @@
 //! `artifact-<graph_hash>-<options>-<device>.json`), never file contents,
 //! so a sweep is O(directory) with no JSON parsing; unrecognized file names
 //! are always left alone.
+//!
+//! Files named under an earlier graph-hash scheme are residue this sweep
+//! never reaches. When `structural_hash` moved from `hidet-graph-v1` (every
+//! constant element hashed) to `-v2` (each constant's digest), every model's
+//! hash changed: the v1-named files of a store are never loaded again (no
+//! key names them, and a renamed one would fail
+//! [`hidet::CompiledArtifact::validate_key`]), and `remove_model`, which is
+//! given the hashes of live models, does not remove them. Delete them by
+//! hand.
 
 use std::path::PathBuf;
 
