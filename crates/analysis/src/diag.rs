@@ -97,8 +97,9 @@ pub enum Rule {
     /// threads could not be shown to stay apart (it runs per thread).
     LaneFootprintUnproven,
     /// HA042 — a barrier interval runs per thread for what is in it: it can
-    /// fault, holds a value whose type differs by path, or branches on
-    /// something the block does not share.
+    /// fault, holds a value whose type differs by path, or has a loop whose
+    /// trip count differs by thread. (A branch the threads take differently
+    /// runs wide under lane masks.)
     LanePerThread,
     /// HA101 — a blocking primitive (`Mutex`, `RwLock`, `Condvar`,
     /// `mpsc::`) is reachable from the server's lock-free ingress ring.
@@ -176,7 +177,7 @@ impl Rule {
             Rule::PlanDuplicateName => "memory-plan slots share a buffer name",
             Rule::LaneOverlap => "two threads of a barrier interval meet at an element one stores",
             Rule::LaneFootprintUnproven => "threads of a storing barrier interval not shown apart",
-            Rule::LanePerThread => "barrier interval can fault, is untyped or diverges",
+            Rule::LanePerThread => "barrier interval can fault, is untyped or loops by thread",
             Rule::LintBlockingPrimitive => "blocking primitive in the lock-free ingress ring",
             Rule::LintPanicInHotPath => "panic-capable call in a runtime/decode hot loop",
             Rule::LintMissingDocsAttr => "public crate missing #![warn(missing_docs)]",

@@ -21,7 +21,7 @@ fn reason_name(reason: &Reason) -> &'static str {
     match reason {
         Reason::CanFault => "can-fault",
         Reason::Untyped => "untyped",
-        Reason::Divergent => "divergent",
+        Reason::DivergentLoop => "divergent-loop",
         Reason::UnprovenFootprint => "unproven-footprint",
         Reason::Overlap { .. } => "overlap",
     }
@@ -30,7 +30,8 @@ fn reason_name(reason: &Reason) -> &'static str {
 /// One finding per range of `program` that does not run wide: HA040 (an
 /// error) where two threads meet at an element one of them stores, HA041
 /// where the threads of a storing range could not be shown apart, HA042
-/// where the range can fault, is untyped or diverges.
+/// where the range can fault, is untyped or has a loop whose trip count
+/// differs by thread.
 pub fn check_lanes(program: &Program, location: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (i, range) in program.ranges().iter().enumerate() {

@@ -4,7 +4,7 @@
 //! family, each a [`PassDef`]).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use hidet_graph::{Graph, Tensor, TensorId};
 use hidet_sched::tensor_buffer_name;
@@ -157,7 +157,10 @@ pub(super) struct PassDef {
     /// Tokens each sequence feeds through one pass.
     pub(super) chunk: usize,
     pub(super) graph: Graph,
-    pub(super) graph_hash: u64,
+    /// `graph`'s compile-cache key, hashed by the first compile rather than
+    /// at registration: hashing both pass graphs was nearly half of what
+    /// registering a model cost.
+    graph_hash: OnceLock<u64>,
     pub(super) x_id: TensorId,
     pub(super) mask_id: TensorId,
     pub(super) past_ids: Vec<(TensorId, TensorId)>,
@@ -165,6 +168,13 @@ pub(super) struct PassDef {
     /// Device-buffer names of the per-layer `new_k`/`new_v` graph outputs,
     /// precomputed so the per-pass KV harvest never allocates.
     pub(super) cache_out_names: Vec<(String, String)>,
+}
+
+impl PassDef {
+    /// The graph's structural hash, computed once.
+    pub(super) fn graph_hash(&self) -> u64 {
+        *self.graph_hash.get_or_init(|| self.graph.structural_hash())
+    }
 }
 
 /// Builds and checks a [`ModelDef`]: the decode step at `max_batch`
@@ -283,7 +293,7 @@ fn validate_pass(
     check(logits_id, &[seqs * chunk, spec.vocab], "logits output")?;
     Ok(PassDef {
         chunk: chunk as usize,
-        graph_hash: graph.structural_hash(),
+        graph_hash: OnceLock::new(),
         x_id,
         mask_id,
         past_ids,

@@ -380,7 +380,7 @@ impl IterCtx<'_> {
             .cache
             .get_or_compile_hashed(
                 &pass.graph,
-                pass.graph_hash,
+                pass.graph_hash(),
                 self.gpu,
                 self.options,
                 self.shared.config.artifact_store.as_deref(),

@@ -19,7 +19,7 @@
 //!   victim, releases its chain and later rebuilds it by re-feeding tokens
 //!   (eviction + recompute — the allocator itself stays policy-free);
 //! * step kernels read cache lanes via [`KvAllocator::lane`] and new rows are
-//!   copied in device-to-device ([`KvAllocator::copy_lane_from`], backed by
+//!   copied in device-to-device ([`KvAllocator::copy_into_lane`], backed by
 //!   [`DeviceMemory::copy_from`]).
 
 use std::fmt;
@@ -85,7 +85,7 @@ impl KvCache {
 }
 
 /// Write coordinates of a freshly appended token, consumed by
-/// [`KvAllocator::copy_lane_from`] / [`KvAllocator::lane_mut`].
+/// [`KvAllocator::copy_into_lane`] / [`KvAllocator::lane_mut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvSlot {
     /// Arena block index.
@@ -172,7 +172,7 @@ impl KvAllocator {
 
     /// Reserves the next token slot of `cache`, allocating a block when the
     /// chain crosses a block boundary. The slot's lanes hold stale bytes
-    /// until written ([`KvAllocator::copy_lane_from`]).
+    /// until written ([`KvAllocator::copy_into_lane`]).
     ///
     /// # Errors
     /// [`KvError::Exhausted`] when a new block is needed and none is free —
@@ -208,34 +208,11 @@ impl KvAllocator {
         &self.mem.read(&self.names[block])[offset..offset + self.layout.hidden]
     }
 
-    /// Writes one full lane of a freshly appended token by
-    /// **device-to-device** copy from `src_mem`'s buffer `src` (e.g. a
-    /// decode step's `new_k` output living in a workspace arena) — the cache
-    /// never round-trips through host vectors.
-    pub fn copy_lane_from(
-        &mut self,
-        slot: KvSlot,
-        layer: usize,
-        stream: usize,
-        src_mem: &DeviceMemory,
-        src: &str,
-        src_offset: usize,
-    ) {
-        self.copy_into_lane(
-            slot,
-            layer,
-            stream,
-            0,
-            src_mem,
-            src,
-            src_offset,
-            self.layout.hidden,
-        );
-    }
-
-    /// [`KvAllocator::copy_lane_from`] for a sub-range of the lane — used
-    /// when the source rows are strided per attention head. Copies `len`
-    /// elements to lane position `lane_offset`.
+    /// Writes `len` elements of a freshly appended token's lane, from lane
+    /// position `lane_offset` on, by **device-to-device** copy from
+    /// `src_mem`'s buffer `src` (e.g. a decode step's `new_k` output living
+    /// in a workspace arena, strided per attention head) — the cache never
+    /// round-trips through host vectors.
     ///
     /// # Panics
     /// Panics when `lane_offset + len` exceeds the lane width.
@@ -395,13 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn copy_lane_from_is_device_to_device() {
+    fn copy_into_lane_is_device_to_device() {
         let mut kv = KvAllocator::new(layout(), 2);
         let mut cache = KvCache::new();
         let slot = kv.append(&mut cache).unwrap();
         let mut src = DeviceMemory::new();
         src.alloc("out", &[9.0, 8.0, 7.0, 6.0, 5.0, 4.0]);
-        kv.copy_lane_from(slot, 1, 0, &src, "out", 2);
+        kv.copy_into_lane(slot, 1, 0, 0, &src, "out", 2, 4);
         assert_eq!(kv.lane(&cache, 0, 1, 0), &[7.0, 6.0, 5.0, 4.0]);
     }
 

@@ -146,6 +146,8 @@ pub(super) struct Regs {
     /// operand — what was loaded from it: scratch for [`Block::wide`].
     at: Vec<usize>,
     loaded: Vec<f32>,
+    /// Two lane masks (a branch's then and else side) per level of nesting.
+    masks: Vec<bool>,
     block_dim: usize,
 }
 
@@ -161,6 +163,7 @@ impl Regs {
             locals: vec![0.0; p.local_len * n],
             at: vec![0; n],
             loaded: vec![0.0; 2 * n],
+            masks: vec![false; 2 * p.mask_depth * n],
             block_dim: n,
         }
     }
@@ -177,6 +180,7 @@ impl Regs {
             locals: cells(&mut self.locals),
             at: cells(&mut self.at),
             loaded: cells(&mut self.loaded),
+            masks: cells(&mut self.masks),
         }
     }
 }
@@ -200,6 +204,7 @@ pub(super) struct Lanes<'a> {
     pub(super) locals: &'a [Cell<f32>],
     pub(super) at: &'a [Cell<usize>],
     pub(super) loaded: &'a [Cell<f32>],
+    pub(super) masks: &'a [Cell<bool>],
 }
 
 /// The column of `n` lanes that starts at `start` of a file.

@@ -97,13 +97,21 @@ impl<'k> Lowerer<'k> {
         if proven && matches!(space, Space::Shared | Space::Global(_)) {
             // Which elements the block's threads meet at, if any, is read
             // off the index while its terms are still apart.
-            let address = (dims.iter()).try_fold(Linear::konst(base as i64), |sum, (v, d)| {
+            let mut address = (dims.iter()).try_fold(Linear::konst(base as i64), |sum, (v, d)| {
                 sum.plus(&self.linear(*v)?, d.stride as i64)
             });
+            let mut through = None;
+            if address.is_none() {
+                if let Some(t) = self.through(base as i64, &dims) {
+                    (address, through) = (Some(t.sum), Some((t.chain, t.range)));
+                }
+            }
             self.frag.touches.push(Touch {
                 buffer: slot,
                 store: write,
                 address,
+                through,
+                guard: self.lane_guards.clone(),
             });
         }
         let mut offset = base;

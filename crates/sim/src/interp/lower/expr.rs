@@ -3,6 +3,7 @@
 
 use hidet_ir::{BinOp, Expr};
 
+use super::guard::Facts;
 use super::linear::Linear;
 use super::place::{binary_range, binary_rule, unary_rule, Place, Ty, Val};
 use super::{Fragment, Lowerer};
@@ -13,7 +14,13 @@ use crate::value::Value;
 impl<'k> Lowerer<'k> {
     // ---- expressions -----------------------------------------------------
 
+    /// Lowers `e`; what the guards around it say about its value included.
     pub(super) fn expr(&mut self, e: &'k Expr) -> Val {
+        let v = self.node_value(e);
+        self.bounded(v)
+    }
+
+    fn node_value(&mut self, e: &'k Expr) -> Val {
         let mark = self.temp_top;
         match e {
             Expr::Int(v) => self.konst(Value::I64(*v)),
@@ -25,6 +32,7 @@ impl<'k> Lowerer<'k> {
                 place: Place::Lane,
                 uniform: false,
                 range: Some((0, self.kernel.launch().block_dim - 1)),
+                root: None,
             },
             // The only block of its grid: what would be block-level is
             // constant, and what would be thread-level is lane-level.
@@ -35,6 +43,7 @@ impl<'k> Lowerer<'k> {
                 place: Place::Block,
                 uniform: true,
                 range: Some((0, self.kernel.launch().grid_dim - 1)),
+                root: None,
             },
             Expr::Var(v) => match self.env.iter().rev().find(|(n, _)| *n == v.name()) {
                 Some((_, Some(val))) => *val,
@@ -61,6 +70,7 @@ impl<'k> Lowerer<'k> {
                     place: if faults { Place::Body } else { a.place },
                     uniform: !faults && a.uniform,
                     range: None,
+                    root: None,
                 };
                 let op = Op::Un {
                     op: *op,
@@ -86,7 +96,13 @@ impl<'k> Lowerer<'k> {
                     dst: 0,
                     a: a.reg,
                 };
-                self.emit(op, Val { ty, range, ..a }, false)
+                let val = Val {
+                    ty,
+                    range,
+                    root: None,
+                    ..a
+                };
+                self.emit(op, val, false)
             }
             Expr::Select {
                 cond,
@@ -115,13 +131,15 @@ impl<'k> Lowerer<'k> {
     /// — and, where it is index arithmetic the block computes once per
     /// block, thread or iteration, remembered as the sum it is.
     pub(super) fn binary(&mut self, op: BinOp, a: Val, b: Val) -> Val {
-        let val = self.arithmetic(op, a, b);
+        let mut val = self.arithmetic(op, a, b);
         let kept = !matches!(val.place, Place::Const | Place::Lane | Place::Body);
         if kept && val.ty == Ty::I64 && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) {
             if let Some(sum) = self.sum(op, a, b) {
                 self.linear_of.insert(val.reg, sum);
+                return val;
             }
         }
+        val.root = self.chained(op, a, b, val);
         val
     }
 
@@ -147,6 +165,7 @@ impl<'k> Lowerer<'k> {
                 Ty::I64 => binary_range(op, a.range, b.range),
                 _ => None,
             },
+            root: None,
         };
         let op = Op::Bin {
             op,
@@ -177,15 +196,16 @@ impl<'k> Lowerer<'k> {
     /// hoisted like any other operation; otherwise a branch around the two.
     fn select(&mut self, cond: &'k Expr, then_value: &'k Expr, else_value: &'k Expr) -> Val {
         let mark = self.temp_top;
-        let c = self.expr(cond);
+        let (c, facts) = self.guard(cond);
         if let Some(Value::Bool(taken)) = self.const_value(c) {
             return self.expr(if taken { then_value } else { else_value });
         }
         let c = self.in_reg(c);
         let after_cond = self.temp_top;
-        let (t, t_part) = self.capture(|l| l.expr(then_value));
+        let (t, t_part) = self.assuming(&facts, |l| l.capture(|l| l.expr(then_value)));
         self.temp_top = after_cond;
-        let (e, e_part) = self.capture(|l| l.expr(else_value));
+        let otherwise = Facts::otherwise(c);
+        let (e, e_part) = self.assuming(&otherwise, |l| l.capture(|l| l.expr(else_value)));
         self.temp_top = mark;
         let ty = if t.ty == e.ty { t.ty } else { Ty::Dyn };
         let cond_faults = c.ty != Ty::Bool;
@@ -203,6 +223,7 @@ impl<'k> Lowerer<'k> {
                     .range
                     .zip(e.range)
                     .map(|(t, e)| (t.0.min(e.0), t.1.max(e.1))),
+                root: None,
             };
             let op = Op::Select {
                 dst: 0,

@@ -24,23 +24,27 @@
 //! above do the rest, and a loop outside the budget lowers as a loop.
 
 mod access;
+mod chain;
 mod expr;
+mod guard;
 mod linear;
+mod map;
 mod place;
 mod skeleton;
 mod unroll;
 mod verdict;
 
-use std::collections::HashMap;
+use hidet_ir::{BinOp, BufferRef, Kernel, MemScope, Stmt};
 
-use hidet_ir::{BufferRef, Kernel, MemScope, Stmt};
-
+use self::chain::{Chain, Part, Root};
+use self::guard::Facts;
 use self::linear::{Atom, Linear};
+use self::map::Map;
 use self::place::{Place, Ty, Val};
 use self::unroll::UNROLL_TRIPS;
 use super::program::{
-    CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space, COLUMN,
-    FILE_SHIFT, INT, MEM, SCALAR,
+    nesting, CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space,
+    COLUMN, FILE_SHIFT, INT, MEM, SCALAR,
 };
 use super::SimError;
 use crate::value::Value;
@@ -81,8 +85,9 @@ struct Fragment {
     code: Vec<Op>,
     /// Something in it can fault.
     may_fault: bool,
-    /// A branch or a loop in it is not proven to go the same way in every
-    /// thread of the block.
+    /// A loop in it is not proven to run as many trips in every thread of
+    /// the block. (A branch may go either way: a wide range runs its sides
+    /// under lane masks.)
     divergent: bool,
     /// Its proven accesses to shared and global buffers.
     touches: Vec<Touch>,
@@ -94,8 +99,12 @@ struct Touch {
     buffer: u32,
     store: bool,
     /// The element within the buffer's space, where its index arithmetic is
-    /// understood.
+    /// understood: a sum — or, with `through`, the sum the element is a
+    /// function of.
     address: Option<Linear>,
+    through: Option<(Chain, (i64, i64))>,
+    /// Lane registers that must hold (or not) for it to happen at all.
+    guard: Vec<(Reg, bool)>,
 }
 
 /// A range of `main` the skeleton runs for the whole block.
@@ -113,6 +122,8 @@ struct OpenLoop {
     /// Its variable's register, and a number no other loop has.
     var: Reg,
     id: u32,
+    /// Most trips it can take, where its extent is bounded.
+    trips: Option<i64>,
     /// Around a barrier: the whole block is in the same iteration, and its
     /// variable holds still for as long as a leaf of its body runs.
     skeleton: bool,
@@ -121,7 +132,7 @@ struct OpenLoop {
     prologue: Vec<Op>,
     /// The prologue's instructions by (operation, operands), shared like
     /// [`Lowerer::hoisted`].
-    hoisted: HashMap<Op, Reg>,
+    hoisted: Map<Op, Reg>,
 }
 
 impl Op {
@@ -171,7 +182,7 @@ struct Lowerer<'k> {
     /// The program under construction. Registers in it are numbered per
     /// space, and code offsets are relative to `main`, until `finish`.
     p: Program,
-    consts: HashMap<(u8, u64), Reg>,
+    consts: Map<(u8, u64), Reg>,
     /// The type of every lane, thread and loop register: each is written by
     /// one instruction.
     lane_tys: Vec<Ty>,
@@ -189,7 +200,7 @@ struct Lowerer<'k> {
     /// Block-, lane- and thread-level instructions by (operation, operands):
     /// task-mapping index trees repeat `threadIdx / 8`-style terms many
     /// times over.
-    hoisted: HashMap<Op, Reg>,
+    hoisted: Map<Op, Reg>,
     /// The loops around the statement being lowered, outermost first:
     /// `Place::Loop(n)` is `loops[n - 1]`.
     loops: Vec<OpenLoop>,
@@ -197,7 +208,15 @@ struct Lowerer<'k> {
     n_loops: u32,
     /// The sums behind block, thread and loop registers that hold index
     /// arithmetic (each is written by one instruction).
-    linear_of: HashMap<Reg, Linear>,
+    linear_of: Map<Reg, Linear>,
+    /// How the registers that are functions of one sum are computed, and
+    /// the sums (with their intervals where used) that [`Val::root`] names.
+    steps_of: Map<Reg, (BinOp, Part, Part)>,
+    roots: Vec<Root>,
+    /// Bounds the guards around the code being lowered put on registers,
+    /// and the lane registers they decide it by (`guard.rs`).
+    bounds: Vec<(Reg, (i64, i64))>,
+    lane_guards: Vec<(Reg, bool)>,
     /// The body fragment being emitted.
     frag: Fragment,
     /// Finished body fragments, and the ranges among them: first the thread
@@ -208,7 +227,7 @@ struct Lowerer<'k> {
     env: Vec<(&'k str, Option<Val>)>,
     /// Parallel to `p.buffer_names`.
     slots: Vec<BufferSlot>,
-    buffer_ids: HashMap<(MemScope, &'k str), u32>,
+    buffer_ids: Map<(MemScope, &'k str), u32>,
 }
 
 impl<'k> Lowerer<'k> {
@@ -245,12 +264,13 @@ impl<'k> Lowerer<'k> {
             root: 0,
             ranges: Vec::new(),
             node_range: Vec::new(),
+            mask_depth: 0,
             traps: Vec::new(),
         };
         let mut l = Lowerer {
             kernel,
             p: program,
-            consts: HashMap::new(),
+            consts: Map::default(),
             lane_tys: vec![Ty::I64],
             thread_tys: Vec::new(),
             loop_tys: Vec::new(),
@@ -258,10 +278,14 @@ impl<'k> Lowerer<'k> {
             temp_max: [0; 4],
             lane_code: Vec::new(),
             thread_code: Vec::new(),
-            hoisted: HashMap::new(),
+            hoisted: Map::default(),
             loops: Vec::new(),
             n_loops: 0,
-            linear_of: HashMap::new(),
+            linear_of: Map::default(),
+            steps_of: Map::default(),
+            roots: Vec::new(),
+            bounds: Vec::new(),
+            lane_guards: Vec::new(),
             frag: Fragment::default(),
             main: Vec::new(),
             stretches: vec![Stretch {
@@ -274,7 +298,7 @@ impl<'k> Lowerer<'k> {
             }],
             env: Vec::new(),
             slots: Vec::new(),
-            buffer_ids: HashMap::new(),
+            buffer_ids: Map::default(),
         };
         for (i, b) in kernel.params().iter().enumerate() {
             let len = b.num_elements() as usize;
@@ -359,6 +383,7 @@ impl<'k> Lowerer<'k> {
                 Value::I64(x) => Some((x, x)),
                 _ => None,
             },
+            root: None,
         }
     }
 
@@ -386,7 +411,7 @@ impl<'k> Lowerer<'k> {
                     (true, _) if v.uniform => Atom::Fixed(v.reg),
                     (false, true) if v.uniform => Atom::Var {
                         id: open.id,
-                        trips: v.range?.1.checked_add(1)?,
+                        trips: open.trips?,
                     },
                     _ => return None,
                 }
@@ -400,7 +425,7 @@ impl<'k> Lowerer<'k> {
 
     /// The instruction stream of a place other than the body, and the map
     /// that shares its instructions.
-    fn level(&mut self, place: Place) -> (&mut Vec<Op>, &mut HashMap<Op, Reg>) {
+    fn level(&mut self, place: Place) -> (&mut Vec<Op>, &mut Map<Op, Reg>) {
         match place {
             Place::Loop(n) => {
                 let open = &mut self.loops[n as usize - 1];
@@ -495,7 +520,6 @@ impl<'k> Lowerer<'k> {
         self.splice(then_part);
         self.splice(else_part);
         self.frag.may_fault |= cond.ty != Ty::Bool;
-        self.frag.divergent |= !cond.uniform;
     }
 
     /// `v` in a register: a memory operand is loaded now.
@@ -576,25 +600,29 @@ impl<'k> Lowerer<'k> {
                 then_body,
                 else_body,
             } => {
-                let c = self.expr(cond);
+                let (c, facts) = self.guard(cond);
                 let c = self.in_reg(c);
                 self.temp_top = mark;
-                let branch = |l: &mut Self, body: Option<&'k Stmt>| {
-                    let ((), part) = l.capture(|l| body.into_iter().for_each(|b| l.stmt(b)));
+                let otherwise = Facts::otherwise(c);
+                let branch = |l: &mut Self, body: Option<&'k Stmt>, facts: &Facts| {
+                    let ((), part) = l.assuming(facts, |l| {
+                        l.capture(|l| body.into_iter().for_each(|b| l.stmt(b)))
+                    });
                     l.env.truncate(scope);
                     l.temp_top = mark;
                     part
                 };
                 if let Some(Value::Bool(taken)) = self.const_value(c) {
                     let part = if taken {
-                        branch(self, Some(then_body))
+                        branch(self, Some(then_body), &Facts::default())
                     } else {
-                        branch(self, else_body.as_deref())
+                        branch(self, else_body.as_deref(), &Facts::default())
                     };
                     self.splice(part);
                 } else {
-                    let then_part = branch(self, Some(then_body));
-                    let else_part = branch(self, else_body.as_deref());
+                    let then_body = (!facts.never).then_some(&**then_body);
+                    let then_part = branch(self, then_body, &facts);
+                    let else_part = branch(self, else_body.as_deref(), &otherwise);
                     self.branch(c, false, then_part, else_part);
                 }
                 self.poison_leaked(s);
@@ -743,6 +771,10 @@ impl<'k> Lowerer<'k> {
                     resolve(r);
                 }
             }
+            let guards = stretch.touches.iter_mut().flat_map(|t| &mut t.guard);
+            guards.for_each(|(r, _)| resolve(r));
+            let code = &p.code[stretch.start as usize..stretch.end as usize];
+            p.mask_depth = p.mask_depth.max(nesting(code));
         }
 
         // Lane code runs now, once: what it computes is what a block's lane

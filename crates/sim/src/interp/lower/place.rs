@@ -102,6 +102,9 @@ pub(super) struct Val {
     /// Proven equal across the threads of a block at any one time.
     pub(super) uniform: bool,
     pub(super) range: Range,
+    /// Where it is no sum but a function of one (`n / 1152`, `n % 8`): that
+    /// sum, an index into the lowering's roots (`chain.rs`).
+    pub(super) root: Option<u32>,
 }
 
 impl Val {
@@ -113,6 +116,7 @@ impl Val {
             place: Place::Body,
             uniform: false,
             range: None,
+            root: None,
         }
     }
 }

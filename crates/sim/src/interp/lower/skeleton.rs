@@ -1,10 +1,9 @@
 //! The barrier skeleton: statements that contain a barrier become nodes
 //! with uniform control; loops that stay loops get an iteration prologue.
 
-use std::collections::HashMap;
-
 use hidet_ir::{Expr, Stmt};
 
+use super::map::Map;
 use super::place::{Place, Ty, Val};
 use super::{Fragment, Lowerer, OpenLoop, Stretch};
 use crate::interp::program::{Control, Node, Op, RangeKind, Reg};
@@ -44,12 +43,18 @@ impl<'k> Lowerer<'k> {
         body: &'k Stmt,
         skeleton: bool,
     ) {
+        // The body only runs while `0 <= var < extent`.
+        let range = match (extent.ty, extent.range) {
+            (Ty::I64, Some((_, hi))) if hi >= 1 => Some((0, hi - 1)),
+            _ => None,
+        };
         self.loops.push(OpenLoop {
             var,
             id: self.n_loops,
+            trips: range.map(|(_, last)| last + 1),
             skeleton,
             prologue: Vec::new(),
-            hoisted: HashMap::new(),
+            hoisted: Map::default(),
         });
         self.n_loops += 1;
         let val = Val {
@@ -58,11 +63,8 @@ impl<'k> Lowerer<'k> {
             place: Place::Loop(self.loops.len() as u32),
             // Threads that agree on the extent count the same iterations.
             uniform: skeleton || extent.uniform,
-            // The body only runs while `0 <= var < extent`.
-            range: match (extent.ty, extent.range) {
-                (Ty::I64, Some((_, hi))) if hi >= 1 => Some((0, hi - 1)),
-                _ => None,
-            },
+            range,
+            root: None,
         };
         self.env.push((name, Some(val)));
         self.poison_leaked(body);

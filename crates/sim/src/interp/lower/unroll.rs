@@ -117,6 +117,7 @@ impl<'k> Lowerer<'k> {
         self.consts.retain(|_, r| live(*r));
         self.hoisted.retain(|_, r| live(*r));
         self.linear_of.retain(|r, _| live(*r));
+        self.steps_of.retain(|r, _| live(*r));
         // Whatever the attempt opened it also closed: these are the loops
         // that were open at `start`.
         for (open, &len) in self.loops.iter_mut().zip(&start.prologues) {

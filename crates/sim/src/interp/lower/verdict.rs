@@ -5,8 +5,12 @@
 use super::linear::Atom;
 use super::{Stretch, Touch};
 use crate::interp::program::{
-    Access, LaneTable, Op, Program, Reason, Reg, Verdict, COLUMN, DYN, ELEMENT, FILE_SHIFT, MEM,
+    Access, LaneTable, Op, Program, Reason, Reg, Verdict, BOOL, COLUMN, DYN, ELEMENT, FILE_SHIFT,
+    MEM,
 };
+
+#[cfg(doc)]
+use super::chain::Chain;
 
 /// Elements a footprint proof enumerates before it gives up (all threads,
 /// all iterations of leaf loops, all accesses to one buffer). The tile
@@ -18,10 +22,12 @@ const FOOTPRINT_CAP: usize = 1 << 15;
 /// it could not run).
 ///
 /// **Structure.** A range is wide when nothing in it can fault, every
-/// register it touches has a static type, its control flow is proven uniform
-/// and it writes nothing but its threads' own registers and register arrays.
-/// Threads of such a range share no written state, so running them one
-/// instruction at a time is running them one after another.
+/// register it touches has a static type, every loop in it is proven to take
+/// as many trips in every thread and it writes nothing but its threads' own
+/// registers and register arrays. Threads of such a range share no written
+/// state, so running them one instruction at a time is running them one
+/// after another; a branch they take differently runs each side under a
+/// lane mask, and a lane the mask has off does nothing at all.
 ///
 /// **Footprint.** A range that also stores to shared or global memory is
 /// wide when, for every buffer it stores to, no element is touched by two
@@ -32,9 +38,14 @@ const FOOTPRINT_CAP: usize = 1 << 15;
 /// constant, plus a part only `threadIdx` decides, plus a part the whole
 /// block shares, plus the variables of loops inside the leaf. Where all
 /// accesses to a buffer have the same block-wide part, the threads' elements
-/// relative to it are enumerated and compared. Anything else — an index that
-/// is no such sum, block-wide parts that differ, too many elements — is
-/// unproven, and unproven runs per thread.
+/// relative to it are enumerated and compared — leaving out the threads that
+/// a guard decided by a lane register keeps away from an access, which only
+/// ever shrinks a footprint. An address that is one function of such a sum
+/// for every access to the buffer (a [`Chain`]: the NCHW scatter of a conv
+/// epilogue) is proven by comparing the sums instead, once the function is
+/// shown one-to-one over every value the sums can take. Anything else — an
+/// index that is neither, block-wide parts or functions that differ, too
+/// many elements — is unproven, and unproven runs per thread.
 pub(super) fn judge(p: &Program, s: &Stretch, lanes: Option<&LaneTable>) -> Verdict {
     if s.may_fault {
         return Verdict::PerThread(Reason::CanFault);
@@ -43,7 +54,7 @@ pub(super) fn judge(p: &Program, s: &Stretch, lanes: Option<&LaneTable>) -> Verd
         return Verdict::PerThread(Reason::Untyped);
     }
     if s.divergent {
-        return Verdict::PerThread(Reason::Divergent);
+        return Verdict::PerThread(Reason::DivergentLoop);
     }
     let mut stored: Vec<u32> = (s.touches.iter().filter(|t| t.store))
         .map(|t| t.buffer)
@@ -84,7 +95,8 @@ fn access(p: &Program, operand: Reg) -> Option<&Access> {
 /// Whether the threads of a range stay apart in `buffer`, of which `touches`
 /// are all the range's accesses: no element is touched by two threads, one
 /// of them storing it. Elements are counted from the part of the address
-/// the whole block shares.
+/// the whole block shares — of the sum, for addresses that are a chain of
+/// one.
 fn apart<'t>(
     p: &Program,
     buffer: u32,
@@ -94,6 +106,24 @@ fn apart<'t>(
     const UNPROVEN: Reason = Reason::UnprovenFootprint;
     let lanes = lanes.ok_or(UNPROVEN)?;
     let threads = p.block_dim;
+    let touches: Vec<&Touch> = touches.collect();
+    // One function of the sums for every access, or none for any: then
+    // sums that differ are elements that differ.
+    let chain = |t: &'t Touch| t.through.as_ref().map(|(chain, _)| chain);
+    let through = touches.first().and_then(|&t| chain(t));
+    if touches.iter().any(|&t| chain(t) != through) {
+        return Err(UNPROVEN);
+    }
+    if let Some(through) = through {
+        let ranges = touches
+            .iter()
+            .flat_map(|t| &t.through)
+            .map(|(_, range)| *range);
+        let hull = ranges.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)));
+        if !hull.is_some_and(|hull| through.one_to_one(hull)) {
+            return Err(UNPROVEN);
+        }
+    }
     let mut shared: Option<Vec<(Atom, i64)>> = None;
     // (element, thread, stores it)
     let mut elements: Vec<(i64, u32, bool)> = Vec::new();
@@ -125,7 +155,14 @@ fn apart<'t>(
             };
             offsets = (0..trips).flat_map(step).collect();
         }
-        for thread in 0..threads {
+        // A thread a lane guard keeps out does not touch the element.
+        let reaches = |thread: usize| {
+            (touch.guard.iter()).all(|&(r, holds)| {
+                debug_assert_eq!(r >> FILE_SHIFT, BOOL);
+                lanes.bools[(r & COLUMN) as usize + thread] == holds
+            })
+        };
+        for thread in (0..threads).filter(|&thread| reaches(thread)) {
             let mut own = 0i64;
             for &(atom, by) in terms {
                 if let Atom::Lane(r) = atom {
@@ -137,13 +174,30 @@ fn apart<'t>(
             elements.extend(at.map(|at| (at, thread as u32, touch.store)));
         }
     }
-    elements.sort_unstable();
+    // Each touch as one word — the element above the thread above the
+    // store bit — so that sorting compares integers. (A buffer spans far
+    // less than 2⁴⁰ elements, a block far fewer than 2²² threads.)
+    let least = elements.iter().map(|e| e.0).min().unwrap_or(0);
+    let word = |(at, thread, store): (i64, u32, bool)| {
+        let at = u64::try_from(at.wrapping_sub(least))
+            .ok()
+            .filter(|&at| at < 1 << 40)?;
+        Some(at << 23 | u64::from(thread) << 1 | u64::from(store))
+    };
+    let mut words: Vec<u64> = (elements.into_iter().map(word))
+        .collect::<Option<_>>()
+        .ok_or(UNPROVEN)?;
+    words.sort_unstable();
+    let touch = |word: u64| {
+        let at = least.wrapping_add((word >> 23) as i64);
+        (at, ((word >> 1) & ((1 << 22) - 1)) as u32, word & 1 == 1)
+    };
     // Within the run of one element, sorted by thread: a store by one thread
     // and anything by another.
-    let mut runs = elements.chunk_by(|a, b| a.0 == b.0);
+    let mut runs = words.chunk_by(|a, b| a >> 23 == b >> 23);
     let met = runs.find_map(|run| {
-        let (first, last) = (run[0], run[run.len() - 1]);
-        let storing = run.iter().find(|touch| touch.2)?;
+        let (first, last) = (touch(run[0]), touch(run[run.len() - 1]));
+        let storing = run.iter().map(|&w| touch(w)).find(|touch| touch.2)?;
         let other = [first, last]
             .into_iter()
             .find(|touch| touch.1 != storing.1)?;

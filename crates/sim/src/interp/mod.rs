@@ -73,17 +73,23 @@
 //! address.
 //!
 //! An access whose every index is **proven** in bounds (of a buffer that
-//! exists and is large enough) is addressed as `offset + register`: its
-//! constant indices are folded into the offset, the others — each fixed at
-//! some level — summed into one register at the finest of their levels, and
-//! none is checked again; the storage slice's own bounds check stays behind
-//! as the memory-safety backstop. Every other access keeps the walker's
-//! per-dimension checks and fault order. When the offset is all there is
-//! and the buffer is one of the thread's register arrays, the element is a
-//! register on the device and an **operand** here: the instruction names
-//! it, and no access is recorded at all (a write only where the array's
-//! element type stores as `f32`, the one conversion every register gets;
-//! an `i32` array keeps its access and its truncation). And
+//! exists and is large enough) is addressed as `offset + register`. The
+//! intervals behind a proof read the guards an access sits under: inside a
+//! barrier-free `if c`, and on the taken side of `c ? a : b`, each `&&`-ed
+//! comparison `x < y` / `x <= y` of `c` bounds either side by the other's
+//! interval, and whatever is computed from `x` there is bounded with it — so
+//! the store a partial tile guards with `row < m && col < n` is proven, and
+//! a `then` side whose guard cannot hold over those intervals is dropped. Of
+//! a proven access, the constant indices are folded into the offset, the
+//! others — each fixed at some level — summed into one register at the
+//! finest of their levels, and none is checked again; the storage slice's
+//! own bounds check stays behind as the memory-safety backstop. Every other
+//! access keeps the walker's per-dimension checks and fault order. When the
+//! offset is all there is and the buffer is one of the thread's register
+//! arrays, the element is a register on the device and an **operand** here:
+//! the instruction names it, and no access is recorded at all (a write only
+//! where the array's element type stores as `f32`, the one conversion every
+//! register gets; an `i32` array keeps its access and its truncation). And
 //! `acc[i] = acc[i] + a * b` on a proven access, with a product that cannot
 //! fault, is one multiply-add instruction — both roundings still through
 //! [`crate::Value::binary`], in the order the IR spells.
@@ -115,11 +121,19 @@
 //! 1. **Structure.** Nothing in the range can fault (the lowering's fault
 //!    flag is exact: a store, update or multiply-add on a proven, declared
 //!    access of a numeric value cannot); every register it touches has a
-//!    static type; every branch condition and loop extent in it is proven
-//!    the same for the whole block (a loop inside a leaf then counts the
-//!    same iterations in every thread); and it writes only its threads' own
-//!    registers and register arrays. Threads of such a range share no
-//!    written state: any interleaving is the thread-order result.
+//!    static type; every loop extent in it is proven the same for the whole
+//!    block (a loop inside a leaf then counts the same iterations in every
+//!    thread); and it writes only its threads' own registers and register
+//!    arrays. Threads of such a range share no written state: any
+//!    interleaving is the thread-order result. A branch the threads take
+//!    differently — the `if row < m && col < n` of a predicated partial
+//!    tile, the `cond ? load : 0` of its fill — is no obstacle: the wide
+//!    loop runs each side under a **lane mask**, a `bool` column per side
+//!    and level of nesting, and a lane the mask has off neither writes a
+//!    register nor loads, stores or faults (a `Select` loads each source
+//!    only for the lanes that choose it). A side only a few lanes take is
+//!    stepped lane by lane instead — the threads commute, so that order is
+//!    theirs too.
 //! 2. **Footprint.** A range that passes all of that but stores to shared or
 //!    global memory is wide when its threads provably stay apart there — the
 //!    paper's argument that a `spatial` / `repeat` composition partitions
@@ -136,9 +150,20 @@
 //!    threads if either touch is a store. An index that is no such sum,
 //!    block-wide parts that differ, more than 2¹⁵ elements: unproven, and
 //!    unproven runs per thread ([`Reason`] says which; two threads that *do*
-//!    meet are named). Distinct buffers are taken to be distinct storage,
-//!    which the memory planner guarantees for buffers that are live
-//!    together; a launch handed aliasing buffers runs every range per thread.
+//!    meet are named). A thread a guard decided by a lane register keeps
+//!    away from an access is left out of its footprint, which only ever
+//!    shrinks it (`if lane < 16 { R[lane] += R[lane + 16] }` is apart). An
+//!    address that is no sum but one function of one — `/ % min max * +`
+//!    by constants, the NCHW scatter of a conv epilogue — is apart where
+//!    the sums are and the function is one-to-one over every value the sum
+//!    can take. That is decided from the function's constants, not by
+//!    evaluating it: the sum is split into the mixed-radix digits its `/`
+//!    and `%` take apart, and the address, a weighted sum of those digits,
+//!    is one-to-one when each weight exceeds what the smaller ones add up
+//!    to (a function the rule cannot follow stays unproven). Distinct
+//!    buffers are taken to be distinct storage, which the memory planner
+//!    guarantees for buffers that are live together; a launch handed
+//!    aliasing buffers runs every range per thread.
 //!
 //! A wide range cannot fault, so there is no fault to replay: whatever can
 //! fault keeps the walker's thread order, variant and payload by

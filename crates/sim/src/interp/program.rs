@@ -98,7 +98,9 @@ pub(crate) enum Op {
     MulAdd { to: u32, a: Reg, b: Reg },
     /// Skips the next `skip` instructions.
     Jump { skip: u32 },
-    /// Skips the next `skip` instructions when `cond` is false.
+    /// Skips the next `skip` instructions — its *then* side — when `cond`
+    /// is false. A branch with an *else* side ends its then side with the
+    /// `Jump` over it ([`sides`]).
     Branch { cond: Reg, skip: u32, select: bool },
     /// Loop entry: `count = extent`, `var = 0`; skips the loop's iteration
     /// prologue, its body and its `LoopNext` (`skip` instructions) when the
@@ -115,6 +117,31 @@ pub(crate) enum Op {
     /// Raises `traps[id]`: a fault the lowering already knows this point of
     /// the kernel has, should execution ever reach it.
     Trap { id: u32 },
+}
+
+/// The sides of the `Branch { skip, .. }` that ends at `code[..at]`: the
+/// end of its then side (less the `Jump` over the else side, if there is
+/// one) and of its else side. A side is a whole fragment: no jump leaves it.
+pub(crate) fn sides(code: &[Op], at: usize, skip: u32) -> (usize, usize) {
+    let end = at + skip as usize;
+    match code[at..end].last() {
+        Some(&Op::Jump { skip }) => (end - 1, end + skip as usize),
+        _ => (end, end),
+    }
+}
+
+/// How deep the sides of `Branch`es nest in `code`: the lane masks a wide
+/// run of it may hold at once.
+pub(crate) fn nesting(code: &[Op]) -> usize {
+    let (mut open, mut deepest) = (Vec::new(), 0);
+    for (pc, op) in code.iter().enumerate() {
+        open.retain(|&end| end > pc);
+        if let Op::Branch { skip, .. } = *op {
+            open.push(sides(code, pc + 1, skip).1);
+            deepest = deepest.max(open.len());
+        }
+    }
+    deepest
 }
 
 /// Where a buffer's elements live while a block runs.
@@ -239,11 +266,14 @@ pub enum Reason {
     CanFault,
     /// It touches a register whose type differs by path.
     Untyped,
-    /// A branch or a loop extent in it is not proven equal across the block.
-    Divergent,
+    /// A loop in it is not proven to take as many trips in every thread of
+    /// the block. (A branch its threads take differently is no reason: a
+    /// wide range runs each side under a lane mask.)
+    DivergentLoop,
     /// It stores to a shared or global buffer, and its threads could not be
-    /// shown to stay apart there: an index that is not a sum of lane,
-    /// block-wide and loop parts, accesses whose block-wide parts differ, or
+    /// shown to stay apart there: an index that is neither a sum of lane,
+    /// block-wide and loop parts nor one function of such a sum that is
+    /// one-to-one, accesses whose block-wide parts (or functions) differ, or
     /// more elements than the proof enumerates.
     UnprovenFootprint,
     /// Two of its threads touch one element of a buffer, and one of them
@@ -252,7 +282,8 @@ pub enum Reason {
         /// The buffer's name.
         buffer: String,
         /// The element, counted from the part of the address that is the
-        /// same for the whole block.
+        /// same for the whole block — or, for an address that is a function
+        /// of a sum, the value of that sum so counted.
         element: i64,
         /// The two threads, lower first.
         threads: (u32, u32),
@@ -263,7 +294,8 @@ pub enum Reason {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// Its threads provably commute and none can fault: each instruction
-    /// runs once, for all lanes of the block.
+    /// runs once, for all lanes of the block — under a lane mask, inside a
+    /// branch the lanes take differently.
     Wide,
     /// Every thread runs it to completion, in thread order.
     PerThread(Reason),
@@ -350,6 +382,8 @@ pub struct Program {
     /// node's prologue.
     pub(crate) node_range: Vec<u32>,
     pub(crate) traps: Vec<SimError>,
+    /// How deep lane masks nest in any range ([`nesting`]).
+    pub(crate) mask_depth: usize,
 }
 
 impl Program {

@@ -527,9 +527,11 @@ fn the_hot_leaves_of_a_tile_kernel_run_wide() {
         let all = [preload, prefetch, tile, commit, write].map(|leaf| leaf.kind);
         assert_eq!(all, [RangeKind::Leaf; 5]);
     }
-    // A predicate on `threadIdx` is a branch threads take differently, an
-    // index only a check keeps in bounds can fault, and a select over unlike
-    // types has no column to be in.
+    // A predicate on `threadIdx` is a branch threads take differently: it
+    // runs wide, each side under a lane mask — and so does the guard that
+    // is all that keeps an index in bounds. A loop whose trip count differs
+    // by thread cannot, an index only a check keeps in bounds can fault, and
+    // a select over unlike types has no column to be in.
     let reason_of = |build: &dyn Fn(&BufferRef, &BufferRef) -> Stmt| {
         let mut kb = KernelBuilder::new("reasons", 1, 8);
         let x = kb.param("X", DType::F32, &[4]);
@@ -540,7 +542,13 @@ fn the_hot_leaves_of_a_tile_kernel_run_wide() {
     };
     let to_acc = |acc: &BufferRef, value: Expr| store(acc, vec![c(0)], value);
     let divergent = reason_of(&|_, acc| if_then(thread_idx().lt(4), to_acc(acc, fconst(1.0))));
-    assert_eq!(divergent, Verdict::PerThread(Reason::Divergent));
+    assert_eq!(divergent, Verdict::Wide);
+    let guarded =
+        reason_of(&|x, acc| if_then(thread_idx().lt(4), to_acc(acc, load(x, vec![thread_idx()]))));
+    assert_eq!(guarded, Verdict::Wide);
+    let trips =
+        reason_of(&|x, acc| for_range("j", thread_idx() % 3, |j| to_acc(acc, load(x, vec![j]))));
+    assert_eq!(trips, Verdict::PerThread(Reason::DivergentLoop));
     let faulting = reason_of(&|x, acc| to_acc(acc, load(x, vec![thread_idx()])));
     assert_eq!(faulting, Verdict::PerThread(Reason::CanFault));
     let untyped = reason_of(&|x, acc| {
@@ -745,15 +753,20 @@ fn proven_accesses_are_a_base_plus_an_offset() {
         p.dims[global.first_dim as usize].idx,
         p.dims[shared.first_dim as usize].idx
     );
-    // An index that is only in bounds when checked keeps every dimension.
-    let mut kb = KernelBuilder::new("unproven", 1, 8);
-    let x = kb.param("X", DType::F32, &[2, 4]);
-    kb.push(if_then(
-        thread_idx().lt(4),
-        store(&x, vec![c(1), thread_idx()], fconst(1.0)),
-    ));
-    let p = Program::lower(&kb.build());
-    assert!(!p.accesses[0].proven && p.accesses[0].rank == 2);
+    // An index that is only in bounds when checked keeps every dimension;
+    // one its guard keeps in bounds is proven inside the guard.
+    let guarded = |guard: Expr| {
+        let mut kb = KernelBuilder::new("guarded", 1, 8);
+        let x = kb.param("X", DType::F32, &[2, 4]);
+        kb.push(if_then(
+            guard,
+            store(&x, vec![c(1), thread_idx()], fconst(1.0)),
+        ));
+        let p = Program::lower(&kb.build());
+        (p.accesses[0].proven, p.accesses[0].rank)
+    };
+    assert_eq!(guarded(thread_idx().le(4)), (false, 2));
+    assert_eq!(guarded(thread_idx().lt(4)), (true, 1));
 }
 
 #[test]

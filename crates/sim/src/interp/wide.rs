@@ -9,6 +9,10 @@
 //! operator a constant, and inlining leaves the one case that applies. An
 //! instruction with no column form here runs [`Block::step`] lane by lane;
 //! that is the same result, since the threads of a wide range commute.
+//!
+//! A branch the lanes take differently runs each side under a *lane mask*
+//! (`mask.rs`): every column loop then skips the lanes the mask has off,
+//! which neither write a register nor load, store or fault.
 
 use std::cell::Cell;
 
@@ -16,10 +20,14 @@ use hidet_ir::{BinOp, DType};
 
 use super::exec::{column, element_offset, missing, past_the_end, Block, Fault};
 use super::program::{
-    Access, Op, Reg, Space, BOOL, COLUMN, ELEMENT, FILE_SHIFT, FLOAT, INT, MEM, SCALAR,
+    sides, Access, Op, Reg, Space, BOOL, COLUMN, ELEMENT, FILE_SHIFT, FLOAT, INT, MEM, SCALAR,
 };
 use super::SimError;
 use crate::value::Value;
+
+mod mask;
+
+use mask::{Active, Choosing, Every, Split};
 
 /// A source operand across the lanes: one value for all of them, or a column.
 #[derive(Clone, Copy)]
@@ -39,49 +47,73 @@ impl<T: Copy> Src<'_, T> {
     }
 }
 
-/// `dst[lane] = f(dst[lane], a[lane], b[lane])` on every lane. `false` when
-/// `f` had no result on some lane — which the lowering ruled out.
+/// `dst[lane] = f(dst[lane], a[lane], b[lane])` on every active lane.
+/// `false` when `f` had no result on one — which the lowering ruled out.
 #[inline(always)]
 fn zip<D: Copy + Default, A: Copy, B: Copy>(
     dst: &[Cell<D>],
     a: Src<'_, A>,
     b: Src<'_, B>,
     f: impl Fn(D, A, B) -> Option<D>,
+    active: impl Active,
 ) -> bool {
     let mut ok = true;
-    let mut put = |d: &Cell<D>, a: A, b: B| {
-        let v = f(d.get(), a, b);
-        ok &= v.is_some();
-        d.set(v.unwrap_or_default());
+    let mut put = |lane: usize, d: &Cell<D>, a: A, b: B| {
+        if active.on(lane) {
+            let v = f(d.get(), a, b);
+            ok &= v.is_some();
+            d.set(v.unwrap_or_default());
+        }
     };
     match (a, b) {
         (Each(a), Each(b)) => {
-            for ((d, a), b) in dst.iter().zip(a).zip(b) {
-                put(d, a.get(), b.get());
+            for (lane, ((d, a), b)) in dst.iter().zip(a).zip(b).enumerate() {
+                put(lane, d, a.get(), b.get());
             }
         }
-        (Each(a), One(b)) => dst.iter().zip(a).for_each(|(d, a)| put(d, a.get(), b)),
-        (One(a), Each(b)) => dst.iter().zip(b).for_each(|(d, b)| put(d, a, b.get())),
-        (One(a), One(b)) => dst.iter().for_each(|d| put(d, a, b)),
+        (Each(a), One(b)) => {
+            for (lane, (d, a)) in dst.iter().zip(a).enumerate() {
+                put(lane, d, a.get(), b);
+            }
+        }
+        (One(a), Each(b)) => {
+            for (lane, (d, b)) in dst.iter().zip(b).enumerate() {
+                put(lane, d, a, b.get());
+            }
+        }
+        (One(a), One(b)) => {
+            for (lane, d) in dst.iter().enumerate() {
+                put(lane, d, a, b);
+            }
+        }
     }
     ok
 }
 
-/// `dst[lane] = src[lane]` on every lane.
+/// `dst[lane] = src[lane]` on every active lane.
 #[inline(always)]
-fn copy<T: Copy + Default>(dst: &[Cell<T>], src: Src<'_, T>) -> bool {
-    zip(dst, src, One(()), |_, x, ()| Some(x))
+fn copy<T: Copy + Default>(dst: &[Cell<T>], src: Src<'_, T>, active: impl Active) -> bool {
+    zip(dst, src, One(()), |_, x, ()| Some(x), active)
 }
 
-/// `dst[lane] = if cond[lane] { a[lane] } else { b[lane] }` on every lane.
+/// `dst[lane] = if cond[lane] { a[lane] } else { b[lane] }` on every active
+/// lane; only the chosen side is read.
 #[inline(always)]
-fn choose<T: Copy>(dst: &[Cell<T>], cond: Src<'_, bool>, a: Src<'_, T>, b: Src<'_, T>) {
+fn choose<T: Copy>(
+    dst: &[Cell<T>],
+    cond: Src<'_, bool>,
+    a: Src<'_, T>,
+    b: Src<'_, T>,
+    active: impl Active,
+) {
     for (lane, dst) in dst.iter().enumerate() {
-        dst.set(if cond.at(lane) {
-            a.at(lane)
-        } else {
-            b.at(lane)
-        });
+        if active.on(lane) {
+            dst.set(if cond.at(lane) {
+                a.at(lane)
+            } else {
+                b.at(lane)
+            });
+        }
     }
 }
 
@@ -124,17 +156,36 @@ macro_rules! per_operator {
 
 impl<'a> Block<'a> {
     /// The wide interpreter loop: runs `code` to its end for every thread of
-    /// the block at once. Control flow in it is uniform, so thread 0 decides
-    /// it for all.
+    /// the block at once.
     pub(super) fn wide(&mut self, code: &[Op]) -> Result<(), Fault> {
+        self.masked(code, Every, 0)
+    }
+
+    /// Runs `code` for the lanes `active` has on, with `depth` masks open
+    /// around it. Loop extents are the same in every lane, so any lane that
+    /// runs decides them for all; a branch the lanes take differently runs
+    /// its sides one after the other, each for the lanes of its mask
+    /// ([`Block::side`]).
+    fn masked<A: Active>(&mut self, code: &[Op], active: A, depth: usize) -> Result<(), Fault> {
+        let Some(lead) = active.first(self.regs.n) else {
+            return Ok(());
+        };
         let mut pc = 0usize;
         while let Some(&op) = code.get(pc) {
             pc += 1;
             match op {
                 Op::Jump { skip } => pc += skip as usize,
                 Op::Branch { cond, skip, select } => {
-                    if !self.condition(cond, 0, select)? {
-                        pc += skip as usize;
+                    match self.split(cond, select, active, depth, lead)? {
+                        Split::All => {}
+                        Split::None => pc += skip as usize,
+                        Split::Both(then, otherwise) => {
+                            let (then_end, end) = sides(code, pc, skip);
+                            self.side(&code[pc..then_end], then, depth + 1)?;
+                            let else_start = pc + skip as usize;
+                            self.side(&code[else_start..end], otherwise, depth + 1)?;
+                            pc = end;
+                        }
                     }
                 }
                 Op::LoopEnter {
@@ -143,24 +194,27 @@ impl<'a> Block<'a> {
                     extent,
                     skip,
                 } => {
-                    let n = self.extent(extent, 0)?;
-                    self.fill(count, Value::I64(n))?;
-                    self.fill(var, Value::I64(0))?;
+                    let n = self.extent(extent, lead)?;
+                    self.fill_where(count, Value::I64(n), active)?;
+                    self.fill_where(var, Value::I64(0), active)?;
                     if n <= 0 {
                         pc += skip as usize;
                     }
                 }
                 Op::LoopNext { var, count, back } => {
-                    let (i, n) = self.iteration(var, count, 0)?;
-                    self.fill(var, Value::I64(i + 1))?;
+                    let (i, n) = self.iteration(var, count, lead)?;
+                    self.fill_where(var, Value::I64(i + 1), active)?;
                     if i + 1 < n {
                         pc -= back as usize + 1;
                     }
                 }
                 op => {
-                    if !self.across(op)? {
+                    if !self.across(op, active)? {
                         let one = &code[pc - 1..pc];
-                        (0..self.regs.n).try_for_each(|lane| self.step(one, lane))?;
+                        let lanes = (0..self.regs.n).filter(|&lane| active.on(lane));
+                        lanes
+                            .into_iter()
+                            .try_for_each(|lane| self.step(one, lane))?;
                     }
                 }
             }
@@ -168,21 +222,23 @@ impl<'a> Block<'a> {
         Ok(())
     }
 
-    /// Runs `op` for all lanes as a loop over columns; `false` if it is not
-    /// of a form that has one.
-    fn across(&mut self, op: Op) -> Result<bool, Fault> {
+    /// Runs `op` for the active lanes as a loop over columns; `false` if it
+    /// is not of a form that has one.
+    fn across(&mut self, op: Op, active: impl Active) -> Result<bool, Fault> {
         match op {
             Op::Bin { op, dst, a, b } => {
                 if let (Some(a), Some(b)) = (self.ints(a), self.ints(b)) {
-                    return self.bin(op, dst, a, b, Value::I64, int, self.int_column(dst));
+                    let same = self.int_column(dst);
+                    return self.bin(op, dst, a, b, Value::I64, int, same, active);
                 }
                 if let (Some(a), Some(b)) = (self.bools(a), self.bools(b)) {
                     let same = self.bool_column(dst);
-                    return self.bin(op, dst, a, b, Value::Bool, Value::as_bool, same);
+                    return self.bin(op, dst, a, b, Value::Bool, Value::as_bool, same, active);
                 }
-                match (self.floats(a, 0)?, self.floats(b, 1)?) {
+                match (self.floats(a, 0, active)?, self.floats(b, 1, active)?) {
                     (Some(a), Some(b)) => {
-                        self.bin(op, dst, a, b, Value::F32, float, self.float_column(dst))
+                        let same = self.float_column(dst);
+                        self.bin(op, dst, a, b, Value::F32, float, same, active)
                     }
                     _ => Ok(false),
                 }
@@ -194,18 +250,24 @@ impl<'a> Block<'a> {
                 if let (Some(dst), Some(a), Some(b)) =
                     (self.int_column(dst), self.ints(a), self.ints(b))
                 {
-                    choose(dst, cond, a, b);
+                    choose(dst, cond, a, b, active);
                 } else if let (Some(dst), Some(a), Some(b)) =
                     (self.bool_column(dst), self.bools(a), self.bools(b))
                 {
-                    choose(dst, cond, a, b);
+                    choose(dst, cond, a, b, active);
                 } else if let Some(dst) = self.float_column(dst) {
-                    // (Both sides are read whatever the condition: a load
-                    // in a wide range cannot fault.)
-                    let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
+                    // A side is loaded only for the lanes that choose it: a
+                    // guard may be all that keeps its index in bounds.
+                    let (then, otherwise) = (
+                        Choosing::new(active, cond, true),
+                        Choosing::new(active, cond, false),
+                    );
+                    let (Some(a), Some(b)) =
+                        (self.floats(a, 0, then)?, self.floats(b, 1, otherwise)?)
+                    else {
                         return Ok(false);
                     };
-                    choose(dst, cond, a, b);
+                    choose(dst, cond, a, b, active);
                 } else {
                     return Ok(false);
                 }
@@ -213,31 +275,35 @@ impl<'a> Block<'a> {
             }
             Op::Mov { dst, src } => {
                 if let (Some(dst), Some(src)) = (self.int_column(dst), self.ints(src)) {
-                    return Ok(copy(dst, src));
+                    return Ok(copy(dst, src, active));
                 }
                 match self.float_column(dst) {
-                    Some(dst) => self.read(dst, src),
+                    Some(dst) => self.read(dst, src, active),
                     None => Ok(false),
                 }
             }
             Op::Store { to, src } => {
                 if to & ELEMENT != 0 {
-                    return self.read(self.element(element_offset(to))?, src);
+                    return self.read(self.element(element_offset(to))?, src, active);
                 }
-                let Some(src) = self.floats(src, 0)? else {
+                let Some(src) = self.floats(src, 0, active)? else {
                     return Ok(false);
                 };
-                self.update(to, src, One(()), |_, x, ()| Some(x))
+                self.update(to, src, One(()), |_, x, ()| Some(x), active)
             }
             Op::Update { op, to, src } => {
-                let Some(src) = self.floats(src, 0)? else {
+                let Some(src) = self.floats(src, 0, active)? else {
                     return Ok(false);
                 };
                 macro_rules! arithmetic {
                     ($op:path) => {
-                        self.update(to, src, One(()), |old, x, ()| {
-                            float(Value::binary($op, Value::F32(old), Value::F32(x))?)
-                        })
+                        self.update(
+                            to,
+                            src,
+                            One(()),
+                            |old, x, ()| float(Value::binary($op, Value::F32(old), Value::F32(x))?),
+                            active,
+                        )
                     };
                 }
                 macro_rules! no_form {
@@ -248,28 +314,33 @@ impl<'a> Block<'a> {
                 per_operator!(op, arithmetic, no_form, no_form)
             }
             Op::MulAdd { to, a, b } => {
-                let (Some(a), Some(b)) = (self.floats(a, 0)?, self.floats(b, 1)?) else {
+                let (Some(a), Some(b)) = (self.floats(a, 0, active)?, self.floats(b, 1, active)?)
+                else {
                     return Ok(false);
                 };
-                self.update(to, a, b, |old, x, y| {
+                let f = |old, x, y| {
                     let product = Value::binary(BinOp::Mul, Value::F32(x), Value::F32(y))?;
                     float(Value::binary(BinOp::Add, Value::F32(old), product)?)
-                })
+                };
+                self.update(to, a, b, f, active)
             }
             _ => Ok(false),
         }
     }
 
-    /// `dst[lane] = operand[lane]`, for a float `operand`: a register, a
-    /// register-array element, or what a proven access loads.
-    fn read(&self, dst: &[Cell<f32>], operand: u32) -> Result<bool, Fault> {
+    /// `dst[lane] = operand[lane]` on the active lanes, for a float
+    /// `operand`: a register, a register-array element, or what a proven
+    /// access loads.
+    fn read(&self, dst: &[Cell<f32>], operand: u32, active: impl Active) -> Result<bool, Fault> {
         if operand & (MEM | ELEMENT) == MEM {
-            return self.gather(&self.p.accesses[(operand & !MEM) as usize], dst);
+            let access = &self.p.accesses[(operand & !MEM) as usize];
+            return self.gather(access, dst, active);
         }
-        Ok(self.floats(operand, 0)?.is_some_and(|src| copy(dst, src)))
+        let src = self.floats(operand, 0, active)?;
+        Ok(src.is_some_and(|src| copy(dst, src, active)))
     }
 
-    /// `to[lane] = f(to[lane], a[lane], b[lane])` on every lane, for a
+    /// `to[lane] = f(to[lane], a[lane], b[lane])` on the active lanes, for a
     /// destination in memory that stores `f32` as it is.
     #[inline(always)]
     fn update<B: Copy>(
@@ -278,9 +349,10 @@ impl<'a> Block<'a> {
         a: Src<'a, f32>,
         b: Src<'a, B>,
         f: impl Fn(f32, f32, B) -> Option<f32>,
+        active: impl Active,
     ) -> Result<bool, Fault> {
         if to & ELEMENT != 0 {
-            return every_lane(zip(self.element(element_offset(to))?, a, b, f));
+            return every_lane(zip(self.element(element_offset(to))?, a, b, f, active));
         }
         let (p, regs) = (self.p, self.regs);
         let access = &p.accesses[(to & !MEM) as usize];
@@ -295,6 +367,7 @@ impl<'a> Block<'a> {
             new.unwrap_or_default()
         };
         let lanes = regs.at.iter().map(Cell::get).enumerate();
+        let lanes = lanes.filter(|&(lane, _)| active.on(lane));
         match access.space {
             Space::Global(g) => {
                 let buffer = self.global_mut(access, g)?;
@@ -320,8 +393,8 @@ impl<'a> Block<'a> {
         every_lane(ok)
     }
 
-    /// `dst = a <op> b` on every lane, for lanes of a type `wrap` makes a
-    /// [`Value`] of and `unwrap` gets back out; `same` is `dst` as a column
+    /// `dst = a <op> b` on the active lanes, for lanes of a type `wrap` makes
+    /// a [`Value`] of and `unwrap` gets back out; `same` is `dst` as a column
     /// of that type, if it is one. Arithmetic goes there, a comparison or a
     /// logical operator to a boolean column.
     #[inline(always)]
@@ -335,15 +408,15 @@ impl<'a> Block<'a> {
         wrap: impl Fn(T) -> Value + Copy,
         unwrap: impl Fn(Value) -> Option<T> + Copy,
         same: Option<&'a [Cell<T>]>,
+        active: impl Active,
     ) -> Result<bool, Fault> {
         macro_rules! arithmetic {
             ($op:path) => {{
                 let Some(dst) = same else {
                     return Ok(false);
                 };
-                zip(dst, a, b, |_, x, y| {
-                    unwrap(Value::binary($op, wrap(x), wrap(y))?)
-                })
+                let f = |_, x, y| unwrap(Value::binary($op, wrap(x), wrap(y))?);
+                zip(dst, a, b, f, active)
             }};
         }
         macro_rules! predicate {
@@ -351,9 +424,8 @@ impl<'a> Block<'a> {
                 let Some(dst) = self.bool_column(dst) else {
                     return Ok(false);
                 };
-                zip(dst, a, b, |_, x, y| {
-                    Value::binary($op, wrap(x), wrap(y))?.as_bool()
-                })
+                let f = |_, x, y| Value::binary($op, wrap(x), wrap(y))?.as_bool();
+                zip(dst, a, b, f, active)
             }};
         }
         every_lane(per_operator!(op, arithmetic, predicate, predicate))
@@ -397,10 +469,15 @@ impl<'a> Block<'a> {
     }
 
     /// A float source across the lanes, if `operand` is one: a register, a
-    /// register-array element, or what a proven access loads — gathered
-    /// into scratch column `slot`.
+    /// register-array element, or what a proven access loads for the active
+    /// lanes — gathered into scratch column `slot`.
     #[inline(always)]
-    fn floats(&self, operand: u32, slot: usize) -> Result<Option<Src<'a, f32>>, Fault> {
+    fn floats(
+        &self,
+        operand: u32,
+        slot: usize,
+        active: impl Active,
+    ) -> Result<Option<Src<'a, f32>>, Fault> {
         if operand & MEM == 0 {
             return Ok(self.source(operand, FLOAT, self.regs.floats, float));
         }
@@ -410,7 +487,7 @@ impl<'a> Block<'a> {
         let n = self.regs.n;
         let loaded = column(self.regs.loaded, slot * n, n);
         let access = &self.p.accesses[(operand & !MEM) as usize];
-        Ok(self.gather(access, loaded)?.then_some(Each(loaded)))
+        Ok(self.gather(access, loaded, active)?.then_some(Each(loaded)))
     }
 
     #[inline(always)]
@@ -430,6 +507,8 @@ impl<'a> Block<'a> {
 
     /// Every lane's address of proven access `a`, into the `at` column.
     /// `false` if the access is not proven or an index is no integer.
+    /// (What a lane a mask has off would address is computed too, and never
+    /// used.)
     fn addresses(&self, a: &Access) -> bool {
         let at = self.regs.at;
         at.iter().for_each(|lane| lane.set(a.offset));
@@ -452,9 +531,9 @@ impl<'a> Block<'a> {
         a.proven
     }
 
-    /// What every lane loads from proven access `a`, into `out`; `false` if
-    /// the access is not proven or an index is no integer.
-    fn gather(&self, a: &Access, out: &[Cell<f32>]) -> Result<bool, Fault> {
+    /// What every active lane loads from proven access `a`, into `out`;
+    /// `false` if the access is not proven or an index is no integer.
+    fn gather(&self, a: &Access, out: &[Cell<f32>], active: impl Active) -> Result<bool, Fault> {
         // One term that differs by lane — a task mapping's usual address —
         // needs no table of addresses.
         if let (true, [d]) = (
@@ -466,40 +545,43 @@ impl<'a> Block<'a> {
                     a.offset
                         .wrapping_add((i.get() as usize).wrapping_mul(d.stride))
                 };
-                return self.gather_at(a, out, index.iter().map(at));
+                return self.gather_at(a, out, index.iter().map(at), active);
             }
         }
         if !self.addresses(a) {
             return Ok(false);
         }
-        self.gather_at(a, out, self.regs.at.iter().map(Cell::get))
+        self.gather_at(a, out, self.regs.at.iter().map(Cell::get), active)
     }
 
-    /// `out[lane] = ` the element of `a`'s storage at `at[lane]`; `true`.
+    /// `out[lane] = ` the element of `a`'s storage at `at[lane]`, on the
+    /// active lanes; `true`.
     #[inline(always)]
     fn gather_at(
         &self,
         a: &Access,
         out: &[Cell<f32>],
         at: impl Iterator<Item = usize>,
+        active: impl Active,
     ) -> Result<bool, Fault> {
         let p = self.p;
         let past = |at: usize| past_the_end(p, a, at);
-        let lanes = out.iter().zip(at);
+        let lanes = out.iter().zip(at).enumerate();
+        let lanes = lanes.filter(|&(lane, _)| active.on(lane));
         match a.space {
             Space::Global(g) => {
                 let buffer = self.global(a, g)?;
-                for (out, at) in lanes {
+                for (_, (out, at)) in lanes {
                     out.set(*buffer.get(at).ok_or_else(|| past(at))?);
                 }
             }
             Space::Shared => {
-                for (out, at) in lanes {
+                for (_, (out, at)) in lanes {
                     out.set(self.shared.get(at).ok_or_else(|| past(at))?.get());
                 }
             }
             Space::Local => {
-                for (lane, (out, at)) in lanes.enumerate() {
+                for (lane, (out, at)) in lanes {
                     out.set(self.local(at, lane).ok_or_else(|| past(at))?.get());
                 }
             }
@@ -604,30 +686,45 @@ mod tests {
         (regs.ints.clone(), floats, regs.bools.clone(), locals)
     }
 
-    /// Runs `op` on a copy of `regs` across all lanes and on another lane by
-    /// lane; both must fault or neither, and leave the same registers.
+    /// Runs `op` on a copy of `regs` across the lanes and on another lane by
+    /// lane — every lane, and the lanes of a mask; both must fault or
+    /// neither, and leave the same registers, a lane the mask has off as it
+    /// was.
     fn assert_wide_is_per_thread(p: &Program, regs: &Regs, op: Op) {
         let mut memory = DeviceMemory::new();
-        let mut run = |regs: &mut Regs, across: bool| {
-            let mut block = Block {
-                p,
-                regs: regs.lanes(),
-                shared: &[],
-                memory: &mut memory,
-                globals: &[],
+        for on in [[true; LANES], [true, false, false, true, false]] {
+            let mut mask = on;
+            let mask = Cell::from_mut(&mut mask[..]).as_slice_of_cells();
+            let mut run = |regs: &mut Regs, across: bool| {
+                let mut block = Block {
+                    p,
+                    regs: regs.lanes(),
+                    shared: &[],
+                    memory: &mut memory,
+                    globals: &[],
+                };
+                if across {
+                    let formed = match on == [true; LANES] {
+                        true => block.across(op, Every)?,
+                        false => block.across(op, mask)?,
+                    };
+                    assert!(formed, "{op:?} has no column form");
+                    return Ok(());
+                }
+                let lanes = (0..LANES).filter(|&lane| on[lane]);
+                lanes
+                    .into_iter()
+                    .try_for_each(|lane| block.step(&[op], lane))
             };
-            if across {
-                assert!(block.across(op)?, "{op:?} has no column form");
-                return Ok(());
+            let (mut across, mut each) = (regs.clone(), regs.clone());
+            let stepped = run(&mut each, false);
+            assert_eq!(run(&mut across, true), stepped, "{op:?} on {on:?}");
+            if stepped.is_ok() {
+                let arithmetic =
+                    !matches!(op, Op::Mov { .. } | Op::Select { .. } | Op::Store { .. });
+                let (across, each) = (bits(&across, arithmetic), bits(&each, arithmetic));
+                assert_eq!(across, each, "{op:?} on {on:?}");
             }
-            (0..LANES).try_for_each(|lane| block.step(&[op], lane))
-        };
-        let (mut across, mut each) = (regs.clone(), regs.clone());
-        let stepped = run(&mut each, false);
-        assert_eq!(run(&mut across, true), stepped, "{op:?}");
-        if stepped.is_ok() {
-            let arithmetic = !matches!(op, Op::Mov { .. } | Op::Select { .. } | Op::Store { .. });
-            assert_eq!(bits(&across, arithmetic), bits(&each, arithmetic), "{op:?}");
         }
     }
 

@@ -220,24 +220,26 @@ fn programs_stay_proportional_to_the_ir() {
 /// the serving stack's kernels, the share of instructions that sit in wide
 /// ranges — each counted once per thread, loops not multiplied out, so the
 /// write-back a block runs once weighs what the `k0` leaf it runs per tile
-/// does — stays where it was measured, and nothing is left per thread for a
-/// reason this stack's kernels should not have.
+/// does — is all of them. The predicated partial tiles (the guarded tile
+/// fills, the `if row < m && col < n` write-backs, the implicit-GEMM conv's
+/// scatter into NCHW) run wide under lane masks, so nothing is left per
+/// thread.
 #[test]
 fn the_serving_kernels_run_mostly_wide() {
     use hidet_analysis::LaneSummary;
-    use hidet_sim::{RangeKind, Reason, Verdict};
+    use hidet_sim::{RangeKind, Verdict};
     let gpu = Gpu::default();
     let stable = CompilerOptions::quick().order_stable();
     let decode = |name| hidet_graph::models::transformer_decode_step(name, 2, 8, 2, 16, 2, 16);
     let cases = [
-        (decode("diff_decode"), stable.clone(), 0.73),
+        (decode("diff_decode"), stable.clone(), 1.0),
         (
             hidet_graph::models::transformer_prefill("diff_prefill", 4, 8, 2, 16, 2, 16),
             stable,
-            0.73,
+            1.0,
         ),
-        (head8(), CompilerOptions::tuned(), 0.8),
-        (cnn_block8(), CompilerOptions::tuned(), 0.5),
+        (head8(), CompilerOptions::tuned(), 1.0),
+        (cnn_block8(), CompilerOptions::tuned(), 1.0),
     ];
     for (graph, options, floor) in cases {
         let compiled = hidet::compile(&graph, &gpu, &options).expect("graph compiles");
@@ -255,25 +257,23 @@ fn the_serving_kernels_run_mostly_wide() {
                         program.name()
                     );
                 }
-                if let Verdict::PerThread(reason) = &range.verdict {
-                    // A predicated partial tile can fault or diverges; no
-                    // template's threads meet, and none defeats the proof.
-                    let expected = matches!(reason, Reason::CanFault | Reason::Divergent);
-                    assert!(expected, "{}: {range:?}", program.name());
+                // No leaf of a partial tile is left per thread either.
+                if let Verdict::PerThread(_) = &range.verdict {
                     left.push(format!("{}: {range:?}", program.name()));
                 }
             }
             // A matmul: the zeroing, the fills, the `k0` compute leaf and
-            // whatever else precedes the predicated write-back run wide.
+            // whatever else precedes the predicated write-back run wide, and
+            // so does the write-back.
             if program.name().starts_with("matmul") && options.order_stable_reductions {
                 let (write_back, rest) = program.ranges().split_last().expect("ranges");
                 assert!(rest.iter().all(|r| r.verdict == Verdict::Wide), "{rest:?}");
-                assert_eq!(write_back.verdict, Verdict::PerThread(Reason::CanFault));
+                assert_eq!(write_back.verdict, Verdict::Wide);
             }
         }
         let share = summary.wide_share();
         assert!(
-            share >= floor,
+            left.is_empty() && share >= floor,
             "{}: wide share {share:.3} under {floor}; per thread:\n{}",
             graph.name(),
             left.join("\n")
@@ -1288,4 +1288,433 @@ fn launch_and_barrier_faults_match() {
     let walked = walker::run_kernel(&kernel, &mut empty.clone(), gpu.spec());
     assert_eq!(walked, Err(SimError::MissingBuffer("X".into())));
     assert_eq!(gpu.run(&kernel, &mut empty), walked);
+}
+
+// ---- guards and lane masks ---------------------------------------------------
+//
+// A branch the threads take differently runs wide, each side under a lane
+// mask; a guard `x < k` bounds `x` in the code it guards, so an access only
+// the guard keeps in bounds is proven there; a guard decided by a lane
+// register keeps the threads it is false for out of a footprint; an address
+// that is a function of one sum is apart where the sums are and the function
+// is one-to-one. Each kernel below leans on one of those rules, and runs
+// like the walker only if the rule is right.
+
+/// One conjunct of a drawn guard over thread `t` of block `b`: bounds on
+/// `t` (`t < k`, `k <= t`, `t + s < n`), a lane predicate that bounds
+/// nothing, a bound on a value of `t` and `b` both, a condition the whole
+/// block shares.
+fn guard_term(kind: i64, k: i64, shift: i64, threads: i64) -> Expr {
+    let t = thread_idx;
+    match kind {
+        0 => t().lt(k),
+        1 => c(k).le(t()),
+        2 => (t() + shift).lt(threads + 3),
+        3 => (t() % 3).eq_(c(0)),
+        4 => (block_idx() * threads + t()).lt(k * 3),
+        _ => block_idx().lt(1),
+    }
+}
+
+/// The `&&` of the drawn conjuncts.
+fn drawn_guard(conjuncts: &[(i64, i64)], shift: i64, threads: i64) -> Expr {
+    let mut terms = conjuncts
+        .iter()
+        .map(|&(kind, k)| guard_term(kind, k, shift, threads));
+    let first = terms.next().expect("one conjunct at least");
+    terms.fold(first, Expr::and)
+}
+
+type Conjuncts = Vec<(i64, i64)>;
+
+fn conjuncts() -> impl Strategy<Value = Conjuncts> {
+    prop::collection::vec((0i64..6, 0i64..12), 1..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random leaves of guarded statements over `X` and `Y` of `n + 3`
+    /// elements per block and a shared `S` of `n`, filled first: a store to
+    /// `Y[b, t + s]` under a guard, a select over a load of `X[b, t + s]`, an
+    /// `if` with an `else`, nested `if`s — each guard an `&&` chain of drawn
+    /// conjuncts that may or may not keep `t + s` in bounds. Whatever the
+    /// lowering proves, the leaf leaves memory as the walker does, or faults
+    /// as it does.
+    #[test]
+    fn random_guarded_leaves_match_the_walker(
+        threads in prop::sample::select(vec![5i64, 8, 32]),
+        grid in 1i64..=2,
+        statements in prop::collection::vec((0i64..4, conjuncts(), conjuncts(), 0i64..6), 1..4),
+    ) {
+        let mut kb = KernelBuilder::new("guarded_leaf", grid, threads);
+        let x = kb.param("X", DType::F32, &[grid, threads + 3]);
+        let y = kb.param("Y", DType::F32, &[grid, threads + 3]);
+        let s = kb.shared("S", DType::F32, &[threads]);
+        let (t, b) = (thread_idx, block_idx);
+        kb.push(store(&s, vec![t()], load(&x, vec![b(), t()]) * 3.0f32));
+        kb.push(sync_threads());
+        let body = statements.iter().map(|(kind, first, second, shift)| {
+            let (g1, g2) = (drawn_guard(first, *shift, threads), drawn_guard(second, *shift, threads));
+            let moved = vec![b(), t() + *shift];
+            let own = || vec![b(), t()];
+            let mine = load(&s, vec![t()]);
+            match kind {
+                0 => if_then(g1, store(&y, moved, mine * 2.0f32 + t().cast(DType::F32))),
+                1 => store(&y, own(), g1.select(load(&x, moved), fconst(0.5))),
+                2 => if_then_else(
+                    g1,
+                    store(&y, moved, load(&x, own())),
+                    store(&y, own(), mine + 1.0f32),
+                ),
+                _ => if_then(
+                    g1,
+                    if_then_else(
+                        g2,
+                        store(&y, moved.clone(), load(&y, moved) + load(&x, own())),
+                        store(&y, own(), load(&x, own()) - mine),
+                    ),
+                ),
+            }
+        });
+        kb.push(one_leaf(body.collect()));
+        let (walked, ran) = run_both(&kb.build());
+        prop_assert_eq!(ran, walked);
+    }
+}
+
+/// `if t < n` keeps `X[t]` of an `X` of `n` in bounds; `if t <= n` does not,
+/// nor does a bound on another variable, nor the `else` side of `t < n`.
+/// Those accesses stay checked — their leaf can fault — and fault as the
+/// walker does.
+#[test]
+fn guards_that_do_not_prove_an_access_leave_it_checked() {
+    use hidet_sim::{Program, Reason, Verdict};
+    let n = 4;
+    let t = thread_idx;
+    type Body = Box<dyn Fn(&BufferRef) -> Stmt>;
+    let cases: [(&str, Body); 3] = [
+        (
+            "t <= n",
+            Box::new(move |x| if_then(t().le(n), store(x, vec![t()], fconst(1.0)))),
+        ),
+        (
+            "a bound on t / 2",
+            Box::new(move |x| if_then((t() / 2).lt(n), store(x, vec![t()], fconst(1.0)))),
+        ),
+        (
+            "the else side of t < n",
+            Box::new(move |x| {
+                if_then_else(
+                    t().lt(n),
+                    store(x, vec![t()], fconst(1.0)),
+                    store(x, vec![t()], fconst(2.0)),
+                )
+            }),
+        ),
+    ];
+    for (what, build) in &cases {
+        let mut kb = KernelBuilder::new("unproven_guard", 1, 2 * n);
+        let x = kb.param("X", DType::F32, &[n]);
+        kb.push(build(&x));
+        let kernel = kb.build();
+        let p = Program::lower(&kernel);
+        let leaf = p.ranges().last().expect("a leaf");
+        assert_eq!(leaf.verdict, Verdict::PerThread(Reason::CanFault), "{what}");
+        let (walked, ran) = run_both(&kernel);
+        assert!(
+            matches!(walked, Err(SimError::OutOfBounds { index: 4, .. })),
+            "{what}: {walked:?}"
+        );
+        assert_eq!(ran, walked, "{what}");
+    }
+}
+
+/// The tree reduction of a row: `if lane < h { R[lane] += R[lane + h] }`.
+/// Without the guard, thread `h` would store the element thread 0 loads; the
+/// lane table says thread `h` never gets there, so each step runs wide.
+#[test]
+fn a_tree_reduction_under_lane_guards_runs_wide() {
+    use hidet_sim::{Program, RangeKind, Verdict};
+    let mut kb = KernelBuilder::new("tree_reduce", 2, 32);
+    let x = kb.param("X", DType::F32, &[2, 32]);
+    let y = kb.param("Y", DType::F32, &[2]);
+    let r = kb.shared("R", DType::F32, &[32]);
+    let lane = thread_idx;
+    kb.push(store(&r, vec![lane()], load(&x, vec![block_idx(), lane()])));
+    for half in [16, 8, 4, 2, 1] {
+        kb.push(sync_threads());
+        let sum = load(&r, vec![lane()]) + load(&r, vec![lane() + half]);
+        kb.push(if_then(lane().lt(half), store(&r, vec![lane()], sum)));
+    }
+    kb.push(sync_threads());
+    let first = load(&r, vec![c(0)]);
+    kb.push(if_then(
+        lane().eq_(c(0)),
+        store(&y, vec![block_idx()], first),
+    ));
+    let kernel = kb.build();
+    let p = Program::lower(&kernel);
+    let leaves = p.ranges().iter().filter(|r| r.kind == RangeKind::Leaf);
+    assert!(leaves.clone().count() == 7, "{:?}", p.ranges());
+    for leaf in leaves {
+        assert_eq!(leaf.verdict, Verdict::Wide, "{:?}", p.ranges());
+    }
+    assert_runs_like_the_walker(&kernel);
+}
+
+/// `if k <= b * n + t`, over block `b` of `n` threads: a bound on a value of
+/// `threadIdx` and `blockIdx` both, which no lane table decides. In block 0
+/// only thread 7 passes it, in block 1 every thread does — and then each
+/// reads what its neighbour stores. The leaf keeps thread order.
+#[test]
+fn a_guard_the_lane_table_does_not_decide_keeps_every_thread_in_the_footprint() {
+    use hidet_sim::{Program, Reason, Verdict};
+    let n = 8;
+    let mut kb = KernelBuilder::new("thread_guard", 2, n);
+    let x = kb.param("X", DType::F32, &[n]);
+    let y = kb.param("Y", DType::F32, &[2, n]);
+    let s = kb.shared("S", DType::F32, &[n]);
+    let t = thread_idx;
+    kb.push(if_then(
+        c(7).le(block_idx() * n + t()),
+        one_leaf(vec![
+            store(&s, vec![t()], load(&x, vec![t()]) + 1.0f32),
+            store(&y, vec![block_idx(), t()], load(&s, vec![(t() + 1) % n])),
+        ]),
+    ));
+    let kernel = kb.build();
+    assert_runs_like_the_walker(&kernel);
+    let p = Program::lower(&kernel);
+    let leaf = p.ranges().last().expect("a leaf");
+    assert!(
+        matches!(&leaf.verdict, Verdict::PerThread(Reason::Overlap { buffer, .. }) if buffer == "S"),
+        "{leaf:?}"
+    );
+}
+
+/// Addresses that are one function of a sum `r = b * n + t`: `Y[r / n][r % n]`
+/// is one-to-one in `r` and runs wide; `S[r % 4]` is not, threads `t` and
+/// `t + 4` meet there, and each reading back what it stored keeps thread
+/// order.
+#[test]
+fn an_address_through_a_function_of_one_sum_is_apart_only_where_it_is_one_to_one() {
+    use hidet_sim::{Program, Reason, Verdict};
+    let n = 8;
+    let r = || block_idx() * n + thread_idx();
+    let build = |scatter: bool| {
+        let mut kb = KernelBuilder::new("through", 2, n);
+        let x = kb.param("X", DType::F32, &[2 * n]);
+        let y = kb.param("Y", DType::F32, &[2, n]);
+        let s = kb.shared("S", DType::F32, &[4]);
+        let value = load(&x, vec![r()]) * 2.0f32;
+        kb.push(if scatter {
+            store(&y, vec![r() / n, r() % n], value)
+        } else {
+            one_leaf(vec![
+                store(&s, vec![r() % 4], value),
+                store(&y, vec![block_idx(), thread_idx()], load(&s, vec![r() % 4])),
+            ])
+        });
+        kb.build()
+    };
+    for scatter in [true, false] {
+        assert_runs_like_the_walker(&build(scatter));
+    }
+    let verdict = |kernel: &Kernel| {
+        Program::lower(kernel)
+            .ranges()
+            .last()
+            .map(|r| r.verdict.clone())
+    };
+    assert_eq!(verdict(&build(true)), Some(Verdict::Wide));
+    assert_eq!(
+        verdict(&build(false)),
+        Some(Verdict::PerThread(Reason::UnprovenFootprint))
+    );
+}
+
+/// Every range of `kernel` as the lowering judged it.
+fn verdicts(kernel: &Kernel) -> Vec<hidet_sim::Verdict> {
+    let p = hidet_sim::Program::lower(kernel);
+    p.ranges().iter().map(|r| r.verdict.clone()).collect()
+}
+
+/// A row reduction whose every statement sits under `if r < rows`, `r` the
+/// row of thread `t` in block `b`: 40 or 36 rows over two blocks of 32
+/// threads, so the second block's last 24 or 28 threads have no row (the
+/// 4 that do are few enough to be stepped one by one). Nothing else is in
+/// the kernel — the partial tile is all of it — and it runs wide: a lane
+/// the mask has off neither loads its row nor stores past the end of `Y`.
+#[test]
+fn a_kernel_of_only_predicated_leaves_runs_wide() {
+    for rows in [40, 36] {
+        predicated_rows(rows);
+    }
+}
+
+fn predicated_rows(rows: i64) {
+    use hidet_sim::Verdict;
+    let (threads, k) = (32, 8);
+    let mut kb = KernelBuilder::new("predicated_rows", 2, threads);
+    let x = kb.param("X", DType::F32, &[rows, k]);
+    let y = kb.param("Y", DType::F32, &[rows]);
+    let acc = kb.local("acc", DType::F32, &[1]);
+    let r = || block_idx() * threads + thread_idx();
+    kb.push(if_then(
+        r().lt(rows),
+        seq(vec![
+            store(&acc, vec![c(0)], fconst(0.0)),
+            for_range("j", k, |j| {
+                let sum = load(&acc, vec![c(0)]) + load(&x, vec![r(), j]);
+                store(&acc, vec![c(0)], sum)
+            }),
+            store(&y, vec![r()], load(&acc, vec![c(0)])),
+        ]),
+    ));
+    let kernel = kb.build();
+    assert!(verdicts(&kernel).iter().all(|v| *v == Verdict::Wide));
+    assert_runs_like_the_walker(&kernel);
+}
+
+/// `if t < 12 { if t % 2 == 0 {..} else {..}; Z[t] = .. } else {..}`: the
+/// inner branch splits the lanes the outer then side runs for, and the
+/// outer masks must still be there after it — for `Z[t]` and for the outer
+/// else side. Two levels of masks, held at once.
+#[test]
+fn nested_guards_run_under_a_stack_of_masks() {
+    use hidet_sim::Verdict;
+    let threads = 16;
+    let mut kb = KernelBuilder::new("nested_guards", 2, threads);
+    let x = kb.param("X", DType::F32, &[2, threads]);
+    let y = kb.param("Y", DType::F32, &[2, threads]);
+    let z = kb.param("Z", DType::F32, &[2, threads]);
+    let t = thread_idx;
+    let at = || vec![block_idx(), t()];
+    let mine = || load(&x, at());
+    kb.push(if_then_else(
+        t().lt(12),
+        seq(vec![
+            if_then_else(
+                (t() % 2).eq_(c(0)),
+                store(&y, at(), mine() * 2.0f32),
+                store(&y, at(), mine() + 1.0f32),
+            ),
+            store(&z, at(), mine() - 3.0f32),
+        ]),
+        seq(vec![
+            store(&y, at(), fconst(7.0)),
+            store(&z, at(), mine() * mine()),
+        ]),
+    ));
+    let kernel = kb.build();
+    assert!(verdicts(&kernel).iter().all(|v| *v == Verdict::Wide));
+    assert_runs_like_the_walker(&kernel);
+}
+
+/// `Y[t] = t < 5 ? X[t] : W[t]` over an `X` of 5: the lanes past it take
+/// `W`, and a lane loads only the source it takes — `X[5..8]` would be past
+/// the end.
+#[test]
+fn a_select_loads_only_the_source_a_lane_takes() {
+    use hidet_sim::Verdict;
+    let mut kb = KernelBuilder::new("select_source", 1, 8);
+    let x = kb.param("X", DType::F32, &[5]);
+    let w = kb.param("W", DType::F32, &[8]);
+    let y = kb.param("Y", DType::F32, &[8]);
+    let t = thread_idx;
+    let chosen = t().lt(5).select(load(&x, vec![t()]), load(&w, vec![t()]));
+    kb.push(store(&y, vec![t()], chosen * 3.0f32));
+    let kernel = kb.build();
+    assert!(verdicts(&kernel).iter().all(|v| *v == Verdict::Wide));
+    assert_runs_like_the_walker(&kernel);
+}
+
+/// `S[t % 7]` over 8 threads: thread 7 meets thread 0 at `S[0]`, and each
+/// reads back what it stored. Under `if t < 7` thread 7 never gets there,
+/// the lane table says so, and the leaf runs wide. Under `t < 7 || b == 1`
+/// it does get there in block 1 — an `||` excludes nobody — and the leaf
+/// keeps thread order.
+#[test]
+fn a_guard_keeps_out_the_one_thread_that_would_meet_another() {
+    use hidet_sim::{Reason, Verdict};
+    let threads = 8;
+    let build = |guard: Expr| {
+        let mut kb = KernelBuilder::new("excluded", 2, threads);
+        let x = kb.param("X", DType::F32, &[2, threads]);
+        let y = kb.param("Y", DType::F32, &[2, threads]);
+        let s = kb.shared("S", DType::F32, &[threads]);
+        let t = thread_idx;
+        let at = || vec![block_idx(), t()];
+        kb.push(if_then(
+            guard,
+            one_leaf(vec![
+                store(&s, vec![t() % 7], load(&x, at()) * 2.0f32),
+                store(&y, at(), load(&s, vec![t() % 7])),
+            ]),
+        ));
+        kb.build()
+    };
+    let excluded = build(thread_idx().lt(7));
+    assert_eq!(verdicts(&excluded).last(), Some(&Verdict::Wide));
+    assert_runs_like_the_walker(&excluded);
+    let either = build(thread_idx().lt(7).or(block_idx().eq_(c(1))));
+    let last = verdicts(&either).pop();
+    assert!(
+        matches!(&last, Some(Verdict::PerThread(Reason::Overlap { buffer, .. })) if buffer == "S"),
+        "{last:?}"
+    );
+    assert_runs_like_the_walker(&either);
+}
+
+/// At the edge of a 4-element `X`: `t < 4` and `t <= 3` both keep `X[t]` in
+/// bounds, `t <= 4` does not (thread 4 faults, as in the walker), and of
+/// `7 <= t` and `8 <= t` over 8 threads the first is taken by thread 7 and
+/// the second by none.
+#[test]
+fn le_and_lt_guards_meet_at_the_edge() {
+    use hidet_sim::{Reason, Verdict};
+    let t = thread_idx;
+    let build = |guard: Expr| {
+        let mut kb = KernelBuilder::new("edge", 1, 8);
+        let x = kb.param("X", DType::F32, &[4]);
+        let y = kb.param("Y", DType::F32, &[8]);
+        kb.push(if_then(
+            guard,
+            seq(vec![
+                store(&y, vec![t()], t().cast(DType::F32)),
+                store(&x, vec![t()], fconst(1.0)),
+            ]),
+        ));
+        kb.build()
+    };
+    let wide = [("t < 4", t().lt(4)), ("t <= 3", t().le(3))];
+    for (what, guard) in wide {
+        let kernel = build(guard);
+        assert!(
+            verdicts(&kernel).iter().all(|v| *v == Verdict::Wide),
+            "{what}"
+        );
+        assert_runs_like_the_walker(&kernel);
+    }
+    let past = build(t().le(4));
+    assert_eq!(
+        verdicts(&past).last(),
+        Some(&Verdict::PerThread(Reason::CanFault))
+    );
+    let (walked, ran) = run_both(&past);
+    assert!(
+        matches!(walked, Err(SimError::OutOfBounds { index: 4, .. })),
+        "{walked:?}"
+    );
+    assert_eq!(ran, walked);
+    // Only thread 7 stores, so `X[t]` would be past the end for it: the
+    // store to `Y` reached, the one to `X` faulting — as in the walker.
+    let (walked, ran) = run_both(&build(c(7).le(t())));
+    assert!(
+        matches!(walked, Err(SimError::OutOfBounds { index: 7, .. })),
+        "{walked:?}"
+    );
+    assert_eq!(ran, walked);
+    assert_runs_like_the_walker(&build(c(8).le(t())));
 }
