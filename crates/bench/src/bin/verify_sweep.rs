@@ -23,7 +23,10 @@
 //!    trip count differs by thread) fails the sweep too: the predicated
 //!    partial tiles run wide under lane masks, so one found is a template
 //!    the guards do not cover. Only HA041 — a footprint the proof gives up
-//!    on, such as that of bert's and gpt2's softmax kernels — may stay;
+//!    on, such as that of bert's and gpt2's softmax kernels — may stay.
+//!    Each model's largest program-to-IR ratio is printed, and a program of
+//!    more than 4× its kernel's IR nodes fails the sweep: unrolling must
+//!    stay proportional to the kernel on the whole zoo;
 //! 5. **the tuner's closed form**: for every distinct matmul problem of the
 //!    zoo, every candidate of the base space and every split-K child of each
 //!    is priced both ways — `matmul_work` against `KernelFacts::of` and
@@ -46,12 +49,18 @@ use hidet_bench::print_table;
 use hidet_graph::models;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
 use hidet_graph::Graph;
+use hidet_ir::visit::count_nodes;
 use hidet_sched::{
     anchor_problem, matmul_kernel, matmul_space, matmul_work, splitk_variants, AnchorProblem,
     MatmulConfig, MatmulIo, MatmulProblem,
 };
 use hidet_sim::cost::count_work;
 use hidet_sim::{Gpu, KernelFacts};
+
+/// The most instructions a lowered program may have per IR node of its
+/// kernel: unrolling is bounded by the kernel's size, not only by a fixed
+/// budget.
+const SIZE_FACTOR: usize = 4;
 
 /// Deep-verifies one model through the graph-pass pipeline; returns every
 /// diagnostic (expected: none) and the number of checks run, and collects
@@ -130,7 +139,7 @@ fn main() {
     }
 
     // --- 4. lane commutativity of every kernel, statically -----------------
-    let mut rows = Vec::new();
+    let (mut rows, mut oversized) = (Vec::new(), Vec::new());
     for graph in &zoo {
         let compiled = hidet::compile(graph, &gpu, &CompilerOptions::quick())
             .unwrap_or_else(|e| panic!("{} failed to compile: {e}", graph.name()));
@@ -138,7 +147,20 @@ fn main() {
         let programs = compiled.plan().programs();
         let lower_us = lowering.elapsed().as_secs_f64() * 1e6 / programs.len().max(1) as f64;
         let mut summary = LaneSummary::default();
-        for program in programs {
+        let mut largest = 0.0f64;
+        let kernels = compiled.plan().groups().iter().flat_map(|g| &g.kernels);
+        for (kernel, program) in kernels.zip(programs) {
+            let nodes = count_nodes(kernel.body());
+            let ratio = program.op_count() as f64 / nodes as f64;
+            largest = largest.max(ratio);
+            if program.op_count() > SIZE_FACTOR * nodes {
+                oversized.push(format!(
+                    "{} {}: {} instructions for {nodes} IR nodes",
+                    graph.name(),
+                    kernel.name(),
+                    program.op_count()
+                ));
+            }
             summary.add(program);
             // (What runs per thread and why is the table below; a race, or
             // a range per thread for anything but its footprint, is a
@@ -157,6 +179,7 @@ fn main() {
             format!("{}", programs.len()),
             format!("{:.3}", summary.wide_share()),
             reasons.join(", "),
+            format!("{largest:.2}"),
             format!("{lower_us:.0}"),
         ]);
     }
@@ -166,9 +189,13 @@ fn main() {
         "kernels",
         "wide share",
         "per thread (instructions x block_dim)",
+        "largest program / IR",
         "lowering us/kernel",
     ];
     print_table(&header, &rows);
+    for line in &oversized {
+        println!("  oversized: {line}");
+    }
 
     // --- 5. the tuner's closed form against the tree ------------------------
     let pricing = Instant::now();
@@ -209,6 +236,10 @@ fn main() {
         diags.is_empty(),
         "the zoo must verify clean at every stage, got {} diagnostics",
         diags.len()
+    );
+    assert!(
+        oversized.is_empty(),
+        "every program must stay within {SIZE_FACTOR}x its kernel's IR nodes"
     );
     assert!(
         mismatched.is_empty(),

@@ -85,7 +85,7 @@ impl KvCache {
 }
 
 /// Write coordinates of a freshly appended token, consumed by
-/// [`KvAllocator::copy_into_lane`] / [`KvAllocator::lane_mut`].
+/// [`KvAllocator::copy_into_lane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvSlot {
     /// Arena block index.
@@ -245,17 +245,6 @@ impl KvAllocator {
         );
     }
 
-    /// Mutable access to one lane of an appended slot (host-side writers,
-    /// e.g. tests).
-    pub fn lane_mut(&mut self, slot: KvSlot, layer: usize, stream: usize) -> &mut [f32] {
-        let offset = self.lane_offset(slot.slot, layer, stream);
-        let hidden = self.layout.hidden;
-        &mut self
-            .mem
-            .get_mut(&self.names[slot.block])
-            .expect("block views are bound at construction")[offset..offset + hidden]
-    }
-
     /// Offset of `(slot, layer, stream)` within a block buffer.
     fn lane_offset(&self, slot: usize, layer: usize, stream: usize) -> usize {
         assert!(layer < self.layout.layers, "layer {layer} out of range");
@@ -304,13 +293,15 @@ mod tests {
     fn lanes_round_trip_and_never_alias() {
         let mut kv = KvAllocator::new(layout(), 4);
         let mut cache = KvCache::new();
-        // Write a distinct signature into every lane of 5 tokens.
+        // Copy a distinct signature into every lane of 5 tokens.
+        let mut src = DeviceMemory::new();
         for t in 0..5usize {
             let slot = kv.append(&mut cache).unwrap();
             for layer in 0..2 {
                 for stream in 0..2 {
                     let tag = (t * 100 + layer * 10 + stream) as f32;
-                    kv.lane_mut(slot, layer, stream).fill(tag);
+                    src.alloc("tag", &[tag; 4]);
+                    kv.copy_into_lane(slot, layer, stream, 0, &src, "tag", 0, 4);
                 }
             }
         }

@@ -137,6 +137,26 @@ pub fn visit_exprs(s: &Stmt, f: &mut impl FnMut(&Expr)) {
     }
 }
 
+/// Statement plus expression nodes of a statement tree: the size of a kernel
+/// body, as the benchmark's `ir.kernel_nodes` counts it.
+pub fn count_nodes(s: &Stmt) -> usize {
+    fn statements(s: &Stmt) -> usize {
+        1 + match s {
+            Stmt::Seq(items) => items.iter().map(statements).sum(),
+            Stmt::For { body, .. } => statements(body),
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => statements(then_body) + else_body.as_deref().map_or(0, statements),
+            _ => 0,
+        }
+    }
+    let mut expressions = 0;
+    visit_exprs(s, &mut |_| expressions += 1);
+    statements(s) + expressions
+}
+
 /// Substitutes `value` for every occurrence of `var` in `e`.
 pub fn substitute(e: &Expr, var: &Var, value: &Expr) -> Expr {
     rewrite_expr(e, &mut |node| match node {

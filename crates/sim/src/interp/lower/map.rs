@@ -4,11 +4,14 @@
 //! (the scheme `rustc` uses for its own tables) rather than with the
 //! standard library's collision-resistant default.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed by the lowering's own values.
 pub(super) type Map<K, V> = HashMap<K, V, BuildHasherDefault<Mix>>;
+
+/// A `HashSet` of the lowering's own values.
+pub(super) type Set<K> = HashSet<K, BuildHasherDefault<Mix>>;
 
 /// A multiply-rotate hash over the words written to it.
 #[derive(Default)]

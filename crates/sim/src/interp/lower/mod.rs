@@ -18,10 +18,10 @@
 //! unchecked. When nothing is left but the constant and the buffer is a
 //! register array, the operand is the element itself ([`ELEMENT`]).
 //!
-//! A barrier-free loop with a small constant extent is lowered as copies of
-//! its body with the loop variable a literal ([`Lowerer::unroll`]), within a
-//! fixed budget. Nothing else changes for it: the folding and the places
-//! above do the rest, and a loop outside the budget lowers as a loop.
+//! A barrier-free loop with a constant extent is lowered as copies of its
+//! body with the loop variable a literal ([`Lowerer::unroll`]) when they fit
+//! an instruction budget. Nothing else changes for it: the folding and the
+//! places above do the rest, and a loop outside the budget lowers as a loop.
 
 mod access;
 mod chain;
@@ -39,9 +39,8 @@ use hidet_ir::{BinOp, BufferRef, Kernel, MemScope, Stmt};
 use self::chain::{Chain, Part, Root};
 use self::guard::Facts;
 use self::linear::{Atom, Linear};
-use self::map::Map;
+use self::map::{Map, Set};
 use self::place::{Place, Ty, Val};
-use self::unroll::UNROLL_TRIPS;
 use super::program::{
     nesting, CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space,
     COLUMN, FILE_SHIFT, INT, MEM, SCALAR,
@@ -228,6 +227,10 @@ struct Lowerer<'k> {
     /// Parallel to `p.buffer_names`.
     slots: Vec<BufferSlot>,
     buffer_ids: Map<(MemScope, &'k str), u32>,
+    /// Instructions the copies of one unrolled loop may take.
+    budget: usize,
+    /// Loops, by body and trips, whose copies outgrew it once.
+    rolled: Set<(*const Stmt, i64)>,
 }
 
 impl<'k> Lowerer<'k> {
@@ -299,6 +302,8 @@ impl<'k> Lowerer<'k> {
             env: Vec::new(),
             slots: Vec::new(),
             buffer_ids: Map::default(),
+            budget: unroll::budget(kernel),
+            rolled: Set::default(),
         };
         for (i, b) in kernel.params().iter().enumerate() {
             let len = b.num_elements() as usize;
@@ -567,7 +572,7 @@ impl<'k> Lowerer<'k> {
                 let n = self.expr(extent);
                 let n = self.in_reg(n);
                 if let Some(Value::I64(trips)) = self.const_value(n) {
-                    if trips <= UNROLL_TRIPS && self.unroll(var.name(), trips, body) {
+                    if self.unroll(var.name(), trips, body) {
                         self.temp_top = mark;
                         return;
                     }

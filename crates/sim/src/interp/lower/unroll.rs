@@ -1,19 +1,26 @@
-//! Unrolling: a barrier-free loop with a small constant extent as copies of
-//! its body, abandoned — and rolled back to a [`Checkpoint`] — when the
-//! copies outgrow the budget.
+//! Unrolling: a barrier-free loop with a constant extent as copies of its
+//! body, abandoned — and rolled back to a [`Checkpoint`] — as soon as the
+//! copies are bound to outgrow the budget.
 
-use hidet_ir::Stmt;
+use hidet_ir::{Kernel, Stmt};
 
 use super::{Lowerer, BLOCK, INDEX, LANE, SPACE_SHIFT, THREAD};
 use crate::interp::program::Reg;
 use crate::value::Value;
 
-/// A loop whose extent folds to a constant of at most `UNROLL_TRIPS` is
-/// unrolled when that emits at most `UNROLL_OPS` instructions, hoisted ones
-/// included — innermost loops first, so a nest unrolls from the inside out
-/// for as long as it fits. Bounds how far a program can outgrow its kernel.
-pub(super) const UNROLL_TRIPS: i64 = 8;
+/// A loop whose extent folds to a constant is unrolled when its copies take
+/// at most `UNROLL_OPS` instructions, hoisted ones included — and at most
+/// [`UNROLL_GROWTH`] times the kernel's IR nodes — innermost loops first,
+/// so a nest unrolls from the inside out for as long as it fits.
 const UNROLL_OPS: usize = 512;
+/// Bounds how far a program can outgrow its kernel: a small kernel's loops
+/// get a budget proportional to it.
+const UNROLL_GROWTH: usize = 3;
+
+/// The instruction budget of one loop's copies in `kernel`.
+pub(super) fn budget(kernel: &Kernel) -> usize {
+    UNROLL_OPS.min(UNROLL_GROWTH * hidet_ir::visit::count_nodes(kernel.body()))
+}
 
 /// How much of the program existed at some point of the lowering.
 pub(super) struct Checkpoint {
@@ -37,12 +44,24 @@ impl<'k> Lowerer<'k> {
     /// the loop variable a constant in each — which makes tile-local index
     /// arithmetic (`ty * 4 + i`) lane-level and register-tile indices
     /// constants. Returns `false`, having emitted nothing, when the copies
-    /// take more than [`UNROLL_OPS`] instructions.
+    /// take more than the budget — or, from the second copy on, would: what
+    /// they took so far plus the last copy's growth for every trip left.
+    /// (The first copy is no guide: it also computes the hoisted terms the
+    /// others share.) A loop of more trips than the budget has instructions
+    /// is not tried, nor one whose copies outgrew it before — the same body
+    /// and trips inside an enclosing loop's copies, or again once that loop
+    /// stayed a loop.
     pub(super) fn unroll(&mut self, name: &'k str, trips: i64, body: &'k Stmt) -> bool {
+        let budget = self.budget;
+        let key = (std::ptr::from_ref(body), trips);
+        if trips > budget as i64 || self.rolled.contains(&key) {
+            return false;
+        }
         let mark = self.temp_top;
         let scope = self.env.len();
         let start = self.checkpoint();
         let (fits, copies) = self.capture(|l| {
+            let mut emitted = 0;
             for i in 0..trips {
                 let var = l.konst(Value::I64(i));
                 l.env.push((name, Some(var)));
@@ -50,7 +69,13 @@ impl<'k> Lowerer<'k> {
                 l.stmt(body);
                 l.env.truncate(scope);
                 l.temp_top = mark;
-                if l.emitted_since(&start) > UNROLL_OPS {
+                let before = std::mem::replace(&mut emitted, l.emitted_since(&start));
+                let left = (trips - 1 - i) as usize;
+                let projected = match i {
+                    0 => emitted,
+                    _ => emitted + (emitted - before) * left,
+                };
+                if projected > budget {
                     return false;
                 }
             }
@@ -60,6 +85,7 @@ impl<'k> Lowerer<'k> {
             self.splice(copies);
         } else {
             self.rollback(start);
+            self.rolled.insert(key);
         }
         fits
     }

@@ -16,9 +16,9 @@
 //!   that do form a small *lockstep skeleton*, everything between them is a
 //!   straight instruction array;
 //! * literals are folded;
-//! * a barrier-free loop whose extent folds to a small constant is
-//!   **unrolled**, its variable a literal in every copy of the body (see
-//!   below for what that buys and what bounds it).
+//! * a barrier-free loop whose extent folds to a constant is **unrolled**
+//!   when its copies fit a budget, its variable a literal in every copy of
+//!   the body (see below for what that buys and what bounds it).
 //!
 //! # The place lattice
 //!
@@ -61,13 +61,15 @@
 //!
 //! The hardware-centric schedule space makes every tile extent a
 //! compile-time constant (`repeat(4, 4) · spatial(…)`), so the loops over a
-//! thread's own tile have literal extents of a handful of trips. Such a loop
-//! — barrier-free, extent folding to a constant of at most 8 — is unrolled,
-//! innermost first, for as long as the copies stay within a fixed budget of
-//! 512 instructions (hoisted ones included, whatever stream they went to); a
-//! loop over the budget, with more trips or with an extent only known at
-//! run time lowers as a loop. The budget is a private constant of the
-//! lowering, not an option. Unrolling needs no analysis of its own: the loop
+//! thread's own tile have literal extents. Such a loop — barrier-free, extent
+//! folding to a constant — is unrolled, innermost first, for as long as its
+//! copies stay within a budget of 512 instructions or three times the
+//! kernel's IR nodes, whichever is fewer (hoisted ones included, whatever
+//! stream they went to). An attempt gives up as soon as the growth of its
+//! last copy, times the trips left, shows the rest cannot fit; a loop over
+//! the budget or with an extent only known at run time lowers as a loop.
+//! The budget is private to the lowering, not an option. Unrolling needs no
+//! analysis of its own: the loop
 //! variable is a literal, so the folding and the places above turn
 //! `ty * 4 + i` into a shared lane register and `acc[i, j]` into a constant
 //! address.

@@ -321,11 +321,13 @@ pub struct CodeRange {
 ///
 /// Lowering never fails: a fault the lowering can already see becomes a trap
 /// instruction that is raised if and when execution reaches it. It unrolls
-/// barrier-free loops of at most eight constant trips, innermost first and
-/// only while the copies of one loop stay within 512 instructions — fixed
-/// bounds, not options — so the program stays within a small multiple of its
-/// kernel's IR node count ([`Program::op_count`]; at most 4× on every kernel
-/// of the serving stack, held by `tests/interp_differential.rs`).
+/// barrier-free loops of constant trips, innermost first and only while the
+/// copies of one loop stay within 512 instructions and three times the
+/// kernel's IR nodes — fixed bounds, not options — so the program stays
+/// within a small multiple of its kernel's IR node count
+/// ([`Program::op_count`]; at most 4× on every kernel of the serving stack,
+/// held by `tests/interp_differential.rs`, and of the model zoo, held by
+/// `verify_sweep`).
 #[derive(Debug, Clone)]
 pub struct Program {
     pub(crate) name: String,
@@ -410,6 +412,21 @@ impl Program {
     /// with the kernel's IR node count.
     pub fn op_count(&self) -> usize {
         self.block_code.len() + self.lane_code.len() + self.code.len() + self.nodes.len()
+    }
+
+    /// Barrier-free loops that stayed loops: their extent is only known at
+    /// run time, or their copies would not fit the unrolling budget.
+    pub fn rolled_loops(&self) -> usize {
+        let rolled = |op: &&Op| matches!(op, Op::LoopEnter { .. });
+        self.code.iter().filter(rolled).count()
+    }
+
+    /// Multiply-adds that accumulate through a memory access rather than
+    /// into a register-array element the lowering could address as a
+    /// register: what a register tile left behind a rolled loop costs.
+    pub fn memory_multiply_adds(&self) -> usize {
+        let through_memory = |op: &&Op| matches!(op, Op::MulAdd { to, .. } if to & ELEMENT == 0);
+        self.code.iter().filter(through_memory).count()
     }
 
     /// Resolves the global buffers this program addresses to their ids in

@@ -265,12 +265,13 @@ fn proven_uniform_controls_are_evaluated_once() {
 #[test]
 fn task_mapping_index_arithmetic_leaves_the_loops() {
     // Every index below is a static function of threadIdx / blockIdx; the
-    // 64-trip loop body should be left with the accumulation alone.
+    // body of the loop — of more trips than the unrolling budget has
+    // instructions — should be left with the accumulation alone.
     let mut kb = KernelBuilder::new("hoist", 4, 32);
     let x = kb.param("X", DType::F32, &[4, 32]);
     let acc = kb.local("Acc", DType::F32, &[2]);
     let lane = thread_idx() % 32 / 8 * 8 + thread_idx() % 8;
-    kb.push(for_range("k", 64, |_| {
+    kb.push(for_range("k", 1024, |_| {
         store(
             &acc,
             vec![thread_idx() / 16],
@@ -653,8 +654,10 @@ fn zero_and_one_trip_loops_leave_no_loop_behind() {
 
 #[test]
 fn loops_outside_the_budget_stay_loops() {
-    // Nine trips; eight trips of a body too large to copy eight times;
-    // an extent only a thread knows.
+    // More trips than the budget has instructions; forty trips of a body
+    // whose first two copies show the rest cannot fit a budget of three
+    // times the kernel's IR nodes; eight trips of a body too large to copy
+    // eight times in 512 instructions; an extent only a thread knows.
     let lower = |extent: Expr, stores: i64| {
         let mut kb = KernelBuilder::new("stays", 1, 4);
         let x = kb.param("X", DType::F32, &[128]);
@@ -666,7 +669,7 @@ fn loops_outside_the_budget_stay_loops() {
         }));
         kb.build()
     };
-    for (extent, stores) in [(c(9), 1), (c(8), 70), (thread_idx() + 1, 1)] {
+    for (extent, stores) in [(c(513), 1), (c(40), 16), (c(8), 70), (thread_idx() + 1, 1)] {
         let kernel = lower(extent, stores);
         let p = Program::lower(&kernel);
         let loops = p.code.iter().filter(|op| is_loop(op)).count();
@@ -727,7 +730,7 @@ fn proven_accesses_are_a_base_plus_an_offset() {
         vec![block_idx(), thread_idx()],
         load(&s, vec![c(0), block_idx(), thread_idx()]),
     ));
-    kb.push(for_range("k", 64, |k| {
+    kb.push(for_range("k", 1024, |k| {
         store(&s, vec![k % 2, c(3), thread_idx()], fconst(2.0))
     }));
     let p = Program::lower(&kb.build());
