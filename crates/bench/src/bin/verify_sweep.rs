@@ -10,9 +10,14 @@
 //!    fusion partition covers the graph exactly once;
 //! 2. **pipeline**: a full compile at `VerifyLevel::Deep` — every stage
 //!    verifier (graph, partition, schedule, memory plan) armed — succeeds;
-//! 3. **artifact load**: the compiled artifact round-trips through
-//!    `compile_from_artifact`, which re-proves every recorded schedule and
-//!    the rebuilt memory plan with the same checkers;
+//! 3. **artifact load and coalesced generation**: the compiled artifact
+//!    round-trips through `compile_from_artifact`, which re-proves every
+//!    recorded schedule and the rebuilt memory plan with the same checkers;
+//!    then every graph of the zoo compiles under `CompilerOptions::tuned()`
+//!    and rebuilds from its artifact, and every group of both — generated
+//!    once per distinct `GroupKey` and renamed for the rest — must equal a
+//!    fresh `compile_group` field by field. The table prints each graph's
+//!    groups and how many of them were generated;
 //! 4. **lane commutativity**: every kernel of every model is lowered for
 //!    the interpreter (nothing is launched) and its ranges' verdicts read
 //!    back — how much runs once for the whole block, why the rest does not,
@@ -40,7 +45,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use hidet::CompilerOptions;
+use hidet::{CompiledGraph, CompilerOptions};
 use hidet_analysis::{
     check_lanes, verify_graph, verify_partition, Diagnostic, LaneSummary, Rule, Severity,
     VerifyLevel,
@@ -51,8 +56,8 @@ use hidet_graph::passes::{constant_fold, lower_convs, partition};
 use hidet_graph::Graph;
 use hidet_ir::visit::count_nodes;
 use hidet_sched::{
-    anchor_problem, matmul_kernel, matmul_space, matmul_work, splitk_variants, AnchorProblem,
-    MatmulConfig, MatmulIo, MatmulProblem,
+    anchor_problem, compile_group, matmul_kernel, matmul_space, matmul_work, splitk_variants,
+    AnchorProblem, GroupKey, MatmulConfig, MatmulIo, MatmulProblem,
 };
 use hidet_sim::cost::count_work;
 use hidet_sim::{Gpu, KernelFacts};
@@ -97,6 +102,32 @@ fn closed_form_matches(problem: MatmulProblem, config: MatmulConfig) -> bool {
     matmul_work(problem, config) == tree
 }
 
+/// Every group of `compiled` that differs from a fresh `compile_group` of
+/// the same group under its recorded schedule, and the number of distinct
+/// [`GroupKey`]s — the groups a compile generates.
+fn regenerate(compiled: &CompiledGraph, mismatched: &mut Vec<String>) -> usize {
+    let g = compiled.graph();
+    let groups = partition(g);
+    let schedules = &compiled.artifact().schedules;
+    let mut keys = HashSet::new();
+    for (i, ((group, schedule), got)) in groups
+        .iter()
+        .zip(schedules)
+        .zip(compiled.groups())
+        .enumerate()
+    {
+        keys.insert(GroupKey::of(g, group, schedule));
+        let fresh = compile_group(g, group, schedule).expect("a compiled group compiles");
+        if let Some(field) = got.difference(&fresh) {
+            mismatched.push(format!("{} group {i}: {field}", g.name()));
+        }
+    }
+    if groups.len() != compiled.groups().len() {
+        mismatched.push(format!("{}: group count", g.name()));
+    }
+    keys.len()
+}
+
 fn main() {
     println!("=== hidet: static-analysis sweep (graph IR / schedules / plans) ===\n");
     let start = Instant::now();
@@ -136,6 +167,36 @@ fn main() {
             graph.name(),
             compiled.num_kernels()
         );
+    }
+
+    // --- 3. every group of a tuned compile and rebuild, regenerated -------
+    let (mut rows, mut regenerated) = (Vec::new(), Vec::new());
+    let tuned = CompilerOptions::tuned();
+    for graph in &zoo {
+        let compiled = hidet::compile(graph, &gpu, &tuned)
+            .unwrap_or_else(|e| panic!("{} failed to compile: {e}", graph.name()));
+        let artifact = compiled.artifact().clone();
+        let rebuilt = hidet::compile_from_artifact(graph, &gpu, &tuned, artifact)
+            .unwrap_or_else(|e| panic!("{} artifact re-load rejected: {e}", graph.name()));
+        let generated = regenerate(&compiled, &mut regenerated);
+        regenerate(&rebuilt, &mut regenerated);
+        checks += 2;
+        rows.push(vec![
+            graph.name().to_string(),
+            format!("{}", compiled.groups().len()),
+            format!("{generated}"),
+        ]);
+    }
+    println!();
+    print_table(&["model", "groups", "generated"], &rows);
+    println!(
+        "every group of {} tuned compiles and their rebuilds against a fresh compile_group: \
+         {} mismatches",
+        zoo.len(),
+        regenerated.len()
+    );
+    for line in regenerated.iter().take(10) {
+        println!("  mismatch: {line}");
     }
 
     // --- 4. lane commutativity of every kernel, statically -----------------
@@ -236,6 +297,10 @@ fn main() {
         diags.is_empty(),
         "the zoo must verify clean at every stage, got {} diagnostics",
         diags.len()
+    );
+    assert!(
+        regenerated.is_empty(),
+        "every group must equal a fresh compile_group of it"
     );
     assert!(
         oversized.is_empty(),

@@ -2,25 +2,26 @@
 
 mod budget;
 mod compiled;
+mod generate;
 mod options;
 mod tune;
 
 pub use self::compiled::{CompilePlan, CompiledGraph, HIDET_DISPATCH_S};
 pub use self::options::{CompileError, CompilerOptions, MatmulChoice, DEFAULT_MEASURE_TOP_K};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hidet_analysis::{self as analysis, VerifyLevel};
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
 use hidet_graph::Graph;
-use hidet_sched::fusion::{compile_group, CompiledGroup, GroupSchedule};
+use hidet_sched::fusion::{CompiledGroup, GroupSchedule};
 use hidet_sched::{anchor_problem, AnchorProblem};
 use hidet_sim::Gpu;
 
 use self::budget::WorkerBudget;
-use self::tune::{compile_one_group, GroupOutcome, TuneCost, TuningSlots};
+use self::generate::{fan_out, generate};
+use self::tune::{schedule_group, TuneCost, TuningSlots};
 use crate::artifact::CompiledArtifact;
 use crate::plan::MemoryPlan;
 
@@ -60,7 +61,7 @@ pub fn compile_hashed(
 
     // Shared per-problem tuning slots: identical matmul problems across
     // groups coalesce onto one tuning task, whichever worker claims it first
-    // (the others block on the slot — tuning dominates group compilation).
+    // (the others block on the slot).
     let tuning = TuningSlots::default();
     let want = options.effective_compile_workers().min(groups.len()).max(1);
     // Concurrent compiles (several engine lanes cold-starting distinct
@@ -70,63 +71,44 @@ pub fn compile_hashed(
     let budget = WorkerBudget::claim(want);
     let workers = budget.granted();
 
-    let outcomes: Vec<Result<GroupOutcome, CompileError>> = if workers <= 1 {
-        groups
-            .iter()
-            .map(|group| compile_one_group(&g, group, gpu, options, &tuning))
-            .collect()
-    } else {
-        // Fan the per-group compile+tune loop out over scoped workers; the
-        // slot vector keeps results in deterministic group order no matter
-        // which worker finishes first.
-        let slots: Vec<OnceLock<Result<GroupOutcome, CompileError>>> =
-            (0..groups.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(idx) else { return };
-                    let outcome = compile_one_group(&g, group, gpu, options, &tuning);
-                    let _ = slots[idx].set(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                // Workers drain the index counter before exiting, so every
-                // slot is filled; an empty one means a worker died mid-group.
-                slot.into_inner().unwrap_or_else(|| {
-                    Err(CompileError::Schedule(
-                        "internal: a compile worker exited without filling its group slot".into(),
-                    ))
-                })
-            })
-            .collect()
-    };
+    // Schedule every group, fanned out; the results come back in group
+    // order no matter which worker finished first.
+    let outcomes = fan_out(groups.len(), workers, |i| {
+        schedule_group(&g, &groups[i], gpu, options, &tuning)
+    });
 
-    // Reduce in group order: the first failing group's error is returned
-    // (matching the sequential pipeline), and tuning accounting sums
-    // deterministically.
+    // Reduce in group order up to the first failing group, whose error is
+    // returned unless an earlier group fails to generate (matching the
+    // sequential pipeline); tuning accounting sums deterministically.
     let mut cost = TuneCost::default();
     let mut schedules = Vec::with_capacity(groups.len());
-    let mut compiled_groups = Vec::with_capacity(groups.len());
+    let mut failure = None;
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let outcome = outcome?;
-        if level > VerifyLevel::Off {
-            // Re-prove the elected schedule against the device — the tuner
-            // and the ablation clamps must never hand kernel generation an
-            // illegal config.
-            verify_stage(
-                check_group_schedule(&g, &groups[i], &outcome.schedule, gpu, options, i),
-                "tuning",
-            )?;
+        let checked = outcome.and_then(|(schedule, c)| {
+            if level > VerifyLevel::Off {
+                // Re-prove the elected schedule against the device — the
+                // tuner and the ablation clamps must never hand kernel
+                // generation an illegal config.
+                let diags = check_group_schedule(&g, &groups[i], &schedule, gpu, options, i);
+                verify_stage(diags, "tuning")?;
+            }
+            Ok((schedule, c))
+        });
+        match checked {
+            Ok((schedule, c)) => {
+                cost.trials += c.trials;
+                cost.seconds += c.seconds;
+                schedules.push(schedule);
+            }
+            Err(e) => {
+                failure = Some(e);
+                break;
+            }
         }
-        cost.trials += outcome.cost.trials;
-        cost.seconds += outcome.cost.seconds;
-        schedules.push(outcome.schedule);
-        compiled_groups.push(outcome.compiled);
+    }
+    let compiled_groups = generate(&g, &groups, &schedules, workers)?;
+    if let Some(e) = failure {
+        return Err(e);
     }
     // The artifact records what its schedules cost to find: what a warm
     // artifact load saves.
@@ -280,21 +262,25 @@ pub fn compile_from_artifact_hashed(
             groups.len()
         )));
     }
-    let mut compiled_groups = Vec::with_capacity(groups.len());
+    // Recorded schedules crossed a serialization boundary (possibly a
+    // hand-edited file): re-prove full legality, not just "fits" — a
+    // corrupted/oversized config is rejected with its diagnostics, never
+    // fed to kernel generation. As in the cold compile, the first rejected
+    // group's error is returned unless an earlier group fails to generate.
+    let (mut fit, mut failure) = (groups.len(), None);
     for (i, (group, schedule)) in groups.iter().zip(&artifact.schedules).enumerate() {
-        // Recorded schedules crossed a serialization boundary (possibly a
-        // hand-edited file): re-prove full legality, not just "fits" — a
-        // corrupted/oversized config is rejected with its diagnostics,
-        // never fed to kernel generation.
         let diags = check_group_schedule(&g, group, schedule, gpu, options, i);
         if analysis::has_errors(&diags) {
-            return Err(CompileError::Artifact(format!(
-                "recorded schedule rejected: {}",
-                analysis::render_text(&diags).trim_end()
-            )));
+            let text = analysis::render_text(&diags);
+            let e = format!("recorded schedule rejected: {}", text.trim_end());
+            (fit, failure) = (i, Some(CompileError::Artifact(e)));
+            break;
         }
-        let compiled = compile_group(&g, group, schedule).map_err(CompileError::Schedule)?;
-        compiled_groups.push(compiled);
+    }
+    let budget = WorkerBudget::claim(options.effective_compile_workers().min(fit).max(1));
+    let compiled_groups = generate(&g, &groups, &artifact.schedules[..fit], budget.granted())?;
+    if let Some(e) = failure {
+        return Err(e);
     }
     let verify_as = Some("memory planning (artifact load)");
     Ok(CompiledGraph {
@@ -307,6 +293,7 @@ pub fn compile_from_artifact_hashed(
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
     use hidet_graph::reference::{execute, ValueMap};
@@ -463,10 +450,12 @@ mod tests {
 
     #[test]
     fn parallel_compile_elects_the_sequential_schedules() {
-        // A tower of distinct matmul problems, so every compile worker has a
-        // tuning task of its own. (On a one-core host both sides run
-        // sequentially and the test is trivially true.)
-        let widths = [64i64, 96, 80, 112, 48, 72, 32];
+        // A tower of matmul problems, so every compile worker has a tuning
+        // task of its own, with one width pair repeated so that both paths
+        // also generate a duplicate group once and rename it. (On a
+        // one-core host both sides run sequentially and the test is
+        // trivially true.)
+        let widths = [64i64, 96, 64, 96, 80, 112, 48, 72, 32];
         let mut g = GraphBuilder::new("tower");
         let mut t = g.input("x", &[4, widths[0]]);
         for (i, pair) in widths.windows(2).enumerate() {
@@ -478,7 +467,8 @@ mod tests {
         let gpu = Gpu::default();
         let parallel = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
         let sequential = compile(&graph, &gpu, &CompilerOptions::tuned().sequential()).unwrap();
-        assert_eq!(parallel.tuned_configs().len(), widths.len() - 1);
+        // (64, 96) comes twice and (96, 64) once among the eight pairs.
+        assert_eq!(parallel.tuned_configs().len(), widths.len() - 2);
         assert_eq!(parallel.tuned_configs(), sequential.tuned_configs());
         assert_eq!(parallel.tuning_trials(), sequential.tuning_trials());
         assert_eq!(parallel.cuda_source(), sequential.cuda_source());

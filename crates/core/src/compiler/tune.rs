@@ -1,13 +1,12 @@
-//! One fused group's compile: the schedule decision (tuned, compact, or a
-//! default), with tuning coalesced across duplicate matmul problems, then
-//! code generation.
+//! One fused group's schedule decision (tuned, compact, or a default), with
+//! tuning coalesced across duplicate matmul problems.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::{Graph, OpKind};
-use hidet_sched::fusion::{compile_group, CompiledGroup, GroupSchedule};
+use hidet_sched::fusion::GroupSchedule;
 use hidet_sched::{
     anchor_problem, compact_matmul_config, pick_reduce_config, try_tune_matmul_with, AnchorProblem,
     MatmulConfig, MatmulProblem, ReduceConfig,
@@ -24,13 +23,6 @@ use crate::artifact::TunedEntry;
 pub(super) struct TuneCost {
     pub(super) trials: usize,
     pub(super) seconds: f64,
-}
-
-/// One group's compiled result plus its schedule and tuning provenance.
-pub(super) struct GroupOutcome {
-    pub(super) schedule: GroupSchedule,
-    pub(super) compiled: CompiledGroup,
-    pub(super) cost: TuneCost,
 }
 
 /// The per-compilation tuning state shared by every worker: one
@@ -118,15 +110,15 @@ fn no_schedule(problem: MatmulProblem, gpu: &Gpu) -> CompileError {
     ))
 }
 
-/// Schedules and compiles one fused group (steps 3–4 of Fig. 10 for one
-/// sub-graph) — the unit of work the parallel pipeline fans out.
-pub(super) fn compile_one_group(
+/// Schedules one fused group (step 3 of Fig. 10 for one sub-graph) — the
+/// unit of work the parallel pipeline fans out before kernel generation.
+pub(super) fn schedule_group(
     g: &Graph,
     group: &FusedGroup,
     gpu: &Gpu,
     options: &CompilerOptions,
     tuning: &TuningSlots,
-) -> Result<GroupOutcome, CompileError> {
+) -> Result<(GroupSchedule, TuneCost), CompileError> {
     let mut schedule = GroupSchedule::default();
     let mut cost = TuneCost::default();
     // Order-stable mode overrides the row-reduce heuristic: a sequential
@@ -176,10 +168,5 @@ pub(super) fn compile_one_group(
             None => {}
         }
     }
-    let compiled = compile_group(g, group, &schedule).map_err(CompileError::Schedule)?;
-    Ok(GroupOutcome {
-        schedule,
-        compiled,
-        cost,
-    })
+    Ok((schedule, cost))
 }

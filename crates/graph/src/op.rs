@@ -39,7 +39,7 @@ pub enum BinaryKind {
 }
 
 /// Operator kinds. Parameters that change output shapes live here.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// 2-D convolution, NCHW input, OIHW weight.
     Conv2d {

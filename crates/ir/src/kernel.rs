@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-use crate::buffer::{BufferRef, MemScope};
+use crate::buffer::{Buffer, BufferRef, MemScope};
 use crate::stmt::Stmt;
+use crate::visit::replace_buffers;
 
 /// Grid/block launch configuration (flat 1-D, as task mappings subsume
 /// multi-dimensional launches).
@@ -104,6 +105,48 @@ impl Kernel {
             meta,
             body,
         }
+    }
+
+    /// A copy of this kernel named `name`, in which every buffer whose name
+    /// is the first of a `buffers` pair takes the second, exactly (never by
+    /// prefix), in the buffer lists and wherever the body loads or stores
+    /// it. All else is copied as it is: one allocation per node of the body,
+    /// no simplification.
+    ///
+    /// The caller keeps the new names apart from the kernel's other buffers.
+    pub fn renamed(&self, name: &str, buffers: &[(&str, &str)]) -> Kernel {
+        let mut swaps: Vec<(&str, BufferRef)> = Vec::new();
+        let mut rename = |list: &[BufferRef]| -> Vec<BufferRef> {
+            (list.iter())
+                .map(|b| match buffers.iter().find(|(old, _)| *old == b.name()) {
+                    Some(&(old, new)) => {
+                        let new = Buffer::new(new, b.scope(), b.dtype(), b.shape());
+                        swaps.push((old, new.clone()));
+                        new
+                    }
+                    None => b.clone(),
+                })
+                .collect()
+        };
+        let params = rename(&self.params);
+        let shared = rename(&self.shared);
+        let locals = rename(&self.locals);
+        let body = replace_buffers(&self.body, &|b| match swaps
+            .iter()
+            .find(|(old, _)| *old == b.name())
+        {
+            Some((_, new)) => new.clone(),
+            None => b.clone(),
+        });
+        Kernel::from_parts(
+            name.to_string(),
+            params,
+            shared,
+            locals,
+            self.launch,
+            self.meta,
+            body,
+        )
     }
 
     /// Kernel name (also the CUDA `__global__` function name).
@@ -263,6 +306,34 @@ mod tests {
         assert!(kernel.find_buffer("A").is_some());
         assert!(kernel.find_buffer("S").is_some());
         assert!(kernel.find_buffer("missing").is_none());
+    }
+
+    #[test]
+    fn renamed_replaces_exact_buffer_names_only() {
+        let mut kb = KernelBuilder::new("k", 2, 32);
+        let a = kb.param("t1", DType::F32, &[4]);
+        let b = kb.param("t12", DType::F32, &[4]);
+        let s = kb.shared("S", DType::F32, &[4]);
+        let body = crate::builder::store(
+            &b,
+            vec![crate::builder::thread_idx()],
+            crate::builder::load(&a, vec![crate::builder::c(0)])
+                + crate::builder::load(&s, vec![crate::builder::c(1)]),
+        );
+        let kernel = kb.body(body).build();
+        let copy = kernel.renamed("k2", &[("t1", "t7"), ("t12", "t1")]);
+        assert_eq!(copy.name(), "k2");
+        let names: Vec<&str> = copy.params().iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["t7", "t1"]);
+        assert_eq!(copy.shared_buffers(), kernel.shared_buffers());
+        assert_eq!(
+            (copy.launch(), copy.meta()),
+            (kernel.launch(), kernel.meta())
+        );
+        assert_eq!(
+            copy.body().to_string(),
+            "t1[threadIdx.x] = (t7[0] + S[1])\n"
+        );
     }
 
     #[test]

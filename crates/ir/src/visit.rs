@@ -1,5 +1,6 @@
 //! Visitors and rewriters over expressions and statements.
 
+use crate::buffer::BufferRef;
 use crate::expr::{Expr, Var};
 use crate::stmt::Stmt;
 
@@ -157,6 +158,86 @@ pub fn count_nodes(s: &Stmt) -> usize {
     statements(s) + expressions
 }
 
+/// A copy of a statement tree in which every loaded or stored buffer `b` is
+/// `swap(b)`: one allocation per node, nothing else rewritten.
+pub(crate) fn replace_buffers(s: &Stmt, swap: &impl Fn(&BufferRef) -> BufferRef) -> Stmt {
+    fn expr(e: &Expr, swap: &impl Fn(&BufferRef) -> BufferRef) -> Expr {
+        let boxed = |e: &Expr| Box::new(expr(e, swap));
+        match e {
+            Expr::Binary { op, lhs, rhs } => Expr::Binary {
+                op: *op,
+                lhs: boxed(lhs),
+                rhs: boxed(rhs),
+            },
+            Expr::Unary { op, operand } => Expr::Unary {
+                op: *op,
+                operand: boxed(operand),
+            },
+            Expr::Load { buffer, indices } => Expr::Load {
+                buffer: swap(buffer),
+                indices: indices.iter().map(|i| expr(i, swap)).collect(),
+            },
+            Expr::Cast { dtype, value } => Expr::Cast {
+                dtype: *dtype,
+                value: boxed(value),
+            },
+            Expr::Select {
+                cond,
+                then_value,
+                else_value,
+            } => Expr::Select {
+                cond: boxed(cond),
+                then_value: boxed(then_value),
+                else_value: boxed(else_value),
+            },
+            Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Bool(_)
+            | Expr::Var(_)
+            | Expr::ThreadIdx
+            | Expr::BlockIdx => e.clone(),
+        }
+    }
+    let boxed = |s: &Stmt| Box::new(replace_buffers(s, swap));
+    match s {
+        Stmt::Seq(items) => Stmt::Seq(items.iter().map(|i| replace_buffers(i, swap)).collect()),
+        Stmt::For {
+            var,
+            extent,
+            body,
+            unroll,
+        } => Stmt::For {
+            var: var.clone(),
+            extent: expr(extent, swap),
+            body: boxed(body),
+            unroll: *unroll,
+        },
+        Stmt::If {
+            cond,
+            then_body,
+            else_body,
+        } => Stmt::If {
+            cond: expr(cond, swap),
+            then_body: boxed(then_body),
+            else_body: else_body.as_deref().map(boxed),
+        },
+        Stmt::Let { var, value } => Stmt::Let {
+            var: var.clone(),
+            value: expr(value, swap),
+        },
+        Stmt::Store {
+            buffer,
+            indices,
+            value,
+        } => Stmt::Store {
+            buffer: swap(buffer),
+            indices: indices.iter().map(|i| expr(i, swap)).collect(),
+            value: expr(value, swap),
+        },
+        Stmt::SyncThreads | Stmt::Nop | Stmt::Comment(_) => s.clone(),
+    }
+}
+
 /// Substitutes `value` for every occurrence of `var` in `e`.
 pub fn substitute(e: &Expr, var: &Var, value: &Expr) -> Expr {
     rewrite_expr(e, &mut |node| match node {
@@ -220,6 +301,38 @@ mod tests {
             }
         });
         assert_eq!(loads, 1);
+    }
+
+    #[test]
+    fn replace_buffers_swaps_loads_and_stores_only() {
+        let a = Buffer::new("A", MemScope::Global, DType::F32, &[4]);
+        let b = Buffer::new("B", MemScope::Global, DType::F32, &[4]);
+        let i = Var::index("i");
+        let s = Stmt::For {
+            var: i.clone(),
+            extent: c(4),
+            body: Box::new(store(
+                &a,
+                vec![i.expr()],
+                crate::builder::load(&a, vec![i.expr()]) * 2.0f32,
+            )),
+            unroll: true,
+        };
+        let out = replace_buffers(&s, &|buf| {
+            if buf.name() == "A" {
+                b.clone()
+            } else {
+                buf.clone()
+            }
+        });
+        assert_eq!(out.to_string(), s.to_string().replace("A[", "B["));
+        let mut loads = Vec::new();
+        visit_exprs(&out, &mut |e| {
+            if let Expr::Load { buffer, .. } = e {
+                loads.push(buffer.clone());
+            }
+        });
+        assert_eq!(loads, vec![b]);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!
 //! [`compile_group`] drives the whole step 3–4 of Fig. 10 for one fused
 //! sub-graph: pick the anchor's template, build the fused IO closures, and
-//! emit kernels.
+//! emit kernels. [`GroupKey`] is what that reads of a group; two groups with
+//! equal keys — a repeated transformer layer or bottleneck — compile to the
+//! same kernels up to names, and [`CompiledGroup::renamed_for`] makes one's
+//! from the other's.
 
 use hidet_graph::compute::{compute_def, delinearize_expr, linearize_expr};
 use hidet_graph::passes::FusedGroup;
@@ -24,12 +27,14 @@ use crate::rule_based::{
     depthwise_conv_kernel, elementwise_kernel, pool_kernel, ElementwiseJob, WindowIo, WindowReduce,
 };
 use crate::space::{MatmulConfig, ReduceConfig};
-use crate::templates::matmul::{matmul_kernel, MatmulIo, Sink, Source};
+use crate::templates::matmul::{
+    matmul_kernel, partial_buffer_name, splitk_reduce_name, MatmulIo, Sink, Source,
+};
 use crate::templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
 use crate::templates::{anchor_problem, AnchorProblem};
 
 /// Per-group schedule choices (filled in by the tuner).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupSchedule {
     /// Matmul template configuration.
     pub matmul: MatmulConfig,
@@ -61,6 +66,167 @@ pub struct CompiledGroup {
     pub output: TensorId,
     /// Scratch buffers to allocate (name, elements) — e.g. split-K partials.
     pub scratch: Vec<(String, usize)>,
+}
+
+impl CompiledGroup {
+    /// This group — compiled for `from` — as [`compile_group`] compiles `to`,
+    /// a group of the same graph with the same [`GroupKey`]: every kernel
+    /// and buffer named after `from` takes `to`'s name, by exact name and
+    /// position: the tensor buffers of the external inputs and of each op's
+    /// output, the kernel name and the split-K names derived from it.
+    ///
+    /// # Panics
+    /// Panics if a kernel is named after neither `from` nor its split-K
+    /// reduce — it was not compiled for `from`.
+    pub fn renamed_for(&self, graph: &Graph, from: &FusedGroup, to: &FusedGroup) -> CompiledGroup {
+        let inputs = to.external_inputs(graph);
+        let outputs = (from.ops.iter().zip(&to.ops)).map(|(&a, &b)| (graph.op(a), graph.op(b)));
+        let tensors = (self.inputs.iter().copied().zip(inputs.iter().copied()))
+            .chain(outputs.map(|(a, b)| (a.output, b.output)));
+        let mut names: Vec<(String, String)> = tensors
+            .map(|(a, b)| (tensor_buffer_name(a), tensor_buffer_name(b)))
+            .collect();
+        let (old, new) = (kernel_name(graph, from), kernel_name(graph, to));
+        names.push((partial_buffer_name(&old), partial_buffer_name(&new)));
+        let buffers: Vec<(&str, &str)> = (names.iter())
+            .map(|(a, b)| (a.as_str(), b.as_str()))
+            .collect();
+        let renamed = |name: &str| {
+            buffers
+                .iter()
+                .find(|(a, _)| *a == name)
+                .map_or(name, |(_, b)| b)
+                .to_string()
+        };
+        let reduce = (splitk_reduce_name(&old), splitk_reduce_name(&new));
+        let kernels = (self.kernels.iter())
+            .map(|k| {
+                let name = match k.name() {
+                    n if n == old => &new,
+                    n if n == reduce.0 => &reduce.1,
+                    n => panic!("kernel {n} was not compiled for group {old}"),
+                };
+                k.renamed(name, &buffers)
+            })
+            .collect();
+        CompiledGroup {
+            kernels,
+            inputs,
+            output: to.output(graph),
+            scratch: (self.scratch.iter())
+                .map(|(name, len)| (renamed(name), *len))
+                .collect(),
+        }
+    }
+
+    /// The first field in which `self` and `other` differ — a kernel's name,
+    /// params, shared or local buffers, launch, metadata or body, then the
+    /// group's inputs, output or scratch — or `None` when they are equal
+    /// field by field.
+    pub fn difference(&self, other: &CompiledGroup) -> Option<String> {
+        if self.kernels.len() != other.kernels.len() {
+            return Some("kernel count".into());
+        }
+        for (k, (a, b)) in self.kernels.iter().zip(&other.kernels).enumerate() {
+            let field = if a.name() != b.name() {
+                "name"
+            } else if a.params() != b.params() {
+                "params"
+            } else if a.shared_buffers() != b.shared_buffers() {
+                "shared"
+            } else if a.local_buffers() != b.local_buffers() {
+                "locals"
+            } else if a.launch() != b.launch() {
+                "launch"
+            } else if a.meta() != b.meta() {
+                "meta"
+            } else if a.body() != b.body() {
+                "body"
+            } else {
+                continue;
+            };
+            return Some(format!("kernel {k} ({}): {field}", a.name()));
+        }
+        if self.inputs != other.inputs {
+            Some("inputs".into())
+        } else if self.output != other.output {
+            Some("output".into())
+        } else if self.scratch != other.scratch {
+            Some("scratch".into())
+        } else {
+            None
+        }
+    }
+}
+
+/// What kernel generation reads of one fused group under one schedule, and
+/// nothing it does not: no tensor id, op name or kernel name. Two groups
+/// with equal keys compile to the same kernels up to those names, so a
+/// compile generates the first and renames it for the others
+/// ([`CompiledGroup::renamed_for`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct GroupKey {
+    schedule: GroupSchedule,
+    /// The anchor's position in the group.
+    anchor: Option<usize>,
+    /// Each op in group order.
+    ops: Vec<KeyOp>,
+}
+
+/// One op of a [`GroupKey`]: what it computes, its output shape and where
+/// each operand comes from.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct KeyOp {
+    kind: OpKind,
+    shape: Vec<i64>,
+    operands: Vec<(Operand, Vec<i64>)>,
+}
+
+/// Where an operand of a group's op comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Operand {
+    /// The output of the group's `j`-th op.
+    Op(usize),
+    /// The group's `i`-th external input.
+    External(usize),
+}
+
+impl GroupKey {
+    /// The key of `group` of `graph` under `schedule`.
+    pub fn of(graph: &Graph, group: &FusedGroup, schedule: &GroupSchedule) -> GroupKey {
+        let inputs = group.external_inputs(graph);
+        let position = |o: OpId| group.ops.iter().position(|&p| p == o);
+        let operand = |t: TensorId| match graph.producer(t).and_then(position) {
+            Some(j) => Operand::Op(j),
+            None => Operand::External(
+                (inputs.iter().position(|&i| i == t)).expect("an operand from outside is an input"),
+            ),
+        };
+        let ops = (group.ops.iter())
+            .map(|&o| {
+                let op = graph.op(o);
+                KeyOp {
+                    kind: op.kind.clone(),
+                    shape: graph.tensor(op.output).shape().to_vec(),
+                    operands: (op.inputs.iter())
+                        .map(|&t| (operand(t), graph.tensor(t).shape().to_vec()))
+                        .collect(),
+                }
+            })
+            .collect();
+        GroupKey {
+            schedule: *schedule,
+            anchor: group.anchor.and_then(position),
+            ops,
+        }
+    }
+}
+
+/// The name of a group's kernel: its anchor's (or first op's) name,
+/// `_fused`.
+fn kernel_name(graph: &Graph, group: &FusedGroup) -> String {
+    let op = group.anchor.unwrap_or(group.ops[0]);
+    format!("{}_fused", graph.op(op).name)
 }
 
 /// The name of the device buffer standing for graph tensor `t`.
@@ -164,11 +330,7 @@ pub fn compile_group(
 ) -> Result<CompiledGroup, String> {
     let inputs = group.external_inputs(graph);
     let output = group.output(graph);
-    let name = group
-        .anchor
-        .map(|a| graph.op(a).name.clone())
-        .unwrap_or_else(|| graph.op(group.ops[0]).name.clone())
-        + "_fused";
+    let name = kernel_name(graph, group);
     let mut params: Vec<BufferRef> = inputs.iter().map(|&t| tensor_buffer(graph, t)).collect();
     params.push(tensor_buffer(graph, output));
 
@@ -401,7 +563,7 @@ mod tests {
     use super::*;
     use hidet_graph::passes::{constant_fold, lower_convs, partition};
     use hidet_graph::reference::{execute, ValueMap};
-    use hidet_graph::{GraphBuilder, Tensor};
+    use hidet_graph::{BinaryKind, GraphBuilder, Tensor};
     use hidet_sim::{DeviceMemory, Gpu};
 
     /// Compiles and runs every group of `graph` on the simulator and compares
@@ -568,5 +730,153 @@ mod tests {
         let mut inputs = ValueMap::new();
         inputs.insert(x, Tensor::randn(&[16, 24], 14).data().unwrap().to_vec());
         check_graph(&graph, &inputs, 1e-3);
+    }
+
+    /// Two chains `x -> relu -> + bias -> matmul (split-K)` apart only in
+    /// their tensors and op names.
+    fn twin_matmuls() -> Graph {
+        let mut g = GraphBuilder::new("twins");
+        let mut outs = Vec::new();
+        for seed in [1, 2] {
+            let x = g.input("x", &[16, 64]);
+            let bias = g.constant(Tensor::randn(&[64], seed));
+            let w = g.constant(Tensor::randn(&[64, 24], seed + 10));
+            let y = g.relu(x);
+            let y = g.add(y, bias);
+            outs.push(g.matmul(y, w));
+        }
+        g.output(outs[0]).output(outs[1]).build()
+    }
+
+    fn split_k() -> GroupSchedule {
+        GroupSchedule {
+            matmul: MatmulConfig {
+                split_k: 2,
+                ..MatmulConfig::default()
+            },
+            ..GroupSchedule::default()
+        }
+    }
+
+    /// The graph's two groups, which differ in one respect: under `a` and
+    /// `b` they have different keys, and the first's kernels renamed for
+    /// the second are not the second's.
+    fn assert_generated_apart(graph: &Graph, a: &GroupSchedule, b: &GroupSchedule) {
+        let groups = partition(graph);
+        assert_eq!(groups.len(), 2, "{groups:?}");
+        let (first, second) = (&groups[0], &groups[1]);
+        assert_ne!(
+            GroupKey::of(graph, first, a),
+            GroupKey::of(graph, second, b)
+        );
+        let renamed = compile_group(graph, first, a)
+            .unwrap()
+            .renamed_for(graph, first, second);
+        let fresh = compile_group(graph, second, b).unwrap();
+        assert!(renamed.difference(&fresh).is_some());
+    }
+
+    /// Two one-input chains off the same input, built by `chain`.
+    fn two_chains(
+        shape: &[i64],
+        chain: impl Fn(&mut GraphBuilder, TensorId, usize) -> TensorId,
+    ) -> Graph {
+        let mut g = GraphBuilder::new("pair");
+        let x = g.input("x", shape);
+        let a = chain(&mut g, x, 0);
+        let b = chain(&mut g, x, 1);
+        g.output(a).output(b).build()
+    }
+
+    #[test]
+    fn equal_keys_rename_to_a_fresh_compile() {
+        let graph = twin_matmuls();
+        let groups = partition(&graph);
+        assert_eq!(groups.len(), 2);
+        let (first, second) = (&groups[0], &groups[1]);
+        let schedule = split_k();
+        assert_eq!(
+            GroupKey::of(&graph, first, &schedule),
+            GroupKey::of(&graph, second, &schedule)
+        );
+        let compiled = compile_group(&graph, first, &schedule).unwrap();
+        assert_eq!(compiled.kernels.len(), 2, "split-K adds a reduce kernel");
+        assert_eq!(compiled.scratch.len(), 1, "and a partials buffer");
+        let renamed = compiled.renamed_for(&graph, first, second);
+        let fresh = compile_group(&graph, second, &schedule).unwrap();
+        assert_eq!(renamed.difference(&fresh), None);
+        assert_eq!(
+            renamed.difference(&compiled),
+            Some("kernel 0 (matmul_1_fused): name".into())
+        );
+    }
+
+    #[test]
+    fn an_input_shape_is_generated_apart() {
+        let mut g = GraphBuilder::new("bias");
+        let x = g.input("x", &[4, 8]);
+        let row = g.input("row", &[8]);
+        let matrix = g.input("matrix", &[1, 8]);
+        let a = g.add(x, row);
+        let b = g.add(x, matrix);
+        let graph = g.output(a).output(b).build();
+        let schedule = GroupSchedule::default();
+        assert_generated_apart(&graph, &schedule, &schedule);
+    }
+
+    #[test]
+    fn an_op_attribute_is_generated_apart() {
+        // Strides 2 and 3 of a 1x1 window over 4x4 both give 2x2 outputs.
+        let img2col = two_chains(&[1, 2, 4, 4], |g, x, i| {
+            let stride = [2, 3][i];
+            g.apply(
+                OpKind::Img2col {
+                    kernel: 1,
+                    stride,
+                    padding: 0,
+                },
+                &[x],
+            )
+        });
+        let schedule = GroupSchedule::default();
+        assert_generated_apart(&img2col, &schedule, &schedule);
+        let transpose = two_chains(&[4, 4, 4], |g, x, i| {
+            g.transpose(x, [&[1, 0, 2], &[2, 1, 0]][i])
+        });
+        assert_generated_apart(&transpose, &schedule, &schedule);
+    }
+
+    #[test]
+    fn operand_order_is_generated_apart() {
+        // `(a - b) * b` against `(b - a) * b`: the input order follows the
+        // subtraction, so the multiplication's operand is what differs.
+        let mut g = GraphBuilder::new("order");
+        let a = g.input("a", &[32]);
+        let b = g.input("b", &[32]);
+        let mut outs = Vec::new();
+        for (l, r) in [(a, b), (b, a)] {
+            let d = g.apply(OpKind::Binary(BinaryKind::Sub), &[l, r]);
+            outs.push(g.mul(d, b));
+        }
+        let graph = g.output(outs[0]).output(outs[1]).build();
+        let schedule = GroupSchedule::default();
+        assert_generated_apart(&graph, &schedule, &schedule);
+    }
+
+    #[test]
+    fn an_internal_operand_is_generated_apart_from_an_external_one() {
+        // `relu(x) + relu(x)` against `relu(x) + x`.
+        let graph = two_chains(&[32], |g, x, i| {
+            let y = g.relu(x);
+            g.add(y, [y, x][i])
+        });
+        let schedule = GroupSchedule::default();
+        assert_generated_apart(&graph, &schedule, &schedule);
+    }
+
+    #[test]
+    fn the_schedule_is_generated_apart() {
+        let graph = twin_matmuls();
+        assert_generated_apart(&graph, &GroupSchedule::default(), &split_k());
     }
 }

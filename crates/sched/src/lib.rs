@@ -37,7 +37,7 @@ pub mod space;
 pub mod templates;
 pub mod tuner;
 
-pub use fusion::{compile_group, tensor_buffer_name, CompiledGroup, GroupSchedule};
+pub use fusion::{compile_group, tensor_buffer_name, CompiledGroup, GroupKey, GroupSchedule};
 pub use space::{compact_matmul_config, matmul_space, reduce_space, MatmulConfig, ReduceConfig};
 pub use templates::matmul::{matmul_kernel, matmul_work, MatmulIo, MatmulProblem, Sink, Source};
 pub use templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};

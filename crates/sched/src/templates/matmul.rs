@@ -200,6 +200,16 @@ impl MatmulIo<'static> {
     }
 }
 
+/// The split-K partials buffer of the matmul kernel named `name`.
+pub(crate) fn partial_buffer_name(name: &str) -> String {
+    format!("{name}_partial")
+}
+
+/// The split-K reduce kernel that follows the matmul kernel named `name`.
+pub(crate) fn splitk_reduce_name(name: &str) -> String {
+    format!("{name}_splitk_reduce")
+}
+
 /// Instantiates the template: returns the GEMM kernel, plus a second reduce
 /// kernel when `split_k > 1` (partials are summed and only then flow through
 /// the epilogue).
@@ -246,7 +256,7 @@ pub fn matmul_kernel(
     // Partial-output buffer for split-K.
     let partial = (split_k > 1).then(|| {
         let buf = Buffer::new(
-            &format!("{}_partial", io.name),
+            &partial_buffer_name(&io.name),
             MemScope::Global,
             DType::F32,
             &[split_k, batch, m, n],
@@ -509,7 +519,7 @@ pub fn matmul_kernel(
         let total = batch * m * n;
         let block = 256i64;
         let grid2 = div_ceil(total, block);
-        let mut kb2 = KernelBuilder::new(&format!("{}_splitk_reduce", io.name), grid2, block);
+        let mut kb2 = KernelBuilder::new(&splitk_reduce_name(&io.name), grid2, block);
         for p in &io.params {
             kb2.param(p.name(), p.dtype(), p.shape());
         }

@@ -180,12 +180,15 @@ pub fn try_tune_matmul_with(
 
     // Phase 0: cost-model pruning — rank the space by the closed-form score
     // and keep only the most promising candidates for real measurement.
+    // Each candidate is scored once; the sort is stable, so ties keep their
+    // order in the space.
     if let Some(k) = policy.measure_top_k {
         if k < base.len() {
-            base.sort_by(|a, b| {
-                quick_score(problem, a, gpu.spec()).total_cmp(&quick_score(problem, b, gpu.spec()))
-            });
-            base.truncate(k);
+            let mut ranked: Vec<(f64, MatmulConfig)> = (base.iter())
+                .map(|cfg| (quick_score(problem, cfg, gpu.spec()), *cfg))
+                .collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+            base = ranked.into_iter().take(k).map(|(_, cfg)| cfg).collect();
         }
     }
 

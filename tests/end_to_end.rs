@@ -288,6 +288,51 @@ fn generated_kernels_are_pinned() {
     }
 }
 
+#[test]
+fn coalesced_groups_equal_a_fresh_compile_group() {
+    // A compile generates each distinct group once and renames it for the
+    // groups that repeat it: every group of a compile and of its artifact
+    // rebuild must be what `compile_group` makes of that group on its own.
+    use hidet_graph::models;
+    use hidet_graph::passes::partition;
+    use hidet_sched::compile_group;
+    let gpu = Gpu::default();
+    let graphs = [
+        models::resnet50(1),
+        models::bert_base(1, 128),
+        models::gpt2_decode_step(2, 16),
+    ];
+    let options = [
+        CompilerOptions::tuned(),
+        CompilerOptions::tuned().sequential(),
+        CompilerOptions::compact().order_stable(),
+    ];
+    for graph in &graphs {
+        for options in &options {
+            let compiled = hidet::compile(graph, &gpu, options).expect("compiles");
+            let artifact = compiled.artifact().clone();
+            let rebuilt =
+                hidet::compile_from_artifact(graph, &gpu, options, artifact).expect("rebuilds");
+            for plan in [&compiled, &rebuilt] {
+                let g = plan.graph();
+                let groups = partition(g);
+                assert_eq!(groups.len(), plan.groups().len(), "{}", graph.name());
+                let schedules = &plan.artifact().schedules;
+                for (i, (group, got)) in groups.iter().zip(plan.groups()).enumerate() {
+                    let fresh = compile_group(g, group, &schedules[i]).expect("compiles");
+                    assert_eq!(
+                        got.difference(&fresh),
+                        None,
+                        "{} group {i} under {options:?} (rebuilt: {})",
+                        graph.name(),
+                        plan.from_artifact()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Length and stable digest of a compiled graph's CUDA source.
 fn source_digest(compiled: &CompiledGraph) -> (usize, u64) {
     let source = compiled.cuda_source();

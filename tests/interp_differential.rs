@@ -159,26 +159,6 @@ fn tuned_batch8_head_and_cnn_block_kernels_are_bit_identical() {
 
 // ---- size guard --------------------------------------------------------------
 
-/// Statement plus expression nodes of a kernel body — the quantity the
-/// benchmark reports as `ir.kernel_nodes`.
-fn ir_nodes(body: &Stmt) -> usize {
-    fn statements(s: &Stmt) -> usize {
-        1 + match s {
-            Stmt::Seq(items) => items.iter().map(statements).sum(),
-            Stmt::For { body, .. } => statements(body),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => statements(then_body) + else_body.as_deref().map_or(0, statements),
-            _ => 0,
-        }
-    }
-    let mut expressions = 0;
-    hidet_ir::visit::visit_exprs(body, &mut |_| expressions += 1);
-    statements(body) + expressions
-}
-
 /// Lowering unrolls only within a budget — per loop, `UNROLL_OPS` (512)
 /// instructions or three times the kernel's IR nodes, whichever is fewer,
 /// private constants of `interp/lower/unroll.rs` — so for the serving
@@ -204,7 +184,7 @@ fn programs_stay_proportional_to_the_ir() {
         let plan = compiled.plan();
         let lowered = plan.groups().iter().flat_map(|g| &g.kernels);
         for (kernel, program) in lowered.zip(plan.programs()) {
-            let nodes = ir_nodes(kernel.body());
+            let nodes = hidet_ir::visit::count_nodes(kernel.body());
             assert!(
                 program.op_count() <= 4 * nodes,
                 "{}: {} instructions for {nodes} IR nodes",

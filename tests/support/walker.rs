@@ -1,9 +1,8 @@
 //! The tree-walking kernel interpreter `hidet_sim` shipped until the flat
 //! [`hidet_sim::Program`] executor replaced it — moved here unchanged (only
 //! its imports, and `SimError`, which stayed in the library) to serve as the
-//! differential oracle of `tests/interp_differential.rs` until the lowering
-//! it checks has settled (ROADMAP item 1 (c) names the PR that deletes it). Test
-//! support only: nothing in the library can reach it.
+//! differential oracle of `tests/interp_differential.rs`, which it stays.
+//! Test support only: nothing in the library can reach it.
 //!
 //! Functional interpreter for `hidet-ir` kernels.
 //!
