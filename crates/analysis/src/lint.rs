@@ -2,13 +2,13 @@
 //! `cargo test` cannot express as unit tests without grepping source from
 //! inside a test — which is exactly the ad-hoc pattern this module absorbs
 //! (PR 6's "zero mutexes on enqueue" test shipped as an `include_str!` grep
-//! inside `crates/server/tests/ring.rs`).
+//! inside the ring's test suite, now `crates/trace/tests/ring.rs`).
 //!
 //! Five rules:
 //!
 //! * **HA101** — no blocking primitive (`Mutex`, `RwLock`, `Condvar`,
-//!   `mpsc::`) anywhere in the lock-free hot-path ring files: the server's
-//!   ingress ring and the trace crate's per-thread event ring.
+//!   `mpsc::`) anywhere in the lock-free ring file: the one ring the
+//!   tracer's per-thread event rings and the server's ingress lanes share.
 //! * **HA102** — no `unwrap()` / `expect()` / `panic!`-family macro in the
 //!   runtime/decode/server hot-loop files and the simulator's executor, except sites justified in the
 //!   allowlist (`crates/analysis/lint_allow.txt`). Test modules (everything
@@ -37,9 +37,9 @@ use std::path::Path;
 
 use crate::diag::{Diagnostic, Rule};
 
-/// The lock-free ring files covered by HA101: the server's ingress ring and
-/// the trace crate's per-thread SPSC event ring.
-pub const RING_FILES: &[&str] = &["crates/server/src/ring.rs", "crates/trace/src/ring.rs"];
+/// The lock-free ring files covered by HA101: the one MPSC ring, behind both
+/// the tracer's per-thread event rings and the server's ingress lanes.
+pub const RING_FILES: &[&str] = &["crates/trace/src/ring.rs"];
 
 /// Blocking primitives banned from every file in [`RING_FILES`].
 pub const BLOCKING_PATTERNS: &[&str] = &["Mutex", "RwLock", "Condvar", "mpsc::"];
@@ -68,8 +68,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/decode/src/engine/",
     "crates/decode/src/kv.rs",
     "crates/decode/src/placement.rs",
-    "crates/server/src/ring.rs",
     "crates/server/src/server.rs",
+    "crates/trace/src/ring.rs",
 ];
 
 /// Panic-capable call patterns banned by HA102. Note `.unwrap_or(` /

@@ -14,8 +14,9 @@
 //!
 //! Between the acceptor threads and the engines sits the part the crate is
 //! named for: a bounded **lock-free MPSC ring buffer** per lane
-//! ([`ring`]), so the accept → admission → enqueue path takes zero mutex
-//! acquisitions. Overload is answered *at the socket*: when the engine's
+//! ([`ring`], re-exported from `hidet-trace`, whose tracer pushes through
+//! the same ring), so the accept → admission → enqueue path takes zero
+//! mutex acquisitions. Overload is answered *at the socket*: when the engine's
 //! estimated queue delay (sampled into an atomic off the hot path) exceeds
 //! the configured bound for a listener's class, the acceptor writes a
 //! fixed `429` + `Retry-After` without parsing the request — and a full
@@ -44,8 +45,8 @@
 
 mod api;
 pub mod http;
-pub mod ring;
 mod server;
 
+pub use hidet_trace::ring;
 pub use http::{ChunkedWriter, HttpRequest};
 pub use server::{HidetServer, ServerConfig};

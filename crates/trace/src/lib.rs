@@ -2,13 +2,14 @@
 //!
 //! The observability substrate of the serving stack (DESIGN.md §12): every
 //! layer — HTTP front-end, batching engine, decode shards, compiler, the
-//! simulated device — emits typed spans into per-thread bounded SPSC rings
-//! ([`ring`], the Vyukov design of `hidet_server::ring` minus the CAS: one
-//! producer per ring means a push is a load, a write and a Release store).
-//! The hot path takes **zero mutexes** — enforced structurally by the HA101
-//! lint, which covers `crates/trace/src/ring.rs` alongside the ingress
-//! ring — and never blocks: a full ring sheds the event and counts it
-//! (`hidet_trace_events_dropped_total`).
+//! simulated device — emits typed spans into per-thread bounded rings
+//! ([`ring`], a Vyukov-style lock-free MPSC ring; the HTTP front-end's
+//! ingress pushes through the same ring, as `hidet_server::ring`). The hot
+//! path takes **zero mutexes** — enforced structurally by the HA101 lint,
+//! which covers `crates/trace/src/ring.rs` — and never blocks: a full ring
+//! sheds the event and counts it (`hidet_trace_events_dropped_total`).
+//! A thread's ring is freed once the thread has exited and its last events
+//! are drained.
 //!
 //! A collector ([`Collector`], or any scrape calling [`Tracer::drain`])
 //! pairs `Begin`/`End` events into [`CompletedSpan`]s and feeds two sinks:
@@ -23,9 +24,9 @@
 //!   `GET /v2/metrics` and checked by [`validate_exposition`] in CI.
 //!
 //! Requests carry a propagated trace id ([`Tracer::new_trace_id`]) so a
-//! slow request's spans can be filtered out of the full trace. Sampling
-//! ([`TraceConfig`]) bounds overhead: `Off`, `MetricsOnly` (the always-on
-//! default), `SampleOneInN`, `Full`.
+//! slow request's spans can be filtered out of the full trace.
+//! [`TraceConfig`] says whether spans are retained: `MetricsOnly` (the
+//! always-on default) only aggregates them, `Full` also keeps them.
 //!
 //! ```
 //! use hidet_trace::{SpanKind, TraceConfig, Tracer};

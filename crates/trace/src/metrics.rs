@@ -5,7 +5,7 @@
 //! never touch it — the collector feeds it from drained span events, and
 //! scrape handlers read it. A `Mutex` over `BTreeMap`s is therefore fine
 //! here (and keeps rendering deterministic: families and label sets come
-//! out sorted), while the hot path stays inside `trace::ring`.
+//! out sorted), while the hot path stays inside the lock-free [`crate::ring`].
 //!
 //! [`validate_exposition`] is the same checker CI runs against a live
 //! `GET /v2/metrics` scrape: a malformed line is a bug, not a formatting

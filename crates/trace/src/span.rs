@@ -2,8 +2,7 @@
 //! guard that keeps every `Begin` paired with an `End` on all return paths.
 //!
 //! Events are small `Copy` structs — one enum discriminant pair plus three
-//! `u64`s — so pushing one through the SPSC ring is a handful of word
-//! writes. Everything human-readable (names, categories) is derived at
+//! `u64`s — so pushing one through the ring is a handful of word writes. Everything human-readable (names, categories) is derived at
 //! export time, never carried on the hot path.
 
 use crate::tracer::Tracer;
@@ -151,30 +150,12 @@ pub struct TraceEvent {
 }
 
 /// A claim on an open span, returned by [`Tracer::span_start`] and redeemed
-/// by [`Tracer::span_end`]. `Copy` so it can be threaded through closures;
-/// a token from a disabled tracer is inert.
+/// by [`Tracer::span_end`]. `Copy` so it can be threaded through closures.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanToken {
     pub(crate) kind: SpanKind,
     pub(crate) trace_id: u64,
-    /// `0` when tracing was off at start time: `span_end` is then a no-op.
     pub(crate) span_id: u64,
-}
-
-impl SpanToken {
-    /// An inert token (tracing disabled); ending it does nothing.
-    pub(crate) fn disabled(kind: SpanKind, trace_id: u64) -> SpanToken {
-        SpanToken {
-            kind,
-            trace_id,
-            span_id: 0,
-        }
-    }
-
-    /// True when the span was actually recorded at start time.
-    pub fn is_recording(&self) -> bool {
-        self.span_id != 0
-    }
 }
 
 /// RAII span: emits `End` when dropped, so every return path — early
@@ -225,11 +206,5 @@ mod tests {
                 .all(|c| c.is_ascii_lowercase() || c == '_'));
         }
         assert_eq!(seen.len(), SpanKind::ALL.len());
-    }
-
-    #[test]
-    fn disabled_tokens_do_not_record() {
-        let t = SpanToken::disabled(SpanKind::DecodeStep, 7);
-        assert!(!t.is_recording());
     }
 }

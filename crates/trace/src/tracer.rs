@@ -2,13 +2,14 @@
 //! the capped trace buffer, and the Chrome `trace_event` exporter on the
 //! cold side.
 //!
-//! Hot path (`span_start`/`span_end`/`instant`): one Relaxed mode load, one
-//! `fetch_add` for the span id, a monotonic clock read, and a wait-free SPSC
-//! push into the calling thread's own ring — no mutex, no allocation (after
-//! a thread's first event registers its ring). Cold path ([`Tracer::drain`],
+//! Hot path (`span_start`/`span_end`/`instant`): one `fetch_add` for the
+//! span id, a monotonic clock read, and a lock-free push ([`crate::ring`])
+//! into the calling thread's own ring — no mutex, no allocation (after a
+//! thread's first event registers its ring). Cold path ([`Tracer::drain`],
 //! called by the collector thread or a scrape handler): pops every ring,
 //! pairs `Begin`/`End` events into [`CompletedSpan`]s, feeds the metrics
-//! registry, and appends sampled spans to the capped trace buffer.
+//! registry, appends the spans to the capped trace buffer under
+//! [`TraceConfig::Full`], and frees the rings of threads that have exited.
 //!
 //! Drops never corrupt the trace: pairing is per-thread and stack-based, so
 //! an `End` whose `Begin` was dropped is discarded, and a `Begin` whose
@@ -18,7 +19,7 @@
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -26,36 +27,17 @@ use crate::metrics::{MetricType, MetricsRegistry};
 use crate::ring::{ring, Consumer, Producer};
 use crate::span::{Phase, SpanGuard, SpanKind, SpanToken, TraceEvent};
 
-/// How much the tracer records. The default for [`global`] is
+/// Whether the tracer retains spans. Both modes record every span into
+/// the metrics registry. The default for [`global`] is
 /// [`TraceConfig::MetricsOnly`]: always-on aggregation with no trace
 /// buffer growth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceConfig {
-    /// Nothing is recorded; spans are no-ops.
-    Off,
     /// Spans feed counters/histograms but are not retained individually.
     MetricsOnly,
-    /// Metrics for everything; the trace buffer keeps spans whose
-    /// `trace_id % n == 0` (unattributed spans, trace id 0, are kept).
-    SampleOneInN(u32),
-    /// Metrics for everything; every span is retained in the buffer.
+    /// Every span is also retained in the trace buffer.
     Full,
 }
-
-impl TraceConfig {
-    /// The `sample_1_in_n` knob, clamped to at least 1 (`1` ≡ [`Full`]
-    /// retention).
-    ///
-    /// [`Full`]: TraceConfig::Full
-    pub fn sample_1_in_n(n: u32) -> TraceConfig {
-        TraceConfig::SampleOneInN(n.max(1))
-    }
-}
-
-const MODE_OFF: u8 = 0;
-const MODE_METRICS: u8 = 1;
-const MODE_SAMPLE: u8 = 2;
-const MODE_FULL: u8 = 3;
 
 /// One span as assembled from a matched `Begin`/`End` pair (or an
 /// `Instant`, with zero duration).
@@ -82,7 +64,7 @@ struct RingState {
     consumer: Consumer<TraceEvent>,
     tid: u32,
     stack: Vec<TraceEvent>,
-    /// `Consumer::dropped` already bridged into the metrics registry.
+    /// `Consumer::refused` already bridged into the metrics registry.
     dropped_seen: u64,
 }
 
@@ -90,6 +72,10 @@ struct RingState {
 /// buffer, and pairing-discard accounting.
 struct Collect {
     rings: Vec<RingState>,
+    /// The next ring's tid: never reused, even after its ring is freed.
+    next_tid: u32,
+    /// Events the freed rings refused, so the drop count stays monotonic.
+    freed_dropped: u64,
     buffer: std::collections::VecDeque<CompletedSpan>,
     buffer_cap: usize,
     /// Spans evicted from the front of the full buffer.
@@ -103,8 +89,8 @@ pub struct Tracer {
     /// thread-local producer table.
     id: u64,
     epoch: Instant,
-    mode: AtomicU8,
-    sample_n: AtomicU32,
+    /// [`TraceConfig::Full`]: `drain` retains spans in the buffer.
+    retain: AtomicBool,
     ring_capacity: usize,
     next_trace_id: AtomicU64,
     next_span_id: AtomicU64,
@@ -139,14 +125,15 @@ impl Tracer {
         let tracer = Tracer {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
-            mode: AtomicU8::new(MODE_OFF),
-            sample_n: AtomicU32::new(1),
+            retain: AtomicBool::new(config == TraceConfig::Full),
             ring_capacity,
             next_trace_id: AtomicU64::new(1),
             next_span_id: AtomicU64::new(1),
             registry: MetricsRegistry::new(),
             collect: Mutex::new(Collect {
                 rings: Vec::new(),
+                next_tid: 0,
+                freed_dropped: 0,
                 buffer: std::collections::VecDeque::new(),
                 buffer_cap,
                 buffer_evicted: 0,
@@ -177,35 +164,13 @@ impl Tracer {
             MetricType::Counter,
             "Events discarded during span assembly (partner lost to a drop).",
         );
-        tracer.set_config(config);
         tracer
     }
 
-    /// Reconfigures sampling; takes effect for subsequently started spans.
+    /// Reconfigures retention; takes effect at the next drain.
     pub fn set_config(&self, config: TraceConfig) {
-        let (mode, n) = match config {
-            TraceConfig::Off => (MODE_OFF, 1),
-            TraceConfig::MetricsOnly => (MODE_METRICS, 1),
-            TraceConfig::SampleOneInN(n) => (MODE_SAMPLE, n.max(1)),
-            TraceConfig::Full => (MODE_FULL, 1),
-        };
-        self.sample_n.store(n, Ordering::Relaxed);
-        self.mode.store(mode, Ordering::Relaxed);
-    }
-
-    /// The current sampling config.
-    pub fn config(&self) -> TraceConfig {
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_OFF => TraceConfig::Off,
-            MODE_METRICS => TraceConfig::MetricsOnly,
-            MODE_SAMPLE => TraceConfig::SampleOneInN(self.sample_n.load(Ordering::Relaxed)),
-            _ => TraceConfig::Full,
-        }
-    }
-
-    /// True when spans are being recorded at all.
-    pub fn enabled(&self) -> bool {
-        self.mode.load(Ordering::Relaxed) != MODE_OFF
+        self.retain
+            .store(config == TraceConfig::Full, Ordering::Relaxed);
     }
 
     /// Allocates a fresh trace id for one request (never 0).
@@ -227,16 +192,19 @@ impl Tracer {
     /// thread's first event. Registration is the one slow (mutex-taking)
     /// step and happens once per thread per tracer.
     fn emit(&self, event: TraceEvent) {
+        // A full ring refuses the event and counts it; the count is the
+        // drop metric, so the returned event is simply let go.
         PRODUCERS.with(|cell| {
             let mut producers = cell.borrow_mut();
-            if let Some((_, producer)) = producers.iter_mut().find(|(id, _)| *id == self.id) {
-                producer.push(event);
+            if let Some((_, producer)) = producers.iter().find(|(id, _)| *id == self.id) {
+                let _ = producer.push(event);
                 return;
             }
-            let (mut producer, consumer) = ring(self.ring_capacity);
+            let (producer, consumer) = ring(self.ring_capacity);
             {
                 let mut collect = self.collect.lock().expect("tracer poisoned");
-                let tid = collect.rings.len() as u32;
+                let tid = collect.next_tid;
+                collect.next_tid += 1;
                 collect.rings.push(RingState {
                     consumer,
                     tid,
@@ -244,7 +212,7 @@ impl Tracer {
                     dropped_seen: 0,
                 });
             }
-            producer.push(event);
+            let _ = producer.push(event);
             producers.push((self.id, producer));
         });
     }
@@ -252,9 +220,6 @@ impl Tracer {
     /// Opens a span. Pair with [`Tracer::span_end`] on every return path —
     /// or use [`Tracer::span`] and let the guard close it.
     pub fn span_start(&self, kind: SpanKind, trace_id: u64) -> SpanToken {
-        if !self.enabled() {
-            return SpanToken::disabled(kind, trace_id);
-        }
         let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
         self.emit(TraceEvent {
             kind,
@@ -270,12 +235,8 @@ impl Tracer {
         }
     }
 
-    /// Closes a span opened by [`Tracer::span_start`]. Inert tokens (from a
-    /// disabled tracer) are ignored.
+    /// Closes a span opened by [`Tracer::span_start`].
     pub fn span_end(&self, token: SpanToken) {
-        if !token.is_recording() {
-            return;
-        }
         self.emit(TraceEvent {
             kind: token.kind,
             phase: Phase::End,
@@ -294,9 +255,6 @@ impl Tracer {
     /// start predates the instrumentation point (e.g. time queued in the
     /// ingress ring, measured from the accept timestamp).
     pub fn span_closed(&self, kind: SpanKind, trace_id: u64, start: Instant, end: Instant) {
-        if !self.enabled() {
-            return;
-        }
         let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
         let start_nanos = start.saturating_duration_since(self.epoch).as_nanos() as u64;
         let end_nanos = end.saturating_duration_since(self.epoch).as_nanos() as u64;
@@ -318,9 +276,6 @@ impl Tracer {
 
     /// Records a point event (KV evictions, migrations, …).
     pub fn instant(&self, kind: SpanKind, trace_id: u64) {
-        if !self.enabled() {
-            return;
-        }
         let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
         self.emit(TraceEvent {
             kind,
@@ -332,24 +287,34 @@ impl Tracer {
     }
 
     /// Drains every registered ring: pairs events into spans, feeds the
-    /// metrics registry, and retains sampled spans in the trace buffer.
-    /// Called by the collector thread on an interval and by scrape handlers
-    /// on demand; safe from any thread.
+    /// metrics registry, and retains the spans in the trace buffer under
+    /// [`TraceConfig::Full`]. A ring whose thread has exited is drained one
+    /// last time and freed. Called by the collector thread on an interval
+    /// and by scrape handlers on demand; safe from any thread.
     pub fn drain(&self) {
-        let mode = self.mode.load(Ordering::Relaxed);
-        let sample_n = self.sample_n.load(Ordering::Relaxed).max(1) as u64;
-        let mut collect = self.collect.lock().expect("tracer poisoned");
+        let retain = self.retain.load(Ordering::Relaxed);
+        let mut guard = self.collect.lock().expect("tracer poisoned");
+        let collect = &mut *guard;
         let mut completed: Vec<CompletedSpan> = Vec::new();
         let mut discards = 0u64;
         let mut dropped_delta = 0u64;
-        for state in &mut collect.rings {
+        collect.rings.retain_mut(|state| {
+            // Checked before the pops: once the thread's producer is gone,
+            // these pops see everything it pushed.
+            let abandoned = state.consumer.is_abandoned();
             while let Some(event) = state.consumer.pop() {
                 discards += step_assembly(&mut state.stack, state.tid, event, &mut completed);
             }
-            let dropped = state.consumer.dropped();
+            let dropped = state.consumer.refused();
             dropped_delta += dropped - state.dropped_seen;
             state.dropped_seen = dropped;
-        }
+            if abandoned {
+                // Begins still open when the thread exited lost their Ends.
+                discards += state.stack.len() as u64;
+                collect.freed_dropped += dropped;
+            }
+            !abandoned
+        });
         for span in &completed {
             let kind = span.kind.name();
             if span.instant {
@@ -377,12 +342,10 @@ impl Tracer {
             self.registry
                 .counter_add("hidet_trace_pairing_discards_total", &[], discards);
         }
-        let retain = |span: &CompletedSpan| match mode {
-            MODE_FULL => true,
-            MODE_SAMPLE => span.trace_id.is_multiple_of(sample_n),
-            _ => false,
-        };
-        for span in completed.into_iter().filter(retain) {
+        if !retain {
+            return;
+        }
+        for span in completed {
             if collect.buffer.len() >= collect.buffer_cap {
                 collect.buffer.pop_front();
                 collect.buffer_evicted += 1;
@@ -395,7 +358,8 @@ impl Tracer {
     /// `hidet_trace_events_dropped_total` metric; includes undrained rings).
     pub fn events_dropped(&self) -> u64 {
         let collect = self.collect.lock().expect("tracer poisoned");
-        collect.rings.iter().map(|r| r.consumer.dropped()).sum()
+        let live: u64 = collect.rings.iter().map(|r| r.consumer.refused()).sum();
+        collect.freed_dropped + live
     }
 
     /// Drains, then returns a copy of the retained spans.
@@ -429,7 +393,7 @@ impl Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("config", &self.config())
+            .field("retain", &self.retain.load(Ordering::Relaxed))
             .field("ring_capacity", &self.ring_capacity)
             .finish()
     }
@@ -647,14 +611,8 @@ mod tests {
     }
 
     #[test]
-    fn off_mode_records_nothing_and_metrics_only_skips_the_buffer() {
-        let tracer = Tracer::new(TraceConfig::Off);
-        let token = tracer.span_start(SpanKind::DecodeStep, 7);
-        assert!(!token.is_recording());
-        tracer.span_end(token);
-        assert_eq!(tracer.spans(), vec![]);
-
-        tracer.set_config(TraceConfig::MetricsOnly);
+    fn metrics_only_skips_the_buffer() {
+        let tracer = Tracer::new(TraceConfig::MetricsOnly);
         {
             let _g = tracer.span(SpanKind::DecodeStep, 7);
         }
@@ -664,24 +622,6 @@ mod tests {
                 .metrics()
                 .counter_value("hidet_spans_total", &[("kind", "decode_step")]),
             1
-        );
-    }
-
-    #[test]
-    fn sampling_keeps_only_matching_trace_ids() {
-        let tracer = Tracer::new(TraceConfig::sample_1_in_n(4));
-        for trace_id in 0..8u64 {
-            let _g = tracer.span(SpanKind::HttpHandle, trace_id);
-        }
-        let spans = tracer.spans();
-        let kept: Vec<u64> = spans.iter().map(|s| s.trace_id).collect();
-        assert_eq!(kept, vec![0, 4], "{spans:?}");
-        // Metrics still saw all eight.
-        assert_eq!(
-            tracer
-                .metrics()
-                .counter_value("hidet_spans_total", &[("kind", "http_handle")]),
-            8
         );
     }
 
@@ -766,6 +706,42 @@ mod tests {
                 .metrics()
                 .counter_value("hidet_spans_total", &[("kind", "kernel_sim")]),
             400
+        );
+    }
+
+    #[test]
+    fn an_exited_threads_ring_is_drained_once_more_then_freed() {
+        // Two-event rings: each worker's span fits, its instant is refused.
+        let tracer = std::sync::Arc::new(Tracer::with_capacity(TraceConfig::Full, 2, 1024));
+        tracer.instant(SpanKind::KvAlloc, 0); // this thread's ring stays
+        let workers: Vec<_> = (0..64u64)
+            .map(|i| {
+                let tracer = std::sync::Arc::clone(&tracer);
+                std::thread::spawn(move || {
+                    drop(tracer.span(SpanKind::Tune, i));
+                    tracer.instant(SpanKind::KvEvict, i);
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+        let dropped = tracer.events_dropped();
+        assert_eq!(dropped, 64);
+        let spans = tracer.spans();
+        let tune: Vec<&CompletedSpan> = spans.iter().filter(|s| s.kind == SpanKind::Tune).collect();
+        assert_eq!(tune.len(), 64, "every exited thread's span was assembled");
+        assert_eq!(tracer.collect.lock().expect("tracer").rings.len(), 1);
+        assert_eq!(tracer.events_dropped(), dropped, "the drop count survives");
+        // Tids are never reused: a new thread gets a fresh one.
+        let late = std::sync::Arc::clone(&tracer);
+        std::thread::spawn(move || late.instant(SpanKind::KvMigrate, 0))
+            .join()
+            .expect("late thread");
+        let late_tid = tracer.take_spans().last().expect("late span").tid;
+        assert!(
+            spans.iter().all(|s| s.tid < late_tid),
+            "tid {late_tid} reused"
         );
     }
 

@@ -1,14 +1,14 @@
-//! The ingress ring's contract: bounded, lock-free, exactly-once FIFO per
-//! producer. The source-level guarantee that the hot path has no mutex to
-//! acquire is enforced by `hidet-lint` rule HA101 (`hidet-analysis`), which
-//! replaced the ad-hoc source grep that used to live here.
+//! The ring's contract: bounded, lock-free, exactly-once FIFO per producer,
+//! every refused push counted. The source-level guarantee that the hot path
+//! has no mutex to acquire is enforced by `hidet-lint` rule HA101
+//! (`hidet-analysis`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use hidet_server::ring::ring;
+use hidet_trace::ring::ring;
 use proptest::prelude::*;
 
 #[test]
@@ -135,7 +135,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Any interleaving of pushes (from several threads) and pops delivers
-    /// each enqueued item exactly once, FIFO per producer.
+    /// each enqueued item exactly once, FIFO per producer, and the ring
+    /// counts exactly the pushes it refused.
     #[test]
     fn enqueued_items_dequeue_exactly_once_in_producer_order(
         capacity in 1usize..16,
@@ -149,13 +150,16 @@ proptest! {
             .map(|(producer, &count)| {
                 let tx = tx.clone();
                 thread::spawn(move || {
+                    let mut refused = 0u64;
                     for seq in 0..count {
                         let mut value = (producer, seq);
                         while let Err(back) = tx.push(value) {
+                            refused += 1;
                             value = back;
                             thread::yield_now();
                         }
                     }
+                    refused
                 })
             })
             .collect();
@@ -170,10 +174,10 @@ proptest! {
                 thread::yield_now();
             }
         }
-        for handle in handles {
-            handle.join().unwrap();
-        }
+        let refused: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         prop_assert_eq!(rx.pop(), None);
+        prop_assert_eq!(rx.refused(), refused);
+        prop_assert_eq!(tx.refused(), refused);
 
         for (producer, &count) in counts.iter().enumerate() {
             let got = per_producer.remove(&producer).unwrap_or_default();
