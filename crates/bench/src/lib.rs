@@ -111,14 +111,32 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Parses `--flag value`-style integer arguments (tiny CLI helper so that the
-/// experiment binaries stay dependency-free).
+/// experiment binaries stay dependency-free). A flag given without a value
+/// that parses exits the process with status 2, naming the flag.
 pub fn arg_usize(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    flag_usize(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The value of `--flag value` in `args`, or `default` when the flag is
+/// absent.
+///
+/// # Errors
+/// A message naming the flag when it is present but the next argument is
+/// missing or not an unsigned integer.
+fn flag_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    match args.get(i + 1) {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} takes an unsigned integer, got {v:?}")),
+        None => Err(format!("{name} takes an unsigned integer, got nothing")),
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +148,22 @@ mod tests {
         assert_eq!(fmt_duration(8.0 * 3600.0), "8.0h");
         assert_eq!(fmt_duration(51.0 * 60.0), "51m");
         assert_eq!(fmt_duration(5.0), "5s");
+    }
+
+    #[test]
+    fn a_flag_without_a_parseable_value_is_an_error() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let flag = |a: &[&str]| flag_usize(&args(a), "--tvm-trials", 7);
+        assert_eq!(flag(&["bin"]), Ok(7));
+        assert_eq!(flag(&["bin", "--tvm-trials", "300"]), Ok(300));
+        assert_eq!(flag(&["bin", "--other", "1e3"]), Ok(7));
+        for bad in [
+            &["bin", "--tvm-trials", "1e3"][..],
+            &["bin", "--tvm-trials"],
+        ] {
+            let err = flag(bad).unwrap_err();
+            assert!(err.contains("--tvm-trials"), "{err}");
+        }
     }
 
     #[test]

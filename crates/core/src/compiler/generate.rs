@@ -1,6 +1,6 @@
 //! Kernel generation for one compile: [`compile_group`] once per distinct
 //! [`GroupKey`], a renamed copy for every other group of the key, and the
-//! fan-out both the scheduling and the generation step run on.
+//! fan-out both the tuning and the generation step run on.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

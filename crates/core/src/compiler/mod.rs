@@ -15,13 +15,13 @@ use hidet_analysis::{self as analysis, VerifyLevel};
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
 use hidet_graph::Graph;
-use hidet_sched::fusion::{CompiledGroup, GroupSchedule};
+use hidet_sched::fusion::GroupSchedule;
 use hidet_sched::{anchor_problem, AnchorProblem};
 use hidet_sim::Gpu;
 
 use self::budget::WorkerBudget;
-use self::generate::{fan_out, generate};
-use self::tune::{schedule_group, TuneCost, TuningSlots};
+use self::generate::generate;
+use self::tune::{schedule_group, tune_problems};
 use crate::artifact::CompiledArtifact;
 use crate::plan::MemoryPlan;
 
@@ -52,17 +52,13 @@ pub fn compile_hashed(
     gpu: &Gpu,
     options: &CompilerOptions,
 ) -> Result<CompiledGraph, CompileError> {
-    // The whole cold compile is one span; the tuning stage inside each
-    // group nests its own `Tune` spans under it. Compiles are not tied to
-    // a single request, so the span is unattributed (trace id 0).
+    // The whole cold compile is one span; each distinct matmul problem's
+    // tuning nests a `Tune` span under it. Compiles are not tied to a single
+    // request, so the span is unattributed (trace id 0).
     let _span = hidet_trace::global().span(hidet_trace::SpanKind::Compile, 0);
     let level = options.verify_level;
     let (g, groups) = lower_and_partition(graph, level)?;
 
-    // Shared per-problem tuning slots: identical matmul problems across
-    // groups coalesce onto one tuning task, whichever worker claims it first
-    // (the others block on the slot).
-    let tuning = TuningSlots::default();
     let want = options.effective_compile_workers().min(groups.len()).max(1);
     // Concurrent compiles (several engine lanes cold-starting distinct
     // models) share one process-wide CPU budget instead of each spawning a
@@ -71,57 +67,31 @@ pub fn compile_hashed(
     let budget = WorkerBudget::claim(want);
     let workers = budget.granted();
 
-    // Schedule every group, fanned out; the results come back in group
-    // order no matter which worker finished first.
-    let outcomes = fan_out(groups.len(), workers, |i| {
-        schedule_group(&g, &groups[i], gpu, options, &tuning)
-    });
-
-    // Reduce in group order up to the first failing group, whose error is
-    // returned unless an earlier group fails to generate (matching the
-    // sequential pipeline); tuning accounting sums deterministically.
-    let mut cost = TuneCost::default();
-    let mut schedules = Vec::with_capacity(groups.len());
-    let mut failure = None;
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let checked = outcome.and_then(|(schedule, c)| {
-            if level > VerifyLevel::Off {
-                // Re-prove the elected schedule against the device — the
-                // tuner and the ablation clamps must never hand kernel
-                // generation an illegal config.
-                let diags = check_group_schedule(&g, &groups[i], &schedule, gpu, options, i);
-                verify_stage(diags, "tuning")?;
-            }
-            Ok((schedule, c))
-        });
-        match checked {
-            Ok((schedule, c)) => {
-                cost.trials += c.trials;
-                cost.seconds += c.seconds;
-                schedules.push(schedule);
-            }
-            Err(e) => {
-                failure = Some(e);
-                break;
-            }
+    // Tune each distinct matmul problem once, then decide every group's
+    // schedule by looking its problem up.
+    let tuned = tune_problems(&g, &groups, gpu, options, workers);
+    let verify_as = (level > VerifyLevel::Off).then_some("memory planning");
+    let (plan, schedules) = generate_and_plan(g, &groups, workers, verify_as, |g, i| {
+        let schedule = schedule_group(g, &groups[i], gpu, options, &tuned)?;
+        if level > VerifyLevel::Off {
+            // Re-prove the elected schedule against the device — the tuner
+            // and the ablation clamps must never hand kernel generation an
+            // illegal config.
+            let diags = check_group_schedule(g, &groups[i], &schedule, gpu, options, i);
+            verify_stage(diags, "tuning")?;
         }
-    }
-    let compiled_groups = generate(&g, &groups, &schedules, workers)?;
-    if let Some(e) = failure {
-        return Err(e);
-    }
+        Ok(schedule)
+    })?;
     // The artifact records what its schedules cost to find: what a warm
     // artifact load saves.
-    let verify_as = (level > VerifyLevel::Off).then_some("memory planning");
-    let plan = plan_memory(g, compiled_groups, verify_as)?;
     let artifact = CompiledArtifact {
         graph_hash,
         device: gpu.spec().fingerprint(),
         option_bits: options.cache_key_bits(),
         schedules,
-        tuned: tuning.entries(),
-        tuning_trials: cost.trials,
-        tuning_seconds: cost.seconds,
+        tuned: tuned.entries,
+        tuning_trials: tuned.trials,
+        tuning_seconds: tuned.seconds,
         planned_peak_bytes: plan.memory_plan.peak_bytes(),
     };
     Ok(CompiledGraph {
@@ -155,24 +125,45 @@ fn lower_and_partition(
     Ok((g, groups))
 }
 
-/// The back end both compile paths share: plan the intermediates' arena and,
-/// when `verify_as` names the stage, re-prove the plan before anything runs
-/// on it.
-fn plan_memory(
-    graph: Graph,
-    groups: Vec<CompiledGroup>,
+/// The back end both compile paths share. `schedule(g, i)` decides group
+/// `i`'s schedule, in group order up to the first group it rejects; the
+/// groups before that one are generated over `workers`, and the first error
+/// in group order — a group that fails to generate, else the rejection — is
+/// returned. Then the intermediates' arena is planned and, when `verify_as`
+/// names the stage, re-proved before anything runs on it.
+fn generate_and_plan(
+    g: Graph,
+    groups: &[FusedGroup],
+    workers: usize,
     verify_as: Option<&str>,
-) -> Result<CompilePlan, CompileError> {
-    let memory_plan = MemoryPlan::build(&graph, &groups);
-    if let Some(stage) = verify_as {
-        verify_stage(memory_plan.verify(graph.name()), stage)?;
+    mut schedule: impl FnMut(&Graph, usize) -> Result<GroupSchedule, CompileError>,
+) -> Result<(CompilePlan, Vec<GroupSchedule>), CompileError> {
+    let mut schedules = Vec::with_capacity(groups.len());
+    let mut rejected = None;
+    for i in 0..groups.len() {
+        match schedule(&g, i) {
+            Ok(s) => schedules.push(s),
+            Err(e) => {
+                rejected = Some(e);
+                break;
+            }
+        }
     }
-    Ok(CompilePlan {
-        graph,
-        groups,
+    let compiled = generate(&g, groups, &schedules, workers)?;
+    if let Some(e) = rejected {
+        return Err(e);
+    }
+    let memory_plan = MemoryPlan::build(&g, &compiled);
+    if let Some(stage) = verify_as {
+        verify_stage(memory_plan.verify(g.name()), stage)?;
+    }
+    let plan = CompilePlan {
+        graph: g,
+        groups: compiled,
         memory_plan,
         programs: Arc::default(),
-    })
+    };
+    Ok((plan, schedules))
 }
 
 /// Lifts a verifier stage's findings into [`CompileError::Verify`]:
@@ -265,26 +256,21 @@ pub fn compile_from_artifact_hashed(
     // Recorded schedules crossed a serialization boundary (possibly a
     // hand-edited file): re-prove full legality, not just "fits" — a
     // corrupted/oversized config is rejected with its diagnostics, never
-    // fed to kernel generation. As in the cold compile, the first rejected
-    // group's error is returned unless an earlier group fails to generate.
-    let (mut fit, mut failure) = (groups.len(), None);
-    for (i, (group, schedule)) in groups.iter().zip(&artifact.schedules).enumerate() {
-        let diags = check_group_schedule(&g, group, schedule, gpu, options, i);
+    // fed to kernel generation.
+    let budget = WorkerBudget::claim(options.effective_compile_workers().min(groups.len()).max(1));
+    let verify_as = Some("memory planning (artifact load)");
+    let (plan, _) = generate_and_plan(g, &groups, budget.granted(), verify_as, |g, i| {
+        let schedule = artifact.schedules[i];
+        let diags = check_group_schedule(g, &groups[i], &schedule, gpu, options, i);
         if analysis::has_errors(&diags) {
             let text = analysis::render_text(&diags);
             let e = format!("recorded schedule rejected: {}", text.trim_end());
-            (fit, failure) = (i, Some(CompileError::Artifact(e)));
-            break;
+            return Err(CompileError::Artifact(e));
         }
-    }
-    let budget = WorkerBudget::claim(options.effective_compile_workers().min(fit).max(1));
-    let compiled_groups = generate(&g, &groups, &artifact.schedules[..fit], budget.granted())?;
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    let verify_as = Some("memory planning (artifact load)");
+        Ok(schedule)
+    })?;
     Ok(CompiledGraph {
-        plan: plan_memory(g, compiled_groups, verify_as)?,
+        plan,
         artifact,
         from_artifact: true,
     })
@@ -430,6 +416,32 @@ mod tests {
         });
         let err = compile(&graph, &starved, &CompilerOptions::compact()).unwrap_err();
         assert!(err.to_string().contains("no matmul schedule"), "{err}");
+    }
+
+    #[test]
+    fn the_first_group_that_cannot_be_tuned_names_the_error() {
+        // Two matmul problems, both tuned before any group is scheduled and
+        // neither fitting the device: the error is the first group's,
+        // however many workers tuned them.
+        let mut g = GraphBuilder::new("chain");
+        let x = g.input("x", &[8, 16]);
+        let w1 = g.constant(Tensor::randn(&[16, 12], 1));
+        let w2 = g.constant(Tensor::randn(&[12, 20], 2));
+        let y = g.matmul(x, w1);
+        let y = g.matmul(y, w2);
+        let graph = g.output(y).build();
+        let starved = Gpu::new(hidet_sim::GpuSpec {
+            shared_mem_per_block: 1,
+            ..hidet_sim::GpuSpec::tiny()
+        });
+        for options in [
+            CompilerOptions::tuned(),
+            CompilerOptions::tuned().sequential(),
+        ] {
+            let err = compile(&graph, &starved, &options).unwrap_err();
+            assert!(matches!(err, CompileError::Schedule(_)), "{err}");
+            assert!(err.to_string().contains("for 8x12x16 "), "{err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! One fused group's schedule decision (tuned, compact, or a default), with
-//! tuning coalesced across duplicate matmul problems.
+//! Tuning and the per-group schedule decision: each distinct matmul problem
+//! of a compile is tuned once, up front, and every fused group's schedule
+//! (tuned, compact, or a default) then looks its problem up.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::HashSet;
 
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::{Graph, OpKind};
@@ -13,89 +13,68 @@ use hidet_sched::{
 };
 use hidet_sim::Gpu;
 
+use super::generate::fan_out;
 use super::{CompileError, CompilerOptions, MatmulChoice};
 use crate::artifact::TunedEntry;
 
-/// What one group's schedule decision cost, for the compile's provenance
-/// counters: zero for a default or compact schedule, the reduce heuristic,
-/// and a problem another group already tuned.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct TuneCost {
+/// What one compile's tuning found and what finding it cost.
+#[derive(Default)]
+pub(super) struct Tuned {
+    /// Every problem some configuration fits, with the tuner's pick, sorted
+    /// by `(batch, m, n, k)`: the artifact's `tuned` list.
+    pub(super) entries: Vec<TunedEntry>,
     pub(super) trials: usize,
     pub(super) seconds: f64,
 }
 
-/// The per-compilation tuning state shared by every worker: one
-/// [`OnceLock`] slot per distinct matmul problem, so concurrent groups with
-/// the same problem run **one** tuning task.
-type TuneSlot = Arc<OnceLock<Result<(MatmulConfig, TuneCost), CompileError>>>;
-
-#[derive(Default)]
-pub(super) struct TuningSlots {
-    slots: Mutex<HashMap<(i64, i64, i64, i64), TuneSlot>>,
+fn key(p: MatmulProblem) -> (i64, i64, i64, i64) {
+    (p.batch, p.m, p.n, p.k)
 }
 
-impl TuningSlots {
-    fn slot(&self, key: (i64, i64, i64, i64)) -> TuneSlot {
-        // The map is insert-only (never torn by a panicking writer), so a
-        // poisoned lock is safe to enter rather than propagate.
-        Arc::clone(
-            self.slots
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(key)
-                .or_default(),
-        )
-    }
-
-    /// Every successfully resolved problem's winning config, sorted by
-    /// problem key (deterministic regardless of which worker tuned what).
-    pub(super) fn entries(&self) -> Vec<TunedEntry> {
-        let slots = self
-            .slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut entries: Vec<TunedEntry> = slots
-            .iter()
-            .filter_map(|(&(batch, m, n, k), slot)| match slot.get() {
-                Some(Ok((config, _))) => Some(TunedEntry {
-                    problem: MatmulProblem { batch, m, n, k },
-                    config: *config,
-                }),
-                _ => None,
-            })
-            .collect();
-        entries.sort_by_key(|e| (e.problem.batch, e.problem.m, e.problem.n, e.problem.k));
-        entries
+impl Tuned {
+    fn config(&self, problem: MatmulProblem) -> Option<MatmulConfig> {
+        let at = (self.entries).binary_search_by_key(&key(problem), |e| key(e.problem));
+        at.ok().map(|i| self.entries[i].config)
     }
 }
 
-/// Resolves the tuned config for one matmul problem, coalescing duplicates:
-/// the first caller per problem tunes and pays the cost; everyone else gets
-/// the config at zero cost.
-fn resolve_matmul_config(
-    problem: MatmulProblem,
+/// Tunes each distinct matmul problem of `groups` once, fanned out over
+/// `workers` (step 3 of Fig. 10), when `options` asks for tuned tiles. The
+/// costs sum in first-use (group) order, whichever worker tuned what.
+pub(super) fn tune_problems(
+    g: &Graph,
+    groups: &[FusedGroup],
     gpu: &Gpu,
     options: &CompilerOptions,
-    tuning: &TuningSlots,
-) -> Result<(MatmulConfig, TuneCost), CompileError> {
-    let key = (problem.batch, problem.m, problem.n, problem.k);
-    let slot = tuning.slot(key);
-    let mut first = false;
-    let result = slot.get_or_init(|| {
-        first = true;
-        let report = try_tune_matmul_with(problem, gpu, options.tuner_policy())
-            .ok_or_else(|| no_schedule(problem, gpu))?;
-        let cost = TuneCost {
-            trials: report.trials,
-            seconds: report.tuning_seconds,
-        };
-        Ok((report.best, cost))
-    });
-    match result {
-        Ok((config, cost)) => Ok((*config, if first { *cost } else { TuneCost::default() })),
-        Err(e) => Err(e.clone()),
+    workers: usize,
+) -> Tuned {
+    let mut tuned = Tuned::default();
+    if options.matmul != MatmulChoice::Tuned {
+        return tuned;
     }
+    let mut seen = HashSet::new();
+    let problems: Vec<MatmulProblem> = (groups.iter())
+        .filter_map(|group| match anchor_problem(g, g.op(group.anchor?)) {
+            Some(AnchorProblem::Matmul(problem)) => Some(problem),
+            _ => None,
+        })
+        .filter(|&problem| seen.insert(problem))
+        .collect();
+    let reports = fan_out(problems.len(), workers, |i| {
+        let _tune = hidet_trace::global().span(hidet_trace::SpanKind::Tune, 0);
+        try_tune_matmul_with(problems[i], gpu, options.tuner_policy())
+    });
+    for (problem, report) in problems.into_iter().zip(reports) {
+        // A problem nothing fits stays out: its groups fail to schedule.
+        if let Some(report) = report {
+            tuned.trials += report.trials;
+            tuned.seconds += report.tuning_seconds;
+            let config = report.best;
+            tuned.entries.push(TunedEntry { problem, config });
+        }
+    }
+    tuned.entries.sort_by_key(|e| key(e.problem));
+    tuned
 }
 
 /// The error for a problem no configuration of the space fits.
@@ -110,17 +89,16 @@ fn no_schedule(problem: MatmulProblem, gpu: &Gpu) -> CompileError {
     ))
 }
 
-/// Schedules one fused group (step 3 of Fig. 10 for one sub-graph) — the
-/// unit of work the parallel pipeline fans out before kernel generation.
+/// Decides one fused group's schedule, a matmul anchor's from what
+/// [`tune_problems`] found for its problem.
 pub(super) fn schedule_group(
     g: &Graph,
     group: &FusedGroup,
     gpu: &Gpu,
     options: &CompilerOptions,
-    tuning: &TuningSlots,
-) -> Result<(GroupSchedule, TuneCost), CompileError> {
+    tuned: &Tuned,
+) -> Result<GroupSchedule, CompileError> {
     let mut schedule = GroupSchedule::default();
-    let mut cost = TuneCost::default();
     // Order-stable mode overrides the row-reduce heuristic: a sequential
     // per-row pass accumulates in pure index order, so the result is
     // independent of how much masked padding the row carries.
@@ -142,12 +120,9 @@ pub(super) fn schedule_group(
                     MatmulChoice::Default => MatmulConfig::default(),
                     MatmulChoice::Compact => compact_matmul_config(gpu.spec())
                         .ok_or_else(|| no_schedule(problem, gpu))?,
-                    MatmulChoice::Tuned => {
-                        let _tune = hidet_trace::global().span(hidet_trace::SpanKind::Tune, 0);
-                        let (config, c) = resolve_matmul_config(problem, gpu, options, tuning)?;
-                        cost = c;
-                        config
-                    }
+                    MatmulChoice::Tuned => tuned
+                        .config(problem)
+                        .ok_or_else(|| no_schedule(problem, gpu))?,
                 };
                 if options.order_stable_reductions {
                     // Split-K sums per-split partials in a second kernel — a
@@ -168,5 +143,5 @@ pub(super) fn schedule_group(
             None => {}
         }
     }
-    Ok((schedule, cost))
+    Ok(schedule)
 }

@@ -110,70 +110,8 @@ pub fn pool_kernel(
     padding: i64,
     io: WindowIo<'_>,
 ) -> Kernel {
-    let (h, w) = (in_shape[2], in_shape[3]);
-    let numel: i64 = out_shape.iter().product();
-    let grid = (numel + ELEMENTWISE_BLOCK - 1) / ELEMENTWISE_BLOCK;
-    let mut kb = KernelBuilder::new(&io.name, grid.max(1), ELEMENTWISE_BLOCK);
-    for p in &io.params {
-        kb.param(p.name(), p.dtype(), p.shape());
-    }
-    let acc = kb.local("Acc", DType::F32, &[2]); // [value, count]
-    let flat = var("flat");
-    let idx = delinearize_expr(flat.expr(), out_shape);
-    let (n, ci, oh, ow) = (
-        idx[0].clone(),
-        idx[1].clone(),
-        idx[2].clone(),
-        idx[3].clone(),
-    );
-    let init = match reduce {
-        WindowReduce::Max => f32::NEG_INFINITY,
-        WindowReduce::Avg => 0.0,
-    };
-    let window = for_range("kh", kernel, |kh| {
-        for_range("kw", kernel, |kw| {
-            let ih = oh.clone() * stride + kh.clone() - padding;
-            let iw = ow.clone() * stride + kw - padding;
-            let valid = ih
-                .clone()
-                .ge(0)
-                .and(ih.clone().lt(h))
-                .and(iw.clone().ge(0))
-                .and(iw.clone().lt(w));
-            let v = (io.load)(&[
-                n.clone(),
-                ci.clone(),
-                ih.max(0).min(h - 1),
-                iw.max(0).min(w - 1),
-            ]);
-            let update = match reduce {
-                WindowReduce::Max => store(&acc, vec![c(0)], load(&acc, vec![c(0)]).max(v)),
-                WindowReduce::Avg => seq(vec![
-                    store(&acc, vec![c(0)], load(&acc, vec![c(0)]) + v),
-                    store(&acc, vec![c(1)], load(&acc, vec![c(1)]) + 1.0f32),
-                ]),
-            };
-            if_then(valid, update)
-        })
-    });
-    let result = match reduce {
-        WindowReduce::Max => load(&acc, vec![c(0)]),
-        WindowReduce::Avg => load(&acc, vec![c(0)]) / load(&acc, vec![c(1)]).max(1.0f32),
-    };
-    let body = seq(vec![
-        let_(&flat, block_idx() * ELEMENTWISE_BLOCK + thread_idx()),
-        if_then(
-            flat.expr().lt(numel),
-            seq(vec![
-                store(&acc, vec![c(0)], fconst(init)),
-                store(&acc, vec![c(1)], fconst(0.0)),
-                window,
-                (io.store)(&idx, result),
-            ]),
-        ),
-    ]);
-    kb.body(hidet_ir::passes::simplify(body));
-    kb.build()
+    let window = Window::Pool(reduce);
+    window_kernel(window, in_shape, out_shape, kernel, stride, padding, io)
 }
 
 /// Generates a depthwise-convolution kernel (`groups == channels`): one thread
@@ -188,6 +126,29 @@ pub fn depthwise_conv_kernel(
     padding: i64,
     io: WindowIo<'_>,
 ) -> Kernel {
+    let window = Window::Depthwise(weight);
+    window_kernel(window, in_shape, out_shape, kernel, stride, padding, io)
+}
+
+/// What a window kernel accumulates over each output element's window.
+enum Window {
+    Pool(WindowReduce),
+    /// Weighted by `weight[c, 0, kh, kw]`.
+    Depthwise(BufferRef),
+}
+
+/// The kernel both window operators share: one thread per output element,
+/// the `kh`/`kw` window loop, and the input load clamped into the image and
+/// counted only where the window position is valid (not padding).
+fn window_kernel(
+    window: Window,
+    in_shape: &[i64],
+    out_shape: &[i64],
+    kernel: i64,
+    stride: i64,
+    padding: i64,
+    io: WindowIo<'_>,
+) -> Kernel {
     let (h, w) = (in_shape[2], in_shape[3]);
     let numel: i64 = out_shape.iter().product();
     let grid = (numel + ELEMENTWISE_BLOCK - 1) / ELEMENTWISE_BLOCK;
@@ -195,16 +156,15 @@ pub fn depthwise_conv_kernel(
     for p in &io.params {
         kb.param(p.name(), p.dtype(), p.shape());
     }
-    let acc = kb.local("Acc", DType::F32, &[1]);
+    // A pool keeps `[value, count]`; a convolution only the value.
+    let pool = matches!(window, Window::Pool(_));
+    let acc = kb.local("Acc", DType::F32, &[if pool { 2 } else { 1 }]);
+    let get = |i| load(&acc, vec![c(i)]);
+    let set = |i, v| store(&acc, vec![c(i)], v);
     let flat = var("flat");
     let idx = delinearize_expr(flat.expr(), out_shape);
-    let (n, ci, oh, ow) = (
-        idx[0].clone(),
-        idx[1].clone(),
-        idx[2].clone(),
-        idx[3].clone(),
-    );
-    let window = for_range("kh", kernel, |kh| {
+    let (n, ci, oh, ow) = (&idx[0], &idx[1], &idx[2], &idx[3]);
+    let loop_ = for_range("kh", kernel, |kh| {
         for_range("kw", kernel, |kw| {
             let ih = oh.clone() * stride + kh.clone() - padding;
             let iw = ow.clone() * stride + kw.clone() - padding;
@@ -214,29 +174,37 @@ pub fn depthwise_conv_kernel(
                 .and(ih.clone().lt(h))
                 .and(iw.clone().ge(0))
                 .and(iw.clone().lt(w));
-            let x = (io.load)(&[
+            let v = (io.load)(&[
                 n.clone(),
                 ci.clone(),
                 ih.max(0).min(h - 1),
                 iw.max(0).min(w - 1),
             ]);
-            let wv = load(&weight, vec![ci.clone(), c(0), kh, kw]);
-            if_then(
-                valid,
-                store(&acc, vec![c(0)], load(&acc, vec![c(0)]) + x * wv),
-            )
+            let update = match &window {
+                Window::Pool(WindowReduce::Max) => set(0, get(0).max(v)),
+                Window::Pool(WindowReduce::Avg) => {
+                    seq(vec![set(0, get(0) + v), set(1, get(1) + 1.0f32)])
+                }
+                Window::Depthwise(weight) => {
+                    set(0, get(0) + v * load(weight, vec![ci.clone(), c(0), kh, kw]))
+                }
+            };
+            if_then(valid, update)
         })
     });
+    let (init, result) = match window {
+        Window::Pool(WindowReduce::Max) => (f32::NEG_INFINITY, get(0)),
+        Window::Pool(WindowReduce::Avg) => (0.0, get(0) / get(1).max(1.0f32)),
+        Window::Depthwise(_) => (0.0, get(0)),
+    };
+    let mut run = vec![set(0, fconst(init))];
+    if pool {
+        run.push(set(1, fconst(0.0)));
+    }
+    run.extend([loop_, (io.store)(&idx, result)]);
     let body = seq(vec![
         let_(&flat, block_idx() * ELEMENTWISE_BLOCK + thread_idx()),
-        if_then(
-            flat.expr().lt(numel),
-            seq(vec![
-                store(&acc, vec![c(0)], fconst(0.0)),
-                window,
-                (io.store)(&idx, load(&acc, vec![c(0)])),
-            ]),
-        ),
+        if_then(flat.expr().lt(numel), seq(run)),
     ]);
     kb.body(hidet_ir::passes::simplify(body));
     kb.build()

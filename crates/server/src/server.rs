@@ -48,8 +48,7 @@ pub struct ServerConfig {
     pub shed_delay_bound: Option<Duration>,
     /// Tracing level applied to the process-wide tracer at startup:
     /// `MetricsOnly` (the default) keeps `GET /v2/metrics` live at ~zero
-    /// overhead; `Full` (or sampled) additionally retains spans for
-    /// `GET /v2/trace`.
+    /// overhead; `Full` additionally retains spans for `GET /v2/trace`.
     pub trace: TraceConfig,
 }
 

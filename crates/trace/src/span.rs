@@ -33,7 +33,7 @@ pub enum SpanKind {
     BatchExecute,
     /// Compiler: one compile of a fused graph, cold or from an artifact.
     Compile,
-    /// Compiler: the schedule-tuning stage of a compile.
+    /// Compiler: tuning one distinct matmul problem of a compile.
     Tune,
     /// Decode: placing one new session onto a shard.
     ShardPlace,

@@ -49,6 +49,17 @@ proptest! {
                 i, a, b, steps
             );
         }
+
+        // Order-stable reductions accumulate in the reference's index order,
+        // so that compile matches it bit for bit.
+        let stable = hidet::compile(&graph, &gpu, &CompilerOptions::quick().order_stable())
+            .expect("random graph compiles order-stable");
+        let got = stable.run(&inputs, &gpu).expect("order-stable graph runs");
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(&got[&out]), bits(&expect[&out]),
+            "order-stable output differs from the reference (steps {:?})", steps
+        );
     }
 
     /// Memory-planned execution (arena offsets from the liveness planner,
