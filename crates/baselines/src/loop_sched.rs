@@ -446,7 +446,10 @@ mod tests {
         };
         let kernel = loop_matmul_kernel(64, 64, 32, cfg);
         assert_eq!(kernel.meta().pipeline_stages, 1);
-        assert_eq!(kernel.find_buffer("SmemA").unwrap().shape()[0], 32); // no stage dim
+        let smem_a = (kernel.shared_buffers().iter())
+            .find(|b| b.name() == "SmemA")
+            .unwrap();
+        assert_eq!(smem_a.shape()[0], 32); // no stage dim
     }
 
     #[test]

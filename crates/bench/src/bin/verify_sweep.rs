@@ -16,8 +16,10 @@
 //!    then every graph of the zoo compiles under `CompilerOptions::tuned()`
 //!    and rebuilds from its artifact, and every group of both — generated
 //!    once per distinct `GroupKey` and renamed for the rest — must equal a
-//!    fresh `compile_group` field by field. The table prints each graph's
-//!    groups and how many of them were generated;
+//!    fresh `compile_group` field by field, and the groups of one key must
+//!    share one kernel definition. The table prints each graph's groups, how
+//!    many of them were generated and how many distinct definitions they
+//!    hold;
 //! 4. **lane commutativity**: every kernel of every model is lowered for
 //!    the interpreter (nothing is launched) and its ranges' verdicts read
 //!    back — how much runs once for the whole block, why the rest does not,
@@ -42,7 +44,8 @@
 //! cargo run --release -p hidet-bench --bin verify_sweep
 //! ```
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use hidet::{CompiledGraph, CompilerOptions};
@@ -103,20 +106,32 @@ fn closed_form_matches(problem: MatmulProblem, config: MatmulConfig) -> bool {
 }
 
 /// Every group of `compiled` that differs from a fresh `compile_group` of
-/// the same group under its recorded schedule, and the number of distinct
-/// [`GroupKey`]s — the groups a compile generates.
-fn regenerate(compiled: &CompiledGraph, mismatched: &mut Vec<String>) -> usize {
+/// the same group under its recorded schedule, or whose kernels are not the
+/// shared definitions of the first group of its [`GroupKey`]; and the number
+/// of distinct keys — the groups a compile generates — and of distinct
+/// kernel definitions among the groups.
+fn regenerate(compiled: &CompiledGraph, mismatched: &mut Vec<String>) -> (usize, usize) {
     let g = compiled.graph();
     let groups = partition(g);
     let schedules = &compiled.artifact().schedules;
-    let mut keys = HashSet::new();
+    let mut first = HashMap::new();
+    let mut definitions = HashSet::new();
     for (i, ((group, schedule), got)) in groups
         .iter()
         .zip(schedules)
         .zip(compiled.groups())
         .enumerate()
     {
-        keys.insert(GroupKey::of(g, group, schedule));
+        let s = *first.entry(GroupKey::of(g, group, schedule)).or_insert(i);
+        let shared = (got.kernels.iter().zip(&compiled.groups()[s].kernels))
+            .all(|(a, b)| Arc::ptr_eq(a.definition(), b.definition()));
+        if !shared {
+            mismatched.push(format!(
+                "{} group {i}: not group {s}'s definition",
+                g.name()
+            ));
+        }
+        definitions.extend(got.kernels.first().map(|k| Arc::as_ptr(k.definition())));
         let fresh = compile_group(g, group, schedule).expect("a compiled group compiles");
         if let Some(field) = got.difference(&fresh) {
             mismatched.push(format!("{} group {i}: {field}", g.name()));
@@ -125,7 +140,7 @@ fn regenerate(compiled: &CompiledGraph, mismatched: &mut Vec<String>) -> usize {
     if groups.len() != compiled.groups().len() {
         mismatched.push(format!("{}: group count", g.name()));
     }
-    keys.len()
+    (first.len(), definitions.len())
 }
 
 fn main() {
@@ -178,20 +193,21 @@ fn main() {
         let artifact = compiled.artifact().clone();
         let rebuilt = hidet::compile_from_artifact(graph, &gpu, &tuned, artifact)
             .unwrap_or_else(|e| panic!("{} artifact re-load rejected: {e}", graph.name()));
-        let generated = regenerate(&compiled, &mut regenerated);
+        let (generated, definitions) = regenerate(&compiled, &mut regenerated);
         regenerate(&rebuilt, &mut regenerated);
         checks += 2;
         rows.push(vec![
             graph.name().to_string(),
             format!("{}", compiled.groups().len()),
             format!("{generated}"),
+            format!("{definitions}"),
         ]);
     }
     println!();
-    print_table(&["model", "groups", "generated"], &rows);
+    print_table(&["model", "groups", "generated", "definitions"], &rows);
     println!(
-        "every group of {} tuned compiles and their rebuilds against a fresh compile_group: \
-         {} mismatches",
+        "every group of {} tuned compiles and their rebuilds against a fresh compile_group, \
+         and sharing its key's definition: {} mismatches",
         zoo.len(),
         regenerated.len()
     );
@@ -300,7 +316,7 @@ fn main() {
     );
     assert!(
         regenerated.is_empty(),
-        "every group must equal a fresh compile_group of it"
+        "every group must equal a fresh compile_group of it and share its key's definition"
     );
     assert!(
         oversized.is_empty(),

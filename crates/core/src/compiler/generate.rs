@@ -1,6 +1,7 @@
 //! Kernel generation for one compile: [`compile_group`] once per distinct
-//! [`GroupKey`], a renamed copy for every other group of the key, and the
-//! fan-out both the tuning and the generation step run on.
+//! [`GroupKey`], the same kernel definitions under other names for every
+//! other group of the key, and the fan-out both the tuning and the
+//! generation step run on.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,8 +45,8 @@ pub(super) fn fan_out<T: Send>(
 
 /// Generates the kernels of `groups[..schedules.len()]`: [`compile_group`]
 /// runs on the first group of each distinct [`GroupKey`] — those fanned out
-/// over `workers` — and every later group of a key takes a renamed copy of
-/// its first group's result.
+/// over `workers` — and every later group of a key takes its first group's
+/// result renamed, sharing its kernel definitions.
 ///
 /// # Errors
 /// The first failing group's error, in group order.

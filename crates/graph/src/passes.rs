@@ -266,8 +266,27 @@ impl FusedGroup {
 /// * *epilogues*: the chain of bijective single consumers of its output.
 ///
 /// Remaining operators form maximal single-consumer injective chains.
+///
+/// Linear in the graph: each tensor's producer, consumers and output flag
+/// are tabled once, in one pass over the operators.
 pub fn partition(graph: &Graph) -> Vec<FusedGroup> {
     let num_ops = graph.ops().len();
+    // As `Graph::producer` and `Graph::consumers` answer: the first op
+    // producing a tensor; each op consuming it once, in op order.
+    let mut producer: Vec<Option<OpId>> = vec![None; graph.num_tensors()];
+    let mut consumers: Vec<Vec<OpId>> = vec![Vec::new(); graph.num_tensors()];
+    for (i, op) in graph.ops().iter().enumerate() {
+        producer[op.output.0].get_or_insert(OpId(i));
+        for t in &op.inputs {
+            if consumers[t.0].last() != Some(&OpId(i)) {
+                consumers[t.0].push(OpId(i));
+            }
+        }
+    }
+    let mut is_output = vec![false; graph.num_tensors()];
+    for t in graph.outputs() {
+        is_output[t.0] = true;
+    }
     let mut assigned = vec![false; num_ops];
     let mut groups: Vec<FusedGroup> = Vec::new();
 
@@ -282,7 +301,7 @@ pub fn partition(graph: &Graph) -> Vec<FusedGroup> {
         // Absorb prologues, transitively.
         let mut stack: Vec<TensorId> = op.inputs.clone();
         while let Some(t) = stack.pop() {
-            let Some(p) = graph.producer(t) else { continue };
+            let Some(p) = producer[t.0] else { continue };
             if assigned[p.0] {
                 continue;
             }
@@ -291,10 +310,7 @@ pub fn partition(graph: &Graph) -> Vec<FusedGroup> {
             // when the anchor is its only operator consumer (the decode
             // models emit updated KV caches that are outputs *and* feed the
             // attention anchor) — absorbing it would skip the write.
-            if pk.prologue_eligible()
-                && graph.consumers(t).len() == 1
-                && !graph.outputs().contains(&t)
-            {
+            if pk.prologue_eligible() && consumers[t.0].len() == 1 && !is_output[t.0] {
                 assigned[p.0] = true;
                 members.push(p);
                 stack.extend(graph.op(p).inputs.iter().copied());
@@ -302,12 +318,7 @@ pub fn partition(graph: &Graph) -> Vec<FusedGroup> {
         }
         // Absorb the epilogue chain.
         let mut tail = op.output;
-        loop {
-            let consumers = graph.consumers(tail);
-            if consumers.len() != 1 {
-                break;
-            }
-            let e = consumers[0];
+        while let &[e] = consumers[tail.0].as_slice() {
             if assigned[e.0] {
                 break;
             }
@@ -323,7 +334,7 @@ pub fn partition(graph: &Graph) -> Vec<FusedGroup> {
                 graph.tensor(eop.output).shape(),
             );
             // Don't absorb graph outputs' producers past the output tensor.
-            if !eligible || graph.outputs().contains(&tail) {
+            if !eligible || is_output[tail.0] {
                 break;
             }
             assigned[e.0] = true;
@@ -345,13 +356,8 @@ pub fn partition(graph: &Graph) -> Vec<FusedGroup> {
         let mut members = vec![OpId(idx)];
         assigned[idx] = true;
         let mut tail = graph.op(OpId(idx)).output;
-        loop {
-            let consumers = graph.consumers(tail);
-            if consumers.len() != 1 || graph.outputs().contains(&tail) {
-                break;
-            }
-            let e = consumers[0];
-            if assigned[e.0] || graph.op(e).kind.is_anchor() {
+        while let &[e] = consumers[tail.0].as_slice() {
+            if is_output[tail.0] || assigned[e.0] || graph.op(e).kind.is_anchor() {
                 break;
             }
             assigned[e.0] = true;

@@ -31,13 +31,18 @@ impl fmt::Display for MemScope {
 ///
 /// Buffers are identified by name within one kernel; `BufferRef = Arc<Buffer>`
 /// is cheap to clone and is what [`crate::Expr::Load`]/[`crate::Stmt::Store`]
-/// reference.
+/// reference. In a built kernel's body, an access to one of the kernel's
+/// parameters names no buffer: it addresses the parameter by position (a
+/// *parameter slot*, [`Buffer::param_index`]), and [`Buffer::name_in`]
+/// reads its name from the parameter list of the kernel it is in.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Buffer {
+    /// For a parameter slot, `$<index>`: what it prints as on its own.
     name: Arc<str>,
     scope: MemScope,
     dtype: DType,
     shape: Vec<i64>,
+    param: Option<usize>,
 }
 
 /// Shared handle to a [`Buffer`].
@@ -63,12 +68,42 @@ impl Buffer {
             scope,
             dtype,
             shape: shape.to_vec(),
+            param: None,
         })
     }
 
-    /// Buffer name (unique within a kernel).
+    /// The global-memory parameter slot `index`, accessed as `dtype` of
+    /// `shape`.
+    pub(crate) fn param_slot(index: usize, dtype: DType, shape: &[i64]) -> BufferRef {
+        Arc::new(Buffer {
+            name: format!("${index}").into(),
+            scope: MemScope::Global,
+            dtype,
+            shape: shape.to_vec(),
+            param: Some(index),
+        })
+    }
+
+    /// Buffer name (unique within a kernel); `$<index>` for a parameter
+    /// slot, whose name is the kernel's ([`Buffer::name_in`]).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The position of the kernel parameter this buffer stands for, when it
+    /// is a parameter slot.
+    pub fn param_index(&self) -> Option<usize> {
+        self.param
+    }
+
+    /// The name this buffer goes by in a kernel whose parameters are
+    /// `params`: a parameter slot takes its parameter's name, any other
+    /// buffer keeps its own.
+    pub fn name_in<'a>(&'a self, params: &'a [BufferRef]) -> &'a str {
+        match self.param.and_then(|i| params.get(i)) {
+            Some(param) => param.name(),
+            None => &self.name,
+        }
     }
 
     /// Memory scope.

@@ -6,6 +6,7 @@
 //! source is what a real deployment would compile with `nvcc`, and golden
 //! tests pin it down.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::buffer::{BufferRef, MemScope};
@@ -14,7 +15,7 @@ use crate::kernel::Kernel;
 use crate::stmt::Stmt;
 
 /// Renders a kernel as a CUDA C `__global__` function, preceded by a launch
-/// comment.
+/// comment. A parameter slot of the body prints as its parameter's name.
 ///
 /// ```
 /// use hidet_ir::prelude::*;
@@ -48,7 +49,7 @@ pub fn to_cuda(kernel: &Kernel) -> String {
         .params()
         .iter()
         .map(|b| {
-            let qual = if written.contains(&b.name().to_string()) {
+            let qual = if written.contains(b.name()) {
                 ""
             } else {
                 "const "
@@ -79,7 +80,7 @@ pub fn to_cuda(kernel: &Kernel) -> String {
     for b in kernel.local_buffers() {
         let _ = writeln!(out, "  {} {}{};", b.dtype().cuda_name(), b.name(), dims(b));
     }
-    emit_stmt(&mut out, kernel.body(), 1);
+    emit_stmt(&mut out, kernel.body(), kernel.params(), 1);
     out.push_str("}\n");
     out
 }
@@ -89,36 +90,36 @@ fn dims(b: &BufferRef) -> String {
 }
 
 /// Names of parameter buffers that the kernel stores to (printed non-const).
-fn mutated_params(kernel: &Kernel) -> Vec<String> {
-    let mut out = std::collections::HashSet::new();
-    fn walk(s: &Stmt, out: &mut std::collections::HashSet<String>) {
+fn mutated_params(kernel: &Kernel) -> HashSet<&str> {
+    fn walk<'k>(s: &'k Stmt, params: &'k [BufferRef], out: &mut HashSet<&'k str>) {
         match s {
             Stmt::Store { buffer, .. } if buffer.scope() == MemScope::Global => {
-                out.insert(buffer.name().to_string());
+                out.insert(buffer.name_in(params));
             }
-            Stmt::Seq(items) => items.iter().for_each(|i| walk(i, out)),
-            Stmt::For { body, .. } => walk(body, out),
+            Stmt::Seq(items) => items.iter().for_each(|i| walk(i, params, out)),
+            Stmt::For { body, .. } => walk(body, params, out),
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                walk(then_body, out);
+                walk(then_body, params, out);
                 if let Some(e) = else_body {
-                    walk(e, out);
+                    walk(e, params, out);
                 }
             }
             _ => {}
         }
     }
-    walk(kernel.body(), &mut out);
-    out.into_iter().collect()
+    let mut out = HashSet::new();
+    walk(kernel.body(), kernel.params(), &mut out);
+    out
 }
 
-fn emit_stmt(out: &mut String, s: &Stmt, indent: usize) {
+fn emit_stmt(out: &mut String, s: &Stmt, params: &[BufferRef], indent: usize) {
     let pad = "  ".repeat(indent);
     match s {
-        Stmt::Seq(items) => items.iter().for_each(|i| emit_stmt(out, i, indent)),
+        Stmt::Seq(items) => items.iter().for_each(|i| emit_stmt(out, i, params, indent)),
         Stmt::For {
             var,
             extent,
@@ -132,9 +133,9 @@ fn emit_stmt(out: &mut String, s: &Stmt, indent: usize) {
                 out,
                 "{pad}for (int64_t {v} = 0; {v} < {e}; ++{v}) {{",
                 v = var.name(),
-                e = emit_expr(extent)
+                e = emit_expr(params, extent)
             );
-            emit_stmt(out, body, indent + 1);
+            emit_stmt(out, body, params, indent + 1);
             let _ = writeln!(out, "{pad}}}");
         }
         Stmt::If {
@@ -142,11 +143,11 @@ fn emit_stmt(out: &mut String, s: &Stmt, indent: usize) {
             then_body,
             else_body,
         } => {
-            let _ = writeln!(out, "{pad}if ({}) {{", emit_expr(cond));
-            emit_stmt(out, then_body, indent + 1);
+            let _ = writeln!(out, "{pad}if ({}) {{", emit_expr(params, cond));
+            emit_stmt(out, then_body, params, indent + 1);
             if let Some(e) = else_body {
                 let _ = writeln!(out, "{pad}}} else {{");
-                emit_stmt(out, e, indent + 1);
+                emit_stmt(out, e, params, indent + 1);
             }
             let _ = writeln!(out, "{pad}}}");
         }
@@ -156,7 +157,7 @@ fn emit_stmt(out: &mut String, s: &Stmt, indent: usize) {
                 "{pad}const {} {} = {};",
                 var.dtype().cuda_name(),
                 var.name(),
-                emit_expr(value)
+                emit_expr(params, value)
             );
         }
         Stmt::Store {
@@ -167,8 +168,8 @@ fn emit_stmt(out: &mut String, s: &Stmt, indent: usize) {
             let _ = writeln!(
                 out,
                 "{pad}{} = {};",
-                emit_access(buffer, indices),
-                emit_expr(value)
+                emit_access(params, buffer, indices),
+                emit_expr(params, value)
             );
         }
         Stmt::SyncThreads => {
@@ -183,7 +184,7 @@ fn emit_stmt(out: &mut String, s: &Stmt, indent: usize) {
 
 /// Buffer access syntax: global buffers are flat pointers (row-major index
 /// arithmetic); shared/register buffers keep their array shape.
-fn emit_access(buffer: &BufferRef, indices: &[Expr]) -> String {
+fn emit_access(params: &[BufferRef], buffer: &BufferRef, indices: &[Expr]) -> String {
     match buffer.scope() {
         MemScope::Global => {
             let strides = buffer.strides();
@@ -192,26 +193,26 @@ fn emit_access(buffer: &BufferRef, indices: &[Expr]) -> String {
                 .zip(&strides)
                 .map(|(e, &s)| {
                     if s == 1 {
-                        emit_expr(e)
+                        emit_expr(params, e)
                     } else {
-                        format!("{} * {s}", emit_expr(e))
+                        format!("{} * {s}", emit_expr(params, e))
                     }
                 })
                 .collect::<Vec<_>>()
                 .join(" + ");
-            format!("{}[{flat}]", buffer.name())
+            format!("{}[{flat}]", buffer.name_in(params))
         }
         MemScope::Shared | MemScope::Register => {
             let idx: String = indices
                 .iter()
-                .map(|e| format!("[{}]", emit_expr(e)))
+                .map(|e| format!("[{}]", emit_expr(params, e)))
                 .collect();
-            format!("{}{idx}", buffer.name())
+            format!("{}{idx}", buffer.name_in(params))
         }
     }
 }
 
-fn emit_expr(e: &Expr) -> String {
+fn emit_expr(params: &[BufferRef], e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
         Expr::Float(v) => {
@@ -226,14 +227,22 @@ fn emit_expr(e: &Expr) -> String {
         Expr::ThreadIdx => "threadIdx.x".to_string(),
         Expr::BlockIdx => "blockIdx.x".to_string(),
         Expr::Binary { op, lhs, rhs } => match op.cuda_infix() {
-            Some(sym) => format!("({} {sym} {})", emit_expr(lhs), emit_expr(rhs)),
+            Some(sym) => format!(
+                "({} {sym} {})",
+                emit_expr(params, lhs),
+                emit_expr(params, rhs)
+            ),
             None => {
                 let f = if *op == BinOp::Min { "min" } else { "max" };
-                format!("{f}({}, {})", emit_expr(lhs), emit_expr(rhs))
+                format!(
+                    "{f}({}, {})",
+                    emit_expr(params, lhs),
+                    emit_expr(params, rhs)
+                )
             }
         },
         Expr::Unary { op, operand } => {
-            let x = emit_expr(operand);
+            let x = emit_expr(params, operand);
             match op {
                 UnOp::Neg => format!("(-{x})"),
                 UnOp::Not => format!("(!{x})"),
@@ -247,17 +256,19 @@ fn emit_expr(e: &Expr) -> String {
                 UnOp::Sigmoid => format!("(1.0f / (1.0f + expf(-{x})))"),
             }
         }
-        Expr::Load { buffer, indices } => emit_access(buffer, indices),
-        Expr::Cast { dtype, value } => format!("({}){}", dtype.cuda_name(), emit_expr(value)),
+        Expr::Load { buffer, indices } => emit_access(params, buffer, indices),
+        Expr::Cast { dtype, value } => {
+            format!("({}){}", dtype.cuda_name(), emit_expr(params, value))
+        }
         Expr::Select {
             cond,
             then_value,
             else_value,
         } => format!(
             "({} ? {} : {})",
-            emit_expr(cond),
-            emit_expr(then_value),
-            emit_expr(else_value)
+            emit_expr(params, cond),
+            emit_expr(params, then_value),
+            emit_expr(params, else_value)
         ),
     }
 }

@@ -1,4 +1,11 @@
 //! Scalar expressions of the tensor-program IR.
+//!
+//! An [`Expr`]'s operands are shared sub-trees (`Arc<Expr>`): cloning an
+//! index or a fused epilogue value bumps reference counts instead of copying
+//! the tree, and the rewriters of [`crate::visit`] and [`crate::passes`]
+//! hand back an unchanged sub-tree as it is, rebuilding only the nodes a
+//! rule touches. A tree is never mutated in place, so one sub-tree may sit
+//! under many parents, in one kernel or in several.
 
 use std::fmt;
 use std::sync::Arc;
@@ -133,7 +140,7 @@ pub enum UnOp {
     Sigmoid,
 }
 
-/// A scalar expression tree.
+/// A scalar expression tree whose operands are shared, immutable sub-trees.
 ///
 /// Construction is most ergonomic through the [`crate::builder`] helpers and
 /// the arithmetic operator overloads:
@@ -163,16 +170,16 @@ pub enum Expr {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Arc<Expr>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Arc<Expr>,
     },
     /// Unary operation.
     Unary {
         /// Operator.
         op: UnOp,
         /// Operand.
-        operand: Box<Expr>,
+        operand: Arc<Expr>,
     },
     /// Element load `buffer[indices...]`.
     Load {
@@ -186,16 +193,16 @@ pub enum Expr {
         /// Target type.
         dtype: DType,
         /// Value to convert.
-        value: Box<Expr>,
+        value: Arc<Expr>,
     },
     /// `cond ? then_value : else_value`.
     Select {
         /// Predicate.
-        cond: Box<Expr>,
+        cond: Arc<Expr>,
         /// Value when true.
-        then_value: Box<Expr>,
+        then_value: Arc<Expr>,
         /// Value when false.
-        else_value: Box<Expr>,
+        else_value: Arc<Expr>,
     },
 }
 
@@ -300,7 +307,7 @@ impl Expr {
     pub fn not(self) -> Expr {
         Expr::Unary {
             op: UnOp::Not,
-            operand: Box::new(self),
+            operand: Arc::new(self),
         }
     }
 
@@ -308,7 +315,7 @@ impl Expr {
     pub fn unary(self, op: UnOp) -> Expr {
         Expr::Unary {
             op,
-            operand: Box::new(self),
+            operand: Arc::new(self),
         }
     }
 
@@ -316,16 +323,16 @@ impl Expr {
     pub fn cast(self, dtype: DType) -> Expr {
         Expr::Cast {
             dtype,
-            value: Box::new(self),
+            value: Arc::new(self),
         }
     }
 
     /// Builds `self ? then_value : else_value`.
     pub fn select(self, then_value: impl Into<Expr>, else_value: impl Into<Expr>) -> Expr {
         Expr::Select {
-            cond: Box::new(self),
-            then_value: Box::new(then_value.into()),
-            else_value: Box::new(else_value.into()),
+            cond: Arc::new(self),
+            then_value: Arc::new(then_value.into()),
+            else_value: Arc::new(else_value.into()),
         }
     }
 }
@@ -333,8 +340,8 @@ impl Expr {
 pub(crate) fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
     Expr::Binary {
         op,
-        lhs: Box::new(lhs),
-        rhs: Box::new(rhs),
+        lhs: Arc::new(lhs),
+        rhs: Arc::new(rhs),
     }
 }
 
@@ -402,51 +409,75 @@ impl std::ops::Neg for Expr {
     fn neg(self) -> Expr {
         Expr::Unary {
             op: UnOp::Neg,
-            operand: Box::new(self),
+            operand: Arc::new(self),
         }
     }
 }
 
-impl fmt::Display for Expr {
+/// An IR node printed as part of a kernel whose parameters are `.1`.
+pub(crate) struct InKernel<'a, T>(pub(crate) &'a T, pub(crate) &'a [BufferRef]);
+
+impl<'a, T> InKernel<'a, T> {
+    /// `item`, a part of this node, printed in the same kernel.
+    pub(crate) fn at<U>(&self, item: &'a U) -> InKernel<'a, U> {
+        InKernel(item, self.1)
+    }
+}
+
+impl fmt::Display for InKernel<'_, Expr> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let at = |e| self.at(e);
+        match self.0 {
             Expr::Int(v) => write!(f, "{v}"),
             Expr::Float(v) => write!(f, "{v:?}"),
             Expr::Bool(v) => write!(f, "{v}"),
             Expr::Var(v) => write!(f, "{v}"),
             Expr::ThreadIdx => f.write_str("threadIdx.x"),
             Expr::BlockIdx => f.write_str("blockIdx.x"),
-            Expr::Binary { op, lhs, rhs } => match op.cuda_infix() {
-                Some(sym) => write!(f, "({lhs} {sym} {rhs})"),
-                None => {
-                    let name = if *op == BinOp::Min { "min" } else { "max" };
-                    write!(f, "{name}({lhs}, {rhs})")
+            Expr::Binary { op, lhs, rhs } => {
+                let (lhs, rhs) = (at(&**lhs), at(&**rhs));
+                match op.cuda_infix() {
+                    Some(sym) => write!(f, "({lhs} {sym} {rhs})"),
+                    None => {
+                        let name = if *op == BinOp::Min { "min" } else { "max" };
+                        write!(f, "{name}({lhs}, {rhs})")
+                    }
                 }
-            },
-            Expr::Unary { op, operand } => match op {
-                UnOp::Neg => write!(f, "(-{operand})"),
-                UnOp::Not => write!(f, "(!{operand})"),
-                _ => write!(f, "{}({operand})", format!("{op:?}").to_lowercase()),
-            },
+            }
+            Expr::Unary { op, operand } => {
+                let operand = at(&**operand);
+                match op {
+                    UnOp::Neg => write!(f, "(-{operand})"),
+                    UnOp::Not => write!(f, "(!{operand})"),
+                    _ => write!(f, "{}({operand})", format!("{op:?}").to_lowercase()),
+                }
+            }
             Expr::Load { buffer, indices } => {
-                write!(f, "{}[", buffer.name())?;
+                write!(f, "{}[", buffer.name_in(self.1))?;
                 for (i, idx) in indices.iter().enumerate() {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "{idx}")?;
+                    write!(f, "{}", at(idx))?;
                 }
                 f.write_str("]")
             }
-            Expr::Cast { dtype, value } => write!(f, "({}){value}", dtype.cuda_name()),
+            Expr::Cast { dtype, value } => write!(f, "({}){}", dtype.cuda_name(), at(&**value)),
             Expr::Select {
                 cond,
                 then_value,
                 else_value,
             } => {
-                write!(f, "({cond} ? {then_value} : {else_value})")
+                let (c, t, e) = (at(&**cond), at(&**then_value), at(&**else_value));
+                write!(f, "({c} ? {t} : {e})")
             }
         }
+    }
+}
+
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        InKernel(self, &[]).fmt(f)
     }
 }
 
@@ -510,6 +541,31 @@ mod tests {
         let v = Var::index("i");
         let e = 2i64 * v.expr();
         assert_eq!(e.to_string(), "(2 * i)");
+    }
+
+    #[test]
+    fn cloning_shares_the_operands() {
+        let t = Expr::ThreadIdx;
+        let e = (t.clone() / 8).lt(16).select(t.clone() % 8, t);
+        let copy = e.clone();
+        let (
+            Expr::Select {
+                cond,
+                then_value,
+                else_value,
+            },
+            Expr::Select {
+                cond: c2,
+                then_value: t2,
+                else_value: e2,
+            },
+        ) = (&e, &copy)
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(cond, c2));
+        assert!(Arc::ptr_eq(then_value, t2));
+        assert!(Arc::ptr_eq(else_value, e2));
     }
 
     #[test]

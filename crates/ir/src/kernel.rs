@@ -1,10 +1,23 @@
 //! Kernels: scheduled tensor programs plus their launch configuration.
+//!
+//! A [`Kernel`] is a name and a list of named parameter buffers bound to a
+//! shared, name-free [`KernelDef`]: the launch, the metadata, the shared and
+//! register buffers, and a body that addresses each parameter by position —
+//! a *parameter slot* ([`Buffer::param_index`]). [`crate::KernelBuilder::build`]
+//! puts each freshly generated kernel in that form once; [`Kernel::renamed`]
+//! then gives the same definition other names in O(params), sharing it
+//! rather than copying the body. Whatever prints or runs a body reads a
+//! slot's name from the parameters of the kernel it runs as
+//! ([`Buffer::name_in`]); global buffers that are no parameter keep their
+//! own names.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::buffer::{Buffer, BufferRef, MemScope};
+use crate::expr::Expr;
 use crate::stmt::Stmt;
-use crate::visit::replace_buffers;
+use crate::visit::rewritten;
 
 /// Grid/block launch configuration (flat 1-D, as task mappings subsume
 /// multi-dimensional launches).
@@ -71,14 +84,11 @@ impl Default for KernelMeta {
     }
 }
 
-/// A compiled tensor program: buffers, launch configuration and body.
-///
-/// Built with [`crate::KernelBuilder`]. A kernel can be printed as CUDA C
-/// ([`crate::cuda::to_cuda`]) or executed/timed by `hidet-sim`.
-#[derive(Debug, Clone)]
-pub struct Kernel {
-    name: String,
-    params: Vec<BufferRef>,
+/// What a kernel computes, apart from every name it is called by: launch,
+/// metadata, shared and register buffers, and a body whose parameter
+/// accesses are parameter slots. Kernels of one fused-group key share one.
+#[derive(Debug)]
+pub struct KernelDef {
     shared: Vec<BufferRef>,
     locals: Vec<BufferRef>,
     launch: LaunchConfig,
@@ -86,7 +96,21 @@ pub struct Kernel {
     body: Stmt,
 }
 
+/// A compiled tensor program: its name and parameters, and a shared
+/// [`KernelDef`].
+///
+/// Built with [`crate::KernelBuilder`]. A kernel can be printed as CUDA C
+/// ([`crate::cuda::to_cuda`]) or executed/timed by `hidet-sim`.
+#[derive(Debug, Clone)]
+pub struct Kernel {
+    name: String,
+    params: Vec<BufferRef>,
+    def: Arc<KernelDef>,
+}
+
 impl Kernel {
+    /// The kernel of these parts, its body's accesses to `params` (global
+    /// buffers of a parameter's name) turned into parameter slots.
     pub(crate) fn from_parts(
         name: String,
         params: Vec<BufferRef>,
@@ -94,59 +118,54 @@ impl Kernel {
         locals: Vec<BufferRef>,
         launch: LaunchConfig,
         meta: KernelMeta,
-        body: Stmt,
+        mut body: Stmt,
     ) -> Kernel {
-        Kernel {
-            name,
-            params,
+        // A slot keeps the access's own type and shape, as the access did.
+        swap_buffers(&mut body, &mut |b| {
+            if b.scope() != MemScope::Global || b.param_index().is_some() {
+                return None;
+            }
+            let i = params.iter().position(|p| p.name() == b.name())?;
+            Some(Buffer::param_slot(i, b.dtype(), b.shape()))
+        });
+        let def = KernelDef {
             shared,
             locals,
             launch,
             meta,
             body,
+        };
+        Kernel {
+            name,
+            params,
+            def: Arc::new(def),
         }
     }
 
-    /// A copy of this kernel named `name`, in which every buffer whose name
-    /// is the first of a `buffers` pair takes the second, exactly (never by
-    /// prefix), in the buffer lists and wherever the body loads or stores
-    /// it. All else is copied as it is: one allocation per node of the body,
-    /// no simplification.
+    /// This kernel's definition under the name `name`, each parameter whose
+    /// name is the first of a `buffers` pair taking the second, exactly
+    /// (never by prefix). The definition is shared, not copied: the cost is
+    /// one buffer per renamed parameter.
     ///
     /// The caller keeps the new names apart from the kernel's other buffers.
     pub fn renamed(&self, name: &str, buffers: &[(&str, &str)]) -> Kernel {
-        let mut swaps: Vec<(&str, BufferRef)> = Vec::new();
-        let mut rename = |list: &[BufferRef]| -> Vec<BufferRef> {
-            (list.iter())
-                .map(|b| match buffers.iter().find(|(old, _)| *old == b.name()) {
-                    Some(&(old, new)) => {
-                        let new = Buffer::new(new, b.scope(), b.dtype(), b.shape());
-                        swaps.push((old, new.clone()));
-                        new
-                    }
-                    None => b.clone(),
-                })
-                .collect()
-        };
-        let params = rename(&self.params);
-        let shared = rename(&self.shared);
-        let locals = rename(&self.locals);
-        let body = replace_buffers(&self.body, &|b| match swaps
-            .iter()
-            .find(|(old, _)| *old == b.name())
-        {
-            Some((_, new)) => new.clone(),
-            None => b.clone(),
-        });
-        Kernel::from_parts(
-            name.to_string(),
+        let params = (self.params.iter())
+            .map(|p| match buffers.iter().find(|(old, _)| *old == p.name()) {
+                Some(&(_, new)) => Buffer::new(new, p.scope(), p.dtype(), p.shape()),
+                None => p.clone(),
+            })
+            .collect();
+        Kernel {
+            name: name.to_string(),
             params,
-            shared,
-            locals,
-            self.launch,
-            self.meta,
-            body,
-        )
+            def: Arc::clone(&self.def),
+        }
+    }
+
+    /// The name-free definition this kernel runs, shared with every kernel
+    /// renamed from it.
+    pub fn definition(&self) -> &Arc<KernelDef> {
+        &self.def
     }
 
     /// Kernel name (also the CUDA `__global__` function name).
@@ -161,48 +180,45 @@ impl Kernel {
 
     /// Shared-memory buffers.
     pub fn shared_buffers(&self) -> &[BufferRef] {
-        &self.shared
+        &self.def.shared
     }
 
     /// Per-thread register arrays.
     pub fn local_buffers(&self) -> &[BufferRef] {
-        &self.locals
+        &self.def.locals
     }
 
     /// Launch configuration.
     pub fn launch(&self) -> LaunchConfig {
-        self.launch
+        self.def.launch
     }
 
     /// Scheduler-provided metadata.
     pub fn meta(&self) -> KernelMeta {
-        self.meta
+        self.def.meta
     }
 
-    /// Kernel body (one copy executed per thread).
+    /// Kernel body (one copy executed per thread). Its parameter accesses
+    /// are parameter slots: read their names through [`Kernel::params`]
+    /// ([`Buffer::name_in`], [`Stmt::display_with`]).
     pub fn body(&self) -> &Stmt {
-        &self.body
+        &self.def.body
     }
 
     /// Total shared memory per block, in bytes.
     pub fn shared_bytes(&self) -> u64 {
-        self.shared.iter().map(|b| b.size_bytes()).sum()
+        self.shared_buffers().iter().map(|b| b.size_bytes()).sum()
     }
 
     /// Estimated registers per thread: 32 baseline plus the register arrays
     /// (4 bytes / register).
     pub fn registers_per_thread(&self) -> u64 {
-        let array_regs: u64 = self.locals.iter().map(|b| b.size_bytes() / 4).sum();
-        32 + array_regs
-    }
-
-    /// Looks up any buffer (param/shared/local) by name.
-    pub fn find_buffer(&self, name: &str) -> Option<&BufferRef> {
-        self.params
+        let array_regs: u64 = self
+            .local_buffers()
             .iter()
-            .chain(&self.shared)
-            .chain(&self.locals)
-            .find(|b| b.name() == name)
+            .map(|b| b.size_bytes() / 4)
+            .sum();
+        32 + array_regs
     }
 
     /// Validates internal consistency; called by the builder.
@@ -211,7 +227,8 @@ impl Kernel {
     /// Panics on duplicate buffer names or scope mismatches.
     pub(crate) fn validate(&self) {
         let mut names = std::collections::HashSet::new();
-        for buf in self.params.iter().chain(&self.shared).chain(&self.locals) {
+        let (shared, locals) = (self.shared_buffers(), self.local_buffers());
+        for buf in self.params.iter().chain(shared).chain(locals) {
             assert!(
                 names.insert(buf.name().to_string()),
                 "duplicate buffer name {} in kernel {}",
@@ -227,7 +244,7 @@ impl Kernel {
                 buf.name()
             );
         }
-        for buf in &self.shared {
+        for buf in shared {
             assert_eq!(
                 buf.scope(),
                 MemScope::Shared,
@@ -235,7 +252,7 @@ impl Kernel {
                 buf.name()
             );
         }
-        for buf in &self.locals {
+        for buf in locals {
             assert_eq!(
                 buf.scope(),
                 MemScope::Register,
@@ -251,20 +268,72 @@ impl fmt::Display for Kernel {
         writeln!(
             f,
             "kernel {}<<<{}, {}>>>",
-            self.name, self.launch.grid_dim, self.launch.block_dim
+            self.name,
+            self.launch().grid_dim,
+            self.launch().block_dim
         )?;
-        for b in self.params.iter().chain(&self.shared).chain(&self.locals) {
+        let (shared, locals) = (self.shared_buffers(), self.local_buffers());
+        for b in self.params.iter().chain(shared).chain(locals) {
             writeln!(f, "  {b}")?;
         }
-        write!(f, "{}", self.body)
+        write!(f, "{}", self.body().display_with(&self.params))
+    }
+}
+
+/// Swaps, in place, every buffer `s` loads or stores for `swap(buffer)`
+/// where that is `Some`. An expression no swap reaches stays as it is.
+fn swap_buffers(s: &mut Stmt, swap: &mut impl FnMut(&BufferRef) -> Option<BufferRef>) {
+    fn expr(e: &mut Expr, swap: &mut impl FnMut(&BufferRef) -> Option<BufferRef>) {
+        let swapped = rewritten(e, &mut |node| match node {
+            Expr::Load { buffer, indices } => swap(buffer).map(|buffer| Expr::Load {
+                buffer,
+                indices: indices.clone(),
+            }),
+            _ => None,
+        });
+        if let Some(swapped) = swapped {
+            *e = swapped;
+        }
+    }
+    match s {
+        Stmt::Seq(items) => items.iter_mut().for_each(|i| swap_buffers(i, swap)),
+        Stmt::For { extent, body, .. } => {
+            expr(extent, swap);
+            swap_buffers(body, swap);
+        }
+        Stmt::If {
+            cond,
+            then_body,
+            else_body,
+        } => {
+            expr(cond, swap);
+            swap_buffers(then_body, swap);
+            if let Some(e) = else_body {
+                swap_buffers(e, swap);
+            }
+        }
+        Stmt::Let { value, .. } => expr(value, swap),
+        Stmt::Store {
+            buffer,
+            indices,
+            value,
+        } => {
+            if let Some(new) = swap(buffer) {
+                *buffer = new;
+            }
+            indices.iter_mut().for_each(|i| expr(i, swap));
+            expr(value, swap);
+        }
+        Stmt::SyncThreads | Stmt::Nop | Stmt::Comment(_) => {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::KernelBuilder;
+    use crate::builder::{c, load, store, thread_idx, KernelBuilder};
     use crate::dtype::DType;
+    use crate::visit::visit_exprs;
 
     #[test]
     fn launch_config_accessors() {
@@ -303,9 +372,10 @@ mod tests {
         kb.param("A", DType::F32, &[4]);
         kb.shared("S", DType::F32, &[4]);
         let kernel = kb.build();
-        assert!(kernel.find_buffer("A").is_some());
-        assert!(kernel.find_buffer("S").is_some());
-        assert!(kernel.find_buffer("missing").is_none());
+        let named = |list: &[BufferRef], name: &str| list.iter().any(|b| b.name() == name);
+        assert!(named(kernel.params(), "A"));
+        assert!(named(kernel.shared_buffers(), "S"));
+        assert!(!named(kernel.params(), "S") && !named(kernel.local_buffers(), "missing"));
     }
 
     #[test]
@@ -314,11 +384,10 @@ mod tests {
         let a = kb.param("t1", DType::F32, &[4]);
         let b = kb.param("t12", DType::F32, &[4]);
         let s = kb.shared("S", DType::F32, &[4]);
-        let body = crate::builder::store(
+        let body = store(
             &b,
-            vec![crate::builder::thread_idx()],
-            crate::builder::load(&a, vec![crate::builder::c(0)])
-                + crate::builder::load(&s, vec![crate::builder::c(1)]),
+            vec![thread_idx()],
+            load(&a, vec![c(0)]) + load(&s, vec![c(1)]),
         );
         let kernel = kb.body(body).build();
         let copy = kernel.renamed("k2", &[("t1", "t7"), ("t12", "t1")]);
@@ -331,8 +400,69 @@ mod tests {
             (kernel.launch(), kernel.meta())
         );
         assert_eq!(
-            copy.body().to_string(),
+            copy.body().display_with(copy.params()).to_string(),
             "t1[threadIdx.x] = (t7[0] + S[1])\n"
+        );
+        // One definition, two sets of names.
+        assert!(Arc::ptr_eq(copy.definition(), kernel.definition()));
+        assert_eq!(
+            kernel.body().display_with(kernel.params()).to_string(),
+            "t12[threadIdx.x] = (t1[0] + S[1])\n"
+        );
+    }
+
+    #[test]
+    fn build_addresses_loaded_and_stored_params_by_position() {
+        let mut kb = KernelBuilder::new("k", 1, 32);
+        kb.param("A", DType::F32, &[4]);
+        kb.param("B", DType::F32, &[4]);
+        let s = kb.shared("S", DType::F32, &[4]);
+        // Separate handles of the same names, as fused templates make them;
+        // `G` is a global that is no parameter.
+        let global = |name| Buffer::new(name, MemScope::Global, DType::F32, &[4]);
+        let index = thread_idx() % 4;
+        let body = store(
+            &global("B"),
+            vec![index.clone()],
+            load(&global("A"), vec![index.clone()]) + load(&global("G"), vec![c(0)]),
+        )
+        .then(store(&s, vec![index.clone()], load(&s, vec![c(0)])));
+        let kernel = kb.body(body).build();
+        let mut accessed = Vec::new();
+        visit_exprs(kernel.body(), &mut |e| {
+            if let Expr::Load { buffer, indices } = e {
+                accessed.push((buffer.param_index(), buffer.name().to_string()));
+                // The index sub-tree is the one the builder was handed.
+                if let (Expr::Binary { lhs, .. }, Expr::Binary { lhs: built, .. }) =
+                    (&index, &indices[0])
+                {
+                    assert!(Arc::ptr_eq(lhs, built));
+                }
+            }
+        });
+        assert_eq!(
+            accessed,
+            [
+                (Some(0), "$0".to_string()),
+                (None, "G".to_string()),
+                (None, "S".to_string())
+            ]
+        );
+        let Stmt::Seq(stores) = kernel.body() else {
+            unreachable!()
+        };
+        let stored: Vec<Option<usize>> = (stores.iter())
+            .map(|s| match s {
+                Stmt::Store { buffer, .. } => buffer.param_index(),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(stored, [Some(1), None]);
+        assert_eq!(
+            kernel.to_string(),
+            "kernel k<<<1, 32>>>\n  global A[4]: f32\n  global B[4]: f32\n  shared S[4]: f32\n\
+             B[(threadIdx.x % 4)] = (A[(threadIdx.x % 4)] + G[0])\n\
+             S[(threadIdx.x % 4)] = S[0]\n"
         );
     }
 

@@ -54,7 +54,7 @@ pub use buffer::{Buffer, BufferRef, MemScope};
 pub use builder::KernelBuilder;
 pub use dtype::DType;
 pub use expr::{BinOp, Expr, UnOp, Var};
-pub use kernel::{Kernel, KernelMeta, LaunchConfig};
+pub use kernel::{Kernel, KernelDef, KernelMeta, LaunchConfig};
 pub use lower::{foreach_task, foreach_task_where};
 pub use stmt::Stmt;
 

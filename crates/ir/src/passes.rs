@@ -4,11 +4,14 @@
 //! the simplifier folds these so both the CUDA output and the simulator's
 //! interpreter see compact expressions.
 
+use std::sync::Arc;
+
 use crate::expr::{BinOp, Expr, UnOp};
 use crate::stmt::Stmt;
-use crate::visit::substitute_stmt;
+use crate::visit::{rewritten, substitute_stmt};
 
 /// Simplifies an expression: constant folding plus algebraic identities.
+/// A sub-tree no rule fires in is returned as it is, shared.
 ///
 /// ```
 /// use hidet_ir::passes::simplify_expr;
@@ -16,40 +19,15 @@ use crate::visit::substitute_stmt;
 /// let e = (c(0) * 16 + thread_idx() * 1) % 1024;
 /// assert_eq!(simplify_expr(e).to_string(), "(threadIdx.x % 1024)");
 /// ```
-pub fn simplify_expr(mut e: Expr) -> Expr {
-    simplify_in_place(&mut e);
-    e
+pub fn simplify_expr(e: Expr) -> Expr {
+    rewritten(&e, &mut simplify_node).unwrap_or(e)
 }
 
-/// Bottom-up, in the tree's own allocations: children first, then the node
-/// is offered to [`simplify_node`]. A sub-tree no rule fires in is never
-/// rebuilt.
+/// Bottom-up: children first, then the node is offered to
+/// [`simplify_node`]. Only the nodes on the path from a rule that fires to
+/// the root are rebuilt.
 fn simplify_in_place(e: &mut Expr) {
-    match e {
-        Expr::Int(_)
-        | Expr::Float(_)
-        | Expr::Bool(_)
-        | Expr::Var(_)
-        | Expr::ThreadIdx
-        | Expr::BlockIdx => return,
-        Expr::Binary { lhs, rhs, .. } => {
-            simplify_in_place(lhs);
-            simplify_in_place(rhs);
-        }
-        Expr::Unary { operand, .. } => simplify_in_place(operand),
-        Expr::Load { indices, .. } => indices.iter_mut().for_each(simplify_in_place),
-        Expr::Cast { value, .. } => simplify_in_place(value),
-        Expr::Select {
-            cond,
-            then_value,
-            else_value,
-        } => {
-            simplify_in_place(cond);
-            simplify_in_place(then_value);
-            simplify_in_place(else_value);
-        }
-    }
-    if let Some(simpler) = simplify_node(e) {
+    if let Some(simpler) = rewritten(e, &mut simplify_node) {
         *e = simpler;
     }
 }
@@ -127,7 +105,6 @@ fn simplify_binary(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
         (Mul, _, Some(1)) | (Div, _, Some(1)) => return Some(lhs.clone()),
         (Mul, Some(0), _) | (Mul, _, Some(0)) => return Some(Expr::Int(0)),
         (Mod, _, Some(1)) => return Some(Expr::Int(0)),
-        (Div, Some(0), _) | (Mod, Some(0), _) => return Some(Expr::Int(0)),
         _ => {}
     }
     match (op, lhs.as_float(), rhs.as_float()) {
@@ -172,7 +149,7 @@ fn simplify_binary(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Expr> {
                 return Some(Expr::Binary {
                     op: Div,
                     lhs: il.clone(),
-                    rhs: Box::new(Expr::Int(a * b)),
+                    rhs: Arc::new(Expr::Int(a * b)),
                 });
             }
         }
@@ -359,6 +336,63 @@ mod tests {
         let e = c(4) / 0;
         // Left intact; the interpreter reports the error at run time.
         assert!(matches!(simplify_expr(e), Expr::Binary { .. }));
+    }
+
+    #[test]
+    fn zero_over_a_variable_is_not_folded() {
+        // `0 / n` and `0 % n` fault when `n` is zero at run time.
+        let n = var("n");
+        assert_eq!(simplify_expr(c(0) / n.expr()).to_string(), "(0 / n)");
+        assert_eq!(simplify_expr(c(0) % n.expr()).to_string(), "(0 % n)");
+    }
+
+    #[test]
+    fn simplifying_a_simple_tree_keeps_its_allocations() {
+        let t = thread_idx();
+        let e = (t.clone() / 8 * 16 + t % 8).lt(var("n").expr());
+        let Expr::Binary { lhs, rhs, .. } = &e else {
+            unreachable!()
+        };
+        let out = simplify_expr(e.clone());
+        let Expr::Binary {
+            lhs: out_lhs,
+            rhs: out_rhs,
+            ..
+        } = &out
+        else {
+            panic!("{out}")
+        };
+        assert!(Arc::ptr_eq(lhs, out_lhs) && Arc::ptr_eq(rhs, out_rhs));
+        // A statement around it keeps them too.
+        let b = Buffer::new("A", MemScope::Global, DType::F32, &[4]);
+        let s = if_then(e.clone(), store(&b, vec![c(0)], Expr::Float(1.0)));
+        let Stmt::If { cond, .. } = simplify(s) else {
+            unreachable!()
+        };
+        let Expr::Binary { lhs: kept, .. } = &cond else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(lhs, kept));
+    }
+
+    #[test]
+    fn simplify_rebuilds_only_the_path_to_a_fold() {
+        // `(t / 8 * 16) + (t % 8 + 0)`: the right operand folds, the left is
+        // shared.
+        let t = thread_idx();
+        let e = t.clone() / 8 * 16 + (t % 8 + 0);
+        let Expr::Binary { lhs, .. } = &e else {
+            unreachable!()
+        };
+        let out = simplify_expr(e.clone());
+        assert_eq!(
+            out.to_string(),
+            "(((threadIdx.x / 8) * 16) + (threadIdx.x % 8))"
+        );
+        let Expr::Binary { lhs: out_lhs, .. } = &out else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(lhs, out_lhs));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::buffer::BufferRef;
-use crate::expr::{Expr, Var};
+use crate::expr::{Expr, InKernel, Var};
 
 /// A statement tree. Kernels execute one `Stmt` per thread (paper §2.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,14 +110,22 @@ impl Stmt {
     }
 }
 
-impl fmt::Display for Stmt {
+impl Stmt {
+    /// This statement as text, each parameter slot under the name `params`
+    /// gives it ([`BufferRef::name_in`](crate::Buffer::name_in)).
+    pub fn display_with<'a>(&'a self, params: &'a [BufferRef]) -> impl fmt::Display + 'a {
+        InKernel(self, params)
+    }
+}
+
+impl fmt::Display for InKernel<'_, Stmt> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn go(s: &Stmt, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        fn go(s: &InKernel<'_, Stmt>, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
             let pad = "  ".repeat(indent);
-            match s {
+            match s.0 {
                 Stmt::Seq(items) => {
                     for item in items {
-                        go(item, f, indent)?;
+                        go(&s.at(item), f, indent)?;
                     }
                     Ok(())
                 }
@@ -128,8 +136,8 @@ impl fmt::Display for Stmt {
                     unroll,
                 } => {
                     let tag = if *unroll { " // unroll" } else { "" };
-                    writeln!(f, "{pad}for {var} in 0..{extent} {{{tag}")?;
-                    go(body, f, indent + 1)?;
+                    writeln!(f, "{pad}for {var} in 0..{} {{{tag}", s.at(extent))?;
+                    go(&s.at(&**body), f, indent + 1)?;
                     writeln!(f, "{pad}}}")
                 }
                 Stmt::If {
@@ -137,15 +145,15 @@ impl fmt::Display for Stmt {
                     then_body,
                     else_body,
                 } => {
-                    writeln!(f, "{pad}if {cond} {{")?;
-                    go(then_body, f, indent + 1)?;
+                    writeln!(f, "{pad}if {} {{", s.at(cond))?;
+                    go(&s.at(&**then_body), f, indent + 1)?;
                     if let Some(e) = else_body {
                         writeln!(f, "{pad}}} else {{")?;
-                        go(e, f, indent + 1)?;
+                        go(&s.at(&**e), f, indent + 1)?;
                     }
                     writeln!(f, "{pad}}}")
                 }
-                Stmt::Let { var, value } => writeln!(f, "{pad}let {var} = {value}"),
+                Stmt::Let { var, value } => writeln!(f, "{pad}let {var} = {}", s.at(value)),
                 Stmt::Store {
                     buffer,
                     indices,
@@ -153,10 +161,11 @@ impl fmt::Display for Stmt {
                 } => {
                     let idx = indices
                         .iter()
-                        .map(|e| e.to_string())
+                        .map(|e| s.at(e).to_string())
                         .collect::<Vec<_>>()
                         .join(", ");
-                    writeln!(f, "{pad}{}[{idx}] = {value}", buffer.name())
+                    let name = buffer.name_in(s.1);
+                    writeln!(f, "{pad}{name}[{idx}] = {}", s.at(value))
                 }
                 Stmt::SyncThreads => writeln!(f, "{pad}sync_threads()"),
                 Stmt::Nop => Ok(()),
@@ -164,6 +173,12 @@ impl fmt::Display for Stmt {
             }
         }
         go(self, f, 0)
+    }
+}
+
+impl fmt::Display for Stmt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        InKernel(self, &[]).fmt(f)
     }
 }
 

@@ -1,47 +1,99 @@
 //! Visitors and rewriters over expressions and statements.
+//!
+//! Expressions are shared sub-trees ([`crate::expr`]), so a rewrite builds
+//! only what it changes: [`rewrite_expr`] and [`substitute`] return each
+//! unchanged sub-tree as the same allocation and rebuild just the nodes on
+//! the path from a replaced node to the root. Statements are owned trees and
+//! are rebuilt by the statement rewriters.
 
-use crate::buffer::BufferRef;
+use std::sync::Arc;
+
 use crate::expr::{Expr, Var};
 use crate::stmt::Stmt;
 
 /// Rewrites an expression bottom-up: children are rewritten first, then `f` is
-/// offered the rebuilt node; returning `Some` replaces it.
+/// offered the rebuilt node; returning `Some` replaces it. A sub-tree in which
+/// `f` replaces nothing is returned as it is, shared.
 pub fn rewrite_expr(e: &Expr, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Expr {
-    let rebuilt = match e {
+    rewritten(e, f).unwrap_or_else(|| e.clone())
+}
+
+/// `e` rewritten as by [`rewrite_expr`], or `None` when `f` replaces nothing
+/// in it.
+pub(crate) fn rewritten(e: &Expr, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
+    match map_operands(e, |o| rewritten(o, f)) {
+        Some(node) => Some(f(&node).unwrap_or(node)),
+        None => f(e),
+    }
+}
+
+/// `e` with each operand `o` (in order) taken as `f(o)` where that is
+/// `Some`, or `None` when it is `None` for all of them: the node is rebuilt
+/// only when an operand changed, and the unchanged operands are shared.
+fn map_operands(e: &Expr, mut f: impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
+    fn keep(old: &Arc<Expr>, new: Option<Expr>) -> Arc<Expr> {
+        new.map_or_else(|| old.clone(), Arc::new)
+    }
+    match e {
         Expr::Int(_)
         | Expr::Float(_)
         | Expr::Bool(_)
         | Expr::Var(_)
         | Expr::ThreadIdx
-        | Expr::BlockIdx => e.clone(),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
+        | Expr::BlockIdx => None,
+        Expr::Binary { op, lhs, rhs } => {
+            let (l, r) = (f(lhs), f(rhs));
+            (l.is_some() || r.is_some()).then(|| Expr::Binary {
+                op: *op,
+                lhs: keep(lhs, l),
+                rhs: keep(rhs, r),
+            })
+        }
+        Expr::Unary { op, operand } => f(operand).map(|o| Expr::Unary {
             op: *op,
-            lhs: Box::new(rewrite_expr(lhs, f)),
-            rhs: Box::new(rewrite_expr(rhs, f)),
-        },
-        Expr::Unary { op, operand } => Expr::Unary {
-            op: *op,
-            operand: Box::new(rewrite_expr(operand, f)),
-        },
-        Expr::Load { buffer, indices } => Expr::Load {
+            operand: Arc::new(o),
+        }),
+        Expr::Load { buffer, indices } => map_all(indices, f).map(|indices| Expr::Load {
             buffer: buffer.clone(),
-            indices: indices.iter().map(|i| rewrite_expr(i, f)).collect(),
-        },
-        Expr::Cast { dtype, value } => Expr::Cast {
+            indices,
+        }),
+        Expr::Cast { dtype, value } => f(value).map(|v| Expr::Cast {
             dtype: *dtype,
-            value: Box::new(rewrite_expr(value, f)),
-        },
+            value: Arc::new(v),
+        }),
         Expr::Select {
             cond,
             then_value,
             else_value,
-        } => Expr::Select {
-            cond: Box::new(rewrite_expr(cond, f)),
-            then_value: Box::new(rewrite_expr(then_value, f)),
-            else_value: Box::new(rewrite_expr(else_value, f)),
-        },
-    };
-    f(&rebuilt).unwrap_or(rebuilt)
+        } => {
+            let (c, t, e) = (f(cond), f(then_value), f(else_value));
+            (c.is_some() || t.is_some() || e.is_some()).then(|| Expr::Select {
+                cond: keep(cond, c),
+                then_value: keep(then_value, t),
+                else_value: keep(else_value, e),
+            })
+        }
+    }
+}
+
+/// `items` with each item `x` (in order) taken as `f(x)` where that is
+/// `Some`, or `None` when it is `None` for all of them.
+fn map_all(items: &[Expr], mut f: impl FnMut(&Expr) -> Option<Expr>) -> Option<Vec<Expr>> {
+    let mut out: Option<Vec<Expr>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item), &mut out) {
+            (Some(new), Some(done)) => done.push(new),
+            (Some(new), None) => {
+                let mut done = Vec::with_capacity(items.len());
+                done.extend_from_slice(&items[..i]);
+                done.push(new);
+                out = Some(done);
+            }
+            (None, Some(done)) => done.push(item.clone()),
+            (None, None) => {}
+        }
+    }
+    out
 }
 
 /// Rewrites every expression embedded in a statement tree (bottom-up per
@@ -158,86 +210,6 @@ pub fn count_nodes(s: &Stmt) -> usize {
     statements(s) + expressions
 }
 
-/// A copy of a statement tree in which every loaded or stored buffer `b` is
-/// `swap(b)`: one allocation per node, nothing else rewritten.
-pub(crate) fn replace_buffers(s: &Stmt, swap: &impl Fn(&BufferRef) -> BufferRef) -> Stmt {
-    fn expr(e: &Expr, swap: &impl Fn(&BufferRef) -> BufferRef) -> Expr {
-        let boxed = |e: &Expr| Box::new(expr(e, swap));
-        match e {
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: boxed(lhs),
-                rhs: boxed(rhs),
-            },
-            Expr::Unary { op, operand } => Expr::Unary {
-                op: *op,
-                operand: boxed(operand),
-            },
-            Expr::Load { buffer, indices } => Expr::Load {
-                buffer: swap(buffer),
-                indices: indices.iter().map(|i| expr(i, swap)).collect(),
-            },
-            Expr::Cast { dtype, value } => Expr::Cast {
-                dtype: *dtype,
-                value: boxed(value),
-            },
-            Expr::Select {
-                cond,
-                then_value,
-                else_value,
-            } => Expr::Select {
-                cond: boxed(cond),
-                then_value: boxed(then_value),
-                else_value: boxed(else_value),
-            },
-            Expr::Int(_)
-            | Expr::Float(_)
-            | Expr::Bool(_)
-            | Expr::Var(_)
-            | Expr::ThreadIdx
-            | Expr::BlockIdx => e.clone(),
-        }
-    }
-    let boxed = |s: &Stmt| Box::new(replace_buffers(s, swap));
-    match s {
-        Stmt::Seq(items) => Stmt::Seq(items.iter().map(|i| replace_buffers(i, swap)).collect()),
-        Stmt::For {
-            var,
-            extent,
-            body,
-            unroll,
-        } => Stmt::For {
-            var: var.clone(),
-            extent: expr(extent, swap),
-            body: boxed(body),
-            unroll: *unroll,
-        },
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => Stmt::If {
-            cond: expr(cond, swap),
-            then_body: boxed(then_body),
-            else_body: else_body.as_deref().map(boxed),
-        },
-        Stmt::Let { var, value } => Stmt::Let {
-            var: var.clone(),
-            value: expr(value, swap),
-        },
-        Stmt::Store {
-            buffer,
-            indices,
-            value,
-        } => Stmt::Store {
-            buffer: swap(buffer),
-            indices: indices.iter().map(|i| expr(i, swap)).collect(),
-            value: expr(value, swap),
-        },
-        Stmt::SyncThreads | Stmt::Nop | Stmt::Comment(_) => s.clone(),
-    }
-}
-
 /// Substitutes `value` for every occurrence of `var` in `e`.
 pub fn substitute(e: &Expr, var: &Var, value: &Expr) -> Expr {
     rewrite_expr(e, &mut |node| match node {
@@ -301,38 +273,6 @@ mod tests {
             }
         });
         assert_eq!(loads, 1);
-    }
-
-    #[test]
-    fn replace_buffers_swaps_loads_and_stores_only() {
-        let a = Buffer::new("A", MemScope::Global, DType::F32, &[4]);
-        let b = Buffer::new("B", MemScope::Global, DType::F32, &[4]);
-        let i = Var::index("i");
-        let s = Stmt::For {
-            var: i.clone(),
-            extent: c(4),
-            body: Box::new(store(
-                &a,
-                vec![i.expr()],
-                crate::builder::load(&a, vec![i.expr()]) * 2.0f32,
-            )),
-            unroll: true,
-        };
-        let out = replace_buffers(&s, &|buf| {
-            if buf.name() == "A" {
-                b.clone()
-            } else {
-                buf.clone()
-            }
-        });
-        assert_eq!(out.to_string(), s.to_string().replace("A[", "B["));
-        let mut loads = Vec::new();
-        visit_exprs(&out, &mut |e| {
-            if let Expr::Load { buffer, .. } = e {
-                loads.push(buffer.clone());
-            }
-        });
-        assert_eq!(loads, vec![b]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! emit kernels. [`GroupKey`] is what that reads of a group; two groups with
 //! equal keys — a repeated transformer layer or bottleneck — compile to the
 //! same kernels up to names, and [`CompiledGroup::renamed_for`] makes one's
-//! from the other's.
+//! from the other's, sharing its kernel definitions.
 
 use hidet_graph::compute::{compute_def, delinearize_expr, linearize_expr};
 use hidet_graph::passes::FusedGroup;
@@ -71,9 +71,11 @@ pub struct CompiledGroup {
 impl CompiledGroup {
     /// This group — compiled for `from` — as [`compile_group`] compiles `to`,
     /// a group of the same graph with the same [`GroupKey`]: every kernel
-    /// and buffer named after `from` takes `to`'s name, by exact name and
+    /// and parameter named after `from` takes `to`'s name, by exact name and
     /// position: the tensor buffers of the external inputs and of each op's
-    /// output, the kernel name and the split-K names derived from it.
+    /// output, the kernel name and the split-K names derived from it. Each
+    /// kernel shares its definition with this group's ([`Kernel::renamed`]),
+    /// so the cost is one buffer per parameter.
     ///
     /// # Panics
     /// Panics if a kernel is named after neither `from` nor its split-K
@@ -162,8 +164,8 @@ impl CompiledGroup {
 /// What kernel generation reads of one fused group under one schedule, and
 /// nothing it does not: no tensor id, op name or kernel name. Two groups
 /// with equal keys compile to the same kernels up to those names, so a
-/// compile generates the first and renames it for the others
-/// ([`CompiledGroup::renamed_for`]).
+/// compile generates the first and renames it for the others, which share
+/// its kernel definitions ([`CompiledGroup::renamed_for`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupKey {
     schedule: GroupSchedule,
@@ -805,6 +807,9 @@ mod tests {
         let renamed = compiled.renamed_for(&graph, first, second);
         let fresh = compile_group(&graph, second, &schedule).unwrap();
         assert_eq!(renamed.difference(&fresh), None);
+        for (a, b) in renamed.kernels.iter().zip(&compiled.kernels) {
+            assert!(std::sync::Arc::ptr_eq(a.definition(), b.definition()));
+        }
         assert_eq!(
             renamed.difference(&compiled),
             Some("kernel 0 (matmul_1_fused): name".into())

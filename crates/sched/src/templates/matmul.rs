@@ -823,10 +823,12 @@ mod tests {
         let kernel = &kernels[0];
         assert_eq!(kernel.meta().pipeline_stages, 2);
         // Two shared buffers with a leading stage dimension of 2.
-        let smem_a = kernel.find_buffer("SmemA").unwrap();
+        let smem_a = (kernel.shared_buffers().iter())
+            .find(|b| b.name() == "SmemA")
+            .unwrap();
         assert_eq!(smem_a.shape()[0], 2);
         // Load registers exist.
-        assert!(kernel.find_buffer("RegsLdA").is_some());
+        assert!(kernel.local_buffers().iter().any(|b| b.name() == "RegsLdA"));
         let cuda = hidet_ir::cuda::to_cuda(kernel);
         assert!(cuda.contains("stages=2"), "{cuda}");
     }

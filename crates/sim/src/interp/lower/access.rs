@@ -39,7 +39,7 @@ impl<'k> Lowerer<'k> {
         if indices.len() != buffer.ndim() {
             return Err(self.trap(SimError::TypeError(format!(
                 "access to {}: {} indices for rank-{} buffer",
-                buffer.name(),
+                buffer.name_in(self.kernel.params()),
                 indices.len(),
                 buffer.ndim()
             ))));

@@ -330,24 +330,27 @@ impl<'k> Lowerer<'k> {
 
     fn declare(&mut self, b: &'k BufferRef, space: Space, base: usize, len: usize) -> u32 {
         let id = self.slots.len() as u32;
-        self.p.buffer_names.push(b.name().to_string());
+        let name = b.name_in(self.kernel.params());
+        self.p.buffer_names.push(name.to_string());
         self.slots.push(BufferSlot { space, base, len });
-        self.buffer_ids.insert((b.scope(), b.name()), id);
+        self.buffer_ids.insert((b.scope(), name), id);
         id
     }
 
     /// The slot of the buffer an access names, looked up the way the tree
-    /// walker did: by the *access's* scope and name. Undeclared global names
-    /// are looked for in device memory at launch; undeclared shared and
-    /// register names do not exist.
+    /// walker did: by the *access's* scope and name — a parameter slot's
+    /// being its parameter's. Undeclared global names are looked for in
+    /// device memory at launch; undeclared shared and register names do not
+    /// exist.
     fn buffer(&mut self, b: &'k BufferRef) -> u32 {
-        if let Some(&id) = self.buffer_ids.get(&(b.scope(), b.name())) {
+        let name = b.name_in(self.kernel.params());
+        if let Some(&id) = self.buffer_ids.get(&(b.scope(), name)) {
             return id;
         }
         let space = match b.scope() {
             MemScope::Global => {
                 self.p.globals.push(Global {
-                    name: b.name().to_string(),
+                    name: name.to_string(),
                     expect: None,
                 });
                 Space::Global(self.p.globals.len() as u32 - 1)

@@ -292,10 +292,16 @@ fn generated_kernels_are_pinned() {
 fn coalesced_groups_equal_a_fresh_compile_group() {
     // A compile generates each distinct group once and renames it for the
     // groups that repeat it: every group of a compile and of its artifact
-    // rebuild must be what `compile_group` makes of that group on its own.
+    // rebuild must be what `compile_group` makes of that group on its own,
+    // field by field and in its CUDA text, and the groups of one key must
+    // run one shared kernel definition.
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
     use hidet_graph::models;
     use hidet_graph::passes::partition;
-    use hidet_sched::compile_group;
+    use hidet_ir::cuda::to_cuda;
+    use hidet_sched::{compile_group, GroupKey};
     let gpu = Gpu::default();
     let graphs = [
         models::resnet50(1),
@@ -318,14 +324,26 @@ fn coalesced_groups_equal_a_fresh_compile_group() {
                 let groups = partition(g);
                 assert_eq!(groups.len(), plan.groups().len(), "{}", graph.name());
                 let schedules = &plan.artifact().schedules;
+                let mut first: HashMap<GroupKey, usize> = HashMap::new();
                 for (i, (group, got)) in groups.iter().zip(plan.groups()).enumerate() {
-                    let fresh = compile_group(g, group, &schedules[i]).expect("compiles");
-                    assert_eq!(
-                        got.difference(&fresh),
-                        None,
+                    let case = format!(
                         "{} group {i} under {options:?} (rebuilt: {})",
                         graph.name(),
                         plan.from_artifact()
+                    );
+                    let fresh = compile_group(g, group, &schedules[i]).expect("compiles");
+                    assert_eq!(got.difference(&fresh), None, "{case}");
+                    for (a, b) in got.kernels.iter().zip(&fresh.kernels) {
+                        assert_eq!(to_cuda(a), to_cuda(b), "{case}");
+                    }
+                    let s = *first
+                        .entry(GroupKey::of(g, group, &schedules[i]))
+                        .or_insert(i);
+                    let source = &plan.groups()[s].kernels;
+                    assert!(
+                        (got.kernels.iter().zip(source))
+                            .all(|(a, b)| Arc::ptr_eq(a.definition(), b.definition())),
+                        "{case}: not the definition of group {s}"
                     );
                 }
             }

@@ -1,7 +1,9 @@
 //! The tree-walking kernel interpreter `hidet_sim` shipped until the flat
 //! [`hidet_sim::Program`] executor replaced it — moved here unchanged (only
-//! its imports, and `SimError`, which stayed in the library) to serve as the
-//! differential oracle of `tests/interp_differential.rs`, which it stays.
+//! its imports, `SimError`, which stayed in the library, and the name a
+//! parameter slot of a body goes by, read from the kernel's parameters) to
+//! serve as the differential oracle of `tests/interp_differential.rs`, which
+//! it stays.
 //! Test support only: nothing in the library can reach it.
 //!
 //! Functional interpreter for `hidet-ir` kernels.
@@ -341,7 +343,7 @@ impl<'a> BlockCtx<'a> {
                 .ok_or_else(|| SimError::TypeError("index must be integer".into()))?;
             if idx < 0 || idx >= extent {
                 return Err(SimError::OutOfBounds {
-                    buffer: buffer.name().to_string(),
+                    buffer: buffer.name_in(self.kernel.params()).to_string(),
                     dim,
                     index: idx,
                     extent,
@@ -353,38 +355,42 @@ impl<'a> BlockCtx<'a> {
     }
 
     fn storage(&self, buffer: &BufferRef, tid: usize) -> Result<&[f32], SimError> {
+        // A parameter slot goes by its parameter's name.
+        let name = buffer.name_in(self.kernel.params());
         match buffer.scope() {
             MemScope::Global => self
                 .global
-                .get(buffer.name())
-                .ok_or_else(|| SimError::MissingBuffer(buffer.name().to_string())),
+                .get(name)
+                .ok_or_else(|| SimError::MissingBuffer(name.to_string())),
             MemScope::Shared => self
                 .shared
-                .get(buffer.name())
+                .get(name)
                 .map(Vec::as_slice)
-                .ok_or_else(|| SimError::MissingBuffer(buffer.name().to_string())),
+                .ok_or_else(|| SimError::MissingBuffer(name.to_string())),
             MemScope::Register => self.locals[tid]
-                .get(buffer.name())
+                .get(name)
                 .map(Vec::as_slice)
-                .ok_or_else(|| SimError::MissingBuffer(buffer.name().to_string())),
+                .ok_or_else(|| SimError::MissingBuffer(name.to_string())),
         }
     }
 
     fn storage_mut(&mut self, buffer: &BufferRef, tid: usize) -> Result<&mut [f32], SimError> {
+        // A parameter slot goes by its parameter's name.
+        let name = buffer.name_in(self.kernel.params());
         match buffer.scope() {
             MemScope::Global => self
                 .global
-                .get_mut(buffer.name())
-                .ok_or_else(|| SimError::MissingBuffer(buffer.name().to_string())),
+                .get_mut(name)
+                .ok_or_else(|| SimError::MissingBuffer(name.to_string())),
             MemScope::Shared => self
                 .shared
-                .get_mut(buffer.name())
+                .get_mut(name)
                 .map(Vec::as_mut_slice)
-                .ok_or_else(|| SimError::MissingBuffer(buffer.name().to_string())),
+                .ok_or_else(|| SimError::MissingBuffer(name.to_string())),
             MemScope::Register => self.locals[tid]
-                .get_mut(buffer.name())
+                .get_mut(name)
                 .map(Vec::as_mut_slice)
-                .ok_or_else(|| SimError::MissingBuffer(buffer.name().to_string())),
+                .ok_or_else(|| SimError::MissingBuffer(name.to_string())),
         }
     }
 
