@@ -199,7 +199,7 @@ pub fn verify_graph(graph: &Graph, level: VerifyLevel) -> Vec<Diagnostic> {
             if op.output.0 >= n_tensors || op.inputs.iter().any(|t| t.0 >= n_tensors) {
                 continue;
             }
-            let shapes: Vec<&[i64]> = op.inputs.iter().map(|&t| graph.tensor(t).shape()).collect();
+            let shapes = graph.input_shapes(op);
             match infer_shape_checked(&op.kind, &shapes) {
                 Err(msg) => diags.push(Diagnostic::error(Rule::ShapeMismatch, loc(&op.name), msg)),
                 Ok(shape) => {

@@ -119,7 +119,7 @@ pub fn op_latency(graph: &Graph, op: &Operator, gpu: &Gpu) -> f64 {
         .iter()
         .map(|t| graph.tensor(*t).numel() as f64 * 4.0)
         .sum();
-    match (&op.kind, anchor_problem(graph, op)) {
+    match (&op.kind, anchor_problem(&op.kind, &graph.input_shapes(op))) {
         (_, Some(AnchorProblem::Matmul(problem))) => matmul_latency(problem, gpu),
         (_, Some(AnchorProblem::RowReduce { kind, rows, len })) => {
             row_reduce_latency(kind, rows, len, gpu)

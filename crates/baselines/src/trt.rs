@@ -68,7 +68,7 @@ fn trt_matmul_latency(p: hidet_sched::MatmulProblem, allow_tc: bool, gpu: &Gpu) 
 
 /// Per-operator latency under TensorRT's kernel selection.
 fn trt_op_latency(graph: &Graph, op: &hidet_graph::Operator, gpu: &Gpu) -> f64 {
-    match (&op.kind, anchor_problem(graph, op)) {
+    match (&op.kind, anchor_problem(&op.kind, &graph.input_shapes(op))) {
         (OpKind::Conv2d { groups, .. }, _) if *groups == 1 => {
             // fp32 conv tactics (no Tensor Cores at batch 1 / NCHW).
             trt_matmul_latency(library::conv_gemm_problem(graph, op), false, gpu)

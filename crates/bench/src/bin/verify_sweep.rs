@@ -15,9 +15,9 @@
 //!    recorded schedule and the rebuilt memory plan with the same checkers;
 //!    then every graph of the zoo compiles under `CompilerOptions::tuned()`
 //!    and rebuilds from its artifact, and every group of both — generated
-//!    once per distinct `GroupKey` and renamed for the rest — must equal a
-//!    fresh `compile_group` field by field, and the groups of one key must
-//!    share one kernel definition. The table prints each graph's groups, how
+//!    once per distinct group definition and bound to each group's names —
+//!    must equal a fresh `compile_group` field by field, and the groups of
+//!    one definition must share one kernel definition. The table prints each graph's groups, how
 //!    many of them were generated and how many distinct definitions they
 //!    hold;
 //! 4. **lane commutativity**: every kernel of every model is lowered for
@@ -60,7 +60,7 @@ use hidet_graph::Graph;
 use hidet_ir::visit::count_nodes;
 use hidet_sched::{
     anchor_problem, compile_group, matmul_kernel, matmul_space, matmul_work, splitk_variants,
-    AnchorProblem, GroupKey, MatmulConfig, MatmulIo, MatmulProblem,
+    AnchorProblem, GroupSpec, MatmulConfig, MatmulIo, MatmulProblem,
 };
 use hidet_sim::cost::count_work;
 use hidet_sim::{Gpu, KernelFacts};
@@ -86,7 +86,9 @@ fn sweep_graph(
     let groups = partition(&g);
     diags.extend(verify_partition(&g, &groups));
     for anchor in groups.iter().filter_map(|group| group.anchor) {
-        if let Some(AnchorProblem::Matmul(problem)) = anchor_problem(&g, g.op(anchor)) {
+        let op = g.op(anchor);
+        if let Some(AnchorProblem::Matmul(problem)) = anchor_problem(&op.kind, &g.input_shapes(op))
+        {
             problems.insert(problem);
         }
     }
@@ -107,9 +109,9 @@ fn closed_form_matches(problem: MatmulProblem, config: MatmulConfig) -> bool {
 
 /// Every group of `compiled` that differs from a fresh `compile_group` of
 /// the same group under its recorded schedule, or whose kernels are not the
-/// shared definitions of the first group of its [`GroupKey`]; and the number
-/// of distinct keys — the groups a compile generates — and of distinct
-/// kernel definitions among the groups.
+/// shared definitions of the first group of its [`GroupSpec`]'s definition;
+/// and the number of distinct group definitions — the groups a compile
+/// generates — and of distinct kernel definitions among the groups.
 fn regenerate(compiled: &CompiledGraph, mismatched: &mut Vec<String>) -> (usize, usize) {
     let g = compiled.graph();
     let groups = partition(g);
@@ -122,7 +124,9 @@ fn regenerate(compiled: &CompiledGraph, mismatched: &mut Vec<String>) -> (usize,
         .zip(compiled.groups())
         .enumerate()
     {
-        let s = *first.entry(GroupKey::of(g, group, schedule)).or_insert(i);
+        let s = *first
+            .entry(GroupSpec::of(g, group, schedule).def)
+            .or_insert(i);
         let shared = (got.kernels.iter().zip(&compiled.groups()[s].kernels))
             .all(|(a, b)| Arc::ptr_eq(a.definition(), b.definition()));
         if !shared {
@@ -207,7 +211,7 @@ fn main() {
     print_table(&["model", "groups", "generated", "definitions"], &rows);
     println!(
         "every group of {} tuned compiles and their rebuilds against a fresh compile_group, \
-         and sharing its key's definition: {} mismatches",
+         and sharing its group definition's kernels: {} mismatches",
         zoo.len(),
         regenerated.len()
     );
@@ -316,7 +320,7 @@ fn main() {
     );
     assert!(
         regenerated.is_empty(),
-        "every group must equal a fresh compile_group of it and share its key's definition"
+        "every group must equal a fresh compile_group of it and share its group definition's kernels"
     );
     assert!(
         oversized.is_empty(),

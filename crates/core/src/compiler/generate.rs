@@ -1,14 +1,14 @@
-//! Kernel generation for one compile: [`compile_group`] once per distinct
-//! [`GroupKey`], the same kernel definitions under other names for every
-//! other group of the key, and the fan-out both the tuning and the
-//! generation step run on.
+//! Kernel generation for one compile: each group's [`GroupSpec`], kernels
+//! generated once per distinct [`GroupDef`] and bound to the names of every
+//! group of it, sharing their kernel definitions; and the fan-out both the
+//! tuning and the generation step run on.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hidet_graph::passes::FusedGroup;
 use hidet_graph::Graph;
-use hidet_sched::fusion::{compile_group, CompiledGroup, GroupKey, GroupSchedule};
+use hidet_sched::fusion::{CompiledGroup, GroupDef, GroupSchedule, GroupSpec};
 
 use super::CompileError;
 
@@ -43,10 +43,9 @@ pub(super) fn fan_out<T: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Generates the kernels of `groups[..schedules.len()]`: [`compile_group`]
-/// runs on the first group of each distinct [`GroupKey`] — those fanned out
-/// over `workers` — and every later group of a key takes its first group's
-/// result renamed, sharing its kernel definitions.
+/// Generates the kernels of `groups[..schedules.len()]`: each distinct
+/// [`GroupDef`] generates once — those fanned out over `workers` — and
+/// every group binds its definition's kernels to its own names.
 ///
 /// # Errors
 /// The first failing group's error, in group order.
@@ -56,29 +55,27 @@ pub(super) fn generate(
     schedules: &[GroupSchedule],
     workers: usize,
 ) -> Result<Vec<CompiledGroup>, CompileError> {
-    let mut first: HashMap<GroupKey, usize> = HashMap::with_capacity(schedules.len());
-    let source: Vec<usize> = (groups.iter().zip(schedules).enumerate())
-        .map(|(i, (group, schedule))| *first.entry(GroupKey::of(g, group, schedule)).or_insert(i))
+    let specs: Vec<GroupSpec> = (groups.iter().zip(schedules))
+        .map(|(group, schedule)| GroupSpec::of(g, group, schedule))
         .collect();
-    let distinct: Vec<usize> = (0..source.len()).filter(|&i| source[i] == i).collect();
-    let mut fresh = fan_out(distinct.len(), workers, |d| {
-        let i = distinct[d];
-        compile_group(g, &groups[i], &schedules[i]).map_err(CompileError::Schedule)
-    })
-    .into_iter();
-    let mut compiled: Vec<CompiledGroup> = Vec::with_capacity(source.len());
-    for (i, &s) in source.iter().enumerate() {
-        let group = if s == i {
-            // `fan_out` returns one result per distinct group.
-            fresh.next().unwrap_or_else(|| {
-                Err(CompileError::Schedule(format!(
-                    "internal: group {i} was not generated"
-                )))
-            })?
-        } else {
-            compiled[s].renamed_for(g, &groups[s], &groups[i])
-        };
-        compiled.push(group);
-    }
-    Ok(compiled)
+    let mut first: HashMap<&GroupDef, usize> = HashMap::with_capacity(specs.len());
+    let mut distinct: Vec<&GroupDef> = Vec::new();
+    let source: Vec<usize> = (specs.iter())
+        .map(|spec| {
+            *first.entry(&spec.def).or_insert_with(|| {
+                distinct.push(&spec.def);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let generated = fan_out(distinct.len(), workers, |d| distinct[d].generate());
+    (specs.iter().zip(source))
+        .map(|(spec, d)| match &generated[d] {
+            Ok(kernels) => Ok(kernels.bind(&spec.names)),
+            Err(e) => Err(CompileError::Schedule(format!(
+                "{}: {e}",
+                spec.names.kernel
+            ))),
+        })
+        .collect()
 }

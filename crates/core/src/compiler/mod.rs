@@ -190,9 +190,11 @@ fn check_group_schedule(
     options: &CompilerOptions,
     index: usize,
 ) -> Vec<analysis::Diagnostic> {
-    let matmul_anchor = group
-        .anchor
-        .is_some_and(|a| matches!(anchor_problem(g, g.op(a)), Some(AnchorProblem::Matmul(_))));
+    let matmul_anchor = group.anchor.is_some_and(|a| {
+        let op = g.op(a);
+        let problem = anchor_problem(&op.kind, &g.input_shapes(op));
+        matches!(problem, Some(AnchorProblem::Matmul(_)))
+    });
     analysis::check_schedule(
         schedule,
         gpu.spec(),

@@ -54,9 +54,12 @@ pub(super) fn tune_problems(
     }
     let mut seen = HashSet::new();
     let problems: Vec<MatmulProblem> = (groups.iter())
-        .filter_map(|group| match anchor_problem(g, g.op(group.anchor?)) {
-            Some(AnchorProblem::Matmul(problem)) => Some(problem),
-            _ => None,
+        .filter_map(|group| {
+            let op = g.op(group.anchor?);
+            match anchor_problem(&op.kind, &g.input_shapes(op)) {
+                Some(AnchorProblem::Matmul(problem)) => Some(problem),
+                _ => None,
+            }
         })
         .filter(|&problem| seen.insert(problem))
         .collect();
@@ -114,7 +117,7 @@ pub(super) fn schedule_group(
     };
     if let Some(anchor) = group.anchor {
         let op = g.op(anchor);
-        match anchor_problem(g, op) {
+        match anchor_problem(&op.kind, &g.input_shapes(op)) {
             Some(AnchorProblem::Matmul(problem)) => {
                 schedule.matmul = match options.matmul {
                     MatmulChoice::Default => MatmulConfig::default(),

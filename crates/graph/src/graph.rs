@@ -50,6 +50,11 @@ impl Graph {
         &self.ops[id.0]
     }
 
+    /// The shapes of `op`'s inputs, in operand order.
+    pub fn input_shapes(&self, op: &Operator) -> Vec<&[i64]> {
+        op.inputs.iter().map(|&t| self.tensor(t).shape()).collect()
+    }
+
     /// Graph input tensors (activations supplied at run time).
     pub fn inputs(&self) -> &[TensorId] {
         &self.inputs

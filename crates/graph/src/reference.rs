@@ -53,7 +53,7 @@ pub fn execute_op(graph: &Graph, op: &Operator, values: &ValueMap) -> Vec<f32> {
                 .as_slice()
         })
         .collect();
-    let shapes: Vec<&[i64]> = op.inputs.iter().map(|t| graph.tensor(*t).shape()).collect();
+    let shapes = graph.input_shapes(op);
     let out_shape = graph.tensor(op.output).shape();
     eval_kind(&op.kind, &ins, &shapes, out_shape)
 }

@@ -5,9 +5,9 @@
 //! register buffers, and a body that addresses each parameter by position —
 //! a *parameter slot* ([`Buffer::param_index`]). [`crate::KernelBuilder::build`]
 //! puts each freshly generated kernel in that form once; [`Kernel::renamed`]
-//! then gives the same definition other names in O(params), sharing it
-//! rather than copying the body. Whatever prints or runs a body reads a
-//! slot's name from the parameters of the kernel it runs as
+//! then names the same definition's parameters by position in O(params),
+//! sharing it rather than copying the body. Whatever prints or runs a body
+//! reads a slot's name from the parameters of the kernel it runs as
 //! ([`Buffer::name_in`]); global buffers that are no parameter keep their
 //! own names.
 
@@ -142,18 +142,18 @@ impl Kernel {
         }
     }
 
-    /// This kernel's definition under the name `name`, each parameter whose
-    /// name is the first of a `buffers` pair taking the second, exactly
-    /// (never by prefix). The definition is shared, not copied: the cost is
-    /// one buffer per renamed parameter.
+    /// This kernel's definition under the name `name`, parameter `i` named
+    /// `params[i]`. The definition is shared, not copied: the cost is one
+    /// buffer per parameter.
     ///
     /// The caller keeps the new names apart from the kernel's other buffers.
-    pub fn renamed(&self, name: &str, buffers: &[(&str, &str)]) -> Kernel {
-        let params = (self.params.iter())
-            .map(|p| match buffers.iter().find(|(old, _)| *old == p.name()) {
-                Some(&(_, new)) => Buffer::new(new, p.scope(), p.dtype(), p.shape()),
-                None => p.clone(),
-            })
+    ///
+    /// # Panics
+    /// Panics unless there is one name per parameter.
+    pub fn renamed(&self, name: &str, params: &[impl AsRef<str>]) -> Kernel {
+        assert_eq!(params.len(), self.params.len(), "one name per parameter");
+        let params = (self.params.iter().zip(params))
+            .map(|(p, new)| Buffer::new(new.as_ref(), p.scope(), p.dtype(), p.shape()))
             .collect();
         Kernel {
             name: name.to_string(),
@@ -379,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn renamed_replaces_exact_buffer_names_only() {
+    fn renamed_names_parameters_by_position() {
         let mut kb = KernelBuilder::new("k", 2, 32);
         let a = kb.param("t1", DType::F32, &[4]);
         let b = kb.param("t12", DType::F32, &[4]);
@@ -390,7 +390,7 @@ mod tests {
             load(&a, vec![c(0)]) + load(&s, vec![c(1)]),
         );
         let kernel = kb.body(body).build();
-        let copy = kernel.renamed("k2", &[("t1", "t7"), ("t12", "t1")]);
+        let copy = kernel.renamed("k2", &["t7", "t1"]);
         assert_eq!(copy.name(), "k2");
         let names: Vec<&str> = copy.params().iter().map(|p| p.name()).collect();
         assert_eq!(names, ["t7", "t1"]);

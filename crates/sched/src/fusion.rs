@@ -11,25 +11,30 @@
 //! index through its bijection — exactly the `reverse` example of paper
 //! Fig. 15.
 //!
-//! [`compile_group`] drives the whole step 3–4 of Fig. 10 for one fused
-//! sub-graph: pick the anchor's template, build the fused IO closures, and
-//! emit kernels. [`GroupKey`] is what that reads of a group; two groups with
-//! equal keys — a repeated transformer layer or bottleneck — compile to the
-//! same kernels up to names, and [`CompiledGroup::renamed_for`] makes one's
-//! from the other's, sharing its kernel definitions.
+//! A fused sub-graph compiles in three steps (Fig. 10 steps 3–4), and only
+//! the first reads the graph. [`GroupSpec::of`] splits the group into a
+//! [`GroupDef`] — the schedule and each op's kind, shapes and operand wiring,
+//! with no tensor id, op name or kernel name — and the [`GroupNames`] it is
+//! called by. [`GroupDef::generate`] builds the kernels from the definition
+//! alone: the anchor's template with the fused IO closures, over parameter
+//! buffers that stand for the group's tensors by position.
+//! [`GroupKernels::bind`] then names them for one group. Groups with equal
+//! definitions — a repeated transformer layer or bottleneck — generate once
+//! and bind once each, sharing their kernel definitions; [`compile_group`]
+//! runs the three steps for one group.
+
+use std::slice;
 
 use hidet_graph::compute::{compute_def, delinearize_expr, linearize_expr};
 use hidet_graph::passes::FusedGroup;
-use hidet_graph::{Graph, OpId, OpKind, TensorId};
+use hidet_graph::{Graph, OpKind, Operator, TensorId};
 use hidet_ir::prelude::*;
 
 use crate::rule_based::{
     depthwise_conv_kernel, elementwise_kernel, pool_kernel, ElementwiseJob, WindowIo, WindowReduce,
 };
 use crate::space::{MatmulConfig, ReduceConfig};
-use crate::templates::matmul::{
-    matmul_kernel, partial_buffer_name, splitk_reduce_name, MatmulIo, Sink, Source,
-};
+use crate::templates::matmul::{matmul_kernel, MatmulIo, MatmulProblem, Sink, Source};
 use crate::templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};
 use crate::templates::{anchor_problem, AnchorProblem};
 
@@ -69,58 +74,6 @@ pub struct CompiledGroup {
 }
 
 impl CompiledGroup {
-    /// This group — compiled for `from` — as [`compile_group`] compiles `to`,
-    /// a group of the same graph with the same [`GroupKey`]: every kernel
-    /// and parameter named after `from` takes `to`'s name, by exact name and
-    /// position: the tensor buffers of the external inputs and of each op's
-    /// output, the kernel name and the split-K names derived from it. Each
-    /// kernel shares its definition with this group's ([`Kernel::renamed`]),
-    /// so the cost is one buffer per parameter.
-    ///
-    /// # Panics
-    /// Panics if a kernel is named after neither `from` nor its split-K
-    /// reduce — it was not compiled for `from`.
-    pub fn renamed_for(&self, graph: &Graph, from: &FusedGroup, to: &FusedGroup) -> CompiledGroup {
-        let inputs = to.external_inputs(graph);
-        let outputs = (from.ops.iter().zip(&to.ops)).map(|(&a, &b)| (graph.op(a), graph.op(b)));
-        let tensors = (self.inputs.iter().copied().zip(inputs.iter().copied()))
-            .chain(outputs.map(|(a, b)| (a.output, b.output)));
-        let mut names: Vec<(String, String)> = tensors
-            .map(|(a, b)| (tensor_buffer_name(a), tensor_buffer_name(b)))
-            .collect();
-        let (old, new) = (kernel_name(graph, from), kernel_name(graph, to));
-        names.push((partial_buffer_name(&old), partial_buffer_name(&new)));
-        let buffers: Vec<(&str, &str)> = (names.iter())
-            .map(|(a, b)| (a.as_str(), b.as_str()))
-            .collect();
-        let renamed = |name: &str| {
-            buffers
-                .iter()
-                .find(|(a, _)| *a == name)
-                .map_or(name, |(_, b)| b)
-                .to_string()
-        };
-        let reduce = (splitk_reduce_name(&old), splitk_reduce_name(&new));
-        let kernels = (self.kernels.iter())
-            .map(|k| {
-                let name = match k.name() {
-                    n if n == old => &new,
-                    n if n == reduce.0 => &reduce.1,
-                    n => panic!("kernel {n} was not compiled for group {old}"),
-                };
-                k.renamed(name, &buffers)
-            })
-            .collect();
-        CompiledGroup {
-            kernels,
-            inputs,
-            output: to.output(graph),
-            scratch: (self.scratch.iter())
-                .map(|(name, len)| (renamed(name), *len))
-                .collect(),
-        }
-    }
-
     /// The first field in which `self` and `other` differ — a kernel's name,
     /// params, shared or local buffers, launch, metadata or body, then the
     /// group's inputs, output or scratch — or `None` when they are equal
@@ -161,24 +114,32 @@ impl CompiledGroup {
     }
 }
 
+/// One fused group under one schedule, split into what its kernels compute
+/// and what they are called.
+#[derive(Debug)]
+pub struct GroupSpec {
+    /// What the kernels compute, apart from every name.
+    pub def: GroupDef,
+    /// What the group's kernels and parameters are called.
+    pub names: GroupNames,
+}
+
 /// What kernel generation reads of one fused group under one schedule, and
-/// nothing it does not: no tensor id, op name or kernel name. Two groups
-/// with equal keys compile to the same kernels up to those names, so a
-/// compile generates the first and renames it for the others, which share
-/// its kernel definitions ([`CompiledGroup::renamed_for`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct GroupKey {
+/// nothing else: no tensor id, op name or kernel name. Groups with equal
+/// definitions generate the same kernels, up to names.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct GroupDef {
     schedule: GroupSchedule,
     /// The anchor's position in the group.
     anchor: Option<usize>,
-    /// Each op in group order.
-    ops: Vec<KeyOp>,
+    /// Each op in group order; the last one's output is the group's.
+    ops: Vec<DefOp>,
 }
 
-/// One op of a [`GroupKey`]: what it computes, its output shape and where
-/// each operand comes from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct KeyOp {
+/// One op of a [`GroupDef`]: what it computes, its output shape and where
+/// each operand comes from, with the operand's shape.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct DefOp {
     kind: OpKind,
     shape: Vec<i64>,
     operands: Vec<(Operand, Vec<i64>)>,
@@ -193,42 +154,93 @@ enum Operand {
     External(usize),
 }
 
-impl GroupKey {
-    /// The key of `group` of `graph` under `schedule`.
-    pub fn of(graph: &Graph, group: &FusedGroup, schedule: &GroupSchedule) -> GroupKey {
+/// The names of one fused group: its kernel's and its tensors'.
+#[derive(Debug)]
+pub struct GroupNames {
+    /// The kernel name: the anchor's (or first op's) name, `_fused`.
+    pub kernel: String,
+    /// The external input tensors, in [`FusedGroup::external_inputs`] order.
+    pub inputs: Vec<TensorId>,
+    /// The output tensor.
+    pub output: TensorId,
+}
+
+impl GroupSpec {
+    /// The spec of `group` of `graph` under `schedule`. An operand's
+    /// producer is looked up among the group's own ops.
+    pub fn of(graph: &Graph, group: &FusedGroup, schedule: &GroupSchedule) -> GroupSpec {
         let inputs = group.external_inputs(graph);
-        let position = |o: OpId| group.ops.iter().position(|&p| p == o);
-        let operand = |t: TensorId| match graph.producer(t).and_then(position) {
+        let ops: Vec<&Operator> = group.ops.iter().map(|&o| graph.op(o)).collect();
+        let operand = |t: TensorId| match ops.iter().position(|op| op.output == t) {
             Some(j) => Operand::Op(j),
             None => Operand::External(
                 (inputs.iter().position(|&i| i == t)).expect("an operand from outside is an input"),
             ),
         };
-        let ops = (group.ops.iter())
-            .map(|&o| {
-                let op = graph.op(o);
-                KeyOp {
-                    kind: op.kind.clone(),
-                    shape: graph.tensor(op.output).shape().to_vec(),
-                    operands: (op.inputs.iter())
-                        .map(|&t| (operand(t), graph.tensor(t).shape().to_vec()))
-                        .collect(),
-                }
+        let shape = |t: TensorId| graph.tensor(t).shape().to_vec();
+        let def_ops = (ops.iter())
+            .map(|op| DefOp {
+                kind: op.kind.clone(),
+                shape: shape(op.output),
+                operands: op.inputs.iter().map(|&t| (operand(t), shape(t))).collect(),
             })
             .collect();
-        GroupKey {
-            schedule: *schedule,
-            anchor: group.anchor.and_then(position),
-            ops,
+        let anchor = group
+            .anchor
+            .and_then(|a| group.ops.iter().position(|&o| o == a));
+        GroupSpec {
+            def: GroupDef {
+                schedule: *schedule,
+                anchor,
+                ops: def_ops,
+            },
+            names: GroupNames {
+                kernel: format!("{}_fused", ops[anchor.unwrap_or(0)].name),
+                output: group.output(graph),
+                inputs,
+            },
         }
     }
 }
 
-/// The name of a group's kernel: its anchor's (or first op's) name,
-/// `_fused`.
-fn kernel_name(graph: &Graph, group: &FusedGroup) -> String {
-    let op = group.anchor.unwrap_or(group.ops[0]);
-    format!("{}_fused", graph.op(op).name)
+/// A [`GroupDef`]'s kernels before they are named. Every kernel's
+/// parameters are the group's external inputs in order, then its output,
+/// then scratch. Generation leaves the kernel name empty, so the kernel and
+/// scratch names here are the suffixes a template derives from it (`""`,
+/// `_splitk_reduce`, `_partial`).
+#[derive(Debug)]
+pub struct GroupKernels {
+    kernels: Vec<Kernel>,
+    /// Scratch buffers (name suffix, elements).
+    scratch: Vec<(String, usize)>,
+}
+
+impl GroupKernels {
+    /// These kernels named for one group, by position: its tensors' buffers,
+    /// and its kernel name before every kernel and scratch name. Each kernel
+    /// shares its definition, so the cost is one buffer per parameter.
+    pub fn bind(&self, names: &GroupNames) -> CompiledGroup {
+        let named = |suffix: &str| format!("{}{suffix}", names.kernel);
+        let mut params: Vec<String> = (names.inputs.iter().chain([&names.output]))
+            .map(|&t| tensor_buffer_name(t))
+            .collect();
+        let tensors = params.len();
+        let kernels = (self.kernels.iter())
+            .map(|k| {
+                params.truncate(tensors);
+                params.extend(k.params()[tensors..].iter().map(|p| named(p.name())));
+                k.renamed(&named(k.name()), &params)
+            })
+            .collect();
+        CompiledGroup {
+            kernels,
+            inputs: names.inputs.clone(),
+            output: names.output,
+            scratch: (self.scratch.iter())
+                .map(|(suffix, len)| (named(suffix), *len))
+                .collect(),
+        }
+    }
 }
 
 /// The name of the device buffer standing for graph tensor `t`.
@@ -236,241 +248,291 @@ pub fn tensor_buffer_name(t: TensorId) -> String {
     format!("t{}", t.0)
 }
 
-/// The device buffer standing for a graph tensor.
-pub fn tensor_buffer(graph: &Graph, t: TensorId) -> BufferRef {
-    Buffer::new(
-        &tensor_buffer_name(t),
-        MemScope::Global,
-        DType::F32,
-        graph.tensor(t).shape(),
-    )
-}
-
-/// Element `indices` of `op`'s output, from its compute definition, with the
-/// load of input `k` at `idx` read as `input(k, idx)`. Nothing `input`
-/// returns is rewritten again.
-fn inline_definition(
-    graph: &Graph,
-    op: OpId,
-    indices: &[Expr],
-    mut input: impl FnMut(usize, &[Expr]) -> Expr,
-) -> Expr {
-    let op = graph.op(op);
-    let shapes: Vec<&[i64]> = op.inputs.iter().map(|t| graph.tensor(*t).shape()).collect();
-    compute_def(&op.kind, &shapes)
-        .unwrap_or_else(|| panic!("fused op {} has no compute definition", op.name))
-        .element_at(indices, |k, idx| Some(input(k, idx)))
-}
-
-/// Computes the expression for one element of `tensor` at `indices`,
-/// inlining every producer inside the group (prologue fusion) and loading
-/// from parameter buffers otherwise.
-pub fn resolve_element(
-    graph: &Graph,
-    group_ops: &[OpId],
-    tensor: TensorId,
-    indices: &[Expr],
-) -> Expr {
-    match graph.producer(tensor).filter(|p| group_ops.contains(p)) {
-        None => load(&tensor_buffer(graph, tensor), indices.to_vec()),
-        Some(p) => inline_definition(graph, p, indices, |k, idx| {
-            resolve_element(graph, group_ops, graph.op(p).inputs[k], idx)
-        }),
+impl GroupDef {
+    /// Builds the group's kernels (paper Fig. 10 steps 3–4) from the
+    /// definition alone.
+    ///
+    /// # Errors
+    /// Returns an error string for anchors no template schedules, such as a
+    /// dense convolution (`lower_convs` rewrites those first).
+    pub fn generate(&self) -> Result<GroupKernels, String> {
+        let gen = Generator::new(self);
+        let kernels = match self.anchor {
+            None => {
+                // Pure injective chain: one elementwise kernel computing the
+                // chain's output directly from external inputs.
+                let out = gen.output().clone();
+                let axes: Vec<Var> = (0..out.ndim())
+                    .map(|i| Var::index(&format!("i{i}")))
+                    .collect();
+                let axis_exprs: Vec<Expr> = axes.iter().map(Var::expr).collect();
+                let expr = gen.resolve(Operand::Op(self.ops.len() - 1), &axis_exprs);
+                vec![elementwise_kernel(ElementwiseJob {
+                    name: String::new(),
+                    out,
+                    axes,
+                    expr,
+                    params: gen.params.clone(),
+                })]
+            }
+            Some(anchor) => gen.anchor(&self.ops[anchor])?,
+        };
+        let tensors = gen.params.len();
+        debug_assert!(kernels.iter().all(|k| k.params().starts_with(&gen.params)));
+        let mut scratch: Vec<(String, usize)> = (kernels.iter())
+            .flat_map(|k| &k.params()[tensors..])
+            .map(|p| (p.name().to_string(), p.num_elements() as usize))
+            .collect();
+        scratch.dedup();
+        Ok(GroupKernels { kernels, scratch })
     }
 }
 
-/// Applies the epilogue chain to `(indices, value)` produced by the anchor,
-/// returning the final store statement into the group's output buffer.
-pub fn apply_epilogues(
-    graph: &Graph,
-    group: &FusedGroup,
-    mut indices: Vec<Expr>,
-    mut value: Expr,
-) -> Stmt {
-    let mut current = graph
-        .op(group.anchor.expect("epilogues need an anchor"))
-        .output;
-    for e in group.epilogues() {
-        let op = graph.op(e);
-        match &op.kind {
-            // Index epilogues move the destination, not the value.
-            OpKind::Reshape { .. } => {
-                let flat = linearize_expr(&indices, graph.tensor(current).shape());
-                indices = delinearize_expr(flat, graph.tensor(op.output).shape());
-            }
-            OpKind::Transpose { perm } => {
-                // out index j takes input axis perm[j].
-                indices = perm.iter().map(|&p| indices[p].clone()).collect();
-            }
-            // Value epilogues: every operand that is the running tensor reads
-            // the carried value, every other one resolves like a prologue.
-            _ => {
-                value = inline_definition(graph, e, &indices, |k, idx| {
-                    if op.inputs[k] == current {
-                        value.clone()
-                    } else {
-                        resolve_element(graph, &group.ops, op.inputs[k], idx)
-                    }
-                });
+/// A definition and the parameter buffers of its kernels — external input
+/// `i` is `params[i]`, the output is last — from which the fused IO closures
+/// read and write elements.
+struct Generator<'a> {
+    def: &'a GroupDef,
+    params: Vec<BufferRef>,
+}
+
+impl<'a> Generator<'a> {
+    fn new(def: &'a GroupDef) -> Generator<'a> {
+        let buffer =
+            |name: &str, shape: &[i64]| Buffer::new(name, MemScope::Global, DType::F32, shape);
+        let mut params = Vec::new();
+        // External inputs are numbered in order of first use.
+        for (operand, shape) in def.ops.iter().flat_map(|op| &op.operands) {
+            if *operand == Operand::External(params.len()) {
+                params.push(buffer(&format!("in{}", params.len()), shape));
             }
         }
-        current = op.output;
+        let last = def.ops.last().expect("a group has an op");
+        params.push(buffer("out", &last.shape));
+        Generator { def, params }
     }
-    let out_buf = tensor_buffer(graph, group.output(graph));
-    store(&out_buf, indices, value)
+
+    fn output(&self) -> &BufferRef {
+        self.params.last().expect("the output is a parameter")
+    }
+
+    /// Element `indices` of op `j`'s output, from its compute definition,
+    /// with the load of operand `k` at `idx` read as `input(k, idx)`.
+    /// Nothing `input` returns is rewritten again.
+    fn inline(
+        &self,
+        j: usize,
+        indices: &[Expr],
+        mut input: impl FnMut(usize, &[Expr]) -> Expr,
+    ) -> Expr {
+        let op = &self.def.ops[j];
+        let shapes: Vec<&[i64]> = op.operands.iter().map(|(_, s)| s.as_slice()).collect();
+        compute_def(&op.kind, &shapes)
+            .unwrap_or_else(|| panic!("fused op {:?} has no compute definition", op.kind))
+            .element_at(indices, |k, idx| Some(input(k, idx)))
+    }
+
+    /// Element `indices` of `operand`: a fused op's is inlined (prologue
+    /// fusion), an external input's loaded from its parameter.
+    fn resolve(&self, operand: Operand, indices: &[Expr]) -> Expr {
+        match operand {
+            Operand::External(i) => load(&self.params[i], indices.to_vec()),
+            Operand::Op(j) => self.inline(j, indices, |k, idx| {
+                self.resolve(self.def.ops[j].operands[k].0, idx)
+            }),
+        }
+    }
+
+    /// The store of the anchor's `value` at `indices` through the epilogue
+    /// chain — the ops after the anchor — into the group's output.
+    fn store(&self, mut indices: Vec<Expr>, mut value: Expr) -> Stmt {
+        let ops = &self.def.ops;
+        let anchor = self.def.anchor.expect("epilogues need an anchor");
+        for e in anchor + 1..ops.len() {
+            // The running tensor is the previous op's output.
+            let op = &ops[e];
+            match &op.kind {
+                // Index epilogues move the destination, not the value.
+                OpKind::Reshape { .. } => {
+                    let flat = linearize_expr(&indices, &ops[e - 1].shape);
+                    indices = delinearize_expr(flat, &op.shape);
+                }
+                OpKind::Transpose { perm } => {
+                    // out index j takes input axis perm[j].
+                    indices = perm.iter().map(|&p| indices[p].clone()).collect();
+                }
+                // Value epilogues: every operand that is the running tensor
+                // reads the carried value, every other one resolves like a
+                // prologue.
+                _ => {
+                    value = self.inline(e, &indices, |k, idx| match op.operands[k].0 {
+                        Operand::Op(j) if j == e - 1 => value.clone(),
+                        operand => self.resolve(operand, idx),
+                    });
+                }
+            }
+        }
+        store(self.output(), indices, value)
+    }
+
+    /// The kernels of an anchored group, from the anchor's template.
+    fn anchor(&self, op: &DefOp) -> Result<Vec<Kernel>, String> {
+        let shapes: Vec<&[i64]> = op.operands.iter().map(|(_, s)| s.as_slice()).collect();
+        let schedule = &self.def.schedule;
+        Ok(match anchor_problem(&op.kind, &shapes) {
+            Some(AnchorProblem::Matmul(problem)) => self.matmul(problem, op),
+            Some(AnchorProblem::RowReduce { kind, rows, len }) => {
+                let io = self.row_reduce(kind, op);
+                vec![reduce_kernel(kind, rows, len, schedule.reduce, io)]
+            }
+            None => match op.kind {
+                OpKind::MaxPool {
+                    kernel,
+                    stride,
+                    padding,
+                }
+                | OpKind::AvgPool {
+                    kernel,
+                    stride,
+                    padding,
+                } => {
+                    let reduce = if matches!(op.kind, OpKind::MaxPool { .. }) {
+                        WindowReduce::Max
+                    } else {
+                        WindowReduce::Avg
+                    };
+                    let io = self.window(op);
+                    vec![pool_kernel(
+                        reduce, shapes[0], &op.shape, kernel, stride, padding, io,
+                    )]
+                }
+                OpKind::Conv2d {
+                    stride,
+                    padding,
+                    groups,
+                } => {
+                    if groups != shapes[0][1] {
+                        return Err(
+                            "dense convolution reached the scheduler; run lower_convs first".into(),
+                        );
+                    }
+                    let Operand::External(w) = op.operands[1].0 else {
+                        return Err("depthwise convolution weight computed in its group".into());
+                    };
+                    let weight = self.params[w].clone();
+                    let io = self.window(op);
+                    vec![depthwise_conv_kernel(
+                        shapes[0],
+                        &op.shape,
+                        weight,
+                        shapes[1][2],
+                        stride,
+                        padding,
+                        io,
+                    )]
+                }
+                ref other => return Err(format!("no template for anchor kind {other:?}")),
+            },
+        })
+    }
+
+    /// The matmul template's kernels: an operand from inside the group is a
+    /// fused load, one from outside a parameter; stores run the epilogues.
+    fn matmul(&self, problem: MatmulProblem, op: &DefOp) -> Vec<Kernel> {
+        let source = |k: usize| {
+            let (operand, shape) = &op.operands[k];
+            match *operand {
+                Operand::External(i) => Source::Direct(self.params[i].clone()),
+                fused => Source::Fused(Box::new(move |b, i, j| {
+                    self.resolve(fused, &matmul_indices(shape, b, i, j))
+                })),
+            }
+        };
+        let io = MatmulIo {
+            name: String::new(),
+            a: source(0),
+            b: source(1),
+            c: Sink::Fused(Box::new(|b, i, j, value| {
+                self.store(matmul_indices(&op.shape, b, i, j), value)
+            })),
+            params: self.params.clone(),
+        };
+        matmul_kernel(problem, self.def.schedule.matmul, io)
+    }
+
+    /// The reduce template's IO for a row-reduce anchor: loads resolve
+    /// element `a` of row `r` of the anchor's input (prologues inlined),
+    /// stores run the epilogues. A layer norm's affine parameters are applied
+    /// in the store; a pooled row is one output element.
+    fn row_reduce<'b>(&'b self, kind: RowReduceKind, op: &'b DefOp) -> ReduceIo<'b> {
+        let (x, shape) = &op.operands[0];
+        let axis = match op.kind {
+            OpKind::Softmax { axis } => axis,
+            _ => shape.len() - 1,
+        };
+        let element = move |r: &Expr, a: &Expr| match kind {
+            RowReduceKind::MeanPool => {
+                let (ch, w) = (shape[1], shape[3]);
+                vec![r.clone() / ch, r.clone() % ch, a.clone() / w, a.clone() % w]
+            }
+            _ => row_axis_indices(shape, axis, r, a),
+        };
+        let affine =
+            (kind == RowReduceKind::LayerNorm).then(|| (op.operands[1].0, op.operands[2].0));
+        ReduceIo {
+            name: String::new(),
+            load: Box::new(move |r, a| self.resolve(*x, &element(r, a))),
+            store: Box::new(move |r, a, v| {
+                let v = match affine {
+                    Some((gamma, beta)) => {
+                        let at = slice::from_ref(a);
+                        v * self.resolve(gamma, at) + self.resolve(beta, at)
+                    }
+                    None => v,
+                };
+                let mut idx = element(r, a);
+                if kind == RowReduceKind::MeanPool {
+                    // The pooled output is `[n, c]`.
+                    idx.truncate(2);
+                }
+                self.store(idx, v)
+            }),
+            params: self.params.clone(),
+        }
+    }
+
+    /// The window kernels' IO: loads resolve the anchor's input, stores run
+    /// the epilogues.
+    fn window<'b>(&'b self, op: &DefOp) -> WindowIo<'b> {
+        let x = op.operands[0].0;
+        WindowIo {
+            name: String::new(),
+            load: Box::new(move |idx| self.resolve(x, idx)),
+            store: Box::new(move |idx, v| self.store(idx.to_vec(), v)),
+            params: self.params.clone(),
+        }
+    }
 }
 
-/// Compiles one fused group into kernels (paper Fig. 10 steps 3–4).
+/// Compiles one fused group into kernels (paper Fig. 10 steps 3–4): its
+/// spec, the definition's kernels, bound to the group's names.
 ///
 /// # Errors
-/// Returns an error string for anchor kinds that require prior graph lowering
-/// (dense convolution must be rewritten by `lower_convs` first).
+/// [`GroupDef::generate`]'s error, after the group's kernel name.
 pub fn compile_group(
     graph: &Graph,
     group: &FusedGroup,
     schedule: &GroupSchedule,
 ) -> Result<CompiledGroup, String> {
-    let inputs = group.external_inputs(graph);
-    let output = group.output(graph);
-    let name = kernel_name(graph, group);
-    let mut params: Vec<BufferRef> = inputs.iter().map(|&t| tensor_buffer(graph, t)).collect();
-    params.push(tensor_buffer(graph, output));
-
-    let kernels = match group.anchor {
-        None => {
-            // Pure injective chain: one elementwise kernel computing the
-            // chain's output directly from external inputs.
-            let out_buf = tensor_buffer(graph, output);
-            let rank = out_buf.ndim();
-            let axes: Vec<Var> = (0..rank).map(|i| Var::index(&format!("i{i}"))).collect();
-            let axis_exprs: Vec<Expr> = axes.iter().map(Var::expr).collect();
-            let expr = resolve_element(graph, &group.ops, output, &axis_exprs);
-            vec![elementwise_kernel(ElementwiseJob {
-                name,
-                out: out_buf,
-                axes,
-                expr,
-                params,
-            })]
-        }
-        Some(anchor) => {
-            let op = graph.op(anchor);
-            match anchor_problem(graph, op) {
-                Some(AnchorProblem::Matmul(problem)) => {
-                    let source = |t: TensorId| {
-                        if graph.producer(t).is_some_and(|p| group.ops.contains(&p)) {
-                            Source::Fused(Box::new(move |b, i, j| {
-                                let idx = matmul_indices(graph, t, b, i, j);
-                                resolve_element(graph, &group.ops, t, &idx)
-                            }))
-                        } else {
-                            Source::Direct(tensor_buffer(graph, t))
-                        }
-                    };
-                    let anchor_out = op.output;
-                    let sink = Sink::Fused(Box::new(move |b, i, j, value| {
-                        let idx = matmul_indices(graph, anchor_out, b, i, j);
-                        apply_epilogues(graph, group, idx, value)
-                    }));
-                    let io = MatmulIo {
-                        name,
-                        a: source(op.inputs[0]),
-                        b: source(op.inputs[1]),
-                        c: sink,
-                        params,
-                    };
-                    matmul_kernel(problem, schedule.matmul, io)
-                }
-                Some(AnchorProblem::RowReduce { kind, rows, len }) => {
-                    let io = row_reduce_io(graph, group, kind, name, params);
-                    vec![reduce_kernel(kind, rows, len, schedule.reduce, io)]
-                }
-                None => match &op.kind {
-                    OpKind::MaxPool {
-                        kernel,
-                        stride,
-                        padding,
-                    }
-                    | OpKind::AvgPool {
-                        kernel,
-                        stride,
-                        padding,
-                    } => {
-                        let reduce = if matches!(op.kind, OpKind::MaxPool { .. }) {
-                            WindowReduce::Max
-                        } else {
-                            WindowReduce::Avg
-                        };
-                        let x_t = op.inputs[0];
-                        let in_shape = graph.tensor(x_t).shape().to_vec();
-                        let out_shape = graph.tensor(op.output).shape().to_vec();
-                        let io = window_io(graph, group, name, x_t, params);
-                        vec![pool_kernel(
-                            reduce, &in_shape, &out_shape, *kernel, *stride, *padding, io,
-                        )]
-                    }
-                    OpKind::Conv2d {
-                        stride,
-                        padding,
-                        groups,
-                    } => {
-                        let x_t = op.inputs[0];
-                        let w_t = op.inputs[1];
-                        let in_shape = graph.tensor(x_t).shape().to_vec();
-                        let out_shape = graph.tensor(op.output).shape().to_vec();
-                        let w_shape = graph.tensor(w_t).shape().to_vec();
-                        if *groups != in_shape[1] {
-                            return Err(format!(
-                                "dense convolution {} reached the scheduler; run lower_convs first",
-                                op.name
-                            ));
-                        }
-                        let io = window_io(graph, group, name, x_t, params);
-                        vec![depthwise_conv_kernel(
-                            &in_shape,
-                            &out_shape,
-                            tensor_buffer(graph, w_t),
-                            w_shape[2],
-                            *stride,
-                            *padding,
-                            io,
-                        )]
-                    }
-                    other => return Err(format!("no template for anchor kind {other:?}")),
-                },
-            }
-        }
-    };
-
-    // Scratch buffers: kernel parameters that are none of the group's
-    // tensor buffers.
-    let tensors: Vec<String> = inputs
-        .iter()
-        .chain([&output])
-        .map(|&t| tensor_buffer_name(t))
-        .collect();
-    let mut scratch = Vec::new();
-    for kernel in &kernels {
-        for p in kernel.params() {
-            if !tensors.iter().any(|t| t == p.name()) {
-                scratch.push((p.name().to_string(), p.num_elements() as usize));
-            }
-        }
-    }
-    scratch.dedup();
-
-    Ok(CompiledGroup {
-        kernels,
-        inputs,
-        output,
-        scratch,
-    })
+    let spec = GroupSpec::of(graph, group, schedule);
+    let kernels = (spec.def.generate()).map_err(|e| format!("{}: {e}", spec.names.kernel))?;
+    Ok(kernels.bind(&spec.names))
 }
 
-/// The indices of matmul operand or result `t` at template coordinates
-/// `(batch, row, col)`: the batch index only when `t` is batched.
-fn matmul_indices(graph: &Graph, t: TensorId, b: &Expr, i: &Expr, j: &Expr) -> Vec<Expr> {
-    if graph.tensor(t).ndim() == 3 {
+/// The indices of a matmul operand or result of `shape` at template
+/// coordinates `(batch, row, col)`: the batch index only when it is batched.
+fn matmul_indices(shape: &[i64], b: &Expr, i: &Expr, j: &Expr) -> Vec<Expr> {
+    if shape.len() == 3 {
         vec![b.clone(), i.clone(), j.clone()]
     } else {
         vec![i.clone(), j.clone()]
@@ -492,77 +554,10 @@ fn row_axis_indices(shape: &[i64], axis: usize, r: &Expr, a: &Expr) -> Vec<Expr>
     idx
 }
 
-/// The reduce template's IO for a row-reduce anchor: loads resolve element
-/// `a` of row `r` of the anchor's input (prologues inlined), stores run the
-/// epilogues. A layer norm's affine parameters are applied in the store; a
-/// pooled row is one output element.
-fn row_reduce_io<'a>(
-    graph: &'a Graph,
-    group: &'a FusedGroup,
-    kind: RowReduceKind,
-    name: String,
-    params: Vec<BufferRef>,
-) -> ReduceIo<'a> {
-    let op = graph.op(group.anchor.expect("row reduce needs an anchor"));
-    let x_t = op.inputs[0];
-    let shape = graph.tensor(x_t).shape().to_vec();
-    let axis = match op.kind {
-        OpKind::Softmax { axis } => axis,
-        _ => shape.len() - 1,
-    };
-    let element = move |r: &Expr, a: &Expr| match kind {
-        RowReduceKind::MeanPool => {
-            let (ch, w) = (shape[1], shape[3]);
-            vec![r.clone() / ch, r.clone() % ch, a.clone() / w, a.clone() % w]
-        }
-        _ => row_axis_indices(&shape, axis, r, a),
-    };
-    let affine = (kind == RowReduceKind::LayerNorm).then(|| {
-        (
-            tensor_buffer(graph, op.inputs[1]),
-            tensor_buffer(graph, op.inputs[2]),
-        )
-    });
-    let load_element = element.clone();
-    ReduceIo {
-        name,
-        load: Box::new(move |r, a| resolve_element(graph, &group.ops, x_t, &load_element(r, a))),
-        store: Box::new(move |r, a, v| {
-            let v = match &affine {
-                Some((gamma, beta)) => {
-                    v * load(gamma, vec![a.clone()]) + load(beta, vec![a.clone()])
-                }
-                None => v,
-            };
-            let mut idx = element(r, a);
-            if kind == RowReduceKind::MeanPool {
-                // The pooled output is `[n, c]`.
-                idx.truncate(2);
-            }
-            apply_epilogues(graph, group, idx, v)
-        }),
-        params,
-    }
-}
-
-fn window_io<'a>(
-    graph: &'a Graph,
-    group: &'a FusedGroup,
-    name: String,
-    x_t: TensorId,
-    params: Vec<BufferRef>,
-) -> WindowIo<'a> {
-    WindowIo {
-        name,
-        load: Box::new(move |idx| resolve_element(graph, &group.ops, x_t, idx)),
-        store: Box::new(move |idx, v| apply_epilogues(graph, group, idx.to_vec(), v)),
-        params,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hidet_graph::models;
     use hidet_graph::passes::{constant_fold, lower_convs, partition};
     use hidet_graph::reference::{execute, ValueMap};
     use hidet_graph::{BinaryKind, GraphBuilder, Tensor};
@@ -761,21 +756,17 @@ mod tests {
     }
 
     /// The graph's two groups, which differ in one respect: under `a` and
-    /// `b` they have different keys, and the first's kernels renamed for
-    /// the second are not the second's.
+    /// `b` they have different specs, and the first's kernels bound to the
+    /// second's names are not the second's.
     fn assert_generated_apart(graph: &Graph, a: &GroupSchedule, b: &GroupSchedule) {
         let groups = partition(graph);
         assert_eq!(groups.len(), 2, "{groups:?}");
-        let (first, second) = (&groups[0], &groups[1]);
-        assert_ne!(
-            GroupKey::of(graph, first, a),
-            GroupKey::of(graph, second, b)
-        );
-        let renamed = compile_group(graph, first, a)
-            .unwrap()
-            .renamed_for(graph, first, second);
-        let fresh = compile_group(graph, second, b).unwrap();
-        assert!(renamed.difference(&fresh).is_some());
+        let first = GroupSpec::of(graph, &groups[0], a);
+        let second = GroupSpec::of(graph, &groups[1], b);
+        assert_ne!(first.def, second.def);
+        let bound = first.def.generate().unwrap().bind(&second.names);
+        let fresh = compile_group(graph, &groups[1], b).unwrap();
+        assert!(bound.difference(&fresh).is_some());
     }
 
     /// Two one-input chains off the same input, built by `chain`.
@@ -791,29 +782,89 @@ mod tests {
     }
 
     #[test]
-    fn equal_keys_rename_to_a_fresh_compile() {
+    fn equal_specs_bind_to_a_fresh_compile() {
         let graph = twin_matmuls();
         let groups = partition(&graph);
         assert_eq!(groups.len(), 2);
-        let (first, second) = (&groups[0], &groups[1]);
         let schedule = split_k();
-        assert_eq!(
-            GroupKey::of(&graph, first, &schedule),
-            GroupKey::of(&graph, second, &schedule)
-        );
-        let compiled = compile_group(&graph, first, &schedule).unwrap();
+        let first = GroupSpec::of(&graph, &groups[0], &schedule);
+        let second = GroupSpec::of(&graph, &groups[1], &schedule);
+        assert_eq!(first.def, second.def);
+        let kernels = first.def.generate().unwrap();
+        let compiled = kernels.bind(&first.names);
         assert_eq!(compiled.kernels.len(), 2, "split-K adds a reduce kernel");
         assert_eq!(compiled.scratch.len(), 1, "and a partials buffer");
-        let renamed = compiled.renamed_for(&graph, first, second);
-        let fresh = compile_group(&graph, second, &schedule).unwrap();
-        assert_eq!(renamed.difference(&fresh), None);
-        for (a, b) in renamed.kernels.iter().zip(&compiled.kernels) {
+        let fresh = compile_group(&graph, &groups[0], &schedule).unwrap();
+        assert_eq!(compiled.difference(&fresh), None);
+        let bound = kernels.bind(&second.names);
+        let fresh = compile_group(&graph, &groups[1], &schedule).unwrap();
+        assert_eq!(bound.difference(&fresh), None);
+        for (a, b) in bound.kernels.iter().zip(&compiled.kernels) {
             assert!(std::sync::Arc::ptr_eq(a.definition(), b.definition()));
         }
         assert_eq!(
-            renamed.difference(&compiled),
+            bound.difference(&compiled),
             Some("kernel 0 (matmul_1_fused): name".into())
         );
+    }
+
+    /// A permutation of `0..n` from a shuffle seed.
+    fn permutation(n: usize, seed: u64) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+        for i in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            perm.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        perm
+    }
+
+    /// `kernel`'s CUDA with its parameters named by position alone.
+    fn cuda_up_to_names(kernel: &Kernel) -> String {
+        let names: Vec<String> = (0..kernel.params().len())
+            .map(|i| format!("p{i}"))
+            .collect();
+        hidet_ir::cuda::to_cuda(&kernel.renamed(kernel.name(), &names))
+    }
+
+    #[test]
+    fn renumbered_tensors_move_only_names() {
+        // Renumbering a graph's tensors moves every tensor id, and with it
+        // every parameter name, but nothing a kernel computes.
+        let mut pools = GraphBuilder::new("pools");
+        let x = pools.input("x", &[1, 3, 10, 10]);
+        let y = pools.conv_bn_relu(x, 8, 3, 1, 1);
+        let y = pools.max_pool(y, 3, 2, 1);
+        let y = pools.avg_pool(y, 2, 2, 0);
+        let graphs = [
+            pools.output(y).build(),
+            models::mobilenet_v2(1),
+            models::gpt2_decode_step(2, 16),
+        ];
+        for (seed, mut graph) in graphs.into_iter().enumerate() {
+            lower_convs(&mut graph);
+            constant_fold(&mut graph);
+            let renumbered = graph.renumbered(&permutation(graph.num_tensors(), seed as u64));
+            let (groups, again) = (partition(&graph), partition(&renumbered));
+            assert_eq!(groups.len(), again.len());
+            let mut renamed = 0;
+            for (a, b) in groups.iter().zip(&again) {
+                let schedule = split_k();
+                let first = GroupSpec::of(&graph, a, &schedule);
+                let second = GroupSpec::of(&renumbered, b, &schedule);
+                assert_eq!(first.def, second.def, "{}", first.names.kernel);
+                renamed += usize::from(first.names.inputs != second.names.inputs);
+                let ka = first.def.generate().unwrap().bind(&first.names);
+                let kb = second.def.generate().unwrap().bind(&second.names);
+                assert_eq!(ka.kernels.len(), kb.kernels.len());
+                for (x, y) in ka.kernels.iter().zip(&kb.kernels) {
+                    assert_eq!(cuda_up_to_names(x), cuda_up_to_names(y), "{}", x.name());
+                }
+            }
+            assert!(renamed > 0, "{}: no input moved", graph.name());
+        }
     }
 
     #[test]

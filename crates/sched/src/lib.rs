@@ -21,7 +21,8 @@
 //! * [`fusion`] — **post-scheduling fusion** (§4.2/§5.2), derived from the
 //!   fused operators' compute definitions: prologues are inlined into the
 //!   scheduled anchor's input loads, epilogues into its output stores, with
-//!   index remapping through bijective operators;
+//!   index remapping through bijective operators — generated from a
+//!   group's name-free [`GroupSpec`] and bound to its names by position;
 //! * [`tuner`] — exhaustive enumeration of the (small) space with the
 //!   simulator's cost model, each candidate priced from the template's work
 //!   in closed form ([`matmul_work`]) rather than a built kernel, reporting
@@ -37,7 +38,7 @@ pub mod space;
 pub mod templates;
 pub mod tuner;
 
-pub use fusion::{compile_group, tensor_buffer_name, CompiledGroup, GroupKey, GroupSchedule};
+pub use fusion::{compile_group, tensor_buffer_name, CompiledGroup, GroupSchedule, GroupSpec};
 pub use space::{compact_matmul_config, matmul_space, reduce_space, MatmulConfig, ReduceConfig};
 pub use templates::matmul::{matmul_kernel, matmul_work, MatmulIo, MatmulProblem, Sink, Source};
 pub use templates::reduce::{reduce_kernel, ReduceIo, RowReduceKind};

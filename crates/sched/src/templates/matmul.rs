@@ -185,34 +185,19 @@ impl MatmulIo<'static> {
             )
         };
         MatmulIo {
-            name: "matmul".to_string() + if p.batch == 1 { "" } else { "_batched" },
+            name: name.to_string(),
             a: Source::Direct(a.clone()),
             b: Source::Direct(b.clone()),
             c: Sink::Direct(c.clone()),
             params: vec![a, b, c],
         }
-        .named(name)
     }
-
-    fn named(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
-    }
-}
-
-/// The split-K partials buffer of the matmul kernel named `name`.
-pub(crate) fn partial_buffer_name(name: &str) -> String {
-    format!("{name}_partial")
-}
-
-/// The split-K reduce kernel that follows the matmul kernel named `name`.
-pub(crate) fn splitk_reduce_name(name: &str) -> String {
-    format!("{name}_splitk_reduce")
 }
 
 /// Instantiates the template: returns the GEMM kernel, plus a second reduce
 /// kernel when `split_k > 1` (partials are summed and only then flow through
-/// the epilogue).
+/// the epilogue). The reduce kernel is `io.name` + `_splitk_reduce`, and
+/// both take the partials buffer `io.name` + `_partial` after `io.params`.
 ///
 /// # Panics
 /// Panics if `config` is not structurally valid for the task-mapping
@@ -256,7 +241,7 @@ pub fn matmul_kernel(
     // Partial-output buffer for split-K.
     let partial = (split_k > 1).then(|| {
         let buf = Buffer::new(
-            &partial_buffer_name(&io.name),
+            &format!("{}_partial", io.name),
             MemScope::Global,
             DType::F32,
             &[split_k, batch, m, n],
@@ -519,7 +504,7 @@ pub fn matmul_kernel(
         let total = batch * m * n;
         let block = 256i64;
         let grid2 = div_ceil(total, block);
-        let mut kb2 = KernelBuilder::new(&splitk_reduce_name(&io.name), grid2, block);
+        let mut kb2 = KernelBuilder::new(&format!("{}_splitk_reduce", io.name), grid2, block);
         for p in &io.params {
             kb2.param(p.name(), p.dtype(), p.shape());
         }

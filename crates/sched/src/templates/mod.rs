@@ -8,7 +8,7 @@
 pub mod matmul;
 pub mod reduce;
 
-use hidet_graph::{Graph, OpKind, Operator};
+use hidet_graph::OpKind;
 
 use self::matmul::MatmulProblem;
 use self::reduce::RowReduceKind;
@@ -31,24 +31,23 @@ pub enum AnchorProblem {
     },
 }
 
-/// The problem `op` poses, from its input shapes. `None` for operators no
-/// template schedules, and for a softmax or layer norm without the axis it
-/// reduces (a rank-0 input).
-pub fn anchor_problem(graph: &Graph, op: &Operator) -> Option<AnchorProblem> {
-    let input = |k: usize| graph.tensor(op.inputs[k]).shape();
-    let x = input(0);
+/// The problem an operator `op` poses, from its input shapes. `None` for
+/// operators no template schedules, and for a softmax or layer norm without
+/// the axis it reduces (a rank-0 input).
+pub fn anchor_problem(op: &OpKind, inputs: &[&[i64]]) -> Option<AnchorProblem> {
+    let x = inputs[0];
     let row_reduce = |kind, axis: usize| {
         let len = *x.get(axis)?;
         let rows = x[..axis].iter().product::<i64>() * x[axis + 1..].iter().product::<i64>();
         Some(AnchorProblem::RowReduce { kind, rows, len })
     };
-    match op.kind {
+    match *op {
         OpKind::Matmul => {
-            let b = input(1);
+            let b = inputs[1];
             Some(AnchorProblem::Matmul(MatmulProblem::new(x[0], b[1], x[1])))
         }
         OpKind::BatchMatmul => {
-            let b = input(1);
+            let b = inputs[1];
             Some(AnchorProblem::Matmul(MatmulProblem {
                 batch: x[0],
                 m: x[1],

@@ -290,18 +290,19 @@ fn generated_kernels_are_pinned() {
 
 #[test]
 fn coalesced_groups_equal_a_fresh_compile_group() {
-    // A compile generates each distinct group once and renames it for the
-    // groups that repeat it: every group of a compile and of its artifact
-    // rebuild must be what `compile_group` makes of that group on its own,
-    // field by field and in its CUDA text, and the groups of one key must
-    // run one shared kernel definition.
+    // A compile generates each distinct group definition once and binds it
+    // to the names of every group of it: every group of a compile and of its
+    // artifact rebuild must be what `compile_group` makes of that group on
+    // its own, field by field and in its CUDA text, and the groups of one
+    // definition must run one shared kernel definition.
     use std::collections::HashMap;
     use std::sync::Arc;
 
     use hidet_graph::models;
     use hidet_graph::passes::partition;
     use hidet_ir::cuda::to_cuda;
-    use hidet_sched::{compile_group, GroupKey};
+    use hidet_sched::fusion::GroupDef;
+    use hidet_sched::{compile_group, GroupSpec};
     let gpu = Gpu::default();
     let graphs = [
         models::resnet50(1),
@@ -324,7 +325,7 @@ fn coalesced_groups_equal_a_fresh_compile_group() {
                 let groups = partition(g);
                 assert_eq!(groups.len(), plan.groups().len(), "{}", graph.name());
                 let schedules = &plan.artifact().schedules;
-                let mut first: HashMap<GroupKey, usize> = HashMap::new();
+                let mut first: HashMap<GroupDef, usize> = HashMap::new();
                 for (i, (group, got)) in groups.iter().zip(plan.groups()).enumerate() {
                     let case = format!(
                         "{} group {i} under {options:?} (rebuilt: {})",
@@ -337,7 +338,7 @@ fn coalesced_groups_equal_a_fresh_compile_group() {
                         assert_eq!(to_cuda(a), to_cuda(b), "{case}");
                     }
                     let s = *first
-                        .entry(GroupKey::of(g, group, &schedules[i]))
+                        .entry(GroupSpec::of(g, group, &schedules[i]).def)
                         .or_insert(i);
                     let source = &plan.groups()[s].kernels;
                     assert!(

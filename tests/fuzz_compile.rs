@@ -8,14 +8,20 @@
 //! lowering of task mappings, the simplifier and the interpreter in one shot.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hidet::prelude::*;
+use hidet_graph::passes::partition;
 use hidet_graph::reference::{self, ValueMap};
+use hidet_graph::GraphBuilder;
+use hidet_ir::cuda::to_cuda;
+use hidet_sched::fusion::GroupDef;
+use hidet_sched::{compile_group, GroupSpec};
 use proptest::prelude::*;
 
 #[path = "support/fuzz_graphs.rs"]
 mod fuzz_graphs;
-use fuzz_graphs::{random_graph, step_strategy};
+use fuzz_graphs::{chain, random_graph, step_strategy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -97,6 +103,66 @@ proptest! {
                     "output t{} differs on round {} (steps {:?})", out.0, round, &steps
                 );
             }
+        }
+    }
+
+    /// Groups with equal specs share one generated definition, and sharing
+    /// it changes nothing: `branches` copies of one random chain off the
+    /// same input, each with its own constants, summed. Every group of the
+    /// plan is what `compile_group` makes of it alone, the groups of one
+    /// definition run one `KernelDef`, and the plan matches the reference.
+    #[test]
+    fn repeated_blocks_share_definitions_and_match_reference(
+        rows in 2i64..12,
+        cols in prop::sample::select(vec![4i64, 6, 8, 12, 16]),
+        steps in prop::collection::vec(step_strategy(), 1..5),
+        branches in 2u64..5,
+        seed in 0u64..1000,
+    ) {
+        let mut g = GraphBuilder::new("fuzz_repeated");
+        let x = g.input("x", &[rows, cols]);
+        let outs: Vec<TensorId> = (0..branches)
+            .map(|b| chain(&mut g, x, &steps, seed + 100 * b))
+            .collect();
+        let y = outs[1..].iter().fold(outs[0], |sum, &t| g.add(sum, t));
+        let graph = g.output(y).build();
+
+        let gpu = Gpu::default();
+        let compiled = hidet::compile(&graph, &gpu, &CompilerOptions::quick())
+            .expect("repeated graph compiles");
+        let plan = compiled.graph();
+        let groups = partition(plan);
+        prop_assert_eq!(groups.len(), compiled.groups().len());
+        let schedules = &compiled.artifact().schedules;
+        let mut first: HashMap<GroupDef, usize> = HashMap::new();
+        for (i, (group, got)) in groups.iter().zip(compiled.groups()).enumerate() {
+            let fresh = compile_group(plan, group, &schedules[i]).expect("group compiles");
+            prop_assert_eq!(got.difference(&fresh), None, "group {} (steps {:?})", i, &steps);
+            for (a, b) in got.kernels.iter().zip(&fresh.kernels) {
+                prop_assert_eq!(to_cuda(a), to_cuda(b));
+            }
+            let s = *first.entry(GroupSpec::of(plan, group, &schedules[i]).def).or_insert(i);
+            let source = &compiled.groups()[s].kernels;
+            prop_assert!(
+                (got.kernels.iter().zip(source)).all(|(a, b)| Arc::ptr_eq(a.definition(), b.definition())),
+                "group {} does not run group {}'s definitions (steps {:?})", i, s, &steps
+            );
+        }
+
+        let data = Tensor::randn(&[rows, cols], seed ^ 0xCAFE).data().unwrap().to_vec();
+        let mut inputs = HashMap::new();
+        inputs.insert(x, data.clone());
+        let got = compiled.run(&inputs, &gpu).expect("repeated graph runs");
+        let mut ref_inputs = ValueMap::new();
+        ref_inputs.insert(x, data);
+        let expect = reference::execute(&graph, &ref_inputs);
+        prop_assert_eq!(got[&y].len(), expect[&y].len());
+        for (i, (a, b)) in got[&y].iter().zip(&expect[&y]).enumerate() {
+            prop_assert!(
+                (a - b).abs() < 2e-2 * (1.0 + b.abs()),
+                "element {} differs: {} vs {} (steps {:?})",
+                i, a, b, steps
+            );
         }
     }
 }

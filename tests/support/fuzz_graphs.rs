@@ -2,7 +2,7 @@
 //! run, compare with the reference executor) and
 //! `tests/interp_differential.rs` (run every generated kernel on both
 //! interpreters): a chain of random steps applied to one `[rows, cols]`
-//! input.
+//! input, or to one tensor of a graph being built ([`chain`]).
 
 use hidet::prelude::*;
 use hidet_graph::GraphBuilder;
@@ -98,6 +98,14 @@ fn apply(g: &mut GraphBuilder, t: TensorId, step: &Step, seed: &mut u64) -> Tens
     }
 }
 
+/// Applies `steps` to `t`; constants are seeded from `seed`.
+pub fn chain(g: &mut GraphBuilder, mut t: TensorId, steps: &[Step], mut seed: u64) -> TensorId {
+    for step in steps {
+        t = apply(g, t, step, &mut seed);
+    }
+    t
+}
+
 /// Builds the graph `steps` describe over a `[rows, cols]` input; constants
 /// are seeded from `seed`. Returns the graph and its input tensor.
 pub fn random_graph(
@@ -109,11 +117,7 @@ pub fn random_graph(
 ) -> (Graph, TensorId) {
     let mut g = GraphBuilder::new(name);
     let x = g.input("x", &[rows, cols]);
-    let mut t = x;
-    let mut wseed = seed;
-    for step in steps {
-        t = apply(&mut g, t, step, &mut wseed);
-    }
+    let mut t = chain(&mut g, x, steps, seed);
     // Ensure at least one op exists.
     if g.graph().ops().is_empty() {
         t = g.relu(t);
