@@ -1,6 +1,5 @@
 //! The Hidet compilation pipeline (paper Fig. 10).
 
-mod budget;
 mod compiled;
 mod generate;
 mod options;
@@ -19,7 +18,6 @@ use hidet_sched::fusion::GroupSchedule;
 use hidet_sched::{anchor_problem, AnchorProblem};
 use hidet_sim::Gpu;
 
-use self::budget::WorkerBudget;
 use self::generate::generate;
 use self::tune::{schedule_group, tune_problems};
 use crate::artifact::CompiledArtifact;
@@ -59,19 +57,11 @@ pub fn compile_hashed(
     let level = options.verify_level;
     let (g, groups) = lower_and_partition(graph, level)?;
 
-    let want = options.effective_compile_workers().min(groups.len()).max(1);
-    // Concurrent compiles (several engine lanes cold-starting distinct
-    // models) share one process-wide CPU budget instead of each spawning a
-    // full complement — claiming only what is free degrades gracefully to
-    // one worker per compile rather than oversubscribing multiplicatively.
-    let budget = WorkerBudget::claim(want);
-    let workers = budget.granted();
-
     // Tune each distinct matmul problem once, then decide every group's
     // schedule by looking its problem up.
-    let tuned = tune_problems(&g, &groups, gpu, options, workers);
+    let tuned = tune_problems(&g, &groups, gpu, options);
     let verify_as = (level > VerifyLevel::Off).then_some("memory planning");
-    let (plan, schedules) = generate_and_plan(g, &groups, workers, verify_as, |g, i| {
+    let (plan, schedules) = generate_and_plan(g, &groups, verify_as, |g, i| {
         let schedule = schedule_group(g, &groups[i], gpu, options, &tuned)?;
         if level > VerifyLevel::Off {
             // Re-prove the elected schedule against the device — the tuner
@@ -127,14 +117,13 @@ fn lower_and_partition(
 
 /// The back end both compile paths share. `schedule(g, i)` decides group
 /// `i`'s schedule, in group order up to the first group it rejects; the
-/// groups before that one are generated over `workers`, and the first error
-/// in group order — a group that fails to generate, else the rejection — is
+/// groups before that one are generated, and the first error in group
+/// order — a group that fails to generate, else the rejection — is
 /// returned. Then the intermediates' arena is planned and, when `verify_as`
 /// names the stage, re-proved before anything runs on it.
 fn generate_and_plan(
     g: Graph,
     groups: &[FusedGroup],
-    workers: usize,
     verify_as: Option<&str>,
     mut schedule: impl FnMut(&Graph, usize) -> Result<GroupSchedule, CompileError>,
 ) -> Result<(CompilePlan, Vec<GroupSchedule>), CompileError> {
@@ -149,7 +138,7 @@ fn generate_and_plan(
             }
         }
     }
-    let compiled = generate(&g, groups, &schedules, workers)?;
+    let compiled = generate(&g, groups, &schedules)?;
     if let Some(e) = rejected {
         return Err(e);
     }
@@ -259,9 +248,8 @@ pub fn compile_from_artifact_hashed(
     // hand-edited file): re-prove full legality, not just "fits" — a
     // corrupted/oversized config is rejected with its diagnostics, never
     // fed to kernel generation.
-    let budget = WorkerBudget::claim(options.effective_compile_workers().min(groups.len()).max(1));
     let verify_as = Some("memory planning (artifact load)");
-    let (plan, _) = generate_and_plan(g, &groups, budget.granted(), verify_as, |g, i| {
+    let (plan, _) = generate_and_plan(g, &groups, verify_as, |g, i| {
         let schedule = artifact.schedules[i];
         let diags = check_group_schedule(g, &groups[i], &schedule, gpu, options, i);
         if analysis::has_errors(&diags) {
@@ -281,7 +269,6 @@ pub fn compile_from_artifact_hashed(
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
     use hidet_graph::reference::{execute, ValueMap};
@@ -296,62 +283,6 @@ mod tests {
         let y = g.add(y, b);
         let y = g.relu(y);
         (g.output(y).build(), x, y)
-    }
-
-    #[test]
-    fn worker_budget_never_exceeds_cores_and_releases_on_drop() {
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        for cores in [1, 2, host.max(3)] {
-            let ledger = AtomicUsize::new(0);
-            let booked = || ledger.load(Ordering::Relaxed);
-            // The first claimant takes every core it can use: all of them,
-            // or — on one core — just its own thread, booking nothing.
-            let a = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
-            assert_eq!(a.granted(), cores);
-            assert_eq!(booked(), if cores > 1 { cores } else { 0 });
-            // With the budget held, a second claimant gets its own thread
-            // only and the ledger does not move.
-            let b = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
-            assert_eq!(b.granted(), 1, "{cores} cores");
-            assert!(booked() <= cores, "{} booked on {cores} cores", booked());
-            drop(a);
-            // A partial claim leaves the rest for the next claimant.
-            let c = WorkerBudget::claim_with(&ledger, cores, 2);
-            let d = WorkerBudget::claim_with(&ledger, cores, usize::MAX);
-            assert!(booked() <= cores, "{} booked on {cores} cores", booked());
-            if cores >= 4 {
-                assert_eq!((c.granted(), d.granted()), (2, cores - 2));
-            }
-            // Sequential requests never touch the ledger.
-            let before = booked();
-            assert_eq!(WorkerBudget::claim_with(&ledger, cores, 1).granted(), 1);
-            assert_eq!(booked(), before);
-            drop((b, c, d));
-            assert_eq!(booked(), 0, "every claim releases on drop");
-        }
-    }
-
-    #[test]
-    fn racing_claims_never_overbook_the_ledger() {
-        const CORES: usize = 4;
-        let ledger = AtomicUsize::new(0);
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    start.wait();
-                    for _ in 0..20_000 {
-                        let claim = WorkerBudget::claim_with(&ledger, CORES, 3);
-                        let seen = ledger.load(Ordering::Relaxed);
-                        assert!(seen <= CORES, "ledger {seen} on {CORES} cores");
-                        assert!((1..=3).contains(&claim.granted()));
-                    }
-                });
-            }
-        });
-        assert_eq!(ledger.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -423,8 +354,7 @@ mod tests {
     #[test]
     fn the_first_group_that_cannot_be_tuned_names_the_error() {
         // Two matmul problems, both tuned before any group is scheduled and
-        // neither fitting the device: the error is the first group's,
-        // however many workers tuned them.
+        // neither fitting the device: the error is the first group's.
         let mut g = GraphBuilder::new("chain");
         let x = g.input("x", &[8, 16]);
         let w1 = g.constant(Tensor::randn(&[16, 12], 1));
@@ -436,14 +366,9 @@ mod tests {
             shared_mem_per_block: 1,
             ..hidet_sim::GpuSpec::tiny()
         });
-        for options in [
-            CompilerOptions::tuned(),
-            CompilerOptions::tuned().sequential(),
-        ] {
-            let err = compile(&graph, &starved, &options).unwrap_err();
-            assert!(matches!(err, CompileError::Schedule(_)), "{err}");
-            assert!(err.to_string().contains("for 8x12x16 "), "{err}");
-        }
+        let err = compile(&graph, &starved, &CompilerOptions::tuned()).unwrap_err();
+        assert!(matches!(err, CompileError::Schedule(_)), "{err}");
+        assert!(err.to_string().contains("for 8x12x16 "), "{err}");
     }
 
     #[test]
@@ -460,32 +385,6 @@ mod tests {
         let gpu = Gpu::default();
         let compiled = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
         assert_eq!(compiled.tuned_configs().len(), 1);
-    }
-
-    #[test]
-    fn parallel_compile_elects_the_sequential_schedules() {
-        // A tower of matmul problems, so every compile worker has a tuning
-        // task of its own, with one width pair repeated so that both paths
-        // also generate a duplicate group once and rename it. (On a
-        // one-core host both sides run sequentially and the test is
-        // trivially true.)
-        let widths = [64i64, 96, 64, 96, 80, 112, 48, 72, 32];
-        let mut g = GraphBuilder::new("tower");
-        let mut t = g.input("x", &[4, widths[0]]);
-        for (i, pair) in widths.windows(2).enumerate() {
-            let w = g.constant(Tensor::randn(&[pair[0], pair[1]], i as u64 + 1));
-            t = g.matmul(t, w);
-            t = g.relu(t);
-        }
-        let graph = g.output(t).build();
-        let gpu = Gpu::default();
-        let parallel = compile(&graph, &gpu, &CompilerOptions::tuned()).unwrap();
-        let sequential = compile(&graph, &gpu, &CompilerOptions::tuned().sequential()).unwrap();
-        // (64, 96) comes twice and (96, 64) once among the eight pairs.
-        assert_eq!(parallel.tuned_configs().len(), widths.len() - 2);
-        assert_eq!(parallel.tuned_configs(), sequential.tuned_configs());
-        assert_eq!(parallel.tuning_trials(), sequential.tuning_trials());
-        assert_eq!(parallel.cuda_source(), sequential.cuda_source());
     }
 
     #[test]

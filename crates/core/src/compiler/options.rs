@@ -105,24 +105,16 @@ pub struct CompilerOptions {
     /// miscompiles — so it takes no part in
     /// [`CompilerOptions::cache_key_bits`] or equality.
     pub verify_level: VerifyLevel,
-    /// Worker threads fanning the per-fused-group compile+tune loop out
-    /// (`0` = one per available core, `1` = sequential). Does **not**
-    /// change what gets compiled — group order, tuning decisions and
-    /// accounting are deterministic regardless — so it takes no part in
-    /// [`CompilerOptions::cache_key_bits`].
-    pub compile_workers: usize,
 }
 
 impl CompilerOptions {
-    /// Full tuning with cost-model pruning and parallel group compilation —
-    /// the serving default.
+    /// Full tuning with cost-model pruning — the serving default.
     pub fn tuned() -> CompilerOptions {
         CompilerOptions {
             matmul: MatmulChoice::Tuned,
             order_stable_reductions: false,
             measure_top_k: Some(DEFAULT_MEASURE_TOP_K),
             verify_level: VerifyLevel::Cheap,
-            compile_workers: 0,
         }
     }
 
@@ -160,10 +152,10 @@ impl CompilerOptions {
         self
     }
 
-    /// Forces the per-group compile loop sequential (profiling; the
-    /// `zoo_compile` benchmark workload times this path).
-    pub fn sequential(mut self) -> CompilerOptions {
-        self.compile_workers = 1;
+    /// A no-op: every compile runs on the thread that calls it. Kept for
+    /// the benchmark harness (`benchmark/`), whose `zoo_compile` workload
+    /// calls it.
+    pub fn sequential(self) -> CompilerOptions {
         self
     }
 
@@ -174,25 +166,11 @@ impl CompilerOptions {
         self
     }
 
-    /// The worker count the per-group fan-out will actually use.
-    pub fn effective_compile_workers(&self) -> usize {
-        if self.compile_workers == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.compile_workers
-        }
-    }
-
     /// A stable fingerprint of every option that changes *what gets
-    /// compiled*. The worker count deliberately does not participate: it
-    /// only changes how many threads search, not which config wins, so
-    /// compiled graphs remain interchangeable across machine sizes. The
-    /// pruning depth **does** participate — a different measurement set can
-    /// crown a different schedule. The verify level does not: it gates
-    /// whether bugs abort, never what is produced. Used by the runtime's
-    /// compiled-graph cache key and artifact file names. Bit 0 is
+    /// compiled*. The pruning depth participates — a different measurement
+    /// set can crown a different schedule. The verify level does not: it
+    /// gates whether bugs abort, never what is produced. Used by the
+    /// runtime's compiled-graph cache key and artifact file names. Bit 0 is
     /// [`MatmulChoice::Tuned`], bit 1 [`MatmulChoice::Compact`]; bit 2 is
     /// unused: closing the gap would rename every stored artifact.
     pub fn cache_key_bits(&self) -> u64 {
@@ -215,9 +193,8 @@ impl CompilerOptions {
 }
 
 impl PartialEq for CompilerOptions {
-    /// Equality over the compilation-relevant fields. `compile_workers` and
-    /// `verify_level` are execution strategy, not compilation input, and do
-    /// not participate.
+    /// Equality over the compilation-relevant fields. `verify_level` is
+    /// execution strategy, not compilation input, and does not participate.
     fn eq(&self, other: &CompilerOptions) -> bool {
         self.matmul == other.matmul
             && self.order_stable_reductions == other.order_stable_reductions

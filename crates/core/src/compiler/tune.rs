@@ -13,7 +13,6 @@ use hidet_sched::{
 };
 use hidet_sim::Gpu;
 
-use super::generate::fan_out;
 use super::{CompileError, CompilerOptions, MatmulChoice};
 use crate::artifact::TunedEntry;
 
@@ -38,22 +37,20 @@ impl Tuned {
     }
 }
 
-/// Tunes each distinct matmul problem of `groups` once, fanned out over
-/// `workers` (step 3 of Fig. 10), when `options` asks for tuned tiles. The
-/// costs sum in first-use (group) order, whichever worker tuned what.
+/// Tunes each distinct matmul problem of `groups` once, in first-use (group)
+/// order (step 3 of Fig. 10), when `options` asks for tuned tiles.
 pub(super) fn tune_problems(
     g: &Graph,
     groups: &[FusedGroup],
     gpu: &Gpu,
     options: &CompilerOptions,
-    workers: usize,
 ) -> Tuned {
     let mut tuned = Tuned::default();
     if options.matmul != MatmulChoice::Tuned {
         return tuned;
     }
     let mut seen = HashSet::new();
-    let problems: Vec<MatmulProblem> = (groups.iter())
+    let problems = (groups.iter())
         .filter_map(|group| {
             let op = g.op(group.anchor?);
             match anchor_problem(&op.kind, &g.input_shapes(op)) {
@@ -61,15 +58,11 @@ pub(super) fn tune_problems(
                 _ => None,
             }
         })
-        .filter(|&problem| seen.insert(problem))
-        .collect();
-    let reports = fan_out(problems.len(), workers, |i| {
+        .filter(|&problem| seen.insert(problem));
+    for problem in problems {
         let _tune = hidet_trace::global().span(hidet_trace::SpanKind::Tune, 0);
-        try_tune_matmul_with(problems[i], gpu, options.tuner_policy())
-    });
-    for (problem, report) in problems.into_iter().zip(reports) {
         // A problem nothing fits stays out: its groups fail to schedule.
-        if let Some(report) = report {
+        if let Some(report) = try_tune_matmul_with(problem, gpu, options.tuner_policy()) {
             tuned.trials += report.trials;
             tuned.seconds += report.tuning_seconds;
             let config = report.best;

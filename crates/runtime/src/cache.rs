@@ -411,14 +411,12 @@ mod tests {
 
     #[test]
     fn concurrent_compiles_of_one_graph_coalesce_to_a_single_compile() {
-        // Many threads race the same key — including through the compiler's
-        // own parallel per-group fan-out — and exactly one fresh compile may
+        // Many threads race the same key and exactly one fresh compile may
         // run; everyone else must block on the in-flight slot and share the
         // result.
         let cache = Arc::new(CompiledCache::new());
         let gpu = Gpu::default();
-        // Tuned options exercise the parallel compile+tune pipeline inside
-        // the single coalesced compile.
+        // Tuned options run the tuner inside the single coalesced compile.
         let opts = CompilerOptions::tuned();
         let graph = Arc::new(model(16, "m"));
         let hash = graph.structural_hash();

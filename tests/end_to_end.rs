@@ -311,7 +311,6 @@ fn coalesced_groups_equal_a_fresh_compile_group() {
     ];
     let options = [
         CompilerOptions::tuned(),
-        CompilerOptions::tuned().sequential(),
         CompilerOptions::compact().order_stable(),
     ];
     for graph in &graphs {
@@ -374,7 +373,7 @@ fn tuned_schedules_are_pinned() {
         ("gpt2", 486, 617_600, 0xee25_e3cd_6b6c_7f87),
     ];
     let gpu = Gpu::default();
-    let options = CompilerOptions::tuned().sequential();
+    let options = CompilerOptions::tuned();
     for (name, trials, bytes, digest) in cases {
         let graph = hidet_graph::models::by_name(name, 1).expect("a zoo model");
         let compiled = hidet::compile(&graph, &gpu, &options).expect("compiles");
