@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use hidet_sim::{Program, Reason, Verdict};
+use hidet_sim::{Kernel, Program, Reason, Verdict};
 
 use crate::diag::{Diagnostic, Rule};
 
@@ -27,22 +27,29 @@ fn reason_name(reason: &Reason) -> &'static str {
     }
 }
 
-/// One finding per range of `program` that does not run wide: HA040 (an
-/// error) where two threads meet at an element one of them stores, HA041
-/// where the threads of a storing range could not be shown apart, HA042
-/// where the range can fault, is untyped or has a loop whose trip count
-/// differs by thread.
-pub fn check_lanes(program: &Program, location: &str) -> Vec<Diagnostic> {
+/// `buffer`, as a [`Reason::Overlap`] names it, in `kernel`: the lowering
+/// names a parameter by its position, `$<position>`.
+fn name_in<'a>(kernel: &'a Kernel, buffer: &'a str) -> &'a str {
+    let position = buffer
+        .strip_prefix('$')
+        .and_then(|i| i.parse::<usize>().ok());
+    position
+        .and_then(|i| kernel.params().get(i))
+        .map_or(buffer, |param| param.name())
+}
+
+/// One finding per range of `program`, run as `kernel`, that does not run
+/// wide: HA040 (an error) where two threads meet at an element one of them
+/// stores, HA041 where the threads of a storing range could not be shown
+/// apart, HA042 where the range can fault, is untyped or has a loop whose
+/// trip count differs by thread.
+pub fn check_lanes(kernel: &Kernel, program: &Program, location: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for (i, range) in program.ranges().iter().enumerate() {
         let Verdict::PerThread(reason) = &range.verdict else {
             continue;
         };
-        let at = format!(
-            "{location}::{}[range {i}: {:?}]",
-            program.name(),
-            range.kind
-        );
+        let at = format!("{location}::{}[range {i}: {:?}]", kernel.name(), range.kind);
         let n = range.instructions;
         diags.push(match reason {
             Reason::Overlap {
@@ -53,8 +60,9 @@ pub fn check_lanes(program: &Program, location: &str) -> Vec<Diagnostic> {
                 Rule::LaneOverlap,
                 at,
                 format!(
-                    "threads {a} and {b} both touch {buffer}[block base + {element}] and one \
-                     stores it, within one barrier interval ({n} instructions)"
+                    "threads {a} and {b} both touch {}[block base + {element}] and one \
+                     stores it, within one barrier interval ({n} instructions)",
+                    name_in(kernel, buffer)
                 ),
             ),
             Reason::UnprovenFootprint => Diagnostic::warning(

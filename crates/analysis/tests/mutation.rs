@@ -467,9 +467,12 @@ proptest! {
     /// flips that range's verdict to an error naming them.
     #[test]
     fn racing_tile_kernels_fire_only_lane_overlap(threads in prop::sample::select(vec![8i64, 32, 64])) {
-        let lowered = |defect| hidet_sim::Program::lower(&tile_kernel(threads, defect));
-        let sound = lowered(Defect::None);
-        prop_assert_eq!(check_lanes(&sound, "t"), vec![]);
+        let lanes = |defect| {
+            let kernel = tile_kernel(threads, defect);
+            check_lanes(&kernel, &hidet_sim::Program::lower(&kernel), "t")
+        };
+        let sound = hidet_sim::Program::lower(&tile_kernel(threads, Defect::None));
+        prop_assert_eq!(lanes(Defect::None), vec![]);
         prop_assert!(sound.ranges().iter().all(|r| r.verdict == hidet_sim::Verdict::Wide));
         let defects = [
             (Defect::OverlappingWriteBack, "Y["),
@@ -477,7 +480,7 @@ proptest! {
             (Defect::SharedAccumulator, "Y["),
         ];
         for (defect, buffer) in defects {
-            let diags = check_lanes(&lowered(defect), "t");
+            let diags = lanes(defect);
             assert_only(&diags, Rule::LaneOverlap);
             prop_assert_eq!(diags.len(), 1, "{:?}: {:?}", defect, diags);
             prop_assert!(hidet_analysis::has_errors(&diags));
@@ -491,27 +494,26 @@ proptest! {
 #[test]
 fn unproven_and_faulting_ranges_are_warnings() {
     use hidet_ir::prelude::*;
-    let lowered = |build: &dyn Fn(&BufferRef, &BufferRef) -> Stmt| {
+    let lanes = |build: &dyn Fn(&BufferRef, &BufferRef) -> Stmt| {
         let mut kb = KernelBuilder::new("k", 1, 8);
         let x = kb.param("X", DType::F32, &[8]);
         let y = kb.param("Y", DType::F32, &[8]);
         kb.push(build(&x, &y));
-        hidet_sim::Program::lower(&kb.build())
+        let kernel = kb.build();
+        check_lanes(&kernel, &hidet_sim::Program::lower(&kernel), "t")
     };
     // `(k * k + t) % 8` stays in bounds, and the threads do stay apart —
     // but a remainder of a sum is no sum of a lane part and a block part.
-    let wrapped = lowered(&|_, y| {
+    let diags = lanes(&|_, y| {
         for_range("k", 3, |k| {
             let at = (k.clone() * k + thread_idx()) % 8;
             seq(vec![store(y, vec![at], fconst(1.0)), sync_threads()])
         })
     });
-    let diags = check_lanes(&wrapped, "t");
     assert!(!hidet_analysis::has_errors(&diags), "{diags:?}");
     assert_only(&diags, Rule::LaneFootprintUnproven);
     // An index only a check keeps in bounds.
-    let faulting = lowered(&|x, y| store(y, vec![thread_idx()], load(x, vec![thread_idx() + 1])));
-    let diags = check_lanes(&faulting, "t");
+    let diags = lanes(&|x, y| store(y, vec![thread_idx()], load(x, vec![thread_idx() + 1])));
     assert!(!hidet_analysis::has_errors(&diags), "{diags:?}");
     assert_only(&diags, Rule::LanePerThread);
     assert!(diags[0].message.contains("can-fault"), "{diags:?}");

@@ -20,9 +20,10 @@
 //!    one definition must share one kernel definition. The table prints each graph's groups, how
 //!    many of them were generated and how many distinct definitions they
 //!    hold;
-//! 4. **lane commutativity**: every kernel of every model is lowered for
-//!    the interpreter (nothing is launched) and its ranges' verdicts read
-//!    back — how much runs once for the whole block, why the rest does not,
+//! 4. **lane commutativity**: every kernel definition of every model is
+//!    lowered once for the interpreter (nothing is launched), as its plan
+//!    lowers it, and its ranges' verdicts read back once — how much runs
+//!    once for the whole block (weighted per kernel), why the rest does not,
 //!    and, as an error (HA040), any barrier interval in which two threads
 //!    race for an element: the templates partition their tiles, so one found
 //!    is a bug in a template or in the proof. A range left per thread for
@@ -219,18 +220,25 @@ fn main() {
         println!("  mismatch: {line}");
     }
 
-    // --- 4. lane commutativity of every kernel, statically -----------------
+    // --- 4. lane commutativity of every kernel definition, statically -----
     let (mut rows, mut oversized) = (Vec::new(), Vec::new());
     for graph in &zoo {
         let compiled = hidet::compile(graph, &gpu, &CompilerOptions::quick())
             .unwrap_or_else(|e| panic!("{} failed to compile: {e}", graph.name()));
         let lowering = Instant::now();
         let programs = compiled.plan().programs();
-        let lower_us = lowering.elapsed().as_secs_f64() * 1e6 / programs.len().max(1) as f64;
+        let lowered_us = lowering.elapsed().as_secs_f64() * 1e6;
         let mut summary = LaneSummary::default();
         let mut largest = 0.0f64;
+        let mut definitions = HashSet::new();
         let kernels = compiled.plan().groups().iter().flat_map(|g| &g.kernels);
         for (kernel, program) in kernels.zip(programs) {
+            // The share weighs every kernel; the program, its size and its
+            // verdicts are its definition's, so they are checked once.
+            summary.add(program);
+            if !definitions.insert(Arc::as_ptr(kernel.definition())) {
+                continue;
+            }
             let nodes = count_nodes(kernel.body());
             let ratio = program.op_count() as f64 / nodes as f64;
             largest = largest.max(ratio);
@@ -242,11 +250,10 @@ fn main() {
                     program.op_count()
                 ));
             }
-            summary.add(program);
             // (What runs per thread and why is the table below; a race, or
             // a range per thread for anything but its footprint, is a
             // finding.)
-            let lanes = check_lanes(program, graph.name());
+            let lanes = check_lanes(kernel, program, graph.name());
             let finding =
                 |d: &Diagnostic| d.severity == Severity::Error || d.rule == Rule::LanePerThread;
             diags.extend(lanes.into_iter().filter(finding));
@@ -258,20 +265,22 @@ fn main() {
         rows.push(vec![
             graph.name().to_string(),
             format!("{}", programs.len()),
+            format!("{}", definitions.len()),
             format!("{:.3}", summary.wide_share()),
             reasons.join(", "),
             format!("{largest:.2}"),
-            format!("{lower_us:.0}"),
+            format!("{:.0}", lowered_us / definitions.len().max(1) as f64),
         ]);
     }
     println!();
     let header = [
         "model",
         "kernels",
+        "definitions",
         "wide share",
         "per thread (instructions x block_dim)",
         "largest program / IR",
-        "lowering us/kernel",
+        "lowering us/definition",
     ];
     print_table(&header, &rows);
     for line in &oversized {

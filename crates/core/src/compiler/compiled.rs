@@ -33,10 +33,10 @@ pub struct CompilePlan {
     pub(super) groups: Vec<CompiledGroup>,
     /// Liveness-planned arena placement of every intermediate buffer.
     pub(super) memory_plan: MemoryPlan,
-    /// The kernels lowered for the interpreter, in launch order — built by
-    /// the first launch (compiling, saving and loading a plan never pay for
-    /// it) and shared by every clone of the plan.
-    pub(super) programs: Arc<OnceLock<Vec<Program>>>,
+    /// The kernels lowered for the interpreter, in launch order, one program
+    /// per definition — built by the first launch (compiling, saving and
+    /// loading a plan never pay for it) and shared by every clone.
+    pub(super) programs: Arc<OnceLock<Vec<Arc<Program>>>>,
 }
 
 /// A compiled model: an executable [`CompilePlan`] plus the serializable
@@ -96,11 +96,18 @@ impl CompilePlan {
 
     /// Every kernel of [`CompilePlan::groups`] lowered to its interpreter
     /// [`Program`], flattened in launch order. Lowered on first use, once
-    /// for this plan and all its clones.
-    pub fn programs(&self) -> &[Program] {
+    /// per kernel definition for this plan and all its clones: the kernels
+    /// of one [`hidet_ir::Kernel::definition`] share one program.
+    pub fn programs(&self) -> &[Arc<Program>] {
         self.programs.get_or_init(|| {
+            let mut lowered = HashMap::new();
             let kernels = self.groups.iter().flat_map(|g| &g.kernels);
-            kernels.map(Program::lower).collect()
+            kernels
+                .map(|k| {
+                    let program = lowered.entry(Arc::as_ptr(k.definition()));
+                    Arc::clone(program.or_insert_with(|| Arc::new(Program::lower(k))))
+                })
+                .collect()
         })
     }
 
@@ -160,8 +167,8 @@ impl CompilePlan {
             for (name, len) in &group.scratch {
                 mem.alloc_zeroed(name, *len);
             }
-            for program in programs.by_ref().take(group.kernels.len()) {
-                gpu.launch(program, &program.resolve(&mem), &mut mem)?;
+            for (kernel, program) in group.kernels.iter().zip(programs.by_ref()) {
+                gpu.launch(program, kernel, &program.resolve(kernel, &mem), &mut mem)?;
             }
         }
         let mut out = HashMap::new();

@@ -292,7 +292,10 @@ impl Binding {
             plan: plan.memory_plan().id(),
             tensors: tensors.collect(),
             zeroed,
-            launches: plan.programs().iter().map(|p| p.resolve(mem)).collect(),
+            launches: (plan.groups().iter().flat_map(|g| &g.kernels))
+                .zip(plan.programs())
+                .map(|(kernel, program)| program.resolve(kernel, mem))
+                .collect(),
         }
     }
 
@@ -401,8 +404,8 @@ impl Workspace {
             for &(id, len) in zeroed {
                 mem.zero(id, len);
             }
-            for (program, buffers) in launches.by_ref().take(group.kernels.len()) {
-                gpu.launch(program, buffers, mem)?;
+            for (kernel, (program, buffers)) in group.kernels.iter().zip(launches.by_ref()) {
+                gpu.launch(program, kernel, buffers, mem)?;
             }
         }
         Ok(())

@@ -23,7 +23,7 @@
 
 use std::cell::Cell;
 
-use hidet_ir::{BinOp, DType};
+use hidet_ir::{BinOp, BufferRef, DType, Kernel};
 
 use super::program::{
     Access, Columns, Control, LaneTable, Node, Op, Program, Reg, Space, Verdict, BOOL, COLUMN,
@@ -39,10 +39,12 @@ use crate::value::Value;
 /// the allocation only happens once a launch has already failed.
 pub(super) type Fault = Box<SimError>;
 
-/// Launches `program` against `memory`; `buffers` are the program's global
-/// buffers as [`Program::resolve`] orders them. See [`crate::Gpu::launch`].
+/// Launches `program` as `kernel` against `memory`; `buffers` are the
+/// program's global buffers as [`Program::resolve`] orders them. See
+/// [`crate::Gpu::launch`].
 pub(crate) fn launch(
     program: &Program,
+    kernel: &Kernel,
     buffers: &[Option<BufferId>],
     memory: &mut DeviceMemory,
     spec: &GpuSpec,
@@ -51,10 +53,11 @@ pub(crate) fn launch(
     // the span is unattributed (trace id 0). The guard closes the span on
     // every return path, validation errors included.
     let _span = hidet_trace::global().span(hidet_trace::SpanKind::KernelSim, 0);
-    if program.shared_bytes > spec.shared_mem_per_block {
+    let (shared, allowed) = (program.shared_bytes, spec.shared_mem_per_block);
+    if shared > allowed {
         return Err(SimError::ResourceLimit(format!(
-            "kernel {} needs {} B of shared memory; device allows {} B per block",
-            program.name, program.shared_bytes, spec.shared_mem_per_block
+            "kernel {} needs {shared} B of shared memory; device allows {allowed} B per block",
+            kernel.name()
         )));
     }
     if program.block_dim as i64 > spec.max_threads_per_sm as i64 {
@@ -63,32 +66,31 @@ pub(crate) fn launch(
             program.block_dim, spec.max_threads_per_sm
         )));
     }
-    for (i, global) in program.globals.iter().enumerate() {
-        let Some(expected) = global.expect else {
-            continue;
-        };
-        let id = buffers
-            .get(i)
-            .copied()
-            .flatten()
-            .ok_or_else(|| SimError::MissingBuffer(global.name.clone()))?;
-        let actual = memory.slice(id).len();
+    for (i, param) in kernel.params().iter().enumerate() {
+        let name = || param.name().to_string();
+        let id = buffers.get(i).copied().flatten();
+        let id = id.ok_or_else(|| SimError::MissingBuffer(name()))?;
+        let (expected, actual) = (param.num_elements() as usize, memory.slice(id).len());
         if actual != expected {
             return Err(SimError::BufferSizeMismatch {
-                name: global.name.clone(),
+                name: name(),
                 expected,
                 actual,
             });
         }
     }
+    if let Some(fault) = &program.lane_fault {
+        return Err(fault.clone());
+    }
     let mut machine = Machine {
         p: program,
+        kernel,
         globals: buffers,
         // The lowering proved threads apart buffer by buffer; where two
         // buffers are the same storage, every range keeps thread order.
         in_turn: memory.aliased(buffers),
         memory,
-        lanes: program.lanes.as_ref().map_err(Clone::clone)?,
+        lanes: &program.lanes,
         regs: Regs::new(program, program.columns),
         shared: vec![0.0; program.shared_len],
     };
@@ -111,6 +113,7 @@ pub(super) fn lane_registers(p: &Program, across: bool) -> Result<LaneTable, Sim
         shared: &[],
         memory: &mut DeviceMemory::new(),
         globals: &[],
+        params: &[],
     };
     let threads = 0..p.block_dim;
     let ran = (threads.clone())
@@ -217,6 +220,8 @@ pub(super) fn column<T>(file: &[Cell<T>], start: usize, n: usize) -> &[Cell<T>] 
 /// block.
 struct Machine<'a> {
     p: &'a Program,
+    /// The kernel the program runs as: what faults name.
+    kernel: &'a Kernel,
     globals: &'a [Option<BufferId>],
     memory: &'a mut DeviceMemory,
     /// No range of this launch runs wide.
@@ -235,6 +240,7 @@ impl Machine<'_> {
             shared: cells(&mut self.shared),
             memory: self.memory,
             globals: self.globals,
+            params: self.kernel.params(),
         }
     }
 
@@ -335,7 +341,8 @@ impl Machine<'_> {
             for lane in 1..threads {
                 block.step(code, lane)?;
                 if get(block.get(c.reg, lane)).as_ref() != Some(&first) {
-                    return Err(Box::new(SimError::NonUniformControl(c.message.clone())));
+                    let message = format!("{} in kernel {}", c.message, self.kernel.name());
+                    return Err(Box::new(SimError::NonUniformControl(message)));
                 }
             }
         }
@@ -349,9 +356,9 @@ fn type_error(message: &str) -> Fault {
 }
 
 #[cold]
-fn out_of_bounds(p: &Program, a: &Access, dim: usize, index: i64, extent: i64) -> Fault {
+fn out_of_bounds(b: &Block, a: &Access, dim: usize, index: i64, extent: i64) -> Fault {
     Box::new(SimError::OutOfBounds {
-        buffer: p.buffer_names[a.buffer as usize].clone(),
+        buffer: b.p.buffer_name(b.params, a.buffer).to_string(),
         dim,
         index,
         extent,
@@ -359,19 +366,18 @@ fn out_of_bounds(p: &Program, a: &Access, dim: usize, index: i64, extent: i64) -
 }
 
 #[cold]
-pub(super) fn missing(p: &Program, a: &Access) -> Fault {
-    Box::new(SimError::MissingBuffer(
-        p.buffer_names[a.buffer as usize].clone(),
-    ))
+pub(super) fn missing(b: &Block, a: &Access) -> Fault {
+    let name = b.p.buffer_name(b.params, a.buffer);
+    Box::new(SimError::MissingBuffer(name.to_string()))
 }
 
 /// An access whose own shape addresses more elements than its buffer was
 /// declared with (the tree walker panicked here).
 #[cold]
-pub(super) fn past_the_end(p: &Program, a: &Access, flat: usize) -> Fault {
+pub(super) fn past_the_end(p: &Program, params: &[BufferRef], a: &Access, flat: usize) -> Fault {
     type_error(&format!(
         "access reaches element {flat} of buffer {}, past its end",
-        p.buffer_names[a.buffer as usize]
+        p.buffer_name(params, a.buffer)
     ))
 }
 
@@ -419,6 +425,8 @@ pub(super) struct Block<'a> {
     pub(super) shared: &'a [Cell<f32>],
     pub(super) memory: &'a mut DeviceMemory,
     pub(super) globals: &'a [Option<BufferId>],
+    /// The parameters of the kernel the program runs as, for fault reports.
+    pub(super) params: &'a [BufferRef],
 }
 
 impl<'a> Block<'a> {
@@ -483,7 +491,7 @@ impl<'a> Block<'a> {
             .or_else(|| self.get(d.idx, lane).as_i64())
             .ok_or_else(|| type_error("index must be integer"))?;
         if index < 0 || index >= d.extent {
-            return Err(out_of_bounds(self.p, a, dim, index, d.extent));
+            return Err(out_of_bounds(self, a, dim, index, d.extent));
         }
         Ok((index as usize, d.stride))
     }
@@ -512,7 +520,7 @@ impl<'a> Block<'a> {
             flat += index * stride;
         }
         if flat >= a.limit {
-            return Err(past_the_end(self.p, a, flat));
+            return Err(past_the_end(self.p, self.params, a, flat));
         }
         Ok(a.offset + flat)
     }
@@ -537,28 +545,27 @@ impl<'a> Block<'a> {
     #[inline(always)]
     pub(super) fn global(&self, a: &Access, g: u32) -> Result<&[f32], Fault> {
         let id = self.globals.get(g as usize).copied().flatten();
-        Ok(self.memory.slice(id.ok_or_else(|| missing(self.p, a))?))
+        Ok(self.memory.slice(id.ok_or_else(|| missing(self, a))?))
     }
 
     /// The global buffer access `a` is to, for writing.
     #[inline(always)]
     pub(super) fn global_mut(&mut self, a: &Access, g: u32) -> Result<&mut [f32], Fault> {
         let id = self.globals.get(g as usize).copied().flatten();
-        Ok(self.memory.slice_mut(id.ok_or_else(|| missing(self.p, a))?))
+        Ok(self.memory.slice_mut(id.ok_or_else(|| missing(self, a))?))
     }
 
     /// The element at `flat` of the storage access `a` addresses — a global
     /// buffer, the block's shared memory or thread `lane`'s register arrays.
     #[inline(always)]
     fn load(&self, a: &Access, flat: usize, lane: usize) -> Result<f32, Fault> {
-        let p = self.p;
         let element = match a.space {
             Space::Global(g) => self.global(a, g)?.get(flat).copied(),
             Space::Shared => self.shared.get(flat).map(Cell::get),
             Space::Local => self.local(flat, lane).map(Cell::get),
-            Space::Missing => return Err(missing(p, a)),
+            Space::Missing => return Err(missing(self, a)),
         };
-        element.ok_or_else(|| past_the_end(p, a, flat))
+        element.ok_or_else(|| past_the_end(self.p, self.params, a, flat))
     }
 
     /// A source operand: a register, an element of the thread's register
@@ -599,7 +606,7 @@ impl<'a> Block<'a> {
     /// Thread `lane`'s element at `target`, for writing.
     #[inline(always)]
     fn slot(&mut self, target: Target<'_>, lane: usize) -> Result<&Cell<f32>, Fault> {
-        let (p, at) = (self.p, target.at);
+        let (p, params, at) = (self.p, self.params, target.at);
         let Some(a) = target.access else {
             return self.local(at, lane).ok_or_else(|| no_such_element(at));
         };
@@ -607,9 +614,9 @@ impl<'a> Block<'a> {
             Space::Global(g) => cells(self.global_mut(a, g)?).get(at),
             Space::Shared => self.shared.get(at),
             Space::Local => self.local(at, lane),
-            Space::Missing => return Err(missing(p, a)),
+            Space::Missing => return Err(missing(self, a)),
         };
-        element.ok_or_else(|| past_the_end(p, a, at))
+        element.ok_or_else(|| past_the_end(p, params, a, at))
     }
 
     /// The per-thread interpreter loop: runs `code` to its end for thread

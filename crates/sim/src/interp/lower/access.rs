@@ -39,7 +39,7 @@ impl<'k> Lowerer<'k> {
         if indices.len() != buffer.ndim() {
             return Err(self.trap(SimError::TypeError(format!(
                 "access to {}: {} indices for rank-{} buffer",
-                buffer.name_in(self.kernel.params()),
+                buffer.name(),
                 indices.len(),
                 buffer.ndim()
             ))));
@@ -200,7 +200,7 @@ impl<'k> Lowerer<'k> {
     /// Whether a buffer in `space` is sure to exist when a launch runs.
     pub(super) fn declared(&self, space: Space) -> bool {
         match space {
-            Space::Global(g) => self.p.globals[g as usize].expect.is_some(),
+            Space::Global(g) => (g as usize) < self.kernel.params().len(),
             Space::Shared | Space::Local => true,
             Space::Missing => false,
         }

@@ -42,8 +42,8 @@ use self::linear::{Atom, Linear};
 use self::map::{Map, Set};
 use self::place::{Place, Ty, Val};
 use super::program::{
-    nesting, CodeRange, Control, Global, LaneTable, Node, Op, Program, RangeKind, Reg, Space,
-    COLUMN, FILE_SHIFT, INT, MEM, SCALAR,
+    nesting, CodeRange, Control, Node, Op, Program, RangeKind, Reg, Space, COLUMN, FILE_SHIFT, INT,
+    MEM, SCALAR,
 };
 use super::SimError;
 use crate::value::Value;
@@ -167,7 +167,7 @@ impl Op {
     }
 }
 
-/// A buffer the kernel declares or the body names, keyed by (scope, name).
+/// A buffer the kernel declares or the body names.
 struct BufferSlot {
     space: Space,
     /// First element within the shared / per-thread storage.
@@ -224,8 +224,9 @@ struct Lowerer<'k> {
     stretches: Vec<Stretch>,
     /// Innermost binding last; `None` marks a poisoned name (see [`leaked`]).
     env: Vec<(&'k str, Option<Val>)>,
-    /// Parallel to `p.buffer_names`.
+    /// Parallel to `p.buffer_names`: the kernel's parameters first.
     slots: Vec<BufferSlot>,
+    /// The other buffers, by (scope, name).
     buffer_ids: Map<(MemScope, &'k str), u32>,
     /// Instructions the copies of one unrolled loop may take.
     budget: usize,
@@ -237,14 +238,9 @@ impl<'k> Lowerer<'k> {
     fn new(kernel: &'k Kernel) -> Lowerer<'k> {
         let elements = |bufs: &[BufferRef]| bufs.iter().map(|b| b.num_elements() as usize).sum();
         let program = Program {
-            name: kernel.name().to_string(),
             grid_dim: kernel.launch().grid_dim as usize,
             block_dim: kernel.launch().block_dim as usize,
             shared_bytes: kernel.shared_bytes(),
-            globals: Vec::new(),
-            buffer_names: Vec::new(),
-            accesses: Vec::new(),
-            dims: Vec::new(),
             shared_len: elements(kernel.shared_buffers()),
             local_len: elements(kernel.local_buffers()),
             // Register 0 of the block space is `blockIdx`, of the lane space
@@ -252,23 +248,7 @@ impl<'k> Lowerer<'k> {
             block_init: vec![Value::I64(0)],
             block_idx: reg(BLOCK, Ty::I64, 0),
             thread_idx: reg(LANE, Ty::I64, 0),
-            columns: [0; 4],
-            block_code: Vec::new(),
-            lane_code: Vec::new(),
-            n_lane: 0,
-            lane_row: 0,
-            lane_columns: [0; 4],
-            lane_file: [0; 4],
-            lanes: Ok(LaneTable::default()),
-            code: Vec::new(),
-            thread_code_end: 0,
-            nodes: Vec::new(),
-            children: Vec::new(),
-            root: 0,
-            ranges: Vec::new(),
-            node_range: Vec::new(),
-            mask_depth: 0,
-            traps: Vec::new(),
+            ..Program::default()
         };
         let mut l = Lowerer {
             kernel,
@@ -307,11 +287,12 @@ impl<'k> Lowerer<'k> {
         };
         for (i, b) in kernel.params().iter().enumerate() {
             let len = b.num_elements() as usize;
-            l.p.globals.push(Global {
-                name: b.name().to_string(),
-                expect: Some(len),
+            l.p.buffer_names.push(format!("${i}"));
+            l.slots.push(BufferSlot {
+                space: Space::Global(i as u32),
+                base: 0,
+                len,
             });
-            l.declare(b, Space::Global(i as u32), 0, len);
         }
         let mut base = 0;
         for b in kernel.shared_buffers() {
@@ -330,30 +311,29 @@ impl<'k> Lowerer<'k> {
 
     fn declare(&mut self, b: &'k BufferRef, space: Space, base: usize, len: usize) -> u32 {
         let id = self.slots.len() as u32;
-        let name = b.name_in(self.kernel.params());
-        self.p.buffer_names.push(name.to_string());
+        self.p.buffer_names.push(b.name().to_string());
         self.slots.push(BufferSlot { space, base, len });
-        self.buffer_ids.insert((b.scope(), name), id);
+        self.buffer_ids.insert((b.scope(), b.name()), id);
         id
     }
 
-    /// The slot of the buffer an access names, looked up the way the tree
-    /// walker did: by the *access's* scope and name — a parameter slot's
-    /// being its parameter's. Undeclared global names are looked for in
-    /// device memory at launch; undeclared shared and register names do not
-    /// exist.
+    /// The slot of the buffer an access names: a parameter slot's is its
+    /// parameter's, by position; any other is looked up the way the tree
+    /// walker did, by the *access's* scope and name. Undeclared global
+    /// names are looked for in device memory at launch; undeclared shared
+    /// and register names do not exist.
     fn buffer(&mut self, b: &'k BufferRef) -> u32 {
-        let name = b.name_in(self.kernel.params());
-        if let Some(&id) = self.buffer_ids.get(&(b.scope(), name)) {
+        let params = self.kernel.params().len();
+        if let Some(param) = b.param_index().filter(|&i| i < params) {
+            return param as u32;
+        }
+        if let Some(&id) = self.buffer_ids.get(&(b.scope(), b.name())) {
             return id;
         }
         let space = match b.scope() {
             MemScope::Global => {
-                self.p.globals.push(Global {
-                    name: name.to_string(),
-                    expect: None,
-                });
-                Space::Global(self.p.globals.len() as u32 - 1)
+                self.p.undeclared.push(b.name().to_string());
+                Space::Global((params + self.p.undeclared.len() - 1) as u32)
             }
             MemScope::Shared | MemScope::Register => Space::Missing,
         };
@@ -681,8 +661,6 @@ impl<'k> Lowerer<'k> {
                 *next - 1
             })
             .collect();
-        p.lane_row = p.lane_columns.iter().sum();
-        p.n_lane = self.lane_tys.len();
 
         // Lay each file out `[lane | thread | loop | temp]` and the thread
         // stream in front of the body fragments. The lane registers outside
@@ -788,7 +766,7 @@ impl<'k> Lowerer<'k> {
         // Lane code runs now, once: what it computes is what a block's lane
         // columns start from, and what tells the threads of a range apart.
         let across = verdict::typed(&p, &p.lane_code);
-        let mut lanes = super::exec::lane_registers(&p, across);
+        let lanes = super::exec::lane_registers(&p, across);
         p.ranges = (self.stretches.iter())
             .map(|s| CodeRange {
                 kind: s.kind,
@@ -796,17 +774,21 @@ impl<'k> Lowerer<'k> {
                 verdict: verdict::judge(&p, s, lanes.as_ref().ok()),
             })
             .collect();
-        if let Ok(table) = &mut lanes {
-            table.keep(p.lane_columns.map(|columns| columns * p.block_dim));
+        match lanes {
+            Ok(table) => p.lanes = table,
+            Err(fault) => p.lane_fault = Some(fault),
         }
-        p.lanes = lanes;
+        p.lanes
+            .keep(p.lane_columns.map(|columns| columns * p.block_dim));
         p
     }
 }
 
 impl Program {
-    /// Lowers `kernel` once, for any number of launches. Never fails: what
-    /// is wrong with a kernel is reported by the launch that runs into it.
+    /// Lowers `kernel` once, for any number of launches — its own and those
+    /// of every kernel of its definition: lowering reads no name the kernel
+    /// or its parameters go by. Never fails: what is wrong with a kernel is
+    /// reported by the launch that runs into it.
     pub fn lower(kernel: &Kernel) -> Program {
         Lowerer::new(kernel).finish()
     }

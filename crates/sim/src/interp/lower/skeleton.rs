@@ -208,10 +208,7 @@ impl<'k> Lowerer<'k> {
             end,
             reg: v.reg,
             uniform: v.uniform && !part.may_fault,
-            message: format!(
-                "{what} {e} differs across threads in kernel {}",
-                self.kernel.name()
-            ),
+            message: format!("{what} {e} differs across threads"),
         };
         (control, v)
     }

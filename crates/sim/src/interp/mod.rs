@@ -1,17 +1,19 @@
 //! Functional interpreter for `hidet-ir` kernels: lower once, run flat.
 //!
-//! A kernel is lowered **once** into a [`Program`] ([`Program::lower`]) and
-//! the program is what runs, any number of times. Lowering resolves
-//! everything a tree walk would look up by name on every access:
+//! A kernel definition is lowered **once** into a [`Program`]
+//! ([`Program::lower`]) and the program is what runs, any number of times,
+//! as any kernel of the definition. Lowering resolves everything a tree
+//! walk would look up by name on every access, and keeps no name a kernel
+//! goes by — a launch takes those from the kernel it runs as:
 //!
 //! * variables become registers — and every register a *column*: the
 //!   `block_dim` values it holds, one per thread, side by side in the file
 //!   of its static type (`i64`, `f32`, `bool`; a value whose type differs by
 //!   path keeps a tagged column), block-level values one scalar each;
-//! * parameter, shared and register buffers become indices into flat
-//!   storage (device memory by dense [`crate::BufferId`], one shared array
-//!   per block, the threads' register arrays laid out like a register file,
-//!   an element a column) with row-major strides precomputed per access;
+//! * parameters become positions, and buffers indices into flat storage
+//!   (device memory by dense [`crate::BufferId`], one shared array per
+//!   block, the threads' register arrays laid out like a register file, an
+//!   element a column) with row-major strides precomputed per access;
 //! * "does this subtree contain a barrier" becomes structure: the statements
 //!   that do form a small *lockstep skeleton*, everything between them is a
 //!   straight instruction array;

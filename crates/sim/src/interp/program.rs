@@ -1,11 +1,11 @@
-//! The lowered form of a kernel: flat tables the executor indexes, with every
-//! name already resolved. Built by [`Program::lower`] (`lower/`), run by
-//! `exec.rs`.
+//! The lowered form of a kernel definition: flat tables the executor indexes,
+//! every name resolved and none a kernel goes by kept. Built by
+//! [`Program::lower`] (`lower/`), run by `exec.rs`.
 
-use hidet_ir::{BinOp, DType, UnOp};
+use hidet_ir::{BinOp, BufferRef, DType, Kernel, UnOp};
 
 use super::SimError;
-use crate::value::Value;
+use crate::{BufferId, DeviceMemory, Value};
 
 /// A register operand: which file of the block's registers it is in
 /// (`operand >> FILE_SHIFT`) and where in that file (`operand & COLUMN`).
@@ -147,7 +147,8 @@ pub(crate) fn nesting(code: &[Op]) -> usize {
 /// Where a buffer's elements live while a block runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Space {
-    /// The launch's `n`-th global buffer (device memory).
+    /// The launch's `n`-th global buffer (device memory): the kernel's
+    /// parameters first, then the buffers the body names undeclared.
     Global(u32),
     /// The block's shared storage, from `base`.
     Shared,
@@ -187,22 +188,12 @@ pub(crate) struct Access {
     /// the flat index (as in the tree walker); this bounds it when the two
     /// disagree.
     pub limit: usize,
-    /// Index into `buffer_names`.
+    /// Index into `buffer_names`: kernel parameter `buffer`, when it is one.
     pub buffer: u32,
     pub first_dim: u32,
     pub rank: u32,
     /// Element type stores convert to.
     pub dtype: DType,
-}
-
-/// A global buffer the launch must be handed.
-#[derive(Debug, Clone)]
-pub(crate) struct Global {
-    pub name: String,
-    /// `Some(elements)` for a kernel parameter (checked at launch); `None`
-    /// for a buffer the body names without declaring it, which only has to
-    /// exist if an access to it is reached.
-    pub expect: Option<usize>,
 }
 
 /// A loop extent or branch condition that encloses a barrier.
@@ -215,7 +206,7 @@ pub(crate) struct Control {
     /// Proven equal across the block and unable to fault: evaluated for
     /// thread 0 only.
     pub uniform: bool,
-    /// The `NonUniformControl` message, should threads disagree.
+    /// The `NonUniformControl` message, less the kernel's name the launch adds.
     pub message: String,
 }
 
@@ -279,7 +270,8 @@ pub enum Reason {
     /// Two of its threads touch one element of a buffer, and one of them
     /// stores it: thread order decides what ends up there.
     Overlap {
-        /// The buffer's name.
+        /// The buffer's name in the definition: a kernel parameter's is
+        /// `$<position>` ([`hidet_ir::Buffer::name`]).
         buffer: String,
         /// The element, counted from the part of the address that is the
         /// same for the whole block — or, for an address that is a function
@@ -313,7 +305,7 @@ pub struct CodeRange {
     pub verdict: Verdict,
 }
 
-/// A kernel lowered for the flat executor: variables are register slots,
+/// A kernel definition lowered for the flat executor: variables are registers,
 /// buffers are indices into flat storage with precomputed strides, barriers
 /// are structure, and every expression that provably cannot fault has been
 /// moved to the coarsest level it is constant at (see the
@@ -328,15 +320,20 @@ pub struct CodeRange {
 /// ([`Program::op_count`]; at most 4× on every kernel of the serving stack,
 /// held by `tests/interp_differential.rs`, and of the model zoo, held by
 /// `verify_sweep`).
-#[derive(Debug, Clone)]
+///
+/// It holds no name a kernel goes by: a launch takes those from the
+/// [`Kernel`] it runs as, any kernel of the definition ([`Kernel::definition`]).
+/// (The `Default` program is empty: it runs no block.)
+#[derive(Debug, Clone, Default)]
 pub struct Program {
-    pub(crate) name: String,
     pub(crate) grid_dim: usize,
     pub(crate) block_dim: usize,
     pub(crate) shared_bytes: u64,
-    /// Parameters first, in declaration order.
-    pub(crate) globals: Vec<Global>,
-    /// Names of the buffers accesses refer to, for fault reports.
+    /// Global buffers the body names undeclared, which only have to exist
+    /// if an access to one is reached; the launch's after the parameters.
+    pub(crate) undeclared: Vec<String>,
+    /// Names of the buffers accesses refer to, for fault reports: the
+    /// parameters first, as `$<position>` ([`Program::buffer_name`]).
     pub(crate) buffer_names: Vec<String>,
     pub(crate) accesses: Vec<Access>,
     pub(crate) dims: Vec<Dim>,
@@ -355,20 +352,18 @@ pub struct Program {
     /// Computes the block-uniform registers; run once per block.
     pub(crate) block_code: Vec<Op>,
     /// Computes the lane registers from `threadIdx` and constants, over
-    /// files of their own: all `n_lane` lane registers, of which the first
-    /// `lane_columns` of each file — `lane_row` in all — are the ones other
-    /// code reads. Run once per thread **per program**, by the lowering,
-    /// into `lanes`.
+    /// files of their own, of which the first `lane_columns` of each file
+    /// are the ones other code reads. Run once per thread **per program**,
+    /// by the lowering, into `lanes`.
     pub(crate) lane_code: Vec<Op>,
-    pub(crate) n_lane: usize,
-    pub(crate) lane_row: usize,
     pub(crate) lane_columns: Columns,
-    /// Columns of each file while lane code runs.
+    /// Columns of each file while lane code runs: every lane register.
     pub(crate) lane_file: Columns,
     /// What lane code computes, run once by the lowering — or how it failed,
     /// which every launch then reports. Entering a block copies the table to
     /// the front of each file.
-    pub(crate) lanes: Result<LaneTable, SimError>,
+    pub(crate) lanes: LaneTable,
+    pub(crate) lane_fault: Option<SimError>,
     /// `code[..thread_code_end]` computes the thread-invariant registers;
     /// run once per thread per block. The rest is the body's fragments and
     /// the iteration prologues of its loops.
@@ -389,11 +384,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// The kernel's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Threads per block.
     pub fn block_dim(&self) -> usize {
         self.block_dim
@@ -429,11 +419,22 @@ impl Program {
         self.code.iter().filter(through_memory).count()
     }
 
-    /// Resolves the global buffers this program addresses to their ids in
-    /// `memory`, in the order [`crate::Gpu::launch`] expects them. A buffer
-    /// that does not exist resolves to `None` and is reported by the launch
-    /// (a missing parameter) or the access that needs it.
-    pub fn resolve(&self, memory: &crate::DeviceMemory) -> Vec<Option<crate::BufferId>> {
-        self.globals.iter().map(|g| memory.id(&g.name)).collect()
+    /// Resolves the global buffers this program addresses, run as `kernel`
+    /// (of the definition it was lowered from), to their ids in `memory`, in
+    /// the order [`crate::Gpu::launch`] expects them. A buffer that does not
+    /// exist resolves to `None`, reported by the launch or the access.
+    pub fn resolve(&self, kernel: &Kernel, memory: &DeviceMemory) -> Vec<Option<BufferId>> {
+        let params = kernel.params().iter().map(|p| p.name());
+        let names = params.chain(self.undeclared.iter().map(String::as_str));
+        names.map(|name| memory.id(name)).collect()
+    }
+
+    /// What fault reports call buffer `id` of a launch as a kernel with
+    /// these `params`: a parameter its name there, any other buffer its own.
+    pub(crate) fn buffer_name<'a>(&'a self, params: &'a [BufferRef], id: u32) -> &'a str {
+        match params.get(id as usize) {
+            Some(param) => param.name(),
+            None => &self.buffer_names[id as usize],
+        }
     }
 }

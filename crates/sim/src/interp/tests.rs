@@ -574,12 +574,9 @@ fn a_single_block_kernel_has_no_thread_stream() {
     assert!(!p.lane_code.is_empty());
     // The row a thread copies holds only what other code reads, not
     // what lane code computes on the way (`threadIdx / 2`).
-    assert!(
-        0 < p.lane_row && p.lane_row < p.n_lane,
-        "{} of {}",
-        p.lane_row,
-        p.n_lane
-    );
+    let row: usize = p.lane_columns.iter().sum();
+    let all = p.lane_file.iter().sum();
+    assert!(0 < row && row < all, "{row} of {all}");
     // Every stream counts towards the program's size.
     let leaves: usize = leaves(&p).iter().map(|leaf| leaf.len()).sum();
     assert!(p.code.len() > leaves, "the prologue is code too");
@@ -957,22 +954,23 @@ fn relaunching_a_program_needs_no_names() {
     let x = kb.param("X", DType::F32, &[8]);
     let i = block_idx() * 4 + thread_idx();
     kb.push(store(&x, vec![i.clone()], load(&x, vec![i]) + 1.0f32));
-    let program = Program::lower(&kb.build());
+    let kernel = kb.build();
+    let program = Program::lower(&kernel);
     let gpu = crate::Gpu::default();
     let mut mem = DeviceMemory::new();
     mem.alloc_zeroed("X", 8);
-    let buffers = program.resolve(&mem);
+    let buffers = program.resolve(&kernel, &mem);
     for _ in 0..3 {
-        gpu.launch(&program, &buffers, &mut mem).unwrap();
+        gpu.launch(&program, &kernel, &buffers, &mut mem).unwrap();
     }
     assert_eq!(mem.read("X"), &[3.0; 8]);
     // Ids from another memory, or none at all, are launch errors.
-    let err = gpu.launch(&program, &[], &mut mem).unwrap_err();
+    let err = gpu.launch(&program, &kernel, &[], &mut mem).unwrap_err();
     assert_eq!(err, SimError::MissingBuffer("X".into()));
     let mut other = DeviceMemory::new();
-    let err = gpu.launch(&program, &buffers, &mut other).unwrap_err();
+    let err = gpu.launch(&program, &kernel, &buffers, &mut other);
     assert!(
-        matches!(err, SimError::BufferSizeMismatch { actual: 0, .. }),
-        "{err}"
+        matches!(err, Err(SimError::BufferSizeMismatch { actual: 0, .. })),
+        "{err:?}"
     );
 }

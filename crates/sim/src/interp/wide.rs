@@ -354,12 +354,12 @@ impl<'a> Block<'a> {
         if to & ELEMENT != 0 {
             return every_lane(zip(self.element(element_offset(to))?, a, b, f, active));
         }
-        let (p, regs) = (self.p, self.regs);
+        let (p, params, regs) = (self.p, self.params, self.regs);
         let access = &p.accesses[(to & !MEM) as usize];
         if !matches!(access.dtype, DType::F32 | DType::F16) || !self.addresses(access) {
             return Ok(false);
         }
-        let past = |at: usize| past_the_end(p, access, at);
+        let past = |at: usize| past_the_end(p, params, access, at);
         let mut ok = true;
         let mut put = |lane: usize, old: f32| {
             let new = f(old, a.at(lane), b.at(lane));
@@ -388,7 +388,7 @@ impl<'a> Block<'a> {
                     slot.set(put(lane, slot.get()));
                 }
             }
-            Space::Missing => return Err(missing(p, access)),
+            Space::Missing => return Err(missing(self, access)),
         }
         every_lane(ok)
     }
@@ -564,8 +564,8 @@ impl<'a> Block<'a> {
         at: impl Iterator<Item = usize>,
         active: impl Active,
     ) -> Result<bool, Fault> {
-        let p = self.p;
-        let past = |at: usize| past_the_end(p, a, at);
+        let (p, params) = (self.p, self.params);
+        let past = |at: usize| past_the_end(p, params, a, at);
         let lanes = out.iter().zip(at).enumerate();
         let lanes = lanes.filter(|&(lane, _)| active.on(lane));
         match a.space {
@@ -585,7 +585,7 @@ impl<'a> Block<'a> {
                     out.set(self.local(at, lane).ok_or_else(|| past(at))?.get());
                 }
             }
-            Space::Missing => return Err(missing(p, a)),
+            Space::Missing => return Err(missing(self, a)),
         }
         Ok(true)
     }
@@ -702,6 +702,7 @@ mod tests {
                     shared: &[],
                     memory: &mut memory,
                     globals: &[],
+                    params: &[],
                 };
                 if across {
                     let formed = match on == [true; LANES] {
@@ -756,7 +757,8 @@ mod tests {
             let y = &outputs[3];
             kb.push(store(y, at(), load(y, at()) * load(&input, at())));
             kb.push(store(y, at(), load(y, at()) + load(&r, own()) * 0.5f32));
-            let wide = Program::lower(&kb.build());
+            let kernel = kb.build();
+            let wide = Program::lower(&kernel);
             assert!(wide.ranges.iter().all(|r| r.verdict == Verdict::Wide), "{:?}", wide.ranges);
             let mut in_turn = wide.clone();
             for range in &mut in_turn.ranges {
@@ -764,13 +766,13 @@ mod tests {
             }
             let memory = |p: &Program| {
                 let mut memory = DeviceMemory::new();
-                memory.alloc("X", &x);
-                for global in &p.globals[1..] {
-                    memory.alloc(&global.name, &x);
+                for param in kernel.params() {
+                    memory.alloc(param.name(), &x);
                 }
-                crate::Gpu::default().launch(p, &p.resolve(&memory), &mut memory).expect("runs");
-                let bits = |name: &String| memory.read(name).iter().map(|x| x.to_bits()).collect();
-                p.globals.iter().map(|g| bits(&g.name)).collect::<Vec<Vec<u32>>>()
+                let buffers = p.resolve(&kernel, &memory);
+                crate::Gpu::default().launch(p, &kernel, &buffers, &mut memory).expect("runs");
+                let bits = |name: &str| memory.read(name).iter().map(|x| x.to_bits()).collect();
+                kernel.params().iter().map(|g| bits(g.name())).collect::<Vec<Vec<u32>>>()
             };
             // (The last buffer holds arithmetic: NaN or not, as above.)
             let (mut wide, mut in_turn) = (memory(&wide), memory(&in_turn));

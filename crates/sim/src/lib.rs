@@ -8,11 +8,11 @@
 //!   kernels — thread blocks dispatched over the grid, threads run in lockstep
 //!   across `__syncthreads()` barriers, shared memory and register files
 //!   faithfully scoped — used to validate every generated kernel against the
-//!   reference CPU executor. A kernel is lowered once into a slot-resolved
-//!   [`Program`] (variables → registers, buffers → flat storage, every
-//!   index computed at the level its task mapping fixes it — per lane, per
-//!   block, per thread, per loop iteration — constant tile loops unrolled)
-//!   and the program is what every launch runs;
+//!   reference CPU executor. A kernel definition is lowered once into a
+//!   name-free [`Program`] (variables → registers, buffers → flat storage,
+//!   parameters → positions, every index computed at the level its task
+//!   mapping fixes it, constant tile loops unrolled) and the program is what
+//!   every launch runs;
 //! * an **analytic latency model** ([`cost`]) calibrated to RTX 3090
 //!   specifications ([`GpuSpec::rtx3090`]) that charges global-memory traffic
 //!   against DRAM bandwidth, FLOPs against CUDA-core/Tensor-Core throughput,
@@ -62,7 +62,7 @@ pub use memory::{BufferId, DeviceMemory};
 pub use spec::GpuSpec;
 pub use value::Value;
 
-use hidet_ir::Kernel;
+pub use hidet_ir::Kernel;
 
 /// A simulated GPU device: functional execution + latency estimation.
 #[derive(Debug, Clone)]
@@ -91,23 +91,24 @@ impl Gpu {
     /// (shared memory per block exceeding the device limit).
     pub fn run(&self, kernel: &Kernel, memory: &mut DeviceMemory) -> Result<(), SimError> {
         let program = Program::lower(kernel);
-        self.launch(&program, &program.resolve(memory), memory)
+        self.launch(&program, kernel, &program.resolve(kernel, memory), memory)
     }
 
-    /// Launches an already-lowered kernel. `buffers` are the program's
-    /// global buffers in `memory`, as [`Program::resolve`] returned them —
-    /// resolved once for as long as the names stay bound, so a steady stream
-    /// of launches looks nothing up by name.
+    /// Launches `program` as `kernel`, of the definition it was lowered from.
+    /// `buffers` are the program's global buffers in `memory`, as
+    /// [`Program::resolve`] returned them — resolved once for as long as the
+    /// names stay bound, so a steady stream of launches looks nothing up.
     ///
     /// # Errors
     /// As [`Gpu::run`].
     pub fn launch(
         &self,
         program: &Program,
+        kernel: &Kernel,
         buffers: &[Option<BufferId>],
         memory: &mut DeviceMemory,
     ) -> Result<(), SimError> {
-        interp::launch(program, buffers, memory, &self.spec)
+        interp::launch(program, kernel, buffers, memory, &self.spec)
     }
 
     /// Estimates the execution latency of `kernel` on this device.

@@ -110,7 +110,10 @@ proptest! {
     /// it changes nothing: `branches` copies of one random chain off the
     /// same input, each with its own constants, summed. Every group of the
     /// plan is what `compile_group` makes of it alone, the groups of one
-    /// definition run one `KernelDef`, and the plan matches the reference.
+    /// definition run one `KernelDef`, the plan lowers each definition once
+    /// — two kernels share a program exactly when they share a definition,
+    /// in the plan and in a clone of it — and the plan matches the
+    /// reference.
     #[test]
     fn repeated_blocks_share_definitions_and_match_reference(
         rows in 2i64..12,
@@ -148,6 +151,20 @@ proptest! {
                 "group {} does not run group {}'s definitions (steps {:?})", i, s, &steps
             );
         }
+        let clone = compiled.plan().clone();
+        let programs = compiled.plan().programs();
+        let kernels: Vec<_> = compiled.groups().iter().flat_map(|g| &g.kernels).collect();
+        prop_assert_eq!(programs.len(), kernels.len());
+        for (a, (ka, pa)) in kernels.iter().zip(programs).enumerate() {
+            for (kb, pb) in kernels.iter().zip(programs).skip(a + 1) {
+                prop_assert_eq!(
+                    Arc::ptr_eq(pa, pb),
+                    Arc::ptr_eq(ka.definition(), kb.definition()),
+                    "{} and {} (steps {:?})", ka.name(), kb.name(), &steps
+                );
+            }
+        }
+        prop_assert!(clone.programs().iter().zip(programs).all(|(a, b)| Arc::ptr_eq(a, b)));
 
         let data = Tensor::randn(&[rows, cols], seed ^ 0xCAFE).data().unwrap().to_vec();
         let mut inputs = HashMap::new();

@@ -1,9 +1,8 @@
 //! Differential test of the flat `hidet_sim::Program` executor against the
-//! tree-walking interpreter it replaced (`support/walker.rs`, kept as a
-//! test-only oracle through the PR that taught the lowering to unroll; it
-//! goes in the one after).
+//! tree-walking interpreter it replaced (`support/walker.rs`, kept as the
+//! test-only differential oracle).
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! * **bit-identical memory** — every kernel of the fuzz suite's random
 //!   graphs, of the decode step graph, of a prefill chunk graph and of the
@@ -12,12 +11,17 @@
 //! * **identical faults** — a kernel that faults returns the same
 //!   `SimError` variant and payload from both, and a kernel whose fault sits
 //!   in an untaken branch or a zero-trip loop runs clean on both (faults are
-//!   raised when reached, never at lowering time).
+//!   raised when reached, never at lowering time) — and a program shared by
+//!   the kernels of one definition names, in each fault, the kernel that
+//!   launched it;
+//! * **name-free lowering** — every kernel the plans above lower gives the
+//!   same program under fresh names, and it is the one its plan shares
+//!   among the kernels of its definition.
 
 use hidet::prelude::*;
 use hidet_graph::GraphBuilder;
 use hidet_ir::prelude::*;
-use hidet_sim::{DeviceMemory, SimError};
+use hidet_sim::{DeviceMemory, Program, SimError};
 use proptest::prelude::*;
 
 #[path = "support/fuzz_graphs.rs"]
@@ -59,6 +63,35 @@ fn assert_same_memory(walker: &DeviceMemory, program: &DeviceMemory, after: &str
     }
 }
 
+/// Every kernel of `plan` with its program, in launch order.
+fn lowered(plan: &CompilePlan) -> impl Iterator<Item = (&Kernel, &Program)> {
+    let kernels = plan.groups().iter().flat_map(|g| &g.kernels);
+    kernels.zip(plan.programs().iter().map(|p| &**p))
+}
+
+/// Lowering reads no name: `kernel` lowers to `program`, the one its plan
+/// shares among the kernels of its definition, and so does `kernel` under
+/// fresh names for itself and every parameter.
+fn assert_lowers_without_names(kernel: &Kernel, program: &Program) {
+    let fresh: Vec<String> = (0..kernel.params().len())
+        .map(|i| format!("fresh_{i}"))
+        .collect();
+    let shared = format!("{program:?}");
+    assert_eq!(
+        format!("{:?}", Program::lower(kernel)),
+        shared,
+        "{}",
+        kernel.name()
+    );
+    let renamed = kernel.renamed("fresh", &fresh);
+    assert_eq!(
+        format!("{:?}", Program::lower(&renamed)),
+        shared,
+        "{} renamed",
+        kernel.name()
+    );
+}
+
 /// Runs `graph`'s compiled plan kernel by kernel on both interpreters —
 /// the walker on the kernels, the executor on the plan's cached programs —
 /// from identical seeded memory, comparing all of memory after every launch.
@@ -91,9 +124,10 @@ fn assert_plan_is_bit_identical(graph: &Graph, options: &CompilerOptions, seed: 
         }
         for kernel in &group.kernels {
             let program = programs.next().expect("one program per kernel");
-            assert_eq!(program.name(), kernel.name());
+            assert_lowers_without_names(kernel, program);
             walker::run_kernel(kernel, &mut walker_mem, gpu.spec()).expect("walker runs");
-            gpu.launch(program, &program.resolve(&program_mem), &mut program_mem)
+            let buffers = program.resolve(kernel, &program_mem);
+            gpu.launch(program, kernel, &buffers, &mut program_mem)
                 .expect("program runs");
             assert_same_memory(&walker_mem, &program_mem, kernel.name());
         }
@@ -181,9 +215,7 @@ fn programs_stay_proportional_to_the_ir() {
     for (graph, options, kernels) in cases {
         let compiled = hidet::compile(&graph, &gpu, &options).expect("graph compiles");
         assert_eq!(compiled.num_kernels(), kernels, "{}", graph.name());
-        let plan = compiled.plan();
-        let lowered = plan.groups().iter().flat_map(|g| &g.kernels);
-        for (kernel, program) in lowered.zip(plan.programs()) {
+        for (kernel, program) in lowered(compiled.plan()) {
             let nodes = hidet_ir::visit::count_nodes(kernel.body());
             assert!(
                 program.op_count() <= 4 * nodes,
@@ -205,12 +237,12 @@ fn the_tuned_tile_loops_unroll() {
     let gpu = Gpu::default();
     let tuned = CompilerOptions::tuned();
     let head = hidet::compile(&head8(), &gpu, &tuned).expect("head compiles");
-    for program in head.plan().programs() {
-        assert_eq!(program.rolled_loops(), 0, "{}", program.name());
+    for (kernel, program) in lowered(head.plan()) {
+        assert_eq!(program.rolled_loops(), 0, "{}", kernel.name());
     }
     let cnn = hidet::compile(&cnn_block8(), &gpu, &tuned).expect("cnn_block compiles");
-    for program in cnn.plan().programs() {
-        assert_eq!(program.memory_multiply_adds(), 0, "{}", program.name());
+    for (kernel, program) in lowered(cnn.plan()) {
+        assert_eq!(program.memory_multiply_adds(), 0, "{}", kernel.name());
     }
 }
 
@@ -245,27 +277,22 @@ fn the_serving_kernels_run_mostly_wide() {
         let compiled = hidet::compile(&graph, &gpu, &options).expect("graph compiles");
         let mut summary = LaneSummary::default();
         let mut left = Vec::new();
-        for program in compiled.plan().programs() {
+        for (kernel, program) in lowered(compiled.plan()) {
             summary.add(program);
             for range in program.ranges() {
                 // The hoisted streams never fault, diverge or store.
                 if range.kind != RangeKind::Leaf {
-                    assert_eq!(
-                        range.verdict,
-                        Verdict::Wide,
-                        "{}: {range:?}",
-                        program.name()
-                    );
+                    assert_eq!(range.verdict, Verdict::Wide, "{}: {range:?}", kernel.name());
                 }
                 // No leaf of a partial tile is left per thread either.
                 if let Verdict::PerThread(_) = &range.verdict {
-                    left.push(format!("{}: {range:?}", program.name()));
+                    left.push(format!("{}: {range:?}", kernel.name()));
                 }
             }
             // A matmul: the zeroing, the fills, the `k0` compute leaf and
             // whatever else precedes the predicated write-back run wide, and
             // so does the write-back.
-            if program.name().starts_with("matmul") && options.order_stable_reductions {
+            if kernel.name().starts_with("matmul") && options.order_stable_reductions {
                 let (write_back, rest) = program.ranges().split_last().expect("ranges");
                 assert!(rest.iter().all(|r| r.verdict == Verdict::Wide), "{rest:?}");
                 assert_eq!(write_back.verdict, Verdict::Wide);
@@ -1289,6 +1316,53 @@ fn launch_and_barrier_faults_match() {
     let walked = walker::run_kernel(&kernel, &mut empty.clone(), gpu.spec());
     assert_eq!(walked, Err(SimError::MissingBuffer("X".into())));
     assert_eq!(gpu.run(&kernel, &mut empty), walked);
+}
+
+/// A program is its definition's, and every kernel of the definition runs
+/// it: launched as either of two kernels whose parameters go by different
+/// names, an out-of-bounds load, a non-uniform condition around a barrier
+/// and a missized parameter each carry the names of the kernel that
+/// launched — the payload the walker gives for that kernel.
+#[test]
+fn faults_name_the_kernel_that_launched() {
+    type Body = dyn Fn(&BufferRef, &BufferRef) -> Stmt;
+    let t = thread_idx;
+    let out_of_bounds =
+        move |x: &BufferRef, y: &BufferRef| store(y, vec![t()], load(x, vec![t() + 1]));
+    let non_uniform = move |_: &BufferRef, y: &BufferRef| {
+        let body = seq(vec![store(y, vec![t()], fconst(1.0)), sync_threads()]);
+        if_then(t().lt(2), body)
+    };
+    let copy = move |x: &BufferRef, y: &BufferRef| store(y, vec![t()], load(x, vec![t()]));
+    let gpu = Gpu::default();
+    for (what, body, x_len) in [
+        ("out_of_bounds", &out_of_bounds as &Body, 4),
+        ("non_uniform", &non_uniform, 4),
+        ("missized", &copy, 2),
+    ] {
+        let mut kb = KernelBuilder::new(what, 1, 4);
+        let x = kb.param("X", DType::F32, &[4]);
+        let y = kb.param("Y", DType::F32, &[4]);
+        kb.push(body(&x, &y));
+        let first = kb.build();
+        let second = first.renamed(&format!("{what}_renamed"), &["A", "B"]);
+        let program = Program::lower(&first);
+        let mut faults = Vec::new();
+        for kernel in [&first, &second] {
+            let mut mem = DeviceMemory::new();
+            mem.alloc(kernel.params()[0].name(), &seeded(x_len, 5));
+            mem.alloc(kernel.params()[1].name(), &seeded(4, 6));
+            let walked = walker::run_kernel(kernel, &mut mem.clone(), gpu.spec()).expect_err(what);
+            let buffers = program.resolve(kernel, &mem);
+            let ran = gpu.launch(&program, kernel, &buffers, &mut mem);
+            assert_eq!(ran, Err(walked.clone()), "{what} as {}", kernel.name());
+            faults.push(walked);
+        }
+        assert_ne!(
+            faults[0], faults[1],
+            "{what}: the faults name their kernels"
+        );
+    }
 }
 
 // ---- guards and lane masks ---------------------------------------------------
