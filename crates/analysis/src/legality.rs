@@ -168,9 +168,8 @@ pub fn check_schedule(
 
 /// Proves a memory plan sound: every slot a well-formed interval inside the
 /// arena, names unique, and **no two slots with overlapping live intervals
-/// sharing arena bytes** — the liveness proof that subsumes the planner's
-/// own `find_alias` debug check (that one only finds the first pair; this
-/// one reports every violation, with rule codes).
+/// sharing arena bytes** — the liveness proof; it reports every violation,
+/// with rule codes.
 pub fn check_plan(slots: &[PlanSlot], arena_len: usize, location: &str) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for s in slots {

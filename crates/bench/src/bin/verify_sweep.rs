@@ -8,8 +8,9 @@
 //!    plus the decode-step and prefill-chunk graphs) deep-verifies clean as
 //!    imported, after `lower_convs`, and after `constant_fold`, and its
 //!    fusion partition covers the graph exactly once;
-//! 2. **pipeline**: a full compile at `VerifyLevel::Deep` — every stage
-//!    verifier (graph, partition, schedule, memory plan) armed — succeeds;
+//! 2. **pipeline**: a full compile of a decode step and a prefill chunk —
+//!    every stage verifier (graph, partition, schedule, memory plan) armed —
+//!    succeeds, and the graph it compiled deep-verifies clean;
 //! 3. **artifact load and coalesced generation**: the compiled artifact
 //!    round-trips through `compile_from_artifact`, which re-proves every
 //!    recorded schedule and the rebuilt memory plan with the same checkers;
@@ -172,16 +173,19 @@ fn main() {
     }
     print_table(&["model", "ops", "diagnostics"], &rows);
 
-    // --- 2 + 3. full pipeline at Deep, then the artifact round-trip -------
+    // --- 2 + 3. full pipeline, deep-verified, then the artifact round-trip -
     let gpu = Gpu::default();
-    let options = CompilerOptions::quick().verify_deep();
+    let options = CompilerOptions::quick();
     for graph in [models::gpt2_decode_step(1, 16), models::gpt2_prefill(4, 16)] {
         let compiled = hidet::compile(&graph, &gpu, &options)
-            .unwrap_or_else(|e| panic!("{} failed deep-verified compile: {e}", graph.name()));
+            .unwrap_or_else(|e| panic!("{} failed verified compile: {e}", graph.name()));
+        // The compile re-proves the graph's structure after every pass; the
+        // deep rules run here, on the graph it compiled.
+        diags.extend(verify_graph(compiled.graph(), VerifyLevel::Deep));
         let artifact = compiled.artifact().clone();
         hidet::compile_from_artifact(&graph, &gpu, &options, artifact)
             .unwrap_or_else(|e| panic!("{} artifact re-load rejected: {e}", graph.name()));
-        checks += 2;
+        checks += 3;
         println!(
             "{}: deep-verified compile + artifact re-load clean ({} kernels)",
             graph.name(),

@@ -54,22 +54,18 @@ pub fn compile_hashed(
     // tuning nests a `Tune` span under it. Compiles are not tied to a single
     // request, so the span is unattributed (trace id 0).
     let _span = hidet_trace::global().span(hidet_trace::SpanKind::Compile, 0);
-    let level = options.verify_level;
-    let (g, groups) = lower_and_partition(graph, level)?;
+    let (g, groups) = lower_and_partition(graph, VerifyLevel::Cheap)?;
 
     // Tune each distinct matmul problem once, then decide every group's
     // schedule by looking its problem up.
     let tuned = tune_problems(&g, &groups, gpu, options);
-    let verify_as = (level > VerifyLevel::Off).then_some("memory planning");
-    let (plan, schedules) = generate_and_plan(g, &groups, verify_as, |g, i| {
+    let (plan, schedules) = generate_and_plan(g, &groups, "memory planning", |g, i| {
         let schedule = schedule_group(g, &groups[i], gpu, options, &tuned)?;
-        if level > VerifyLevel::Off {
-            // Re-prove the elected schedule against the device — the tuner
-            // and the ablation clamps must never hand kernel generation an
-            // illegal config.
-            let diags = check_group_schedule(g, &groups[i], &schedule, gpu, options, i);
-            verify_stage(diags, "tuning")?;
-        }
+        // Re-prove the elected schedule against the device — the tuner and
+        // the ablation clamps must never hand kernel generation an illegal
+        // config.
+        let diags = check_group_schedule(g, &groups[i], &schedule, gpu, options, i);
+        verify_stage(diags, "tuning")?;
         Ok(schedule)
     })?;
     // The artifact records what its schedules cost to find: what a warm
@@ -94,18 +90,14 @@ pub fn compile_hashed(
 /// The front end both compile paths share: clone, lower convolutions, fold
 /// constants, partition into fused groups. Each rewriting pass rebuilds the
 /// op/tensor tables, so at `level` above `Off` the IR invariants are
-/// re-proved behind it — structural checks after every pass, the deep (shape
-/// re-inference + KV family) sweep once, after the last rewrite.
+/// re-proved behind it, and the partition after the last rewrite.
 fn lower_and_partition(
     graph: &Graph,
     level: VerifyLevel,
 ) -> Result<(Graph, Vec<FusedGroup>), CompileError> {
     let mut g = graph.clone();
     lower_convs(&mut g);
-    verify_stage(
-        analysis::verify_graph(&g, level.min(VerifyLevel::Cheap)),
-        "lower_convs",
-    )?;
+    verify_stage(analysis::verify_graph(&g, level), "lower_convs")?;
     constant_fold(&mut g);
     verify_stage(analysis::verify_graph(&g, level), "constant_fold")?;
     let groups = partition(&g);
@@ -119,12 +111,12 @@ fn lower_and_partition(
 /// `i`'s schedule, in group order up to the first group it rejects; the
 /// groups before that one are generated, and the first error in group
 /// order — a group that fails to generate, else the rejection — is
-/// returned. Then the intermediates' arena is planned and, when `verify_as`
-/// names the stage, re-proved before anything runs on it.
+/// returned. Then the intermediates' arena is planned and re-proved, as
+/// stage `verify_as`, before anything runs on it.
 fn generate_and_plan(
     g: Graph,
     groups: &[FusedGroup],
-    verify_as: Option<&str>,
+    verify_as: &str,
     mut schedule: impl FnMut(&Graph, usize) -> Result<GroupSchedule, CompileError>,
 ) -> Result<(CompilePlan, Vec<GroupSchedule>), CompileError> {
     let mut schedules = Vec::with_capacity(groups.len());
@@ -143,9 +135,7 @@ fn generate_and_plan(
         return Err(e);
     }
     let memory_plan = MemoryPlan::build(&g, &compiled);
-    if let Some(stage) = verify_as {
-        verify_stage(memory_plan.verify(g.name()), stage)?;
-    }
+    verify_stage(memory_plan.verify(g.name()), verify_as)?;
     let plan = CompilePlan {
         graph: g,
         groups: compiled,
@@ -248,7 +238,7 @@ pub fn compile_from_artifact_hashed(
     // hand-edited file): re-prove full legality, not just "fits" — a
     // corrupted/oversized config is rejected with its diagnostics, never
     // fed to kernel generation.
-    let verify_as = Some("memory planning (artifact load)");
+    let verify_as = "memory planning (artifact load)";
     let (plan, _) = generate_and_plan(g, &groups, verify_as, |g, i| {
         let schedule = artifact.schedules[i];
         let diags = check_group_schedule(g, &groups[i], &schedule, gpu, options, i);
@@ -422,7 +412,6 @@ mod tests {
                         matmul,
                         order_stable_reductions,
                         measure_top_k,
-                        ..CompilerOptions::tuned()
                     };
                     if let Some(other) = seen.insert(options.cache_key_bits(), options.clone()) {
                         panic!("{options:?} and {other:?} share a key");

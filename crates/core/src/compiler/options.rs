@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use hidet_analysis::VerifyLevel;
 use hidet_sched::TunerPolicy;
 use hidet_sim::SimError;
 
@@ -73,7 +72,7 @@ pub enum MatmulChoice {
 }
 
 /// Compiler options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompilerOptions {
     /// How matmul anchors are scheduled.
     pub matmul: MatmulChoice,
@@ -93,18 +92,6 @@ pub struct CompilerOptions {
     /// `K`. `None` enumerates exhaustively (the paper's configuration;
     /// [`CompilerOptions::exhaustive`]).
     pub measure_top_k: Option<usize>,
-    /// How much of the in-pipeline verifier runs (see
-    /// [`hidet_analysis::VerifyLevel`]). [`VerifyLevel::Cheap`] (the
-    /// default) re-proves structural graph invariants after each rewriting
-    /// pass plus schedule/plan legality; [`VerifyLevel::Deep`] adds full
-    /// shape re-inference and the KV-cache family rules;
-    /// [`VerifyLevel::Off`] runs none of it (the artifact rebuild lowers
-    /// at that level and re-proves the recorded schedules and the plan
-    /// instead). Verification never changes *what gets compiled* — only
-    /// whether a broken pipeline aborts with [`CompileError::Verify`] or
-    /// miscompiles — so it takes no part in
-    /// [`CompilerOptions::cache_key_bits`] or equality.
-    pub verify_level: VerifyLevel,
 }
 
 impl CompilerOptions {
@@ -114,7 +101,6 @@ impl CompilerOptions {
             matmul: MatmulChoice::Tuned,
             order_stable_reductions: false,
             measure_top_k: Some(DEFAULT_MEASURE_TOP_K),
-            verify_level: VerifyLevel::Cheap,
         }
     }
 
@@ -159,18 +145,10 @@ impl CompilerOptions {
         self
     }
 
-    /// Turns on deep verification (shape re-inference, KV-family rules)
-    /// after every rewriting pass.
-    pub fn verify_deep(mut self) -> CompilerOptions {
-        self.verify_level = VerifyLevel::Deep;
-        self
-    }
-
     /// A stable fingerprint of every option that changes *what gets
     /// compiled*. The pruning depth participates — a different measurement
-    /// set can crown a different schedule. The verify level does not: it
-    /// gates whether bugs abort, never what is produced. Used by the
-    /// runtime's compiled-graph cache key and artifact file names. Bit 0 is
+    /// set can crown a different schedule. Used by the runtime's
+    /// compiled-graph cache key and artifact file names. Bit 0 is
     /// [`MatmulChoice::Tuned`], bit 1 [`MatmulChoice::Compact`]; bit 2 is
     /// unused: closing the gap would rename every stored artifact.
     pub fn cache_key_bits(&self) -> u64 {
@@ -189,16 +167,6 @@ impl CompilerOptions {
         TunerPolicy {
             measure_top_k: self.measure_top_k,
         }
-    }
-}
-
-impl PartialEq for CompilerOptions {
-    /// Equality over the compilation-relevant fields. `verify_level` is
-    /// execution strategy, not compilation input, and does not participate.
-    fn eq(&self, other: &CompilerOptions) -> bool {
-        self.matmul == other.matmul
-            && self.order_stable_reductions == other.order_stable_reductions
-            && self.measure_top_k == other.measure_top_k
     }
 }
 

@@ -66,7 +66,6 @@ pub use compiler::{
     CompilePlan, CompiledGraph, CompilerOptions, MatmulChoice, DEFAULT_MEASURE_TOP_K,
 };
 pub use executor::HidetExecutor;
-pub use hidet_analysis::VerifyLevel;
 pub use plan::{MemoryPlan, PlannedSlot, Workspace};
 
 /// Commonly used items across the whole stack.

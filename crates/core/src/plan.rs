@@ -186,10 +186,8 @@ impl MemoryPlan {
 
     /// Proves the plan sound through `hidet_analysis::check_plan`: slot
     /// intervals well-formed, every window inside the arena, names unique,
-    /// and no two lifetime-overlapping slots sharing bytes. Subsumes
-    /// [`MemoryPlan::find_alias`] (which reports only the first aliasing
-    /// pair, without rule codes); the compiler runs this after planning and
-    /// again on artifact load.
+    /// and no two lifetime-overlapping slots sharing bytes. The compiler
+    /// runs this after planning and again on artifact load.
     pub fn verify(&self, location: &str) -> Vec<hidet_analysis::Diagnostic> {
         let slots: Vec<hidet_analysis::PlanSlot> = self
             .slots
@@ -203,21 +201,6 @@ impl MemoryPlan {
             })
             .collect();
         hidet_analysis::check_plan(&slots, self.arena_len, location)
-    }
-
-    /// Debug check: no two buffers whose live intervals overlap may share
-    /// arena bytes. Returns the first violating pair, if any.
-    pub fn find_alias(&self) -> Option<(&PlannedSlot, &PlannedSlot)> {
-        for (i, a) in self.slots.iter().enumerate() {
-            for b in &self.slots[i + 1..] {
-                let lifetimes_overlap = a.birth <= b.death && b.birth <= a.death;
-                let bytes_overlap = a.offset < b.offset + b.len && b.offset < a.offset + a.len;
-                if lifetimes_overlap && bytes_overlap {
-                    return Some((a, b));
-                }
-            }
-        }
-        None
     }
 
     pub(crate) fn id(&self) -> u64 {
@@ -344,10 +327,7 @@ impl Workspace {
     }
 
     /// The workspace's device memory (inputs, constants, planned
-    /// intermediates and the arena) — read access for stateful drivers that
-    /// copy results device-to-device (e.g. appending a decode step's KV rows
-    /// into a persistent cache arena via
-    /// [`hidet_sim::DeviceMemory::copy_from`]).
+    /// intermediates and the arena), read-only.
     pub fn device_memory(&self) -> &DeviceMemory {
         &self.mem
     }
@@ -385,9 +365,8 @@ impl Workspace {
     }
 
     /// Runs `plan`'s kernels against inputs already staged in this
-    /// workspace's device memory (via [`Workspace::input_mut`] or
-    /// [`hidet_sim::DeviceMemory::copy_from`]). Group outputs and scratch
-    /// are zeroed exactly as in
+    /// workspace's device memory (via [`Workspace::input_mut`]). Group
+    /// outputs and scratch are zeroed exactly as in
     /// [`CompilePlan::run_with`](crate::CompilePlan::run_with); results stay
     /// device-side, readable through [`Workspace::output`].
     ///
@@ -482,7 +461,7 @@ mod tests {
             plan.peak_bytes(),
             plan.unplanned_bytes()
         );
-        assert!(plan.find_alias().is_none(), "{:?}", plan.find_alias());
+        assert_eq!(plan.verify("test"), vec![]);
     }
 
     #[test]
@@ -501,7 +480,7 @@ mod tests {
             compiled.plan().groups().len(),
             "graph outputs live past the last group"
         );
-        assert!(plan.find_alias().is_none());
+        assert_eq!(plan.verify("test"), vec![]);
     }
 
     #[test]
@@ -595,19 +574,6 @@ mod tests {
         // Non-input tensors are rejected.
         let err = ws.input_mut(compiled.plan(), y).unwrap_err();
         assert!(matches!(err, CompileError::BadInput(_)), "{err}");
-    }
-
-    #[test]
-    fn device_memory_exposes_staged_buffers_for_d2d_copies() {
-        let (graph, x, _) = chain();
-        let gpu = Gpu::default();
-        let compiled = compile(&graph, &gpu, &CompilerOptions::quick()).unwrap();
-        let mut ws = Workspace::new();
-        ws.input_mut(compiled.plan(), x).unwrap()[0] = 42.0;
-        let mut other = hidet_sim::DeviceMemory::new();
-        other.alloc_zeroed("dst", 4);
-        other.copy_from("dst", 1, ws.device_memory(), &tensor_buffer_name(x), 0, 1);
-        assert_eq!(other.read("dst"), &[0.0, 42.0, 0.0, 0.0]);
     }
 
     /// Two dense convolutions (lowered to implicit GEMM, their weights

@@ -12,7 +12,7 @@
 //!      (DecodeSession)                  │   gather KV → forward pass       │
 //!                                       │   → append KV → argmax           │
 //!                                       └───────────▲──────────────────────┘
-//!                                      block-granular KV arena (DeviceMemory)
+//!                                      block-granular KV arena (one Vec<f32>)
 //!                                        eviction + recompute on pressure
 //! ```
 //!
@@ -54,9 +54,9 @@
 //! proptest).
 //!
 //! KV caches live in a persistent [`KvAllocator`](crate::KvAllocator) arena
-//! between steps; step inputs are staged and harvested **device-to-device**
-//! ([`hidet::Workspace::input_mut`] / [`hidet_sim::DeviceMemory::copy_from`]),
-//! so the steady state performs zero heap allocations for caches. Under
+//! between steps; step inputs are staged and outputs harvested in place
+//! ([`hidet::Workspace::input_mut`] / [`hidet::Workspace::output`]), so the
+//! steady state performs zero heap allocations for caches. Under
 //! memory pressure the scheduler preempts the lowest-ranked sequence
 //! (priority, then admission order), frees its blocks and later rebuilds
 //! them by re-feeding its tokens — eviction + recompute, counted in

@@ -7,7 +7,6 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use hidet_graph::{Graph, Tensor, TensorId};
-use hidet_sched::tensor_buffer_name;
 
 use super::config::DecodeError;
 
@@ -165,9 +164,8 @@ pub(super) struct PassDef {
     pub(super) mask_id: TensorId,
     pub(super) past_ids: Vec<(TensorId, TensorId)>,
     pub(super) logits_id: TensorId,
-    /// Device-buffer names of the per-layer `new_k`/`new_v` graph outputs,
-    /// precomputed so the per-pass KV harvest never allocates.
-    pub(super) cache_out_names: Vec<(String, String)>,
+    /// The per-layer `new_k`/`new_v` graph outputs.
+    pub(super) cache_out_ids: Vec<(TensorId, TensorId)>,
 }
 
 impl PassDef {
@@ -276,7 +274,7 @@ fn validate_pass(
     check(x_id, &[seqs * chunk, spec.hidden], "input x")?;
     check(mask_id, &[rows, chunk, past + chunk], "input mask")?;
     let mut past_ids = Vec::with_capacity(spec.layers);
-    let mut cache_out_names = Vec::with_capacity(spec.layers);
+    let mut cache_out_ids = Vec::with_capacity(spec.layers);
     for l in 0..spec.layers {
         let pk = graph.inputs()[2 + 2 * l];
         let pv = graph.inputs()[3 + 2 * l];
@@ -287,7 +285,7 @@ fn validate_pass(
         let nv = graph.outputs()[2 + 2 * l];
         check(nk, &[rows, past + chunk, head_dim], "new_k output")?;
         check(nv, &[rows, past + chunk, head_dim], "new_v output")?;
-        cache_out_names.push((tensor_buffer_name(nk), tensor_buffer_name(nv)));
+        cache_out_ids.push((nk, nv));
     }
     let logits_id = graph.outputs()[0];
     check(logits_id, &[seqs * chunk, spec.vocab], "logits output")?;
@@ -298,7 +296,7 @@ fn validate_pass(
         mask_id,
         past_ids,
         logits_id,
-        cache_out_names,
+        cache_out_ids,
         graph,
     })
 }
@@ -360,7 +358,7 @@ mod tests {
         assert_eq!(def.step.chunk, 1);
         for p in &def.prefill {
             assert_eq!(p.past_ids.len(), 1);
-            assert_eq!(p.cache_out_names.len(), 1);
+            assert_eq!(p.cache_out_ids.len(), 1);
         }
         assert!(validate_spec(&spec, 2, &[]).unwrap().prefill.is_empty());
     }

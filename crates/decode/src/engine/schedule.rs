@@ -647,23 +647,19 @@ impl IterCtx<'_> {
                     // harvested) or dropped — either way this pass is over.
                     break;
                 };
-                // Harvest the new K/V rows device-to-device: the concat
-                // outputs hold the chunk at sequence positions
-                // `mc..mc + chunk` of each of the sequence's per-head rows.
-                for (l, (nk_name, nv_name)) in pass.cache_out_names.iter().enumerate() {
-                    for (stream, name) in [(0usize, nk_name), (1usize, nv_name)] {
-                        for h in 0..heads {
+                // Harvest the new K/V rows: the concat outputs hold the chunk
+                // at sequence positions `mc..mc + chunk` of each of the
+                // sequence's per-head rows.
+                for (l, &(nk_id, nv_id)) in pass.cache_out_ids.iter().enumerate() {
+                    for (stream, id) in [(0usize, nk_id), (1usize, nv_id)] {
+                        let out = prt
+                            .ws
+                            .output(id)
+                            .expect("cache ids validated at registration");
+                        let lane = kv.lane_mut(kvslot, l, stream);
+                        for (h, dst) in lane.chunks_exact_mut(head_dim).enumerate() {
                             let src = ((pos * heads + h) * span + mc + j) * head_dim;
-                            kv.copy_into_lane(
-                                kvslot,
-                                l,
-                                stream,
-                                h * head_dim,
-                                prt.ws.device_memory(),
-                                name,
-                                src,
-                                head_dim,
-                            );
+                            dst.copy_from_slice(&out[src..src + head_dim]);
                         }
                     }
                 }

@@ -1,12 +1,10 @@
-//! Block-granular KV-cache allocation over persistent device memory.
+//! Block-granular KV-cache allocation over one flat arena.
 //!
 //! Autoregressive decoding is stateful: every sequence carries per-layer
 //! key/value caches that grow by one token per step and must survive
-//! *between* steps. Keeping them in host vectors would round-trip the
-//! dominant data structure of the workload through the host on every step;
-//! instead the allocator owns one [`DeviceMemory`] arena (the PR-4 arena
-//! machinery) carved into **fixed-size blocks**, and sequences hold chains of
-//! block indices:
+//! *between* steps. The allocator owns one `f32` arena carved into
+//! **fixed-size blocks** and indexed by block id, as in a paged-attention
+//! block pool; sequences hold chains of block ids:
 //!
 //! * a block stores [`KvLayout::block_tokens`] tokens; each token slot holds
 //!   the token's K and V rows for *every* layer (`layers × 2 × hidden`
@@ -18,13 +16,11 @@
 //! * under memory pressure ([`KvError::Exhausted`]) the *scheduler* picks a
 //!   victim, releases its chain and later rebuilds it by re-feeding tokens
 //!   (eviction + recompute — the allocator itself stays policy-free);
-//! * step kernels read cache lanes via [`KvAllocator::lane`] and new rows are
-//!   copied in device-to-device ([`KvAllocator::copy_into_lane`], backed by
-//!   [`DeviceMemory::copy_from`]).
+//! * a pass gathers cached lanes through [`KvAllocator::lane`] and writes a
+//!   new token's rows through [`KvAllocator::lane_mut`]; both are plain
+//!   offset arithmetic into the arena.
 
 use std::fmt;
-
-use hidet_sim::DeviceMemory;
 
 /// Shape of one model's KV cache entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +81,7 @@ impl KvCache {
 }
 
 /// Write coordinates of a freshly appended token, consumed by
-/// [`KvAllocator::copy_into_lane`].
+/// [`KvAllocator::lane_mut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvSlot {
     /// Arena block index.
@@ -112,41 +108,32 @@ impl fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
-/// The block allocator: one device arena, a free list, and the offset
-/// arithmetic mapping `(token, layer, stream)` to arena lanes. See the
+/// The block allocator: one arena, a free list, and the offset arithmetic
+/// mapping `(block, slot, layer, stream)` to arena lanes. See the
 /// [module docs](self).
 #[derive(Debug)]
 pub struct KvAllocator {
     layout: KvLayout,
     total_blocks: usize,
-    mem: DeviceMemory,
+    /// Every block's elements, block after block.
+    arena: Vec<f32>,
     free: Vec<usize>,
-    /// Per-block buffer names, precomputed so the per-token hot path
-    /// (lane gathers, lane writes) never allocates.
-    names: Vec<String>,
 }
 
 impl KvAllocator {
     /// An allocator with `total_blocks` blocks of `layout` geometry. The
-    /// whole arena is reserved (and every block view bound) up front, so
-    /// steady-state appends perform **zero heap allocations**.
+    /// whole arena is reserved up front, so steady-state appends perform
+    /// **zero heap allocations**.
     pub fn new(layout: KvLayout, total_blocks: usize) -> KvAllocator {
         assert!(layout.layers >= 1 && layout.hidden >= 1 && layout.block_tokens >= 1);
         assert!(total_blocks >= 1, "allocator needs at least one block");
-        let mut mem = DeviceMemory::new();
-        mem.reserve_arena(total_blocks * layout.block_elems());
-        let names: Vec<String> = (0..total_blocks).map(|b| format!("kv_blk{b}")).collect();
-        for (b, name) in names.iter().enumerate() {
-            mem.bind_view(name, b * layout.block_elems(), layout.block_elems());
-        }
         // Pop order low-to-high keeps block ids deterministic for tests.
         let free: Vec<usize> = (0..total_blocks).rev().collect();
         KvAllocator {
             layout,
             total_blocks,
-            mem,
+            arena: vec![0.0; total_blocks * layout.block_elems()],
             free,
-            names,
         }
     }
 
@@ -165,14 +152,9 @@ impl KvAllocator {
         self.total_blocks - self.free.len()
     }
 
-    /// The backing device memory (read access for gathers and tests).
-    pub fn memory(&self) -> &DeviceMemory {
-        &self.mem
-    }
-
     /// Reserves the next token slot of `cache`, allocating a block when the
-    /// chain crosses a block boundary. The slot's lanes hold stale bytes
-    /// until written ([`KvAllocator::copy_into_lane`]).
+    /// chain crosses a block boundary. The slot's lanes hold stale elements
+    /// until written ([`KvAllocator::lane_mut`]).
     ///
     /// # Errors
     /// [`KvError::Exhausted`] when a new block is needed and none is free —
@@ -203,53 +185,31 @@ impl KvAllocator {
     /// range.
     pub fn lane(&self, cache: &KvCache, token: usize, layer: usize, stream: usize) -> &[f32] {
         assert!(token < cache.tokens, "token {token} >= {}", cache.tokens);
-        let block = cache.blocks[token / self.layout.block_tokens];
-        let offset = self.lane_offset(token % self.layout.block_tokens, layer, stream);
-        &self.mem.read(&self.names[block])[offset..offset + self.layout.hidden]
+        let slot = KvSlot {
+            block: cache.blocks[token / self.layout.block_tokens],
+            slot: token % self.layout.block_tokens,
+        };
+        let start = self.lane_start(slot, layer, stream);
+        &self.arena[start..start + self.layout.hidden]
     }
 
-    /// Writes `len` elements of a freshly appended token's lane, from lane
-    /// position `lane_offset` on, by **device-to-device** copy from
-    /// `src_mem`'s buffer `src` (e.g. a decode step's `new_k` output living
-    /// in a workspace arena, strided per attention head) — the cache never
-    /// round-trips through host vectors.
+    /// Write access to one lane of a freshly appended token `slot` (see
+    /// [`KvAllocator::lane`] for the lane layout).
     ///
     /// # Panics
-    /// Panics when `lane_offset + len` exceeds the lane width.
-    #[allow(clippy::too_many_arguments)]
-    pub fn copy_into_lane(
-        &mut self,
-        slot: KvSlot,
-        layer: usize,
-        stream: usize,
-        lane_offset: usize,
-        src_mem: &DeviceMemory,
-        src: &str,
-        src_offset: usize,
-        len: usize,
-    ) {
-        assert!(
-            lane_offset + len <= self.layout.hidden,
-            "lane write [{lane_offset}, {}) exceeds width {}",
-            lane_offset + len,
-            self.layout.hidden
-        );
-        let offset = self.lane_offset(slot.slot, layer, stream) + lane_offset;
-        self.mem.copy_from(
-            &self.names[slot.block],
-            offset,
-            src_mem,
-            src,
-            src_offset,
-            len,
-        );
+    /// Panics when the layer/stream is out of range.
+    pub fn lane_mut(&mut self, slot: KvSlot, layer: usize, stream: usize) -> &mut [f32] {
+        let start = self.lane_start(slot, layer, stream);
+        &mut self.arena[start..start + self.layout.hidden]
     }
 
-    /// Offset of `(slot, layer, stream)` within a block buffer.
-    fn lane_offset(&self, slot: usize, layer: usize, stream: usize) -> usize {
+    /// Arena offset of `(slot, layer, stream)`'s lane.
+    fn lane_start(&self, slot: KvSlot, layer: usize, stream: usize) -> usize {
         assert!(layer < self.layout.layers, "layer {layer} out of range");
         assert!(stream < 2, "stream must be 0 (K) or 1 (V)");
-        slot * self.layout.token_elems() + (layer * 2 + stream) * self.layout.hidden
+        slot.block * self.layout.block_elems()
+            + slot.slot * self.layout.token_elems()
+            + (2 * layer + stream) * self.layout.hidden
     }
 }
 
@@ -291,29 +251,36 @@ mod tests {
 
     #[test]
     fn lanes_round_trip_and_never_alias() {
+        // Two caches whose appends interleave, so their blocks alternate in
+        // the arena: a takes blocks 0 and 2, b blocks 1 and 3.
         let mut kv = KvAllocator::new(layout(), 4);
-        let mut cache = KvCache::new();
-        // Copy a distinct signature into every lane of 5 tokens.
-        let mut src = DeviceMemory::new();
+        let mut caches = [KvCache::new(), KvCache::new()];
+        let tag = |c: usize, t: usize, layer: usize, stream: usize| {
+            (c * 1000 + t * 100 + layer * 10 + stream) as f32
+        };
+        // Write a distinct signature into every lane of 5 tokens of each.
         for t in 0..5usize {
-            let slot = kv.append(&mut cache).unwrap();
-            for layer in 0..2 {
-                for stream in 0..2 {
-                    let tag = (t * 100 + layer * 10 + stream) as f32;
-                    src.alloc("tag", &[tag; 4]);
-                    kv.copy_into_lane(slot, layer, stream, 0, &src, "tag", 0, 4);
+            for (c, cache) in caches.iter_mut().enumerate() {
+                let slot = kv.append(cache).unwrap();
+                assert_eq!(slot.block, 2 * (t / 3) + c, "c{c} t{t}");
+                for layer in 0..2 {
+                    for stream in 0..2 {
+                        kv.lane_mut(slot, layer, stream)
+                            .fill(tag(c, t, layer, stream));
+                    }
                 }
             }
         }
-        for t in 0..5usize {
-            for layer in 0..2 {
-                for stream in 0..2 {
-                    let tag = (t * 100 + layer * 10 + stream) as f32;
-                    assert_eq!(
-                        kv.lane(&cache, t, layer, stream),
-                        &[tag; 4],
-                        "t{t} l{layer} s{stream}"
-                    );
+        for (c, cache) in caches.iter().enumerate() {
+            for t in 0..5usize {
+                for layer in 0..2 {
+                    for stream in 0..2 {
+                        assert_eq!(
+                            kv.lane(cache, t, layer, stream),
+                            &[tag(c, t, layer, stream); 4],
+                            "c{c} t{t} l{layer} s{stream}"
+                        );
+                    }
                 }
             }
         }
@@ -363,29 +330,15 @@ mod tests {
     }
 
     #[test]
-    fn copy_into_lane_is_device_to_device() {
-        let mut kv = KvAllocator::new(layout(), 2);
-        let mut cache = KvCache::new();
-        let slot = kv.append(&mut cache).unwrap();
-        let mut src = DeviceMemory::new();
-        src.alloc("out", &[9.0, 8.0, 7.0, 6.0, 5.0, 4.0]);
-        kv.copy_into_lane(slot, 1, 0, 0, &src, "out", 2, 4);
-        assert_eq!(kv.lane(&cache, 0, 1, 0), &[7.0, 6.0, 5.0, 4.0]);
-    }
-
-    #[test]
     fn steady_state_appends_do_not_allocate() {
         let mut kv = KvAllocator::new(layout(), 2);
-        let resident = kv.memory().total_bytes();
+        let arena = kv.arena.len();
+        assert_eq!(arena, 2 * layout().block_elems());
         let mut cache = KvCache::new();
         for _ in 0..6 {
             kv.append(&mut cache).unwrap();
         }
         kv.release(&mut cache);
-        assert_eq!(
-            kv.memory().total_bytes(),
-            resident,
-            "arena is fixed at construction"
-        );
+        assert_eq!(kv.arena.len(), arena, "arena is fixed at construction");
     }
 }

@@ -20,10 +20,10 @@
 //!   the graph, owns batching, and every row's computation is bit-identical
 //!   whether a sequence runs alone or packed with others;
 //! * **block-granular KV allocation** ([`KvAllocator`]): caches live in one
-//!   persistent `DeviceMemory` arena between steps, carved into fixed-size
-//!   blocks allocated as sequences grow and freed as a set on completion;
-//!   step inputs/outputs move device-to-device, so the steady state performs
-//!   zero heap allocations for caches;
+//!   flat arena between steps, indexed by block id and carved into
+//!   fixed-size blocks allocated as sequences grow and freed as a set on
+//!   completion; step inputs are staged and outputs harvested in place, so
+//!   the steady state performs zero heap allocations for caches;
 //! * **continuous (iteration-level) batching** ([`DecodeEngine`]): every
 //!   step forms a batch from *all* active sequences, admitting new prompts
 //!   mid-flight and retiring finished sequences immediately — sustaining

@@ -21,12 +21,12 @@
 //! place** when the named buffer already exists with the right length
 //! (owned or view), allocating only on first use or on a length change.
 //!
-//! Every name maps to a dense [`BufferId`] that stays valid for as long as
-//! the name is bound in this memory — across in-place writes, length
-//! changes and view rebinds. Callers that launch the same kernels request
-//! after request resolve names once ([`DeviceMemory::id`]) and address
-//! buffers by id from then on ([`DeviceMemory::slice`]), so the steady-state
-//! launch path hashes no string.
+//! Every name maps to a dense [`BufferId`] that stays valid for the
+//! memory's lifetime — across in-place writes, length changes and view
+//! rebinds. Callers that launch the same kernels request after request
+//! resolve names once ([`DeviceMemory::id`]) and address buffers by id from
+//! then on ([`DeviceMemory::slice`]), so the steady-state launch path hashes
+//! no string.
 
 use std::collections::HashMap;
 
@@ -54,9 +54,9 @@ pub struct BufferId(u32);
 pub struct DeviceMemory {
     /// Name → index into `slots`.
     names: HashMap<String, u32>,
-    /// Buffer storage by [`BufferId`]. A freed buffer leaves an empty owned
-    /// slot behind and its index is never reused, so a stale id reads as a
-    /// zero-length buffer instead of somebody else's data.
+    /// Buffer storage by [`BufferId`]. A name keeps its slot for the
+    /// memory's lifetime (rebinding replaces the storage in place), so no
+    /// id ever addresses another name's buffer.
     slots: Vec<Storage>,
     /// Shared backing store for [`Storage::View`] buffers.
     arena: Vec<f32>,
@@ -212,52 +212,6 @@ impl DeviceMemory {
         self.names.contains_key(name)
     }
 
-    /// Removes a buffer, returning its contents. A view's window stays part
-    /// of the arena (only the name binding is dropped).
-    pub fn free(&mut self, name: &str) -> Option<Vec<f32>> {
-        let slot = self.names.remove(name)? as usize;
-        match std::mem::replace(&mut self.slots[slot], Storage::Owned(Vec::new())) {
-            Storage::Owned(buf) => Some(buf),
-            Storage::View { offset, len } => Some(self.arena[offset..offset + len].to_vec()),
-        }
-    }
-
-    /// Device-to-device copy: `len` elements from `src_mem`'s buffer `src`
-    /// (starting at `src_offset`) into this memory's buffer `dst` (starting
-    /// at `dst_offset`). The DMA primitive of the simulated device — data
-    /// moved between two resident buffers (e.g. a persistent KV-cache arena
-    /// and a kernel input buffer) never round-trips through host vectors.
-    ///
-    /// # Panics
-    /// Panics when either buffer is missing or a range is out of bounds.
-    pub fn copy_from(
-        &mut self,
-        dst: &str,
-        dst_offset: usize,
-        src_mem: &DeviceMemory,
-        src: &str,
-        src_offset: usize,
-        len: usize,
-    ) {
-        let from = src_mem.read(src);
-        assert!(
-            src_offset + len <= from.len(),
-            "copy_from source {src} [{src_offset}, {}) exceeds {} elements",
-            src_offset + len,
-            from.len()
-        );
-        let to = self
-            .get_mut(dst)
-            .unwrap_or_else(|| panic!("no buffer named {dst} in device memory"));
-        assert!(
-            dst_offset + len <= to.len(),
-            "copy_from destination {dst} [{dst_offset}, {}) exceeds {} elements",
-            dst_offset + len,
-            to.len()
-        );
-        to[dst_offset..dst_offset + len].copy_from_slice(&from[src_offset..src_offset + len]);
-    }
-
     /// Names of all resident buffers (unordered).
     pub fn buffer_names(&self) -> impl Iterator<Item = &str> {
         self.names.keys().map(String::as_str)
@@ -297,8 +251,6 @@ mod tests {
         m.alloc_zeroed("A", 4);
         assert_eq!(m.read("A"), &[0.0; 4]);
         assert_eq!(m.total_bytes(), 16);
-        assert_eq!(m.free("A"), Some(vec![0.0; 4]));
-        assert!(m.get("A").is_none());
     }
 
     #[test]
@@ -357,10 +309,8 @@ mod tests {
         assert_eq!(m.read("A"), &[0.0, 0.0]);
         m.zero(a, 3); // wrong length: a fresh owned buffer under the same id
         assert_eq!(m.read("A"), &[0.0; 3]);
-        m.free("A");
         m.alloc("B", &[7.0]);
-        assert_ne!(m.id("B"), Some(a), "freed slots are not reused");
-        assert!(m.slice(a).is_empty(), "a stale id sees no data");
+        assert_ne!(m.id("B"), Some(a));
     }
 
     #[test]
@@ -372,30 +322,6 @@ mod tests {
         m.reserve_arena(2); // no-op: never shrinks
         assert_eq!(m.arena_len(), 4);
         assert_eq!(m.read("A"), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn copy_from_moves_between_memories_and_storage_kinds() {
-        let mut src = DeviceMemory::new();
-        src.alloc("S", &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let mut dst = DeviceMemory::new();
-        dst.reserve_arena(4);
-        dst.bind_view("D", 0, 4); // view destination
-        dst.alloc_zeroed("O", 3); // owned destination
-        dst.copy_from("D", 1, &src, "S", 2, 2);
-        assert_eq!(dst.read("D"), &[0.0, 3.0, 4.0, 0.0]);
-        dst.copy_from("O", 0, &src, "S", 4, 1);
-        assert_eq!(dst.read("O"), &[5.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 5 elements")]
-    fn copy_from_out_of_bounds_panics() {
-        let mut src = DeviceMemory::new();
-        src.alloc("S", &[0.0; 5]);
-        let mut dst = DeviceMemory::new();
-        dst.alloc_zeroed("D", 8);
-        dst.copy_from("D", 0, &src, "S", 3, 4);
     }
 
     #[test]

@@ -85,7 +85,7 @@ proptest! {
         let compiled = hidet::compile(&graph, &gpu, &CompilerOptions::quick())
             .expect("random graph compiles");
         let plan = compiled.plan().memory_plan();
-        prop_assert!(plan.find_alias().is_none(), "live buffers alias: {:?}", plan.find_alias());
+        prop_assert_eq!(plan.verify("fuzz_planned"), vec![]);
         prop_assert!(plan.peak_bytes() <= plan.unplanned_bytes());
 
         let data = Tensor::randn(&[rows, cols], seed ^ 0xBEEF).data().unwrap().to_vec();
