@@ -33,6 +33,10 @@
 //!    partial tiles run wide under lane masks, so one found is a template
 //!    the guards do not cover. Only HA041 — a footprint the proof gives up
 //!    on, such as that of bert's and gpt2's softmax kernels — may stay.
+//!    The "side by side" column counts the definitions of more than one
+//!    block whose blocks the lowering proved apart, so that a launch runs
+//!    them as the lanes of one wide pass, of all definitions of more than
+//!    one block.
 //!    Each model's largest program-to-IR ratio is printed, and a program of
 //!    more than 4× its kernel's IR nodes fails the sweep: unrolling must
 //!    stay proportional to the kernel on the whole zoo;
@@ -235,6 +239,8 @@ fn main() {
         let mut summary = LaneSummary::default();
         let mut largest = 0.0f64;
         let mut definitions = HashSet::new();
+        // (definitions whose blocks run side by side, of more than one block)
+        let mut side_by_side = (0, 0);
         let kernels = compiled.plan().groups().iter().flat_map(|g| &g.kernels);
         for (kernel, program) in kernels.zip(programs) {
             // The share weighs every kernel; the program, its size and its
@@ -242,6 +248,10 @@ fn main() {
             summary.add(program);
             if !definitions.insert(Arc::as_ptr(kernel.definition())) {
                 continue;
+            }
+            if kernel.launch().grid_dim > 1 {
+                side_by_side.0 += usize::from(program.side_by_side() > 1);
+                side_by_side.1 += 1;
             }
             let nodes = count_nodes(kernel.body());
             let ratio = program.op_count() as f64 / nodes as f64;
@@ -270,6 +280,7 @@ fn main() {
             graph.name().to_string(),
             format!("{}", programs.len()),
             format!("{}", definitions.len()),
+            format!("{} / {}", side_by_side.0, side_by_side.1),
             format!("{:.3}", summary.wide_share()),
             reasons.join(", "),
             format!("{largest:.2}"),
@@ -281,6 +292,7 @@ fn main() {
         "model",
         "kernels",
         "definitions",
+        "side by side",
         "wide share",
         "per thread (instructions x block_dim)",
         "largest program / IR",

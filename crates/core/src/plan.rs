@@ -326,12 +326,6 @@ impl Workspace {
         (&mut self.mem, binding)
     }
 
-    /// The workspace's device memory (inputs, constants, planned
-    /// intermediates and the arena), read-only.
-    pub fn device_memory(&self) -> &DeviceMemory {
-        &self.mem
-    }
-
     /// Mutable view of graph input `t`'s device buffer, binding the plan
     /// first if needed. Staging inputs in place, step after step, keeps the
     /// steady state free of heap allocations (the buffer is created once at
@@ -596,7 +590,7 @@ mod tests {
         let (plan, folded) = (compiled.plan(), compiled.graph());
         let mut ws = Workspace::new();
         ws.bind(plan);
-        let bound = |t: TensorId| ws.device_memory().contains(&tensor_buffer_name(t));
+        let bound = |t: TensorId| ws.mem.contains(&tensor_buffer_name(t));
         let constants: Vec<TensorId> = (0..folded.num_tensors())
             .map(TensorId)
             .filter(|&t| folded.tensor(t).is_const())

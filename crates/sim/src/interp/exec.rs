@@ -1,15 +1,21 @@
 //! The flat executor: runs a [`Program`] against device memory.
 //!
-//! Blocks run one after another in grid order. Within a block the lockstep
-//! skeleton is walked once for the whole block: a leaf is run by every
-//! thread to completion before the next node starts — which is all a
+//! A launch runs the grid in passes, in grid order. A pass is one block —
+//! or, where the lowering proved the blocks apart ([`Program::side_by_side`]:
+//! every range wide, every control around a barrier the same in every
+//! block, no global element touched by two blocks where either touch is a
+//! store), consecutive blocks side by side, their threads the lanes of one
+//! wide pass, each block with shared memory of its own. A launch handed
+//! aliasing buffers runs one block a pass all the same. Within a pass the
+//! lockstep skeleton is walked once for all its threads: a leaf is run by
+//! every thread to completion before the next node starts — which is all a
 //! barrier asks for — and loop extents and branch conditions around barriers
 //! must agree across the block. Inside a leaf the instructions are a
 //! straight array with relative jumps.
 //!
-//! The registers of a block are stored **lane-major**, in one file per
-//! static type: column `c` of a file is the `block_dim` values register `c`
-//! holds, one per thread. Every range of code the skeleton runs for the
+//! The registers of a pass are stored **lane-major**, in one file per
+//! static type: column `c` of a file is the values register `c` holds, one
+//! per thread of the pass. Every range of code the skeleton runs for the
 //! whole block carries the lowering's [`Verdict`]: a per-thread range is run
 //! by each thread in turn, [`Block::step`] reading and writing that thread's
 //! lane of each column; a wide range is run once, [`Block::wide`] executing
@@ -17,9 +23,10 @@
 //! storage, so moving between them converts nothing.
 //!
 //! Each stream of hoisted instructions runs at its level: lane code once per
-//! program (into the table a block's lane columns start from), block code
-//! once per block, thread code once per thread per block, and a loop's
-//! prologue at the top of each of its iterations.
+//! program (into the table a launch copies into every block's lane columns),
+//! block code once per block (once per pass, across the lanes of its blocks,
+//! where they run side by side), thread code once per thread per block, and
+//! a loop's prologue at the top of each of its iterations.
 
 use std::cell::Cell;
 
@@ -82,20 +89,34 @@ pub(crate) fn launch(
     if let Some(fault) = &program.lane_fault {
         return Err(fault.clone());
     }
+    // The lowering proved threads apart buffer by buffer, and blocks apart
+    // where it laid them side by side; where two buffers are the same
+    // storage, blocks run one by one and every range keeps thread order.
+    let in_turn = memory.aliased(buffers);
+    let (side, threads) = (program.side_by_side.max(1), program.block_dim);
+    let lanes = side * threads;
     let mut machine = Machine {
         p: program,
         kernel,
         globals: buffers,
-        // The lowering proved threads apart buffer by buffer; where two
-        // buffers are the same storage, every range keeps thread order.
-        in_turn: memory.aliased(buffers),
+        in_turn,
         memory,
-        lanes: &program.lanes,
-        regs: Regs::new(program, program.columns),
-        shared: vec![0.0; program.shared_len],
+        regs: Regs::new(program, program.columns, lanes),
+        shared: vec![0.0; program.shared_len * side],
+        bases: match side {
+            1 => Vec::new(),
+            _ => (0..lanes)
+                .map(|lane| lane / threads * program.shared_len)
+                .collect(),
+        },
     };
-    for block in 0..program.grid_dim {
-        machine.run_block(block).map_err(|fault| *fault)?;
+    machine.regs.tile(&program.lanes, threads);
+    let per_pass = if in_turn { 1 } else { side };
+    let mut first = 0;
+    while first < program.grid_dim {
+        let blocks = per_pass.min(program.grid_dim - first);
+        machine.run_pass(first, blocks).map_err(|fault| *fault)?;
+        first += blocks;
     }
     Ok(())
 }
@@ -106,11 +127,12 @@ pub(crate) fn launch(
 /// it cannot fault and has no control flow, so it runs `across` the lanes
 /// if it is typed.
 pub(super) fn lane_registers(p: &Program, across: bool) -> Result<LaneTable, SimError> {
-    let mut regs = Regs::new(p, p.lane_file);
+    let mut regs = Regs::new(p, p.lane_file, p.block_dim);
     let mut block = Block {
         p,
         regs: regs.lanes(),
         shared: &[],
+        bases: &[],
         memory: &mut DeviceMemory::new(),
         globals: &[],
         params: &[],
@@ -133,10 +155,35 @@ pub(super) fn lane_registers(p: &Program, across: bool) -> Result<LaneTable, Sim
     })
 }
 
-/// The registers of one block. A file holds one column of `block_dim` lanes
-/// per register, back to back; `scalars` holds the block-level values, and
-/// `locals` the threads' register arrays, laid out like a file: element `e`
-/// of every thread's arrays is column `e`.
+/// The block-level registers `regs` (scalar indices) of every block of the
+/// grid, block after block, as block code computes them — run at lowering,
+/// before the program's registers are laid out for blocks side by side.
+pub(super) fn block_values(p: &Program, regs: &[u32]) -> Result<Vec<Value>, SimError> {
+    let (mut file, mut memory) = (Regs::new(p, [0; 4], 0), DeviceMemory::new());
+    let mut values = Vec::with_capacity(p.grid_dim * regs.len());
+    for block in 0..p.grid_dim {
+        file.scalars.copy_from_slice(&p.block_init);
+        file.scalars[(p.block_idx & COLUMN) as usize] = Value::I64(block as i64);
+        let mut run = Block {
+            p,
+            regs: file.lanes(),
+            shared: &[],
+            bases: &[],
+            memory: &mut memory,
+            globals: &[],
+            params: &[],
+        };
+        run.step(&p.block_code, 0).map_err(|fault| *fault)?;
+        values.extend(regs.iter().map(|&r| file.scalars[r as usize]));
+    }
+    Ok(values)
+}
+
+/// The registers of one pass over the grid: of one block, or of the blocks
+/// a pass runs side by side. A file holds one column of `stride` lanes per
+/// register, back to back, of which the pass uses the first `n`; `scalars`
+/// holds the block-level values, and `locals` the threads' register arrays,
+/// laid out like a file: element `e` of every thread's arrays is column `e`.
 #[derive(Clone)]
 pub(super) struct Regs {
     pub(super) scalars: Vec<Value>,
@@ -151,12 +198,13 @@ pub(super) struct Regs {
     loaded: Vec<f32>,
     /// Two lane masks (a branch's then and else side) per level of nesting.
     masks: Vec<bool>,
-    block_dim: usize,
+    /// Lanes per column, and how many of them the pass runs.
+    stride: usize,
+    n: usize,
 }
 
 impl Regs {
-    pub(super) fn new(p: &Program, [ints, floats, bools, dyns]: Columns) -> Regs {
-        let n = p.block_dim;
+    pub(super) fn new(p: &Program, [ints, floats, bools, dyns]: Columns, n: usize) -> Regs {
         Regs {
             scalars: p.block_init.clone(),
             ints: vec![0; ints * n],
@@ -167,21 +215,40 @@ impl Regs {
             at: vec![0; n],
             loaded: vec![0.0; 2 * n],
             masks: vec![false; 2 * p.mask_depth * n],
-            block_dim: n,
+            stride: n,
+            n,
         }
+    }
+
+    /// Copies the lane table, `threads` lanes a column, into the front
+    /// columns of each file: once for every block a column holds. Nothing
+    /// but lane code writes those columns, so a launch copies them once.
+    fn tile(&mut self, table: &LaneTable, threads: usize) {
+        fn tile<T: Copy>(file: &mut [T], table: &[T], threads: usize, stride: usize) {
+            for (column, values) in table.chunks_exact(threads.max(1)).enumerate() {
+                for block in file[column * stride..][..stride].chunks_exact_mut(threads) {
+                    block.copy_from_slice(values);
+                }
+            }
+        }
+        tile(&mut self.ints, &table.ints, threads, self.stride);
+        tile(&mut self.floats, &table.floats, threads, self.stride);
+        tile(&mut self.bools, &table.bools, threads, self.stride);
+        tile(&mut self.dyns, &table.dyns, threads, self.stride);
     }
 
     /// The registers as instructions see them.
     pub(super) fn lanes(&mut self) -> Lanes<'_> {
         Lanes {
-            n: self.block_dim,
+            n: self.n,
+            stride: self.stride,
             scalars: cells(&mut self.scalars),
             ints: cells(&mut self.ints),
             floats: cells(&mut self.floats),
             bools: cells(&mut self.bools),
             dyns: cells(&mut self.dyns),
             locals: cells(&mut self.locals),
-            at: cells(&mut self.at),
+            at: cells(&mut self.at[..self.n]),
             loaded: cells(&mut self.loaded),
             masks: cells(&mut self.masks),
         }
@@ -197,8 +264,10 @@ fn cells<T>(slice: &mut [T]) -> &[Cell<T>] {
 /// [`Regs`], borrowed for running instructions.
 #[derive(Clone, Copy)]
 pub(super) struct Lanes<'a> {
-    /// Lanes per column: the block's threads.
+    /// Lanes the pass runs: its blocks' threads.
     pub(super) n: usize,
+    /// Lanes per column.
+    pub(super) stride: usize,
     pub(super) scalars: &'a [Cell<Value>],
     pub(super) ints: &'a [Cell<i64>],
     pub(super) floats: &'a [Cell<f32>],
@@ -217,18 +286,21 @@ pub(super) fn column<T>(file: &[Cell<T>], start: usize, n: usize) -> &[Cell<T>] 
 }
 
 /// The state of one launch: storage is allocated once and reused by every
-/// block.
+/// pass.
 struct Machine<'a> {
     p: &'a Program,
     /// The kernel the program runs as: what faults name.
     kernel: &'a Kernel,
     globals: &'a [Option<BufferId>],
     memory: &'a mut DeviceMemory,
-    /// No range of this launch runs wide.
+    /// No range of this launch runs wide, and a pass runs one block.
     in_turn: bool,
-    lanes: &'a LaneTable,
     regs: Regs,
+    /// The shared memory of each block of a pass, one after another.
     shared: Vec<f32>,
+    /// Per lane, where its block's shared memory starts: empty where a
+    /// pass is one block.
+    bases: Vec<usize>,
 }
 
 impl Machine<'_> {
@@ -238,37 +310,41 @@ impl Machine<'_> {
             p: self.p,
             regs: self.regs.lanes(),
             shared: cells(&mut self.shared),
+            bases: &self.bases,
             memory: self.memory,
             globals: self.globals,
             params: self.kernel.params(),
         }
     }
 
-    /// Starts block `block` — its registers the block-level values and the
-    /// lane table, shared memory and register arrays zeroed, every thread's
-    /// thread-invariant registers computed — and runs it.
-    fn run_block(&mut self, block: usize) -> Result<(), Fault> {
+    /// Starts the `blocks` blocks from `first` on as one pass — their
+    /// block-level registers computed, shared memory and register arrays
+    /// zeroed, every thread's thread-invariant registers computed — and
+    /// runs them. Where the lowering laid blocks side by side, `blockIdx`
+    /// and what is computed from it are columns, one lane per thread of
+    /// every block; otherwise a pass is one block and they are scalars.
+    fn run_pass(&mut self, first: usize, blocks: usize) -> Result<(), Fault> {
         let p = self.p;
+        self.regs.n = blocks * p.block_dim;
         self.regs.scalars.copy_from_slice(&p.block_init);
-        self.regs.scalars[(p.block_idx & COLUMN) as usize] = Value::I64(block as i64);
-        self.block().step(&p.block_code, 0)?;
-        self.shared.fill(0.0);
+        let at = (p.block_idx & COLUMN) as usize;
+        if p.block_idx >> FILE_SHIFT == SCALAR {
+            self.regs.scalars[at] = Value::I64(first as i64);
+            self.block().step(&p.block_code, 0)?;
+        } else {
+            let lanes = self.regs.ints[at..][..self.regs.n].iter_mut();
+            for (lane, block) in lanes.enumerate() {
+                *block = (first + lane / p.block_dim) as i64;
+            }
+            self.block().wide(&p.block_code)?;
+        }
+        self.shared[..blocks * p.shared_len].fill(0.0);
         self.regs.locals.fill(0.0);
-        let LaneTable {
-            ints,
-            floats,
-            bools,
-            dyns,
-        } = self.lanes;
-        self.regs.ints[..ints.len()].copy_from_slice(ints);
-        self.regs.floats[..floats.len()].copy_from_slice(floats);
-        self.regs.bools[..bools.len()].copy_from_slice(bools);
-        self.regs.dyns[..dyns.len()].copy_from_slice(dyns);
         self.run(0, (0, p.thread_code_end))?;
         self.exec(p.root)
     }
 
-    /// Runs range `range`, which is `code[start..end]`, for the whole block:
+    /// Runs range `range`, which is `code[start..end]`, for the whole pass:
     /// every instruction across all lanes, or every thread in thread order.
     fn run(&mut self, range: u32, (start, end): (u32, u32)) -> Result<(), Fault> {
         let p = self.p;
@@ -279,7 +355,7 @@ impl Machine<'_> {
         if wide {
             return block.wide(code);
         }
-        (0..p.block_dim).try_for_each(|lane| block.step(code, lane))
+        (0..block.regs.n).try_for_each(|lane| block.step(code, lane))
     }
 
     /// Executes a skeleton node for the whole block.
@@ -333,7 +409,7 @@ impl Machine<'_> {
         type_error_message: &str,
     ) -> Result<T, Fault> {
         let code = &self.p.code[c.start as usize..c.end as usize];
-        let threads = self.p.block_dim;
+        let threads = self.regs.n;
         let mut block = self.block();
         block.step(code, 0)?;
         let first = get(block.get(c.reg, 0)).ok_or_else(|| type_error(type_error_message))?;
@@ -423,6 +499,9 @@ pub(super) struct Block<'a> {
     pub(super) p: &'a Program,
     pub(super) regs: Lanes<'a>,
     pub(super) shared: &'a [Cell<f32>],
+    /// Per lane, where its block's part of `shared` starts: empty where
+    /// every lane's starts at 0.
+    pub(super) bases: &'a [usize],
     pub(super) memory: &'a mut DeviceMemory,
     pub(super) globals: &'a [Option<BufferId>],
     /// The parameters of the kernel the program runs as, for fault reports.
@@ -525,11 +604,18 @@ impl<'a> Block<'a> {
         Ok(a.offset + flat)
     }
 
+    /// Element `at` of lane `lane`'s block's shared memory, if there is one.
+    #[inline(always)]
+    pub(super) fn shared_at(&self, at: usize, lane: usize) -> Option<&'a Cell<f32>> {
+        let (shared, base) = (self.shared, self.bases.get(lane).copied());
+        shared.get(at.wrapping_add(base.unwrap_or(0)))
+    }
+
     /// Thread `lane`'s element `at` of its register arrays, if it has one.
     #[inline(always)]
     pub(super) fn local(&self, at: usize, lane: usize) -> Option<&'a Cell<f32>> {
         let regs = self.regs;
-        (at < self.p.local_len).then(|| &regs.locals[at * regs.n + lane])
+        (at < self.p.local_len).then(|| &regs.locals[at * regs.stride + lane])
     }
 
     /// Element `at` of every thread's register arrays: a column.
@@ -538,7 +624,7 @@ impl<'a> Block<'a> {
         if at >= self.p.local_len {
             return Err(no_such_element(at));
         }
-        Ok(column(self.regs.locals, at * self.regs.n, self.regs.n))
+        Ok(column(self.regs.locals, at * self.regs.stride, self.regs.n))
     }
 
     /// The global buffer access `a` is to, for reading.
@@ -561,7 +647,7 @@ impl<'a> Block<'a> {
     fn load(&self, a: &Access, flat: usize, lane: usize) -> Result<f32, Fault> {
         let element = match a.space {
             Space::Global(g) => self.global(a, g)?.get(flat).copied(),
-            Space::Shared => self.shared.get(flat).map(Cell::get),
+            Space::Shared => self.shared_at(flat, lane).map(Cell::get),
             Space::Local => self.local(flat, lane).map(Cell::get),
             Space::Missing => return Err(missing(self, a)),
         };
@@ -612,7 +698,7 @@ impl<'a> Block<'a> {
         };
         let element = match a.space {
             Space::Global(g) => cells(self.global_mut(a, g)?).get(at),
-            Space::Shared => self.shared.get(at),
+            Space::Shared => self.shared_at(at, lane),
             Space::Local => self.local(at, lane),
             Space::Missing => return Err(missing(self, a)),
         };

@@ -31,6 +31,7 @@ impl<'k> Lowerer<'k> {
                 ty: Ty::I64,
                 place: Place::Lane,
                 uniform: false,
+                by_block: false,
                 range: Some((0, self.kernel.launch().block_dim - 1)),
                 root: None,
             },
@@ -42,6 +43,7 @@ impl<'k> Lowerer<'k> {
                 ty: Ty::I64,
                 place: Place::Block,
                 uniform: true,
+                by_block: true,
                 range: Some((0, self.kernel.launch().grid_dim - 1)),
                 root: None,
             },
@@ -69,6 +71,7 @@ impl<'k> Lowerer<'k> {
                     ty,
                     place: if faults { Place::Body } else { a.place },
                     uniform: !faults && a.uniform,
+                    by_block: faults || a.by_block,
                     range: None,
                     root: None,
                 };
@@ -161,6 +164,7 @@ impl<'k> Lowerer<'k> {
                 a.place.join(b.place)
             },
             uniform: !faults && a.uniform && b.uniform,
+            by_block: faults || a.by_block || b.by_block,
             range: match ty {
                 Ty::I64 => binary_range(op, a.range, b.range),
                 _ => None,
@@ -219,6 +223,7 @@ impl<'k> Lowerer<'k> {
                     c.place.join(t.place).join(e.place)
                 },
                 uniform: !cond_faults && c.uniform && t.uniform && e.uniform,
+                by_block: cond_faults || c.by_block || t.by_block || e.by_block,
                 range: t
                     .range
                     .zip(e.range)

@@ -95,3 +95,9 @@ impl Linear {
         (self.len == 0).then_some(self.konst)
     }
 }
+
+impl PartialEq for Linear {
+    fn eq(&self, other: &Linear) -> bool {
+        self.konst == other.konst && self.terms() == other.terms()
+    }
+}

@@ -26,6 +26,7 @@
 mod access;
 mod chain;
 mod expr;
+mod grid;
 mod guard;
 mod linear;
 mod map;
@@ -88,11 +89,14 @@ struct Fragment {
     /// the block. (A branch may go either way: a wide range runs its sides
     /// under lane masks.)
     divergent: bool,
+    /// A loop in it is not proven to run as many trips in every block.
+    by_block: bool,
     /// Its proven accesses to shared and global buffers.
     touches: Vec<Touch>,
 }
 
 /// One proven `Load` / `Store` site of a shared or global buffer.
+#[derive(PartialEq)]
 struct Touch {
     /// Index into `buffer_names`.
     buffer: u32,
@@ -113,6 +117,7 @@ struct Stretch {
     end: u32,
     may_fault: bool,
     divergent: bool,
+    by_block: bool,
     touches: Vec<Touch>,
 }
 
@@ -150,6 +155,18 @@ impl Op {
             } => [var, count, extent].into_iter().for_each(f),
             Op::LoopNext { var, count, .. } => [var, count].into_iter().for_each(f),
             Op::Check { .. } | Op::Jump { .. } | Op::Trap { .. } => {}
+        }
+    }
+
+    /// The register a value-producing instruction writes.
+    fn dst(&self) -> Option<Reg> {
+        match *self {
+            Op::Bin { dst, .. }
+            | Op::Un { dst, .. }
+            | Op::Cast { dst, .. }
+            | Op::Select { dst, .. }
+            | Op::Mov { dst, .. } => Some(dst),
+            _ => None,
         }
     }
 
@@ -240,6 +257,7 @@ impl<'k> Lowerer<'k> {
         let program = Program {
             grid_dim: kernel.launch().grid_dim as usize,
             block_dim: kernel.launch().block_dim as usize,
+            side_by_side: 1,
             shared_bytes: kernel.shared_bytes(),
             shared_len: elements(kernel.shared_buffers()),
             local_len: elements(kernel.local_buffers()),
@@ -277,6 +295,7 @@ impl<'k> Lowerer<'k> {
                 end: 0,
                 may_fault: false,
                 divergent: false,
+                by_block: false,
                 touches: Vec::new(),
             }],
             env: Vec::new(),
@@ -367,6 +386,7 @@ impl<'k> Lowerer<'k> {
             ty: Ty::of(v),
             place: Place::Const,
             uniform: true,
+            by_block: false,
             range: match v {
                 Value::I64(x) => Some((x, x)),
                 _ => None,
@@ -490,6 +510,7 @@ impl<'k> Lowerer<'k> {
         self.frag.code.extend(inner.code);
         self.frag.may_fault |= inner.may_fault;
         self.frag.divergent |= inner.divergent;
+        self.frag.by_block |= inner.by_block;
         self.frag.touches.extend(inner.touches);
     }
 
@@ -575,6 +596,7 @@ impl<'k> Lowerer<'k> {
                 self.frag.code.extend(prologue);
                 body.may_fault |= !matches!(n.ty, Ty::I64 | Ty::F32);
                 body.divergent |= !n.uniform;
+                body.by_block |= n.by_block;
                 self.splice(body);
                 self.frag.code.push(Op::LoopNext {
                     var: var_reg,
@@ -704,6 +726,13 @@ impl<'k> Lowerer<'k> {
             debug_assert!(column * lanes <= COLUMN);
             *r = ((file as u32 + INT) << FILE_SHIFT) | (column * lanes);
         };
+        // The block-level registers, by scalar index and lane file: what
+        // laying blocks side by side turns into columns.
+        let dsts = p.block_code.iter().filter_map(Op::dst);
+        let block_regs: Vec<(u32, usize)> = std::iter::once(p.block_idx)
+            .chain(dsts)
+            .map(|r| (r & INDEX, file_of(r)))
+            .collect();
         let shift = self.thread_code.len() as u32;
         p.thread_code_end = shift;
         p.code = self.thread_code;
@@ -774,6 +803,15 @@ impl<'k> Lowerer<'k> {
                 verdict: verdict::judge(&p, s, lanes.as_ref().ok()),
             })
             .collect();
+        let slots = &self.slots;
+        let global = |b: u32| match slots[b as usize].space {
+            Space::Global(_) => Some(slots[b as usize].len),
+            _ => None,
+        };
+        let side = grid::side_by_side(&p, &self.stretches, global, lanes.as_ref().ok());
+        if side > 1 {
+            grid::spread(&mut p, side, &block_regs);
+        }
         match lanes {
             Ok(table) => p.lanes = table,
             Err(fault) => p.lane_fault = Some(fault),

@@ -101,6 +101,9 @@ pub(super) struct Val {
     pub(super) place: Place,
     /// Proven equal across the threads of a block at any one time.
     pub(super) uniform: bool,
+    /// May differ from one block of the grid to the next: it reads
+    /// `blockIdx`, or is computed in place.
+    pub(super) by_block: bool,
     pub(super) range: Range,
     /// Where it is no sum but a function of one (`n / 1152`, `n % 8`): that
     /// sum, an index into the lowering's roots (`chain.rs`).
@@ -115,6 +118,7 @@ impl Val {
             ty,
             place: Place::Body,
             uniform: false,
+            by_block: true,
             range: None,
             root: None,
         }

@@ -5,7 +5,7 @@ use hidet_ir::{Expr, Stmt};
 
 use super::map::Map;
 use super::place::{Place, Ty, Val};
-use super::{Fragment, Lowerer, OpenLoop, Stretch};
+use super::{Fragment, Lowerer, OpenLoop, Stretch, Touch};
 use crate::interp::program::{Control, Node, Op, RangeKind, Reg};
 
 /// Names a statement leaves bound after it ran although it is not a
@@ -63,6 +63,7 @@ impl<'k> Lowerer<'k> {
             place: Place::Loop(self.loops.len() as u32),
             // Threads that agree on the extent count the same iterations.
             uniform: skeleton || extent.uniform,
+            by_block: extent.by_block,
             range,
             root: None,
         };
@@ -101,13 +102,24 @@ impl<'k> Lowerer<'k> {
     /// the program; returns where it sits and which range it is.
     fn place_range(&mut self, kind: RangeKind, part: Fragment) -> ((u32, u32), u32) {
         let (start, end) = self.place_code(part.code);
+        // A touch equal to the previous touch of its buffer — the same load
+        // in two unrolled copies that differ elsewhere — adds no element and
+        // no thread to any footprint: the proofs never see it.
+        let mut touches: Vec<Touch> = Vec::with_capacity(part.touches.len());
+        for touch in part.touches {
+            let previous = touches.iter().rev().find(|t| t.buffer == touch.buffer);
+            if previous != Some(&touch) {
+                touches.push(touch);
+            }
+        }
         self.stretches.push(Stretch {
             kind,
             start,
             end,
             may_fault: part.may_fault,
             divergent: part.divergent,
-            touches: part.touches,
+            by_block: part.by_block,
+            touches,
         });
         ((start, end), self.stretches.len() as u32 - 1)
     }
@@ -208,6 +220,7 @@ impl<'k> Lowerer<'k> {
             end,
             reg: v.reg,
             uniform: v.uniform && !part.may_fault,
+            grid_uniform: v.uniform && !part.may_fault && !v.by_block,
             message: format!("{what} {e} differs across threads"),
         };
         (control, v)

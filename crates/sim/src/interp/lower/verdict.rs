@@ -105,24 +105,9 @@ fn apart<'t>(
 ) -> Result<(), Reason> {
     const UNPROVEN: Reason = Reason::UnprovenFootprint;
     let lanes = lanes.ok_or(UNPROVEN)?;
-    let threads = p.block_dim;
     let touches: Vec<&Touch> = touches.collect();
-    // One function of the sums for every access, or none for any: then
-    // sums that differ are elements that differ.
-    let chain = |t: &'t Touch| t.through.as_ref().map(|(chain, _)| chain);
-    let through = touches.first().and_then(|&t| chain(t));
-    if touches.iter().any(|&t| chain(t) != through) {
+    if !one_function(&touches) {
         return Err(UNPROVEN);
-    }
-    if let Some(through) = through {
-        let ranges = touches
-            .iter()
-            .flat_map(|t| &t.through)
-            .map(|(_, range)| *range);
-        let hull = ranges.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)));
-        if !hull.is_some_and(|hull| through.one_to_one(hull)) {
-            return Err(UNPROVEN);
-        }
     }
     let mut shared: Option<Vec<(Atom, i64)>> = None;
     // (element, thread, stores it)
@@ -135,44 +120,12 @@ fn apart<'t>(
         if *shared.get_or_insert_with(|| fixed.clone()) != fixed {
             return Err(UNPROVEN);
         }
-        // What the leaf's loops add, over all their iterations.
-        let loops = terms.iter().filter_map(|&(atom, by)| match atom {
-            Atom::Var { trips, .. } => Some((trips.max(0), by)),
-            _ => None,
-        });
-        let instances = loops
-            .clone()
-            .fold(threads, |n, (trips, _)| n.saturating_mul(trips as usize));
-        if instances > FOOTPRINT_CAP - elements.len() {
-            return Err(UNPROVEN);
-        }
-        let mut offsets = vec![address.konst];
-        for (trips, by) in loops {
-            let step = |i: i64| {
-                offsets
-                    .iter()
-                    .map(move |at| at.wrapping_add(by.wrapping_mul(i)))
-            };
-            offsets = (0..trips).flat_map(step).collect();
-        }
-        // A thread a lane guard keeps out does not touch the element.
-        let reaches = |thread: usize| {
-            (touch.guard.iter()).all(|&(r, holds)| {
-                debug_assert_eq!(r >> FILE_SHIFT, BOOL);
-                lanes.bools[(r & COLUMN) as usize + thread] == holds
-            })
-        };
-        for thread in (0..threads).filter(|&thread| reaches(thread)) {
-            let mut own = 0i64;
-            for &(atom, by) in terms {
-                if let Atom::Lane(r) = atom {
-                    let lane = lanes.ints[(r & COLUMN) as usize + thread];
-                    own = own.wrapping_add(lane.wrapping_mul(by));
-                }
-            }
-            let at = offsets.iter().map(|at| at.wrapping_add(own));
-            elements.extend(at.map(|at| (at, thread as u32, touch.store)));
-        }
+        let room = FOOTPRINT_CAP - elements.len();
+        let store = touch.store;
+        reach(p, touch, lanes, room, |at, thread| {
+            elements.push((at, thread, store));
+        })
+        .ok_or(UNPROVEN)?;
     }
     // Each touch as one word — the element above the thread above the
     // store bit — so that sorting compares integers. (A buffer spans far
@@ -208,4 +161,80 @@ fn apart<'t>(
         })
     });
     met.map_or(Ok(()), Err)
+}
+
+/// Whether `touches`, every access to one buffer, all address it through
+/// one function of their sums that is one-to-one over every value those
+/// sums take — or none does: either way, sums that differ are elements that
+/// differ.
+pub(super) fn one_function<'t>(touches: &[&'t Touch]) -> bool {
+    let chain = |t: &'t Touch| t.through.as_ref().map(|(chain, _)| chain);
+    let through = touches.first().and_then(|&t| chain(t));
+    if touches.iter().any(|&t| chain(t) != through) {
+        return false;
+    }
+    let Some(through) = through else {
+        return true;
+    };
+    let ranges = touches
+        .iter()
+        .flat_map(|t| &t.through)
+        .map(|(_, range)| *range);
+    let hull = ranges.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)));
+    hull.is_some_and(|hull| through.one_to_one(hull))
+}
+
+/// Every element `touch` reaches in one block, with the thread reaching it,
+/// over all iterations of the leaf's loops, handed to `out`: its address
+/// less the part the whole block shares. A thread a lane guard keeps out
+/// does not touch the element. `None` when that is more than `room`
+/// elements, or the address is not understood.
+pub(super) fn reach(
+    p: &Program,
+    touch: &Touch,
+    lanes: &LaneTable,
+    room: usize,
+    mut out: impl FnMut(i64, u32),
+) -> Option<()> {
+    let address = touch.address.as_ref()?;
+    let terms = address.terms();
+    // What the leaf's loops add, over all their iterations.
+    let loops = terms.iter().filter_map(|&(atom, by)| match atom {
+        Atom::Var { trips, .. } => Some((trips.max(0), by)),
+        _ => None,
+    });
+    let instances = loops.clone().fold(p.block_dim, |n, (trips, _)| {
+        n.saturating_mul(trips as usize)
+    });
+    if instances > room {
+        return None;
+    }
+    let mut offsets = vec![address.konst];
+    for (trips, by) in loops {
+        let step = |i: i64| {
+            offsets
+                .iter()
+                .map(move |at| at.wrapping_add(by.wrapping_mul(i)))
+        };
+        offsets = (0..trips).flat_map(step).collect();
+    }
+    let reaches = |thread: usize| {
+        (touch.guard.iter()).all(|&(r, holds)| {
+            debug_assert_eq!(r >> FILE_SHIFT, BOOL);
+            lanes.bools[(r & COLUMN) as usize + thread] == holds
+        })
+    };
+    for thread in (0..p.block_dim).filter(|&thread| reaches(thread)) {
+        let mut own = 0i64;
+        for &(atom, by) in terms {
+            if let Atom::Lane(r) = atom {
+                let lane = lanes.ints[(r & COLUMN) as usize + thread];
+                own = own.wrapping_add(lane.wrapping_mul(by));
+            }
+        }
+        for at in &offsets {
+            out(at.wrapping_add(own), thread as u32);
+        }
+    }
+    Some(())
 }

@@ -173,9 +173,41 @@
 //! fault keeps the walker's thread order, variant and payload by
 //! construction. [`Program::ranges`] reports every range with its verdict.
 //!
+//! # Blocks side by side
+//!
+//! The same argument one level up: a task mapping makes a grid's blocks
+//! independent workers, so where the lowering can show they are, a launch
+//! runs the threads of several blocks — up to a private cap of 1,024 lanes,
+//! of blocks of at most 128 threads (a wider block fills a wide pass on its
+//! own) — as the lanes of one wide pass, and one dispatch per instruction
+//! serves them all. The blocks of a grid are apart when
+//!
+//! * every range is [`Verdict::Wide`]: its threads commute and none can
+//!   fault, and neither can the same threads of other blocks;
+//! * every loop extent, and every branch condition around a barrier, is
+//!   proven the same in every block: the blocks of a pass walk the skeleton
+//!   as one, and a wide loop takes the same trips in all their lanes;
+//! * no element of a global buffer is touched by two blocks where either
+//!   touch is a store, counting every range of the kernel: the footprint
+//!   rule above with `blockIdx` in place of `threadIdx`. What an access
+//!   reaches in one block is enumerated once; block code, run for every
+//!   block at lowering, says where each block moves it. Counting all ranges
+//!   together also keeps a block from reading in an early range what
+//!   another stores in a later one, which the blocks would see in the
+//!   other order side by side.
+//!
+//! Such a program is laid out once for it ([`Program::side_by_side`]):
+//! every register column holds the lanes of all blocks of a pass,
+//! `blockIdx` and the block-level registers become columns, and block code
+//! runs wide. Shared memory stays each block's own, and the shared-memory
+//! and threads-per-block checks keep their per-block meaning. Every other
+//! program runs block by block, and so does any launch handed aliasing
+//! buffers.
+//!
 //! # What "bit-identical" covers
 //!
-//! Blocks run in grid order; a barrier-free statement is run by every thread
+//! Blocks run in grid order, or side by side where the blocks are apart as
+//! above; a barrier-free statement is run by every thread
 //! to completion in thread order unless proven to commute, and a proven
 //! range is order-free and cannot fault; statements around barriers run in
 //! lockstep with loop extents and branch conditions required to agree across

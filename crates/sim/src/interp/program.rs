@@ -11,9 +11,10 @@ use crate::{BufferId, DeviceMemory, Value};
 /// (`operand >> FILE_SHIFT`) and where in that file (`operand & COLUMN`).
 /// The lowering knows the type of every value, so an operand names the file
 /// of its type; [`SCALAR`] holds the block-level values, one each for the
-/// whole block, and the others one *column* of `block_dim` lanes per
-/// register, back to back: there the operand carries where its column
-/// starts, `block_dim` times its number.
+/// whole block, and the others one *column* of lanes per register, back to
+/// back — `block_dim` lanes, or `side_by_side × block_dim` where blocks run
+/// side by side: there the operand carries where its column starts, that
+/// many lanes times its number.
 pub(crate) type Reg = u32;
 
 pub(crate) const FILE_SHIFT: u32 = 28;
@@ -206,6 +207,8 @@ pub(crate) struct Control {
     /// Proven equal across the block and unable to fault: evaluated for
     /// thread 0 only.
     pub uniform: bool,
+    /// Proven the same in every block of the grid, too.
+    pub grid_uniform: bool,
     /// The `NonUniformControl` message, less the kernel's name the launch adds.
     pub message: String,
 }
@@ -328,6 +331,12 @@ pub struct CodeRange {
 pub struct Program {
     pub(crate) grid_dim: usize,
     pub(crate) block_dim: usize,
+    /// Blocks one pass over the grid runs side by side, as the lanes of one
+    /// wide pass: more than one only where the lowering proved the blocks
+    /// apart. Every lane file's column then holds `side_by_side ×
+    /// block_dim` lanes, and `blockIdx` and the block-level registers are
+    /// columns, computed by `block_code` run wide.
+    pub(crate) side_by_side: usize,
     pub(crate) shared_bytes: u64,
     /// Global buffers the body names undeclared, which only have to exist
     /// if an access to one is reached; the launch's after the parameters.
@@ -387,6 +396,16 @@ impl Program {
     /// Threads per block.
     pub fn block_dim(&self) -> usize {
         self.block_dim
+    }
+
+    /// Blocks of the grid one pass runs side by side, as the lanes of one
+    /// wide pass: more than 1 only for blocks of at most 128 threads that
+    /// the lowering proved apart — every range wide, every control around a
+    /// barrier the same in every block, no global element touched by two
+    /// blocks where either touch is a store. A launch handed aliasing
+    /// buffers runs its blocks one by one all the same.
+    pub fn side_by_side(&self) -> usize {
+        self.side_by_side
     }
 
     /// Every stretch of code the skeleton runs for the whole block — the

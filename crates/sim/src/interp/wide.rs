@@ -376,9 +376,16 @@ impl<'a> Block<'a> {
                     *slot = put(lane, *slot);
                 }
             }
-            Space::Shared => {
+            // (Blocks side by side each have shared memory of their own.)
+            Space::Shared if self.bases.is_empty() => {
                 for (lane, at) in lanes {
                     let slot = self.shared.get(at).ok_or_else(|| past(at))?;
+                    slot.set(put(lane, slot.get()));
+                }
+            }
+            Space::Shared => {
+                for (lane, at) in lanes {
+                    let slot = self.shared_at(at, lane).ok_or_else(|| past(at))?;
                     slot.set(put(lane, slot.get()));
                 }
             }
@@ -575,9 +582,14 @@ impl<'a> Block<'a> {
                     out.set(*buffer.get(at).ok_or_else(|| past(at))?);
                 }
             }
-            Space::Shared => {
+            Space::Shared if self.bases.is_empty() => {
                 for (_, (out, at)) in lanes {
                     out.set(self.shared.get(at).ok_or_else(|| past(at))?.get());
+                }
+            }
+            Space::Shared => {
+                for (lane, (out, at)) in lanes {
+                    out.set(self.shared_at(at, lane).ok_or_else(|| past(at))?.get());
                 }
             }
             Space::Local => {
@@ -655,7 +667,7 @@ mod tests {
             prop::collection::vec(0u8..2, n + 1),
         );
         columns.prop_map(move |(ints, floats, bools)| {
-            let mut regs = Regs::new(&program(), [COLUMNS, COLUMNS, COLUMNS, 0]);
+            let mut regs = Regs::new(&program(), [COLUMNS, COLUMNS, COLUMNS, 0], LANES);
             let bools: Vec<bool> = bools.iter().map(|&b| b == 1).collect();
             regs.scalars = vec![
                 Value::I64(ints[n]),
@@ -700,6 +712,7 @@ mod tests {
                     p,
                     regs: regs.lanes(),
                     shared: &[],
+                    bases: &[],
                     memory: &mut memory,
                     globals: &[],
                     params: &[],

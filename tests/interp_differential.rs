@@ -1793,3 +1793,194 @@ fn le_and_lt_guards_meet_at_the_edge() {
     assert_eq!(ran, walked);
     assert_runs_like_the_walker(&build(c(8).le(t())));
 }
+
+// ---- blocks side by side ---------------------------------------------------
+
+/// The serving stack's multi-block kernels of narrow blocks run their
+/// blocks side by side: `head(8)`'s first matmul (4 blocks of 32 threads),
+/// the `cnn_block(8)` conv (18 of 32) and the batch matmuls of
+/// `decode_mixed`'s decode step (8 of 128) each in one pass, and every other
+/// kernel of more than one block of at most 128 threads in passes of more
+/// than one. (Blocks of 256 threads run one by one: they already fill a
+/// wide pass.)
+#[test]
+fn the_serving_kernels_run_their_blocks_side_by_side() {
+    let gpu = Gpu::default();
+    let step = hidet_graph::models::transformer_decode_step("bench_decode", 4, 48, 2, 32, 2, 32);
+    let cases = [
+        (head8(), CompilerOptions::tuned(), "matmul_0_fused", 4),
+        (
+            cnn_block8(),
+            CompilerOptions::tuned(),
+            "matmul_1000_fused",
+            18,
+        ),
+        (
+            step,
+            CompilerOptions::quick().order_stable(),
+            "batch_matmul",
+            8,
+        ),
+    ];
+    for (graph, options, name, blocks) in cases {
+        let compiled = hidet::compile(&graph, &gpu, &options).expect("graph compiles");
+        let mut named = 0;
+        for (kernel, program) in lowered(compiled.plan()) {
+            let (grid, threads) = (kernel.launch().grid_dim as usize, kernel.launch().block_dim);
+            let side = program.side_by_side();
+            let narrow = grid > 1 && threads <= 128;
+            assert_eq!(narrow, side > 1, "{}: {side} of {grid}", kernel.name());
+            if kernel.name().starts_with(name) {
+                assert_eq!((grid, side), (blocks, blocks), "{}", kernel.name());
+                named += 1;
+            }
+        }
+        assert!(named > 0, "{}: no kernel named {name}", graph.name());
+    }
+}
+
+/// `grid` blocks of 8 threads over `X` and `Y` of `len` elements each: a
+/// kernel built by `body` from the two.
+fn grid_kernel(
+    grid: i64,
+    len: i64,
+    body: impl FnOnce(&BufferRef, &BufferRef) -> Vec<Stmt>,
+) -> Kernel {
+    let mut kb = KernelBuilder::new("blocks", grid, 8);
+    let x = kb.param("X", DType::F32, &[len]);
+    let y = kb.param("Y", DType::F32, &[len]);
+    for statement in body(&x, &y) {
+        kb.push(statement);
+    }
+    kb.build()
+}
+
+/// Runs `kernel` on both interpreters and returns how many blocks its
+/// program runs side by side.
+fn side_by_side_like_the_walker(kernel: &Kernel) -> usize {
+    assert_runs_like_the_walker(kernel);
+    Program::lower(kernel).side_by_side()
+}
+
+#[test]
+fn blocks_that_store_one_element_run_one_by_one() {
+    // Every block stores `Y[t]`: the last block's value is the one left.
+    let b = || block_idx().cast(DType::F32);
+    let own = grid_kernel(4, 32, |x, y| {
+        let at = block_idx() * 8 + thread_idx();
+        vec![store(y, vec![at.clone()], load(x, vec![at]) + b())]
+    });
+    assert_eq!(side_by_side_like_the_walker(&own), 4);
+    let shared = grid_kernel(4, 32, |x, y| {
+        let at = block_idx() * 8 + thread_idx();
+        vec![store(y, vec![thread_idx()], load(x, vec![at]) + b())]
+    });
+    assert_eq!(side_by_side_like_the_walker(&shared), 1);
+    // One block loads what another stores, in the same leaf.
+    let read = grid_kernel(4, 32, |x, y| {
+        let at = block_idx() * 8 + thread_idx();
+        let next = (block_idx() + 1) % 4 * 8 + thread_idx();
+        vec![store(
+            y,
+            vec![at],
+            load(y, vec![next]) + load(x, vec![thread_idx()]),
+        )]
+    });
+    assert_eq!(side_by_side_like_the_walker(&read), 1);
+}
+
+#[test]
+fn a_block_reading_in_an_early_range_what_another_stores_later_runs_one_by_one() {
+    // Block `b` reads `Y[(b + 1) % 4, t]` before a barrier and stores
+    // `Y[b, t]` after it: one by one, the last block reads what the first
+    // stored. Each range on its own keeps the blocks apart.
+    for next in [block_idx() + 1, block_idx()] {
+        let mut kb = KernelBuilder::new("early_late", 4, 8);
+        let x = kb.param("X", DType::F32, &[32]);
+        let y = kb.param("Y", DType::F32, &[32]);
+        let r = kb.local("R", DType::F32, &[1]);
+        let at = block_idx() * 8 + thread_idx();
+        let there = next.clone() % 4 * 8 + thread_idx();
+        kb.push(store(&r, vec![c(0)], load(&y, vec![there])));
+        kb.push(sync_threads());
+        kb.push(store(
+            &y,
+            vec![at.clone()],
+            load(&r, vec![c(0)]) * 2.0f32 + load(&x, vec![at]),
+        ));
+        let expected = if next == block_idx() { 4 } else { 1 };
+        assert_eq!(
+            side_by_side_like_the_walker(&kb.build()),
+            expected,
+            "{next}"
+        );
+    }
+}
+
+#[test]
+fn a_barrier_loop_whose_extent_depends_on_the_block_runs_one_by_one() {
+    // Block `b` runs `b + 1` iterations around a barrier — the same for all
+    // its threads, not for the grid.
+    for extent in [block_idx() + 1, c(3)] {
+        let mut kb = KernelBuilder::new("block_trips", 3, 8);
+        let x = kb.param("X", DType::F32, &[24]);
+        let y = kb.param("Y", DType::F32, &[24]);
+        let s = kb.shared("S", DType::F32, &[8]);
+        let at = || block_idx() * 8 + thread_idx();
+        kb.push(for_range("k", extent.clone(), |k| {
+            seq(vec![
+                store(
+                    &s,
+                    vec![thread_idx()],
+                    load(&x, vec![at()]) + k.cast(DType::F32),
+                ),
+                sync_threads(),
+                store(
+                    &y,
+                    vec![at()],
+                    load(&y, vec![at()]) + load(&s, vec![(thread_idx() + 1) % 8]),
+                ),
+                sync_threads(),
+            ])
+        }));
+        let expected = if extent == c(3) { 3 } else { 1 };
+        assert_eq!(
+            side_by_side_like_the_walker(&kb.build()),
+            expected,
+            "{extent}"
+        );
+    }
+}
+
+#[test]
+fn a_launch_with_aliased_buffers_runs_its_blocks_one_by_one() {
+    // `R = X[8b + t]`, a barrier, `Y[8b + t + 1] = R + 1` keeps blocks
+    // apart — unless `Y` is bound to the arena window `X` is, where block
+    // `b` reads before its barrier what block `b - 1` wrote after its own
+    // when blocks run one by one.
+    let mut kb = KernelBuilder::new("aliased_blocks", 4, 8);
+    let x = kb.param("X", DType::F32, &[33]);
+    let y = kb.param("Y", DType::F32, &[33]);
+    let r = kb.local("R", DType::F32, &[1]);
+    let at = || block_idx() * 8 + thread_idx();
+    kb.push(store(&r, vec![c(0)], load(&x, vec![at()])));
+    kb.push(sync_threads());
+    kb.push(store(&y, vec![at() + 1], load(&r, vec![c(0)]) + 1.0f32));
+    let kernel = kb.build();
+    assert_eq!(Program::lower(&kernel).side_by_side(), 4);
+    let gpu = Gpu::default();
+    for y_at in [0, 1, 8, 33] {
+        let mut walker_mem = DeviceMemory::new();
+        walker_mem.reserve_arena(66);
+        walker_mem.bind_view("X", 0, 33);
+        walker_mem.bind_view("Y", y_at, 33);
+        walker_mem
+            .get_mut("X")
+            .expect("bound")
+            .copy_from_slice(&seeded(33, 5));
+        let mut program_mem = walker_mem.clone();
+        walker::run_kernel(&kernel, &mut walker_mem, gpu.spec()).expect("walker runs");
+        gpu.run(&kernel, &mut program_mem).expect("program runs");
+        assert_same_memory(&walker_mem, &program_mem, &format!("Y at {y_at}"));
+    }
+}
