@@ -36,7 +36,8 @@
 //!    The "side by side" column counts the definitions of more than one
 //!    block whose blocks the lowering proved apart, so that a launch runs
 //!    them as the lanes of one wide pass, of all definitions of more than
-//!    one block.
+//!    one block; only blocks of at most 32 threads go side by side, so it
+//!    reads 0 where every block of a graph is wider.
 //!    Each model's largest program-to-IR ratio is printed, and a program of
 //!    more than 4× its kernel's IR nodes fails the sweep: unrolling must
 //!    stay proportional to the kernel on the whole zoo;

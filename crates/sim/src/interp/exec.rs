@@ -605,10 +605,16 @@ impl<'a> Block<'a> {
     }
 
     /// Element `at` of lane `lane`'s block's shared memory, if there is one.
+    /// `bases` is empty or holds every lane of the pass, so the match goes
+    /// the same way for every lane of a loop, and a one-block pass pays no
+    /// per-lane lookup.
     #[inline(always)]
     pub(super) fn shared_at(&self, at: usize, lane: usize) -> Option<&'a Cell<f32>> {
-        let (shared, base) = (self.shared, self.bases.get(lane).copied());
-        shared.get(at.wrapping_add(base.unwrap_or(0)))
+        let base = match self.bases {
+            [] => 0,
+            bases => bases[lane],
+        };
+        self.shared.get(at.wrapping_add(base))
     }
 
     /// Thread `lane`'s element `at` of its register arrays, if it has one.

@@ -16,11 +16,12 @@ use crate::interp::program::{
 const LANES: usize = 1024;
 
 /// Threads a block may have and still run side by side with others. A
-/// wider block already spreads each dispatch over its own lanes: blocks of
-/// 256 threads four to a pass ran 9–14% slower than one by one (register
-/// columns four times as long, block-level values read per lane), where
-/// blocks of 32 ran 1.2× faster and blocks of 128 about even.
-const WIDEST: usize = 128;
+/// wider block already spreads each dispatch over its own lanes: side by
+/// side, blocks of 32 threads ran 1.2–1.3× faster, blocks of 128 between
+/// 0.92× and 1.06× (not worth the grid proof's lowering), and blocks of 256
+/// 9–14% slower (register columns four times as long, block-level values
+/// read per lane).
+const WIDEST: usize = 32;
 
 /// Elements the proof that blocks stay apart enumerates, over the whole
 /// grid, before it gives up.

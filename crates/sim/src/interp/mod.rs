@@ -178,7 +178,7 @@
 //! The same argument one level up: a task mapping makes a grid's blocks
 //! independent workers, so where the lowering can show they are, a launch
 //! runs the threads of several blocks — up to a private cap of 1,024 lanes,
-//! of blocks of at most 128 threads (a wider block fills a wide pass on its
+//! of blocks of at most 32 threads (a wider block fills a wide pass on its
 //! own) — as the lanes of one wide pass, and one dispatch per instruction
 //! serves them all. The blocks of a grid are apart when
 //!

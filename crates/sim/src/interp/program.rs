@@ -399,7 +399,7 @@ impl Program {
     }
 
     /// Blocks of the grid one pass runs side by side, as the lanes of one
-    /// wide pass: more than 1 only for blocks of at most 128 threads that
+    /// wide pass: more than 1 only for blocks of at most 32 threads that
     /// the lowering proved apart — every range wide, every control around a
     /// barrier the same in every block, no global element touched by two
     /// blocks where either touch is a store. A launch handed aliasing

@@ -377,12 +377,6 @@ impl<'a> Block<'a> {
                 }
             }
             // (Blocks side by side each have shared memory of their own.)
-            Space::Shared if self.bases.is_empty() => {
-                for (lane, at) in lanes {
-                    let slot = self.shared.get(at).ok_or_else(|| past(at))?;
-                    slot.set(put(lane, slot.get()));
-                }
-            }
             Space::Shared => {
                 for (lane, at) in lanes {
                     let slot = self.shared_at(at, lane).ok_or_else(|| past(at))?;
@@ -580,11 +574,6 @@ impl<'a> Block<'a> {
                 let buffer = self.global(a, g)?;
                 for (_, (out, at)) in lanes {
                     out.set(*buffer.get(at).ok_or_else(|| past(at))?);
-                }
-            }
-            Space::Shared if self.bases.is_empty() => {
-                for (_, (out, at)) in lanes {
-                    out.set(self.shared.get(at).ok_or_else(|| past(at))?.get());
                 }
             }
             Space::Shared => {

@@ -1797,45 +1797,63 @@ fn le_and_lt_guards_meet_at_the_edge() {
 // ---- blocks side by side ---------------------------------------------------
 
 /// The serving stack's multi-block kernels of narrow blocks run their
-/// blocks side by side: `head(8)`'s first matmul (4 blocks of 32 threads),
-/// the `cnn_block(8)` conv (18 of 32) and the batch matmuls of
-/// `decode_mixed`'s decode step (8 of 128) each in one pass, and every other
-/// kernel of more than one block of at most 128 threads in passes of more
-/// than one. (Blocks of 256 threads run one by one: they already fill a
-/// wide pass.)
+/// blocks side by side where the lowering proves them apart, each in one
+/// pass: `head(8)`'s first matmul (4 blocks of 32 threads), the
+/// `cnn_block(8)` conv (18 of 32) and, in `decode_mixed`'s decode step as
+/// the decode engine compiles it (`compact()`), the second batch matmul of
+/// each layer (8 of 32) and the matmul after attention (4 of 32). Wider
+/// blocks never do: compiled with `quick()`, the same step's batch matmuls
+/// are 8 blocks of 128 threads, which gained nothing side by side, and
+/// blocks of 256 threads already fill a wide pass.
 #[test]
 fn the_serving_kernels_run_their_blocks_side_by_side() {
     let gpu = Gpu::default();
-    let step = hidet_graph::models::transformer_decode_step("bench_decode", 4, 48, 2, 32, 2, 32);
+    let step = || hidet_graph::models::transformer_decode_step("bench_decode", 4, 48, 2, 32, 2, 32);
     let cases = [
-        (head8(), CompilerOptions::tuned(), "matmul_0_fused", 4),
+        (
+            head8(),
+            CompilerOptions::tuned(),
+            vec![("matmul_0_fused", 4, 4)],
+        ),
         (
             cnn_block8(),
             CompilerOptions::tuned(),
-            "matmul_1000_fused",
-            18,
+            vec![("matmul_1000_fused", 18, 18)],
         ),
         (
-            step,
+            step(),
+            CompilerOptions::compact().order_stable(),
+            vec![
+                ("batch_matmul_1_fused", 8, 8),
+                ("batch_matmul_3_fused", 8, 8),
+                ("matmul_4_fused", 4, 4),
+                ("matmul_10_fused", 4, 4),
+            ],
+        ),
+        (
+            step(),
             CompilerOptions::quick().order_stable(),
-            "batch_matmul",
-            8,
+            vec![("batch_matmul", 8, 1)],
         ),
     ];
-    for (graph, options, name, blocks) in cases {
+    for (graph, options, expected) in cases {
         let compiled = hidet::compile(&graph, &gpu, &options).expect("graph compiles");
-        let mut named = 0;
+        let mut named = vec![0; expected.len()];
         for (kernel, program) in lowered(compiled.plan()) {
             let (grid, threads) = (kernel.launch().grid_dim as usize, kernel.launch().block_dim);
             let side = program.side_by_side();
-            let narrow = grid > 1 && threads <= 128;
-            assert_eq!(narrow, side > 1, "{}: {side} of {grid}", kernel.name());
-            if kernel.name().starts_with(name) {
-                assert_eq!((grid, side), (blocks, blocks), "{}", kernel.name());
-                named += 1;
+            let narrow = grid > 1 && threads <= 32;
+            assert!(narrow || side == 1, "{}: {side} of {grid}", kernel.name());
+            for (count, &(name, blocks, together)) in named.iter_mut().zip(&expected) {
+                if kernel.name().starts_with(name) {
+                    assert_eq!((grid, side), (blocks, together), "{}", kernel.name());
+                    *count += 1;
+                }
             }
         }
-        assert!(named > 0, "{}: no kernel named {name}", graph.name());
+        for (count, (name, ..)) in named.iter().zip(&expected) {
+            assert!(*count > 0, "{}: no kernel named {name}", graph.name());
+        }
     }
 }
 
