@@ -4,7 +4,7 @@
 //! and laid out here for the executor.
 
 use super::linear::Atom;
-use super::verdict::{one_function, reach};
+use super::verdict::{meet, one_function, reach};
 use super::{Stretch, Touch, BLOCK, INDEX, SPACE_SHIFT};
 use crate::interp::exec::block_values;
 use crate::interp::program::{
@@ -23,8 +23,8 @@ const LANES: usize = 1024;
 /// read per lane).
 const WIDEST: usize = 32;
 
-/// Elements the proof that blocks stay apart enumerates, over the whole
-/// grid, before it gives up.
+/// Elements the proof that blocks stay apart enumerates for one buffer,
+/// over the whole grid, before it gives up.
 const GRID_CAP: usize = 1 << 17;
 
 /// How many blocks a pass over the grid of the finished program `p` runs
@@ -39,8 +39,8 @@ const GRID_CAP: usize = 1 << 17;
 /// * no element of a global buffer some range stores to is touched by two
 ///   blocks, one of them storing it, over all ranges of the kernel — the
 ///   footprint rule of a range (`verdict.rs`) with `blockIdx` in place of
-///   `threadIdx`, which also keeps a block from reading in an early range
-///   what another stores in a later one.
+///   `threadIdx`, decided by the same [`meet`], which also keeps a block
+///   from reading in an early range what another stores in a later one.
 ///
 /// Shared memory stays the block's own, so it needs no proof. `global`
 /// tells a global buffer's element count; `lanes` is what lane code
@@ -76,7 +76,9 @@ pub(super) fn side_by_side(
 /// what its block-level terms add there (block code run for every block).
 /// An element outside the buffer, or a sum outside the interval its chain
 /// was proven one-to-one over, is left out: no block reaches it, since
-/// every access of a wide range is proven in bounds.
+/// every access of a wide range is proven in bounds. [`meet`] then decides
+/// on the elements of each buffer with blocks as workers, as the range
+/// proof does with threads.
 fn blocks_apart(
     p: &Program,
     stretches: &[Stretch],
@@ -138,92 +140,40 @@ fn blocks_apart(
     };
     for (buffer, owns) in reaching {
         let len = global(buffer).unwrap_or(0) as i64;
-        let mut reached = Vec::with_capacity(owns.len());
+        // Each access, where each block moves it and the interval its
+        // elements can take.
+        let mut moved = Vec::with_capacity(owns.len());
         for (touch, own) in owns {
             let Some(address) = &touch.address else {
                 return false;
             };
             let base = |block: usize| {
                 let mut terms = address.terms().iter();
-                terms.try_fold(0i64, |base, &(atom, by)| match atom {
+                let base = terms.try_fold(0i64, |base, &(atom, by)| match atom {
                     Atom::Fixed(r) => Some(base.wrapping_add(value(block, r)?.wrapping_mul(by))),
                     Atom::Lane(_) | Atom::Var { .. } => Some(base),
-                })
+                })?;
+                Some((base, u32::try_from(block).ok()?))
             };
-            let Some(bases) = (0..p.grid_dim).map(base).collect() else {
+            let Some(bases): Option<Vec<_>> = (0..p.grid_dim).map(base).collect() else {
                 return false;
             };
-            reached.push(Reached {
-                own,
-                bases,
-                within: match touch.through {
-                    Some((_, range)) => range,
-                    None => (0, len - 1),
-                },
-                store: touch.store,
-            });
+            let within = match touch.through {
+                Some((_, (least, most))) => least..=most,
+                None => 0..=len - 1,
+            };
+            moved.push((own, bases, within, touch.store));
         }
-        if !owned_once(&reached) {
+        // (element, block, stores it)
+        let elements = moved.iter().flat_map(|(own, bases, within, store)| {
+            bases.iter().flat_map(move |&(base, block)| {
+                let at = own.iter().map(move |at| at.wrapping_add(base));
+                let at = at.filter(move |at| within.contains(at));
+                at.map(move |at| (at, block, *store))
+            })
+        });
+        if meet(elements) != Some(None) {
             return false;
-        }
-    }
-    true
-}
-
-/// What one access reaches over the grid: the elements `own` it reaches in
-/// one block, moved by what each block adds, `bases[block]` — of them only
-/// those `within` the interval its elements can take.
-struct Reached {
-    own: Vec<i64>,
-    bases: Vec<i64>,
-    within: (i64, i64),
-    store: bool,
-}
-
-impl Reached {
-    /// Every element, with the block that reaches it.
-    fn elements(&self) -> impl Iterator<Item = (i64, u32)> + '_ {
-        let moved = self
-            .bases
-            .iter()
-            .enumerate()
-            .flat_map(move |(block, base)| {
-                let at = self.own.iter().map(move |at| at.wrapping_add(*base));
-                at.map(move |at| (at, block as u32))
-            });
-        moved.filter(|(at, _)| (self.within.0..=self.within.1).contains(at))
-    }
-}
-
-/// Whether no element `reached` is touched by two blocks, one of them
-/// storing it: the stores give each element one owner, which every other
-/// touch of it must be. (One slot per element between the least and the
-/// greatest, which the tiles of a grid cover about densely; a spread over
-/// more slots than [`GRID_CAP`] allows is not proven.)
-fn owned_once(reached: &[Reached]) -> bool {
-    let all = || reached.iter().flat_map(Reached::elements).map(|(at, _)| at);
-    let (Some(least), Some(most)) = (all().min(), all().max()) else {
-        return true;
-    };
-    let span = most
-        .checked_sub(least)
-        .and_then(|d| usize::try_from(d).ok());
-    let Some(span) = span.filter(|&span| span < 4 * GRID_CAP) else {
-        return false;
-    };
-    const NONE: u32 = u32::MAX;
-    let mut owner = vec![NONE; span + 1];
-    for stores in [true, false] {
-        for r in reached.iter().filter(|r| r.store == stores) {
-            for (at, block) in r.elements() {
-                let owner = &mut owner[(at - least) as usize];
-                match *owner {
-                    NONE if stores => *owner = block,
-                    NONE => {}
-                    other if other != block => return false,
-                    _ => {}
-                }
-            }
         }
     }
     true

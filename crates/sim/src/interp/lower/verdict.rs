@@ -127,40 +127,53 @@ fn apart<'t>(
         })
         .ok_or(UNPROVEN)?;
     }
-    // Each touch as one word — the element above the thread above the
-    // store bit — so that sorting compares integers. (A buffer spans far
-    // less than 2⁴⁰ elements, a block far fewer than 2²² threads.)
-    let least = elements.iter().map(|e| e.0).min().unwrap_or(0);
-    let word = |(at, thread, store): (i64, u32, bool)| {
-        let at = u64::try_from(at.wrapping_sub(least))
-            .ok()
-            .filter(|&at| at < 1 << 40)?;
-        Some(at << 23 | u64::from(thread) << 1 | u64::from(store))
-    };
-    let mut words: Vec<u64> = (elements.into_iter().map(word))
-        .collect::<Option<_>>()
-        .ok_or(UNPROVEN)?;
-    words.sort_unstable();
-    let touch = |word: u64| {
-        let at = least.wrapping_add((word >> 23) as i64);
-        (at, ((word >> 1) & ((1 << 22) - 1)) as u32, word & 1 == 1)
-    };
-    // Within the run of one element, sorted by thread: a store by one thread
+    match meet(elements.iter().copied()).ok_or(UNPROVEN)? {
+        None => Ok(()),
+        Some((element, threads)) => Err(Reason::Overlap {
+            buffer: p.buffer_names[buffer as usize].clone(),
+            element,
+            threads,
+        }),
+    }
+}
+
+/// Where workers meet in `touches`, each `(element, worker, stores it)`:
+/// the least element two different workers touch, one of them storing it,
+/// with the two, the lower first. `Some(None)` when there is no such
+/// element; `None`, not proven, when a touch does not fit the packed word —
+/// an element 2⁴⁰ or more past the least, a worker of 2²² or more. The
+/// range proof hands it the threads of a block, the grid proof the blocks
+/// of a grid; each bounds `touches` by its own budget.
+pub(super) fn meet(
+    touches: impl Iterator<Item = (i64, u32, bool)> + Clone,
+) -> Option<Option<(i64, (u32, u32))>> {
+    // Each touch as one word — the element above the worker above the
+    // store bit — so that sorting compares integers.
+    let (least, count) = (touches.clone()).fold((i64::MAX, 0), |(least, count), t| {
+        (least.min(t.0), count + 1)
+    });
+    let mut words = Vec::with_capacity(count);
+    for (at, worker, store) in touches {
+        let at = u64::try_from(at.wrapping_sub(least)).ok()?;
+        if at >= 1 << 40 || worker >= 1 << 22 {
+            return None;
+        }
+        words.push(at << 23 | u64::from(worker) << 1 | u64::from(store));
+    }
+    // A stable sort merges the ascending runs the grid proof hands over,
+    // one per access.
+    words.sort();
+    let worker = |word: u64| (word >> 1 & ((1 << 22) - 1)) as u32;
+    // Within the run of one element, sorted by worker: a store by one worker
     // and anything by another.
     let mut runs = words.chunk_by(|a, b| a >> 23 == b >> 23);
-    let met = runs.find_map(|run| {
-        let (first, last) = (touch(run[0]), touch(run[run.len() - 1]));
-        let storing = run.iter().map(|&w| touch(w)).find(|touch| touch.2)?;
-        let other = [first, last]
-            .into_iter()
-            .find(|touch| touch.1 != storing.1)?;
-        Some(Reason::Overlap {
-            buffer: p.buffer_names[buffer as usize].clone(),
-            element: first.0,
-            threads: (storing.1.min(other.1), storing.1.max(other.1)),
-        })
-    });
-    met.map_or(Ok(()), Err)
+    Some(runs.find_map(|run| {
+        let storing = worker(*run.iter().find(|&&word| word & 1 == 1)?);
+        let ends = [run[0], run[run.len() - 1]].map(worker);
+        let other = ends.into_iter().find(|&other| other != storing)?;
+        let at = least.wrapping_add((run[0] >> 23) as i64);
+        Some((at, (storing.min(other), storing.max(other))))
+    }))
 }
 
 /// Whether `touches`, every access to one buffer, all address it through
@@ -237,4 +250,64 @@ pub(super) fn reach(
         }
     }
     Some(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::meet;
+    use proptest::prelude::*;
+
+    /// Whether two workers meet at `at` by the definition: two touches of it
+    /// by different workers, one of them a store.
+    fn met_at(touches: &[(i64, u32, bool)], at: i64) -> bool {
+        let here = || touches.iter().filter(|t| t.0 == at);
+        here().any(|a| here().any(|b| a.1 != b.1 && (a.2 || b.2)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `meet` reports the least element the definition has two workers
+        /// meet at, and none when there is none; the two it names differ,
+        /// both touch the element and one of them stores it. Few elements
+        /// and workers make repeats inside one worker common; the edges of
+        /// the packed word's fields are among them.
+        #[test]
+        fn meet_agrees_with_the_pairwise_definition(
+            touches in prop::collection::vec(
+                (
+                    prop_oneof![-4i64..4, Just((1 << 40) - 5)],
+                    prop::sample::select(vec![0u32, 1, 2, (1 << 22) - 1]),
+                    prop::sample::select(vec![false, true]),
+                ),
+                0..10,
+            ),
+        ) {
+            let met = meet(touches.iter().copied()).expect("every touch fits the word");
+            let least = (touches.iter().map(|t| t.0)).filter(|&at| met_at(&touches, at)).min();
+            prop_assert_eq!(met.map(|(at, _)| at), least);
+            if let Some((at, (lower, higher))) = met {
+                let touched = |worker| touches.iter().any(|t| (t.0, t.1) == (at, worker));
+                let stored = |worker| touches.contains(&(at, worker, true));
+                prop_assert!(lower < higher);
+                prop_assert!(touched(lower) && touched(higher));
+                prop_assert!(stored(lower) || stored(higher));
+            }
+        }
+    }
+
+    #[test]
+    fn a_touch_that_does_not_fit_the_word_is_refused() {
+        let top = (1 << 22) - 1;
+        assert_eq!(
+            meet([(0, top, true), (0, 0, false)].into_iter()),
+            Some(Some((0, (0, top))))
+        );
+        assert_eq!(meet([(0, top + 1, true), (0, 0, false)].into_iter()), None);
+        assert_eq!(meet([(0, 0, true), (1 << 40, 1, false)].into_iter()), None);
+        assert_eq!(
+            meet([(i64::MIN, 0, true), (i64::MAX, 1, false)].into_iter()),
+            None
+        );
+    }
 }

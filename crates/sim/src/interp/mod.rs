@@ -191,10 +191,13 @@
 //!   touch is a store, counting every range of the kernel: the footprint
 //!   rule above with `blockIdx` in place of `threadIdx`. What an access
 //!   reaches in one block is enumerated once; block code, run for every
-//!   block at lowering, says where each block moves it. Counting all ranges
-//!   together also keeps a block from reading in an early range what
-//!   another stores in a later one, which the blocks would see in the
-//!   other order side by side.
+//!   block at lowering, says where each block moves it. One function
+//!   decides both rules: it sorts `(element, worker, store)` touches, the
+//!   workers a range's threads or a grid's blocks, and finds an element
+//!   two workers meet at, one storing it. Counting all ranges together
+//!   also keeps a block from reading in an early range what another stores
+//!   in a later one, which the blocks would see in the other order side by
+//!   side.
 //!
 //! Such a program is laid out once for it ([`Program::side_by_side`]):
 //! every register column holds the lanes of all blocks of a pass,

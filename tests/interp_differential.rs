@@ -1082,22 +1082,29 @@ fn iterations_of_a_leaf_loop_that_meet_across_threads_take_turns() {
     // Iteration `i` of thread `t` writes `S[2t + i]`, which iteration
     // `i + 1` of thread `t - 1` reads: no two threads meet in the same
     // iteration, and running the loop an iteration at a time would hand
-    // thread `t - 1` what thread `t` has not written yet.
-    let mut kb = KernelBuilder::new("racy_loop", 1, 4);
-    let y = kb.param("Y", DType::F32, &[4, 9]);
-    let s = kb.shared("S", DType::F32, &[16]);
-    kb.push(for_range("i", 9, |i| {
-        let mine = thread_idx() * 2 + i.clone();
-        seq(vec![
-            store(
-                &y,
-                vec![thread_idx(), i.clone()],
-                load(&s, vec![mine.clone() + 1]),
-            ),
-            store(&s, vec![mine], (thread_idx() * 9 + i + 1).cast(DType::F32)),
-        ])
-    }));
-    assert_runs_like_the_walker(&kb.build());
+    // thread `t - 1` what thread `t` has not written yet. Nine trips unroll;
+    // ninety-nine stay a loop, whose variable the proof must count.
+    for trips in [9, 99] {
+        let mut kb = KernelBuilder::new("racy_loop", 1, 4);
+        let y = kb.param("Y", DType::F32, &[4, trips]);
+        let s = kb.shared("S", DType::F32, &[trips + 7]);
+        kb.push(for_range("i", trips, |i| {
+            let mine = thread_idx() * 2 + i.clone();
+            seq(vec![
+                store(
+                    &y,
+                    vec![thread_idx(), i.clone()],
+                    load(&s, vec![mine.clone() + 1]),
+                ),
+                store(
+                    &s,
+                    vec![mine],
+                    (thread_idx() * trips + i + 1).cast(DType::F32),
+                ),
+            ])
+        }));
+        assert_runs_like_the_walker(&kb.build());
+    }
 }
 
 #[test]
@@ -1905,6 +1912,19 @@ fn blocks_that_store_one_element_run_one_by_one() {
         )]
     });
     assert_eq!(side_by_side_like_the_walker(&read), 1);
+}
+
+#[test]
+fn blocks_whose_elements_lie_far_apart_run_side_by_side() {
+    // Block `b` stores `Y[600_000 b + t]`: the two blocks are apart, though
+    // the elements they reach spread over more than four times the grid
+    // proof's element budget.
+    let far = grid_kernel(2, 600_008, |x, y| {
+        let at = block_idx() * 600_000 + thread_idx();
+        let b = block_idx().cast(DType::F32);
+        vec![store(y, vec![at], load(x, vec![thread_idx()]) + b)]
+    });
+    assert_eq!(side_by_side_like_the_walker(&far), 2);
 }
 
 #[test]
