@@ -111,8 +111,9 @@ pub enum Rule {
     /// `#![warn(missing_docs)]`.
     LintMissingDocsAttr,
     /// HA104 — unbalanced `span_start`/`span_end` call sites in an
-    /// instrumented file (a bare start without an end leaks an open span on
-    /// early-return paths; the RAII `span()` guard is the endorsed form).
+    /// instrumented file (a bare start without an end records nothing on
+    /// early-return paths: the span is pushed only when it closes; the RAII
+    /// `span()` guard is the endorsed form).
     LintSpanPairing,
     /// HA105 — a source file under `crates/*/src` is longer than
     /// `lint::MAX_SOURCE_LINES`: split it along its seams.

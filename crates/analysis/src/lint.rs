@@ -16,10 +16,11 @@
 //! * **HA103** — every workspace crate's `lib.rs` carries
 //!   `#![warn(missing_docs)]`.
 //! * **HA104** — in every trace-instrumented file, bare `span_start(` call
-//!   sites balance `span_end(` call sites. A start without an end leaks an
-//!   open span on early-return paths; the RAII `Tracer::span` guard closes
-//!   on every path and is the endorsed form (it does not match either
-//!   pattern, so guard-only files trivially pass).
+//!   sites balance `span_end(` call sites. A span is pushed only when it
+//!   closes, so a start without an end records nothing on early-return
+//!   paths; the RAII `Tracer::span` guard closes on every path and is the
+//!   endorsed form (it does not match either pattern, so guard-only files
+//!   trivially pass).
 //! * **HA105** — no `.rs` file under `crates/*/src` is longer than
 //!   [`MAX_SOURCE_LINES`] lines, tests included: a file that large holds
 //!   more than one subsystem and is split along its seams instead.
@@ -223,8 +224,8 @@ pub fn scan_hot_source(
 
 /// HA104 over one source text: counts bare `span_start(` and `span_end(`
 /// call sites outside comments and test modules (same exemptions as HA102).
-/// Unequal counts mean some return path leaks an open span — or closes one
-/// it never opened.
+/// Unequal counts mean some return path loses a span it opened — it is
+/// never recorded — or closes one it never opened.
 pub fn scan_span_pairing(rel_path: &str, content: &str) -> Vec<Diagnostic> {
     let mut starts = 0usize;
     let mut ends = 0usize;

@@ -4,15 +4,16 @@
 //! layer — HTTP front-end, batching engine, decode shards, compiler, the
 //! simulated device — emits typed spans into per-thread bounded rings
 //! ([`ring`], a Vyukov-style lock-free MPSC ring; the HTTP front-end's
-//! ingress pushes through the same ring, as `hidet_server::ring`). The hot
-//! path takes **zero mutexes** — enforced structurally by the HA101 lint,
-//! which covers `crates/trace/src/ring.rs` — and never blocks: a full ring
-//! sheds the event and counts it (`hidet_trace_events_dropped_total`).
-//! A thread's ring is freed once the thread has exited and its last events
-//! are drained.
+//! ingress pushes through the same ring, as `hidet_server::ring`). A span
+//! is pushed once, whole, when it closes, as a [`CompletedSpan`]; opening
+//! one pushes nothing. The hot path takes **zero mutexes** — enforced
+//! structurally by the HA101 lint, which covers `crates/trace/src/ring.rs`
+//! — and never blocks: a full ring sheds the span and counts it
+//! (`hidet_trace_events_dropped_total`). A thread's ring is freed once the
+//! thread has exited and its last spans are drained.
 //!
 //! A collector ([`Collector`], or any scrape calling [`Tracer::drain`])
-//! pairs `Begin`/`End` events into [`CompletedSpan`]s and feeds two sinks:
+//! pops the rings and feeds every span to two sinks:
 //!
 //! * a **capped trace buffer**, exportable as Chrome `trace_event` JSON
 //!   ([`Tracer::chrome_trace_json`]) — loadable in Perfetto, spans nested
@@ -54,7 +55,5 @@ pub mod span;
 pub mod tracer;
 
 pub use metrics::{validate_exposition, Histogram, MetricType, MetricsRegistry, BUCKET_BOUNDS};
-pub use span::{Phase, SpanGuard, SpanKind, SpanToken, TraceEvent};
-pub use tracer::{
-    assemble_events, global, render_chrome_trace, Collector, CompletedSpan, TraceConfig, Tracer,
-};
+pub use span::{SpanGuard, SpanKind, SpanToken};
+pub use tracer::{global, render_chrome_trace, Collector, CompletedSpan, TraceConfig, Tracer};

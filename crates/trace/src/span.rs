@@ -1,9 +1,11 @@
-//! The span taxonomy: typed span kinds, wire-format events, and the RAII
-//! guard that keeps every `Begin` paired with an `End` on all return paths.
+//! The span taxonomy: typed span kinds, the token an open span is held by,
+//! and the RAII guard that closes it on every return path.
 //!
-//! Events are small `Copy` structs — one enum discriminant pair plus three
-//! `u64`s — so pushing one through the ring is a handful of word writes. Everything human-readable (names, categories) is derived at
-//! export time, never carried on the hot path.
+//! Opening a span pushes nothing: the [`SpanToken`] carries what the span
+//! will record, and closing it pushes the whole span through the ring as
+//! one small `Copy` struct — a handful of word writes. Everything
+//! human-readable (names, categories) is derived at export time, never
+//! carried on the hot path.
 
 use crate::tracer::Tracer;
 
@@ -123,43 +125,19 @@ impl SpanKind {
     }
 }
 
-/// Which edge of a span an event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// A span opened.
-    Begin,
-    /// A span closed (matched to its `Begin` by `span_id`).
-    End,
-    /// A point event with no duration.
-    Instant,
-}
-
-/// One wire-format trace event, as pushed through a thread's ring.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEvent {
-    /// What operation this event belongs to.
-    pub kind: SpanKind,
-    /// Which edge of the span this is.
-    pub phase: Phase,
-    /// The request's trace id (`0` = not attributed to a request).
-    pub trace_id: u64,
-    /// Unique id pairing this event's `Begin` with its `End`.
-    pub span_id: u64,
-    /// Nanoseconds since the tracer's epoch.
-    pub t_nanos: u64,
-}
-
-/// A claim on an open span, returned by [`Tracer::span_start`] and redeemed
-/// by [`Tracer::span_end`]. `Copy` so it can be threaded through closures.
+/// An open span, returned by [`Tracer::span_start`] and redeemed by
+/// [`Tracer::span_end`], which pushes the span whole. Until then nothing is
+/// recorded. `Copy` so it can be threaded through closures.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanToken {
     pub(crate) kind: SpanKind,
     pub(crate) trace_id: u64,
     pub(crate) span_id: u64,
+    pub(crate) start_nanos: u64,
 }
 
-/// RAII span: emits `End` when dropped, so every return path — early
-/// returns, `?`, panics unwinding — closes the span it opened. This is the
+/// RAII span: pushes the span when dropped, so every return path — early
+/// returns, `?`, panics unwinding — records the span it opened. This is the
 /// mechanism HA104 assumes when it checks `span_start`/`span_end` pairing:
 /// guards pair structurally, raw token calls must pair textually.
 #[derive(Debug)]
@@ -171,11 +149,6 @@ pub struct SpanGuard<'a> {
 impl<'a> SpanGuard<'a> {
     pub(crate) fn new(tracer: &'a Tracer, token: SpanToken) -> SpanGuard<'a> {
         SpanGuard { tracer, token }
-    }
-
-    /// The underlying token (for tests and explicit early closing).
-    pub fn token(&self) -> SpanToken {
-        self.token
     }
 }
 

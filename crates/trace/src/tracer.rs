@@ -1,23 +1,23 @@
-//! The tracer: per-thread ring registration on the hot side, span assembly,
-//! the capped trace buffer, and the Chrome `trace_event` exporter on the
-//! cold side.
+//! The tracer: per-thread ring registration on the hot side, the capped
+//! trace buffer and the Chrome `trace_event` exporter on the cold side.
 //!
-//! Hot path (`span_start`/`span_end`/`instant`): one `fetch_add` for the
-//! span id, a monotonic clock read, and a lock-free push ([`crate::ring`])
-//! into the calling thread's own ring — no mutex, no allocation (after a
-//! thread's first event registers its ring). Cold path ([`Tracer::drain`],
-//! called by the collector thread or a scrape handler): pops every ring,
-//! pairs `Begin`/`End` events into [`CompletedSpan`]s, feeds the metrics
-//! registry, appends the spans to the capped trace buffer under
-//! [`TraceConfig::Full`], and frees the rings of threads that have exited.
+//! Hot path: opening a span (`span_start`, `span`) takes one `fetch_add`
+//! for the span id and a monotonic clock read, and pushes nothing; closing
+//! it (`span_end`, the guard's drop, `span_closed`, `instant`) pushes the
+//! whole [`CompletedSpan`] into the calling thread's own ring
+//! ([`crate::ring`]) — one lock-free push per span, no mutex, no allocation
+//! (after a thread's first span registers its ring). Cold path
+//! ([`Tracer::drain`], called by the collector thread or a scrape handler):
+//! pops every ring, feeds the metrics registry, appends the spans to the
+//! capped trace buffer under [`TraceConfig::Full`], and frees the rings of
+//! threads that have exited.
 //!
-//! Drops never corrupt the trace: pairing is per-thread and stack-based, so
-//! an `End` whose `Begin` was dropped is discarded, and a `Begin` whose
-//! `End` was dropped is popped (discarded) when its parent closes —
-//! assembled spans are always properly nested (pinned by proptest in
-//! `tests/overflow.rs`).
+//! A full ring refuses a span whole, so a drop never leaves half of one
+//! behind: what is retained is exactly what was recorded, nested as it was
+//! emitted (pinned by proptest in `tests/overflow.rs`).
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use crate::metrics::{MetricType, MetricsRegistry};
 use crate::ring::{ring, Consumer, Producer};
-use crate::span::{Phase, SpanGuard, SpanKind, SpanToken, TraceEvent};
+use crate::span::{SpanGuard, SpanKind, SpanToken};
 
 /// Whether the tracer retains spans. Both modes record every span into
 /// the metrics registry. The default for [`global`] is
@@ -39,15 +39,15 @@ pub enum TraceConfig {
     Full,
 }
 
-/// One span as assembled from a matched `Begin`/`End` pair (or an
-/// `Instant`, with zero duration).
+/// One closed span (or an instant, with zero duration): what a thread's
+/// ring carries and what the trace buffer retains.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedSpan {
     /// What operation ran.
     pub kind: SpanKind,
     /// The owning request's trace id (0 = unattributed).
     pub trace_id: u64,
-    /// The pairing id.
+    /// Unique per tracer, allocated when the span opened.
     pub span_id: u64,
     /// Which registered thread emitted it (the Chrome `tid`).
     pub tid: u32,
@@ -55,31 +55,27 @@ pub struct CompletedSpan {
     pub start_nanos: u64,
     /// Duration in nanoseconds (0 for instants).
     pub dur_nanos: u64,
-    /// True for point events ([`Phase::Instant`]).
+    /// True for point events ([`Tracer::instant`]).
     pub instant: bool,
 }
 
-/// Per-ring collector state: the consumer plus the pairing stack.
+/// Per-ring collector state.
 struct RingState {
-    consumer: Consumer<TraceEvent>,
-    tid: u32,
-    stack: Vec<TraceEvent>,
+    consumer: Consumer<CompletedSpan>,
     /// `Consumer::refused` already bridged into the metrics registry.
     dropped_seen: u64,
 }
 
-/// The cold side, under one mutex: registered rings, the capped span
-/// buffer, and pairing-discard accounting.
+/// The cold side, under one mutex: registered rings and the capped span
+/// buffer.
 struct Collect {
     rings: Vec<RingState>,
     /// The next ring's tid: never reused, even after its ring is freed.
     next_tid: u32,
-    /// Events the freed rings refused, so the drop count stays monotonic.
+    /// Spans the freed rings refused, so the drop count stays monotonic.
     freed_dropped: u64,
-    buffer: std::collections::VecDeque<CompletedSpan>,
+    buffer: VecDeque<CompletedSpan>,
     buffer_cap: usize,
-    /// Spans evicted from the front of the full buffer.
-    buffer_evicted: u64,
 }
 
 /// The tracing facade. Instantiable for tests; production code uses the
@@ -99,8 +95,10 @@ pub struct Tracer {
 }
 
 thread_local! {
-    /// This thread's producers, one per live tracer, keyed by tracer id.
-    static PRODUCERS: RefCell<Vec<(u64, Producer<TraceEvent>)>> = const { RefCell::new(Vec::new()) };
+    /// This thread's producers, one per live tracer: the tracer's id, the
+    /// tid the ring was registered under, and the ring's producer.
+    static PRODUCERS: RefCell<Vec<(u64, u32, Producer<CompletedSpan>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
@@ -114,13 +112,14 @@ pub fn global() -> &'static Tracer {
 }
 
 impl Tracer {
-    /// A tracer with default ring (8192 events/thread) and buffer (65536
+    /// A tracer with default ring (4096 spans/thread) and buffer (65536
     /// spans) capacities.
     pub fn new(config: TraceConfig) -> Tracer {
-        Tracer::with_capacity(config, 8192, 65536)
+        Tracer::with_capacity(config, 4096, 65536)
     }
 
-    /// A tracer with explicit per-thread ring and trace-buffer capacities.
+    /// A tracer with explicit per-thread ring and trace-buffer capacities,
+    /// both counted in spans (an instant takes one slot like a span).
     pub fn with_capacity(config: TraceConfig, ring_capacity: usize, buffer_cap: usize) -> Tracer {
         let tracer = Tracer {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
@@ -134,9 +133,8 @@ impl Tracer {
                 rings: Vec::new(),
                 next_tid: 0,
                 freed_dropped: 0,
-                buffer: std::collections::VecDeque::new(),
+                buffer: VecDeque::new(),
                 buffer_cap,
-                buffer_evicted: 0,
             }),
         };
         tracer.registry.describe(
@@ -157,12 +155,7 @@ impl Tracer {
         tracer.registry.describe(
             "hidet_trace_events_dropped_total",
             MetricType::Counter,
-            "Events shed because a thread's trace ring was full.",
-        );
-        tracer.registry.describe(
-            "hidet_trace_pairing_discards_total",
-            MetricType::Counter,
-            "Events discarded during span assembly (partner lost to a drop).",
+            "Spans and instants shed because a thread's trace ring was full.",
         );
         tracer
     }
@@ -188,61 +181,60 @@ impl Tracer {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Pushes `event` into this thread's ring, registering the ring on the
-    /// thread's first event. Registration is the one slow (mutex-taking)
-    /// step and happens once per thread per tracer.
-    fn emit(&self, event: TraceEvent) {
-        // A full ring refuses the event and counts it; the count is the
-        // drop metric, so the returned event is simply let go.
+    fn nanos_at(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
+    /// Pushes `span` into this thread's ring under the ring's tid,
+    /// registering the ring on the thread's first span. Registration is the
+    /// one slow (mutex-taking) step and happens once per thread per tracer.
+    fn emit(&self, mut span: CompletedSpan) {
+        // A full ring refuses the span and counts it; the count is the drop
+        // metric, so the returned span is simply let go.
         PRODUCERS.with(|cell| {
             let mut producers = cell.borrow_mut();
-            if let Some((_, producer)) = producers.iter().find(|(id, _)| *id == self.id) {
-                let _ = producer.push(event);
+            if let Some((_, tid, producer)) = producers.iter().find(|(id, ..)| *id == self.id) {
+                span.tid = *tid;
+                let _ = producer.push(span);
                 return;
             }
             let (producer, consumer) = ring(self.ring_capacity);
             {
                 let mut collect = self.collect.lock().expect("tracer poisoned");
-                let tid = collect.next_tid;
+                span.tid = collect.next_tid;
                 collect.next_tid += 1;
                 collect.rings.push(RingState {
                     consumer,
-                    tid,
-                    stack: Vec::new(),
                     dropped_seen: 0,
                 });
             }
-            let _ = producer.push(event);
-            producers.push((self.id, producer));
+            let _ = producer.push(span);
+            producers.push((self.id, span.tid, producer));
         });
     }
 
-    /// Opens a span. Pair with [`Tracer::span_end`] on every return path —
-    /// or use [`Tracer::span`] and let the guard close it.
+    /// Opens a span; nothing is recorded until [`Tracer::span_end`] closes
+    /// it, on every return path — or use [`Tracer::span`] and let the guard
+    /// close it.
     pub fn span_start(&self, kind: SpanKind, trace_id: u64) -> SpanToken {
-        let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
-        self.emit(TraceEvent {
-            kind,
-            phase: Phase::Begin,
-            trace_id,
-            span_id,
-            t_nanos: self.now_nanos(),
-        });
         SpanToken {
             kind,
             trace_id,
-            span_id,
+            span_id: self.next_span_id.fetch_add(1, Ordering::Relaxed),
+            start_nanos: self.now_nanos(),
         }
     }
 
-    /// Closes a span opened by [`Tracer::span_start`].
+    /// Closes a span opened by [`Tracer::span_start`] and records it.
     pub fn span_end(&self, token: SpanToken) {
-        self.emit(TraceEvent {
+        self.emit(CompletedSpan {
             kind: token.kind,
-            phase: Phase::End,
             trace_id: token.trace_id,
             span_id: token.span_id,
-            t_nanos: self.now_nanos(),
+            tid: 0,
+            start_nanos: token.start_nanos,
+            dur_nanos: self.now_nanos().saturating_sub(token.start_nanos),
+            instant: false,
         });
     }
 
@@ -255,107 +247,84 @@ impl Tracer {
     /// start predates the instrumentation point (e.g. time queued in the
     /// ingress ring, measured from the accept timestamp).
     pub fn span_closed(&self, kind: SpanKind, trace_id: u64, start: Instant, end: Instant) {
-        let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
-        let start_nanos = start.saturating_duration_since(self.epoch).as_nanos() as u64;
-        let end_nanos = end.saturating_duration_since(self.epoch).as_nanos() as u64;
-        self.emit(TraceEvent {
+        let start_nanos = self.nanos_at(start);
+        self.emit(CompletedSpan {
             kind,
-            phase: Phase::Begin,
             trace_id,
-            span_id,
-            t_nanos: start_nanos,
-        });
-        self.emit(TraceEvent {
-            kind,
-            phase: Phase::End,
-            trace_id,
-            span_id,
-            t_nanos: end_nanos.max(start_nanos),
+            span_id: self.next_span_id.fetch_add(1, Ordering::Relaxed),
+            tid: 0,
+            start_nanos,
+            dur_nanos: self.nanos_at(end).saturating_sub(start_nanos),
+            instant: false,
         });
     }
 
     /// Records a point event (KV evictions, migrations, …).
     pub fn instant(&self, kind: SpanKind, trace_id: u64) {
-        let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
-        self.emit(TraceEvent {
+        self.emit(CompletedSpan {
             kind,
-            phase: Phase::Instant,
             trace_id,
-            span_id,
-            t_nanos: self.now_nanos(),
+            span_id: self.next_span_id.fetch_add(1, Ordering::Relaxed),
+            tid: 0,
+            start_nanos: self.now_nanos(),
+            dur_nanos: 0,
+            instant: true,
         });
     }
 
-    /// Drains every registered ring: pairs events into spans, feeds the
-    /// metrics registry, and retains the spans in the trace buffer under
-    /// [`TraceConfig::Full`]. A ring whose thread has exited is drained one
-    /// last time and freed. Called by the collector thread on an interval
-    /// and by scrape handlers on demand; safe from any thread.
+    /// Drains every registered ring: feeds each span to the metrics
+    /// registry and, under [`TraceConfig::Full`], retains it in the trace
+    /// buffer. A ring whose thread has exited is drained one last time and
+    /// freed. Called by the collector thread on an interval and by scrape
+    /// handlers on demand; safe from any thread.
     pub fn drain(&self) {
         let retain = self.retain.load(Ordering::Relaxed);
         let mut guard = self.collect.lock().expect("tracer poisoned");
         let collect = &mut *guard;
-        let mut completed: Vec<CompletedSpan> = Vec::new();
-        let mut discards = 0u64;
         let mut dropped_delta = 0u64;
         collect.rings.retain_mut(|state| {
             // Checked before the pops: once the thread's producer is gone,
             // these pops see everything it pushed.
             let abandoned = state.consumer.is_abandoned();
-            while let Some(event) = state.consumer.pop() {
-                discards += step_assembly(&mut state.stack, state.tid, event, &mut completed);
+            while let Some(span) = state.consumer.pop() {
+                self.record(&span);
+                if retain {
+                    collect.buffer.push_back(span);
+                }
             }
             let dropped = state.consumer.refused();
             dropped_delta += dropped - state.dropped_seen;
             state.dropped_seen = dropped;
             if abandoned {
-                // Begins still open when the thread exited lost their Ends.
-                discards += state.stack.len() as u64;
                 collect.freed_dropped += dropped;
             }
             !abandoned
         });
-        for span in &completed {
-            let kind = span.kind.name();
-            if span.instant {
-                self.registry
-                    .counter_add("hidet_trace_events_total", &[("kind", kind)], 1);
-            } else {
-                self.registry
-                    .counter_add("hidet_spans_total", &[("kind", kind)], 1);
-                self.registry.observe_seconds(
-                    "hidet_span_seconds",
-                    &[("kind", kind)],
-                    span.dur_nanos as f64 / 1e9,
-                );
-            }
-        }
-        if dropped_delta > 0 {
+        // The series exists from the first drain on, so scrapes always
+        // cover it.
+        self.registry
+            .counter_add("hidet_trace_events_dropped_total", &[], dropped_delta);
+        // A full buffer keeps the most recent spans.
+        let evicted = collect.buffer.len().saturating_sub(collect.buffer_cap);
+        collect.buffer.drain(..evicted);
+    }
+
+    /// Feeds one drained span to the metrics registry.
+    fn record(&self, span: &CompletedSpan) {
+        let kind = [("kind", span.kind.name())];
+        if span.instant {
             self.registry
-                .counter_add("hidet_trace_events_dropped_total", &[], dropped_delta);
+                .counter_add("hidet_trace_events_total", &kind, 1);
         } else {
-            // Ensure the series exists so scrapes always cover it.
+            self.registry.counter_add("hidet_spans_total", &kind, 1);
             self.registry
-                .counter_add("hidet_trace_events_dropped_total", &[], 0);
-        }
-        if discards > 0 {
-            self.registry
-                .counter_add("hidet_trace_pairing_discards_total", &[], discards);
-        }
-        if !retain {
-            return;
-        }
-        for span in completed {
-            if collect.buffer.len() >= collect.buffer_cap {
-                collect.buffer.pop_front();
-                collect.buffer_evicted += 1;
-            }
-            collect.buffer.push_back(span);
+                .observe_seconds("hidet_span_seconds", &kind, span.dur_nanos as f64 / 1e9);
         }
     }
 
-    /// Total events shed at the rings so far (the raw counter behind the
-    /// `hidet_trace_events_dropped_total` metric; includes undrained rings).
+    /// Total spans and instants shed at the rings so far (the raw counter
+    /// behind the `hidet_trace_events_dropped_total` metric; includes
+    /// undrained rings).
     pub fn events_dropped(&self) -> u64 {
         let collect = self.collect.lock().expect("tracer poisoned");
         let live: u64 = collect.rings.iter().map(|r| r.consumer.refused()).sum();
@@ -397,77 +366,6 @@ impl std::fmt::Debug for Tracer {
             .field("ring_capacity", &self.ring_capacity)
             .finish()
     }
-}
-
-/// Feeds one event through the per-thread pairing stack. Returns how many
-/// events were discarded (0 or the number of orphaned `Begin`s popped plus
-/// any unmatched `End`). Appends assembled spans to `completed`.
-fn step_assembly(
-    stack: &mut Vec<TraceEvent>,
-    tid: u32,
-    event: TraceEvent,
-    completed: &mut Vec<CompletedSpan>,
-) -> u64 {
-    match event.phase {
-        Phase::Instant => {
-            completed.push(CompletedSpan {
-                kind: event.kind,
-                trace_id: event.trace_id,
-                span_id: event.span_id,
-                tid,
-                start_nanos: event.t_nanos,
-                dur_nanos: 0,
-                instant: true,
-            });
-            0
-        }
-        Phase::Begin => {
-            // Bound the stack: a pathological Begin flood (Ends all dropped)
-            // must not grow memory without limit.
-            if stack.len() >= 1024 {
-                return 1;
-            }
-            stack.push(event);
-            0
-        }
-        Phase::End => {
-            // The matching Begin is normally on top. If inner spans lost
-            // their Ends to ring drops, they sit above the match: pop and
-            // discard them — nesting stays well-formed. An End whose Begin
-            // was dropped matches nothing and is itself discarded.
-            match stack.iter().rposition(|b| b.span_id == event.span_id) {
-                Some(pos) => {
-                    let orphans = (stack.len() - 1 - pos) as u64;
-                    stack.truncate(pos + 1);
-                    let begin = stack.pop().expect("position came from the stack");
-                    completed.push(CompletedSpan {
-                        kind: begin.kind,
-                        trace_id: begin.trace_id,
-                        span_id: begin.span_id,
-                        tid,
-                        start_nanos: begin.t_nanos,
-                        dur_nanos: event.t_nanos.saturating_sub(begin.t_nanos),
-                        instant: false,
-                    });
-                    orphans
-                }
-                None => 1,
-            }
-        }
-    }
-}
-
-/// Pairs a raw event sequence from one thread into completed spans —
-/// exactly the assembly [`Tracer::drain`] runs per ring. Public so tests
-/// (and the overflow proptest) can pin its behaviour on arbitrary
-/// drop-mangled sequences.
-pub fn assemble_events(events: &[TraceEvent]) -> Vec<CompletedSpan> {
-    let mut stack = Vec::new();
-    let mut completed = Vec::new();
-    for &event in events {
-        step_assembly(&mut stack, 0, event, &mut completed);
-    }
-    completed
 }
 
 /// Renders spans as a Chrome `trace_event` JSON object: complete (`"X"`)
@@ -552,26 +450,6 @@ impl Drop for Collector {
 mod tests {
     use super::*;
 
-    fn begin(kind: SpanKind, span_id: u64, t: u64) -> TraceEvent {
-        TraceEvent {
-            kind,
-            phase: Phase::Begin,
-            trace_id: 1,
-            span_id,
-            t_nanos: t,
-        }
-    }
-
-    fn end(kind: SpanKind, span_id: u64, t: u64) -> TraceEvent {
-        TraceEvent {
-            kind,
-            phase: Phase::End,
-            trace_id: 1,
-            span_id,
-            t_nanos: t,
-        }
-    }
-
     #[test]
     fn spans_assemble_with_nesting_and_feed_metrics() {
         let tracer = Tracer::new(TraceConfig::Full);
@@ -623,22 +501,6 @@ mod tests {
                 .counter_value("hidet_spans_total", &[("kind", "decode_step")]),
             1
         );
-    }
-
-    #[test]
-    fn assembly_discards_orphans_from_drop_patterns() {
-        use SpanKind::{DecodeIteration, DecodeStep, PrefillChunk};
-        // End 2's Begin was dropped; Begin 3's End was dropped.
-        let events = [
-            begin(DecodeIteration, 1, 0),
-            end(DecodeStep, 2, 5),
-            begin(PrefillChunk, 3, 6),
-            end(DecodeIteration, 1, 10),
-        ];
-        let spans = assemble_events(&events);
-        assert_eq!(spans.len(), 1, "{spans:?}");
-        assert_eq!(spans[0].span_id, 1);
-        assert_eq!(spans[0].dur_nanos, 10);
     }
 
     #[test]
@@ -711,7 +573,8 @@ mod tests {
 
     #[test]
     fn an_exited_threads_ring_is_drained_once_more_then_freed() {
-        // Two-event rings: each worker's span fits, its instant is refused.
+        // Two-span rings: each worker's span and instant fit, its third
+        // event is refused.
         let tracer = std::sync::Arc::new(Tracer::with_capacity(TraceConfig::Full, 2, 1024));
         tracer.instant(SpanKind::KvAlloc, 0); // this thread's ring stays
         let workers: Vec<_> = (0..64u64)
@@ -720,6 +583,7 @@ mod tests {
                 std::thread::spawn(move || {
                     drop(tracer.span(SpanKind::Tune, i));
                     tracer.instant(SpanKind::KvEvict, i);
+                    tracer.instant(SpanKind::KvAlloc, i);
                 })
             })
             .collect();
@@ -730,7 +594,9 @@ mod tests {
         assert_eq!(dropped, 64);
         let spans = tracer.spans();
         let tune: Vec<&CompletedSpan> = spans.iter().filter(|s| s.kind == SpanKind::Tune).collect();
-        assert_eq!(tune.len(), 64, "every exited thread's span was assembled");
+        assert_eq!(tune.len(), 64, "every exited thread's span was drained");
+        let evicts = spans.iter().filter(|s| s.kind == SpanKind::KvEvict).count();
+        assert_eq!(evicts, 64, "and its instant");
         assert_eq!(tracer.collect.lock().expect("tracer").rings.len(), 1);
         assert_eq!(tracer.events_dropped(), dropped, "the drop count survives");
         // Tids are never reused: a new thread gets a fresh one.

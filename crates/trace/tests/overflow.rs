@@ -1,42 +1,45 @@
-//! Trace-ring overflow coverage: a full ring sheds events without ever
+//! Trace-ring overflow coverage: a full ring sheds spans without ever
 //! blocking, sheds are counted into `trace_events_dropped`, and — the
-//! property that makes drops safe — span assembly emits a properly nested
-//! trace no matter which events were lost.
+//! property that makes drops safe — whatever the tracer retains is exactly
+//! what was recorded, properly nested, no matter which spans were lost.
 
-use hidet_trace::tracer::assemble_events;
-use hidet_trace::{CompletedSpan, Phase, SpanKind, TraceConfig, TraceEvent, Tracer};
+use std::time::{Duration, Instant};
+
+use hidet_trace::{CompletedSpan, SpanGuard, SpanKind, TraceConfig, Tracer};
 
 use proptest::prelude::*;
 
 #[test]
 fn overflowing_ring_counts_drops_and_never_blocks() {
-    // Ring of 8 events; 50 two-event spans emitted with no drain in
-    // between: most events must be shed, all of them counted.
+    // Ring of 8 spans; 50 spans emitted with no drain in between: most
+    // must be shed, all of them counted.
     let tracer = Tracer::with_capacity(TraceConfig::Full, 8, 1024);
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     for i in 0..50u64 {
         let _g = tracer.span(SpanKind::DecodeStep, i);
     }
     assert!(
-        start.elapsed() < std::time::Duration::from_secs(5),
+        start.elapsed() < Duration::from_secs(5),
         "a full ring must shed, not block"
     );
     tracer.drain();
     let dropped = tracer
         .metrics()
         .counter_value("hidet_trace_events_dropped_total", &[]);
-    assert_eq!(dropped, 100 - 8, "every shed event is counted");
+    assert_eq!(dropped, 50 - 8, "every shed span is counted");
     assert_eq!(tracer.events_dropped(), dropped);
-    // The 8 ring-resident events are 4 complete spans; they all assemble.
+    // The 8 ring-resident spans are the first 8, all retained.
     let spans = tracer.spans();
-    assert_eq!(spans.len(), 4, "{spans:?}");
+    assert_eq!(spans.len(), 8, "{spans:?}");
+    let ids: Vec<u64> = spans.iter().map(|s| s.trace_id).collect();
+    assert_eq!(ids, (0..8).collect::<Vec<u64>>());
 }
 
 #[test]
 fn drops_during_a_deep_nest_keep_the_survivors_well_formed() {
-    // Ring of 4: Begin a, Begin b, End b, End a fills it exactly; the next
-    // span's four events are all shed. Survivors stay paired.
-    let tracer = Tracer::with_capacity(TraceConfig::Full, 4, 1024);
+    // Ring of 2: the first nest's inner and outer spans fill it exactly;
+    // both spans of the second nest are shed. Survivors stay whole.
+    let tracer = Tracer::with_capacity(TraceConfig::Full, 2, 1024);
     {
         let _outer = tracer.span(SpanKind::DecodeIteration, 1);
         let _inner = tracer.span(SpanKind::DecodeStep, 1);
@@ -53,8 +56,24 @@ fn drops_during_a_deep_nest_keep_the_survivors_well_formed() {
         tracer
             .metrics()
             .counter_value("hidet_trace_events_dropped_total", &[]),
-        4
+        2
     );
+}
+
+#[test]
+fn a_ring_of_capacity_n_takes_exactly_n_spans_before_it_refuses_one() {
+    let rings = [2, 8, 64].map(|n| (n, Tracer::with_capacity(TraceConfig::Full, n, 8192)));
+    // `Tracer::new`'s default ring.
+    let default = (4096, Tracer::new(TraceConfig::Full));
+    for (n, tracer) in rings.into_iter().chain([default]) {
+        for i in 0..n as u64 {
+            let _g = tracer.span(SpanKind::KernelSim, i);
+        }
+        assert_eq!(tracer.events_dropped(), 0, "ring of {n} refused early");
+        tracer.instant(SpanKind::KvAlloc, 0);
+        assert_eq!(tracer.events_dropped(), 1, "ring of {n} took too many");
+        assert_eq!(tracer.spans().len(), n);
+    }
 }
 
 /// Checks the Perfetto invariant: on each tid, any two spans are either
@@ -78,121 +97,169 @@ fn assert_well_nested(spans: &[CompletedSpan]) {
     }
 }
 
-/// A well-formed per-thread event stream: properly nested Begin/End pairs
-/// with strictly increasing timestamps, interleaved with instants. Returns
-/// the events in emission order.
-fn nested_stream(structure: &[u8]) -> Vec<TraceEvent> {
-    let mut events = Vec::new();
-    let mut open: Vec<u64> = Vec::new();
-    let mut next_id = 1u64;
-    let mut t = 0u64;
-    let kinds = [
-        SpanKind::DecodeIteration,
-        SpanKind::PrefillChunk,
-        SpanKind::DecodeStep,
-        SpanKind::KernelSim,
-    ];
-    for &op in structure {
-        t += 1;
-        match op % 3 {
-            // Open a span.
-            0 => {
-                let span_id = next_id;
-                next_id += 1;
-                events.push(TraceEvent {
-                    kind: kinds[(span_id as usize) % kinds.len()],
-                    phase: Phase::Begin,
-                    trace_id: span_id % 5,
-                    span_id,
-                    t_nanos: t,
-                });
-                open.push(span_id);
-            }
-            // Close the innermost open span.
-            1 => {
-                if let Some(span_id) = open.pop() {
-                    events.push(TraceEvent {
-                        kind: kinds[(span_id as usize) % kinds.len()],
-                        phase: Phase::End,
-                        trace_id: span_id % 5,
-                        span_id,
-                        t_nanos: t,
-                    });
-                }
-            }
-            // An instant.
-            _ => {
-                let span_id = next_id;
-                next_id += 1;
-                events.push(TraceEvent {
-                    kind: SpanKind::KvEvict,
-                    phase: Phase::Instant,
-                    trace_id: span_id % 5,
-                    span_id,
-                    t_nanos: t,
-                });
-            }
-        }
-    }
-    // Close whatever is still open, innermost first.
-    while let Some(span_id) = open.pop() {
-        t += 1;
-        events.push(TraceEvent {
-            kind: kinds[(span_id as usize) % kinds.len()],
-            phase: Phase::End,
-            trace_id: span_id % 5,
-            span_id,
-            t_nanos: t,
-        });
-    }
-    events
+/// What one emission recorded, as seen from outside the tracer: the span's
+/// start and end each lie between two clock reads taken around the call
+/// that read the tracer's clock (the same read twice for `span_closed`,
+/// whose times the caller gives).
+#[derive(Debug)]
+struct Emitted {
+    kind: SpanKind,
+    instant: bool,
+    start: (Instant, Instant),
+    end: (Instant, Instant),
 }
 
+const KINDS: [SpanKind; 4] = [
+    SpanKind::DecodeIteration,
+    SpanKind::PrefillChunk,
+    SpanKind::DecodeStep,
+    SpanKind::KernelSim,
+];
+
 proptest! {
-    /// Arbitrary drop patterns applied to arbitrary well-nested streams:
-    /// whatever survives assembly is properly nested, every span's End is
-    /// at or after its Begin, and no span id appears twice.
+    /// Random nests of guards, instants and `span_closed` intervals on a
+    /// ring of 2–8, drained at random points, so spans are shed at
+    /// arbitrary places: what `spans()` assembles holds every property of
+    /// `check_emissions`.
     #[test]
     fn assembly_is_well_nested_under_arbitrary_drops(
-        structure in proptest::collection::vec(0u8..=255, 0..80),
-        drop_mask in proptest::collection::vec(0u8..=1, 0..200),
+        ring_capacity in 2usize..=8,
+        ops in proptest::collection::vec(0u8..=255, 0..120),
     ) {
-        let full = nested_stream(&structure);
-        let mangled: Vec<TraceEvent> = full
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| drop_mask.get(*i).copied().unwrap_or(0) == 0)
-            .map(|(_, &e)| e)
-            .collect();
-        let spans = assemble_events(&mangled);
-        assert_well_nested(&spans);
-        let mut seen = std::collections::HashSet::new();
-        for span in &spans {
-            prop_assert!(seen.insert(span.span_id), "span id {} twice", span.span_id);
-            // Every assembled span came from a surviving Begin/End pair of
-            // the same id (or an instant).
-            if !span.instant {
-                let begin = mangled.iter().find(|e|
-                    e.span_id == span.span_id && e.phase == Phase::Begin);
-                let end = mangled.iter().find(|e|
-                    e.span_id == span.span_id && e.phase == Phase::End);
-                prop_assert!(begin.is_some() && end.is_some());
-                prop_assert_eq!(span.start_nanos, begin.expect("begin").t_nanos);
-            }
-        }
+        check_emissions(ring_capacity, &ops);
     }
 
-    /// With no drops at all, assembly is lossless: every Begin/End pair and
-    /// every instant comes out, and nesting is exact.
+    /// The same random emissions on a ring that holds all of them: nothing
+    /// is dropped, so every emitted span comes back whole.
     #[test]
     fn assembly_is_lossless_without_drops(
-        structure in proptest::collection::vec(0u8..=255, 0..80),
+        ops in proptest::collection::vec(0u8..=255, 0..120),
     ) {
-        let events = nested_stream(&structure);
-        let spans = assemble_events(&events);
-        let pairs = events.iter().filter(|e| e.phase == Phase::Begin).count();
-        let instants = events.iter().filter(|e| e.phase == Phase::Instant).count();
-        prop_assert_eq!(spans.len(), pairs + instants);
-        assert_well_nested(&spans);
+        // The anchor plus at most one emission per op. `check_emissions`
+        // holds retained + dropped to emitted, so none dropped is all back.
+        let (retained, dropped) = check_emissions(ops.len() + 1, &ops);
+        prop_assert_eq!(dropped, 0, "{} retained", retained);
     }
+}
+
+/// Runs `ops` against a fresh `Tracer` on a ring of `ring_capacity`: each
+/// op opens a guard, closes the innermost open one, records an instant,
+/// records a `span_closed` interval, or drains. Checks that every retained
+/// span is one that was emitted, whole; that span ids are unique; that each
+/// tid's spans are well nested; and that every emission is either retained
+/// or counted as dropped, in the tracer's count and in the metrics alike.
+/// Returns how many spans were retained and how many dropped.
+fn check_emissions(ring_capacity: usize, ops: &[u8]) -> (u64, u64) {
+    let tracer = Tracer::with_capacity(TraceConfig::Full, ring_capacity, 1 << 16);
+    // Each emission carries its own trace id, the key to `emitted`.
+    let mut emitted: Vec<Emitted> = Vec::new();
+    // The epoch is private: anchor it with one zero-length interval
+    // drained before anything else, which therefore survives.
+    let anchor = Instant::now();
+    tracer.span_closed(SpanKind::HttpQueue, 0, anchor, anchor);
+    emitted.push(Emitted {
+        kind: SpanKind::HttpQueue,
+        instant: false,
+        start: (anchor, anchor),
+        end: (anchor, anchor),
+    });
+    tracer.drain();
+    let mut open: Vec<(SpanGuard<'_>, usize)> = Vec::new();
+    for &op in ops {
+        let id = emitted.len();
+        let kind = KINDS[usize::from(op / 5) % KINDS.len()];
+        match op % 5 {
+            0 => {
+                let before = Instant::now();
+                let guard = tracer.span(kind, id as u64);
+                let after = Instant::now();
+                emitted.push(Emitted {
+                    kind,
+                    instant: false,
+                    start: (before, after),
+                    end: (after, after),
+                });
+                open.push((guard, id));
+            }
+            1 => {
+                if let Some((guard, id)) = open.pop() {
+                    let before = Instant::now();
+                    drop(guard);
+                    emitted[id].end = (before, Instant::now());
+                }
+            }
+            2 => {
+                let before = Instant::now();
+                tracer.instant(SpanKind::KvEvict, id as u64);
+                let after = Instant::now();
+                emitted.push(Emitted {
+                    kind: SpanKind::KvEvict,
+                    instant: true,
+                    start: (before, after),
+                    end: (before, after),
+                });
+            }
+            3 => {
+                // Opens after everything closed so far and after every
+                // open guard: nested like a guard opened and closed now.
+                let start = Instant::now();
+                let end = start + Duration::from_nanos(u64::from(op));
+                while Instant::now() < end {}
+                tracer.span_closed(kind, id as u64, start, end);
+                emitted.push(Emitted {
+                    kind,
+                    instant: false,
+                    start: (start, start),
+                    end: (end, end),
+                });
+            }
+            _ => tracer.drain(),
+        }
+    }
+    while let Some((guard, id)) = open.pop() {
+        let before = Instant::now();
+        drop(guard);
+        emitted[id].end = (before, Instant::now());
+    }
+
+    let spans = tracer.spans();
+    let first = spans.first().expect("the anchor is drained first");
+    prop_assert_eq!(first.trace_id, 0);
+    let epoch_nanos = |t: Instant| first.start_nanos + (t - anchor).as_nanos() as u64;
+    let mut seen = std::collections::HashSet::new();
+    for span in &spans {
+        prop_assert!(seen.insert(span.span_id), "span id {} twice", span.span_id);
+        let e = &emitted[span.trace_id as usize];
+        prop_assert_eq!(span.kind, e.kind);
+        prop_assert_eq!(span.instant, e.instant);
+        let end = span.start_nanos + span.dur_nanos;
+        prop_assert!(
+            epoch_nanos(e.start.0) <= span.start_nanos,
+            "{span:?} starts early"
+        );
+        prop_assert!(
+            span.start_nanos <= epoch_nanos(e.start.1),
+            "{span:?} starts late"
+        );
+        prop_assert!(epoch_nanos(e.end.0) <= end, "{span:?} ends early");
+        prop_assert!(end <= epoch_nanos(e.end.1), "{span:?} ends late");
+    }
+    assert_well_nested(&spans);
+
+    let emitted = emitted.len() as u64;
+    prop_assert_eq!(spans.len() as u64 + tracer.events_dropped(), emitted);
+    let metrics = tracer.metrics();
+    let by_kind = |family: &str| -> u64 {
+        SpanKind::ALL
+            .iter()
+            .map(|k| metrics.counter_value(family, &[("kind", k.name())]))
+            .sum()
+    };
+    prop_assert_eq!(
+        by_kind("hidet_spans_total")
+            + by_kind("hidet_trace_events_total")
+            + metrics.counter_value("hidet_trace_events_dropped_total", &[]),
+        emitted
+    );
+    (spans.len() as u64, tracer.events_dropped())
 }
