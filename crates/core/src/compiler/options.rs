@@ -62,7 +62,7 @@ pub enum MatmulChoice {
     /// [`MatmulConfig::default`](hidet_sched::MatmulConfig)'s mid-size tile
     /// everywhere: no search, fast compiles (tests, examples).
     Default,
-    /// The smallest tile of the hardware-centric space
+    /// One warp on a 16×32 tile
     /// ([`hidet_sched::compact_matmul_config`]) everywhere, with no search:
     /// what skinny GEMMs want, such as a decode step's, whose M is a handful
     /// of tokens.

@@ -14,10 +14,11 @@
 //! * [`rule_based`] — rule-based scheduling for operators without reductions
 //!   (§5.1.3), translating computation definitions directly into kernels, and
 //!   direct window-loop schedules for pooling/depthwise convolution;
-//! * [`space`] — the **hardware-centric schedule space** (§4.3): ~180 tile
-//!   configurations aligned to hardware limits, independent of input sizes,
-//!   and the smallest of them ([`compact_matmul_config`]) for skinny
-//!   problems that should not be tuned;
+//! * [`space`] — the **hardware-centric schedule space** (§4.3): a few
+//!   hundred tile configurations aligned to hardware limits, down to
+//!   warp-sized tiles for skinny problems, independent of input sizes, and
+//!   one fixed small tile ([`compact_matmul_config`]) for problems that
+//!   should not be tuned;
 //! * [`fusion`] — **post-scheduling fusion** (§4.2/§5.2), derived from the
 //!   fused operators' compute definitions: prologues are inlined into the
 //!   scheduled anchor's input loads, epilogues into its output stores, with

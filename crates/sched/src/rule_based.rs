@@ -156,9 +156,9 @@ fn window_kernel(
     for p in &io.params {
         kb.param(p.name(), p.dtype(), p.shape());
     }
-    // A pool keeps `[value, count]`; a convolution only the value.
-    let pool = matches!(window, Window::Pool(_));
-    let acc = kb.local("Acc", DType::F32, &[if pool { 2 } else { 1 }]);
+    // An average pool keeps `[value, count]`; the others only the value.
+    let counted = matches!(window, Window::Pool(WindowReduce::Avg));
+    let acc = kb.local("Acc", DType::F32, &[if counted { 2 } else { 1 }]);
     let get = |i| load(&acc, vec![c(i)]);
     let set = |i, v| store(&acc, vec![c(i)], v);
     let flat = var("flat");
@@ -198,7 +198,7 @@ fn window_kernel(
         Window::Depthwise(_) => (0.0, get(0)),
     };
     let mut run = vec![set(0, fconst(init))];
-    if pool {
+    if counted {
         run.push(set(1, fconst(0.0)));
     }
     run.extend([loop_, (io.store)(&idx, result)]);

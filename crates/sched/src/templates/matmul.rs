@@ -667,31 +667,41 @@ mod tests {
         out
     }
 
+    /// Runs `config`'s kernels on `problem` and compares each batch's
+    /// output with the reference: bit for bit when one thread sums each
+    /// output over `k` in order, as the reference does, and within a
+    /// tolerance when split-K regroups the sum.
     fn check(problem: MatmulProblem, config: MatmulConfig) {
         let io = MatmulIo::direct("mm", problem);
         let kernels = matmul_kernel(problem, config, io);
         let gpu = Gpu::default();
         let mut mem = DeviceMemory::new();
-        let (m, n, k) = (problem.m, problem.n, problem.k);
-        let a = hidet_graph::Tensor::randn(&[m, k], 11);
-        let b = hidet_graph::Tensor::randn(&[k, n], 22);
+        let MatmulProblem { batch, m, n, k } = problem;
+        let a = hidet_graph::Tensor::randn(&[batch, m, k], 11);
+        let b = hidet_graph::Tensor::randn(&[batch, k, n], 22);
         mem.alloc("A", a.data().unwrap());
         mem.alloc("B", b.data().unwrap());
-        mem.alloc_zeroed("C", (m * n) as usize);
+        mem.alloc_zeroed("C", (batch * m * n) as usize);
         if config.split_k > 1 {
-            mem.alloc_zeroed("mm_partial", (config.split_k * m * n) as usize);
+            mem.alloc_zeroed("mm_partial", (config.split_k * batch * m * n) as usize);
         }
         for kernel in &kernels {
             gpu.run(kernel, &mut mem).unwrap();
         }
-        let expect = reference_matmul(a.data().unwrap(), b.data().unwrap(), m, k, n);
-        let got = mem.read("C");
-        for (idx, (x, y)) in got.iter().zip(&expect).enumerate() {
-            assert!(
-                (x - y).abs() < 1e-2 * (1.0 + y.abs()),
-                "{}: mismatch at {idx}: {x} vs {y}",
-                config.id()
-            );
+        let (a, b, got) = (a.data().unwrap(), b.data().unwrap(), mem.read("C"));
+        let (a_len, b_len, c_len) = ((m * k) as usize, (k * n) as usize, (m * n) as usize);
+        for bi in 0..batch as usize {
+            let a = &a[bi * a_len..][..a_len];
+            let b = &b[bi * b_len..][..b_len];
+            let expect = reference_matmul(a, b, m, k, n);
+            for (idx, (x, y)) in got[bi * c_len..][..c_len].iter().zip(&expect).enumerate() {
+                let case = format!("{} on {m}x{n}x{k}, batch {bi}, at {idx}", config.id());
+                if config.split_k == 1 {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{case}: {x} vs {y}");
+                } else {
+                    assert!((x - y).abs() < 1e-2 * (1.0 + y.abs()), "{case}: {x} vs {y}");
+                }
+            }
         }
     }
 
@@ -771,29 +781,28 @@ mod tests {
             n: 32,
             k: 16,
         };
-        let io = MatmulIo::direct("bmm", problem);
-        let kernels = matmul_kernel(problem, small_config(1, 1), io);
-        let gpu = Gpu::default();
-        let mut mem = DeviceMemory::new();
-        let a = hidet_graph::Tensor::randn(&[3, 32, 16], 1);
-        let b = hidet_graph::Tensor::randn(&[3, 16, 32], 2);
-        mem.alloc("A", a.data().unwrap());
-        mem.alloc("B", b.data().unwrap());
-        mem.alloc_zeroed("C", 3 * 32 * 32);
-        for kernel in &kernels {
-            gpu.run(kernel, &mut mem).unwrap();
-        }
-        for bi in 0..3usize {
-            let expect = reference_matmul(
-                &a.data().unwrap()[bi * 32 * 16..(bi + 1) * 32 * 16],
-                &b.data().unwrap()[bi * 16 * 32..(bi + 1) * 16 * 32],
-                32,
-                16,
-                32,
-            );
-            let got = &mem.read("C")[bi * 1024..(bi + 1) * 1024];
-            for (x, y) in got.iter().zip(&expect) {
-                assert!((x - y).abs() < 1e-2, "batch {bi}: {x} vs {y}");
+        check(problem, small_config(1, 1));
+    }
+
+    #[test]
+    fn warp_sized_tiles_match_reference_bit_for_bit() {
+        // Every warp-sized configuration of the space on shapes that
+        // straddle its tiles: each of M, N and K takes each of 1, 5, 13
+        // and 37 once, then all three 37.
+        let space = crate::space::matmul_space(&hidet_sim::GpuSpec::rtx3090());
+        let warp_sized: Vec<MatmulConfig> = (space.into_iter())
+            .filter(|c| c.threads() == 32 && c.block_m * c.block_n < 16 * 32)
+            .collect();
+        assert_eq!(warp_sized.len(), 48);
+        for (m, n, k) in [
+            (1, 5, 13),
+            (5, 13, 37),
+            (13, 37, 1),
+            (37, 1, 5),
+            (37, 37, 37),
+        ] {
+            for &config in &warp_sized {
+                check(MatmulProblem { batch: 3, m, n, k }, config);
             }
         }
     }

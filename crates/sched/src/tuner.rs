@@ -20,9 +20,11 @@
 //!   problem's available K tiles, so `split_k = 8` on a 4-tile reduction *is*
 //!   the `split_k = 4` candidate);
 //! * **pruning** ([`TunerPolicy::measure_top_k`]) — candidates are ranked by
-//!   [`quick_score`], a rough occupancy/traffic estimate, and only the best
-//!   `K` pay for a real compile+measure trial (the PGO direction in
-//!   PAPERS.md: spend measurement where the profile says it matters).
+//!   [`quick_score`], a rough per-SM compute and DRAM traffic estimate, each
+//!   by the best score of itself and the split-K children it could parent,
+//!   and only the best `K` pay for a real compile+measure trial (the PGO
+//!   direction in PAPERS.md: spend measurement where the profile says it
+//!   matters).
 
 use std::collections::HashSet;
 
@@ -62,9 +64,10 @@ pub struct TuneReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TunerPolicy {
     /// When set, only the `K` base-space candidates ranked best by
-    /// [`quick_score`] are measured (the split-K extension still derives
-    /// from the measured ranking). `None` measures the whole space — the
-    /// paper's exhaustive configuration.
+    /// [`quick_score`] — of the candidate or of its best split-K child —
+    /// are measured (the split-K extension still derives from the measured
+    /// ranking). `None` measures the whole space — the paper's exhaustive
+    /// configuration.
     pub measure_top_k: Option<usize>,
 }
 
@@ -85,35 +88,27 @@ impl TunerPolicy {
 }
 
 /// Closed-form pre-measurement rank of a candidate: estimated seconds from
-/// wave-quantized occupancy, DRAM traffic and FP32 work, **without**
-/// instantiating the template. Cheap enough to score the whole space, close
-/// enough to the full cost model that the true optimum survives a generous
-/// top-K cut (see `pruned_tuning_matches_exhaustive_choice`).
+/// per-SM rounds, DRAM traffic and FP32 work, **without** instantiating the
+/// template. Cheap enough to score the whole space, close enough to the full
+/// cost model that the true optimum survives a generous top-K cut (see
+/// `pruned_tuning_matches_exhaustive_choice`).
 pub fn quick_score(problem: MatmulProblem, cfg: &MatmulConfig, spec: &GpuSpec) -> f64 {
     let tiles_m = (problem.m + cfg.block_m - 1) / cfg.block_m;
     let tiles_n = (problem.n + cfg.block_n - 1) / cfg.block_n;
     let blocks = (problem.batch * tiles_m * tiles_n * cfg.split_k) as f64;
 
-    // Resident blocks per SM under the thread / shared-memory / block caps.
-    let by_threads = (spec.max_threads_per_sm as i64 / cfg.threads()).max(1);
-    let by_smem = (spec.shared_mem_per_sm / cfg.shared_bytes().max(1)).max(1) as i64;
-    let resident = by_threads
-        .min(by_smem)
-        .min(spec.max_blocks_per_sm as i64)
-        .max(1);
-    let concurrent = (spec.num_sms as i64 * resident) as f64;
-    let waves = (blocks / concurrent).ceil().max(1.0);
-
     // Per-block work over the (possibly split) reduction range.
     let k_part = (problem.k + cfg.split_k - 1) / cfg.split_k;
     let loads_per_block = ((cfg.block_m + cfg.block_n) * k_part * 4) as f64;
     let flops_per_block = (2 * cfg.block_m * cfg.block_n * k_part) as f64;
-    // One wave's worth of blocks runs concurrently; memory and compute
-    // overlap under double buffering and serialize without it.
-    let blocks_per_wave = blocks.min(concurrent);
-    let mem = blocks_per_wave * loads_per_block / spec.dram_bytes_per_s();
-    let compute = blocks_per_wave * flops_per_block / spec.fp32_flops();
-    let per_wave = if cfg.stages >= 2 {
+    // A block's work runs on one SM: the busiest SM works through
+    // `ceil(blocks / SMs)` of them one after another, however idle the
+    // others are. DRAM traffic is shared by the whole device. Memory and
+    // compute overlap under double buffering and serialize without it.
+    let rounds = (blocks / spec.num_sms as f64).ceil().max(1.0);
+    let compute = rounds * flops_per_block * spec.num_sms as f64 / spec.fp32_flops();
+    let mem = blocks * loads_per_block / spec.dram_bytes_per_s();
+    let body = if cfg.stages >= 2 {
         mem.max(compute)
     } else {
         mem + compute
@@ -126,7 +121,7 @@ pub fn quick_score(problem: MatmulProblem, cfg: &MatmulConfig, spec: &GpuSpec) -
     } else {
         0.0
     };
-    waves * per_wave + finalize + spec.launch_overhead_s
+    body + finalize + spec.launch_overhead_s
 }
 
 /// Tunes a matmul problem over the hardware-centric space, exhaustively.
@@ -180,12 +175,20 @@ pub fn try_tune_matmul_with(
 
     // Phase 0: cost-model pruning — rank the space by the closed-form score
     // and keep only the most promising candidates for real measurement.
-    // Each candidate is scored once; the sort is stable, so ties keep their
-    // order in the space.
+    // Phase 2 tries split-K only on measured parents, so a candidate ranks
+    // by the best score of itself and its split-K children: on a long
+    // reduction, a large tile that wins only when split is otherwise cut.
+    // The sort is stable, so ties keep their order in the space.
     if let Some(k) = policy.measure_top_k {
         if k < base.len() {
             let mut ranked: Vec<(f64, MatmulConfig)> = (base.iter())
-                .map(|cfg| (quick_score(problem, cfg, gpu.spec()), *cfg))
+                .map(|cfg| {
+                    let score = |split_k| {
+                        quick_score(problem, &MatmulConfig { split_k, ..*cfg }, gpu.spec())
+                    };
+                    let splits = splitk_variants(problem, cfg).into_iter();
+                    (splits.map(score).fold(score(1), f64::min), *cfg)
+                })
                 .collect();
             ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
             base = ranked.into_iter().take(k).map(|(_, cfg)| cfg).collect();

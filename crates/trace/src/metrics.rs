@@ -96,17 +96,27 @@ impl MetricType {
     }
 }
 
-/// `(family name, sorted label pairs)` — one time series.
-type SeriesKey = (String, Vec<(String, String)>);
+/// One family's series: each label set, sorted by name, with its value;
+/// the series in label order.
+type Series<T> = Vec<(Labels, T)>;
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: BTreeMap<String, Series<u64>>,
+    gauges: BTreeMap<String, Series<f64>>,
+    histograms: BTreeMap<String, Series<Histogram>>,
     /// Family name → (type, help). First toucher fixes the type; `describe`
     /// sets the help text.
     families: BTreeMap<String, (MetricType, String)>,
+}
+
+impl Inner {
+    /// Registers family `name` as `ty` unless it is known already.
+    fn touch(&mut self, name: &str, ty: MetricType) {
+        if !self.families.contains_key(name) {
+            self.families.insert(name.to_string(), (ty, String::new()));
+        }
+    }
 }
 
 /// The registry: the single source every scrape renders from.
@@ -115,13 +125,54 @@ pub struct MetricsRegistry {
     inner: Mutex<Inner>,
 }
 
-fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-    let mut pairs: Vec<(String, String)> = labels
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    pairs.sort();
-    (name.to_string(), pairs)
+/// Whether `stored` and `labels` hold the same pairs, in any order.
+fn same_labels(stored: &[(String, String)], labels: &[(&str, &str)]) -> bool {
+    let count = |pair: &(&str, &str)| labels.iter().filter(|p| *p == pair).count();
+    stored.len() == labels.len()
+        && labels.iter().all(|pair| {
+            count(pair)
+                == (stored.iter())
+                    .filter(|(k, v)| (k.as_str(), v.as_str()) == *pair)
+                    .count()
+        })
+}
+
+/// The series of family `name` with `labels` in `map`, if there is one.
+fn find<'m, T>(
+    map: &'m BTreeMap<String, Series<T>>,
+    name: &str,
+    labels: &[(&str, &str)],
+) -> Option<&'m T> {
+    let series = map.get(name)?;
+    let (_, value) = series.iter().find(|(l, _)| same_labels(l, labels))?;
+    Some(value)
+}
+
+/// The series of family `name` with `labels` in `map`, made by `new` on
+/// first sight — the only time a lookup allocates.
+fn entry<'m, T>(
+    map: &'m mut BTreeMap<String, Series<T>>,
+    name: &str,
+    labels: &[(&str, &str)],
+    new: impl FnOnce() -> T,
+) -> &'m mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), Vec::new());
+    }
+    let series = map.get_mut(name).expect("inserted above");
+    let at = match series.iter().position(|(l, _)| same_labels(l, labels)) {
+        Some(at) => at,
+        None => {
+            let mut owned: Labels = (labels.iter())
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            owned.sort();
+            let at = series.partition_point(|(l, _)| *l < owned);
+            series.insert(at, (owned, new()));
+            at
+        }
+    };
+    &mut series[at].1
 }
 
 impl MetricsRegistry {
@@ -143,47 +194,34 @@ impl MetricsRegistry {
     /// Adds `delta` to a counter series, creating it at zero first.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner
-            .families
-            .entry(name.to_string())
-            .or_insert((MetricType::Counter, String::new()));
-        *inner.counters.entry(key(name, labels)).or_insert(0) += delta;
+        inner.touch(name, MetricType::Counter);
+        *entry(&mut inner.counters, name, labels, || 0) += delta;
     }
 
     /// Sets a gauge series to `value`.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner
-            .families
-            .entry(name.to_string())
-            .or_insert((MetricType::Gauge, String::new()));
-        inner.gauges.insert(key(name, labels), value);
+        inner.touch(name, MetricType::Gauge);
+        *entry(&mut inner.gauges, name, labels, || 0.0) = value;
     }
 
     /// Observes `seconds` into a histogram series.
     pub fn observe_seconds(&self, name: &str, labels: &[(&str, &str)], seconds: f64) {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner
-            .families
-            .entry(name.to_string())
-            .or_insert((MetricType::Histogram, String::new()));
-        inner
-            .histograms
-            .entry(key(name, labels))
-            .or_insert_with(Histogram::new)
-            .observe(seconds);
+        inner.touch(name, MetricType::Histogram);
+        entry(&mut inner.histograms, name, labels, Histogram::new).observe(seconds);
     }
 
     /// Reads one counter series (0 when absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.counters.get(&key(name, labels)).copied().unwrap_or(0)
+        find(&inner.counters, name, labels).copied().unwrap_or(0)
     }
 
     /// Reads one histogram series (cloned).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
         let inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.histograms.get(&key(name, labels)).cloned()
+        find(&inner.histograms, name, labels).cloned()
     }
 
     /// Renders the whole registry in Prometheus text exposition format
@@ -198,22 +236,22 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# TYPE {family} {}", ty.as_str());
             match ty {
                 MetricType::Counter => {
-                    for ((name, labels), v) in inner.counters.range(family_range(family)) {
-                        let _ = writeln!(out, "{} {v}", render_series_name(name, labels, &[]));
+                    for (labels, v) in inner.counters.get(family).into_iter().flatten() {
+                        let _ = writeln!(out, "{} {v}", render_series_name(family, labels, &[]));
                     }
                 }
                 MetricType::Gauge => {
-                    for ((name, labels), v) in inner.gauges.range(family_range(family)) {
+                    for (labels, v) in inner.gauges.get(family).into_iter().flatten() {
                         let _ = writeln!(
                             out,
                             "{} {}",
-                            render_series_name(name, labels, &[]),
+                            render_series_name(family, labels, &[]),
                             render_value(*v)
                         );
                     }
                 }
                 MetricType::Histogram => {
-                    for ((name, labels), h) in inner.histograms.range(family_range(family)) {
+                    for (labels, h) in inner.histograms.get(family).into_iter().flatten() {
                         let mut cumulative = 0u64;
                         for (i, &c) in h.counts.iter().enumerate() {
                             cumulative += c;
@@ -225,7 +263,7 @@ impl MetricsRegistry {
                                 out,
                                 "{} {cumulative}",
                                 render_series_name(
-                                    &format!("{name}_bucket"),
+                                    &format!("{family}_bucket"),
                                     labels,
                                     &[("le", &le)]
                                 )
@@ -234,13 +272,13 @@ impl MetricsRegistry {
                         let _ = writeln!(
                             out,
                             "{} {}",
-                            render_series_name(&format!("{name}_sum"), labels, &[]),
+                            render_series_name(&format!("{family}_sum"), labels, &[]),
                             render_value(h.sum)
                         );
                         let _ = writeln!(
                             out,
                             "{} {}",
-                            render_series_name(&format!("{name}_count"), labels, &[]),
+                            render_series_name(&format!("{family}_count"), labels, &[]),
                             h.count
                         );
                     }
@@ -249,16 +287,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-/// Range over every series of one family (exact-name match on the key's
-/// first component).
-fn family_range(family: &str) -> std::ops::RangeInclusive<SeriesKey> {
-    (family.to_string(), Vec::new())
-        ..=(
-            family.to_string(),
-            vec![("\u{10FFFF}".to_string(), String::new())],
-        )
 }
 
 /// `name{label="value",...}` with `extra` pairs appended (the `le` bucket

@@ -1804,11 +1804,13 @@ fn le_and_lt_guards_meet_at_the_edge() {
 // ---- blocks side by side ---------------------------------------------------
 
 /// The serving stack's multi-block kernels of narrow blocks run their
-/// blocks side by side where the lowering proves them apart, each in one
-/// pass: `head(8)`'s first matmul (4 blocks of 32 threads), the
-/// `cnn_block(8)` conv (18 of 32) and, in `decode_mixed`'s decode step as
-/// the decode engine compiles it (`compact()`), the second batch matmul of
-/// each layer (8 of 32) and the matmul after attention (4 of 32). Wider
+/// blocks side by side where the lowering proves them apart, as few passes
+/// of at most 1,024 lanes as hold them: `head(8)`'s first matmul (16 blocks
+/// of 32 threads on warp-sized 8×8 tiles, one pass), the `cnn_block(8)`
+/// conv (72 of 32 on 16×8 tiles, three passes of 24) and, in
+/// `decode_mixed`'s decode step as the decode engine compiles it
+/// (`compact()`), the second batch matmul of each layer (8 of 32) and the
+/// matmul after attention (4 of 32). Wider
 /// blocks never do: compiled with `quick()`, the same step's batch matmuls
 /// are 8 blocks of 128 threads, which gained nothing side by side, and
 /// blocks of 256 threads already fill a wide pass.
@@ -1820,12 +1822,12 @@ fn the_serving_kernels_run_their_blocks_side_by_side() {
         (
             head8(),
             CompilerOptions::tuned(),
-            vec![("matmul_0_fused", 4, 4)],
+            vec![("matmul_0_fused", 16, 16)],
         ),
         (
             cnn_block8(),
             CompilerOptions::tuned(),
-            vec![("matmul_1000_fused", 18, 18)],
+            vec![("matmul_1000_fused", 72, 24)],
         ),
         (
             step(),
