@@ -47,6 +47,12 @@
 //!    `count_work` of the built kernels — and the model's inputs must be
 //!    equal, field by field.
 //!
+//! Then a real decode step, `gpt2_decode_step(4, 64)`, runs on the
+//! interpreter under the decode engine's `compact().order_stable()`, which
+//! must be bit-identical to `reference::execute`, and under plain
+//! `compact()`, whose cooperative reductions regroup the adds: whether it
+//! agrees is printed, not gated.
+//!
 //! ```text
 //! cargo run --release -p hidet-bench --bin verify_sweep
 //! ```
@@ -63,7 +69,7 @@ use hidet_analysis::{
 use hidet_bench::print_table;
 use hidet_graph::models;
 use hidet_graph::passes::{constant_fold, lower_convs, partition};
-use hidet_graph::Graph;
+use hidet_graph::{reference, Graph, Tensor};
 use hidet_ir::visit::count_nodes;
 use hidet_sched::{
     anchor_problem, compile_group, matmul_kernel, matmul_space, matmul_work, splitk_variants,
@@ -330,6 +336,44 @@ fn main() {
         println!("  mismatch: {line}");
     }
 
+    // --- a real decode step, executed, against the reference ---------------
+    let step = models::gpt2_decode_step(4, 64);
+    let inputs: HashMap<_, _> = (step.inputs().iter().zip(1..))
+        .map(|(&t, seed)| {
+            let data = Tensor::randn(step.tensor(t).shape(), seed);
+            (t, data.data().expect("generated").to_vec())
+        })
+        .collect();
+    let want = reference::execute(&step, &inputs);
+    let mut order_stable_same = false;
+    for (label, options, gated) in [
+        (
+            "compact().order_stable()",
+            CompilerOptions::compact().order_stable(),
+            true,
+        ),
+        ("compact()", CompilerOptions::compact(), false),
+    ] {
+        let compiled = hidet::compile(&step, &gpu, &options).expect("the decode step compiles");
+        let run = Instant::now();
+        let got = compiled.run(&inputs, &gpu).expect("the decode step runs");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same = (step.outputs().iter()).all(|o| bits(&got[o]) == bits(&want[o]));
+        println!(
+            "{} under {label}: estimate {:.3} ms, executed in {:.2} s, {} the reference{}",
+            step.name(),
+            compiled.estimate(&gpu) * 1e3,
+            run.elapsed().as_secs_f64(),
+            if same {
+                "bit-identical to"
+            } else {
+                "differs from"
+            },
+            if gated { "" } else { " (not gated)" }
+        );
+        order_stable_same |= gated && same;
+    }
+
     let sweep_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "\nswept {n_models} zoo models, {checks} verifier passes, {} diagnostics in {sweep_ms:.0} ms",
@@ -355,6 +399,10 @@ fn main() {
     assert!(
         mismatched.is_empty(),
         "the tuner's closed form must equal the built kernels' work"
+    );
+    assert!(
+        order_stable_same,
+        "the decode step must equal the reference bit for bit under compact().order_stable()"
     );
     println!("all static-analysis sweep checks passed");
 }

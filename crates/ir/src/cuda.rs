@@ -215,13 +215,11 @@ fn emit_access(params: &[BufferRef], buffer: &BufferRef, indices: &[Expr]) -> St
 fn emit_expr(params: &[BufferRef], e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
-        Expr::Float(v) => {
-            if v.fract() == 0.0 && v.abs() < 1e16 {
-                format!("{v:.1}f")
-            } else {
-                format!("{v}f")
-            }
-        }
+        // `math.h` spells the non-finite values; `Debug` gives every other
+        // value a `.` or an exponent, so the `f` suffix is legal C.
+        Expr::Float(v) if v.is_nan() => "NAN".to_string(),
+        Expr::Float(v) if v.is_infinite() => format!("{}INFINITY", if *v < 0.0 { "-" } else { "" }),
+        Expr::Float(v) => format!("{v:?}f"),
         Expr::Bool(v) => v.to_string(),
         Expr::Var(v) => v.name().to_string(),
         Expr::ThreadIdx => "threadIdx.x".to_string(),
@@ -244,7 +242,9 @@ fn emit_expr(params: &[BufferRef], e: &Expr) -> String {
         Expr::Unary { op, operand } => {
             let x = emit_expr(params, operand);
             match op {
-                UnOp::Neg => format!("(-{x})"),
+                // The space keeps `-` off an operand's own sign: `--` is a
+                // decrement.
+                UnOp::Neg => format!("(- {x})"),
                 UnOp::Not => format!("(!{x})"),
                 UnOp::Abs => format!("fabsf({x})"),
                 UnOp::Exp => format!("expf({x})"),
@@ -253,7 +253,7 @@ fn emit_expr(params: &[BufferRef], e: &Expr) -> String {
                 UnOp::Tanh => format!("tanhf({x})"),
                 UnOp::Erf => format!("erff({x})"),
                 UnOp::Log => format!("logf({x})"),
-                UnOp::Sigmoid => format!("(1.0f / (1.0f + expf(-{x})))"),
+                UnOp::Sigmoid => format!("(1.0f / (1.0f + expf(- {x})))"),
             }
         }
         Expr::Load { buffer, indices } => emit_access(params, buffer, indices),
@@ -326,6 +326,41 @@ __global__ void cooperative_load_a(const float* __restrict__ A) {
         kb.push(store(&a, vec![c(0)], x.unary(UnOp::Sigmoid)));
         let text = to_cuda(&kb.build());
         assert!(text.contains("1.0f / (1.0f + expf("));
+    }
+
+    fn literal(v: f32) -> String {
+        emit_expr(&[], &fconst(v))
+    }
+
+    #[test]
+    fn infinity_prints_as_the_math_h_macro() {
+        assert_eq!(literal(f32::INFINITY), "INFINITY");
+    }
+
+    #[test]
+    fn negative_infinity_prints_as_the_negated_macro() {
+        assert_eq!(literal(f32::NEG_INFINITY), "-INFINITY");
+    }
+
+    #[test]
+    fn nan_prints_as_the_math_h_macro() {
+        assert_eq!(literal(f32::NAN), "NAN");
+    }
+
+    #[test]
+    fn negating_a_negative_literal_prints_no_decrement() {
+        let neg = emit_expr(&[], &fconst(-2.0).unary(UnOp::Neg));
+        let sigmoid = emit_expr(&[], &fconst(f32::NEG_INFINITY).unary(UnOp::Sigmoid));
+        assert_eq!(neg, "(- -2.0f)");
+        assert_eq!(sigmoid, "(1.0f / (1.0f + expf(- -INFINITY)))");
+    }
+
+    #[test]
+    fn finite_literals_carry_a_point_or_an_exponent() {
+        assert_eq!(literal(2.0), "2.0f");
+        assert_eq!(literal(-1e9), "-1000000000.0f");
+        assert_eq!(literal(1e-5), "1e-5f");
+        assert_eq!(literal(-3e37), "-3e37f");
     }
 
     #[test]
